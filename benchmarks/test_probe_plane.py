@@ -1,11 +1,11 @@
 """Probe-plane microbenchmark — the control-plane hot path in isolation.
 
 No data traffic at all: a Contra fabric simply floods its periodic probe
-waves for a fixed number of rounds.  This isolates exactly the path the
-batched probe-plane pipeline optimizes (engine batch lane → coalesced link
-delivery → vectorized ``on_probe_batch``), so the ``BENCH_*.json`` artifact
-it drops tracks that win — and any future regression of it — independently
-of workload noise in the figure benchmarks.
+waves for a fixed number of rounds.  This isolates exactly the per-probe
+path (engine batch lane → ``SimLink._deliver_packet`` →
+``SwitchNode.receive`` → ``on_probe``), so the ``BENCH_*.json`` artifact it
+drops tracks that path's cost — and any future regression of it —
+independently of workload noise in the figure benchmarks.
 
 The ``*_vectorized`` variants run the same floods with the array probe
 plane (``probe_vectorize=True``) and pin its measured cost in the

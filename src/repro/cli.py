@@ -174,7 +174,7 @@ def _resolve_config(preset: str):
 def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
         outcome = run_scenario(args.name, _resolve_config(args.preset))
-    except KeyError as error:
+    except (KeyError, ExperimentError) as error:
         raise SystemExit(str(error))
     print(outcome.text)
     return 0

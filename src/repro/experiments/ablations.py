@@ -12,9 +12,11 @@ design section argues for; DESIGN.md lists them as the extension experiments:
 * **tag minimisation** (§6.1/§6.2) — effect of the compiler optimisation on
   the number of tags and on switch state.
 
-The simulation ablations are grid scenarios with protocol overrides
-(``probe_period`` / ``flowlet_timeout`` / ``use_versioning``), so one sweep
-fans its parameter points across cores.
+The simulation ablations are spec builders with protocol overrides
+(``probe_period`` / ``flowlet_timeout`` / ``use_versioning``);
+:func:`ablation_specs` concatenates them into the one grid the ``ablations``
+registry scenario runs, so the sweep shards, resumes and coordinates like
+every other grid.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ from repro.experiments.scalability import waypoint_policy_for
 
 __all__ = [
     "AblationPoint",
+    "probe_period_specs",
+    "flowlet_timeout_specs",
+    "versioning_specs",
+    "ablation_specs",
+    "to_ablation_points",
     "run_probe_period_ablation",
     "run_flowlet_timeout_ablation",
     "run_versioning_ablation",
@@ -79,6 +86,56 @@ def _contra_spec(config: ExperimentConfig, load: float, name: str, **overrides) 
     )
 
 
+def probe_period_specs(config: ExperimentConfig,
+                       periods: Sequence[float] = (0.128, 0.256, 0.512, 1.024),
+                       load: float = 0.6) -> List[ScenarioSpec]:
+    return [_contra_spec(config, load, f"ablation:probe-period:{period}",
+                         probe_period=period)
+            for period in periods]
+
+
+def flowlet_timeout_specs(config: ExperimentConfig,
+                          timeouts: Sequence[float] = (0.05, 0.2, 0.8, 3.2),
+                          load: float = 0.6) -> List[ScenarioSpec]:
+    return [_contra_spec(config, load, f"ablation:flowlet-timeout:{timeout}",
+                         flowlet_timeout=timeout)
+            for timeout in timeouts]
+
+
+def versioning_specs(config: ExperimentConfig, load: float = 0.6) -> List[ScenarioSpec]:
+    return [_contra_spec(config, load, f"ablation:versioning:{use_versioning}",
+                         use_versioning=use_versioning)
+            for use_versioning in (True, False)]
+
+
+def ablation_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
+    """The three simulation sweeps as one 10-point grid."""
+    return (probe_period_specs(config) + flowlet_timeout_specs(config)
+            + versioning_specs(config))
+
+
+def to_ablation_points(specs: Sequence[ScenarioSpec],
+                       results: Sequence[RunResult]) -> Dict[str, List[AblationPoint]]:
+    """Slice a grid's results into per-sweep point lists by spec-name prefix.
+
+    Each point reports the swept override its own spec carries, so any
+    concatenation of the builders above projects the same way.
+    """
+    points: Dict[str, List[AblationPoint]] = {
+        "probe_period": [], "flowlet_timeout": [], "versioning": []}
+    for spec, result in zip(specs, results):
+        if spec.name.startswith("ablation:probe-period:"):
+            points["probe_period"].append(
+                _to_point("probe_period_ms", spec.probe_period, result))
+        elif spec.name.startswith("ablation:flowlet-timeout:"):
+            points["flowlet_timeout"].append(
+                _to_point("flowlet_timeout_ms", spec.flowlet_timeout, result))
+        else:
+            points["versioning"].append(
+                _to_point("use_versioning", 1.0 if spec.use_versioning else 0.0, result))
+    return points
+
+
 def run_probe_period_ablation(
     config: Optional[ExperimentConfig] = None,
     periods: Sequence[float] = (0.128, 0.256, 0.512, 1.024),
@@ -86,13 +143,8 @@ def run_probe_period_ablation(
     processes: Optional[int] = None,
 ) -> List[AblationPoint]:
     """FCT and overhead as a function of the probe period (§5.2)."""
-    config = config or default_config()
-    specs = [_contra_spec(config, load, f"ablation:probe-period:{period}",
-                          probe_period=period)
-             for period in periods]
-    results = run_grid(specs, processes)
-    return [_to_point("probe_period_ms", period, result)
-            for period, result in zip(periods, results)]
+    specs = probe_period_specs(config or default_config(), periods, load)
+    return to_ablation_points(specs, run_grid(specs, processes))["probe_period"]
 
 
 def run_flowlet_timeout_ablation(
@@ -102,13 +154,8 @@ def run_flowlet_timeout_ablation(
     processes: Optional[int] = None,
 ) -> List[AblationPoint]:
     """FCT as a function of the flowlet timeout (§5.3)."""
-    config = config or default_config()
-    specs = [_contra_spec(config, load, f"ablation:flowlet-timeout:{timeout}",
-                          flowlet_timeout=timeout)
-             for timeout in timeouts]
-    results = run_grid(specs, processes)
-    return [_to_point("flowlet_timeout_ms", timeout, result)
-            for timeout, result in zip(timeouts, results)]
+    specs = flowlet_timeout_specs(config or default_config(), timeouts, load)
+    return to_ablation_points(specs, run_grid(specs, processes))["flowlet_timeout"]
 
 
 def run_versioning_ablation(
@@ -117,14 +164,8 @@ def run_versioning_ablation(
     processes: Optional[int] = None,
 ) -> List[AblationPoint]:
     """Versioned probes (§5.1) vs an unversioned distance-vector variant."""
-    config = config or default_config()
-    variants = (True, False)
-    specs = [_contra_spec(config, load, f"ablation:versioning:{use_versioning}",
-                          use_versioning=use_versioning)
-             for use_versioning in variants]
-    results = run_grid(specs, processes)
-    return [_to_point("use_versioning", 1.0 if use_versioning else 0.0, result)
-            for use_versioning, result in zip(variants, results)]
+    specs = versioning_specs(config or default_config(), load)
+    return to_ablation_points(specs, run_grid(specs, processes))["versioning"]
 
 
 @dataclass

@@ -15,9 +15,11 @@ Two kinds of entries exist:
   .ExecutionBackend` — including the sharded, resumable store-backed one —
   and :func:`merge_scenario` can reassemble the exact unsharded report from
   shard artifacts;
-* a legacy callable ``(config, processes) -> ScenarioOutcome`` for the
-  drivers that are not a single spec grid (compile-scalability jobs, the
-  multi-grid ablations), which therefore cannot shard through the store.
+* a legacy callable ``(config, processes) -> ScenarioOutcome``, which
+  cannot use a results store.  Only ``fig9-10`` is left here, and for a
+  reason: its records *are* wall-clock compile times, which differ from run
+  to run, so they cannot live in a store whose resume, merge and duplicate
+  checks all rest on a point's record being byte-identical whoever ran it.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ from repro.experiments.coordinator import (
     SweepStatus,
     sweep_status,
 )
-from repro.experiments.ablations import (
-    run_flowlet_timeout_ablation,
-    run_probe_period_ablation,
-    run_versioning_ablation,
-)
+from repro.experiments.ablations import ablation_specs, to_ablation_points
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.failure_recovery import (
     analyse_recovery_curve,
@@ -286,31 +284,32 @@ def _fluid_million_finish(config: ExperimentConfig,
                            [asdict(r) for r in results])
 
 
-# ------------------------------------------------------------ legacy scenarios
+def _ablations_finish(config: ExperimentConfig,
+                      results: List[RunResult]) -> ScenarioOutcome:
+    points = to_ablation_points(ablation_specs(config), results)
+    text = "\n\n".join([
+        report.format_ablation(points["probe_period"], "Probe period ablation"),
+        report.format_ablation(points["flowlet_timeout"], "Flowlet timeout ablation"),
+        report.format_ablation(points["versioning"], "Versioning ablation"),
+    ])
+    return ScenarioOutcome("ablations", text,
+                           {sweep: [asdict(p) for p in sweep_points]
+                            for sweep, sweep_points in points.items()})
+
+
+# ------------------------------------------------------------- legacy scenario
 
 def _fig9_10(config: ExperimentConfig, processes: Optional[int]) -> ScenarioOutcome:
+    """Compile-time/state scalability: timing jobs, not a spec grid.
+
+    The one legacy callable: a measured compile time is not a deterministic
+    record, so it has no place in a store keyed for byte-identity.
+    """
     points = run_scalability_sweep(fattree_sizes=config.scalability_fattree_sizes,
                                    random_sizes=config.scalability_random_sizes,
                                    processes=processes)
     return ScenarioOutcome("fig9-10", report.format_scalability(points),
                            [asdict(p) for p in points])
-
-
-def _ablations(config: ExperimentConfig, processes: Optional[int]) -> ScenarioOutcome:
-    probe = run_probe_period_ablation(config, processes=processes)
-    flowlet = run_flowlet_timeout_ablation(config, processes=processes)
-    versioning = run_versioning_ablation(config, processes=processes)
-    text = "\n\n".join([
-        report.format_ablation(probe, "Probe period ablation"),
-        report.format_ablation(flowlet, "Flowlet timeout ablation"),
-        report.format_ablation(versioning, "Versioning ablation"),
-    ])
-    payload = {
-        "probe_period": [asdict(p) for p in probe],
-        "flowlet_timeout": [asdict(p) for p in flowlet],
-        "versioning": [asdict(p) for p in versioning],
-    }
-    return ScenarioOutcome("ablations", text, payload)
 
 
 #: Scenario name -> GridScenario (shardable) or legacy callable.
@@ -337,7 +336,7 @@ SCENARIOS: Dict[str, Union[GridScenario,
     "fig14": GridScenario(failure_recovery_specs, _fig14_finish),
     "fig15": GridScenario(abilene_fct_specs, _fig15_finish),
     "fig16": GridScenario(overhead_specs, _fig16_finish),
-    "ablations": _ablations,
+    "ablations": GridScenario(ablation_specs, _ablations_finish),
     "incast": GridScenario(incast_specs, _incast_finish),
     "multi-failure": GridScenario(multi_failure_specs, _multi_failure_finish),
     "recovery-sweep": GridScenario(recovery_sweep_specs, _recovery_sweep_finish),

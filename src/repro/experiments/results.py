@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import (
@@ -157,26 +157,40 @@ class ResultsStore:
         simply re-executes on resume); an undecodable line anywhere else is
         real corruption and raises.
         """
+        payloads = {key: record["result"] for key, record, _ in self._validated()}
+        return {key: decode_result(payload) for key, payload in payloads.items()}
+
+    def _validated(self, grid: Optional[Set[str]] = None):
+        """Yield ``(spec hash, record, repeat)`` over every record, verified.
+
+        A record without a spec hash or a result is corruption and raises.
+        ``repeat`` is True from a hash's second record on, once that record
+        is verified to carry the same result as the first — a conflict raises
+        rather than silently picking a side.  Records keyed outside ``grid``
+        (when given) are yielded uncompared: gc drops them unread.
+        """
         canonical: Dict[str, str] = {}
-        payloads: Dict[str, dict] = {}
         for file, line_number, record in self._records():
             try:
                 key, payload = record["spec_hash"], record["result"]
             except (KeyError, TypeError):
                 raise ExperimentError(
                     f"corrupt results record at {file}:{line_number}") from None
+            if grid is not None and key not in grid:
+                yield key, record, False
+                continue
             # Compare serialized forms, not dicts: summaries legitimately
             # carry NaN (e.g. avg_fct_ms of a streams-only run), and
             # NaN != NaN would make byte-identical duplicates look like a
             # conflict under dict equality.
             serialized = json.dumps(payload, sort_keys=True)
-            if key in canonical and canonical[key] != serialized:
+            repeat = key in canonical
+            if repeat and canonical[key] != serialized:
                 raise ExperimentError(
                     f"conflicting results for spec hash {key[:12]}… in {file}: "
                     f"the store mixes records from incompatible runs")
             canonical[key] = serialized
-            payloads[key] = payload
-        return {key: decode_result(payload) for key, payload in payloads.items()}
+            yield key, record, repeat
 
     def _records(self):
         """Yield ``(file, line_number, record)`` over every decodable line."""
@@ -342,28 +356,15 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     valid = [spec_hash(spec) for spec in specs]
     valid_set = set(valid)
     kept: Dict[str, dict] = {}
-    canonical: Dict[str, str] = {}
     total = stale = duplicates = 0
-    for file, line_number, record in store._records():
+    for key, record, repeat in store._validated(valid_set):
         total += 1
-        try:
-            key, payload = record["spec_hash"], record["result"]
-        except (KeyError, TypeError):
-            raise ExperimentError(
-                f"corrupt results record at {file}:{line_number}") from None
         if key not in valid_set:
             stale += 1
-            continue
-        serialized = json.dumps(payload, sort_keys=True)
-        if key in kept:
-            if canonical[key] != serialized:
-                raise ExperimentError(
-                    f"conflicting results for spec hash {key[:12]}… in {file}: "
-                    f"the store mixes records from incompatible runs")
+        elif repeat:
             duplicates += 1
-            continue
-        kept[key] = record
-        canonical[key] = serialized
+        else:
+            kept[key] = record
     compacted = store.directory / "results-shard0of1.jsonl"
     staging = store.directory / ".gc-compact.tmp"
     with staging.open("w", encoding="utf-8") as handle:

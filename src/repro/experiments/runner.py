@@ -896,13 +896,21 @@ def resolve_processes(processes: Optional[int], tasks: int) -> int:
 
     The default stays serial: grid results are byte-identical either way, and
     forking only pays off once the per-point runtime exceeds worker startup.
+    ``0`` means every core; a negative or non-integer count is refused.
     """
     if processes is None:
+        raw = procs_from_env()
         try:
-            processes = int(procs_from_env())
+            processes = int(raw)
         except ValueError:
-            processes = 1
-    if processes < 1:
+            raise ExperimentError(
+                f"CONTRA_PROCS must be an integer >= 0 (0 = every core), "
+                f"got {raw!r}") from None
+    if processes < 0:
+        raise ExperimentError(
+            f"worker count (--processes / CONTRA_PROCS) must be >= 0 "
+            f"(0 = every core), got {processes}")
+    if processes == 0:
         processes = os.cpu_count() or 1
     return max(1, min(processes, tasks))
 

@@ -1,10 +1,15 @@
-"""Optional numpy import shared by the array probe plane.
+"""Optional numpy import, and bit-exact pure-Python stand-ins for two reductions.
 
-The vectorized probe path (ARCHITECTURE.md "array probe plane") is a pure
-accelerator: every module that uses it imports ``np`` from here and falls back
-to the scalar oracle when it is ``None``.  Keeping the import in one place
-gives tests a single monkeypatch point per consumer module and keeps the
-package importable on interpreters without numpy (the ``[fast]`` extra in
+Every module that can use numpy imports ``np`` from here and takes its
+pure-Python path when it is ``None``: the array probe plane and its lowered
+tables (``protocol``, ``simulator/probe_wave.py``, ``core/device_config.py``,
+``core/analysis/crosscheck.py``, the sanitizer's shadow check) treat numpy
+as a pure accelerator over a scalar oracle, while ``simulator/stats.py``,
+``simulator/fluid.py`` and ``experiments/failure_recovery.py`` call
+:func:`mean` / :func:`percentile_linear` so their summaries are
+byte-identical with and without it.  Keeping the import in one place gives
+tests a single monkeypatch point per consumer module and keeps the package
+importable on interpreters without numpy (the ``[fast]`` extra in
 ``pyproject.toml`` is optional by design).
 """
 

@@ -14,7 +14,7 @@ each interpreting the switch's compiled :class:`~repro.core.device_config
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.analysis.decomposition import SubPolicy
 from repro.core.ast import Attr, PathContext, Policy, TupleExpr
@@ -64,7 +64,7 @@ __all__ = ["ContraSystem", "ContraRouting", "PROBE_VECTORIZE_DEFAULT"]
 PROBE_VECTORIZE_DEFAULT = False
 
 #: Waves shorter than this skip the array passes: below a handful of probes
-#: the column build costs more than the scalar loop it would save.  Purely a
+#: the column build costs more than the scalar work it would save.  Purely a
 #: performance threshold — both paths are exact.
 VECTOR_MIN_WAVE = 8
 
@@ -234,7 +234,7 @@ class ContraRouting(RoutingLogic):
         # Specialized per-names metric extenders (False = use the generic path).
         self._extenders: Dict[Tuple[str, ...], object] = {}
         # Bound-method/attribute caches for the probe hot loop (instance
-        # constants; rebinding them per wave showed up in k=16 profiles).
+        # constants; rebinding them per probe showed up in k=16 profiles).
         self._transition_get = config.probe_transition.get
         self._fwdt_lookup = self.fwdt.lookup
         self._fwdt_install = self.fwdt.install
@@ -352,233 +352,142 @@ class ContraRouting(RoutingLogic):
                 link.enqueue(packet)
 
     def on_probe(self, packet: Packet, inport: str) -> None:
-        """PROCESSPROBE (Figure 7) with the versioning refinement of §5.1."""
-        self.on_probe_batch((packet,), inport)
+        """PROCESSPROBE (Figure 7) with the versioning refinement of §5.1.
 
-    def on_probe_batch(self, packets: Sequence[Packet], inport: str) -> None:
-        """PROCESSPROBE over one same-tick probe run from ``inport``.
-
-        Semantically identical to calling :meth:`on_probe` per packet in
-        order; the run shape lets the per-probe loop shed everything that is
-        constant across a wave from one inport: the clock read, the
-        probe-silence/failure-belief refresh, the ingress product-graph
-        transition table, the egress link object and the extender dispatch.
-        The per-probe work that remains is the accept decision itself (~90%
-        of probes in a converged fabric are rejected, so the reject path is
-        the hot path).
-        """
-        link, plain_link, now = self._probe_run_header(inport)
-        self._scalar_probe_run(packets, inport, link, plain_link, now)
-
-    def on_probe_wave(self, packets: Sequence[Packet], inport: str,
-                      wave: Optional[ProbeWave] = None) -> None:
-        """PROCESSPROBE over one run member, with the array prefilter in front.
-
-        At a run's first member, exact array passes over the whole wave flag
-        the probes whose scalar processing would have **zero side effects**:
-        the static kills (no product-graph transition, self-origin) into
-        ``wave.dead``, and the table-dependent verdicts against the FwdT
-        shadow as of run start (version rejects, strict metric rejects, and
-        exact ties whose ECMP-alternate side effect is provably a no-op)
-        into ``wave.cond_dead`` under the congestion guard.  The link drops
-        flagged members outright.  The survivors — accepts, mutating ties,
-        and anything the passes could not judge — fall through to the
-        unchanged scalar loop at their original FIFO positions.  Because
-        flagged probes are side-effect-free and survivors recompute
-        everything scalar-side, the outcome is byte-identical to
-        :meth:`on_probe_batch` by construction.
-        """
-        if wave is not None:
-            if wave.dead is not None:
-                # Judged run, member with at least one unflagged probe.
-                self._consume_member(wave, packets, inport)
-                return
-            # First member: set the run up for judging, if it qualifies.
-            link, plain_link, now = self._probe_run_header(inport)
-            judged = (self._judge_run(wave, link, inport)
-                      if plain_link and len(wave.packets) >= VECTOR_MIN_WAVE
-                      else False)
-            if judged:
-                wave.context = (link, plain_link, now)
-                wave.cursor = len(packets)
-                wave.member_base = 0
-                self._consume_member(wave, packets, inport)
-            else:
-                # Ineligible or too small: the link delivers the remaining
-                # members plainly and each runs the scalar path (with its
-                # own header, exactly like the per-member baseline).
-                wave.scalar = True
-                self._scalar_probe_run(packets, inport, link, plain_link, now)
-            return
-        link, plain_link, now = self._probe_run_header(inport)
-        self._scalar_probe_run(packets, inport, link, plain_link, now)
-
-    def _consume_member(self, wave: ProbeWave, packets: Sequence[Packet],
-                        inport: str) -> None:
-        """Process one member of a judged run through its cached verdicts.
-
-        Members made up entirely of flagged probes were already dropped
-        link-side; a mixed member lands here.  The same masks the link uses
-        apply per probe: the unconditional ``dead`` flags, and the
-        conditional rejects while the guard still holds (ingress congestion
-        at least the fold value the judging pass used — the folds are
-        monotone nondecreasing in congestion and entries only improve, so a
-        strict loss cannot turn into an accept, and a flagged tie cannot
-        turn into a mutating one, while congestion is no lower than the
-        fold saw).  If congestion dropped below the fold value — a mid-tick
-        data drain towards this inport — the conditional probes go to the
-        scalar loop instead, which recomputes everything.  Survivors run
-        scalar at their original FIFO position.
-        """
-        link, plain_link, now = wave.context
-        base = wave.member_base
-        dead = wave.dead
-        cond = wave.cond_dead
-        if cond is not None and link.congestion < wave.guard_value:
-            cond = None
-        survivors = None
-        for offset, packet in enumerate(packets):
-            index = base + offset
-            if dead[index] or (cond is not None and cond[index]):
-                continue
-            if survivors is None:
-                survivors = [packet]
-            else:
-                survivors.append(packet)
-        if survivors is not None:
-            self._scalar_probe_run(survivors, inport, link, plain_link, now)
-
-    def _probe_run_header(self, inport: str):
-        """Per-run bookkeeping shared by the scalar and array paths.
-
-        Refreshes the probe-silence clock and failure belief for ``inport``
-        and resolves the traffic-direction link — everything that happens
-        once per ``(link, tick)`` run regardless of how its probes are judged.
+        The sole mutator of FwdT/BestT state on the probe path; the array
+        prefilter only decides which probes reach it.  ~90% of probes in a
+        converged fabric are rejected, so the reject path is the hot path.
         """
         now = self.network.sim._now
         self._last_probe_from[inport] = now
         believed_failed = self._believed_failed
         if believed_failed.get(inport, False):
             believed_failed[inport] = False
+
+        payload = packet.probe
+        tag = payload.tag
+        local_tag = self._transition_get((inport, tag))
+        if local_tag is None:
+            return  # no product-graph edge: the probe is policy-irrelevant here
+        origin = payload.origin
         switch = self.switch
+        if origin == switch.name:
+            return  # probes never advertise a destination back to itself
+
+        # UPDATEMVEC: fold in the traffic-direction link (this switch ->
+        # inport).  Only the extended *values* tuple is computed up front;
+        # the metric vector object is materialized after the accept decision.
         link = switch.ports.get(inport)
         if link is None:
             link = switch.egress(inport)        # raises the canonical error
+        mv = payload.metrics
+        names = mv.names
+        extend = self._extenders.get(names)
+        if extend is None:
+            extend = self._extenders[names] = _make_metric_extender(names) or False
         # The specialized extender reads the link's congestion directly; an
         # instance-level metric_values override (tests pin link metrics that
         # way) must keep winning over it.
-        plain_link = "metric_values" not in link.__dict__
-        return link, plain_link, now
+        if extend is not False and "metric_values" not in link.__dict__:
+            new_values = extend(mv, link)
+        else:
+            new_values = mv.extend(link.metric_values()).values
 
-    def _scalar_probe_run(self, packets: Sequence[Packet], inport: str,
-                          link, plain_link: bool, now: float) -> None:
-        """The per-probe PROCESSPROBE loop (the protocol oracle).
+        pid = payload.pid
+        key: FwdKey = (origin, local_tag, pid)
+        entry = self._fwdt_lookup(key)
+        indices = self._prop_indices.get(pid)
+        if indices is True:      # identity projection: the values tuple is the key
+            prop_key = new_values
+        elif indices is None:    # attrs outside the carried vector: slow path
+            prop_key = self.compiled.decomposition.subpolicy(pid) \
+                .propagation_rank(MetricVector._make(names, new_values)).values
+        else:
+            prop_key = tuple([new_values[i] for i in indices])
 
-        This is the sole mutator of FwdT/BestT/flowlet state on the probe
-        path; the array prefilter only decides which probes reach it.
-        """
-        switch = self.switch
-        my_name = switch.name
-        transition_get = self._transition_get
-        extenders = self._extenders
-        extenders_get = extenders.get
-        prop_indices_get = self._prop_indices.get
-        fwdt_lookup = self._fwdt_lookup
-        fwdt_install = self._fwdt_install
-        system = self.system
-        use_versioning = system.use_versioning
-        allow_alternates_get = self._allow_alternates.get
-        shadow = self._shadow
-        inport_id = self._switch_ids.get(inport, -1) if shadow is not None else -1
-
-        for packet in packets:
-            payload = packet.probe
-            tag = payload.tag
-            local_tag = transition_get((inport, tag))
-            if local_tag is None:
-                continue  # no product-graph edge: the probe is policy-irrelevant here
-            origin = payload.origin
-            if origin == my_name:
-                continue  # probes never advertise a destination back to itself
-
-            # UPDATEMVEC: fold in the traffic-direction link (this switch ->
-            # inport).  Only the extended *values* tuple is computed up front;
-            # the metric vector object is materialized after the accept
-            # decision.
-            mv = payload.metrics
-            names = mv.names
-            extend = extenders_get(names)
-            if extend is None:
-                extend = _make_metric_extender(names) or False
-                extenders[names] = extend
-            if extend is not False and plain_link:
-                new_values = extend(mv, link)
-            else:
-                new_values = mv.extend(link.metric_values()).values
-
-            pid = payload.pid
-            key: FwdKey = (origin, local_tag, pid)
-            entry = fwdt_lookup(key)
-            indices = prop_indices_get(pid)
-            if indices is True:
-                prop_key = new_values
-            elif indices is None:  # attrs outside the carried vector: slow path
-                prop_key = self.compiled.decomposition.subpolicy(pid) \
-                    .propagation_rank(MetricVector._make(names, new_values)).values
-            else:
-                prop_key = tuple([new_values[i] for i in indices])
-
-            version = payload.version
-            if entry is None:
-                pass                     # first word about this key: accept
-            elif not use_versioning:
-                # Ablation: unversioned distance-vector — accept purely on
-                # metric, plus staleness refresh so entries do not expire
-                # spuriously.
-                if not (prop_key < entry.prop_key
-                        or now - entry.updated_at > system.probe_period):
-                    if prop_key == entry.prop_key and inport != entry.next_hop \
-                            and allow_alternates_get(pid, False):
-                        entry.add_alternate(inport, tag)
-                    continue
-            elif version > entry.version:
-                pass                     # newer round always replaces stale state
-            elif version == entry.version and prop_key < entry.prop_key:
-                pass                     # same round: keep the better path under f
-            else:
-                # An exact same-round tie is an ECMP sibling of the installed
-                # path: remember it as an alternate next hop (no re-multicast
-                # — the equal-metric flood already went out via the primary).
-                if prop_key == entry.prop_key and inport != entry.next_hop and \
-                        version == entry.version and allow_alternates_get(pid, False):
+        version = payload.version
+        if entry is None:
+            pass                     # first word about this key: accept
+        elif not self.system.use_versioning:
+            # Ablation: unversioned distance-vector — accept purely on
+            # metric, plus staleness refresh so entries do not expire
+            # spuriously.
+            if not (prop_key < entry.prop_key
+                    or now - entry.updated_at > self.system.probe_period):
+                if prop_key == entry.prop_key and inport != entry.next_hop \
+                        and self._allow_alternates.get(pid, False):
                     entry.add_alternate(inport, tag)
-                    if shadow is not None:
-                        # Mirror the tie into the shadow's alternate slots so
-                        # the block judge can flag future repeat/full-group
-                        # ties as no-ops.
-                        shadow.record_alternate(payload.origin_id, local_tag,
-                                                pid, version, inport_id, tag)
-                continue
+                return
+        elif version > entry.version:
+            pass                     # newer round always replaces stale state
+        elif version == entry.version and prop_key < entry.prop_key:
+            pass                     # same round: keep the better path under f
+        else:
+            # An exact same-round tie is an ECMP sibling of the installed
+            # path: remember it as an alternate next hop (no re-multicast
+            # — the equal-metric flood already went out via the primary).
+            if prop_key == entry.prop_key and inport != entry.next_hop and \
+                    version == entry.version and self._allow_alternates.get(pid, False):
+                entry.add_alternate(inport, tag)
+                if self._shadow is not None:
+                    # Mirror the tie into the shadow's alternate slots so
+                    # the block judge can flag future repeat/full-group
+                    # ties as no-ops.
+                    self._shadow.record_alternate(
+                        payload.origin_id, local_tag, pid, version,
+                        self._switch_ids.get(inport, -1), tag)
+            return
 
-            metrics = MetricVector._make(names, new_values)
-            prop_key = self._prop_key_pool.setdefault(prop_key, prop_key)
-            new_entry = ForwardingEntry(
-                metrics=metrics,
-                next_tag=tag,
-                next_hop=inport,
-                version=version,
-                updated_at=now,
-                prop_key=prop_key,
-                rank=self._rank_of(key, metrics),
-            )
-            fwdt_install(key, new_entry)
-            if shadow is not None:
-                # Mirror the install into the dense prefilter view (exact
-                # values only; see the ForwardingShadow soundness contract).
-                shadow.record(payload.origin_id, local_tag, pid, version,
-                              prop_key, inport_id)
-            self._maybe_update_best(origin, key, new_entry)
-            self._multicast(payload.advanced(local_tag, metrics), exclude=inport)
+        metrics = MetricVector._make(names, new_values)
+        prop_key = self._prop_key_pool.setdefault(prop_key, prop_key)
+        new_entry = ForwardingEntry(
+            metrics=metrics,
+            next_tag=tag,
+            next_hop=inport,
+            version=version,
+            updated_at=now,
+            prop_key=prop_key,
+            rank=self._rank_of(key, metrics),
+        )
+        self._fwdt_install(key, new_entry)
+        if self._shadow is not None:
+            # Mirror the install into the dense prefilter view (exact
+            # values only; see the ForwardingShadow soundness contract).
+            self._shadow.record(payload.origin_id, local_tag, pid, version,
+                                prop_key, self._switch_ids.get(inport, -1))
+        self._maybe_update_best(origin, key, new_entry)
+        self._multicast(payload.advanced(local_tag, metrics), exclude=inport)
+
+    def on_probe_wave(self, packet: Packet, inport: str, wave: ProbeWave) -> None:
+        """PROCESSPROBE with the array prefilter in front.
+
+        At a run's first probe, exact array passes over the whole wave flag
+        the probes whose scalar processing would have **zero side effects**:
+        the static kills (no product-graph transition, self-origin) into
+        ``wave.dead``, and the table-dependent verdicts against the FwdT
+        shadow as of run start (version rejects, strict metric rejects, and
+        exact ties whose ECMP-alternate side effect is provably a no-op)
+        into ``wave.cond_dead`` under the congestion guard.  The link drops
+        the run's later flagged probes outright.  The survivors — accepts,
+        mutating ties, and anything the passes could not judge — reach the
+        unchanged :meth:`on_probe` at their original FIFO positions, and so
+        does the first probe whatever its flag: it owes the run's
+        probe-silence refresh, and the rest of a flagged probe's processing
+        is a no-op by the judge's own proof.  Because flagged probes are
+        side-effect-free and survivors recompute everything scalar-side, the
+        outcome is byte-identical to per-probe :meth:`on_probe` by
+        construction.
+        """
+        if wave.dead is None and not wave.scalar:
+            # First probe of the run: judge it whole, if it qualifies (a
+            # plain link — see on_probe — and enough probes to pay for the
+            # column build).  Otherwise every probe runs the scalar path.
+            link = self.switch.egress(inport)
+            judged = "metric_values" not in link.__dict__ \
+                and len(wave.packets) >= VECTOR_MIN_WAVE \
+                and self._judge_run(wave, link, inport)
+            wave.scalar = not judged
+        self.on_probe(packet, inport)
 
     def _judge_run(self, wave: ProbeWave, link, inport: str) -> bool:
         """Judge one whole run with exact array passes; False if ineligible.
@@ -592,12 +501,12 @@ class ContraRouting(RoutingLogic):
 
         * **transition kill** — the dense per-inport row of the
           product-graph transition table maps each probe's tag to its local
-          tag; ``-1`` means no edge, and the scalar loop would ``continue``
+          tag; ``-1`` means no edge, and the scalar path would return
           untouched.
         * **self-origin kill** — probes advertising this switch to itself.
         * **version reject** — probes strictly older than the shadow entry
           for their (origin, tag, pid); entry versions never decrease, so
-          the verdict cannot rot while later members interleave with other
+          the verdict cannot rot while later probes interleave with other
           runs' installs.
 
         Conditional kills (``wave.cond_dead``), valid while the guard
@@ -623,7 +532,7 @@ class ContraRouting(RoutingLogic):
         shadow is judged at run start; interleaved installs by other runs
         can only *improve* entries, so a kill never becomes an accept —
         probes the run-start shadow could not kill simply survive to the
-        scalar loop, which recomputes everything.
+        scalar path, which recomputes everything.
         """
         columns = wave.columns(self._carried_names)
         if columns is None or self._trans_rows is None:
@@ -748,8 +657,8 @@ class ContraRouting(RoutingLogic):
                         cond = np.zeros(n, dtype=bool)
                     cond[rows[verdict]] = True
 
-        # Plain lists index faster than numpy scalars in the link's and
-        # the member consumer's per-probe loops.
+        # Plain lists index faster than numpy scalars in the link's
+        # per-probe mask reads.
         wave.dead = dead.tolist()
         if cond is not None:
             wave.cond_dead = cond.tolist()
@@ -758,17 +667,6 @@ class ContraRouting(RoutingLogic):
         return True
 
     # ------------------------------------------------------------ best choice
-
-    def _propagation_key(self, pid: int, names: Tuple[str, ...],
-                         values: Tuple[float, ...]) -> Tuple[float, ...]:
-        """The isotonic propagation key f(pid, mv) as a raw comparable tuple."""
-        indices = self._prop_indices.get(pid)
-        if indices is True:  # identity projection: the values tuple is the key
-            return values
-        if indices is None:  # attrs outside the carried vector: slow path
-            metrics = MetricVector._make(names, values)
-            return self.compiled.decomposition.subpolicy(pid).propagation_rank(metrics).values
-        return tuple(values[i] for i in indices)
 
     def _rank_of(self, key: FwdKey, metrics) -> Rank:
         """s(key): evaluate the full user policy on one metric vector."""

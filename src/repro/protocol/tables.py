@@ -208,9 +208,13 @@ class ForwardingShadow:
         for position, value in enumerate(prop_key):
             cols[position][index] = value
         # A fresh install replaces the entry object wholesale, emptying its
-        # alternate group; the mirror resets identically.
+        # alternate group; the mirror resets identically.  The slots are
+        # cleared too: the judge matches against every slot, and a stale
+        # (hop, tag) pair would make the new entry's first tie look repeated.
         self.nexthop_ids[index] = nexthop_id if nexthop_id is not None else -1
         self.alt_count[index] = 0
+        for hops in self.alt_hops:
+            hops[index] = -1
 
     def record_alternate(self, origin_id: Optional[int], tag: int, pid: int,
                          version: int, hop_id: Optional[int],

@@ -203,30 +203,24 @@ class Simulator:
         self._sequence = seq + 1
         heapq.heappush(self._queue, (time, seq, callback, args))
 
-    def call_batched(self, time: float, callback: Callable[..., None], key: Any,
-                     arg: Any) -> None:
-        """Batch lane: schedule ``callback(key, args)`` at an absolute time.
+    def call_batched(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Batch lane: schedule ``callback(*args)`` at an absolute time.
 
-        Same-timestamp lane registrations coalesce under one heap entry and
-        execute in exact FIFO registration order when it pops.  Consecutive
-        registrations with the same ``(callback, key)`` additionally merge
-        into a single call receiving the list of their ``arg`` values — the
-        links use this to turn a same-arrival-time probe wave into one
-        delivery call per ``(link, tick)`` run.  ``key`` rides along so a
-        callback can version its batch (links pass their fail epoch: a
-        mid-tick failure naturally splits the run).
+        Same signature and meaning as :meth:`call_at`; the difference is heap
+        traffic only.  Same-timestamp lane registrations coalesce under one
+        heap entry and execute in exact FIFO registration order when it pops.
 
         Ordering contract: scheduling any *non-lane* event at the open
         batch's timestamp seals it, so relative order against non-lane events
         is exactly what per-event scheduling produces.  With the lane
-        disabled each registration is its own heap entry carrying a
-        single-member list — byte-identical schedules either way.
+        disabled each registration is its own heap entry — byte-identical
+        schedules either way.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at {time} ms, current time is {self._now} ms")
         if not self._batching:
-            self._push(time, callback, (key, [arg]))
+            self._push(time, callback, args)
             return
         if time != self._batch_time:
             members: List = []
@@ -238,12 +232,7 @@ class Simulator:
             self._batch_entries += 1
         else:
             members = self._batch
-            tail = members[-1]
-            if tail[0] is callback and tail[1] == key:
-                tail[2].append(arg)
-                self._batch_pending += 1
-                return
-        members.append((callback, key, [arg]))
+        members.append((callback, args))
         self._batch_pending += 1
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -334,27 +323,25 @@ def _fire_handle(handle: "Event | PeriodicEvent") -> None:
 def _fire_batch(sim: "Simulator", members: List) -> None:
     """Execute one coalesced batch entry's members in FIFO order.
 
-    Each member is ``(callback, key, args)`` and fires as ``callback(key,
-    args)``; ``args`` holds every merged registration of a consecutive
-    ``(callback, key)`` run, so event accounting counts registrations, not
-    members — ``events_processed`` and ``pending_events`` read identically
-    with the lane on or off.  A ``stop()`` raised by a member re-queues the
-    unrun tail at the same timestamp (exactly the entries per-event
-    scheduling would have left in the heap).
+    Each member is one registration, ``(callback, args)``, fired as
+    ``callback(*args)``; event accounting counts members, so
+    ``events_processed`` and ``pending_events`` read identically with the
+    lane on or off.  A ``stop()`` raised by a member re-queues the unrun tail
+    at the same timestamp (exactly the entries per-event scheduling would
+    have left in the heap).
     """
     if members is sim._batch:
         sim._batch_time = -1.0
         sim._batch = None
     sim._batch_entries -= 1
     fired = 0
-    for index, (callback, key, args) in enumerate(members):
-        callback(key, args)
-        fired += len(args)
-        if sim._stopped and index + 1 < len(members):
-            rest = members[index + 1:]
+    for callback, args in members:
+        callback(*args)
+        fired += 1
+        if sim._stopped and fired < len(members):
             seq = sim._sequence
             sim._sequence = seq + 1
-            heapq.heappush(sim._queue, (sim._now, seq, _fire_batch, (sim, rest)))
+            heapq.heappush(sim._queue, (sim._now, seq, _fire_batch, (sim, members[fired:])))
             sim._batch_entries += 1
             break
     sim._batch_pending -= fired

@@ -17,35 +17,34 @@ frees up — so an uncongested link schedules one event per packet, and a
 congested one two, regardless of how many packets pile up behind.
 
 Probes ride the engine's **batch lane**: a whole same-arrival-time probe wave
-coalesces under one heap entry, and consecutive same-``(link, tick)`` probes
-merge into one delivery call carrying the packet run (the registered fail
-epoch rides in the batch key, so a mid-tick failure splits the run).  FIFO
-order — within a link and across links — is exactly the per-event order; the
-lane only removes heap traffic, never reorders (see the engine's ordering
-contract).
+coalesces under one heap entry, one member per probe.  A probe's delivery is
+registered as the same ``(packet, fail epoch)`` guard data packets use, so a
+mid-tick failure drops exactly the probes registered under the dead epoch.
+FIFO order — within a link and across links — is exactly the per-event
+order; the lane only removes heap traffic, never reorders (see the engine's
+ordering contract).
 
 When the receiving switch's routing logic asks for probe waves
-(``collect_probe_runs``, set at wiring time), the link additionally
-accumulates each same-``(link, tick)`` run into one
+(``probe_wave_sink``, set at wiring time), the link additionally accumulates
+each same-``(link, tick)`` run into one
 :class:`~repro.simulator.probe_wave.ProbeWave` **at enqueue time** — the one
 most recently started run is remembered, and a same-arrival enqueue appends
-to it — and the wave itself rides in the batch key next to the fail epoch,
-so every member delivery carries its run with no lookup.  Member deliveries
-still fire one by one in exact FIFO order — the wave never reorders
-anything — but it lets the receiver judge the whole run once at its first
-member and annotate the wave with a per-probe ``dead`` mask: a flagged probe
-is one whose processing the receiver proved to be a no-op, so the link drops
-its member delivery outright instead of paying the full delivery chain.  The
-link reads only the wave's generic annotation slots (``dead``/``cond_dead``
-and its guard/``scalar``/``cursor``); it stays payload-agnostic and only
-guarantees the run's shape: same link, same tick, same fail epoch, FIFO
-order.
+to it — and the wave rides in every member's arguments next to the fail
+epoch, so a delivery carries its run with no lookup.  Deliveries still fire
+one by one in exact FIFO order — the wave never reorders anything — but it
+lets the receiver judge the whole run once at its first probe and annotate
+the wave with a per-probe ``dead`` mask: a flagged probe is one whose
+processing the receiver proved to be a no-op, so the link drops its delivery
+outright instead of paying the full delivery chain.  The link reads only the
+wave's generic annotation slots (``dead``/``cond_dead``, its guard and
+``cursor``); it stays payload-agnostic and only guarantees the run's shape:
+same link, same tick, same fail epoch, FIFO order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.simulator.packet import DATA_PACKET_BYTES, Packet
 from repro.simulator.probe_wave import ProbeWave
@@ -71,7 +70,6 @@ class SimLink:
         deliver: Optional[Callable[[Packet, str], None]] = None,
         stats: Optional["StatsCollector"] = None,
         util_window: float = 1.0,
-        deliver_batch: Optional[Callable[[Sequence[Packet], str], None]] = None,
     ):
         self.sim = sim
         self.src = src
@@ -80,22 +78,19 @@ class SimLink:
         self.latency = float(latency)            # ms
         self.buffer_packets = int(buffer_packets)
         self.deliver = deliver                   # callback(packet, inport=src)
-        #: Optional vectorized probe sink — callback(packets, inport=src) for
-        #: one same-tick probe run; None falls back to per-packet ``deliver``.
-        self.deliver_batch = deliver_batch
-        #: Stable bound-method reference for the engine's batch lane (the lane
-        #: merges consecutive registrations by callback *identity*).
-        self._deliver_probe_run = self._deliver_probe_batch
-        #: Accumulate same-arrival probe runs into ProbeWave objects for the
-        #: receiver's array fast path.  Set at wiring time iff the receiving
-        #: switch's routing logic wants waves; off by default so scalar
-        #: systems pay nothing.
-        self.collect_probe_runs = False
+        #: Bound once: every pending delivery holds its callback, and a k=16
+        #: probe wave keeps ~650k registrations in the batch lane at a time.
+        self._deliver_packet = self._deliver_packet
+        #: ``callback(packet, inport, wave)`` of a receiving routing logic that
+        #: judges whole probe runs (array probe plane); set at wiring time,
+        #: None otherwise so scalar systems pay nothing.  While set, probes
+        #: bypass ``deliver`` and same-arrival runs accumulate into ProbeWaves.
+        self.probe_wave_sink: Optional[Callable[[Packet, str, ProbeWave], None]] = None
         #: The run currently accumulating, as (arrival time, wave).  Probe
         #: flight time is constant per link, so enqueue order is arrival
         #: order and only the newest run can ever grow; older waves ride to
-        #: delivery inside their members' batch-lane keys and need no
-        #: link-side registry at all.
+        #: delivery inside their members' arguments and need no link-side
+        #: registry at all.
         self._last_probe_run = None
         self.stats = stats
         self.util_window = float(util_window)    # ms, EWMA window for utilization
@@ -152,30 +147,25 @@ class SimLink:
             # serialization + propagation delay, and its wire time still
             # feeds the utilization estimator and the byte accounting.  The
             # whole same-tick probe wave shares one engine heap entry (batch
-            # lane), with this link's consecutive probes merged into a single
-            # delivery call.
+            # lane), one member per probe.
             sim = self.sim
             wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
             tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
             self._record_probe_transmission(tx_time, wire_bytes)
             arrival = sim._now + tx_time + self.latency
-            if self.collect_probe_runs:
-                # The wave rides inside the batch-lane key: every member of
-                # a run carries (epoch, wave), so delivery needs no lookup,
-                # and a mid-tick failure (epoch bump + run reset) still
-                # splits the run exactly like the epoch alone used to.
-                last = self._last_probe_run
-                if last is not None and last[0] == arrival:
-                    wave = last[1]
-                    wave.packets.append(packet)
-                else:
-                    wave = ProbeWave([packet])
-                    self._last_probe_run = (arrival, wave)
-                sim.call_batched(arrival, self._deliver_probe_run,
-                                 (self._fail_epoch, wave), packet)
+            if self.probe_wave_sink is None:
+                sim.call_batched(arrival, self._deliver_packet, packet, self._fail_epoch)
+                return True
+            # A mid-tick failure (epoch bump + run reset) splits the run.
+            last = self._last_probe_run
+            if last is not None and last[0] == arrival:
+                wave = last[1]
+                wave.packets.append(packet)
             else:
-                sim.call_batched(arrival, self._deliver_probe_run,
-                                 self._fail_epoch, packet)
+                wave = ProbeWave([packet])
+                self._last_probe_run = (arrival, wave)
+            sim.call_batched(arrival, self._deliver_wave_probe, packet,
+                             self._fail_epoch, wave)
             return True
         if len(self._queue) >= self.buffer_packets:
             self.packets_dropped += 1
@@ -219,74 +209,32 @@ class SimLink:
         if self.deliver is not None and not self.failed and epoch == self._fail_epoch:
             self.deliver(packet, self.src)
 
-    def _deliver_probe_batch(self, key, packets: List[Packet]) -> None:
-        """Deliver one batch-lane member of a ``(link, tick)`` probe run.
+    def _deliver_wave_probe(self, packet: Packet, epoch: int, wave: ProbeWave) -> None:
+        """Deliver one probe of a collected ``(link, tick)`` run to the wave sink.
 
-        ``key`` is the lane's batch key: the registered fail epoch, or —
-        when this link collects probe runs — ``(epoch, wave)``, the member's
-        run riding along so the receiver can judge the whole run at its
-        first member.  One epoch check covers the member (all its packets
-        registered under the same key).  Once the wave carries a ``dead``
-        mask, members made up entirely of flagged probes are dropped here —
-        the receiver proved their processing is a no-op — which is what
-        removes the per-probe delivery chain from the reject path.  The
-        guard link's congestion is only read when a conditional flag is
-        actually the deciding bit.  Without a vectorized ``deliver_batch``
-        sink, delivery degrades to the per-packet callback in the same
-        order.
+        Once the receiver judged the run (at its first probe) the wave carries
+        a ``dead`` mask, and flagged probes are dropped here — the receiver
+        proved their processing is a no-op — which is what removes the
+        per-probe delivery chain from the reject path.  A conditional flag
+        holds while the guard link's congestion is at least the value the
+        verdict was computed against (the receiver proved the verdict
+        monotone in congestion); the guard is only read when that flag is
+        the deciding bit.  Probes arrive in the FIFO order the run was
+        accumulated in, so ``cursor`` is this probe's index in the masks.
         """
-        wave = None
-        if self.collect_probe_runs:
-            epoch, wave = key
-            if self.failed or epoch != self._fail_epoch:
+        if self.failed or epoch != self._fail_epoch:
+            return
+        index = wave.cursor
+        wave.cursor = index + 1
+        dead = wave.dead
+        if dead is not None:
+            if dead[index]:
                 return
-            if wave.scalar:
-                # The receiver declined to judge this run: plain per-member
-                # delivery, exactly as if no wave existed.
-                wave = None
-            elif wave.dead is not None:
-                # Judged run: advance the member window and drop the member
-                # when every probe in it is flagged dead — unconditionally,
-                # or conditionally while the guard link's congestion is at
-                # least the value the verdict was computed against (the
-                # receiver proved the verdict monotone in congestion).
-                base = wave.cursor
-                count = len(packets)
-                wave.cursor = base + count
-                dead = wave.dead
-                if count == 1:
-                    if dead[base]:
-                        return
-                    cond = wave.cond_dead
-                    if cond is not None and cond[base] and \
-                            wave.guard_link.congestion >= wave.guard_value:
-                        return
-                else:
-                    cond = wave.cond_dead
-                    if cond is not None and \
-                            wave.guard_link.congestion < wave.guard_value:
-                        cond = None
-                    if cond is None:
-                        if all(dead[base:base + count]):
-                            return
-                    elif all(dead[i] or cond[i]
-                             for i in range(base, base + count)):
-                        return
-                wave.member_base = base
-        elif self.failed or key != self._fail_epoch:
-            return
-        deliver_batch = self.deliver_batch
-        if deliver_batch is not None:
-            if wave is not None:
-                deliver_batch(packets, self.src, wave)
-            else:
-                deliver_batch(packets, self.src)
-            return
-        deliver = self.deliver
-        if deliver is not None:
-            src = self.src
-            for packet in packets:
-                deliver(packet, src)
+            cond = wave.cond_dead
+            if cond is not None and cond[index] and \
+                    wave.guard_link.congestion >= wave.guard_value:
+                return
+        self.probe_wave_sink(packet, self.src, wave)
 
     # ----------------------------------------------------------- utilization
 
@@ -353,11 +301,11 @@ class SimLink:
         self.failed = True
         self._fail_epoch += 1
         self._queue.clear()
-        # In-flight probe runs die with their epoch; their member deliveries
-        # are dropped by the epoch check, so the waves are garbage.  Resetting
+        # In-flight probe runs die with their epoch; their deliveries are
+        # dropped by the epoch check, so the waves are garbage.  Resetting
         # the accumulator keeps a post-recovery enqueue at the same arrival
-        # tick from growing a dead wave (its members would never fire, and
-        # the run's member bookkeeping assumes every member does).
+        # tick from growing a dead wave (its probes would never fire, and
+        # the run's cursor assumes every one does).
         self._last_probe_run = None
 
     def recover(self) -> None:

@@ -103,8 +103,7 @@ class Network:
         self._build()
         if self.sanitizer is not None:
             # After _build so every node and link exists, before anything is
-            # scheduled so the probe lane only ever merges on the wrapped
-            # delivery callables.
+            # scheduled so every registered delivery is a wrapped one.
             self.sanitizer.instrument_network(self)
 
     # ------------------------------------------------------------------ build
@@ -132,16 +131,13 @@ class Network:
                 deliver=dst_node.receive,
                 stats=self.stats,
                 util_window=self.util_window,
-                # Coalesced probe runs go straight to the switch's vectorized
-                # entry point (hosts never receive probes; the per-packet
-                # fallback silently ignores any that reach one).
-                deliver_batch=getattr(dst_node, "receive_probe_batch", None),
             )
             # Links towards a wave-judging routing logic accumulate their
-            # same-tick probe runs into wave views (array probe plane).
+            # same-tick probe runs into wave views and deliver probes straight
+            # to its wave entry point (array probe plane).
             dst_routing = getattr(dst_node, "routing", None)
-            if dst_routing is not None and getattr(dst_routing, "wants_probe_waves", False):
-                sim_link.collect_probe_runs = True
+            if dst_routing is not None and dst_routing.wants_probe_waves:
+                sim_link.probe_wave_sink = dst_routing.on_probe_wave
             self.links[(link.src, link.dst)] = sim_link
             if link.src in self.switches:
                 self.switches[link.src].add_port(link.dst, sim_link)

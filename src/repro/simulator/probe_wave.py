@@ -1,38 +1,34 @@
 """Struct-of-arrays view of one coalesced probe run (the "wave view").
 
 A *run* is every probe a link delivers at one arrival tick.  The engine's
-batch lane already coalesces those deliveries under one heap entry, but its
-members stay per-probe (multicasts interleave links, so consecutive-merge
-rarely applies); the link therefore accumulates the run **at enqueue time**
-into one :class:`ProbeWave` and hands it to the receiving switch alongside
-every member delivery.  The wave turns the run into parallel numpy columns —
-``tag``, ``origin_id``, ``pid``, ``version`` plus an N×M metrics matrix — so
-a vectorizing routing logic (Contra) can judge the whole run with array
-passes at its first member, instead of N per-payload attribute reads
+batch lane already coalesces those deliveries under one heap entry, one
+member per probe (multicasts interleave links, so a link's run is scattered
+through the entry); the link therefore accumulates the run **at enqueue
+time** into one :class:`ProbeWave` and hands it to the receiving switch
+alongside every probe delivery.  The wave turns the run into parallel numpy
+columns — ``tag``, ``origin_id``, ``pid``, ``version`` plus an N×M metrics
+matrix — so a vectorizing routing logic (Contra) can judge the whole run with
+array passes at its first probe, instead of N per-payload attribute reads
 scattered through a branchy loop.
 
-Ordering contract: member deliveries still fire one by one in exact FIFO
+Ordering contract: deliveries still fire one by one in exact FIFO
 registration order; the wave only changes what a delivery can *see* (the
-whole run) and carries the judging verdicts between members:
+whole run) and carries the judging verdicts between deliveries:
 
 * ``dead`` — per-probe drop mask written by the receiving logic after
   judging.  A flagged probe is one whose processing is provably a no-op, so
-  the link skips its member delivery outright.  ``None`` until judged.
+  the link skips its delivery outright.  ``None`` until judged.
 * ``cond_dead`` / ``guard_link`` / ``guard_value`` — conditionally dead
   probes: no-ops **while** the guard link's congestion is at least the
   value the receiver's metric fold used (the receiver proves the verdict
-  monotone in congestion).  The link skips their members under the same
-  check; if the guard fails the member is delivered and the receiver
-  re-decides.
+  monotone in congestion).  The link skips them under the same check; if the
+  guard fails the probe is delivered and the receiver re-decides.
 * ``scalar`` — the receiving logic declined to judge this run (ineligible
-  payloads, below the vectorization threshold); the link then delivers every
-  member plainly, exactly as if no wave existed.
-* ``cursor`` / ``member_base`` — position bookkeeping: members arrive in the
-  same FIFO order the run was accumulated in, so the link advances ``cursor``
-  by each member's length and stamps ``member_base`` with the member's start
-  index before delivering it.
-* ``context`` — opaque receiver-owned state (the Contra logic stores its
-  scalar-fallthrough data here).  The link never reads it.
+  payloads, below the vectorization threshold); every probe is then
+  delivered and processed plainly, exactly as if no wave existed.
+* ``cursor`` — position bookkeeping: probes arrive in the same FIFO order the
+  run was accumulated in, so the link counts its deliveries here and, once
+  the run is judged, reads each probe's mask bits at its count.
 
 Layering: this is simulator-level code, so it reads the probe payloads
 duck-typed (``tag``/``origin_id``/``pid``/``version``/``metrics`` slots of
@@ -50,7 +46,7 @@ correctness one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.nputil import np
 
@@ -67,13 +63,12 @@ class ProbeWave:
     """One same-(link, tick) probe run, with lazily built SoA columns."""
 
     __slots__ = ("packets", "dead", "cond_dead", "guard_link", "guard_value",
-                 "scalar", "cursor", "member_base", "context",
-                 "_built", "_ints", "_metrics")
+                 "scalar", "cursor", "_built", "_ints", "_metrics")
 
     def __init__(self, packets: Optional[List] = None):
         #: The run's packets in FIFO (enqueue == delivery) order.  The link
         #: appends to this list while the run accumulates; it is complete
-        #: before the first member fires (probe flight times are positive).
+        #: before its first probe fires (probe flight times are positive).
         self.packets: List = [] if packets is None else packets
         self.dead: Optional[List[bool]] = None
         self.cond_dead: Optional[List[bool]] = None
@@ -81,8 +76,6 @@ class ProbeWave:
         self.guard_value = 0.0
         self.scalar = False
         self.cursor = 0
-        self.member_base = 0
-        self.context = None
         self._built = False
         self._ints = None
         self._metrics = None

@@ -230,8 +230,7 @@ class Sanitizer:
         """Wrap the network's links, hosts, stats and protocol tables.
 
         Called by ``Network.__init__`` right after ``_build()`` — before
-        anything is scheduled, so the batch lane only ever sees the wrapped
-        ``_deliver_probe_run`` (the lane merges by callback *identity*).
+        anything is scheduled, so every registered delivery is a wrapped one.
         Wrapping is instance-attribute shadowing: behaviour is unchanged
         (inner methods run verbatim), classes are untouched, and in
         particular ``metric_values`` never lands in a link's ``__dict__``
@@ -277,56 +276,72 @@ class Sanitizer:
 
         link.enqueue = enqueue  # type: ignore[method-assign]
 
-        # The probe-run inner stays reachable as an instance attribute so the
-        # violation-injection tests can substitute a deliberately buggy
+        # Probes register ``_deliver_packet`` on the batch lane, or
+        # ``_deliver_wave_probe`` (one more argument, the wave) on links with
+        # a wave sink.  The inner stays reachable as an instance attribute so
+        # the violation-injection tests can substitute a deliberately buggy
         # implementation underneath the checks.
-        inner_probe = link._deliver_probe_run
-        link._sanitizer_probe_inner = inner_probe  # type: ignore[attr-defined]
+        inner_deliver_packet = link._deliver_packet
+        waves = link.probe_wave_sink is not None
+        link._sanitizer_probe_inner = (  # type: ignore[attr-defined]
+            link._deliver_wave_probe if waves else inner_deliver_packet)
 
-        @functools.wraps(inner_probe)
-        def deliver_probe_run(key: Any, packets: List["Packet"]) -> None:
-            epoch = key[0] if link.collect_probe_runs else key
+        def deliver_probe(packet: "Packet", epoch: int, *wave: Any) -> None:
             now = link.sim._now
             self.checks_run += 1
             if now < last_delivery[0]:
                 self.violate(
                     "link-fifo",
-                    f"probe run on {link.src}->{link.dst} delivered at "
+                    f"probe on {link.src}->{link.dst} delivered at "
                     f"t={now} after a delivery at t={last_delivery[0]}")
             last_delivery[0] = now
             if self._probe_fifo:
-                for packet in packets:
-                    head = pending.popleft() if pending else None
-                    if head is not packet:
-                        self._probe_fifo = False
-                        self.violate(
-                            "link-fifo",
-                            f"per-(link,tick) FIFO violated on "
-                            f"{link.src}->{link.dst}: delivered {packet!r}, "
-                            f"expected {head!r}")
-                        break
-            stale = link.failed or epoch != link._fail_epoch
-            if stale:
+                head = pending.popleft() if pending else None
+                if head is not packet:
+                    self._probe_fifo = False
+                    self.violate(
+                        "link-fifo",
+                        f"per-(link,tick) FIFO violated on "
+                        f"{link.src}->{link.dst}: delivered {packet!r}, "
+                        f"expected {head!r}")
+            if link.failed or epoch != link._fail_epoch:
                 self._expect_drop += 1
                 try:
-                    link._sanitizer_probe_inner(key, packets)  # type: ignore[attr-defined]
+                    link._sanitizer_probe_inner(packet, epoch, *wave)  # type: ignore[attr-defined]
                 finally:
                     self._expect_drop -= 1
             else:
-                link._sanitizer_probe_inner(key, packets)  # type: ignore[attr-defined]
+                link._sanitizer_probe_inner(packet, epoch, *wave)  # type: ignore[attr-defined]
 
-        link._deliver_probe_run = deliver_probe_run  # type: ignore[method-assign]
+        @functools.wraps(inner_deliver_packet)
+        def deliver_packet(packet: "Packet", epoch: int) -> None:
+            kind = packet.kind
+            if kind == "probe":
+                deliver_probe(packet, epoch)
+                return
+            if kind in self._inflight:
+                self._inflight[kind] -= 1
+                if link.failed or epoch != link._fail_epoch:
+                    self._lost[kind] += 1
+            inner_deliver_packet(packet, epoch)
+
+        link._deliver_packet = deliver_packet  # type: ignore[method-assign]
+        if waves:
+            link._deliver_wave_probe = deliver_probe  # type: ignore[method-assign]
+
+        def check_not_stale() -> None:
+            if self._expect_drop:
+                self.violate(
+                    "stale-probe",
+                    f"stale-epoch probe delivered on "
+                    f"{link.src}->{link.dst} (registered epoch is dead)")
 
         if link.deliver is not None:
             inner_deliver = link.deliver
 
             @functools.wraps(inner_deliver)
             def deliver(packet: "Packet", inport: str) -> None:
-                if self._expect_drop:
-                    self.violate(
-                        "stale-probe",
-                        f"stale-epoch probe delivered on "
-                        f"{link.src}->{link.dst} (registered epoch is dead)")
+                check_not_stale()
                 kind = packet.kind
                 if dst_host is not None and kind in self._received:
                     self._received[kind] += 1
@@ -336,23 +351,15 @@ class Sanitizer:
 
             link.deliver = deliver  # type: ignore[method-assign]
 
-        if link.deliver_batch is not None:
-            inner_batch = link.deliver_batch
+        if link.probe_wave_sink is not None:
+            inner_sink = link.probe_wave_sink
 
-            @functools.wraps(inner_batch)
-            def deliver_batch(packets: List["Packet"], inport: str,
-                              wave: Any = None) -> None:
-                if self._expect_drop:
-                    self.violate(
-                        "stale-probe",
-                        f"stale-epoch probe batch delivered on "
-                        f"{link.src}->{link.dst} (registered epoch is dead)")
-                if wave is None:
-                    inner_batch(packets, inport)
-                else:
-                    inner_batch(packets, inport, wave)
+            @functools.wraps(inner_sink)
+            def wave_sink(packet: "Packet", inport: str, wave: Any) -> None:
+                check_not_stale()
+                inner_sink(packet, inport, wave)
 
-            link.deliver_batch = deliver_batch  # type: ignore[method-assign]
+            link.probe_wave_sink = wave_sink
 
         inner_transmit = link._transmit_next
 
@@ -365,19 +372,6 @@ class Sanitizer:
             inner_transmit()
 
         link._transmit_next = transmit_next  # type: ignore[method-assign]
-
-        inner_deliver_packet = link._deliver_packet
-
-        @functools.wraps(inner_deliver_packet)
-        def deliver_packet(packet: "Packet", epoch: int) -> None:
-            kind = packet.kind
-            if kind in self._inflight:
-                self._inflight[kind] -= 1
-                if link.failed or epoch != link._fail_epoch:
-                    self._lost[kind] += 1
-            inner_deliver_packet(packet, epoch)
-
-        link._deliver_packet = deliver_packet  # type: ignore[method-assign]
 
         inner_fail = link.fail
 
@@ -631,13 +625,13 @@ class SanitizingSimulator(Simulator):
         self._tags[seq] = (_qualname(callback), _site())
 
     def call_batched(self, time: float, callback: Callable[..., None],
-                     key: Any, arg: Any) -> None:
+                     *args: Any) -> None:
         if not self._batching:
             # Routes through our _push, which tags the entry.
-            super().call_batched(time, callback, key, arg)
+            super().call_batched(time, callback, *args)
             return
         seq = self._sequence
-        super().call_batched(time, callback, key, arg)
+        super().call_batched(time, callback, *args)
         if self._sequence != seq:            # a new batch entry was pushed
             self._tags[seq] = (_qualname(callback), "batch-lane")
 
@@ -737,19 +731,18 @@ class SanitizingSimulator(Simulator):
             self._batch = None
         self._batch_entries -= 1
         fired = 0
-        for index, (callback, key, args) in enumerate(members):
+        for callback, args in members:
             member_tag = (_qualname(callback), "batch-lane")
             sanitizer.current_tag = member_tag
             if tracing:
                 sanitizer.trace_event(self._now, member_tag)
-            callback(key, args)
-            fired += len(args)
-            if self._stopped and index + 1 < len(members):
-                rest = members[index + 1:]
+            callback(*args)
+            fired += 1
+            if self._stopped and fired < len(members):
                 seq = self._sequence
                 self._sequence = seq + 1
                 heapq.heappush(self._queue,
-                               (self._now, seq, _fire_batch, (self, rest)))
+                               (self._now, seq, _fire_batch, (self, members[fired:])))
                 self._tags[seq] = ("batch-lane", "stop-requeue")
                 self._batch_entries += 1
                 break

@@ -9,15 +9,15 @@ system provides the per-switch data-plane program.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.simulator.packet import Packet
-from repro.simulator.probe_wave import ProbeWave
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.link import SimLink
     from repro.simulator.network import Network
+    from repro.simulator.probe_wave import ProbeWave
 
 __all__ = ["RoutingLogic", "SwitchNode"]
 
@@ -45,36 +45,23 @@ class RoutingLogic:
     def on_probe(self, packet: Packet, inport: str) -> None:
         """Handle a control probe.  Optional (static systems ignore probes)."""
 
-    def on_probe_batch(self, packets: Sequence[Packet], inport: str) -> None:
-        """Handle one same-arrival-tick probe run from ``inport``, in FIFO order.
-
-        The links hand over coalesced ``(link, tick)`` probe runs; protocols
-        with a vectorized fast path (Contra) override this to hoist per-run
-        invariants out of the per-probe loop.  The default preserves exact
-        per-probe semantics.
-        """
-        on_probe = self.on_probe
-        for packet in packets:
-            on_probe(packet, inport)
-
     #: Set True (with an :meth:`on_probe_wave` override) by logics that judge
     #: whole ``(link, tick)`` probe runs through the struct-of-arrays
-    #: :class:`~repro.simulator.probe_wave.ProbeWave` view.  Read at switch
-    #: wiring time: links towards such a switch accumulate their runs.
+    #: :class:`~repro.simulator.probe_wave.ProbeWave` view.  Read at network
+    #: wiring time: links towards such a switch accumulate their runs and
+    #: deliver probes to :meth:`on_probe_wave` instead of :meth:`on_probe`.
     wants_probe_waves = False
 
-    def on_probe_wave(self, packets: Sequence[Packet], inport: str,
-                      wave: Optional[ProbeWave] = None) -> None:
-        """Handle one member of a run, with the full run's wave view along.
+    def on_probe_wave(self, packet: Packet, inport: str, wave: "ProbeWave") -> None:
+        """Handle one probe, with the wave view of its whole run along.
 
         Only called when :attr:`wants_probe_waves` is True.  ``wave`` is the
-        whole ``(link, tick)`` run (None when the link did not collect one);
-        ``packets`` is this member's FIFO slice of it.  Implementations must
-        be observably identical to ``on_probe_batch(packets, inport)`` — the
-        wave view changes how a run is *read* and which no-op members get
-        skipped, never what the run means.
+        ``(link, tick)`` run ``packet`` belongs to.  Implementations must be
+        observably identical to ``on_probe(packet, inport)`` — the wave view
+        changes how a run is *read* and which no-op probes get skipped, never
+        what the run means.
         """
-        self.on_probe_batch(packets, inport)
+        self.on_probe(packet, inport)
 
     def on_link_change(self, neighbor: str, failed: bool) -> None:
         """Notification that the link towards ``neighbor`` failed or recovered."""
@@ -94,10 +81,6 @@ class SwitchNode:
         #: hosts attached directly to this switch.
         self.attached_hosts: List[str] = []
         routing.attach(self, network)
-        #: Wave-view sink, bound once at wiring time: coalesced probe runs go
-        #: to the routing logic's array fast path when it asked for one, and
-        #: straight to the per-packet-list entry point otherwise.
-        self._wave_sink = routing.on_probe_wave if routing.wants_probe_waves else None
 
     # ------------------------------------------------------------------ wiring
 
@@ -126,20 +109,6 @@ class SwitchNode:
         return link is None or link.failed
 
     # ----------------------------------------------------------------- receive
-
-    def receive_probe_batch(self, packets: Sequence[Packet], inport: str,
-                            wave: Optional[ProbeWave] = None) -> None:
-        """Entry point for one batch-lane member of a same-tick probe run.
-
-        ``wave`` is the link's accumulated run view (built once per
-        ``(link, tick)`` run at enqueue time); a wave-judging routing logic
-        uses it to judge the run at its first member and annotate the rest.
-        """
-        wave_sink = self._wave_sink
-        if wave_sink is not None:
-            wave_sink(packets, inport, wave)
-        else:
-            self.routing.on_probe_batch(packets, inport)
 
     def receive(self, packet: Packet, inport: str) -> None:
         """Entry point for packets delivered by an ingress link."""

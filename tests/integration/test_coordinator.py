@@ -322,9 +322,9 @@ class TestScenarioCoordination:
 
     def test_legacy_scenarios_rejected(self, tmp_path):
         with pytest.raises(ExperimentError, match="not a single spec grid"):
-            run_scenario_coordinated("ablations", TINY, str(tmp_path))
+            run_scenario_coordinated("fig9-10", TINY, str(tmp_path))
         with pytest.raises(ExperimentError, match="not a single spec grid"):
-            sweep_status_scenario("ablations", TINY, str(tmp_path))
+            sweep_status_scenario("fig9-10", TINY, str(tmp_path))
 
     def test_workers_must_be_positive(self, tmp_path):
         with pytest.raises(ExperimentError, match="workers"):

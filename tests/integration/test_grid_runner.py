@@ -9,10 +9,12 @@ import pickle
 
 import pytest
 
+from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.registry import SCENARIOS, run_scenario
+from repro.experiments.registry import SCENARIOS, GridScenario, run_scenario
 from repro.experiments.runner import (
     RunContext,
+    RunResult,
     ScenarioSpec,
     TopologySpec,
     resolve_processes,
@@ -114,6 +116,26 @@ class TestResolveProcesses:
         import os
         assert resolve_processes(0, tasks=1000) == min(os.cpu_count() or 1, 1000)
 
+    def test_negative_count_is_refused_not_read_as_all_cores(self, monkeypatch):
+        with pytest.raises(ExperimentError, match="-3"):
+            resolve_processes(-3, tasks=100)
+        monkeypatch.setenv("CONTRA_PROCS", "-1")
+        with pytest.raises(ExperimentError, match="-1"):
+            resolve_processes(None, tasks=100)
+
+    def test_non_integer_env_is_refused_not_read_as_serial(self, monkeypatch):
+        monkeypatch.setenv("CONTRA_PROCS", "abc")
+        with pytest.raises(ExperimentError, match="CONTRA_PROCS.*'abc'"):
+            resolve_processes(None, tasks=100)
+
+    def test_cli_surfaces_both_spellings_as_one_line_exit(self, monkeypatch):
+        from repro import cli
+        with pytest.raises(SystemExit, match="-3"):
+            cli.main(["run-grid", "fig11", "--preset", "quick", "--processes", "-3"])
+        monkeypatch.setenv("CONTRA_PROCS", "abc")
+        with pytest.raises(SystemExit, match="CONTRA_PROCS"):
+            cli.main(["run-grid", "fig11", "--preset", "quick"])
+
 
 class TestScenarioRegistry:
     def test_names_cover_every_figure(self):
@@ -128,3 +150,18 @@ class TestScenarioRegistry:
         outcome = run_scenario("fig13", TINY)
         assert "ecmp" in outcome.payload and "contra" in outcome.payload
         assert "p99" in outcome.text
+
+    def test_ablations_is_one_grid_sliced_by_name_prefix(self):
+        entry = SCENARIOS["ablations"]
+        assert isinstance(entry, GridScenario)
+        specs = entry.build_specs(TINY)
+        assert len(specs) == 10
+        summary = {"avg_fct_ms": 1.0, "loop_fraction": 0.0, "loop_detections": 0,
+                   "overhead_ratio": 0.1, "completed_flows": 3, "flows": 3}
+        results = [RunResult(spec.name, spec.system, spec.workload, spec.load,
+                             spec.seed, summary) for spec in specs]
+        payload = entry.finish(TINY, results).payload
+        assert [p["value"] for p in payload["probe_period"]] == [0.128, 0.256, 0.512, 1.024]
+        assert [p["value"] for p in payload["flowlet_timeout"]] == [0.05, 0.2, 0.8, 3.2]
+        assert [(p["parameter"], p["value"]) for p in payload["versioning"]] == \
+            [("use_versioning", 1.0), ("use_versioning", 0.0)]

@@ -2,15 +2,11 @@
 
 The batch lane is a pure heap-traffic optimization: with it force-disabled
 (every probe delivery its own engine event — the pre-batching schedule) a
-grid must produce byte-identical summaries.  The per-probe protocol path is
-additionally pinned by a table-level equivalence test: a wave processed
-through ``on_probe_batch`` leaves exactly the state per-probe ``on_probe``
-calls leave.
+grid must produce byte-identical summaries.
 """
 
 import pytest
 
-from repro.core.compiler import compile_policy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     SCENARIOS,
@@ -22,13 +18,9 @@ from repro.experiments.registry import (
 from repro.experiments.runner import (
     ScenarioSpec,
     TopologySpec,
-    datacenter_policy,
     run_grid,
 )
-from repro.protocol import ContraSystem
-from repro.simulator import Network, StatsCollector
 from repro.simulator import engine as engine_module
-from repro.topology import fattree
 
 TINY = ExperimentConfig(workload_duration=1.5, run_duration=20.0, loads=(0.4,),
                         websearch_scale=0.05, cache_scale=0.2)
@@ -56,8 +48,8 @@ class TestBatchedVsUnbatchedEquivalence:
         assert [r.summary for r in batched] == [r.summary for r in unbatched]
 
     def test_failure_schedule_summaries_byte_identical(self, monkeypatch):
-        # Failures exercise the epoch-keyed batch splitting: a probe wave in
-        # flight across a link failure must be lost identically either way.
+        # Failures exercise the per-probe epoch guard: a probe wave in flight
+        # across a link failure must be lost identically either way.
         topology = TopologySpec("leafspine", k=4)
         spec = ScenarioSpec(
             name="batching:failure", system="contra", topology=topology,
@@ -69,39 +61,6 @@ class TestBatchedVsUnbatchedEquivalence:
         unbatched = run_grid([spec])
         assert batched[0].summary == unbatched[0].summary
         assert batched[0].summary["failure_detections"] > 0
-
-
-class TestOnProbeBatchEquivalence:
-    def _fabric(self):
-        topology = fattree(4, capacity=100.0, oversubscription=4.0)
-        compiled = compile_policy(datacenter_policy(), topology)
-        system = ContraSystem(compiled)
-        network = Network(topology, system, stats=StatsCollector())
-        return network, system
-
-    def test_wave_processing_matches_per_probe_processing(self):
-        # Run one fabric a few probe periods, capture a switch's forwarding
-        # state; run a twin fabric delivering every probe through the
-        # singleton on_probe wrapper instead.  The tables must match exactly.
-        period = 0.256
-        results = []
-        for batch in (True, False):
-            network, system = self._fabric()
-            if not batch:
-                for switch in network.switches.values():
-                    # Route every coalesced run through the per-probe wrapper.
-                    logic = switch.routing
-                    switch.receive_probe_batch = (
-                        lambda packets, inport, logic=logic: [
-                            logic.on_probe(packet, inport) for packet in packets])
-                for link in network.links.values():
-                    if link.deliver_batch is not None:
-                        link.deliver_batch = None  # per-packet fallback path
-            network.run(period * 4)
-            snapshot = {name: system.logic(name).forwarding_snapshot()
-                        for name in network.switches}
-            results.append(snapshot)
-        assert results[0] == results[1]
 
 
 class TestFig11K32Registry:

@@ -432,7 +432,7 @@ class TestScenarioShardingByteIdentity:
 
     def test_legacy_scenarios_reject_results_dir(self, tmp_path):
         with pytest.raises(ExperimentError, match="not a single spec grid"):
-            run_scenario("ablations", TINY, results_dir=str(tmp_path))
+            run_scenario("fig9-10", TINY, results_dir=str(tmp_path))
         with pytest.raises(ExperimentError, match="not a single spec grid"):
             run_scenario_shard("fig9-10", TINY, tmp_path, 0, 2)
 

@@ -1,9 +1,10 @@
 """Engine batch lane: FIFO ordering, coalescing, sealing and accounting.
 
 The batch lane's contract is that it is *invisible* except for heap traffic:
-same-timestamp lane registrations run in exact FIFO order, interleavings
-with non-lane events at the same timestamp are preserved (sealing), and the
-event counters read identically with the lane on or off.
+``call_batched`` means exactly what ``call_at`` means, same-timestamp lane
+registrations run in exact FIFO order, interleavings with non-lane events at
+the same timestamp are preserved (sealing), and the event counters read
+identically with the lane on or off.
 """
 
 import pytest
@@ -11,6 +12,9 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.simulator import SimLink, Simulator
 from repro.simulator.packet import Packet, PacketKind
+from repro.simulator.switchnode import RoutingLogic, SwitchNode
+
+LANE = pytest.mark.parametrize("batching", [True, False])
 
 
 def probe(seq: int = 0) -> Packet:
@@ -22,84 +26,68 @@ class TestBatchLaneOrdering:
     def test_members_fire_in_registration_order(self):
         sim = Simulator(batching=True)
         trace = []
-
-        def sink_a(key, args):
-            trace.extend(("a", key, value) for value in args)
-
-        def sink_b(key, args):
-            trace.extend(("b", key, value) for value in args)
-
-        sim.call_batched(1.0, sink_a, 0, "x")
-        sim.call_batched(1.0, sink_b, 0, "y")
-        sim.call_batched(1.0, sink_a, 0, "z")
+        sim.call_batched(1.0, trace.append, ("a", "x"))
+        sim.call_batched(1.0, trace.append, ("b", "y"))
+        sim.call_batched(1.0, trace.append, ("a", "z"))
         sim.run()
-        assert trace == [("a", 0, "x"), ("b", 0, "y"), ("a", 0, "z")]
+        assert trace == [("a", "x"), ("b", "y"), ("a", "z")]
 
-    def test_consecutive_same_callback_and_key_merge_into_one_call(self):
-        sim = Simulator(batching=True)
-        calls = []
-        sim.call_batched(1.0, lambda key, args: calls.append((key, list(args))), 7, "x")
-        # Same callback object is required for merging; rebind once.
-        callback = sim._batch[0][0]
-        sim.call_batched(1.0, callback, 7, "y")
-        sim.call_batched(1.0, callback, 7, "z")
-        sim.run()
-        assert calls == [(7, ["x", "y", "z"])]
-
-    def test_key_change_splits_the_run(self):
-        sim = Simulator(batching=True)
+    @LANE
+    def test_each_registration_is_one_call_with_its_own_args(self, batching):
+        # call_at's signature: any number of positional args, and consecutive
+        # registrations of one callback stay separate calls (no merging).
+        sim = Simulator(batching=batching)
         calls = []
 
-        def sink(key, args):
-            calls.append((key, list(args)))
+        def sink(*args):
+            calls.append(args)
 
-        sim.call_batched(1.0, sink, 1, "x")
-        sim.call_batched(1.0, sink, 1, "y")
-        sim.call_batched(1.0, sink, 2, "z")
+        sim.call_batched(1.0, sink)
+        sim.call_batched(1.0, sink, "x", 7)
+        sim.call_batched(1.0, sink, "y", 7)
         sim.run()
-        assert calls == [(1, ["x", "y"]), (2, ["z"])]
+        assert calls == [(), ("x", 7), ("y", 7)]
+
+    def test_same_tick_registrations_share_one_heap_entry(self):
+        sim = Simulator(batching=True)
+        for value in range(100):
+            sim.call_batched(1.0, int, value)
+        assert len(sim._queue) == 1
+        assert sim.pending_events == 100
 
     def test_distinct_times_use_distinct_batches(self):
         sim = Simulator(batching=True)
         calls = []
 
-        def sink(key, args):
-            calls.append((sim.now, list(args)))
+        def sink(value):
+            calls.append((sim.now, value))
 
-        sim.call_batched(1.0, sink, 0, "x")
-        sim.call_batched(2.0, sink, 0, "y")
-        sim.call_batched(1.0, sink, 0, "z")
+        sim.call_batched(1.0, sink, "x")
+        sim.call_batched(2.0, sink, "y")
+        sim.call_batched(1.0, sink, "z")
         sim.run()
         # The time-2.0 registration sealed nothing at 1.0 (different tick),
         # but "z" arrived after the 1.0 batch was displaced, so it runs in a
         # second same-tick batch — still in FIFO order.
-        assert calls == [(1.0, ["x"]), (1.0, ["z"]), (2.0, ["y"])]
+        assert calls == [(1.0, "x"), (1.0, "z"), (2.0, "y")]
 
     def test_non_lane_event_at_same_time_seals_the_batch(self):
         sim = Simulator(batching=True)
         trace = []
-
-        def sink(key, args):
-            trace.extend(args)
-
-        sim.call_batched(1.0, sink, 0, "a")
+        sim.call_batched(1.0, trace.append, "a")
         sim.call_at(1.0, trace.append, "plain")
-        sim.call_batched(1.0, sink, 0, "b")
+        sim.call_batched(1.0, trace.append, "b")
         sim.run()
         assert trace == ["a", "plain", "b"]
 
     def test_non_lane_event_at_other_time_does_not_seal(self):
         sim = Simulator(batching=True)
         trace = []
-
-        def sink(key, args):
-            trace.extend(args)
-
-        sim.call_batched(1.0, sink, 0, "a")
+        sim.call_batched(1.0, trace.append, "a")
         sim.call_at(0.5, trace.append, "early")
-        sim.call_batched(1.0, sink, 0, "b")
+        sim.call_batched(1.0, trace.append, "b")
         sim.run()
-        # "b" coalesced into the open batch: one call with both args.
+        # "b" coalesced into the open batch: one heap entry, both members.
         assert trace == ["early", "a", "b"]
         assert sim.events_processed == 3
 
@@ -108,96 +96,84 @@ class TestBatchLaneOrdering:
         sim.call_at(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_batched(0.5, lambda key, args: None, 0, "x")
+            sim.call_batched(0.5, lambda: None)
 
 
 class TestBatchLaneAccounting:
-    @pytest.mark.parametrize("batching", [True, False])
+    @LANE
     def test_counters_identical_with_lane_on_or_off(self, batching):
         sim = Simulator(batching=batching)
         fired = []
-
-        def sink(key, args):
-            fired.extend(args)
-
         for value in range(5):
-            sim.call_batched(1.0, sink, 0, value)
-        sim.call_batched(2.0, sink, 0, "late")
+            sim.call_batched(1.0, fired.append, value)
+        sim.call_batched(2.0, fired.append, "late")
         assert sim.pending_events == 6
         sim.run()
         assert fired == [0, 1, 2, 3, 4, "late"]
         assert sim.pending_events == 0
         assert sim.events_processed == 6
 
-    def test_disabled_lane_delivers_singleton_runs(self):
-        sim = Simulator(batching=False)
-        calls = []
-
-        def sink(key, args):
-            calls.append((key, list(args)))
-
-        sim.call_batched(1.0, sink, 3, "x")
-        sim.call_batched(1.0, sink, 3, "y")
-        sim.run()
-        assert calls == [(3, ["x"]), (3, ["y"])]
-
     def test_stop_mid_batch_requeues_the_tail(self):
-        sim = Simulator(batching=True)
-        fired = []
+        for batching in (True, False):
+            sim = Simulator(batching=batching)
+            fired = []
 
-        def stopper(key, args):
-            fired.extend(args)
-            sim.stop()
+            def stopper(value):
+                fired.append(value)
+                sim.stop()
 
-        def sink(key, args):
-            fired.extend(args)
-
-        sim.call_batched(1.0, stopper, 0, "first")
-        sim.call_batched(1.0, sink, 0, "second")
-        sim.call_batched(1.0, sink, 0, "third")
-        sim.run()
-        assert fired == ["first"]
-        assert sim.pending_events == 2
-        sim.run()
-        assert fired == ["first", "second", "third"]
-        assert sim.pending_events == 0
+            sim.call_batched(1.0, stopper, "first")
+            sim.call_batched(1.0, fired.append, "second")
+            sim.call_batched(1.0, fired.append, "third")
+            sim.run()
+            assert fired == ["first"]
+            assert sim.pending_events == 2
+            assert sim.events_processed == 1
+            # A registration made while stopped must queue behind the tail.
+            sim.call_batched(1.0, fired.append, "fourth")
+            sim.run()
+            assert fired == ["first", "second", "third", "fourth"]
+            assert sim.pending_events == 0
+            assert sim.events_processed == 4
 
 
 class TestLinkProbeRunFifo:
-    """FIFO order inside a coalesced (link, tick) probe batch."""
+    """Probes ride the lane one member each, behind the data-packet epoch guard."""
 
-    def _link(self, sim, delivered):
-        return SimLink(sim, "a", "b", capacity=100.0, latency=0.05,
+    def _link(self, sim, delivered, name="a"):
+        return SimLink(sim, name, "b", capacity=100.0, latency=0.05,
                        deliver=lambda packet, inport: delivered.append(
-                           ("single", packet.seq, inport)),
-                       deliver_batch=lambda packets, inport: delivered.append(
-                           ("batch", [p.seq for p in packets], inport)))
+                           (packet.seq, inport)))
 
-    def test_same_tick_probes_arrive_as_one_fifo_run(self):
-        sim = Simulator(batching=True)
+    @LANE
+    def test_same_tick_probes_arrive_one_by_one_in_fifo_order(self, batching):
+        sim = Simulator(batching=batching)
         delivered = []
         link = self._link(sim, delivered)
         for seq in range(4):
             link.enqueue(probe(seq))
+        assert len(sim._queue) == (1 if batching else 4)
         sim.run()
-        assert delivered == [("batch", [0, 1, 2, 3], "a")]
+        assert delivered == [(0, "a"), (1, "a"), (2, "a"), (3, "a")]
+        assert sim.events_processed == 4
 
-    def test_run_order_preserved_across_interleaved_links(self):
-        sim = Simulator(batching=True)
+    @LANE
+    def test_run_order_preserved_across_interleaved_links(self, batching):
+        sim = Simulator(batching=batching)
         delivered = []
-        link_a = self._link(sim, delivered)
-        link_b = self._link(sim, delivered)
+        link_a = self._link(sim, delivered, "a")
+        link_c = self._link(sim, delivered, "c")
         link_a.enqueue(probe(0))
-        link_b.enqueue(probe(1))
+        link_c.enqueue(probe(1))
         link_a.enqueue(probe(2))
         sim.run()
         # Interleaving across links is exactly the enqueue order: the second
-        # link_a probe must NOT be pulled forward into link_a's first run.
-        assert delivered == [("batch", [0], "a"), ("batch", [1], "a"),
-                             ("batch", [2], "a")]
+        # link_a probe must NOT be pulled forward next to link_a's first.
+        assert delivered == [(0, "a"), (1, "c"), (2, "a")]
 
-    def test_fail_between_registrations_splits_and_drops_the_epoch(self):
-        sim = Simulator(batching=True)
+    @LANE
+    def test_fail_between_registrations_splits_and_drops_the_epoch(self, batching):
+        sim = Simulator(batching=batching)
         delivered = []
         link = self._link(sim, delivered)
         link.enqueue(probe(0))
@@ -207,15 +183,68 @@ class TestLinkProbeRunFifo:
         sim.run()
         # Probe 0 was in flight across the failure epoch: lost.  Probe 1 was
         # registered under the new epoch and delivers alone.
-        assert delivered == [("batch", [1], "a")]
+        assert delivered == [(1, "a")]
+        assert sim.events_processed == 2
 
-    def test_without_batch_sink_probes_fall_back_to_per_packet_delivery(self):
-        sim = Simulator(batching=True)
+    @LANE
+    def test_mid_tick_fail_drops_exactly_the_dead_epoch_probes(self, batching):
+        # Two links' probes share one arrival tick; the first delivery fails
+        # the *other* link mid-tick.  Every probe that link registered under
+        # the now-dead epoch is lost, the bystander's all arrive, and the
+        # engine still counts one event per registration.
+        sim = Simulator(batching=batching)
         delivered = []
-        link = SimLink(sim, "a", "b", capacity=100.0, latency=0.05,
-                       deliver=lambda packet, inport: delivered.append(
-                           (packet.seq, inport)))
-        link.enqueue(probe(0))
-        link.enqueue(probe(1))
+        victim = self._link(sim, delivered, "v")
+
+        def deliver_and_fail(packet, inport):
+            delivered.append((packet.seq, inport))
+            if packet.seq == 0:
+                victim.fail()
+                victim.recover()
+
+        bystander = SimLink(sim, "a", "b", capacity=100.0, latency=0.05,
+                            deliver=deliver_and_fail)
+        bystander.enqueue(probe(0))
+        victim.enqueue(probe(1))
+        bystander.enqueue(probe(2))
+        victim.enqueue(probe(3))
         sim.run()
-        assert delivered == [(0, "a"), (1, "a")]
+        assert delivered == [(0, "a"), (2, "a")]
+        assert sim.events_processed == 4
+        assert sim.pending_events == 0
+
+
+class RecordingLogic(RoutingLogic):
+    """A routing logic that implements nothing but ``on_probe``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_probe(self, packet, inport):
+        self.seen.append((packet.seq, inport))
+
+
+class _Fabric:
+    """The two attributes of ``Network`` a ``SwitchNode`` constructor reads."""
+
+    stats = None
+
+    def __init__(self, sim):
+        self.sim = sim
+
+
+class TestRoutingProbeContract:
+    @LANE
+    def test_on_probe_only_logic_sees_every_probe_once_in_enqueue_order(self, batching):
+        sim = Simulator(batching=batching)
+        logic = RecordingLogic()
+        switch = SwitchNode(_Fabric(sim), "b", logic)
+        links = {name: SimLink(sim, name, "b", capacity=100.0, latency=0.05,
+                               deliver=switch.receive)
+                 for name in ("a", "c")}
+        order = [("a", 0), ("c", 1), ("a", 2), ("a", 3), ("c", 4)]
+        for inport, seq in order:
+            links[inport].enqueue(probe(seq))
+        sim.run()
+        assert logic.seen == [(seq, inport) for inport, seq in order]
+        assert sim.events_processed == len(order)

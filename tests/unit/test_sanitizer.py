@@ -153,9 +153,8 @@ class TestProbeInvariants:
         # A buggy delivery layer that ignores the fail epoch entirely: every
         # registered probe reaches deliver, dead epoch or not.  The sanitizer
         # seam (_sanitizer_probe_inner) substitutes it under the checks.
-        def leaky(key, packets):
-            for packet in packets:
-                link.deliver(packet, link.src)
+        def leaky(packet, epoch):
+            link.deliver(packet, link.src)
 
         link._sanitizer_probe_inner = leaky
         net.run(0.6)                      # fresh probes through leaky: clean
