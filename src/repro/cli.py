@@ -110,6 +110,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     print(f"policy        : {compiled.policy}")
     print(f"topology      : {topology.name} ({len(topology.switches)} switches)")
     print(f"compile time  : {compiled.compile_time * 1000:.1f} ms")
+    for phase, seconds in compiled.phase_times.items():
+        print(f"  {phase:<16s}: {seconds * 1000:.1f} ms")
     print(f"probe ids     : {compiled.num_probe_ids}")
     print(f"metrics       : {list(compiled.carried_attrs)}")
     print(f"product graph : {compiled.product_graph.num_nodes} nodes, "

@@ -56,7 +56,7 @@ class CompileOptions:
     #: Loop-detection table slots on every switch.
     loop_table_slots: int = 256
     #: Multiplier applied to the measured worst-case RTT when choosing the
-    #: probe period (must be >= 0.5 per §5.2).
+    #: probe period (must be >= 0.5 per §5.2; a smaller one is refused).
     probe_period_rtt_multiplier: float = 0.5
     #: Drop dead product-graph states (unreachable from any probe origin, or
     #: never able to yield a finite rank) before generating device configs.
@@ -65,6 +65,16 @@ class CompileOptions:
     #: Run the lowered-table cross-checker as a post-compile assertion and
     #: raise :class:`~repro.exceptions.VerificationError` on any disagreement.
     verify: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.probe_period_rtt_multiplier >= 0.5:
+            raise CompilationError(
+                f"probe_period_rtt_multiplier must be at least 0.5 (§5.2), got "
+                f"{self.probe_period_rtt_multiplier!r}")
+        for name in ("flowlet_slots", "loop_table_slots"):
+            if getattr(self, name) <= 0:
+                raise CompilationError(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -83,6 +93,10 @@ class CompiledPolicy:
     probe_period: float
     #: Wall-clock compile time in seconds (Figure 9).
     compile_time: float = 0.0
+    #: Where ``compile_time`` went: seconds per compiler phase, in phase
+    #: order (``analysis``, ``product_graph``, ``tag_minimization``,
+    #: ``device_configs``, ``probe_period``; ``prune`` when enabled).
+    phase_times: Dict[str, float] = field(default_factory=dict)
     #: Dead-state report when compiled with ``prune_unreachable=True``
     #: (None otherwise; the analysis is also available standalone via
     #: :func:`repro.core.analysis.analyze_reachability`).
@@ -198,7 +212,14 @@ def compile_policy(
     if not topology.switches:
         raise CompilationError("cannot compile for a topology without switches")
 
-    started = time.perf_counter()
+    started = lap_started = time.perf_counter()
+    phase_times: Dict[str, float] = {}
+
+    def lap(phase: str) -> None:
+        nonlocal lap_started
+        now = time.perf_counter()
+        phase_times[phase] = now - lap_started
+        lap_started = now
 
     monotonicity = check_monotonicity(policy)
     if options.strict_monotonicity and not monotonicity.is_monotone:
@@ -207,13 +228,19 @@ def compile_policy(
             + "; ".join(monotonicity.reasons))
     isotonicity = check_isotonicity(policy)
     decomposition = decompose(policy)
+    lap("analysis")
 
+    regexes = policy.regexes()
     product_graph = build_product_graph(
         topology,
-        policy.regexes(),
+        regexes,
         minimize_automata=options.minimize_automata,
-        minimize_tags=options.minimize_tags,
+        minimize_tags=False,
     )
+    lap("product_graph")
+    if options.minimize_tags and regexes:
+        product_graph.minimize_tags()
+    lap("tag_minimization")
 
     reachability = None
     if options.prune_unreachable:
@@ -223,12 +250,15 @@ def compile_policy(
         from repro.core.analysis.reachability import prune_dead_nodes
 
         reachability = prune_dead_nodes(policy, product_graph)
+        lap("prune")
 
     device_configs = _generate_device_configs(policy, topology, product_graph, decomposition, options)
+    lap("device_configs")
 
-    probe_period = max(options.probe_period_rtt_multiplier, 0.5) * topology.max_rtt()
+    probe_period = options.probe_period_rtt_multiplier * topology.max_rtt()
     if probe_period <= 0:
         probe_period = 0.25
+    lap("probe_period")
 
     elapsed = time.perf_counter() - started
     compiled = CompiledPolicy(
@@ -242,6 +272,7 @@ def compile_policy(
         device_configs=device_configs,
         probe_period=probe_period,
         compile_time=elapsed,
+        phase_times=phase_times,
         reachability=reachability,
     )
     if options.verify:
@@ -262,30 +293,38 @@ def _generate_device_configs(
 ) -> Dict[str, DeviceConfig]:
     regexes = tuple(policy.regexes())
     carried = decomposition.carried_attrs
-    network_size = len(topology.switches)
+    adjacency = topology.switch_graph()
+    network_size = len(adjacency)
+    tag_of = product_graph.tags
+    in_edges = product_graph.in_edges
+    out_edges = product_graph.out_edges
     configs: Dict[str, DeviceConfig] = {}
 
-    for switch in topology.switches:
+    for switch, switch_neighbors in adjacency.items():
         local_nodes = product_graph.nodes_of_switch(switch)
         tags: Dict[int, TagInfo] = {}
+        #: predecessor virtual node -> the local tag its probes move into.
+        incoming: Dict[PGNode, int] = {}
         for node in local_nodes:
-            tag = product_graph.tag_of(node)
-            neighbors = tuple(sorted({succ.switch for succ in product_graph.successors(node)}))
+            tag = tag_of[node]
+            neighbors = tuple(sorted({succ.switch for succ in out_edges[node]}))
             tags[tag] = TagInfo(
                 tag=tag,
                 states=node.states,
                 acceptance=product_graph.acceptance(node),
                 multicast_neighbors=neighbors,
             )
+            for predecessor in in_edges[node]:
+                incoming[predecessor] = tag
 
+        # Keyed by the switch's own neighbours, in (neighbour name, node)
+        # order: P4 codegen and the cross-checker iterate this table.
         probe_transition: Dict[Tuple[str, int], int] = {}
-        for neighbor in topology.switch_neighbors(switch):
+        for neighbor in switch_neighbors:
             for neighbor_node in product_graph.nodes_of_switch(neighbor):
-                successor = product_graph.successor_at(neighbor_node, switch)
-                if successor is None:
-                    continue
-                key = (neighbor, product_graph.tag_of(neighbor_node))
-                probe_transition[key] = product_graph.tag_of(successor)
+                tag = incoming.get(neighbor_node)
+                if tag is not None:
+                    probe_transition[(neighbor, tag_of[neighbor_node])] = tag
 
         origin_node = product_graph.probe_sending_nodes[switch]
         configs[switch] = DeviceConfig(
@@ -293,7 +332,7 @@ def _generate_device_configs(
             regexes=regexes,
             tags=tags,
             probe_transition=probe_transition,
-            probe_origin_tag=product_graph.tag_of(origin_node),
+            probe_origin_tag=tag_of[origin_node],
             carried_attrs=carried,
             num_probe_ids=max(1, decomposition.num_probes),
             network_size=network_size,

@@ -22,7 +22,9 @@ mentions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.automata import DEAD_STATE, DFA, dfa_from_regex
@@ -65,7 +67,11 @@ class ProductGraph:
         #: All virtual nodes, in deterministic order.
         self.nodes: List[PGNode] = []
         self._node_index: Dict[PGNode, int] = {}
-        #: Probe-propagation edges: node -> successors (towards traffic sources).
+        #: switch -> its virtual nodes, in ``nodes`` order.
+        self._nodes_by_switch: Dict[str, List[PGNode]] = {}
+        #: Probe-propagation edges: node -> successors (towards traffic
+        #: sources).  A row holds at most one successor per topology
+        #: neighbour, in neighbour-name order.
         self.out_edges: Dict[PGNode, List[PGNode]] = {}
         self.in_edges: Dict[PGNode, List[PGNode]] = {}
         #: The virtual node probes originating at a destination switch start in.
@@ -82,14 +88,25 @@ class ProductGraph:
             return False
         self._node_index[node] = len(self.nodes)
         self.nodes.append(node)
+        self._nodes_by_switch.setdefault(node.switch, []).append(node)
         self.out_edges[node] = []
         self.in_edges[node] = []
         return True
 
+    def _set_nodes(self, nodes: List[PGNode]) -> None:
+        """Replace the node list (and the indexes derived from it)."""
+        self.nodes = nodes
+        self._node_index = {n: i for i, n in enumerate(nodes)}
+        by_switch: Dict[str, List[PGNode]] = {}
+        for node in nodes:
+            by_switch.setdefault(node.switch, []).append(node)
+        self._nodes_by_switch = by_switch
+
     def build(self) -> None:
         """Explore the product graph from every probe-sending state."""
         queue: List[PGNode] = []
-        for switch in self.topology.switches:
+        adjacency = self.topology.switch_graph()
+        for switch in adjacency:
             states = tuple(dfa.transition(dfa.initial, switch) for dfa in self.dfas)
             node = PGNode(switch, states)
             self.probe_sending_nodes[switch] = node
@@ -98,7 +115,9 @@ class ProductGraph:
 
         while queue:
             node = queue.pop()
-            for neighbor in self.topology.switch_neighbors(node.switch):
+            successors = self.out_edges[node]
+            # Neighbours are distinct, so each one adds a distinct successor.
+            for neighbor in adjacency[node.switch]:
                 next_states = tuple(
                     dfa.transition(state, neighbor)
                     for dfa, state in zip(self.dfas, node.states)
@@ -106,9 +125,8 @@ class ProductGraph:
                 successor = PGNode(neighbor, next_states)
                 if self._add_node(successor):
                     queue.append(successor)
-                if successor not in self.out_edges[node]:
-                    self.out_edges[node].append(successor)
-                    self.in_edges[successor].append(node)
+                successors.append(successor)
+                self.in_edges[successor].append(node)
 
         self._assign_tags()
 
@@ -139,7 +157,7 @@ class ProductGraph:
         return self.tags[node]
 
     def nodes_of_switch(self, switch: str) -> List[PGNode]:
-        return [n for n in self.nodes if n.switch == switch]
+        return list(self._nodes_by_switch.get(switch, ()))
 
     def successors(self, node: PGNode) -> List[PGNode]:
         """Probe-propagation successors (towards traffic sources)."""
@@ -150,9 +168,10 @@ class ProductGraph:
 
     def successor_at(self, node: PGNode, neighbor: str) -> Optional[PGNode]:
         """The successor of ``node`` located at topology neighbor ``neighbor``."""
-        for succ in self.out_edges.get(node, []):
-            if succ.switch == neighbor:
-                return succ
+        successors = self.out_edges.get(node, ())
+        position = bisect_left(successors, neighbor, key=attrgetter("switch"))
+        if position < len(successors) and successors[position].switch == neighbor:
+            return successors[position]
         return None
 
     def acceptance(self, node: PGNode) -> Tuple[bool, ...]:
@@ -173,10 +192,7 @@ class ProductGraph:
 
     def max_tags_per_switch(self) -> int:
         """The largest number of virtual nodes any single switch has."""
-        counts: Dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.switch] = counts.get(node.switch, 0) + 1
-        return max(counts.values()) if counts else 0
+        return max(map(len, self._nodes_by_switch.values()), default=0)
 
     # ----------------------------------------------------- reference path tools
 
@@ -232,8 +248,7 @@ class ProductGraph:
         if keep_set >= set(self.nodes):
             return
         new_nodes = [n for n in self.nodes if n in keep_set]
-        self.nodes = new_nodes
-        self._node_index = {n: i for i, n in enumerate(new_nodes)}
+        self._set_nodes(new_nodes)
         self.out_edges = {
             n: [s for s in self.out_edges[n] if s in keep_set] for n in new_nodes}
         self.in_edges = {
@@ -303,8 +318,7 @@ class ProductGraph:
                 if succ_rep not in new_out[rep]:
                     new_out[rep].append(succ_rep)
                     new_in[succ_rep].append(rep)
-        self.nodes = new_nodes
-        self._node_index = {n: i for i, n in enumerate(new_nodes)}
+        self._set_nodes(new_nodes)
         self.out_edges = new_out
         self.in_edges = new_in
         self.probe_sending_nodes = {

@@ -17,9 +17,11 @@ measures) are invariant to this scaling; see DESIGN.md §4.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.exceptions import TopologyError
 
@@ -74,6 +76,70 @@ class Link:
         return replace(self, src=self.dst, dst=self.src)
 
 
+class _SwitchGraphIndex(NamedTuple):
+    """The switch graph on dense integer ids, derived from a :class:`Topology`.
+
+    Ids are positions in the sorted switch tuple, so id order is name order:
+    a heap or sort that breaks a tie on an id breaks it exactly as the name
+    would.  Every row is sorted the same way.
+    """
+
+    #: All switch names, sorted; ``switches[i]`` names id ``i``.
+    switches: Tuple[str, ...]
+    #: Switch name -> dense id.
+    ids: Dict[str, int]
+    #: Per id, the switch-to-switch out-links as (neighbour id, latency, weight).
+    out_rows: List[List[Tuple[int, float, float]]]
+    #: Every node (hosts too) -> sorted out-neighbour names.
+    neighbors: Dict[str, List[str]]
+    #: Every node (hosts too) -> sorted out-neighbours that are switches.
+    switch_neighbors: Dict[str, List[str]]
+
+
+def _dijkstra(adjacency: Sequence[Sequence[Tuple[int, float]]],
+              source: int) -> Tuple[List[float], List[int]]:
+    """Shortest distances from ``source`` over ``(neighbour id, step)`` rows.
+
+    Returns the distance per id (``inf`` where unreachable) and the reached
+    ids in discovery order.  Float addition is monotone, so the distances do
+    not depend on how the heap breaks ties; each relaxation adds ``d + step``
+    in that operand order.
+    """
+    inf = float("inf")
+    dist = [inf] * len(adjacency)
+    dist[source] = 0.0
+    reached = [source]
+    heap = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, node = pop(heap)
+        if d > dist[node]:
+            continue
+        for nbr, step in adjacency[node]:
+            nd = d + step
+            known = dist[nbr]
+            if nd < known:
+                if known == inf:
+                    reached.append(nbr)
+                dist[nbr] = nd
+                push(heap, (nd, nbr))
+    return dist, reached
+
+
+def _step_rows(rows: Sequence[Sequence[Tuple[int, float, float]]],
+               weighted: bool) -> List[List[Tuple[int, float]]]:
+    """Index rows as :func:`_dijkstra` adjacency: link ``weight`` steps, or one hop each."""
+    if weighted:
+        return [[(nbr, weight) for nbr, _, weight in row] for row in rows]
+    return [[(nbr, 1.0) for nbr, _, _ in row] for row in rows]
+
+
+def _named(switches: Sequence[str], dist: Sequence[float],
+           reached: Sequence[int]) -> Dict[str, float]:
+    """A :func:`_dijkstra` result keyed by switch name, in discovery order."""
+    return {switches[node]: dist[node] for node in reached}
+
+
 class Topology:
     """A network topology of switches, hosts and links.
 
@@ -88,12 +154,9 @@ class Topology:
         self._nodes: Dict[str, str] = {}              # node -> kind
         self._links: Dict[Tuple[str, str], Link] = {}  # directed
         self._host_attachment: Dict[str, str] = {}     # host -> switch
-        #: Lazily built adjacency index (node -> sorted out-neighbors).
-        #: Without it every ``neighbors`` call scans all links, which turns
-        #: the compiler's all-pairs passes (``max_rtt``, shortest paths) into
-        #: O(V·V·E) and dominates compile time beyond a few hundred switches.
-        self._neighbor_index: Dict[str, List[str]] = {}
-        self._neighbor_index_built = False
+        #: Lazily built by :meth:`_index`; every mutator resets it to None,
+        #: so an accessor can never serve a row older than the last change.
+        self._switch_index: Optional[_SwitchGraphIndex] = None
 
     # ------------------------------------------------------------------ nodes
 
@@ -105,6 +168,7 @@ class Topology:
         if existing is not None and existing not in NodeKind.SWITCH_ROLES:
             raise TopologyError(f"node {node!r} already exists as a host")
         self._nodes[node] = role
+        self._switch_index = None
 
     def add_host(self, host: str, switch: str) -> None:
         """Add a host attached to ``switch``; the attachment link is added separately."""
@@ -114,6 +178,7 @@ class Topology:
             raise TopologyError(f"host {host!r} attaches to unknown switch {switch!r}")
         self._nodes[host] = NodeKind.HOST
         self._host_attachment[host] = switch
+        self._switch_index = None
 
     def has_node(self, node: str) -> bool:
         return node in self._nodes
@@ -133,7 +198,7 @@ class Topology:
     @property
     def switches(self) -> List[str]:
         """All switch names, sorted for determinism."""
-        return sorted(n for n, kind in self._nodes.items() if kind in NodeKind.SWITCH_ROLES)
+        return list(self._index().switches)
 
     @property
     def hosts(self) -> List[str]:
@@ -179,12 +244,14 @@ class Topology:
                 raise TopologyError(f"cannot link unknown node {node!r}")
         if (a, b) in self._links:
             raise TopologyError(f"duplicate link {a!r} -> {b!r}")
+        # Before the first write: the duplicate-reverse refusal below leaves
+        # the forward link in place.
+        self._switch_index = None
         self._links[(a, b)] = Link(a, b, capacity=capacity, latency=latency, weight=weight)
         if bidirectional:
             if (b, a) in self._links:
                 raise TopologyError(f"duplicate link {b!r} -> {a!r}")
             self._links[(b, a)] = Link(b, a, capacity=capacity, latency=latency, weight=weight)
-        self._invalidate_neighbor_index()
 
     def remove_link(self, a: str, b: str, bidirectional: bool = True) -> None:
         """Remove the link(s) between ``a`` and ``b``."""
@@ -193,12 +260,7 @@ class Topology:
         del self._links[(a, b)]
         if bidirectional and (b, a) in self._links:
             del self._links[(b, a)]
-        self._invalidate_neighbor_index()
-
-    def _invalidate_neighbor_index(self) -> None:
-        if self._neighbor_index_built:
-            self._neighbor_index = {}
-            self._neighbor_index_built = False
+        self._switch_index = None
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._links
@@ -227,28 +289,51 @@ class Topology:
             result.append(self._links[key])
         return result
 
-    def neighbors(self, node: str) -> List[str]:
-        """Nodes reachable from ``node`` over a single directed link (sorted)."""
-        if node not in self._nodes:
-            raise TopologyError(f"unknown node {node!r}")
-        if not self._neighbor_index_built:
-            index: Dict[str, List[str]] = {}
+    def _index(self) -> _SwitchGraphIndex:
+        """The switch-graph index, built on first use after any mutation."""
+        index = self._switch_index
+        if index is None:
+            roles = NodeKind.SWITCH_ROLES
+            switches = tuple(sorted(
+                node for node, kind in self._nodes.items() if kind in roles))
+            ids = {name: position for position, name in enumerate(switches)}
+            neighbors: Dict[str, List[str]] = {node: [] for node in self._nodes}
             for (src, dst) in self._links:
-                index.setdefault(src, []).append(dst)
-            for out in index.values():
-                out.sort()
-            self._neighbor_index = index
-            self._neighbor_index_built = True
-        cached = self._neighbor_index.get(node)
-        # Callers own the returned list (the historical contract returned a
-        # fresh list per call), so hand out a copy of the index row.
-        return list(cached) if cached is not None else []
+                neighbors[src].append(dst)
+            switch_neighbors: Dict[str, List[str]] = {}
+            for node, row in neighbors.items():
+                row.sort()
+                only_switches = [nbr for nbr in row if nbr in ids]
+                # Accessors hand out copies, so a row without hosts is shared.
+                switch_neighbors[node] = row if len(only_switches) == len(row) else only_switches
+            links = self._links
+            out_rows: List[List[Tuple[int, float, float]]] = []
+            for name in switches:
+                row = []
+                for nbr in switch_neighbors[name]:
+                    link = links[(name, nbr)]
+                    row.append((ids[nbr], link.latency, link.weight))
+                out_rows.append(row)
+            index = self._switch_index = _SwitchGraphIndex(
+                switches, ids, out_rows, neighbors, switch_neighbors)
+        return index
+
+    def neighbors(self, node: str) -> List[str]:
+        """Nodes reachable from ``node`` over a single directed link (sorted).
+
+        The caller owns the returned list: it is a copy of the index row.
+        """
+        try:
+            return list(self._index().neighbors[node])
+        except KeyError:
+            raise TopologyError(f"unknown node {node!r}") from None
 
     def switch_neighbors(self, node: str) -> List[str]:
-        """Neighboring switches of ``node`` (hosts excluded)."""
-        is_switch = self._nodes.get
-        return [n for n in self.neighbors(node)
-                if is_switch(n) in NodeKind.SWITCH_ROLES]
+        """Neighboring switches of ``node`` (hosts excluded); the caller owns the list."""
+        try:
+            return list(self._index().switch_neighbors[node])
+        except KeyError:
+            raise TopologyError(f"unknown node {node!r}") from None
 
     def degree(self, node: str) -> int:
         return len(self.neighbors(node))
@@ -257,41 +342,41 @@ class Topology:
 
     def switch_graph(self) -> Dict[str, List[str]]:
         """Adjacency mapping restricted to switches (the compiler's view)."""
-        return {s: self.switch_neighbors(s) for s in self.switches}
+        index = self._index()
+        return {s: list(index.switch_neighbors[s]) for s in index.switches}
 
     def shortest_path_lengths(self, weighted: bool = False) -> Dict[str, Dict[str, float]]:
         """All-pairs shortest path lengths over the switch graph.
 
-        Uses BFS for hop counts and Dijkstra when ``weighted`` is true (link
-        ``weight`` attribute).  Only switches are considered.
+        Hop counts by default, the sum of link ``weight`` attributes when
+        ``weighted`` is true.  Only switches are considered; a row holds the
+        switches its source reaches.
         """
-        lengths: Dict[str, Dict[str, float]] = {}
-        for src in self.switches:
-            lengths[src] = self._single_source_lengths(src, weighted)
-        return lengths
+        index = self._index()
+        adjacency = _step_rows(index.out_rows, weighted)
+        return {src: _named(index.switches, *_dijkstra(adjacency, source))
+                for source, src in enumerate(index.switches)}
+
+    def _lengths_around(self, node: str,
+                        adjacency: Sequence[Sequence[Tuple[int, float]]]) -> Dict[str, float]:
+        """Named :func:`_dijkstra` distances from switch ``node`` over ``adjacency``."""
+        index = self._index()
+        try:
+            source = index.ids[node]
+        except KeyError:
+            raise TopologyError(f"unknown switch {node!r}") from None
+        return _named(index.switches, *_dijkstra(adjacency, source))
 
     def _single_source_lengths(self, src: str, weighted: bool) -> Dict[str, float]:
-        import heapq
-
-        dist: Dict[str, float] = {src: 0.0}
-        heap: List[Tuple[float, str]] = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for nbr in self.switch_neighbors(node):
-                step = self._links[(node, nbr)].weight if weighted else 1.0
-                nd = d + step
-                if nd < dist.get(nbr, float("inf")):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        return dist
+        """Shortest path length from ``src`` to every switch it reaches."""
+        return self._lengths_around(src, _step_rows(self._index().out_rows, weighted))
 
     def shortest_paths(self, src: str, dst: str, weighted: bool = False) -> List[List[str]]:
         """All shortest switch-level paths from ``src`` to ``dst``.
 
         Returns a list of node sequences (including endpoints), sorted for
-        determinism.  Used by ECMP/Hula/SPAIN baselines.
+        determinism.  An analysis helper: the routing baselines build their
+        tables from :meth:`shortest_path_lengths` instead.
         """
         if src == dst:
             return [[src]]
@@ -320,23 +405,14 @@ class Topology:
         return sorted(paths)
 
     def _reverse_lengths(self, dst: str, weighted: bool) -> Dict[str, float]:
-        import heapq
-
-        dist: Dict[str, float] = {dst: 0.0}
-        heap: List[Tuple[float, str]] = [(0.0, dst)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for src_node in self.switches:
-                if (src_node, node) not in self._links:
-                    continue
-                step = self._links[(src_node, node)].weight if weighted else 1.0
-                nd = d + step
-                if nd < dist.get(src_node, float("inf")):
-                    dist[src_node] = nd
-                    heapq.heappush(heap, (nd, src_node))
-        return dist
+        """Shortest path length to ``dst`` from every switch that reaches it."""
+        forward = _step_rows(self._index().out_rows, weighted)
+        towards: List[List[Tuple[int, float]]] = [[] for _ in forward]
+        # Sources are visited in id order, so every reversed row is id-sorted.
+        for source, row in enumerate(forward):
+            for nbr, step in row:
+                towards[nbr].append((source, step))
+        return self._lengths_around(dst, towards)
 
     def all_simple_paths(self, src: str, dst: str, cutoff: Optional[int] = None) -> List[List[str]]:
         """All simple switch-level paths up to ``cutoff`` hops (inclusive)."""
@@ -365,30 +441,30 @@ class Topology:
 
     def is_connected(self) -> bool:
         """Whether the switch graph is connected (ignoring hosts)."""
-        switches = self.switches
-        if not switches:
+        rows = self._index().out_rows
+        if not rows:
             return True
-        seen = {switches[0]}
-        stack = [switches[0]]
+        seen = [False] * len(rows)
+        seen[0] = True
+        reached = 1
+        stack = [0]
         while stack:
-            node = stack.pop()
-            for nbr in self.switch_neighbors(node):
-                if nbr not in seen:
-                    seen.add(nbr)
+            for nbr, _, _ in rows[stack.pop()]:
+                if not seen[nbr]:
+                    seen[nbr] = True
+                    reached += 1
                     stack.append(nbr)
-        return len(seen) == len(switches)
+        return reached == len(rows)
 
     def diameter(self) -> int:
         """Switch-graph diameter in hops; raises if disconnected."""
-        if not self.is_connected():
-            raise TopologyError("cannot compute diameter of a disconnected topology")
-        lengths = self.shortest_path_lengths()
+        hops = _step_rows(self._index().out_rows, weighted=False)
         worst = 0.0
-        for src, row in lengths.items():
-            for dst in self.switches:
-                if dst not in row:
-                    raise TopologyError("cannot compute diameter of a disconnected topology")
-                worst = max(worst, row[dst])
+        for source in range(len(hops)):
+            dist, reached = _dijkstra(hops, source)
+            if len(reached) != len(hops):
+                raise TopologyError("cannot compute diameter of a disconnected topology")
+            worst = max(worst, max(dist))
         return int(worst)
 
     def max_rtt(self) -> float:
@@ -396,23 +472,12 @@ class Topology:
 
         Contra's probe period must be at least 0.5x this value (§5.2).
         """
-        import heapq
-
+        latencies = [[(nbr, latency) for nbr, latency, _ in row]
+                     for row in self._index().out_rows]
         worst = 0.0
-        for src in self.switches:
-            dist: Dict[str, float] = {src: 0.0}
-            heap: List[Tuple[float, str]] = [(0.0, src)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if d > dist.get(node, float("inf")):
-                    continue
-                for nbr in self.switch_neighbors(node):
-                    nd = d + self._links[(node, nbr)].latency
-                    if nd < dist.get(nbr, float("inf")):
-                        dist[nbr] = nd
-                        heapq.heappush(heap, (nd, nbr))
-            if dist:
-                worst = max(worst, max(dist.values()))
+        for source in range(len(latencies)):
+            dist, reached = _dijkstra(latencies, source)
+            worst = max(worst, max(map(dist.__getitem__, reached)))
         return 2.0 * worst
 
     # ------------------------------------------------------------------ misc

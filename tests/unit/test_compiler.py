@@ -67,11 +67,47 @@ class TestCompilation:
         compiled = compile_policy(policies.MU(), diamond)
         assert compiled.compile_time > 0
 
+    def test_phase_times_account_for_the_compile_time(self, diamond):
+        compiled = compile_policy(policies.WP(("B", "C")), diamond)
+        assert list(compiled.phase_times) == [
+            "analysis", "product_graph", "tag_minimization", "device_configs", "probe_period"]
+        assert all(seconds >= 0 for seconds in compiled.phase_times.values())
+        assert sum(compiled.phase_times.values()) <= compiled.compile_time
+
+    def test_prune_is_a_phase_only_when_enabled(self, diamond):
+        compiled = compile_policy(policies.MU(), diamond, CompileOptions(prune_unreachable=True))
+        assert "prune" in compiled.phase_times
+
     def test_device_lookup(self, diamond):
         compiled = compile_policy(policies.MU(), diamond)
         assert compiled.device("A").switch == "A"
         with pytest.raises(CompilationError):
             compiled.device("Z")
+
+
+class TestCompileOptionsValidation:
+    @pytest.mark.parametrize("multiplier", [0.1, 0.0, -1.0, 0.49, float("nan")])
+    def test_multiplier_below_half_is_refused(self, multiplier):
+        with pytest.raises(CompilationError, match="probe_period_rtt_multiplier"):
+            CompileOptions(probe_period_rtt_multiplier=multiplier)
+
+    @pytest.mark.parametrize("name", ["flowlet_slots", "loop_table_slots"])
+    @pytest.mark.parametrize("slots", [0, -4])
+    def test_non_positive_table_sizes_are_refused(self, name, slots):
+        with pytest.raises(CompilationError, match=name):
+            CompileOptions(**{name: slots})
+
+    def test_defaults_are_unchanged(self, diamond):
+        options = CompileOptions()
+        assert options.probe_period_rtt_multiplier == 0.5
+        assert options.flowlet_slots == 256 and options.loop_table_slots == 256
+        compiled = compile_policy(policies.MU(), diamond)
+        assert compiled.probe_period == 0.5 * diamond.max_rtt()
+
+    def test_a_larger_multiplier_scales_the_probe_period(self, diamond):
+        compiled = compile_policy(
+            policies.MU(), diamond, CompileOptions(probe_period_rtt_multiplier=2.0))
+        assert compiled.probe_period == 2.0 * diamond.max_rtt()
 
 
 class TestDeviceConfig:

@@ -99,6 +99,13 @@ class TestFigure6Example:
         assert successor is not None and successor.switch == "B"
         assert pg.successor_at(node_d, "A") is None  # D has no link to A
 
+    def test_successor_at_agrees_with_a_scan_of_the_row(self, pg, diamond):
+        for node, successors in pg.out_edges.items():
+            for neighbor in diamond.switches:
+                scanned = [s for s in successors if s.switch == neighbor]
+                assert pg.successor_at(node, neighbor) == (scanned[0] if scanned else None)
+        assert pg.successor_at(PGNode("nowhere", ()), "A") is None
+
     def test_every_edge_respects_topology(self, pg, diamond):
         for node, successors in pg.out_edges.items():
             for successor in successors:
@@ -144,3 +151,42 @@ class TestTagMinimization:
     def test_repr(self, diamond):
         pg = build_product_graph(diamond, [])
         assert "ProductGraph" in repr(pg)
+
+
+class TestPerSwitchNodeIndex:
+    """``nodes_of_switch`` is served from an index: it must track every rebuild."""
+
+    REGEXES = ("A B D", "B .* D", ".* C .*")
+
+    @staticmethod
+    def assert_index_matches_a_scan(pg):
+        switches = pg.topology.switches
+        for switch in switches + ["nowhere"]:
+            assert pg.nodes_of_switch(switch) == [n for n in pg.nodes if n.switch == switch]
+        assert pg.max_tags_per_switch() == max(
+            len([n for n in pg.nodes if n.switch == switch]) for switch in switches)
+
+    def test_after_build_and_after_minimization(self, diamond):
+        # Unminimised automata leave bisimilar virtual nodes for the tags to merge.
+        pg = build_product_graph(
+            diamond, [parse_regex(r) for r in self.REGEXES],
+            minimize_automata=False, minimize_tags=False)
+        self.assert_index_matches_a_scan(pg)
+        before = pg.num_nodes
+        pg.minimize_tags()
+        assert pg.num_nodes < before
+        self.assert_index_matches_a_scan(pg)
+
+    def test_after_restriction(self, diamond):
+        pg = build_product_graph(
+            diamond, [parse_regex(r) for r in self.REGEXES], minimize_tags=False)
+        origins = set(pg.probe_sending_nodes.values())
+        dropped = next(n for n in pg.nodes if n not in origins)
+        pg.restrict_to(n for n in pg.nodes if n != dropped)
+        assert dropped not in pg.nodes_of_switch(dropped.switch)
+        self.assert_index_matches_a_scan(pg)
+
+    def test_the_caller_owns_the_returned_list(self, diamond):
+        pg = build_product_graph(diamond, [])
+        pg.nodes_of_switch("A").clear()
+        assert len(pg.nodes_of_switch("A")) == 1

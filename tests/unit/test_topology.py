@@ -328,3 +328,258 @@ class TestZoo:
         path.write_text("A B ten\n")
         with pytest.raises(TopologyError):
             from_edge_list_file(path)
+
+
+# ------------------------------------------------- switch-graph index oracle
+#
+# The bodies below are the name-keyed, scan-per-call implementations the
+# switch-graph index replaced (commit 00c691b), kept verbatim as references:
+# the indexed versions must return the very same floats — ``==``, never
+# ``approx`` — in the very same dict order.
+
+def reference_neighbors(topo, node):
+    if node not in topo._nodes:
+        raise TopologyError(f"unknown node {node!r}")
+    return sorted(dst for (src, dst) in topo._links if src == node)
+
+
+def reference_switch_neighbors(topo, node):
+    is_switch = topo._nodes.get
+    return [n for n in reference_neighbors(topo, node)
+            if is_switch(n) in NodeKind.SWITCH_ROLES]
+
+
+def reference_switches(topo):
+    return sorted(n for n, kind in topo._nodes.items() if kind in NodeKind.SWITCH_ROLES)
+
+
+def reference_single_source_lengths(topo, src, weighted):
+    import heapq
+
+    dist = {src: 0.0}
+    heap = [(0.0, src)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist.get(node, float("inf")):
+            continue
+        for nbr in reference_switch_neighbors(topo, node):
+            step = topo._links[(node, nbr)].weight if weighted else 1.0
+            nd = d + step
+            if nd < dist.get(nbr, float("inf")):
+                dist[nbr] = nd
+                heapq.heappush(heap, (nd, nbr))
+    return dist
+
+
+def reference_shortest_path_lengths(topo, weighted=False):
+    lengths = {}
+    for src in reference_switches(topo):
+        lengths[src] = reference_single_source_lengths(topo, src, weighted)
+    return lengths
+
+
+def reference_reverse_lengths(topo, dst, weighted):
+    import heapq
+
+    dist = {dst: 0.0}
+    heap = [(0.0, dst)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist.get(node, float("inf")):
+            continue
+        for src_node in reference_switches(topo):
+            if (src_node, node) not in topo._links:
+                continue
+            step = topo._links[(src_node, node)].weight if weighted else 1.0
+            nd = d + step
+            if nd < dist.get(src_node, float("inf")):
+                dist[src_node] = nd
+                heapq.heappush(heap, (nd, src_node))
+    return dist
+
+
+def reference_max_rtt(topo):
+    import heapq
+
+    worst = 0.0
+    for src in reference_switches(topo):
+        dist = {src: 0.0}
+        heap = [(0.0, src)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist.get(node, float("inf")):
+                continue
+            for nbr in reference_switch_neighbors(topo, node):
+                nd = d + topo._links[(node, nbr)].latency
+                if nd < dist.get(nbr, float("inf")):
+                    dist[nbr] = nd
+                    heapq.heappush(heap, (nd, nbr))
+        if dist:
+            worst = max(worst, max(dist.values()))
+    return 2.0 * worst
+
+
+def reference_is_connected(topo):
+    switches = reference_switches(topo)
+    if not switches:
+        return True
+    seen = {switches[0]}
+    stack = [switches[0]]
+    while stack:
+        node = stack.pop()
+        for nbr in reference_switch_neighbors(topo, node):
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen) == len(switches)
+
+
+def in_order(mapping):
+    """Items in iteration order: equality of these is equality of dict order too."""
+    return list(mapping.items())
+
+
+def assert_matches_reference(topo):
+    assert topo.switches == reference_switches(topo)
+    for node in topo.nodes:
+        assert topo.neighbors(node) == reference_neighbors(topo, node)
+        assert topo.switch_neighbors(node) == reference_switch_neighbors(topo, node)
+    assert topo.switch_graph() == {
+        s: reference_switch_neighbors(topo, s) for s in reference_switches(topo)}
+    assert repr(topo.max_rtt()) == repr(reference_max_rtt(topo))
+    assert topo.is_connected() == reference_is_connected(topo)
+    for weighted in (False, True):
+        lengths = topo.shortest_path_lengths(weighted)
+        reference = reference_shortest_path_lengths(topo, weighted)
+        assert in_order(lengths) == in_order(reference)
+        for src in reference:
+            assert in_order(lengths[src]) == in_order(reference[src])
+        for dst in reference_switches(topo):
+            assert in_order(topo._reverse_lengths(dst, weighted)) == \
+                in_order(reference_reverse_lengths(topo, dst, weighted))
+
+
+def _one_way_detour():
+    """A ring with a directed-only chord and uneven latencies and weights."""
+    topo = Topology("one-way")
+    for s in "ABCDE":
+        topo.add_switch(s)
+    for (a, b), (latency, weight) in zip(
+            (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")),
+            ((0.1, 3.0), (0.2, 1.0), (0.3, 0.5), (0.7, 2.0), (0.15, 1.5))):
+        topo.add_link(a, b, latency=latency, weight=weight)
+    topo.add_link("A", "C", latency=0.05, weight=0.25, bidirectional=False)
+    topo.add_host("h", "D")
+    topo.add_link("h", "D")
+    return topo
+
+
+def _two_islands():
+    topo = Topology("islands")
+    for s in ("A", "B", "C", "X", "Y"):
+        topo.add_switch(s)
+    topo.add_link("A", "B", latency=0.3)
+    topo.add_link("B", "C", latency=0.1)
+    topo.add_link("X", "Y", latency=0.9)
+    return topo
+
+
+ORACLE_TOPOLOGIES = {
+    "fattree4": lambda: fattree(4),
+    "fattree8": lambda: fattree(8, hosts_per_edge=1),
+    "leafspine": lambda: leafspine(4, 3, hosts_per_leaf=2),
+    "abilene": lambda: abilene(),
+    "nsfnet": lambda: builtin_topology("nsfnet"),
+    "geant_small": lambda: builtin_topology("geant_small"),
+    "ring8": lambda: builtin_topology("ring8"),
+    "random_regular": lambda: random_regular(30, degree=3, seed=11),
+    "waxman": lambda: waxman(25, seed=5),
+    "erdos_renyi": lambda: erdos_renyi(25, seed=3),
+    "directed_only_link": _one_way_detour,
+    "disconnected": _two_islands,
+    "failed_link_copy": lambda: abilene().with_failed_link("DEN", "KSC"),
+}
+
+
+class TestSwitchGraphIndexOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES))
+    def test_indexed_passes_equal_the_scanning_reference(self, name):
+        assert_matches_reference(ORACLE_TOPOLOGIES[name]())
+
+    def test_failed_link_copy_starts_cold_and_leaves_the_original_alone(self):
+        topo = abilene()
+        before = topo.max_rtt()          # warms the original's index
+        failed = topo.with_failed_link("DEN", "KSC")
+        assert "KSC" not in failed.switch_neighbors("DEN")
+        assert "KSC" in topo.switch_neighbors("DEN")
+        assert topo.max_rtt() == before
+        assert_matches_reference(failed)
+
+    def test_accessors_hand_out_copies(self):
+        topo = fattree(4)
+        for accessor in (lambda: topo.switches,
+                         lambda: topo.neighbors("e0_0"),
+                         lambda: topo.switch_neighbors("e0_0"),
+                         lambda: topo.switch_graph()["e0_0"]):
+            accessor().clear()
+            assert accessor()
+        assert_matches_reference(topo)
+
+    def test_disconnected_diameter_raises(self):
+        with pytest.raises(TopologyError):
+            _two_islands().diameter()
+
+    def test_lengths_from_a_non_switch_are_refused(self):
+        topo = _one_way_detour()
+        with pytest.raises(TopologyError):
+            topo._single_source_lengths("h", False)
+        with pytest.raises(TopologyError):
+            topo._reverse_lengths("nowhere", False)
+
+    def test_refused_reverse_duplicate_still_invalidates(self):
+        """``add_link`` keeps the forward link it wrote before refusing the reverse."""
+        topo = Topology("t")
+        for s in "ABC":
+            topo.add_switch(s)
+        topo.add_link("A", "B")
+        topo.add_link("C", "B", bidirectional=False)
+        assert topo.switch_neighbors("B") == ["A"]
+        with pytest.raises(TopologyError):
+            topo.add_link("B", "C")
+        assert_matches_reference(topo)
+
+
+MUTATION_NODES = ("s0", "s1", "s2", "s3", "s4", "h0", "h1")
+mutation_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("add_switch", "add_host", "add_link", "add_one_way", "remove_link")),
+        st.sampled_from(MUTATION_NODES),
+        st.sampled_from(MUTATION_NODES),
+        st.sampled_from((0.05, 0.1, 0.25)),
+    ),
+    max_size=30,
+)
+
+
+class TestIndexInvalidation:
+    @given(mutation_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_no_query_ever_sees_a_stale_row(self, steps):
+        topo = Topology("mutating")
+        topo.add_switch("s0")
+        assert_matches_reference(topo)       # the index is warm from here on
+        for action, a, b, latency in steps:
+            try:
+                if action == "add_switch":
+                    topo.add_switch(a, role=NodeKind.EDGE if latency > 0.05 else NodeKind.SWITCH)
+                elif action == "add_host":
+                    topo.add_host(a, b)
+                elif action == "add_link":
+                    topo.add_link(a, b, latency=latency, weight=latency * 4)
+                elif action == "add_one_way":
+                    topo.add_link(a, b, latency=latency, bidirectional=False)
+                else:
+                    topo.remove_link(a, b)
+            except TopologyError:
+                pass                         # a refused mutation must not corrupt the index either
+            assert_matches_reference(topo)
