@@ -21,6 +21,13 @@ scheduling signal in machine-size noise.  The padding also makes the
 ``BENCH_*.json`` wall-clock essentially deterministic, so the cross-commit
 ``bench_diff`` trajectory isolates regressions in the coordinator's own
 overhead (lease I/O, claim scans, poll loops).
+
+A second benchmark prices that overhead directly: a stub backend that
+returns canned results leaves nothing in a drain but claim scans, lease
+files, record appends and worker metas, and draining 180 and then 1 440
+such points shows whether the per-point cost depends on the size of the grid
+(it did: every claim re-parsed the whole store and probed one lease file per
+pending point, 7× from 180 to 1 440 points).
 """
 
 from __future__ import annotations
@@ -29,11 +36,14 @@ import json
 import multiprocessing
 import time
 
+from repro.experiments import coordinator, results
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.coordinator import CoordinatedBackend
 from repro.experiments.results import ResultsStore, ShardedBackend
 from repro.experiments.runner import (
+    ExecutionBackend,
     RunContext,
+    RunResult,
     ScenarioSpec,
     SerialBackend,
     TopologySpec,
@@ -158,3 +168,89 @@ def test_coordinated_drain_beats_static_split(benchmark, tmp_path):
     print(f"\nstatic 2-shard split : {outcome['static_wall_s']:.2f} s")
     print(f"2 coordinated workers: {outcome['coordinated_wall_s']:.2f} s "
           f"({outcome['speedup']:.2f}x, {outcome['stolen']} steal(s))")
+
+
+class StubBackend(ExecutionBackend):
+    """A canned result per spec: the drain's cost is all coordinator."""
+
+    def run(self, specs):
+        return [result for result, _ in self.run_iter_timed(specs)]
+
+    def run_iter_timed(self, specs):
+        for spec in specs:
+            yield RunResult(name=spec.name, system=spec.system,
+                            workload=spec.workload, load=spec.load,
+                            seed=spec.seed,
+                            summary={"avg_fct_ms": 1.25, "flows": 7}), 0.0
+
+
+def stub_specs(count: int) -> list:
+    """``count`` distinct points in three locality groups."""
+    return [
+        ScenarioSpec(name=f"drain-overhead:{system}-{seed}", system=system,
+                     topology=_topology(), config=TINY, workload="web_search",
+                     load=0.4, seed=seed)
+        for system in ("ecmp", "hula", "contra")
+        for seed in range(1, count // 3 + 1)
+    ]
+
+
+def _stub_drain(directory, count: int, counts: dict) -> dict:
+    """Drain ``count`` stub points with one worker: CPU ms per point, and
+    how far the drain moved each of the caller's ``counts``."""
+    specs = stub_specs(count)
+    before = dict(counts)
+    backend = CoordinatedBackend(directory, inner=StubBackend(), owner="bench")
+    started = time.process_time()
+    backend.drain(specs)
+    cpu_s = time.process_time() - started
+    assert backend.executed == count
+    return {"points": count, "ms_per_point": round(cpu_s * 1e3 / count, 4),
+            **{name: counts[name] - before[name] for name in counts}}
+
+
+def test_drain_overhead_scales_linearly(benchmark, tmp_path, monkeypatch):
+    counts = {"records_parsed": 0, "lease_reads": 0}
+    decode_result, read_lease = results.decode_result, coordinator.read_lease
+
+    def counting_decode(payload):
+        counts["records_parsed"] += 1
+        return decode_result(payload)
+
+    def counting_read(*args, **kwargs):
+        counts["lease_reads"] += 1
+        return read_lease(*args, **kwargs)
+
+    monkeypatch.setattr(results, "decode_result", counting_decode)
+    monkeypatch.setattr(coordinator, "read_lease", counting_read)
+
+    def both_sizes() -> list:
+        # Best of two per size: the claim is about the code's cost, and the
+        # sandbox's neighbours only ever add to a reading.
+        return [min((_stub_drain(tmp_path / f"drain-{count}-{attempt}", count,
+                                 counts) for attempt in range(2)),
+                    key=lambda run: run["ms_per_point"])
+                for count in (180, 1440)]
+
+    started = time.perf_counter()
+    small, large = benchmark.pedantic(both_sizes, rounds=1, iterations=1)
+    wall_s = time.perf_counter() - started
+
+    # Linear work, as counts: each record decoded once, and one lease read
+    # per point (release checks the owner) — none from the claim scans.
+    for size in (small, large):
+        assert size["records_parsed"] == size["points"]
+        assert size["lease_reads"] == size["points"]
+    ratio = large["ms_per_point"] / small["ms_per_point"]
+    assert ratio <= 1.5, (
+        f"coordinator overhead grows with the grid: {small['ms_per_point']} "
+        f"ms/point at {small['points']} points, {large['ms_per_point']} at "
+        f"{large['points']} ({ratio:.2f}x)")
+
+    write_bench_artifact("test_drain_overhead", wall_s,
+                         extra={"sizes": [small, large],
+                                "ms_per_point_ratio": round(ratio, 4)})
+    for size in (small, large):
+        print(f"\n{size['points']:>5d} points: {size['ms_per_point']:.3f} "
+              f"ms/point, {size['records_parsed']} records parsed, "
+              f"{size['lease_reads']} lease reads")

@@ -169,13 +169,22 @@ def try_acquire_lease(directory, key: str, owner: str, spec_name: str = "",
 
 
 def renew_lease(directory, key: str, owner: str, spec_name: str = "",
-                now: Optional[float] = None) -> None:
-    """Refresh the heartbeat of a lease this owner holds."""
-    path = lease_path(directory, key)
+                now: Optional[float] = None) -> bool:
+    """Refresh the heartbeat of a lease this owner holds; False if it doesn't.
+
+    A lease that is gone, or that names another owner, was reclaimed while
+    this worker stalled past the TTL: it is the reclaimer's now, and writing
+    to it would hand the point back to a worker presumed dead.  (The check
+    and the rewrite are two steps; the window between them is microseconds,
+    not the TTL-long one an unconditional rewrite leaves open.)
+    """
     now = wall_now() if now is None else now
     info = read_lease(directory, key)
-    acquired = info.acquired_unix if info is not None else now
-    _write_lease(path, owner, acquired, spec_name, now)
+    if info is None or info.owner != owner:
+        return False
+    _write_lease(lease_path(directory, key), owner, info.acquired_unix,
+                 spec_name, now)
+    return True
 
 
 def release_lease(directory, key: str, owner: Optional[str] = None) -> bool:
@@ -297,7 +306,12 @@ def gc_leases(directory, valid_keys, completed_keys,
 
 
 class _Heartbeat:
-    """Daemon thread renewing one lease every ``interval`` seconds."""
+    """Daemon thread renewing one lease every ``interval`` seconds.
+
+    Stops at the first renewal that finds the lease lost (see
+    :func:`renew_lease`); the point still runs to completion and is recorded
+    — a duplicate of the reclaimer's byte-identical record at worst.
+    """
 
     def __init__(self, directory, key: str, owner: str, spec_name: str,
                  interval: float):
@@ -313,8 +327,9 @@ class _Heartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
             try:
-                renew_lease(self._directory, self._key, self._owner,
-                            self._spec_name)
+                if not renew_lease(self._directory, self._key, self._owner,
+                                   self._spec_name):
+                    return
             except OSError:
                 # A vanished directory or permission hiccup must not kill the
                 # worker mid-point; the lease simply ages toward reclaim.
@@ -393,20 +408,31 @@ class CoordinatedBackend(ExecutionBackend):
         worker's *live* lease; completed points' leftover leases (a worker
         killed between record and release) are ignored entirely, so an
         orphaned lease can never wedge the sweep.
+
+        One scan costs the bytes the store's files gained since the last
+        one (:meth:`ResultsStore.load`) plus one listing of the lease files:
+        a pending point whose lease is not in the listing is claimable
+        without touching the filesystem again.  A lease created after the
+        listing is caught by the exclusive create below.
         """
         while True:
-            completed = set(self.store.load())
+            # Listing first: a point whose lease is already gone was recorded
+            # before its release, so the load that follows sees it complete.
+            leased = set(_lease_keys(self.directory))
+            completed = self.store.load()
             now = wall_now()
             claimable: Dict[int, bool] = {}      # position -> needs reclaim
             active_groups = set()
             pending_total = 0
             for group_key, positions in groups.items():
                 for position in positions:
-                    if keys[position] in completed:
+                    key = keys[position]
+                    if key in completed:
                         continue
                     pending_total += 1
-                    info = read_lease(self.directory, keys[position],
-                                      now=now, ttl=self.ttl)
+                    info = (read_lease(self.directory, key, now=now,
+                                       ttl=self.ttl)
+                            if key in leased else None)
                     if info is None:
                         claimable[position] = False
                     elif info.stale:
@@ -468,16 +494,20 @@ class CoordinatedBackend(ExecutionBackend):
             groups.setdefault(compile_group_key(spec), []).append(position)
         return groups
 
-    def drain(self, specs: Sequence[ScenarioSpec]) -> None:
+    def drain(self, specs: Sequence[ScenarioSpec],
+              keys: Optional[Sequence[str]] = None) -> None:
         """Claim and execute points until nothing is claimable by this worker.
 
         On return every grid point is either complete in the store or covered
         by another worker's live lease (use :meth:`run` to additionally wait
         for those).  A crash mid-point leaves the lease behind un-released;
         after one TTL any surviving worker reclaims and re-executes it.
+        ``keys`` lets a caller that already holds the specs' hashes, in spec
+        order, skip recomputing them.
         """
         specs = list(specs)
-        keys = [spec_hash(spec) for spec in specs]
+        if keys is None:
+            keys = [spec_hash(spec) for spec in specs]
         groups = self._build_groups(specs)
         current_group: Optional[Tuple] = None
         while True:
@@ -513,7 +543,7 @@ class CoordinatedBackend(ExecutionBackend):
         specs = list(specs)
         keys = [spec_hash(spec) for spec in specs]
         while True:
-            self.drain(specs)
+            self.drain(specs, keys)
             completed = self.store.load()
             if all(key in completed for key in keys):
                 break
@@ -640,10 +670,10 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
     keys = [spec_hash(spec) for spec in specs]
     now = wall_now() if now is None else now
 
-    store = ResultsStore(directory)
-    completed = set(store.load())
+    completed = set()
     executed_by: Dict[str, int] = {}
-    for _, _, record in store._records():
+    for key, record, _ in ResultsStore(directory)._validated():
+        completed.add(key)
         owner = record.get("owner")
         if owner:
             executed_by[owner] = executed_by.get(owner, 0) + 1

@@ -28,10 +28,12 @@ must agree — a conflict means the store mixes incompatible runs and raises
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import (
@@ -130,6 +132,12 @@ class ResultsStore:
                 f"results filename {filename!r} must match results-*.jsonl")
         self.path = self.directory / filename
         self._repair_torn_tail()
+        # The incremental view behind load(): what has been consumed of each
+        # results file, and what those bytes validated to.
+        self._consumed: Dict[Path, Tuple[int, int, int]] = {}  # inode, bytes, lines
+        self._canonical: Dict[str, str] = {}
+        self._results: Dict[str, RunResult] = {}
+        self._log: List[Tuple[str, dict, bool]] = []
 
     def _repair_torn_tail(self) -> None:
         """Truncate a partial final line of *this shard's own* file.
@@ -137,75 +145,134 @@ class ResultsStore:
         A run killed mid-append leaves a line without a trailing newline;
         appending after it would glue two records into one undecodable line.
         Only the own shard file is repaired — other shards' files may be
-        live right now, and their in-flight partial line is handled (skipped)
-        by :meth:`load`'s final-line tolerance instead.
+        live right now, and their in-flight partial line is handled (left
+        unconsumed) by :meth:`load`'s final-line tolerance instead.  Reads
+        backwards from the end, one block at a time, to the last newline: a
+        cleanly closed file costs its last block, not a pass over the shard.
         """
-        if not self.path.exists():
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
             return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        self.path.write_bytes(data[:data.rfind(b"\n") + 1])
+        with handle:
+            size = keep = handle.seek(0, os.SEEK_END)
+            newline = -1
+            while keep and newline < 0:
+                start = max(0, keep - io.DEFAULT_BUFFER_SIZE)
+                handle.seek(start)
+                newline = handle.read(keep - start).rfind(b"\n")
+                keep = start + newline + 1
+        if keep < size:
+            os.truncate(self.path, keep)
 
     # ------------------------------------------------------------------- read
 
     def load(self) -> Dict[str, RunResult]:
         """All completed points in the directory, keyed by spec hash.
 
+        Incremental: the store remembers, per ``results-*.jsonl``, how many
+        bytes and lines it has consumed and what they validated to, and each
+        call parses only what was appended since the last one — a record is
+        decoded and checked once per instance, not once per call.  A file
+        that shrank, changed identity or vanished (another instance's
+        :func:`gc_results`) discards the whole view and re-reads from zero.
+
         A file's *final* line may be a partial record — the in-flight append
-        of a run that was killed mid-flush.  That line is skipped (its point
-        simply re-executes on resume); an undecodable line anywhere else is
-        real corruption and raises.
+        of a live writer, or of a run that was killed mid-flush.  That line
+        is left unconsumed (a live writer's completes and is read by a later
+        call; a dead one's point simply re-executes on resume); an
+        undecodable line anywhere else is real corruption and raises.
+
+        The returned dict is the caller's own; the :class:`RunResult`
+        values are shared with every other call and must not be mutated.
         """
-        payloads = {key: record["result"] for key, record, _ in self._validated()}
-        return {key: decode_result(payload) for key, payload in payloads.items()}
+        self._validated()
+        return dict(self._results)
 
-    def _validated(self, grid: Optional[Set[str]] = None):
-        """Yield ``(spec hash, record, repeat)`` over every record, verified.
+    def _validated(self) -> List[Tuple[str, dict, bool]]:
+        """Every record consumed so far as ``(spec hash, record, repeat)``.
 
-        A record without a spec hash or a result is corruption and raises.
-        ``repeat`` is True from a hash's second record on, once that record
-        is verified to carry the same result as the first — a conflict raises
-        rather than silently picking a side.  Records keyed outside ``grid``
-        (when given) are yielded uncompared: gc drops them unread.
+        Reads what the directory's files gained since the last call, then
+        returns the store's own running list (read-only to callers).  A
+        record without a spec hash or a decodable result is corruption and
+        raises.  ``repeat`` is True from a hash's second record on, once
+        that record is verified to carry the same result as the first — a
+        conflict raises rather than silently picking a side.  A raise
+        consumes nothing: the next call meets the same line again.
         """
-        canonical: Dict[str, str] = {}
-        for file, line_number, record in self._records():
-            try:
-                key, payload = record["spec_hash"], record["result"]
-            except (KeyError, TypeError):
-                raise ExperimentError(
-                    f"corrupt results record at {file}:{line_number}") from None
-            if grid is not None and key not in grid:
-                yield key, record, False
-                continue
-            # Compare serialized forms, not dicts: summaries legitimately
-            # carry NaN (e.g. avg_fct_ms of a streams-only run), and
-            # NaN != NaN would make byte-identical duplicates look like a
-            # conflict under dict equality.
-            serialized = json.dumps(payload, sort_keys=True)
-            repeat = key in canonical
-            if repeat and canonical[key] != serialized:
-                raise ExperimentError(
-                    f"conflicting results for spec hash {key[:12]}… in {file}: "
-                    f"the store mixes records from incompatible runs")
-            canonical[key] = serialized
-            yield key, record, repeat
+        files = sorted(self.directory.glob("results-*.jsonl"))
+        if not (self._consumed.keys() <= set(files)
+                and all(self._read_appended(file) for file in files)):
+            # Compaction replaces and unlinks files: nothing consumed from
+            # the old ones can be trusted to still be in the directory.
+            self._consumed.clear()
+            self._canonical.clear()
+            self._results.clear()
+            self._log.clear()
+            for file in sorted(self.directory.glob("results-*.jsonl")):
+                self._read_appended(file)
+        return self._log
 
-    def _records(self):
-        """Yield ``(file, line_number, record)`` over every decodable line."""
-        for file in sorted(self.directory.glob("results-*.jsonl")):
-            lines = file.read_text().splitlines()
-            for line_number, line in enumerate(lines, 1):
-                if not line.strip():
-                    continue
-                try:
-                    yield file, line_number, json.loads(line)
-                except json.JSONDecodeError:
-                    if line_number == len(lines):
-                        continue            # torn final append of a killed run
-                    raise ExperimentError(
-                        f"corrupt results record at {file}:{line_number}") from None
+    def _read_appended(self, file: Path) -> bool:
+        """Consume the complete lines ``file`` gained; False if it is not the
+        file consumed before (gone, replaced, or shorter than what was read)."""
+        try:
+            handle = file.open("rb")
+        except FileNotFoundError:
+            return False
+        with handle:
+            status = os.fstat(handle.fileno())
+            inode, offset, line_number = self._consumed.get(
+                file, (status.st_ino, 0, 0))
+            if status.st_ino != inode or status.st_size < offset:
+                return False
+            if status.st_size == offset:
+                return True
+            handle.seek(offset)
+            chunk = handle.read()
+        # Only newline-terminated lines are candidates; the rest is an
+        # append in flight.
+        lines = chunk.split(b"\n")
+        in_flight = lines.pop()
+        try:
+            for index, line in enumerate(lines):
+                if line.strip():
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        if index == len(lines) - 1 and not in_flight:
+                            break           # torn final line: not consumed
+                        raise ExperimentError(
+                            f"corrupt results record at "
+                            f"{file}:{line_number + 1}") from None
+                    try:
+                        key, payload = record["spec_hash"], record["result"]
+                        known = self._canonical.get(key)
+                        if known is None:
+                            self._results[key] = decode_result(payload)
+                    except (KeyError, TypeError, ValueError):
+                        raise ExperimentError(
+                            f"corrupt results record at "
+                            f"{file}:{line_number + 1}") from None
+                    # Compare serialized forms, not dicts: summaries
+                    # legitimately carry NaN (e.g. avg_fct_ms of a
+                    # streams-only run), and NaN != NaN would make
+                    # byte-identical duplicates look like a conflict under
+                    # dict equality.
+                    serialized = json.dumps(payload, sort_keys=True)
+                    if known is None:
+                        self._canonical[key] = serialized
+                    elif known != serialized:
+                        raise ExperimentError(
+                            f"conflicting results for spec hash {key[:12]}… "
+                            f"in {file}: the store mixes records from "
+                            f"incompatible runs")
+                    self._log.append((key, record, known is not None))
+                offset += len(line) + 1
+                line_number += 1
+        finally:
+            self._consumed[file] = (inode, offset, line_number)
+        return True
 
     # ------------------------------------------------------------------ write
 
@@ -241,7 +308,7 @@ class ResultsStore:
     def total_wall_s(self) -> float:
         """Wall-clock summed over every record in the directory (see record)."""
         return sum(record.get("point_wall_s", 0.0)
-                   for _, _, record in self._records())
+                   for _, record, _ in self._validated())
 
     # ---------------------------------------------------------- shard metadata
 
@@ -357,7 +424,7 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     valid_set = set(valid)
     kept: Dict[str, dict] = {}
     total = stale = duplicates = 0
-    for key, record, repeat in store._validated(valid_set):
+    for key, record, repeat in store._validated():
         total += 1
         if key not in valid_set:
             stale += 1

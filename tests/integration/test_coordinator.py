@@ -13,16 +13,22 @@ The contracts under test (ARCHITECTURE.md §8 "Sweep coordinator contract"):
 * claims prefer the worker's current locality group, enter idle groups
   before stealing, and steal from the most-loaded active group;
 * ``gc-results`` removes orphaned/stale leases, ``merge-results`` warns on
-  live ones, and ``sweep-status`` renders per-group/per-worker progress.
+  live ones, and ``sweep-status`` renders per-group/per-worker progress;
+* a heartbeat never resurrects a lease its worker lost to a reclaim;
+* a drain's coordination work is linear in the grid: each record decoded
+  once per worker, one lease listing per claim scan, lease files read only
+  where the listing shows one.
 """
 
 import json
 import multiprocessing
+import threading
 import time
 
 import pytest
 
 from repro.exceptions import ExperimentError
+from repro.experiments import coordinator, results
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.coordinator import (
     CoordinatedBackend,
@@ -43,8 +49,14 @@ from repro.experiments.registry import (
     run_scenario_coordinated,
     sweep_status_scenario,
 )
-from repro.experiments.results import ResultsStore, collect_results
+from repro.experiments.results import (
+    ResultsStore,
+    collect_results,
+    encode_result,
+)
 from repro.experiments.runner import (
+    ExecutionBackend,
+    RunResult,
     ScenarioSpec,
     SerialBackend,
     TopologySpec,
@@ -90,6 +102,32 @@ class TestLeasePrimitives:
         assert info.heartbeat_unix == 120.0
         assert info.acquired_unix == 100.0
         assert not info.stale
+
+    def test_renew_never_resurrects_a_lost_lease(self, tmp_path):
+        """The paused-worker drill: A stalls past the TTL, B reclaims and
+        acquires, A resumes — its heartbeat must leave B's lease alone."""
+        assert try_acquire_lease(tmp_path, KEY, "A", now=100.0)
+        assert read_lease(tmp_path, KEY, now=131.0, ttl=30.0).stale
+        assert reclaim_lease(tmp_path, KEY, "B")
+        assert try_acquire_lease(tmp_path, KEY, "B", now=131.0)
+        assert not renew_lease(tmp_path, KEY, "A", now=132.0)
+        info = read_lease(tmp_path, KEY, now=132.0)
+        assert (info.owner, info.heartbeat_unix) == ("B", 131.0)
+        assert not release_lease(tmp_path, KEY, owner="A")
+        assert read_lease(tmp_path, KEY).owner == "B"
+        assert release_lease(tmp_path, KEY, owner="B")
+        # Nor does it re-create a lease that is simply gone.
+        assert not renew_lease(tmp_path, KEY, "A", now=133.0)
+        assert not list(tmp_path.glob("lease-*")), "renew left debris"
+
+    def test_heartbeat_stops_once_the_lease_is_lost(self, tmp_path):
+        assert try_acquire_lease(tmp_path, KEY, "A")
+        with coordinator._Heartbeat(tmp_path, KEY, "A", "", 0.01) as heartbeat:
+            assert reclaim_lease(tmp_path, KEY, "B")
+            assert try_acquire_lease(tmp_path, KEY, "B")
+            heartbeat._thread.join(timeout=5.0)
+            assert not heartbeat._thread.is_alive()
+        assert read_lease(tmp_path, KEY).owner == "B"
 
     def test_staleness_is_judged_against_the_ttl(self, tmp_path):
         try_acquire_lease(tmp_path, KEY, "w0", now=100.0)
@@ -261,6 +299,138 @@ class TestCoordinatedByteIdentity:
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ExperimentError, match="TTL"):
             CoordinatedBackend(tmp_path, ttl=0.0)
+
+
+class StubBackend(ExecutionBackend):
+    """A canned result per spec, no simulation: what is left is coordination."""
+
+    def run(self, specs):
+        return [result for result, _ in self.run_iter_timed(specs)]
+
+    def run_iter_timed(self, specs):
+        for spec in specs:
+            yield RunResult(name=spec.name, system=spec.system,
+                            workload=spec.workload, load=spec.load,
+                            seed=spec.seed,
+                            summary={"avg_fct_ms": spec.seed / 8,
+                                     "flows": spec.seed}), 0.0
+
+
+def stub_specs(count):
+    """``count`` distinct grid points in three locality groups."""
+    return [
+        ScenarioSpec(name=f"linear:{system}-{seed}", system=system,
+                     topology=tiny_topology(), config=TINY,
+                     workload="web_search", load=0.4, seed=seed)
+        for system in ("ecmp", "hula", "contra")
+        for seed in range(1, count // 3 + 1)
+    ]
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    """Count the drain's store and lease work from outside the two modules."""
+    counts = {"decoded": 0, "parsed": 0, "listings": 0, "scans": 0,
+              "lease_reads_in_scan": 0}
+    tally = threading.Lock()
+    scanning = threading.local()
+
+    def bump(name):
+        with tally:
+            counts[name] += 1
+
+    decode_result, loads = results.decode_result, json.loads
+    lease_keys, read = coordinator._lease_keys, coordinator.read_lease
+    claim = CoordinatedBackend._claim
+
+    def counting_decode(payload):
+        bump("decoded")
+        return decode_result(payload)
+
+    def counting_loads(text, **kwargs):
+        if isinstance(text, bytes):         # a results line; leases are str
+            bump("parsed")
+        return loads(text, **kwargs)
+
+    def counting_lease_keys(directory):
+        bump("listings")
+        return lease_keys(directory)
+
+    def counting_read(*args, **kwargs):
+        if getattr(scanning, "active", False):
+            bump("lease_reads_in_scan")
+        return read(*args, **kwargs)
+
+    def counting_claim(self, *args, **kwargs):
+        bump("scans")
+        scanning.active = True
+        try:
+            return claim(self, *args, **kwargs)
+        finally:
+            scanning.active = False
+
+    monkeypatch.setattr(results, "decode_result", counting_decode)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(coordinator, "_lease_keys", counting_lease_keys)
+    monkeypatch.setattr(coordinator, "read_lease", counting_read)
+    monkeypatch.setattr(CoordinatedBackend, "_claim", counting_claim)
+    return counts
+
+
+class TestLinearWork:
+    """Exact counts, so the O(N²) drain cannot return without a failure here."""
+
+    @pytest.mark.parametrize("count", [60, 240])
+    def test_solo_drain_decodes_each_record_once(self, tmp_path, ledger, count):
+        specs = stub_specs(count)
+        backend = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w0")
+        backend.drain(specs)
+        assert backend.executed == count
+        assert ledger["scans"] == count + 1          # the last one finds nothing
+        assert ledger["decoded"] == ledger["parsed"] == count
+        assert ledger["listings"] <= ledger["scans"]
+        assert ledger["lease_reads_in_scan"] == 0    # no lease file ever listed
+
+    def test_scan_reads_only_the_leases_that_exist(self, tmp_path, ledger):
+        specs = stub_specs(60)
+        held = [spec_hash(spec) for spec in specs[:3]]
+        for key in held:
+            try_acquire_lease(tmp_path, key, "other")
+        backend = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w0")
+        backend.drain(specs)
+        assert backend.executed == len(specs) - len(held)
+        assert ledger["lease_reads_in_scan"] <= len(held) * ledger["scans"]
+        assert ledger["decoded"] == backend.executed
+
+    def test_two_workers_stay_linear_and_byte_identical(self, tmp_path, ledger):
+        specs = stub_specs(60)
+        serial = [json.dumps(encode_result(result), sort_keys=True)
+                  for result in StubBackend().run(specs)]
+        workers = [CoordinatedBackend(tmp_path, inner=StubBackend(),
+                                      owner=f"w{index}", poll_interval=0.01)
+                   for index in range(2)]
+        reports = {}
+
+        def work(worker):
+            reports[worker.owner] = [
+                json.dumps(encode_result(result), sort_keys=True)
+                for result in worker.run(specs)]
+
+        threads = [threading.Thread(target=work, args=(worker,))
+                   for worker in workers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert reports["w0"] == reports["w1"] == serial
+        assert not live_leases(tmp_path)
+        # Each worker decodes every point — its own and its peer's — once
+        # (a point both happened to execute is parsed twice, decoded once).
+        executed = sum(worker.executed for worker in workers)
+        assert executed >= len(specs)
+        assert ledger["decoded"] == 2 * len(specs)
+        assert 2 * len(specs) <= ledger["parsed"] <= 2 * executed
 
 
 class TestSweepStatus:

@@ -10,15 +10,20 @@ results store"):
 * the union of ``n`` shard runs is byte-identical to an unsharded run on
   every summary key, and merged scenario outcomes (text and payload) are
   byte-identical to unsharded ones;
-* resume skips store-complete points and yields identical output.
+* resume skips store-complete points and yields identical output;
+* ``load()`` is an incremental log reader: it parses only appended bytes,
+  runs every check once per record, and agrees with a cold instance's
+  ``load()`` after any interleaving of appends, torn appends and gc.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
@@ -29,12 +34,14 @@ from repro.experiments.registry import (
     run_scenario,
     run_scenario_shard,
 )
+from repro.experiments import results as results_module
 from repro.experiments.results import (
     ResultsStore,
     ShardedBackend,
     collect_results,
     decode_result,
     encode_result,
+    gc_results,
     parse_shard,
 )
 from repro.experiments.runner import (
@@ -329,6 +336,213 @@ class TestResultsStore:
             ResultsStore(tmp_path, filename="worker-w0.jsonl")
 
 
+def record_line(key, value=1.0):
+    """One store line as :meth:`ResultsStore.record` writes it."""
+    result = RunResult(name="r", system="ecmp", workload="web_search",
+                       load=0.4, seed=1, summary={"avg_fct_ms": value},
+                       queue_cdf={0.5: value})
+    return json.dumps({"spec_hash": key, "spec_name": "r",
+                       "result": encode_result(result), "point_wall_s": 0.5},
+                      separators=(",", ":")) + "\n"
+
+
+def append(path, text):
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def assert_matches_cold(live):
+    """``live``'s view equals a fresh instance's: keys, result bytes, records."""
+    cold = ResultsStore(live.directory)
+
+    def result_bytes(store):
+        return {key: json.dumps(encode_result(result), sort_keys=True)
+                for key, result in store.load().items()}
+
+    def records(store):
+        return sorted(json.dumps(record, sort_keys=True)
+                      for _, record, _ in store._validated())
+
+    assert result_bytes(live) == result_bytes(cold)
+    assert records(live) == records(cold)
+
+
+KEYS = [f"{index:064x}" for index in range(6)]
+
+
+class TestIncrementalView:
+    """The reader contract of ARCHITECTURE.md §3: offsets, one reset rule."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Counts of store lines parsed and results decoded, from outside."""
+        counts = {"lines": 0, "results": 0}
+        loads, decode = json.loads, results_module.decode_result
+
+        def counting_loads(text, **kwargs):
+            counts["lines"] += isinstance(text, bytes)
+            return loads(text, **kwargs)
+
+        def counting_decode(payload):
+            counts["results"] += 1
+            return decode(payload)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        monkeypatch.setattr(results_module, "decode_result", counting_decode)
+        return counts
+
+    def test_anothers_appends_are_seen_and_only_they_are_parsed(self, tmp_path,
+                                                                 parsed):
+        live = ResultsStore(tmp_path)
+        writer = tmp_path / "results-worker-a.jsonl"
+        append(writer, record_line(KEYS[0]) + record_line(KEYS[1]))
+        assert set(live.load()) == set(KEYS[:2])
+        assert parsed == {"lines": 2, "results": 2}
+        live.load()
+        assert parsed == {"lines": 2, "results": 2}      # nothing appended
+        append(writer, record_line(KEYS[2]))
+        append(tmp_path / "results-worker-b.jsonl",
+               record_line(KEYS[3]) + record_line(KEYS[0]))
+        assert set(live.load()) == set(KEYS[:4])
+        assert parsed == {"lines": 5, "results": 4}      # the repeat: no decode
+        assert_matches_cold(live)
+
+    def test_load_returns_the_callers_own_dict(self, tmp_path):
+        live = ResultsStore(tmp_path)
+        append(tmp_path / "results-worker-a.jsonl", record_line(KEYS[0]))
+        first = live.load()
+        first.clear()
+        assert set(live.load()) == {KEYS[0]}
+
+    def test_torn_final_line_is_skipped_then_consumed(self, tmp_path, parsed):
+        live = ResultsStore(tmp_path)
+        writer = tmp_path / "results-worker-a.jsonl"
+        line = record_line(KEYS[1])
+        append(writer, record_line(KEYS[0]) + line[:40])
+        assert set(live.load()) == {KEYS[0]}
+        append(writer, line[40:-1])              # all but the newline
+        assert set(live.load()) == {KEYS[0]}
+        assert parsed == {"lines": 1, "results": 1}
+        append(writer, "\n")
+        assert set(live.load()) == set(KEYS[:2])
+        assert parsed == {"lines": 2, "results": 2}
+        assert_matches_cold(live)
+
+    def test_terminated_garbage_is_tolerated_only_while_final(self, tmp_path):
+        live = ResultsStore(tmp_path)
+        writer = tmp_path / "results-worker-a.jsonl"
+        append(writer, record_line(KEYS[0]) + "{not json\n")
+        assert set(live.load()) == {KEYS[0]}
+        append(writer, record_line(KEYS[1]))
+        with pytest.raises(ExperimentError, match=r"results-worker-a\.jsonl:2"):
+            live.load()
+        with pytest.raises(ExperimentError, match=r"results-worker-a\.jsonl:2"):
+            ResultsStore(tmp_path).load()
+
+    def test_corrupt_middle_line_names_file_and_line_across_refreshes(
+            self, tmp_path):
+        live = ResultsStore(tmp_path)
+        writer = tmp_path / "results-worker-a.jsonl"
+        append(writer, record_line(KEYS[0]) + "\n" + record_line(KEYS[1]))
+        assert len(live.load()) == 2              # lines 1-3, one blank
+        append(writer, record_line(KEYS[2]) + "garbage\n" + record_line(KEYS[3]))
+        for _ in range(2):                        # the error is sticky
+            with pytest.raises(ExperimentError,
+                               match=r"corrupt.*results-worker-a\.jsonl:5"):
+                live.load()
+
+    def test_record_without_a_result_names_its_line(self, tmp_path):
+        live = ResultsStore(tmp_path)
+        writer = tmp_path / "results-worker-a.jsonl"
+        append(writer, record_line(KEYS[0]))
+        live.load()
+        append(writer, json.dumps({"spec_hash": KEYS[1]}) + "\n")
+        with pytest.raises(ExperimentError,
+                           match=r"corrupt.*results-worker-a\.jsonl:2"):
+            live.load()
+
+    def test_conflict_appended_after_first_load_still_raises(self, tmp_path):
+        live = ResultsStore(tmp_path)
+        append(tmp_path / "results-worker-a.jsonl", record_line(KEYS[0], 1.0))
+        assert set(live.load()) == {KEYS[0]}
+        append(tmp_path / "results-worker-b.jsonl", record_line(KEYS[0], 1.0))
+        assert set(live.load()) == {KEYS[0]}      # identical repeat: fine
+        append(tmp_path / "results-worker-b.jsonl", record_line(KEYS[0], 2.0))
+        for _ in range(2):
+            with pytest.raises(ExperimentError, match="conflicting"):
+                live.load()
+
+    def test_gc_by_another_instance_resets_a_live_view(self, tmp_path):
+        specs = tiny_specs(("ecmp", "contra"))
+        current = [spec_hash(spec) for spec in specs]
+        live = ResultsStore(tmp_path)
+        append(tmp_path / "results-worker-a.jsonl",
+               record_line(current[0]) + record_line(KEYS[0]))
+        append(tmp_path / "results-shard0of1.jsonl",
+               record_line(current[1]) + record_line(KEYS[1]))
+        assert set(live.load()) == set(current) | set(KEYS[:2])
+        summary = gc_results(specs, tmp_path)     # a fresh instance inside
+        assert summary["dropped_stale"] == 2
+        # worker-a vanished and shard0of1 was replaced: the stale keys the
+        # live view consumed from them are gone with the files.
+        assert set(live.load()) == set(current)
+        assert live.total_wall_s() == 1.0
+        assert_matches_cold(live)
+
+    def test_a_file_that_shrank_resets_the_view(self, tmp_path):
+        live = ResultsStore(tmp_path)
+        writer = tmp_path / "results-worker-a.jsonl"
+        append(writer, record_line(KEYS[0]) + record_line(KEYS[1]))
+        assert len(live.load()) == 2
+        writer.write_text(record_line(KEYS[2]))   # same inode, shorter
+        assert set(live.load()) == {KEYS[2]}
+        assert_matches_cold(live)
+
+    def test_torn_tail_repair_reads_back_over_whole_blocks(self, tmp_path):
+        """The tail may be longer than the block the repair reads at a time."""
+        store = ResultsStore(tmp_path)
+        store.path.write_text(record_line(KEYS[0]) + "x" * 20000)
+        ResultsStore(tmp_path)
+        assert store.path.read_text() == record_line(KEYS[0])
+        store.path.write_text("x" * 20000)        # no newline anywhere
+        ResultsStore(tmp_path)
+        assert store.path.read_text() == ""
+        store.path.write_text(record_line(KEYS[0]))
+        ResultsStore(tmp_path)
+        assert store.path.read_text() == record_line(KEYS[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 2), st.integers(0, 4)),
+        st.tuples(st.just("torn"), st.integers(0, 2), st.integers(0, 4)),
+        st.tuples(st.just("complete"), st.integers(0, 2), st.just(0)),
+        st.tuples(st.just("gc"), st.just(0), st.just(0))), max_size=12))
+    def test_any_interleaving_agrees_with_a_cold_load(self, operations):
+        """Appends, torn appends, their completion and another instance's gc,
+        in any order: after every step the live view equals a cold one."""
+        specs = tiny_specs(("ecmp", "contra", "hula"))
+        keys = [spec_hash(spec) for spec in specs] + KEYS[:2]   # two stale
+        with tempfile.TemporaryDirectory() as directory:
+            live = ResultsStore(directory)
+            files = [live.directory / f"results-worker-{name}.jsonl"
+                     for name in "abc"]
+            unwritten = {}                # file -> rest of its torn line
+            for operation, writer, key in operations:
+                file = files[writer]
+                if operation == "gc":
+                    gc_results(specs, directory)
+                    unwritten.clear()     # the torn tails died with their files
+                else:
+                    append(file, unwritten.pop(file, ""))
+                if operation == "append":
+                    append(file, record_line(keys[key]))
+                elif operation == "torn":
+                    line = record_line(keys[key])
+                    append(file, line[:len(line) // 2])
+                    unwritten[file] = line[len(line) // 2:]
+                assert_matches_cold(live)
+
+
 class TestShardedExecution:
     def test_union_of_shards_equals_unsharded_on_every_summary_key(self, tmp_path):
         specs = tiny_specs(("ecmp", "contra", "hula"))
@@ -371,7 +585,7 @@ class TestShardedExecution:
         store = ResultsStore(tmp_path)
         ShardedBackend(store, inner=PoolBackend(2)).run(specs)
         walls = [record.get("point_wall_s")
-                 for _, _, record in store._records()]
+                 for _, record, _ in store._validated()]
         assert len(walls) == 3
         assert all(wall is not None and wall > 0 for wall in walls)
 
