@@ -2,9 +2,8 @@
 
 No data traffic at all: a Contra fabric simply floods its periodic probe
 waves for a fixed number of rounds.  This isolates exactly the per-probe
-path (engine batch lane → ``SimLink._deliver_packet`` →
-``SwitchNode.receive`` → ``on_probe``), so the ``BENCH_*.json`` artifact it
-drops tracks that path's cost — and any future regression of it —
+path (engine batch lane → ``SimLink._deliver_probe`` → ``on_probe``), so
+the ``BENCH_*.json`` artifact it drops tracks that path's cost — and any future regression of it —
 independently of workload noise in the figure benchmarks.
 
 The ``*_vectorized`` variants run the same floods with the array probe

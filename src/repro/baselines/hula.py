@@ -116,23 +116,6 @@ class HulaRouting(RoutingLogic):
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
 
-    # --------------------------------------------------------------- lifecycle
-
-    def attach(self, switch, network) -> None:
-        super().attach(switch, network)
-        for neighbor in switch.switch_neighbors():
-            self._last_probe_from[neighbor] = 0.0
-            self._believed_failed[neighbor] = False
-
-    def start_probing(self) -> None:
-        self.network.sim.schedule_periodic(self.system.probe_period, self.probe_round)
-
-    def start_failure_detection(self) -> None:
-        period = self.system.probe_period
-        self.network.sim.schedule_periodic(
-            period, self.failure_check,
-            start_delay=period * self.system.failure_periods)
-
     # ------------------------------------------------------------------ probes
 
     def probe_round(self) -> None:
@@ -242,6 +225,7 @@ class HulaRouting(RoutingLogic):
     # ---------------------------------------------------------------- failures
 
     def failure_check(self) -> None:
+        """Probe-silence failure detection; a neighbour is watched from its first probe."""
         now = self.network.sim.now
         window = self.system.probe_period * self.system.failure_periods
         for neighbor, last_seen in self._last_probe_from.items():

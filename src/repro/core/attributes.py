@@ -95,52 +95,48 @@ class MetricVector:
     """An accumulated metric vector carried by a probe.
 
     The vector holds one value per attribute name in a fixed order; it is the
-    ``mv`` field from the paper's pseudocode (Figure 7).
+    ``mv`` field from the paper's pseudocode (Figure 7).  ``names`` and
+    ``values`` are plain slots — PROCESSPROBE reads both on every hop, and a
+    property frame apiece was a seventh of the hop — and immutable by
+    convention: vectors ride by reference in shared probe payloads.
     """
 
-    __slots__ = ("_names", "_values")
+    __slots__ = ("names", "values")
 
     def __init__(self, names: Iterable[str], values: Iterable[float] | None = None):
-        self._names: Tuple[str, ...] = tuple(names)
-        for name in self._names:
+        self.names: Tuple[str, ...] = tuple(names)
+        for name in self.names:
             attribute(name)  # validation
         if values is None:
-            self._values: Tuple[float, ...] = tuple(
-                ATTRIBUTES[n].initial for n in self._names)
+            self.values: Tuple[float, ...] = tuple(
+                ATTRIBUTES[n].initial for n in self.names)
         else:
-            self._values = tuple(float(v) for v in values)
-            if len(self._values) != len(self._names):
+            self.values = tuple(float(v) for v in values)
+            if len(self.values) != len(self.names):
                 raise PolicyError("metric vector length mismatch")
 
     @classmethod
     def _make(cls, names: Tuple[str, ...], values: Tuple[float, ...]) -> "MetricVector":
         """Internal fast constructor for already-validated name/value tuples.
 
-        Probe processing builds one vector per hop; skipping re-validation of
-        the (fixed) attribute names keeps that on the hot path budget.
+        Probe processing builds one vector per accepted hop; skipping
+        re-validation of the (fixed) attribute names keeps that on the hot
+        path budget.
         """
         vector = object.__new__(cls)
-        vector._names = names
-        vector._values = values
+        vector.names = names
+        vector.values = values
         return vector
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return self._names
-
-    @property
-    def values(self) -> Tuple[float, ...]:
-        return self._values
 
     def get(self, name: str) -> float:
         """Value of one attribute; raises if the vector does not carry it."""
         try:
-            return self._values[self._names.index(name)]
+            return self.values[self.names.index(name)]
         except ValueError:
             raise PolicyError(f"metric vector {self} does not carry {name!r}") from None
 
     def as_dict(self) -> Dict[str, float]:
-        return dict(zip(self._names, self._values))
+        return dict(zip(self.names, self.values))
 
     def extend(self, link_values: Mapping[str, float]) -> "MetricVector":
         """A new vector with every attribute extended by one link.
@@ -150,28 +146,28 @@ class MetricVector:
         """
         new_values = tuple(
             ATTRIBUTES[name].extend(acc, float(link_values.get(name, 0.0)))
-            for name, acc in zip(self._names, self._values))
-        return MetricVector._make(self._names, new_values)
+            for name, acc in zip(self.names, self.values))
+        return MetricVector._make(self.names, new_values)
 
     def replace(self, name: str, value: float) -> "MetricVector":
         """A new vector with one attribute overwritten."""
-        if name not in self._names:
+        if name not in self.names:
             raise PolicyError(f"metric vector {self} does not carry {name!r}")
-        values = [value if n == name else v for n, v in zip(self._names, self._values)]
-        return MetricVector(self._names, values)
+        values = [value if n == name else v for n, v in zip(self.names, self.values)]
+        return MetricVector(self.names, values)
 
     def bits(self) -> int:
         """Wire size of this vector in bits (for overhead accounting)."""
-        return sum(ATTRIBUTES[n].bits for n in self._names)
+        return sum(ATTRIBUTES[n].bits for n in self.names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricVector):
             return NotImplemented
-        return self._names == other._names and self._values == other._values
+        return self.names == other.names and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self._names, self._values))
+        return hash((self.names, self.values))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v:g}" for n, v in zip(self._names, self._values))
+        inner = ", ".join(f"{n}={v:g}" for n, v in zip(self.names, self.values))
         return f"MetricVector({inner})"

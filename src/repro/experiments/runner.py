@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -634,7 +635,33 @@ class RunContext:
 
     @staticmethod
     def _validate_traffic_fields(spec: ScenarioSpec) -> None:
-        """Reject spec fields the selected traffic shape would silently ignore."""
+        """Reject spec fields the selected traffic shape would silently ignore,
+        and protocol timing values no switch could run.
+
+        The second half: a zero, negative or NaN probe period, a negative or
+        NaN flowlet timeout and a non-positive failure-detection window used
+        to surface as a bare ``SimulationError`` after the compile — or not
+        at all (a NaN period ran and completed 2 of 29 flows;
+        ``failure_periods=0`` declared every neighbour failed every round).
+        Checked for the spec override and the config value alike, here, so
+        before anything is built.
+        """
+        timing = (("probe_period", True, "a finite number > 0"),
+                  ("flowlet_timeout", False, "a finite number >= 0"))
+        for source, owner in (("spec", spec), ("config", spec.config)):
+            for name, positive, rule in timing:
+                value = getattr(owner, name)
+                if value is None and owner is spec:
+                    continue            # no override
+                if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                        or not math.isfinite(value) or value < 0 \
+                        or (positive and value == 0):
+                    raise ExperimentError(
+                        f"{source} field {name}={value!r} must be {rule}")
+        periods = spec.config.failure_periods
+        if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
+            raise ExperimentError(
+                f"config field failure_periods={periods!r} must be an integer >= 1")
         if spec.traffic in ("incast", "permutation") and (
                 spec.senders is not None or spec.receivers is not None
                 or spec.pair_senders_receivers):

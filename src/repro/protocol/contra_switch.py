@@ -14,7 +14,7 @@ each interpreting the switch's compiled :class:`~repro.core.device_config
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.analysis.decomposition import SubPolicy
 from repro.core.ast import Attr, PathContext, Policy, TupleExpr
@@ -36,6 +36,7 @@ from repro.protocol.tables import (
     lexicographic_gt_eq,
     packet_flow_hash,
 )
+from repro.simulator.link import SimLink
 from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import Packet
 from repro.simulator.probe_wave import (
@@ -45,7 +46,7 @@ from repro.simulator.probe_wave import (
     COL_VERSION,
     ProbeWave,
 )
-from repro.simulator.switchnode import RoutingLogic, SwitchNode
+from repro.simulator.switchnode import RoutingLogic
 
 __all__ = ["ContraSystem", "ContraRouting", "PROBE_VECTORIZE_DEFAULT"]
 
@@ -233,11 +234,18 @@ class ContraRouting(RoutingLogic):
         self._fast_rank = _fast_rank_evaluator(self.compiled.policy)
         # Specialized per-names metric extenders (False = use the generic path).
         self._extenders: Dict[Tuple[str, ...], object] = {}
-        # Bound-method/attribute caches for the probe hot loop (instance
-        # constants; rebinding them per probe showed up in k=16 profiles).
-        self._transition_get = config.probe_transition.get
-        self._fwdt_lookup = self.fwdt.lookup
+        # Bound-method caches for the probe hot loop (instance constants;
+        # rebinding them per probe showed up in k=16 profiles).  The FwdT
+        # probe is the table dict's own ``get``: ``ForwardingTable.lookup``
+        # is that call behind one more frame.
+        self._fwdt_get = self.fwdt._entries.get
         self._fwdt_install = self.fwdt.install
+        #: Per-in-port probe state, built at a neighbour's first probe
+        #: (``attach`` runs before the switch has ports): in-port -> (the
+        #: ``get`` of that neighbour's tag -> local-tag row of
+        #: ``probe_transition``, the traffic-direction link or None).
+        self._inports: Dict[
+            str, Tuple[Callable[[int], Optional[int]], Optional[SimLink]]] = {}
 
         # ----- array probe plane (ARCHITECTURE.md "array probe plane") -----
         # Interned ids are compile-scoped: assigned once per CompiledPolicy,
@@ -289,25 +297,6 @@ class ContraRouting(RoutingLogic):
                 key_width=max(key_widths),
             )
 
-    # --------------------------------------------------------------- lifecycle
-
-    def attach(self, switch: SwitchNode, network: Network) -> None:
-        super().attach(switch, network)
-        now = 0.0
-        for neighbor in switch.switch_neighbors():
-            self._last_probe_from[neighbor] = now
-            self._believed_failed[neighbor] = False
-
-    def start_probing(self) -> None:
-        """Begin periodic probe origination (this switch is a traffic destination)."""
-        self.network.sim.schedule_periodic(self.system.probe_period, self.probe_round)
-
-    def start_failure_detection(self) -> None:
-        period = self.system.probe_period
-        self.network.sim.schedule_periodic(
-            period, self.failure_check,
-            start_delay=period * self.system.failure_periods)
-
     # ----------------------------------------------------------------- probes
 
     def probe_round(self) -> None:
@@ -351,12 +340,36 @@ class ContraRouting(RoutingLogic):
             if link is not None and not link.failed:
                 link.enqueue(packet)
 
+    def _wire_inport(
+            self, inport: str
+    ) -> Tuple[Callable[[int], Optional[int]], Optional[SimLink]]:
+        """Build the per-in-port probe state for ``inport`` (once per port).
+
+        The product-graph transition is keyed ``(in-port, tag)``; a probe
+        names its in-port on every hop, so the row for one neighbour is
+        sliced out once and a hop probes it by tag alone.  The link is the
+        traffic-direction one (this switch -> ``inport``) UPDATEMVEC folds
+        in; ``None`` when the switch has no such port, which ``on_probe``
+        turns into the canonical error exactly where it always raised.
+        """
+        row = {tag: local_tag
+               for (neighbor, tag), local_tag in self.config.probe_transition.items()
+               if neighbor == inport}
+        state = self._inports[inport] = (row.get, self.switch.ports.get(inport))
+        return state
+
     def on_probe(self, packet: Packet, inport: str) -> None:
         """PROCESSPROBE (Figure 7) with the versioning refinement of §5.1.
 
         The sole mutator of FwdT/BestT state on the probe path; the array
         prefilter only decides which probes reach it.  ~90% of probes in a
         converged fabric are rejected, so the reject path is the hot path.
+        Links deliver here directly (``SimLink.probe_sink``).
+
+        Read contract: the traffic-direction link's ``congestion`` is read
+        exactly once for a probe that has a transition and is not
+        self-originated, and never otherwise — the read advances the link's
+        EWMA decay, so adding, skipping or reordering one changes results.
         """
         now = self.network.sim._now
         self._last_probe_from[inport] = now
@@ -366,7 +379,10 @@ class ContraRouting(RoutingLogic):
 
         payload = packet.probe
         tag = payload.tag
-        local_tag = self._transition_get((inport, tag))
+        state = self._inports.get(inport)
+        if state is None:
+            state = self._wire_inport(inport)
+        local_tag = state[0](tag)
         if local_tag is None:
             return  # no product-graph edge: the probe is policy-irrelevant here
         origin = payload.origin
@@ -377,7 +393,7 @@ class ContraRouting(RoutingLogic):
         # UPDATEMVEC: fold in the traffic-direction link (this switch ->
         # inport).  Only the extended *values* tuple is computed up front;
         # the metric vector object is materialized after the accept decision.
-        link = switch.ports.get(inport)
+        link = state[1]
         if link is None:
             link = switch.egress(inport)        # raises the canonical error
         mv = payload.metrics
@@ -389,13 +405,13 @@ class ContraRouting(RoutingLogic):
         # instance-level metric_values override (tests pin link metrics that
         # way) must keep winning over it.
         if extend is not False and "metric_values" not in link.__dict__:
-            new_values = extend(mv, link)
+            new_values = extend(mv.values, link)
         else:
             new_values = mv.extend(link.metric_values()).values
 
         pid = payload.pid
         key: FwdKey = (origin, local_tag, pid)
-        entry = self._fwdt_lookup(key)
+        entry = self._fwdt_get(key)
         indices = self._prop_indices.get(pid)
         if indices is True:      # identity projection: the values tuple is the key
             prop_key = new_values
@@ -859,7 +875,13 @@ class ContraRouting(RoutingLogic):
     # ---------------------------------------------------------------- failures
 
     def failure_check(self) -> None:
-        """Mark neighbours silent for ``failure_periods`` probe periods as failed (§5.4)."""
+        """Mark neighbours silent for ``failure_periods`` probe periods as failed (§5.4).
+
+        Probe-silence tracking starts at a neighbour's *first* probe: only
+        neighbours that have sent one are watched.  Under a regex policy a
+        link may legitimately carry no probes at all, and silence on it must
+        not be read as a failure.
+        """
         now = self.network.sim.now
         window = self.system.probe_period * self.system.failure_periods
         for neighbor, last_seen in self._last_probe_from.items():
@@ -918,24 +940,32 @@ _EXTEND_OPS = {
 }
 
 
-def _extend_len_util(mv, link) -> Tuple[float, ...]:
-    """Unrolled extender for the ``(len, util)`` datacenter-policy shape."""
-    values = mv.values
-    return (values[0] + 1.0, max(values[1], link.congestion))
+def _extend_len_util(values, link) -> Tuple[float, ...]:
+    """Unrolled extender for the ``(len, util)`` datacenter-policy shape.
+
+    The bottleneck fold is ``max(carried, link.congestion)`` spelled as a
+    conditional: a builtin call costs more than the rest of the extender.
+    """
+    carried = values[1]
+    congestion = link.congestion
+    return (values[0] + 1.0, congestion if congestion > carried else carried)
 
 
-def _extend_util_len(mv, link) -> Tuple[float, ...]:
-    values = mv.values
-    return (max(values[0], link.congestion), values[1] + 1.0)
+def _extend_util_len(values, link) -> Tuple[float, ...]:
+    carried = values[0]
+    congestion = link.congestion
+    return (congestion if congestion > carried else carried, values[1] + 1.0)
 
 
-def _extend_util(mv, link) -> Tuple[float, ...]:
+def _extend_util(values, link) -> Tuple[float, ...]:
     """Unrolled extender for the pure-``util`` WAN-policy shape."""
-    return (max(mv.values[0], link.congestion),)
+    carried = values[0]
+    congestion = link.congestion
+    return (congestion if congestion > carried else carried,)
 
 
-def _extend_lat(mv, link) -> Tuple[float, ...]:
-    return (mv.values[0] + link.latency,)
+def _extend_lat(values, link) -> Tuple[float, ...]:
+    return (values[0] + link.latency,)
 
 
 #: Unrolled extenders for the metric shapes every figure policy uses — no
@@ -949,7 +979,7 @@ _UNROLLED_EXTENDERS = {
 
 
 def _make_metric_extender(names: Tuple[str, ...]):
-    """A specialized ``(metric vector, link) -> extended values tuple`` extender.
+    """A specialized ``(carried values tuple, link) -> extended values tuple`` extender.
 
     Returns None when a name falls outside the built-in attribute set, in
     which case the caller uses the generic dict-based path.
@@ -962,8 +992,7 @@ def _make_metric_extender(names: Tuple[str, ...]):
     except KeyError:
         return None
 
-    def extend(mv, link) -> Tuple[float, ...]:
-        values = mv.values
+    def extend(values, link) -> Tuple[float, ...]:
         return tuple(op(values, index, link) for index, op in ops)
 
     return extend

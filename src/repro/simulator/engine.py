@@ -13,11 +13,13 @@ Four scheduling tiers exist, from hottest to most featureful:
   registrations coalesce under **one** heap entry whose members run in exact
   FIFO registration order.  The probe control plane uses this tier — a probe
   wave of thousands of same-tick deliveries costs one heap push and one pop
-  instead of one each per probe.  Ordering contract: scheduling any
-  *non-lane* event at the open batch's timestamp seals the batch (later lane
-  registrations at that time start a new entry), so the relative order of
-  lane and non-lane events at one timestamp is exactly what per-event
-  scheduling would have produced.
+  instead of one each per probe, and a registration allocates nothing: a
+  member is a guarded delivery, ``callback(subject, guard)``, stored flat in
+  the entry's one list.  Ordering contract: scheduling any *non-lane* event
+  at the open batch's timestamp seals the batch (later lane registrations at
+  that time start a new entry), so the relative order of lane and non-lane
+  events at one timestamp is exactly what per-event scheduling would have
+  produced.
 * :meth:`Simulator.call_later` / :meth:`Simulator.call_at` — the fast path:
   no per-event wrapper object is allocated and the event cannot be cancelled.
   The per-packet machinery (link serialization, delivery) uses this tier.
@@ -34,11 +36,12 @@ Times are floats in **milliseconds** throughout the simulator.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
-__all__ = ["Simulator", "Event", "PeriodicEvent", "BATCH_LANE_DEFAULT"]
+__all__ = ["Simulator", "Event", "PeriodicEvent", "BATCH_LANE_DEFAULT",
+           "batch_members", "batch_tail"]
 
 #: Process-wide default for the batch lane.  Tests force-disable it (each
 #: lane registration then becomes its own heap entry, reproducing the
@@ -144,8 +147,9 @@ class Simulator:
         #: heap entries whose handle was cancelled but that still await expiry.
         self._cancelled = 0
         #: Batch lane state: the timestamp of the currently open batch (-1.0
-        #: when none), its member list (shared with the heap entry), and the
-        #: member/entry counters that keep ``pending_events`` exact.
+        #: when none), its flat member list (shared with the heap entry; see
+        #: :func:`batch_members` for the layout), and the member/entry
+        #: counters that keep ``pending_events`` exact.
         self._batching = BATCH_LANE_DEFAULT if batching is None else batching
         self._batch_time = -1.0
         self._batch: Optional[List] = None
@@ -203,12 +207,19 @@ class Simulator:
         self._sequence = seq + 1
         heapq.heappush(self._queue, (time, seq, callback, args))
 
-    def call_batched(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Batch lane: schedule ``callback(*args)`` at an absolute time.
+    def call_batched(self, time: float, callback: Callable[[Any, Any], None],
+                     subject: Any, guard: Any) -> None:
+        """Batch lane: schedule the guarded delivery ``callback(subject, guard)``.
 
-        Same signature and meaning as :meth:`call_at`; the difference is heap
-        traffic only.  Same-timestamp lane registrations coalesce under one
-        heap entry and execute in exact FIFO registration order when it pops.
+        Means what ``call_at(time, callback, subject, guard)`` means; the
+        difference is heap traffic and allocation only.  Same-timestamp lane
+        registrations coalesce under one heap entry and execute in exact FIFO
+        registration order when it pops.  The arity is fixed at two — the
+        thing delivered and the token its delivery is checked against (a
+        link's fail epoch) — so the three references go flat into the entry's
+        member list and a registration allocates no container: a k=16 probe
+        wave holds ~480k registrations at once, and two GC-tracked tuples
+        apiece used to cost a quarter of the run in collector passes.
 
         Ordering contract: scheduling any *non-lane* event at the open
         batch's timestamp seals it, so relative order against non-lane events
@@ -220,7 +231,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule an event at {time} ms, current time is {self._now} ms")
         if not self._batching:
-            self._push(time, callback, args)
+            self._push(time, callback, (subject, guard))
             return
         if time != self._batch_time:
             members: List = []
@@ -232,7 +243,9 @@ class Simulator:
             self._batch_entries += 1
         else:
             members = self._batch
-        members.append((callback, args))
+        members.append(callback)
+        members.append(subject)
+        members.append(guard)
         self._batch_pending += 1
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -260,6 +273,19 @@ class Simulator:
         event = PeriodicEvent(self, period, callback, args)
         self._push(self._now + start_delay, _fire_handle, (event,))
         return event
+
+    def _requeue_batch_tail(self, tail: List) -> None:
+        """Put a lane entry's unfired members back at the current timestamp.
+
+        A ``stop()`` raised by a member leaves exactly the entries per-event
+        scheduling would have left in the heap; an empty tail (the stopping
+        member was the last) leaves none.
+        """
+        if tail:
+            seq = self._sequence
+            self._sequence = seq + 1
+            heapq.heappush(self._queue, (self._now, seq, _fire_batch, (self, tail)))
+            self._batch_entries += 1
 
     # ---------------------------------------------------------------- running
 
@@ -320,29 +346,45 @@ def _fire_handle(handle: "Event | PeriodicEvent") -> None:
     handle._fire()
 
 
+def batch_members(members: List) -> Iterator[Tuple[Callable[[Any, Any], None], Any, Any]]:
+    """The ``(callback, subject, guard)`` registrations of one lane entry, in FIFO order.
+
+    The one definition of the member layout: a lane entry's list holds its
+    registrations flat, three slots each.  Only code that *fires* a lane
+    entry may iterate it — :func:`_fire_batch` and the sanitizer's tagged
+    replica — and both go through here (and :func:`batch_tail`), so the
+    layout cannot drift between them.  ``zip`` over one shared iterator
+    recycles its result tuple, so iterating allocates nothing per member.
+    """
+    slots = iter(members)
+    return zip(slots, slots, slots)
+
+
+def batch_tail(members: List, fired: int) -> List:
+    """The unfired registrations of a lane entry after ``fired`` of them ran."""
+    return members[3 * fired:]
+
+
 def _fire_batch(sim: "Simulator", members: List) -> None:
     """Execute one coalesced batch entry's members in FIFO order.
 
-    Each member is one registration, ``(callback, args)``, fired as
-    ``callback(*args)``; event accounting counts members, so
-    ``events_processed`` and ``pending_events`` read identically with the
-    lane on or off.  A ``stop()`` raised by a member re-queues the unrun tail
-    at the same timestamp (exactly the entries per-event scheduling would
-    have left in the heap).
+    Each member is one registration, fired as ``callback(subject, guard)``;
+    event accounting counts members, so ``events_processed`` and
+    ``pending_events`` read identically with the lane on or off.  A
+    ``stop()`` raised by a member re-queues the unrun tail at the same
+    timestamp (exactly the entries per-event scheduling would have left in
+    the heap).
     """
     if members is sim._batch:
         sim._batch_time = -1.0
         sim._batch = None
     sim._batch_entries -= 1
     fired = 0
-    for callback, args in members:
-        callback(*args)
+    for callback, subject, guard in batch_members(members):
+        callback(subject, guard)
         fired += 1
-        if sim._stopped and fired < len(members):
-            seq = sim._sequence
-            sim._sequence = seq + 1
-            heapq.heappush(sim._queue, (sim._now, seq, _fire_batch, (sim, members[fired:])))
-            sim._batch_entries += 1
+        if sim._stopped:
+            sim._requeue_batch_tail(batch_tail(members, fired))
             break
     sim._batch_pending -= fired
     sim._events_processed += fired - 1      # the run loop adds the final 1

@@ -22,15 +22,17 @@ registered as the same ``(packet, fail epoch)`` guard data packets use, so a
 mid-tick failure drops exactly the probes registered under the dead epoch.
 FIFO order — within a link and across links — is exactly the per-event
 order; the lane only removes heap traffic, never reorders (see the engine's
-ordering contract).
+ordering contract).  A surviving probe goes straight to the link's
+``probe_sink`` — the receiving switch's ``on_probe``, wired at network build
+— so a delivery is engine → epoch guard → PROCESSPROBE, three frames.
 
 When the receiving switch's routing logic asks for probe waves
 (``probe_wave_sink``, set at wiring time), the link additionally accumulates
 each same-``(link, tick)`` run into one
 :class:`~repro.simulator.probe_wave.ProbeWave` **at enqueue time** — the one
 most recently started run is remembered, and a same-arrival enqueue appends
-to it — and the wave rides in every member's arguments next to the fail
-epoch, so a delivery carries its run with no lookup.  Deliveries still fire
+to it — and the wave rides in every member's guard, ``(fail epoch, wave)``,
+so a delivery carries its run with no lookup.  Deliveries still fire
 one by one in exact FIFO order — the wave never reorders anything — but it
 lets the receiver judge the whole run once at its first probe and annotate
 the wave with a per-probe ``dead`` mask: a flagged probe is one whose
@@ -44,7 +46,7 @@ same link, same tick, same fail epoch, FIFO order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.simulator.packet import DATA_PACKET_BYTES, Packet
 from repro.simulator.probe_wave import ProbeWave
@@ -78,9 +80,15 @@ class SimLink:
         self.latency = float(latency)            # ms
         self.buffer_packets = int(buffer_packets)
         self.deliver = deliver                   # callback(packet, inport=src)
+        #: ``callback(packet, inport)`` probes are delivered to.  ``deliver``
+        #: unless rewired: a link towards a switch is wired with that
+        #: switch's ``routing.on_probe``, so a probe skips the node's
+        #: ``receive`` dispatch.
+        self.probe_sink = deliver
         #: Bound once: every pending delivery holds its callback, and a k=16
-        #: probe wave keeps ~650k registrations in the batch lane at a time.
+        #: probe wave keeps ~480k registrations in the batch lane at a time.
         self._deliver_packet = self._deliver_packet
+        self._deliver_probe = self._deliver_probe
         #: ``callback(packet, inport, wave)`` of a receiving routing logic that
         #: judges whole probe runs (array probe plane); set at wiring time,
         #: None otherwise so scalar systems pay nothing.  While set, probes
@@ -149,12 +157,28 @@ class SimLink:
             # whole same-tick probe wave shares one engine heap entry (batch
             # lane), one member per probe.
             sim = self.sim
+            now = sim._now
             wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
             tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
-            self._record_probe_transmission(tx_time, wire_bytes)
-            arrival = sim._now + tx_time + self.latency
+            # _record_transmission without the kind dispatch, inlined
+            # (identical arithmetic in identical order): the accumulators,
+            # then the EWMA decay to *now*, then this probe's busy time.
+            self.packets_sent += 1
+            self.bytes_sent += wire_bytes
+            stats = self.stats
+            if stats is not None:
+                stats.total_packets += 1
+                stats.probe_bytes += wire_bytes
+            elapsed = now - self._last_util_update
+            if elapsed > 0:
+                decay = 1.0 - elapsed / self.util_window
+                self._util *= decay if decay > 0.0 else 0.0
+                self._last_util_update = now
+            util = self._util + tx_time / self.util_window
+            self._util = util if util < 1.5 else 1.5      # min(1.5, util), frameless
+            arrival = now + tx_time + self.latency
             if self.probe_wave_sink is None:
-                sim.call_batched(arrival, self._deliver_packet, packet, self._fail_epoch)
+                sim.call_batched(arrival, self._deliver_probe, packet, self._fail_epoch)
                 return True
             # A mid-tick failure (epoch bump + run reset) splits the run.
             last = self._last_probe_run
@@ -165,7 +189,7 @@ class SimLink:
                 wave = ProbeWave([packet])
                 self._last_probe_run = (arrival, wave)
             sim.call_batched(arrival, self._deliver_wave_probe, packet,
-                             self._fail_epoch, wave)
+                             (self._fail_epoch, wave))
             return True
         if len(self._queue) >= self.buffer_packets:
             self.packets_dropped += 1
@@ -209,7 +233,13 @@ class SimLink:
         if self.deliver is not None and not self.failed and epoch == self._fail_epoch:
             self.deliver(packet, self.src)
 
-    def _deliver_wave_probe(self, packet: Packet, epoch: int, wave: ProbeWave) -> None:
+    def _deliver_probe(self, packet: Packet, epoch: int) -> None:
+        """Batch-lane member: hand a probe to the sink unless its epoch died."""
+        sink = self.probe_sink
+        if sink is not None and not self.failed and epoch == self._fail_epoch:
+            sink(packet, self.src)
+
+    def _deliver_wave_probe(self, packet: Packet, guard: Tuple[int, ProbeWave]) -> None:
         """Deliver one probe of a collected ``(link, tick)`` run to the wave sink.
 
         Once the receiver judged the run (at its first probe) the wave carries
@@ -222,6 +252,7 @@ class SimLink:
         the deciding bit.  Probes arrive in the FIFO order the run was
         accumulated in, so ``cursor`` is this probe's index in the masks.
         """
+        epoch, wave = guard
         if self.failed or epoch != self._fail_epoch:
             return
         index = wave.cursor
@@ -258,26 +289,6 @@ class SimLink:
                 stats.probe_bytes += wire_bytes
         self._decay_util()
         # Each transmission contributes its busy time over the averaging window.
-        self._util = min(1.5, self._util + tx_time / self.util_window)
-
-    def _record_probe_transmission(self, tx_time: float, wire_bytes: float) -> None:
-        """Probe-lane variant of :meth:`_record_transmission` (no kind dispatch).
-
-        Identical arithmetic in identical order; the EWMA decay is inlined so
-        the per-probe cost is one clock read plus the accumulator updates.
-        """
-        self.packets_sent += 1
-        self.bytes_sent += wire_bytes
-        stats = self.stats
-        if stats is not None:
-            stats.total_packets += 1
-            stats.probe_bytes += wire_bytes
-        now = self.sim._now
-        elapsed = now - self._last_util_update
-        if elapsed > 0:
-            decay = 1.0 - elapsed / self.util_window
-            self._util *= decay if decay > 0.0 else 0.0
-            self._last_util_update = now
         self._util = min(1.5, self._util + tx_time / self.util_window)
 
     def _decay_util(self) -> None:
@@ -341,7 +352,14 @@ class SimLink:
                 and qlen == self._congestion_qlen:
             return self._congestion_value
         backlog = qlen / (self.capacity * self.util_window)
-        value = min(1.0, self._util_now()) + backlog
+        # _decay_util inlined: this read advances the estimator to *now*.
+        elapsed = now - self._last_util_update
+        if elapsed > 0:
+            decay = 1.0 - elapsed / self.util_window
+            self._util *= decay if decay > 0.0 else 0.0
+            self._last_util_update = now
+        util = self._util
+        value = (util if util < 1.0 else 1.0) + backlog
         quantum = self.UTIL_QUANTUM
         value = round(value * quantum) / quantum
         self._congestion_now = now
@@ -349,10 +367,6 @@ class SimLink:
         self._congestion_qlen = qlen
         self._congestion_value = value
         return value
-
-    def _util_now(self) -> float:
-        self._decay_util()
-        return self._util
 
     def metric_values(self) -> dict:
         """The per-link metric values probes fold into their metric vectors."""

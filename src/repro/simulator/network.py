@@ -132,12 +132,16 @@ class Network:
                 stats=self.stats,
                 util_window=self.util_window,
             )
-            # Links towards a wave-judging routing logic accumulate their
-            # same-tick probe runs into wave views and deliver probes straight
+            # A link towards a switch hands probes straight to that switch's
+            # PROCESSPROBE (receive() would only dispatch them there).  Links
+            # towards a wave-judging routing logic additionally accumulate
+            # their same-tick probe runs into wave views and deliver probes
             # to its wave entry point (array probe plane).
             dst_routing = getattr(dst_node, "routing", None)
-            if dst_routing is not None and dst_routing.wants_probe_waves:
-                sim_link.probe_wave_sink = dst_routing.on_probe_wave
+            if dst_routing is not None:
+                sim_link.probe_sink = dst_routing.on_probe
+                if dst_routing.wants_probe_waves:
+                    sim_link.probe_wave_sink = dst_routing.on_probe_wave
             self.links[(link.src, link.dst)] = sim_link
             if link.src in self.switches:
                 self.switches[link.src].add_port(link.dst, sim_link)

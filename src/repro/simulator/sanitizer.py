@@ -53,7 +53,7 @@ import repro.simulator.engine as _engine
 from repro.exceptions import SimulationError
 from repro.nputil import np
 from repro.simulator.engine import (PeriodicEvent, Simulator, _fire_batch,
-                                    _fire_handle)
+                                    _fire_handle, batch_members, batch_tail)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.host import Host
@@ -276,17 +276,18 @@ class Sanitizer:
 
         link.enqueue = enqueue  # type: ignore[method-assign]
 
-        # Probes register ``_deliver_packet`` on the batch lane, or
-        # ``_deliver_wave_probe`` (one more argument, the wave) on links with
-        # a wave sink.  The inner stays reachable as an instance attribute so
-        # the violation-injection tests can substitute a deliberately buggy
-        # implementation underneath the checks.
-        inner_deliver_packet = link._deliver_packet
+        # Probes register ``_deliver_probe`` on the batch lane with the fail
+        # epoch as their guard, or ``_deliver_wave_probe`` with ``(epoch,
+        # wave)`` on links with a wave sink.  The inner stays reachable as an
+        # instance attribute so the violation-injection tests can substitute
+        # a deliberately buggy implementation underneath the checks.
         waves = link.probe_wave_sink is not None
-        link._sanitizer_probe_inner = (  # type: ignore[attr-defined]
-            link._deliver_wave_probe if waves else inner_deliver_packet)
+        lane_callback = "_deliver_wave_probe" if waves else "_deliver_probe"
+        link._sanitizer_probe_inner = getattr(link, lane_callback)  # type: ignore[attr-defined]
 
-        def deliver_probe(packet: "Packet", epoch: int, *wave: Any) -> None:
+        @functools.wraps(link._sanitizer_probe_inner)  # type: ignore[attr-defined]
+        def deliver_probe(packet: "Packet", guard: Any) -> None:
+            epoch = guard[0] if waves else guard
             now = link.sim._now
             self.checks_run += 1
             if now < last_delivery[0]:
@@ -307,18 +308,19 @@ class Sanitizer:
             if link.failed or epoch != link._fail_epoch:
                 self._expect_drop += 1
                 try:
-                    link._sanitizer_probe_inner(packet, epoch, *wave)  # type: ignore[attr-defined]
+                    link._sanitizer_probe_inner(packet, guard)  # type: ignore[attr-defined]
                 finally:
                     self._expect_drop -= 1
             else:
-                link._sanitizer_probe_inner(packet, epoch, *wave)  # type: ignore[attr-defined]
+                link._sanitizer_probe_inner(packet, guard)  # type: ignore[attr-defined]
+
+        setattr(link, lane_callback, deliver_probe)
+
+        inner_deliver_packet = link._deliver_packet
 
         @functools.wraps(inner_deliver_packet)
         def deliver_packet(packet: "Packet", epoch: int) -> None:
             kind = packet.kind
-            if kind == "probe":
-                deliver_probe(packet, epoch)
-                return
             if kind in self._inflight:
                 self._inflight[kind] -= 1
                 if link.failed or epoch != link._fail_epoch:
@@ -326,8 +328,6 @@ class Sanitizer:
             inner_deliver_packet(packet, epoch)
 
         link._deliver_packet = deliver_packet  # type: ignore[method-assign]
-        if waves:
-            link._deliver_wave_probe = deliver_probe  # type: ignore[method-assign]
 
         def check_not_stale() -> None:
             if self._expect_drop:
@@ -350,6 +350,17 @@ class Sanitizer:
                     self._check_sender(dst_host, packet)
 
             link.deliver = deliver  # type: ignore[method-assign]
+
+        # The probe delivery entries: a stale-epoch probe must never get here.
+        if link.probe_sink is not None:
+            inner_probe_sink = link.probe_sink
+
+            @functools.wraps(inner_probe_sink)
+            def probe_sink(packet: "Packet", inport: str) -> None:
+                check_not_stale()
+                inner_probe_sink(packet, inport)
+
+            link.probe_sink = probe_sink
 
         if link.probe_wave_sink is not None:
             inner_sink = link.probe_wave_sink
@@ -624,16 +635,21 @@ class SanitizingSimulator(Simulator):
         super().call_at(time, callback, *args)
         self._tags[seq] = (_qualname(callback), _site())
 
-    def call_batched(self, time: float, callback: Callable[..., None],
-                     *args: Any) -> None:
+    def call_batched(self, time: float, callback: Callable[[Any, Any], None],
+                     subject: Any, guard: Any) -> None:
         if not self._batching:
             # Routes through our _push, which tags the entry.
-            super().call_batched(time, callback, *args)
+            super().call_batched(time, callback, subject, guard)
             return
         seq = self._sequence
-        super().call_batched(time, callback, *args)
+        super().call_batched(time, callback, subject, guard)
         if self._sequence != seq:            # a new batch entry was pushed
             self._tags[seq] = (_qualname(callback), "batch-lane")
+
+    def _requeue_batch_tail(self, tail: List) -> None:
+        if tail:
+            self._tags[self._sequence] = ("batch-lane", "stop-requeue")
+        super()._requeue_batch_tail(tail)
 
     # ------------------------------------------------------------- run loop
 
@@ -723,7 +739,11 @@ class SanitizingSimulator(Simulator):
 
     def _run_batch(self, members: List,
                    batch_tag: Optional[Tuple[str, str]]) -> None:
-        """Replica of ``engine._fire_batch`` with per-member provenance."""
+        """``engine._fire_batch`` with per-member provenance.
+
+        Same accounting, same stop-requeue; the member layout is the
+        engine's (``batch_members``/``batch_tail``), never restated here.
+        """
         sanitizer = self.sanitizer
         tracing = sanitizer.trace_enabled
         if members is self._batch:
@@ -731,20 +751,15 @@ class SanitizingSimulator(Simulator):
             self._batch = None
         self._batch_entries -= 1
         fired = 0
-        for callback, args in members:
+        for callback, subject, guard in batch_members(members):
             member_tag = (_qualname(callback), "batch-lane")
             sanitizer.current_tag = member_tag
             if tracing:
                 sanitizer.trace_event(self._now, member_tag)
-            callback(*args)
+            callback(subject, guard)
             fired += 1
-            if self._stopped and fired < len(members):
-                seq = self._sequence
-                self._sequence = seq + 1
-                heapq.heappush(self._queue,
-                               (self._now, seq, _fire_batch, (self, members[fired:])))
-                self._tags[seq] = ("batch-lane", "stop-requeue")
-                self._batch_entries += 1
+            if self._stopped:
+                self._requeue_batch_tail(batch_tail(members, fired))
                 break
         self._batch_pending -= fired
         self._events_processed += fired - 1

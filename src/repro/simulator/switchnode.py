@@ -27,11 +27,18 @@ class RoutingLogic:
 
     Concrete routing systems subclass this; the switch calls
     :meth:`on_data_packet` for every data/ACK packet that is not destined to a
-    locally attached host, and :meth:`on_probe` for control probes.
+    locally attached host.  Control probes reach :meth:`on_probe` directly:
+    ``Network`` wires it as the probe sink of every link towards the switch
+    (the bound method is captured at wiring time).
     """
 
     def attach(self, switch: "SwitchNode", network: "Network") -> None:
-        """Bind this logic to its switch; called once during network build."""
+        """Bind this logic to its switch.
+
+        Called from ``SwitchNode.__init__``, so the switch has **no ports
+        yet** — per-port state must be built later (``RoutingSystem.prepare``
+        or lazily), never here.
+        """
         self.switch = switch
         self.network = network
 
@@ -111,7 +118,11 @@ class SwitchNode:
     # ----------------------------------------------------------------- receive
 
     def receive(self, packet: Packet, inport: str) -> None:
-        """Entry point for packets delivered by an ingress link."""
+        """Entry point for packets delivered by an ingress link.
+
+        Wired links deliver probes to ``routing.on_probe`` themselves; the
+        probe branch serves direct callers and hand-built links.
+        """
         if packet.kind == "probe":
             self.routing.on_probe(packet, inport)
             return

@@ -21,6 +21,7 @@ if not HAVE_NUMPY:
     # everything else — engine, links, protocol, compiler, topology — which
     # is exactly the surface the pure-Python fallback has to keep working.
     collect_ignore = [
+        "integration/test_coordinator.py",
         "integration/test_end_to_end.py",
         "integration/test_experiments.py",
         "integration/test_fluid_model.py",
@@ -33,6 +34,7 @@ if not HAVE_NUMPY:
         "integration/test_sharded_sweeps.py",
         "integration/test_transport_scenarios.py",
         "unit/test_baselines.py",
+        "unit/test_compile_equivalence.py",
         "unit/test_policies_and_cli.py",
         "unit/test_race.py",
         "unit/test_topology_spec.py",

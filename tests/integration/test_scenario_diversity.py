@@ -6,6 +6,7 @@ permutation traffic patterns, the new registry scenarios, and the
 ``_fig9_10`` config-override regression.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -146,6 +147,83 @@ class TestTrafficPatternScenarios:
         scaled_total = sum(f.size_packets for f in context._flows(scaled, topology))
         # TINY uses cache_scale=0.25, so scale 1.0 flows are markedly larger.
         assert scaled_total > default_total
+
+
+class TestMalformedProtocolOverrides:
+    """A protocol timing value no switch could run is refused, not run.
+
+    Found by hand on one fat-tree k=4 ``cache`` point: a zero or negative
+    probe period escaped as a bare ``SimulationError`` after the worker had
+    compiled, a NaN one *ran* (2 of 29 flows completed), ``failure_periods=0``
+    ran and reported 704 spurious failure detections.  Every one is now an
+    ``ExperimentError`` naming the field, raised before any compile.
+    """
+
+    def _spec(self, system="contra", config=None, **overrides):
+        return ScenarioSpec(name="malformed", system=system,
+                            topology=TopologySpec("fattree", k=4, capacity=100.0),
+                            config=config if config is not None else TINY,
+                            workload="cache", load=0.2, seed=1, **overrides)
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        from repro.experiments import runner
+
+        calls = []
+        compile_policy = runner.compile_policy
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compile_policy(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_policy", counting)
+        return calls
+
+    @pytest.mark.parametrize("field, value", [
+        ("probe_period", 0.0), ("probe_period", -1.0),
+        ("probe_period", math.nan), ("probe_period", math.inf),
+        ("probe_period", "0.256"), ("probe_period", True),
+        ("flowlet_timeout", -1.0), ("flowlet_timeout", math.nan),
+        ("flowlet_timeout", math.inf),
+    ])
+    def test_spec_override_refused_before_any_compile(self, compiles, field, value):
+        with pytest.raises(ExperimentError, match=f"spec field {field}="):
+            RunContext().run(self._spec(**{field: value}))
+        assert compiles == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("probe_period", 0.0), ("probe_period", -1.0), ("probe_period", math.nan),
+        ("flowlet_timeout", -1.0), ("flowlet_timeout", math.nan),
+        ("failure_periods", 0), ("failure_periods", -2),
+        ("failure_periods", 2.5), ("failure_periods", True),
+    ])
+    @pytest.mark.parametrize("system", ["contra", "hula", "ecmp"])
+    def test_config_value_refused_before_any_compile(self, compiles, system,
+                                                     field, value):
+        config = dataclasses.replace(TINY, **{field: value})
+        with pytest.raises(ExperimentError, match=f"config field {field}="):
+            RunContext().run(self._spec(system=system, config=config))
+        assert compiles == []
+
+    def test_fluid_plane_refuses_a_malformed_config_too(self, compiles):
+        config = dataclasses.replace(TINY, failure_periods=0)
+        with pytest.raises(ExperimentError, match="failure_periods"):
+            RunContext().run(self._spec(system="ecmp", config=config,
+                                        flow_model="fluid"))
+        assert compiles == []
+
+    def test_boundary_values_still_run(self, compiles):
+        # flowlet_timeout=0 (every packet its own flowlet) and
+        # failure_periods=1 are legal, if aggressive.
+        config = dataclasses.replace(TINY, failure_periods=1)
+        result = RunContext().run(self._spec(config=config, flowlet_timeout=0.0,
+                                             probe_period=0.5))
+        assert result.summary["flows"] > 0
+        assert len(compiles) == 1
+
+    def test_refusal_reaches_the_grid_runner(self):
+        with pytest.raises(ExperimentError, match="probe_period"):
+            run_grid([self._spec(probe_period=-1.0)], processes=1)
 
 
 class TestRecoverySweepScenario:

@@ -1,16 +1,21 @@
 """Engine batch lane: FIFO ordering, coalescing, sealing and accounting.
 
-The batch lane's contract is that it is *invisible* except for heap traffic:
-``call_batched`` means exactly what ``call_at`` means, same-timestamp lane
+The batch lane's contract is that it is *invisible* except for heap traffic
+and allocation: ``call_batched(time, callback, subject, guard)`` means exactly
+what ``call_at(time, callback, subject, guard)`` means, same-timestamp lane
 registrations run in exact FIFO order, interleavings with non-lane events at
 the same timestamp are preserved (sealing), and the event counters read
-identically with the lane on or off.
+identically with the lane on or off.  A registration is a guarded delivery of
+fixed arity two, stored flat — it allocates no container.
 """
+
+import gc
 
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulator import SimLink, Simulator
+from repro.simulator.engine import batch_members, batch_tail
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.switchnode import RoutingLogic, SwitchNode
 
@@ -22,36 +27,58 @@ def probe(seq: int = 0) -> Packet:
                   size_bytes=50)
 
 
+class Recorder:
+    """A two-argument lane callback that records ``(subject, guard)`` calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, subject, guard):
+        self.calls.append((subject, guard))
+
+    @property
+    def subjects(self):
+        return [subject for subject, _ in self.calls]
+
+
 class TestBatchLaneOrdering:
     def test_members_fire_in_registration_order(self):
         sim = Simulator(batching=True)
-        trace = []
-        sim.call_batched(1.0, trace.append, ("a", "x"))
-        sim.call_batched(1.0, trace.append, ("b", "y"))
-        sim.call_batched(1.0, trace.append, ("a", "z"))
+        sink = Recorder()
+        sim.call_batched(1.0, sink, "a", "x")
+        sim.call_batched(1.0, sink, "b", "y")
+        sim.call_batched(1.0, sink, "a", "z")
         sim.run()
-        assert trace == [("a", "x"), ("b", "y"), ("a", "z")]
+        assert sink.calls == [("a", "x"), ("b", "y"), ("a", "z")]
 
     @LANE
     def test_each_registration_is_one_call_with_its_own_args(self, batching):
-        # call_at's signature: any number of positional args, and consecutive
+        # Exactly two arguments, subject and guard, and consecutive
         # registrations of one callback stay separate calls (no merging).
         sim = Simulator(batching=batching)
-        calls = []
-
-        def sink(*args):
-            calls.append(args)
-
-        sim.call_batched(1.0, sink)
-        sim.call_batched(1.0, sink, "x", 7)
-        sim.call_batched(1.0, sink, "y", 7)
+        first, second = Recorder(), Recorder()
+        sim.call_batched(1.0, first, "x", 7)
+        sim.call_batched(1.0, first, "x", 7)
+        sim.call_batched(1.0, second, "y", None)
+        sim.call_batched(1.0, first, ("a", "tuple"), 8)
         sim.run()
-        assert calls == [(), ("x", 7), ("y", 7)]
+        assert first.calls == [("x", 7), ("x", 7), (("a", "tuple"), 8)]
+        assert second.calls == [("y", None)]
+
+    @LANE
+    def test_arity_is_exactly_two(self, batching):
+        sim = Simulator(batching=batching)
+        with pytest.raises(TypeError):
+            sim.call_batched(1.0, Recorder(), "subject-only")
+        with pytest.raises(TypeError):
+            sim.call_batched(1.0, Recorder(), "subject", "guard", "extra")
+        assert sim.pending_events == 0
 
     def test_same_tick_registrations_share_one_heap_entry(self):
         sim = Simulator(batching=True)
+        sink = Recorder()
         for value in range(100):
-            sim.call_batched(1.0, int, value)
+            sim.call_batched(1.0, sink, value, 0)
         assert len(sim._queue) == 1
         assert sim.pending_events == 100
 
@@ -59,12 +86,12 @@ class TestBatchLaneOrdering:
         sim = Simulator(batching=True)
         calls = []
 
-        def sink(value):
+        def sink(value, guard):
             calls.append((sim.now, value))
 
-        sim.call_batched(1.0, sink, "x")
-        sim.call_batched(2.0, sink, "y")
-        sim.call_batched(1.0, sink, "z")
+        sim.call_batched(1.0, sink, "x", 0)
+        sim.call_batched(2.0, sink, "y", 0)
+        sim.call_batched(1.0, sink, "z", 0)
         sim.run()
         # The time-2.0 registration sealed nothing at 1.0 (different tick),
         # but "z" arrived after the 1.0 batch was displaced, so it runs in a
@@ -73,68 +100,122 @@ class TestBatchLaneOrdering:
 
     def test_non_lane_event_at_same_time_seals_the_batch(self):
         sim = Simulator(batching=True)
-        trace = []
-        sim.call_batched(1.0, trace.append, "a")
-        sim.call_at(1.0, trace.append, "plain")
-        sim.call_batched(1.0, trace.append, "b")
+        sink = Recorder()
+        sim.call_batched(1.0, sink, "a", 0)
+        sim.call_at(1.0, sink, "plain", 0)
+        sim.call_batched(1.0, sink, "b", 0)
         sim.run()
-        assert trace == ["a", "plain", "b"]
+        assert sink.subjects == ["a", "plain", "b"]
 
     def test_non_lane_event_at_other_time_does_not_seal(self):
         sim = Simulator(batching=True)
-        trace = []
-        sim.call_batched(1.0, trace.append, "a")
-        sim.call_at(0.5, trace.append, "early")
-        sim.call_batched(1.0, trace.append, "b")
+        sink = Recorder()
+        sim.call_batched(1.0, sink, "a", 0)
+        sim.call_at(0.5, sink, "early", 0)
+        sim.call_batched(1.0, sink, "b", 0)
         sim.run()
         # "b" coalesced into the open batch: one heap entry, both members.
-        assert trace == ["early", "a", "b"]
+        assert sink.subjects == ["early", "a", "b"]
         assert sim.events_processed == 3
 
-    def test_past_registration_raises(self):
-        sim = Simulator(batching=True)
+    @LANE
+    def test_past_registration_raises(self, batching):
+        sim = Simulator(batching=batching)
         sim.call_at(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_batched(0.5, lambda: None)
+            sim.call_batched(0.5, Recorder(), "late", 0)
+        assert sim.pending_events == 0
 
 
 class TestBatchLaneAccounting:
     @LANE
     def test_counters_identical_with_lane_on_or_off(self, batching):
         sim = Simulator(batching=batching)
-        fired = []
+        sink = Recorder()
         for value in range(5):
-            sim.call_batched(1.0, fired.append, value)
-        sim.call_batched(2.0, fired.append, "late")
+            sim.call_batched(1.0, sink, value, 0)
+        sim.call_batched(2.0, sink, "late", 0)
         assert sim.pending_events == 6
         sim.run()
-        assert fired == [0, 1, 2, 3, 4, "late"]
+        assert sink.subjects == [0, 1, 2, 3, 4, "late"]
         assert sim.pending_events == 0
         assert sim.events_processed == 6
 
     def test_stop_mid_batch_requeues_the_tail(self):
         for batching in (True, False):
             sim = Simulator(batching=batching)
-            fired = []
+            sink = Recorder()
 
-            def stopper(value):
-                fired.append(value)
+            def stopper(value, guard):
+                sink(value, guard)
                 sim.stop()
 
-            sim.call_batched(1.0, stopper, "first")
-            sim.call_batched(1.0, fired.append, "second")
-            sim.call_batched(1.0, fired.append, "third")
+            sim.call_batched(1.0, stopper, "first", 0)
+            sim.call_batched(1.0, sink, "second", 0)
+            sim.call_batched(1.0, sink, "third", 0)
             sim.run()
-            assert fired == ["first"]
+            assert sink.subjects == ["first"]
             assert sim.pending_events == 2
             assert sim.events_processed == 1
             # A registration made while stopped must queue behind the tail.
-            sim.call_batched(1.0, fired.append, "fourth")
+            sim.call_batched(1.0, sink, "fourth", 0)
             sim.run()
-            assert fired == ["first", "second", "third", "fourth"]
+            assert sink.subjects == ["first", "second", "third", "fourth"]
             assert sim.pending_events == 0
             assert sim.events_processed == 4
+
+    @LANE
+    def test_stop_at_the_last_member_requeues_nothing(self, batching):
+        sim = Simulator(batching=batching)
+        sink = Recorder()
+
+        def stopper(value, guard):
+            sink(value, guard)
+            sim.stop()
+
+        sim.call_batched(1.0, sink, "first", 0)
+        sim.call_batched(1.0, stopper, "last", 0)
+        sim.run()
+        assert sink.subjects == ["first", "last"]
+        assert sim.pending_events == 0
+        assert not sim._queue
+        assert sim.events_processed == 2
+
+
+class TestFlatMembers:
+    """The member layout has one definition, and registering allocates nothing."""
+
+    def test_members_iterate_as_triples_and_tail_slices_by_member(self):
+        sim = Simulator(batching=True)
+        sink = Recorder()
+        for value in range(4):
+            sim.call_batched(1.0, sink, value, -value)
+        members = sim._batch
+        assert list(batch_members(members)) == [
+            (sink, 0, 0), (sink, 1, -1), (sink, 2, -2), (sink, 3, -3)]
+        assert list(batch_members(batch_tail(members, 3))) == [(sink, 3, -3)]
+        assert batch_tail(members, 4) == []
+
+    def test_a_registration_allocates_no_gc_tracked_container(self):
+        # Two tuples a member — (callback, args) and (subject, guard) — were
+        # 20 000 tracked allocations here, alive until the wave fired.
+        sim = Simulator(batching=True)
+        sink = Recorder()
+        subjects = [probe(seq) for seq in range(10_000)]
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            for subject in subjects:
+                sim.call_batched(1.0, sink, subject, 0)
+            grown = gc.get_count()[0] - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert sim.pending_events == 10_000
+        assert grown < 100
 
 
 class TestLinkProbeRunFifo:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import HulaSystem
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
@@ -17,6 +18,7 @@ from repro.protocol.tables import (
 )
 from repro.simulator import Network
 from repro.topology import leafspine
+from repro.topology.graph import Topology
 
 
 class TestProbePayload:
@@ -213,6 +215,41 @@ class TestContraRouting:
         assert logic._believed_failed.get("spine0") is True
         assert network.stats.failure_detections >= 1
         assert logic.best_next_hop("leaf1") == "spine1"
+
+    def test_probe_silence_tracking_starts_at_a_neighbours_first_probe(self):
+        # attach() runs inside SwitchNode.__init__, before the network has
+        # wired a single port, so nothing is (or ever was) pre-seeded.
+        _, _, system, network = build_contra_network(probe_period=0.2)
+        logic = system.logic("leaf0")
+        assert network.switches["leaf0"].switch_neighbors() == ["spine0", "spine1"]
+        assert logic._last_probe_from == {} and logic._believed_failed == {}
+        network.run(0.5)
+        assert sorted(logic._last_probe_from) == ["spine0", "spine1"]
+
+    @pytest.mark.parametrize("system_name", ["contra", "hula"])
+    def test_a_link_that_never_carries_probes_is_not_declared_failed(self, system_name):
+        # A - B - C with hosts only under C: C originates, B relays to A, and
+        # split horizon keeps A from echoing anything back — the A -> B
+        # direction legitimately carries no probes, ever.  B must not read
+        # that silence as a failure of A.
+        topo = Topology("line")
+        for switch in "ABC":
+            topo.add_switch(switch)
+        topo.add_link("A", "B")
+        topo.add_link("B", "C")
+        topo.add_host("h", "C")
+        if system_name == "contra":
+            system = ContraSystem(compile_policy(MU(), topo), probe_period=0.2,
+                                  failure_periods=3)
+        else:
+            system = HulaSystem(probe_period=0.2, failure_periods=3)
+        network = Network(topo, system)
+        network.run(3.0)                  # many failure-check rounds
+        relay = system.logic("B")
+        assert sorted(relay._last_probe_from) == ["C"]
+        assert relay._believed_failed.get("A", False) is False
+        assert network.stats.failure_detections == 0
+        assert sorted(system.logic("A")._last_probe_from) == ["B"]
 
     def test_unversioned_mode_still_converges_on_leafspine(self):
         _, _, system, network = build_contra_network(use_versioning=False)

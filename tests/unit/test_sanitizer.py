@@ -151,10 +151,11 @@ class TestProbeInvariants:
         link = net.links[("spine0", "leaf0")]
 
         # A buggy delivery layer that ignores the fail epoch entirely: every
-        # registered probe reaches deliver, dead epoch or not.  The sanitizer
-        # seam (_sanitizer_probe_inner) substitutes it under the checks.
+        # registered probe reaches the probe sink (the receiving switch's
+        # on_probe), dead epoch or not.  The sanitizer seam
+        # (_sanitizer_probe_inner) substitutes it under the checks.
         def leaky(packet, epoch):
-            link.deliver(packet, link.src)
+            link.probe_sink(packet, link.src)
 
         link._sanitizer_probe_inner = leaky
         net.run(0.6)                      # fresh probes through leaky: clean
@@ -177,6 +178,39 @@ class TestProbeInvariants:
         assert violation.rule == "stale-probe"
         assert violation.tag is not None
         assert violation.tag[1] == "batch-lane"
+
+
+    @pytest.mark.parametrize("vectorize", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not HAVE_NUMPY, reason="the array probe plane needs numpy")),
+    ])
+    def test_reordered_lane_members_trip_the_link_fifo_check(self, vectorize):
+        system, net = build_contra_network(probe_vectorize=vectorize)
+        link = net.links[("spine0", "leaf0")]
+        probes = []
+        for version in (1, 2):
+            payload = ProbePayload("leaf1", 0, version, 1,
+                                   MetricVector(("util",), (0.0,)))
+            probes.append(make_probe_packet(payload, "spine0", payload_bits=96))
+
+        def inject():
+            for probe in probes:
+                assert link.enqueue(probe)
+            # Swap the two registrations inside the open lane entry (flat
+            # members, three slots each): delivery order != enqueue order.
+            members = net.sim._batch
+            assert [members[1], members[4]] == probes
+            members[0:3], members[3:6] = members[3:6], members[0:3]
+
+        net.sim.call_at(0.1, inject)
+        with pytest.raises(SanitizerError) as err:
+            net.sim.run(until=0.2)
+        violation = err.value.violation
+        assert violation.rule == "link-fifo"
+        assert violation.tag == (
+            "SimLink._deliver_wave_probe" if vectorize else "SimLink._deliver_probe",
+            "batch-lane")
 
 
 class TestProtocolTableInvariants:
