@@ -41,7 +41,7 @@ from repro.baselines import EcmpSystem, HulaSystem, ShortestPathSystem, SpainSys
 from repro.core.ast import Policy
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import CompiledPolicy, compile_policy
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, WorkloadError
 from repro.experiments.config import (ExperimentConfig, procs_from_env,
                                       sanitize_from_env)
 from repro.protocol import ContraSystem
@@ -57,6 +57,7 @@ from repro.topology.random_graphs import random_network
 from repro.topology.zoo import builtin_topology
 from repro.workloads import distribution_by_name, generate_workload
 from repro.workloads.generator import (incast_pairs, permutation_pairs,
+                                       resolve_endpoints,
                                        split_senders_receivers,
                                        stream_workload)
 
@@ -634,9 +635,10 @@ class RunContext:
     # --------------------------------------------------------------- execution
 
     @staticmethod
-    def _validate_traffic_fields(spec: ScenarioSpec) -> None:
+    def _validate_traffic_fields(spec: ScenarioSpec, topology: Topology) -> None:
         """Reject spec fields the selected traffic shape would silently ignore,
-        and protocol timing values no switch could run.
+        protocol timing values no switch could run, and explicit flow
+        endpoints no workload generator can draw from.
 
         The second half: a zero, negative or NaN probe period, a negative or
         NaN flowlet timeout and a non-positive failure-detection window used
@@ -644,7 +646,12 @@ class RunContext:
         at all (a NaN period ran and completed 2 of 29 flows;
         ``failure_periods=0`` declared every neighbour failed every round).
         Checked for the spec override and the config value alike, here, so
-        before anything is built.
+        before anything is compiled.
+
+        The third part: a sender or receiver that is not a host of
+        ``topology`` used to escape as a bare ``KeyError``, a sender with no
+        eligible receiver as numpy's ``ValueError``; the generators' own
+        resolver judges them.
         """
         timing = (("probe_period", True, "a finite number > 0"),
                   ("flowlet_timeout", False, "a finite number >= 0"))
@@ -674,6 +681,15 @@ class RunContext:
             raise ExperimentError(
                 f"incast_fanin/incast_receiver require traffic='incast', "
                 f"got traffic={spec.traffic!r}")
+        if spec.traffic == "flows" and (spec.senders or spec.receivers):
+            try:
+                resolve_endpoints(topology, spec.senders or None,
+                                  spec.receivers or None,
+                                  spec.pair_senders_receivers)
+            except WorkloadError as error:
+                raise ExperimentError(
+                    f"spec field senders={spec.senders!r} with "
+                    f"receivers={spec.receivers!r}: {error}") from None
 
     @staticmethod
     def _validate_fluid_fields(spec: ScenarioSpec) -> None:
@@ -746,9 +762,9 @@ class RunContext:
         return self._flows(spec, topology)
 
     def _run_fluid(self, spec: ScenarioSpec) -> RunResult:
-        self._validate_traffic_fields(spec)
-        self._validate_fluid_fields(spec)
         topology = self.topology(spec.topology)
+        self._validate_traffic_fields(spec, topology)
+        self._validate_fluid_fields(spec)
         config = spec.config
         model = build_path_model(spec.system, topology, policy=spec.policy)
         simulation = FluidSimulation(
@@ -793,8 +809,8 @@ class RunContext:
                 "flow_sketch requires flow_model='fluid': the packet plane "
                 "never feeds the cardinality sketch, so the option would "
                 "silently report nothing")
-        self._validate_traffic_fields(spec)
         topology = self.topology(spec.topology)
+        self._validate_traffic_fields(spec, topology)
         config = spec.config
 
         compiled: Optional[CompiledPolicy] = None

@@ -119,31 +119,41 @@ class HyperLogLog:
     whose repr embeds an ``id()``.
     """
 
-    __slots__ = ("precision", "_registers", "_tail_bits")
+    __slots__ = ("precision", "registers", "_tail_bits")
 
     def __init__(self, precision: int = 10):
         if not 4 <= precision <= 16:
             raise ValueError(f"HyperLogLog precision must be in [4, 16], got {precision}")
         self.precision = precision
-        self._registers = bytearray(1 << precision)
+        #: One rank byte per register; :meth:`slot` says which one an item
+        #: may raise.
+        self.registers = bytearray(1 << precision)
         self._tail_bits = 64 - precision
+
+    def slot(self, item) -> Tuple[int, int]:
+        """The ``(register, rank)`` pair ``item`` hashes to.
+
+        A pure function of ``repr(item)`` and the precision, so one digest
+        serves every sketch of this precision: offering the item to any of
+        them is ``registers[register] = max(registers[register], rank)``.
+        """
+        digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        tail = value & ((1 << self._tail_bits) - 1)
+        return value >> self._tail_bits, self._tail_bits - tail.bit_length() + 1
 
     def add(self, item) -> None:
         """Offer one item. O(1); duplicates never change the estimate."""
-        digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
-        value = int.from_bytes(digest, "big")
-        index = value >> self._tail_bits
-        tail = value & ((1 << self._tail_bits) - 1)
-        rank = self._tail_bits - tail.bit_length() + 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
+        index, rank = self.slot(item)
+        if rank > self.registers[index]:
+            self.registers[index] = rank
 
     def estimate(self) -> float:
         """Approximate number of distinct items offered so far."""
-        m = len(self._registers)
+        m = len(self.registers)
         alpha = 0.7213 / (1.0 + 1.079 / m)
-        raw = alpha * m * m / sum(2.0 ** -r for r in self._registers)
-        zeros = self._registers.count(0)
+        raw = alpha * m * m / sum(2.0 ** -r for r in self.registers)
+        zeros = self.registers.count(0)
         if raw <= 2.5 * m and zeros:
             return m * math.log(m / zeros)
         return raw
@@ -152,8 +162,8 @@ class HyperLogLog:
         """Fold another sketch in (register-wise max): the union estimate."""
         if other.precision != self.precision:
             raise ValueError("cannot merge HyperLogLog sketches of different precision")
-        registers = self._registers
-        for index, rank in enumerate(other._registers):
+        registers = self.registers
+        for index, rank in enumerate(other.registers):
             if rank > registers[index]:
                 registers[index] = rank
 

@@ -218,7 +218,7 @@ def max_min_rates(
 class _Fabric:
     """Directed-link index shared by the path models and the simulation."""
 
-    __slots__ = ("topology", "links", "index", "capacity", "latency", "attach")
+    __slots__ = ("topology", "links", "index", "capacity", "latency", "hosts")
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -226,8 +226,30 @@ class _Fabric:
         self.index = {key: i for i, key in enumerate(self.links)}
         self.capacity = [link.capacity for link in topology.links]
         self.latency = [link.latency for link in topology.links]
-        self.attach = {host: topology.attachment_switch(host)
-                       for host in topology.hosts}
+        #: host -> (attachment switch, uplink id, downlink id).
+        self.hosts: Dict[str, Tuple[str, int, int]] = {}
+        for host in topology.hosts:
+            switch = topology.attachment_switch(host)
+            self.hosts[host] = (switch, self.index[(host, switch)],
+                                self.index[(switch, host)])
+
+    def next_hop_rows(
+            self, all_hops: bool) -> Dict[str, Dict[str, List[Tuple[str, int]]]]:
+        """``next_hop_table`` lowered once: switch -> destination switch ->
+        ``(next hop, link id)`` pairs in the table's hop order, so a walk
+        builds no ``(switch, hop)`` key and probes no index per candidate."""
+        from repro.baselines.ecmp import next_hop_table
+        index = self.index
+        rows: Dict[str, Dict[str, List[Tuple[str, int]]]] = {}
+        for switch, table_row in next_hop_table(self.topology, all_hops).items():
+            # One shared pair per neighbour; map keeps the lowering to a C
+            # loop per row (a comprehension is a Python frame per row).
+            pair = {hop: (hop, index[(switch, hop)])
+                    for hop in self.topology.switch_neighbors(switch)}.__getitem__
+            row = rows[switch] = {}
+            for dst_switch, hops in table_row.items():
+                row[dst_switch] = list(map(pair, hops))
+        return rows
 
 
 class FluidPathModel:
@@ -250,18 +272,6 @@ class FluidPathModel:
                 failed: Sequence[bool]) -> Optional[Tuple[int, ...]]:
         raise NotImplementedError
 
-    def _host_edges(self, src_host: str, dst_host: str,
-                    failed: Sequence[bool]):
-        """(src switch, dst switch, uplink idx, downlink idx) or None."""
-        fabric = self.fabric
-        src_switch = fabric.attach[src_host]
-        dst_switch = fabric.attach[dst_host]
-        up = fabric.index[(src_host, src_switch)]
-        down = fabric.index[(dst_switch, dst_host)]
-        if failed[up] or failed[down]:
-            return None
-        return src_switch, dst_switch, up, down
-
 
 class _HashWalkModel(FluidPathModel):
     """ECMP / single shortest path: hash across the equal-cost next hops.
@@ -276,30 +286,28 @@ class _HashWalkModel(FluidPathModel):
     def __init__(self, fabric: _Fabric, all_hops: bool):
         super().__init__(fabric)
         self.name = "ecmp" if all_hops else "shortest-path"
-        from repro.baselines.ecmp import next_hop_table
-        self._table = next_hop_table(fabric.topology, all_hops)
+        self._rows = fabric.next_hop_rows(all_hops)
 
     def resolve(self, fhash, src_host, dst_host, util, failed):
-        edges = self._host_edges(src_host, dst_host, failed)
-        if edges is None:
+        hosts = self.fabric.hosts
+        switch, up, _ = hosts[src_host]
+        dst_switch, _, down = hosts[dst_host]
+        if failed[up] or failed[down]:
             return None
-        switch, dst_switch, up, down = edges
         if switch == dst_switch:
             return (up, down)
-        index = self.fabric.index
+        rows = self._rows
         path = [up]
         while switch != dst_switch:
-            hops = self._table[switch].get(dst_switch)
+            hops = rows[switch].get(dst_switch)
             if not hops:
                 return None
-            choice = hops[fhash % len(hops)]
-            link = index[(switch, choice)]
+            choice, link = hops[fhash % len(hops)]
             if failed[link]:
-                usable = [h for h in hops if not failed[index[(switch, h)]]]
+                usable = [hop for hop in hops if not failed[hop[1]]]
                 if not usable:
                     return None
-                choice = usable[fhash % len(usable)]
-                link = index[(switch, choice)]
+                choice, link = usable[fhash % len(usable)]
             path.append(link)
             switch = choice
         path.append(down)
@@ -325,26 +333,26 @@ class _GreedyUtilModel(FluidPathModel):
 
     def __init__(self, fabric: _Fabric):
         super().__init__(fabric)
-        from repro.baselines.ecmp import next_hop_table
-        self._table = next_hop_table(fabric.topology, all_hops=True)
+        self._rows = fabric.next_hop_rows(all_hops=True)
 
     def resolve(self, fhash, src_host, dst_host, util, failed):
-        edges = self._host_edges(src_host, dst_host, failed)
-        if edges is None:
+        hosts = self.fabric.hosts
+        switch, up, _ = hosts[src_host]
+        dst_switch, _, down = hosts[dst_host]
+        if failed[up] or failed[down]:
             return None
-        switch, dst_switch, up, down = edges
         if switch == dst_switch:
             return (up, down)
-        index = self.fabric.index
+        rows = self._rows
         path = [up]
         while switch != dst_switch:
-            hops = self._table[switch].get(dst_switch)
+            hops = rows[switch].get(dst_switch)
             if not hops:
                 return None
             best = None
-            ties: List[str] = []
+            ties: List[Tuple[str, int]] = []
             for hop in hops:
-                link = index[(switch, hop)]
+                link = hop[1]
                 if failed[link]:
                     continue
                 u = util[link]
@@ -355,9 +363,8 @@ class _GreedyUtilModel(FluidPathModel):
                     ties.append(hop)
             if not ties:
                 return None
-            choice = ties[fhash % len(ties)]
-            path.append(index[(switch, choice)])
-            switch = choice
+            switch, link = ties[fhash % len(ties)]
+            path.append(link)
         path.append(down)
         return tuple(path)
 
@@ -376,10 +383,11 @@ class _BottleneckModel(FluidPathModel):
     name = "contra-wan"
 
     def resolve(self, fhash, src_host, dst_host, util, failed):
-        edges = self._host_edges(src_host, dst_host, failed)
-        if edges is None:
+        hosts = self.fabric.hosts
+        switch, up, _ = hosts[src_host]
+        dst_switch, _, down = hosts[dst_host]
+        if failed[up] or failed[down]:
             return None
-        switch, dst_switch, up, down = edges
         if switch == dst_switch:
             return (up, down)
         topology = self.fabric.topology
@@ -426,10 +434,11 @@ class _SpainModel(FluidPathModel):
         self._paths = compute_spain_paths(fabric.topology)
 
     def resolve(self, fhash, src_host, dst_host, util, failed):
-        edges = self._host_edges(src_host, dst_host, failed)
-        if edges is None:
+        hosts = self.fabric.hosts
+        switch, up, _ = hosts[src_host]
+        dst_switch, _, down = hosts[dst_host]
+        if failed[up] or failed[down]:
             return None
-        switch, dst_switch, up, down = edges
         if switch == dst_switch:
             return (up, down)
         options = self._paths.get((switch, dst_switch))
@@ -574,12 +583,15 @@ class _FlowState:
 class _PathGroup:
     """All in-flight flows sharing one exact link path."""
 
-    __slots__ = ("links", "count", "rate", "service", "updated", "tags",
-                 "rate_cap", "delay", "gid", "version", "applied")
+    __slots__ = ("links", "switches", "count", "rate", "service", "updated",
+                 "tags", "rate_cap", "delay", "gid", "version", "applied")
 
-    def __init__(self, links: Tuple[int, ...], rate_cap: float, delay: float,
-                 now: float, gid: int):
+    def __init__(self, links: Tuple[int, ...], switches: Tuple[str, ...],
+                 rate_cap: float, delay: float, now: float, gid: int):
         self.links = links
+        #: The switches the links enter, for the per-switch cardinality
+        #: sketch; empty unless the run sketches.
+        self.switches = switches
         self.count = 0
         self.rate = 0.0           # per-flow rate, packets/ms
         self.service = 0.0        # cumulative per-flow packets served
@@ -737,8 +749,11 @@ class FluidSimulation:
         # fluid image of the packet plane's fixed-window ACK clock.
         gid = self._gid_counter
         self._gid_counter = gid + 1
-        return _PathGroup(path, self.host_window / (2.0 * delay), delay, now,
-                          gid)
+        # filter/map rather than a generator: no Python frame per link.
+        switches = tuple(filter(None, map(self._link_switch.__getitem__, path))) \
+            if self.stats.flow_sketch else ()
+        return _PathGroup(path, switches, self.host_window / (2.0 * delay),
+                          delay, now, gid)
 
     # ---------------------------------------------------------------- epochs
 
@@ -765,21 +780,22 @@ class FluidSimulation:
         group = self._groups.get(path)
         if group is None:
             group = self._new_group(path, now)
-        if self._cap_fits(group):
+        else:
+            self._settle(group, now)
+        fits = self._cap_fits(group)
+        self._join(state, group, path)
+        if fits:
             # Local exactness: the current allocation is max-min; giving the
             # arrival its cap saturates no link below anyone's bottleneck and
             # the arrival itself is at its ceiling, so old rates + cap *is*
             # the max-min allocation of the new contender set.  (A group
             # running below its cap is link-frozen on a saturated link, where
             # the cap cannot fit — such arrivals always reach the solver.)
-            self._join(state, group, path, now)
             self._fast_arrival(group, now)
+        elif self._force_global:
+            self._reallocate(now)
         else:
-            self._join(state, group, path, now)
-            if self._force_global:
-                self._reallocate(now)
-            else:
-                self._local_reallocate(now, [group], ())
+            self._local_reallocate(now, [group], ())
         self._resched(now)
 
     def _cap_fits(self, group: _PathGroup) -> bool:
@@ -792,27 +808,22 @@ class FluidSimulation:
         return True
 
     def _join(self, state: _FlowState, group: _PathGroup,
-              path: Tuple[int, ...], now: float) -> None:
-        if group.count:
-            self._settle(group, now)
-        else:
+              path: Tuple[int, ...]) -> None:
+        """Place ``state`` in ``group``, whose service anchor is current (a
+        group just created, or settled to now): register the group on its
+        first member, tag the flow, count it, sketch it."""
+        if not group.count:
             self._groups[path] = group
             self._by_gid[group.gid] = (path, group)
             members = self._link_members
             for link in path:
                 members[link][group.gid] = group
-            group.updated = now
         state.path = path
         state.tag = group.service + state.remaining
         heapq.heappush(group.tags, (state.tag, state.uid))
         group.count += 1
-        if self.stats.flow_sketch:
-            link_switch = self._link_switch
-            record = self.stats.record_switch_flow
-            for link in path:
-                switch = link_switch[link]
-                if switch is not None:
-                    record(switch, state.uid)
+        if group.switches:
+            self.stats.record_path_flow(group.switches, state.uid)
 
     def _apply_total(self, group: _PathGroup, new_total: float) -> None:
         """Move the group's reflected load (``count * rate``) to ``new_total``."""
@@ -1005,7 +1016,7 @@ class FluidSimulation:
             group = self._groups.get(path)
             if group is None:
                 group = self._new_group(path, now)
-            self._join_rerouted(state, group, path)
+            self._join(state, group, path)
         for state in finished:
             del self._flows[state.uid]
             self._completed_service += state.size
@@ -1013,26 +1024,6 @@ class FluidSimulation:
             self.stats.note_completion(now - state.start
                                        + old_groups[state.path].delay)
         self._reallocate(now)
-
-    def _join_rerouted(self, state: _FlowState, group: _PathGroup,
-                       path: Tuple[int, ...]) -> None:
-        if not group.count:
-            self._groups[path] = group
-            self._by_gid[group.gid] = (path, group)
-            members = self._link_members
-            for link in path:
-                members[link][group.gid] = group
-        state.path = path
-        state.tag = group.service + state.remaining
-        heapq.heappush(group.tags, (state.tag, state.uid))
-        group.count += 1
-        if self.stats.flow_sketch:
-            link_switch = self._link_switch
-            record = self.stats.record_switch_flow
-            for link in path:
-                switch = link_switch[link]
-                if switch is not None:
-                    record(switch, state.uid)
 
     # ------------------------------------------------------------ allocation
 

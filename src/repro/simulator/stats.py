@@ -128,18 +128,27 @@ class StatsCollector:
 
     # ------------------------------------------------------- sketch extension
 
-    def record_switch_flow(self, switch: str, flow_id: int) -> None:
-        """Offer a (switch, flow) observation to the cardinality sketch.
+    def record_path_flow(self, switches: Sequence[str], flow_id: int) -> None:
+        """Offer one flow to the cardinality sketch of every switch on its path.
 
-        No-op unless ``flow_sketch`` was requested; callers may invoke it
-        unconditionally on every flow placement.
+        One digest per call: the sketches share a precision, so the flow
+        hashes to the same (register, rank) in each of them.  No-op unless
+        ``flow_sketch`` was requested; callers may invoke it unconditionally
+        on every flow placement.
         """
         if not self.flow_sketch:
             return
-        sketch = self._flow_sketches.get(switch)
-        if sketch is None:
-            sketch = self._flow_sketches[switch] = HyperLogLog()
-        sketch.add(flow_id)
+        sketches = self._flow_sketches
+        index = -1
+        for switch in switches:
+            sketch = sketches.get(switch)
+            if sketch is None:
+                sketch = sketches[switch] = HyperLogLog()
+            if index < 0:
+                index, rank = sketch.slot(flow_id)
+            registers = sketch.registers
+            if rank > registers[index]:
+                registers[index] = rank
 
     def flow_sketch_estimates(self) -> Dict[str, float]:
         """Per-switch distinct-flow estimates, in sorted switch order."""

@@ -17,6 +17,7 @@ from repro.workloads.generator import (
     incast_pairs,
     permutation_pairs,
     random_pairs,
+    resolve_endpoints,
     split_senders_receivers,
     stream_workload,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "FlowStream",
     "generate_workload",
     "stream_workload",
+    "resolve_endpoints",
     "split_senders_receivers",
     "random_pairs",
     "incast_pairs",

@@ -12,13 +12,15 @@ shapes (DESIGN.md §4):
   moderate tail.
 
 Sizes are expressed in full-size packets (the simulator's unit).  Every
-distribution exposes ``sample`` / ``mean`` and is deterministic given a
-``numpy`` generator, so experiments are reproducible.
+distribution exposes ``sample`` / ``size_at`` / ``mean`` and is deterministic
+given a ``numpy`` generator, so experiments are reproducible.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -56,13 +58,43 @@ class EmpiricalCDF:
         if abs(self.points[-1][0] - 1.0) > 1e-9:
             raise WorkloadError(f"CDF {self.name!r} must end at probability 1.0")
 
+    @cached_property
+    def _knots(self):
+        """The inverse CDF's knot table, built on first use and read by every
+        sampler: probabilities, sizes and the slope of each segment between
+        them.  A cached property writes the instance ``__dict__`` directly,
+        so the frozen dataclass's equality and hash never see it."""
+        probabilities = [float(p) for p, _ in self.points]
+        sizes = [float(s) for _, s in self.points]
+        slopes = [(sizes[j + 1] - sizes[j]) / (probabilities[j + 1] - probabilities[j])
+                  for j in range(len(sizes) - 1)]
+        return probabilities, sizes, slopes
+
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """Draw ``count`` flow sizes (packets, >= 1) by inverse-transform sampling."""
-        uniforms = rng.random(count)
-        probabilities = np.array([p for p, _ in self.points])
-        sizes = np.array([s for _, s in self.points])
-        sampled = np.interp(uniforms, probabilities, sizes)
+        probabilities, sizes, _ = self._knots
+        sampled = np.interp(rng.random(count), probabilities, sizes)
         return np.maximum(1, np.round(sampled)).astype(int)
+
+    def size_at(self, uniform: float) -> int:
+        """The flow size at one uniform draw: the scalar twin of :meth:`sample`.
+
+        ``size_at(rng.random())`` equals ``int(sample(rng, 1)[0])`` and leaves
+        ``rng`` in the same state, without building an array — the eager
+        generator draws one flow at a time.  The arithmetic is ``np.interp``'s
+        own (segment by bisection, ``slope * (u - x_j) + y_j``, a knot returns
+        its size exactly, the end sizes outside the table) and Python's
+        ``round`` is numpy's half-even ``rint``.
+        """
+        probabilities, sizes, slopes = self._knots
+        j = bisect_right(probabilities, uniform) - 1
+        if j < 0:
+            value = sizes[0]
+        elif j == len(slopes) or probabilities[j] == uniform:
+            value = sizes[j]
+        else:
+            value = slopes[j] * (uniform - probabilities[j]) + sizes[j]
+        return max(1, round(value))
 
     def mean(self) -> float:
         """The expected flow size (packets) under the piecewise-linear CDF."""
@@ -72,8 +104,7 @@ class EmpiricalCDF:
         return max(1.0, total)
 
     def quantile(self, probability: float) -> float:
-        probabilities = [p for p, _ in self.points]
-        sizes = [s for _, s in self.points]
+        probabilities, sizes, _ = self._knots
         return float(np.interp(probability, probabilities, sizes))
 
 

@@ -12,8 +12,8 @@ methodology.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "FlowStream",
     "generate_workload",
     "stream_workload",
+    "resolve_endpoints",
     "split_senders_receivers",
     "random_pairs",
     "incast_pairs",
@@ -129,20 +130,8 @@ def stream_workload(
         raise WorkloadError("duration must be positive")
     if chunk < 1:
         raise WorkloadError("chunk must be positive")
-
-    if senders is None or receivers is None:
-        default_senders, default_receivers = split_senders_receivers(topology)
-        senders = list(senders) if senders is not None else default_senders
-        receivers = list(receivers) if receivers is not None else default_receivers
-    senders = list(senders)
-    receivers = list(receivers)
-    if pair_senders_receivers and len(senders) != len(receivers):
-        raise WorkloadError("paired workloads need equally many senders and receivers")
-    for index, sender in enumerate(senders):
-        options = [receivers[index]] if pair_senders_receivers \
-            else [r for r in receivers if r != sender]
-        if not options:
-            raise WorkloadError(f"sender {sender!r} has no eligible receiver")
+    senders, receivers, options = resolve_endpoints(
+        topology, senders, receivers, pair_senders_receivers)
 
     per_sender_rate = load * host_capacity / distribution.mean()
     end = start_after + duration
@@ -150,25 +139,22 @@ def stream_workload(
     def sender_stream(index: int, sender: str):
         gap_rng = np.random.default_rng((seed, index, 0))
         size_rng = np.random.default_rng((seed, index, 1))
-        if pair_senders_receivers:
-            options = [receivers[index]]
-            dst_rng = None
-        else:
-            options = [r for r in receivers if r != sender]
-            dst_rng = np.random.default_rng((seed, index, 2))
+        choices = options[index]
+        dst_rng = None if pair_senders_receivers \
+            else np.random.default_rng((seed, index, 2))
         time = start_after
         seq = 0
         while True:
             gaps = gap_rng.exponential(1.0 / per_sender_rate, chunk)
             sizes = distribution.sample(size_rng, chunk)
-            picks = dst_rng.integers(0, len(options), chunk) \
+            picks = dst_rng.integers(0, len(choices), chunk) \
                 if dst_rng is not None else None
             for draw in range(chunk):
                 time += float(gaps[draw])
                 if time >= end:
                     return
-                receiver = options[int(picks[draw])] if picks is not None \
-                    else options[0]
+                receiver = choices[int(picks[draw])] if picks is not None \
+                    else choices[0]
                 yield (time, index, seq, sender, receiver, int(sizes[draw]))
                 seq += 1
 
@@ -188,6 +174,48 @@ def stream_workload(
         distribution_name=distribution.name,
         factory=merged,
     )
+
+
+def resolve_endpoints(
+    topology: Topology,
+    senders: Optional[Sequence[str]],
+    receivers: Optional[Sequence[str]],
+    paired: bool,
+) -> Tuple[List[str], List[str], List[List[str]]]:
+    """Default and validate the endpoints of both generators.
+
+    Returns ``(senders, receivers, options)``: ``options[i]`` is the list
+    sender ``i`` draws its destinations from — its one partner when
+    ``paired``, otherwise every receiver but itself (one shared list for the
+    senders that are not receivers, which is all of them under the default
+    split).  An endpoint that is not a host, a sender left with nothing to
+    draw from and unequal paired lists are refused here, once, so neither
+    generator can meet them mid-draw.
+    """
+    # (A defaulted list comes from the topology's own hosts.)
+    for field, names in (("senders", senders), ("receivers", receivers)):
+        for name in names or ():
+            if not topology.is_host(name):
+                raise WorkloadError(
+                    f"{field} entry {name!r} is not a host of {topology.name!r}")
+    if senders is None or receivers is None:
+        default_senders, default_receivers = split_senders_receivers(topology)
+        senders = default_senders if senders is None else senders
+        receivers = default_receivers if receivers is None else receivers
+    senders = list(senders)
+    receivers = list(receivers)
+    if paired:
+        if len(senders) != len(receivers):
+            raise WorkloadError(
+                "paired workloads need equally many senders and receivers")
+        return senders, receivers, [[receiver] for receiver in receivers]
+    also_receive = set(senders).intersection(receivers)
+    options = [[r for r in receivers if r != sender] if sender in also_receive
+               else receivers for sender in senders]
+    for sender, choices in zip(senders, options):
+        if not choices:
+            raise WorkloadError(f"sender {sender!r} has no eligible receiver")
+    return senders, receivers, options
 
 
 def split_senders_receivers(topology: Topology) -> Tuple[List[str], List[str]]:
@@ -324,45 +352,45 @@ def generate_workload(
         raise WorkloadError(f"load must be in (0, 1.5], got {load}")
     if duration <= 0:
         raise WorkloadError("duration must be positive")
+    if max_flows is not None and max_flows < 1:
+        raise WorkloadError(f"max_flows must be at least 1, got {max_flows}")
+    senders, receivers, options = resolve_endpoints(
+        topology, senders, receivers, pair_senders_receivers)
 
-    if senders is None or receivers is None:
-        default_senders, default_receivers = split_senders_receivers(topology)
-        senders = list(senders) if senders is not None else default_senders
-        receivers = list(receivers) if receivers is not None else default_receivers
-    senders = list(senders)
-    receivers = list(receivers)
-    if pair_senders_receivers and len(senders) != len(receivers):
-        raise WorkloadError("paired workloads need equally many senders and receivers")
-
+    # Draw-order contract (ARCHITECTURE.md §7): one shared generator, and per
+    # flow ``exponential -> integers -> random`` as scalars, sender by sender.
+    # ``choices[rng.integers(0, n)]`` consumes the stream exactly like
+    # ``rng.choice(choices)`` and ``size_at(rng.random())`` like ``sample(rng,
+    # 1)``; the draws cannot be batched, because the bounded-integer draw
+    # rejects a variable number of words that interleave with the other two.
     rng = np.random.default_rng(seed)
-    mean_size = distribution.mean()
-    per_sender_rate = load * host_capacity / mean_size  # flows per ms
+    exponential, integers, uniform = rng.exponential, rng.integers, rng.random
+    size_at = distribution.size_at
+    mean_gap = 1.0 / (load * host_capacity / distribution.mean())  # ms per flow
+    end = start_after + duration
 
-    flows: List[Flow] = []
-    for index, sender in enumerate(senders):
+    arrivals: List[Tuple[float, str, str, int]] = []
+    for sender, choices in zip(senders, options):
         time = start_after
         while True:
-            time += float(rng.exponential(1.0 / per_sender_rate))
-            if time >= start_after + duration:
+            time += exponential(mean_gap)
+            if time >= end:
                 break
-            if pair_senders_receivers:
-                receiver = receivers[index]
-            else:
-                receiver = str(rng.choice([r for r in receivers if r != sender]))
-            size = int(distribution.sample(rng, 1)[0])
-            flows.append(Flow(src_host=sender, dst_host=receiver,
-                              size_packets=size, start_time=time))
-            if max_flows is not None and len(flows) >= max_flows:
+            receiver = choices[0] if pair_senders_receivers \
+                else choices[integers(0, len(choices))]
+            arrivals.append((time, sender, receiver, size_at(uniform())))
+            if max_flows is not None and len(arrivals) >= max_flows:
                 break
-        if max_flows is not None and len(flows) >= max_flows:
+        if max_flows is not None and len(arrivals) >= max_flows:
             break
 
-    flows.sort(key=lambda f: f.start_time)
-    # Re-assign flow ids in arrival order: ids seed the stable flow hash that
-    # drives ECMP/flowlet placement, so they must be a deterministic function
-    # of the workload parameters, not of a process-global counter.
-    for index, flow in enumerate(flows):
-        flow.flow_id = index
+    # Stable by start time only (ties keep draw order).  Ids follow arrival
+    # order: they seed the stable flow hash that drives ECMP/flowlet
+    # placement, so they must be a deterministic function of the workload
+    # parameters, not of a process-global counter.
+    arrivals.sort(key=itemgetter(0))
+    flows = [Flow(sender, receiver, size, time, flow_id)
+             for flow_id, (time, sender, receiver, size) in enumerate(arrivals)]
     return WorkloadSpec(
         flows=flows,
         senders=senders,

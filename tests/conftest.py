@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -24,6 +25,7 @@ if not HAVE_NUMPY:
         "integration/test_coordinator.py",
         "integration/test_end_to_end.py",
         "integration/test_experiments.py",
+        "integration/test_fluid_flow_budget.py",
         "integration/test_fluid_model.py",
         "integration/test_pruned_equivalence.py",
         "integration/test_gc_results.py",
@@ -62,6 +64,24 @@ def sanitized_sim(request, monkeypatch):
 
     monkeypatch.setattr(sanitizer, "SANITIZE_DEFAULT", True)
     yield
+
+
+@pytest.fixture(scope="session")
+def flow_identity():
+    """SHA-256 over every field of every flow *and its Python type*: the
+    form the eager generator's draw-order constants were computed in."""
+
+    def identity(flows) -> str:
+        digest = hashlib.sha256()
+        for flow in flows:
+            values = (flow.src_host, flow.dst_host, flow.size_packets,
+                      flow.start_time, flow.flow_id)
+            fields = values[:3] + (flow.start_time.hex(), flow.flow_id)
+            types = tuple(type(value).__name__ for value in values)
+            digest.update(repr((fields, types)).encode())
+        return digest.hexdigest()
+
+    return identity
 
 
 @pytest.fixture

@@ -22,9 +22,11 @@ Four contract families:
 """
 
 import math
+import random
 
 import pytest
 
+from repro.baselines.ecmp import next_hop_table
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fluid_scale import (
@@ -47,13 +49,14 @@ from repro.experiments.runner import (
     default_failed_link,
     run_grid,
 )
+from repro.simulator.accumulators import HyperLogLog
 from repro.simulator.fluid import (
     FluidSimulation,
     FluidStats,
     build_path_model,
     max_min_rates,
 )
-from repro.topology import fattree
+from repro.topology import fattree, leafspine
 from repro.workloads import distribution_by_name, generate_workload
 
 TINY = ExperimentConfig(workload_duration=1.5, run_duration=40.0, loads=(0.4,),
@@ -84,12 +87,32 @@ class TestFluidVsPacketFidelity:
         assert len(specs) == 8  # 2 fabrics x 2 systems x 2 planes
         return to_fidelity_points(run_grid(specs, processes=1))
 
-    def test_both_planes_run_the_identical_flow_set(self, points):
+    def test_both_planes_run_the_identical_flow_set(self, points, flow_identity):
         """Below the streaming threshold the fluid plane uses the same eager
         generator and seed as the packet plane, so the flow sets are equal —
-        the comparison is paired, not merely distributionally matched."""
+        the comparison is paired, not merely distributionally matched.  And
+        the set is *the* set: field for field and type for type what the
+        eager generator drew before it went scalar (digests computed at that
+        commit), on the default split and on Abilene's four pairs."""
         for point in points:
             assert point.fluid_flows == point.packet_flows > 0
+        context = RunContext()
+        identities = {}
+        for spec in fluid_fidelity_specs(TINY):
+            if spec.load != 0.4:
+                continue
+            topology = context.topology(spec.topology)
+            flows = list(context._fluid_flows(spec, topology)
+                         if spec.flow_model == "fluid"
+                         else context._flows(spec, topology))
+            identities.setdefault(spec.name.split(":")[1], set()).add(
+                (len(flows), flow_identity(flows)))
+        assert identities == {
+            "fattree": {(20, "572fb25f6711f0215d88ed8a1df4d7df"
+                             "2388658395f2e98e9a7e5abd5c193921")},
+            "abilene": {(10, "91a7281f288359dfedb917c85022c4bc"
+                             "2dea1ce2b5079353e74dfe49a26c880f")},
+        }
 
     def test_completion_ratios_stay_high_on_both_planes(self, points):
         for point in points:
@@ -195,6 +218,133 @@ class TestMaxMinInvariant:
         stats = simulation.run(40.0, stop_after_completion=True)
         assert simulation.epochs_verified > 100
         assert stats.summary()["completion_ratio"] > 0.9
+
+
+# =============================================================================
+# One digest per placed flow; next-hop rows that carry link ids
+# =============================================================================
+
+class PlacementLog(FluidSimulation):
+    """Records every placement (first arrival or reroute) as
+    (path, switches its group remembers, flow)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.placements = []
+
+    def _join(self, state, group, path):
+        self.placements.append((path, group.switches, state.uid))
+        super()._join(state, group, path)
+
+
+class TestPathLevelSketch:
+    @pytest.mark.parametrize("system", ["contra", "ecmp"])
+    def test_registers_equal_a_per_switch_add_reference(self, system):
+        """The collector hashes a flow once and raises one register in every
+        sketch on its path; each switch's register bytes must be exactly what
+        offering the flow to that switch's own sketch, link by link, builds —
+        through a fail -> recover, so rerouted placements are offered too."""
+        topology = fattree(4, capacity=TINY.host_capacity, oversubscription=1.0)
+        flows = generate_workload(topology, distribution_by_name("cache", 0.25),
+                                  load=0.2, duration=840.0,
+                                  host_capacity=TINY.host_capacity, seed=3).flows
+        assert len(flows) > 5_000
+        # A window cap well under the access capacity keeps most arrivals on
+        # the O(path) certificate instead of in the solver.
+        simulation = PlacementLog(topology, build_path_model(system, topology),
+                                  stats=FluidStats(flow_sketch=True),
+                                  host_window=4)
+        simulation.add_flows(flows)
+        a, b = default_failed_link(topology)
+        simulation.fail_link(a, b, at_time=280.0)
+        simulation.recover_link(a, b, at_time=560.0)
+        stats = simulation.run(1200.0, stop_after_completion=True)
+        assert len(simulation.placements) > stats.flow_count == len(flows)
+
+        reference = {}
+        links = simulation.fabric.links
+        for path, remembered, flow_id in simulation.placements:
+            entered = tuple(links[link][1] for link in path
+                            if topology.is_switch(links[link][1]))
+            assert remembered == entered
+            for switch in entered:
+                reference.setdefault(switch, HyperLogLog()).add(flow_id)
+        assert set(stats._flow_sketches) == set(reference)
+        assert len(reference) > 10
+        for switch, sketch in reference.items():
+            assert stats._flow_sketches[switch].registers == sketch.registers, switch
+
+    def test_an_unsketched_run_remembers_no_switches(self):
+        topology = fattree(4, capacity=TINY.host_capacity)
+        simulation = PlacementLog(topology, build_path_model("ecmp", topology))
+        simulation.add_flows(small_workload(topology))
+        stats = simulation.run(40.0, stop_after_completion=True)
+        assert simulation.placements
+        assert {switches for _, switches, _ in simulation.placements} == {()}
+        assert stats.flow_sketch_estimates() == {}
+
+
+def reference_walk(model, table, greedy, fhash, src_host, dst_host, util, failed):
+    """``resolve`` as a walk over ``next_hop_table`` itself: every candidate
+    is a ``(switch, hop)`` key looked up in the fabric's link index."""
+    topology, index = model.fabric.topology, model.fabric.index
+    switch = topology.attachment_switch(src_host)
+    dst_switch = topology.attachment_switch(dst_host)
+    path = [index[(src_host, switch)]]
+    down = index[(dst_switch, dst_host)]
+    if failed[path[0]] or failed[down]:
+        return None
+    while switch != dst_switch:
+        hops = table[switch].get(dst_switch, [])
+        live = [hop for hop in hops if not failed[index[(switch, hop)]]]
+        if not live:
+            return None
+        if greedy:
+            least = min(util[index[(switch, hop)]] for hop in live)
+            ties = [hop for hop in live if util[index[(switch, hop)]] == least]
+            choice = ties[fhash % len(ties)]
+        else:
+            # Hash over the full set first; re-hash over the live subset only
+            # when the chosen link is down.
+            choice = hops[fhash % len(hops)]
+            if failed[index[(switch, choice)]]:
+                choice = live[fhash % len(live)]
+        path.append(index[(switch, choice)])
+        switch = choice
+    return tuple(path + [down])
+
+
+class TestLoweredNextHopRows:
+    @pytest.mark.parametrize("system, all_hops, greedy", [
+        ("ecmp", True, False), ("shortest-path", False, False),
+        ("hula", True, True), ("contra", True, True)])
+    @pytest.mark.parametrize("fabric", ["fattree4", "leafspine4x2"])
+    def test_resolve_equals_a_walk_over_next_hop_table(self, fabric, system,
+                                                       all_hops, greedy):
+        topology = fattree(4) if fabric == "fattree4" \
+            else leafspine(4, 2, hosts_per_leaf=2)
+        model = build_path_model(system, topology, policy="datacenter")
+        table = next_hop_table(topology, all_hops)
+        hosts = topology.hosts
+        link_count = len(model.fabric.links)
+        rng = random.Random(17)
+        outcomes = set()
+        for trial in range(12):
+            # Few distinct utilizations so exact ties are common; the first
+            # trials fail nothing, the later ones up to a third of the links.
+            util = [rng.choice((0.0, 0.25, 0.25, 0.5)) for _ in range(link_count)]
+            failed = [rng.random() < trial / 36 for _ in range(link_count)]
+            for src_host in hosts:
+                for dst_host in hosts:
+                    if src_host == dst_host:
+                        continue
+                    fhash = rng.getrandbits(32)
+                    expected = reference_walk(model, table, greedy, fhash,
+                                              src_host, dst_host, util, failed)
+                    assert model.resolve(fhash, src_host, dst_host, util,
+                                         failed) == expected
+                    outcomes.add(expected is None)
+        assert outcomes == {True, False}    # blocked and routed both seen
 
 
 # =============================================================================

@@ -149,6 +149,22 @@ class TestTrafficPatternScenarios:
         assert scaled_total > default_total
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """The ``compile_policy`` calls the runner makes while the test runs."""
+    from repro.experiments import runner
+
+    calls = []
+    compile_policy = runner.compile_policy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_policy(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "compile_policy", counting)
+    return calls
+
+
 class TestMalformedProtocolOverrides:
     """A protocol timing value no switch could run is refused, not run.
 
@@ -164,20 +180,6 @@ class TestMalformedProtocolOverrides:
                             topology=TopologySpec("fattree", k=4, capacity=100.0),
                             config=config if config is not None else TINY,
                             workload="cache", load=0.2, seed=1, **overrides)
-
-    @pytest.fixture
-    def compiles(self, monkeypatch):
-        from repro.experiments import runner
-
-        calls = []
-        compile_policy = runner.compile_policy
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return compile_policy(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "compile_policy", counting)
-        return calls
 
     @pytest.mark.parametrize("field, value", [
         ("probe_period", 0.0), ("probe_period", -1.0),
@@ -224,6 +226,47 @@ class TestMalformedProtocolOverrides:
     def test_refusal_reaches_the_grid_runner(self):
         with pytest.raises(ExperimentError, match="probe_period"):
             run_grid([self._spec(probe_period=-1.0)], processes=1)
+
+
+class TestMalformedEndpoints:
+    """Explicit senders/receivers no generator can draw from are refused.
+
+    Found by hand on one fat-tree k=4 point: ``senders == receivers == (h,)``
+    escaped as numpy's bare ``ValueError: a cannot be empty`` and a name that
+    is not a host as ``KeyError: 'nope'``, on either plane.  Both are now an
+    ``ExperimentError`` naming the fields, raised before any compile.
+    """
+
+    HOST = "h0_0_0"
+
+    def _spec(self, flow_model, **overrides):
+        return ScenarioSpec(name="endpoints",
+                            system="contra",
+                            topology=TopologySpec("fattree", k=4, capacity=100.0),
+                            config=TINY, workload="cache", load=0.2, seed=1,
+                            flow_model=flow_model, **overrides)
+
+    @pytest.mark.parametrize("flow_model", ["packet", "fluid"])
+    @pytest.mark.parametrize("endpoints, match", [
+        (dict(senders=("nope",)), "senders entry 'nope' is not a host"),
+        (dict(receivers=("a0_0",)), "receivers entry 'a0_0' is not a host"),
+        (dict(senders=(HOST,), receivers=(HOST,)), "no eligible receiver"),
+        (dict(senders=(HOST,), receivers=("h1_0_0", "h2_0_0"),
+              pair_senders_receivers=True), "equally many"),
+    ])
+    def test_refused_before_any_compile(self, compiles, flow_model, endpoints,
+                                        match):
+        with pytest.raises(ExperimentError,
+                           match=rf"spec field senders=.* receivers=.*{match}"):
+            RunContext().run(self._spec(flow_model, **endpoints))
+        assert compiles == []
+
+    def test_well_formed_endpoints_still_run(self, compiles):
+        result = RunContext().run(self._spec(
+            "packet", senders=(self.HOST, "h1_0_0"),
+            receivers=(self.HOST, "h1_0_0")))
+        assert result.summary["flows"] > 0
+        assert len(compiles) == 1
 
 
 class TestRecoverySweepScenario:

@@ -212,6 +212,20 @@ class TestHyperLogLog:
         left.merge(right)
         assert left.estimate() == union.estimate()
 
+    def test_add_is_defined_through_the_slot(self):
+        """``slot`` is the whole hash: offering an item is raising the one
+        register it names, so sketches of one precision can share a digest."""
+        for precision in (4, 10, 16):
+            sketch, by_slot = HyperLogLog(precision), HyperLogLog(precision)
+            for item in range(3_000):
+                sketch.add(item)
+                register, rank = by_slot.slot(item)
+                assert 0 <= register < 1 << precision
+                assert 1 <= rank <= 64 - precision + 1
+                by_slot.registers[register] = max(by_slot.registers[register], rank)
+            assert by_slot.registers == sketch.registers
+        assert HyperLogLog(10).slot(("h0", 7)) == HyperLogLog(10).slot(("h0", 7))
+
     def test_precision_bounds_enforced(self):
         for bad in (3, 17):
             try:
@@ -232,19 +246,40 @@ class TestFluidStatsExtensions:
         for fct in (1.0, 2.0, 3.0, 10.0):
             stats.note_flow()
             stats.note_completion(fct)
-        stats.record_switch_flow("agg0", 1)
-        stats.record_switch_flow("agg0", 2)
-        stats.record_switch_flow("edge0", 1)
-        return stats.summary()
+        stats.record_path_flow(("edge0", "agg0"), 1)
+        stats.record_path_flow(("agg0",), 2)
+        return stats
 
     def test_extensions_absent_at_defaults(self):
-        summary = self._collect()
+        stats = self._collect()
+        summary = stats.summary()
         assert "p50_fct_ms" not in summary
         assert not any(key.startswith("flow_sketch") for key in summary)
+        # flow_sketch=False is a no-op, not a sketch nobody reports.
+        assert stats.flow_sketch_estimates() == {}
 
     def test_percentiles_and_sketch_opt_in(self):
-        summary = self._collect(fct_percentiles=(50.0,), flow_sketch=True)
+        stats = self._collect(fct_percentiles=(50.0,), flow_sketch=True)
+        summary = stats.summary()
         assert summary["p50_fct_ms"] == 2.5
         assert summary["flow_sketch_switches"] == 2
         assert round(summary["flow_sketch_max_flows"]) == 2
         assert summary["flow_sketch_mean_flows"] > 0
+
+    def test_one_path_offer_equals_an_add_per_switch(self):
+        """The path-level call hashes the flow once; every switch's registers
+        must be the bytes a per-switch ``add`` builds."""
+        rng = random.Random(3)
+        switches = [f"s{index}" for index in range(6)]
+        stats = FluidStats(flow_sketch=True)
+        reference = {}
+        for flow_id in range(2_000):
+            path = tuple(rng.sample(switches, rng.randint(1, 5)))
+            stats.record_path_flow(path, flow_id)
+            for switch in path:
+                reference.setdefault(switch, HyperLogLog()).add(flow_id)
+        assert set(stats._flow_sketches) == set(reference)
+        for switch, sketch in reference.items():
+            assert stats._flow_sketches[switch].registers == sketch.registers
+        assert stats.flow_sketch_estimates() == {
+            switch: reference[switch].estimate() for switch in sorted(reference)}
