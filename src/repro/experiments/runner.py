@@ -637,16 +637,21 @@ class RunContext:
     @staticmethod
     def _validate_traffic_fields(spec: ScenarioSpec, topology: Topology) -> None:
         """Reject spec fields the selected traffic shape would silently ignore,
-        protocol timing values no switch could run, and explicit flow
-        endpoints no workload generator can draw from.
+        protocol timing and data-plane values no switch, link or host could
+        run, and explicit flow endpoints no workload generator can draw from.
 
         The second half: a zero, negative or NaN probe period, a negative or
         NaN flowlet timeout and a non-positive failure-detection window used
         to surface as a bare ``SimulationError`` after the compile — or not
         at all (a NaN period ran and completed 2 of 29 flows;
         ``failure_periods=0`` declared every neighbour failed every round).
-        Checked for the spec override and the config value alike, here, so
-        before anything is compiled.
+        The data-plane values likewise: ``util_window=0`` was a bare
+        ``ZeroDivisionError`` from the link EWMA and NaN a ``ValueError``,
+        ``buffer_packets <= 0`` ran and dropped every packet,
+        ``host_window=0`` ran as window 1, ``host_rto=0`` re-armed its
+        timeout check at the same instant forever and a negative one was a
+        bare ``SimulationError``.  Checked for the spec override and the
+        config value alike, here, so before anything is compiled.
 
         The third part: a sender or receiver that is not a host of
         ``topology`` used to escape as a bare ``KeyError``, a sender with no
@@ -654,21 +659,27 @@ class RunContext:
         resolver judges them.
         """
         timing = (("probe_period", True, "a finite number > 0"),
-                  ("flowlet_timeout", False, "a finite number >= 0"))
+                  ("flowlet_timeout", False, "a finite number >= 0"),
+                  ("util_window", True, "a finite number > 0"),
+                  ("host_rto", True, "a finite number > 0"))
         for source, owner in (("spec", spec), ("config", spec.config)):
             for name, positive, rule in timing:
-                value = getattr(owner, name)
+                value = getattr(owner, name, None)
                 if value is None and owner is spec:
-                    continue            # no override
+                    continue            # no override (or a config-only field)
                 if isinstance(value, bool) or not isinstance(value, (int, float)) \
                         or not math.isfinite(value) or value < 0 \
                         or (positive and value == 0):
                     raise ExperimentError(
                         f"{source} field {name}={value!r} must be {rule}")
-        periods = spec.config.failure_periods
-        if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
-            raise ExperimentError(
-                f"config field failure_periods={periods!r} must be an integer >= 1")
+        for source, owner, name in (("config", spec.config, "failure_periods"),
+                                    ("config", spec.config, "buffer_packets"),
+                                    ("config", spec.config, "host_window"),
+                                    ("spec", spec, "ack_every")):
+            value = getattr(owner, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ExperimentError(
+                    f"{source} field {name}={value!r} must be an integer >= 1")
         if spec.traffic in ("incast", "permutation") and (
                 spec.senders is not None or spec.receivers is not None
                 or spec.pair_senders_receivers):

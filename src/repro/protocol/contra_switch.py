@@ -201,6 +201,7 @@ class ContraRouting(RoutingLogic):
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
         self._probe_bits = config.probe_bits()
+        self._packet_tag_bits = config.packet_tag_bits()
 
         # Hot-path caches.  Per subpolicy: the positions of its propagation
         # attributes inside the carried metric vector, so the isotonic key
@@ -702,12 +703,15 @@ class ContraRouting(RoutingLogic):
 
     def _entry_valid(self, entry: ForwardingEntry) -> bool:
         """An entry is stale if its probes stopped or its next hop is believed dead."""
-        if self._believed_failed.get(entry.next_hop, False):
+        next_hop = entry.next_hop
+        if self._believed_failed.get(next_hop, False):
             return False
-        if self.switch.link_failed(entry.next_hop):
+        link = self.switch.ports.get(next_hop)      # SwitchNode.link_failed
+        if link is None or link.failed:
             return False
-        max_age = self.system.probe_period * (self.system.failure_periods + 1)
-        return self.network.sim.now - entry.updated_at <= max_age
+        system = self.system
+        max_age = system.probe_period * (system.failure_periods + 1)
+        return self.network.sim._now - entry.updated_at <= max_age
 
     def _maybe_update_best(self, destination: str, key: FwdKey,
                            entry: ForwardingEntry) -> None:
@@ -721,25 +725,35 @@ class ContraRouting(RoutingLogic):
         hashing never sees (the Figure 13 tail).  Ties are common precisely
         when it matters: idle equal-length paths all rank (len, 0.0).
         """
-        new_rank = self._entry_rank(key, entry)
-        current = self.bestt.get(destination)
+        new_rank = entry.rank                 # on_probe ranks at install time
+        if new_rank is None:
+            new_rank = self._entry_rank(key, entry)
+        current = self.bestt._best.get(destination)
         if not current:
             if new_rank.is_finite:
                 self.bestt.set(destination, (key,))
             return
         reference_rank = None
+        fwdt_get = self._fwdt_get
         for current_key in current:
-            current_entry = self.fwdt.lookup(current_key)
+            current_entry = fwdt_get(current_key)
             if current_entry is not None and self._entry_valid(current_entry):
-                reference_rank = self._entry_rank(current_key, current_entry)
+                reference_rank = current_entry.rank
+                if reference_rank is None:
+                    reference_rank = self._entry_rank(current_key, current_entry)
                 break
         if reference_rank is None:
             if new_rank.is_finite:
                 self.bestt.set(destination, (key,))
             return
-        if new_rank < reference_rank:
+        # Rank.__lt__/__eq__ pad the shorter tuple with zeros; ranks of one
+        # policy have one length, so the tuples compare as they are.
+        new_values, reference_values = new_rank._values, reference_rank._values
+        if len(new_values) != len(reference_values):
+            new_values, reference_values = new_rank._padded_pair(reference_rank)
+        if new_values < reference_values:
             self.bestt.set(destination, (key,))
-        elif new_rank == reference_rank:
+        elif new_values == reference_values:
             if key not in current:
                 self.bestt.set(destination, current + (key,))
         elif key in current:
@@ -798,9 +812,13 @@ class ContraRouting(RoutingLogic):
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         """SWIFORWARDPKT with policy-aware flowlet switching and loop breaking."""
         destination = packet.dst_switch
-        from_host = not self.network.is_switch(inport)
-        flow_hash = packet_flow_hash(packet)
-        fid = flow_hash % self.flowlets.slots
+        network = self.network
+        from_host = inport not in network.switches
+        flow_hash = packet.flow_hash
+        if flow_hash is None:           # hand-built packet: hosts stamp theirs
+            flow_hash = packet_flow_hash(packet)
+        flowlets = self.flowlets
+        fid = flow_hash % flowlets.slots
 
         if from_host or packet.tag is None:
             # Fresh flowlets spread across the equal-rank co-best entries by
@@ -811,26 +829,36 @@ class ContraRouting(RoutingLogic):
             _, tag, pid = best_keys[fid % len(best_keys)]
             packet.tag = tag
             packet.pid = pid
-            packet.extra_header_bits = self.config.packet_tag_bits()
+            packet.extra_header_bits = self._packet_tag_bits
 
-        now = self.network.sim.now
+        now = network.sim._now
 
         # Lazy loop breaking (§5.5): on suspicion, flush the flowlet pins so the
         # next packet re-reads the freshest FwdT entry.
         if self.loop_detector.observe_hash(flow_hash, packet.ttl, now):
-            flushed = self.flowlets.expire_flowlet_everywhere(fid)
-            self.network.stats.loop_detections += 1
-            self.network.stats.flowlet_expirations += flushed
+            flushed = flowlets.expire_flowlet_everywhere(fid)
+            network.stats.loop_detections += 1
+            network.stats.flowlet_expirations += flushed
 
-        pinned = self.flowlets.lookup(destination, packet.tag, packet.pid, fid, now)
+        # FlowletTable.lookup / _usable_next_hop / touch / expire, in place:
+        # the pinned path is most data hops, and each was a frame.
+        pins = flowlets._entries
+        pin_key = (destination, packet.tag, packet.pid, fid)
+        pinned = pins.get(pin_key)
         if pinned is not None:
-            if self._usable_next_hop(pinned.next_hop):
-                self.flowlets.touch(pinned, now)
-                packet.tag = pinned.next_tag
-                return pinned.next_hop
-            # §5.4: expire flowlet entries whose next hop is along a failed link.
-            self.flowlets.expire(destination, packet.tag, packet.pid, fid)
-            self.network.stats.flowlet_expirations += 1
+            if now - pinned.last_seen > flowlets.timeout:
+                del pins[pin_key]       # lazy expiry: not a counted expiration
+            else:
+                next_hop = pinned.next_hop
+                if not self._believed_failed.get(next_hop, False):
+                    link = self.switch.ports.get(next_hop)
+                    if link is not None and not link.failed:
+                        pinned.last_seen = now
+                        packet.tag = pinned.next_tag
+                        return next_hop
+                # §5.4: expire flowlet entries whose next hop is along a failed link.
+                del pins[pin_key]
+                network.stats.flowlet_expirations += 1
 
         key: FwdKey = (destination, packet.tag, packet.pid)
         entry = self.fwdt.lookup(key)
@@ -853,7 +881,7 @@ class ContraRouting(RoutingLogic):
                 return None
 
         next_hop, next_tag = self._choose_hop(entry, fid)
-        self.flowlets.install(destination, key[1], key[2], fid, next_hop, next_tag, now)
+        flowlets.install(destination, key[1], key[2], fid, next_hop, next_tag, now)
         packet.tag = next_tag
         return next_hop
 
@@ -1016,6 +1044,8 @@ def _fast_rank_evaluator(policy: Policy):
     names = tuple(item.name for item in items)
 
     def evaluate(metrics) -> Rank:
+        if metrics.names == names:      # the carried vector *is* the rank
+            return Rank.of_values(metrics.values)
         get = metrics.get
         return Rank.of_values(tuple(get(name) for name in names))
 

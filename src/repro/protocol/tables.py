@@ -16,13 +16,15 @@ programs allocate:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import MetricVector
 from repro.core.rank import Rank
 from repro.nputil import np
+# Re-exported: the flow hash lives beside ``Packet.flow_key`` so hosts can
+# stamp it without ``simulator/`` importing ``protocol/``.
+from repro.simulator.packet import packet_flow_hash, stable_flow_hash
 
 __all__ = [
     "FwdKey",
@@ -37,26 +39,6 @@ __all__ = [
     "packet_flow_hash",
 ]
 
-
-def stable_flow_hash(flow_key: Tuple) -> int:
-    """A deterministic hash of a flow identifier.
-
-    Python's builtin ``hash`` is randomized per interpreter process
-    (PYTHONHASHSEED), which made flowlet and loop-table slot assignment — and
-    through it entire experiment outcomes — vary between invocations.  The
-    synthesized switch programs use a fixed CRC on the 5-tuple, so the model
-    does too.
-    """
-    data = "\x1f".join(map(str, flow_key)).encode("utf-8", "surrogatepass")
-    return zlib.crc32(data)
-
-
-def packet_flow_hash(packet) -> int:
-    """The stable flow hash of a packet, computed once and cached on it."""
-    cached = packet.flow_hash
-    if cached is None:
-        cached = packet.flow_hash = stable_flow_hash(packet.flow_key())
-    return cached
 
 #: FwdT key: (destination switch, local tag, probe id).
 FwdKey = Tuple[str, int, int]
@@ -439,8 +421,10 @@ class LoopDetectionTable:
         if record is None or now - record.last_seen > self.entry_timeout:
             self._records[slot] = _LoopRecord(ttl, ttl, now)
             return False
-        record.max_ttl = max(record.max_ttl, ttl)
-        record.min_ttl = min(record.min_ttl, ttl)
+        if ttl > record.max_ttl:
+            record.max_ttl = ttl
+        elif ttl < record.min_ttl:
+            record.min_ttl = ttl
         record.last_seen = now
         if record.max_ttl - record.min_ttl > self.threshold:
             # Reset so one loop is reported once, then tracking restarts.

@@ -34,50 +34,48 @@ __all__ = ["StreamingHistogram", "ReservoirSampler", "HyperLogLog"]
 
 
 class StreamingHistogram:
-    """Exact streaming percentiles over a discrete (integer-valued) stream."""
+    """Exact streaming percentiles over a discrete (integer-valued) stream.
 
-    __slots__ = ("_counts", "_total", "_min", "_max")
+    The counts dictionary is the whole state: ``count``/``min``/``max`` are
+    derived from it at read time (reads happen once per run, samples once per
+    packet), so the per-packet producer — :meth:`SimLink.enqueue
+    <repro.simulator.link.SimLink.enqueue>` — bumps ``_counts`` in place and
+    a histogram fed that way is indistinguishable from one fed through
+    :meth:`record`.
+    """
+
+    __slots__ = ("_counts",)
 
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
-        self._total = 0
-        self._min = 0
-        self._max = 0
 
     def record(self, value: int) -> None:
         """Add one observation. O(1)."""
         counts = self._counts
         counts[value] = counts.get(value, 0) + 1
-        if self._total == 0:
-            self._min = self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-        self._total += 1
 
     @property
     def count(self) -> int:
-        return self._total
+        return sum(self._counts.values())
 
     @property
     def max(self) -> int:
-        return self._max
+        return max(self._counts, default=0)
 
     @property
     def min(self) -> int:
-        return self._min
+        return min(self._counts, default=0)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0..100), matching numpy's linear method.
 
         Returns 0.0 for an empty histogram.
         """
-        if self._total == 0:
+        total = self.count
+        if total == 0:
             return 0.0
         # numpy's linear interpolation: virtual index h = (n-1) * q / 100.
-        h = (self._total - 1) * (q / 100.0)
+        h = (total - 1) * (q / 100.0)
         lower_index = int(h)
         fraction = h - lower_index
         lower = self._value_at(lower_index)
@@ -97,7 +95,7 @@ class StreamingHistogram:
             if remaining < bucket:
                 return value
             remaining -= bucket
-        return self._max
+        return self.max
 
     def items(self) -> List[Tuple[int, int]]:
         """(value, count) pairs in increasing value order."""

@@ -42,6 +42,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
+from repro.simulator.packet import stable_flow_hash
+
 __all__ = ["Flow", "SenderState", "ReceiverState", "TRANSPORT_MODES"]
 
 _flow_ids = itertools.count()
@@ -97,6 +99,8 @@ class SenderState:
             raise ValueError(
                 f"unknown transport mode {transport!r}; available: {TRANSPORT_MODES}")
         self.flow = flow
+        #: Stamped on every segment of the flow (one CRC per flow, not per packet).
+        self.flow_hash = stable_flow_hash((flow.src_host, flow.dst_host, flow.flow_id))
         self.window = max(1, window)
         self.rto = rto
         self.transport = transport
@@ -131,9 +135,12 @@ class SenderState:
         return max(1, int(self.cwnd))
 
     def can_send(self) -> bool:
-        return (not self.completed
-                and self.next_seq < self.flow.size_packets
-                and self.in_flight < self.effective_window)
+        # in_flight < effective_window, read in place: the host's pump asks
+        # once per segment sent and once more per ACK.
+        if self.completed or self.next_seq >= self.flow.size_packets:
+            return False
+        window = self.window if self.transport == "fixed" else max(1, int(self.cwnd))
+        return self.next_seq - self.cumulative_ack < window
 
     # ------------------------------------------------------------------- RTT
 
@@ -295,6 +302,9 @@ class ReceiverState:
     def __init__(self, flow_id: int, src_host: str, size_packets: Optional[int] = None):
         self.flow_id = flow_id
         self.src_host = src_host
+        #: Flow hash of the ACKs this state answers with; the receiving host
+        #: stamps it once (its own name leads the ACK direction's flow key).
+        self.ack_flow_hash: Optional[int] = None
         self.size_packets = size_packets
         self.received: Set[int] = set()
         self._cumulative = 0

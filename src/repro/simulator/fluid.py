@@ -56,9 +56,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.nputil import mean as _mean, percentile_linear as _percentile
-from repro.protocol.tables import stable_flow_hash
 from repro.simulator.engine import Simulator
-from repro.simulator.packet import DATA_PACKET_BYTES
+from repro.simulator.packet import DATA_PACKET_BYTES, stable_flow_hash
 from repro.simulator.stats import StatsCollector
 from repro.topology.graph import Topology
 

@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.exceptions import SimulationError
 from repro.simulator.flow import Flow, ReceiverState, SenderState
-from repro.simulator.packet import ACK_PACKET_BYTES, DATA_PACKET_BYTES, Packet, PacketKind
+from repro.simulator.packet import (ACK_PACKET_BYTES, DATA_PACKET_BYTES, Packet, PacketKind,
+                                    stable_flow_hash)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.network import Network
@@ -68,6 +69,9 @@ class Host:
         self.ack_every = max(1, int(ack_every))
 
         self.uplink = None  # type: ignore[assignment]  # set by Network wiring
+        #: host -> attachment switch, the topology's own map: both ends of
+        #: every packet are stamped from it.
+        self._attachment = network.topology.host_attachments
         self._senders: Dict[int, SenderState] = {}
         self._receivers: Dict[int, ReceiverState] = {}
         #: Coalesced-ACK state per receiving flow: [last acked seq sent on the
@@ -85,7 +89,7 @@ class Host:
         sender = SenderState(flow, self.window, self.rto, transport=self.transport)
         self._senders[flow.flow_id] = sender
         self.stats.register_flow(flow.flow_id, flow.src_host, flow.dst_host,
-                                 flow.size_packets, self.sim.now)
+                                 flow.size_packets, self.sim._now)
         self._pump(flow.flow_id)
         self.sim.call_later(sender.first_check_delay(), self._check_timeout,
                             flow.flow_id)
@@ -118,7 +122,7 @@ class Host:
 
     def _send_segment(self, sender: SenderState) -> None:
         seq = sender.next_seq
-        sender.note_sent(seq, self.sim.now)
+        sender.note_sent(seq, self.sim._now)
         sender.next_seq = seq + 1
         self._transmit(self._data_packet(sender, seq))
 
@@ -130,12 +134,20 @@ class Host:
             flow_id=sender.flow.flow_id,
             seq=seq,
             size_bytes=DATA_PACKET_BYTES,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
+            flow_hash=sender.flow_hash,
         )
 
     def _transmit(self, packet: Packet) -> None:
-        packet.src_switch = self.network.attachment_switch(packet.src_host)
-        packet.dst_switch = self.network.attachment_switch(packet.dst_host)
+        attachment = self._attachment
+        try:
+            packet.src_switch = attachment[packet.src_host]
+            packet.dst_switch = attachment[packet.dst_host]
+        except KeyError:
+            # Not a host of this topology: raise the canonical error.
+            self.network.attachment_switch(packet.src_host)
+            self.network.attachment_switch(packet.dst_host)
+            raise
         if self.uplink is None:
             raise SimulationError(f"host {self.name} has no uplink")
         self.uplink.enqueue(packet)
@@ -147,8 +159,9 @@ class Host:
         if sender.completed:
             self._finish_sender(flow_id, sender)
             return
-        if sender.timeout_expired(self.sim.now):
-            sender.retransmit(self.sim.now)
+        now = self.sim._now
+        if sender.timeout_expired(now):
+            sender.retransmit(now)
             self.stats.record_retransmission(flow_id)
             self._pump(flow_id)
         # Re-arm at the earliest instant the flow could possibly time out
@@ -160,7 +173,7 @@ class Host:
         # unchanged.
         delay = sender.current_rto()
         if sender.transport != "fixed":
-            remaining = sender.last_progress_time + delay - self.sim.now
+            remaining = sender.last_progress_time + delay - now
             if remaining > 0:
                 delay = remaining
         self.sim.call_later(delay, self._check_timeout, flow_id)
@@ -187,8 +200,10 @@ class Host:
         self._streams[stream_id] = {
             "dst": dst_host,
             "interval": 1.0 / rate,
-            "end": self.sim.now + duration,
+            "end": self.sim._now + duration,
             "seq": 0,
+            # negative ids mark unreliable streams
+            "flow_hash": stable_flow_hash((self.name, dst_host, -stream_id)),
         }
         self.sim.call_later(0.0, self._stream_tick, stream_id)
         return stream_id
@@ -197,7 +212,8 @@ class Host:
         stream = self._streams.get(stream_id)
         if stream is None:
             return
-        if self.sim.now > stream["end"]:
+        now = self.sim._now
+        if now > stream["end"]:
             del self._streams[stream_id]
             return
         packet = Packet(
@@ -207,7 +223,8 @@ class Host:
             flow_id=-stream_id,           # negative ids mark unreliable streams
             seq=stream["seq"],
             size_bytes=DATA_PACKET_BYTES,
-            created_at=self.sim.now,
+            created_at=now,
+            flow_hash=stream["flow_hash"],
         )
         stream["seq"] += 1
         self._transmit(packet)
@@ -217,31 +234,35 @@ class Host:
 
     def receive(self, packet: Packet, inport: str) -> None:
         """Entry point for packets delivered by the attachment switch."""
-        if packet.is_data:
+        kind = packet.kind
+        if kind == "data":
             self._receive_data(packet)
-        elif packet.is_ack:
+        elif kind == "ack":
             self._receive_ack(packet)
         # Probes terminating at a host are silently ignored (should not happen).
 
     def _receive_data(self, packet: Packet) -> None:
-        if packet.flow_id < 0:
+        now = self.sim._now
+        stats = self.stats
+        flow_id = packet.flow_id
+        if flow_id < 0:
             # Unreliable stream: no retransmissions, every delivery is unique;
             # no ACKs, no completion tracking.
-            self.stats.record_delivery(packet, self.sim.now)
+            stats.record_delivery(packet, now)
             return
-        flow_id = packet.flow_id
         receiver = self._receivers.get(flow_id)
         if receiver is None:
             receiver = ReceiverState(flow_id, packet.src_host)
+            receiver.ack_flow_hash = stable_flow_hash((self.name, packet.src_host, flow_id))
             self._receivers[flow_id] = receiver
-        self.stats.record_delivery(packet, self.sim.now,
-                                   duplicate=receiver.has_seen(packet.seq))
-        total = self.stats.flows[flow_id].size_packets if flow_id in self.stats.flows \
-            else packet.seq + 1
+        stats.record_delivery(packet, now,
+                              duplicate=receiver.has_seen(packet.seq))
+        record = stats.flows.get(flow_id)
+        total = record.size_packets if record is not None else packet.seq + 1
         previous_ack = receiver.cumulative_ack
         ack_seq = receiver.on_data(packet.seq, total)
         if receiver.completed:
-            self.stats.complete_flow(flow_id, self.sim.now)
+            stats.complete_flow(flow_id, now)
         if self.ack_every > 1:
             # Coalescing applies only to in-order progress on an incomplete
             # flow; out-of-order and duplicate segments must produce their
@@ -265,17 +286,18 @@ class Host:
                 if state is not None:
                     # The immediate (duplicate) ACK also covers any held run.
                     state[0] = ack_seq
-        self._send_ack(flow_id, packet.src_host, ack_seq)
+        self._send_ack(receiver, ack_seq)
 
-    def _send_ack(self, flow_id: int, dst_host: str, ack_seq: int) -> None:
+    def _send_ack(self, receiver: ReceiverState, ack_seq: int) -> None:
         self._transmit(Packet(
             kind=PacketKind.ACK,
             src_host=self.name,
-            dst_host=dst_host,
-            flow_id=flow_id,
+            dst_host=receiver.src_host,
+            flow_id=receiver.flow_id,
             ack_seq=ack_seq,
             size_bytes=ACK_PACKET_BYTES,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
+            flow_hash=receiver.ack_flow_hash,
         ))
 
     def _flush_held_ack(self, flow_id: int) -> None:
@@ -290,13 +312,13 @@ class Host:
         ack_seq = receiver.cumulative_ack
         if ack_seq > state[0] and not receiver.completed:
             state[0] = ack_seq
-            self._send_ack(flow_id, receiver.src_host, ack_seq)
+            self._send_ack(receiver, ack_seq)
 
     def _receive_ack(self, packet: Packet) -> None:
         sender = self._senders.get(packet.flow_id)
         if sender is None:
             return
-        if sender.on_ack(packet.ack_seq, self.sim.now):
+        if sender.on_ack(packet.ack_seq, self.sim._now):
             if sender.completed:
                 self._finish_sender(packet.flow_id, sender)
             else:

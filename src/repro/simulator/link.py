@@ -16,6 +16,15 @@ event alive that pulls the next packet off the queue when the serializer
 frees up — so an uncongested link schedules one event per packet, and a
 congested one two, regardless of how many packets pile up behind.
 
+Frame budget: a data/ACK packet's whole link-side accounting — byte and kind
+counters, the EWMA decay to *now* and this packet's busy time, the serializer
+horizon and the event(s) above — is the one frame :meth:`SimLink._transmit`.
+An idle link is ``enqueue -> _transmit -> call_at`` (the packet never touches
+the deque); a backlogged one is ``enqueue`` (append, arm the drain if none is
+pending) and later ``_drain -> _transmit -> call_at x2``.  The clock is read
+as ``sim._now`` and the queue-length sample bumps the histogram's counts in
+place: no property, accessor or builtin ``min``/``max`` frame per packet.
+
 Probes ride the engine's **batch lane**: a whole same-arrival-time probe wave
 coalesces under one heap entry, one member per probe.  A probe's delivery is
 registered as the same ``(packet, fail epoch)`` guard data packets use, so a
@@ -160,9 +169,9 @@ class SimLink:
             now = sim._now
             wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
             tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
-            # _record_transmission without the kind dispatch, inlined
-            # (identical arithmetic in identical order): the accumulators,
-            # then the EWMA decay to *now*, then this probe's busy time.
+            # _transmit's accounting without the kind dispatch (identical
+            # arithmetic in identical order): the accumulators, then the
+            # EWMA decay to *now*, then this probe's busy time.
             self.packets_sent += 1
             self.bytes_sent += wire_bytes
             stats = self.stats
@@ -191,43 +200,88 @@ class SimLink:
             sim.call_batched(arrival, self._deliver_wave_probe, packet,
                              (self._fail_epoch, wave))
             return True
-        if len(self._queue) >= self.buffer_packets:
+        queue = self._queue
+        depth = len(queue)
+        stats = self.stats
+        if depth >= self.buffer_packets:
             self.packets_dropped += 1
-            if self.stats is not None:
-                self.stats.record_drop(self, packet)
+            if stats is not None:
+                stats.record_drop(self, packet)
             return False
-        self._queue.append(packet)
-        if self.stats is not None:
-            self.stats.record_queue_length(self, len(self._queue))
-        if not self._drain_pending:
-            if self.sim.now >= self._busy_until:
-                self._transmit_next()
-            else:
-                # Serializer busy with an earlier packet: one drain event
-                # covers every packet queued behind it (batch scheduling).
-                self._drain_pending = True
-                self.sim.call_at(self._busy_until, self._drain)
+        if stats is not None:
+            # StatsCollector.record_queue_length in place: the sample is the
+            # queue length *including* this packet, taken before it transmits.
+            depth += 1
+            counts = stats.queue_histogram._counts
+            counts[depth] = counts.get(depth, 0) + 1
+        if self._drain_pending:
+            queue.append(packet)
+        elif self.sim._now >= self._busy_until:
+            if queue:
+                # No drain armed behind a backlog (only reachable by driving
+                # the link by hand): the head goes first, FIFO as ever.
+                queue.append(packet)
+                packet = queue.popleft()
+            self._transmit(packet)
+        else:
+            # Serializer busy with an earlier packet: one drain event
+            # covers every packet queued behind it (batch scheduling).
+            queue.append(packet)
+            self._drain_pending = True
+            self.sim.call_at(self._busy_until, self._drain)
         return True
 
     def _drain(self) -> None:
         self._drain_pending = False
         # fail() clears the queue; a pending drain then expires harmlessly.
         if self._queue:
-            self._transmit_next()
+            self._transmit(self._queue.popleft())
 
-    def _transmit_next(self) -> None:
-        packet = self._queue.popleft()
-        wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
+    def _transmit(self, packet: Packet) -> None:
+        """Put one data/ACK packet on the wire: the link's one transmit frame.
+
+        Accounting, then the utilization estimator (decayed to *now* before
+        this packet adds its busy time — probes read it through
+        :attr:`congestion`, whose memo keys on ``packets_sent``), then the
+        serializer horizon and the delivery event, then the drain event if a
+        backlog waits.  Arithmetic and scheduling order are exactly
+        :meth:`StatsCollector.record_transmission` + the probe lane's, so
+        every float and every heap sequence number is what it always was.
+        """
+        sim = self.sim
+        now = sim._now
+        size_bytes = packet.size_bytes
+        tag_bytes = packet.extra_header_bits * 0.125
+        wire_bytes = size_bytes + tag_bytes
         tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
-        self._record_transmission(packet, tx_time, wire_bytes)
-        self._busy_until = self.sim.now + tx_time
+        self.packets_sent += 1
+        self.bytes_sent += wire_bytes
+        stats = self.stats
+        if stats is not None:
+            stats.total_packets += 1
+            kind = packet.kind
+            if kind == "data":
+                stats.data_bytes += size_bytes
+                stats.tag_overhead_bytes += tag_bytes
+            elif kind == "ack":
+                stats.ack_bytes += wire_bytes
+            else:
+                stats.probe_bytes += wire_bytes
+        elapsed = now - self._last_util_update
+        if elapsed > 0:
+            decay = 1.0 - elapsed / self.util_window
+            self._util *= decay if decay > 0.0 else 0.0
+            self._last_util_update = now
+        util = self._util + tx_time / self.util_window
+        self._util = util if util < 1.5 else 1.5
+        busy_until = self._busy_until = now + tx_time
         # One event delivers the packet after serialization + propagation; the
         # epoch guard loses it if the link fails while it is in flight.
-        self.sim.call_at(self._busy_until + self.latency,
-                         self._deliver_packet, packet, self._fail_epoch)
+        sim.call_at(busy_until + self.latency,
+                    self._deliver_packet, packet, self._fail_epoch)
         if self._queue:
             self._drain_pending = True
-            self.sim.call_at(self._busy_until, self._drain)
+            sim.call_at(busy_until, self._drain)
 
     def _deliver_packet(self, packet: Packet, epoch: int) -> None:
         if self.deliver is not None and not self.failed and epoch == self._fail_epoch:
@@ -269,34 +323,12 @@ class SimLink:
 
     # ----------------------------------------------------------- utilization
 
-    def _record_transmission(self, packet: Packet, tx_time: float,
-                             wire_bytes: float) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += wire_bytes
-        stats = self.stats
-        if stats is not None:
-            # Inlined StatsCollector.record_transmission: the byte accounting
-            # runs once per transmitted packet and the call frame showed up in
-            # profiles.
-            stats.total_packets += 1
-            kind = packet.kind
-            if kind == "data":
-                stats.data_bytes += packet.size_bytes
-                stats.tag_overhead_bytes += packet.extra_header_bits * 0.125
-            elif kind == "ack":
-                stats.ack_bytes += wire_bytes
-            else:
-                stats.probe_bytes += wire_bytes
-        self._decay_util()
-        # Each transmission contributes its busy time over the averaging window.
-        self._util = min(1.5, self._util + tx_time / self.util_window)
-
     def _decay_util(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         elapsed = now - self._last_util_update
         if elapsed > 0:
-            decay = max(0.0, 1.0 - elapsed / self.util_window)
-            self._util *= decay
+            decay = 1.0 - elapsed / self.util_window
+            self._util *= decay if decay > 0.0 else 0.0
             self._last_util_update = now
 
     @property

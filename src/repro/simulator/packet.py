@@ -16,10 +16,12 @@ for the extra bytes Contra and Hula place on the wire.
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Packet", "PacketKind", "DATA_PACKET_BYTES", "ACK_PACKET_BYTES", "BASE_PROBE_BYTES"]
+__all__ = ["Packet", "PacketKind", "DATA_PACKET_BYTES", "ACK_PACKET_BYTES", "BASE_PROBE_BYTES",
+           "stable_flow_hash", "packet_flow_hash"]
 
 #: Nominal wire size of a full data segment (one MSS plus headers).
 DATA_PACKET_BYTES = 1500
@@ -76,8 +78,10 @@ class Packet:
     # Cumulative-ACK payload.
     ack_seq: int = -1
 
-    # Cached stable flow hash (computed on first use; the same value is used
-    # by every switch the packet traverses for ECMP/flowlet/loop hashing).
+    # Stable flow hash: the same value is used by every switch the packet
+    # traverses for ECMP/flowlet/loop hashing.  Hosts stamp it from their
+    # per-flow state; :func:`packet_flow_hash` fills it in on first use for
+    # hand-built packets.
     flow_hash: Optional[int] = None
 
     # Measurement-only fields (not part of any protocol): the switches this
@@ -86,7 +90,7 @@ class Packet:
     path_trace: Optional[List[str]] = None
     looped: bool = False
 
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     @property
     def wire_bytes(self) -> float:
@@ -117,3 +121,24 @@ class Packet:
             return f"Packet(probe origin={origin if origin is not None else '?'} pid={self.pid})"
         return (f"Packet({self.kind} flow={self.flow_id} seq={self.seq} "
                 f"{self.src_host}->{self.dst_host})")
+
+
+def stable_flow_hash(flow_key: Tuple) -> int:
+    """A deterministic hash of a flow identifier.
+
+    Python's builtin ``hash`` is randomized per interpreter process
+    (PYTHONHASHSEED), which made flowlet and loop-table slot assignment — and
+    through it entire experiment outcomes — vary between invocations.  The
+    synthesized switch programs use a fixed CRC on the 5-tuple, so the model
+    does too.
+    """
+    data = "\x1f".join(map(str, flow_key)).encode("utf-8", "surrogatepass")
+    return zlib.crc32(data)
+
+
+def packet_flow_hash(packet: Packet) -> int:
+    """The stable flow hash of a packet, computed once and cached on it."""
+    cached = packet.flow_hash
+    if cached is None:
+        cached = packet.flow_hash = stable_flow_hash(packet.flow_key())
+    return cached

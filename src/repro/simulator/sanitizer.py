@@ -372,17 +372,18 @@ class Sanitizer:
 
             link.probe_wave_sink = wave_sink
 
-        inner_transmit = link._transmit_next
+        # The one transmit seam: ``enqueue`` (idle serializer) and ``_drain``
+        # both reach it through the instance attribute.
+        inner_transmit = link._transmit
 
         @functools.wraps(inner_transmit)
-        def transmit_next() -> None:
-            if link._queue:
-                kind = link._queue[0].kind
-                if kind in self._inflight:
-                    self._inflight[kind] += 1
-            inner_transmit()
+        def transmit(packet: "Packet") -> None:
+            kind = packet.kind
+            if kind in self._inflight:
+                self._inflight[kind] += 1
+            inner_transmit(packet)
 
-        link._transmit_next = transmit_next  # type: ignore[method-assign]
+        link._transmit = transmit  # type: ignore[method-assign]
 
         inner_fail = link.fail
 

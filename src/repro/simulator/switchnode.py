@@ -123,39 +123,43 @@ class SwitchNode:
         Wired links deliver probes to ``routing.on_probe`` themselves; the
         probe branch serves direct callers and hand-built links.
         """
-        if packet.kind == "probe":
+        kind = packet.kind
+        if kind == "probe":
             self.routing.on_probe(packet, inport)
             return
+        stats = self.stats
 
         # Measurement only: record the path and spot revisits (loops).
-        if self.stats.record_paths and packet.kind == "data":
+        if stats.record_paths and kind == "data":
             if packet.path_trace is None:
                 packet.path_trace = []
             if self.name in packet.path_trace and not packet.looped:
                 packet.looped = True
-                self.stats.looped_packets += 1
+                stats.looped_packets += 1
             packet.path_trace.append(self.name)
 
         # Local delivery to an attached host.
-        if packet.dst_host in self.ports and packet.dst_switch == self.name:
-            self.ports[packet.dst_host].enqueue(packet)
+        ports = self.ports
+        link = ports.get(packet.dst_host)
+        if link is not None and packet.dst_switch == self.name:
+            link.enqueue(packet)
             return
 
         packet.ttl -= 1
         if packet.ttl <= 0:
-            self.stats.record_switch_drop(packet)
+            stats.record_switch_drop(packet)
             return
 
         next_hop = self.routing.on_data_packet(packet, inport)
         if next_hop is None:
-            self.stats.record_switch_drop(packet)
+            stats.record_switch_drop(packet)
             return
-        link = self.ports.get(next_hop)
+        link = ports.get(next_hop)
         if link is None:
-            self.stats.record_switch_drop(packet)
+            stats.record_switch_drop(packet)
             return
-        if packet.kind == "data":
-            self.stats.data_packets_forwarded += 1
+        if kind == "data":
+            stats.data_packets_forwarded += 1
         link.enqueue(packet)
 
     # ------------------------------------------------------------------- misc

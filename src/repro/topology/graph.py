@@ -220,6 +220,11 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown host {host!r}") from None
 
+    @property
+    def host_attachments(self) -> Mapping[str, str]:
+        """host -> attachment switch: the live map, for per-packet readers."""
+        return self._host_attachment
+
     def hosts_of_switch(self, switch: str) -> List[str]:
         """Hosts attached to the given switch."""
         return sorted(h for h, s in self._host_attachment.items() if s == switch)

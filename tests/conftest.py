@@ -23,6 +23,7 @@ if not HAVE_NUMPY:
     # is exactly the surface the pure-Python fallback has to keep working.
     collect_ignore = [
         "integration/test_coordinator.py",
+        "integration/test_data_hop_identity.py",
         "integration/test_end_to_end.py",
         "integration/test_experiments.py",
         "integration/test_fluid_flow_budget.py",

@@ -7,6 +7,9 @@ switch's FwdT and BestT plus every link's utilization estimator and
 transmission count after two probe periods with one mid-run link failure, so
 a probe accepted, dropped, reordered — or a congestion read added or skipped
 (reads *advance* the EWMA decay) — shows up as a different hash.
+
+``test_data_hop_identity.py`` pins whole grid points with traffic the same
+way, on this module's ``sha256_of``/``contra_tables``.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import pytest
 from repro.core import policies
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
-from repro.protocol import ContraSystem
+from repro.protocol import ContraRouting, ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet
 from repro.simulator import Network
 from repro.simulator import engine as engine_module
@@ -40,6 +43,29 @@ FABRICS = {
 }
 
 
+def sha256_of(state) -> str:
+    blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def contra_tables(network) -> dict:
+    """FwdT and BestT of every Contra switch (empty under other systems)."""
+    logics = {name: node.routing for name, node in sorted(network.switches.items())
+              if isinstance(node.routing, ContraRouting)}
+    return {
+        "fwdt": {
+            switch: sorted(
+                (list(key), hop, version, [value.hex() for value in metrics])
+                for key, (hop, version, metrics)
+                in logic.forwarding_snapshot().items())
+            for switch, logic in logics.items()},
+        "bestt": {
+            switch: sorted((destination, [list(key) for key in keys])
+                           for destination, keys in logic.bestt._best.items())
+            for switch, logic in logics.items()},
+    }
+
+
 def probe_plane_digest(name: str, sanitize: bool = False) -> str:
     """Run two probe periods with one mid-run failure; hash the probe state."""
     build_topology, build_policy, failed, _ = FABRICS[name]
@@ -50,24 +76,11 @@ def probe_plane_digest(name: str, sanitize: bool = False) -> str:
     period = system.probe_period
     network.fail_link(*failed, at_time=1.3 * period)
     network.run(2.0 * period + 0.5 * period)
-    state = {
-        "fwdt": {
-            switch: sorted(
-                (list(key), hop, version, [value.hex() for value in metrics])
-                for key, (hop, version, metrics)
-                in system.logic(switch).forwarding_snapshot().items())
-            for switch in sorted(network.switches)},
-        "bestt": {
-            switch: sorted((destination, [list(key) for key in keys])
-                           for destination, keys
-                           in system.logic(switch).bestt._best.items())
-            for switch in sorted(network.switches)},
-        "links": [
-            (src, dst, link._util.hex(), link.packets_sent)
-            for (src, dst), link in sorted(network.links.items())],
-    }
-    blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    state = contra_tables(network)
+    state["links"] = [
+        (src, dst, link._util.hex(), link.packets_sent)
+        for (src, dst), link in sorted(network.links.items())]
+    return sha256_of(state)
 
 
 class TestPinnedProbeState:

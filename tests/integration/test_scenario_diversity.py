@@ -6,8 +6,10 @@ permutation traffic patterns, the new registry scenarios, and the
 ``_fig9_10`` config-override regression.
 """
 
+import contextlib
 import dataclasses
 import math
+import signal
 
 import pytest
 
@@ -226,6 +228,90 @@ class TestMalformedProtocolOverrides:
     def test_refusal_reaches_the_grid_runner(self):
         with pytest.raises(ExperimentError, match="probe_period"):
             run_grid([self._spec(probe_period=-1.0)], processes=1)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the enclosed block with ``TimeoutError`` instead of letting it hang."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestMalformedDataPlaneConfig:
+    """A link, buffer or host-transport value nothing could run is refused.
+
+    Found by hand through ``run_grid(fattree_fct_specs(replace(quick_config(),
+    ...)))``: ``util_window=0.0`` escaped as a bare ``ZeroDivisionError`` from
+    the link EWMA and NaN as ``ValueError: cannot convert float NaN to
+    integer``; ``buffer_packets=0`` and ``-3`` *ran* (0 of 102 flows, 172
+    drops); ``host_window=0`` *ran* as window 1; ``host_rto=0.0`` never
+    returned (the timeout check re-armed at the same instant) and ``-1.0``
+    was a bare ``SimulationError``.  Every one is now an ``ExperimentError``
+    naming the field, raised before any compile.
+    """
+
+    _spec = TestMalformedProtocolOverrides._spec
+
+    @pytest.mark.parametrize("field, value", [
+        ("util_window", 0.0), ("util_window", -0.5), ("util_window", math.nan),
+        ("util_window", math.inf), ("util_window", "0.5"), ("util_window", True),
+        ("host_rto", -1.0), ("host_rto", math.nan), ("host_rto", math.inf),
+        ("buffer_packets", 0), ("buffer_packets", -3),
+        ("buffer_packets", 500.0), ("buffer_packets", True),
+        ("host_window", 0), ("host_window", -1),
+        ("host_window", 2.5), ("host_window", True),
+    ])
+    @pytest.mark.parametrize("system", ["contra", "ecmp"])
+    def test_config_value_refused_before_any_compile(self, compiles, system,
+                                                     field, value):
+        config = dataclasses.replace(TINY, **{field: value})
+        with pytest.raises(ExperimentError, match=f"config field {field}="):
+            RunContext().run(self._spec(system=system, config=config))
+        assert compiles == []
+
+    @pytest.mark.parametrize("system", ["contra", "ecmp"])
+    def test_zero_rto_is_refused_instead_of_hanging(self, compiles, system):
+        config = dataclasses.replace(TINY, host_rto=0.0)
+        with deadline(10.0):
+            with pytest.raises(ExperimentError, match="config field host_rto=0.0"):
+                RunContext().run(self._spec(system=system, config=config))
+        assert compiles == []
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True])
+    def test_ack_every_is_an_experiment_error(self, compiles, value):
+        # Network would refuse it too, but as a SimulationError after the compile.
+        with pytest.raises(ExperimentError, match="spec field ack_every="):
+            RunContext().run(self._spec(ack_every=value))
+        assert compiles == []
+
+    def test_fluid_plane_refuses_a_malformed_window_too(self, compiles):
+        config = dataclasses.replace(TINY, host_window=0)
+        with pytest.raises(ExperimentError, match="host_window"):
+            RunContext().run(self._spec(system="ecmp", config=config,
+                                        flow_model="fluid"))
+        assert compiles == []
+
+    def test_boundary_values_still_run(self, compiles):
+        # The smallest legal integers; any positive finite window or RTO.
+        config = dataclasses.replace(TINY, buffer_packets=1, host_window=1,
+                                     util_window=1e-3, host_rto=0.25)
+        with deadline(60.0):
+            result = RunContext().run(self._spec(config=config, ack_every=1))
+        assert result.summary["flows"] > 0
+        assert len(compiles) == 1
+
+    def test_refusal_reaches_the_grid_runner(self):
+        config = dataclasses.replace(TINY, util_window=0.0)
+        with pytest.raises(ExperimentError, match="util_window"):
+            run_grid([self._spec(config=config)], processes=1)
 
 
 class TestMalformedEndpoints:

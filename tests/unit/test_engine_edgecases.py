@@ -210,13 +210,26 @@ class TestLinkFailureInFlight:
 
 
 class TestLinkStatsAccountingParity:
-    def test_link_inlined_accounting_matches_stats_collector(self):
+    PACKETS = [
+        dict(kind=PacketKind.DATA, src_host="a", dst_host="b",
+             size_bytes=1500, extra_header_bits=16),
+        dict(kind=PacketKind.ACK, src_host="b", dst_host="a", size_bytes=64),
+        dict(kind=PacketKind.PROBE, src_host="s", dst_host="", size_bytes=50,
+             probe={}),
+    ]
+    FIELDS = ("total_packets", "data_bytes", "ack_bytes", "probe_bytes",
+              "tag_overhead_bytes")
+
+    @pytest.mark.parametrize("entry", ["enqueue", "_transmit"])
+    def test_link_inlined_accounting_matches_stats_collector(self, entry):
         """The link's inlined byte accounting must track StatsCollector's.
 
-        link._record_transmission hand-inlines StatsCollector
-        .record_transmission for speed; this test feeds identical packets
-        through both paths and asserts the collectors agree, so the two
-        copies cannot silently diverge.
+        ``SimLink._transmit`` (data/ACK) and ``enqueue``'s probe lane
+        hand-inline ``StatsCollector.record_transmission`` for speed; this
+        test feeds identical packets through the link — by its front door,
+        and straight into the one transmit frame, whose else-branch a probe
+        only reaches that way — and through the reference method, and
+        asserts the collectors agree, so the copies cannot silently diverge.
         """
         from repro.simulator import StatsCollector
         via_link = StatsCollector()
@@ -224,20 +237,77 @@ class TestLinkStatsAccountingParity:
         sim = Simulator()
         link = SimLink(sim, "A", "B", capacity=10.0, latency=0.1,
                        deliver=lambda pkt, inport: None, stats=via_link)
-        packets = [
-            Packet(kind=PacketKind.DATA, src_host="a", dst_host="b",
-                   size_bytes=1500, extra_header_bits=16),
-            Packet(kind=PacketKind.ACK, src_host="b", dst_host="a", size_bytes=64),
-            Packet(kind=PacketKind.PROBE, src_host="s", dst_host="", size_bytes=50,
-                   probe={}),
-        ]
-        for packet in packets:
-            link.enqueue(packet)
+        for fields in self.PACKETS:
+            packet = Packet(**fields)
+            getattr(link, entry)(packet)
             reference.record_transmission(link, packet)
         sim.run()
-        for field in ("total_packets", "data_bytes", "ack_bytes", "probe_bytes",
-                      "tag_overhead_bytes"):
+        for field in self.FIELDS:
             assert getattr(via_link, field) == getattr(reference, field), field
+        assert link.packets_sent == 3
+        assert link.bytes_sent == 1500 + 2.0 + 64 + 50
+
+    def test_transmit_decays_the_estimator_to_now_before_adding_busy_time(self):
+        sim = Simulator()
+        link = SimLink(sim, "A", "B", capacity=10.0, latency=0.1, util_window=1.0)
+        packet = Packet(kind=PacketKind.DATA, src_host="a", dst_host="b")
+        link._transmit(packet)
+        assert link._util == 0.1 and link._busy_until == 0.1
+        sim.run(until=0.5)
+        link._transmit(packet)
+        # Decayed to now first (0.1 * (1 - 0.5/1.0)), then this packet's 0.1.
+        assert link._util == 0.1 * 0.5 + 0.1
+        assert link._last_util_update == 0.5
+        assert link._busy_until == 0.5 + 0.1
+
+    def test_the_old_transmit_helpers_are_gone(self):
+        assert not hasattr(SimLink, "_transmit_next")
+        assert not hasattr(SimLink, "_record_transmission")
+
+
+class TestLinkTransmitSeam:
+    """``enqueue`` and ``_drain`` reach ``_transmit`` through the instance.
+
+    The sanitizer's conservation ledger shadows ``link._transmit`` per
+    instance; a direct ``SimLink._transmit(self, ...)`` call or a bound
+    method cached at construction would bypass it.
+    """
+
+    def test_every_transmission_passes_through_the_instance_attribute(self):
+        sim = Simulator()
+        link = SimLink(sim, "A", "B", capacity=1.0, latency=0.0,
+                       deliver=lambda pkt, inport: None)
+        seen = []
+        inner = link._transmit
+
+        def spy(packet):
+            seen.append((sim.now, packet.seq, link.queue_length))
+            inner(packet)
+
+        link._transmit = spy
+        for seq in range(3):
+            link.enqueue(Packet(kind=PacketKind.DATA, src_host="a", dst_host="b",
+                                seq=seq))
+        # Idle serializer: the first packet transmits from enqueue and never
+        # touches the deque; the other two wait for the one drain event.
+        assert seen == [(0.0, 0, 0)]
+        assert link.queue_length == 2
+        sim.run()
+        assert seen == [(0.0, 0, 0), (1.0, 1, 1), (2.0, 2, 0)]
+        assert sim.events_processed == 3 + 2        # deliveries + drains
+
+    def test_a_backlog_without_a_drain_still_goes_out_in_fifo_order(self):
+        sim = Simulator()
+        delivered = []
+        link = SimLink(sim, "A", "B", capacity=1.0, latency=0.0,
+                       deliver=lambda pkt, inport: delivered.append(pkt.seq))
+        # Only reachable by driving the link by hand: a queued packet, an
+        # idle serializer and no drain armed.
+        link._queue.append(Packet(kind=PacketKind.DATA, src_host="a",
+                                  dst_host="b", seq=0))
+        link.enqueue(Packet(kind=PacketKind.DATA, src_host="a", dst_host="b", seq=1))
+        sim.run()
+        assert delivered == [0, 1]
 
 
 class TestDeterminism:
@@ -261,6 +331,35 @@ class TestDeterminism:
         assert first == second
 
 
+class _EagerHistogram:
+    """The accumulator as it was before it kept only its counts: count, min
+    and max maintained per sample.  Reference for the read-time derivation."""
+
+    def __init__(self):
+        self.samples = []
+        self.count = self.min = self.max = 0
+
+    def record(self, value):
+        if self.count == 0:
+            self.min = self.max = value
+        else:
+            self.min = min(self.min, value)
+            self.max = max(self.max, value)
+        self.count += 1
+        self.samples.append(value)
+
+    def percentile(self, q):
+        """numpy's default linear method, spelled out on the sorted samples."""
+        if not self.samples:
+            return 0.0
+        ordered = sorted(self.samples)
+        h = (len(ordered) - 1) * (q / 100.0)
+        lower = int(h)
+        if h == lower:
+            return float(ordered[lower])
+        return ordered[lower] + (ordered[lower + 1] - ordered[lower]) * (h - lower)
+
+
 class TestStreamingHistogram:
     def test_matches_numpy_percentile(self):
         np = pytest.importorskip("numpy")
@@ -278,7 +377,47 @@ class TestStreamingHistogram:
         assert (histogram.min, histogram.max, histogram.count) == (3, 9, 4)
 
     def test_empty_is_zero(self):
-        assert StreamingHistogram().percentile(50) == 0.0
+        empty = StreamingHistogram()
+        assert (empty.count, empty.min, empty.max, empty.percentile(50)) == (0, 0, 0, 0.0)
+        assert empty.items() == []
+
+    def test_reads_equal_the_eager_accumulator_on_a_seeded_stream(self):
+        import random
+        rng = random.Random(18)
+        histogram, reference = StreamingHistogram(), _EagerHistogram()
+        for step in range(2_000):
+            value = int(rng.expovariate(0.2)) + (1 if step % 7 else 0)
+            histogram.record(value)
+            reference.record(value)
+            if step in (0, 1, 10, 1_999):
+                assert (histogram.count, histogram.min, histogram.max) == \
+                    (reference.count, reference.min, reference.max)
+                for q in (0, 1, 25, 50, 90, 99, 99.9, 100):
+                    assert histogram.percentile(q) == reference.percentile(q)
+
+    def test_bumped_in_place_equals_fed_through_record(self):
+        """``SimLink.enqueue`` bumps ``_counts`` directly; nothing else is state."""
+        recorded, bumped = StreamingHistogram(), StreamingHistogram()
+        for value in (4, 1, 1, 7, 4, 4, 2):
+            recorded.record(value)
+            counts = bumped._counts
+            counts[value] = counts.get(value, 0) + 1
+        assert bumped.items() == recorded.items()
+        assert (bumped.count, bumped.min, bumped.max) == (7, 1, 7)
+        assert bumped.percentiles((50, 99)) == recorded.percentiles((50, 99))
+        assert StreamingHistogram.__slots__ == ("_counts",)
+
+    def test_link_samples_the_queue_including_the_arriving_packet(self):
+        from repro.simulator import StatsCollector
+        stats = StatsCollector()
+        sim = Simulator()
+        link = SimLink(sim, "A", "B", capacity=1.0, latency=0.0, buffer_packets=2,
+                       deliver=lambda pkt, inport: None, stats=stats)
+        for _ in range(4):
+            link.enqueue(Packet(kind=PacketKind.DATA, src_host="a", dst_host="b"))
+        # Lengths seen: 1 (goes straight out), 1, 2, then a drop (no sample).
+        assert stats.queue_histogram.items() == [(1, 2), (2, 1)]
+        assert stats.drops == 1
 
 
 class TestReservoirSampler:

@@ -22,7 +22,8 @@ from repro.baselines import ShortestPathSystem
 from repro.nputil import HAVE_NUMPY, np
 from repro.protocol import ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet
-from repro.simulator import Flow, Network, Simulator
+from repro.simulator import Flow, Network, Simulator, StatsCollector
+from repro.simulator.link import SimLink
 from repro.simulator.sanitizer import (SanitizerError, SanitizingSimulator,
                                        Violation)
 from repro.topology import leafspine
@@ -131,6 +132,46 @@ class TestTransportInvariants:
             net.run(200.0)
         assert err.value.violation.rule == "conservation"
         assert "data" in err.value.violation.message
+
+    def test_transmission_that_bypasses_the_seam_breaks_conservation(self):
+        net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
+                      ShortestPathSystem(), sanitize=True)
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        uplink = net.hosts["h0_0"].uplink
+        # The ledger counts a packet in flight where ``link._transmit`` is
+        # looked up on the instance; put the bare method back underneath it.
+        uplink._transmit = SimLink._transmit.__get__(uplink)
+        with pytest.raises(SanitizerError) as err:
+            net.run(200.0)
+        assert err.value.violation.rule == "conservation"
+        assert "in-flight -" in err.value.violation.message
+
+    def test_buffer_and_switch_drops_reach_the_ledger(self):
+        # A 2-packet buffer under a 12-segment window drops at the uplink
+        # (SimLink.enqueue -> stats.record_drop); failing the only path at
+        # t=5 drops at the switch (SwitchNode.receive ->
+        # stats.record_switch_drop).  Both hold ``stats`` in a local: the
+        # run only balances if they still call through the instance.
+        net = Network(leafspine(2, 1, hosts_per_leaf=1, capacity=1.0),
+                      ShortestPathSystem(), buffer_packets=2, sanitize=True)
+        net.schedule_flows([Flow("h0_0", "h1_0", 30, 0.0)])
+        net.fail_link("leaf0", "spine0", at_time=5.0)
+        net.run(40.0)
+        assert net.sanitizer.ok
+        link_drops = sum(link.packets_dropped for link in net.links.values())
+        switch_drops = net.stats.drops - link_drops
+        assert link_drops > 0 and switch_drops > 0
+        assert net.sanitizer._dropped["data"] + net.sanitizer._dropped["ack"] \
+            == net.stats.drops
+
+    def test_unledgered_drop_breaks_conservation(self):
+        net = Network(leafspine(2, 1, hosts_per_leaf=1, capacity=1.0),
+                      ShortestPathSystem(), buffer_packets=2, sanitize=True)
+        net.schedule_flows([Flow("h0_0", "h1_0", 30, 0.0)])
+        net.stats.record_drop = StatsCollector.record_drop.__get__(net.stats)
+        with pytest.raises(SanitizerError) as err:
+            net.run(40.0)
+        assert err.value.violation.rule == "conservation"
 
     def test_lost_rto_timer_chain_is_reported(self):
         net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
