@@ -172,8 +172,19 @@ class DFA:
         while queue:
             subset = queue.pop()
             src = subset_index[subset]
+            # Every symbol no transition out of the subset names moves it along
+            # its wildcard transitions only, so to one target: computed at the
+            # first such symbol, where the per-symbol loop would first meet it.
+            named = {label for state in subset for label, _ in nfa.transitions.get(state, ())}
+            named.discard(ANY_SYMBOL)
+            unnamed_target: Optional[FrozenSet[int]] = None
             for symbol in dfa.alphabet:
-                target = nfa.epsilon_closure(nfa.move(subset, symbol))
+                if symbol in named:
+                    target = nfa.epsilon_closure(nfa.move(subset, symbol))
+                elif unnamed_target is None:
+                    target = unnamed_target = nfa.epsilon_closure(nfa.move(subset, symbol))
+                else:
+                    target = unnamed_target
                 if not target:
                     dfa._delta[(src, symbol)] = DEAD_STATE
                     continue
@@ -189,19 +200,12 @@ class DFA:
     # ------------------------------------------------------------- interface
 
     def transition(self, state: int, symbol: str) -> int:
-        """The successor state after consuming ``symbol`` (DEAD_STATE if none)."""
-        if state == DEAD_STATE:
-            return DEAD_STATE
-        if symbol not in self._alphabet_set():
-            return DEAD_STATE
-        return self._delta.get((state, symbol), DEAD_STATE)
+        """The successor state after consuming ``symbol`` (DEAD_STATE if none).
 
-    def _alphabet_set(self) -> Set[str]:
-        cached = getattr(self, "_alpha_cache", None)
-        if cached is None:
-            cached = set(self.alphabet)
-            self._alpha_cache = cached
-        return cached
+        The table holds every (live state, alphabet symbol) pair and nothing
+        else, so the dead state and a symbol outside the alphabet both miss.
+        """
+        return self._delta.get((state, symbol), DEAD_STATE)
 
     def is_accepting(self, state: int) -> bool:
         return state in self.accepting

@@ -23,9 +23,8 @@ mentions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.automata import DEAD_STATE, DFA, dfa_from_regex
 from repro.core.regex import PathRegex
@@ -35,9 +34,13 @@ from repro.topology.graph import Topology
 __all__ = ["PGNode", "ProductGraph", "build_product_graph"]
 
 
-@dataclass(frozen=True)
-class PGNode:
-    """A virtual node: a physical switch paired with one state per policy regex."""
+class PGNode(NamedTuple):
+    """A virtual node: a physical switch paired with one state per policy regex.
+
+    A tuple, so a node hashes and compares in C — and as the plain
+    ``(switch, states)`` pair does, which lets :meth:`ProductGraph.build`
+    look a successor up by that pair before making the node.
+    """
 
     switch: str
     states: Tuple[int, ...]
@@ -83,15 +86,15 @@ class ProductGraph:
 
     # ------------------------------------------------------------ construction
 
-    def _add_node(self, node: PGNode) -> bool:
-        if node in self._node_index:
-            return False
+    def _add_node(self, switch: str, states: Tuple[int, ...]) -> PGNode:
+        """Make and register the virtual node ``(switch, states)``, known to be new."""
+        node = PGNode(switch, states)
         self._node_index[node] = len(self.nodes)
         self.nodes.append(node)
-        self._nodes_by_switch.setdefault(node.switch, []).append(node)
+        self._nodes_by_switch.setdefault(switch, []).append(node)
         self.out_edges[node] = []
         self.in_edges[node] = []
-        return True
+        return node
 
     def _set_nodes(self, nodes: List[PGNode]) -> None:
         """Replace the node list (and the indexes derived from it)."""
@@ -104,29 +107,42 @@ class ProductGraph:
 
     def build(self) -> None:
         """Explore the product graph from every probe-sending state."""
-        queue: List[PGNode] = []
         adjacency = self.topology.switch_graph()
+        deltas = [dfa._delta for dfa in self.dfas]
+        initial = tuple(dfa.initial for dfa in self.dfas)
+        #: (switch, states) -> its node; a plain pair finds the node it equals.
+        interned: Dict[Tuple[str, Tuple[int, ...]], PGNode] = {}
+        #: (states, symbol) -> the states after every automaton consumed symbol.
+        advanced: Dict[Tuple[Tuple[int, ...], str], Tuple[int, ...]] = {}
+        in_edges = self.in_edges
+        queue: List[PGNode] = []
         for switch in adjacency:
-            states = tuple(dfa.transition(dfa.initial, switch) for dfa in self.dfas)
-            node = PGNode(switch, states)
+            states = tuple([delta.get((state, switch), DEAD_STATE)
+                            for delta, state in zip(deltas, initial)])
+            # One per switch, so none of them is known yet.
+            node = interned[(switch, states)] = self._add_node(switch, states)
             self.probe_sending_nodes[switch] = node
-            if self._add_node(node):
-                queue.append(node)
+            queue.append(node)
 
         while queue:
             node = queue.pop()
+            switch, states = node
             successors = self.out_edges[node]
             # Neighbours are distinct, so each one adds a distinct successor.
-            for neighbor in adjacency[node.switch]:
-                next_states = tuple(
-                    dfa.transition(state, neighbor)
-                    for dfa, state in zip(self.dfas, node.states)
-                )
-                successor = PGNode(neighbor, next_states)
-                if self._add_node(successor):
+            for neighbor in adjacency[switch]:
+                move = (states, neighbor)
+                next_states = advanced.get(move)
+                if next_states is None:
+                    next_states = advanced[move] = tuple([
+                        delta.get((state, neighbor), DEAD_STATE)
+                        for delta, state in zip(deltas, states)])
+                key = (neighbor, next_states)
+                successor = interned.get(key)
+                if successor is None:
+                    successor = interned[key] = self._add_node(neighbor, next_states)
                     queue.append(successor)
                 successors.append(successor)
-                self.in_edges[successor].append(node)
+                in_edges[successor].append(node)
 
         self._assign_tags()
 

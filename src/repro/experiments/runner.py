@@ -230,6 +230,12 @@ def run_simulation(
 _DEFAULT_LATENCY = 0.05
 
 
+def _finite_number(value: object, positive: bool) -> bool:
+    """Whether ``value`` is a finite real number ``>= 0`` (``> 0`` when ``positive``)."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and math.isfinite(value) and (value > 0 if positive else value >= 0)
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """A declarative, hashable description of a topology (cache key + recipe).
@@ -280,6 +286,15 @@ class TopologySpec:
                     f"is not supported by family {self.family!r}")
 
     def build(self) -> Topology:
+        # A NaN latency used to build, compile (max_rtt 0.0, so the 0.25 ms
+        # fallback probe period) and run; no generator can honour these.
+        for name, positive in (("capacity", True), ("latency", False),
+                               ("oversubscription", False)):
+            value = getattr(self, name)
+            if not _finite_number(value, positive):
+                raise ExperimentError(
+                    f"TopologySpec field {name}={value!r} must be a finite number "
+                    f"{'> 0' if positive else '>= 0'}")
         if self.family == "fattree":
             self._reject_unsupported(k=True, oversubscription=True,
                                      hosts_per_switch=True, latency=True)
@@ -667,9 +682,7 @@ class RunContext:
                 value = getattr(owner, name, None)
                 if value is None and owner is spec:
                     continue            # no override (or a config-only field)
-                if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                        or not math.isfinite(value) or value < 0 \
-                        or (positive and value == 0):
+                if not _finite_number(value, positive):
                     raise ExperimentError(
                         f"{source} field {name}={value!r} must be {rule}")
         for source, owner, name in (("config", spec.config, "failure_periods"),

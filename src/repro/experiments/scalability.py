@@ -23,6 +23,7 @@ from repro.core.ast import Policy
 from repro.core.builder import if_, inf, matches, minimize, path
 from repro.core.compiler import CompileOptions, compile_policy
 from repro.core.policies import CA, MU
+from repro.exceptions import ExperimentError
 from repro.topology.fattree import fattree_for_switch_count
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import random_network
@@ -40,6 +41,10 @@ __all__ = [
 FATTREE_SIZES = (20, 125, 245, 405, 500)
 #: The paper's Figure 9b/10b x-axis.
 RANDOM_SIZES = (100, 200, 300, 400, 500)
+#: The sweep's policies, in the order :func:`scalability_policies` builds them.
+POLICY_NAMES = ("MU", "WP", "CA")
+#: Degree of the random family's switches; a random network needs more switches than that.
+RANDOM_DEGREE = 4
 
 
 @dataclass
@@ -124,11 +129,25 @@ def run_scalability_sweep(
     from repro.experiments.runner import grid_map
 
     if policies is None:
-        policies = ("MU", "WP", "CA")
+        policies = POLICY_NAMES
+    for policy_name in policies:
+        if policy_name not in POLICY_NAMES:
+            raise ExperimentError(
+                f"unknown scalability policy {policy_name!r}; available: {POLICY_NAMES}")
+    smallest = {"fattree": 1, "random": RANDOM_DEGREE + 1}
+    sizes = {"fattree": fattree_sizes, "random": random_sizes}
+    for family in families:
+        if family not in sizes:
+            raise ExperimentError(
+                f"unknown topology family {family!r}; available: {tuple(sizes)}")
+        for size in sizes[family]:
+            if isinstance(size, bool) or not isinstance(size, int) or size < smallest[family]:
+                raise ExperimentError(
+                    f"{family} size {size!r} must be an integer >= {smallest[family]}")
     tasks = [
         (family, size, policy_name, seed, options)
         for family in families
-        for size in (fattree_sizes if family == "fattree" else random_sizes)
+        for size in sizes[family]
         for policy_name in policies
     ]
     return grid_map(_compile_one, tasks, processes)
@@ -138,5 +157,5 @@ def _build_topology(family: str, size: int, seed: int) -> Topology:
     if family == "fattree":
         return fattree_for_switch_count(size)
     if family == "random":
-        return random_network(size, seed=seed, degree=4)
-    raise ValueError(f"unknown topology family {family!r}")
+        return random_network(size, seed=seed, degree=RANDOM_DEGREE)
+    raise ExperimentError(f"unknown topology family {family!r}")

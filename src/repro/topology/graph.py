@@ -27,6 +27,8 @@ from repro.exceptions import TopologyError
 
 __all__ = ["Link", "Topology", "NodeKind"]
 
+_INF = float("inf")
+
 
 class NodeKind:
     """Symbolic names for the node roles used by topology generators."""
@@ -61,10 +63,19 @@ class Link:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise TopologyError(f"self-loop link {self.src!r} -> {self.dst!r} is not allowed")
-        if self.capacity <= 0:
-            raise TopologyError(f"link {self.src}->{self.dst} capacity must be positive")
-        if self.latency < 0:
-            raise TopologyError(f"link {self.src}->{self.dst} latency must be non-negative")
+        # Chained so that NaN, which compares false with everything, is refused.
+        if not 0 < self.capacity < _INF:
+            raise TopologyError(
+                f"link {self.src}->{self.dst} capacity must be positive and finite, "
+                f"got {self.capacity!r}")
+        if not 0 <= self.latency < _INF:
+            raise TopologyError(
+                f"link {self.src}->{self.dst} latency must be non-negative and finite, "
+                f"got {self.latency!r}")
+        if not 0 <= self.weight < _INF:
+            raise TopologyError(
+                f"link {self.src}->{self.dst} weight must be non-negative and finite, "
+                f"got {self.weight!r}")
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -124,6 +135,30 @@ def _dijkstra(adjacency: Sequence[Sequence[Tuple[int, float]]],
                 dist[nbr] = nd
                 push(heap, (nd, nbr))
     return dist, reached
+
+
+def _hop_sweep(rows: Sequence[Sequence[Tuple[int, float, float]]]) -> Tuple[int, List[int]]:
+    """The largest hop distance between a switch and one it reaches, and who reaches whom.
+
+    ``reach[v]`` is a bitset (bit ``i`` for id ``i``) of the switches within
+    ``r`` hops of ``v`` after round ``r``; a round ORs into it the previous
+    round's sets of ``v``'s out-neighbours, so the last round that changes
+    anything is the largest hop distance.  Costs that many passes over the
+    links, each an OR as wide as the switch count.
+    """
+    reach = [1 << node for node in range(len(rows))]
+    out = [[nbr for nbr, _, _ in row] for row in rows]
+    hops = 0
+    while True:
+        widened = []
+        for within, nbrs in zip(reach, out):
+            for nbr in nbrs:
+                within |= reach[nbr]
+            widened.append(within)
+        if widened == reach:
+            return hops, reach
+        reach = widened
+        hops += 1
 
 
 def _step_rows(rows: Sequence[Sequence[Tuple[int, float, float]]],
@@ -463,26 +498,41 @@ class Topology:
 
     def diameter(self) -> int:
         """Switch-graph diameter in hops; raises if disconnected."""
-        hops = _step_rows(self._index().out_rows, weighted=False)
-        worst = 0.0
-        for source in range(len(hops)):
-            dist, reached = _dijkstra(hops, source)
-            if len(reached) != len(hops):
-                raise TopologyError("cannot compute diameter of a disconnected topology")
-            worst = max(worst, max(dist))
-        return int(worst)
+        rows = self._index().out_rows
+        hops, reach = _hop_sweep(rows)
+        everyone = (1 << len(rows)) - 1
+        if any(reached != everyone for reached in reach):
+            raise TopologyError("cannot compute diameter of a disconnected topology")
+        return hops
 
     def max_rtt(self) -> float:
         """The highest round-trip propagation time between any pair of switches.
 
         Contra's probe period must be at least 0.5x this value (§5.2).
+
+        When every switch-to-switch link carries one latency ``s`` (the
+        fat-tree, leaf-spine and random generators), :func:`_dijkstra` gives a
+        switch ``h`` hops away the distance ``f(h)``, where ``f(0) = 0.0`` and
+        ``f(h + 1) = f(h) + s``: ``f`` is non-decreasing, so the smallest
+        relaxation a switch receives is the one from a neighbour one hop
+        closer.  The worst distance is then ``f(H)`` for the largest hop
+        distance ``H`` between a switch and one it reaches, which
+        :func:`_hop_sweep` finds without a search per switch; adding ``s`` up
+        ``H`` times (never ``H * s``) yields the very float the searches
+        would.  Fabrics with mixed latencies take the search per switch.
         """
-        latencies = [[(nbr, latency) for nbr, latency, _ in row]
-                     for row in self._index().out_rows]
+        rows = self._index().out_rows
+        steps = {latency for row in rows for _, latency, _ in row}
         worst = 0.0
-        for source in range(len(latencies)):
-            dist, reached = _dijkstra(latencies, source)
-            worst = max(worst, max(map(dist.__getitem__, reached)))
+        if len(steps) > 1:
+            latencies = [[(nbr, latency) for nbr, latency, _ in row] for row in rows]
+            for source in range(len(latencies)):
+                dist, reached = _dijkstra(latencies, source)
+                worst = max(worst, max(map(dist.__getitem__, reached)))
+        elif steps:
+            step = steps.pop()
+            for _ in range(_hop_sweep(rows)[0]):
+                worst = worst + step
         return 2.0 * worst
 
     # ------------------------------------------------------------------ misc

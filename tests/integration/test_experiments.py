@@ -84,6 +84,36 @@ class TestScalabilitySweep:
                                        policies=("MU",))
         assert points[0].max_state_kb < 1024
 
+    @pytest.mark.parametrize("arguments,complaint", (
+        (dict(families=("fattree", "torus")), "family 'torus'"),
+        (dict(policies=("MU", "P1")), "policy 'P1'"),
+        (dict(fattree_sizes=(2.5,)), "2.5"),
+        (dict(fattree_sizes=(20, 0)), "fattree size 0"),
+        (dict(fattree_sizes=(True,)), "True"),
+        (dict(random_sizes=(100, 4)), "random size 4"),
+        (dict(random_sizes=("100",)), "'100'"),
+    ))
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_bad_arguments_refused_before_any_topology_or_pool(
+            self, monkeypatch, arguments, complaint, processes):
+        """These were a bare ``ValueError`` / ``KeyError`` from inside a pool
+        worker, after a topology was built — or, for 2.5, a recorded point."""
+        from repro.exceptions import ExperimentError
+        from repro.experiments import runner, scalability
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("built a topology or started a pool for a refused sweep")
+
+        monkeypatch.setattr(scalability, "_build_topology", untouched)
+        monkeypatch.setattr(runner, "grid_map", untouched)
+        with pytest.raises(ExperimentError, match=complaint):
+            run_scalability_sweep(processes=processes, **arguments)
+
+    def test_sizes_of_a_family_not_swept_are_not_judged(self):
+        points = run_scalability_sweep(families=("fattree",), fattree_sizes=(20,),
+                                       random_sizes=(2.5,), policies=("MU",))
+        assert [p.size for p in points] == [20]
+
     def test_policies_bound_to_topology(self):
         topo = fattree(4, hosts_per_edge=0)
         bound = scalability_policies(topo)

@@ -131,3 +131,90 @@ class TestDFA:
     def test_repr(self):
         dfa = dfa_from_regex(rx.parse_regex("A"), ALPHABET)
         assert "DFA" in repr(dfa)
+
+
+def reference_from_nfa(nfa, alphabet):
+    """Subset construction asking ``move`` + ``epsilon_closure`` for every symbol."""
+    dfa = DFA(alphabet)
+    start = nfa.epsilon_closure({nfa.start})
+    subset_index = {start: 0}
+    dfa.num_states = 1
+    if nfa.accept in start:
+        dfa.accepting.add(0)
+    queue = [start]
+    while queue:
+        subset = queue.pop()
+        src = subset_index[subset]
+        for symbol in dfa.alphabet:
+            target = nfa.epsilon_closure(nfa.move(subset, symbol))
+            if not target:
+                dfa._delta[(src, symbol)] = DEAD_STATE
+                continue
+            if target not in subset_index:
+                subset_index[target] = dfa.num_states
+                dfa.num_states += 1
+                if nfa.accept in target:
+                    dfa.accepting.add(subset_index[target])
+                queue.append(target)
+            dfa._delta[(src, symbol)] = subset_index[target]
+    return dfa
+
+
+def assert_same_dfa(built, reference):
+    """Same table in the same insertion order, so the same state numbering."""
+    assert list(built._delta.items()) == list(reference._delta.items())
+    assert (built.num_states, built.initial, built.accepting, built.alphabet) == \
+        (reference.num_states, reference.initial, reference.accepting, reference.alphabet)
+
+
+class TestSubsetConstructionSharesUnnamedSymbols:
+    """``from_nfa`` closes once per subset for the symbols no transition names."""
+
+    @staticmethod
+    def policy_regexes():
+        from repro.core import policies
+        from repro.experiments.scalability import waypoint_policy_for
+        from repro.topology import abilene
+
+        topology = abilene()
+        bundled = [factory() for factory in policies.ALL_POLICIES.values()]
+        bundled.append(waypoint_policy_for(topology))
+        # The Fig. 3 policies name F1, F2, X and Y, which Abilene does not have.
+        alphabet = topology.switches + ["F1", "F2", "X", "Y"]
+        return alphabet, [regex for policy in bundled for regex in policy.regexes()]
+
+    def test_every_bundled_policy_regex_both_directions(self):
+        alphabet, regexes = self.policy_regexes()
+        assert len(regexes) >= 6
+        for regex in regexes:
+            for pattern in (regex, regex.reverse()):
+                nfa = NFA.from_regex(pattern)
+                assert_same_dfa(DFA.from_nfa(nfa, alphabet), reference_from_nfa(nfa, alphabet))
+
+    def test_closures_are_per_named_symbol_not_per_symbol(self, monkeypatch):
+        alphabet = [f"s{i:02d}" for i in range(40)]
+        nfa = NFA.from_regex(rx.parse_regex(".* s07 .*"))
+        closures = 0
+        closure = NFA.epsilon_closure
+
+        def counted(self, states):
+            nonlocal closures
+            closures += 1
+            return closure(self, states)
+
+        monkeypatch.setattr(NFA, "epsilon_closure", counted)
+        dfa = DFA.from_nfa(nfa, alphabet)
+        # The start closure, then per subset one for s07 and one for the rest.
+        assert closures == 1 + 2 * dfa.num_states
+
+    def test_a_switch_named_like_the_wildcard(self):
+        """``.`` as a switch id only ever matches wildcard transitions."""
+        nfa = NFA.from_regex(rx.concat(rx.node("A"), rx.any_node()))
+        alphabet = ("A", "B", ".")
+        assert_same_dfa(DFA.from_nfa(nfa, alphabet), reference_from_nfa(nfa, alphabet))
+
+    @given(small_regexes())
+    @settings(max_examples=150)
+    def test_random_regexes(self, pattern):
+        nfa = NFA.from_regex(pattern)
+        assert_same_dfa(DFA.from_nfa(nfa, ALPHABET), reference_from_nfa(nfa, ALPHABET))

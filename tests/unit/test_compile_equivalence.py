@@ -7,7 +7,9 @@ digests below were captured from that code (commit 00c691b) with
 :func:`compile_digest`; they cover the probe period, every
 :class:`DeviceConfig` field in iteration order (``probe_transition`` item
 order included — P4 codegen and ``crosscheck`` iterate it), the product-graph
-tags and the generated P4 source.
+tags and the generated P4 source.  The fat-tree 125 and random 200 pins are
+from the last compiler that searched from every switch for ``max_rtt`` and
+hashed virtual nodes in Python (commit 7a25094).
 """
 
 import hashlib
@@ -52,6 +54,8 @@ def compile_digest(compiled) -> str:
 SCALABILITY_TOPOLOGIES = {
     "fattree20": lambda: fattree_for_switch_count(20),
     "random100": lambda: random_network(100, seed=1, degree=4),
+    "fattree125": lambda: fattree_for_switch_count(125),
+    "random200": lambda: random_network(200, seed=1, degree=4),
 }
 
 PINNED_SCALABILITY = {
@@ -67,6 +71,10 @@ PINNED_SCALABILITY = {
         "cc4e0827e8007c0d37aa1109b1d95678d1678932b919182159c92ea2f84e534e",
     ("random100", "CA"):
         "4354bc828f84fdba6a3cc3c989842f561c762baedfdcc52dbcd122358ef28280",
+    ("fattree125", "WP"):
+        "a63c0644fba6af81917fdd626e4f6af6e0a4cd06d7105525a1e6c45a50e4e34e",
+    ("random200", "WP"):
+        "f2e61b24b4ac3a2f705d75a63810e9a1f486b0c1712d73584198e59fcbdcec27",
 }
 
 PINNED_ABILENE = {
@@ -122,3 +130,25 @@ class TestCompileScalesLinearly:
         monkeypatch.setattr(Topology, "switch_neighbors", counted(Topology.switch_neighbors))
         compile_policy(scalability_policies(topology)["WP"], topology)
         assert calls <= 4 * switches
+
+    @pytest.mark.parametrize("build,searches_per_switch", (
+        (lambda: fattree(8, hosts_per_edge=0), 0),
+        (lambda: random_network(100, seed=1, degree=4), 0),
+        (abilene, 1),
+    ), ids=("fattree", "random", "abilene"))
+    def test_searches_per_compile(self, monkeypatch, build, searches_per_switch):
+        """One latency throughout: no shortest-path search at all.  Mixed: one a switch."""
+        from repro.topology import graph
+
+        topology = build()
+        searches = 0
+        dijkstra = graph._dijkstra
+
+        def counted(adjacency, source):
+            nonlocal searches
+            searches += 1
+            return dijkstra(adjacency, source)
+
+        monkeypatch.setattr(graph, "_dijkstra", counted)
+        compile_policy(scalability_policies(topology)["WP"], topology)
+        assert searches == searches_per_switch * len(topology.switches)

@@ -190,3 +190,83 @@ class TestPerSwitchNodeIndex:
         pg = build_product_graph(diamond, [])
         pg.nodes_of_switch("A").clear()
         assert len(pg.nodes_of_switch("A")) == 1
+
+
+class TestPGNodeIsThePairItHolds:
+    """A node hashes, compares and sorts as ``(switch, states)``; it prints as before."""
+
+    def test_hash_and_equality_are_the_pairs(self):
+        for switch, states in (("A", ()), ("B", (1, -1, 0)), ("e0_1", (2,))):
+            node = PGNode(switch, states)
+            assert hash(node) == hash((switch, states))
+            assert node == (switch, states) and node == PGNode(switch, states)
+            assert {node: "found"}[(switch, states)] == "found"
+            assert (node.switch, node.states) == (switch, states)
+
+    def test_str_and_repr_unchanged(self):
+        assert str(PGNode("A", ())) == "A"
+        assert str(PGNode("B", (1, -1, 0))) == "(B;1,-,0)"
+        assert repr(PGNode("B", (1, -1))) == "PGNode(switch='B', states=(1, -1))"
+
+    def test_sorts_as_the_key_every_caller_sorts_by(self, diamond):
+        pg = build_product_graph(
+            diamond, [parse_regex(r) for r in TestPerSwitchNodeIndex.REGEXES],
+            minimize_tags=False)
+        assert sorted(pg.nodes) == sorted(pg.nodes, key=lambda n: (n.switch, n.states))
+
+
+def reference_build(pg):
+    """The exploration one ``DFA.transition`` call at a time, over name-keyed dicts."""
+    adjacency = pg.topology.switch_graph()
+    nodes, out_edges, in_edges, origins, queue = [], {}, {}, {}, []
+
+    def add(key):
+        if key in out_edges:
+            return
+        nodes.append(key)
+        out_edges[key], in_edges[key] = [], []
+        queue.append(key)
+
+    for switch in adjacency:
+        origins[switch] = (switch, tuple(dfa.transition(dfa.initial, switch) for dfa in pg.dfas))
+        add(origins[switch])
+    while queue:
+        node = queue.pop()
+        for neighbor in adjacency[node[0]]:
+            successor = (neighbor, tuple(
+                dfa.transition(state, neighbor) for dfa, state in zip(pg.dfas, node[1])))
+            add(successor)
+            out_edges[node].append(successor)
+            in_edges[successor].append(node)
+    return nodes, out_edges, in_edges, origins
+
+
+class TestBuildMatchesThePerTransitionReference:
+    """Node, row and predecessor order decide tags and ``probe_transition`` order."""
+
+    @staticmethod
+    def assert_same_graph(pg):
+        nodes, out_edges, in_edges, origins = reference_build(pg)
+        assert pg.nodes == nodes and all(type(node) is PGNode for node in pg.nodes)
+        assert list(pg.out_edges.items()) == list(out_edges.items())
+        assert list(pg.in_edges.items()) == list(in_edges.items())
+        assert list(pg.probe_sending_nodes.items()) == list(origins.items())
+        for row in list(pg.out_edges.values()) + list(pg.in_edges.values()):
+            assert all(type(node) is PGNode for node in row)
+
+    @pytest.mark.parametrize("minimize_automata", (True, False))
+    def test_figure6_regexes(self, diamond, minimize_automata):
+        self.assert_same_graph(build_product_graph(
+            diamond, [parse_regex(r) for r in TestPerSwitchNodeIndex.REGEXES],
+            minimize_automata=minimize_automata, minimize_tags=False))
+
+    def test_no_regexes(self, diamond):
+        self.assert_same_graph(build_product_graph(diamond, []))
+
+    def test_waypoints_on_a_fattree(self):
+        from repro.experiments.scalability import waypoint_policy_for
+        from repro.topology import fattree
+
+        topology = fattree(6, hosts_per_edge=0)
+        self.assert_same_graph(build_product_graph(
+            topology, waypoint_policy_for(topology).regexes(), minimize_tags=False))

@@ -37,6 +37,29 @@ class TestLink:
         with pytest.raises(TopologyError):
             Link("A", "B", latency=-1)
 
+    @pytest.mark.parametrize("field", ("capacity", "latency", "weight"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    def test_non_finite_parameters_rejected(self, field, value):
+        """``nan < 0`` is false: a comparison against zero alone lets NaN through."""
+        with pytest.raises(TopologyError, match=field):
+            Link("A", "B", **{field: value})
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(TopologyError, match="weight"):
+            Link("A", "B", weight=-0.5)
+
+    def test_zero_latency_and_weight_accepted(self):
+        link = Link("A", "B", latency=0.0, weight=0.0)
+        assert link.latency == 0.0 and link.weight == 0.0
+
+    def test_add_link_refuses_a_non_finite_latency_and_writes_nothing(self):
+        topo = Topology("t")
+        topo.add_switch("A")
+        topo.add_switch("B")
+        with pytest.raises(TopologyError):
+            topo.add_link("A", "B", latency=float("nan"))
+        assert not topo.has_link("A", "B") and not topo.has_link("B", "A")
+
     def test_reversed(self):
         link = Link("A", "B", capacity=5, latency=0.1)
         rev = link.reversed()
@@ -434,9 +457,42 @@ def reference_is_connected(topo):
     return len(seen) == len(switches)
 
 
+def reference_diameter(topo):
+    """Largest BFS hop count over every ordered pair; None when some pair has no path."""
+    adjacency = {s: reference_switch_neighbors(topo, s) for s in reference_switches(topo)}
+    worst = 0
+    for src in adjacency:
+        hops = {src: 0}
+        frontier = [src]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for nbr in adjacency[node]:
+                    if nbr not in hops:
+                        hops[nbr] = hops[node] + 1
+                        reached.append(nbr)
+            frontier = reached
+        if len(hops) != len(adjacency):
+            return None
+        worst = max(worst, max(hops.values()))
+    return worst
+
+
 def in_order(mapping):
     """Items in iteration order: equality of these is equality of dict order too."""
     return list(mapping.items())
+
+
+def assert_latency_passes_match(topo):
+    """``max_rtt`` by ``repr`` — the very float — and ``diameter`` against BFS."""
+    assert repr(topo.max_rtt()) == repr(reference_max_rtt(topo))
+    expected = reference_diameter(topo)
+    if expected is None:
+        with pytest.raises(TopologyError):
+            topo.diameter()
+    else:
+        diameter = topo.diameter()
+        assert type(diameter) is int and diameter == expected
 
 
 def assert_matches_reference(topo):
@@ -446,7 +502,7 @@ def assert_matches_reference(topo):
         assert topo.switch_neighbors(node) == reference_switch_neighbors(topo, node)
     assert topo.switch_graph() == {
         s: reference_switch_neighbors(topo, s) for s in reference_switches(topo)}
-    assert repr(topo.max_rtt()) == repr(reference_max_rtt(topo))
+    assert_latency_passes_match(topo)
     assert topo.is_connected() == reference_is_connected(topo)
     for weighted in (False, True):
         lengths = topo.shortest_path_lengths(weighted)
@@ -547,6 +603,129 @@ class TestSwitchGraphIndexOracle:
         with pytest.raises(TopologyError):
             topo.add_link("B", "C")
         assert_matches_reference(topo)
+
+
+# ------------------------------------------------ one latency: the hop sweep
+#
+# When every switch-to-switch link carries one latency, ``max_rtt`` adds it up
+# along the longest hop distance instead of searching from every switch.  The
+# reference above still searches, so these compare the two by ``repr``.
+
+def _line(n, latency, closed=False, bidirectional=True, prefix="s"):
+    """``n`` switches in a chain (or a ring when ``closed``), one latency throughout."""
+    topo = Topology(f"{'ring' if closed else 'chain'}{n}")
+    names = [f"{prefix}{i:03d}" for i in range(n)]
+    for name in names:
+        topo.add_switch(name)
+    for a, b in zip(names, names[1:] + names[:1] if closed else names[1:]):
+        topo.add_link(a, b, latency=latency, bidirectional=bidirectional)
+    return topo
+
+
+def _uniform_islands(latency):
+    """A five-switch chain beside a three-switch one: the longer island sets the RTT."""
+    topo = _line(5, latency, prefix="a")
+    for name in ("b0", "b1", "b2"):
+        topo.add_switch(name)
+    topo.add_link("b0", "b1", latency=latency)
+    topo.add_link("b1", "b2", latency=latency)
+    return topo
+
+
+#: Latencies whose repeated sums are inexact (``63 * 0.1`` is not ``0.1`` added
+#: 63 times), and zero.
+UNIFORM_LATENCIES = (0.1, 1 / 3, 0.7, 1e-3, 0.0)
+
+
+class TestUniformLatencySweep:
+    @pytest.mark.parametrize("latency", UNIFORM_LATENCIES)
+    @pytest.mark.parametrize("closed", (False, True), ids=("chain64", "ring61"))
+    def test_long_chain_and_ring(self, closed, latency):
+        topo = _line(61 if closed else 64, latency, closed=closed)
+        assert_latency_passes_match(topo)
+        assert topo.diameter() == (30 if closed else 63)
+
+    def test_the_sum_is_accumulated_not_multiplied(self):
+        """The cases above have teeth: ``H * s`` is a different float."""
+        topo = _line(64, 0.1)
+        accumulated = 0.0
+        for _ in range(63):
+            accumulated = accumulated + 0.1
+        assert topo.max_rtt() == 2.0 * accumulated
+        assert topo.max_rtt() != 2.0 * (63 * 0.1)
+
+    def test_single_switch(self):
+        topo = Topology("one")
+        topo.add_switch("only")
+        topo.add_host("h", "only")
+        topo.add_link("h", "only", latency=0.4)    # a host link is not a switch step
+        assert repr(topo.max_rtt()) == "0.0"
+        assert topo.diameter() == 0
+        assert_matches_reference(topo)
+
+    def test_no_switches(self):
+        topo = Topology("empty")
+        assert repr(topo.max_rtt()) == "0.0"
+        assert topo.diameter() == 0
+
+    @pytest.mark.parametrize("latency", UNIFORM_LATENCIES)
+    def test_two_islands_of_different_diameter(self, latency):
+        topo = _uniform_islands(latency)
+        assert_matches_reference(topo)
+        with pytest.raises(TopologyError):
+            topo.diameter()
+
+    @pytest.mark.parametrize("latency", UNIFORM_LATENCIES)
+    def test_one_directional_chain_and_ring(self, latency):
+        chain = _line(12, latency, bidirectional=False)
+        assert_matches_reference(chain)
+        with pytest.raises(TopologyError):
+            chain.diameter()               # s011 reaches nobody
+        ring = _line(12, latency, closed=True, bidirectional=False)
+        assert_matches_reference(ring)
+        assert ring.diameter() == 11
+
+    def test_index_invalidation_picks_the_path(self, monkeypatch):
+        """Uniform, mixed by one ``add_link``, uniform again by ``remove_link``."""
+        from repro.topology import graph
+
+        searches = []
+        dijkstra = graph._dijkstra
+        monkeypatch.setattr(
+            graph, "_dijkstra",
+            lambda adjacency, source: searches.append(source) or dijkstra(adjacency, source))
+
+        def max_rtt_and_searches(topo):
+            del searches[:]
+            value = topo.max_rtt()
+            return repr(value), len(searches)
+
+        topo = _line(16, 0.7)
+        uniform = max_rtt_and_searches(topo)
+        assert uniform == (repr(reference_max_rtt(topo)), 0)
+        topo.add_link("s000", "s015", latency=0.05)
+        mixed = max_rtt_and_searches(topo)
+        assert mixed == (repr(reference_max_rtt(topo)), 16)
+        assert mixed[0] != uniform[0]
+        topo.remove_link("s000", "s015")
+        assert max_rtt_and_searches(topo) == uniform
+
+    @given(st.lists(st.sampled_from((0.1, 1 / 3, 0.7)), min_size=1, max_size=3, unique=True),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2),
+                              st.booleans()),
+                    max_size=24))
+    @settings(max_examples=120, deadline=None)
+    def test_random_graphs_with_one_to_three_latencies(self, palette, edges):
+        topo = Topology("random")
+        for i in range(9):
+            topo.add_switch(f"s{i}")
+        for a, b, choice, bidirectional in edges:
+            try:
+                topo.add_link(f"s{a}", f"s{b}", latency=palette[choice % len(palette)],
+                              bidirectional=bidirectional)
+            except TopologyError:
+                pass                         # a self-loop or a duplicate
+        assert_latency_passes_match(topo)
 
 
 MUTATION_NODES = ("s0", "s1", "s2", "s3", "s4", "h0", "h1")

@@ -175,3 +175,43 @@ class TestUnknownFieldsAndFamilies:
     def test_name_rejected_outside_zoo(self):
         with pytest.raises(ExperimentError, match="name"):
             TopologySpec("fattree", name="nsfnet").build()
+
+
+class TestNonFiniteLinkParameters:
+    """A NaN latency used to build (``nan < 0`` is false), give ``max_rtt() == 0.0``
+    and compile to the 0.25 ms fallback probe period without a word."""
+
+    FAMILIES = (dict(family="fattree"), dict(family="leafspine"),
+                dict(family="random", size=8), dict(family="zoo", name="ring8"))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda kw: kw["family"])
+    @pytest.mark.parametrize("field", ("latency", "capacity"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    def test_refused_by_the_spec(self, family, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            TopologySpec(**family, **{field: value}).build()
+
+    def test_oversubscription_too(self):
+        with pytest.raises(ExperimentError, match="oversubscription"):
+            TopologySpec("fattree", oversubscription=float("nan")).build()
+        with pytest.raises(ExperimentError, match="oversubscription"):
+            TopologySpec("leafspine", oversubscription=float("inf")).build()
+
+    def test_run_context_refuses_before_any_compile(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import RunContext, ScenarioSpec
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled a policy for a topology that cannot exist")
+
+        monkeypatch.setattr(runner, "compile_policy", no_compile)
+        spec = ScenarioSpec(name="nan-latency", system="contra",
+                            topology=TopologySpec("fattree", latency=float("nan")),
+                            config=ExperimentConfig())
+        with pytest.raises(ExperimentError, match="latency"):
+            RunContext().run(spec)
+
+    def test_zero_latency_still_builds(self):
+        topo = TopologySpec("fattree", latency=0.0).build()
+        assert topo.max_rtt() == 0.0
