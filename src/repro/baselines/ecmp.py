@@ -9,40 +9,28 @@ deterministic shortest path per destination.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.protocol.tables import packet_flow_hash
 from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import Packet
 from repro.simulator.switchnode import RoutingLogic
+from repro.topology.graph import NextHopTable, Topology
 
 __all__ = ["EcmpSystem", "ShortestPathSystem", "next_hop_table"]
 
 
-def next_hop_table(topology, all_hops: bool) -> Dict[str, Dict[str, List[str]]]:
+def next_hop_table(topology: Topology, all_hops: bool) -> NextHopTable:
     """For every switch, the shortest-path next hops towards every other switch.
 
     ``all_hops`` keeps every equal-cost next hop (ECMP); otherwise only the
-    lexicographically first one (single shortest path).  Takes a bare
-    :class:`~repro.topology.graph.Topology` so both the packet systems and
-    the fluid path models (:mod:`repro.simulator.fluid`) share one table
-    computation.
+    first in name order (single shortest path).  This is
+    :meth:`Topology.next_hop_table <repro.topology.graph.Topology.next_hop_table>`:
+    one table per topology, shared by every simulation on it — the packet
+    systems here and the fluid path models (:mod:`repro.simulator.fluid`)
+    alike — and read-only down to its tuple rows.
     """
-    table: Dict[str, Dict[str, List[str]]] = {s: {} for s in topology.switches}
-    lengths = topology.shortest_path_lengths()
-    for src in topology.switches:
-        for dst in topology.switches:
-            if src == dst or dst not in lengths[src]:
-                continue
-            hops = [
-                nbr for nbr in topology.switch_neighbors(src)
-                if dst in lengths[nbr] and lengths[nbr][dst] + 1 == lengths[src][dst]
-            ]
-            hops.sort()
-            if not hops:
-                continue
-            table[src][dst] = hops if all_hops else hops[:1]
-    return table
+    return topology.next_hop_table(all_hops)
 
 
 class _HashingLogic(RoutingLogic):
@@ -50,7 +38,7 @@ class _HashingLogic(RoutingLogic):
 
     def __init__(self, system: "EcmpSystem"):
         self.system = system
-        self._rows: Optional[Dict[str, List[str]]] = None
+        self._rows: Optional[Mapping[str, Tuple[str, ...]]] = None
 
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         rows = self._rows
@@ -62,7 +50,10 @@ class _HashingLogic(RoutingLogic):
         # Fast path: hash across the full hop set; only when the chosen link
         # is down re-hash across the live subset (identical to hashing the
         # live subset directly whenever nothing has failed).
-        choice = hops[packet_flow_hash(packet) % len(hops)]
+        flow_hash = packet.flow_hash
+        if flow_hash is None:           # hand-built packet: hosts stamp theirs
+            flow_hash = packet_flow_hash(packet)
+        choice = hops[flow_hash % len(hops)]
         ports = self.switch.ports
         link = ports.get(choice)
         if link is not None and not link.failed:
@@ -70,7 +61,7 @@ class _HashingLogic(RoutingLogic):
         usable = [h for h in hops if h in ports and not ports[h].failed]
         if not usable:
             return None
-        return usable[packet_flow_hash(packet) % len(usable)]
+        return usable[flow_hash % len(usable)]
 
 
 class EcmpSystem(RoutingSystem):
@@ -80,7 +71,7 @@ class EcmpSystem(RoutingSystem):
     _all_hops = True
 
     def __init__(self) -> None:
-        self._table: Dict[str, Dict[str, List[str]]] = {}
+        self._table: NextHopTable = {}
 
     def prepare(self, network: Network) -> None:
         self._table = next_hop_table(network.topology, all_hops=self._all_hops)
@@ -88,8 +79,8 @@ class EcmpSystem(RoutingSystem):
     def create_switch_logic(self, switch: str) -> RoutingLogic:
         return _HashingLogic(self)
 
-    def next_hops(self, switch: str, destination: str) -> List[str]:
-        return self._table.get(switch, {}).get(destination, [])
+    def next_hops(self, switch: str, destination: str) -> Tuple[str, ...]:
+        return self._table.get(switch, {}).get(destination, ())
 
 
 class ShortestPathSystem(EcmpSystem):

@@ -181,7 +181,10 @@ class HulaRouting(RoutingLogic):
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         destination = packet.dst_switch
         now = self.network.sim.now
-        fid = packet_flow_hash(packet) % self.flowlets.slots
+        flow_hash = packet.flow_hash
+        if flow_hash is None:           # hand-built packet: hosts stamp theirs
+            flow_hash = packet_flow_hash(packet)
+        fid = flow_hash % self.flowlets.slots
 
         pinned = self.flowlets.lookup(destination, 0, 0, fid, now)
         if pinned is not None and self._usable(pinned.next_hop):

@@ -22,29 +22,44 @@ The reproduction keeps the essential behaviour:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.protocol.tables import packet_flow_hash
 from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import Packet
 from repro.simulator.switchnode import RoutingLogic
+from repro.topology.graph import Topology
 
 __all__ = ["SpainSystem", "SpainRouting", "compute_spain_paths"]
 
+#: (ingress switch, egress switch) -> the pair's paths, each a switch sequence.
+SpainPaths = Mapping[Tuple[str, str], Tuple[Tuple[str, ...], ...]]
+
 
 def compute_spain_paths(
-    network_topology,
+    network_topology: Topology,
     k: int = 4,
     overlap_penalty: float = 4.0,
-) -> Dict[Tuple[str, str], List[List[str]]]:
+) -> SpainPaths:
     """Greedy SPAIN path sets for every ordered switch pair.
 
     Each successive path is a least-cost path where every link already used by
     the pair's previous paths costs ``overlap_penalty`` instead of 1, which
     pushes later paths onto disjoint links when the topology allows it.
+
+    Computed once per ``(topology, k, overlap_penalty)`` and shared, read-only,
+    by every simulation on the topology (:meth:`Topology.derived`).
     """
+    return network_topology.derived(
+        ("spain_paths", k, overlap_penalty),
+        lambda topology: _greedy_path_sets(topology, k, overlap_penalty))
+
+
+def _greedy_path_sets(network_topology: Topology, k: int,
+                      overlap_penalty: float) -> SpainPaths:
     switches = network_topology.switches
-    paths: Dict[Tuple[str, str], List[List[str]]] = {}
+    paths: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {}
     for src in switches:
         for dst in switches:
             if src == dst:
@@ -63,8 +78,8 @@ def compute_spain_paths(
                     used_links[(a, b)] = used_links.get((a, b), 0) + 1
                     used_links[(b, a)] = used_links.get((b, a), 0) + 1
             if chosen:
-                paths[(src, dst)] = chosen
-    return paths
+                paths[(src, dst)] = tuple(map(tuple, chosen))
+    return MappingProxyType(paths)
 
 
 def _weighted_shortest_path(topology, src: str, dst: str,
@@ -107,7 +122,7 @@ class SpainRouting(RoutingLogic):
             route = self.system.select_path(self.switch, packet)
             if route is None:
                 return None
-            packet.source_route = tuple(route[1:])  # remaining hops after this switch
+            packet.source_route = route[1:]     # remaining hops after this switch
 
         if not packet.source_route:
             return None
@@ -126,7 +141,7 @@ class SpainSystem(RoutingSystem):
     def __init__(self, k: int = 4, overlap_penalty: float = 4.0):
         self.k = k
         self.overlap_penalty = overlap_penalty
-        self.paths: Dict[Tuple[str, str], List[List[str]]] = {}
+        self.paths: SpainPaths = {}
 
     def prepare(self, network: Network) -> None:
         self.paths = compute_spain_paths(network.topology, self.k, self.overlap_penalty)
@@ -134,12 +149,15 @@ class SpainSystem(RoutingSystem):
     def create_switch_logic(self, switch: str) -> RoutingLogic:
         return SpainRouting(self)
 
-    def select_path(self, switch, packet: Packet) -> Optional[List[str]]:
+    def select_path(self, switch, packet: Packet) -> Optional[Tuple[str, ...]]:
         """Hash the flow onto one of the precomputed paths, skipping failed ones."""
-        candidates = self.paths.get((switch.name, packet.dst_switch), [])
+        candidates = self.paths.get((switch.name, packet.dst_switch), ())
         if not candidates:
             return None
-        start = packet_flow_hash(packet) % len(candidates)
+        flow_hash = packet.flow_hash
+        if flow_hash is None:           # hand-built packet: hosts stamp theirs
+            flow_hash = packet_flow_hash(packet)
+        start = flow_hash % len(candidates)
         for offset in range(len(candidates)):
             path = candidates[(start + offset) % len(candidates)]
             if all(not switch.network.link(a, b).failed for a, b in zip(path, path[1:])):

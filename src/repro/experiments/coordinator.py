@@ -66,6 +66,7 @@ from repro.experiments.runner import (
     RunResult,
     ScenarioSpec,
     SerialBackend,
+    _finite_number,
     compile_group_key,
     group_label,
     spec_hash,
@@ -306,42 +307,66 @@ def gc_leases(directory, valid_keys, completed_keys,
 
 
 class _Heartbeat:
-    """Daemon thread renewing one lease every ``interval`` seconds.
+    """One daemon thread per drain, renewing whichever lease the drain holds.
 
-    Stops at the first renewal that finds the lease lost (see
-    :func:`renew_lease`); the point still runs to completion and is recorded
-    — a duplicate of the reclaimer's byte-identical record at worst.
+    :meth:`watch` points it at the lease of the point about to execute and
+    :meth:`clear` takes it off again.  Every ``interval`` seconds the thread
+    renews the lease it is pointed at, if any, so a held lease never goes
+    longer than that without a heartbeat.  A renewal that finds the lease
+    lost (see :func:`renew_lease`) drops it; the point still runs to
+    completion and is recorded — a duplicate of the reclaimer's
+    byte-identical record at worst.
+
+    The target is read, renewed and written under one lock, so once
+    :meth:`clear` returns no renewal is in flight and none can start: the
+    drain clears *before* it releases, and a released lease is never written
+    again.  The thread starts with the first :meth:`watch` — a drain that
+    claims nothing starts none — and is joined on exit.
     """
 
-    def __init__(self, directory, key: str, owner: str, spec_name: str,
-                 interval: float):
+    def __init__(self, directory, owner: str, interval: float):
         self._directory = directory
-        self._key = key
         self._owner = owner
-        self._spec_name = spec_name
         self._interval = interval
+        self._lock = threading.Lock()
+        self._target: Optional[Tuple[str, str]] = None    # (key, spec name)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"lease-heartbeat-{key[:8]}")
+                                        name=f"lease-heartbeat-{owner}")
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
-            try:
-                if not renew_lease(self._directory, self._key, self._owner,
-                                   self._spec_name):
-                    return
-            except OSError:
-                # A vanished directory or permission hiccup must not kill the
-                # worker mid-point; the lease simply ages toward reclaim.
-                pass
+            with self._lock:
+                if self._target is None:
+                    continue
+                key, spec_name = self._target
+                try:
+                    if not renew_lease(self._directory, key, self._owner,
+                                       spec_name):
+                        self._target = None
+                except OSError:
+                    # A vanished directory or permission hiccup must not kill
+                    # the worker mid-point; the lease simply ages toward
+                    # reclaim.
+                    pass
+
+    def watch(self, key: str, spec_name: str) -> None:
+        with self._lock:
+            self._target = (key, spec_name)
+        if not self._thread.is_alive():
+            self._thread.start()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._target = None
 
     def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
         return self
 
     def __exit__(self, *_exc) -> None:
         self._stop.set()
-        self._thread.join()
+        if self._thread.is_alive():
+            self._thread.join()
 
 
 # ------------------------------------------------------- the coordinated drain
@@ -375,8 +400,23 @@ class CoordinatedBackend(ExecutionBackend):
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  heartbeat_interval: Optional[float] = None,
                  scenario: str = ""):
-        if ttl <= 0:
-            raise ExperimentError(f"lease TTL must be positive, got {ttl}")
+        # Refused here, before the store below creates anything on disk.
+        # (``nan <= 0`` is false: a bare comparison lets NaN through.)
+        if not _finite_number(ttl, positive=True):
+            raise ExperimentError(
+                f"lease TTL must be positive and finite, got {ttl!r}")
+        if heartbeat_interval is None:
+            heartbeat_interval = ttl / 6.0
+        if not (_finite_number(heartbeat_interval, positive=True)
+                and heartbeat_interval < ttl):
+            raise ExperimentError(
+                f"heartbeat interval must be positive and shorter than the "
+                f"lease TTL ({ttl}), got {heartbeat_interval!r}: a lease would "
+                f"go stale under a live worker")
+        if not _finite_number(poll_interval, positive=False):
+            raise ExperimentError(
+                f"poll interval must be non-negative and finite, "
+                f"got {poll_interval!r}")
         self.owner = owner if owner is not None else _default_owner()
         self.directory = Path(directory)
         self.store = ResultsStore(directory,
@@ -387,8 +427,7 @@ class CoordinatedBackend(ExecutionBackend):
         self.inner = inner if inner is not None else SerialBackend(RunContext())
         self.ttl = ttl
         self.poll_interval = poll_interval
-        self.heartbeat_interval = (heartbeat_interval if heartbeat_interval
-                                   is not None else ttl / 6.0)
+        self.heartbeat_interval = heartbeat_interval
         self.scenario = scenario
         # Accounting (mirrors ShardedBackend's executed/skipped surface).
         self.executed = 0
@@ -396,6 +435,8 @@ class CoordinatedBackend(ExecutionBackend):
         self.reclaimed = 0
         self.idle_s = 0.0
         self.groups_entered: List[str] = []
+        #: When the worker meta was last written, on the wall clock.
+        self._meta_written = float("-inf")
 
     # ------------------------------------------------------------- claiming
 
@@ -414,6 +455,11 @@ class CoordinatedBackend(ExecutionBackend):
         a pending point whose lease is not in the listing is claimable
         without touching the filesystem again.  A lease created after the
         listing is caught by the exclusive create below.
+
+        ``groups`` is the drain's own and is pruned in place: a position
+        found complete leaves its list for good (a record is never
+        un-written within one drain), so a scan walks the points still
+        pending, not the grid.
         """
         while True:
             # Listing first: a point whose lease is already gone was recorded
@@ -425,11 +471,11 @@ class CoordinatedBackend(ExecutionBackend):
             active_groups = set()
             pending_total = 0
             for group_key, positions in groups.items():
+                positions[:] = [position for position in positions
+                                if keys[position] not in completed]
+                pending_total += len(positions)
                 for position in positions:
                     key = keys[position]
-                    if key in completed:
-                        continue
-                    pending_total += 1
                     info = (read_lease(self.directory, key, now=now,
                                        ttl=self.ttl)
                             if key in leased else None)
@@ -510,27 +556,34 @@ class CoordinatedBackend(ExecutionBackend):
             keys = [spec_hash(spec) for spec in specs]
         groups = self._build_groups(specs)
         current_group: Optional[Tuple] = None
-        while True:
-            claim = self._claim(specs, keys, groups, current_group)
-            if claim is None:
-                break
-            spec, key = specs[claim.position], keys[claim.position]
-            group = compile_group_key(spec)
-            if group != current_group:
-                current_group = group
-                self.groups_entered.append(group_label(group))
-            if claim.stolen:
-                self.stolen += 1
-            if claim.reclaimed:
-                self.reclaimed += 1
-            with _Heartbeat(self.directory, key, self.owner, spec.name,
-                            self.heartbeat_interval):
+        with _Heartbeat(self.directory, self.owner,
+                        self.heartbeat_interval) as heartbeat:
+            while True:
+                claim = self._claim(specs, keys, groups, current_group)
+                if claim is None:
+                    break
+                spec, key = specs[claim.position], keys[claim.position]
+                group = compile_group_key(spec)
+                if group != current_group:
+                    current_group = group
+                    self.groups_entered.append(group_label(group))
+                if claim.stolen:
+                    self.stolen += 1
+                if claim.reclaimed:
+                    self.reclaimed += 1
+                heartbeat.watch(key, spec.name)
                 result, wall_s = next(iter(self.inner.run_iter_timed([spec])))
-            self.store.record(spec, result, wall_s=wall_s, key=key,
-                              owner=self.owner)
-            release_lease(self.directory, key, owner=self.owner)
-            self.executed += 1
-            self._write_worker_meta()
+                heartbeat.clear()
+                self.store.record(spec, result, wall_s=wall_s, key=key,
+                                  owner=self.owner)
+                release_lease(self.directory, key, owner=self.owner)
+                self.executed += 1
+                # Progress for ``sweep-status`` at the heartbeat's cadence:
+                # often enough to watch a sweep, and off the per-point path.
+                # (A wall clock that stepped back counts as "long ago".)
+                if not (0 <= wall_now() - self._meta_written
+                        < self.heartbeat_interval):
+                    self._write_worker_meta()
         self._write_worker_meta()
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
@@ -569,7 +622,8 @@ class CoordinatedBackend(ExecutionBackend):
         """Progress record for ``sweep-status`` (advisory, never load-bearing)."""
         payload = dict(self.accounting())
         payload["scenario"] = self.scenario
-        payload["updated_unix"] = round(wall_now(), 3)
+        self._meta_written = wall_now()
+        payload["updated_unix"] = round(self._meta_written, 3)
         path = self.directory / f"worker-{self.owner}.meta.json"
         staging = path.with_name(path.name + ".tmp")
         staging.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -508,6 +508,9 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
     entry = _grid_scenario(name)
     specs = _build_specs(name, entry, config, flow_model)
     started = time.perf_counter()
+    # The collector.  Built first: its constructor is where a malformed TTL is
+    # refused, and that must happen before any drain process is spawned.
+    backend = CoordinatedBackend(results_dir, ttl=ttl, scenario=name)
     accounts: List[Dict[str, Any]] = []
     if workers > 1:
         job = (name, config, results_dir, flow_model, ttl)
@@ -516,10 +519,9 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
                        for _ in range(workers)]
             for future in futures:
                 accounts.append(future.result())
-    # The collector: executes the whole grid itself when workers == 1,
+    # The collector executes the whole grid itself when workers == 1,
     # otherwise mops up (kills, reclaims, remote stragglers) and assembles
     # the full result list from the store.
-    backend = CoordinatedBackend(results_dir, ttl=ttl, scenario=name)
     results = run_grid(specs, backend=backend)
     if workers == 1 or backend.executed:
         accounts.append(backend.accounting())

@@ -366,6 +366,10 @@ class ScenarioSpec:
     number, tuple or frozen dataclass.
     """
 
+    #: A slot beside the instance dict for :func:`spec_hash`'s memo, so that
+    #: ``__dict__`` stays exactly the fields.
+    __slots__ = ("_spec_hash", "__dict__", "__weakref__")
+
     name: str
     system: str
     topology: TopologySpec
@@ -443,6 +447,10 @@ class ScenarioSpec:
     #: (both planes; the fidelity scenario compares medians through this).
     fct_percentiles: Tuple[float, ...] = ()
 
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields alone: :func:`spec_hash`'s memo is never pickled."""
+        return self.__dict__
+
 
 # ---------------------------------------------------------------- spec hashing
 
@@ -503,13 +511,25 @@ def spec_hash(spec: ScenarioSpec) -> str:
     — byte-identical payloads to the pre-v3 encoder — so resuming an old
     packet results store under the new encoder skips exactly the points it
     already holds.
+
+    Computed once per spec instance: a spec is frozen, so the digest is kept
+    on the instance — in a slot beside its fields, so ``replace``, ``==``,
+    ``hash``, ``asdict``, ``__dict__`` and pickling never see it — and a
+    drain, its resume, ``collect_results`` and ``gc_results`` canonicalise a
+    grid once between them.
     """
+    try:
+        return spec._spec_hash
+    except AttributeError:
+        pass
     canonical = canonical_spec(spec)
     version = _SPEC_HASH_VERSION \
         if any(name in canonical for name in _V3_FIELDS) else 2
     payload = json.dumps({"v": version, "spec": canonical},
                          sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    object.__setattr__(spec, "_spec_hash", digest)
+    return digest
 
 
 def compile_group_key(spec: ScenarioSpec) -> Tuple[str, TopologySpec]:

@@ -52,6 +52,7 @@ sanitizer.
 from __future__ import annotations
 
 import heapq
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
@@ -214,6 +215,10 @@ def max_min_rates(
 # Path resolution: fluid analogues of the routing systems
 # =============================================================================
 
+#: switch -> destination switch -> ``(next hop, link id)`` per equal-cost hop.
+_NextHopRows = Mapping[str, Mapping[str, Tuple[Tuple[str, int], ...]]]
+
+
 class _Fabric:
     """Directed-link index shared by the path models and the simulation."""
 
@@ -232,23 +237,29 @@ class _Fabric:
             self.hosts[host] = (switch, self.index[(host, switch)],
                                 self.index[(switch, host)])
 
-    def next_hop_rows(
-            self, all_hops: bool) -> Dict[str, Dict[str, List[Tuple[str, int]]]]:
-        """``next_hop_table`` lowered once: switch -> destination switch ->
-        ``(next hop, link id)`` pairs in the table's hop order, so a walk
-        builds no ``(switch, hop)`` key and probes no index per candidate."""
-        from repro.baselines.ecmp import next_hop_table
+    def next_hop_rows(self, all_hops: bool) -> _NextHopRows:
+        """:meth:`Topology.next_hop_table` lowered once per topology: switch ->
+        destination switch -> ``(next hop, link id)`` pairs in the table's hop
+        order, so a walk builds no ``(switch, hop)`` key and probes no index
+        per candidate.  Link ids are positions in the topology's sorted links,
+        the same for every fabric built on it, so the rows are a
+        :meth:`Topology.derived` table like the one they lower: shared and
+        read-only."""
+        return self.topology.derived(("fluid_next_hop_rows", all_hops),
+                                     lambda topology: self._lowered(all_hops))
+
+    def _lowered(self, all_hops: bool) -> _NextHopRows:
         index = self.index
-        rows: Dict[str, Dict[str, List[Tuple[str, int]]]] = {}
-        for switch, table_row in next_hop_table(self.topology, all_hops).items():
+        rows = {}
+        for switch, table_row in self.topology.next_hop_table(all_hops).items():
             # One shared pair per neighbour; map keeps the lowering to a C
             # loop per row (a comprehension is a Python frame per row).
             pair = {hop: (hop, index[(switch, hop)])
                     for hop in self.topology.switch_neighbors(switch)}.__getitem__
-            row = rows[switch] = {}
-            for dst_switch, hops in table_row.items():
-                row[dst_switch] = list(map(pair, hops))
-        return rows
+            rows[switch] = MappingProxyType(
+                {dst_switch: tuple(map(pair, hops))
+                 for dst_switch, hops in table_row.items()})
+        return MappingProxyType(rows)
 
 
 class FluidPathModel:

@@ -71,7 +71,7 @@ class Host:
         self.uplink = None  # type: ignore[assignment]  # set by Network wiring
         #: host -> attachment switch, the topology's own map: both ends of
         #: every packet are stamped from it.
-        self._attachment = network.topology.host_attachments
+        self._attachment = network.host_attachments
         self._senders: Dict[int, SenderState] = {}
         self._receivers: Dict[int, ReceiverState] = {}
         #: Coalesced-ACK state per receiving flow: [last acked seq sent on the

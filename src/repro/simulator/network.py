@@ -81,6 +81,9 @@ class Network:
             raise SimulationError(
                 f"host_ack_every must be >= 1, got {host_ack_every}")
         self.topology = topology
+        #: host -> attachment switch: the topology's own live map, read here
+        #: once for every host and for the wiring in :meth:`_build`.
+        self.host_attachments = topology.host_attachments
         self.routing_system = routing_system
         self.sim = Simulator(sanitize=sanitize)
         #: The sanitizer plane, present only when ``sanitize`` resolved true.
@@ -148,9 +151,8 @@ class Network:
             elif link.src in self.hosts:
                 self.hosts[link.src].uplink = sim_link
 
-        for host_name in self.topology.hosts:
-            switch = self.topology.attachment_switch(host_name)
-            self.switches[switch].add_host(host_name)
+        for host_name in self.hosts:            # built in sorted-name order
+            self.switches[self.host_attachments[host_name]].add_host(host_name)
 
         self.routing_system.prepare(self)
 

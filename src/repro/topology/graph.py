@@ -20,14 +20,20 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from types import MappingProxyType
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple, TypeVar)
 
 from repro.exceptions import TopologyError
 
-__all__ = ["Link", "Topology", "NodeKind"]
+__all__ = ["Link", "Topology", "NodeKind", "NextHopTable"]
 
 _INF = float("inf")
+
+_Table = TypeVar("_Table")
+
+#: switch -> destination switch -> the neighbours one hop closer, in name order.
+NextHopTable = Mapping[str, Mapping[str, Tuple[str, ...]]]
 
 
 class NodeKind:
@@ -99,12 +105,18 @@ class _SwitchGraphIndex(NamedTuple):
     switches: Tuple[str, ...]
     #: Switch name -> dense id.
     ids: Dict[str, int]
+    #: All host names, sorted.
+    hosts: Tuple[str, ...]
     #: Per id, the switch-to-switch out-links as (neighbour id, latency, weight).
     out_rows: List[List[Tuple[int, float, float]]]
     #: Every node (hosts too) -> sorted out-neighbour names.
     neighbors: Dict[str, List[str]]
     #: Every node (hosts too) -> sorted out-neighbours that are switches.
     switch_neighbors: Dict[str, List[str]]
+    #: Tables computed from the graph on first request (:meth:`Topology.derived`),
+    #: by key.  They live and die with this index, so the mutators' one
+    #: invalidation drops them too.
+    derived: Dict[Hashable, object]
 
 
 def _dijkstra(adjacency: Sequence[Sequence[Tuple[int, float]]],
@@ -169,6 +181,64 @@ def _step_rows(rows: Sequence[Sequence[Tuple[int, float, float]]],
     return [[(nbr, 1.0) for nbr, _, _ in row] for row in rows]
 
 
+def _next_hop_table(index: _SwitchGraphIndex) -> NextHopTable:
+    """Every equal-cost next hop, by hop count, for every ordered switch pair.
+
+    One breadth-first search per destination over the reversed rows gives each
+    switch its hop distance, and the switches at each distance as a bitset
+    (bit ``i`` for id ``i``).  The next hops of a switch ``depth`` hops out are
+    its out-neighbours in the ``depth - 1`` set: one AND, decoded to names
+    once per distinct result, so the pairs that share a hop set (on a
+    fat-tree, nearly all of them) share one tuple.  Ids are name-ordered, so
+    hops and row keys come out sorted; a pair with no path has no entry.
+    """
+    switches = index.switches
+    out = [[nbr for nbr, _, _ in row] for row in index.out_rows]
+    into: List[List[int]] = [[] for _ in out]
+    out_bits = []
+    for node, nbrs in enumerate(out):
+        bits = 0
+        for nbr in nbrs:
+            into[nbr].append(node)
+            bits |= 1 << nbr
+        out_bits.append(bits)
+    rows: List[Dict[str, Tuple[str, ...]]] = [{} for _ in out]
+    named: Dict[int, Tuple[str, ...]] = {}
+    for target, dst in enumerate(switches):
+        depth_of = [0] * len(out)
+        at_depth = [1 << target]
+        frontier = [target]
+        while frontier:
+            depth = len(at_depth)
+            reached = []
+            bits = 0
+            for node in frontier:
+                for pred in into[node]:
+                    if not depth_of[pred] and pred != target:
+                        depth_of[pred] = depth
+                        bits |= 1 << pred
+                        reached.append(pred)
+            at_depth.append(bits)
+            frontier = reached
+        for node, depth in enumerate(depth_of):
+            if depth:
+                closer = out_bits[node] & at_depth[depth - 1]
+                hops = named.get(closer)
+                if hops is None:
+                    hops = named[closer] = tuple(
+                        [switches[nbr] for nbr in out[node] if closer >> nbr & 1])
+                rows[node][dst] = hops
+    return MappingProxyType(
+        {src: MappingProxyType(row) for src, row in zip(switches, rows)})
+
+
+def _first_hops(table: NextHopTable) -> NextHopTable:
+    """``table`` cut down to the first next hop, in name order, of every pair."""
+    return MappingProxyType(
+        {src: MappingProxyType({dst: hops[:1] for dst, hops in row.items()})
+         for src, row in table.items()})
+
+
 def _named(switches: Sequence[str], dist: Sequence[float],
            reached: Sequence[int]) -> Dict[str, float]:
     """A :func:`_dijkstra` result keyed by switch name, in discovery order."""
@@ -190,7 +260,8 @@ class Topology:
         self._links: Dict[Tuple[str, str], Link] = {}  # directed
         self._host_attachment: Dict[str, str] = {}     # host -> switch
         #: Lazily built by :meth:`_index`; every mutator resets it to None,
-        #: so an accessor can never serve a row older than the last change.
+        #: so an accessor can never serve a row — or a :meth:`derived` table
+        #: — older than the last change.
         self._switch_index: Optional[_SwitchGraphIndex] = None
 
     # ------------------------------------------------------------------ nodes
@@ -238,7 +309,7 @@ class Topology:
     @property
     def hosts(self) -> List[str]:
         """All host names, sorted for determinism."""
-        return sorted(n for n, kind in self._nodes.items() if kind == NodeKind.HOST)
+        return list(self._index().hosts)
 
     @property
     def nodes(self) -> List[str]:
@@ -337,6 +408,8 @@ class Topology:
             switches = tuple(sorted(
                 node for node, kind in self._nodes.items() if kind in roles))
             ids = {name: position for position, name in enumerate(switches)}
+            hosts = tuple(sorted(
+                node for node, kind in self._nodes.items() if kind == NodeKind.HOST))
             neighbors: Dict[str, List[str]] = {node: [] for node in self._nodes}
             for (src, dst) in self._links:
                 neighbors[src].append(dst)
@@ -355,8 +428,37 @@ class Topology:
                     row.append((ids[nbr], link.latency, link.weight))
                 out_rows.append(row)
             index = self._switch_index = _SwitchGraphIndex(
-                switches, ids, out_rows, neighbors, switch_neighbors)
+                switches, ids, hosts, out_rows, neighbors, switch_neighbors, {})
         return index
+
+    def derived(self, key: Hashable, build: Callable[["Topology"], _Table]) -> _Table:
+        """The table ``build(self)`` returns, computed once per ``key``.
+
+        For anything that is a function of the graph alone and that every
+        simulation on it would otherwise recompute: the table is kept on the
+        switch-graph index, so it is served until the next mutation and never
+        after it.  It is shared by every caller — ``build`` must return
+        something immutable.
+        """
+        tables = self._index().derived
+        try:
+            return tables[key]              # type: ignore[return-value]
+        except KeyError:
+            table = tables[key] = build(self)
+            return table
+
+    def next_hop_table(self, all_hops: bool) -> NextHopTable:
+        """For every switch, the shortest-path next hops towards every other switch.
+
+        By hop count.  ``all_hops`` keeps every equal-cost next hop (ECMP);
+        otherwise only the first in name order (single shortest path).  A
+        :meth:`derived` table: read-only mappings down to tuple rows.
+        """
+        if all_hops:
+            return self.derived(("next_hops", True),
+                                lambda topology: _next_hop_table(topology._index()))
+        return self.derived(("next_hops", False),
+                            lambda topology: _first_hops(topology.next_hop_table(True)))
 
     def neighbors(self, node: str) -> List[str]:
         """Nodes reachable from ``node`` over a single directed link (sorted).

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cProfile
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -35,6 +37,7 @@ if not HAVE_NUMPY:
         "integration/test_probe_vectorize.py",
         "integration/test_scenario_diversity.py",
         "integration/test_sharded_sweeps.py",
+        "integration/test_sweep_point_budget.py",
         "integration/test_transport_scenarios.py",
         "unit/test_baselines.py",
         "unit/test_compile_equivalence.py",
@@ -83,6 +86,54 @@ def flow_identity():
         return digest.hexdigest()
 
     return identity
+
+
+class CallCounts:
+    """Calls per function of one profiled run: ``counts("name", "file suffix")``.
+
+    A Python function is named by its ``co_name`` and, optionally, the tail
+    of its file's path; a C function by its qualified name as ``cProfile``
+    prints it (``posix.replace`` for ``os.replace``).  The count of a name no
+    call reached is 0, and :meth:`under` sums every function of a directory.
+    """
+
+    _BUILTIN = re.compile(r"<(?:built-in )?method '?([\w.]+)'?(?: of .*)?>$")
+
+    def __init__(self, stats) -> None:
+        self.rows = []                  # (file, function, calls)
+        for entry in stats:
+            code = entry.code
+            if isinstance(code, str):
+                match = self._BUILTIN.match(code)
+                self.rows.append(("", match.group(1) if match else code,
+                                  entry.callcount))
+            else:
+                self.rows.append((code.co_filename, code.co_name, entry.callcount))
+
+    def __call__(self, function: str, file: str = "") -> int:
+        return sum(calls for path, name, calls in self.rows
+                   if name == function and path.endswith(file))
+
+    def under(self, directory: str) -> int:
+        return sum(calls for path, _, calls in self.rows if directory in path)
+
+
+@pytest.fixture
+def call_budget():
+    """``call_budget(fn, *args, **kwargs)`` runs ``fn`` under ``cProfile`` and
+    returns the :class:`CallCounts` of the calling thread — exact counts, so a
+    budget stated through them is a tight bound, not a timing."""
+
+    def measure(fn, *args, **kwargs) -> CallCounts:
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            fn(*args, **kwargs)
+        finally:
+            profile.disable()
+        return CallCounts(profile.getstats())
+
+    return measure
 
 
 @pytest.fixture

@@ -121,13 +121,22 @@ class TestLeasePrimitives:
         assert not list(tmp_path.glob("lease-*")), "renew left debris"
 
     def test_heartbeat_stops_once_the_lease_is_lost(self, tmp_path):
+        """The drain's one thread outlives a lost lease (the next point needs
+        it) but is off that lease from the first renewal that finds it gone."""
         assert try_acquire_lease(tmp_path, KEY, "A")
-        with coordinator._Heartbeat(tmp_path, KEY, "A", "", 0.01) as heartbeat:
+        with coordinator._Heartbeat(tmp_path, "A", 0.01) as heartbeat:
+            heartbeat.watch(KEY, "")
             assert reclaim_lease(tmp_path, KEY, "B")
-            assert try_acquire_lease(tmp_path, KEY, "B")
-            heartbeat._thread.join(timeout=5.0)
-            assert not heartbeat._thread.is_alive()
-        assert read_lease(tmp_path, KEY).owner == "B"
+            assert try_acquire_lease(tmp_path, KEY, "B", now=100.0)
+            deadline = time.monotonic() + 5.0
+            while heartbeat._target is not None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert heartbeat._target is None
+            assert heartbeat._thread.is_alive()
+            time.sleep(0.05)                # several more ticks: none writes
+        assert not heartbeat._thread.is_alive()
+        info = read_lease(tmp_path, KEY)
+        assert (info.owner, info.heartbeat_unix) == ("B", 100.0)
 
     def test_staleness_is_judged_against_the_ttl(self, tmp_path):
         try_acquire_lease(tmp_path, KEY, "w0", now=100.0)
@@ -301,6 +310,56 @@ class TestCoordinatedByteIdentity:
             CoordinatedBackend(tmp_path, ttl=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestTimingRefusals:
+    """Each of these used to be accepted: a NaN TTL made every lease immortal
+    (``nan <= 0`` is false), a zero heartbeat interval span the renew loop,
+    one no shorter than the TTL let a lease go stale under a live worker, and
+    a negative or NaN poll interval surfaced mid-sweep as ``time.sleep``'s
+    bare ``ValueError``."""
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"ttl": NAN}, "TTL"), ({"ttl": INF}, "TTL"), ({"ttl": -INF}, "TTL"),
+        ({"ttl": -1.0}, "TTL"), ({"ttl": 0.0}, "TTL"), ({"ttl": "30"}, "TTL"),
+        ({"ttl": True}, "TTL"),
+        ({"heartbeat_interval": 0.0}, "heartbeat"),
+        ({"heartbeat_interval": -0.5}, "heartbeat"),
+        ({"heartbeat_interval": NAN}, "heartbeat"),
+        ({"heartbeat_interval": INF}, "heartbeat"),
+        ({"ttl": 3.0, "heartbeat_interval": 3.0}, "stale under a live worker"),
+        ({"ttl": 3.0, "heartbeat_interval": 30.0}, "stale under a live worker"),
+        ({"poll_interval": -0.2}, "poll"), ({"poll_interval": NAN}, "poll"),
+        ({"poll_interval": INF}, "poll"),
+    ], ids=lambda value: None if isinstance(value, str) else
+        ",".join(f"{name}={number}" for name, number in value.items()))
+    def test_refused_before_anything_is_created(self, tmp_path, kwargs, match):
+        directory = tmp_path / "store"
+        with pytest.raises(ExperimentError, match=match):
+            CoordinatedBackend(directory, **kwargs)
+        assert not directory.exists()
+
+    def test_the_accepted_edge_values(self, tmp_path):
+        backend = CoordinatedBackend(tmp_path, ttl=3.0, heartbeat_interval=2.999,
+                                     poll_interval=0.0)
+        assert backend.heartbeat_interval == 2.999
+        assert CoordinatedBackend(tmp_path, ttl=3.0).heartbeat_interval == 0.5
+
+    def test_drain_store_and_the_scenario_path_share_the_check(self, tmp_path,
+                                                              monkeypatch):
+        from repro.experiments import registry
+        directory = tmp_path / "store"
+        with pytest.raises(ExperimentError, match="TTL"):
+            drain_store(tiny_specs(), directory, ttl=NAN)
+        monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
+        monkeypatch.setattr(registry, "ProcessPoolExecutor", None)  # never reached
+        with pytest.raises(ExperimentError, match="TTL"):
+            run_scenario_coordinated("fig13", TINY, str(directory), workers=2,
+                                     ttl=INF)
+        assert not directory.exists()
+
+
 class StubBackend(ExecutionBackend):
     """A canned result per spec, no simulation: what is left is coordination."""
 
@@ -431,6 +490,216 @@ class TestLinearWork:
         assert executed >= len(specs)
         assert ledger["decoded"] == 2 * len(specs)
         assert 2 * len(specs) <= ledger["parsed"] <= 2 * executed
+
+
+class FakeClock:
+    """A wall clock the test advances; installed as ``coordinator.wall_now``."""
+
+    def __init__(self, start=1_000.0):
+        self.now = start
+
+    def __call__(self):
+        return self.now
+
+
+class TickingBackend(StubBackend):
+    """Every point costs ``step`` seconds of the fake clock."""
+
+    def __init__(self, clock, step):
+        self.clock, self.step = clock, step
+
+    def run_iter_timed(self, specs):
+        for outcome in super().run_iter_timed(specs):
+            self.clock.now += self.step
+            yield outcome
+
+
+def heartbeat_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("lease-heartbeat-")]
+
+
+class TestDrainBookkeeping:
+    """What a drain does beside executing points, counted from outside: the
+    worker meta is written on the heartbeat's cadence rather than per point,
+    one heartbeat thread serves the whole drain, and a claim scan walks the
+    points still pending rather than the grid."""
+
+    @pytest.mark.parametrize("step, interval", [(0.01, 5.0), (0.1, 1.0), (0.7, 0.5)])
+    def test_meta_writes_follow_the_heartbeat_cadence(self, tmp_path, monkeypatch,
+                                                      step, interval):
+        clock = FakeClock()
+        monkeypatch.setattr(coordinator, "wall_now", clock)
+        writes = []
+        write_meta = CoordinatedBackend._write_worker_meta
+        monkeypatch.setattr(
+            CoordinatedBackend, "_write_worker_meta",
+            lambda self: (writes.append((clock.now, self.executed)),
+                          write_meta(self))[1])
+        specs = stub_specs(60)
+        backend = CoordinatedBackend(tmp_path, inner=TickingBackend(clock, step),
+                                     owner="w0", ttl=6 * interval,
+                                     heartbeat_interval=interval,
+                                     scenario="cadence")
+        started = clock.now
+        backend.drain(specs)
+        elapsed = clock.now - started
+        assert backend.executed == 60
+        assert len(writes) <= -(-elapsed // interval) + 2
+        # Never two within one interval, except the exact one at drain end.
+        gaps = [later - earlier for (earlier, _), (later, _)
+                in zip(writes, writes[1:-1])]
+        assert all(gap >= interval for gap in gaps)
+        assert writes[-1] == (clock.now, 60)
+        meta = json.loads((tmp_path / "worker-w0.meta.json").read_text())
+        assert {name: meta[name] for name in backend.accounting()} == \
+            backend.accounting()
+        assert meta["scenario"] == "cadence"
+        assert meta["updated_unix"] == round(clock.now, 3)
+        status = sweep_status(specs, tmp_path, now=clock.now)
+        assert [(w.owner, w.executed) for w in status.workers] == [("w0", 60)]
+
+    def test_a_clock_stepped_back_does_not_silence_the_meta(self, tmp_path,
+                                                            monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(coordinator, "wall_now", clock)
+        backend = CoordinatedBackend(tmp_path, inner=TickingBackend(clock, -50.0),
+                                     owner="w0")
+        backend.drain(stub_specs(6))
+        meta = json.loads((tmp_path / "worker-w0.meta.json").read_text())
+        assert meta["executed"] == 6
+
+    def test_one_heartbeat_thread_per_drain_and_none_after(self, tmp_path,
+                                                           monkeypatch):
+        seen = []
+
+        class Watching(StubBackend):
+            def run_iter_timed(self, specs):
+                seen.append(tuple(heartbeat_threads()))
+                return super().run_iter_timed(specs)
+
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (starts.append(thread.name),
+                                            start(thread))[1])
+        assert not heartbeat_threads()
+        backend = CoordinatedBackend(tmp_path, inner=Watching(), owner="w0")
+        backend.drain(stub_specs(60))
+        assert backend.executed == 60
+        assert starts == ["lease-heartbeat-w0"]
+        assert len(set(seen)) == 1 and len(seen[0]) == 1
+        assert seen[0][0].daemon and not seen[0][0].is_alive()
+        assert not heartbeat_threads()
+        # A drain that finds nothing to claim starts no thread at all.
+        backend.drain(stub_specs(60))
+        assert starts == ["lease-heartbeat-w0"]
+
+    def test_a_lease_stolen_mid_point_is_never_renewed_again(self, tmp_path,
+                                                             monkeypatch):
+        """B reclaims A's lease while A's point is still running: A's
+        heartbeat finds out at its next renewal and writes nothing from then
+        on, A's release leaves B's lease alone, and the point is recorded."""
+        spec = stub_specs(3)[0]
+        key = spec_hash(spec)
+        renewals = []
+        renew = coordinator.renew_lease
+
+        def watching_renew(directory, lease_key, owner, spec_name="", now=None):
+            renewed = renew(directory, lease_key, owner, spec_name, now)
+            renewals.append((lease_key, owner, renewed))
+            return renewed
+
+        monkeypatch.setattr(coordinator, "renew_lease", watching_renew)
+
+        class Stolen(StubBackend):
+            def run_iter_timed(self, specs):
+                assert read_lease(tmp_path, key).owner == "A"
+                assert reclaim_lease(tmp_path, key, "B")
+                assert try_acquire_lease(tmp_path, key, "B", now=50.0)
+                deadline = time.monotonic() + 5.0
+                while (key, "A", False) not in renewals \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                time.sleep(0.05)            # several more ticks
+                return super().run_iter_timed(specs)
+
+        backend = CoordinatedBackend(tmp_path, inner=Stolen(), owner="A",
+                                     ttl=1.0, heartbeat_interval=0.01)
+        backend.drain([spec])
+        # (A tick between the claim and the theft renews; none follows the loss.)
+        lost = renewals.index((key, "A", False))
+        assert renewals[lost:] == [(key, "A", False)]
+        assert set(renewals[:lost]) <= {(key, "A", True)}
+        info = read_lease(tmp_path, key)
+        assert (info.owner, info.heartbeat_unix) == ("B", 50.0)
+        assert backend.executed == 1 and key in backend.store.load()
+
+    def test_no_renewal_lands_after_the_release(self, tmp_path, monkeypatch):
+        """The heartbeat is cleared, under the lock a renewal holds, before
+        the lease is released: a renewal is either finished by then or never
+        starts.  Checked where every renewal passes (``renew_lease``), with
+        an interval short enough to tick many times a point."""
+        released = set()
+        late = []
+        renew, release = coordinator.renew_lease, coordinator.release_lease
+
+        def watching_renew(directory, key, owner, spec_name="", now=None):
+            if key in released:
+                late.append(key)
+            return renew(directory, key, owner, spec_name, now)
+
+        def watching_release(directory, key, owner=None):
+            released.add(key)
+            return release(directory, key, owner)
+
+        monkeypatch.setattr(coordinator, "renew_lease", watching_renew)
+        monkeypatch.setattr(coordinator, "release_lease", watching_release)
+
+        class Slow(StubBackend):
+            def run_iter_timed(self, specs):
+                time.sleep(0.004)
+                return super().run_iter_timed(specs)
+
+        specs = stub_specs(60)
+        backend = CoordinatedBackend(tmp_path, inner=Slow(), owner="w0",
+                                     ttl=1.0, heartbeat_interval=0.001)
+        backend.drain(specs)
+        assert backend.executed == 60 and len(released) == 60
+        assert not late
+        assert not live_leases(tmp_path)
+        assert not list(tmp_path.glob("lease-*")), "a renewal re-created a lease"
+
+    def test_a_claim_scan_walks_the_pending_points_only(self, tmp_path,
+                                                        monkeypatch):
+        probes = []                      # per scan: `key in completed` tests
+
+        class Counting(dict):
+            def __contains__(self, key):
+                probes[-1] += 1
+                return dict.__contains__(self, key)
+
+        load = ResultsStore.load
+
+        def counting_load(store):
+            probes.append(0)
+            return Counting(load(store))
+
+        monkeypatch.setattr(ResultsStore, "load", counting_load)
+        count = 1440
+        backend = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w0")
+        backend.drain(stub_specs(count))
+        assert backend.executed == count
+        assert len(probes) == count + 1
+        # Scan n meets the n - 1 points recorded before it once more (each
+        # leaves the walk at the scan after its own) and nothing it dropped
+        # earlier: at most count - (n - 2) probes, falling to 1.
+        assert probes[0] == count
+        assert all(probe <= count - max(0, scan - 1)
+                   for scan, probe in enumerate(probes))
+        assert all(later <= earlier for earlier, later in zip(probes, probes[1:]))
+        assert probes[-1] <= 1
+        assert sum(probes) <= count * (count + 3) // 2
 
 
 class TestSweepStatus:

@@ -120,6 +120,39 @@ class TestSpecHash:
             changed = ScenarioSpec(**{**base.__dict__, **override})
             assert spec_hash(changed) != spec_hash(base)
 
+    def test_hash_is_memoised_beside_the_fields_not_among_them(self, monkeypatch):
+        """One canonicalisation per spec instance, and nothing that reads a
+        spec's fields — ``replace``, ``==``, ``hash``, ``asdict``,
+        ``__dict__``, pickling — can tell a hashed spec from an unhashed one."""
+        import dataclasses
+        import pickle
+
+        from repro.experiments import runner
+
+        calls = []
+        canonical = runner.canonical_spec
+        monkeypatch.setattr(runner, "canonical_spec",
+                            lambda spec: calls.append(spec) or canonical(spec))
+        spec, twin = tiny_specs()[0], tiny_specs()[0]
+        pickled, fields = pickle.dumps(spec), dict(spec.__dict__)
+        digest = spec_hash(spec)
+        assert [spec_hash(spec) for _ in range(5)] == [digest] * 5
+        assert len(calls) == 1
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec.__dict__ == fields == twin.__dict__
+        assert dataclasses.asdict(spec) == dataclasses.asdict(twin)
+        assert repr(spec) == repr(twin)
+        assert pickle.dumps(spec) == pickled
+        # A copy starts cold and re-derives the same digest; a changed copy
+        # never inherits the original's.
+        for copy in (pickle.loads(pickled), dataclasses.replace(spec)):
+            assert not hasattr(copy, "_spec_hash")
+            assert spec_hash(copy) == digest
+        changed = dataclasses.replace(spec, seed=spec.seed + 1)
+        assert not hasattr(changed, "_spec_hash")
+        assert spec_hash(changed) != digest
+        assert len(calls) == 4
+
     def test_canonical_spec_is_plain_json_data(self):
         canonical = canonical_spec(tiny_specs()[0])
         json.dumps(canonical)  # must not raise

@@ -178,3 +178,88 @@ class TestSpain:
                             flow_id=flow_id, dst_switch="leaf1")
             hop = network.switches["leaf0"].routing.on_data_packet(packet, "h0_0")
             assert hop == "spine1"
+
+
+class TestSharedTables:
+    """The baselines' tables outlive a point: one per topology, handed to
+    every simulation on it, so nothing a caller is given can be written to."""
+
+    def test_ecmp_rows_are_tuples_a_caller_cannot_mutate(self):
+        topo = fattree(4)
+        system = EcmpSystem()
+        Network(topo, system)
+        hops = system.next_hops("e0_0", "e3_1")
+        assert hops == ("a0_0", "a0_1")
+        with pytest.raises(AttributeError):
+            hops.append("c0")
+        with pytest.raises(TypeError):
+            hops[0] = "a0_1"
+        assert system.next_hops("e0_0", "nowhere") == ()
+        # The next point on the same topology is handed the same, intact table.
+        again = EcmpSystem()
+        Network(topo, again)
+        assert again.next_hops("e0_0", "e3_1") is hops
+
+    def test_spain_options_are_tuples_shared_per_parameters(self):
+        topo = leafspine(2, 2, hosts_per_leaf=0, capacity=10.0)
+        paths = compute_spain_paths(topo, k=2)
+        assert paths[("leaf0", "leaf1")] == (("leaf0", "spine0", "leaf1"),
+                                             ("leaf0", "spine1", "leaf1"))
+        with pytest.raises(TypeError):
+            paths[("leaf0", "leaf1")] = ()
+        assert compute_spain_paths(topo, k=2) is paths
+        assert compute_spain_paths(topo, k=1) is not paths
+        assert compute_spain_paths(topo, k=2, overlap_penalty=1.0) is not paths
+        topo.remove_link("leaf0", "spine1")
+        assert compute_spain_paths(topo, k=2)[("leaf0", "leaf1")] == \
+            (("leaf0", "spine0", "leaf1"),)
+
+    def test_two_points_of_one_context_see_one_table(self):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import RunContext, ScenarioSpec, TopologySpec
+
+        config = ExperimentConfig(workload_duration=1.0, run_duration=10.0,
+                                  websearch_scale=0.05)
+        topology = TopologySpec("fattree", k=4, capacity=config.host_capacity,
+                                oversubscription=config.oversubscription)
+        specs = [ScenarioSpec(name=f"shared:{system}-{seed}", system=system,
+                              topology=topology, config=config, load=0.3, seed=seed,
+                              stop_after_completion=True)
+                 for system, seed in (("ecmp", 1), ("ecmp", 2),
+                                      ("shortest-path", 1), ("shortest-path", 2))]
+        context = RunContext()
+        tables = []
+        context.network_hook = lambda network: tables.append(
+            network.routing_system._table)
+        for spec in specs:
+            context.run(spec)
+        assert tables[0] is tables[1] and tables[2] is tables[3]
+        assert tables[0] is not tables[2]
+        fresh = topology.build()
+        assert tables[0] == fresh.next_hop_table(True)
+        assert tables[2] == fresh.next_hop_table(False)
+
+    @pytest.mark.parametrize("make_system", (EcmpSystem, lambda: SpainSystem(k=2),
+                                             HulaSystem))
+    def test_the_stamped_flow_hash_is_read_in_place(self, make_system, monkeypatch):
+        """Hosts stamp ``packet.flow_hash``; a baseline that recomputed it
+        per hop would pay a ``packet_flow_hash`` frame per packet."""
+        import repro.baselines.ecmp as ecmp, repro.baselines.hula as hula, \
+            repro.baselines.spain as spain
+        from repro.simulator.packet import Packet, PacketKind
+
+        def refuse(packet):
+            raise AssertionError("packet_flow_hash called for a stamped packet")
+
+        topo = leafspine(2, 2, hosts_per_leaf=1, capacity=10.0)
+        network = Network(topo, make_system())
+        for module in (ecmp, hula, spain):
+            monkeypatch.setattr(module, "packet_flow_hash", refuse)
+        chosen = set()
+        for stamp in range(8):
+            packet = Packet(kind=PacketKind.DATA, src_host="h0_0", dst_host="h1_0",
+                            flow_id=7, dst_switch="leaf1", flow_hash=stamp)
+            chosen.add(network.switches["leaf0"].routing.on_data_packet(packet, "h0_0"))
+        assert chosen <= {"spine0", "spine1"} and chosen
+        if not isinstance(network.routing_system, HulaSystem):
+            assert chosen == {"spine0", "spine1"}   # the stamp, not the flow id, decides

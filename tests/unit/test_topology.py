@@ -478,9 +478,41 @@ def reference_diameter(topo):
     return worst
 
 
+def reference_next_hop_table(topo, all_hops):
+    """The name-keyed table computation ``baselines/ecmp.py`` carried until
+    the table moved onto the index: all-pairs lengths, then one membership
+    probe per (source, destination, neighbour)."""
+    switches = reference_switches(topo)
+    table = {s: {} for s in switches}
+    lengths = reference_shortest_path_lengths(topo)
+    for src in switches:
+        for dst in switches:
+            if src == dst or dst not in lengths[src]:
+                continue
+            hops = [
+                nbr for nbr in reference_switch_neighbors(topo, src)
+                if dst in lengths[nbr] and lengths[nbr][dst] + 1 == lengths[src][dst]
+            ]
+            hops.sort()
+            if not hops:
+                continue
+            table[src][dst] = tuple(hops if all_hops else hops[:1])
+    return table
+
+
 def in_order(mapping):
     """Items in iteration order: equality of these is equality of dict order too."""
     return list(mapping.items())
+
+
+def assert_next_hop_tables_match(topo):
+    for all_hops in (True, False):
+        table = topo.next_hop_table(all_hops)
+        reference = reference_next_hop_table(topo, all_hops)
+        assert list(table) == list(reference)
+        for src in reference:
+            assert in_order(table[src]) == in_order(reference[src])
+            assert all(type(hops) is tuple for hops in table[src].values())
 
 
 def assert_latency_passes_match(topo):
@@ -497,6 +529,8 @@ def assert_latency_passes_match(topo):
 
 def assert_matches_reference(topo):
     assert topo.switches == reference_switches(topo)
+    assert topo.hosts == sorted(n for n, kind in topo._nodes.items() if kind == NodeKind.HOST)
+    assert_next_hop_tables_match(topo)
     for node in topo.nodes:
         assert topo.neighbors(node) == reference_neighbors(topo, node)
         assert topo.switch_neighbors(node) == reference_switch_neighbors(topo, node)
@@ -762,3 +796,99 @@ class TestIndexInvalidation:
             except TopologyError:
                 pass                         # a refused mutation must not corrupt the index either
             assert_matches_reference(topo)
+
+
+# ------------------------------------------------------------ derived tables
+#
+# A table computed from the graph (:meth:`Topology.derived`) lives on the
+# switch-graph index, so the one invalidation every mutator performs drops it.
+
+def _weighted_random():
+    """A random graph whose links carry unequal weights and latencies."""
+    topo = waxman(18, seed=7)
+    for position, link in enumerate(topo.undirected_links):
+        if topo.is_switch(link.src) and topo.is_switch(link.dst):
+            topo.remove_link(link.src, link.dst)
+            topo.add_link(link.src, link.dst, latency=0.05 + 0.01 * (position % 7),
+                          weight=1.0 + position % 5)
+    return topo
+
+
+DERIVED_FABRICS = {
+    "fattree4": lambda: fattree(4),
+    "abilene": lambda: abilene(),
+    "weighted_random": _weighted_random,
+}
+
+
+def _add_switch(topo):
+    topo.add_switch("zz-new")
+
+
+def _add_host(topo):
+    topo.add_host("zz-host", topo.switches[0])
+
+
+def _add_link(topo):
+    # The first pair of switches, in name order, that no link joins.
+    switches = topo.switches
+    a, b = next((a, b) for a in switches for b in switches
+                if a < b and not topo.has_link(a, b))
+    topo.add_link(a, b, latency=0.02, weight=3.0)
+
+
+def _remove_link(topo):
+    link = next(link for link in topo.undirected_links
+                if topo.is_switch(link.src) and topo.is_switch(link.dst))
+    topo.remove_link(link.src, link.dst)
+
+
+class TestDerivedTables:
+    @pytest.mark.parametrize("mutate", (_add_switch, _add_host, _add_link, _remove_link),
+                             ids=lambda mutate: mutate.__name__.lstrip("_"))
+    @pytest.mark.parametrize("fabric", sorted(DERIVED_FABRICS))
+    def test_every_mutator_drops_every_derived_table(self, fabric, mutate):
+        topo = DERIVED_FABRICS[fabric]()
+        assert_next_hop_tables_match(topo)
+        builds = []
+        build = lambda topology: builds.append(len(topology)) or len(builds)
+        before = [topo.next_hop_table(True), topo.next_hop_table(False),
+                  topo.derived("mine", build)]
+        assert topo.derived("mine", build) == 1 and builds == [len(topo)]
+        mutate(topo)
+        after = [topo.next_hop_table(True), topo.next_hop_table(False),
+                 topo.derived("mine", build)]
+        assert all(new is not old for new, old in zip(after, before))
+        assert after[2] == 2 and builds[1] == len(topo)
+        assert_next_hop_tables_match(topo)
+
+    def test_a_table_is_built_once_and_served_until_the_next_mutation(self):
+        topo = fattree(4)
+        assert topo.next_hop_table(True) is topo.next_hop_table(True)
+        assert topo.next_hop_table(False) is topo.next_hop_table(False)
+        assert topo.next_hop_table(True) is not topo.next_hop_table(False)
+        assert topo.copy().next_hop_table(True) is not topo.next_hop_table(True)
+
+    def test_tables_are_read_only_down_to_their_rows(self):
+        table = fattree(4).next_hop_table(True)
+        with pytest.raises(TypeError):
+            table["e0_0"] = {}
+        with pytest.raises(TypeError):
+            table["e0_0"]["e3_1"] = ()
+        with pytest.raises(TypeError):
+            table["e0_0"]["e3_1"][0] = "a0_1"
+        with pytest.raises(AttributeError):
+            table["e0_0"]["e3_1"].append("a0_1")
+
+    def test_equal_hop_sets_share_one_tuple(self):
+        """102 080 pairs on the k=16 fat-tree must not mean 102 080 tuples."""
+        table = fattree(8, hosts_per_edge=0).next_hop_table(True)
+        rows = [hops for row in table.values() for hops in row.values()]
+        assert len(rows) == 80 * 79
+        assert len({id(hops) for hops in rows}) < len(rows) // 10
+
+    def test_no_path_means_no_entry(self):
+        table = _two_islands().next_hop_table(True)
+        assert list(table) == ["A", "B", "C", "X", "Y"]
+        assert dict(table["A"]) == {"B": ("B",), "C": ("B",)}
+        assert dict(table["X"]) == {"Y": ("Y",)}
