@@ -147,6 +147,12 @@ class DFA:
 
     States are consecutive integers; state ``DEAD_STATE`` (-1) is the explicit
     garbage state from which no path can ever be accepted.
+
+    Construction and minimisation work over *symbol classes*: each symbol
+    the NFA names is a class of its own, and every other symbol — which
+    moves any state exactly as the next one does — shares one more.  The
+    class table (``_rows``) is then expanded to the per-symbol ``_delta``
+    that :meth:`transition` and the product graph read.
     """
 
     def __init__(self, alphabet: Iterable[str]):
@@ -156,13 +162,38 @@ class DFA:
         #: transition table: (state, symbol) -> state.
         self._delta: Dict[Tuple[int, str], int] = {}
         self.num_states: int = 0
+        #: Per alphabet symbol, in order, the index of its symbol class.
+        self._class_of: Tuple[int, ...] = ()
+        #: live state -> its target per symbol class, in ``_delta``'s row order.
+        self._rows: Dict[int, Tuple[int, ...]] = {}
 
     # -------------------------------------------------------------- building
 
     @classmethod
     def from_nfa(cls, nfa: NFA, alphabet: Iterable[str]) -> "DFA":
-        """Subset construction restricted to ``alphabet``."""
+        """Subset construction restricted to ``alphabet``, one move per symbol class.
+
+        Classes are visited in the alphabet order of their first symbol,
+        which is where a per-symbol loop first meets a class's target, so
+        state numbering and ``_delta`` are the per-symbol construction's.
+        """
         dfa = cls(alphabet)
+        named = {label for moves in nfa.transitions.values() for label, _ in moves}
+        named.discard(ANY_SYMBOL)
+        firsts: List[str] = []          # the first symbol of every class
+        other: Optional[int] = None
+        class_of = []
+        for symbol in dfa.alphabet:
+            if symbol in named:
+                class_of.append(len(firsts))
+                firsts.append(symbol)
+            else:
+                if other is None:
+                    other = len(firsts)
+                    firsts.append(symbol)
+                class_of.append(other)
+        dfa._class_of = tuple(class_of)
+
         start = nfa.epsilon_closure({nfa.start})
         subset_index: Dict[FrozenSet[int], int] = {start: 0}
         dfa.num_states = 1
@@ -171,31 +202,31 @@ class DFA:
         queue: List[FrozenSet[int]] = [start]
         while queue:
             subset = queue.pop()
-            src = subset_index[subset]
-            # Every symbol no transition out of the subset names moves it along
-            # its wildcard transitions only, so to one target: computed at the
-            # first such symbol, where the per-symbol loop would first meet it.
-            named = {label for state in subset for label, _ in nfa.transitions.get(state, ())}
-            named.discard(ANY_SYMBOL)
-            unnamed_target: Optional[FrozenSet[int]] = None
-            for symbol in dfa.alphabet:
-                if symbol in named:
-                    target = nfa.epsilon_closure(nfa.move(subset, symbol))
-                elif unnamed_target is None:
-                    target = unnamed_target = nfa.epsilon_closure(nfa.move(subset, symbol))
-                else:
-                    target = unnamed_target
+            row = []
+            for symbol in firsts:
+                target = nfa.epsilon_closure(nfa.move(subset, symbol))
                 if not target:
-                    dfa._delta[(src, symbol)] = DEAD_STATE
+                    row.append(DEAD_STATE)
                     continue
-                if target not in subset_index:
-                    subset_index[target] = dfa.num_states
+                state = subset_index.get(target)
+                if state is None:
+                    state = subset_index[target] = dfa.num_states
                     dfa.num_states += 1
                     if nfa.accept in target:
-                        dfa.accepting.add(subset_index[target])
+                        dfa.accepting.add(state)
                     queue.append(target)
-                dfa._delta[(src, symbol)] = subset_index[target]
+                row.append(state)
+            dfa._rows[subset_index[subset]] = tuple(row)
+        dfa._expand()
         return dfa
+
+    def _expand(self) -> None:
+        """Write ``_delta`` from ``_rows``: per row, every symbol in alphabet order."""
+        symbols = tuple(zip(self.alphabet, self._class_of))
+        delta = self._delta = {}
+        for src, row in self._rows.items():
+            for symbol, symbol_class in symbols:
+                delta[(src, symbol)] = row[symbol_class]
 
     # ------------------------------------------------------------- interface
 
@@ -244,73 +275,56 @@ class DFA:
         return live
 
     def minimize(self) -> "DFA":
-        """Hopcroft-style minimization (partition refinement).
+        """Partition refinement over symbol classes.
 
         Reduces the number of product-graph virtual nodes and therefore the
-        number of tags the data plane must carry.
+        number of tags the data plane must carry.  A state's signature is its
+        block and its targets' blocks, one per symbol class, with the dead
+        state a block of its own; refinement only ever splits, so it has
+        converged when the block count stops growing.  Blocks are numbered
+        by their smallest state, the initial state's then swapped to 0, and
+        a block's row sits where its first member's row did.
         """
-        states = set(self.states)
-        if not states:
+        rows = self._rows
+        if not rows:
             return self
-        accepting = set(self.accepting) & states
-        non_accepting = states - accepting
-        partitions: List[Set[int]] = [p for p in (accepting, non_accepting) if p]
+        accepting = self.accepting
+        block_of = {state: state in accepting for state in rows}
+        count = len(set(block_of.values()))
+        block_of[DEAD_STATE] = DEAD_STATE
+        while True:
+            signatures: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+            refined = {DEAD_STATE: DEAD_STATE}
+            for state, row in rows.items():
+                refined[state] = signatures.setdefault(
+                    (block_of[state], tuple([block_of[target] for target in row])),
+                    len(signatures))
+            block_of = refined
+            if len(signatures) == count:
+                break
+            count = len(signatures)
 
-        changed = True
-        while changed:
-            changed = False
-            new_partitions: List[Set[int]] = []
-            for block in partitions:
-                # Split the block by transition signature.
-                signature_of: Dict[int, Tuple[int, ...]] = {}
-                for state in block:
-                    signature = tuple(
-                        self._block_index(partitions, self.transition(state, symbol))
-                        for symbol in self.alphabet
-                    )
-                    signature_of[state] = signature
-                groups: Dict[Tuple[int, ...], Set[int]] = {}
-                for state, signature in signature_of.items():
-                    groups.setdefault(signature, set()).add(state)
-                if len(groups) > 1:
-                    changed = True
-                new_partitions.extend(groups.values())
-            partitions = new_partitions
+        number: Dict[int, int] = {}
+        for state in sorted(rows):
+            number.setdefault(block_of[state], len(number))
+        start = number[block_of[self.initial]]
+        if start:
+            # Renumber so that the initial state is 0 (cosmetic but keeps reports stable).
+            number = {block: 0 if n == start else start if n == 0 else n
+                      for block, n in number.items()}
+        number[DEAD_STATE] = DEAD_STATE
+        rename = {state: number[block] for state, block in block_of.items()}
 
-        # Build the minimized DFA.
-        block_of: Dict[int, int] = {}
-        for idx, block in enumerate(sorted(partitions, key=lambda b: min(b))):
-            for state in block:
-                block_of[state] = idx
         minimized = DFA(self.alphabet)
-        minimized.num_states = len(partitions)
-        minimized.initial = block_of[self.initial]
-        minimized.accepting = {block_of[s] for s in self.accepting}
-        for (src, symbol), dst in self._delta.items():
-            if dst == DEAD_STATE:
-                minimized._delta[(block_of[src], symbol)] = DEAD_STATE
-            else:
-                minimized._delta[(block_of[src], symbol)] = block_of[dst]
-        # Renumber so that the initial state is 0 (cosmetic but keeps reports stable).
-        if minimized.initial != 0:
-            swap = minimized.initial
-            remap = {swap: 0, 0: swap}
-            minimized.initial = 0
-            minimized.accepting = {remap.get(s, s) for s in minimized.accepting}
-            minimized._delta = {
-                (remap.get(src, src), symbol): remap.get(dst, dst) if dst != DEAD_STATE else DEAD_STATE
-                for (src, symbol), dst in minimized._delta.items()
-            }
+        minimized.num_states = count
+        minimized.accepting = {rename[state] for state in accepting}
+        minimized._class_of = self._class_of
+        for src, row in rows.items():
+            target = rename[src]
+            if target not in minimized._rows:
+                minimized._rows[target] = tuple([rename[state] for state in row])
+        minimized._expand()
         return minimized
-
-    @staticmethod
-    def _block_index(partitions: List[Set[int]], state: int) -> int:
-        if state == DEAD_STATE:
-            return -1
-        for idx, block in enumerate(partitions):
-            if state in block:
-                return idx
-        return -1
 
     def __repr__(self) -> str:
         return (f"DFA(states={self.num_states}, accepting={sorted(self.accepting)}, "

@@ -21,8 +21,10 @@ runtime (:mod:`repro.protocol`) and can be rendered to P4-style source with
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import ast
@@ -67,14 +69,17 @@ class CompileOptions:
     verify: bool = False
 
     def __post_init__(self) -> None:
-        if not self.probe_period_rtt_multiplier >= 0.5:
+        multiplier = self.probe_period_rtt_multiplier
+        # Chained so that NaN, which compares false with everything, is refused.
+        if isinstance(multiplier, bool) or not isinstance(multiplier, Real) \
+                or not 0.5 <= multiplier < math.inf:
             raise CompilationError(
-                f"probe_period_rtt_multiplier must be at least 0.5 (§5.2), got "
-                f"{self.probe_period_rtt_multiplier!r}")
+                f"probe_period_rtt_multiplier must be a finite number of at least 0.5 "
+                f"(§5.2), got {multiplier!r}")
         for name in ("flowlet_slots", "loop_table_slots"):
-            if getattr(self, name) <= 0:
-                raise CompilationError(
-                    f"{name} must be positive, got {getattr(self, name)!r}")
+            slots = getattr(self, name)
+            if type(slots) is not int or slots <= 0:
+                raise CompilationError(f"{name} must be a positive int, got {slots!r}")
 
 
 @dataclass
@@ -104,13 +109,31 @@ class CompiledPolicy:
 
     # ------------------------------------------------------------------ sizing
 
+    def _state_bytes(self) -> List[int]:
+        """Per switch, in config order, the total of its state estimate.
+
+        An estimate reads nothing but the tag count and the sizing fields
+        every config of one compile shares, so configs that agree on those
+        share one :class:`StateEstimate`.
+        """
+        totals: Dict[Tuple, int] = {}
+        sized = []
+        for cfg in self.device_configs.values():
+            key = (len(cfg.tags), cfg.network_size, cfg.num_probe_ids, cfg.carried_attrs,
+                   cfg.flowlet_slots, cfg.loop_table_slots)
+            total = totals.get(key)
+            if total is None:
+                total = totals[key] = cfg.state_estimate().total_bytes
+            sized.append(total)
+        return sized
+
     def total_state_bytes(self) -> int:
         """Sum of the per-switch state estimates (Figure 10 reports the max)."""
-        return sum(cfg.state_estimate().total_bytes for cfg in self.device_configs.values())
+        return sum(self._state_bytes())
 
     def max_state_bytes(self) -> int:
         """The largest per-switch state estimate."""
-        return max(cfg.state_estimate().total_bytes for cfg in self.device_configs.values())
+        return max(self._state_bytes())
 
     def max_state_kb(self) -> float:
         return self.max_state_bytes() / 1024.0
@@ -298,30 +321,28 @@ def _generate_device_configs(
     tag_of = product_graph.tags
     in_edges = product_graph.in_edges
     out_edges = product_graph.out_edges
+    acceptance = product_graph.acceptance
+    # Read in place: nothing below writes to a node list.
+    nodes_by_switch = product_graph._nodes_by_switch
     configs: Dict[str, DeviceConfig] = {}
 
     for switch, switch_neighbors in adjacency.items():
-        local_nodes = product_graph.nodes_of_switch(switch)
         tags: Dict[int, TagInfo] = {}
         #: predecessor virtual node -> the local tag its probes move into.
         incoming: Dict[PGNode, int] = {}
-        for node in local_nodes:
+        for node in nodes_by_switch.get(switch, ()):
             tag = tag_of[node]
-            neighbors = tuple(sorted({succ.switch for succ in out_edges[node]}))
-            tags[tag] = TagInfo(
-                tag=tag,
-                states=node.states,
-                acceptance=product_graph.acceptance(node),
-                multicast_neighbors=neighbors,
-            )
-            for predecessor in in_edges[node]:
-                incoming[predecessor] = tag
+            # A row holds one successor per neighbour, in neighbour-name
+            # order: its switches are already sorted and distinct.
+            tags[tag] = TagInfo(tag, node.states, acceptance(node),
+                                tuple([succ.switch for succ in out_edges[node]]))
+            incoming.update(dict.fromkeys(in_edges[node], tag))
 
         # Keyed by the switch's own neighbours, in (neighbour name, node)
         # order: P4 codegen and the cross-checker iterate this table.
         probe_transition: Dict[Tuple[str, int], int] = {}
         for neighbor in switch_neighbors:
-            for neighbor_node in product_graph.nodes_of_switch(neighbor):
+            for neighbor_node in nodes_by_switch.get(neighbor, ()):
                 tag = incoming.get(neighbor_node)
                 if tag is not None:
                     probe_transition[(neighbor, tag_of[neighbor_node])] = tag

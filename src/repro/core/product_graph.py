@@ -83,6 +83,8 @@ class ProductGraph:
         self.tags: Dict[PGNode, int] = {}
         #: reverse lookup: (switch, tag) -> node.
         self._by_tag: Dict[Tuple[str, int], PGNode] = {}
+        #: state vector -> its acceptance signature (:meth:`acceptance`).
+        self._acceptance: Dict[Tuple[int, ...], Tuple[bool, ...]] = {}
 
     # ------------------------------------------------------------ construction
 
@@ -191,8 +193,17 @@ class ProductGraph:
         return None
 
     def acceptance(self, node: PGNode) -> Tuple[bool, ...]:
-        """Which policy regexes the traffic path ending at this node satisfies."""
-        return tuple(dfa.is_accepting(state) for dfa, state in zip(self.dfas, node.states))
+        """Which policy regexes the traffic path ending at this node satisfies.
+
+        A function of the state vector alone, computed once per vector: the
+        same vectors recur at switch after switch.
+        """
+        states = node.states
+        accepted = self._acceptance.get(states)
+        if accepted is None:
+            accepted = self._acceptance[states] = tuple(
+                [dfa.is_accepting(state) for dfa, state in zip(self.dfas, states)])
+        return accepted
 
     def acceptance_by_regex(self, node: PGNode) -> Dict[PathRegex, bool]:
         """Acceptance keyed by the original (traffic-direction) regex objects."""
@@ -282,57 +293,55 @@ class ProductGraph:
         mapping from original node to representative and rebuilds the graph in
         place.  Reduces the number of tags packets must carry (§6.1).
         """
+        nodes = self.nodes
+        acceptance = self.acceptance
         # Initial partition: (switch, acceptance signature).
-        block_of: Dict[PGNode, int] = {}
-        blocks: Dict[Tuple, int] = {}
-        for node in self.nodes:
-            key = (node.switch, self.acceptance(node))
-            if key not in blocks:
-                blocks[key] = len(blocks)
-            block_of[node] = blocks[key]
+        blocks: Dict[Tuple[str, Tuple[bool, ...]], int] = {}
+        block_of = [blocks.setdefault((node.switch, acceptance(node)), len(blocks))
+                    for node in nodes]
+        count = len(blocks)
+        # Refinement only ever splits blocks, so all singletons is final.
+        if count < len(nodes):
+            # On dense ids.  A block never spans two switches, so a successor's
+            # block names its switch, and a row — one successor per neighbour,
+            # in neighbour order — is the sorted (switch, block) signature.
+            index = self._node_index
+            rows = [[index[succ] for succ in self.out_edges[node]] for node in nodes]
+            while True:
+                signatures: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+                block_of = [
+                    signatures.setdefault(
+                        (block, tuple([block_of[succ] for succ in row])), len(signatures))
+                    for block, row in zip(block_of, rows)]
+                # It has converged exactly when the block count stops growing.
+                if len(signatures) == count:
+                    break
+                count = len(signatures)
+        if count == len(nodes):
+            return {node: node for node in nodes}
 
-        changed = True
-        while changed:
-            changed = False
-            signature_blocks: Dict[Tuple, int] = {}
-            new_block_of: Dict[PGNode, int] = {}
-            for node in self.nodes:
-                successor_signature = tuple(sorted(
-                    (succ.switch, block_of[succ]) for succ in self.out_edges[node]))
-                key = (block_of[node], successor_signature)
-                if key not in signature_blocks:
-                    signature_blocks[key] = len(signature_blocks)
-                new_block_of[node] = signature_blocks[key]
-            # Refinement only ever splits blocks, so it has converged exactly
-            # when the number of distinct blocks stops growing.
-            changed = len(set(new_block_of.values())) != len(set(block_of.values()))
-            block_of = new_block_of
-
-        # Pick one representative per block (the smallest state vector).
+        # One representative per block: its smallest (switch, states) node.
         representative: Dict[int, PGNode] = {}
-        for node in sorted(self.nodes, key=lambda n: (n.switch, n.states)):
-            representative.setdefault(block_of[node], node)
-        mapping = {node: representative[block_of[node]] for node in self.nodes}
-
-        if all(mapping[node] == node for node in self.nodes):
-            return mapping
+        for node, block in zip(nodes, block_of):
+            known = representative.get(block)
+            if known is None or node < known:
+                representative[block] = node
+        mapping = {node: representative[block] for node, block in zip(nodes, block_of)}
 
         # Rebuild nodes/edges/probe-sending states under the mapping.
-        new_nodes: List[PGNode] = []
-        seen: Set[PGNode] = set()
-        for node in self.nodes:
-            rep = mapping[node]
-            if rep not in seen:
-                seen.add(rep)
-                new_nodes.append(rep)
+        new_nodes = list(dict.fromkeys(mapping.values()))
         new_out: Dict[PGNode, List[PGNode]] = {n: [] for n in new_nodes}
         new_in: Dict[PGNode, List[PGNode]] = {n: [] for n in new_nodes}
+        linked: Set[Tuple[PGNode, PGNode]] = set()
         for node, successors in self.out_edges.items():
             rep = mapping[node]
+            row = new_out[rep]
             for succ in successors:
                 succ_rep = mapping[succ]
-                if succ_rep not in new_out[rep]:
-                    new_out[rep].append(succ_rep)
+                edge = (rep, succ_rep)
+                if edge not in linked:
+                    linked.add(edge)
+                    row.append(succ_rep)
                     new_in[succ_rep].append(rep)
         self._set_nodes(new_nodes)
         self.out_edges = new_out

@@ -8,9 +8,9 @@ three policies:
 * **WP** — waypointing: three regular expressions, one metric;
 * **CA** — congestion-aware routing: no regexes, non-isotonic, two metrics.
 
-The driver sweeps fat-trees and random networks, compiles each (policy,
-topology) pair and records wall-clock compile time plus the maximum per-switch
-state estimate.
+The sweep covers fat-trees and random networks, builds each topology once,
+compiles every policy on it and records wall-clock compile time plus the
+maximum per-switch state estimate.
 """
 
 from __future__ import annotations
@@ -89,25 +89,39 @@ def scalability_policies(topology: Topology) -> Dict[str, Policy]:
     }
 
 
-def _compile_one(task: Tuple[str, int, str, int, Optional[CompileOptions]]) -> ScalabilityPoint:
-    """Compile one (family, size, policy) point; module-level for pool pickling."""
-    family, size, policy_name, seed, options = task
+def _compile_fabric(
+    task: Tuple[str, int, int, Tuple[str, ...], Optional[CompileOptions]],
+) -> List[ScalabilityPoint]:
+    """Build one (family, size, seed) fabric and compile each policy on it, in order.
+
+    Module-level for pool pickling.  Sharing the fabric leaves each timed
+    compile the work it had on a fabric of its own: the generator's
+    ``validate()`` builds the switch-graph index before any timer starts,
+    ``compile_policy`` recomputes ``max_rtt()`` every time and reads no
+    :meth:`Topology.derived` table, so nothing one compile leaves on the
+    topology is read by the next.
+    """
+    family, size, seed, policy_names, options = task
     topology = _build_topology(family, size, seed)
-    policy = scalability_policies(topology)[policy_name]
-    started = time.perf_counter()
-    compiled = compile_policy(policy, topology, options)
-    elapsed = time.perf_counter() - started
-    return ScalabilityPoint(
-        family=family,
-        size=size,
-        actual_switches=len(topology.switches),
-        policy=policy_name,
-        compile_time_s=elapsed,
-        max_state_kb=compiled.max_state_kb(),
-        pg_nodes=compiled.product_graph.num_nodes,
-        pg_edges=compiled.product_graph.num_edges,
-        num_probe_ids=compiled.num_probe_ids,
-    )
+    bound = scalability_policies(topology)
+    actual_switches = len(topology.switches)
+    points = []
+    for policy_name in policy_names:
+        started = time.perf_counter()
+        compiled = compile_policy(bound[policy_name], topology, options)
+        elapsed = time.perf_counter() - started
+        points.append(ScalabilityPoint(
+            family=family,
+            size=size,
+            actual_switches=actual_switches,
+            policy=policy_name,
+            compile_time_s=elapsed,
+            max_state_kb=compiled.max_state_kb(),
+            pg_nodes=compiled.product_graph.num_nodes,
+            pg_edges=compiled.product_graph.num_edges,
+            num_probe_ids=compiled.num_probe_ids,
+        ))
+    return points
 
 
 def run_scalability_sweep(
@@ -121,10 +135,12 @@ def run_scalability_sweep(
 ) -> List[ScalabilityPoint]:
     """Compile every (family, size, policy) combination and measure it.
 
-    Compile jobs are independent, so the sweep distributes them through
+    Each fabric is built once and compiles the requested policies in turn;
+    fabrics are independent, so the sweep distributes them through
     :func:`~repro.experiments.runner.grid_map` (``processes=`` /
-    ``$CONTRA_PROCS``); note that wall-clock compile *times* are only
-    comparable within a run when executed serially on an idle machine.
+    ``$CONTRA_PROCS``).  Points come back family, size, then policy order.
+    Note that wall-clock compile *times* are only comparable within a run
+    when executed serially on an idle machine.
     """
     from repro.experiments.runner import grid_map
 
@@ -144,13 +160,12 @@ def run_scalability_sweep(
             if isinstance(size, bool) or not isinstance(size, int) or size < smallest[family]:
                 raise ExperimentError(
                     f"{family} size {size!r} must be an integer >= {smallest[family]}")
-    tasks = [
-        (family, size, policy_name, seed, options)
-        for family in families
-        for size in sizes[family]
-        for policy_name in policies
-    ]
-    return grid_map(_compile_one, tasks, processes)
+    if not policies:
+        return []
+    tasks = [(family, size, seed, tuple(policies), options)
+             for family in families for size in sizes[family]]
+    return [point for points in grid_map(_compile_fabric, tasks, processes)
+            for point in points]
 
 
 def _build_topology(family: str, size: int, seed: int) -> Topology:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple, TypeVar)
@@ -89,8 +89,16 @@ class Link:
         return (self.src, self.dst)
 
     def reversed(self) -> "Link":
-        """Return the same link in the opposite direction."""
-        return replace(self, src=self.dst, dst=self.src)
+        """Return the same link in the opposite direction.
+
+        ``__post_init__`` is not run again: swapping the ends of a link it
+        accepted leaves nothing it would refuse.  The fields are written
+        into the instance dict, where ``__init__`` puts them, so the mirror
+        compares, hashes, prints, pickles and ``replace``-s like any link.
+        """
+        mirror = object.__new__(type(self))
+        mirror.__dict__.update(self.__dict__, src=self.dst, dst=self.src)
+        return mirror
 
 
 class _SwitchGraphIndex(NamedTuple):
@@ -348,21 +356,23 @@ class Topology:
     ) -> None:
         """Add a link between existing nodes ``a`` and ``b``.
 
-        By default both directions are added with identical parameters.
+        By default both directions are added with identical parameters,
+        checked once: the reverse link is the forward one's mirror.
         """
         for node in (a, b):
             if node not in self._nodes:
                 raise TopologyError(f"cannot link unknown node {node!r}")
-        if (a, b) in self._links:
+        links = self._links
+        if (a, b) in links:
             raise TopologyError(f"duplicate link {a!r} -> {b!r}")
         # Before the first write: the duplicate-reverse refusal below leaves
         # the forward link in place.
         self._switch_index = None
-        self._links[(a, b)] = Link(a, b, capacity=capacity, latency=latency, weight=weight)
+        forward = links[(a, b)] = Link(a, b, capacity, latency, weight)
         if bidirectional:
-            if (b, a) in self._links:
+            if (b, a) in links:
                 raise TopologyError(f"duplicate link {b!r} -> {a!r}")
-            self._links[(b, a)] = Link(b, a, capacity=capacity, latency=latency, weight=weight)
+            links[(b, a)] = forward.reversed()
 
     def remove_link(self, a: str, b: str, bidirectional: bool = True) -> None:
         """Remove the link(s) between ``a`` and ``b``."""

@@ -160,6 +160,59 @@ def reference_from_nfa(nfa, alphabet):
     return dfa
 
 
+def reference_minimize(dfa):
+    """Partition refinement over every symbol, a block found by scanning the partition."""
+
+    def block_index(partitions, state):
+        if state == DEAD_STATE:
+            return -1
+        for idx, block in enumerate(partitions):
+            if state in block:
+                return idx
+        return -1
+
+    states = set(dfa.states)
+    if not states:
+        return dfa
+    accepting = set(dfa.accepting) & states
+    partitions = [p for p in (accepting, states - accepting) if p]
+    changed = True
+    while changed:
+        changed = False
+        new_partitions = []
+        for block in partitions:
+            groups = {}
+            for state in block:
+                signature = tuple(block_index(partitions, dfa.transition(state, symbol))
+                                  for symbol in dfa.alphabet)
+                groups.setdefault(signature, set()).add(state)
+            if len(groups) > 1:
+                changed = True
+            new_partitions.extend(groups.values())
+        partitions = new_partitions
+
+    block_of = {}
+    for idx, block in enumerate(sorted(partitions, key=min)):
+        for state in block:
+            block_of[state] = idx
+    minimized = DFA(dfa.alphabet)
+    minimized.num_states = len(partitions)
+    minimized.initial = block_of[dfa.initial]
+    minimized.accepting = {block_of[s] for s in dfa.accepting}
+    for (src, symbol), dst in dfa._delta.items():
+        minimized._delta[(block_of[src], symbol)] = \
+            DEAD_STATE if dst == DEAD_STATE else block_of[dst]
+    if minimized.initial != 0:
+        swap = minimized.initial
+        remap = {swap: 0, 0: swap}
+        minimized.initial = 0
+        minimized.accepting = {remap.get(s, s) for s in minimized.accepting}
+        minimized._delta = {
+            (remap.get(src, src), symbol): DEAD_STATE if dst == DEAD_STATE else remap.get(dst, dst)
+            for (src, symbol), dst in minimized._delta.items()}
+    return minimized
+
+
 def assert_same_dfa(built, reference):
     """Same table in the same insertion order, so the same state numbering."""
     assert list(built._delta.items()) == list(reference._delta.items())
@@ -218,3 +271,39 @@ class TestSubsetConstructionSharesUnnamedSymbols:
     def test_random_regexes(self, pattern):
         nfa = NFA.from_regex(pattern)
         assert_same_dfa(DFA.from_nfa(nfa, ALPHABET), reference_from_nfa(nfa, ALPHABET))
+
+
+#: Symbols no drawn regex names, so every drawn DFA has a class of several.
+WIDE_ALPHABET = ALPHABET + ("E", "F", "X", "Y", ".")
+
+
+class TestSymbolClasses:
+    """Construction and minimisation over symbol classes give the per-symbol tables."""
+
+    @given(small_regexes(), st.sampled_from((ALPHABET, WIDE_ALPHABET, ("A",), ())))
+    @settings(max_examples=200)
+    def test_dfa_from_regex_equals_the_per_symbol_reference(self, pattern, alphabet):
+        for candidate in (pattern, pattern.reverse()):
+            reference = reference_from_nfa(NFA.from_regex(candidate), alphabet)
+            assert_same_dfa(dfa_from_regex(candidate, alphabet, minimize=False), reference)
+            assert_same_dfa(dfa_from_regex(candidate, alphabet), reference_minimize(reference))
+
+    def test_a_waypoint_regex_has_two_classes(self):
+        alphabet = [f"s{i:02d}" for i in range(40)]
+        dfa = dfa_from_regex(rx.parse_regex(".* s07 .*").reverse(), alphabet)
+        assert dfa._class_of == tuple(1 if symbol == "s07" else 0 for symbol in alphabet)
+        assert all(len(row) == 2 for row in dfa._rows.values())
+        assert len(dfa._delta) == dfa.num_states * len(alphabet)
+
+    def test_minimising_twice_changes_nothing(self):
+        dfa = dfa_from_regex(rx.parse_regex("A A + A A .*"), WIDE_ALPHABET)
+        again = dfa.minimize()
+        assert_same_dfa(again, dfa)
+        assert again._rows == dfa._rows
+
+    def test_figure3_policy_regexes(self):
+        alphabet, regexes = TestSubsetConstructionSharesUnnamedSymbols.policy_regexes()
+        for regex in regexes:
+            for pattern in (regex, regex.reverse()):
+                reference = reference_from_nfa(NFA.from_regex(pattern), alphabet)
+                assert_same_dfa(dfa_from_regex(pattern, alphabet), reference_minimize(reference))

@@ -77,6 +77,22 @@ PINNED_SCALABILITY = {
         "f2e61b24b4ac3a2f705d75a63810e9a1f486b0c1712d73584198e59fcbdcec27",
 }
 
+#: The larger WP jobs of the ``compile-scale`` ledger workload, fat-tree 500
+#: being Fig. 9's headline: pinned from the last compiler that built a fabric
+#: per policy, refined tags when every block was a singleton and ran the
+#: subset construction per symbol (commit 5e19b16).
+SWEEP_FABRICS = {
+    "fattree245": lambda: fattree_for_switch_count(245),
+    "random300": lambda: random_network(300, seed=1, degree=4),
+    "fattree500": lambda: fattree_for_switch_count(500),
+}
+
+PINNED_SWEEP_WP = {
+    "fattree245": "f827cd341cde38ca86230c590f7f62db7be8769e19dc4d4c832b6a5a13ff416e",
+    "random300": "17a73442d2f680e963e6f771378a585558436e4a678fca356f2b6f6decf72878",
+    "fattree500": "37813e5d89a801344a671bbed0c90287b0c62a2e324186fa845af8483a663b78",
+}
+
 PINNED_ABILENE = {
     "P1": "87534de9ad3c24558ded546c2fe7a9f6f6fde4566853b26bf704a1c952f16158",
     "P2": "a8a746362e00845493101fd8954c3a659e256c9e8c662d04e050e53f686bc541",
@@ -97,6 +113,12 @@ class TestCompileOutputPinned:
         policy = scalability_policies(topology)[policy_name]
         assert compile_digest(compile_policy(policy, topology)) == \
             PINNED_SCALABILITY[(family, policy_name)]
+
+    @pytest.mark.parametrize("family", sorted(PINNED_SWEEP_WP))
+    def test_sweep_wp_jobs(self, family):
+        topology = SWEEP_FABRICS[family]()
+        policy = scalability_policies(topology)["WP"]
+        assert compile_digest(compile_policy(policy, topology)) == PINNED_SWEEP_WP[family]
 
     @pytest.mark.parametrize("key", sorted(PINNED_ABILENE))
     def test_figure3_policies_on_abilene(self, key):

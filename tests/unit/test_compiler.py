@@ -97,6 +97,24 @@ class TestCompileOptionsValidation:
         with pytest.raises(CompilationError, match=name):
             CompileOptions(**{name: slots})
 
+    @pytest.mark.parametrize("multiplier", [float("inf"), True, "1.0", None])
+    def test_multiplier_must_be_a_finite_number(self, multiplier):
+        """``inf`` used to compile into an infinite probe period."""
+        with pytest.raises(CompilationError, match="probe_period_rtt_multiplier"):
+            CompileOptions(probe_period_rtt_multiplier=multiplier)
+
+    @pytest.mark.parametrize("name", ["flowlet_slots", "loop_table_slots"])
+    @pytest.mark.parametrize("slots", [True, 2.5, 256.0, float("nan"), float("inf"), "256"])
+    def test_table_sizes_must_be_plain_ints(self, name, slots):
+        """``nan`` and ``inf`` used to reach ``max_state_kb()``, Fig. 10's metric."""
+        with pytest.raises(CompilationError, match=name):
+            CompileOptions(**{name: slots})
+
+    @pytest.mark.parametrize("multiplier", [0.5, 1, 2.0, 1e6])
+    def test_accepted_multipliers(self, multiplier):
+        assert CompileOptions(probe_period_rtt_multiplier=multiplier) \
+            .probe_period_rtt_multiplier == multiplier
+
     def test_defaults_are_unchanged(self, diamond):
         options = CompileOptions()
         assert options.probe_period_rtt_multiplier == 0.5

@@ -1,7 +1,9 @@
 """Unit tests for product graph construction (§4.1, Figure 6)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import regex as rx
 from repro.core.builder import if_, inf, matches, minimize, path
 from repro.core.product_graph import PGNode, build_product_graph
 from repro.core.regex import parse_regex
@@ -270,3 +272,115 @@ class TestBuildMatchesThePerTransitionReference:
         topology = fattree(6, hosts_per_edge=0)
         self.assert_same_graph(build_product_graph(
             topology, waypoint_policy_for(topology).regexes(), minimize_tags=False))
+
+
+def reference_minimize_tags(pg):
+    """The refinement loop over node-keyed dicts, a sorted successor signature
+    per node per round, and a list scan per merged edge; rebuilds ``pg``."""
+    block_of, blocks = {}, {}
+    for node in pg.nodes:
+        key = (node.switch, pg.acceptance(node))
+        block_of[node] = blocks.setdefault(key, len(blocks))
+    changed = True
+    while changed:
+        signature_blocks, new_block_of = {}, {}
+        for node in pg.nodes:
+            signature = tuple(sorted((succ.switch, block_of[succ]) for succ in pg.out_edges[node]))
+            new_block_of[node] = signature_blocks.setdefault(
+                (block_of[node], signature), len(signature_blocks))
+        changed = len(set(new_block_of.values())) != len(set(block_of.values()))
+        block_of = new_block_of
+    representative = {}
+    for node in sorted(pg.nodes, key=lambda n: (n.switch, n.states)):
+        representative.setdefault(block_of[node], node)
+    mapping = {node: representative[block_of[node]] for node in pg.nodes}
+    if all(mapping[node] == node for node in pg.nodes):
+        return mapping
+    new_nodes = []
+    for node in pg.nodes:
+        if mapping[node] not in new_nodes:
+            new_nodes.append(mapping[node])
+    new_out = {n: [] for n in new_nodes}
+    new_in = {n: [] for n in new_nodes}
+    for node, successors in pg.out_edges.items():
+        rep = mapping[node]
+        for succ in successors:
+            if mapping[succ] not in new_out[rep]:
+                new_out[rep].append(mapping[succ])
+                new_in[mapping[succ]].append(rep)
+    pg._set_nodes(new_nodes)
+    pg.out_edges, pg.in_edges = new_out, new_in
+    pg.probe_sending_nodes = {
+        switch: mapping[node] for switch, node in pg.probe_sending_nodes.items()}
+    pg._assign_tags()
+    return mapping
+
+
+SWITCH_NAMES = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def small_topologies(draw):
+    names = SWITCH_NAMES[:draw(st.integers(2, len(SWITCH_NAMES)))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    topology = Topology("drawn")
+    for name in names:
+        topology.add_switch(name)
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        topology.add_link(a, b)
+    return topology
+
+
+def small_regexes():
+    leaf = st.one_of(st.sampled_from(SWITCH_NAMES).map(rx.node), st.just(rx.any_node()))
+    return st.recursive(leaf, lambda children: st.one_of(
+        st.tuples(children, children).map(lambda pair: rx.concat(*pair)),
+        st.tuples(children, children).map(lambda pair: rx.union(*pair)),
+        children.map(rx.star)), max_leaves=6)
+
+
+class TestTagMinimizationMatchesTheReference:
+    """Dense-id refinement, the singleton short-circuit and the set-deduplicated
+    rebuild give the mapping and graph the node-keyed loop gave."""
+
+    @staticmethod
+    def assert_same_minimization(topology, regexes, minimize_automata):
+        built, reference = (build_product_graph(topology, regexes, minimize_tags=False,
+                                                 minimize_automata=minimize_automata)
+                            for _ in range(2))
+        mapping = built.minimize_tags()
+        assert list(mapping.items()) == list(reference_minimize_tags(reference).items())
+        assert built.nodes == reference.nodes
+        assert list(built.out_edges.items()) == list(reference.out_edges.items())
+        assert list(built.in_edges.items()) == list(reference.in_edges.items())
+        assert list(built.probe_sending_nodes.items()) == \
+            list(reference.probe_sending_nodes.items())
+        assert list(built.tags.items()) == list(reference.tags.items())
+        TestPerSwitchNodeIndex.assert_index_matches_a_scan(built)
+        return mapping
+
+    def test_diamond_where_tags_merge(self, diamond):
+        regexes = [parse_regex(r) for r in TestPerSwitchNodeIndex.REGEXES]
+        mapping = self.assert_same_minimization(diamond, regexes, minimize_automata=False)
+        assert len(set(mapping.values())) < len(mapping)
+
+    @given(small_topologies(), st.lists(small_regexes(), min_size=1, max_size=3),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_topologies_and_regexes(self, topology, regexes, minimize_automata):
+        self.assert_same_minimization(topology, regexes, minimize_automata)
+
+    def test_all_singletons_leave_the_graph_untouched(self):
+        from repro.experiments.scalability import waypoint_policy_for
+        from repro.topology import fattree
+
+        topology = fattree(6, hosts_per_edge=0)
+        pg = build_product_graph(topology, waypoint_policy_for(topology).regexes(),
+                                 minimize_tags=False)
+        acceptance = {(node.switch, pg.acceptance(node)) for node in pg.nodes}
+        assert len(acceptance) == pg.num_nodes      # the initial partition
+        nodes, out_edges, tags = pg.nodes, pg.out_edges, pg.tags
+        mapping = pg.minimize_tags()
+        assert all(node is target for node, target in mapping.items())
+        assert list(mapping) == nodes
+        assert pg.nodes is nodes and pg.out_edges is out_edges and pg.tags is tags
