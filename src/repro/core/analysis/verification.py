@@ -8,7 +8,7 @@ and serialises to JSON (the CI verification artifact):
 1. syntactic + semantic monotonicity/isotonicity, with a concrete
    rank-inversion witness whenever the bounded semantic search finds one;
 2. product-graph reachability (given a topology): dead virtual nodes and the
-   tag/state reduction ``prune_unreachable=True`` would achieve;
+   tag/state reduction pruning them would achieve;
 3. the lowered-table cross-check (given a topology): dense int64 rows and
    protocol mirrors diffed against the symbolic tables.
 """
@@ -150,9 +150,9 @@ def verify_policy(
 ) -> VerificationReport:
     """Run every verification pass applicable to ``policy``.
 
-    With a ``topology``, additionally compiles the policy (pruned, on a fresh
-    product graph, so the reachability numbers reflect what
-    ``prune_unreachable=True`` would do) and cross-checks its lowered tables.
+    With a ``topology``, additionally prunes the dead nodes of a fresh
+    product graph (the reachability numbers) and compiles the policy to
+    cross-check its lowered tables.
     """
     report = VerificationReport(
         policy_name=policy.name,

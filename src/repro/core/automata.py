@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import regex as rx
@@ -151,16 +152,15 @@ class DFA:
     Construction and minimisation work over *symbol classes*: each symbol
     the NFA names is a class of its own, and every other symbol — which
     moves any state exactly as the next one does — shares one more.  The
-    class table (``_rows``) is then expanded to the per-symbol ``_delta``
-    that :meth:`transition` and the product graph read.
+    class table (``_rows``) is what the product graph reads; the
+    per-symbol ``_delta`` is expanded from it only when :meth:`transition`
+    (or a test) first asks for it.
     """
 
     def __init__(self, alphabet: Iterable[str]):
         self.alphabet: Tuple[str, ...] = tuple(sorted(set(alphabet)))
         self.initial: int = 0
         self.accepting: Set[int] = set()
-        #: transition table: (state, symbol) -> state.
-        self._delta: Dict[Tuple[int, str], int] = {}
         self.num_states: int = 0
         #: Per alphabet symbol, in order, the index of its symbol class.
         self._class_of: Tuple[int, ...] = ()
@@ -217,16 +217,18 @@ class DFA:
                     queue.append(target)
                 row.append(state)
             dfa._rows[subset_index[subset]] = tuple(row)
-        dfa._expand()
         return dfa
 
-    def _expand(self) -> None:
-        """Write ``_delta`` from ``_rows``: per row, every symbol in alphabet order."""
+    @cached_property
+    def _delta(self) -> Dict[Tuple[int, str], int]:
+        """The transition table (state, symbol) -> state: per row of ``_rows``,
+        every symbol in alphabet order."""
         symbols = tuple(zip(self.alphabet, self._class_of))
-        delta = self._delta = {}
+        delta = {}
         for src, row in self._rows.items():
             for symbol, symbol_class in symbols:
                 delta[(src, symbol)] = row[symbol_class]
+        return delta
 
     # ------------------------------------------------------------- interface
 
@@ -323,7 +325,6 @@ class DFA:
             target = rename[src]
             if target not in minimized._rows:
                 minimized._rows[target] = tuple([rename[state] for state in row])
-        minimized._expand()
         return minimized
 
     def __repr__(self) -> str:

@@ -23,22 +23,20 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import ast
 from repro.core.analysis.decomposition import Decomposition, decompose
 from repro.core.analysis.isotonicity import IsotonicityResult, check_isotonicity
 from repro.core.analysis.monotonicity import MonotonicityResult, check_monotonicity
 from repro.core.device_config import DeviceConfig, TagInfo
-from repro.core.product_graph import PGNode, ProductGraph, build_product_graph
+from repro.core.product_graph import ProductGraph, build_product_graph
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import CompilationError, PolicyAnalysisError
 from repro.topology.graph import Topology
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.analysis.reachability import ReachabilityReport
 
 __all__ = ["CompileOptions", "CompiledPolicy", "compile_policy"]
 
@@ -60,10 +58,6 @@ class CompileOptions:
     #: Multiplier applied to the measured worst-case RTT when choosing the
     #: probe period (must be >= 0.5 per §5.2; a smaller one is refused).
     probe_period_rtt_multiplier: float = 0.5
-    #: Drop dead product-graph states (unreachable from any probe origin, or
-    #: never able to yield a finite rank) before generating device configs.
-    #: Opt-in; the default-off path is byte-identical to earlier compilers.
-    prune_unreachable: bool = False
     #: Run the lowered-table cross-checker as a post-compile assertion and
     #: raise :class:`~repro.exceptions.VerificationError` on any disagreement.
     verify: bool = False
@@ -100,12 +94,8 @@ class CompiledPolicy:
     compile_time: float = 0.0
     #: Where ``compile_time`` went: seconds per compiler phase, in phase
     #: order (``analysis``, ``product_graph``, ``tag_minimization``,
-    #: ``device_configs``, ``probe_period``; ``prune`` when enabled).
+    #: ``device_configs``, ``probe_period``).
     phase_times: Dict[str, float] = field(default_factory=dict)
-    #: Dead-state report when compiled with ``prune_unreachable=True``
-    #: (None otherwise; the analysis is also available standalone via
-    #: :func:`repro.core.analysis.analyze_reachability`).
-    reachability: Optional["ReachabilityReport"] = None
 
     # ------------------------------------------------------------------ sizing
 
@@ -262,18 +252,8 @@ def compile_policy(
     )
     lap("product_graph")
     if options.minimize_tags and regexes:
-        product_graph.minimize_tags()
+        product_graph.merge_tags()
     lap("tag_minimization")
-
-    reachability = None
-    if options.prune_unreachable:
-        # Lazy import: reachability depends on analysis internals that in
-        # turn import nothing from the compiler, but keeping the default
-        # compile path free of extra imports preserves its footprint.
-        from repro.core.analysis.reachability import prune_dead_nodes
-
-        reachability = prune_dead_nodes(policy, product_graph)
-        lap("prune")
 
     device_configs = _generate_device_configs(policy, topology, product_graph, decomposition, options)
     lap("device_configs")
@@ -296,7 +276,6 @@ def compile_policy(
         probe_period=probe_period,
         compile_time=elapsed,
         phase_times=phase_times,
-        reachability=reachability,
     )
     if options.verify:
         # Lazy: the cross-checker reaches into the protocol layer, which the
@@ -314,49 +293,66 @@ def _generate_device_configs(
     decomposition: Decomposition,
     options: CompileOptions,
 ) -> Dict[str, DeviceConfig]:
+    """One :class:`DeviceConfig` per switch, read off the product graph's rows.
+
+    Compile's graph is never pruned, so every node's row holds one successor
+    per neighbour of its switch, in neighbour order.  A switch's nodes thus
+    share one multicast tuple, and the probes a neighbour ``N`` sends to
+    switch ``S`` move into the tags in column ``k`` of ``N``'s rows, where
+    ``k`` is ``S``'s position among ``N``'s neighbours.
+    """
     regexes = tuple(policy.regexes())
     carried = decomposition.carried_attrs
-    adjacency = topology.switch_graph()
-    network_size = len(adjacency)
-    tag_of = product_graph.tags
-    in_edges = product_graph.in_edges
-    out_edges = product_graph.out_edges
-    acceptance = product_graph.acceptance
-    # Read in place: nothing below writes to a node list.
-    nodes_by_switch = product_graph._nodes_by_switch
+    num_probe_ids = max(1, decomposition.num_probes)
+    names, adjacency = topology.switch_id_rows()
+    vectors, vector_ids = product_graph.vectors, product_graph.vector_ids
+    rows, node_tags = product_graph.successor_rows, product_graph.node_tags
+    tag_of = node_tags.__getitem__
+    accepted = [product_graph.acceptance_of(states) for states in vectors]
+    nodes_at: List[List[int]] = [[] for _ in names]
+    for node, switch in enumerate(product_graph.switch_ids):
+        nodes_at[switch].append(node)
+    #: Per switch id, built the first time it is someone's neighbour: the
+    #: ``(name, tag)`` keys of its nodes, and its rows' columns.
+    keys_of: List[Optional[List[Tuple[str, int]]]] = [None] * len(names)
+    columns_of: List[List[Tuple[int, ...]]] = [[] for _ in names]
     configs: Dict[str, DeviceConfig] = {}
 
-    for switch, switch_neighbors in adjacency.items():
+    for switch, name in enumerate(names):
+        neighbors = adjacency[switch]
+        multicast = tuple([names[neighbor] for neighbor in neighbors])
         tags: Dict[int, TagInfo] = {}
-        #: predecessor virtual node -> the local tag its probes move into.
-        incoming: Dict[PGNode, int] = {}
-        for node in nodes_by_switch.get(switch, ()):
-            tag = tag_of[node]
-            # A row holds one successor per neighbour, in neighbour-name
-            # order: its switches are already sorted and distinct.
-            tags[tag] = TagInfo(tag, node.states, acceptance(node),
-                                tuple([succ.switch for succ in out_edges[node]]))
-            incoming.update(dict.fromkeys(in_edges[node], tag))
+        for node in nodes_at[switch]:
+            tag = node_tags[node]
+            vector = vector_ids[node]
+            tags[tag] = TagInfo(tag, vectors[vector], accepted[vector], multicast)
 
         # Keyed by the switch's own neighbours, in (neighbour name, node)
         # order: P4 codegen and the cross-checker iterate this table.
         probe_transition: Dict[Tuple[str, int], int] = {}
-        for neighbor in switch_neighbors:
-            for neighbor_node in nodes_by_switch.get(neighbor, ()):
-                tag = incoming.get(neighbor_node)
-                if tag is not None:
-                    probe_transition[(neighbor, tag_of[neighbor_node])] = tag
+        for neighbor in neighbors:
+            back = adjacency[neighbor]
+            column = bisect_left(back, switch)
+            if column == len(back) or back[column] != switch:
+                continue                        # no link back: no probe arrives
+            keys = keys_of[neighbor]
+            if keys is None:
+                neighbor_name = names[neighbor]
+                neighbor_nodes = nodes_at[neighbor]
+                keys = keys_of[neighbor] = [(neighbor_name, node_tags[node])
+                                            for node in neighbor_nodes]
+                columns_of[neighbor] = list(zip(*[rows[node] for node in neighbor_nodes]))
+            probe_transition.update(zip(keys, map(tag_of, columns_of[neighbor][column])))
 
-        origin_node = product_graph.probe_sending_nodes[switch]
-        configs[switch] = DeviceConfig(
-            switch=switch,
+        configs[name] = DeviceConfig(
+            switch=name,
             regexes=regexes,
             tags=tags,
             probe_transition=probe_transition,
-            probe_origin_tag=tag_of[origin_node],
+            probe_origin_tag=node_tags[product_graph.origin_ids[switch]],
             carried_attrs=carried,
-            num_probe_ids=max(1, decomposition.num_probes),
-            network_size=network_size,
+            num_probe_ids=num_probe_ids,
+            network_size=len(names),
             flowlet_slots=options.flowlet_slots,
             loop_table_slots=options.loop_table_slots,
         )

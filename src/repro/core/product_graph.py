@@ -18,13 +18,19 @@ tags are what probes and packets carry on the wire.  Tag minimisation merges
 behaviourally equivalent virtual nodes of the same switch (same acceptance
 signature, bisimilar successors), one of the compiler optimisations §6.1
 mentions.
+
+The graph is held as integer rows — per node id its switch id, its
+state-vector id, its successor ids and its tag — and those rows are its only
+state.  Everything keyed by :class:`PGNode` (``nodes``, ``tags``,
+``out_edges``, ``in_edges``, ``probe_sending_nodes``, ...) is a view built
+from them on first access and kept until the rows are next rewritten.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.automata import DEAD_STATE, DFA, dfa_from_regex
 from repro.core.regex import PathRegex
@@ -37,9 +43,8 @@ __all__ = ["PGNode", "ProductGraph", "build_product_graph"]
 class PGNode(NamedTuple):
     """A virtual node: a physical switch paired with one state per policy regex.
 
-    A tuple, so a node hashes and compares in C — and as the plain
-    ``(switch, states)`` pair does, which lets :meth:`ProductGraph.build`
-    look a successor up by that pair before making the node.
+    A tuple, so a node hashes, compares and sorts as the plain
+    ``(switch, states)`` pair does: a view can be searched with that pair.
     """
 
     switch: str
@@ -50,6 +55,21 @@ class PGNode(NamedTuple):
             return self.switch
         rendered = ",".join("-" if s == DEAD_STATE else str(s) for s in self.states)
         return f"({self.switch};{rendered})"
+
+
+def _view(make):
+    """A read-only property of :class:`ProductGraph` built by ``make`` from the
+    rows on first access, and kept until the rows are next rewritten."""
+    name = make.__name__
+
+    def get(graph: "ProductGraph"):
+        views = graph._views
+        view = views.get(name)
+        if view is None:
+            view = views[name] = make(graph)
+        return view
+
+    return property(get, doc=make.__doc__)
 
 
 class ProductGraph:
@@ -67,103 +87,199 @@ class ProductGraph:
         if len(self.regexes) != len(self.dfas):
             raise CompilationError("one DFA is required per policy regex")
 
-        #: All virtual nodes, in deterministic order.
-        self.nodes: List[PGNode] = []
-        self._node_index: Dict[PGNode, int] = {}
-        #: switch -> its virtual nodes, in ``nodes`` order.
-        self._nodes_by_switch: Dict[str, List[PGNode]] = {}
-        #: Probe-propagation edges: node -> successors (towards traffic
-        #: sources).  A row holds at most one successor per topology
-        #: neighbour, in neighbour-name order.
-        self.out_edges: Dict[PGNode, List[PGNode]] = {}
-        self.in_edges: Dict[PGNode, List[PGNode]] = {}
-        #: The virtual node probes originating at a destination switch start in.
-        self.probe_sending_nodes: Dict[str, PGNode] = {}
-        #: tag assignment: node -> per-switch tag id.
-        self.tags: Dict[PGNode, int] = {}
-        #: reverse lookup: (switch, tag) -> node.
-        self._by_tag: Dict[Tuple[str, int], PGNode] = {}
-        #: state vector -> its acceptance signature (:meth:`acceptance`).
+        # The rows: read only outside this class.
+        #: Switch names by switch id (the topology's sorted switch names).
+        self.switch_names: Tuple[str, ...] = ()
+        #: State vectors by vector id, one automaton state per regex.
+        self.vectors: List[Tuple[int, ...]] = []
+        #: Per node id: its switch id, its vector id, its per-switch tag, and
+        #: its successors (towards traffic sources) — at most one per
+        #: topology neighbour, in neighbour-name order.
+        self.switch_ids: List[int] = []
+        self.vector_ids: List[int] = []
+        self.node_tags: List[int] = []
+        self.successor_rows: List[List[int]] = []
+        #: Per switch id, the node its own probes are born in.
+        self.origin_ids: List[int] = []
+        #: Node ids in the order their successor rows were written, which is
+        #: the order ``in_edges`` lists a node's predecessors in.
+        self._row_order: List[int] = []
+        #: state vector -> its acceptance signature (:meth:`acceptance_of`).
         self._acceptance: Dict[Tuple[int, ...], Tuple[bool, ...]] = {}
+        #: The node-keyed views, by name, built on first access.
+        self._views: Dict[str, object] = {}
 
     # ------------------------------------------------------------ construction
 
-    def _add_node(self, switch: str, states: Tuple[int, ...]) -> PGNode:
-        """Make and register the virtual node ``(switch, states)``, known to be new."""
-        node = PGNode(switch, states)
-        self._node_index[node] = len(self.nodes)
-        self.nodes.append(node)
-        self._nodes_by_switch.setdefault(switch, []).append(node)
-        self.out_edges[node] = []
-        self.in_edges[node] = []
-        return node
-
-    def _set_nodes(self, nodes: List[PGNode]) -> None:
-        """Replace the node list (and the indexes derived from it)."""
-        self.nodes = nodes
-        self._node_index = {n: i for i, n in enumerate(nodes)}
-        by_switch: Dict[str, List[PGNode]] = {}
-        for node in nodes:
-            by_switch.setdefault(node.switch, []).append(node)
-        self._nodes_by_switch = by_switch
-
     def build(self) -> None:
-        """Explore the product graph from every probe-sending state."""
-        adjacency = self.topology.switch_graph()
-        deltas = [dfa._delta for dfa in self.dfas]
-        initial = tuple(dfa.initial for dfa in self.dfas)
-        #: (switch, states) -> its node; a plain pair finds the node it equals.
-        interned: Dict[Tuple[str, Tuple[int, ...]], PGNode] = {}
-        #: (states, symbol) -> the states after every automaton consumed symbol.
-        advanced: Dict[Tuple[Tuple[int, ...], str], Tuple[int, ...]] = {}
-        in_edges = self.in_edges
-        queue: List[PGNode] = []
-        for switch in adjacency:
-            states = tuple([delta.get((state, switch), DEAD_STATE)
-                            for delta, state in zip(deltas, initial)])
-            # One per switch, so none of them is known yet.
-            node = interned[(switch, states)] = self._add_node(switch, states)
-            self.probe_sending_nodes[switch] = node
-            queue.append(node)
+        """Explore the product graph from every probe-sending state.
 
-        while queue:
-            node = queue.pop()
-            switch, states = node
-            successors = self.out_edges[node]
+        Over ids: a node is a (switch id, vector id) pair, and every automaton
+        moves a whole *symbol class* at once, so a vector's successor per
+        class is computed once and every edge is a list lookup plus one probe
+        of the pair's dict.  Origins take ids in switch order, then nodes are
+        numbered as the last-in, first-out exploration discovers them.
+        """
+        switches, adjacency = self.topology.switch_id_rows()
+        count = len(switches)
+        class_rows = [dfa._rows for dfa in self.dfas]
+        # Per switch id, the symbol class it falls in under every automaton
+        # (None outside an automaton's alphabet: the dead state), interned so
+        # switches that move every automaton alike share one combined class.
+        positions = [dict(zip(dfa.alphabet, dfa._class_of)) for dfa in self.dfas]
+        combined: Dict[Tuple[Optional[int], ...], int] = {}
+        class_of = [combined.setdefault(tuple([position.get(name) for position in positions]),
+                                        len(combined))
+                    for name in switches]
+        classes = list(combined)
+
+        vectors: List[Tuple[int, ...]] = []
+        vector_index: Dict[Tuple[int, ...], int] = {}
+        #: vector id -> its successor vector id per combined class, on first use.
+        steps: List[Optional[List[int]]] = []
+
+        def intern(states: Tuple[int, ...]) -> int:
+            vector = vector_index.get(states)
+            if vector is None:
+                vector = vector_index[states] = len(vectors)
+                vectors.append(states)
+                steps.append(None)
+            return vector
+
+        def advance(vector: int) -> List[int]:
+            states = vectors[vector]
+            row = steps[vector] = [
+                intern(tuple([
+                    DEAD_STATE if symbol_class is None or state not in rows
+                    else rows[state][symbol_class]
+                    for rows, state, symbol_class in zip(class_rows, states, key)]))
+                for key in classes]
+            return row
+
+        initial = advance(intern(tuple(dfa.initial for dfa in self.dfas)))
+        switch_ids = list(range(count))
+        vector_ids = [initial[class_of[switch]] for switch in switch_ids]
+        successor_rows: List[Optional[List[int]]] = [None] * count
+        row_order: List[int] = []
+        #: vector id * count + switch id -> node id.
+        interned = {vector * count + switch: switch for switch, vector in enumerate(vector_ids)}
+        stack = list(switch_ids)
+        while stack:
+            node = stack.pop()
+            row_order.append(node)
+            vector = vector_ids[node]
+            step = steps[vector] or advance(vector)
+            row = []
             # Neighbours are distinct, so each one adds a distinct successor.
-            for neighbor in adjacency[switch]:
-                move = (states, neighbor)
-                next_states = advanced.get(move)
-                if next_states is None:
-                    next_states = advanced[move] = tuple([
-                        delta.get((state, neighbor), DEAD_STATE)
-                        for delta, state in zip(deltas, states)])
-                key = (neighbor, next_states)
+            for neighbor in adjacency[switch_ids[node]]:
+                successor_vector = step[class_of[neighbor]]
+                key = successor_vector * count + neighbor
                 successor = interned.get(key)
                 if successor is None:
-                    successor = interned[key] = self._add_node(neighbor, next_states)
-                    queue.append(successor)
-                successors.append(successor)
-                in_edges[successor].append(node)
+                    successor = interned[key] = len(switch_ids)
+                    switch_ids.append(neighbor)
+                    vector_ids.append(successor_vector)
+                    successor_rows.append(None)
+                    stack.append(successor)
+                row.append(successor)
+            successor_rows[node] = row
 
-        self._assign_tags()
+        self.switch_names = switches
+        self.vectors = vectors
+        self.switch_ids = switch_ids
+        self.vector_ids = vector_ids
+        self.successor_rows = successor_rows            # type: ignore[assignment]
+        self.origin_ids = list(range(count))
+        self._row_order = row_order
+        self._rewritten()
 
-    def _assign_tags(self) -> None:
-        """Assign per-switch tag ids in a deterministic order."""
-        self.tags.clear()
-        self._by_tag.clear()
-        per_switch: Dict[str, int] = {}
-        for node in sorted(self.nodes, key=lambda n: (n.switch, n.states)):
-            tag = per_switch.get(node.switch, 0)
-            per_switch[node.switch] = tag + 1
-            self.tags[node] = tag
-            self._by_tag[(node.switch, tag)] = node
+    def _rewritten(self) -> None:
+        """Re-tag after the rows changed, and drop every view built from the old rows.
+
+        Tags number a switch's nodes in ``(switch, states)`` order; switch ids
+        are in name order, so that is the order of switch id, then the
+        vector's rank among the sorted vectors — one integer key per node.
+        """
+        vectors = self.vectors
+        rank = [0] * len(vectors)
+        for position, vector in enumerate(sorted(range(len(vectors)), key=vectors.__getitem__)):
+            rank[vector] = position
+        width = len(vectors)
+        switch_ids = self.switch_ids
+        keys = [switch * width + rank[vector]
+                for switch, vector in zip(switch_ids, self.vector_ids)]
+        tags = [0] * len(keys)
+        previous = tag = -1
+        for node in sorted(range(len(keys)), key=keys.__getitem__):
+            switch = switch_ids[node]
+            tag = tag + 1 if switch == previous else 0
+            tags[node] = tag
+            previous = switch
+        self.node_tags = tags
+        self._views = {}
+
+    # ------------------------------------------------------------------ views
+
+    @_view
+    def nodes(self) -> List[PGNode]:
+        """All virtual nodes, in id order."""
+        names, vectors = self.switch_names, self.vectors
+        return [PGNode(names[switch], vectors[vector])
+                for switch, vector in zip(self.switch_ids, self.vector_ids)]
+
+    @_view
+    def tags(self) -> Dict[PGNode, int]:
+        """Tag assignment: node -> per-switch tag id, in ``(switch, states)`` order."""
+        nodes, switch_ids, node_tags = self.nodes, self.switch_ids, self.node_tags
+        order = sorted(range(len(nodes)), key=lambda node: (switch_ids[node], node_tags[node]))
+        return {nodes[node]: node_tags[node] for node in order}
+
+    @_view
+    def _by_tag(self) -> Dict[Tuple[str, int], PGNode]:
+        """Reverse tag lookup: (switch, tag) -> node."""
+        return {(node.switch, tag): node for node, tag in self.tags.items()}
+
+    @_view
+    def out_edges(self) -> Dict[PGNode, List[PGNode]]:
+        """Probe-propagation edges: node -> successors, in ``nodes`` order."""
+        nodes = self.nodes
+        return {node: [nodes[successor] for successor in row]
+                for node, row in zip(nodes, self.successor_rows)}
+
+    @_view
+    def in_edges(self) -> Dict[PGNode, List[PGNode]]:
+        """node -> predecessors, each row in edge-creation order."""
+        nodes, rows = self.nodes, self.successor_rows
+        predecessors: List[List[PGNode]] = [[] for _ in nodes]
+        for node in self._row_order:
+            for successor in rows[node]:
+                predecessors[successor].append(nodes[node])
+        return dict(zip(nodes, predecessors))
+
+    @_view
+    def probe_sending_nodes(self) -> Dict[str, PGNode]:
+        """switch -> the node probes originating there start in."""
+        nodes = self.nodes
+        return {name: nodes[origin] for name, origin in zip(self.switch_names, self.origin_ids)}
+
+    @_view
+    def _nodes_by_switch(self) -> Dict[str, List[PGNode]]:
+        """switch -> its virtual nodes, in ``nodes`` order."""
+        by_switch: Dict[str, List[PGNode]] = {}
+        for node in self.nodes:
+            by_switch.setdefault(node.switch, []).append(node)
+        return by_switch
+
+    @_view
+    def _node_index(self) -> Dict[PGNode, int]:
+        """node -> its id."""
+        return {node: position for position, node in enumerate(self.nodes)}
 
     # ---------------------------------------------------------------- queries
 
     def node_for(self, switch: str, states: Sequence[int]) -> Optional[PGNode]:
-        node = PGNode(switch, tuple(states))
-        return node if node in self._node_index else None
+        position = self._node_index.get((switch, tuple(states)))
+        return None if position is None else self.nodes[position]
 
     def node_by_tag(self, switch: str, tag: int) -> PGNode:
         try:
@@ -192,18 +308,21 @@ class ProductGraph:
             return successors[position]
         return None
 
-    def acceptance(self, node: PGNode) -> Tuple[bool, ...]:
-        """Which policy regexes the traffic path ending at this node satisfies.
+    def acceptance_of(self, states: Tuple[int, ...]) -> Tuple[bool, ...]:
+        """Which policy regexes a traffic path whose probe reached ``states`` satisfies.
 
-        A function of the state vector alone, computed once per vector: the
-        same vectors recur at switch after switch.
+        Computed once per state vector: the same vectors recur at switch
+        after switch.
         """
-        states = node.states
         accepted = self._acceptance.get(states)
         if accepted is None:
             accepted = self._acceptance[states] = tuple(
                 [dfa.is_accepting(state) for dfa, state in zip(self.dfas, states)])
         return accepted
+
+    def acceptance(self, node: PGNode) -> Tuple[bool, ...]:
+        """Which policy regexes the traffic path ending at this node satisfies."""
+        return self.acceptance_of(node.states)
 
     def acceptance_by_regex(self, node: PGNode) -> Dict[PathRegex, bool]:
         """Acceptance keyed by the original (traffic-direction) regex objects."""
@@ -211,15 +330,16 @@ class ProductGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.switch_ids)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(v) for v in self.out_edges.values())
+        return sum(map(len, self.successor_rows))
 
     def max_tags_per_switch(self) -> int:
         """The largest number of virtual nodes any single switch has."""
-        return max(map(len, self._nodes_by_switch.values()), default=0)
+        # A switch's tags are 0 .. n-1.
+        return max(self.node_tags, default=-1) + 1
 
     # ----------------------------------------------------- reference path tools
 
@@ -255,7 +375,17 @@ class ProductGraph:
             return None
         return self.acceptance_by_regex(walk[-1])
 
-    # ------------------------------------------------------------- restriction
+    # --------------------------------------------------------------- rewriting
+
+    def _keep(self, kept: Sequence[int], renumber: Dict[int, int],
+              rows: List[List[int]], row_order: List[int], origins: List[int]) -> None:
+        """Install the nodes ``kept`` (old ids, in their new order) and their new rows."""
+        self.switch_ids = [self.switch_ids[node] for node in kept]
+        self.vector_ids = [self.vector_ids[node] for node in kept]
+        self.successor_rows = rows
+        self._row_order = row_order
+        self.origin_ids = [renumber[node] for node in origins]
+        self._rewritten()
 
     def restrict_to(self, keep: Iterable[PGNode]) -> None:
         """Drop every virtual node not in ``keep`` and reassign tags.
@@ -272,41 +402,38 @@ class ProductGraph:
             raise CompilationError(
                 "cannot prune probe-sending nodes of switches: "
                 + ", ".join(missing))
-        if keep_set >= set(self.nodes):
+        kept = [position for position, node in enumerate(self.nodes) if node in keep_set]
+        if len(kept) == self.num_nodes:
             return
-        new_nodes = [n for n in self.nodes if n in keep_set]
-        self._set_nodes(new_nodes)
-        self.out_edges = {
-            n: [s for s in self.out_edges[n] if s in keep_set] for n in new_nodes}
-        self.in_edges = {
-            n: [p for p in self.in_edges[n] if p in keep_set] for n in new_nodes}
-        self._assign_tags()
+        renumber = {node: position for position, node in enumerate(kept)}
+        rows = [[renumber[successor] for successor in self.successor_rows[node]
+                 if successor in renumber] for node in kept]
+        row_order = [renumber[node] for node in self._row_order if node in renumber]
+        self._keep(kept, renumber, rows, row_order, self.origin_ids)
 
-    # --------------------------------------------------------- tag minimisation
-
-    def minimize_tags(self) -> Dict[PGNode, PGNode]:
-        """Merge behaviourally equivalent virtual nodes of the same switch.
+    def merge_tags(self) -> List[int]:
+        """Merge behaviourally equivalent virtual nodes of the same switch, in place.
 
         Two virtual nodes of the same switch are equivalent when they have the
         same acceptance signature and, for every topology neighbour, their
-        successors are equivalent (a bisimulation over the PG).  Returns the
-        mapping from original node to representative and rebuilds the graph in
-        place.  Reduces the number of tags packets must carry (§6.1).
+        successors are equivalent (a bisimulation over the PG).  Each class
+        keeps its smallest ``(switch, states)`` node.  Returns, per node id
+        before the call, the id (before the call) of its representative; the
+        rows are rewritten only when something merges.  Reduces the number of
+        tags packets must carry (§6.1).
         """
-        nodes = self.nodes
-        acceptance = self.acceptance
+        switch_ids, rows = self.switch_ids, self.successor_rows
+        accepted = [self.acceptance_of(states) for states in self.vectors]
         # Initial partition: (switch, acceptance signature).
-        blocks: Dict[Tuple[str, Tuple[bool, ...]], int] = {}
-        block_of = [blocks.setdefault((node.switch, acceptance(node)), len(blocks))
-                    for node in nodes]
+        blocks: Dict[Tuple[int, Tuple[bool, ...]], int] = {}
+        block_of = [blocks.setdefault((switch, accepted[vector]), len(blocks))
+                    for switch, vector in zip(switch_ids, self.vector_ids)]
         count = len(blocks)
         # Refinement only ever splits blocks, so all singletons is final.
-        if count < len(nodes):
-            # On dense ids.  A block never spans two switches, so a successor's
-            # block names its switch, and a row — one successor per neighbour,
-            # in neighbour order — is the sorted (switch, block) signature.
-            index = self._node_index
-            rows = [[index[succ] for succ in self.out_edges[node]] for node in nodes]
+        if count < len(block_of):
+            # A block never spans two switches, so a successor's block names
+            # its switch, and a row — one successor per neighbour, in
+            # neighbour order — is the sorted (switch, block) signature.
             while True:
                 signatures: Dict[Tuple[int, Tuple[int, ...]], int] = {}
                 block_of = [
@@ -317,39 +444,39 @@ class ProductGraph:
                 if len(signatures) == count:
                     break
                 count = len(signatures)
-        if count == len(nodes):
-            return {node: node for node in nodes}
+        if count == len(block_of):
+            return list(range(count))
 
-        # One representative per block: its smallest (switch, states) node.
-        representative: Dict[int, PGNode] = {}
-        for node, block in zip(nodes, block_of):
-            known = representative.get(block)
-            if known is None or node < known:
-                representative[block] = node
-        mapping = {node: representative[block] for node, block in zip(nodes, block_of)}
+        # A switch's tags follow (switch, states) order, so the smallest
+        # node of a block is its smallest-tagged one.
+        tags = self.node_tags
+        chosen: Dict[int, int] = {}
+        for node, block in enumerate(block_of):
+            known = chosen.get(block)
+            if known is None or tags[node] < tags[known]:
+                chosen[block] = node
+        representative = [chosen[block] for block in block_of]
 
-        # Rebuild nodes/edges/probe-sending states under the mapping.
-        new_nodes = list(dict.fromkeys(mapping.values()))
-        new_out: Dict[PGNode, List[PGNode]] = {n: [] for n in new_nodes}
-        new_in: Dict[PGNode, List[PGNode]] = {n: [] for n in new_nodes}
-        linked: Set[Tuple[PGNode, PGNode]] = set()
-        for node, successors in self.out_edges.items():
-            rep = mapping[node]
-            row = new_out[rep]
-            for succ in successors:
-                succ_rep = mapping[succ]
-                edge = (rep, succ_rep)
-                if edge not in linked:
-                    linked.add(edge)
-                    row.append(succ_rep)
-                    new_in[succ_rep].append(rep)
-        self._set_nodes(new_nodes)
-        self.out_edges = new_out
-        self.in_edges = new_in
-        self.probe_sending_nodes = {
-            switch: mapping[node] for switch, node in self.probe_sending_nodes.items()}
-        self._assign_tags()
-        return mapping
+        # Representatives are numbered, and write their rows, in the order
+        # their first member comes.  The members of a block have the same
+        # successor blocks in the same order, so the first member's row,
+        # mapped, is the representative's whole row.
+        first: Dict[int, int] = {}
+        for node, rep in enumerate(representative):
+            first.setdefault(rep, node)
+        kept = list(first)
+        renumber = {rep: position for position, rep in enumerate(kept)}
+        new_rows = [[renumber[representative[succ]] for succ in rows[member]]
+                    for member in first.values()]
+        self._keep(kept, renumber, new_rows, list(range(len(kept))),
+                   [representative[origin] for origin in self.origin_ids])
+        return representative
+
+    def minimize_tags(self) -> Dict[PGNode, PGNode]:
+        """:meth:`merge_tags`, returning the mapping from each original node to
+        its representative."""
+        nodes = self.nodes
+        return {node: nodes[rep] for node, rep in zip(nodes, self.merge_tags())}
 
     def __repr__(self) -> str:
         return (f"ProductGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
@@ -374,5 +501,5 @@ def build_product_graph(
     graph = ProductGraph(topology, regexes, dfas)
     graph.build()
     if minimize_tags and regexes:
-        graph.minimize_tags()
+        graph.merge_tags()
     return graph

@@ -226,10 +226,11 @@ class _Fabric:
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self.links = [link.key for link in topology.links]
+        rows = topology.link_params()
+        self.links = [key for key, _ in rows]
         self.index = {key: i for i, key in enumerate(self.links)}
-        self.capacity = [link.capacity for link in topology.links]
-        self.latency = [link.latency for link in topology.links]
+        self.capacity = [params.capacity for _, params in rows]
+        self.latency = [params.latency for _, params in rows]
         #: host -> (attachment switch, uplink id, downlink id).
         self.hosts: Dict[str, Tuple[str, int, int]] = {}
         for host in topology.hosts:

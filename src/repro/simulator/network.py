@@ -121,15 +121,15 @@ class Network:
             logic = self.routing_system.create_switch_logic(switch_name)
             self.switches[switch_name] = SwitchNode(self, switch_name, logic)
 
-        for link in self.topology.links:
+        for (src, dst), params in self.topology.link_params():
             # Deliveries call the destination node's receive() directly; the
             # node objects all exist by now, so no per-delivery lookup is paid.
-            dst_node = self.switches.get(link.dst) or self.hosts.get(link.dst)
+            dst_node = self.switches.get(dst) or self.hosts.get(dst)
             if dst_node is None:  # pragma: no cover - topology guarantees a node
-                raise SimulationError(f"link {link.src}->{link.dst} has no destination node")
+                raise SimulationError(f"link {src}->{dst} has no destination node")
             sim_link = SimLink(
-                self.sim, link.src, link.dst,
-                capacity=link.capacity, latency=link.latency,
+                self.sim, src, dst,
+                capacity=params.capacity, latency=params.latency,
                 buffer_packets=self.buffer_packets,
                 deliver=dst_node.receive,
                 stats=self.stats,
@@ -145,11 +145,11 @@ class Network:
                 sim_link.probe_sink = dst_routing.on_probe
                 if dst_routing.wants_probe_waves:
                     sim_link.probe_wave_sink = dst_routing.on_probe_wave
-            self.links[(link.src, link.dst)] = sim_link
-            if link.src in self.switches:
-                self.switches[link.src].add_port(link.dst, sim_link)
-            elif link.src in self.hosts:
-                self.hosts[link.src].uplink = sim_link
+            self.links[(src, dst)] = sim_link
+            if src in self.switches:
+                self.switches[src].add_port(dst, sim_link)
+            elif src in self.hosts:
+                self.hosts[src].uplink = sim_link
 
         for host_name in self.hosts:            # built in sorted-name order
             self.switches[self.host_attachments[host_name]].add_host(host_name)

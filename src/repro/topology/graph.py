@@ -26,7 +26,7 @@ from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping,
 
 from repro.exceptions import TopologyError
 
-__all__ = ["Link", "Topology", "NodeKind", "NextHopTable"]
+__all__ = ["Link", "LinkParams", "Topology", "NodeKind", "NextHopTable"]
 
 _INF = float("inf")
 
@@ -51,13 +51,44 @@ class NodeKind:
     SWITCH_ROLES = frozenset({SWITCH, CORE, AGGREGATION, EDGE, SPINE, LEAF})
 
 
+def _check_link(src: str, dst: str, capacity: float, latency: float, weight: float) -> None:
+    """Refuse what no directed link may be: a self-loop, or a parameter out of range.
+
+    The one check :class:`Link` and :meth:`Topology.add_link` both run.
+    """
+    if src == dst:
+        raise TopologyError(f"self-loop link {src!r} -> {dst!r} is not allowed")
+    # Chained so that NaN, which compares false with everything, is refused.
+    if not 0 < capacity < _INF:
+        raise TopologyError(
+            f"link {src}->{dst} capacity must be positive and finite, got {capacity!r}")
+    if not 0 <= latency < _INF:
+        raise TopologyError(
+            f"link {src}->{dst} latency must be non-negative and finite, got {latency!r}")
+    if not 0 <= weight < _INF:
+        raise TopologyError(
+            f"link {src}->{dst} weight must be non-negative and finite, got {weight!r}")
+
+
+class LinkParams(NamedTuple):
+    """The parameters of a directed link: what a :class:`Topology` stores per link.
+
+    Both directions of a bidirectional link share one row.
+    """
+
+    capacity: float
+    latency: float
+    weight: float
+
+
 @dataclass(frozen=True)
 class Link:
     """A directed link between two nodes.
 
-    Topologies are built from bidirectional links, but internally every
-    bidirectional link is stored as two directed :class:`Link` objects so the
-    simulator can model asymmetric queues and per-direction utilization.
+    A :class:`Topology` keeps each direction's parameters as a
+    :class:`LinkParams` row — so the simulator can model asymmetric queues and
+    per-direction utilization — and builds a :class:`Link` only when asked for
+    one (:meth:`Topology.link`, :attr:`Topology.links`).
     """
 
     src: str
@@ -67,21 +98,7 @@ class Link:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise TopologyError(f"self-loop link {self.src!r} -> {self.dst!r} is not allowed")
-        # Chained so that NaN, which compares false with everything, is refused.
-        if not 0 < self.capacity < _INF:
-            raise TopologyError(
-                f"link {self.src}->{self.dst} capacity must be positive and finite, "
-                f"got {self.capacity!r}")
-        if not 0 <= self.latency < _INF:
-            raise TopologyError(
-                f"link {self.src}->{self.dst} latency must be non-negative and finite, "
-                f"got {self.latency!r}")
-        if not 0 <= self.weight < _INF:
-            raise TopologyError(
-                f"link {self.src}->{self.dst} weight must be non-negative and finite, "
-                f"got {self.weight!r}")
+        _check_link(self.src, self.dst, self.capacity, self.latency, self.weight)
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -117,6 +134,8 @@ class _SwitchGraphIndex(NamedTuple):
     hosts: Tuple[str, ...]
     #: Per id, the switch-to-switch out-links as (neighbour id, latency, weight).
     out_rows: List[List[Tuple[int, float, float]]]
+    #: Per id, the out-neighbour ids alone, in the same order.
+    out_ids: List[List[int]]
     #: Every node (hosts too) -> sorted out-neighbour names.
     neighbors: Dict[str, List[str]]
     #: Every node (hosts too) -> sorted out-neighbours that are switches.
@@ -125,6 +144,8 @@ class _SwitchGraphIndex(NamedTuple):
     #: by key.  They live and die with this index, so the mutators' one
     #: invalidation drops them too.
     derived: Dict[Hashable, object]
+    #: (src, dst) -> the :class:`Link` :meth:`Topology.link` built for it on request.
+    link_objects: Dict[Tuple[str, str], Link]
 
 
 def _dijkstra(adjacency: Sequence[Sequence[Tuple[int, float]]],
@@ -157,7 +178,7 @@ def _dijkstra(adjacency: Sequence[Sequence[Tuple[int, float]]],
     return dist, reached
 
 
-def _hop_sweep(rows: Sequence[Sequence[Tuple[int, float, float]]]) -> Tuple[int, List[int]]:
+def _hop_sweep(out: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
     """The largest hop distance between a switch and one it reaches, and who reaches whom.
 
     ``reach[v]`` is a bitset (bit ``i`` for id ``i``) of the switches within
@@ -166,8 +187,7 @@ def _hop_sweep(rows: Sequence[Sequence[Tuple[int, float, float]]]) -> Tuple[int,
     anything is the largest hop distance.  Costs that many passes over the
     links, each an OR as wide as the switch count.
     """
-    reach = [1 << node for node in range(len(rows))]
-    out = [[nbr for nbr, _, _ in row] for row in rows]
+    reach = [1 << node for node in range(len(out))]
     hops = 0
     while True:
         widened = []
@@ -201,7 +221,7 @@ def _next_hop_table(index: _SwitchGraphIndex) -> NextHopTable:
     hops and row keys come out sorted; a pair with no path has no entry.
     """
     switches = index.switches
-    out = [[nbr for nbr, _, _ in row] for row in index.out_rows]
+    out = index.out_ids
     into: List[List[int]] = [[] for _ in out]
     out_bits = []
     for node, nbrs in enumerate(out):
@@ -265,7 +285,7 @@ class Topology:
     def __init__(self, name: str = "topology"):
         self.name = name
         self._nodes: Dict[str, str] = {}              # node -> kind
-        self._links: Dict[Tuple[str, str], Link] = {}  # directed
+        self._links: Dict[Tuple[str, str], LinkParams] = {}  # directed
         self._host_attachment: Dict[str, str] = {}     # host -> switch
         #: Lazily built by :meth:`_index`; every mutator resets it to None,
         #: so an accessor can never serve a row — or a :meth:`derived` table
@@ -357,7 +377,9 @@ class Topology:
         """Add a link between existing nodes ``a`` and ``b``.
 
         By default both directions are added with identical parameters,
-        checked once: the reverse link is the forward one's mirror.
+        checked once and stored as one shared :class:`LinkParams` row.
+        Every check runs before anything is written, so a refused call
+        leaves the topology as it was.
         """
         for node in (a, b):
             if node not in self._nodes:
@@ -365,14 +387,13 @@ class Topology:
         links = self._links
         if (a, b) in links:
             raise TopologyError(f"duplicate link {a!r} -> {b!r}")
-        # Before the first write: the duplicate-reverse refusal below leaves
-        # the forward link in place.
+        _check_link(a, b, capacity, latency, weight)
+        if bidirectional and (b, a) in links:
+            raise TopologyError(f"duplicate link {b!r} -> {a!r}")
         self._switch_index = None
-        forward = links[(a, b)] = Link(a, b, capacity, latency, weight)
+        row = links[(a, b)] = LinkParams(capacity, latency, weight)
         if bidirectional:
-            if (b, a) in links:
-                raise TopologyError(f"duplicate link {b!r} -> {a!r}")
-            links[(b, a)] = forward.reversed()
+            links[(b, a)] = row
 
     def remove_link(self, a: str, b: str, bidirectional: bool = True) -> None:
         """Remove the link(s) between ``a`` and ``b``."""
@@ -387,15 +408,21 @@ class Topology:
         return (a, b) in self._links
 
     def link(self, a: str, b: str) -> Link:
-        try:
-            return self._links[(a, b)]
-        except KeyError:
-            raise TopologyError(f"no link {a!r} -> {b!r}") from None
+        """The directed link ``a -> b``, built on first request and kept until the next mutation."""
+        objects = self._index().link_objects
+        link = objects.get((a, b))
+        if link is None:
+            try:
+                capacity, latency, weight = self._links[(a, b)]
+            except KeyError:
+                raise TopologyError(f"no link {a!r} -> {b!r}") from None
+            link = objects[(a, b)] = Link(a, b, capacity, latency, weight)
+        return link
 
     @property
     def links(self) -> List[Link]:
         """All directed links, sorted for determinism."""
-        return [self._links[key] for key in sorted(self._links)]
+        return [self.link(a, b) for a, b in sorted(self._links)]
 
     @property
     def undirected_links(self) -> List[Link]:
@@ -407,8 +434,15 @@ class Topology:
             if (b, a) in seen:
                 continue
             seen.add(key)
-            result.append(self._links[key])
+            result.append(self.link(a, b))
         return result
+
+    def link_params(self) -> List[Tuple[Tuple[str, str], LinkParams]]:
+        """Every directed link as ``((src, dst), parameters)``, in :attr:`links` order.
+
+        For readers that want the numbers, not :class:`Link` objects.
+        """
+        return sorted(self._links.items())
 
     def _index(self) -> _SwitchGraphIndex:
         """The switch-graph index, built on first use after any mutation."""
@@ -431,14 +465,19 @@ class Topology:
                 switch_neighbors[node] = row if len(only_switches) == len(row) else only_switches
             links = self._links
             out_rows: List[List[Tuple[int, float, float]]] = []
+            out_ids: List[List[int]] = []
             for name in switches:
                 row = []
+                id_row = []
                 for nbr in switch_neighbors[name]:
-                    link = links[(name, nbr)]
-                    row.append((ids[nbr], link.latency, link.weight))
+                    nbr_id = ids[nbr]
+                    _, latency, weight = links[(name, nbr)]
+                    row.append((nbr_id, latency, weight))
+                    id_row.append(nbr_id)
                 out_rows.append(row)
+                out_ids.append(id_row)
             index = self._switch_index = _SwitchGraphIndex(
-                switches, ids, hosts, out_rows, neighbors, switch_neighbors, {})
+                switches, ids, hosts, out_rows, out_ids, neighbors, switch_neighbors, {}, {})
         return index
 
     def derived(self, key: Hashable, build: Callable[["Topology"], _Table]) -> _Table:
@@ -496,6 +535,16 @@ class Topology:
         """Adjacency mapping restricted to switches (the compiler's view)."""
         index = self._index()
         return {s: list(index.switch_neighbors[s]) for s in index.switches}
+
+    def switch_id_rows(self) -> Tuple[Tuple[str, ...], List[List[int]]]:
+        """The switch graph on dense ids: the sorted switch names, and per id
+        its out-neighbour ids in name order.
+
+        The index's own rows, not copies: read only, and valid until the
+        next mutation.
+        """
+        index = self._index()
+        return index.switches, index.out_ids
 
     def shortest_path_lengths(self, weighted: bool = False) -> Dict[str, Dict[str, float]]:
         """All-pairs shortest path lengths over the switch graph.
@@ -593,26 +642,26 @@ class Topology:
 
     def is_connected(self) -> bool:
         """Whether the switch graph is connected (ignoring hosts)."""
-        rows = self._index().out_rows
-        if not rows:
+        out = self._index().out_ids
+        if not out:
             return True
-        seen = [False] * len(rows)
+        seen = [False] * len(out)
         seen[0] = True
         reached = 1
         stack = [0]
         while stack:
-            for nbr, _, _ in rows[stack.pop()]:
+            for nbr in out[stack.pop()]:
                 if not seen[nbr]:
                     seen[nbr] = True
                     reached += 1
                     stack.append(nbr)
-        return reached == len(rows)
+        return reached == len(out)
 
     def diameter(self) -> int:
         """Switch-graph diameter in hops; raises if disconnected."""
-        rows = self._index().out_rows
-        hops, reach = _hop_sweep(rows)
-        everyone = (1 << len(rows)) - 1
+        out = self._index().out_ids
+        hops, reach = _hop_sweep(out)
+        everyone = (1 << len(out)) - 1
         if any(reached != everyone for reached in reach):
             raise TopologyError("cannot compute diameter of a disconnected topology")
         return hops
@@ -633,7 +682,8 @@ class Topology:
         ``H`` times (never ``H * s``) yields the very float the searches
         would.  Fabrics with mixed latencies take the search per switch.
         """
-        rows = self._index().out_rows
+        index = self._index()
+        rows = index.out_rows
         steps = {latency for row in rows for _, latency, _ in row}
         worst = 0.0
         if len(steps) > 1:
@@ -643,7 +693,7 @@ class Topology:
                 worst = max(worst, max(map(dist.__getitem__, reached)))
         elif steps:
             step = steps.pop()
-            for _ in range(_hop_sweep(rows)[0]):
+            for _ in range(_hop_sweep(index.out_ids)[0]):
                 worst = worst + step
         return 2.0 * worst
 
@@ -670,9 +720,9 @@ class Topology:
         graph = nx.DiGraph(name=self.name)
         for node in self.nodes:
             graph.add_node(node, kind=self._nodes[node])
-        for link in self.links:
-            graph.add_edge(link.src, link.dst, capacity=link.capacity,
-                           latency=link.latency, weight=link.weight)
+        for (src, dst), params in self.link_params():
+            graph.add_edge(src, dst, capacity=params.capacity,
+                           latency=params.latency, weight=params.weight)
         return graph
 
     def validate(self) -> None:

@@ -23,14 +23,18 @@ if not HAVE_NUMPY:
     # runner) are inherently numpy-bound.  The no-numpy CI job still runs
     # everything else — engine, links, protocol, compiler, topology — which
     # is exactly the surface the pure-Python fallback has to keep working.
+    # ``run_scalability_sweep`` maps its fabrics through the runner's
+    # ``grid_map``, so the sweep's own tests are numpy-bound too; the compile
+    # pins (unit/test_compile_equivalence.py) are not.
     collect_ignore = [
+        "integration/test_compile_sweep_budget.py",
         "integration/test_coordinator.py",
         "integration/test_data_hop_identity.py",
         "integration/test_end_to_end.py",
         "integration/test_experiments.py",
         "integration/test_fluid_flow_budget.py",
         "integration/test_fluid_model.py",
-        "integration/test_pruned_equivalence.py",
+        "integration/test_verified_compile.py",
         "integration/test_gc_results.py",
         "integration/test_grid_runner.py",
         "integration/test_probe_batching.py",
@@ -40,7 +44,6 @@ if not HAVE_NUMPY:
         "integration/test_sweep_point_budget.py",
         "integration/test_transport_scenarios.py",
         "unit/test_baselines.py",
-        "unit/test_compile_equivalence.py",
         "unit/test_policies_and_cli.py",
         "unit/test_race.py",
         "unit/test_topology_spec.py",
@@ -95,12 +98,16 @@ class CallCounts:
     of its file's path; a C function by its qualified name as ``cProfile``
     prints it (``posix.replace`` for ``os.replace``).  The count of a name no
     call reached is 0, and :meth:`under` sums every function of a directory.
+    :meth:`calls_to` counts one function object, for generated methods
+    (a dataclass ``__init__``, a named tuple's ``__new__``) whose name and
+    file many functions share.
     """
 
     _BUILTIN = re.compile(r"<(?:built-in )?method '?([\w.]+)'?(?: of .*)?>$")
 
     def __init__(self, stats) -> None:
         self.rows = []                  # (file, function, calls)
+        self.by_code = {}               # code object -> calls
         for entry in stats:
             code = entry.code
             if isinstance(code, str):
@@ -109,10 +116,14 @@ class CallCounts:
                                   entry.callcount))
             else:
                 self.rows.append((code.co_filename, code.co_name, entry.callcount))
+                self.by_code[code] = self.by_code.get(code, 0) + entry.callcount
 
     def __call__(self, function: str, file: str = "") -> int:
         return sum(calls for path, name, calls in self.rows
                    if name == function and path.endswith(file))
+
+    def calls_to(self, function) -> int:
+        return self.by_code.get(function.__code__, 0)
 
     def under(self, directory: str) -> int:
         return sum(calls for path, _, calls in self.rows if directory in path)

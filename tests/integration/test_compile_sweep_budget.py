@@ -17,8 +17,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core.compiler import compile_policy
+from repro.core.product_graph import PGNode
 from repro.experiments.scalability import run_scalability_sweep, scalability_policies
 from repro.topology import fattree_for_switch_count, random_network
+from repro.topology.graph import Link, LinkParams
 
 #: SHA-256 over the points of ``SMALL_SWEEP`` minus ``compile_time_s``,
 #: computed at the last commit that built a fabric per policy (5e19b16).
@@ -67,13 +69,13 @@ def test_the_compile_scale_grid_builds_seven_fabrics(call_budget):
         + counts("random_network", "topology/random_graphs.py")
     assert generators == 7
     assert counts("compile_policy", "core/compiler.py") == 19
-    # Every link is built by ``Link.__init__`` (which runs ``__post_init__``)
-    # or mirrored from one by ``Link.reversed``; a pair checks its
-    # parameters once.
-    checked = counts("__post_init__", "topology/graph.py")
-    mirrored = counts("reversed", "topology/graph.py")
-    assert checked + mirrored == 14_180
-    assert checked == mirrored == counts("add_link", "topology/graph.py")
+    # A pair of directed links is one parameter row, checked once; no
+    # ``Link`` is made (7 090 pairs made 14 180 before).  Compile reads the
+    # product graph's integer rows, so no ``PGNode`` is made either (7 912).
+    assert counts.calls_to(LinkParams.__new__) == counts("_check_link") \
+        == counts("add_link", "topology/graph.py") == 7_090
+    assert counts.calls_to(Link.__init__) == counts.calls_to(Link.reversed) == 0
+    assert counts.calls_to(PGNode.__new__) == 0
 
 
 def test_points_equal_serial_and_pooled_in_the_order_they_always_had():

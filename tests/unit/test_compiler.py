@@ -74,9 +74,10 @@ class TestCompilation:
         assert all(seconds >= 0 for seconds in compiled.phase_times.values())
         assert sum(compiled.phase_times.values()) <= compiled.compile_time
 
-    def test_prune_is_a_phase_only_when_enabled(self, diamond):
-        compiled = compile_policy(policies.MU(), diamond, CompileOptions(prune_unreachable=True))
-        assert "prune" in compiled.phase_times
+    def test_compile_has_no_prune_option(self):
+        """Dead-state pruning lives in the verification plane only."""
+        with pytest.raises(TypeError):
+            CompileOptions(prune_unreachable=True)
 
     def test_device_lookup(self, diamond):
         compiled = compile_policy(policies.MU(), diamond)

@@ -217,6 +217,33 @@ class TestPGNodeIsThePairItHolds:
         assert sorted(pg.nodes) == sorted(pg.nodes, key=lambda n: (n.switch, n.states))
 
 
+SWITCH_NAMES = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def small_topologies(draw):
+    """Up to five switches; a drawn link is two-way, or one-way in either direction."""
+    names = SWITCH_NAMES[:draw(st.integers(2, len(SWITCH_NAMES)))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    topology = Topology("drawn")
+    for name in names:
+        topology.add_switch(name)
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        direction = draw(st.sampled_from(("both", "forward", "backward")))
+        if direction == "backward":
+            a, b = b, a
+        topology.add_link(a, b, bidirectional=direction == "both")
+    return topology
+
+
+def small_regexes():
+    leaf = st.one_of(st.sampled_from(SWITCH_NAMES).map(rx.node), st.just(rx.any_node()))
+    return st.recursive(leaf, lambda children: st.one_of(
+        st.tuples(children, children).map(lambda pair: rx.concat(*pair)),
+        st.tuples(children, children).map(lambda pair: rx.union(*pair)),
+        children.map(rx.star)), max_leaves=6)
+
+
 def reference_build(pg):
     """The exploration one ``DFA.transition`` call at a time, over name-keyed dicts."""
     adjacency = pg.topology.switch_graph()
@@ -243,18 +270,67 @@ def reference_build(pg):
     return nodes, out_edges, in_edges, origins
 
 
+def reference_views(pg, nodes, out_edges, in_edges, origins):
+    """Every view of ``pg`` as the node-keyed graph ``nodes`` .. ``origins`` defines it."""
+    tags = {}
+    for node in sorted(nodes, key=lambda n: (n[0], n[1])):
+        tags[node] = len([known for known in tags if known[0] == node[0]])
+    by_switch = {}
+    for node in nodes:
+        by_switch.setdefault(node[0], []).append(node)
+    return {
+        "nodes": nodes,
+        "out_edges": list(out_edges.items()),
+        "in_edges": list(in_edges.items()),
+        "probe_sending_nodes": list(origins.items()),
+        "tags": list(tags.items()),
+        "by_tag": [((node[0], tag), node) for node, tag in tags.items()],
+        "nodes_by_switch": list(by_switch.items()),
+        "num_edges": sum(map(len, out_edges.values())),
+        "max_tags_per_switch": max(map(len, by_switch.values()), default=0),
+    }
+
+
+def assert_views_equal(pg, reference):
+    """Every view, in order, made of :class:`PGNode` objects; every query agrees."""
+    views = {
+        "nodes": pg.nodes,
+        "out_edges": list(pg.out_edges.items()),
+        "in_edges": list(pg.in_edges.items()),
+        "probe_sending_nodes": list(pg.probe_sending_nodes.items()),
+        "tags": list(pg.tags.items()),
+        "by_tag": list(pg._by_tag.items()),
+        "nodes_by_switch": list(pg._nodes_by_switch.items()),
+        "num_edges": pg.num_edges,
+        "max_tags_per_switch": pg.max_tags_per_switch(),
+    }
+    assert views == reference
+    assert pg.num_nodes == len(pg.nodes)
+    every_node = list(pg.nodes) + list(pg.probe_sending_nodes.values()) + list(pg.tags) \
+        + [node for row in pg.out_edges.values() for node in row] \
+        + [node for row in pg.in_edges.values() for node in row] \
+        + list(pg._by_tag.values())
+    assert all(type(node) is PGNode for node in every_node)
+    assert all(type(node) is PGNode for node in pg.out_edges)
+    assert all(type(node) is PGNode for node in pg.in_edges)
+    switches = pg.topology.switches
+    for node in pg.nodes:
+        found = pg.node_for(node.switch, list(node.states))
+        assert found == node and type(found) is PGNode
+        assert pg.node_by_tag(node.switch, pg.tag_of(node)) == node
+        for neighbor in switches:
+            scanned = [s for s in pg.out_edges[node] if s.switch == neighbor]
+            assert pg.successor_at(node, neighbor) == (scanned[0] if scanned else None)
+    assert pg.node_for("nowhere", ()) is None
+    TestPerSwitchNodeIndex.assert_index_matches_a_scan(pg)
+
+
 class TestBuildMatchesThePerTransitionReference:
     """Node, row and predecessor order decide tags and ``probe_transition`` order."""
 
     @staticmethod
     def assert_same_graph(pg):
-        nodes, out_edges, in_edges, origins = reference_build(pg)
-        assert pg.nodes == nodes and all(type(node) is PGNode for node in pg.nodes)
-        assert list(pg.out_edges.items()) == list(out_edges.items())
-        assert list(pg.in_edges.items()) == list(in_edges.items())
-        assert list(pg.probe_sending_nodes.items()) == list(origins.items())
-        for row in list(pg.out_edges.values()) + list(pg.in_edges.values()):
-            assert all(type(node) is PGNode for node in row)
+        assert_views_equal(pg, reference_views(pg, *reference_build(pg)))
 
     @pytest.mark.parametrize("minimize_automata", (True, False))
     def test_figure6_regexes(self, diamond, minimize_automata):
@@ -273,10 +349,17 @@ class TestBuildMatchesThePerTransitionReference:
         self.assert_same_graph(build_product_graph(
             topology, waypoint_policy_for(topology).regexes(), minimize_tags=False))
 
+    @given(small_topologies(), st.lists(small_regexes(), max_size=3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_topologies_and_regexes(self, topology, regexes, minimize_automata):
+        self.assert_same_graph(build_product_graph(
+            topology, regexes, minimize_automata=minimize_automata, minimize_tags=False))
+
 
 def reference_minimize_tags(pg):
     """The refinement loop over node-keyed dicts, a sorted successor signature
-    per node per round, and a list scan per merged edge; rebuilds ``pg``."""
+    per node per round, and a list scan per merged edge.  Reads ``pg``'s views
+    and returns the mapping and the node-keyed graph it rebuilds."""
     block_of, blocks = {}, {}
     for node in pg.nodes:
         key = (node.switch, pg.acceptance(node))
@@ -295,7 +378,8 @@ def reference_minimize_tags(pg):
         representative.setdefault(block_of[node], node)
     mapping = {node: representative[block_of[node]] for node in pg.nodes}
     if all(mapping[node] == node for node in pg.nodes):
-        return mapping
+        return mapping, (list(pg.nodes), dict(pg.out_edges), dict(pg.in_edges),
+                         dict(pg.probe_sending_nodes))
     new_nodes = []
     for node in pg.nodes:
         if mapping[node] not in new_nodes:
@@ -308,61 +392,44 @@ def reference_minimize_tags(pg):
             if mapping[succ] not in new_out[rep]:
                 new_out[rep].append(mapping[succ])
                 new_in[mapping[succ]].append(rep)
-    pg._set_nodes(new_nodes)
-    pg.out_edges, pg.in_edges = new_out, new_in
-    pg.probe_sending_nodes = {
-        switch: mapping[node] for switch, node in pg.probe_sending_nodes.items()}
-    pg._assign_tags()
-    return mapping
+    origins = {switch: mapping[node] for switch, node in pg.probe_sending_nodes.items()}
+    return mapping, (new_nodes, new_out, new_in, origins)
 
 
-SWITCH_NAMES = ("A", "B", "C", "D", "E")
-
-
-@st.composite
-def small_topologies(draw):
-    names = SWITCH_NAMES[:draw(st.integers(2, len(SWITCH_NAMES)))]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    topology = Topology("drawn")
-    for name in names:
-        topology.add_switch(name)
-    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
-        topology.add_link(a, b)
-    return topology
-
-
-def small_regexes():
-    leaf = st.one_of(st.sampled_from(SWITCH_NAMES).map(rx.node), st.just(rx.any_node()))
-    return st.recursive(leaf, lambda children: st.one_of(
-        st.tuples(children, children).map(lambda pair: rx.concat(*pair)),
-        st.tuples(children, children).map(lambda pair: rx.union(*pair)),
-        children.map(rx.star)), max_leaves=6)
+def reference_restrict_to(graph, keep):
+    """Every node-keyed structure of ``graph`` filtered to ``keep``, order kept."""
+    nodes, out_edges, in_edges, origins = graph
+    kept = [n for n in nodes if n in keep]
+    return (kept, {n: [s for s in out_edges[n] if s in keep] for n in kept},
+            {n: [p for p in in_edges[n] if p in keep] for n in kept}, origins)
 
 
 class TestTagMinimizationMatchesTheReference:
-    """Dense-id refinement, the singleton short-circuit and the set-deduplicated
-    rebuild give the mapping and graph the node-keyed loop gave."""
+    """Dense-id refinement, the singleton short-circuit and the row rewrite give
+    the mapping and graph the node-keyed loop gave, in every view."""
 
     @staticmethod
     def assert_same_minimization(topology, regexes, minimize_automata):
-        built, reference = (build_product_graph(topology, regexes, minimize_tags=False,
-                                                 minimize_automata=minimize_automata)
-                            for _ in range(2))
+        built = build_product_graph(topology, regexes, minimize_tags=False,
+                                    minimize_automata=minimize_automata)
+        expected, graph = reference_minimize_tags(built)
         mapping = built.minimize_tags()
-        assert list(mapping.items()) == list(reference_minimize_tags(reference).items())
-        assert built.nodes == reference.nodes
-        assert list(built.out_edges.items()) == list(reference.out_edges.items())
-        assert list(built.in_edges.items()) == list(reference.in_edges.items())
-        assert list(built.probe_sending_nodes.items()) == \
-            list(reference.probe_sending_nodes.items())
-        assert list(built.tags.items()) == list(reference.tags.items())
-        TestPerSwitchNodeIndex.assert_index_matches_a_scan(built)
+        assert list(mapping.items()) == list(expected.items())
+        assert all(type(node) is PGNode for pair in mapping.items() for node in pair)
+        assert_views_equal(built, reference_views(built, *graph))
         return mapping
 
     def test_diamond_where_tags_merge(self, diamond):
         regexes = [parse_regex(r) for r in TestPerSwitchNodeIndex.REGEXES]
         mapping = self.assert_same_minimization(diamond, regexes, minimize_automata=False)
         assert len(set(mapping.values())) < len(mapping)
+
+    def test_merge_tags_returns_representative_ids(self, diamond):
+        regexes = [parse_regex(r) for r in TestPerSwitchNodeIndex.REGEXES]
+        pg = build_product_graph(diamond, regexes, minimize_tags=False, minimize_automata=False)
+        expected, _ = reference_minimize_tags(pg)
+        nodes = pg.nodes
+        assert [nodes[rep] for rep in pg.merge_tags()] == list(expected.values())
 
     @given(small_topologies(), st.lists(small_regexes(), min_size=1, max_size=3),
            st.booleans())
@@ -384,3 +451,108 @@ class TestTagMinimizationMatchesTheReference:
         assert all(node is target for node, target in mapping.items())
         assert list(mapping) == nodes
         assert pg.nodes is nodes and pg.out_edges is out_edges and pg.tags is tags
+
+
+class TestRestrictionMatchesTheReference:
+    """``restrict_to`` rewrites the rows; every view is the old one, filtered."""
+
+    @staticmethod
+    def assert_same_restriction(pg, keep):
+        graph = reference_restrict_to(
+            (list(pg.nodes), dict(pg.out_edges), dict(pg.in_edges),
+             dict(pg.probe_sending_nodes)), keep)
+        pg.restrict_to(keep)
+        assert_views_equal(pg, reference_views(pg, *graph))
+
+    def test_after_a_merge(self, diamond):
+        pg = build_product_graph(
+            diamond, [parse_regex(r) for r in TestPerSwitchNodeIndex.REGEXES],
+            minimize_automata=False)
+        origins = set(pg.probe_sending_nodes.values())
+        dropped = [node for node in pg.nodes if node not in origins][::2]
+        assert dropped
+        self.assert_same_restriction(pg, set(pg.nodes) - set(dropped))
+
+    @given(small_topologies(), st.lists(small_regexes(), min_size=1, max_size=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_topologies_and_regexes(self, topology, regexes, random):
+        pg = build_product_graph(topology, regexes, minimize_tags=False)
+        origins = set(pg.probe_sending_nodes.values())
+        keep = {node for node in pg.nodes if node in origins or random.random() < 0.6}
+        self.assert_same_restriction(pg, keep)
+        self.assert_same_restriction(pg, {node for node in keep if random.random() < 0.8}
+                                     | origins)
+
+    def test_views_are_rebuilt_only_after_a_rewrite(self, diamond):
+        pg = build_product_graph(diamond, [parse_regex(".* C .*")], minimize_tags=False)
+        nodes, in_edges = pg.nodes, pg.in_edges
+        pg.restrict_to(pg.nodes)                    # keeps everything: no rewrite
+        assert pg.nodes is nodes and pg.in_edges is in_edges
+        pg.restrict_to(set(pg.nodes) - {pg.nodes[-1]})
+        assert pg.nodes is not nodes and pg.nodes == nodes[:-1]
+
+
+def reference_device_configs(compiled):
+    """The node-keyed loop the compiler ran before it read the rows: every
+    local node's predecessors mapped to its tag, then the neighbours' nodes
+    looked up in that map."""
+    graph = compiled.product_graph
+    configs = []
+    for switch, switch_neighbors in compiled.topology.switch_graph().items():
+        tags, incoming = [], {}
+        for node in graph.nodes_of_switch(switch):
+            tag = graph.tags[node]
+            tags.append((tag, node.states, graph.acceptance(node),
+                         tuple(succ.switch for succ in graph.out_edges[node])))
+            incoming.update(dict.fromkeys(graph.in_edges[node], tag))
+        transition = []
+        for neighbor in switch_neighbors:
+            for neighbor_node in graph.nodes_of_switch(neighbor):
+                tag = incoming.get(neighbor_node)
+                if tag is not None:
+                    transition.append(((neighbor, graph.tags[neighbor_node]), tag))
+        configs.append((switch, tags, transition,
+                        graph.tags[graph.probe_sending_nodes[switch]]))
+    return configs
+
+
+class TestDeviceConfigsMatchTheNodeKeyedReference:
+    """Configs read off the rows equal the node-keyed loop's, in dict order —
+    including a neighbour with no link back, which sends the switch nothing."""
+
+    @staticmethod
+    def assert_same_configs(compiled):
+        built = [(switch, [(tag, info.states, info.acceptance, info.multicast_neighbors)
+                           for tag, info in config.tags.items()],
+                  list(config.probe_transition.items()), config.probe_origin_tag)
+                 for switch, config in compiled.device_configs.items()]
+        assert built == reference_device_configs(compiled)
+        assert all(info.tag == tag for config in compiled.device_configs.values()
+                   for tag, info in config.tags.items())
+
+    @given(small_topologies(), st.lists(small_regexes(), max_size=3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_topologies_and_regexes(self, topology, regexes, minimize_tags):
+        from repro.core.compiler import CompileOptions, compile_policy
+
+        expression = inf
+        for regex in reversed(regexes):
+            expression = if_(matches(regex), path.util, expression)
+        options = CompileOptions(strict_monotonicity=False, minimize_tags=minimize_tags)
+        self.assert_same_configs(compile_policy(minimize(expression), topology, options))
+
+    def test_a_one_way_link_sends_nothing_back(self):
+        from repro.core.compiler import compile_policy
+        from repro.core.policies import MU
+
+        topology = Topology("one-way")
+        for switch in "ABC":
+            topology.add_switch(switch)
+        topology.add_link("A", "B")
+        topology.add_link("B", "C", bidirectional=False)
+        compiled = compile_policy(MU(), topology)
+        self.assert_same_configs(compiled)
+        assert list(compiled.device("C").probe_transition) == []
+        assert list(compiled.device("B").probe_transition) == [("A", 0)]
+        assert compiled.device("B").multicast_targets(0) == ("A", "C")

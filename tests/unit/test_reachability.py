@@ -124,27 +124,21 @@ class TestHandMutatedGraph:
 
 
 class TestCompilerIntegration:
-    def test_prune_option_default_off(self, diamond):
-        compiled = compile_policy(FAILOVER, diamond)
-        assert compiled.reachability is None
+    def test_compile_never_prunes(self, diamond):
+        """The compiled graph keeps the node the verification plane finds dead."""
+        compiled = compile_policy(FAILOVER, diamond, CompileOptions(minimize_tags=False))
+        assert not hasattr(compiled, "reachability")
+        graph = build_product_graph(diamond, FAILOVER.regexes(), minimize_tags=False)
+        report = prune_dead_nodes(FAILOVER, graph)
+        assert report.num_dead == 1
+        assert compiled.product_graph.num_nodes == report.nodes_total
 
-    def test_prune_option_records_report(self, diamond):
-        compiled = compile_policy(FAILOVER, diamond,
-                                  CompileOptions(prune_unreachable=True))
-        assert compiled.reachability is not None
-        assert compiled.reachability.num_dead >= 0
-
-    def test_pruned_configs_identical_when_nothing_dead(self, diamond):
+    def test_regex_free_compile_has_nothing_to_prune(self, diamond):
         policy = policies.minimum_utilization()
-        plain = compile_policy(policy, diamond)
-        pruned = compile_policy(policy, diamond,
-                                CompileOptions(prune_unreachable=True))
-        assert pruned.reachability.num_dead == 0
-        for switch in diamond.switches:
-            a, b = plain.device(switch), pruned.device(switch)
-            assert a.probe_transition == b.probe_transition
-            assert a.probe_origin_tag == b.probe_origin_tag
-            assert sorted(a.tags) == sorted(b.tags)
+        compiled = compile_policy(policy, diamond)
+        report = analyze_reachability(policy, compiled.product_graph)
+        assert report.num_dead == 0
+        assert report.kept_nodes == tuple(compiled.product_graph.nodes)
 
 
 class TestFiniteCapability:

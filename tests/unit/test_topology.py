@@ -626,17 +626,39 @@ class TestSwitchGraphIndexOracle:
         with pytest.raises(TopologyError):
             topo._reverse_lengths("nowhere", False)
 
-    def test_refused_reverse_duplicate_still_invalidates(self):
-        """``add_link`` keeps the forward link it wrote before refusing the reverse."""
+    def test_refused_reverse_duplicate_writes_nothing(self):
+        """``add_link`` checks both directions before it writes either."""
         topo = Topology("t")
         for s in "ABC":
             topo.add_switch(s)
         topo.add_link("A", "B")
         topo.add_link("C", "B", bidirectional=False)
         assert topo.switch_neighbors("B") == ["A"]
-        with pytest.raises(TopologyError):
+        index = topo._index()
+        links = dict(topo._links)
+        rows = {node: topo.neighbors(node) for node in topo.nodes}
+        with pytest.raises(TopologyError, match="duplicate link 'C' -> 'B'"):
             topo.add_link("B", "C")
+        assert topo._links == links and list(topo._links) == list(links)
+        assert {node: topo.neighbors(node) for node in topo.nodes} == rows
+        assert topo._switch_index is index
+        assert not topo.has_link("B", "C")
         assert_matches_reference(topo)
+
+    def test_a_pair_shares_one_parameter_row_and_links_are_built_on_request(self):
+        topo = Topology("t")
+        for s in "AB":
+            topo.add_switch(s)
+        topo.add_link("A", "B", capacity=5, latency=0.1, weight=2.0)
+        assert topo._links[("A", "B")] is topo._links[("B", "A")]
+        assert topo.link_params() == [(("A", "B"), (5, 0.1, 2.0)), (("B", "A"), (5, 0.1, 2.0))]
+        link = topo.link("A", "B")
+        assert link == Link("A", "B", 5, 0.1, 2.0) and topo.link("A", "B") is link
+        assert topo.link("B", "A") == link.reversed()
+        assert topo.links == [link, topo.link("B", "A")]
+        assert topo.undirected_links == [link]
+        topo.add_switch("C")                  # a mutation drops the built links
+        assert topo.link("A", "B") is not link and topo.link("A", "B") == link
 
 
 # ------------------------------------------------ one latency: the hop sweep
