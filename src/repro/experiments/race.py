@@ -12,10 +12,11 @@ probe plane (PR 5) had to debug by hand.
 ``contra race-check <scenario> [--seeds N]`` re-runs grid points under
 seeded permutations of those free orders only:
 
-* **heap axis** — the :class:`~repro.simulator.sanitizer.SanitizingSimulator`
-  run loop swaps adjacent same-timestamp firings of rounds the routing
-  system declares commutable (``RoutingSystem.commutable_rounds``), with
-  probability ½ per adjacency under a seeded RNG;
+* **heap axis** — as a round the routing system declares commutable
+  (``RoutingSystem.commutable_rounds``) fires, the sanitizer's tagged
+  callback lets the engine's loop fire an adjacent same-timestamp
+  commutable round first, with probability ½ per adjacency under a seeded
+  RNG;
 * **round axis** — ``_failure_check_all`` shuffles its per-switch iteration
   order under the same RNG.
 
@@ -129,8 +130,8 @@ def install_race(network: Network, permute_seed: int) -> None:
     sanitizer = network.sanitizer
     if sanitizer is None:
         raise ExperimentError(
-            "race permutations need a sanitized network (the permuting run "
-            "loop lives in SanitizingSimulator); build with sanitize=True")
+            "race permutations need a sanitized network (the sanitizer's "
+            "tagged callbacks make the swaps); build with sanitize=True")
     rng = random.Random(f"race-{permute_seed}")
     system = network.routing_system
     commutable = frozenset(

@@ -36,12 +36,11 @@ Times are floats in **milliseconds** throughout the simulator.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
-__all__ = ["Simulator", "Event", "PeriodicEvent", "BATCH_LANE_DEFAULT",
-           "batch_members", "batch_tail"]
+__all__ = ["Simulator", "Event", "PeriodicEvent", "BATCH_LANE_DEFAULT"]
 
 #: Process-wide default for the batch lane.  Tests force-disable it (each
 #: lane registration then becomes its own heap entry, reproducing the
@@ -116,24 +115,13 @@ class PeriodicEvent:
 class Simulator:
     """The event loop shared by every component of one simulation run.
 
-    ``sanitize=True`` constructs a
-    :class:`~repro.simulator.sanitizer.SanitizingSimulator` instead — same
-    schedule, same clock, plus provenance tags and invariant checks.  With
-    sanitize off (the default) this class is byte-for-byte the engine it
-    always was: the sanitizer module is not even imported unless requested,
-    so the hot loop carries zero overhead (ARCHITECTURE.md §6).
+    ``sanitize=True`` attaches a :class:`~repro.simulator.sanitizer.Sanitizer`
+    as ``self.sanitizer``, which shadows this instance's scheduling calls and
+    :meth:`run` with wrappers that tag every event and check the engine's
+    invariants around this same loop.  With sanitize off (the default) no
+    instance attribute shadows a method, so the hot loop carries zero
+    overhead (ARCHITECTURE.md §6).
     """
-
-    def __new__(cls, batching: Optional[bool] = None,
-                sanitize: Optional[bool] = None) -> "Simulator":
-        if cls is Simulator:
-            if sanitize is None:
-                from repro.simulator.sanitizer import SANITIZE_DEFAULT
-                sanitize = SANITIZE_DEFAULT
-            if sanitize:
-                from repro.simulator.sanitizer import SanitizingSimulator
-                return super().__new__(SanitizingSimulator)
-        return super().__new__(cls)
 
     def __init__(self, batching: Optional[bool] = None,
                  sanitize: Optional[bool] = None) -> None:
@@ -148,13 +136,19 @@ class Simulator:
         self._cancelled = 0
         #: Batch lane state: the timestamp of the currently open batch (-1.0
         #: when none), its flat member list (shared with the heap entry; see
-        #: :func:`batch_members` for the layout), and the member/entry
+        #: :func:`_fire_batch` for the layout), and the member/entry
         #: counters that keep ``pending_events`` exact.
         self._batching = BATCH_LANE_DEFAULT if batching is None else batching
         self._batch_time = -1.0
         self._batch: Optional[List] = None
         self._batch_pending = 0
         self._batch_entries = 0
+        if sanitize is None:
+            from repro.simulator import sanitizer
+            sanitize = sanitizer.SANITIZE_DEFAULT
+        if sanitize:
+            from repro.simulator.sanitizer import Sanitizer
+            Sanitizer().instrument_engine(self)
 
     @property
     def now(self) -> float:
@@ -341,35 +335,21 @@ def _fire_handle(handle: "Event | PeriodicEvent") -> None:
     """Shared trampoline for cancellable and periodic handles.
 
     The run loop recognizes this function by identity to expire cancelled
-    entries without executing, advancing the clock, or counting an event.
+    entries without executing, advancing the clock, or counting an event —
+    which is why the sanitizer tags a handle's callback, never this entry's.
     """
     handle._fire()
-
-
-def batch_members(members: List) -> Iterator[Tuple[Callable[[Any, Any], None], Any, Any]]:
-    """The ``(callback, subject, guard)`` registrations of one lane entry, in FIFO order.
-
-    The one definition of the member layout: a lane entry's list holds its
-    registrations flat, three slots each.  Only code that *fires* a lane
-    entry may iterate it — :func:`_fire_batch` and the sanitizer's tagged
-    replica — and both go through here (and :func:`batch_tail`), so the
-    layout cannot drift between them.  ``zip`` over one shared iterator
-    recycles its result tuple, so iterating allocates nothing per member.
-    """
-    slots = iter(members)
-    return zip(slots, slots, slots)
-
-
-def batch_tail(members: List, fired: int) -> List:
-    """The unfired registrations of a lane entry after ``fired`` of them ran."""
-    return members[3 * fired:]
 
 
 def _fire_batch(sim: "Simulator", members: List) -> None:
     """Execute one coalesced batch entry's members in FIFO order.
 
-    Each member is one registration, fired as ``callback(subject, guard)``;
-    event accounting counts members, so ``events_processed`` and
+    The one definition of the member layout: a lane entry's list holds its
+    registrations flat, three slots each (``callback, subject, guard, ...``),
+    and this is the only code that walks it.  ``zip`` over one shared
+    iterator recycles its result tuple, so firing allocates nothing per
+    member.  Each member is one registration, fired as ``callback(subject,
+    guard)``; event accounting counts members, so ``events_processed`` and
     ``pending_events`` read identically with the lane on or off.  A
     ``stop()`` raised by a member re-queues the unrun tail at the same
     timestamp (exactly the entries per-event scheduling would have left in
@@ -380,11 +360,12 @@ def _fire_batch(sim: "Simulator", members: List) -> None:
         sim._batch = None
     sim._batch_entries -= 1
     fired = 0
-    for callback, subject, guard in batch_members(members):
+    slots = iter(members)
+    for callback, subject, guard in zip(slots, slots, slots):
         callback(subject, guard)
         fired += 1
         if sim._stopped:
-            sim._requeue_batch_tail(batch_tail(members, fired))
+            sim._requeue_batch_tail(members[3 * fired:])
             break
     sim._batch_pending -= fired
     sim._events_processed += fired - 1      # the run loop adds the final 1

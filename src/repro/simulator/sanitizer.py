@@ -1,16 +1,17 @@
 """Runtime sanitizer plane: opt-in invariant checking with event provenance.
 
 ``Simulator(sanitize=True)`` (or ``Network(sanitize=True)``, ``contra
-run-grid --sanitize``, ``CONTRA_SANITIZE=1``) swaps the engine for a
-:class:`SanitizingSimulator` and installs wrap-based instrumentation over the
-link, host/transport and protocol-table layers.  The checks are the repo's
-hardest *runtime* invariants — the ones integration tests can only observe
-after the fact:
+run-grid --sanitize``, ``CONTRA_SANITIZE=1``) attaches a :class:`Sanitizer`
+that wraps the engine instance's scheduling calls and ``run`` — the event
+loop itself is the engine's one loop — and installs the same wrap-based
+instrumentation over the link, host/transport and protocol-table layers.
+The checks are the repo's hardest *runtime* invariants — the ones
+integration tests can only observe after the fact:
 
 * **engine** — event-time monotonicity (the clock never runs backwards),
   batch-lane counter coherence at quiesce, and a provenance tag on every
   heap entry (an untagged entry means something scheduled outside the
-  Simulator API);
+  Simulator API), each checked at the heap head before the entry runs;
 * **link** — per-(link, tick) probe FIFO (delivery order is enqueue order),
   per-link monotone probe delivery times, and fail-epoch staleness (a probe
   registered under a dead epoch must never reach ``deliver``);
@@ -26,9 +27,10 @@ after the fact:
 
 Every scheduled event carries a cheap provenance tag — ``(callback
 qualname, scheduling site)`` — so a violation names its culprit.  Tags are
-elided entirely when sanitize is off: the default :class:`~repro.simulator.
-engine.Simulator` is untouched and byte-identical to before this module
-existed (the zero-cost-when-off contract, see ARCHITECTURE.md §6).
+elided entirely when sanitize is off: no wrapper shadows a method of the
+default :class:`~repro.simulator.engine.Simulator`, which is byte-identical
+to before this module existed (the zero-cost-when-off contract, see
+ARCHITECTURE.md §6).
 
 The same plane powers the **race detector** (`repro.experiments.race`):
 seeded permutations of same-timestamp events *outside* the documented FIFO
@@ -40,7 +42,6 @@ trace for pinpointing the first divergence when summaries differ.
 from __future__ import annotations
 
 import functools
-import heapq
 import random
 import sys
 from collections import deque
@@ -52,8 +53,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet,
 import repro.simulator.engine as _engine
 from repro.exceptions import SimulationError
 from repro.nputil import np
-from repro.simulator.engine import (PeriodicEvent, Simulator, _fire_batch,
-                                    _fire_handle, batch_members, batch_tail)
+from repro.simulator.engine import Simulator, _fire_batch, _fire_handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.host import Host
@@ -67,7 +67,6 @@ __all__ = [
     "Violation",
     "SanitizerError",
     "Sanitizer",
-    "SanitizingSimulator",
 ]
 
 #: Process-wide default consulted by ``Simulator(sanitize=None)``.  Kept a
@@ -110,6 +109,34 @@ def _site() -> str:
     return "<unknown>"
 
 
+class _Tagged:
+    """A scheduled callback carrying its provenance tag: what a sanitized heap holds.
+
+    Firing it sets :attr:`Sanitizer.current_tag`, appends to the schedule
+    trace, gives the race detector its chance to run an adjacent commutable
+    round first, runs the callback, and then checks the heap head — the
+    entry the loop runs next — before the loop pops it.
+    """
+
+    __slots__ = ("inner", "tag", "sanitizer")
+
+    def __init__(self, inner: Callable[..., None], site: str,
+                 sanitizer: "Sanitizer") -> None:
+        self.inner = inner
+        self.tag = (_qualname(inner), site)
+        self.sanitizer = sanitizer
+
+    def __call__(self, *args: Any) -> None:
+        sanitizer = self.sanitizer
+        if sanitizer.race_rng is not None:
+            sanitizer._race(self)
+        sanitizer.current_tag = self.tag
+        if sanitizer.trace_enabled:
+            sanitizer.trace_event(sanitizer.sim._now, self.tag)
+        self.inner(*args)
+        sanitizer._check_head()
+
+
 @dataclass
 class Violation:
     """One detected invariant violation, with the culprit's provenance."""
@@ -143,25 +170,28 @@ class SanitizerError(SimulationError):
 
 
 class Sanitizer:
-    """Violation collector + network instrumentation for one sanitized run.
+    """Violation collector + engine and network instrumentation for one sanitized run.
 
     ``mode="raise"`` (the default) aborts the run on the first violation;
     ``mode="collect"`` records them all and lets :meth:`report` summarize —
     the race detector uses collect mode so a diff sees complete runs.
     """
 
+    #: The engine this sanitizer instruments (set by :meth:`instrument_engine`).
+    sim: Simulator
+
     def __init__(self, mode: str = "raise"):
         self.mode = mode
-        self.sim: Optional[Simulator] = None
         self.violations: List[Violation] = []
         self.notes: List[str] = []
         self.checks_run = 0
-        #: Provenance of the event currently executing (run-loop maintained).
+        #: Provenance of the event currently executing (set as it fires).
         self.current_tag: Optional[Tuple[str, str]] = None
 
         # Race-detector hooks (installed by repro.experiments.race).
         self.race_rng: Optional[random.Random] = None
         self.race_commutable: FrozenSet[Any] = frozenset()
+        self._swapping = False
 
         # Schedule trace (race divergence pinpointing).
         self.trace_enabled = False
@@ -197,8 +227,7 @@ class Sanitizer:
                 tag: Optional[Tuple[str, str]] = None) -> None:
         if tag is None:
             tag = self.current_tag
-        now = self.sim._now if self.sim is not None else 0.0
-        violation = Violation(now, rule, message, tag)
+        violation = Violation(self.sim._now, rule, message, tag)
         self.violations.append(violation)
         if self.mode == "raise":
             raise SanitizerError(violation)
@@ -225,6 +254,153 @@ class Sanitizer:
         return "\n".join(lines)
 
     # -------------------------------------------------------- instrumentation
+
+    def instrument_engine(self, sim: Simulator) -> None:
+        """Shadow ``sim``'s scheduling calls and ``run`` with checking wrappers.
+
+        Called by ``Simulator.__init__`` under ``sanitize=True``.  The loop
+        that runs is the engine's own; each wrapper hands the inner call a
+        :class:`_Tagged` callback in place of the scheduled one.  For a
+        cancellable or periodic handle the *handle's* callback is tagged, as
+        the loop recognises ``_fire_handle`` entries by identity to expire
+        tombstones; a re-armed periodic handle keeps its wrapper and only
+        changes its tag.  Lane members share one tagged callback per distinct
+        (hashable) callback, so a registration still allocates nothing, and
+        a stop-requeued lane tail needs no wrapper: its members are tagged.
+        """
+        self.sim = sim
+        sim.sanitizer = self  # type: ignore[attr-defined]
+        inner_push, inner_later, inner_at = sim._push, sim.call_later, sim.call_at
+        inner_batched, inner_run = sim.call_batched, sim.run
+        lane: Dict[Any, _Tagged] = {}
+
+        def push(time: float, callback: Callable[..., None], args: Tuple) -> None:
+            if callback is _fire_handle:
+                handle = args[0]
+                if type(handle.callback) is _Tagged:    # a periodic re-arm
+                    handle.callback.tag = (handle.callback.tag[0], "periodic-rearm")
+                else:
+                    handle.callback = _Tagged(handle.callback, _site(), self)
+            else:
+                callback = _Tagged(callback, _site(), self)
+            inner_push(time, callback, args)
+
+        def call_later(delay: float, callback: Callable[..., None], *args: Any) -> None:
+            inner_later(delay, _Tagged(callback, _site(), self), *args)
+
+        def call_at(time: float, callback: Callable[..., None], *args: Any) -> None:
+            inner_at(time, _Tagged(callback, _site(), self), *args)
+
+        def call_batched(time: float, callback: Callable[[Any, Any], None],
+                         subject: Any, guard: Any) -> None:
+            if sim._batching:       # lane off, the inner call goes through push
+                member = lane.get(callback)
+                if member is None:
+                    member = lane[callback] = _Tagged(callback, "batch-lane", self)
+                callback = member
+            inner_batched(time, callback, subject, guard)
+
+        def run(until: Optional[float] = None,
+                max_events: Optional[int] = None) -> float:
+            self._check_head()
+            now = inner_run(until, max_events)
+            if not sim._queue:
+                self._check_drained()
+            return now
+
+        for name, wrapper in (("_push", push), ("call_later", call_later),
+                              ("call_at", call_at), ("call_batched", call_batched),
+                              ("run", run)):
+            setattr(sim, name, wrapper)
+
+    def _check_head(self, index: int = 0) -> None:
+        """Check the heap entries that can run next, before the loop pops them.
+
+        Every tagged callback calls this after it runs, and the ``run``
+        wrapper before the loop starts, so an entry pushed around the
+        Simulator API — untagged, or behind the clock — is reported before
+        it runs.  It is then adopted (tagged), so it is reported once and
+        the check still follows it.  A cancelled handle expires without
+        running anything, so the check looks behind it: the next live entry
+        is a live entry all of whose heap ancestors are tombstones, and
+        every such entry is checked.
+        """
+        sim = self.sim
+        queue = sim._queue
+        if index >= len(queue):
+            return
+        time, seq, callback, args = queue[index]
+        if callback is _fire_handle:
+            handle = args[0]
+            if not handle.active:
+                self._check_head(2 * index + 1)
+                self._check_head(2 * index + 2)
+                return
+            tagged = type(handle.callback) is _Tagged
+        else:
+            tagged = callback is _fire_batch or type(callback) is _Tagged
+        if time < sim._now:
+            self.violate(
+                "time-monotonicity",
+                f"event at t={time!r} is due with the clock already at "
+                f"t={sim._now!r}")
+        if not tagged:
+            self.violate(
+                "untagged-event",
+                f"heap entry at t={time!r} carries no provenance tag "
+                f"(scheduled outside the Simulator API)")
+            if callback is _fire_handle:
+                handle.callback = _Tagged(handle.callback, "untagged", self)
+            else:
+                queue[index] = (time, seq, _Tagged(callback, "untagged", self), args)
+
+    def _check_drained(self) -> None:
+        """Counter coherence once the heap empties (tombstones, batch lane)."""
+        sim = self.sim
+        self.checks_run += 1
+        if sim._cancelled != 0:
+            self.violate(
+                "counter-coherence",
+                f"queue drained with _cancelled={sim._cancelled} "
+                f"(tombstones unaccounted)")
+        if sim._batch_pending != 0 or sim._batch_entries != 0:
+            self.violate(
+                "counter-coherence",
+                f"queue drained with batch counters pending="
+                f"{sim._batch_pending} entries={sim._batch_entries}")
+
+    def _commutable(self, callback: Any) -> bool:
+        inner = callback.inner if type(callback) is _Tagged else callback
+        return getattr(inner, "__func__", inner) in self.race_commutable
+
+    def _race(self, firing: _Tagged) -> None:
+        """The heap axis: maybe fire the adjacent same-tick commutable round first.
+
+        Called as a tagged callback fires, before it runs.  When it is a
+        commutable round and the heap head is another one at this tick, a
+        coin flip under the race RNG has the engine's own loop pop and fire
+        the head first (``Simulator.run(max_events=1)``, nested), and the
+        check repeats against the new head — the adjacent swap of two
+        same-tick rounds.  Only rounds named by the routing system's
+        ``commutable_rounds`` qualify (periodic rounds by that contract);
+        lane members and packet events never do, their same-tick order is
+        contractual FIFO (ARCHITECTURE.md §6).  The head counts as an event
+        of the nested call, so an outer ``max_events`` does not see it.
+        """
+        sim, rng = self.sim, self.race_rng
+        queue = sim._queue
+        if self._swapping or not queue or not self._commutable(firing):
+            return
+        head = queue[0]
+        if head[0] == sim._now and head[2] is _fire_handle \
+                and head[3][0].active and self._commutable(head[3][0].callback) \
+                and rng is not None and rng.random() < 0.5:
+            self._swapping = True
+            try:
+                Simulator.run(sim, max_events=1)
+            finally:
+                self._swapping = False
+            self._race(firing)
 
     def instrument_network(self, network: "Network") -> None:
         """Wrap the network's links, hosts, stats and protocol tables.
@@ -536,7 +712,7 @@ class Sanitizer:
 
         alive = set()
         for entry in network.sim._queue:
-            callback = entry[2]
+            callback = getattr(entry[2], "inner", None)     # a _Tagged callback
             if getattr(callback, "__func__", None) is Host._check_timeout \
                     and entry[3]:
                 owner = getattr(callback, "__self__", None)
@@ -589,193 +765,3 @@ class Sanitizer:
                         "shadow-coherence",
                         f"switch {switch}: shadow slot {int(index)} version "
                         f"{mirrored} leads FwdT version {actual}")
-
-
-class SanitizingSimulator(Simulator):
-    """A :class:`Simulator` that tags every event and checks engine invariants.
-
-    Scheduling overrides record a provenance tag per heap entry; the run loop
-    is a faithful replica of the parent's (same pops, same clock, same
-    counters — sanitized summaries are byte-identical) plus the monotonicity
-    / tagging checks, the schedule trace, and the race detector's
-    adjacency-guarded swap of commutable same-tick events.
-    """
-
-    def __init__(self, batching: Optional[bool] = None,
-                 sanitize: Optional[bool] = None) -> None:
-        super().__init__(batching)
-        self.sanitizer = Sanitizer()
-        self.sanitizer.sim = self
-        #: heap sequence number -> (callback qualname, scheduling site).
-        self._tags: Dict[int, Tuple[str, str]] = {}
-
-    # ----------------------------------------------------- tagged scheduling
-
-    def _push(self, time: float, callback: Callable[..., None],
-              args: Tuple) -> None:
-        seq = self._sequence
-        super()._push(time, callback, args)
-        if callback is _fire_handle:
-            handle = args[0]
-            if sys._getframe(1).f_code is PeriodicEvent._fire.__code__:
-                self._tags[seq] = (_qualname(handle.callback), "periodic-rearm")
-            else:
-                self._tags[seq] = (_qualname(handle.callback), _site())
-        else:
-            self._tags[seq] = (_qualname(callback), _site())
-
-    def call_later(self, delay: float, callback: Callable[..., None],
-                   *args: Any) -> None:
-        seq = self._sequence
-        super().call_later(delay, callback, *args)
-        self._tags[seq] = (_qualname(callback), _site())
-
-    def call_at(self, time: float, callback: Callable[..., None],
-                *args: Any) -> None:
-        seq = self._sequence
-        super().call_at(time, callback, *args)
-        self._tags[seq] = (_qualname(callback), _site())
-
-    def call_batched(self, time: float, callback: Callable[[Any, Any], None],
-                     subject: Any, guard: Any) -> None:
-        if not self._batching:
-            # Routes through our _push, which tags the entry.
-            super().call_batched(time, callback, subject, guard)
-            return
-        seq = self._sequence
-        super().call_batched(time, callback, subject, guard)
-        if self._sequence != seq:            # a new batch entry was pushed
-            self._tags[seq] = (_qualname(callback), "batch-lane")
-
-    def _requeue_batch_tail(self, tail: List) -> None:
-        if tail:
-            self._tags[self._sequence] = ("batch-lane", "stop-requeue")
-        super()._requeue_batch_tail(tail)
-
-    # ------------------------------------------------------------- run loop
-
-    def _race_commutable(self,
-                         entry: Tuple[float, int, Callable[..., None], Tuple]
-                         ) -> bool:
-        """Whether this heap entry is a permutable periodic round.
-
-        Only *documented-commutable* rounds qualify (the routing system's
-        ``commutable_rounds``, resolved by the race installer): active
-        periodic handles whose callback is in the commutable set.  Batch-lane
-        entries and packet events never qualify — their same-tick order is
-        contractual FIFO (ARCHITECTURE.md §6).
-        """
-        if entry[2] is not _fire_handle:
-            return False
-        handle = entry[3][0]
-        if not isinstance(handle, PeriodicEvent) or not handle.active:
-            return False
-        callback = handle.callback
-        return getattr(callback, "__func__", callback) in self.sanitizer.race_commutable
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        self._stopped = False
-        queue = self._queue
-        tags = self._tags
-        sanitizer = self.sanitizer
-        rng = sanitizer.race_rng
-        tracing = sanitizer.trace_enabled
-        processed_this_call = 0
-        while queue and not self._stopped:
-            entry = queue[0]
-            if until is not None and entry[0] > until:
-                self._now = until
-                return self._now
-            heapq.heappop(queue)
-            callback = entry[2]
-            if callback is _fire_handle and not entry[3][0].active:
-                self._cancelled -= 1
-                tags.pop(entry[1], None)
-                if self._cancelled < 0:
-                    sanitizer.violate(
-                        "counter-coherence",
-                        "cancelled-entry counter went negative on expiry")
-                continue
-            if rng is not None and queue:
-                head = queue[0]
-                if head[0] == entry[0] and self._race_commutable(entry) \
-                        and self._race_commutable(head) \
-                        and rng.random() < 0.5:
-                    # Swap two adjacent commutable same-tick rounds: the
-                    # popped entry goes back (it still has the smaller
-                    # sequence, so it pops next) and the head runs first.
-                    entry = heapq.heapreplace(queue, entry)
-                    callback = entry[2]
-            tag = tags.pop(entry[1], None)
-            if entry[0] < self._now:
-                sanitizer.violate(
-                    "time-monotonicity",
-                    f"event at t={entry[0]!r} popped with the clock already "
-                    f"at t={self._now!r}", tag)
-            if tag is None:
-                sanitizer.violate(
-                    "untagged-event",
-                    f"heap entry at t={entry[0]!r} carries no provenance tag "
-                    f"(scheduled outside the Simulator API)")
-            self._now = entry[0]
-            if callback is _fire_batch:
-                self._run_batch(entry[3][1], tag)
-            else:
-                sanitizer.current_tag = tag
-                if tracing and tag is not None:
-                    sanitizer.trace_event(entry[0], tag)
-                callback(*entry[3])
-            self._events_processed += 1
-            processed_this_call += 1
-            if max_events is not None and processed_this_call >= max_events:
-                break
-        if self._stopped:
-            self._batch_time = -1.0
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        if not queue:
-            self._check_drained()
-        return self._now
-
-    def _run_batch(self, members: List,
-                   batch_tag: Optional[Tuple[str, str]]) -> None:
-        """``engine._fire_batch`` with per-member provenance.
-
-        Same accounting, same stop-requeue; the member layout is the
-        engine's (``batch_members``/``batch_tail``), never restated here.
-        """
-        sanitizer = self.sanitizer
-        tracing = sanitizer.trace_enabled
-        if members is self._batch:
-            self._batch_time = -1.0
-            self._batch = None
-        self._batch_entries -= 1
-        fired = 0
-        for callback, subject, guard in batch_members(members):
-            member_tag = (_qualname(callback), "batch-lane")
-            sanitizer.current_tag = member_tag
-            if tracing:
-                sanitizer.trace_event(self._now, member_tag)
-            callback(subject, guard)
-            fired += 1
-            if self._stopped:
-                self._requeue_batch_tail(batch_tail(members, fired))
-                break
-        self._batch_pending -= fired
-        self._events_processed += fired - 1
-
-    def _check_drained(self) -> None:
-        """Counter coherence once the heap empties (batch-lane sealing)."""
-        sanitizer = self.sanitizer
-        sanitizer.checks_run += 1
-        if self._cancelled != 0:
-            sanitizer.violate(
-                "counter-coherence",
-                f"queue drained with _cancelled={self._cancelled} "
-                f"(tombstones unaccounted)")
-        if self._batch_pending != 0 or self._batch_entries != 0:
-            sanitizer.violate(
-                "counter-coherence",
-                f"queue drained with batch counters pending="
-                f"{self._batch_pending} entries={self._batch_entries}")

@@ -15,7 +15,6 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulator import SimLink, Simulator
-from repro.simulator.engine import batch_members, batch_tail
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.switchnode import RoutingLogic, SwitchNode
 
@@ -186,16 +185,23 @@ class TestBatchLaneAccounting:
 class TestFlatMembers:
     """The member layout has one definition, and registering allocates nothing."""
 
-    def test_members_iterate_as_triples_and_tail_slices_by_member(self):
+    @pytest.mark.no_sanitize
+    def test_members_are_stored_flat_and_a_stop_requeues_whole_triples(self):
         sim = Simulator(batching=True)
         sink = Recorder()
-        for value in range(4):
+
+        def stopper(value, guard):
+            sink(value, guard)
+            sim.stop()
+
+        sim.call_batched(1.0, sink, 0, 0)
+        sim.call_batched(1.0, stopper, 1, -1)
+        for value in (2, 3):
             sim.call_batched(1.0, sink, value, -value)
-        members = sim._batch
-        assert list(batch_members(members)) == [
-            (sink, 0, 0), (sink, 1, -1), (sink, 2, -2), (sink, 3, -3)]
-        assert list(batch_members(batch_tail(members, 3))) == [(sink, 3, -3)]
-        assert batch_tail(members, 4) == []
+        assert sim._batch == [sink, 0, 0, stopper, 1, -1, sink, 2, -2, sink, 3, -3]
+        sim.run()
+        (entry,) = sim._queue
+        assert entry[3][1] == [sink, 2, -2, sink, 3, -3]
 
     def test_a_registration_allocates_no_gc_tracked_container(self):
         # Two tuples a member — (callback, args) and (subject, guard) — were

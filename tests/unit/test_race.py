@@ -51,6 +51,22 @@ class TestSummaryDiff:
         assert _diff_result(base, permuted) == ["queue_cdf"]
 
 
+def _contra_network():
+    topo = leafspine(2, 2, hosts_per_leaf=1, capacity=50.0)
+    system = ContraSystem(compile_policy(MU(), topo), probe_period=0.25)
+    return system, Network(topo, system, sanitize=True)
+
+
+def _traced_run(permute_seed):
+    _, network = _contra_network()
+    network.sanitizer.trace_enabled = True
+    if permute_seed is not None:
+        install_race(network, permute_seed)
+    summary = network.run(1.0).summary()
+    assert network.sanitizer.ok
+    return network.sanitizer.trace, summary
+
+
 class TestInstallRace:
     @pytest.mark.no_sanitize
     def test_unsanitized_network_is_rejected(self):
@@ -59,10 +75,24 @@ class TestInstallRace:
         with pytest.raises(ExperimentError):
             install_race(network, 0)
 
+    def test_heap_axis_swaps_adjacent_commutable_rounds(self):
+        """The permuted schedule is the base one with at least one pair of
+        adjacent same-tick commutable rounds fired the other way round, and
+        the summary does not notice."""
+        base, base_summary = _traced_run(None)
+        permuted, permuted_summary = _traced_run(permute_seed=0)
+        rounds = {f"ContraSystem.{name}" for name in ContraSystem.commutable_rounds}
+        swapped = [
+            index for index in range(len(base) - 1)
+            if base[index] != base[index + 1]
+            and permuted[index:index + 2] == [base[index + 1], base[index]]
+            and {base[index][1][0], base[index + 1][1][0]} == rounds]
+        assert swapped
+        assert sorted(permuted) == sorted(base)
+        assert _canon(permuted_summary) == _canon(base_summary)
+
     def test_hooks_armed_and_permuted_run_stays_clean(self):
-        topo = leafspine(2, 2, hosts_per_leaf=1, capacity=50.0)
-        system = ContraSystem(compile_policy(MU(), topo), probe_period=0.25)
-        network = Network(topo, system, sanitize=True)
+        system, network = _contra_network()
         install_race(network, permute_seed=0)
         sanitizer = network.sanitizer
         # One RNG drives both axes; the commutable set resolved to the

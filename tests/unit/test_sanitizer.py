@@ -24,15 +24,23 @@ from repro.protocol import ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet
 from repro.simulator import Flow, Network, Simulator, StatsCollector
 from repro.simulator.link import SimLink
-from repro.simulator.sanitizer import (SanitizerError, SanitizingSimulator,
-                                       Violation)
+from repro.simulator.sanitizer import Sanitizer, SanitizerError, Violation
 from repro.topology import leafspine
 
 pytestmark = pytest.mark.no_sanitize
 
+#: The instance attributes a sanitizer shadows on the engine it instruments.
+ENGINE_WRAPPERS = {"_push", "call_later", "call_at", "call_batched", "run"}
+
 
 def _noop() -> None:
     pass
+
+
+def _push_raw(sim, time) -> None:
+    """Put an entry on the heap without going through the Simulator API."""
+    heapq.heappush(sim._queue, (time, sim._sequence, _noop, ()))
+    sim._sequence += 1
 
 
 def build_contra_network(probe_vectorize=False, probe_period=0.25):
@@ -49,10 +57,14 @@ class TestPlumbing:
         sim = Simulator()
         assert type(sim) is Simulator
         assert not hasattr(sim, "sanitizer")
+        assert not ENGINE_WRAPPERS & vars(sim).keys()
 
-    def test_sanitize_flag_swaps_in_the_sanitizing_engine(self):
+    def test_sanitize_flag_instruments_the_same_engine(self):
         sim = Simulator(sanitize=True)
-        assert type(sim) is SanitizingSimulator
+        assert type(sim) is Simulator
+        assert isinstance(sim.sanitizer, Sanitizer)
+        assert sim.sanitizer.sim is sim
+        assert ENGINE_WRAPPERS <= vars(sim).keys()
         assert sim.sanitizer.ok
 
     def test_default_network_carries_no_sanitizer(self):
@@ -92,27 +104,153 @@ class TestEngineInvariants:
         sim.call_at(1.0, _noop)
         sim.run(until=2.0)
         # Bypass the Simulator API: raw heap entry behind the clock.
-        heapq.heappush(sim._queue, (0.5, sim._sequence, _noop, ()))
-        sim._sequence += 1
+        _push_raw(sim, 0.5)
         with pytest.raises(SanitizerError) as err:
             sim.run()
         assert err.value.violation.rule == "time-monotonicity"
 
     def test_raw_heap_entry_is_untagged_event(self):
         sim = Simulator(sanitize=True)
-        heapq.heappush(sim._queue, (0.5, sim._sequence, _noop, ()))
-        sim._sequence += 1
+        _push_raw(sim, 0.5)
         with pytest.raises(SanitizerError) as err:
             sim.run()
         assert err.value.violation.rule == "untagged-event"
+
+    @pytest.mark.parametrize("time, rule", [(0.5, "time-monotonicity"),
+                                            (1.5, "untagged-event")])
+    def test_raw_entry_pushed_by_a_running_callback_is_caught(self, time, rule):
+        # The head check after the pushing callback returns sees the raw
+        # entry before the loop pops it, whichever side of the clock it is on.
+        sim = Simulator(sanitize=True)
+        ran = []
+        sim.call_at(1.0, lambda: _push_raw(sim, time))
+        sim.call_at(2.0, ran.append, "after")
+        with pytest.raises(SanitizerError) as err:
+            sim.run()
+        assert err.value.violation.rule == rule
+        assert err.value.violation.tag[0] == "TestEngineInvariants." \
+            "test_raw_entry_pushed_by_a_running_callback_is_caught.<locals>.<lambda>"
+        assert ran == []
+
+    def test_raw_entry_behind_a_cancelled_tombstone_is_caught(self):
+        # The tombstone expires without running anything, so a check of the
+        # heap head alone would let the raw entry behind it run unseen.
+        sim = Simulator(sanitize=True)
+
+        def inject():
+            sim.schedule_at(2.0, _noop).cancel()
+            _push_raw(sim, 3.0)
+
+        sim.call_at(1.0, inject)
+        with pytest.raises(SanitizerError) as err:
+            sim.run()
+        assert err.value.violation.rule == "untagged-event"
+        assert err.value.violation.time == 1.0
+
+    def test_a_collected_raw_entry_is_reported_once_and_still_runs(self):
+        sim = Simulator(sanitize=True)
+        sim.sanitizer.mode = "collect"
+        sim.call_at(1.0, _noop)
+        _push_raw(sim, 3.0)
+        sim.run(until=2.0)
+        sim.run()
+        assert [v.rule for v in sim.sanitizer.violations] == ["untagged-event"]
+        assert sim.now == 3.0 and sim.events_processed == 2
 
     def test_api_scheduled_events_carry_their_site(self):
         sim = Simulator(sanitize=True)
         sim.call_later(0.5, _noop)
         (entry,) = sim._queue
-        tag = sim._tags[entry[1]]
+        tag = entry[2].tag
         assert tag[0] == "_noop"
         assert "test_api_scheduled_events_carry_their_site" in tag[1]
+
+
+def _stop_in_lane(at):
+    """Lane entries at t=1 (sealed by a plain event) whose member ``at`` stops the run."""
+    def schedule(sim, log):
+        def member(subject, guard):
+            log.append((sim.now, subject))
+            if subject == at:
+                sim.stop()
+        for subject in range(3):
+            sim.call_batched(1.0, member, subject, None)
+        sim.call_at(1.0, log.append, (1.0, "plain"))
+        sim.call_batched(1.0, member, 3, None)
+        sim.call_batched(2.0, member, 4, None)
+        return [{}, {}, {}]
+    return schedule
+
+
+def _max_events_in_lane(sim, log):
+    for subject in range(4):
+        sim.call_batched(1.0, lambda s, g: log.append((sim.now, s)), subject, None)
+    sim.call_at(2.0, log.append, (2.0, "plain"))
+    return [dict(max_events=1), dict(max_events=1), {}]
+
+
+def _until_boundary(sim, log):
+    sim.call_at(2.0, log.append, (2.0, "call_at"))
+    sim.schedule_at(2.0, log.append, (2.0, "handle"))
+    sim.call_batched(2.0, lambda s, g: log.append((sim.now, s)), "lane", None)
+    sim.call_at(2.5, log.append, (2.5, "beyond"))
+    return [dict(until=1.0), dict(until=2.0), dict(until=3.0)]
+
+
+def _cancelled_handles(sim, log):
+    handles = [sim.schedule_at(time, log.append, (time, index))
+               for index, time in enumerate((1.0, 1.0, 2.0, 3.0, 3.0))]
+    handles[0].cancel()
+    handles[4].cancel()
+    sim.call_at(1.5, handles[3].cancel)
+    sim.call_at(3.0, log.append, (3.0, "plain"))
+    return [dict(max_events=1), {}]
+
+
+def _periodic_self_cancel(sim, log):
+    def tick():
+        log.append((sim.now, "tick"))
+        if len(log) >= 5:
+            handle.cancel()
+    handle = sim.schedule_periodic(0.5, tick, start_delay=0.5)
+    sim.call_batched(1.0, lambda s, g: log.append((sim.now, s)), "lane", None)
+    return [dict(until=2.0), dict(until=10.0)]
+
+
+EDGE_SCHEDULES = {
+    "stop-mid-lane-entry": _stop_in_lane(1),
+    "stop-at-last-member": _stop_in_lane(2),
+    "stop-at-last-event": _stop_in_lane(4),
+    "max-events-in-lane": _max_events_in_lane,
+    "until-boundary": _until_boundary,
+    "cancelled-handles": _cancelled_handles,
+    "periodic-self-cancel": _periodic_self_cancel,
+}
+
+
+class TestSanitizedEngineEquivalence:
+    """The sanitized engine is the plain engine's loop, observed: it fires the
+    same callbacks in the same order and leaves the same clock and counters."""
+
+    @staticmethod
+    def _drive(schedule, batching, sanitize):
+        sim = Simulator(batching=batching, sanitize=sanitize)
+        log = []
+        states = []
+        for kwargs in schedule(sim, log):
+            returned = sim.run(**kwargs)
+            states.append((list(log), returned, sim.now, sim.events_processed,
+                           sim.pending_events))
+        return sim, states
+
+    @pytest.mark.parametrize("batching", [True, False])
+    @pytest.mark.parametrize("name", sorted(EDGE_SCHEDULES))
+    def test_edge_schedule_runs_identically(self, name, batching):
+        schedule = EDGE_SCHEDULES[name]
+        _, plain = self._drive(schedule, batching, sanitize=False)
+        sanitized_sim, sanitized = self._drive(schedule, batching, sanitize=True)
+        assert sanitized == plain
+        assert sanitized_sim.sanitizer.violations == []
 
 
 class TestTransportInvariants:
