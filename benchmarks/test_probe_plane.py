@@ -5,14 +5,6 @@ waves for a fixed number of rounds.  This isolates exactly the per-probe
 path (engine batch lane → ``SimLink._deliver_probe`` → ``on_probe``), so
 the ``BENCH_*.json`` artifact it drops tracks that path's cost — and any future regression of it —
 independently of workload noise in the figure benchmarks.
-
-The ``*_vectorized`` variants run the same floods with the array probe
-plane (``probe_vectorize=True``) and pin its measured cost in the
-``bench_diff`` trajectory next to the scalar baselines.  The array plane is
-byte-identical but — by measurement — a net slowdown at fat-tree wave
-sizes (see ARCHITECTURE.md, "Array probe plane"), which is exactly why its
-wall-clock is tracked as data rather than asserted as a win: if the wave
-sizes or the judge's economics ever change, the trajectory shows it.
 """
 
 from __future__ import annotations
@@ -21,7 +13,6 @@ import pytest
 
 from repro.core.compiler import compile_policy
 from repro.experiments.runner import datacenter_policy
-from repro.nputil import np
 from repro.protocol import ContraSystem
 from repro.simulator import Network, StatsCollector
 from repro.topology.fattree import fattree
@@ -35,21 +26,18 @@ PROBE_PLANE_K = 8
 PROBE_PLANE_ROUNDS = 20
 PROBE_PERIOD_MS = 0.256
 
-#: The k=16 variant floods ~1.5M probe hops in a few rounds: waves there
-#: are large enough (tens of probes per (link, tick) run) that the array
-#: probe plane actually judges them, which the k=8 flood barely exercises.
+#: The k=16 variant floods ~1.5M probe hops in a few rounds: tens of probes
+#: per (link, tick) run, where the k=8 flood has a handful.
 PROBE_PLANE_K16 = 16
 PROBE_PLANE_K16_ROUNDS = 3
 
 
 def run_probe_plane(k: int = PROBE_PLANE_K, rounds: int = PROBE_PLANE_ROUNDS,
-                    probe_period: float = PROBE_PERIOD_MS,
-                    probe_vectorize: "bool | None" = None) -> Network:
+                    probe_period: float = PROBE_PERIOD_MS) -> Network:
     """Run ``rounds`` probe periods of a flow-less Contra fat-tree."""
     topology = fattree(k, capacity=100.0, oversubscription=4.0)
     compiled = compile_policy(datacenter_policy(), topology)
-    system = ContraSystem(compiled, probe_period=probe_period,
-                          probe_vectorize=probe_vectorize)
+    system = ContraSystem(compiled, probe_period=probe_period)
     network = Network(topology, system, stats=StatsCollector())
     # Run just past the final round so its whole wave is processed.
     network.run(probe_period * (rounds + 0.5))
@@ -90,18 +78,3 @@ def test_probe_plane_flood_k16(benchmark):
     print(f"probe plane: {PROBE_PLANE_K16_ROUNDS} rounds on "
           f"k={PROBE_PLANE_K16}, {network.stats.total_packets} probe "
           f"transmissions, {network.sim.events_processed} engine events")
-
-
-@pytest.mark.benchmark(group="probe-plane")
-@pytest.mark.skipif(np is None, reason="array probe plane requires numpy")
-def test_probe_plane_flood_vectorized(benchmark):
-    network = run_once(benchmark, run_probe_plane, probe_vectorize=True)
-    _assert_flood_converged(network)
-
-
-@pytest.mark.benchmark(group="probe-plane")
-@pytest.mark.skipif(np is None, reason="array probe plane requires numpy")
-def test_probe_plane_flood_k16_vectorized(benchmark):
-    network = run_once(benchmark, run_probe_plane, k=PROBE_PLANE_K16,
-                       rounds=PROBE_PLANE_K16_ROUNDS, probe_vectorize=True)
-    _assert_flood_converged(network)

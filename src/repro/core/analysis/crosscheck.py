@@ -1,36 +1,26 @@
-"""Static cross-checking of lowered device tables against their symbolic source.
+"""Static cross-checking of each device's tables against the compiled policy.
 
-PR 6 introduced an array probe plane: per-device ``probe_transition`` dicts
-are lowered to dense int64 rows (``DeviceConfig.lowered_transitions``) and
-forwarding state is mirrored into a :class:`ForwardingShadow`.  Those lowered
-artifacts are *derived* data — if they ever diverge from the symbolic tables
-they were lowered from, the vectorized and scalar protocol paths silently
-disagree.  This pass proves, by exhaustive diff, that for every device:
+A switch runs nothing but its :class:`~repro.core.device_config.DeviceConfig`,
+so a config that disagrees with the product graph it was derived from
+misroutes probes silently.  This pass proves, for every device:
 
-* each dense transition row agrees entry-by-entry with ``probe_transition``
-  (both directions: every dict entry appears in a row, every non ``-1`` row
-  cell appears in the dict), with values that are valid local tags;
-* the tag table is dense (``0..num_tags-1``), ``probe_origin_tag`` is one of
-  the device's tags, and multicast targets are real topology neighbours;
-* the compile-scoped switch-id interning is dense and total over the
-  topology;
-* the per-switch protocol lowering (transition rows, propagation-key column
-  selections, ``ForwardingShadow`` dimensions) matches the symbolic
-  decomposition.
+* the tag table is dense (``0..num_tags-1``), each ``TagInfo`` carries its
+  own tag, ``probe_origin_tag`` is one of the device's tags, and multicast
+  targets are real topology neighbours;
+* every ``probe_transition`` entry is keyed by a real neighbour and a tag
+  that neighbour defines, and maps to one of the device's own tags.
 
 It runs standalone (:func:`crosscheck_lowered_tables`) or as a post-compile
 assertion (:func:`verify_lowered_tables`, wired to
 ``CompileOptions(verify=True)``), raising :class:`VerificationError` on any
-disagreement.  Protocol-layer imports happen lazily so ``core`` keeps no
-import-time dependency on ``protocol``.
+disagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.nputil import np
 from repro.exceptions import VerificationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,13 +32,11 @@ __all__ = ["CrosscheckReport", "crosscheck_lowered_tables", "verify_lowered_tabl
 
 @dataclass
 class CrosscheckReport:
-    """Outcome of the lowered-table cross-check over all devices."""
+    """Outcome of the device-table cross-check over all devices."""
 
     devices_checked: int = 0
     transitions_checked: int = 0
-    shadows_checked: int = 0
     problems: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -62,18 +50,14 @@ class CrosscheckReport:
             "ok": self.ok,
             "devices_checked": self.devices_checked,
             "transitions_checked": self.transitions_checked,
-            "shadows_checked": self.shadows_checked,
             "problems": list(self.problems),
-            "notes": list(self.notes),
         }
 
     def render(self) -> str:
         lines = [f"cross-check: {self.devices_checked} device(s), "
-                 f"{self.transitions_checked} transition entries, "
-                 f"{self.shadows_checked} shadow(s): "
+                 f"{self.transitions_checked} transition entries: "
                  + ("OK" if self.ok else f"{len(self.problems)} problem(s)")]
         lines.extend(f"  PROBLEM: {p}" for p in self.problems)
-        lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
 
 
@@ -101,8 +85,9 @@ def _check_device_config(compiled: "CompiledPolicy", config: "DeviceConfig",
             f"{where}: probe_origin_tag {config.probe_origin_tag} is not a "
             f"local tag")
 
-    # Symbolic transition table sanity.
+    # Transition table sanity.
     for (neighbor, neighbor_tag), local_tag in config.probe_transition.items():
+        report.transitions_checked += 1
         if neighbor not in neighbors:
             report.problems.append(
                 f"{where}: probe_transition keyed by non-neighbour {neighbor!r}")
@@ -117,122 +102,21 @@ def _check_device_config(compiled: "CompiledPolicy", config: "DeviceConfig",
                 f"{where}: probe_transition expects neighbour tag "
                 f"{neighbor_tag} which {neighbor!r} does not define")
 
-    # Dense int64 rows vs the dict, both directions.
-    rows = config.lowered_transitions() if np is not None else None
-    if rows is None:
-        report.notes.append(f"{where}: numpy unavailable, lowered rows skipped")
-        return
-    by_inport: Dict[str, Dict[int, int]] = {}
-    for (neighbor, neighbor_tag), local_tag in config.probe_transition.items():
-        by_inport.setdefault(neighbor, {})[neighbor_tag] = local_tag
-    if set(rows) != set(by_inport):
-        report.problems.append(
-            f"{where}: lowered rows cover inports {sorted(rows)} but the "
-            f"symbolic table covers {sorted(by_inport)}")
-    for neighbor, row in rows.items():
-        if row.dtype != np.int64:
-            report.problems.append(
-                f"{where}: lowered row for {neighbor!r} has dtype {row.dtype}, "
-                "expected int64")
-        expected = by_inport.get(neighbor, {})
-        for neighbor_tag in range(len(row)):
-            report.transitions_checked += 1
-            lowered = int(row[neighbor_tag])
-            symbolic = expected.get(neighbor_tag, -1)
-            if lowered != symbolic:
-                report.problems.append(
-                    f"{where}: lowered transition [{neighbor!r}][{neighbor_tag}]"
-                    f" = {lowered} disagrees with symbolic "
-                    f"{'drop' if symbolic == -1 else symbolic}")
-        extra = [t for t in expected if t >= len(row)]
-        if extra:
-            report.problems.append(
-                f"{where}: symbolic entries {extra} for inport {neighbor!r} "
-                f"fall outside the lowered row (length {len(row)})")
-
-
-def _check_protocol_lowering(compiled: "CompiledPolicy",
-                             report: CrosscheckReport) -> None:
-    """Mirror checks on the per-switch protocol state (shadow, prop columns)."""
-    if np is None:
-        report.notes.append("numpy unavailable, protocol shadow checks skipped")
-        return
-    # Lazy: core must not import protocol at module import time.
-    from repro.protocol.contra_switch import ContraRouting, ContraSystem
-
-    switch_ids = compiled.switch_ids()
-    switches = sorted(compiled.topology.switches)
-    if sorted(switch_ids) != switches:
-        report.problems.append(
-            f"switch-id interning covers {sorted(switch_ids)}, topology has "
-            f"{switches}")
-    if sorted(switch_ids.values()) != list(range(len(switch_ids))):
-        report.problems.append(
-            f"switch-id interning is not dense: {switch_ids}")
-
-    system = ContraSystem(compiled, probe_vectorize=True)
-    subpolicies = compiled.decomposition.subpolicies
-    for switch in switches:
-        config = compiled.device(switch)
-        logic = ContraRouting(system, config)
-        where = f"device {switch!r}"
-        if logic._trans_rows is not config.lowered_transitions():
-            report.problems.append(
-                f"{where}: protocol transition rows are not the lowered rows")
-        for sub in subpolicies:
-            cols = logic._prop_cols.get(sub.pid)
-            try:
-                expected = tuple(sub.carried_attrs.index(name)
-                                 for name in sub.propagation_attrs)
-            except ValueError:
-                expected = None
-            if cols != expected:
-                report.problems.append(
-                    f"{where}: pid {sub.pid} propagation columns {cols} "
-                    f"disagree with decomposition {expected}")
-        shadow = logic._shadow
-        if shadow is None:
-            report.notes.append(f"{where}: no shadow (policy not lowerable)")
-            continue
-        report.shadows_checked += 1
-        expected_dims = (
-            len(switch_ids),
-            (max(config.tags) + 1) if config.tags else 1,
-            config.num_probe_ids,
-        )
-        # The shadow stores no origin count; its flat arrays are sized
-        # num_origins * num_tags * num_pids, so recover it from the shape.
-        per_origin = shadow.num_tags * shadow.num_pids
-        actual_origins = (shadow.versions.shape[0] // per_origin
-                          if per_origin else 0)
-        actual_dims = (actual_origins, shadow.num_tags, shadow.num_pids)
-        if actual_dims != expected_dims:
-            report.problems.append(
-                f"{where}: shadow dimensions {actual_dims} disagree with "
-                f"config-derived {expected_dims}")
-        key_widths = [len(cols) for cols in logic._prop_cols.values()
-                      if cols is not None]
-        if key_widths and shadow.key_width != max(key_widths):
-            report.problems.append(
-                f"{where}: shadow key width {shadow.key_width} disagrees with "
-                f"max propagation width {max(key_widths)}")
-
 
 def crosscheck_lowered_tables(compiled: "CompiledPolicy") -> CrosscheckReport:
-    """Exhaustively diff lowered artifacts against the symbolic tables."""
+    """Check every device's tables against the compiled policy."""
     report = CrosscheckReport()
     for switch in sorted(compiled.device_configs):
         report.devices_checked += 1
         _check_device_config(compiled, compiled.device_configs[switch], report)
-    _check_protocol_lowering(compiled, report)
     return report
 
 
 def verify_lowered_tables(compiled: "CompiledPolicy") -> CrosscheckReport:
-    """Post-compile assertion: raise on any lowered-table disagreement."""
+    """Post-compile assertion: raise on any device-table disagreement."""
     report = crosscheck_lowered_tables(compiled)
     if not report.ok:
         raise VerificationError(
-            "lowered tables disagree with their symbolic source:\n"
+            "device tables disagree with the compiled policy:\n"
             + "\n".join(f"  - {p}" for p in report.problems))
     return report

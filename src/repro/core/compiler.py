@@ -29,6 +29,7 @@ from numbers import Real
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import ast
+from repro.core.analysis.crosscheck import verify_lowered_tables
 from repro.core.analysis.decomposition import Decomposition, decompose
 from repro.core.analysis.isotonicity import IsotonicityResult, check_isotonicity
 from repro.core.analysis.monotonicity import MonotonicityResult, check_monotonicity
@@ -58,7 +59,7 @@ class CompileOptions:
     #: Multiplier applied to the measured worst-case RTT when choosing the
     #: probe period (must be >= 0.5 per §5.2; a smaller one is refused).
     probe_period_rtt_multiplier: float = 0.5
-    #: Run the lowered-table cross-checker as a post-compile assertion and
+    #: Run the device-table cross-checker as a post-compile assertion and
     #: raise :class:`~repro.exceptions.VerificationError` on any disagreement.
     verify: bool = False
 
@@ -141,21 +142,6 @@ class CompiledPolicy:
             return self.device_configs[switch]
         except KeyError:
             raise CompilationError(f"no device configuration for switch {switch!r}") from None
-
-    def switch_ids(self) -> Dict[str, int]:
-        """Dense, deterministic interning of every switch name to an integer id.
-
-        The array probe plane indexes its per-switch FwdT snapshot arrays by
-        (origin id, tag, pid); ids are assigned once per compiled policy in
-        sorted-name order, so every switch — and every probe payload stamped
-        at origination — agrees on the same interning for the lifetime of the
-        compilation.  Cached (the switch set is immutable after compile).
-        """
-        ids = getattr(self, "_switch_ids", None)
-        if ids is None:
-            ids = {name: index for index, name in enumerate(sorted(self.device_configs))}
-            self._switch_ids = ids
-        return ids
 
     # ------------------------------------------------------- reference oracle
 
@@ -278,10 +264,6 @@ def compile_policy(
         phase_times=phase_times,
     )
     if options.verify:
-        # Lazy: the cross-checker reaches into the protocol layer, which the
-        # core compiler must not import unconditionally.
-        from repro.core.analysis.crosscheck import verify_lowered_tables
-
         verify_lowered_tables(compiled)
     return compiled
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.core.analysis.decomposition import Decomposition
 from repro.core.attributes import ATTRIBUTES
 from repro.core.regex import PathRegex
 from repro.exceptions import CompilationError
-from repro.nputil import np
 
 __all__ = ["TagInfo", "DeviceConfig", "StateEstimate"]
 
@@ -104,35 +103,6 @@ class DeviceConfig:
     def multicast_targets(self, tag: int) -> Tuple[str, ...]:
         """Neighbours to which a probe in ``tag`` is propagated next."""
         return self.tag_info(tag).multicast_neighbors
-
-    def lowered_transitions(self) -> "Optional[Dict[str, object]]":
-        """``probe_transition`` lowered to one dense int array per inport.
-
-        For every neighbour this returns a vector mapping *neighbour tag* →
-        *local tag*, with ``-1`` where the dict has no entry (no product-graph
-        edge: the probe is dropped).  A whole wave's transition lookup then
-        becomes one fancy-indexing read instead of N dict probes.  The arrays
-        are an exact lowering of the dict — same keys, same values, absent
-        means dropped — and are cached per config (the table is immutable
-        after compilation).  Returns None without numpy.
-        """
-        if np is None:
-            return None
-        cached = getattr(self, "_lowered_transitions", None)
-        if cached is None:
-            per_inport: Dict[str, List[Tuple[int, int]]] = {}
-            for (neighbor, neighbor_tag), local_tag in self.probe_transition.items():
-                per_inport.setdefault(neighbor, []).append((neighbor_tag, local_tag))
-            cached = {}
-            for neighbor, pairs in per_inport.items():
-                row = np.full(max(tag for tag, _ in pairs) + 1, -1, dtype=np.int64)
-                for neighbor_tag, local_tag in pairs:
-                    row[neighbor_tag] = local_tag
-                cached[neighbor] = row
-            # Plain attribute, not a dataclass field: the cache must not
-            # participate in DeviceConfig equality or repr.
-            self._lowered_transitions = cached
-        return cached
 
     def acceptance_of(self, tag: int) -> Dict[PathRegex, bool]:
         """Acceptance keyed by the original regex objects (for policy evaluation)."""

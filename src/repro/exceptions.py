@@ -43,9 +43,8 @@ class CompilationError(ContraError):
 class VerificationError(CompilationError):
     """A compiled artifact disagrees with its symbolic source of truth.
 
-    Raised by the lowered-table cross-checker when the dense int64 transition
-    rows or the ForwardingShadow dimensions diverge from the symbolic
-    ``probe_transition`` tables / interning maps they were lowered from.
+    Raised by the device-table cross-checker when a device's tag table or
+    ``probe_transition`` entries disagree with the compiled policy.
     """
 
 

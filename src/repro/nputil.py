@@ -1,16 +1,9 @@
-"""Optional numpy import, and bit-exact pure-Python stand-ins for two reductions.
+"""numpy's ``mean`` and linear ``percentile``, bit for bit, in pure Python.
 
-Every module that can use numpy imports ``np`` from here and takes its
-pure-Python path when it is ``None``: the array probe plane and its lowered
-tables (``protocol``, ``simulator/probe_wave.py``, ``core/device_config.py``,
-``core/analysis/crosscheck.py``, the sanitizer's shadow check) treat numpy
-as a pure accelerator over a scalar oracle, while ``simulator/stats.py``,
-``simulator/fluid.py`` and ``experiments/failure_recovery.py`` call
-:func:`mean` / :func:`percentile_linear` so their summaries are
-byte-identical with and without it.  Keeping the import in one place gives
-tests a single monkeypatch point per consumer module and keeps the package
-importable on interpreters without numpy (the ``[fast]`` extra in
-``pyproject.toml`` is optional by design).
+Summaries fold FCTs and throughputs through :func:`mean` and
+:func:`percentile_linear`, which perform exactly numpy's float operations in
+exactly numpy's order, so a summary is byte-identical to one numpy would
+compute, whether or not numpy is installed.
 """
 
 from __future__ import annotations
@@ -18,14 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
-
-__all__ = ["np", "HAVE_NUMPY", "mean", "percentile_linear"]
+__all__ = ["mean", "percentile_linear"]
 
 
 def _pairwise_sum(values: Sequence[float], start: int, count: int) -> float:
@@ -61,25 +47,21 @@ def _pairwise_sum(values: Sequence[float], start: int, count: int) -> float:
 
 
 def mean(values: Sequence[float]) -> float:
-    """``float(np.mean(values))`` with a bit-identical pure-Python fallback."""
+    """``float(np.mean(values))``, bit for bit."""
     if not values:
         return float("nan")
-    if np is not None:
-        return float(np.mean(values))
     return _pairwise_sum(values, 0, len(values)) / len(values)
 
 
 def percentile_linear(values: Sequence[float], percentile: float) -> float:
-    """``float(np.percentile(values, q))`` (linear) with a bit-identical fallback.
+    """``float(np.percentile(values, q))`` (linear), bit for bit.
 
     Replicates numpy's virtual-index arithmetic and its monotonic ``_lerp``
     (which switches to the ``b - (b - a) * (1 - t)`` form at ``t >= 0.5``) so
-    the fallback interpolates in the same float operations.
+    it interpolates in the same float operations.
     """
     if not values:
         return float("nan")
-    if np is not None:
-        return float(np.percentile(values, percentile))
     ordered = sorted(values)
     virtual = (percentile / 100.0) * (len(ordered) - 1)
     below = math.floor(virtual)

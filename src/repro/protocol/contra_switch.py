@@ -23,51 +23,22 @@ from repro.core.compiler import CompiledPolicy
 from repro.core.device_config import DeviceConfig
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import SimulationError
-from repro.nputil import np
 from repro.protocol.probe import ProbePayload, make_probe_packet
 from repro.protocol.tables import (
     BestChoiceTable,
     ForwardingEntry,
-    ForwardingShadow,
     ForwardingTable,
     FlowletTable,
     FwdKey,
     LoopDetectionTable,
-    lexicographic_gt_eq,
     packet_flow_hash,
 )
 from repro.simulator.link import SimLink
 from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import Packet
-from repro.simulator.probe_wave import (
-    COL_ORIGIN,
-    COL_PID,
-    COL_TAG,
-    COL_VERSION,
-    ProbeWave,
-)
 from repro.simulator.switchnode import RoutingLogic
 
-__all__ = ["ContraSystem", "ContraRouting", "PROBE_VECTORIZE_DEFAULT"]
-
-#: Process-wide default for the array probe plane (the vectorized wave
-#: prefilter in :meth:`ContraRouting.on_probe_wave`).  **Off by default**,
-#: by measurement: the prefilter is exact (byte-identical state and event
-#: counts), but a rejected probe's wall-clock cost is dominated by its
-#: enqueue/transport/dispatch chain (~13µs/probe), not by the reject
-#: decision it skips (~2.5µs), while the judge itself costs ~3µs per judged
-#: probe at the wave sizes a fat-tree produces (~30 probes) plus ~1µs per
-#: accept for the FwdT shadow mirror — a net 1.1–1.5× *slowdown* on the
-#: fig11-k16 micro point and the probe-plane flood benchmarks (see
-#: ARCHITECTURE.md, "Array probe plane").  Opt in with
-#: ``ContraSystem(probe_vectorize=True)`` (or flip this default) to measure
-#: it; the equivalence suites exercise it either way so the path cannot rot.
-PROBE_VECTORIZE_DEFAULT = False
-
-#: Waves shorter than this skip the array passes: below a handful of probes
-#: the column build costs more than the scalar work it would save.  Purely a
-#: performance threshold — both paths are exact.
-VECTOR_MIN_WAVE = 8
+__all__ = ["ContraSystem", "ContraRouting"]
 
 
 class ContraSystem(RoutingSystem):
@@ -85,7 +56,6 @@ class ContraSystem(RoutingSystem):
         probe_all_switches: bool = False,
         split_horizon: bool = True,
         use_versioning: bool = True,
-        probe_vectorize: Optional[bool] = None,
     ):
         self.compiled = compiled
         self.probe_period = probe_period if probe_period is not None else compiled.probe_period
@@ -100,31 +70,7 @@ class ContraSystem(RoutingSystem):
         #: persistent-loop hazard of an unversioned distance-vector protocol
         #: and is exposed only for the ablation benchmark.
         self.use_versioning = use_versioning
-        #: Array probe plane: ``None`` resolves to ``PROBE_VECTORIZE_DEFAULT``
-        #: when numpy is importable (pure-Python fallback otherwise); an
-        #: explicit True without numpy is a loud error rather than a silent
-        #: slowdown.
-        if probe_vectorize and np is None:
-            raise SimulationError("probe_vectorize=True requires numpy; "
-                                  "install the [fast] extra or leave it None")
-        self.probe_vectorize = probe_vectorize
         self._logics: Dict[str, "ContraRouting"] = {}
-
-    def vectorize_resolved(self) -> bool:
-        """Whether switches of this system run the array probe plane.
-
-        Resolved per switch-logic construction (so tests can flip the module
-        default between runs), and additionally requires the protocol modes
-        under which the wave prefilter is exact: split horizon (the ingress
-        link's congestion is then constant across one wave) and versioning
-        (the unversioned ablation's staleness refresh reads per-probe time
-        state the prefilter does not model).
-        """
-        if np is None:
-            return False
-        enabled = (PROBE_VECTORIZE_DEFAULT if self.probe_vectorize is None
-                   else bool(self.probe_vectorize))
-        return enabled and self.split_horizon and self.use_versioning
 
     def create_switch_logic(self, switch: str) -> "ContraRouting":
         logic = ContraRouting(self, self.compiled.device(switch))
@@ -248,56 +194,6 @@ class ContraRouting(RoutingLogic):
         self._inports: Dict[
             str, Tuple[Callable[[int], Optional[int]], Optional[SimLink]]] = {}
 
-        # ----- array probe plane (ARCHITECTURE.md "array probe plane") -----
-        # Interned ids are compile-scoped: assigned once per CompiledPolicy,
-        # shared by every switch and stamped into payloads at origination.
-        self._switch_ids = self.compiled.switch_ids()
-        self._my_id = self._switch_ids.get(config.switch)
-        self._num_switches = len(self._switch_ids)
-        self._carried_names: Tuple[str, ...] = tuple(self.compiled.carried_attrs)
-        self._shadow: Optional[ForwardingShadow] = None
-        self._trans_rows = None
-        self._column_ops = None
-        self._prop_cols: Dict[int, Optional[Tuple[int, ...]]] = {}
-        self._single_pid = None
-        self.wants_probe_waves = system.vectorize_resolved()
-        if self.wants_probe_waves:
-            self._init_wave_state()
-
-    def _init_wave_state(self) -> None:
-        """Lower the per-switch tables into array form (install-time interning).
-
-        Builds the per-inport transition rows, the per-pid propagation-key
-        column selections, the columnwise metric-fold ops, and the dense FwdT
-        shadow.  Anything that cannot be lowered (an attribute without a
-        built-in fold, a propagation key outside the carried vector) degrades
-        per probe to the scalar path — never disables the exact kill passes.
-        """
-        config = self.config
-        self._trans_rows = config.lowered_transitions()
-        width = len(self._carried_names)
-        for sub in self.subpolicies:
-            indices = self._prop_indices[sub.pid]
-            if indices is True:
-                self._prop_cols[sub.pid] = tuple(range(width))
-            elif indices is None:
-                self._prop_cols[sub.pid] = None
-            else:
-                self._prop_cols[sub.pid] = tuple(indices)
-        ops = tuple(_COLUMN_FOLDS.get(name) for name in self._carried_names)
-        self._column_ops = ops if all(ops) and width > 0 else None
-        if len(self._prop_cols) == 1:
-            self._single_pid = next(iter(self._prop_cols.items()))
-        key_widths = [len(cols) for cols in self._prop_cols.values()
-                      if cols is not None]
-        if self._column_ops is not None and key_widths:
-            self._shadow = ForwardingShadow(
-                num_origins=len(self._switch_ids),
-                num_tags=(max(config.tags) + 1 if config.tags else 1),
-                num_pids=config.num_probe_ids,
-                key_width=max(key_widths),
-            )
-
     # ----------------------------------------------------------------- probes
 
     def probe_round(self) -> None:
@@ -311,7 +207,6 @@ class ContraRouting(RoutingLogic):
                 version=self._version,
                 tag=origin_tag,
                 metrics=sub.initial_metrics(),
-                origin_id=self._my_id,
             )
             self._multicast(payload, exclude=None)
 
@@ -362,9 +257,9 @@ class ContraRouting(RoutingLogic):
     def on_probe(self, packet: Packet, inport: str) -> None:
         """PROCESSPROBE (Figure 7) with the versioning refinement of §5.1.
 
-        The sole mutator of FwdT/BestT state on the probe path; the array
-        prefilter only decides which probes reach it.  ~90% of probes in a
-        converged fabric are rejected, so the reject path is the hot path.
+        The sole mutator of FwdT/BestT state on the probe path.  ~90% of
+        probes in a converged fabric are rejected, so the reject path is the
+        hot path.
         Links deliver here directly (``SimLink.probe_sink``).
 
         Read contract: the traffic-direction link's ``congestion`` is read
@@ -446,13 +341,6 @@ class ContraRouting(RoutingLogic):
             if prop_key == entry.prop_key and inport != entry.next_hop and \
                     version == entry.version and self._allow_alternates.get(pid, False):
                 entry.add_alternate(inport, tag)
-                if self._shadow is not None:
-                    # Mirror the tie into the shadow's alternate slots so
-                    # the block judge can flag future repeat/full-group
-                    # ties as no-ops.
-                    self._shadow.record_alternate(
-                        payload.origin_id, local_tag, pid, version,
-                        self._switch_ids.get(inport, -1), tag)
             return
 
         metrics = MetricVector._make(names, new_values)
@@ -467,221 +355,8 @@ class ContraRouting(RoutingLogic):
             rank=self._rank_of(key, metrics),
         )
         self._fwdt_install(key, new_entry)
-        if self._shadow is not None:
-            # Mirror the install into the dense prefilter view (exact
-            # values only; see the ForwardingShadow soundness contract).
-            self._shadow.record(payload.origin_id, local_tag, pid, version,
-                                prop_key, self._switch_ids.get(inport, -1))
         self._maybe_update_best(origin, key, new_entry)
         self._multicast(payload.advanced(local_tag, metrics), exclude=inport)
-
-    def on_probe_wave(self, packet: Packet, inport: str, wave: ProbeWave) -> None:
-        """PROCESSPROBE with the array prefilter in front.
-
-        At a run's first probe, exact array passes over the whole wave flag
-        the probes whose scalar processing would have **zero side effects**:
-        the static kills (no product-graph transition, self-origin) into
-        ``wave.dead``, and the table-dependent verdicts against the FwdT
-        shadow as of run start (version rejects, strict metric rejects, and
-        exact ties whose ECMP-alternate side effect is provably a no-op)
-        into ``wave.cond_dead`` under the congestion guard.  The link drops
-        the run's later flagged probes outright.  The survivors — accepts,
-        mutating ties, and anything the passes could not judge — reach the
-        unchanged :meth:`on_probe` at their original FIFO positions, and so
-        does the first probe whatever its flag: it owes the run's
-        probe-silence refresh, and the rest of a flagged probe's processing
-        is a no-op by the judge's own proof.  Because flagged probes are
-        side-effect-free and survivors recompute everything scalar-side, the
-        outcome is byte-identical to per-probe :meth:`on_probe` by
-        construction.
-        """
-        if wave.dead is None and not wave.scalar:
-            # First probe of the run: judge it whole, if it qualifies (a
-            # plain link — see on_probe — and enough probes to pay for the
-            # column build).  Otherwise every probe runs the scalar path.
-            link = self.switch.egress(inport)
-            judged = "metric_values" not in link.__dict__ \
-                and len(wave.packets) >= VECTOR_MIN_WAVE \
-                and self._judge_run(wave, link, inport)
-            wave.scalar = not judged
-        self.on_probe(packet, inport)
-
-    def _judge_run(self, wave: ProbeWave, link, inport: str) -> bool:
-        """Judge one whole run with exact array passes; False if ineligible.
-
-        Returns False when the run has no column form (ineligible payloads,
-        no lowered tables for this switch) — the caller then runs the whole
-        run scalar.  Otherwise writes the verdict masks and returns True.
-
-        Unconditional kills (``wave.dead``) — exact regardless of table
-        state, or proven to stay exact:
-
-        * **transition kill** — the dense per-inport row of the
-          product-graph transition table maps each probe's tag to its local
-          tag; ``-1`` means no edge, and the scalar path would return
-          untouched.
-        * **self-origin kill** — probes advertising this switch to itself.
-        * **version reject** — probes strictly older than the shadow entry
-          for their (origin, tag, pid); entry versions never decrease, so
-          the verdict cannot rot while later probes interleave with other
-          runs' installs.
-
-        Conditional kills (``wave.cond_dead``), valid while the guard
-        link's congestion is at least ``fold_congestion`` (stored as the
-        wave's guard):
-
-        * **metric reject** — fold the ingress link into the metric columns
-          (UPDATEMVEC as column ops: identical float64 arithmetic to the
-          scalar extender) and flag same-version probes whose propagation
-          key *strictly* loses against the shadow.
-        * **no-op tie** — same-version probes whose key ties the shadow's
-          exactly, when the scalar tie side effect (``add_alternate``)
-          would provably not fire: the probe's pid forbids alternates, the
-          probe arrived over the entry's own next hop, its (hop, tag) pair
-          is already in the group, or the group is full.  Ties that would
-          *mutate* the group survive to scalar.
-
-        The guard is sound because every fold is monotone nondecreasing in
-        congestion and same-key entries only ever improve: a strict loss
-        stays a strict loss, and a tie either stays a tie against the
-        *same* entry (whose alternate group only grows — a no-op stays a
-        no-op) or turns into a strict loss against a better one.  The
-        shadow is judged at run start; interleaved installs by other runs
-        can only *improve* entries, so a kill never becomes an accept —
-        probes the run-start shadow could not kill simply survive to the
-        scalar path, which recomputes everything.
-        """
-        columns = wave.columns(self._carried_names)
-        if columns is None or self._trans_rows is None:
-            return False
-        ints, metric_columns = columns
-        n = ints.shape[0]
-        trans_row = self._trans_rows.get(inport)
-        if trans_row is None:
-            # No product-graph edge from this inport at all: every probe of
-            # the run is policy-irrelevant here (scalar would skip each one).
-            wave.dead = [True] * n
-            return True
-        tags = ints[:, COL_TAG]
-        local_tags = np.full(n, -1, dtype=np.int64)
-        in_range = (tags >= 0) & (tags < trans_row.shape[0])
-        local_tags[in_range] = trans_row[tags[in_range]]
-        dead = local_tags < 0
-        origins = ints[:, COL_ORIGIN]
-        if self._my_id is not None:
-            dead |= origins == self._my_id
-        shadow = self._shadow
-        if shadow is None or self._column_ops is None:
-            wave.dead = dead.tolist()
-            return True
-
-        pids = ints[:, COL_PID]
-        versions = ints[:, COL_VERSION]
-        # ``fold_congestion`` is the utilization value the folds see; the
-        # memoized property returns the very same float to the guard
-        # checks later.
-        fold_congestion = link.congestion
-        folded = [op(metric_columns[:, position], link)
-                  for position, op in enumerate(self._column_ops)]
-        bounds_ok = (origins >= 0) & (origins < self._num_switches) \
-            & (pids >= 0) & (pids < shadow.num_pids) \
-            & (local_tags < shadow.num_tags)
-        flat = (origins * shadow.num_tags + local_tags) \
-            * shadow.num_pids + pids
-        inport_id = self._switch_ids.get(inport, -1)
-        max_alternates = ForwardingEntry.MAX_ALTERNATES
-        cond = None
-        single = self._single_pid
-        if single is not None and bounds_ok.all() \
-                and (pids == single[0]).all():
-            # Aligned fast path: one pid in the policy and every row's flat
-            # shadow index is in range, so the passes run at full width
-            # with no mask compression.  Rows already dead (transition or
-            # self-origin kills) are judged too: their ``local_tags`` of
-            # ``-1`` make ``flat`` a small negative (in-range wraparound)
-            # index, so the reads are garbage but safe, and the resulting
-            # verdict bits land on rows the dead mask already drops.
-            pid, key_columns = single
-            shadow_versions = shadow.versions[flat]
-            has_entry = shadow_versions >= 0
-            if has_entry.any():
-                dead |= has_entry & (versions < shadow_versions)
-                if key_columns is not None:
-                    same_version = has_entry & (versions == shadow_versions)
-                    if same_version.any():
-                        probe_keys = [folded[column] for column in key_columns]
-                        entry_keys = [shadow.prop_cols[position][flat]
-                                      for position in range(len(key_columns))]
-                        strict_loss, tie = lexicographic_gt_eq(
-                            probe_keys, entry_keys)
-                        verdict = same_version & strict_loss
-                        tie &= same_version
-                        if tie.any():
-                            if not self._allow_alternates.get(pid, False):
-                                verdict |= tie
-                            elif inport_id >= 0:
-                                noop = shadow.nexthop_ids[flat] == inport_id
-                                noop |= shadow.alt_count[flat] >= max_alternates
-                                for slot in range(max_alternates):
-                                    noop |= \
-                                        (shadow.alt_hops[slot][flat]
-                                         == inport_id) \
-                                        & (shadow.alt_tags[slot][flat] == tags)
-                                verdict |= tie & noop
-                        if verdict.any():
-                            cond = verdict
-        else:
-            judgeable = ~dead & bounds_ok
-            for pid, key_columns in self._prop_cols.items():
-                mask = judgeable & (pids == pid)
-                if not mask.any():
-                    continue
-                indices = flat[mask]
-                shadow_versions = shadow.versions[indices]
-                has_entry = shadow_versions >= 0
-                if not has_entry.any():
-                    continue
-                rows = np.flatnonzero(mask)
-                probe_versions = versions[mask]
-                dead[rows[has_entry
-                          & (probe_versions < shadow_versions)]] = True
-                if key_columns is None:
-                    continue            # unlowerable prop key: survivors
-                same_version = has_entry & (probe_versions == shadow_versions)
-                if not same_version.any():
-                    continue
-                probe_keys = [folded[column][mask] for column in key_columns]
-                entry_keys = [shadow.prop_cols[position][indices]
-                              for position in range(len(key_columns))]
-                strict_loss, tie = lexicographic_gt_eq(probe_keys, entry_keys)
-                verdict = same_version & strict_loss
-                tie &= same_version
-                if tie.any():
-                    if not self._allow_alternates.get(pid, False):
-                        verdict |= tie
-                    elif inport_id >= 0:
-                        noop = shadow.nexthop_ids[indices] == inport_id
-                        noop |= shadow.alt_count[indices] >= max_alternates
-                        probe_tags = tags[mask]
-                        for slot in range(max_alternates):
-                            noop |= (shadow.alt_hops[slot][indices]
-                                     == inport_id) \
-                                & (shadow.alt_tags[slot][indices]
-                                   == probe_tags)
-                        verdict |= tie & noop
-                if verdict.any():
-                    if cond is None:
-                        cond = np.zeros(n, dtype=bool)
-                    cond[rows[verdict]] = True
-
-        # Plain lists index faster than numpy scalars in the link's
-        # per-probe mask reads.
-        wave.dead = dead.tolist()
-        if cond is not None:
-            wave.cond_dead = cond.tolist()
-            wave.guard_link = link
-            wave.guard_value = fold_congestion
-        return True
 
     # ------------------------------------------------------------ best choice
 
@@ -945,17 +620,6 @@ class ContraRouting(RoutingLogic):
             return None
         entry = self.fwdt.lookup(key)
         return entry.next_hop if entry is not None else None
-
-
-#: Columnwise UPDATEMVEC folds for the array prefilter — the same built-in
-#: compositions as ``_EXTEND_OPS`` applied to a whole float64 column.  IEEE
-#: binary64 max/add over non-NaN values match Python's ``max``/``+`` bit for
-#: bit, which is what keeps the vectorized reject compare exact.
-_COLUMN_FOLDS = {
-    "util": lambda column, link: np.maximum(column, link.congestion),
-    "lat": lambda column, link: column + link.latency,
-    "len": lambda column, link: column + 1.0,
-}
 
 
 #: Per-attribute link extension steps used by the specialized extender: the

@@ -26,34 +26,19 @@ class ProbePayload:
     links, so mutating one would corrupt every in-flight copy.
     """
 
-    __slots__ = ("origin", "pid", "version", "tag", "metrics", "origin_id",
-                 "row")
+    __slots__ = ("origin", "pid", "version", "tag", "metrics")
 
     def __init__(self, origin: str, pid: int, version: int, tag: int,
-                 metrics: MetricVector, origin_id: "int | None" = None):
+                 metrics: MetricVector):
         self.origin = origin
         self.pid = pid
         self.version = version
         self.tag = tag
         self.metrics = metrics
-        #: Dense interned id of ``origin`` (the network-wide switch interning
-        #: of the array probe plane), assigned once at origination so a wave's
-        #: origin column is an integer read per probe instead of a string
-        #: lookup.  ``None`` marks an unassigned id; such probes simply take
-        #: the scalar path.  Not part of equality: it is derived from origin.
-        self.origin_id = origin_id
-        #: Lazily cached wire row for the array probe plane: the float64
-        #: bytes of ``(tag, origin_id, pid, version, *metrics.values)``,
-        #: built at most once per payload by the first wave that needs it.
-        #: Multicast shares one payload across many links, so every later
-        #: receiving wave reuses the bytes instead of re-reading the
-        #: attributes.  Derived state, not part of equality.
-        self.row = None
 
     def advanced(self, tag: int, metrics: MetricVector) -> "ProbePayload":
         """A copy with an updated tag and metric vector (one hop of propagation)."""
-        return ProbePayload(self.origin, self.pid, self.version, tag, metrics,
-                            self.origin_id)
+        return ProbePayload(self.origin, self.pid, self.version, tag, metrics)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProbePayload):

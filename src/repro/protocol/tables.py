@@ -17,11 +17,10 @@ programs allocate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.attributes import MetricVector
 from repro.core.rank import Rank
-from repro.nputil import np
 # Re-exported: the flow hash lives beside ``Packet.flow_key`` so hosts can
 # stamp it without ``simulator/`` importing ``protocol/``.
 from repro.simulator.packet import packet_flow_hash, stable_flow_hash
@@ -30,7 +29,6 @@ __all__ = [
     "FwdKey",
     "ForwardingEntry",
     "ForwardingTable",
-    "ForwardingShadow",
     "BestChoiceTable",
     "FlowletEntry",
     "FlowletTable",
@@ -111,157 +109,6 @@ class ForwardingTable:
 
     def items(self):
         return self._entries.items()
-
-
-class ForwardingShadow:
-    """Dense (version, propagation-key) mirror of FwdT for the wave prefilter.
-
-    The array probe plane rejects the bulk of a wave by comparing each probe's
-    (version, prop_key) against the installed entry for its (origin, tag, pid)
-    key — as one fancy-indexed array read instead of N dict lookups.  This
-    class is that lowered view: flat arrays indexed by
-    ``(origin_id * num_tags + tag) * num_pids + pid``, holding the version
-    (``-1`` = no entry) and the propagation-key columns of the entry most
-    recently *recorded*.
-
-    Soundness contract (see ARCHITECTURE.md): the shadow may **lag** the real
-    table — a missed :meth:`record` only makes a later prefilter treat the key
-    as worse/absent, producing extra scalar-path survivors, never a wrong
-    reject.  It must never run *ahead*: the only writes happen at install /
-    alternate-record time with the exact installed values.  Installs are
-    monotone improvements under versioning, so a probe rejected against a
-    shadow state stays rejected against every later in-tick install.
-
-    Beyond (version, prop_key), the shadow mirrors the entry's tie-handling
-    state — the interned next-hop id, and the ``alternates`` pairs as
-    ``MAX_ALTERNATES`` parallel (hop id, tag) slots plus a count — so the
-    prefilter can also flag exact ties whose ``add_alternate`` would be a
-    no-op (own next hop, already-recorded pair, or a full group).  Alternate
-    state is only trusted when the recorded version matches the probe's, and
-    :meth:`record` resets it exactly like a fresh install resets
-    ``ForwardingEntry.alternates``.
-    """
-
-    __slots__ = ("num_tags", "num_pids", "key_width", "versions", "prop_cols",
-                 "nexthop_ids", "alt_count", "alt_hops", "alt_tags")
-
-    def __init__(self, num_origins: int, num_tags: int, num_pids: int,
-                 key_width: int):
-        if np is None:  # pragma: no cover - callers gate on numpy themselves
-            raise RuntimeError("ForwardingShadow requires numpy")
-        self.num_tags = num_tags
-        self.num_pids = num_pids
-        self.key_width = key_width
-        size = num_origins * num_tags * num_pids
-        self.versions = np.full(size, -1, dtype=np.int64)
-        #: One flat float column per propagation-key position: scalar writes
-        #: at install time and fancy-indexed bulk reads per wave are both
-        #: cheaper on parallel 1-D columns than on one (size, K) matrix.
-        self.prop_cols: List = [np.zeros(size, dtype=np.float64)
-                                for _ in range(key_width)]
-        self.nexthop_ids = np.full(size, -1, dtype=np.int64)
-        self.alt_count = np.zeros(size, dtype=np.int64)
-        self.alt_hops: List = [np.full(size, -1, dtype=np.int64)
-                               for _ in range(ForwardingEntry.MAX_ALTERNATES)]
-        self.alt_tags: List = [np.full(size, -1, dtype=np.int64)
-                               for _ in range(ForwardingEntry.MAX_ALTERNATES)]
-
-    def _flat(self, origin_id: Optional[int], tag: int, pid: int) -> int:
-        """Flat index for an in-range key, or ``-1`` when outside the dims."""
-        if origin_id is None or origin_id < 0 or not 0 <= tag < self.num_tags \
-                or not 0 <= pid < self.num_pids:
-            return -1
-        index = (origin_id * self.num_tags + tag) * self.num_pids + pid
-        return index if index < self.versions.shape[0] else -1
-
-    def record(self, origin_id: Optional[int], tag: int, pid: int,
-               version: int, prop_key: Tuple[float, ...],
-               nexthop_id: int = -1) -> None:
-        """Mirror one install.  Silently skips keys outside the lowered dims
-        (unassigned origin ids, foreign tags/pids) — the shadow then lags,
-        which the prefilter treats conservatively."""
-        if len(prop_key) > self.key_width:
-            return
-        index = self._flat(origin_id, tag, pid)
-        if index < 0:
-            return
-        self.versions[index] = version
-        cols = self.prop_cols
-        for position, value in enumerate(prop_key):
-            cols[position][index] = value
-        # A fresh install replaces the entry object wholesale, emptying its
-        # alternate group; the mirror resets identically.  The slots are
-        # cleared too: the judge matches against every slot, and a stale
-        # (hop, tag) pair would make the new entry's first tie look repeated.
-        self.nexthop_ids[index] = nexthop_id if nexthop_id is not None else -1
-        self.alt_count[index] = 0
-        for hops in self.alt_hops:
-            hops[index] = -1
-
-    def record_alternate(self, origin_id: Optional[int], tag: int, pid: int,
-                         version: int, hop_id: Optional[int],
-                         next_tag: int) -> None:
-        """Mirror one ``ForwardingEntry.add_alternate`` call.
-
-        Applies the same dedup / own-next-hop / capacity conditions against
-        the shadow's own slots.  Both alternate sets start empty at the same
-        install and see the same attempt sequence, so they evolve
-        identically — unless this record is skipped (unsynced version,
-        unassigned hop id), in which case the shadow's set lags reality and
-        the prefilter under-kills, never over-kills.
-        """
-        if hop_id is None or hop_id < 0:
-            return
-        index = self._flat(origin_id, tag, pid)
-        if index < 0 or self.versions[index] != version:
-            return
-        primary = self.nexthop_ids[index]
-        if primary == hop_id or primary < 0:
-            # Own next hop (real add_alternate refuses it too), or an entry
-            # whose hop id was never assigned — then the ``!= next_hop``
-            # condition cannot be mirrored faithfully, so the shadow's set
-            # stays behind reality (under-kill) rather than risk a phantom.
-            return
-        count = self.alt_count[index]
-        if count >= ForwardingEntry.MAX_ALTERNATES:
-            return
-        hops, tags = self.alt_hops, self.alt_tags
-        for slot in range(count):
-            if hops[slot][index] == hop_id and tags[slot][index] == next_tag:
-                return
-        hops[count][index] = hop_id
-        tags[count][index] = next_tag
-        self.alt_count[index] = count + 1
-
-
-def lexicographic_gt(columns_a: Sequence, columns_b: Sequence):
-    """Elementwise tuple-compare ``a > b`` over parallel column arrays.
-
-    ``columns_a[j][i]`` is position ``j`` of row ``i``'s key; both sides must
-    have the same (non-zero) number of columns.  Exactly Python's tuple
-    ordering for equal-length float tuples, vectorized.
-    """
-    gt = columns_a[0] > columns_b[0]
-    if len(columns_a) > 1:
-        eq = columns_a[0] == columns_b[0]
-        for a, b in zip(columns_a[1:], columns_b[1:]):
-            gt = gt | (eq & (a > b))
-            eq = eq & (a == b)
-    return gt
-
-
-def lexicographic_gt_eq(columns_a: Sequence, columns_b: Sequence):
-    """Like :func:`lexicographic_gt` but also returns the exact-equality mask.
-
-    The tie mask is what lets the prefilter reason about the ECMP-alternate
-    side effect separately from strict rejects.
-    """
-    gt = columns_a[0] > columns_b[0]
-    eq = columns_a[0] == columns_b[0]
-    for a, b in zip(columns_a[1:], columns_b[1:]):
-        gt = gt | (eq & (a > b))
-        eq = eq & (a == b)
-    return gt, eq
 
 
 class BestChoiceTable:

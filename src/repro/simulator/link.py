@@ -34,22 +34,6 @@ order; the lane only removes heap traffic, never reorders (see the engine's
 ordering contract).  A surviving probe goes straight to the link's
 ``probe_sink`` — the receiving switch's ``on_probe``, wired at network build
 — so a delivery is engine → epoch guard → PROCESSPROBE, three frames.
-
-When the receiving switch's routing logic asks for probe waves
-(``probe_wave_sink``, set at wiring time), the link additionally accumulates
-each same-``(link, tick)`` run into one
-:class:`~repro.simulator.probe_wave.ProbeWave` **at enqueue time** — the one
-most recently started run is remembered, and a same-arrival enqueue appends
-to it — and the wave rides in every member's guard, ``(fail epoch, wave)``,
-so a delivery carries its run with no lookup.  Deliveries still fire
-one by one in exact FIFO order — the wave never reorders anything — but it
-lets the receiver judge the whole run once at its first probe and annotate
-the wave with a per-probe ``dead`` mask: a flagged probe is one whose
-processing the receiver proved to be a no-op, so the link drops its delivery
-outright instead of paying the full delivery chain.  The link reads only the
-wave's generic annotation slots (``dead``/``cond_dead``, its guard and
-``cursor``); it stays payload-agnostic and only guarantees the run's shape:
-same link, same tick, same fail epoch, FIFO order.
 """
 
 from __future__ import annotations
@@ -58,13 +42,16 @@ from collections import deque
 from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.simulator.packet import DATA_PACKET_BYTES, Packet
-from repro.simulator.probe_wave import ProbeWave
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import Simulator
     from repro.simulator.stats import StatsCollector
 
 __all__ = ["SimLink"]
+
+#: A link's queue before its first backlog: ``len``, truth and iteration
+#: read the empty tuple exactly like an empty deque.
+_NO_QUEUE = ()
 
 
 class SimLink:
@@ -98,21 +85,12 @@ class SimLink:
         #: probe wave keeps ~480k registrations in the batch lane at a time.
         self._deliver_packet = self._deliver_packet
         self._deliver_probe = self._deliver_probe
-        #: ``callback(packet, inport, wave)`` of a receiving routing logic that
-        #: judges whole probe runs (array probe plane); set at wiring time,
-        #: None otherwise so scalar systems pay nothing.  While set, probes
-        #: bypass ``deliver`` and same-arrival runs accumulate into ProbeWaves.
-        self.probe_wave_sink: Optional[Callable[[Packet, str, ProbeWave], None]] = None
-        #: The run currently accumulating, as (arrival time, wave).  Probe
-        #: flight time is constant per link, so enqueue order is arrival
-        #: order and only the newest run can ever grow; older waves ride to
-        #: delivery inside their members' arguments and need no link-side
-        #: registry at all.
-        self._last_probe_run = None
         self.stats = stats
         self.util_window = float(util_window)    # ms, EWMA window for utilization
 
-        self._queue: Deque[Packet] = deque()
+        #: The backlog, allocated at the link's first one: most links of a
+        #: large fabric never queue, and an empty ``deque`` is 760 bytes.
+        self._queue: "Deque[Packet] | Tuple[()]" = _NO_QUEUE
         #: absolute time at which the serializer frees up.
         self._busy_until = 0.0
         #: whether a drain event is already scheduled for ``_busy_until``.
@@ -185,20 +163,8 @@ class SimLink:
                 self._last_util_update = now
             util = self._util + tx_time / self.util_window
             self._util = util if util < 1.5 else 1.5      # min(1.5, util), frameless
-            arrival = now + tx_time + self.latency
-            if self.probe_wave_sink is None:
-                sim.call_batched(arrival, self._deliver_probe, packet, self._fail_epoch)
-                return True
-            # A mid-tick failure (epoch bump + run reset) splits the run.
-            last = self._last_probe_run
-            if last is not None and last[0] == arrival:
-                wave = last[1]
-                wave.packets.append(packet)
-            else:
-                wave = ProbeWave([packet])
-                self._last_probe_run = (arrival, wave)
-            sim.call_batched(arrival, self._deliver_wave_probe, packet,
-                             (self._fail_epoch, wave))
+            sim.call_batched(now + tx_time + self.latency, self._deliver_probe,
+                             packet, self._fail_epoch)
             return True
         queue = self._queue
         depth = len(queue)
@@ -226,6 +192,8 @@ class SimLink:
         else:
             # Serializer busy with an earlier packet: one drain event
             # covers every packet queued behind it (batch scheduling).
+            if queue is _NO_QUEUE:
+                queue = self._queue = deque()
             queue.append(packet)
             self._drain_pending = True
             self.sim.call_at(self._busy_until, self._drain)
@@ -293,34 +261,6 @@ class SimLink:
         if sink is not None and not self.failed and epoch == self._fail_epoch:
             sink(packet, self.src)
 
-    def _deliver_wave_probe(self, packet: Packet, guard: Tuple[int, ProbeWave]) -> None:
-        """Deliver one probe of a collected ``(link, tick)`` run to the wave sink.
-
-        Once the receiver judged the run (at its first probe) the wave carries
-        a ``dead`` mask, and flagged probes are dropped here — the receiver
-        proved their processing is a no-op — which is what removes the
-        per-probe delivery chain from the reject path.  A conditional flag
-        holds while the guard link's congestion is at least the value the
-        verdict was computed against (the receiver proved the verdict
-        monotone in congestion); the guard is only read when that flag is
-        the deciding bit.  Probes arrive in the FIFO order the run was
-        accumulated in, so ``cursor`` is this probe's index in the masks.
-        """
-        epoch, wave = guard
-        if self.failed or epoch != self._fail_epoch:
-            return
-        index = wave.cursor
-        wave.cursor = index + 1
-        dead = wave.dead
-        if dead is not None:
-            if dead[index]:
-                return
-            cond = wave.cond_dead
-            if cond is not None and cond[index] and \
-                    wave.guard_link.congestion >= wave.guard_value:
-                return
-        self.probe_wave_sink(packet, self.src, wave)
-
     # ----------------------------------------------------------- utilization
 
     def _decay_util(self) -> None:
@@ -343,13 +283,8 @@ class SimLink:
         """Bring the link down: queued and in-flight packets are lost."""
         self.failed = True
         self._fail_epoch += 1
-        self._queue.clear()
-        # In-flight probe runs die with their epoch; their deliveries are
-        # dropped by the epoch check, so the waves are garbage.  Resetting
-        # the accumulator keeps a post-recovery enqueue at the same arrival
-        # tick from growing a dead wave (its probes would never fire, and
-        # the run's cursor assumes every one does).
-        self._last_probe_run = None
+        if self._queue:
+            self._queue.clear()
 
     def recover(self) -> None:
         """Bring the link back up."""

@@ -136,15 +136,10 @@ class Network:
                 util_window=self.util_window,
             )
             # A link towards a switch hands probes straight to that switch's
-            # PROCESSPROBE (receive() would only dispatch them there).  Links
-            # towards a wave-judging routing logic additionally accumulate
-            # their same-tick probe runs into wave views and deliver probes
-            # to its wave entry point (array probe plane).
+            # PROCESSPROBE (receive() would only dispatch them there).
             dst_routing = getattr(dst_node, "routing", None)
             if dst_routing is not None:
                 sim_link.probe_sink = dst_routing.on_probe
-                if dst_routing.wants_probe_waves:
-                    sim_link.probe_wave_sink = dst_routing.on_probe_wave
             self.links[(src, dst)] = sim_link
             if src in self.switches:
                 self.switches[src].add_port(dst, sim_link)

@@ -21,9 +21,7 @@ integration tests can only observe after the fact:
   floor per ACK, and RTO timer-chain liveness (every incomplete reliable
   flow has a pending ``_check_timeout``);
 * **protocol tables** (Contra) — FwdT version monotonicity per key (under
-  versioning), every BestT choice resolves in FwdT, and the
-  ``ForwardingShadow`` mirror lags-but-never-leads the symbolic table
-  (the runtime sibling of the PR 7 lowered-table cross-check).
+  versioning), and every BestT choice resolves in FwdT.
 
 Every scheduled event carries a cheap provenance tag — ``(callback
 qualname, scheduling site)`` — so a violation names its culprit.  Tags are
@@ -52,7 +50,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet,
 
 import repro.simulator.engine as _engine
 from repro.exceptions import SimulationError
-from repro.nputil import np
 from repro.simulator.engine import Simulator, _fire_batch, _fire_handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -211,8 +208,6 @@ class Sanitizer:
         self._expect_drop = 0
 
         self._network: Optional["Network"] = None
-        #: (switch name, contra logic) pairs instrumented for table checks.
-        self._contra: List[Tuple[str, Any]] = []
 
     # ------------------------------------------------------------- reporting
 
@@ -453,17 +448,13 @@ class Sanitizer:
         link.enqueue = enqueue  # type: ignore[method-assign]
 
         # Probes register ``_deliver_probe`` on the batch lane with the fail
-        # epoch as their guard, or ``_deliver_wave_probe`` with ``(epoch,
-        # wave)`` on links with a wave sink.  The inner stays reachable as an
-        # instance attribute so the violation-injection tests can substitute
-        # a deliberately buggy implementation underneath the checks.
-        waves = link.probe_wave_sink is not None
-        lane_callback = "_deliver_wave_probe" if waves else "_deliver_probe"
-        link._sanitizer_probe_inner = getattr(link, lane_callback)  # type: ignore[attr-defined]
+        # epoch as their guard.  The inner stays reachable as an instance
+        # attribute so the violation-injection tests can substitute a
+        # deliberately buggy implementation underneath the checks.
+        link._sanitizer_probe_inner = link._deliver_probe  # type: ignore[attr-defined]
 
         @functools.wraps(link._sanitizer_probe_inner)  # type: ignore[attr-defined]
-        def deliver_probe(packet: "Packet", guard: Any) -> None:
-            epoch = guard[0] if waves else guard
+        def deliver_probe(packet: "Packet", epoch: int) -> None:
             now = link.sim._now
             self.checks_run += 1
             if now < last_delivery[0]:
@@ -484,13 +475,13 @@ class Sanitizer:
             if link.failed or epoch != link._fail_epoch:
                 self._expect_drop += 1
                 try:
-                    link._sanitizer_probe_inner(packet, guard)  # type: ignore[attr-defined]
+                    link._sanitizer_probe_inner(packet, epoch)  # type: ignore[attr-defined]
                 finally:
                     self._expect_drop -= 1
             else:
-                link._sanitizer_probe_inner(packet, guard)  # type: ignore[attr-defined]
+                link._sanitizer_probe_inner(packet, epoch)  # type: ignore[attr-defined]
 
-        setattr(link, lane_callback, deliver_probe)
+        link._deliver_probe = deliver_probe  # type: ignore[method-assign]
 
         inner_deliver_packet = link._deliver_packet
 
@@ -527,7 +518,7 @@ class Sanitizer:
 
             link.deliver = deliver  # type: ignore[method-assign]
 
-        # The probe delivery entries: a stale-epoch probe must never get here.
+        # The probe delivery entry: a stale-epoch probe must never get here.
         if link.probe_sink is not None:
             inner_probe_sink = link.probe_sink
 
@@ -537,16 +528,6 @@ class Sanitizer:
                 inner_probe_sink(packet, inport)
 
             link.probe_sink = probe_sink
-
-        if link.probe_wave_sink is not None:
-            inner_sink = link.probe_wave_sink
-
-            @functools.wraps(inner_sink)
-            def wave_sink(packet: "Packet", inport: str, wave: Any) -> None:
-                check_not_stale()
-                inner_sink(packet, inport, wave)
-
-            link.probe_wave_sink = wave_sink
 
         # The one transmit seam: ``enqueue`` (idle serializer) and ``_drain``
         # both reach it through the instance attribute.
@@ -627,7 +608,6 @@ class Sanitizer:
         bestt = getattr(logic, "bestt", None)
         if fwdt is None or bestt is None:
             return
-        self._contra.append((switch, logic))
         versioned = bool(getattr(getattr(logic, "system", None),
                                  "use_versioning", False))
 
@@ -676,7 +656,6 @@ class Sanitizer:
         self._check_conservation(network)
         self._check_goodput(network)
         self._check_rto_liveness(network)
-        self._check_shadows()
 
     def _check_conservation(self, network: "Network") -> None:
         queued: Dict[str, int] = {k: 0 for k in _CONSERVED_KINDS}
@@ -730,38 +709,3 @@ class Sanitizer:
                         "rto-liveness",
                         f"flow {flow_id} at host {name} is incomplete but "
                         f"has no pending RTO check event (timer chain lost)")
-
-    def _check_shadows(self) -> None:
-        """ForwardingShadow lags-but-never-leads the symbolic FwdT."""
-        if np is None:
-            return
-        for switch, logic in self._contra:
-            shadow = getattr(logic, "_shadow", None)
-            if shadow is None:
-                continue
-            switch_ids = logic._switch_ids
-            num_tags, num_pids = shadow.num_tags, shadow.num_pids
-            size = len(shadow.versions)
-            present: Dict[int, int] = {}
-            for (origin, tag, pid), entry in logic.fwdt.items():
-                origin_id = switch_ids.get(origin)
-                if origin_id is None or not (0 <= tag < num_tags
-                                             and 0 <= pid < num_pids):
-                    continue
-                flat = (origin_id * num_tags + tag) * num_pids + pid
-                if 0 <= flat < size:
-                    present[flat] = entry.version
-            self.checks_run += 1
-            for index in np.nonzero(shadow.versions >= 0)[0]:
-                mirrored = int(shadow.versions[int(index)])
-                actual = present.get(int(index))
-                if actual is None:
-                    self.violate(
-                        "shadow-coherence",
-                        f"switch {switch}: shadow slot {int(index)} carries "
-                        f"version {mirrored} but FwdT has no such entry")
-                elif mirrored > actual:
-                    self.violate(
-                        "shadow-coherence",
-                        f"switch {switch}: shadow slot {int(index)} version "
-                        f"{mirrored} leads FwdT version {actual}")

@@ -17,7 +17,6 @@ from repro.simulator.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.link import SimLink
     from repro.simulator.network import Network
-    from repro.simulator.probe_wave import ProbeWave
 
 __all__ = ["RoutingLogic", "SwitchNode"]
 
@@ -51,24 +50,6 @@ class RoutingLogic:
 
     def on_probe(self, packet: Packet, inport: str) -> None:
         """Handle a control probe.  Optional (static systems ignore probes)."""
-
-    #: Set True (with an :meth:`on_probe_wave` override) by logics that judge
-    #: whole ``(link, tick)`` probe runs through the struct-of-arrays
-    #: :class:`~repro.simulator.probe_wave.ProbeWave` view.  Read at network
-    #: wiring time: links towards such a switch accumulate their runs and
-    #: deliver probes to :meth:`on_probe_wave` instead of :meth:`on_probe`.
-    wants_probe_waves = False
-
-    def on_probe_wave(self, packet: Packet, inport: str, wave: "ProbeWave") -> None:
-        """Handle one probe, with the wave view of its whole run along.
-
-        Only called when :attr:`wants_probe_waves` is True.  ``wave`` is the
-        ``(link, tick)`` run ``packet`` belongs to.  Implementations must be
-        observably identical to ``on_probe(packet, inport)`` — the wave view
-        changes how a run is *read* and which no-op probes get skipped, never
-        what the run means.
-        """
-        self.on_probe(packet, inport)
 
     def on_link_change(self, neighbor: str, failed: bool) -> None:
         """Notification that the link towards ``neighbor`` failed or recovered."""

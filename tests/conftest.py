@@ -12,17 +12,18 @@ import pytest
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
-from repro.nputil import HAVE_NUMPY
 from repro.topology import abilene, fattree, leafspine
 from repro.topology.graph import Topology
 
-if not HAVE_NUMPY:
+try:
+    import numpy  # noqa: F401
+except ImportError:
     # Workload generation draws from numpy's PCG64 (`np.random.default_rng`),
     # which has no pure-Python equivalent producing the same streams, so the
     # suites that generate traffic (directly or through the experiment
     # runner) are inherently numpy-bound.  The no-numpy CI job still runs
     # everything else — engine, links, protocol, compiler, topology — which
-    # is exactly the surface the pure-Python fallback has to keep working.
+    # is exactly the surface that must keep working without numpy.
     # ``run_scalability_sweep`` maps its fabrics through the runner's
     # ``grid_map``, so the sweep's own tests are numpy-bound too; the compile
     # pins (unit/test_compile_equivalence.py) are not.
@@ -38,7 +39,6 @@ if not HAVE_NUMPY:
         "integration/test_gc_results.py",
         "integration/test_grid_runner.py",
         "integration/test_probe_batching.py",
-        "integration/test_probe_vectorize.py",
         "integration/test_scenario_diversity.py",
         "integration/test_sharded_sweeps.py",
         "integration/test_sweep_point_budget.py",
@@ -47,7 +47,6 @@ if not HAVE_NUMPY:
         "unit/test_policies_and_cli.py",
         "unit/test_race.py",
         "unit/test_topology_spec.py",
-        "unit/test_wave_prefilter.py",
         "unit/test_workloads.py",
     ]
 
@@ -129,11 +128,12 @@ class CallCounts:
         return sum(calls for path, _, calls in self.rows if directory in path)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def call_budget():
     """``call_budget(fn, *args, **kwargs)`` runs ``fn`` under ``cProfile`` and
     returns the :class:`CallCounts` of the calling thread — exact counts, so a
-    budget stated through them is a tight bound, not a timing."""
+    budget stated through them is a tight bound, not a timing.  Stateless, so
+    session-scoped: module-scoped fixtures can measure through it too."""
 
     def measure(fn, *args, **kwargs) -> CallCounts:
         profile = cProfile.Profile()

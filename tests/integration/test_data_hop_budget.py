@@ -5,12 +5,12 @@ figure grids' link and host parameters) carrying 192 hand-built flows, every
 host to a host in another pod — once under ECMP, which sends no probes at
 all, and once under its Contra twin:
 
-* Python-level calls into ``src/repro`` per link transmission (``cProfile``,
-  the same count the perf ledger's ``*.calls`` rows report).  A data packet
-  crossing a switch is ``_deliver_packet -> receive -> on_data_packet ->
-  enqueue -> _transmit -> call_at``; a frame added to that chain, or a
-  property, accessor or builtin-wrapping helper put back in front of a
-  per-packet read, lands here.
+* Python-level calls into ``src/repro`` per link transmission (the
+  ``call_budget`` fixture, the same count the perf ledger's ``*.calls`` rows
+  report).  A data packet crossing a switch is ``_deliver_packet -> receive
+  -> on_data_packet -> enqueue -> _transmit -> call_at``; a frame added to
+  that chain, or a property, accessor or builtin-wrapping helper put back in
+  front of a per-packet read, lands here.
 * ``Simulator.now`` property frames: every per-packet clock read is
   ``sim._now``; what remains is per flow, per timer and per probe round.
 * ``stable_flow_hash`` calls: one per flow direction (sender state, receiver
@@ -21,7 +21,6 @@ all, and once under its Contra twin:
 Counts, not timings: they repeat exactly, so the bounds are tight.
 """
 
-import cProfile
 import os
 
 import pytest
@@ -61,33 +60,18 @@ def data_point(make_system) -> Network:
     return network
 
 
-def profiled_run(network: Network) -> dict:
-    """Run the point under cProfile; ``(file, function) -> calls`` for ``src/repro``."""
-    profile = cProfile.Profile()
-    profile.enable()
-    network.run(60.0, stop_after_completion=True)
-    profile.disable()
-    calls: dict = {}
-    for entry in profile.getstats():
-        code = entry.code
-        if not isinstance(code, str) and code.co_filename.startswith(PACKAGE_ROOT):
-            key = (code.co_filename[len(PACKAGE_ROOT):], code.co_name)
-            calls[key] = calls.get(key, 0) + entry.callcount
-    return calls
-
-
 @pytest.fixture(scope="module")
-def ecmp_point():
+def ecmp_point(call_budget):
     network = data_point(lambda topology: EcmpSystem())
-    return network, profiled_run(network)
+    return network, call_budget(network.run, 60.0, stop_after_completion=True)
 
 
 @pytest.fixture(scope="module")
-def contra_point():
+def contra_point(call_budget):
     policy = minimize(rank_tuple(path.len, path.util), name="dc")   # conftest's dc_policy
     network = data_point(lambda topology: ContraSystem(
         compile_policy(policy, topology), probe_period=0.256, flowlet_timeout=0.5))
-    return network, profiled_run(network)
+    return network, call_budget(network.run, 60.0, stop_after_completion=True)
 
 
 class TestCallsPerTransmission:
@@ -99,7 +83,7 @@ class TestCallsPerTransmission:
         # 8.86 here; 17.50 with _transmit_next/_record_transmission/
         # _decay_util, the ``now`` property, record_queue_length ->
         # StreamingHistogram.record, per-packet hashes and attachment lookups.
-        assert sum(calls.values()) / stats.total_packets <= 9.5
+        assert calls.under(PACKAGE_ROOT) / stats.total_packets <= 9.5
 
     def test_contra_twin(self, contra_point):
         network, calls = contra_point
@@ -111,14 +95,14 @@ class TestCallsPerTransmission:
         # _usable_next_hop -> link_failed, builtin max/min in observe_hash,
         # and the accepted probe's evaluate -> genexpr -> get and Rank
         # comparisons through _padded_pair.
-        assert sum(calls.values()) / stats.total_packets <= 12.0
+        assert calls.under(PACKAGE_ROOT) / stats.total_packets <= 12.0
 
 
 class TestPerPacketReads:
     @pytest.mark.parametrize("point", ["ecmp_point", "contra_point"])
     def test_the_clock_is_not_read_through_its_property(self, point, request):
         network, calls = request.getfixturevalue(point)
-        frames = calls.get(("simulator/engine.py", "now"), 0)
+        frames = calls("now", "repro/simulator/engine.py")
         # None (ECMP) and 0.02 (Contra: probe rounds and failure checks) a
         # transmission here; 2.98 and 2.31 at the parent.
         assert frames / network.stats.total_packets < 0.2
@@ -126,11 +110,11 @@ class TestPerPacketReads:
     @pytest.mark.parametrize("point", ["ecmp_point", "contra_point"])
     def test_one_flow_hash_per_flow_direction(self, point, request):
         _, calls = request.getfixturevalue(point)
-        hashes = calls.get(("simulator/packet.py", "stable_flow_hash"), 0)
+        hashes = calls("stable_flow_hash", "repro/simulator/packet.py")
         assert 0 < hashes <= 2 * FLOWS
 
     def test_tag_bits_are_not_recomputed_inside_the_run(self, contra_point):
         _, calls = contra_point
-        assert calls.get(("core/device_config.py", "packet_tag_bits"), 0) == 0
+        assert calls("packet_tag_bits", "repro/core/device_config.py") == 0
         # ... while the from-host re-tag it feeds did run.
-        assert calls[("protocol/contra_switch.py", "_best_keys")] > 0
+        assert calls("_best_keys", "repro/protocol/contra_switch.py") > 0

@@ -11,16 +11,16 @@ the arrivals and recovers at two thirds, so flows in flight are re-placed):
   on the path — 4.8 per placement when every switch hashed the flow itself;
 * ``numpy.array`` constructions while the eager generator runs: none that
   scale with the flow count (two per flow when a size was ``sample(rng, 1)``);
-* Python-level calls into ``src/repro`` per flow (``cProfile``, the same count
-  the perf ledger's ``*.calls`` rows report) from workload generation to the
-  end of ``FluidSimulation.run``.  The path model's next-hop table is built
-  outside the count (a per-point cost, not a per-flow one) and so is
-  ``summary()`` (its sketch estimate is 1 024 frames a switch).
+* Python-level calls into ``src/repro`` per flow (the ``call_budget`` fixture,
+  the same count the perf ledger's ``*.calls`` rows report) from workload
+  generation to the end of ``FluidSimulation.run``.  The path model's
+  next-hop table is built outside the count (a per-point cost, not a
+  per-flow one) and so is ``summary()`` (its sketch estimate is 1 024 frames
+  a switch).
 
 Counts, not timings: they repeat exactly, so the bounds are tight.
 """
 
-import cProfile
 import os
 from dataclasses import replace
 from types import SimpleNamespace
@@ -71,7 +71,7 @@ class CountedRun:
     """One point, generation through ``FluidSimulation.run``, with the
     placements, sketch digests and ``src/repro`` calls it took."""
 
-    def __init__(self, spec, monkeypatch):
+    def __init__(self, spec, monkeypatch, call_budget):
         context = RunContext()
         topology = context.topology(spec.topology)
         model = build_path_model(spec.system, topology, policy=spec.policy)
@@ -83,26 +83,22 @@ class CountedRun:
         monkeypatch.setattr(FluidSimulation, "_join",
                             lambda *args: placements(*args))
 
-        profile = cProfile.Profile()
-        profile.enable()
-        flows = context._fluid_flows(spec, topology)
-        simulation = FluidSimulation(
-            topology, model,
-            stats=FluidStats(fct_percentiles=spec.fct_percentiles,
-                             flow_sketch=spec.flow_sketch),
-            host_window=spec.config.host_window)
-        simulation.add_flows(flows)
-        for event in context._link_events(spec, topology):
-            schedule = simulation.fail_link if event.action == "fail" \
-                else simulation.recover_link
-            schedule(event.a, event.b, at_time=event.time)
-        self.stats = simulation.run(spec.config.run_duration,
-                                    stop_after_completion=True)
-        profile.disable()
+        def generate_and_run():
+            flows = context._fluid_flows(spec, topology)
+            simulation = FluidSimulation(
+                topology, model,
+                stats=FluidStats(fct_percentiles=spec.fct_percentiles,
+                                 flow_sketch=spec.flow_sketch),
+                host_window=spec.config.host_window)
+            simulation.add_flows(flows)
+            for event in context._link_events(spec, topology):
+                schedule = simulation.fail_link if event.action == "fail" \
+                    else simulation.recover_link
+                schedule(event.a, event.b, at_time=event.time)
+            self.stats = simulation.run(spec.config.run_duration,
+                                        stop_after_completion=True)
 
-        self.calls = sum(entry.callcount for entry in profile.getstats()
-                         if not isinstance(entry.code, str)
-                         and entry.code.co_filename.startswith(PACKAGE_ROOT))
+        self.calls = call_budget(generate_and_run).under(PACKAGE_ROOT)
         self.flows = self.stats.flow_count
         self.placements = placements.calls
         self.digests = blake2b.calls
@@ -110,8 +106,8 @@ class CountedRun:
 
 class TestSketchDigests:
     @pytest.mark.parametrize("system", ["contra", "ecmp"])
-    def test_one_digest_per_placement(self, system, monkeypatch):
-        run = CountedRun(sketching_point(system), monkeypatch)
+    def test_one_digest_per_placement(self, system, monkeypatch, call_budget):
+        run = CountedRun(sketching_point(system), monkeypatch, call_budget)
         assert run.flows > 1_900
         # The churned link reroutes flows in flight: placements outnumber flows.
         assert run.placements > run.flows
@@ -141,7 +137,8 @@ class TestCallsPerFlow:
     # generator's per-flow receiver list, sample() and its two knot lists,
     # the Flow id factory and _host_edges.
     @pytest.mark.parametrize("system, budget", [("contra", 32.0), ("ecmp", 38.0)])
-    def test_a_flow_stays_under_its_call_budget(self, system, budget, monkeypatch):
-        run = CountedRun(sketching_point(system), monkeypatch)
+    def test_a_flow_stays_under_its_call_budget(self, system, budget, monkeypatch,
+                                                call_budget):
+        run = CountedRun(sketching_point(system), monkeypatch, call_budget)
         assert run.flows == 2_009
         assert run.calls / run.flows <= budget

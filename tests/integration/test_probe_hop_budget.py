@@ -3,8 +3,8 @@
 Measured from outside on the first probe wave of a k=8 fat-tree under the
 datacenter policy — 11 168 probe hops installing 1 632 FwdT rows:
 
-* Python-level calls into ``src/repro`` per hop (``cProfile``, the same count
-  the perf ledger's ``*.calls`` rows report).  The delivery chain is
+* Python-level calls into ``src/repro`` per hop (the ``call_budget`` fixture,
+  the same count the perf ledger's ``*.calls`` rows report).  The delivery chain is
   ``_fire_batch -> SimLink._deliver_probe -> on_probe``; a frame added to it,
   or a property put back in front of a per-hop read, lands here.
 * automatic garbage collections during the flood.  A *rejected* probe must
@@ -15,7 +15,6 @@ datacenter policy — 11 168 probe hops installing 1 632 FwdT rows:
 Counts, not timings: they repeat exactly, so the bounds are tight.
 """
 
-import cProfile
 import gc
 import os
 
@@ -71,15 +70,10 @@ class CollectionCounter:
 
 
 class TestCallsPerHop:
-    def test_first_wave_stays_under_eight_python_calls_a_hop(self, dc_policy):
+    def test_first_wave_stays_under_eight_python_calls_a_hop(self, dc_policy,
+                                                             call_budget):
         system, network = first_wave_network(dc_policy)
-        profile = cProfile.Profile()
-        profile.enable()
-        network.run(system.probe_period * 0.9)
-        profile.disable()
-        calls = sum(entry.callcount for entry in profile.getstats()
-                    if not isinstance(entry.code, str)
-                    and entry.code.co_filename.startswith(PACKAGE_ROOT))
+        calls = call_budget(network.run, system.probe_period * 0.9).under(PACKAGE_ROOT)
         hops = network.stats.total_packets
         assert hops == 11_168
         assert fwdt_rows(system, network) == 1_632

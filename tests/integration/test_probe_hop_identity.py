@@ -106,8 +106,7 @@ def _two_leaf_fabric():
 
 def _probe(compiled, origin: str, tag: int, src: str):
     names = tuple(compiled.carried_attrs)
-    payload = ProbePayload(origin, 0, 1, tag, MetricVector(names),
-                           origin_id=compiled.switch_ids().get(origin))
+    payload = ProbePayload(origin, 0, 1, tag, MetricVector(names))
     return make_probe_packet(payload, src, payload_bits=96)
 
 

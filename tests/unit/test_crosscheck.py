@@ -1,9 +1,11 @@
-"""Unit tests for the lowered-table cross-checker.
+"""Unit tests for the device-table cross-checker.
 
-Clean compiles must pass; corrupted lowered artifacts (the dense int64 rows,
-the tag table, the symbolic transitions) must be flagged with a problem and
-make ``CompileOptions(verify=True)`` / ``verify_lowered_tables`` raise.
+Clean compiles must pass; corrupted device tables (the tag table, the
+transitions) must be flagged with a problem and make
+``CompileOptions(verify=True)`` / ``verify_lowered_tables`` raise.
 """
+
+import dataclasses
 
 import pytest
 
@@ -11,12 +13,8 @@ from repro.core import policies
 from repro.core.analysis import crosscheck_lowered_tables, verify_lowered_tables
 from repro.core.compiler import CompileOptions, compile_policy
 from repro.exceptions import VerificationError
-from repro.nputil import np
 from repro.topology import abilene
 from repro.topology.graph import Topology
-
-pytestmark = pytest.mark.skipif(np is None, reason="crosscheck corruption "
-                                "tests exercise the numpy lowering")
 
 
 @pytest.fixture
@@ -31,12 +29,13 @@ def diamond():
 
 class TestCleanCompiles:
     def test_single_metric_policy_passes(self, diamond):
-        report = crosscheck_lowered_tables(
-            compile_policy(policies.minimum_utilization(), diamond))
+        compiled = compile_policy(policies.minimum_utilization(), diamond)
+        report = crosscheck_lowered_tables(compiled)
         assert report.ok and bool(report)
         assert report.devices_checked == 4
-        assert report.transitions_checked > 0
-        assert report.shadows_checked == 4
+        assert report.transitions_checked == sum(
+            len(config.probe_transition)
+            for config in compiled.device_configs.values())
         assert report.problems == []
 
     def test_decomposed_policy_on_abilene_passes(self):
@@ -54,26 +53,18 @@ class TestCleanCompiles:
         report = crosscheck_lowered_tables(
             compile_policy(policies.shortest_path(), diamond))
         data = report.to_json_dict()
-        assert data["ok"] is True
-        assert data["devices_checked"] == 4
-        assert "OK" in report.render()
+        assert data == {"ok": True, "devices_checked": 4,
+                        "transitions_checked": report.transitions_checked,
+                        "problems": []}
+        assert report.render() == (
+            f"cross-check: 4 device(s), {report.transitions_checked} "
+            f"transition entries: OK")
 
 
 class TestCorruptionDetection:
-    def test_mutated_lowered_row_flagged(self, diamond):
-        compiled = compile_policy(policies.minimum_utilization(), diamond)
-        config = compiled.device("B")
-        rows = config.lowered_transitions()
-        neighbor = sorted(rows)[0]
-        rows[neighbor][0] = 63  # not a local tag, disagrees with the dict
-        report = crosscheck_lowered_tables(compiled)
-        assert not report.ok
-        assert any("disagrees with symbolic" in p for p in report.problems)
-
     def test_mutated_symbolic_entry_flagged(self, diamond):
         compiled = compile_policy(policies.minimum_utilization(), diamond)
         config = compiled.device("B")
-        config.lowered_transitions()  # populate the cache first
         key = sorted(config.probe_transition)[0]
         config.probe_transition[key] = config.probe_transition[key] + 17
         report = crosscheck_lowered_tables(compiled)
@@ -86,6 +77,23 @@ class TestCorruptionDetection:
         config.probe_transition[(neighbor, 97)] = config.probe_origin_tag
         report = crosscheck_lowered_tables(compiled)
         assert any("does not define" in p for p in report.problems)
+
+    def test_transition_keyed_by_non_neighbour_flagged(self, diamond):
+        compiled = compile_policy(policies.minimum_utilization(), diamond)
+        config = compiled.device("A")              # A and D share no link
+        config.probe_transition[("D", 0)] = config.probe_origin_tag
+        report = crosscheck_lowered_tables(compiled)
+        assert any("keyed by non-neighbour 'D'" in p for p in report.problems)
+
+    def test_multicast_to_non_neighbour_flagged(self, diamond):
+        compiled = compile_policy(policies.minimum_utilization(), diamond)
+        config = compiled.device("A")
+        tag = config.probe_origin_tag
+        config.tags[tag] = dataclasses.replace(
+            config.tags[tag], multicast_neighbors=("B", "D"))
+        report = crosscheck_lowered_tables(compiled)
+        assert any("multicasts to non-neighbours ['D']" in p
+                   for p in report.problems)
 
     def test_sparse_tag_table_flagged(self, diamond):
         compiled = compile_policy(
@@ -101,19 +109,7 @@ class TestCorruptionDetection:
 
     def test_verify_raises_with_problem_list(self, diamond):
         compiled = compile_policy(policies.minimum_utilization(), diamond)
-        rows = compiled.device("A").lowered_transitions()
-        rows[sorted(rows)[0]][0] = 63
-        with pytest.raises(VerificationError, match="disagrees"):
+        config = compiled.device("A")
+        config.probe_transition[sorted(config.probe_transition)[0]] = 63
+        with pytest.raises(VerificationError, match="63 is not a local tag"):
             verify_lowered_tables(compiled)
-
-
-class TestNumpyAbsentPath:
-    def test_protocol_checks_skip_with_note(self, diamond, monkeypatch):
-        compiled = compile_policy(policies.minimum_utilization(), diamond)
-        import repro.core.analysis.crosscheck as crosscheck_module
-        monkeypatch.setattr(crosscheck_module, "np", None)
-        report = crosscheck_lowered_tables(compiled)
-        assert report.ok
-        assert report.shadows_checked == 0
-        assert report.transitions_checked == 0
-        assert any("numpy unavailable" in n for n in report.notes)

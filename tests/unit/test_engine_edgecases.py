@@ -6,6 +6,8 @@ events, link failure during an in-flight serialization, and determinism of
 identical runs.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -300,14 +302,18 @@ class TestLinkTransmitSeam:
         sim = Simulator()
         delivered = []
         link = SimLink(sim, "A", "B", capacity=1.0, latency=0.0,
-                       deliver=lambda pkt, inport: delivered.append(pkt.seq))
-        # Only reachable by driving the link by hand: a queued packet, an
+                       deliver=lambda pkt, inport: delivered.append(
+                           (sim.now, pkt.seq)))
+
+        def data(seq):
+            return Packet(kind=PacketKind.DATA, src_host="a", dst_host="b", seq=seq)
+
+        # Only reachable by seeding the link by hand: a queued packet, an
         # idle serializer and no drain armed.
-        link._queue.append(Packet(kind=PacketKind.DATA, src_host="a",
-                                  dst_host="b", seq=0))
-        link.enqueue(Packet(kind=PacketKind.DATA, src_host="a", dst_host="b", seq=1))
+        link._queue = deque([data(0)])
+        link.enqueue(data(1))
         sim.run()
-        assert delivered == [0, 1]
+        assert delivered == [(1.0, 0), (2.0, 1)]
 
 
 class TestDeterminism:

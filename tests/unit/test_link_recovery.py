@@ -8,6 +8,8 @@ normally.  ``Network.fail_link``/``recover_link`` schedule those transitions
 and notify the adjacent routing logic.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.simulator.engine import Simulator
@@ -119,3 +121,23 @@ class TestNetworkRecoveryScheduling:
         assert ("spine0", "leaf0", True) in events
         assert ("leaf0", "spine0", False) in events
         assert ("spine0", "leaf0", False) in events
+
+
+class TestLazyQueue:
+    def test_the_queue_is_allocated_at_the_first_backlog_and_kept(self):
+        sim, link, delivered = make_link(capacity=1.0, latency=0.0)
+        link.fail()                     # no queue to clear yet
+        link.recover()
+        link.enqueue(packet())          # idle serializer: straight to the wire
+        assert not isinstance(link._queue, deque)
+        link.enqueue(packet())
+        link.enqueue(packet())
+        queue = link._queue
+        assert isinstance(queue, deque) and link.queue_length == 2
+        sim.run()
+        assert len(delivered) == 3 and link.queue_length == 0
+        link.enqueue(packet())
+        link.enqueue(packet())          # a second backlog reuses the deque
+        assert link._queue is queue and link.queue_length == 1
+        link.fail()
+        assert link._queue is queue and link.queue_length == 0

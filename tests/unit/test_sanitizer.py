@@ -2,7 +2,7 @@
 
 Each test deliberately breaks one invariant class the sanitizer guards —
 stealing a delivery, delivering a stale-epoch probe, scheduling into the
-past, desyncing a ForwardingShadow mirror, decreasing a FwdT version,
+past, decreasing a FwdT version,
 pointing BestT at a missing key, losing an RTO timer chain — and asserts
 the sanitizer reports it under the right rule with the right provenance tag.
 The plane itself must therefore run in its default raise mode here, so the
@@ -19,7 +19,6 @@ from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
 from repro.baselines import ShortestPathSystem
-from repro.nputil import HAVE_NUMPY, np
 from repro.protocol import ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet
 from repro.simulator import Flow, Network, Simulator, StatsCollector
@@ -43,11 +42,10 @@ def _push_raw(sim, time) -> None:
     sim._sequence += 1
 
 
-def build_contra_network(probe_vectorize=False, probe_period=0.25):
+def build_contra_network(probe_period=0.25):
     topo = leafspine(2, 2, hosts_per_leaf=1, capacity=50.0)
     compiled = compile_policy(MU(), topo)
-    system = ContraSystem(compiled, probe_period=probe_period,
-                          probe_vectorize=probe_vectorize)
+    system = ContraSystem(compiled, probe_period=probe_period)
     network = Network(topo, system, sanitize=True)
     return system, network
 
@@ -326,7 +324,7 @@ class TestTransportInvariants:
 
 class TestProbeInvariants:
     def test_stale_epoch_probe_delivery_is_caught(self):
-        system, net = build_contra_network(probe_vectorize=False)
+        system, net = build_contra_network()
         link = net.links[("spine0", "leaf0")]
 
         # A buggy delivery layer that ignores the fail epoch entirely: every
@@ -358,14 +356,8 @@ class TestProbeInvariants:
         assert violation.tag is not None
         assert violation.tag[1] == "batch-lane"
 
-
-    @pytest.mark.parametrize("vectorize", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not HAVE_NUMPY, reason="the array probe plane needs numpy")),
-    ])
-    def test_reordered_lane_members_trip_the_link_fifo_check(self, vectorize):
-        system, net = build_contra_network(probe_vectorize=vectorize)
+    def test_reordered_lane_members_trip_the_link_fifo_check(self):
+        system, net = build_contra_network()
         link = net.links[("spine0", "leaf0")]
         probes = []
         for version in (1, 2):
@@ -387,9 +379,7 @@ class TestProbeInvariants:
             net.sim.run(until=0.2)
         violation = err.value.violation
         assert violation.rule == "link-fifo"
-        assert violation.tag == (
-            "SimLink._deliver_wave_probe" if vectorize else "SimLink._deliver_probe",
-            "batch-lane")
+        assert violation.tag == ("SimLink._deliver_probe", "batch-lane")
 
 
 class TestProtocolTableInvariants:
@@ -406,19 +396,3 @@ class TestProtocolTableInvariants:
         with pytest.raises(SanitizerError) as err:
             logic.bestt.set("leaf1", (("no-such-switch", 99, 99),))
         assert err.value.violation.rule == "bestt-coherence"
-
-    @pytest.mark.skipif(not HAVE_NUMPY,
-                        reason="ForwardingShadow needs numpy")
-    def test_shadow_mirror_desync_is_caught_at_quiesce(self):
-        system, net = build_contra_network(probe_vectorize=True)
-        net.run(1.0)
-        assert net.sanitizer.ok
-        logic = system.logic("leaf0")
-        shadow = logic._shadow
-        populated = np.nonzero(shadow.versions >= 0)[0]
-        assert len(populated) > 0
-        # Push one mirrored version ahead of the symbolic table.
-        shadow.versions[int(populated[0])] += 1000
-        with pytest.raises(SanitizerError) as err:
-            net.sanitizer.finish(net)
-        assert err.value.violation.rule == "shadow-coherence"
