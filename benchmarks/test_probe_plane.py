@@ -2,9 +2,11 @@
 
 No data traffic at all: a Contra fabric simply floods its periodic probe
 waves for a fixed number of rounds.  This isolates exactly the per-probe
-path (engine batch lane → ``SimLink._deliver_probe`` → ``on_probe``), so
-the ``BENCH_*.json`` artifact it drops tracks that path's cost — and any future regression of it —
-independently of workload noise in the figure benchmarks.
+path — engine batch lane → ``on_probe`` on the way in, one
+``send_probes`` call per accepted probe's multicast on the way out — so the
+``BENCH_*.json`` artifact it drops tracks that path's cost — and any future
+regression of it — independently of workload noise in the figure
+benchmarks.
 """
 
 from __future__ import annotations

@@ -219,22 +219,19 @@ class ContraRouting(RoutingLogic):
         by-reference payload this keeps a probe round's allocations
         O(accepted probes), not O(received).
         """
-        packet = None
-        ports = self.switch.ports
-        split_horizon = self.system.split_horizon
-        for neighbor in self.config.multicast_targets(payload.tag):
-            if exclude is not None and split_horizon and neighbor == exclude:
-                continue
-            # Probes are still multicast towards believed-failed neighbours:
-            # a failed link simply drops them, and their arrival after the
-            # link comes back is what clears the failure belief on the far
-            # side.  Suppressing them would make recovery undetectable —
-            # both endpoints would wait forever for the other's probes.
-            if packet is None:
-                packet = make_probe_packet(payload, self.switch.name, self._probe_bits)
-            link = ports.get(neighbor)
-            if link is not None and not link.failed:
-                link.enqueue(packet)
+        # Probes are still multicast towards believed-failed neighbours: a
+        # failed link simply drops them, and their arrival after the link
+        # comes back is what clears the failure belief on the far side.
+        # Suppressing them would make recovery undetectable — both endpoints
+        # would wait forever for the other's probes.
+        targets = self.config.multicast_targets(payload.tag)
+        if not self.system.split_horizon:
+            exclude = None
+        if targets and targets != (exclude,):   # a multicast set has no repeats
+            switch = self.switch
+            switch.send_probes(
+                targets, switch.ports, exclude,
+                make_probe_packet(payload, switch.name, self._probe_bits))
 
     def _wire_inport(
             self, inport: str

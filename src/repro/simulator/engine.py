@@ -14,8 +14,8 @@ Four scheduling tiers exist, from hottest to most featureful:
   FIFO registration order.  The probe control plane uses this tier — a probe
   wave of thousands of same-tick deliveries costs one heap push and one pop
   instead of one each per probe, and a registration allocates nothing: a
-  member is a guarded delivery, ``callback(subject, guard)``, stored flat in
-  the entry's one list.  Ordering contract: scheduling any *non-lane* event
+  member is a delivery, ``callback(subject, inport)``, stored flat in the
+  entry's one list.  Ordering contract: scheduling any *non-lane* event
   at the open batch's timestamp seals the batch (later lane registrations at
   that time start a new entry), so the relative order of lane and non-lane
   events at one timestamp is exactly what per-event scheduling would have
@@ -30,22 +30,36 @@ Four scheduling tiers exist, from hottest to most featureful:
   without allocating a new handle per round; periodic probe floods coalesce
   their per-round work under a single recurring entry.
 
+Every tier refuses a time before *now*, and NaN with it: each check is
+written ``not time >= now``, which NaN fails.  A period must also be finite.
+
+:meth:`Simulator.drop_deliveries` is how a link failure loses the packets it
+had in flight: it turns their pending deliveries — heap entries and lane
+members alike — into no-ops in place, so nothing is re-ordered or
+re-counted.
+
 Times are floats in **milliseconds** throughout the simulator.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Container, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
 __all__ = ["Simulator", "Event", "PeriodicEvent", "BATCH_LANE_DEFAULT"]
 
+_INF = float("inf")
+
 #: Process-wide default for the batch lane.  Tests force-disable it (each
 #: lane registration then becomes its own heap entry, reproducing the
 #: pre-batching event schedule exactly) to prove batching changes nothing.
 BATCH_LANE_DEFAULT = True
+
+
+def _dropped_delivery(packet: Any, inport: Any) -> None:
+    """A delivery lost to a link failure: it keeps its slot and does nothing."""
 
 
 class Event:
@@ -123,6 +137,10 @@ class Simulator:
     overhead (ARCHITECTURE.md §6).
     """
 
+    #: What a delivery dropped by :meth:`drop_deliveries` runs instead (the
+    #: sanitizer shadows it per instance with a tagged one).
+    _dropped = staticmethod(_dropped_delivery)
+
     def __init__(self, batching: Optional[bool] = None,
                  sanitize: Optional[bool] = None) -> None:
         self._now = 0.0
@@ -143,6 +161,9 @@ class Simulator:
         self._batch: Optional[List] = None
         self._batch_pending = 0
         self._batch_entries = 0
+        #: The member list :func:`_fire_batch` is walking (it has left the
+        #: heap, and its unfired members are still pending).
+        self._firing_batch: Optional[List] = None
         if sanitize is None:
             from repro.simulator import sanitizer
             sanitize = sanitizer.SANITIZE_DEFAULT
@@ -181,8 +202,8 @@ class Simulator:
 
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Fast path: schedule a non-cancellable ``callback(*args)`` after ``delay`` ms."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} ms in the past")
+        if not delay >= 0:          # also refuses NaN
+            raise SimulationError(f"cannot schedule an event {delay} ms from now")
         time = self._now + delay
         if time == self._batch_time:
             self._batch_time = -1.0
@@ -192,7 +213,7 @@ class Simulator:
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Fast path: schedule a non-cancellable ``callback(*args)`` at an absolute time."""
-        if time < self._now:
+        if not time >= self._now:   # also refuses NaN
             raise SimulationError(
                 f"cannot schedule an event at {time} ms, current time is {self._now} ms")
         if time == self._batch_time:
@@ -202,16 +223,17 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, callback, args))
 
     def call_batched(self, time: float, callback: Callable[[Any, Any], None],
-                     subject: Any, guard: Any) -> None:
-        """Batch lane: schedule the guarded delivery ``callback(subject, guard)``.
+                     subject: Any, inport: Any) -> None:
+        """Batch lane: schedule the delivery ``callback(subject, inport)``.
 
-        Means what ``call_at(time, callback, subject, guard)`` means; the
+        Means what ``call_at(time, callback, subject, inport)`` means; the
         difference is heap traffic and allocation only.  Same-timestamp lane
         registrations coalesce under one heap entry and execute in exact FIFO
         registration order when it pops.  The arity is fixed at two — the
-        thing delivered and the token its delivery is checked against (a
-        link's fail epoch) — so the three references go flat into the entry's
-        member list and a registration allocates no container: a k=16 probe
+        thing delivered and the in-port it arrives on, which
+        :meth:`drop_deliveries` matches on — so the three references go flat
+        into the entry's member list and a registration allocates no
+        container: a k=16 probe
         wave holds ~480k registrations at once, and two GC-tracked tuples
         apiece used to cost a quarter of the run in collector passes.
 
@@ -221,11 +243,11 @@ class Simulator:
         disabled each registration is its own heap entry — byte-identical
         schedules either way.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule an event at {time} ms, current time is {self._now} ms")
         if not self._batching:
-            self._push(time, callback, (subject, guard))
+            self._push(time, callback, (subject, inport))
             return
         if time != self._batch_time:
             members: List = []
@@ -239,18 +261,18 @@ class Simulator:
             members = self._batch
         members.append(callback)
         members.append(subject)
-        members.append(guard)
+        members.append(inport)
         self._batch_pending += 1
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule a cancellable ``callback(*args)`` to run ``delay`` ms from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} ms in the past")
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule an event {delay} ms from now")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule a cancellable ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule an event at {time} ms, current time is {self._now} ms")
         event = Event(self, time, callback, args)
@@ -260,13 +282,41 @@ class Simulator:
     def schedule_periodic(self, period: float, callback: Callable[..., None],
                           *args: Any, start_delay: float = 0.0) -> PeriodicEvent:
         """Run ``callback(*args)`` every ``period`` ms, first after ``start_delay``."""
-        if period <= 0:
-            raise SimulationError(f"periodic events need a positive period, got {period}")
-        if start_delay < 0:
-            raise SimulationError(f"cannot schedule an event {start_delay} ms in the past")
+        if not 0 < period < _INF:
+            raise SimulationError(
+                f"periodic events need a positive finite period, got {period}")
+        if not start_delay >= 0:
+            raise SimulationError(f"cannot schedule an event {start_delay} ms from now")
         event = PeriodicEvent(self, period, callback, args)
         self._push(self._now + start_delay, _fire_handle, (event,))
         return event
+
+    def drop_deliveries(self, receivers: Container, inport: Any) -> None:
+        """Turn every pending ``receiver(packet, inport)`` into a no-op.
+
+        A failing link calls this with its receivers and its in-port: every
+        heap entry and lane member whose callback is ``in receivers`` and
+        whose second argument is ``inport`` keeps its time, sequence number
+        and slot but runs :attr:`_dropped` instead, so event order,
+        ``events_processed`` and ``pending_events`` read exactly as if the
+        delivery had run and found the link's packet lost.  The in-port
+        keeps two links into one node from dropping each other's packets.
+        The walk includes the lane entry being fired, whose unfired members
+        left the heap with it.  It costs one pass over the pending events,
+        paid per link failure.
+        """
+        dropped = self._dropped
+        batches = [self._firing_batch] if self._firing_batch is not None else []
+        queue = self._queue
+        for index, (time, seq, callback, args) in enumerate(queue):
+            if callback is _fire_batch:
+                batches.append(args[1])
+            elif callback in receivers and args[1] == inport:
+                queue[index] = (time, seq, dropped, args)
+        for members in batches:
+            for slot in range(0, len(members), 3):
+                if members[slot + 2] == inport and members[slot] in receivers:
+                    members[slot] = dropped
 
     def _requeue_batch_tail(self, tail: List) -> None:
         """Put a lane entry's unfired members back at the current timestamp.
@@ -345,12 +395,14 @@ def _fire_batch(sim: "Simulator", members: List) -> None:
     """Execute one coalesced batch entry's members in FIFO order.
 
     The one definition of the member layout: a lane entry's list holds its
-    registrations flat, three slots each (``callback, subject, guard, ...``),
-    and this is the only code that walks it.  ``zip`` over one shared
-    iterator recycles its result tuple, so firing allocates nothing per
-    member.  Each member is one registration, fired as ``callback(subject,
-    guard)``; event accounting counts members, so ``events_processed`` and
-    ``pending_events`` read identically with the lane on or off.  A
+    registrations flat, three slots each (``callback, subject, inport, ...``),
+    and only this and :meth:`Simulator.drop_deliveries` walk it (the latter
+    finds this entry's unfired members through ``_firing_batch``).  ``zip``
+    over one shared iterator recycles its result tuple, so firing allocates
+    nothing per member.  Each member is one registration, fired as
+    ``callback(subject, inport)``; event accounting counts members, so
+    ``events_processed`` and ``pending_events`` read identically with the
+    lane on or off.  A
     ``stop()`` raised by a member re-queues the unrun tail at the same
     timestamp (exactly the entries per-event scheduling would have left in
     the heap).
@@ -359,13 +411,16 @@ def _fire_batch(sim: "Simulator", members: List) -> None:
         sim._batch_time = -1.0
         sim._batch = None
     sim._batch_entries -= 1
+    outer = sim._firing_batch
+    sim._firing_batch = members
     fired = 0
     slots = iter(members)
-    for callback, subject, guard in zip(slots, slots, slots):
-        callback(subject, guard)
+    for callback, subject, inport in zip(slots, slots, slots):
+        callback(subject, inport)
         fired += 1
         if sim._stopped:
             sim._requeue_batch_tail(members[3 * fired:])
             break
+    sim._firing_batch = outer
     sim._batch_pending -= fired
     sim._events_processed += fired - 1      # the run loop adds the final 1

@@ -25,21 +25,34 @@ pending) and later ``_drain -> _transmit -> call_at x2``.  The clock is read
 as ``sim._now`` and the queue-length sample bumps the histogram's counts in
 place: no property, accessor or builtin ``min``/``max`` frame per packet.
 
-Probes ride the engine's **batch lane**: a whole same-arrival-time probe wave
-coalesces under one heap entry, one member per probe.  A probe's delivery is
-registered as the same ``(packet, fail epoch)`` guard data packets use, so a
-mid-tick failure drops exactly the probes registered under the dead epoch.
-FIFO order — within a link and across links — is exactly the per-event
-order; the lane only removes heap traffic, never reorders (see the engine's
-ordering contract).  A surviving probe goes straight to the link's
-``probe_sink`` — the receiving switch's ``on_probe``, wired at network build
-— so a delivery is engine → epoch guard → PROCESSPROBE, three frames.
+Probes never enter :meth:`SimLink.enqueue`: :func:`send_probes` puts one
+probe on every target link of a multicast in one frame, and probes ride the
+engine's **batch lane** — a whole same-arrival-time probe wave coalesces
+under one heap entry, one member per probe.  FIFO order — within a link and
+across links — is exactly the per-event order; the lane only removes heap
+traffic, never reorders (see the engine's ordering contract).
+
+Delivery chain: a link registers its receiver itself, with its own name as
+the in-port — ``call_at(t, deliver, packet, src)`` for data and ACKs,
+``call_batched(t, probe_sink, packet, src)`` for probes, where
+``probe_sink`` is the receiving switch's ``on_probe`` (wired at network
+build).  A data hop is engine → ``receive``, a probe hop engine →
+PROCESSPROBE: no link frame in between.
+
+Failure: :meth:`SimLink.fail` clears the queue and has the engine turn every
+pending ``(receiver, in-port)`` registration of this link into a no-op
+(:meth:`Simulator.drop_deliveries`) — so every packet serializing or
+propagating when the link fails is lost, even if the link recovers before
+its delivery time, and a second link into the same node keeps its
+deliveries.  A failure is settled once, when it happens; a delivery checks
+nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
+from typing import (Callable, Deque, Iterable, Mapping, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from repro.simulator.packet import DATA_PACKET_BYTES, Packet
 
@@ -47,11 +60,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import Simulator
     from repro.simulator.stats import StatsCollector
 
-__all__ = ["SimLink"]
+__all__ = ["SimLink", "send_probes"]
 
 #: A link's queue before its first backlog: ``len``, truth and iteration
 #: read the empty tuple exactly like an empty deque.
 _NO_QUEUE = ()
+
+
+def _discard(packet: Packet, inport: str) -> None:
+    """The receiver of a link built without one."""
 
 
 class SimLink:
@@ -75,16 +92,14 @@ class SimLink:
         self.capacity = float(capacity)          # full-size packets per ms
         self.latency = float(latency)            # ms
         self.buffer_packets = int(buffer_packets)
-        self.deliver = deliver                   # callback(packet, inport=src)
+        #: ``callback(packet, inport=src)`` data and ACKs are delivered to.
+        self.deliver: Callable[[Packet, str], None] = \
+            deliver if deliver is not None else _discard
         #: ``callback(packet, inport)`` probes are delivered to.  ``deliver``
         #: unless rewired: a link towards a switch is wired with that
         #: switch's ``routing.on_probe``, so a probe skips the node's
         #: ``receive`` dispatch.
-        self.probe_sink = deliver
-        #: Bound once: every pending delivery holds its callback, and a k=16
-        #: probe wave keeps ~480k registrations in the batch lane at a time.
-        self._deliver_packet = self._deliver_packet
-        self._deliver_probe = self._deliver_probe
+        self.probe_sink: Callable[[Packet, str], None] = self.deliver
         self.stats = stats
         self.util_window = float(util_window)    # ms, EWMA window for utilization
 
@@ -96,10 +111,6 @@ class SimLink:
         #: whether a drain event is already scheduled for ``_busy_until``.
         self._drain_pending = False
         self.failed = False
-        #: incremented on every failure; packets in flight (serializing or
-        #: propagating) when the epoch changes are lost even if the link
-        #: recovers before their delivery time.
-        self._fail_epoch = 0
 
         # Utilization estimator state.
         self._util = 0.0
@@ -127,45 +138,15 @@ class SimLink:
         return len(self._queue)
 
     def enqueue(self, packet: Packet) -> bool:
-        """Accept a packet for transmission; returns False if it was dropped."""
+        """Accept a data/ACK packet for transmission; False if it was dropped.
+
+        Probes go through :func:`send_probes` instead.
+        """
         if self.failed:
             self.packets_dropped += 1
             if self.stats is not None:
                 self.stats.record_drop(self, packet)
             return False
-        if packet.kind == "probe":
-            # Control lane: probes have strict priority over data (the
-            # standard treatment for in-band control traffic — Hula and
-            # Contra both assume probes are not delayed behind full data
-            # queues).  They are modelled as never occupying the data
-            # serializer: the delivery fires after the probe's own
-            # serialization + propagation delay, and its wire time still
-            # feeds the utilization estimator and the byte accounting.  The
-            # whole same-tick probe wave shares one engine heap entry (batch
-            # lane), one member per probe.
-            sim = self.sim
-            now = sim._now
-            wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
-            tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
-            # _transmit's accounting without the kind dispatch (identical
-            # arithmetic in identical order): the accumulators, then the
-            # EWMA decay to *now*, then this probe's busy time.
-            self.packets_sent += 1
-            self.bytes_sent += wire_bytes
-            stats = self.stats
-            if stats is not None:
-                stats.total_packets += 1
-                stats.probe_bytes += wire_bytes
-            elapsed = now - self._last_util_update
-            if elapsed > 0:
-                decay = 1.0 - elapsed / self.util_window
-                self._util *= decay if decay > 0.0 else 0.0
-                self._last_util_update = now
-            util = self._util + tx_time / self.util_window
-            self._util = util if util < 1.5 else 1.5      # min(1.5, util), frameless
-            sim.call_batched(now + tx_time + self.latency, self._deliver_probe,
-                             packet, self._fail_epoch)
-            return True
         queue = self._queue
         depth = len(queue)
         stats = self.stats
@@ -213,8 +194,8 @@ class SimLink:
         :attr:`congestion`, whose memo keys on ``packets_sent``), then the
         serializer horizon and the delivery event, then the drain event if a
         backlog waits.  Arithmetic and scheduling order are exactly
-        :meth:`StatsCollector.record_transmission` + the probe lane's, so
-        every float and every heap sequence number is what it always was.
+        :meth:`StatsCollector.record_transmission` + :func:`send_probes`'s,
+        so every float and every heap sequence number is what it always was.
         """
         sim = self.sim
         now = sim._now
@@ -243,23 +224,12 @@ class SimLink:
         util = self._util + tx_time / self.util_window
         self._util = util if util < 1.5 else 1.5
         busy_until = self._busy_until = now + tx_time
-        # One event delivers the packet after serialization + propagation; the
-        # epoch guard loses it if the link fails while it is in flight.
-        sim.call_at(busy_until + self.latency,
-                    self._deliver_packet, packet, self._fail_epoch)
+        # One event delivers the packet after serialization + propagation;
+        # fail() turns it into a no-op if the link fails while it is in flight.
+        sim.call_at(busy_until + self.latency, self.deliver, packet, self.src)
         if self._queue:
             self._drain_pending = True
             sim.call_at(busy_until, self._drain)
-
-    def _deliver_packet(self, packet: Packet, epoch: int) -> None:
-        if self.deliver is not None and not self.failed and epoch == self._fail_epoch:
-            self.deliver(packet, self.src)
-
-    def _deliver_probe(self, packet: Packet, epoch: int) -> None:
-        """Batch-lane member: hand a probe to the sink unless its epoch died."""
-        sink = self.probe_sink
-        if sink is not None and not self.failed and epoch == self._fail_epoch:
-            sink(packet, self.src)
 
     # ----------------------------------------------------------- utilization
 
@@ -280,11 +250,16 @@ class SimLink:
     # ---------------------------------------------------------------- failure
 
     def fail(self) -> None:
-        """Bring the link down: queued and in-flight packets are lost."""
+        """Bring the link down: queued and in-flight packets are lost.
+
+        In flight means registered with the engine and not yet delivered;
+        those deliveries become no-ops, and stay lost if the link recovers
+        before their time.
+        """
         self.failed = True
-        self._fail_epoch += 1
         if self._queue:
             self._queue.clear()
+        self.sim.drop_deliveries((self.deliver, self.probe_sink), self.src)
 
     def recover(self) -> None:
         """Bring the link back up."""
@@ -342,3 +317,45 @@ class SimLink:
     def __repr__(self) -> str:
         return (f"SimLink({self.src}->{self.dst}, cap={self.capacity}, "
                 f"lat={self.latency}, q={len(self._queue)})")
+
+
+def send_probes(neighbors: Iterable[str], ports: Mapping[str, SimLink],
+                exclude: Optional[str], packet: Packet) -> None:
+    """Put ``packet`` on the probe lane of every up link towards ``neighbors``.
+
+    The only way a probe enters a link: one call a multicast, skipping
+    ``exclude`` (the split-horizon in-port, or None), neighbours without a
+    port and failed links.  Probes have strict priority over data (the
+    standard treatment for in-band control traffic — Hula and Contra both
+    assume probes are not delayed behind full data queues): they never
+    occupy the data serializer, and the delivery fires after the probe's own
+    serialization + propagation delay.  Its wire time still feeds the
+    utilization estimator and the byte accounting, in
+    :meth:`SimLink._transmit`'s arithmetic order — the accumulators, then
+    the EWMA decay to *now*, then this probe's busy time.
+    """
+    wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
+    for neighbor in neighbors:
+        if neighbor == exclude:
+            continue
+        link = ports.get(neighbor)
+        if link is None or link.failed:
+            continue
+        sim = link.sim
+        now = sim._now
+        tx_time = wire_bytes / DATA_PACKET_BYTES / link.capacity
+        link.packets_sent += 1
+        link.bytes_sent += wire_bytes
+        stats = link.stats
+        if stats is not None:
+            stats.total_packets += 1
+            stats.probe_bytes += wire_bytes
+        elapsed = now - link._last_util_update
+        if elapsed > 0:
+            decay = 1.0 - elapsed / link.util_window
+            link._util *= decay if decay > 0.0 else 0.0
+            link._last_util_update = now
+        util = link._util + tx_time / link.util_window
+        link._util = util if util < 1.5 else 1.5      # min(1.5, util), frameless
+        sim.call_batched(now + tx_time + link.latency, link.probe_sink,
+                         packet, link.src)

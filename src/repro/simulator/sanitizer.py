@@ -12,9 +12,10 @@ integration tests can only observe after the fact:
   batch-lane counter coherence at quiesce, and a provenance tag on every
   heap entry (an untagged entry means something scheduled outside the
   Simulator API), each checked at the heap head before the entry runs;
-* **link** — per-(link, tick) probe FIFO (delivery order is enqueue order),
-  per-link monotone probe delivery times, and fail-epoch staleness (a probe
-  registered under a dead epoch must never reach ``deliver``);
+* **link** — per-(link, tick) probe FIFO (delivery order is send order),
+  per-link monotone probe delivery times, failure staleness (a probe in
+  flight when its link failed must never reach the probe sink), and the
+  probe lane itself (a probe handed to ``SimLink.enqueue`` is reported);
 * **transport** — packet conservation at quiesce per kind
   (``injected == received + dropped + lost + queued + in-flight``),
   ``goodput_bytes <= delivered_bytes``, non-negative ``in_flight`` / cwnd
@@ -58,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.network import Network
     from repro.simulator.packet import Packet
     from repro.simulator.stats import StatsCollector
+    from repro.simulator.switchnode import SwitchNode
 
 __all__ = [
     "SANITIZE_DEFAULT",
@@ -134,6 +136,25 @@ class _Tagged:
         sanitizer._check_head()
 
 
+class _SeeThrough:
+    """The receivers a failing link names, matched through :class:`_Tagged`.
+
+    A sanitized heap holds tagged callbacks; the engine's drop tests
+    ``callback in receivers``, and this container answers for the callback
+    under the tag.
+    """
+
+    __slots__ = ("receivers",)
+
+    def __init__(self, receivers: Any) -> None:
+        self.receivers = receivers
+
+    def __contains__(self, callback: Any) -> bool:
+        if type(callback) is _Tagged:
+            callback = callback.inner
+        return callback in self.receivers
+
+
 @dataclass
 class Violation:
     """One detected invariant violation, with the culprit's provenance."""
@@ -205,7 +226,8 @@ class Sanitizer:
         # Probe-lane FIFO state.
         self._probe_fifo = True
         self._probe_sizes: set = set()
-        self._expect_drop = 0
+        #: Per link: the probes sent on it and not yet delivered, in send order.
+        self._probe_pending: Dict["SimLink", Deque["Packet"]] = {}
 
         self._network: Optional["Network"] = None
 
@@ -262,11 +284,15 @@ class Sanitizer:
         changes its tag.  Lane members share one tagged callback per distinct
         (hashable) callback, so a registration still allocates nothing, and
         a stop-requeued lane tail needs no wrapper: its members are tagged.
+        ``drop_deliveries`` is shadowed too: a failing link names its raw
+        receivers, and :class:`_SeeThrough` matches them under their tags;
+        the no-op a dropped delivery runs instead is itself tagged.
         """
         self.sim = sim
         sim.sanitizer = self  # type: ignore[attr-defined]
         inner_push, inner_later, inner_at = sim._push, sim.call_later, sim.call_at
         inner_batched, inner_run = sim.call_batched, sim.run
+        inner_drop = sim.drop_deliveries
         lane: Dict[Any, _Tagged] = {}
 
         def push(time: float, callback: Callable[..., None], args: Tuple) -> None:
@@ -287,13 +313,16 @@ class Sanitizer:
             inner_at(time, _Tagged(callback, _site(), self), *args)
 
         def call_batched(time: float, callback: Callable[[Any, Any], None],
-                         subject: Any, guard: Any) -> None:
+                         subject: Any, inport: Any) -> None:
             if sim._batching:       # lane off, the inner call goes through push
                 member = lane.get(callback)
                 if member is None:
                     member = lane[callback] = _Tagged(callback, "batch-lane", self)
                 callback = member
-            inner_batched(time, callback, subject, guard)
+            inner_batched(time, callback, subject, inport)
+
+        def drop_deliveries(receivers: Any, inport: Any) -> None:
+            inner_drop(_SeeThrough(receivers), inport)
 
         def run(until: Optional[float] = None,
                 max_events: Optional[int] = None) -> float:
@@ -305,8 +334,12 @@ class Sanitizer:
 
         for name, wrapper in (("_push", push), ("call_later", call_later),
                               ("call_at", call_at), ("call_batched", call_batched),
-                              ("run", run)):
+                              ("drop_deliveries", drop_deliveries), ("run", run)):
             setattr(sim, name, wrapper)
+        # A dropped delivery keeps its slot and runs this: tagged like any
+        # other entry, so the head check still follows it.
+        sim._dropped = _Tagged(  # type: ignore[assignment, method-assign]
+            sim._dropped, "link-failure", self)
 
     def _check_head(self, index: int = 0) -> None:
         """Check the heap entries that can run next, before the loop pops them.
@@ -398,7 +431,7 @@ class Sanitizer:
             self._race(firing)
 
     def instrument_network(self, network: "Network") -> None:
-        """Wrap the network's links, hosts, stats and protocol tables.
+        """Wrap the network's links, switches, hosts, stats and protocol tables.
 
         Called by ``Network.__init__`` right after ``_build()`` — before
         anything is scheduled, so every registered delivery is a wrapped one.
@@ -414,6 +447,7 @@ class Sanitizer:
             self._instrument_host(network.hosts[name])
         self._instrument_stats(network.stats)
         for name in sorted(network.switches):
+            self._instrument_switch(network.switches[name])
             self._instrument_routing(name, network.switches[name].routing)
 
     def _note_probe_size(self, packet: "Packet") -> None:
@@ -429,105 +463,45 @@ class Sanitizer:
                     "probe FIFO check disabled: probes with distinct wire "
                     f"sizes observed ({sorted(sizes)})")
 
+    def _instrument_switch(self, switch: "SwitchNode") -> None:
+        """Record every probe the switch puts on a link, in send order."""
+        inner_send = switch.send_probes
+        pending = self._probe_pending
+
+        @functools.wraps(inner_send)
+        def send_probes(neighbors: Any, ports: Any, exclude: Optional[str],
+                        packet: "Packet") -> None:
+            inner_send(neighbors, ports, exclude, packet)
+            self._note_probe_size(packet)
+            for neighbor in neighbors:
+                link = ports.get(neighbor)
+                if neighbor != exclude and link is not None and not link.failed:
+                    pending[link].append(packet)
+
+        switch.send_probes = send_probes  # type: ignore[assignment, method-assign]
+
     def _instrument_link(self, link: "SimLink", network: "Network") -> None:
         pending: Deque["Packet"] = deque()
+        self._probe_pending[link] = pending
         last_delivery = [0.0]
+        #: Probes in flight when the link failed (a handful per failure).
+        dead: List["Packet"] = []
+        #: Data/ACKs this link has transmitted and not yet delivered.
+        in_flight: Dict[str, int] = {k: 0 for k in _CONSERVED_KINDS}
         dst_host: Optional["Host"] = network.hosts.get(link.dst)
 
         inner_enqueue = link.enqueue
 
         @functools.wraps(inner_enqueue)
         def enqueue(packet: "Packet") -> bool:
-            accepted = inner_enqueue(packet)
-            if accepted and packet.kind == "probe":
-                self._note_probe_size(packet)
-                if self._probe_fifo:
-                    pending.append(packet)
-            return accepted
+            if packet.kind == "probe":
+                self.violate(
+                    "probe-lane",
+                    f"probe {packet!r} handed to {link.src}->{link.dst}.enqueue "
+                    f"(probes enter a link through send_probes)")
+            return inner_enqueue(packet)
 
         link.enqueue = enqueue  # type: ignore[method-assign]
-
-        # Probes register ``_deliver_probe`` on the batch lane with the fail
-        # epoch as their guard.  The inner stays reachable as an instance
-        # attribute so the violation-injection tests can substitute a
-        # deliberately buggy implementation underneath the checks.
-        link._sanitizer_probe_inner = link._deliver_probe  # type: ignore[attr-defined]
-
-        @functools.wraps(link._sanitizer_probe_inner)  # type: ignore[attr-defined]
-        def deliver_probe(packet: "Packet", epoch: int) -> None:
-            now = link.sim._now
-            self.checks_run += 1
-            if now < last_delivery[0]:
-                self.violate(
-                    "link-fifo",
-                    f"probe on {link.src}->{link.dst} delivered at "
-                    f"t={now} after a delivery at t={last_delivery[0]}")
-            last_delivery[0] = now
-            if self._probe_fifo:
-                head = pending.popleft() if pending else None
-                if head is not packet:
-                    self._probe_fifo = False
-                    self.violate(
-                        "link-fifo",
-                        f"per-(link,tick) FIFO violated on "
-                        f"{link.src}->{link.dst}: delivered {packet!r}, "
-                        f"expected {head!r}")
-            if link.failed or epoch != link._fail_epoch:
-                self._expect_drop += 1
-                try:
-                    link._sanitizer_probe_inner(packet, epoch)  # type: ignore[attr-defined]
-                finally:
-                    self._expect_drop -= 1
-            else:
-                link._sanitizer_probe_inner(packet, epoch)  # type: ignore[attr-defined]
-
-        link._deliver_probe = deliver_probe  # type: ignore[method-assign]
-
-        inner_deliver_packet = link._deliver_packet
-
-        @functools.wraps(inner_deliver_packet)
-        def deliver_packet(packet: "Packet", epoch: int) -> None:
-            kind = packet.kind
-            if kind in self._inflight:
-                self._inflight[kind] -= 1
-                if link.failed or epoch != link._fail_epoch:
-                    self._lost[kind] += 1
-            inner_deliver_packet(packet, epoch)
-
-        link._deliver_packet = deliver_packet  # type: ignore[method-assign]
-
-        def check_not_stale() -> None:
-            if self._expect_drop:
-                self.violate(
-                    "stale-probe",
-                    f"stale-epoch probe delivered on "
-                    f"{link.src}->{link.dst} (registered epoch is dead)")
-
-        if link.deliver is not None:
-            inner_deliver = link.deliver
-
-            @functools.wraps(inner_deliver)
-            def deliver(packet: "Packet", inport: str) -> None:
-                check_not_stale()
-                kind = packet.kind
-                if dst_host is not None and kind in self._received:
-                    self._received[kind] += 1
-                inner_deliver(packet, inport)
-                if dst_host is not None and kind == "ack":
-                    self._check_sender(dst_host, packet)
-
-            link.deliver = deliver  # type: ignore[method-assign]
-
-        # The probe delivery entry: a stale-epoch probe must never get here.
-        if link.probe_sink is not None:
-            inner_probe_sink = link.probe_sink
-
-            @functools.wraps(inner_probe_sink)
-            def probe_sink(packet: "Packet", inport: str) -> None:
-                check_not_stale()
-                inner_probe_sink(packet, inport)
-
-            link.probe_sink = probe_sink
 
         # The one transmit seam: ``enqueue`` (idle serializer) and ``_drain``
         # both reach it through the instance attribute.
@@ -536,19 +510,79 @@ class Sanitizer:
         @functools.wraps(inner_transmit)
         def transmit(packet: "Packet") -> None:
             kind = packet.kind
-            if kind in self._inflight:
+            if kind in in_flight:
                 self._inflight[kind] += 1
+                in_flight[kind] += 1
             inner_transmit(packet)
 
         link._transmit = transmit  # type: ignore[method-assign]
+
+        inner_deliver = link.deliver
+
+        @functools.wraps(inner_deliver)
+        def deliver(packet: "Packet", inport: str) -> None:
+            kind = packet.kind
+            if kind in in_flight:
+                self._inflight[kind] -= 1
+                in_flight[kind] -= 1
+                if dst_host is not None:
+                    self._received[kind] += 1
+            inner_deliver(packet, inport)
+            if dst_host is not None and kind == "ack":
+                self._check_sender(dst_host, packet)
+
+        link.deliver = deliver  # type: ignore[method-assign]
+
+        inner_probe_sink = link.probe_sink
+
+        @functools.wraps(inner_probe_sink)
+        def probe_sink(packet: "Packet", inport: str) -> None:
+            now = link.sim._now
+            self.checks_run += 1
+            if now < last_delivery[0]:
+                self.violate(
+                    "link-fifo",
+                    f"probe on {link.src}->{link.dst} delivered at "
+                    f"t={now} after a delivery at t={last_delivery[0]}")
+            last_delivery[0] = now
+            if any(lost is packet for lost in dead):
+                self.violate(
+                    "stale-probe",
+                    f"probe {packet!r} delivered on {link.src}->{link.dst} "
+                    f"although the link failed while it was in flight")
+            if pending and pending[0] is packet:
+                pending.popleft()
+            else:
+                if self._probe_fifo:
+                    self._probe_fifo = False
+                    self.violate(
+                        "link-fifo",
+                        f"per-(link,tick) FIFO violated on "
+                        f"{link.src}->{link.dst}: delivered {packet!r}, "
+                        f"expected {pending[0] if pending else None!r}")
+                for index, sent in enumerate(pending):
+                    if sent is packet:
+                        del pending[index]
+                        break
+            inner_probe_sink(packet, inport)
+
+        link.probe_sink = probe_sink
 
         inner_fail = link.fail
 
         @functools.wraps(inner_fail)
         def fail() -> None:
+            # Everything queued or in flight is lost: the ledger settles it
+            # here, where the link settles it with the engine.
             for packet in link._queue:
                 if packet.kind in self._lost:
                     self._lost[packet.kind] += 1
+            for kind, count in in_flight.items():
+                self._lost[kind] += count
+                self._inflight[kind] -= count
+                in_flight[kind] = 0
+            dead.extend(pending)
+            pending.clear()
             inner_fail()
 
         link.fail = fail  # type: ignore[method-assign]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.exceptions import SimulationError
+from repro.simulator.link import send_probes
 from repro.simulator.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +58,11 @@ class RoutingLogic:
 
 class SwitchNode:
     """One physical switch in the simulation."""
+
+    #: :func:`repro.simulator.link.send_probes`, the one way a probe enters a
+    #: link; reached through the switch so a sanitized network can shadow it
+    #: per instance.
+    send_probes = staticmethod(send_probes)
 
     def __init__(self, network: "Network", name: str, routing: RoutingLogic):
         self.network = network
@@ -147,9 +153,7 @@ class SwitchNode:
 
     def send_probe(self, packet: Packet, neighbor: str) -> None:
         """Transmit a probe towards a neighbouring switch (if the link is up)."""
-        link = self.ports.get(neighbor)
-        if link is not None and not link.failed:
-            link.enqueue(packet)
+        self.send_probes((neighbor,), self.ports, None, packet)
 
     def __repr__(self) -> str:
         return f"SwitchNode({self.name}, ports={len(self.ports)})"

@@ -7,9 +7,8 @@ all, and once under its Contra twin:
 
 * Python-level calls into ``src/repro`` per link transmission (the
   ``call_budget`` fixture, the same count the perf ledger's ``*.calls`` rows
-  report).  A data packet crossing a switch is ``_deliver_packet -> receive
-  -> on_data_packet -> enqueue -> _transmit -> call_at``; a frame added to
-  that chain, or a property, accessor or builtin-wrapping helper put back in
+  report).  A data packet crossing a switch is ``receive -> on_data_packet
+  -> enqueue -> _transmit -> call_at``; a frame added to that chain, or a property, accessor or builtin-wrapping helper put back in
   front of a per-packet read, lands here.
 * ``Simulator.now`` property frames: every per-packet clock read is
   ``sim._now``; what remains is per flow, per timer and per probe round.
@@ -80,22 +79,25 @@ class TestCallsPerTransmission:
         stats = network.stats
         assert stats.completed_count == FLOWS and stats.probe_bytes == 0
         assert stats.total_packets == 38_524
-        # 8.86 here; 17.50 with _transmit_next/_record_transmission/
-        # _decay_util, the ``now`` property, record_queue_length ->
+        # 7.20 here; 8.20 with the _deliver_packet epoch guard per delivery;
+        # 17.50 also with _transmit_next/_record_transmission/_decay_util,
+        # the ``now`` property, record_queue_length ->
         # StreamingHistogram.record, per-packet hashes and attachment lookups.
-        assert calls.under(PACKAGE_ROOT) / stats.total_packets <= 9.5
+        assert calls.under(PACKAGE_ROOT) / stats.total_packets <= 7.5
 
     def test_contra_twin(self, contra_point):
         network, calls = contra_point
         stats = network.stats
         assert stats.completed_count == FLOWS and stats.probe_bytes > 0
         assert stats.total_packets == 69_872
-        # 11.33 here; 22.24 with all of the above plus is_switch,
-        # packet_flow_hash, packet_tag_bits, FlowletTable.lookup/touch,
-        # _usable_next_hop -> link_failed, builtin max/min in observe_hash,
-        # and the accepted probe's evaluate -> genexpr -> get and Rank
-        # comparisons through _padded_pair.
-        assert calls.under(PACKAGE_ROOT) / stats.total_packets <= 12.0
+        # 10.08 here; 11.32 with the epoch guard per delivery and a
+        # SimLink.enqueue frame per probe target; 22.24 with all of the
+        # above plus is_switch, packet_flow_hash, packet_tag_bits,
+        # FlowletTable.lookup/touch, _usable_next_hop -> link_failed,
+        # builtin max/min in observe_hash, and the accepted probe's
+        # evaluate -> genexpr -> get and Rank comparisons through
+        # _padded_pair.
+        assert calls.under(PACKAGE_ROOT) / stats.total_packets <= 10.5
 
 
 class TestPerPacketReads:

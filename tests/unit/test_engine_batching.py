@@ -1,12 +1,12 @@
 """Engine batch lane: FIFO ordering, coalescing, sealing and accounting.
 
 The batch lane's contract is that it is *invisible* except for heap traffic
-and allocation: ``call_batched(time, callback, subject, guard)`` means exactly
-what ``call_at(time, callback, subject, guard)`` means, same-timestamp lane
-registrations run in exact FIFO order, interleavings with non-lane events at
-the same timestamp are preserved (sealing), and the event counters read
-identically with the lane on or off.  A registration is a guarded delivery of
-fixed arity two, stored flat — it allocates no container.
+and allocation: ``call_batched(time, callback, subject, inport)`` means
+exactly what ``call_at(time, callback, subject, inport)`` means,
+same-timestamp lane registrations run in exact FIFO order, interleavings
+with non-lane events at the same timestamp are preserved (sealing), and the
+event counters read identically with the lane on or off.  A registration is
+a delivery of fixed arity two, stored flat — it allocates no container.
 """
 
 import gc
@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulator import SimLink, Simulator
+from repro.simulator.link import send_probes
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.switchnode import RoutingLogic, SwitchNode
 
@@ -24,6 +25,11 @@ LANE = pytest.mark.parametrize("batching", [True, False])
 def probe(seq: int = 0) -> Packet:
     return Packet(kind=PacketKind.PROBE, src_host="s", dst_host="", seq=seq,
                   size_bytes=50)
+
+
+def send(link: SimLink, packet: Packet) -> None:
+    """Put one probe on ``link``'s probe lane, the way a switch does."""
+    send_probes((link.dst,), {link.dst: link}, None, packet)
 
 
 class Recorder:
@@ -225,7 +231,7 @@ class TestFlatMembers:
 
 
 class TestLinkProbeRunFifo:
-    """Probes ride the lane one member each, behind the data-packet epoch guard."""
+    """Probes ride the lane one member each; a failure drops its link's."""
 
     def _link(self, sim, delivered, name="a"):
         return SimLink(sim, name, "b", capacity=100.0, latency=0.05,
@@ -238,7 +244,7 @@ class TestLinkProbeRunFifo:
         delivered = []
         link = self._link(sim, delivered)
         for seq in range(4):
-            link.enqueue(probe(seq))
+            send(link, probe(seq))
         assert len(sim._queue) == (1 if batching else 4)
         sim.run()
         assert delivered == [(0, "a"), (1, "a"), (2, "a"), (3, "a")]
@@ -250,35 +256,36 @@ class TestLinkProbeRunFifo:
         delivered = []
         link_a = self._link(sim, delivered, "a")
         link_c = self._link(sim, delivered, "c")
-        link_a.enqueue(probe(0))
-        link_c.enqueue(probe(1))
-        link_a.enqueue(probe(2))
+        send(link_a, probe(0))
+        send(link_c, probe(1))
+        send(link_a, probe(2))
         sim.run()
         # Interleaving across links is exactly the enqueue order: the second
         # link_a probe must NOT be pulled forward next to link_a's first.
         assert delivered == [(0, "a"), (1, "c"), (2, "a")]
 
     @LANE
-    def test_fail_between_registrations_splits_and_drops_the_epoch(self, batching):
+    def test_fail_between_registrations_drops_only_the_earlier_probe(self, batching):
         sim = Simulator(batching=batching)
         delivered = []
         link = self._link(sim, delivered)
-        link.enqueue(probe(0))
+        send(link, probe(0))
         link.fail()
         link.recover()
-        link.enqueue(probe(1))
+        send(link, probe(1))
         sim.run()
-        # Probe 0 was in flight across the failure epoch: lost.  Probe 1 was
-        # registered under the new epoch and delivers alone.
+        # Probe 0 was in flight when the link failed: lost.  Probe 1 was
+        # sent after the recovery and delivers alone.
         assert delivered == [(1, "a")]
         assert sim.events_processed == 2
 
     @LANE
-    def test_mid_tick_fail_drops_exactly_the_dead_epoch_probes(self, batching):
+    def test_mid_tick_fail_drops_exactly_the_failed_links_probes(self, batching):
         # Two links' probes share one arrival tick; the first delivery fails
-        # the *other* link mid-tick.  Every probe that link registered under
-        # the now-dead epoch is lost, the bystander's all arrive, and the
-        # engine still counts one event per registration.
+        # the *other* link mid-tick.  Every probe that link still had in
+        # flight — unfired members of the lane entry being fired — is lost,
+        # the bystander's all arrive, and the engine still counts one event
+        # per registration.
         sim = Simulator(batching=batching)
         delivered = []
         victim = self._link(sim, delivered, "v")
@@ -291,10 +298,10 @@ class TestLinkProbeRunFifo:
 
         bystander = SimLink(sim, "a", "b", capacity=100.0, latency=0.05,
                             deliver=deliver_and_fail)
-        bystander.enqueue(probe(0))
-        victim.enqueue(probe(1))
-        bystander.enqueue(probe(2))
-        victim.enqueue(probe(3))
+        send(bystander, probe(0))
+        send(victim, probe(1))
+        send(bystander, probe(2))
+        send(victim, probe(3))
         sim.run()
         assert delivered == [(0, "a"), (2, "a")]
         assert sim.events_processed == 4
@@ -331,7 +338,7 @@ class TestRoutingProbeContract:
                  for name in ("a", "c")}
         order = [("a", 0), ("c", 1), ("a", 2), ("a", 3), ("c", 4)]
         for inport, seq in order:
-            links[inport].enqueue(probe(seq))
+            send(links[inport], probe(seq))
         sim.run()
         assert logic.seen == [(seq, inport) for inport, seq in order]
         assert sim.events_processed == len(order)

@@ -13,6 +13,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.simulator import Packet, PacketKind, SimLink, Simulator
 from repro.simulator.accumulators import ReservoirSampler, StreamingHistogram
+from repro.simulator.link import send_probes
 
 
 class TestRunUntilBoundary:
@@ -164,6 +165,48 @@ class TestPeriodicEvents:
             sim.schedule_periodic(0.0, lambda: None)
 
 
+NAN = float("nan")
+
+
+class TestNonFiniteTimes:
+    """Every scheduling entry point refuses NaN, and a period must be finite.
+
+    Unchecked, a NaN period re-arms at NaN forever (``run(until=5.0)`` never
+    returns), and a NaN time sorts first and sets the clock to NaN.
+    """
+
+    @pytest.mark.parametrize("schedule", [
+        pytest.param(lambda sim: sim.call_later(NAN, _noop), id="call_later"),
+        pytest.param(lambda sim: sim.call_at(NAN, _noop), id="call_at"),
+        pytest.param(lambda sim: sim.call_batched(NAN, _pair, "p", "a"),
+                     id="call_batched"),
+        pytest.param(lambda sim: sim.schedule(NAN, _noop), id="schedule"),
+        pytest.param(lambda sim: sim.schedule_at(NAN, _noop), id="schedule_at"),
+        pytest.param(lambda sim: sim.schedule_periodic(NAN, _noop),
+                     id="periodic-nan-period"),
+        pytest.param(lambda sim: sim.schedule_periodic(float("inf"), _noop),
+                     id="periodic-infinite-period"),
+        pytest.param(lambda sim: sim.schedule_periodic(1.0, _noop, start_delay=NAN),
+                     id="periodic-nan-start-delay"),
+    ])
+    def test_refused_and_nothing_scheduled(self, schedule):
+        sim = Simulator()
+        sim.call_at(1.0, _noop)
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError):
+            schedule(sim)
+        assert sim.pending_events == 0
+        assert sim.run(until=5.0) == 5.0
+
+
+def _noop():
+    pass
+
+
+def _pair(subject, inport):
+    pass
+
+
 class TestLinkFailureInFlight:
     def make_link(self, capacity=1.0, latency=0.5):
         sim = Simulator()
@@ -222,16 +265,17 @@ class TestLinkStatsAccountingParity:
     FIELDS = ("total_packets", "data_bytes", "ack_bytes", "probe_bytes",
               "tag_overhead_bytes")
 
-    @pytest.mark.parametrize("entry", ["enqueue", "_transmit"])
+    @pytest.mark.parametrize("entry", ["front-door", "_transmit"])
     def test_link_inlined_accounting_matches_stats_collector(self, entry):
         """The link's inlined byte accounting must track StatsCollector's.
 
-        ``SimLink._transmit`` (data/ACK) and ``enqueue``'s probe lane
+        ``SimLink._transmit`` (data/ACK) and ``send_probes`` (probes)
         hand-inline ``StatsCollector.record_transmission`` for speed; this
-        test feeds identical packets through the link — by its front door,
-        and straight into the one transmit frame, whose else-branch a probe
-        only reaches that way — and through the reference method, and
-        asserts the collectors agree, so the copies cannot silently diverge.
+        test feeds identical packets through the link — by its front doors,
+        ``enqueue`` and ``send_probes``, and straight into the one transmit
+        frame, whose else-branch a probe only reaches that way — and through
+        the reference method, and asserts the collectors agree, so the
+        copies cannot silently diverge.
         """
         from repro.simulator import StatsCollector
         via_link = StatsCollector()
@@ -241,7 +285,12 @@ class TestLinkStatsAccountingParity:
                        deliver=lambda pkt, inport: None, stats=via_link)
         for fields in self.PACKETS:
             packet = Packet(**fields)
-            getattr(link, entry)(packet)
+            if entry == "_transmit":
+                link._transmit(packet)
+            elif packet.kind == PacketKind.PROBE:
+                send_probes(("B",), {"B": link}, None, packet)
+            else:
+                link.enqueue(packet)
             reference.record_transmission(link, packet)
         sim.run()
         for field in self.FIELDS:

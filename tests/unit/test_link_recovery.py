@@ -1,9 +1,12 @@
-"""Fail → recover epoch semantics of SimLink and Network.
+"""Fail → recover semantics of SimLink and Network.
 
-The link's contract (ARCHITECTURE.md §2): ``fail()`` clears the queue and
-bumps a fail epoch, so every packet in flight — serializing or propagating —
-when the epoch changes is lost *even if the link recovers before its
-scheduled delivery time*; traffic enqueued after ``recover()`` flows
+The link's contract (ARCHITECTURE.md §2): ``fail()`` clears the queue and has
+the engine turn every pending delivery of this link — data in the heap,
+probes on the batch lane — into a no-op, so every packet in flight
+(serializing or propagating) when the link fails is lost *even if the link
+recovers before its scheduled delivery time*; a second link into the same
+receiver keeps its deliveries, and the engine's event counts read as if each
+dropped delivery had run.  Traffic enqueued after ``recover()`` flows
 normally.  ``Network.fail_link``/``recover_link`` schedule those transitions
 and notify the adjacent routing logic.
 """
@@ -13,7 +16,7 @@ from collections import deque
 import pytest
 
 from repro.simulator.engine import Simulator
-from repro.simulator.link import SimLink
+from repro.simulator.link import SimLink, send_probes
 from repro.simulator.packet import DATA_PACKET_BYTES, Packet, PacketKind
 
 
@@ -26,9 +29,80 @@ def make_link(capacity=10.0, latency=0.5, buffer_packets=10):
     return sim, link, delivered
 
 
-def packet():
+def packet(seq=-1):
     return Packet(kind=PacketKind.DATA, src_host="h1", dst_host="h2",
-                  size_bytes=DATA_PACKET_BYTES)
+                  size_bytes=DATA_PACKET_BYTES, seq=seq)
+
+
+def probe(seq):
+    return Packet(kind=PacketKind.PROBE, src_host="s", dst_host="", seq=seq,
+                  size_bytes=50)
+
+
+def send(link, packet):
+    send_probes((link.dst,), {link.dst: link}, None, packet)
+
+
+LANE = pytest.mark.parametrize("batching", [True, False])
+
+
+class TestFailureDrops:
+    """What ``fail()`` drops: exactly its own link's in-flight deliveries."""
+
+    @staticmethod
+    def two_links_into_b(batching):
+        """A->B (the victim) and C->B share one receiver function."""
+        sim = Simulator(batching=batching)
+        delivered = []
+
+        def receiver(pkt, inport):
+            delivered.append((round(sim.now, 6), inport, pkt.kind, pkt.seq))
+
+        victim = SimLink(sim, "A", "B", capacity=10.0, latency=0.5, deliver=receiver)
+        bystander = SimLink(sim, "C", "B", capacity=10.0, latency=0.5,
+                            deliver=receiver)
+        return sim, victim, bystander, delivered
+
+    @LANE
+    def test_data_in_the_heap_and_a_probe_on_the_lane_are_both_lost(self, batching):
+        sim, victim, _, delivered = self.two_links_into_b(batching)
+        victim.enqueue(packet(0))         # heap delivery at 0.6
+        send(victim, probe(1))            # lane delivery at 0.5033
+        sim.call_at(0.2, victim.fail)
+        sim.call_at(0.3, victim.recover)  # up again before either arrives
+        sim.run()
+        assert delivered == []
+        assert sim.events_processed == 4 and sim.pending_events == 0
+
+    @LANE
+    def test_a_second_link_into_the_same_receiver_keeps_its_deliveries(self, batching):
+        sim, victim, bystander, delivered = self.two_links_into_b(batching)
+        for link in (victim, bystander):
+            link.enqueue(packet(0))
+            send(link, probe(1))
+        sim.call_at(0.2, victim.fail)
+        sim.run()
+        assert delivered == [(0.503333, "C", "probe", 1), (0.6, "C", "data", 0)]
+
+    @LANE
+    def test_event_counts_are_the_guarded_deliveries_counts(self, batching):
+        # Pinned from the fail-epoch implementation this replaced, where a
+        # lost packet's delivery event still ran (and found a dead epoch):
+        # two drains, the failure and the recovery by t=0.4 with six
+        # deliveries pending, three of them the victim's, then ten events.
+        sim, victim, bystander, delivered = self.two_links_into_b(batching)
+        for link in (victim, bystander):
+            link.enqueue(packet(0))
+            link.enqueue(packet(1))       # behind the first: a drain event
+            send(link, probe(2))
+        sim.call_at(0.2, victim.fail)
+        sim.call_at(0.3, victim.recover)
+        sim.run(until=0.4)
+        assert (sim.events_processed, sim.pending_events) == (4, 6)
+        sim.run()
+        assert (sim.events_processed, sim.pending_events) == (10, 0)
+        assert delivered == [(0.503333, "C", "probe", 2), (0.6, "C", "data", 0),
+                             (0.7, "C", "data", 1)]
 
 
 class TestFailRecoverEpochs:

@@ -1,8 +1,9 @@
 """Violation-injection tests for the runtime sanitizer plane.
 
 Each test deliberately breaks one invariant class the sanitizer guards —
-stealing a delivery, delivering a stale-epoch probe, scheduling into the
-past, decreasing a FwdT version,
+stealing a delivery, delivering a probe its failed link should have lost,
+handing a probe to the data lane, scheduling into the past, decreasing a
+FwdT version,
 pointing BestT at a missing key, losing an RTO timer chain — and asserts
 the sanitizer reports it under the right rule with the right provenance tag.
 The plane itself must therefore run in its default raise mode here, so the
@@ -29,7 +30,8 @@ from repro.topology import leafspine
 pytestmark = pytest.mark.no_sanitize
 
 #: The instance attributes a sanitizer shadows on the engine it instruments.
-ENGINE_WRAPPERS = {"_push", "call_later", "call_at", "call_batched", "run"}
+ENGINE_WRAPPERS = {"_push", "call_later", "call_at", "call_batched",
+                   "drop_deliveries", "_dropped", "run"}
 
 
 def _noop() -> None:
@@ -322,54 +324,82 @@ class TestTransportInvariants:
         assert err.value.violation.rule == "rto-liveness"
 
 
+def _probe(version):
+    payload = ProbePayload("leaf1", 0, version, 1, MetricVector(("util",), (0.0,)))
+    return make_probe_packet(payload, "spine0", payload_bits=96)
+
+
+def _send(net, probe):
+    """Send ``probe`` from spine0 to leaf0 the way a switch multicasts."""
+    spine = net.switches["spine0"]
+    spine.send_probes(("leaf0",), spine.ports, None, probe)
+
+
+def _leaky_drop(self, receivers, inport):
+    """A failure that forgets the link's in-flight deliveries."""
+
+
 class TestProbeInvariants:
-    def test_stale_epoch_probe_delivery_is_caught(self):
+    def test_probe_delivered_after_its_link_failed_is_caught(self, monkeypatch):
+        # A buggy engine whose drop forgets the failed link's in-flight
+        # deliveries: the sanitizer's override still runs above it.
+        monkeypatch.setattr(Simulator, "drop_deliveries", _leaky_drop)
         system, net = build_contra_network()
-        link = net.links[("spine0", "leaf0")]
-
-        # A buggy delivery layer that ignores the fail epoch entirely: every
-        # registered probe reaches the probe sink (the receiving switch's
-        # on_probe), dead epoch or not.  The sanitizer seam
-        # (_sanitizer_probe_inner) substitutes it under the checks.
-        def leaky(packet, epoch):
-            link.probe_sink(packet, link.src)
-
-        link._sanitizer_probe_inner = leaky
-        net.run(0.6)                      # fresh probes through leaky: clean
+        net.run(0.6)                      # no failure yet: clean
         assert net.sanitizer.ok
 
-        payload = ProbePayload("leaf1", 0, 0, 1,
-                               MetricVector(("util",), (0.0,)))
-        probe = make_probe_packet(payload, "spine0", payload_bits=96)
-
         def inject():
-            # Enqueue under the live epoch, then kill the link before the
-            # batched delivery fires: the registered epoch is now dead.
-            assert link.enqueue(probe)
-            link.fail()
+            # Send on the live link, then kill it before the lane delivery.
+            _send(net, _probe(0))
+            net.links[("spine0", "leaf0")].fail()
 
         net.sim.call_at(0.7, inject)
         with pytest.raises(SanitizerError) as err:
             net.sim.run(until=1.5)
         violation = err.value.violation
         assert violation.rule == "stale-probe"
-        assert violation.tag is not None
-        assert violation.tag[1] == "batch-lane"
+        assert violation.tag == ("ContraRouting.on_probe", "batch-lane")
+
+    def test_data_delivered_after_its_link_failed_breaks_conservation(
+            self, monkeypatch):
+        monkeypatch.setattr(Simulator, "drop_deliveries", _leaky_drop)
+        net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
+                      ShortestPathSystem(), sanitize=True)
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        uplink = net.hosts["h0_0"].uplink
+        # Mid-serialization: the packet on the wire is counted lost here and
+        # then delivered all the same.
+        net.sim.call_at(0.5, uplink.fail)
+        net.sim.call_at(0.6, uplink.recover)
+        with pytest.raises(SanitizerError) as err:
+            net.run(200.0)
+        assert err.value.violation.rule == "conservation"
+
+    def test_failure_drops_keep_a_sanitized_run_clean(self):
+        # The real drop, sanitized: lost data settles the ledger, dropped
+        # probes never reach a sink, and each dropped slot runs tagged.
+        net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
+                      ShortestPathSystem(), sanitize=True)
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        uplink = net.hosts["h0_0"].uplink
+        net.sim.call_at(0.5, uplink.fail)
+        net.sim.call_at(0.6, uplink.recover)
+        net.sanitizer.trace_enabled = True
+        net.run(200.0)
+        assert net.sanitizer.ok
+        assert net.sanitizer._lost["data"] >= 1
+        assert ("_dropped_delivery", "link-failure") in \
+            {tag for _, tag in net.sanitizer.trace}
 
     def test_reordered_lane_members_trip_the_link_fifo_check(self):
         system, net = build_contra_network()
-        link = net.links[("spine0", "leaf0")]
-        probes = []
-        for version in (1, 2):
-            payload = ProbePayload("leaf1", 0, version, 1,
-                                   MetricVector(("util",), (0.0,)))
-            probes.append(make_probe_packet(payload, "spine0", payload_bits=96))
+        probes = [_probe(version) for version in (1, 2)]
 
         def inject():
             for probe in probes:
-                assert link.enqueue(probe)
+                _send(net, probe)
             # Swap the two registrations inside the open lane entry (flat
-            # members, three slots each): delivery order != enqueue order.
+            # members, three slots each): delivery order != send order.
             members = net.sim._batch
             assert [members[1], members[4]] == probes
             members[0:3], members[3:6] = members[3:6], members[0:3]
@@ -379,7 +409,15 @@ class TestProbeInvariants:
             net.sim.run(until=0.2)
         violation = err.value.violation
         assert violation.rule == "link-fifo"
-        assert violation.tag == ("SimLink._deliver_probe", "batch-lane")
+        assert violation.tag == ("ContraRouting.on_probe", "batch-lane")
+
+    def test_probe_handed_to_the_data_lane_is_reported(self):
+        system, net = build_contra_network()
+        link = net.links[("spine0", "leaf0")]
+        net.sim.call_at(0.1, link.enqueue, _probe(1))
+        with pytest.raises(SanitizerError) as err:
+            net.sim.run(until=0.2)
+        assert err.value.violation.rule == "probe-lane"
 
 
 class TestProtocolTableInvariants:

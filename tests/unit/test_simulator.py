@@ -18,6 +18,7 @@ from repro.simulator import (
     Simulator,
     StatsCollector,
 )
+from repro.simulator.link import send_probes
 from repro.simulator.switchnode import RoutingLogic
 from repro.topology import leafspine
 
@@ -149,7 +150,7 @@ class TestSimLink:
             link.enqueue(self.packet())
         probe = Packet(kind=PacketKind.PROBE, src_host="A", dst_host="", size_bytes=64,
                        probe={"origin": "A"})
-        link.enqueue(probe)
+        send_probes(("B",), {"B": link}, None, probe)
         sim.run()
         kinds = [p.kind for _, p in delivered]
         # The probe overtakes all queued data except the packet already serializing.
