@@ -13,7 +13,8 @@ Usage::
 ``BASELINE`` and ``CURRENT`` are each either a single ``BENCH_*.json`` file
 or a directory of them (matched by file name).  Benchmarks present on only
 one side are reported but never fail the comparison — a renamed or new
-benchmark must not mask a regression signal with a hard error.
+benchmark must not mask a regression signal with a hard error.  Two files
+on one side that claim the same benchmark name are an error (exit 2).
 """
 
 from __future__ import annotations
@@ -68,11 +69,14 @@ def load_artifacts(path: Path) -> Dict[str, dict]:
 
     ``path`` may be one artifact file or a directory containing them; files
     that are not valid JSON objects with a numeric ``wall_s`` are skipped
-    (artifact directories also hold pytest-benchmark output and logs).
+    (artifact directories also hold pytest-benchmark output and logs).  Two
+    files that claim one benchmark name raise :class:`ValueError` naming
+    both: keeping either would silently drop the other's trajectory.
     """
     path = Path(path)
     files = sorted(path.glob("BENCH_*.json")) if path.is_dir() else [path]
     artifacts: Dict[str, dict] = {}
+    sources: Dict[str, Path] = {}
     for file in files:
         try:
             payload = json.loads(file.read_text())
@@ -83,7 +87,12 @@ def load_artifacts(path: Path) -> Dict[str, dict]:
         wall = payload.get("wall_s")
         if not isinstance(wall, (int, float)):
             continue
-        artifacts[str(payload.get("benchmark", file.stem))] = payload
+        name = str(payload.get("benchmark", file.stem))
+        if name in sources:
+            raise ValueError(f"{sources[name]} and {file} both claim "
+                             f"benchmark {name!r}")
+        artifacts[name] = payload
+        sources[name] = file
     return artifacts
 
 
@@ -125,8 +134,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: 0.10 = 10%%)")
     args = parser.parse_args(argv)
 
-    baseline = load_artifacts(args.baseline)
-    current = load_artifacts(args.current)
+    try:
+        baseline = load_artifacts(args.baseline)
+        current = load_artifacts(args.current)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if not baseline:
         print(f"no baseline artifacts under {args.baseline}; nothing to compare")
         return 0

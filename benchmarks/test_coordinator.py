@@ -1,9 +1,10 @@
 """Straggler-skewed sweep benchmark: static 2-shard split vs 2 coordinated workers.
 
 The grid is deliberately skewed: two expensive Contra points sit at *even*
-spec positions, so the static round-robin split hands **both** of them to
-shard 0 while shard 1 draws only the near-free ECMP points and then idles —
-the straggler pathology the coordinator exists to fix.  Draining the same
+spec positions, so the static round-robin split (``--shard i/2``: the drain
+of ``specs[i::2]``) hands **both** of them to shard 0 while shard 1 draws
+only the near-free ECMP points and then idles — the straggler pathology
+that draining the whole grid with work stealing fixes.  Draining the same
 grid coordinated, the second worker finishes the cheap group and then
 *steals* the straggler group's remaining point, so wall-clock drops from
 ``2 × C`` (the straggler shard's serialized cost) to ``≈ C`` plus the cheap
@@ -39,7 +40,7 @@ import time
 from repro.experiments import coordinator, results
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.coordinator import CoordinatedBackend
-from repro.experiments.results import ResultsStore, ShardedBackend
+from repro.experiments.results import ResultsStore
 from repro.experiments.runner import (
     ExecutionBackend,
     RunContext,
@@ -98,8 +99,8 @@ class PaddedSerialBackend(SerialBackend):
 
 
 def _static_worker(index: int, specs, directory) -> None:
-    ShardedBackend(ResultsStore(directory, index, 2),
-                   inner=PaddedSerialBackend()).run(specs)
+    CoordinatedBackend(directory, inner=PaddedSerialBackend(RunContext()),
+                       owner=f"static-{index}").run(specs[index::2])
 
 
 def _coordinated_worker(owner: str, specs, directory) -> None:

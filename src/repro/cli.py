@@ -8,12 +8,12 @@
   same table the corresponding benchmark regenerates;
 * ``contra run-grid`` — run a named experiment scenario through the parallel
   grid runner (``--processes`` fans the (system × load × seed) points across
-  cores) and optionally dump the results as JSON; ``--results-dir`` makes the
-  run resumable (completed points are skipped on restart), ``--shard i/n``
-  runs a deterministic 1/n slice for scale-out across machines or CI jobs,
-  and ``--coordinate D [--workers N]`` drains the grid through the
-  lease-based work-stealing coordinator — any number of invocations on any
-  hosts sharing ``D`` converge to the same byte-identical report;
+  cores) and optionally dump the results as JSON; ``--results-dir D`` drains
+  the grid into a results store through the lease-based work-stealing
+  coordinator — resumable (completed points are skipped on restart), and any
+  number of invocations on any hosts sharing ``D`` converge to the same
+  byte-identical report — and ``--shard i/n`` limits such a run to a
+  deterministic 1/n slice for scale-out across machines or CI jobs;
 * ``contra sweep-status`` — progress view of a coordinated results
   directory: pending/leased/complete per locality group plus per-worker
   executed counts and idle time;
@@ -54,7 +54,6 @@ from repro.experiments.registry import (
     merge_scenario,
     run_scenario,
     run_scenario_coordinated,
-    run_scenario_shard,
     scenario_names,
     sweep_status_scenario,
 )
@@ -216,8 +215,6 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         # inherit it, and spec hashes stay untouched (sanitizing never
         # re-keys a results store).
         os.environ["CONTRA_SANITIZE"] = "1"
-    if args.workers is not None and args.coordinate is None:
-        raise SystemExit("--workers only applies to --coordinate runs")
     shard = None
     if args.shard is not None:
         try:
@@ -227,66 +224,37 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         if args.results_dir is None:
             raise SystemExit("--shard requires --results-dir (the shards "
                              "rendezvous through the results store)")
-    # Non-grid scenarios with --results-dir/--shard are rejected by the
-    # registry itself (one authoritative check + message), surfaced below
-    # as SystemExit before any simulation runs.
+        if args.json is not None and shard[1] > 1:
+            raise SystemExit(
+                "--json needs the full grid; run `contra merge-results` once "
+                "every shard has completed")
+    # Non-grid scenarios with --results-dir are rejected by the registry
+    # itself (one authoritative check + message), surfaced below as
+    # SystemExit before any simulation runs.
     if args.json is not None and not Path(args.json).parent.is_dir():
         # Fail before the experiment runs, not after minutes of simulation.
         raise SystemExit(f"--json: directory {Path(args.json).parent} does not exist")
 
-    if args.coordinate is not None:
-        # The coordinator owns its store, worker fan-out and claim order;
-        # reject the knobs it would silently ignore rather than half-honour
-        # them (house rule: an ignored flag contradicts what was asked).
-        if shard is not None:
-            raise SystemExit("--coordinate and --shard are mutually exclusive "
-                             "(leases assign work dynamically; shards statically)")
-        if args.results_dir is not None:
-            raise SystemExit("--coordinate D names the results directory "
-                             "itself; drop --results-dir")
-        if args.processes is not None:
-            raise SystemExit("--coordinate runs one drain process per "
-                             "--workers; use --workers N, not --processes")
-        try:
-            coordinated = run_scenario_coordinated(
-                args.name, config, args.coordinate,
-                workers=args.workers if args.workers is not None else 1,
-                flow_model=args.flow_model)
-        except (KeyError, ExperimentError) as error:
-            raise SystemExit(str(error))
-        print(coordinated.text)
-        print(coordinated.outcome.text)
-        if args.json is not None:
-            # Matches an unsharded default run byte for byte, like merge.
-            _write_outcome_json(args.json, coordinated.outcome, args.preset, None)
-        return 0
-
-    if shard is not None:
-        # Every --shard run (including 0/1) takes the shard path, so each
-        # writes its meta record and merge-results accounting stays uniform.
-        if args.json is not None:
-            raise SystemExit(
-                "--json needs the full grid; run `contra merge-results` once "
-                "every shard has completed")
-        try:
-            outcome = run_scenario_shard(args.name, config, args.results_dir,
-                                         shard_index=shard[0], shard_count=shard[1],
-                                         processes=args.processes,
-                                         flow_model=args.flow_model)
-        except (KeyError, ExperimentError) as error:
-            raise SystemExit(str(error))
-        print(outcome.text)
-        return 0
-
     try:
-        outcome = run_scenario(args.name, config, processes=args.processes,
-                               results_dir=args.results_dir,
-                               flow_model=args.flow_model)
+        if args.results_dir is not None:
+            drained = run_scenario_coordinated(
+                args.name, config, args.results_dir, processes=args.processes,
+                shard=shard, flow_model=args.flow_model)
+            print(drained.text)
+            outcome = drained.outcome
+        else:
+            outcome = run_scenario(args.name, config, processes=args.processes,
+                                   flow_model=args.flow_model)
     except (KeyError, ExperimentError) as error:
         raise SystemExit(str(error))
+    if outcome is None:                     # a partial slice: no report
+        return 0
     print(outcome.text)
     if args.json is not None:
-        _write_outcome_json(args.json, outcome, args.preset, args.processes)
+        # A store-backed run matches an unsharded default run byte for
+        # byte, like merge: its process count is not part of the result.
+        processes = args.processes if args.results_dir is None else None
+        _write_outcome_json(args.json, outcome, args.preset, processes)
     return 0
 
 
@@ -340,25 +308,27 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
     if args.bench_artifact is not None:
         # wall_s sums the per-point wall-clock carried by every store record:
         # each record is one actual execution, so interrupted runs, resumes
-        # and re-executed points are all accounted exactly — no reliance on
-        # shard metas, which an interrupted run never writes.
+        # and re-executed points are all accounted exactly.
         store = ResultsStore(args.results_dir)
         wall_s = store.total_wall_s()
         if wall_s <= 0:
             raise SystemExit(
                 f"--bench-artifact: no per-point wall-clock records under "
                 f"{args.results_dir}; the store was not produced by a "
-                f"sharded/resumable run of this tree")
+                f"--results-dir run of this tree")
         shard_files = len(list(store.directory.glob("results-*.jsonl")))
         path = Path(args.bench_artifact)
+        # Named after the artifact file, so two stores merged side by side
+        # (BENCH_fig11_sharded.json, BENCH_fig11_coordinated.json) keep two
+        # bench_diff trajectories.
         path.write_text(json.dumps({
-            "benchmark": f"{args.name}_sharded",
+            "benchmark": path.stem.removeprefix("BENCH_"),
             "wall_s": round(wall_s, 4),
             "preset": args.preset,
             "shards": shard_files,
         }, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} (total compute {wall_s:.1f} s "
-              f"across {shard_files} shard file(s))")
+              f"across {shard_files} results file(s))")
     return 0
 
 
@@ -475,21 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_grid.add_argument("--json", metavar="PATH", default=None,
                           help="also dump the scenario results as JSON to PATH")
     run_grid.add_argument("--results-dir", metavar="DIR", default=None,
-                          help="persistent results store: completed grid points "
-                               "are recorded as JSONL keyed by spec hash, and "
-                               "reruns skip points already in the store")
+                          help="persistent results store, drained through the "
+                               "lease-based sweep coordinator (--processes "
+                               "local drain processes): completed grid points "
+                               "are recorded as JSONL keyed by spec hash, reruns "
+                               "skip points already in the store, and any number "
+                               "of invocations on any hosts pointed at the same "
+                               "DIR converge to the full grid")
     run_grid.add_argument("--shard", metavar="I/N", default=None,
                           help="run only a deterministic 1/N slice of the grid "
                                "(round-robin by spec index) into --results-dir; "
                                "union the shards with `contra merge-results`")
-    run_grid.add_argument("--coordinate", metavar="DIR", default=None,
-                          help="drain the grid through the lease-based sweep "
-                               "coordinator sharing DIR as the results store; "
-                               "any number of invocations on any hosts pointed "
-                               "at the same DIR converge to the full grid")
-    run_grid.add_argument("--workers", type=int, default=None,
-                          help="local drain processes for --coordinate "
-                               "(default 1)")
     run_grid.add_argument("--sanitize", action="store_true",
                           help="run every point under the runtime sanitizer "
                                "plane (invariant checks + event provenance; "

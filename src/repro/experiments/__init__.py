@@ -37,7 +37,6 @@ _EXPORTS = {
     "OverheadPoint": "overhead",
     "run_overhead_experiment": "overhead",
     "ResultsStore": "results",
-    "ShardedBackend": "results",
     "collect_results": "results",
     "ExecutionBackend": "runner",
     "PoolBackend": "runner",

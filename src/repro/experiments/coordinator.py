@@ -1,17 +1,14 @@
-"""Work-stealing sweep coordinator: lease-based multi-worker drain of one store.
+"""Lease-coordinated sweep drain: the one way a grid reaches a results store.
 
-The sharded backend (:mod:`repro.experiments.results`) parallelizes a sweep by
-*static* round-robin: shard ``i`` of ``n`` owns a fixed slice of the grid, so
-one straggler shard — say the shard that drew the expensive Contra points of a
-``fig11-k16`` grid — leaves every other worker idle, and there is no way to
-point a varying number of processes or machines at one results directory and
-let them drain it together.
-
-This module adds a **serverless, crash-safe coordinator** layered on the same
-JSONL :class:`~repro.experiments.results.ResultsStore`.  There is no daemon
-and no shared state beyond the results directory itself; any number of
-:class:`CoordinatedBackend` workers started at any time, on any host sharing
-the directory, converge to the complete grid:
+Every store-backed run is a :class:`CoordinatedBackend` draining specs into
+the JSONL :class:`~repro.experiments.results.ResultsStore`: a resumable
+``--results-dir`` run, a static ``--shard i/n`` slice (the drain of
+``specs[i::n]``), and any number of concurrent invocations on any hosts that
+share one directory.  Ownership is dynamic — a worker that runs out of its
+own work steals from the straggler instead of idling — so concurrent
+invocations balance grid cost, not grid count.  There is no daemon and no
+shared state beyond the results directory itself; workers started at any
+time converge to the complete grid:
 
 * **Leases.**  A worker claims one pending point at a time by atomically
   creating ``lease-<spec_hash>.json`` (exclusive-create, so exactly one
@@ -33,10 +30,10 @@ the directory, converge to the complete grid:
   k=32 policy compile costs ~20 s, so keeping a group on one worker is what
   makes stealing a win rather than a cache-thrashing loss.
 * **Byte-identity.**  Completed records stream into a worker-private
-  ``results-worker-<owner>.jsonl`` exactly as the sharded backend writes its
-  shard file; merged reports are therefore byte-identical to an unsharded
-  serial run regardless of worker count, kills, steals or interleaving
-  (the repo's standing invariant, test-enforced).
+  ``results-worker-<owner>.jsonl``, which the store's union glob reads like
+  any other results file; merged reports are therefore byte-identical to an
+  unsharded serial run regardless of worker count, slicing, kills, steals or
+  interleaving (the repo's standing invariant, test-enforced).
 
 Wall-clock timestamps: lease heartbeats are the one place this repo
 legitimately reads the wall clock — cross-process liveness cannot be derived
@@ -383,11 +380,10 @@ class _Claim:
 class CoordinatedBackend(ExecutionBackend):
     """Drain one grid as one worker of a lease-coordinated multi-worker sweep.
 
-    Unlike :class:`~repro.experiments.results.ShardedBackend`'s static slice,
-    ownership here is dynamic: the worker repeatedly claims the best pending
+    Ownership is dynamic: the worker repeatedly claims the best pending
     point (own group first, then an idle group, then stealing from the
     most-loaded active group), executes it on the ``inner`` backend, streams
-    the record into its worker-private shard file, and releases the lease.
+    the record into its worker-private results file, and releases the lease.
     :meth:`run` additionally waits for *other* workers' in-flight points, so
     every invocation — however many there are, on however many hosts —
     returns the complete grid in spec order (decoded store copies, exactly
@@ -429,7 +425,7 @@ class CoordinatedBackend(ExecutionBackend):
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
         self.scenario = scenario
-        # Accounting (mirrors ShardedBackend's executed/skipped surface).
+        # Accounting, for the caller's progress report and sweep-status.
         self.executed = 0
         self.stolen = 0
         self.reclaimed = 0
@@ -546,8 +542,10 @@ class CoordinatedBackend(ExecutionBackend):
 
         On return every grid point is either complete in the store or covered
         by another worker's live lease (use :meth:`run` to additionally wait
-        for those).  A crash mid-point leaves the lease behind un-released;
-        after one TTL any surviving worker reclaims and re-executes it.
+        for those).  A point that raises (Ctrl-C, an ``ExperimentError``) has
+        its lease released before the exception propagates, so a rerun
+        resumes at once; a hard kill leaves the lease behind, and after one
+        TTL any surviving worker reclaims and re-executes the point.
         ``keys`` lets a caller that already holds the specs' hashes, in spec
         order, skip recomputing them.
         """
@@ -572,7 +570,12 @@ class CoordinatedBackend(ExecutionBackend):
                 if claim.reclaimed:
                     self.reclaimed += 1
                 heartbeat.watch(key, spec.name)
-                result, wall_s = next(iter(self.inner.run_iter_timed([spec])))
+                try:
+                    result, wall_s = next(iter(self.inner.run_iter_timed([spec])))
+                except BaseException:
+                    heartbeat.clear()
+                    release_lease(self.directory, key, owner=self.owner)
+                    raise
                 heartbeat.clear()
                 self.store.record(spec, result, wall_s=wall_s, key=key,
                                   owner=self.owner)

@@ -23,7 +23,8 @@ Three drivers live here, all executing through the grid runner:
 Each driver is split into a pure spec builder (``*_specs``) and a result
 projection (``analyse_*``), so the registry can execute the same grid
 through any :class:`~repro.experiments.runner.ExecutionBackend` — including
-the sharded, resumable store-backed one — and finish it from stored results.
+the resumable, store-backed coordinated drain — and finish it from stored
+results.
 """
 
 from __future__ import annotations

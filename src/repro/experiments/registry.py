@@ -12,9 +12,9 @@ Two kinds of entries exist:
   (``config, [RunResult] -> ScenarioOutcome``).  Because building the grid
   and reporting over its results are separated from *executing* it, a grid
   scenario runs through any :class:`~repro.experiments.runner
-  .ExecutionBackend` — including the sharded, resumable store-backed one —
-  and :func:`merge_scenario` can reassemble the exact unsharded report from
-  shard artifacts;
+  .ExecutionBackend` — including the lease-coordinated drain into a results
+  store (:func:`run_scenario_coordinated`) — and :func:`merge_scenario` can
+  reassemble the exact unsharded report from the store;
 * a legacy callable ``(config, processes) -> ScenarioOutcome``, which
   cannot use a results store.  Only ``fig9-10`` is left here, and for a
   reason: its records *are* wall-clock compile times, which differ from run
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ExperimentError
 from repro.experiments import report
@@ -35,6 +35,7 @@ from repro.experiments.coordinator import (
     DEFAULT_LEASE_TTL,
     CoordinatedBackend,
     SweepStatus,
+    drain_store,
     sweep_status,
 )
 from repro.experiments.ablations import ablation_specs, to_ablation_points
@@ -63,28 +64,21 @@ from repro.experiments.fluid_scale import (
     to_fidelity_points,
 )
 from repro.experiments.overhead import overhead_specs, to_overhead_points
-from repro.experiments.results import (
-    ResultsStore,
-    ShardedBackend,
-    collect_results,
-    gc_results,
-)
+from repro.experiments.results import ResultsStore, collect_results, gc_results
 from repro.experiments.runner import (
     RunResult,
     ScenarioSpec,
-    default_backend,
+    resolve_processes,
     run_grid,
 )
 from repro.experiments.scalability import run_scalability_sweep
 
 __all__ = [
     "ScenarioOutcome",
-    "ShardOutcome",
     "CoordinatedOutcome",
     "GridScenario",
     "SCENARIOS",
     "run_scenario",
-    "run_scenario_shard",
     "run_scenario_coordinated",
     "sweep_status_scenario",
     "merge_scenario",
@@ -105,36 +99,14 @@ class ScenarioOutcome:
 
 
 @dataclass
-class ShardOutcome:
-    """What one shard of a sharded scenario run produced."""
-
-    name: str
-    shard_index: int
-    shard_count: int
-    total_points: int
-    assigned: int
-    executed: int
-    skipped: int
-    results_path: str
-    wall_s: float
-
-    @property
-    def text(self) -> str:
-        return (f"{self.name} shard {self.shard_index}/{self.shard_count}: "
-                f"{self.assigned} of {self.total_points} grid points assigned, "
-                f"{self.executed} executed, {self.skipped} already complete "
-                f"({self.wall_s:.1f} s)\n"
-                f"results: {self.results_path}")
-
-
-@dataclass
 class CoordinatedOutcome:
-    """What one ``--coordinate`` invocation of a scenario produced.
+    """What one store-backed run of a scenario (``--results-dir``) produced.
 
-    Unlike a :class:`ShardOutcome`, every coordinated invocation converges
-    to the *full* grid (it waits out other workers' in-flight leases), so
-    ``outcome`` carries the complete merged report — byte-identical to an
-    unsharded run.
+    Every invocation over the whole grid — or a ``0/1`` shard — converges to
+    the *full* grid (it waits out other workers' in-flight leases), so
+    ``outcome`` carries the complete merged report, byte-identical to an
+    unsharded run.  A partial slice ``i/n`` completes its own points only
+    and carries no report: ``merge-results`` builds it once every slice ran.
     """
 
     name: str
@@ -142,12 +114,15 @@ class CoordinatedOutcome:
     workers: List[Dict[str, Any]]
     results_dir: str
     wall_s: float
-    outcome: ScenarioOutcome
+    outcome: Optional[ScenarioOutcome]
+    shard: Optional[Tuple[int, int]] = None
 
     @property
     def text(self) -> str:
         executed = sum(int(worker["executed"]) for worker in self.workers)
-        lines = [f"{self.name} coordinated drain: {executed} of "
+        scope = (f" of shard {self.shard[0]}/{self.shard[1]}"
+                 if self.shard is not None else "")
+        lines = [f"{self.name} coordinated drain{scope}: {executed} of "
                  f"{self.total_points} grid points executed here by "
                  f"{len(self.workers)} worker(s) ({self.wall_s:.1f} s)"]
         for worker in self.workers:
@@ -324,9 +299,10 @@ SCENARIOS: Dict[str, Union[GridScenario,
     "fig11-k16": _fct_scenario("fig11-k16",
                                "Figure 11 at k=16: symmetric fat-tree FCT",
                                fattree_k=16),
-    # 1280 switches / 8192 hosts; run it sharded (`--shard i/n
-    # --results-dir D`) with a coarsened probe period — the slow test
-    # executes one Contra point of it under the micro config.
+    # 1280 switches / 8192 hosts; run it into a store (`--results-dir D`
+    # from several hosts, or as `--shard i/n` slices) with a coarsened
+    # probe period — the slow test executes one Contra point of it, shard
+    # 1/6, under the micro config.
     "fig11-k32": _fct_scenario("fig11-k32",
                                "Figure 11 at k=32: symmetric fat-tree FCT",
                                fattree_k=32),
@@ -408,13 +384,10 @@ def _build_specs(name: str, entry: GridScenario, config: ExperimentConfig,
 
 def run_scenario(name: str, config: ExperimentConfig,
                  processes: Optional[int] = None,
-                 results_dir: Optional[str] = None,
                  flow_model: Optional[str] = None) -> ScenarioOutcome:
     """Execute one named scenario end to end; raises KeyError for unknown names.
 
-    ``results_dir`` (grid scenarios only) makes the run resumable: completed
-    points are loaded from the store and skipped, fresh points are appended
-    as they finish, and the outcome is identical to an uninterrupted run.
+    Touches no results store (:func:`run_scenario_coordinated` does).
     ``flow_model`` (grid scenarios only) re-points every spec of the grid at
     the named data path; specs re-pointed at ``"fluid"`` hash differently, so
     packet and fluid runs of one scenario never collide in a store.
@@ -422,16 +395,7 @@ def run_scenario(name: str, config: ExperimentConfig,
     entry = _scenario(name)
     if isinstance(entry, GridScenario):
         specs = _build_specs(name, entry, config, flow_model)
-        if results_dir is not None:
-            store = ResultsStore(results_dir)
-            backend = ShardedBackend(store,
-                                     inner=default_backend(processes, len(specs)))
-            results = run_grid(specs, backend=backend)
-        else:
-            results = run_grid(specs, processes=processes)
-        return entry.finish(config, results)
-    if results_dir is not None:
-        _grid_scenario(name)                # raises the authoritative error
+        return entry.finish(config, run_grid(specs, processes=processes))
     if flow_model is not None:
         raise ExperimentError(
             f"scenario {name!r} is not a single spec grid; --flow-model only "
@@ -439,37 +403,22 @@ def run_scenario(name: str, config: ExperimentConfig,
     return entry(config, processes)
 
 
-def run_scenario_shard(name: str, config: ExperimentConfig, results_dir: str,
-                       shard_index: int, shard_count: int,
-                       processes: Optional[int] = None,
-                       flow_model: Optional[str] = None) -> ShardOutcome:
-    """Execute one deterministic 1/n slice of a grid scenario into a store.
+def _store_specs(name: str, config: ExperimentConfig,
+                 flow_model: Optional[str],
+                 shard: Optional[Tuple[int, int]]) -> List[ScenarioSpec]:
+    """The specs one store-backed run drains: the grid, or its slice ``i/n``.
 
-    Shard ``i`` owns every spec at position ``p`` with ``p % n == i`` of the
-    deterministically ordered grid; points already present in the store are
-    skipped (resume).  Once every shard has run against the same directory,
-    :func:`merge_scenario` produces the exact unsharded outcome.
+    Shard ``i`` of ``n`` is ``specs[i::n]`` — every position ``p`` with
+    ``p % n == i`` of the deterministically ordered grid, a balanced
+    cross-section of its axes that depends on the grid alone.
     """
-    entry = _grid_scenario(name)
-    specs = _build_specs(name, entry, config, flow_model)
-    store = ResultsStore(results_dir, shard_index, shard_count)
-    backend = ShardedBackend(store, inner=default_backend(processes, len(specs)))
-    started = time.perf_counter()
-    run_grid(specs, backend=backend)
-    wall_s = time.perf_counter() - started
-    store.write_meta(name, wall_s, total=len(specs), assigned=backend.assigned,
-                     executed=backend.executed, skipped=backend.skipped)
-    return ShardOutcome(
-        name=name,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        total_points=len(specs),
-        assigned=backend.assigned,
-        executed=backend.executed,
-        skipped=backend.skipped,
-        results_path=str(store.path),
-        wall_s=wall_s,
-    )
+    specs = _build_specs(name, _grid_scenario(name), config, flow_model)
+    if shard is None:
+        return specs
+    index, count = shard
+    if count < 1 or not 0 <= index < count:
+        raise ExperimentError(f"invalid shard {index}/{count}; need 0 <= i < n")
+    return specs[index::count]
 
 
 def _coordinate_worker(args) -> Dict[str, Any]:
@@ -479,60 +428,61 @@ def _coordinate_worker(args) -> Dict[str, Any]:
     functions of both, so every worker sees the identical grid in identical
     order) and drains the shared store to claim-exhaustion.
     """
-    name, config, results_dir, flow_model, ttl = args
-    from repro.experiments.coordinator import drain_store
-
-    entry = _grid_scenario(name)
-    specs = _build_specs(name, entry, config, flow_model)
+    name, config, results_dir, shard, flow_model, ttl = args
+    specs = _store_specs(name, config, flow_model, shard)
     return drain_store(specs, results_dir, ttl=ttl, scenario=name)
 
 
 def run_scenario_coordinated(name: str, config: ExperimentConfig,
-                             results_dir: str, workers: int = 1,
+                             results_dir: str,
+                             processes: Optional[int] = None,
+                             shard: Optional[Tuple[int, int]] = None,
                              flow_model: Optional[str] = None,
                              ttl: float = DEFAULT_LEASE_TTL) -> CoordinatedOutcome:
-    """Drain a grid scenario through the lease-based sweep coordinator.
+    """Drain a grid scenario into ``results_dir`` through the sweep coordinator.
 
-    ``workers`` local drain processes claim points from the shared store
-    (locality-grouped, work-stealing — see
-    :mod:`repro.experiments.coordinator`); any number of *other* invocations
-    of this function, on any hosts sharing ``results_dir``, drain the same
-    grid concurrently.  After the local workers exhaust their claims, the
-    calling process itself runs a :class:`CoordinatedBackend` to completion:
-    it reclaims anything a killed worker (local or remote) left behind and
-    waits out live leases, so every invocation returns the **full** merged
-    outcome — byte-identical to an unsharded run.
+    The one way a grid reaches a store.  Points already recorded are skipped
+    (resume), and any number of other invocations, on any hosts sharing
+    ``results_dir``, drain the same grid concurrently (locality-grouped,
+    work-stealing — see :mod:`repro.experiments.coordinator`).
+    ``processes`` local drain processes (resolved like ``--processes``:
+    ``$CONTRA_PROCS`` by default, 0 = every core) claim points first; then
+    the calling process runs a :class:`CoordinatedBackend` to completion,
+    reclaiming anything a killed worker left behind and waiting out live
+    leases.  So every invocation returns the **full** merged outcome —
+    byte-identical to an unsharded run — unless ``shard=(i, n)`` with
+    ``n > 1`` limits it to the slice ``specs[i::n]``: that call completes
+    its slice and returns the drain's accounting with no report.
     """
-    if workers < 1:
-        raise ExperimentError(f"--workers must be >= 1, got {workers}")
-    entry = _grid_scenario(name)
-    specs = _build_specs(name, entry, config, flow_model)
+    specs = _store_specs(name, config, flow_model, shard)
+    workers = resolve_processes(processes, len(specs))
     started = time.perf_counter()
     # The collector.  Built first: its constructor is where a malformed TTL is
     # refused, and that must happen before any drain process is spawned.
     backend = CoordinatedBackend(results_dir, ttl=ttl, scenario=name)
     accounts: List[Dict[str, Any]] = []
     if workers > 1:
-        job = (name, config, results_dir, flow_model, ttl)
+        job = (name, config, results_dir, shard, flow_model, ttl)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_coordinate_worker, job)
                        for _ in range(workers)]
             for future in futures:
                 accounts.append(future.result())
-    # The collector executes the whole grid itself when workers == 1,
+    # The collector executes the whole slice itself with one process,
     # otherwise mops up (kills, reclaims, remote stragglers) and assembles
-    # the full result list from the store.
+    # the result list from the store.
     results = run_grid(specs, backend=backend)
     if workers == 1 or backend.executed:
         accounts.append(backend.accounting())
-    wall_s = time.perf_counter() - started
+    whole = shard is None or shard[1] == 1
     return CoordinatedOutcome(
         name=name,
         total_points=len(specs),
         workers=accounts,
         results_dir=str(results_dir),
-        wall_s=wall_s,
-        outcome=entry.finish(config, results),
+        wall_s=time.perf_counter() - started,
+        outcome=_grid_scenario(name).finish(config, results) if whole else None,
+        shard=shard,
     )
 
 

@@ -4,19 +4,20 @@ A results store is a directory of append-only JSONL files: one record per
 completed :class:`~repro.experiments.runner.ScenarioSpec` grid point, keyed
 by the spec's canonical content hash (:func:`~repro.experiments.runner
 .spec_hash`).  Because the key is a pure function of the spec — not of the
-process, shard layout or execution order — the store gives two properties
-for free:
+process, worker or execution order — the store gives two properties for
+free:
 
 * **resumability** — a rerun loads the store, skips every point whose hash
   is already present, and produces byte-identical output to an uninterrupted
   run (results are deterministic, so the stored copy *is* the recomputation);
-* **shardability** — ``n`` independent processes each execute a deterministic
-  ``1/n`` slice (round-robin by spec index: shard ``i`` owns every spec whose
-  position satisfies ``index % n == i``) into their own shard file, and the
-  union of the shard files contains exactly the records an unsharded run
-  would have produced.  :func:`collect_results` then reassembles the full
-  grid in spec order, so a merged report is byte-identical to an unsharded
-  one.
+* **mergeability** — any number of writers, each appending to its own file,
+  leave a directory whose union holds exactly the records one serial run
+  would have produced.  :func:`collect_results` reassembles the full grid in
+  spec order, so a merged report is byte-identical to an unsharded one.
+
+The one writer that executes grid points into a store is the
+lease-coordinated drain of :mod:`repro.experiments.coordinator`; a static
+``--shard i/n`` is that drain over the slice ``specs[i::n]``.
 
 Records round-trip exactly: summaries keep their float/int JSON types
 (CPython's shortest-repr float serialization is lossless), queue CDFs are
@@ -31,24 +32,16 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExperimentError
-from repro.experiments.runner import (
-    ExecutionBackend,
-    RunResult,
-    ScenarioSpec,
-    SerialBackend,
-    spec_hash,
-)
+from repro.experiments.runner import RunResult, ScenarioSpec, spec_hash
 
 __all__ = [
     "encode_result",
     "decode_result",
     "ResultsStore",
-    "ShardedBackend",
     "collect_results",
     "gc_results",
     "parse_shard",
@@ -106,25 +99,19 @@ def parse_shard(text: str) -> Tuple[int, int]:
 
 
 class ResultsStore:
-    """One results directory: shard-local JSONL writes, union-of-files reads.
+    """One results directory: per-writer JSONL appends, union-of-files reads.
 
-    Every store instance appends to its own shard file
-    (``results-shard<i>of<n>.jsonl``) but :meth:`load` reads **all**
-    ``results-*.jsonl`` files in the directory, so resume sees every shard's
-    completed work regardless of which shard layout produced it.
+    Every store instance appends to its own file (``filename``; by default
+    ``results-shard0of1.jsonl``, where :func:`gc_results` also writes the
+    compacted store) but :meth:`load` reads **all** ``results-*.jsonl``
+    files in the directory, so resume sees every writer's completed work.
     """
 
-    def __init__(self, directory, shard_index: int = 0, shard_count: int = 1,
-                 filename: Optional[str] = None):
-        if shard_count < 1 or not 0 <= shard_index < shard_count:
-            raise ExperimentError(
-                f"invalid shard {shard_index}/{shard_count}; need 0 <= i < n")
+    def __init__(self, directory, filename: Optional[str] = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.shard_index = shard_index
-        self.shard_count = shard_count
         if filename is None:
-            filename = f"results-shard{shard_index}of{shard_count}.jsonl"
+            filename = "results-shard0of1.jsonl"
         elif not (filename.startswith("results-") and filename.endswith(".jsonl")):
             # load() unions results-*.jsonl; a write file outside that glob
             # would be invisible to every reader, merge and resume.
@@ -140,15 +127,15 @@ class ResultsStore:
         self._log: List[Tuple[str, dict, bool]] = []
 
     def _repair_torn_tail(self) -> None:
-        """Truncate a partial final line of *this shard's own* file.
+        """Truncate a partial final line of *this writer's own* file.
 
         A run killed mid-append leaves a line without a trailing newline;
         appending after it would glue two records into one undecodable line.
-        Only the own shard file is repaired — other shards' files may be
+        Only the own file is repaired — other writers' files may be
         live right now, and their in-flight partial line is handled (left
         unconsumed) by :meth:`load`'s final-line tolerance instead.  Reads
         backwards from the end, one block at a time, to the last newline: a
-        cleanly closed file costs its last block, not a pass over the shard.
+        cleanly closed file costs its last block, not a pass over the file.
         """
         try:
             handle = self.path.open("rb")
@@ -310,94 +297,6 @@ class ResultsStore:
         return sum(record.get("point_wall_s", 0.0)
                    for _, record, _ in self._validated())
 
-    # ---------------------------------------------------------- shard metadata
-
-    def write_meta(self, scenario: str, wall_s: float, total: int, assigned: int,
-                   executed: int, skipped: int) -> Path:
-        """Record this shard's run accounting next to its results file."""
-        path = self.directory / (
-            f"shard{self.shard_index}of{self.shard_count}.meta.json")
-        path.write_text(json.dumps({
-            "scenario": scenario,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "wall_s": round(wall_s, 4),
-            "total_points": total,
-            "assigned": assigned,
-            "executed": executed,
-            "skipped": skipped,
-        }, indent=2, sort_keys=True) + "\n")
-        return path
-
-    def load_metas(self) -> List[dict]:
-        """Every shard meta record in the directory, in shard order.
-
-        Sorted numerically by parsed ``(shard_count, shard_index)``, not by
-        file name — lexicographic order would put ``shard10of12`` before
-        ``shard2of12``.  Files whose names don't parse (there shouldn't be
-        any; :meth:`write_meta` is the only writer) sort after the rest, by
-        name.
-        """
-        files = []
-        for file in sorted(self.directory.glob("shard*.meta.json")):
-            match = re.match(r"shard(\d+)of(\d+)\.meta\.json$", file.name)
-            order = ((0, int(match.group(2)), int(match.group(1)))
-                     if match else (1, 0, 0))
-            files.append((order, file))
-        metas = []
-        for _, file in sorted(files, key=lambda entry: (entry[0], entry[1].name)):
-            try:
-                metas.append(json.loads(file.read_text()))
-            except json.JSONDecodeError:
-                raise ExperimentError(f"corrupt shard meta file {file}") from None
-        return metas
-
-
-class ShardedBackend(ExecutionBackend):
-    """Execute a deterministic 1/n slice of a grid against a results store.
-
-    Shard ``i`` of ``n`` owns the specs at positions ``i, i+n, i+2n, …`` of
-    the (deterministically ordered) spec list — round-robin assignment, so
-    every shard gets a balanced cross-section of the grid axes.  Points whose
-    hash is already in the store are skipped (resume); fresh points run on
-    the ``inner`` backend and are appended to the shard's file as they
-    complete.  ``run`` returns the shard's results in slice order — the
-    *decoded store copies*, so a direct run and a later merge read the exact
-    same bytes.
-    """
-
-    def __init__(self, store: ResultsStore, inner: Optional[ExecutionBackend] = None):
-        self.store = store
-        self.inner = inner if inner is not None else SerialBackend()
-        # Accounting for the caller's progress report, filled in by run().
-        self.assigned = 0
-        self.executed = 0
-        self.skipped = 0
-
-    def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
-        specs = list(specs)
-        count, index = self.store.shard_count, self.store.shard_index
-        mine = [spec for position, spec in enumerate(specs)
-                if position % count == index]
-        hashes = [spec_hash(spec) for spec in mine]
-        completed = self.store.load()
-        todo = [(spec, key) for spec, key in zip(mine, hashes)
-                if key not in completed]
-        # Stream the inner backend: each point is recorded as it arrives
-        # (per point from a serial inner, per completed chunk from a pool),
-        # so an interrupted shard resumes from its last persisted point, not
-        # from scratch.  Wall-clock comes from run_iter_timed, i.e. measured
-        # where the point executed.  The encode/decode round-trip keeps the
-        # returned objects identical to what a later merge reads back.
-        fresh = self.inner.run_iter_timed([spec for spec, _ in todo])
-        for (spec, key), (result, wall_s) in zip(todo, fresh):
-            self.store.record(spec, result, wall_s=wall_s, key=key)
-            completed[key] = decode_result(encode_result(result))
-        self.assigned = len(mine)
-        self.executed = len(todo)
-        self.skipped = len(mine) - len(todo)
-        return [completed[key] for key in hashes]
-
 
 def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     """Garbage-collect a results directory against the current spec grid.
@@ -405,9 +304,10 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     Long-lived stores accumulate records a scenario no longer defines (spec
     or config drift re-keys every point), duplicate records from re-executed
     resumes, and torn half-written tails from killed runs.  GC rewrites the
-    directory as **one** compacted shard file (``results-shard0of1.jsonl``)
+    directory as **one** compacted file (``results-shard0of1.jsonl``)
     containing exactly one record per *current* spec hash, in spec-grid
-    order, and removes the superseded shard files and their meta records.
+    order, and removes the superseded files, the worker metas and any
+    ``shard*.meta.json`` an older build left beside its shard files.
 
     Kept records are byte-preserved (including their ``point_wall_s``), so a
     later :func:`collect_results` merge reads the same bytes; duplicate

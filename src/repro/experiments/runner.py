@@ -11,9 +11,10 @@ Two tiers live here:
   point as plain data, a :class:`RunContext` executes specs while caching
   topologies, compiled policies and generated workloads, and :func:`run_grid`
   hands a list of specs to a pluggable :class:`ExecutionBackend` (inline
-  :class:`SerialBackend`, process-pool :class:`PoolBackend`, or the sharded
-  store-backed backend from :mod:`repro.experiments.results`), returning
-  :class:`RunResult` objects in spec order;
+  :class:`SerialBackend`, process-pool :class:`PoolBackend`, or the
+  lease-coordinated store-backed drain from
+  :mod:`repro.experiments.coordinator`), returning :class:`RunResult`
+  objects in spec order;
 * **spec hashing** — :func:`spec_hash` digests a spec's canonical plain-data
   form (:func:`canonical_spec`) into a stable SHA-256 key, which is what the
   persistent results store keys completed grid points by.
@@ -972,12 +973,6 @@ def _worker_run(spec: ScenarioSpec) -> RunResult:
     return _WORKER_CONTEXT.run(spec)
 
 
-def _worker_run_timed(spec: ScenarioSpec) -> Tuple[RunResult, float]:
-    started = time.perf_counter()
-    result = _worker_run(spec)
-    return result, time.perf_counter() - started
-
-
 def resolve_processes(processes: Optional[int], tasks: int) -> int:
     """How many workers to use: explicit argument, else $CONTRA_PROCS, else 1.
 
@@ -1008,40 +1003,26 @@ class ExecutionBackend:
     Backends are interchangeable behind :func:`run_grid`: given the same
     specs, every backend returns the same :class:`RunResult` list in spec
     order (the determinism contract).  ``serial`` and ``pool`` live here;
-    the store-coupled ``sharded`` backend (deterministic 1/n slices plus
-    skip-complete resume) lives in :mod:`repro.experiments.results`, and
-    the lease-coordinated work-stealing ``CoordinatedBackend`` (dynamic
-    multi-worker drain of one store) in
-    :mod:`repro.experiments.coordinator`.
+    the lease-coordinated ``CoordinatedBackend`` — the one backend that
+    writes a results store, with skip-complete resume, static slices and
+    work stealing — lives in :mod:`repro.experiments.coordinator`.
 
-    Subclasses override :meth:`run_iter_timed` (preferred — it lets wrappers
-    stream results as they complete, e.g. for per-point persistence, with
-    each point's wall-clock measured where it actually executed) or
-    :meth:`run`; the defaults delegate to one another.
+    Subclasses override :meth:`run` or :meth:`run_iter_timed`; the defaults
+    delegate to one another.
     """
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
-        return list(self.run_iter(specs))
-
-    def run_iter(self, specs: Sequence[ScenarioSpec]):
-        """Yield results in spec order, as each point completes."""
-        return (result for result, _ in self.run_iter_timed(specs))
+        return [result for result, _ in self.run_iter_timed(specs)]
 
     def run_iter_timed(self, specs: Sequence[ScenarioSpec]):
         """Yield ``(result, wall_s)`` pairs in spec order.
 
-        The default measures on the consumer side — exact for inline
-        backends, an arrival-gap approximation for anything that computes
-        ahead of the consumer; such backends should override this with
-        in-worker measurement.
+        The default times :meth:`run` one spec at a time — exact for the
+        coordinator, which hands its inner backend one point per call.
         """
-        iterator = iter(self.run(specs))
-        while True:
+        for spec in specs:
             started = time.perf_counter()
-            try:
-                result = next(iterator)
-            except StopIteration:
-                return
+            [result] = self.run([spec])
             yield result, time.perf_counter() - started
 
 
@@ -1065,21 +1046,14 @@ class PoolBackend(ExecutionBackend):
     def __init__(self, processes: Optional[int] = None):
         self.processes = processes
 
-    def run_iter_timed(self, specs: Sequence[ScenarioSpec]):
+    def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         specs = list(specs)
-        if not specs:
-            return
         workers = resolve_processes(self.processes, len(specs))
         if workers <= 1:
-            yield from SerialBackend().run_iter_timed(specs)
-            return
+            return SerialBackend().run(specs)
         chunksize = max(1, len(specs) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # pool.map yields in spec order as chunks complete, so a
-            # streaming consumer sees results well before the grid finishes;
-            # wall-clock is measured inside the worker, so per-point costs
-            # are real compute, not consumer-side arrival gaps.
-            yield from pool.map(_worker_run_timed, specs, chunksize=chunksize)
+            return list(pool.map(_worker_run, specs, chunksize=chunksize))
 
 
 def default_backend(processes: Optional[int] = None, tasks: int = 0,

@@ -14,7 +14,9 @@ The contracts under test (ARCHITECTURE.md §8 "Sweep coordinator contract"):
   before stealing, and steal from the most-loaded active group;
 * ``gc-results`` removes orphaned/stale leases, ``merge-results`` warns on
   live ones, and ``sweep-status`` renders per-group/per-worker progress;
-* a heartbeat never resurrects a lease its worker lost to a reclaim;
+* a heartbeat never resurrects a lease its worker lost to a reclaim, and a
+  point that raises releases its lease, so a rerun resumes without waiting
+  out the TTL;
 * a drain's coordination work is linear in the grid: each record decoded
   once per worker, one lease listing per claim scan, lease files read only
   where the listing shows one.
@@ -22,6 +24,7 @@ The contracts under test (ARCHITECTURE.md §8 "Sweep coordinator contract"):
 
 import json
 import multiprocessing
+import os
 import threading
 import time
 
@@ -266,26 +269,36 @@ class TestCoordinatedByteIdentity:
             sorted(spec_hash(spec) for spec in specs)
 
     def test_killed_worker_is_reclaimed_and_report_is_identical(self, tmp_path):
-        """The crash-safety satellite: die mid-lease, TTL lapse, reclaim."""
+        """The crash-safety satellite: die mid-lease, TTL lapse, reclaim.
+
+        The victim is a forked process that exits hard (``os._exit``: no
+        unwinding, no ``finally``) in the middle of its second point, so its
+        lease is left behind exactly as a SIGKILL would leave it.
+        """
         class DiesAfterOne(SerialBackend):
             def __init__(self):
                 super().__init__()
                 self.ran = 0
 
             def run_iter_timed(self, inner_specs):
-                # The coordinator feeds one spec per call; crash on the
+                # The coordinator feeds one spec per call; die on the
                 # second *call*, after the lease for it was acquired.
                 self.ran += 1
                 if self.ran > 1:
-                    raise KeyboardInterrupt("simulated crash")
+                    os._exit(3)
                 yield from super().run_iter_timed(inner_specs)
+
+        def victim_drain(specs):
+            CoordinatedBackend(tmp_path, inner=DiesAfterOne(),
+                               owner="victim", ttl=0.5).drain(specs)
 
         specs = tiny_specs(("ecmp", "hula", "contra"))
         serial = run_grid(specs, backend=SerialBackend())
-        victim = CoordinatedBackend(tmp_path, inner=DiesAfterOne(),
-                                    owner="victim", ttl=0.5)
-        with pytest.raises(KeyboardInterrupt):
-            victim.drain(specs)
+        victim = multiprocessing.get_context("fork").Process(
+            target=victim_drain, args=(specs,))
+        victim.start()
+        victim.join()
+        assert victim.exitcode == 3
         assert len(ResultsStore(tmp_path).load()) == 1
         orphans = live_leases(tmp_path)
         assert len(orphans) == 1 and orphans[0].owner == "victim"
@@ -304,6 +317,33 @@ class TestCoordinatedByteIdentity:
                    for line in file.read_text().splitlines()]
         assert sorted(r["spec_hash"] for r in records) == \
             sorted(spec_hash(spec) for spec in specs)
+
+    def test_interrupted_point_releases_its_lease(self, tmp_path):
+        """Ctrl-C mid-point hands the point back on the way out: no live
+        lease remains, and a rerun under the default 30 s TTL executes the
+        rest at once instead of waiting to reclaim it."""
+        class InterruptedOnSecond(SerialBackend):
+            calls = 0
+
+            def run_iter_timed(self, inner_specs):
+                InterruptedOnSecond.calls += 1
+                if InterruptedOnSecond.calls > 1:
+                    raise KeyboardInterrupt("simulated Ctrl-C")
+                yield from super().run_iter_timed(inner_specs)
+
+        specs = tiny_specs(("ecmp", "hula", "contra"))
+        with pytest.raises(KeyboardInterrupt):
+            CoordinatedBackend(tmp_path, inner=InterruptedOnSecond(),
+                               owner="interrupted").drain(specs)
+        assert len(ResultsStore(tmp_path).load()) == 1
+        assert not list(tmp_path.glob("lease-*"))
+
+        started = time.monotonic()
+        rerun = CoordinatedBackend(tmp_path, owner="rerun")
+        results = rerun.run(specs)
+        assert time.monotonic() - started < 10.0    # the TTL is 30 s
+        assert (rerun.executed, rerun.reclaimed) == (2, 0)
+        assert [r.name for r in results] == [spec.name for spec in specs]
 
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ExperimentError, match="TTL"):
@@ -355,8 +395,8 @@ class TestTimingRefusals:
         monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
         monkeypatch.setattr(registry, "ProcessPoolExecutor", None)  # never reached
         with pytest.raises(ExperimentError, match="TTL"):
-            run_scenario_coordinated("fig13", TINY, str(directory), workers=2,
-                                     ttl=INF)
+            run_scenario_coordinated("fig13", TINY, str(directory),
+                                     processes=2, ttl=INF)
         assert not directory.exists()
 
 
@@ -765,25 +805,36 @@ class TestScenarioCoordination:
         with pytest.raises(ExperimentError, match="not a single spec grid"):
             sweep_status_scenario("fig9-10", TINY, str(tmp_path))
 
-    def test_workers_must_be_positive(self, tmp_path):
-        with pytest.raises(ExperimentError, match="workers"):
-            run_scenario_coordinated("fig13", TINY, str(tmp_path), workers=0)
+    def test_process_count_must_not_be_negative(self, tmp_path):
+        directory = tmp_path / "store"
+        with pytest.raises(ExperimentError, match="processes"):
+            run_scenario_coordinated("fig13", TINY, str(directory),
+                                     processes=-1)
+        assert not directory.exists()
+
+    def test_processes_fan_out_drains_and_converge(self, tmp_path, monkeypatch):
+        from repro.experiments import registry
+        monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
+        unsharded = run_scenario("fig13", TINY)
+        drained = run_scenario_coordinated("fig13", TINY,
+                                           str(tmp_path / "store"), processes=2)
+        assert drained.outcome.text == unsharded.text
+        assert sum(w["executed"] for w in drained.workers) == 4
 
 
 class TestCliCoordination:
-    def test_coordinate_rejects_contradictory_flags(self, tmp_path):
+    def test_results_dir_is_the_only_store_flag(self, tmp_path, capsys):
+        """``--results-dir`` is the coordinated drain; the old spellings of
+        it (``--coordinate D``, ``--workers N``) are unknown arguments."""
         from repro import cli
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            cli.main(["run-grid", "fig11", "--coordinate", str(tmp_path),
-                      "--shard", "0/2", "--results-dir", str(tmp_path)])
-        with pytest.raises(SystemExit, match="drop --results-dir"):
-            cli.main(["run-grid", "fig11", "--coordinate", str(tmp_path),
-                      "--results-dir", str(tmp_path)])
-        with pytest.raises(SystemExit, match="--workers"):
-            cli.main(["run-grid", "fig11", "--coordinate", str(tmp_path),
-                      "--processes", "2"])
-        with pytest.raises(SystemExit, match="--workers only applies"):
-            cli.main(["run-grid", "fig11", "--workers", "2"])
+        for flag in (["--coordinate", str(tmp_path)], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["run-grid", "fig11", *flag])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="requires --results-dir"):
+            cli.main(["run-grid", "fig11", "--shard", "0/2"])
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_status_requires_existing_dir(self, tmp_path):
         from repro import cli
@@ -792,7 +843,7 @@ class TestCliCoordination:
                       "--results-dir", str(tmp_path / "nope")])
 
     def test_cli_coordinate_end_to_end(self, tmp_path, capsys, monkeypatch):
-        """Two sequential --coordinate invocations + sweep-status + gc.
+        """Two sequential --results-dir invocations + sweep-status + gc.
 
         The second invocation executes nothing (the store is complete) but
         still prints the identical full report — the convergence contract —
@@ -804,13 +855,13 @@ class TestCliCoordination:
         store = tmp_path / "store"
 
         first_json = tmp_path / "first.json"
-        assert cli.main(["run-grid", "fig13", "--coordinate", str(store),
+        assert cli.main(["run-grid", "fig13", "--results-dir", str(store),
                          "--json", str(first_json)]) == 0
         first_out = capsys.readouterr().out
         assert "coordinated drain: 4 of 4" in first_out
 
         second_json = tmp_path / "second.json"
-        assert cli.main(["run-grid", "fig13", "--coordinate", str(store),
+        assert cli.main(["run-grid", "fig13", "--results-dir", str(store),
                          "--json", str(second_json)]) == 0
         second_out = capsys.readouterr().out
         assert "coordinated drain: 0 of 4" in second_out
@@ -843,7 +894,7 @@ class TestCliCoordination:
         from repro.experiments import registry
         monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
         store = tmp_path / "store"
-        assert cli.main(["run-grid", "fig13", "--coordinate", str(store)]) == 0
+        assert cli.main(["run-grid", "fig13", "--results-dir", str(store)]) == 0
         capsys.readouterr()
         # Simulate a still-running drain holding a live lease post-record.
         specs = tiny_specs(("ecmp", "contra"), loads=(0.4, 0.6))
@@ -858,7 +909,7 @@ class TestCliCoordination:
         from repro.experiments import registry
         monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
         store = tmp_path / "store"
-        assert cli.main(["run-grid", "fig13", "--coordinate", str(store)]) == 0
+        assert cli.main(["run-grid", "fig13", "--results-dir", str(store)]) == 0
         capsys.readouterr()
         specs = tiny_specs(("ecmp", "contra"), loads=(0.4, 0.6))
         try_acquire_lease(store, spec_hash(specs[0]), "dead")  # orphaned

@@ -36,12 +36,9 @@ from repro.experiments.fluid_scale import (
     fluid_million_specs,
     to_fidelity_points,
 )
+from repro.experiments.coordinator import CoordinatedBackend
 from repro.experiments.registry import _with_flow_model, run_scenario
-from repro.experiments.results import (
-    ResultsStore,
-    ShardedBackend,
-    collect_results,
-)
+from repro.experiments.results import ResultsStore, collect_results
 from repro.experiments.runner import (
     RunContext,
     ScenarioSpec,
@@ -360,16 +357,16 @@ class TestFluidSharding:
         specs = self._specs()
         serial = run_grid(specs, processes=1)
         for index in range(2):
-            run_grid(specs, backend=ShardedBackend(ResultsStore(tmp_path, index, 2)))
+            run_grid(specs[index::2], backend=CoordinatedBackend(tmp_path))
         merged = collect_results(specs, ResultsStore(tmp_path))
         assert merged == serial
 
     def test_resume_skips_completed_fluid_points(self, tmp_path):
         specs = self._specs()
-        first = ShardedBackend(ResultsStore(tmp_path))
+        first = CoordinatedBackend(tmp_path)
         first.run(specs)
         assert first.executed == len(specs)
-        second = ShardedBackend(ResultsStore(tmp_path))
+        second = CoordinatedBackend(tmp_path)
         resumed = second.run(specs)
         assert second.executed == 0
         assert resumed == collect_results(specs, ResultsStore(tmp_path))

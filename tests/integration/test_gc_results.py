@@ -7,7 +7,11 @@ import pytest
 from repro import cli
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.registry import gc_scenario, merge_scenario, run_scenario_shard
+from repro.experiments.registry import (
+    gc_scenario,
+    merge_scenario,
+    run_scenario_coordinated,
+)
 from repro.experiments.results import ResultsStore, gc_results
 from repro.experiments.runner import ScenarioSpec, TopologySpec, spec_hash
 
@@ -79,7 +83,7 @@ class TestGcResults:
 
     def test_gc_then_merge_is_byte_identical(self, tmp_path):
         for index in range(2):
-            run_scenario_shard("fig13", TINY, tmp_path, index, 2)
+            run_scenario_coordinated("fig13", TINY, tmp_path, shard=(index, 2))
         before = merge_scenario("fig13", TINY, tmp_path)
         # Pollute with a record no current spec owns, then GC.
         write_records(tmp_path / "results-stale.jsonl",

@@ -12,7 +12,7 @@ from repro.experiments.registry import (
     SCENARIOS,
     GridScenario,
     merge_scenario,
-    run_scenario_shard,
+    run_scenario_coordinated,
     scenario_is_shardable,
 )
 from repro.experiments.runner import (
@@ -90,8 +90,10 @@ class TestFig11K32Point:
         engine-level wins unlock (a full-fidelity sweep remains a multi-shard
         job by design).
         """
-        outcome = run_scenario_shard("fig11-k32", K32_MICRO, tmp_path, 1, 6)
-        assert outcome.assigned == 1 and outcome.executed == 1
+        drained = run_scenario_coordinated("fig11-k32", K32_MICRO, tmp_path,
+                                           shard=(1, 6))
+        assert drained.total_points == 1
+        assert [worker["executed"] for worker in drained.workers] == [1]
         store_files = list(tmp_path.glob("results-*.jsonl"))
         assert len(store_files) == 1
         with pytest.raises(Exception, match="missing"):

@@ -1,5 +1,9 @@
 """Integration tests for sharded, resumable sweep execution.
 
+Every store-backed run is the lease-coordinated drain of
+:mod:`repro.experiments.coordinator`; a shard ``i/n`` is that drain over
+``specs[i::n]``.
+
 The contracts under test (see ARCHITECTURE.md "Execution backends and the
 results store"):
 
@@ -7,10 +11,11 @@ results store"):
   across processes and for both accepted spellings of an event schedule;
 * the results store round-trips every :class:`RunResult` field exactly and
   unions shard files, refusing conflicting records;
-* the union of ``n`` shard runs is byte-identical to an unsharded run on
+* the union of ``n`` slice drains is byte-identical to an unsharded run on
   every summary key, and merged scenario outcomes (text and payload) are
   byte-identical to unsharded ones;
-* resume skips store-complete points and yields identical output;
+* resume skips store-complete points and yields identical output, also
+  after a point raised mid-drain;
 * ``load()`` is an incremental log reader: it parses only appended bytes,
   runs every check once per record, and agrees with a cold instance's
   ``load()`` after any interleaving of appends, torn appends and gc.
@@ -27,17 +32,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.coordinator import CoordinatedBackend, live_leases
 from repro.experiments.registry import (
     GridScenario,
     SCENARIOS,
     merge_scenario,
     run_scenario,
-    run_scenario_shard,
+    run_scenario_coordinated,
 )
 from repro.experiments import results as results_module
 from repro.experiments.results import (
     ResultsStore,
-    ShardedBackend,
     collect_results,
     decode_result,
     encode_result,
@@ -264,23 +269,29 @@ class TestResultsStore:
 
     def test_load_unions_shard_files(self, tmp_path):
         ecmp, contra = tiny_specs()
-        ResultsStore(tmp_path, 0, 2).record(ecmp, self._result())
-        ResultsStore(tmp_path, 1, 2).record(contra, self._result())
+        ResultsStore(tmp_path, filename="results-worker-a.jsonl").record(
+            ecmp, self._result())
+        ResultsStore(tmp_path, filename="results-worker-b.jsonl").record(
+            contra, self._result())
         assert set(ResultsStore(tmp_path).load()) == {spec_hash(ecmp),
                                                       spec_hash(contra)}
 
     def test_duplicate_identical_records_are_fine(self, tmp_path):
         spec = tiny_specs()[0]
-        ResultsStore(tmp_path, 0, 2).record(spec, self._result())
-        ResultsStore(tmp_path, 1, 2).record(spec, self._result())
+        ResultsStore(tmp_path, filename="results-worker-a.jsonl").record(
+            spec, self._result())
+        ResultsStore(tmp_path, filename="results-worker-b.jsonl").record(
+            spec, self._result())
         assert len(ResultsStore(tmp_path).load()) == 1
 
     def test_conflicting_records_raise(self, tmp_path):
         spec = tiny_specs()[0]
-        ResultsStore(tmp_path, 0, 2).record(spec, self._result())
+        ResultsStore(tmp_path, filename="results-worker-a.jsonl").record(
+            spec, self._result())
         other = RunResult(name="r", system="ecmp", workload="web_search",
                           load=0.4, seed=1, summary={"avg_fct_ms": 9.99})
-        ResultsStore(tmp_path, 1, 2).record(spec, other)
+        ResultsStore(tmp_path, filename="results-worker-b.jsonl").record(
+            spec, other)
         with pytest.raises(ExperimentError, match="conflicting"):
             ResultsStore(tmp_path).load()
 
@@ -325,8 +336,10 @@ class TestResultsStore:
         nan_result = RunResult(name="r", system="contra", workload="",
                                load=0.0, seed=1,
                                summary={"avg_fct_ms": float("nan"), "flows": 0})
-        ResultsStore(tmp_path, 0, 2).record(spec, nan_result)
-        ResultsStore(tmp_path, 1, 3).record(spec, nan_result)
+        ResultsStore(tmp_path, filename="results-worker-a.jsonl").record(
+            spec, nan_result)
+        ResultsStore(tmp_path, filename="results-worker-b.jsonl").record(
+            spec, nan_result)
         loaded = ResultsStore(tmp_path).load()
         assert set(loaded) == {spec_hash(spec)}
 
@@ -336,28 +349,6 @@ class TestResultsStore:
         for bad in ("2/2", "-1/2", "a/b", "1", "1/0"):
             with pytest.raises(ExperimentError):
                 parse_shard(bad)
-
-    def test_load_metas_sorts_numerically_beyond_ten_shards(self, tmp_path):
-        """Regression: ``sorted(glob)`` is lexicographic, so shard10of12
-        sorted before shard2of12 — metas must come back in numeric shard
-        order once a sweep uses ten or more shards."""
-        count = 12
-        for index in [7, 10, 0, 11, 2, 5, 1, 9, 3, 8, 6, 4]:   # write shuffled
-            ResultsStore(tmp_path, index, count).write_meta(
-                "meta-order", wall_s=1.0, total=count, assigned=1,
-                executed=1, skipped=0)
-        metas = ResultsStore(tmp_path).load_metas()
-        assert [meta["shard_index"] for meta in metas] == list(range(count))
-
-    def test_load_metas_orders_by_count_then_index(self, tmp_path):
-        """Metas from different shard layouts group by layout, not filename."""
-        for index, count in [(1, 10), (0, 2), (9, 10), (1, 2)]:
-            ResultsStore(tmp_path, index, count).write_meta(
-                "meta-order", wall_s=1.0, total=1, assigned=1,
-                executed=1, skipped=0)
-        metas = ResultsStore(tmp_path).load_metas()
-        assert [(meta["shard_count"], meta["shard_index"])
-                for meta in metas] == [(2, 0), (2, 1), (10, 1), (10, 9)]
 
     def test_explicit_filename_must_stay_in_the_union_glob(self, tmp_path):
         spec = tiny_specs()[0]
@@ -576,74 +567,86 @@ class TestIncrementalView:
                 assert_matches_cold(live)
 
 
+def summaries_finish(config, results):
+    from repro.experiments.registry import ScenarioOutcome
+    return ScenarioOutcome(
+        "fig13", json.dumps([r.summary for r in results], sort_keys=True),
+        [r.summary for r in results])
+
+
+def records_by_owner(directory):
+    """Spec names per recording worker, in the order each worker wrote them."""
+    owners = {}
+    for file in sorted(directory.glob("results-*.jsonl")):
+        for line in file.read_text().splitlines():
+            record = json.loads(line)
+            owners.setdefault(record["owner"], []).append(record["spec_name"])
+    return owners
+
+
 class TestShardedExecution:
     def test_union_of_shards_equals_unsharded_on_every_summary_key(self, tmp_path):
         specs = tiny_specs(("ecmp", "contra", "hula"))
         unsharded = run_grid(specs, processes=1)
         for index in range(2):
-            run_grid(specs, backend=ShardedBackend(ResultsStore(tmp_path, index, 2)))
+            run_grid(specs[index::2], backend=CoordinatedBackend(tmp_path))
         merged = collect_results(specs, ResultsStore(tmp_path))
         assert [r.name for r in merged] == [s.name for s in specs]
         for grid_result, merged_result in zip(unsharded, merged):
             assert merged_result.summary == grid_result.summary
             assert merged_result == grid_result
 
-    def test_shard_assignment_is_round_robin_and_disjoint(self, tmp_path):
+    def test_shard_assignment_is_round_robin_and_disjoint(self, tmp_path,
+                                                          monkeypatch):
         specs = tiny_specs(("ecmp", "contra", "hula"))
-        backends = [ShardedBackend(ResultsStore(tmp_path, index, 2))
-                    for index in range(2)]
-        first = backends[0].run(specs)
-        second = backends[1].run(specs)
-        assert [r.name for r in first] == [specs[0].name, specs[2].name]
-        assert [r.name for r in second] == [specs[1].name]
-        assert backends[0].assigned == 2 and backends[1].assigned == 1
+        monkeypatch.setitem(SCENARIOS, "fig13",
+                            GridScenario(lambda config: specs, summaries_finish))
+        first = run_scenario_coordinated("fig13", TINY, tmp_path, shard=(0, 2))
+        second = run_scenario_coordinated("fig13", TINY, tmp_path, shard=(1, 2))
+        assert (first.total_points, second.total_points) == (2, 1)
+        assert first.outcome is None and second.outcome is None
+        assert records_by_owner(tmp_path) == {
+            first.workers[0]["owner"]: [specs[0].name, specs[2].name],
+            second.workers[0]["owner"]: [specs[1].name],
+        }
 
     def test_resume_skips_completed_points(self, tmp_path):
         specs = tiny_specs()
-        first_backend = ShardedBackend(ResultsStore(tmp_path))
+        first_backend = CoordinatedBackend(tmp_path)
         first = first_backend.run(specs)
         assert first_backend.executed == 2
-        second_backend = ShardedBackend(ResultsStore(tmp_path))
+        second_backend = CoordinatedBackend(tmp_path)
         second = second_backend.run(specs)
         assert second_backend.executed == 0
-        assert second_backend.skipped == 2
         assert second == first
 
-    def test_pool_inner_records_in_worker_point_walls(self, tmp_path):
-        """With a pool inner, per-point wall_s is measured in the worker —
-        every record carries a positive compute cost, not arrival gaps
-        (which would be ~0 for all but the first point of a chunk)."""
-        from repro.experiments.runner import PoolBackend
-        specs = tiny_specs(("ecmp", "hula", "contra"))
-        store = ResultsStore(tmp_path)
-        ShardedBackend(store, inner=PoolBackend(2)).run(specs)
-        walls = [record.get("point_wall_s")
-                 for _, record, _ in store._validated()]
-        assert len(walls) == 3
-        assert all(wall is not None and wall > 0 for wall in walls)
-
     def test_interrupted_shard_persists_completed_points(self, tmp_path):
-        """Records stream into the store per point, so a crash loses only
-        the in-flight point and resume picks up from the last finished one."""
+        """Records stream into the store per point, so a point that raises
+        loses only itself: its lease is released on the way out, and resume
+        picks up from the last finished point at once."""
         from repro.experiments.runner import SerialBackend
 
-        class DiesAfterOne(SerialBackend):
+        class RefusesSecond(SerialBackend):
+            calls = 0
+
             def run_iter_timed(self, inner_specs):
-                results = super().run_iter_timed(inner_specs)
-                yield next(results)
-                raise KeyboardInterrupt("simulated crash")
+                RefusesSecond.calls += 1
+                if RefusesSecond.calls > 1:
+                    raise ExperimentError("refused mid-drain")
+                yield from super().run_iter_timed(inner_specs)
 
         specs = tiny_specs(("ecmp", "hula", "contra"))
-        with pytest.raises(KeyboardInterrupt):
-            ShardedBackend(ResultsStore(tmp_path), inner=DiesAfterOne()).run(specs)
+        with pytest.raises(ExperimentError, match="refused mid-drain"):
+            CoordinatedBackend(tmp_path, inner=RefusesSecond()).drain(specs)
         assert len(ResultsStore(tmp_path).load()) == 1
-        backend = ShardedBackend(ResultsStore(tmp_path))
+        assert not live_leases(tmp_path)
+        backend = CoordinatedBackend(tmp_path)
         backend.run(specs)
-        assert backend.skipped == 1 and backend.executed == 2
+        assert backend.executed == 2 and backend.reclaimed == 0
 
     def test_partial_store_merge_raises_naming_missing(self, tmp_path):
         specs = tiny_specs(("ecmp", "contra", "hula"))
-        run_grid(specs, backend=ShardedBackend(ResultsStore(tmp_path, 0, 2)))
+        run_grid(specs[0::2], backend=CoordinatedBackend(tmp_path))
         with pytest.raises(ExperimentError, match="missing"):
             collect_results(specs, ResultsStore(tmp_path))
 
@@ -657,31 +660,46 @@ class TestScenarioShardingByteIdentity:
         """The acceptance contract: shard 0/2 + shard 1/2 + merge == unsharded."""
         unsharded = run_scenario("fig11", MICRO)
         for index in range(2):
-            outcome = run_scenario_shard("fig11", MICRO, tmp_path, index, 2)
-            assert outcome.executed == 3 and outcome.skipped == 0
+            drained = run_scenario_coordinated("fig11", MICRO, tmp_path,
+                                               shard=(index, 2))
+            assert drained.total_points == 3 and drained.outcome is None
+            assert [worker["executed"] for worker in drained.workers] == [3]
         merged = merge_scenario("fig11", MICRO, tmp_path)
         assert merged.text == unsharded.text
         assert json.dumps(merged.payload, sort_keys=True) == \
             json.dumps(unsharded.payload, sort_keys=True)
 
     def test_resumed_scenario_run_is_identical(self, tmp_path):
-        first = run_scenario("fig13", TINY, results_dir=str(tmp_path))
-        resumed = run_scenario("fig13", TINY, results_dir=str(tmp_path))
+        first = run_scenario_coordinated("fig13", TINY, str(tmp_path)).outcome
+        again = run_scenario_coordinated("fig13", TINY, str(tmp_path))
+        assert [worker["executed"] for worker in again.workers] == [0]
+        resumed = again.outcome
         assert resumed.text == first.text
         assert json.dumps(resumed.payload, sort_keys=True) == \
             json.dumps(first.payload, sort_keys=True)
 
     def test_shard_resume_reports_skips(self, tmp_path):
-        first = run_scenario_shard("fig13", TINY, tmp_path, 0, 2)
-        again = run_scenario_shard("fig13", TINY, tmp_path, 0, 2)
-        assert first.executed == 1
-        assert again.executed == 0 and again.skipped == 1
+        first = run_scenario_coordinated("fig13", TINY, tmp_path, shard=(0, 2))
+        again = run_scenario_coordinated("fig13", TINY, tmp_path, shard=(0, 2))
+        assert first.total_points == again.total_points == 1
+        assert [worker["executed"] for worker in first.workers] == [1]
+        assert [worker["executed"] for worker in again.workers] == [0]
+        assert "coordinated drain of shard 0/2: 0 of 1" in again.text
 
     def test_legacy_scenarios_reject_results_dir(self, tmp_path):
         with pytest.raises(ExperimentError, match="not a single spec grid"):
-            run_scenario("fig9-10", TINY, results_dir=str(tmp_path))
+            run_scenario_coordinated("fig9-10", TINY, str(tmp_path))
         with pytest.raises(ExperimentError, match="not a single spec grid"):
-            run_scenario_shard("fig9-10", TINY, tmp_path, 0, 2)
+            run_scenario_coordinated("fig9-10", TINY, str(tmp_path),
+                                     shard=(0, 2))
+
+    @pytest.mark.parametrize("shard", [(2, 2), (-1, 2), (0, 0)])
+    def test_malformed_shard_is_refused_before_the_store_exists(self, tmp_path,
+                                                                shard):
+        directory = tmp_path / "store"
+        with pytest.raises(ExperimentError, match="invalid shard"):
+            run_scenario_coordinated("fig13", TINY, str(directory), shard=shard)
+        assert not directory.exists()
 
     def test_merge_on_empty_store_raises(self, tmp_path):
         with pytest.raises(ExperimentError, match="missing"):
@@ -708,6 +726,14 @@ class TestCliSharding:
             cli.main(["run-grid", "fig11", "--shard", "2/2",
                       "--results-dir", str(tmp_path)])
 
+    def test_negative_process_count_rejected_with_results_dir(self, tmp_path):
+        from repro import cli
+        directory = tmp_path / "store"
+        with pytest.raises(SystemExit, match="--processes"):
+            cli.main(["run-grid", "fig11", "--processes", "-1",
+                      "--results-dir", str(directory)])
+        assert not directory.exists()
+
     def test_json_with_partial_shard_rejected(self, tmp_path):
         from repro import cli
         with pytest.raises(SystemExit, match="merge-results"):
@@ -726,21 +752,37 @@ class TestCliSharding:
             cli.main(["merge-results", "fig11",
                       "--results-dir", str(tmp_path / "nope")])
 
+    def test_bench_artifact_is_named_after_its_file(self, tmp_path, monkeypatch):
+        """Two stores merged side by side keep two bench_diff trajectories:
+        the benchmark name is the artifact's file stem minus ``BENCH_``."""
+        from repro import cli
+
+        specs = tiny_specs()
+        monkeypatch.setitem(SCENARIOS, "fig13",
+                            GridScenario(lambda config: specs, summaries_finish))
+        store = ResultsStore(tmp_path / "store")
+        for spec in specs:
+            store.record(spec, RunResult(name=spec.name, system=spec.system,
+                                         workload=spec.workload, load=spec.load,
+                                         seed=spec.seed, summary={"flows": 1}),
+                         wall_s=0.5)
+        for file_name, benchmark in [
+                ("BENCH_fig13_sharded.json", "fig13_sharded"),
+                ("BENCH_fig13_coordinated.json", "fig13_coordinated"),
+                ("fig13-wall.json", "fig13-wall")]:
+            path = tmp_path / file_name
+            assert cli.main(["merge-results", "fig13",
+                             "--results-dir", str(tmp_path / "store"),
+                             "--bench-artifact", str(path)]) == 0
+            assert json.loads(path.read_text())["benchmark"] == benchmark
+
     def test_cli_shard_merge_end_to_end(self, tmp_path, capsys, monkeypatch):
         """Drive the full CLI path on a tiny grid via a patched registry entry."""
         from repro import cli
-        from repro.experiments import registry
 
-        def tiny_build(config):
-            return tiny_specs()
-
-        def tiny_finish(config, results):
-            return registry.ScenarioOutcome(
-                "fig13", json.dumps([r.summary for r in results], sort_keys=True),
-                [r.summary for r in results])
-
-        monkeypatch.setitem(registry.SCENARIOS, "fig13",
-                            GridScenario(tiny_build, tiny_finish))
+        monkeypatch.setitem(SCENARIOS, "fig13",
+                            GridScenario(lambda config: tiny_specs(),
+                                         summaries_finish))
         store_dir = tmp_path / "store"
         assert cli.main(["run-grid", "fig13", "--shard", "0/2",
                          "--results-dir", str(store_dir)]) == 0
@@ -772,7 +814,7 @@ class TestCliSharding:
         assert cli.main(["run-grid", "fig13", "--shard", "0/1",
                          "--results-dir", str(store_dir)]) == 0
         shard_line = capsys.readouterr().out.splitlines()[0]
-        assert "0 executed, 2 already complete" in shard_line
+        assert "coordinated drain of shard 0/1: 0 of 2" in shard_line
         assert cli.main(["merge-results", "fig13",
                          "--results-dir", str(store_dir),
                          "--bench-artifact", str(bench)]) == 0
@@ -793,8 +835,10 @@ class TestFig11K16:
                                  cache_scale=0.1, probe_period=2.048,
                                  flowlet_timeout=4.0, warmup=2.5)
         for index in range(2):
-            outcome = run_scenario_shard("fig11-k16", micro, tmp_path, index, 2)
-            assert outcome.assigned == 3 and outcome.executed == 3
+            drained = run_scenario_coordinated("fig11-k16", micro, tmp_path,
+                                               shard=(index, 2))
+            assert drained.total_points == 3
+            assert [worker["executed"] for worker in drained.workers] == [3]
         merged = merge_scenario("fig11-k16", micro, tmp_path)
         assert "k=16" in merged.text
         # 2 workloads x 1 load x 3 systems, every point completed flows.

@@ -108,8 +108,7 @@ class TestTransportKnob:
         from repro import cli
         captured = {}
 
-        def fake_run_scenario(name, config, processes=None, results_dir=None,
-                              flow_model=None):
+        def fake_run_scenario(name, config, processes=None, flow_model=None):
             captured["transport"] = config.transport
             from repro.experiments.registry import ScenarioOutcome
             return ScenarioOutcome(name, "stub", {})

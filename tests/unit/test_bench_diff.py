@@ -39,6 +39,25 @@ class TestLoadArtifacts:
         assert set(bench_diff.load_artifacts(tmp_path)) == {"good"}
 
 
+    def test_two_files_claiming_one_name_are_refused(self, tmp_path):
+        """Keeping either file would silently drop the other's trajectory."""
+        write_artifact(tmp_path, "fig11_sharded", 2.0)
+        (tmp_path / "BENCH_fig11_coordinated.json").write_text(
+            json.dumps({"benchmark": "fig11_sharded", "wall_s": 3.0}))
+        with pytest.raises(ValueError) as excinfo:
+            bench_diff.load_artifacts(tmp_path)
+        message = str(excinfo.value)
+        assert "BENCH_fig11_coordinated.json" in message
+        assert "BENCH_fig11_sharded.json" in message
+        assert "'fig11_sharded'" in message
+
+    def test_distinct_names_side_by_side_both_load(self, tmp_path):
+        write_artifact(tmp_path, "fig11_sharded", 2.0)
+        write_artifact(tmp_path, "fig11_coordinated", 3.0)
+        assert set(bench_diff.load_artifacts(tmp_path)) == {
+            "fig11_sharded", "fig11_coordinated"}
+
+
 class TestDiffSemantics:
     def test_within_threshold_is_ok(self):
         deltas = bench_diff.diff_artifacts(
@@ -87,6 +106,14 @@ class TestMainExitCodes:
         write_artifact(tmp_path / "base", "fig11", 1.0)
         (tmp_path / "cur").mkdir()
         assert bench_diff.main([str(tmp_path / "base"), str(tmp_path / "cur")]) == 2
+
+    def test_duplicate_benchmark_name_is_an_error(self, tmp_path, capsys):
+        write_artifact(tmp_path / "base", "fig11", 1.0)
+        write_artifact(tmp_path / "cur", "fig11", 1.0)
+        (tmp_path / "cur" / "BENCH_fig11_copy.json").write_text(
+            json.dumps({"benchmark": "fig11", "wall_s": 1.0}))
+        assert bench_diff.main([str(tmp_path / "base"), str(tmp_path / "cur")]) == 2
+        assert "both claim benchmark 'fig11'" in capsys.readouterr().err
 
     def test_custom_threshold(self, tmp_path):
         write_artifact(tmp_path / "base", "fig11", 10.0)
