@@ -1,16 +1,18 @@
 """Shared fixtures for the per-figure benchmark harness.
 
-Every benchmark runs one experiment driver exactly once (``benchmark.pedantic``
-with a single round — the experiments are seconds-to-minutes long, so repeated
-timing rounds would be wasteful) and prints the same rows/series the paper's
-figure reports.  Set ``CONTRA_EXPERIMENT_PRESET=default`` or ``full`` for
-longer, higher-fidelity sweeps; the default ``quick`` preset reproduces the
-shapes in a few minutes.
+Every figure benchmark builds its spec grid (``<fig>_specs``), times one
+:func:`~repro.experiments.runner.run_grid` call over it exactly once
+(``benchmark.pedantic`` with a single round — the experiments are
+seconds-to-minutes long, so repeated timing rounds would be wasteful),
+projects the results (``to_*_points`` / ``analyse_*``) and prints the same
+rows/series the paper's figure reports.  Set
+``CONTRA_EXPERIMENT_PRESET=default`` or ``full`` for longer,
+higher-fidelity sweeps; the default ``quick`` preset reproduces the shapes
+in a few minutes.
 
-The drivers all execute through the parallel grid runner; set
-``CONTRA_PROCS`` (or pass ``processes=`` in library use) to fan the grid
-points of one experiment across cores — the results are byte-identical to a
-serial run.
+Set ``CONTRA_PROCS`` (or pass ``processes=`` to ``run_grid`` in library use)
+to fan the grid points of one experiment across cores — the results are
+byte-identical to a serial run.
 
 Each benchmark additionally drops a ``BENCH_<name>.json`` wall-clock artifact
 (into ``$CONTRA_BENCH_DIR`` or the working directory) so CI can archive the

@@ -11,19 +11,22 @@ import pytest
 
 from repro.experiments import report
 from repro.experiments.ablations import (
-    run_flowlet_timeout_ablation,
-    run_probe_period_ablation,
+    flowlet_timeout_specs,
+    probe_period_specs,
     run_tag_minimization_ablation,
-    run_versioning_ablation,
+    to_ablation_points,
+    versioning_specs,
 )
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
 
 @pytest.mark.benchmark(group="ablations")
 def test_probe_period_ablation(benchmark, experiment_config):
-    points = run_once(benchmark, run_probe_period_ablation, experiment_config,
-                      periods=(0.128, 0.256, 1.024), load=0.6)
+    specs = probe_period_specs(experiment_config, periods=(0.128, 0.256, 1.024),
+                               load=0.6)
+    points = to_ablation_points(specs, run_once(benchmark, run_grid, specs))["probe_period"]
     print()
     print(report.format_ablation(points, "Probe period ablation (§5.2)"))
     assert all(p.completed > 0 for p in points)
@@ -34,8 +37,10 @@ def test_probe_period_ablation(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="ablations")
 def test_flowlet_timeout_ablation(benchmark, experiment_config):
-    points = run_once(benchmark, run_flowlet_timeout_ablation, experiment_config,
-                      timeouts=(0.05, 0.2, 1.6), load=0.6)
+    specs = flowlet_timeout_specs(experiment_config, timeouts=(0.05, 0.2, 1.6),
+                                  load=0.6)
+    points = to_ablation_points(specs,
+                                run_once(benchmark, run_grid, specs))["flowlet_timeout"]
     print()
     print(report.format_ablation(points, "Flowlet timeout ablation (§5.3)"))
     assert all(p.completed > 0 for p in points)
@@ -43,7 +48,8 @@ def test_flowlet_timeout_ablation(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="ablations")
 def test_versioning_ablation(benchmark, experiment_config):
-    points = run_once(benchmark, run_versioning_ablation, experiment_config, load=0.6)
+    specs = versioning_specs(experiment_config, load=0.6)
+    points = to_ablation_points(specs, run_once(benchmark, run_grid, specs))["versioning"]
     print()
     print(report.format_ablation(points, "Versioned vs unversioned probes (§5.1)"))
     assert {p.value for p in points} == {0.0, 1.0}

@@ -13,7 +13,8 @@ import math
 import pytest
 
 from repro.experiments import report
-from repro.experiments.fct import run_fattree_fct
+from repro.experiments.fct import fattree_fct_specs, to_fct_points
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
@@ -34,8 +35,8 @@ def _check_shape(points, workload):
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11a_web_search_fct(benchmark, experiment_config):
-    points = run_once(benchmark, run_fattree_fct, experiment_config,
-                      workloads=("web_search",))
+    specs = fattree_fct_specs(experiment_config, workloads=("web_search",))
+    points = to_fct_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_fct(points, "Figure 11a: symmetric fat-tree, web search workload"))
     _check_shape(points, "web_search")
@@ -43,8 +44,8 @@ def test_fig11a_web_search_fct(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11b_cache_fct(benchmark, experiment_config):
-    points = run_once(benchmark, run_fattree_fct, experiment_config,
-                      workloads=("cache",))
+    specs = fattree_fct_specs(experiment_config, workloads=("cache",))
+    points = to_fct_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_fct(points, "Figure 11b: symmetric fat-tree, cache workload"))
     _check_shape(points, "cache")

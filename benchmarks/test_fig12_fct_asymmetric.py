@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import report
-from repro.experiments.fct import run_fattree_fct
+from repro.experiments.fct import fattree_fct_specs, to_fct_points
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
@@ -32,8 +33,9 @@ def _check_shape(points, workload):
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12a_web_search_fct_asymmetric(benchmark, experiment_config):
-    points = run_once(benchmark, run_fattree_fct, experiment_config,
-                      workloads=("web_search",), asymmetric=True)
+    specs = fattree_fct_specs(experiment_config, workloads=("web_search",),
+                              asymmetric=True)
+    points = to_fct_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_fct(points, "Figure 12a: asymmetric fat-tree, web search workload"))
     _check_shape(points, "web_search")
@@ -41,8 +43,9 @@ def test_fig12a_web_search_fct_asymmetric(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12b_cache_fct_asymmetric(benchmark, experiment_config):
-    points = run_once(benchmark, run_fattree_fct, experiment_config,
-                      workloads=("cache",), asymmetric=True)
+    specs = fattree_fct_specs(experiment_config, workloads=("cache",),
+                              asymmetric=True)
+    points = to_fct_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_fct(points, "Figure 12b: asymmetric fat-tree, cache workload"))
     _check_shape(points, "cache")

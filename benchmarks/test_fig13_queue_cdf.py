@@ -11,14 +11,16 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import report
-from repro.experiments.fct import run_queue_cdf
+from repro.experiments.fct import queue_cdf_specs
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_queue_length_cdf(benchmark, experiment_config):
-    cdfs = run_once(benchmark, run_queue_cdf, experiment_config, load=0.6)
+    results = run_once(benchmark, run_grid, queue_cdf_specs(experiment_config, load=0.6))
+    cdfs = {result.system: result.queue_cdf for result in results}
     print()
     print(report.format_queue_cdf(cdfs))
     assert set(cdfs) == {"ecmp", "contra"}

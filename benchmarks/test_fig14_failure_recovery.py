@@ -14,7 +14,11 @@ import math
 import pytest
 
 from repro.experiments import report
-from repro.experiments.failure_recovery import run_failure_recovery
+from repro.experiments.failure_recovery import (
+    analyse_recovery_results,
+    failure_recovery_specs,
+)
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
@@ -24,8 +28,10 @@ RUN_DURATION = 45.0
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14_link_failure_recovery(benchmark, experiment_config):
-    results = run_once(benchmark, run_failure_recovery, experiment_config,
-                       failure_time=FAILURE_TIME, run_duration=RUN_DURATION)
+    specs = failure_recovery_specs(experiment_config, failure_time=FAILURE_TIME,
+                                   run_duration=RUN_DURATION)
+    results = analyse_recovery_results(run_once(benchmark, run_grid, specs),
+                                       failure_time=FAILURE_TIME)
     print()
     print(report.format_recovery(results))
     for name, result in results.items():

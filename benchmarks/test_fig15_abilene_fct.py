@@ -13,7 +13,8 @@ import math
 import pytest
 
 from repro.experiments import report
-from repro.experiments.fct import run_abilene_fct
+from repro.experiments.fct import abilene_fct_specs, to_fct_points
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
@@ -35,7 +36,8 @@ def _check_shape(points, workload):
 def test_fig15a_abilene_web_search(benchmark, experiment_config):
     config = experiment_config.scaled(1.0, loads=tuple(
         load for load in experiment_config.loads) + ((0.9,) if 0.9 not in experiment_config.loads else ()))
-    points = run_once(benchmark, run_abilene_fct, config, workloads=("web_search",))
+    specs = abilene_fct_specs(config, workloads=("web_search",))
+    points = to_fct_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_fct(points, "Figure 15a: Abilene, web search workload"))
     _check_shape(points, "web_search")
@@ -45,7 +47,8 @@ def test_fig15a_abilene_web_search(benchmark, experiment_config):
 def test_fig15b_abilene_cache(benchmark, experiment_config):
     config = experiment_config.scaled(1.0, loads=tuple(
         load for load in experiment_config.loads) + ((0.9,) if 0.9 not in experiment_config.loads else ()))
-    points = run_once(benchmark, run_abilene_fct, config, workloads=("cache",))
+    specs = abilene_fct_specs(config, workloads=("cache",))
+    points = to_fct_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_fct(points, "Figure 15b: Abilene, cache workload"))
     _check_shape(points, "cache")

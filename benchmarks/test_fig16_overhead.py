@@ -14,15 +14,16 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import report
-from repro.experiments.overhead import run_overhead_experiment
+from repro.experiments.overhead import overhead_specs, to_overhead_points
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
 
 @pytest.mark.benchmark(group="fig16")
 def test_fig16_traffic_overhead(benchmark, experiment_config):
-    points = run_once(benchmark, run_overhead_experiment, experiment_config,
-                      loads=(0.1, 0.6))
+    specs = overhead_specs(experiment_config, loads=(0.1, 0.6))
+    points = to_overhead_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_overhead(points))
 

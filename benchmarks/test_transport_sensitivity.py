@@ -13,14 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import report
-from repro.experiments.fct import run_transport_sensitivity
+from repro.experiments.fct import transport_sensitivity_specs
+from repro.experiments.runner import run_grid
 
 from conftest import run_once
 
 
 @pytest.mark.benchmark(group="transport-sensitivity")
 def test_transport_sensitivity(benchmark, experiment_config):
-    results = run_once(benchmark, run_transport_sensitivity, experiment_config)
+    results = run_once(benchmark, run_grid, transport_sensitivity_specs(experiment_config))
     print()
     print(report.format_transport(results))
     transports = {r.name.split(":")[1] for r in results}

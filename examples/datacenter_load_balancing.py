@@ -17,7 +17,7 @@ import argparse
 
 from repro.core import compile_policy
 from repro.core.builder import minimize, path, rank_tuple
-from repro.experiments.fct import default_failed_link
+from repro.experiments.runner import default_failed_link
 from repro.baselines import EcmpSystem, HulaSystem
 from repro.protocol import ContraSystem
 from repro.simulator import Network

@@ -4,11 +4,10 @@
 
 * ``contra compile`` — compile a policy for a topology and print compiler
   statistics (optionally dumping the generated P4-style programs);
-* ``contra experiment`` — run one of the evaluation experiments and print the
-  same table the corresponding benchmark regenerates;
 * ``contra run-grid`` — run a named experiment scenario through the parallel
-  grid runner (``--processes`` fans the (system × load × seed) points across
-  cores) and optionally dump the results as JSON; ``--results-dir D`` drains
+  grid runner and print the same table the corresponding benchmark
+  regenerates (``--processes`` fans the (system × load × seed) points across
+  cores), optionally dumping the results as JSON; ``--results-dir D`` drains
   the grid into a results store through the lease-based work-stealing
   coordinator — resumable (completed points are skipped on restart), and any
   number of invocations on any hosts sharing ``D`` converge to the same
@@ -170,15 +169,6 @@ def _resolve_config(preset: str):
         "default": default_config,
         "full": full_config,
     }.get(preset, config_from_env)()
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        outcome = run_scenario(args.name, _resolve_config(args.preset))
-    except (KeyError, ExperimentError) as error:
-        raise SystemExit(str(error))
-    print(outcome.text)
-    return 0
 
 
 def _grid_config(args: argparse.Namespace):
@@ -416,12 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", metavar="PATH", default=None,
                        help="also dump the verification report(s) as JSON to PATH")
     check.set_defaults(func=_cmd_check_policy)
-
-    experiment = sub.add_parser("experiment", help="run one evaluation experiment")
-    experiment.add_argument("name", choices=tuple(scenario_names()))
-    experiment.add_argument("--preset", choices=("quick", "default", "full", "env"),
-                            default="quick")
-    experiment.set_defaults(func=_cmd_experiment)
 
     run_grid = sub.add_parser(
         "run-grid",

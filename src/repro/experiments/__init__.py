@@ -1,5 +1,12 @@
 """Experiments reproducing every figure of the paper's evaluation.
 
+Every figure grid runs one way: its spec builder (``fattree_fct_specs``,
+``failure_recovery_specs``, ``overhead_specs``, … in the figure's module)
+makes the grid, :func:`~repro.experiments.runner.run_grid` executes it, and
+the module's projection (``to_*_points`` / ``analyse_*``) turns the results
+into report rows.  :func:`repro.experiments.registry.run_scenario` does the
+same by scenario name.
+
 The names below are imported from their modules on first access, so that
 importing one module of the package — :mod:`repro.experiments.scalability`,
 which needs nothing but the compiler and the topologies — does not import
@@ -11,10 +18,7 @@ from importlib import import_module
 #: Public name -> the module of this package that defines it.
 _EXPORTS = {
     "AblationPoint": "ablations",
-    "run_flowlet_timeout_ablation": "ablations",
-    "run_probe_period_ablation": "ablations",
     "run_tag_minimization_ablation": "ablations",
-    "run_versioning_ablation": "ablations",
     "ExperimentConfig": "config",
     "config_from_env": "config",
     "default_config": "config",
@@ -22,20 +26,12 @@ _EXPORTS = {
     "quick_config": "config",
     "RecoveryCurvePoint": "failure_recovery",
     "RecoveryResult": "failure_recovery",
-    "run_failure_recovery": "failure_recovery",
-    "run_recovery_curve": "failure_recovery",
     "FctPoint": "fct",
-    "default_failed_link": "fct",
-    "run_abilene_fct": "fct",
-    "run_fattree_fct": "fct",
-    "run_flow_size_sensitivity": "fct",
-    "run_queue_cdf": "fct",
     "CoordinatedBackend": "coordinator",
     "SweepStatus": "coordinator",
     "live_leases": "coordinator",
     "sweep_status": "coordinator",
     "OverheadPoint": "overhead",
-    "run_overhead_experiment": "overhead",
     "ResultsStore": "results",
     "collect_results": "results",
     "ExecutionBackend": "runner",
@@ -44,13 +40,12 @@ _EXPORTS = {
     "RunResult": "runner",
     "ScenarioSpec": "runner",
     "SerialBackend": "runner",
-    "SimulationResult": "runner",
     "TopologySpec": "runner",
     "build_routing_system": "runner",
     "datacenter_policy": "runner",
+    "default_failed_link": "runner",
     "grid_map": "runner",
     "run_grid": "runner",
-    "run_simulation": "runner",
     "spec_hash": "runner",
     "wan_policy": "runner",
     "FATTREE_SIZES": "scalability",

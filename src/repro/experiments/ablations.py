@@ -22,12 +22,12 @@ every other grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.compiler import CompileOptions, compile_policy
-from repro.experiments.config import ExperimentConfig, default_config
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import fattree_spec
-from repro.experiments.runner import RunResult, ScenarioSpec, run_grid
+from repro.experiments.runner import RunResult, ScenarioSpec
 from repro.experiments.scalability import waypoint_policy_for
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "versioning_specs",
     "ablation_specs",
     "to_ablation_points",
-    "run_probe_period_ablation",
-    "run_flowlet_timeout_ablation",
-    "run_versioning_ablation",
     "run_tag_minimization_ablation",
 ]
 
@@ -89,6 +86,7 @@ def _contra_spec(config: ExperimentConfig, load: float, name: str, **overrides) 
 def probe_period_specs(config: ExperimentConfig,
                        periods: Sequence[float] = (0.128, 0.256, 0.512, 1.024),
                        load: float = 0.6) -> List[ScenarioSpec]:
+    """FCT and overhead as a function of the probe period (§5.2)."""
     return [_contra_spec(config, load, f"ablation:probe-period:{period}",
                          probe_period=period)
             for period in periods]
@@ -97,12 +95,14 @@ def probe_period_specs(config: ExperimentConfig,
 def flowlet_timeout_specs(config: ExperimentConfig,
                           timeouts: Sequence[float] = (0.05, 0.2, 0.8, 3.2),
                           load: float = 0.6) -> List[ScenarioSpec]:
+    """FCT as a function of the flowlet timeout (§5.3)."""
     return [_contra_spec(config, load, f"ablation:flowlet-timeout:{timeout}",
                          flowlet_timeout=timeout)
             for timeout in timeouts]
 
 
 def versioning_specs(config: ExperimentConfig, load: float = 0.6) -> List[ScenarioSpec]:
+    """Versioned probes (§5.1) vs an unversioned distance-vector variant."""
     return [_contra_spec(config, load, f"ablation:versioning:{use_versioning}",
                          use_versioning=use_versioning)
             for use_versioning in (True, False)]
@@ -134,38 +134,6 @@ def to_ablation_points(specs: Sequence[ScenarioSpec],
             points["versioning"].append(
                 _to_point("use_versioning", 1.0 if spec.use_versioning else 0.0, result))
     return points
-
-
-def run_probe_period_ablation(
-    config: Optional[ExperimentConfig] = None,
-    periods: Sequence[float] = (0.128, 0.256, 0.512, 1.024),
-    load: float = 0.6,
-    processes: Optional[int] = None,
-) -> List[AblationPoint]:
-    """FCT and overhead as a function of the probe period (§5.2)."""
-    specs = probe_period_specs(config or default_config(), periods, load)
-    return to_ablation_points(specs, run_grid(specs, processes))["probe_period"]
-
-
-def run_flowlet_timeout_ablation(
-    config: Optional[ExperimentConfig] = None,
-    timeouts: Sequence[float] = (0.05, 0.2, 0.8, 3.2),
-    load: float = 0.6,
-    processes: Optional[int] = None,
-) -> List[AblationPoint]:
-    """FCT as a function of the flowlet timeout (§5.3)."""
-    specs = flowlet_timeout_specs(config or default_config(), timeouts, load)
-    return to_ablation_points(specs, run_grid(specs, processes))["flowlet_timeout"]
-
-
-def run_versioning_ablation(
-    config: Optional[ExperimentConfig] = None,
-    load: float = 0.6,
-    processes: Optional[int] = None,
-) -> List[AblationPoint]:
-    """Versioned probes (§5.1) vs an unversioned distance-vector variant."""
-    specs = versioning_specs(config or default_config(), load)
-    return to_ablation_points(specs, run_grid(specs, processes))["versioning"]
 
 
 @dataclass

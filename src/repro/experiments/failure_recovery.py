@@ -5,26 +5,30 @@ aggregation–core link mid-run, and plots the aggregate received throughput
 over time: both Contra and Hula detect the failure within a few probe periods
 and recover the throughput within about a millisecond.
 
-Three drivers live here, all executing through the grid runner:
+Four grids live here, each a pure spec builder (``*_specs``) whose results
+:func:`~repro.experiments.runner.run_grid` returns and a projection turns
+into the report rows:
 
-* :func:`run_failure_recovery` — the Figure 14 timeline (single permanent
-  failure on a fat-tree) plus measured detection and recovery delays;
-* :func:`run_recovery_sweep` — a fail→recover schedule on a (non-square)
-  leaf-spine: throughput dips at the failure and must return to the baseline
-  after the link comes back (§6.3's "and back" half that a permanent failure
-  cannot exercise);
-* :func:`run_multi_failure` — a sequence of distant link failures on a
+* :func:`failure_recovery_specs` → :func:`analyse_recovery_results` — the
+  Figure 14 timeline (single permanent failure on a fat-tree) plus measured
+  detection and recovery delays;
+* :func:`recovery_sweep_specs` → :func:`analyse_recovery_sweep_results` — a
+  fail→recover schedule on a (non-square) leaf-spine: throughput dips at the
+  failure and must return to the baseline after the link comes back (§6.3's
+  "and back" half that a permanent failure cannot exercise);
+* :func:`multi_failure_specs` — a sequence of distant link failures on a
   Topology-Zoo WAN (the Crux-style scenario), comparing how static and
-  probe-driven systems degrade;
-* :func:`run_recovery_curve` — a grid whose swept axis is the ``events``
-  schedule itself: one fail→recover cycle per outage duration, yielding the
-  recovery-time vs dip-depth curve.
+  probe-driven systems degrade; its report is the plain result grid;
+* :func:`recovery_curve_specs` → :func:`analyse_recovery_curve` — a grid
+  whose swept axis is the ``events`` schedule itself: one fail→recover cycle
+  per outage duration, yielding the recovery-time vs dip-depth curve.
 
-Each driver is split into a pure spec builder (``*_specs``) and a result
-projection (``analyse_*``), so the registry can execute the same grid
-through any :class:`~repro.experiments.runner.ExecutionBackend` — including
-the resumable, store-backed coordinated drain — and finish it from stored
-results.
+A projection must be given the same schedule instants the builder was, which
+is why their defaults are the shared module constants below.  Because
+building, executing and projecting are separate, the registry runs the same
+grid through any :class:`~repro.experiments.runner.ExecutionBackend` —
+including the resumable, store-backed coordinated drain — and finishes it
+from stored results.
 """
 
 from __future__ import annotations
@@ -35,36 +39,33 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nputil import mean as _mean
 
-from repro.experiments.config import ExperimentConfig, default_config
+from repro.exceptions import ExperimentError
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import fattree_spec
 from repro.experiments.runner import (
     LinkEvent,
     RunResult,
     ScenarioSpec,
     TopologySpec,
-    run_grid,
+    _finite_number,
 )
 
 __all__ = [
     "RecoveryResult",
     "failure_recovery_specs",
     "analyse_recovery_results",
-    "run_failure_recovery",
     "RecoverySweepResult",
     "recovery_sweep_specs",
     "analyse_recovery_sweep_results",
-    "run_recovery_sweep",
     "MULTI_FAILURE_DEFAULT_EVENTS",
     "multi_failure_specs",
-    "run_multi_failure",
     "RecoveryCurvePoint",
     "RECOVERY_CURVE_DEFAULT_OUTAGES",
     "recovery_curve_specs",
     "analyse_recovery_curve",
-    "run_recovery_curve",
 ]
 
-#: Figure 14 schedule defaults, shared by the driver and the registry's
+#: Figure 14 schedule defaults, shared by the spec builder and the
 #: result-side analysis (the analysis must use the same instants the spec
 #: builder injected).
 FIG14_FAILURE_TIME = 30.0
@@ -151,22 +152,6 @@ def analyse_recovery_results(results: Sequence[RunResult],
     return analysed
 
 
-def run_failure_recovery(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("contra", "hula"),
-    stream_rate: Optional[float] = None,
-    failure_time: float = FIG14_FAILURE_TIME,
-    run_duration: float = FIG14_RUN_DURATION,
-    streams_per_pair: int = 1,
-    processes: Optional[int] = None,
-) -> Dict[str, RecoveryResult]:
-    """Run the Figure 14 experiment for each requested system."""
-    config = config or default_config()
-    specs = failure_recovery_specs(config, systems, stream_rate, failure_time,
-                                   run_duration, streams_per_pair)
-    return analyse_recovery_results(run_grid(specs, processes), failure_time)
-
-
 def _analyse(system: str, series: List[Tuple[float, float]], failure_time: float,
              failure_detections: int) -> RecoveryResult:
     if not series:
@@ -244,9 +229,23 @@ def recovery_sweep_specs(
     streams_per_pair: int = 4,
     failed_link: Tuple[str, str] = ("spine0", "leaf2"),
 ) -> List[ScenarioSpec]:
-    """The fail→recover cycle grid on the leaf-spine fabric as specs."""
-    if not fail_time < recover_time < run_duration:
-        raise ValueError("expected fail_time < recover_time < run_duration")
+    """Fail a leaf-spine link mid-run and bring it back: the full cycle.
+
+    Constant-rate streams cross the fabric; the schedule fails
+    ``failed_link`` at ``fail_time`` and recovers it at ``recover_time``.
+    The default failure is a spine *down-link* towards a receiver leaf — a
+    failure **remote** from the sending leaves' path choice, so traffic
+    pinned through that spine blackholes until probe silence exposes it
+    (failing a sender-adjacent uplink would be absorbed instantly by the
+    local ``link_failed`` check and never dip).  Throughput must dip at the
+    failure and return to the pre-failure baseline once probes flow through
+    the recovered link again.
+    """
+    if not 0 <= fail_time < recover_time < run_duration:
+        raise ExperimentError(
+            f"recovery sweep needs 0 <= fail_time < recover_time < "
+            f"run_duration, got {fail_time!r}, {recover_time!r}, "
+            f"{run_duration!r}")
     if stream_rate is None:
         stream_rate = 0.06 * config.host_capacity
     return [
@@ -280,37 +279,6 @@ def analyse_recovery_sweep_results(results: Sequence[RunResult],
         analysed[result.system] = _analyse_sweep(
             result.system, result.throughput or [], fail_time, recover_time)
     return analysed
-
-
-def run_recovery_sweep(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("contra", "hula"),
-    fail_time: float = SWEEP_FAIL_TIME,
-    recover_time: float = SWEEP_RECOVER_TIME,
-    run_duration: float = SWEEP_RUN_DURATION,
-    stream_rate: Optional[float] = None,
-    streams_per_pair: int = 4,
-    failed_link: Tuple[str, str] = ("spine0", "leaf2"),
-    processes: Optional[int] = None,
-) -> Dict[str, RecoverySweepResult]:
-    """Fail a leaf-spine link mid-run and bring it back: the full cycle.
-
-    Constant-rate streams cross the fabric; the schedule fails
-    ``failed_link`` at ``fail_time`` and recovers it at ``recover_time``.
-    The default failure is a spine *down-link* towards a receiver leaf — a
-    failure **remote** from the sending leaves' path choice, so traffic
-    pinned through that spine blackholes until probe silence exposes it
-    (failing a sender-adjacent uplink would be absorbed instantly by the
-    local ``link_failed`` check and never dip).  Throughput must dip at the
-    failure and return to the pre-failure baseline once probes flow through
-    the recovered link again.
-    """
-    config = config or default_config()
-    specs = recovery_sweep_specs(config, systems, fail_time, recover_time,
-                                 run_duration, stream_rate, streams_per_pair,
-                                 failed_link)
-    return analyse_recovery_sweep_results(run_grid(specs, processes),
-                                          fail_time, recover_time)
 
 
 def _analyse_sweep(system: str, series: List[Tuple[float, float]], fail_time: float,
@@ -364,7 +332,13 @@ def multi_failure_specs(
     workload: str = "web_search",
     load: float = 0.6,
 ) -> List[ScenarioSpec]:
-    """The WAN multi-failure grid as specs."""
+    """A sequence of link failures on a WAN, as a plain grid of scenarios.
+
+    Static shortest-path routing keeps sending into the failed links and
+    loses the affected flows; Contra's probes route around each failure in
+    turn.  The results' summaries carry completion counts and drops for the
+    report table.
+    """
     schedule = tuple(LinkEvent(*event) for event in events)
     return [
         ScenarioSpec(
@@ -381,28 +355,6 @@ def multi_failure_specs(
         )
         for system in systems
     ]
-
-
-def run_multi_failure(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("shortest-path", "contra"),
-    events: Sequence[Tuple[float, str, str, str]] = MULTI_FAILURE_DEFAULT_EVENTS,
-    topology_name: str = "nsfnet",
-    workload: str = "web_search",
-    load: float = 0.6,
-    processes: Optional[int] = None,
-) -> List[RunResult]:
-    """A sequence of link failures on a WAN, as a plain grid of scenarios.
-
-    Static shortest-path routing keeps sending into the failed links and
-    loses the affected flows; Contra's probes route around each failure in
-    turn.  The returned :class:`RunResult` summaries carry completion counts
-    and drops for the report table.
-    """
-    config = config or default_config()
-    specs = multi_failure_specs(config, systems, events, topology_name,
-                                workload, load)
-    return run_grid(specs, processes)
 
 
 # =============================================================================
@@ -455,8 +407,13 @@ def recovery_curve_specs(
     instant, different outage duration), which is exactly the ROADMAP's
     "sweeps that grid over schedules": the declarative ``events`` tuple
     makes an outage-duration sweep an ordinary spec grid with the full
-    determinism and shardability contracts.
+    determinism and shardability contracts.  An outage must be a finite
+    number > 0: any other puts the recover event at or before the failure.
     """
+    for outage in outages:
+        if not _finite_number(outage, positive=True):
+            raise ExperimentError(
+                f"recovery curve outage {outage!r} must be a finite number > 0")
     if stream_rate is None:
         stream_rate = 0.06 * config.host_capacity
     return [
@@ -525,20 +482,3 @@ def analyse_recovery_curve(results: Sequence[RunResult],
             recovery_time_ms=recovery_time,
         ))
     return points
-
-
-def run_recovery_curve(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("contra", "hula"),
-    outages: Sequence[float] = RECOVERY_CURVE_DEFAULT_OUTAGES,
-    fail_time: float = CURVE_FAIL_TIME,
-    stream_rate: Optional[float] = None,
-    streams_per_pair: int = 4,
-    failed_link: Tuple[str, str] = ("spine0", "leaf2"),
-    processes: Optional[int] = None,
-) -> List[RecoveryCurvePoint]:
-    """The recovery-time vs dip-depth curve over outage durations."""
-    config = config or default_config()
-    specs = recovery_curve_specs(config, systems, outages, fail_time,
-                                 stream_rate, streams_per_pair, failed_link)
-    return analyse_recovery_curve(run_grid(specs, processes), fail_time)

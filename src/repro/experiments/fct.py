@@ -1,41 +1,36 @@
 """Flow-completion-time experiments (Figures 11, 12, 13 and 15).
 
-* :func:`run_fattree_fct` — symmetric fat-tree, ECMP vs Contra vs Hula over
-  the web-search and cache workloads as load sweeps (Figure 11); passing a
-  failed aggregation–core link reproduces the asymmetric variant (Figure 12).
-* :func:`run_queue_cdf` — queue-length CDF of Contra vs ECMP at 60% load on
-  the asymmetric fat-tree (Figure 13).
-* :func:`run_abilene_fct` — shortest-path vs Contra(MU) vs SPAIN on Abilene
-  with four random sender/receiver pairs (Figure 15).
+* :func:`fattree_fct_specs` — symmetric fat-tree, ECMP vs Contra vs Hula over
+  the web-search and cache workloads as load sweeps (Figure 11); with
+  ``asymmetric=True`` a failed aggregation–core link gives the asymmetric
+  variant (Figure 12);
+* :func:`queue_cdf_specs` — queue-length CDF of Contra vs ECMP at 60% load on
+  the asymmetric fat-tree (Figure 13);
+* :func:`abilene_fct_specs` — shortest-path vs Contra(MU) vs SPAIN on Abilene
+  with four random sender/receiver pairs (Figure 15);
+* :func:`incast_specs`, :func:`transport_sensitivity_specs` and
+  :func:`flow_size_sensitivity_specs` — the fan-in, transport-mode and
+  flow-size sensitivity grids.
 
-All drivers are split into a pure spec builder (``*_specs``) and a result
-projection, glued by ``run_*`` through
+Every figure is a pure spec builder (``*_specs``) run through
 :func:`~repro.experiments.runner.run_grid` — so every sweep parallelizes
-across cores (``processes=`` / ``$CONTRA_PROCS``) and shards/resumes through
-the results store without any change to the results.
-:func:`run_flow_size_sensitivity` additionally sweeps the flow-size
-distribution scale (``workload_scale``) at fixed load.
+across cores (``processes=`` / ``$CONTRA_PROCS``) and drains into a results
+store without any change to the results — and projected by
+:func:`to_fct_points` (or, for Figure 13, each result's ``queue_cdf``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.config import ExperimentConfig, default_config
-from repro.experiments.runner import (
-    RunResult,
-    ScenarioSpec,
-    TopologySpec,
-    default_failed_link,
-    run_grid,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import RunResult, ScenarioSpec, TopologySpec
 from repro.topology.abilene import abilene
 from repro.topology.graph import Topology
 
 __all__ = [
     "FctPoint",
-    "default_failed_link",
     "fattree_spec",
     "fattree_fct_specs",
     "abilene_fct_specs",
@@ -44,12 +39,6 @@ __all__ = [
     "transport_sensitivity_specs",
     "flow_size_sensitivity_specs",
     "to_fct_points",
-    "run_fattree_fct",
-    "run_abilene_fct",
-    "run_queue_cdf",
-    "run_incast",
-    "run_transport_sensitivity",
-    "run_flow_size_sensitivity",
 ]
 
 
@@ -128,20 +117,6 @@ def fattree_fct_specs(
     ]
 
 
-def run_fattree_fct(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("ecmp", "contra", "hula"),
-    workloads: Sequence[str] = ("web_search", "cache"),
-    loads: Optional[Sequence[float]] = None,
-    asymmetric: bool = False,
-    processes: Optional[int] = None,
-) -> List[FctPoint]:
-    """The Figure 11 (symmetric) / Figure 12 (asymmetric) sweep."""
-    config = config or default_config()
-    specs = fattree_fct_specs(config, systems, workloads, loads, asymmetric)
-    return to_fct_points(run_grid(specs, processes))
-
-
 def abilene_fct_specs(
     config: ExperimentConfig,
     systems: Sequence[str] = ("shortest-path", "contra", "spain"),
@@ -182,20 +157,6 @@ def abilene_fct_specs(
     ]
 
 
-def run_abilene_fct(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("shortest-path", "contra", "spain"),
-    workloads: Sequence[str] = ("web_search", "cache"),
-    loads: Optional[Sequence[float]] = None,
-    pairs: int = 4,
-    processes: Optional[int] = None,
-) -> List[FctPoint]:
-    """The Figure 15 sweep on the Abilene topology."""
-    config = config or default_config()
-    specs = abilene_fct_specs(config, systems, workloads, loads, pairs)
-    return to_fct_points(run_grid(specs, processes))
-
-
 def queue_cdf_specs(
     config: ExperimentConfig,
     systems: Sequence[str] = ("ecmp", "contra"),
@@ -222,20 +183,6 @@ def queue_cdf_specs(
     ]
 
 
-def run_queue_cdf(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("ecmp", "contra"),
-    load: float = 0.6,
-    workload: str = "web_search",
-    cdf_points: Sequence[float] = (0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
-    processes: Optional[int] = None,
-) -> Dict[str, Dict[float, float]]:
-    """The Figure 13 queue-length CDF comparison (asymmetric fat-tree, 60% load)."""
-    config = config or default_config()
-    specs = queue_cdf_specs(config, systems, load, workload, cdf_points)
-    return {result.system: result.queue_cdf for result in run_grid(specs, processes)}
-
-
 def incast_specs(
     config: ExperimentConfig,
     systems: Sequence[str] = ("ecmp", "contra", "hula"),
@@ -243,7 +190,12 @@ def incast_specs(
     load: float = 0.8,
     workload: str = "cache",
 ) -> List[ScenarioSpec]:
-    """The N-to-1 fan-in grid as specs (``load`` is receiver-scoped)."""
+    """The N-to-1 fan-in grid on the fat-tree (the Harmonia-style workload).
+
+    ``load`` is the offered load at the *receiver's* access link; the grid
+    sweeps the fan-in degree, showing how each system copes as more senders
+    converge on one host.
+    """
     return [
         ScenarioSpec(
             name=f"incast:{fanin}to1:{system}",
@@ -263,24 +215,6 @@ def incast_specs(
     ]
 
 
-def run_incast(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("ecmp", "contra", "hula"),
-    fanins: Sequence[int] = (4, 8),
-    load: float = 0.8,
-    workload: str = "cache",
-    processes: Optional[int] = None,
-) -> List[RunResult]:
-    """N-to-1 fan-in traffic on the fat-tree (the Harmonia-style workload).
-
-    ``load`` is the offered load at the *receiver's* access link; the grid
-    sweeps the fan-in degree so the report shows how each system copes as
-    more senders converge on one host.
-    """
-    config = config or default_config()
-    return run_grid(incast_specs(config, systems, fanins, load, workload), processes)
-
-
 def transport_sensitivity_specs(
     config: ExperimentConfig,
     systems: Sequence[str] = ("ecmp", "contra"),
@@ -288,7 +222,13 @@ def transport_sensitivity_specs(
     loads: Optional[Sequence[float]] = None,
     workload: str = "web_search",
 ) -> List[ScenarioSpec]:
-    """The transport mode × load grid (asymmetric fat-tree) as specs."""
+    """Transport mode × load on the asymmetric fat-tree (Figure 13 setting).
+
+    A fixed-window sender blasts a full window at flow start, which both
+    inflates tail queues and masks how much of the Contra-vs-ECMP tail gap
+    is transport artefact rather than routing; rerunning the comparison
+    under every transport mode quantifies that sensitivity.
+    """
     loads = tuple(loads) if loads is not None else config.loads
     return [
         ScenarioSpec(
@@ -308,29 +248,6 @@ def transport_sensitivity_specs(
         for load in loads
         for system in systems
     ]
-
-
-def run_transport_sensitivity(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("ecmp", "contra"),
-    transports: Sequence[str] = ("fixed", "slowstart", "paced"),
-    loads: Optional[Sequence[float]] = None,
-    workload: str = "web_search",
-    processes: Optional[int] = None,
-) -> List[RunResult]:
-    """Transport mode × load on the asymmetric fat-tree (Figure 13 setting).
-
-    The Figure 13 tail comparison (Contra vs ECMP p99 under an asymmetric
-    failure) sits on top of the host transport: a fixed-window sender blasts
-    a full window at flow start, which both inflates tail queues and masks
-    how much of the gap is transport artefact vs routing.  This grid reruns
-    the comparison under every transport mode so the sensitivity of the tail
-    (and of the goodput/retransmit split) to the sender model is quantified
-    rather than assumed.
-    """
-    config = config or default_config()
-    specs = transport_sensitivity_specs(config, systems, transports, loads, workload)
-    return run_grid(specs, processes)
 
 
 def flow_size_sensitivity_specs(
@@ -367,20 +284,6 @@ def flow_size_sensitivity_specs(
         for factor in scale_factors
         for system in systems
     ]
-
-
-def run_flow_size_sensitivity(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("ecmp", "contra"),
-    scale_factors: Sequence[float] = (0.5, 1.0, 2.0),
-    load: float = 0.6,
-    workload: str = "web_search",
-    processes: Optional[int] = None,
-) -> List[RunResult]:
-    """Sweep the flow-size distribution scale at fixed load (fat-tree)."""
-    config = config or default_config()
-    specs = flow_size_sensitivity_specs(config, systems, scale_factors, load, workload)
-    return run_grid(specs, processes)
 
 
 def to_fct_points(results: Sequence[RunResult]) -> List[FctPoint]:

@@ -10,9 +10,9 @@ Because the simulator runs with scaled-down link capacities (DESIGN.md §4),
 the *raw* probe-to-data ratio is inflated by the capacity scale: probes are
 sent per real-time probe period while the links carry roughly two orders of
 magnitude less data than 10 Gbps hardware would in the same period.  The
-driver therefore reports both the raw ratio and a capacity-corrected ratio
-(probe bytes divided by ``capacity_scale``), and EXPERIMENTS.md quotes the
-corrected number next to the paper's 0.79%.
+projection (:func:`to_overhead_points`) therefore reports both the raw ratio
+and a capacity-corrected ratio (probe bytes divided by ``capacity_scale``),
+and EXPERIMENTS.md quotes the corrected number next to the paper's 0.79%.
 
 Runs full-duration (no early stop): the probe byte budget is the measurement.
 """
@@ -20,14 +20,14 @@ Runs full-duration (no early stop): the probe byte budget is the measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.experiments.config import ExperimentConfig, default_config
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import fattree_spec
-from repro.experiments.runner import RunResult, ScenarioSpec, run_grid
+from repro.experiments.runner import RunResult, ScenarioSpec
 
 __all__ = ["OverheadPoint", "overhead_specs", "to_overhead_points",
-           "run_overhead_experiment", "DEFAULT_CAPACITY_SCALE"]
+           "DEFAULT_CAPACITY_SCALE"]
 
 #: Ratio between the paper's 10 Gbps links (~833 full packets per ms) and the
 #: simulator's default 100 packets/ms hosts — the factor by which the scaled
@@ -78,20 +78,6 @@ def overhead_specs(
         for load in loads
         for system in systems
     ]
-
-
-def run_overhead_experiment(
-    config: Optional[ExperimentConfig] = None,
-    systems: Sequence[str] = ("ecmp", "hula", "contra"),
-    workloads: Sequence[str] = ("web_search", "cache"),
-    loads: Sequence[float] = (0.1, 0.6),
-    capacity_scale: float = DEFAULT_CAPACITY_SCALE,
-    processes: Optional[int] = None,
-) -> List[OverheadPoint]:
-    """Measure the Figure 16 traffic overhead table."""
-    config = config or default_config()
-    results = run_grid(overhead_specs(config, systems, workloads, loads), processes)
-    return to_overhead_points(results, capacity_scale)
 
 
 def to_overhead_points(results: Sequence[RunResult],

@@ -1,12 +1,12 @@
 """Common machinery for the evaluation experiments.
 
-Two tiers live here:
+Three parts live here:
 
-* the single-run helpers the seed started from — :func:`build_routing_system`
-  turns a system name plus configuration into a ready
-  :class:`~repro.simulator.network.RoutingSystem`, and :func:`run_simulation`
-  wires a network, injects a workload and returns the statistics summary;
-* the **experiment layer** every figure driver now builds on — a declarative
+* the routing systems and policies — :func:`build_routing_system` turns a
+  system name plus configuration into a ready
+  :class:`~repro.simulator.network.RoutingSystem`, and
+  :data:`POLICY_BUILDERS` names the policies a spec can reference;
+* the **experiment layer** every figure builds on — a declarative
   :class:`ScenarioSpec` describes one (topology, system, workload, load, seed)
   point as plain data, a :class:`RunContext` executes specs while caching
   topologies, compiled policies and generated workloads, and :func:`run_grid`
@@ -63,11 +63,9 @@ from repro.workloads.generator import (incast_pairs, permutation_pairs,
                                        stream_workload)
 
 __all__ = [
-    "SimulationResult",
     "datacenter_policy",
     "wan_policy",
     "build_routing_system",
-    "run_simulation",
     "SYSTEM_NAMES",
     "POLICY_BUILDERS",
     "TopologySpec",
@@ -90,22 +88,6 @@ __all__ = [
 ]
 
 SYSTEM_NAMES = ("ecmp", "hula", "contra", "spain", "shortest-path")
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one simulation run."""
-
-    system: str
-    load: float
-    workload: str
-    summary: Dict[str, float]
-    stats: StatsCollector
-    network: Network
-
-    @property
-    def avg_fct(self) -> float:
-        return self.summary["avg_fct_ms"]
 
 
 def datacenter_policy() -> Policy:
@@ -143,7 +125,7 @@ def default_failed_link(topology: Topology) -> Tuple[str, str]:
         for neighbor in topology.switch_neighbors(agg):
             if topology.node_role(neighbor) == "core":
                 return (agg, neighbor)
-    raise ValueError("topology has no aggregation-core link to fail")
+    raise ExperimentError("topology has no aggregation-core link to fail")
 
 
 def build_routing_system(
@@ -180,46 +162,6 @@ def build_routing_system(
             use_versioning=use_versioning,
         )
     raise ExperimentError(f"unknown routing system {name!r}; available: {SYSTEM_NAMES}")
-
-
-def run_simulation(
-    topology: Topology,
-    system,
-    flows: Sequence[Flow],
-    config: ExperimentConfig,
-    run_duration: Optional[float] = None,
-    failed_link: Optional[Tuple[str, str]] = None,
-    failure_time: float = 0.0,
-    system_name: str = "",
-    load: float = 0.0,
-    workload_name: str = "",
-    record_paths: bool = False,
-    stop_after_completion: bool = False,
-) -> SimulationResult:
-    """Run one simulation with the shared transport/switch parameters."""
-    network = Network(
-        topology,
-        system,
-        buffer_packets=config.buffer_packets,
-        host_window=config.host_window,
-        host_rto=config.host_rto,
-        util_window=config.util_window,
-        stats=StatsCollector(record_paths=record_paths),
-        transport=config.transport,
-    )
-    network.schedule_flows(flows)
-    if failed_link is not None:
-        network.fail_link(failed_link[0], failed_link[1], at_time=failure_time)
-    stats = network.run(run_duration if run_duration is not None else config.run_duration,
-                        stop_after_completion=stop_after_completion)
-    return SimulationResult(
-        system=system_name or getattr(system, "name", type(system).__name__),
-        load=load,
-        workload=workload_name,
-        summary=stats.summary(),
-        stats=stats,
-        network=network,
-    )
 
 
 # =============================================================================
@@ -810,6 +752,7 @@ class RunContext:
         topology = self.topology(spec.topology)
         self._validate_traffic_fields(spec, topology)
         self._validate_fluid_fields(spec)
+        events = self._link_events(spec, topology)
         config = spec.config
         model = build_path_model(spec.system, topology, policy=spec.policy)
         simulation = FluidSimulation(
@@ -820,15 +763,11 @@ class RunContext:
             sanitize=self._sanitize,
         )
         simulation.add_flows(self._fluid_flows(spec, topology))
-        for event in self._link_events(spec, topology):
+        for event in events:
             if event.action == "fail":
                 simulation.fail_link(event.a, event.b, at_time=event.time)
-            elif event.action == "recover":
-                simulation.recover_link(event.a, event.b, at_time=event.time)
             else:
-                raise ExperimentError(
-                    f"unknown link event action {event.action!r} "
-                    f"(expected 'fail' or 'recover')")
+                simulation.recover_link(event.a, event.b, at_time=event.time)
         run_duration = spec.run_duration if spec.run_duration is not None \
             else config.run_duration
         stats = simulation.run(run_duration,
@@ -856,6 +795,7 @@ class RunContext:
                 "silently report nothing")
         topology = self.topology(spec.topology)
         self._validate_traffic_fields(spec, topology)
+        events = self._link_events(spec, topology)
         config = spec.config
 
         compiled: Optional[CompiledPolicy] = None
@@ -900,15 +840,11 @@ class RunContext:
         else:
             raise ExperimentError(f"unknown traffic shape {spec.traffic!r}")
 
-        for event in self._link_events(spec, topology):
+        for event in events:
             if event.action == "fail":
                 network.fail_link(event.a, event.b, at_time=event.time)
-            elif event.action == "recover":
-                network.recover_link(event.a, event.b, at_time=event.time)
             else:
-                raise ExperimentError(
-                    f"unknown link event action {event.action!r} "
-                    f"(expected 'fail' or 'recover')")
+                network.recover_link(event.a, event.b, at_time=event.time)
 
         stats = network.run(run_duration,
                             stop_after_completion=spec.stop_after_completion)
@@ -924,7 +860,13 @@ class RunContext:
         )
 
     def _link_events(self, spec: ScenarioSpec, topology: Topology) -> List[LinkEvent]:
-        """The spec's full event schedule, legacy single-failure fields folded in."""
+        """The spec's full event schedule, legacy single-failure fields folded in.
+
+        Judged whole before anything is compiled: every time must be a
+        finite real ``>= 0`` and not a bool (an infinite time would never
+        fire, ``True`` would fire at 1 ms), every action ``fail`` or
+        ``recover``, every link one of ``topology``'s.
+        """
         events = [event if isinstance(event, LinkEvent) else LinkEvent(*event)
                   for event in spec.events]
         failed_link = spec.failed_link
@@ -934,6 +876,13 @@ class RunContext:
             events.append(LinkEvent(spec.failure_time, failed_link[0], failed_link[1],
                                     "fail"))
         for event in events:
+            if not _finite_number(event.time, positive=False):
+                raise ExperimentError(
+                    f"link event time {event.time!r} must be a finite number >= 0")
+            if event.action not in ("fail", "recover"):
+                raise ExperimentError(
+                    f"unknown link event action {event.action!r} "
+                    f"(expected 'fail' or 'recover')")
             if not topology.has_link(event.a, event.b):
                 raise ExperimentError(
                     f"link event references unknown link {event.a!r}-{event.b!r}")

@@ -10,8 +10,8 @@ import pytest
 from repro.baselines import EcmpSystem, HulaSystem, ShortestPathSystem, SpainSystem
 from repro.core.compiler import compile_policy
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fct import default_failed_link
-from repro.experiments.runner import build_routing_system, datacenter_policy, run_simulation
+from repro.experiments.runner import (build_routing_system, datacenter_policy,
+                                     default_failed_link)
 from repro.protocol import ContraSystem
 from repro.simulator import Network, StatsCollector
 from repro.topology import abilene, fattree, leafspine
@@ -35,15 +35,26 @@ def fattree_workload(load=0.5, seed=0):
     return topo, spec
 
 
+def simulate(topo, system, flows, run_duration=CONFIG.run_duration, failed_link=None):
+    """Run ``flows`` on one ``Network`` under CONFIG's transport and switch
+    parameters, ``failed_link`` failed from the start; returns the stats."""
+    network = Network(topo, system, buffer_packets=CONFIG.buffer_packets,
+                      host_window=CONFIG.host_window, host_rto=CONFIG.host_rto,
+                      util_window=CONFIG.util_window, transport=CONFIG.transport)
+    network.schedule_flows(flows)
+    if failed_link is not None:
+        network.fail_link(failed_link[0], failed_link[1], at_time=0.0)
+    return network.run(run_duration)
+
+
 class TestAllSystemsComplete:
     @pytest.mark.parametrize("system_name", ["ecmp", "hula", "contra"])
     def test_fattree_systems_deliver_all_flows(self, system_name):
         topo, spec = fattree_workload()
         system = build_routing_system(system_name, topo, CONFIG)
-        result = run_simulation(topo, system, spec.flows, CONFIG,
-                                system_name=system_name, load=0.5, workload_name="web_search")
-        assert result.summary["completion_ratio"] > 0.95
-        assert result.summary["loop_fraction"] == 0.0 or result.summary["loop_fraction"] < 0.01
+        summary = simulate(topo, system, spec.flows).summary()
+        assert summary["completion_ratio"] > 0.95
+        assert summary["loop_fraction"] == 0.0 or summary["loop_fraction"] < 0.01
 
     @pytest.mark.parametrize("system_name", ["shortest-path", "spain", "contra"])
     def test_abilene_systems_deliver_all_flows(self, system_name):
@@ -54,9 +65,8 @@ class TestAllSystemsComplete:
                                  senders=senders, receivers=receivers,
                                  pair_senders_receivers=True, seed=1)
         system = build_routing_system(system_name, topo, CONFIG)
-        result = run_simulation(topo, system, spec.flows, CONFIG, run_duration=80.0,
-                                system_name=system_name, load=0.5, workload_name="cache")
-        assert result.summary["completion_ratio"] > 0.95
+        summary = simulate(topo, system, spec.flows, run_duration=80.0).summary()
+        assert summary["completion_ratio"] > 0.95
 
     def test_load_balancers_beat_ecmp_under_congestion(self):
         """The Figure 11 headline: at high load Contra and Hula outperform ECMP."""
@@ -64,8 +74,7 @@ class TestAllSystemsComplete:
         results = {}
         for name in ("ecmp", "contra", "hula"):
             system = build_routing_system(name, topo, CONFIG)
-            results[name] = run_simulation(topo, system, spec.flows, CONFIG,
-                                           system_name=name).summary
+            results[name] = simulate(topo, system, spec.flows).summary()
         assert results["contra"]["avg_fct_ms"] < results["ecmp"]["avg_fct_ms"]
         assert results["hula"]["avg_fct_ms"] < results["ecmp"]["avg_fct_ms"]
 
@@ -75,8 +84,7 @@ class TestAllSystemsComplete:
         results = {}
         for name in ("contra", "hula"):
             system = build_routing_system(name, topo, CONFIG)
-            results[name] = run_simulation(topo, system, spec.flows, CONFIG,
-                                           system_name=name).summary
+            results[name] = simulate(topo, system, spec.flows).summary()
         assert results["contra"]["avg_fct_ms"] <= 1.5 * results["hula"]["avg_fct_ms"]
 
 
@@ -85,22 +93,19 @@ class TestOverheadAccounting:
         topo, spec = fattree_workload(load=0.4)
         contra = build_routing_system("contra", topo, CONFIG)
         ecmp = build_routing_system("ecmp", topo, CONFIG)
-        contra_result = run_simulation(topo, contra, spec.flows, CONFIG, system_name="contra")
-        ecmp_result = run_simulation(topo, ecmp, spec.flows, CONFIG, system_name="ecmp")
-        assert contra_result.stats.probe_bytes > 0
-        assert contra_result.stats.tag_overhead_bytes > 0
-        assert ecmp_result.stats.probe_bytes == 0
-        assert contra_result.stats.data_bytes == pytest.approx(
-            ecmp_result.stats.data_bytes, rel=0.05)
+        contra_stats = simulate(topo, contra, spec.flows)
+        ecmp_stats = simulate(topo, ecmp, spec.flows)
+        assert contra_stats.probe_bytes > 0
+        assert contra_stats.tag_overhead_bytes > 0
+        assert ecmp_stats.probe_bytes == 0
+        assert contra_stats.data_bytes == pytest.approx(ecmp_stats.data_bytes, rel=0.05)
 
     def test_hula_probe_overhead_smaller_than_contra(self):
         """§6.3/§6.5: Contra probes more broadly than Hula (generality cost)."""
         topo, spec = fattree_workload(load=0.4)
-        contra = run_simulation(topo, build_routing_system("contra", topo, CONFIG),
-                                spec.flows, CONFIG, system_name="contra")
-        hula = run_simulation(topo, build_routing_system("hula", topo, CONFIG),
-                              spec.flows, CONFIG, system_name="hula")
-        assert hula.stats.probe_bytes < contra.stats.probe_bytes
+        contra = simulate(topo, build_routing_system("contra", topo, CONFIG), spec.flows)
+        hula = simulate(topo, build_routing_system("hula", topo, CONFIG), spec.flows)
+        assert hula.probe_bytes < contra.probe_bytes
 
 
 class TestFailureHandling:
@@ -108,9 +113,8 @@ class TestFailureHandling:
         topo, spec = fattree_workload(load=0.6, seed=2)
         failed = default_failed_link(topo)
         contra = build_routing_system("contra", topo, CONFIG)
-        result = run_simulation(topo, contra, spec.flows, CONFIG, failed_link=failed,
-                                system_name="contra")
-        assert result.summary["completion_ratio"] > 0.95
+        summary = simulate(topo, contra, spec.flows, failed_link=failed).summary()
+        assert summary["completion_ratio"] > 0.95
 
     def test_asymmetric_fattree_hurts_ecmp_more_than_contra(self):
         topo, spec = fattree_workload(load=0.8, seed=2)
@@ -118,8 +122,8 @@ class TestFailureHandling:
         summaries = {}
         for name in ("ecmp", "contra"):
             system = build_routing_system(name, topo, CONFIG)
-            summaries[name] = run_simulation(topo, system, spec.flows, CONFIG,
-                                             failed_link=failed, system_name=name).summary
+            summaries[name] = simulate(topo, system, spec.flows,
+                                       failed_link=failed).summary()
         assert summaries["contra"]["completion_ratio"] >= summaries["ecmp"]["completion_ratio"]
         assert summaries["ecmp"]["drops"] > summaries["contra"]["drops"]
 

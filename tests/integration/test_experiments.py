@@ -10,16 +10,30 @@ import pytest
 
 from repro.experiments import report
 from repro.experiments.ablations import (
-    run_flowlet_timeout_ablation,
-    run_probe_period_ablation,
+    flowlet_timeout_specs,
+    probe_period_specs,
     run_tag_minimization_ablation,
-    run_versioning_ablation,
+    to_ablation_points,
+    versioning_specs,
 )
 from repro.experiments.config import ExperimentConfig, default_config, full_config, quick_config
-from repro.experiments.failure_recovery import run_failure_recovery
-from repro.experiments.fct import default_failed_link, run_abilene_fct, run_fattree_fct, run_queue_cdf
-from repro.experiments.overhead import run_overhead_experiment
-from repro.experiments.runner import build_routing_system, datacenter_policy
+from repro.experiments.failure_recovery import (
+    analyse_recovery_results,
+    failure_recovery_specs,
+)
+from repro.experiments.fct import (
+    abilene_fct_specs,
+    fattree_fct_specs,
+    queue_cdf_specs,
+    to_fct_points,
+)
+from repro.experiments.overhead import overhead_specs, to_overhead_points
+from repro.experiments.runner import (
+    build_routing_system,
+    datacenter_policy,
+    default_failed_link,
+    run_grid,
+)
 from repro.experiments.scalability import run_scalability_sweep, scalability_policies
 from repro.exceptions import ExperimentError
 from repro.topology import fattree
@@ -128,7 +142,8 @@ class TestScalabilitySweep:
 
 class TestFctExperiments:
     def test_fig11_shape(self):
-        points = run_fattree_fct(TINY, loads=(0.8,), workloads=("web_search",))
+        points = to_fct_points(run_grid(
+            fattree_fct_specs(TINY, loads=(0.8,), workloads=("web_search",))))
         by_system = {p.system: p for p in points}
         assert set(by_system) == {"ecmp", "contra", "hula"}
         for point in points:
@@ -143,22 +158,25 @@ class TestFctExperiments:
         assert "avg_fct_ms" in text
 
     def test_fig12_asymmetric_hurts_ecmp(self):
-        points = run_fattree_fct(TINY, loads=(0.8,), workloads=("web_search",),
-                                 asymmetric=True)
+        points = to_fct_points(run_grid(
+            fattree_fct_specs(TINY, loads=(0.8,), workloads=("web_search",),
+                              asymmetric=True)))
         by_system = {p.system: p for p in points}
         assert by_system["ecmp"].drops > by_system["contra"].drops
         assert by_system["contra"].completed >= by_system["ecmp"].completed
 
     def test_fig13_queue_cdf_contra_shorter_than_ecmp(self):
-        cdfs = run_queue_cdf(TINY, load=0.6)
+        cdfs = {result.system: result.queue_cdf
+                for result in run_grid(queue_cdf_specs(TINY, load=0.6))}
         assert set(cdfs) == {"ecmp", "contra"}
         assert cdfs["contra"][1.0] <= cdfs["ecmp"][1.0]
         text = report.format_queue_cdf(cdfs)
         assert "p99" in text
 
     def test_fig15_contra_beats_static_routing_on_abilene(self):
-        points = run_abilene_fct(TINY.scaled(2.0, loads=(0.9,)), loads=(0.9,),
-                                 workloads=("web_search",))
+        points = to_fct_points(run_grid(
+            abilene_fct_specs(TINY.scaled(2.0, loads=(0.9,)), loads=(0.9,),
+                              workloads=("web_search",))))
         by_system = {p.system: p for p in points}
         assert set(by_system) == {"shortest-path", "contra", "spain"}
         for point in points:
@@ -168,7 +186,8 @@ class TestFctExperiments:
 
 class TestOverheadExperiment:
     def test_fig16_ordering_and_magnitude(self):
-        points = run_overhead_experiment(TINY, loads=(0.6,), workloads=("web_search",))
+        points = to_overhead_points(run_grid(
+            overhead_specs(TINY, loads=(0.6,), workloads=("web_search",))))
         by_system = {p.system: p for p in points}
         assert by_system["ecmp"].normalized_vs_ecmp == pytest.approx(1.0)
         assert by_system["hula"].normalized_vs_ecmp >= 1.0
@@ -182,7 +201,8 @@ class TestOverheadExperiment:
 
 class TestFailureRecoveryExperiment:
     def test_fig14_recovery_within_a_few_ms(self):
-        results = run_failure_recovery(TINY, failure_time=20.0, run_duration=40.0)
+        specs = failure_recovery_specs(TINY, failure_time=20.0, run_duration=40.0)
+        results = analyse_recovery_results(run_grid(specs), failure_time=20.0)
         assert set(results) == {"contra", "hula"}
         for result in results.values():
             assert result.baseline_rate > 0
@@ -197,7 +217,8 @@ class TestFailureRecoveryExperiment:
 
 class TestAblations:
     def test_probe_period_ablation_runs(self):
-        points = run_probe_period_ablation(TINY, periods=(0.256, 1.024), load=0.5)
+        specs = probe_period_specs(TINY, periods=(0.256, 1.024), load=0.5)
+        points = to_ablation_points(specs, run_grid(specs))["probe_period"]
         assert len(points) == 2
         assert all(p.completed > 0 for p in points)
         # Longer periods send fewer probes.
@@ -205,12 +226,14 @@ class TestAblations:
         assert "probe_period_ms" in report.format_ablation(points)
 
     def test_flowlet_timeout_ablation_runs(self):
-        points = run_flowlet_timeout_ablation(TINY, timeouts=(0.1, 1.6), load=0.5)
+        specs = flowlet_timeout_specs(TINY, timeouts=(0.1, 1.6), load=0.5)
+        points = to_ablation_points(specs, run_grid(specs))["flowlet_timeout"]
         assert len(points) == 2
         assert all(p.completed > 0 for p in points)
 
     def test_versioning_ablation_runs(self):
-        points = run_versioning_ablation(TINY, load=0.5)
+        specs = versioning_specs(TINY, load=0.5)
+        points = to_ablation_points(specs, run_grid(specs))["versioning"]
         assert {p.value for p in points} == {0.0, 1.0}
         assert all(p.completed > 0 for p in points)
 

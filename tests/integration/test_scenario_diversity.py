@@ -15,7 +15,14 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.failure_recovery import run_multi_failure, run_recovery_sweep
+from repro.experiments.failure_recovery import (
+    analyse_recovery_curve,
+    analyse_recovery_sweep_results,
+    multi_failure_specs,
+    recovery_curve_specs,
+    recovery_sweep_specs,
+    recovery_sweep_topology,
+)
 from repro.experiments.registry import SCENARIOS, run_scenario
 from repro.experiments.runner import (
     LinkEvent,
@@ -314,6 +321,44 @@ class TestMalformedDataPlaneConfig:
             run_grid([self._spec(config=config)], processes=1)
 
 
+class TestMalformedLinkEvents:
+    """A link-event schedule no run could honour is refused, not run.
+
+    Found by hand on a fat-tree k=4 point: a NaN or negative event time
+    escaped as a bare ``SimulationError`` (on the packet plane after the
+    compile), an infinite or boolean one *ran* (the failure never happened,
+    or happened at 1 ms), and ``fail_agg_core_link`` on a leaf-spine was a
+    bare ``ValueError``.  Every one is now an ``ExperimentError``, raised
+    before anything is compiled or generated, on both planes.
+    """
+
+    FATTREE = TopologySpec("fattree", k=4, capacity=100.0)
+
+    @pytest.mark.parametrize("flow_model", ["packet", "fluid"])
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(events=(LinkEvent(math.nan, "a0_0", "c0"),)), "time nan"),
+        (dict(events=(LinkEvent(-1.0, "a0_0", "c0"),)), "time -1.0"),
+        (dict(events=(LinkEvent(math.inf, "a0_0", "c0"),)), "time inf"),
+        (dict(events=(LinkEvent(True, "a0_0", "c0"),)), "time True"),
+        (dict(failed_link=("a0_0", "c0"), failure_time=math.nan), "time nan"),
+        (dict(events=(LinkEvent(4.0, "a0_0", "c0", "explode"),)), "explode"),
+        (dict(events=(LinkEvent(4.0, "a0_0", "Narnia"),)), "Narnia"),
+        (dict(topology=recovery_sweep_topology(TINY), fail_agg_core_link=True),
+         "no aggregation-core link"),
+    ])
+    def test_refused_before_any_compile(self, compiles, flow_model, overrides,
+                                        match):
+        spec = ScenarioSpec(**{**dict(name="events", system="contra",
+                                      topology=self.FATTREE, config=TINY,
+                                      workload="cache", load=0.2, seed=1,
+                                      flow_model=flow_model), **overrides})
+        context = RunContext()
+        with pytest.raises(ExperimentError, match=match):
+            context.run(spec)
+        assert compiles == []
+        assert context._workloads == {}
+
+
 class TestMalformedEndpoints:
     """Explicit senders/receivers no generator can draw from are refused.
 
@@ -356,9 +401,11 @@ class TestMalformedEndpoints:
 
 
 class TestRecoverySweepScenario:
+    SCHEDULE = dict(fail_time=6.0, recover_time=14.0)
+
     def test_dip_at_failure_and_recovery_above_95_percent(self):
-        results = run_recovery_sweep(TINY, fail_time=6.0, recover_time=14.0,
-                                     run_duration=22.0)
+        specs = recovery_sweep_specs(TINY, run_duration=22.0, **self.SCHEDULE)
+        results = analyse_recovery_sweep_results(run_grid(specs), **self.SCHEDULE)
         assert set(results) == {"contra", "hula"}
         for system, outcome in results.items():
             assert outcome.baseline_rate > 0, system
@@ -366,6 +413,16 @@ class TestRecoverySweepScenario:
             assert not math.isnan(outcome.dip_delay), system
             # ...and throughput returns to >= 95% of baseline after recovery.
             assert outcome.recovery_ratio >= 0.95, (system, outcome.recovery_ratio)
+
+    @pytest.mark.parametrize("schedule", [
+        dict(fail_time=14.0, recover_time=6.0),
+        dict(fail_time=6.0, recover_time=30.0, run_duration=22.0),
+        dict(fail_time=-1.0),
+        dict(fail_time=math.nan),
+    ])
+    def test_builder_refuses_a_schedule_out_of_order(self, schedule):
+        with pytest.raises(ExperimentError, match="fail_time < recover_time"):
+            recovery_sweep_specs(TINY, **schedule)
 
     def test_late_recovery_still_measures_the_final_bin(self):
         # When recover_time + settling leaves only the (possibly truncated)
@@ -376,17 +433,18 @@ class TestRecoverySweepScenario:
         assert outcome.post_recovery_rate == 10.0
 
     def test_sweep_serial_matches_parallel(self):
-        serial = run_recovery_sweep(TINY, fail_time=6.0, recover_time=14.0,
-                                    run_duration=22.0, processes=1)
-        parallel = run_recovery_sweep(TINY, fail_time=6.0, recover_time=14.0,
-                                      run_duration=22.0, processes=2)
+        specs = recovery_sweep_specs(TINY, run_duration=22.0, **self.SCHEDULE)
+        serial = analyse_recovery_sweep_results(run_grid(specs, processes=1),
+                                                **self.SCHEDULE)
+        parallel = analyse_recovery_sweep_results(run_grid(specs, processes=2),
+                                                  **self.SCHEDULE)
         for system in serial:
             assert serial[system].throughput == parallel[system].throughput
 
 
 class TestMultiFailureScenario:
     def test_contra_outperforms_static_routing_under_failures(self):
-        results = {r.system: r for r in run_multi_failure(TINY)}
+        results = {r.system: r for r in run_grid(multi_failure_specs(TINY))}
         assert set(results) == {"shortest-path", "contra"}
         static, contra = results["shortest-path"], results["contra"]
         # Static shortest paths keep feeding the failed links; Contra routes
@@ -395,8 +453,8 @@ class TestMultiFailureScenario:
         assert contra.summary["drops"] <= static.summary["drops"]
 
     def test_multi_failure_serial_matches_parallel(self):
-        serial = run_multi_failure(TINY, processes=1)
-        parallel = run_multi_failure(TINY, processes=2)
+        serial = run_grid(multi_failure_specs(TINY), processes=1)
+        parallel = run_grid(multi_failure_specs(TINY), processes=2)
         assert _summaries(serial) == _summaries(parallel)
 
 
@@ -425,7 +483,6 @@ class TestRecoveryCurveScenario:
         assert {"recovery-curve", "flow-size-sensitivity"} <= set(SCENARIOS)
 
     def test_grid_axis_is_the_event_schedule(self):
-        from repro.experiments.failure_recovery import recovery_curve_specs
         specs = recovery_curve_specs(TINY, systems=("contra",),
                                      outages=(2.0, 6.0))
         schedules = [spec.events for spec in specs]
@@ -437,10 +494,16 @@ class TestRecoveryCurveScenario:
             # The run must outlast its own schedule's settle-out.
             assert spec.run_duration > recover.time
 
+    @pytest.mark.parametrize("outage", [0.0, -2.0, math.nan, math.inf, True])
+    def test_builder_refuses_an_outage_that_is_not_positive(self, outage):
+        # An outage <= 0 put the recover event at or before the failure.
+        with pytest.raises(ExperimentError, match="outage"):
+            recovery_curve_specs(TINY, outages=(2.0, outage))
+
     def test_curve_end_to_end(self):
-        from repro.experiments.failure_recovery import run_recovery_curve
-        points = run_recovery_curve(TINY, systems=("contra",),
-                                    outages=(2.0, 6.0), fail_time=6.0)
+        specs = recovery_curve_specs(TINY, systems=("contra",),
+                                     outages=(2.0, 6.0), fail_time=6.0)
+        points = analyse_recovery_curve(run_grid(specs), fail_time=6.0)
         assert [p.outage_ms for p in points] == [2.0, 6.0]
         for point in points:
             assert point.baseline_rate > 0

@@ -10,7 +10,7 @@ the ``transport-sensitivity`` / ``fig11-k8`` registry scenarios.
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fct import run_transport_sensitivity
+from repro.experiments.fct import transport_sensitivity_specs
 from repro.experiments.registry import SCENARIOS, run_scenario
 from repro.experiments.runner import (
     LinkEvent,
@@ -136,7 +136,7 @@ class TestTransportSensitivityScenario:
         assert {"transport-sensitivity", "fig11-k8"} <= set(SCENARIOS)
 
     def test_grid_covers_modes_and_systems(self):
-        results = run_transport_sensitivity(TINY, loads=(0.6,))
+        results = run_grid(transport_sensitivity_specs(TINY, loads=(0.6,)))
         assert len(results) == 3 * 2            # 3 transports x 2 systems
         names = {r.name for r in results}
         assert any(":fixed:" in n for n in names)
@@ -153,8 +153,9 @@ class TestTransportSensitivityScenario:
             assert "summary" in row and "goodput_bytes" in row["summary"]
 
     def test_scenario_serial_matches_parallel(self):
-        serial = run_transport_sensitivity(TINY, loads=(0.6,), processes=1)
-        parallel = run_transport_sensitivity(TINY, loads=(0.6,), processes=2)
+        specs = transport_sensitivity_specs(TINY, loads=(0.6,))
+        serial = run_grid(specs, processes=1)
+        parallel = run_grid(specs, processes=2)
         assert _summaries(serial) == _summaries(parallel)
 
 

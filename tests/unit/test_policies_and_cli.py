@@ -105,7 +105,7 @@ class TestCli:
 
     def test_experiment_unknown_name_rejected_by_parser(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
+            build_parser().parse_args(["run-grid", "fig99"])
 
     def test_leafspine_shape_flags_reach_the_generator(self):
         # Regression: the CLI used to hardcode hosts_per_leaf=2 and force a
