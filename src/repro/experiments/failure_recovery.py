@@ -41,7 +41,7 @@ from repro.nputil import mean as _mean
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fct import fattree_spec
+from repro.experiments.fct import agg_core_failure, fattree_spec
 from repro.experiments.runner import (
     LinkEvent,
     RunResult,
@@ -119,20 +119,20 @@ def failure_recovery_specs(
         # on the remaining core links of the 4:1 scaled fabric even if every
         # affected flowlet lands on the same one.
         stream_rate = 0.06 * config.host_capacity
+    topology = fattree_spec(config)
+    events = agg_core_failure(topology, failure_time)
     return [
         ScenarioSpec(
             name=f"recovery:{system}",
             system=system,
-            topology=fattree_spec(config),
+            topology=topology,
             config=config,
             policy="datacenter",
             workload="",
             traffic="streams",
             stream_rate=stream_rate,
-            stream_start=0.5,
             streams_per_pair=streams_per_pair,
-            fail_agg_core_link=True,
-            failure_time=failure_time,
+            events=events,
             run_duration=run_duration,
             collect_throughput=True,
         )
@@ -258,7 +258,6 @@ def recovery_sweep_specs(
             workload="",
             traffic="streams",
             stream_rate=stream_rate,
-            stream_start=0.5,
             streams_per_pair=streams_per_pair,
             events=(LinkEvent(fail_time, failed_link[0], failed_link[1], "fail"),
                     LinkEvent(recover_time, failed_link[0], failed_link[1], "recover")),
@@ -426,7 +425,6 @@ def recovery_curve_specs(
             workload="",
             traffic="streams",
             stream_rate=stream_rate,
-            stream_start=0.5,
             streams_per_pair=streams_per_pair,
             events=(LinkEvent(fail_time, failed_link[0], failed_link[1], "fail"),
                     LinkEvent(fail_time + outage, failed_link[0], failed_link[1],

@@ -24,14 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import RunResult, ScenarioSpec, TopologySpec
+from repro.experiments.runner import (LinkEvent, RunResult, ScenarioSpec,
+                                      TopologySpec, default_failed_link)
 from repro.topology.abilene import abilene
 from repro.topology.graph import Topology
 
 __all__ = [
     "FctPoint",
     "fattree_spec",
+    "agg_core_failure",
     "fattree_fct_specs",
     "abilene_fct_specs",
     "queue_cdf_specs",
@@ -64,6 +67,12 @@ def fattree_spec(config: ExperimentConfig) -> TopologySpec:
                         oversubscription=config.oversubscription)
 
 
+def agg_core_failure(topology: TopologySpec,
+                     time: float = 0.0) -> Tuple[LinkEvent, ...]:
+    """The §6.3 asymmetry as a schedule: one aggregation–core link fails at ``time``."""
+    return (LinkEvent(time, *default_failed_link(topology.build()), "fail"),)
+
+
 #: Default sender/receiver city pairs for the Abilene experiment.  The paper
 #: picks four random pairs; we fix four pairs whose shortest paths all collide
 #: on the IPL–CHI link while the backbone still has spare capacity on the
@@ -80,9 +89,11 @@ ABILENE_DEFAULT_PAIRS = (
 
 def abilene_pairs(topology: Topology, pairs: int) -> Tuple[List[str], List[str]]:
     """Sender/receiver hosts for the Figure 15 experiment (coast-to-coast)."""
+    if not (type(pairs) is int and 1 <= pairs <= len(ABILENE_DEFAULT_PAIRS)):
+        raise ExperimentError(
+            f"Abilene pairs={pairs!r} must be an integer in "
+            f"[1, {len(ABILENE_DEFAULT_PAIRS)}]")
     chosen = ABILENE_DEFAULT_PAIRS[:pairs]
-    if len(chosen) < pairs:
-        raise ValueError(f"at most {len(ABILENE_DEFAULT_PAIRS)} default Abilene pairs exist")
     senders = [topology.hosts_of_switch(src)[0] for src, _ in chosen]
     receivers = [topology.hosts_of_switch(dst)[0] for _, dst in chosen]
     return senders, receivers
@@ -98,6 +109,7 @@ def fattree_fct_specs(
     """The Figure 11 (symmetric) / Figure 12 (asymmetric) grid as specs."""
     loads = tuple(loads) if loads is not None else config.loads
     topology = fattree_spec(config)
+    events = agg_core_failure(topology) if asymmetric else ()
     return [
         ScenarioSpec(
             name=f"fct:{workload}:{load}:{system}",
@@ -108,7 +120,7 @@ def fattree_fct_specs(
             workload=workload,
             load=load,
             seed=config.seed,
-            fail_agg_core_link=asymmetric,
+            events=events,
             stop_after_completion=True,
         )
         for workload in workloads
@@ -165,17 +177,19 @@ def queue_cdf_specs(
     cdf_points: Sequence[float] = (0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
 ) -> List[ScenarioSpec]:
     """The Figure 13 queue-length CDF grid as specs."""
+    topology = fattree_spec(config)
+    events = agg_core_failure(topology)
     return [
         ScenarioSpec(
             name=f"queue-cdf:{system}",
             system=system,
-            topology=fattree_spec(config),
+            topology=topology,
             config=config,
             policy="datacenter",
             workload=workload,
             load=load,
             seed=config.seed,
-            fail_agg_core_link=True,
+            events=events,
             cdf_points=tuple(cdf_points),
             stop_after_completion=True,
         )
@@ -230,18 +244,20 @@ def transport_sensitivity_specs(
     under every transport mode quantifies that sensitivity.
     """
     loads = tuple(loads) if loads is not None else config.loads
+    topology = fattree_spec(config)
+    events = agg_core_failure(topology)
     return [
         ScenarioSpec(
             name=f"transport:{transport}:{workload}:{load}:{system}",
             system=system,
-            topology=fattree_spec(config),
+            topology=topology,
             config=config,
             policy="datacenter",
             workload=workload,
             load=load,
             seed=config.seed,
             transport=transport,
-            fail_agg_core_link=True,
+            events=events,
             stop_after_completion=True,
         )
         for transport in transports

@@ -35,7 +35,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import EcmpSystem, HulaSystem, ShortestPathSystem, SpainSystem
@@ -171,6 +171,9 @@ def build_routing_system(
 #: Per-link propagation delay every generator defaults to; a spec leaving
 #: ``latency`` at this value means "family default".
 _DEFAULT_LATENCY = 0.05
+
+#: When ``traffic="streams"`` starts its constant-rate streams (ms).
+STREAM_START = 0.5
 
 
 def _finite_number(value: object, positive: bool) -> bool:
@@ -326,16 +329,11 @@ class ScenarioSpec:
     #: uses the config's transport.  Pure data, so transport grids are plain
     #: spec grids with the full determinism contract.
     transport: Optional[str] = None
-    #: Receiver ACK coalescing: one cumulative ACK per this many in-order
-    #: segments (delayed-ACK analogue; out-of-order, duplicate and completing
-    #: segments always ACK immediately).  1 — the default — is the historical
-    #: one-ACK-per-segment wire behaviour, byte-identical to before the knob.
-    ack_every: int = 1
 
     # Traffic shape: Poisson flow arrivals ("flows"), N-to-1 fan-in flow
     # arrivals ("incast"), derangement-paired flow arrivals ("permutation"),
     # or constant-rate UDP streams between host pairs ("streams", the
-    # Figure 14 traffic).
+    # Figure 14 traffic, started at STREAM_START).
     traffic: str = "flows"
     workload_host_rate: Optional[float] = None   # per-sender offered rate override
     #: Flow-size distribution scale override (sensitivity knob); None uses the
@@ -344,21 +342,14 @@ class ScenarioSpec:
     senders: Optional[Tuple[str, ...]] = None
     receivers: Optional[Tuple[str, ...]] = None
     pair_senders_receivers: bool = False
-    #: Incast shape: how many senders fan in (None = every other host) and to
-    #: which host (None = a seed-deterministic choice).
+    #: Incast fan-in: how many senders converge on one seed-chosen receiver
+    #: (None = every other host).
     incast_fanin: Optional[int] = None
-    incast_receiver: Optional[str] = None
     stream_rate: Optional[float] = None          # packets/ms per stream
-    stream_start: float = 0.5
     streams_per_pair: int = 1
 
-    # Failure/recovery schedule: an ordered tuple of LinkEvents (or plain
-    # (time, a, b, action) tuples).  The single-failure fields below remain
-    # as a compatibility shim and are folded into the schedule at run time.
+    #: Failure/recovery schedule: an ordered tuple of :class:`LinkEvent`.
     events: Tuple[LinkEvent, ...] = ()
-    fail_agg_core_link: bool = False
-    failed_link: Optional[Tuple[str, str]] = None
-    failure_time: float = 0.0
 
     # Protocol overrides (the ablation experiments sweep these).
     probe_period: Optional[float] = None
@@ -375,9 +366,7 @@ class ScenarioSpec:
     cdf_points: Tuple[float, ...] = ()           # collect the queue-length CDF
     collect_throughput: bool = False             # collect the throughput series
 
-    # Data path selection (v3 hash fields; at these defaults they are omitted
-    # from the canonical form, so packet-default spec hashes predating the
-    # fields keep resolving in existing results stores).
+    # Data path selection.
     #: Which simulation plane executes the point: "packet" (the default and
     #: the validation oracle) or "fluid" (epoch-driven max-min rate
     #: allocation — see ARCHITECTURE.md §7 for what it does and doesn't model).
@@ -397,48 +386,17 @@ class ScenarioSpec:
 
 # ---------------------------------------------------------------- spec hashing
 
-#: Bumped whenever the canonical spec encoding changes shape, so stale results
-#: stores can never satisfy a lookup from a newer encoder.  v2: ScenarioSpec
-#: gained ``ack_every``.  v3: ``flow_model`` / ``flow_sketch`` /
-#: ``fct_percentiles`` — encoded *only* when set away from their defaults
-#: (and the version tag stays 2 when none is), so every pre-existing
-#: packet-default hash keeps resolving in long-lived results stores.
-_SPEC_HASH_VERSION = 3
-
-#: The v3 fields and the default under which each is omitted from the
-#: canonical form.  Appending to this dict (never mutating an entry) is the
-#: established pattern for adding spec fields without re-keying old stores.
-_V3_FIELDS: Dict[str, object] = {
-    "flow_model": "packet",
-    "flow_sketch": False,
-    "fct_percentiles": (),
-}
+#: Bumped whenever the canonical encoding changes, so a store written by
+#: another encoder resolves nothing: a resume re-runs its points and
+#: ``gc-results`` drops its records as stale.
+_SPEC_HASH_VERSION = 4
 
 
 def canonical_spec(spec: ScenarioSpec) -> Dict:
-    """The canonical plain-data form of a spec used for hashing.
-
-    Canonicalization rules (the results-store contract, see ARCHITECTURE.md):
-
-    * every dataclass (the spec itself, its :class:`TopologySpec`,
-      :class:`~repro.experiments.config.ExperimentConfig` and
-      :class:`LinkEvent` entries) becomes a plain dict of its fields;
-    * ``events`` entries given as bare ``(time, a, b, action)`` tuples are
-      normalized to :class:`LinkEvent` first, so the two accepted spellings
-      of the same schedule hash identically;
-    * the :data:`_V3_FIELDS` entries are dropped when equal to their default
-      (a default-valued new field must not re-key every old store record);
-    * tuples become JSON arrays; nothing else is transformed — in particular
-      no *other* field is ever dropped, so two specs that differ anywhere
-      (including the config) never collide by construction.
-    """
-    events = tuple(event if isinstance(event, LinkEvent) else LinkEvent(*event)
-                   for event in spec.events)
-    canonical = asdict(replace(spec, events=events))
-    for name, default in _V3_FIELDS.items():
-        if canonical[name] == default:
-            del canonical[name]
-    return canonical
+    """The canonical plain-data form of a spec used for hashing: every field,
+    each dataclass (topology, config, events) a plain dict of its fields.
+    Nothing is dropped, so specs that differ anywhere never collide."""
+    return asdict(spec)
 
 
 def spec_hash(spec: ScenarioSpec) -> str:
@@ -450,11 +408,6 @@ def spec_hash(spec: ScenarioSpec) -> str:
     serialization is deterministic, and no randomized ``hash()`` is
     involved), which is what makes results stores shardable and resumable.
 
-    Specs whose v3 fields all sit at their defaults hash under version tag 2
-    — byte-identical payloads to the pre-v3 encoder — so resuming an old
-    packet results store under the new encoder skips exactly the points it
-    already holds.
-
     Computed once per spec instance: a spec is frozen, so the digest is kept
     on the instance — in a slot beside its fields, so ``replace``, ``==``,
     ``hash``, ``asdict``, ``__dict__`` and pickling never see it — and a
@@ -465,10 +418,7 @@ def spec_hash(spec: ScenarioSpec) -> str:
         return spec._spec_hash
     except AttributeError:
         pass
-    canonical = canonical_spec(spec)
-    version = _SPEC_HASH_VERSION \
-        if any(name in canonical for name in _V3_FIELDS) else 2
-    payload = json.dumps({"v": version, "spec": canonical},
+    payload = json.dumps({"v": _SPEC_HASH_VERSION, "spec": canonical_spec(spec)},
                          sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     object.__setattr__(spec, "_spec_hash", digest)
@@ -577,8 +527,7 @@ class RunContext:
         load = spec.load
         if spec.traffic == "incast":
             incast_senders, incast_receivers = incast_pairs(
-                topology, receiver=spec.incast_receiver, fanin=spec.incast_fanin,
-                seed=spec.seed)
+                topology, fanin=spec.incast_fanin, seed=spec.seed)
             senders, receivers = tuple(incast_senders), tuple(incast_receivers)
             paired = True
             # Incast load targets the *receiver* access link: N senders share
@@ -593,7 +542,7 @@ class RunContext:
                spec.seed, config.workload_duration,
                spec.workload_host_rate or config.host_capacity,
                senders, receivers, paired,
-               spec.incast_fanin, spec.incast_receiver, config.warmup)
+               spec.incast_fanin, config.warmup)
         cached = self._workloads.get(key)
         if cached is None:
             distribution = distribution_by_name(spec.workload, scale)
@@ -634,28 +583,43 @@ class RunContext:
         The third part: a sender or receiver that is not a host of
         ``topology`` used to escape as a bare ``KeyError``, a sender with no
         eligible receiver as numpy's ``ValueError``; the generators' own
-        resolver judges them.
+        resolver judges them.  An explicit list is one that is not None, so
+        an empty one is refused rather than read as "every host".
+
+        The last part: values that ran reinterpreted (``streams_per_pair=0``,
+        a -1 or NaN ``run_duration``, ``cdf_points`` outside [0, 1]) or failed
+        after the compile (``incast_fanin``, a rate, scale or percentile).
         """
-        timing = (("probe_period", True, "a finite number > 0"),
-                  ("flowlet_timeout", False, "a finite number >= 0"),
-                  ("util_window", True, "a finite number > 0"),
-                  ("host_rto", True, "a finite number > 0"))
-        for source, owner in (("spec", spec), ("config", spec.config)):
-            for name, positive, rule in timing:
-                value = getattr(owner, name, None)
+        for source, owner, names in (
+                ("spec", spec, ("probe_period", "flowlet_timeout", "run_duration",
+                                "stream_rate", "workload_scale",
+                                "workload_host_rate")),
+                ("config", spec.config, ("probe_period", "flowlet_timeout",
+                                         "util_window", "host_rto",
+                                         "run_duration"))):
+            for name in names:
+                value = getattr(owner, name)
                 if value is None and owner is spec:
-                    continue            # no override (or a config-only field)
+                    continue            # no override
+                positive = name != "flowlet_timeout"
                 if not _finite_number(value, positive):
                     raise ExperimentError(
-                        f"{source} field {name}={value!r} must be {rule}")
+                        f"{source} field {name}={value!r} must be a finite "
+                        f"number {'> 0' if positive else '>= 0'}")
         for source, owner, name in (("config", spec.config, "failure_periods"),
                                     ("config", spec.config, "buffer_packets"),
                                     ("config", spec.config, "host_window"),
-                                    ("spec", spec, "ack_every")):
+                                    ("spec", spec, "streams_per_pair")):
             value = getattr(owner, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ExperimentError(
                     f"{source} field {name}={value!r} must be an integer >= 1")
+        for name, top in (("cdf_points", 1), ("fct_percentiles", 100)):
+            for value in getattr(spec, name):
+                if not (_finite_number(value, positive=False) and value <= top):
+                    raise ExperimentError(
+                        f"spec field {name} entry {value!r} must be a finite "
+                        f"number in [0, {top}]")
         if spec.traffic in ("incast", "permutation") and (
                 spec.senders is not None or spec.receivers is not None
                 or spec.pair_senders_receivers):
@@ -663,16 +627,19 @@ class RunContext:
                 f"traffic={spec.traffic!r} computes its own sender/receiver "
                 f"pairing; explicit senders/receivers/pair_senders_receivers "
                 f"would be ignored")
-        if spec.traffic != "incast" and (
-                spec.incast_fanin is not None or spec.incast_receiver is not None):
+        fanin = spec.incast_fanin
+        if fanin is not None and not (spec.traffic == "incast" and type(fanin) is int
+                                      and 1 <= fanin < len(topology.hosts)):
             raise ExperimentError(
-                f"incast_fanin/incast_receiver require traffic='incast', "
-                f"got traffic={spec.traffic!r}")
-        if spec.traffic == "flows" and (spec.senders or spec.receivers):
+                f"spec field incast_fanin={fanin!r} requires traffic='incast' "
+                f"(got {spec.traffic!r}) and an integer in [1, {len(topology.hosts) - 1}]")
+        if spec.traffic in ("flows", "streams") and (
+                spec.senders is not None or spec.receivers is not None):
             try:
-                resolve_endpoints(topology, spec.senders or None,
-                                  spec.receivers or None,
-                                  spec.pair_senders_receivers)
+                # Streams pair senders with receivers by position.
+                resolve_endpoints(topology, spec.senders, spec.receivers,
+                                  spec.pair_senders_receivers
+                                  or spec.traffic == "streams")
             except WorkloadError as error:
                 raise ExperimentError(
                     f"spec field senders={spec.senders!r} with "
@@ -698,7 +665,6 @@ class RunContext:
                 "UDP streams; use the packet plane for traffic='streams'")
         rejected = [
             ("transport", spec.transport, None),
-            ("ack_every", spec.ack_every, 1),
             ("record_paths", spec.record_paths, False),
             ("cdf_points", spec.cdf_points, ()),
             ("collect_throughput", spec.collect_throughput, False),
@@ -825,7 +791,6 @@ class RunContext:
             stats=StatsCollector(record_paths=spec.record_paths,
                                  fct_percentiles=spec.fct_percentiles),
             transport=spec.transport if spec.transport is not None else config.transport,
-            host_ack_every=spec.ack_every,
             sanitize=self._sanitize,
         )
         if self.network_hook is not None:
@@ -860,22 +825,18 @@ class RunContext:
         )
 
     def _link_events(self, spec: ScenarioSpec, topology: Topology) -> List[LinkEvent]:
-        """The spec's full event schedule, legacy single-failure fields folded in.
+        """The spec's event schedule in time order.
 
-        Judged whole before anything is compiled: every time must be a
-        finite real ``>= 0`` and not a bool (an infinite time would never
-        fire, ``True`` would fire at 1 ms), every action ``fail`` or
-        ``recover``, every link one of ``topology``'s.
+        Judged whole before anything is compiled: every entry must be a
+        :class:`LinkEvent`, every time a finite real ``>= 0`` and not a bool
+        (an infinite time would never fire, ``True`` would fire at 1 ms),
+        every action ``fail`` or ``recover``, every link one of
+        ``topology``'s.
         """
-        events = [event if isinstance(event, LinkEvent) else LinkEvent(*event)
-                  for event in spec.events]
-        failed_link = spec.failed_link
-        if failed_link is None and spec.fail_agg_core_link:
-            failed_link = default_failed_link(topology)
-        if failed_link is not None:
-            events.append(LinkEvent(spec.failure_time, failed_link[0], failed_link[1],
-                                    "fail"))
-        for event in events:
+        for event in spec.events:
+            if not isinstance(event, LinkEvent):
+                raise ExperimentError(
+                    f"link event {event!r} must be a LinkEvent")
             if not _finite_number(event.time, positive=False):
                 raise ExperimentError(
                     f"link event time {event.time!r} must be a finite number >= 0")
@@ -886,7 +847,7 @@ class RunContext:
             if not topology.has_link(event.a, event.b):
                 raise ExperimentError(
                     f"link event references unknown link {event.a!r}-{event.b!r}")
-        return sorted(events, key=lambda event: event.time)
+        return sorted(spec.events, key=lambda event: event.time)
 
     def _schedule_streams(self, spec: ScenarioSpec, topology: Topology,
                           network: Network, run_duration: float) -> None:
@@ -905,7 +866,7 @@ class RunContext:
                 for _ in range(spec.streams_per_pair):
                     network.hosts[src].start_constant_stream(dst, rate, run_duration)
 
-        network.sim.call_at(spec.stream_start, start_streams)
+        network.sim.call_at(STREAM_START, start_streams)
 
 
 # ----------------------------------------------------------------- backends

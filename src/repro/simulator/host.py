@@ -15,16 +15,6 @@ Delivery accounting distinguishes *goodput* from raw throughput: the host
 asks the receiver state whether a data segment is a first-time delivery
 before recording it, so go-back-N duplicates never inflate the goodput
 series (see :meth:`repro.simulator.stats.StatsCollector.record_delivery`).
-
-ACK generation supports opt-in **coalescing** (``ack_every > 1``, the
-delayed-ACK analogue): back-to-back in-order deliveries of one flow
-accumulate until ``ack_every`` new segments are covered, then one cumulative
-ACK acknowledges the whole run.  Anything that transport correctness depends
-on still ACKs immediately — an out-of-order or duplicate segment (duplicate
-ACKs drive fast retransmit) and flow completion — and a held ACK is flushed
-by a short timer so a stalled sender window cannot deadlock.  The default
-``ack_every=1`` keeps the historical one-ACK-per-segment wire behaviour
-byte-identical.
 """
 
 from __future__ import annotations
@@ -45,11 +35,6 @@ __all__ = ["Host"]
 class Host:
     """A traffic endpoint attached to one edge switch."""
 
-    #: Delay (ms) before a held coalesced ACK is flushed if no further
-    #: delivery triggers it — a few serialization times, so a sender whose
-    #: window stalls on a held ACK resumes well before any RTO fires.
-    ACK_FLUSH_DELAY = 0.2
-
     def __init__(
         self,
         network: "Network",
@@ -57,7 +42,6 @@ class Host:
         window: int = 12,
         rto: float = 5.0,
         transport: str = "fixed",
-        ack_every: int = 1,
     ):
         self.network = network
         self.sim = network.sim
@@ -66,7 +50,6 @@ class Host:
         self.window = window
         self.rto = rto
         self.transport = transport
-        self.ack_every = max(1, int(ack_every))
 
         self.uplink = None  # type: ignore[assignment]  # set by Network wiring
         #: host -> attachment switch, the topology's own map: both ends of
@@ -74,9 +57,6 @@ class Host:
         self._attachment = network.host_attachments
         self._senders: Dict[int, SenderState] = {}
         self._receivers: Dict[int, ReceiverState] = {}
-        #: Coalesced-ACK state per receiving flow: [last acked seq sent on the
-        #: wire, flush-timer armed?].  Only populated when ``ack_every > 1``.
-        self._held_acks: Dict[int, list] = {}
         self._streams: Dict[int, dict] = {}
         self._stream_counter = 0
 
@@ -259,33 +239,9 @@ class Host:
                               duplicate=receiver.has_seen(packet.seq))
         record = stats.flows.get(flow_id)
         total = record.size_packets if record is not None else packet.seq + 1
-        previous_ack = receiver.cumulative_ack
         ack_seq = receiver.on_data(packet.seq, total)
         if receiver.completed:
             stats.complete_flow(flow_id, now)
-        if self.ack_every > 1:
-            # Coalescing applies only to in-order progress on an incomplete
-            # flow; out-of-order and duplicate segments must produce their
-            # duplicate ACK immediately (fast retransmit depends on them) and
-            # the completing segment must not wait on a flush timer.
-            if ack_seq > previous_ack and not receiver.completed:
-                state = self._held_acks.get(flow_id)
-                if state is None:
-                    state = self._held_acks[flow_id] = [previous_ack, False]
-                if ack_seq - state[0] < self.ack_every:
-                    if not state[1]:
-                        state[1] = True
-                        self.sim.call_later(self.ACK_FLUSH_DELAY,
-                                            self._flush_held_ack, flow_id)
-                    return
-                state[0] = ack_seq
-            elif receiver.completed:
-                self._held_acks.pop(flow_id, None)
-            else:
-                state = self._held_acks.get(flow_id)
-                if state is not None:
-                    # The immediate (duplicate) ACK also covers any held run.
-                    state[0] = ack_seq
         self._send_ack(receiver, ack_seq)
 
     def _send_ack(self, receiver: ReceiverState, ack_seq: int) -> None:
@@ -299,20 +255,6 @@ class Host:
             created_at=self.sim._now,
             flow_hash=receiver.ack_flow_hash,
         ))
-
-    def _flush_held_ack(self, flow_id: int) -> None:
-        """Send a held coalesced ACK if no later delivery already covered it."""
-        state = self._held_acks.get(flow_id)
-        if state is None:
-            return
-        state[1] = False
-        receiver = self._receivers.get(flow_id)
-        if receiver is None:
-            return
-        ack_seq = receiver.cumulative_ack
-        if ack_seq > state[0] and not receiver.completed:
-            state[0] = ack_seq
-            self._send_ack(receiver, ack_seq)
 
     def _receive_ack(self, packet: Packet) -> None:
         sender = self._senders.get(packet.flow_id)

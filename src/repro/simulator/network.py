@@ -71,15 +71,11 @@ class Network:
         util_window: float = 1.0,
         stats: Optional[StatsCollector] = None,
         transport: str = "fixed",
-        host_ack_every: int = 1,
         sanitize: Optional[bool] = None,
     ):
         if transport not in TRANSPORT_MODES:
             raise SimulationError(
                 f"unknown transport mode {transport!r}; available: {TRANSPORT_MODES}")
-        if host_ack_every < 1:
-            raise SimulationError(
-                f"host_ack_every must be >= 1, got {host_ack_every}")
         self.topology = topology
         #: host -> attachment switch: the topology's own live map, read here
         #: once for every host and for the wiring in :meth:`_build`.
@@ -100,8 +96,6 @@ class Network:
 
         self._host_window = host_window
         self._host_rto = host_rto
-        self._host_ack_every = host_ack_every
-        self._pending_failures: List[Tuple[float, str, str]] = []
         self._scheduled_flows = 0
         self._build()
         if self.sanitizer is not None:
@@ -115,8 +109,7 @@ class Network:
         for host_name in self.topology.hosts:
             self.hosts[host_name] = Host(self, host_name,
                                          window=self._host_window, rto=self._host_rto,
-                                         transport=self.transport,
-                                         ack_every=self._host_ack_every)
+                                         transport=self.transport)
         for switch_name in self.topology.switches:
             logic = self.routing_system.create_switch_logic(switch_name)
             self.switches[switch_name] = SwitchNode(self, switch_name, logic)

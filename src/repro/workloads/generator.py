@@ -194,6 +194,8 @@ def resolve_endpoints(
     """
     # (A defaulted list comes from the topology's own hosts.)
     for field, names in (("senders", senders), ("receivers", receivers)):
+        if names is not None and not names:
+            raise WorkloadError(f"{field} is empty (None is the default split)")
         for name in names or ():
             if not topology.is_host(name):
                 raise WorkloadError(
@@ -258,7 +260,6 @@ def random_pairs(topology: Topology, pairs: int, seed: int = 0,
 
 def incast_pairs(
     topology: Topology,
-    receiver: Optional[str] = None,
     fanin: Optional[int] = None,
     seed: int = 0,
 ) -> Tuple[List[str], List[str]]:
@@ -266,18 +267,15 @@ def incast_pairs(
 
     The returned lists are positionally paired (use
     ``pair_senders_receivers=True``): the receiver list repeats the single
-    sink once per sender.  ``receiver=None`` picks a sink deterministically
-    from ``seed``; ``fanin=None`` uses every other host as a sender, otherwise
+    sink once per sender.  The sink is drawn deterministically from
+    ``seed``; ``fanin=None`` uses every other host as a sender, otherwise
     ``fanin`` senders are drawn (seed-deterministically) without replacement.
     """
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for incast traffic")
     rng = np.random.default_rng(seed)
-    if receiver is None:
-        receiver = str(rng.choice(hosts))
-    elif receiver not in hosts:
-        raise WorkloadError(f"incast receiver {receiver!r} is not a host")
+    receiver = str(rng.choice(hosts))
     candidates = [h for h in hosts if h != receiver]
     if fanin is None:
         senders = candidates

@@ -16,6 +16,7 @@ from repro.experiments.registry import (
     scenario_is_shardable,
 )
 from repro.experiments.runner import (
+    LinkEvent,
     ScenarioSpec,
     TopologySpec,
     run_grid,
@@ -54,8 +55,8 @@ class TestBatchedVsUnbatchedEquivalence:
         spec = ScenarioSpec(
             name="batching:failure", system="contra", topology=topology,
             config=TINY, workload="web_search", load=0.4, seed=TINY.seed,
-            events=((5.0, "leaf0", "spine0", "fail"),
-                    (12.0, "leaf0", "spine0", "recover")))
+            events=(LinkEvent(5.0, "leaf0", "spine0", "fail"),
+                    LinkEvent(12.0, "leaf0", "spine0", "recover")))
         batched = run_grid([spec])
         monkeypatch.setattr(engine_module, "BATCH_LANE_DEFAULT", False)
         unbatched = run_grid([spec])

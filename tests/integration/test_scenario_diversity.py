@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.fct import abilene_fct_specs
 from repro.experiments.failure_recovery import (
     analyse_recovery_curve,
     analyse_recovery_sweep_results,
@@ -29,6 +30,7 @@ from repro.experiments.runner import (
     RunContext,
     ScenarioSpec,
     TopologySpec,
+    default_failed_link,
     run_grid,
 )
 
@@ -58,15 +60,6 @@ class TestLinkEventSchedules:
         result = RunContext().run(spec)
         assert result.summary["flows"] > 0
 
-    def test_plain_tuples_accepted_as_events(self):
-        as_tuples = wan_spec(events=((4.0, "WA", "IL", "fail"),
-                                     (14.0, "WA", "IL", "recover")))
-        as_objects = wan_spec(events=(LinkEvent(4.0, "WA", "IL", "fail"),
-                                      LinkEvent(14.0, "WA", "IL", "recover")))
-        first = RunContext().run(as_tuples)
-        second = RunContext().run(as_objects)
-        assert sorted(first.summary.items()) == sorted(second.summary.items())
-
     def test_unknown_action_rejected(self):
         spec = wan_spec(events=(LinkEvent(4.0, "WA", "IL", "explode"),))
         with pytest.raises(ExperimentError, match="explode"):
@@ -76,12 +69,6 @@ class TestLinkEventSchedules:
         spec = wan_spec(events=(LinkEvent(4.0, "WA", "Narnia", "fail"),))
         with pytest.raises(ExperimentError, match="Narnia"):
             RunContext().run(spec)
-
-    def test_legacy_failed_link_folds_into_schedule(self):
-        legacy = wan_spec(failed_link=("WA", "IL"), failure_time=4.0)
-        schedule = wan_spec(events=(LinkEvent(4.0, "WA", "IL", "fail"),))
-        assert sorted(RunContext().run(legacy).summary.items()) == \
-            sorted(RunContext().run(schedule).summary.items())
 
     def test_fail_recover_grid_serial_matches_parallel(self):
         # Network.recover_link scheduling must be honored identically in
@@ -292,13 +279,6 @@ class TestMalformedDataPlaneConfig:
                 RunContext().run(self._spec(system=system, config=config))
         assert compiles == []
 
-    @pytest.mark.parametrize("value", [0, -1, 1.5, True])
-    def test_ack_every_is_an_experiment_error(self, compiles, value):
-        # Network would refuse it too, but as a SimulationError after the compile.
-        with pytest.raises(ExperimentError, match="spec field ack_every="):
-            RunContext().run(self._spec(ack_every=value))
-        assert compiles == []
-
     def test_fluid_plane_refuses_a_malformed_window_too(self, compiles):
         config = dataclasses.replace(TINY, host_window=0)
         with pytest.raises(ExperimentError, match="host_window"):
@@ -311,7 +291,7 @@ class TestMalformedDataPlaneConfig:
         config = dataclasses.replace(TINY, buffer_packets=1, host_window=1,
                                      util_window=1e-3, host_rto=0.25)
         with deadline(60.0):
-            result = RunContext().run(self._spec(config=config, ack_every=1))
+            result = RunContext().run(self._spec(config=config))
         assert result.summary["flows"] > 0
         assert len(compiles) == 1
 
@@ -327,9 +307,10 @@ class TestMalformedLinkEvents:
     Found by hand on a fat-tree k=4 point: a NaN or negative event time
     escaped as a bare ``SimulationError`` (on the packet plane after the
     compile), an infinite or boolean one *ran* (the failure never happened,
-    or happened at 1 ms), and ``fail_agg_core_link`` on a leaf-spine was a
-    bare ``ValueError``.  Every one is now an ``ExperimentError``, raised
-    before anything is compiled or generated, on both planes.
+    or happened at 1 ms).  Every one is now an ``ExperimentError``, raised
+    before anything is compiled or generated, on both planes.  A schedule
+    entry must be a ``LinkEvent``: a bare ``(time, a, b, action)`` tuple is
+    refused the same way.
     """
 
     FATTREE = TopologySpec("fattree", k=4, capacity=100.0)
@@ -340,11 +321,9 @@ class TestMalformedLinkEvents:
         (dict(events=(LinkEvent(-1.0, "a0_0", "c0"),)), "time -1.0"),
         (dict(events=(LinkEvent(math.inf, "a0_0", "c0"),)), "time inf"),
         (dict(events=(LinkEvent(True, "a0_0", "c0"),)), "time True"),
-        (dict(failed_link=("a0_0", "c0"), failure_time=math.nan), "time nan"),
         (dict(events=(LinkEvent(4.0, "a0_0", "c0", "explode"),)), "explode"),
         (dict(events=(LinkEvent(4.0, "a0_0", "Narnia"),)), "Narnia"),
-        (dict(topology=recovery_sweep_topology(TINY), fail_agg_core_link=True),
-         "no aggregation-core link"),
+        (dict(events=((4.0, "a0_0", "c0", "fail"),)), "must be a LinkEvent"),
     ])
     def test_refused_before_any_compile(self, compiles, flow_model, overrides,
                                         match):
@@ -357,6 +336,63 @@ class TestMalformedLinkEvents:
             context.run(spec)
         assert compiles == []
         assert context._workloads == {}
+
+    def test_no_agg_core_link_to_fail_on_a_leaf_spine(self):
+        with pytest.raises(ExperimentError, match="no aggregation-core link"):
+            default_failed_link(recovery_sweep_topology(TINY).build())
+
+
+class TestMalformedTrafficFields:
+    """A traffic or measurement value no run can honour is refused, not run.
+
+    Found by hand on a fat-tree k=4 point.  Some ran reinterpreted: empty
+    sender and receiver lists ran over every host, ``streams_per_pair=0``
+    delivered nothing, ``cdf_points`` outside [0, 1] reported clamped
+    percentiles, a NaN ``run_duration`` ran until the event queue emptied
+    (never, once probes flow) and -1 ran nothing.  The rest failed only after the compile, as a bare
+    ``WorkloadError``, ``TypeError``, ``SimulationError``, ``ValueError`` or
+    ``IndexError``.  Every one is now an ``ExperimentError``, raised before
+    anything is compiled or generated, on both planes.
+    """
+
+    @pytest.mark.parametrize("flow_model", ["packet", "fluid"])
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(senders=(), receivers=()), "senders is empty"),
+        (dict(streams_per_pair=0), "streams_per_pair=0"),
+        (dict(cdf_points=(2.0,)), "cdf_points entry 2.0"),
+        (dict(cdf_points=(-1.0,)), "cdf_points entry -1.0"),
+        (dict(run_duration=math.nan), "run_duration=nan"),
+        (dict(run_duration=-1.0), "run_duration=-1.0"),
+        (dict(traffic="incast", incast_fanin=0), "incast_fanin=0"),
+        (dict(traffic="incast", incast_fanin=99), "incast_fanin=99"),
+        (dict(traffic="incast", incast_fanin=True), "incast_fanin=True"),
+        (dict(traffic="streams", stream_rate=math.nan), "stream_rate=nan"),
+        (dict(traffic="streams", stream_rate=-1.0), "stream_rate=-1.0"),
+        (dict(traffic="streams", senders=(), receivers=()), "senders is empty"),
+        (dict(workload_scale=0.0), "workload_scale=0.0"),
+        (dict(workload_scale=math.nan), "workload_scale=nan"),
+        (dict(workload_host_rate=-1.0), "workload_host_rate=-1.0"),
+        (dict(fct_percentiles=(150.0,)), "fct_percentiles entry 150.0"),
+    ])
+    def test_refused_before_any_compile(self, compiles, flow_model, overrides,
+                                        match):
+        spec = ScenarioSpec(**{**dict(name="traffic", system="contra",
+                                      topology=TopologySpec("fattree", k=4,
+                                                            capacity=100.0),
+                                      config=TINY, workload="cache", load=0.2,
+                                      seed=1, flow_model=flow_model),
+                               **overrides})
+        context = RunContext()
+        with pytest.raises(ExperimentError, match=match):
+            context.run(spec)
+        assert compiles == []
+        assert context._workloads == {}
+
+
+@pytest.mark.parametrize("pairs", [-1, 0, 5, True, 2.0])
+def test_abilene_builder_refuses_a_pair_count_it_cannot_draw(pairs):
+    with pytest.raises(ExperimentError, match=f"pairs={pairs!r}"):
+        abilene_fct_specs(TINY, pairs=pairs)
 
 
 class TestMalformedEndpoints:

@@ -8,7 +8,8 @@ The contracts under test (see ARCHITECTURE.md "Execution backends and the
 results store"):
 
 * :func:`spec_hash` is a pure, stable function of the spec — identical
-  across processes and for both accepted spellings of an event schedule;
+  across processes, and a store written under an older hash version
+  resolves nothing;
 * the results store round-trips every :class:`RunResult` field exactly and
   unions shard files, refusing conflicting records;
 * the union of ``n`` slice drains is byte-identical to an unsharded run on
@@ -78,6 +79,19 @@ def tiny_specs(systems=("ecmp", "contra")):
     ]
 
 
+def pinned_spec():
+    """The packet-default point whose store key the hash tests pin."""
+    return ScenarioSpec(name="pin:ecmp", system="ecmp",
+                        topology=TopologySpec("fattree", k=4, capacity=100.0,
+                                              oversubscription=4.0),
+                        config=ExperimentConfig(), workload="web_search",
+                        load=0.4, seed=1, stop_after_completion=True)
+
+
+#: ``pinned_spec()``'s key under hash version 3, the encoder before v4.
+V3_PINNED_KEY = "7c7dfd526b7ce05af257b91056d5a52aca3d2e81ec8f80b644be6f6d5ea9ba64"
+
+
 class TestSpecHash:
     def test_hash_is_pure_and_deterministic(self):
         spec = tiny_specs()[0]
@@ -107,15 +121,6 @@ class TestSpecHash:
         output = subprocess.run([sys.executable, "-c", program], env=env,
                                 capture_output=True, text=True, check=True)
         assert output.stdout.strip() == spec_hash(tiny_specs()[0])
-
-    def test_plain_tuple_events_hash_like_linkevents(self):
-        base = tiny_specs()[0]
-        as_tuples = ScenarioSpec(**{**base.__dict__,
-                                    "events": ((5.0, "edge0", "agg0", "fail"),)})
-        as_events = ScenarioSpec(**{**base.__dict__,
-                                    "events": (LinkEvent(5.0, "edge0", "agg0", "fail"),)})
-        assert spec_hash(as_tuples) == spec_hash(as_events)
-        assert spec_hash(as_tuples) != spec_hash(base)
 
     def test_any_field_change_changes_the_hash(self):
         base = tiny_specs()[0]
@@ -170,61 +175,60 @@ class TestSpecHash:
         sanitized sweep could not resume an unsanitized one."""
         import dataclasses
 
-        from repro.experiments.runner import _V3_FIELDS
-
         spec = tiny_specs()[0]
         field_names = {f.name for f in dataclasses.fields(ScenarioSpec)}
         assert "sanitize" not in field_names
-        # Canonicalization covers exactly the spec fields — nothing ambient.
-        # Fields added after hash v2 are omitted at their defaults so that
-        # pre-existing store keys stay resumable (see test_spec_hash_is_pinned).
-        assert set(canonical_spec(spec)) == field_names - set(_V3_FIELDS)
-        fluid = ScenarioSpec(**{**spec.__dict__, "flow_model": "fluid"})
-        assert set(canonical_spec(fluid)) == (field_names - set(_V3_FIELDS)) | {"flow_model"}
+        # Canonicalization covers exactly the spec fields — nothing ambient,
+        # and no field omitted at its default.
+        assert set(canonical_spec(spec)) == field_names
         monkeypatch.delenv("CONTRA_SANITIZE", raising=False)
         base = spec_hash(spec)
         monkeypatch.setenv("CONTRA_SANITIZE", "1")
         assert spec_hash(spec) == base
 
     def test_spec_field_set_is_pinned(self):
-        """Adding a ScenarioSpec field is a compatibility event: it must go
-        into ``_V3_FIELDS`` (or a future version set) with its default, or
-        every existing store key silently changes.  This pin forces that
-        decision to be explicit."""
+        """Adding or removing a ScenarioSpec field re-keys every store
+        record: it must come with a ``_SPEC_HASH_VERSION`` bump and a new
+        pinned hash below.  This pin forces that decision to be explicit."""
         import dataclasses
-
-        from repro.experiments.runner import _V3_FIELDS
 
         field_names = [f.name for f in dataclasses.fields(ScenarioSpec)]
         assert field_names == [
             "name", "system", "topology", "config", "policy", "workload",
-            "load", "seed", "transport", "ack_every", "traffic",
+            "load", "seed", "transport", "traffic",
             "workload_host_rate", "workload_scale", "senders", "receivers",
-            "pair_senders_receivers", "incast_fanin", "incast_receiver",
-            "stream_rate", "stream_start", "streams_per_pair", "events",
-            "fail_agg_core_link", "failed_link", "failure_time",
+            "pair_senders_receivers", "incast_fanin",
+            "stream_rate", "streams_per_pair", "events",
             "probe_period", "flowlet_timeout", "use_versioning",
             "respect_compiled_probe_period", "record_paths",
             "stop_after_completion", "run_duration", "cdf_points",
             "collect_throughput", "flow_model", "flow_sketch",
             "fct_percentiles",
         ]
-        assert _V3_FIELDS == {"flow_model": "packet", "flow_sketch": False,
-                              "fct_percentiles": ()}
+
+    def test_every_spec_field_is_set_by_some_grid(self):
+        """A field no registry grid moves off its default is a knob nothing
+        runs: delete it rather than carry it in every spec hash."""
+        import dataclasses
+
+        from repro.experiments.config import quick_config
+
+        config = dataclasses.replace(quick_config(), seed=2)
+        specs = [spec for scenario in SCENARIOS.values()
+                 if isinstance(scenario, GridScenario)
+                 for spec in scenario.build_specs(config)]
+        unset = [f.name for f in dataclasses.fields(ScenarioSpec)
+                 if f.default is not dataclasses.MISSING
+                 and all(getattr(spec, f.name) == f.default for spec in specs)]
+        assert unset == []
 
     def test_spec_hash_is_pinned_for_packet_defaults(self):
-        """Regression pin: a spec that leaves every post-v2 field at its
-        default must hash exactly as it did before those fields existed, so
-        packet-plane sweeps resume against stores written by older builds."""
+        """Regression pin: the store key of a packet-default spec changes
+        only with a deliberate ``_SPEC_HASH_VERSION`` bump."""
         spec = tiny_specs()[0]
-        pinned = ScenarioSpec(name="pin:ecmp", system="ecmp",
-                              topology=TopologySpec("fattree", k=4, capacity=100.0,
-                                                    oversubscription=4.0),
-                              config=ExperimentConfig(), workload="web_search",
-                              load=0.4, seed=1, stop_after_completion=True)
-        assert spec_hash(pinned) == (
-            "7c7dfd526b7ce05af257b91056d5a52aca3d2e81ec8f80b644be6f6d5ea9ba64")
-        # Any v3 field moved off its default must change the hash…
+        assert spec_hash(pinned_spec()) == (
+            "d5ab3ae72199e975c070af63b405335fd6ca320b912c62c3f761b77b7ab1e1f0")
+        # Any field moved off its default must change the hash…
         assert spec_hash(ScenarioSpec(**{**spec.__dict__, "flow_model": "fluid"})) \
             != spec_hash(spec)
         assert spec_hash(ScenarioSpec(**{**spec.__dict__, "flow_sketch": True})) \
@@ -237,6 +241,19 @@ class TestSpecHash:
                   for override in ({"flow_model": "fluid"}, {"flow_sketch": True},
                                    {"fct_percentiles": (50.0,)})}
         assert len(hashes) == 3
+
+    def test_a_record_under_the_previous_hash_version_is_stale(self, tmp_path):
+        """The v4 re-key is one-time and loud: a record written under the v3
+        key resolves nothing (resume re-runs the point) and gc drops it."""
+        spec = pinned_spec()
+        result = RunResult(name=spec.name, system="ecmp", workload="web_search",
+                           load=0.4, seed=1, summary={"flows": 7})
+        ResultsStore(tmp_path).record(spec, result, key=V3_PINNED_KEY)
+        with pytest.raises(ExperimentError, match="missing 1 of 1"):
+            collect_results([spec], ResultsStore(tmp_path))
+        summary = gc_results([spec], tmp_path)
+        assert (summary["dropped_stale"], summary["kept"], summary["missing"]) \
+            == (1, 0, 1)
 
 
 class TestResultsStore:

