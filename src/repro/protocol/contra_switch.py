@@ -183,10 +183,12 @@ class ContraRouting(RoutingLogic):
         self._extenders: Dict[Tuple[str, ...], object] = {}
         # Bound-method caches for the probe hot loop (instance constants;
         # rebinding them per probe showed up in k=16 profiles).  The FwdT
-        # probe is the table dict's own ``get``: ``ForwardingTable.lookup``
-        # is that call behind one more frame.
+        # probe and install are the table dict's own ``get`` and
+        # ``__setitem__``: ``ForwardingTable.lookup``/``install`` are those
+        # calls behind one more frame.  The sanitizer rebinds
+        # ``_fwdt_install`` to its checking wrapper.
         self._fwdt_get = self.fwdt._entries.get
-        self._fwdt_install = self.fwdt.install
+        self._fwdt_install = self.fwdt._entries.__setitem__
         #: Per-in-port probe state, built at a neighbour's first probe
         #: (``attach`` runs before the switch has ports): in-port -> (the
         #: ``get`` of that neighbour's tag -> local-tag row of
@@ -224,7 +226,10 @@ class ContraRouting(RoutingLogic):
         # comes back is what clears the failure belief on the far side.
         # Suppressing them would make recovery undetectable — both endpoints
         # would wait forever for the other's probes.
-        targets = self.config.multicast_targets(payload.tag)
+        try:
+            targets = self.config.tags[payload.tag].multicast_neighbors
+        except KeyError:
+            targets = self.config.multicast_targets(payload.tag)  # the canonical error
         if not self.system.split_horizon:
             exclude = None
         if targets and targets != (exclude,):   # a multicast set has no repeats
@@ -342,6 +347,7 @@ class ContraRouting(RoutingLogic):
 
         metrics = MetricVector._make(names, new_values)
         prop_key = self._prop_key_pool.setdefault(prop_key, prop_key)
+        fast = self._fast_rank
         new_entry = ForwardingEntry(
             metrics=metrics,
             next_tag=tag,
@@ -349,11 +355,12 @@ class ContraRouting(RoutingLogic):
             version=version,
             updated_at=now,
             prop_key=prop_key,
-            rank=self._rank_of(key, metrics),
+            rank=fast(metrics) if fast is not None else self._rank_of(key, metrics),
         )
         self._fwdt_install(key, new_entry)
         self._maybe_update_best(origin, key, new_entry)
-        self._multicast(payload.advanced(local_tag, metrics), exclude=inport)
+        self._multicast(ProbePayload(origin, pid, version, local_tag, metrics),
+                        exclude=inport)
 
     # ------------------------------------------------------------ best choice
 

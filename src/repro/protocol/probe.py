@@ -36,10 +36,6 @@ class ProbePayload:
         self.tag = tag
         self.metrics = metrics
 
-    def advanced(self, tag: int, metrics: MetricVector) -> "ProbePayload":
-        """A copy with an updated tag and metric vector (one hop of propagation)."""
-        return ProbePayload(self.origin, self.pid, self.version, tag, metrics)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProbePayload):
             return NotImplemented

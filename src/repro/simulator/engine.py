@@ -38,12 +38,18 @@ had in flight: it turns their pending deliveries — heap entries and lane
 members alike — into no-ops in place, so nothing is re-ordered or
 re-counted.
 
+:meth:`Simulator.run` pauses the cyclic garbage collector while it loops:
+the loop allocates no reference cycles (the acyclic-loop contract), so
+reference counting frees everything it creates.
+
 Times are floats in **milliseconds** throughout the simulator.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
+import math
 from typing import Any, Callable, Container, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
@@ -56,6 +62,11 @@ _INF = float("inf")
 #: lane registration then becomes its own heap entry, reproducing the
 #: pre-batching event schedule exactly) to prove batching changes nothing.
 BATCH_LANE_DEFAULT = True
+
+#: Net GC-tracked allocations made while :meth:`Simulator.run` held the
+#: collector paused, and the count of full collections when that tally
+#: began.  Process-wide, as the collector is.
+_paused_allocations = [0, 0]
 
 
 def _dropped_delivery(packet: Any, inport: Any) -> None:
@@ -343,42 +354,82 @@ class Simulator:
 
         The boundary is inclusive: ``run(until=t)`` processes every event with
         time ``<= t`` and leaves the clock at exactly ``t`` (never beyond).
+        ``until`` may not be NaN or earlier than *now* (``until == now`` is a
+        no-op), and ``max_events`` must be at least 1: each raises
+        :class:`SimulationError` before any event runs.
 
         ``max_events`` counts heap entries, so a coalesced batch-lane entry —
         however many registrations it carries — consumes one unit; it is a
         debugging stepper, not part of the batching equivalence contract
         (``events_processed``/``pending_events`` stay per-registration).
+
+        The cyclic garbage collector is paused for the call (re-enabled on
+        the way out, also when a callback raises, unless the caller had
+        disabled it).  The acyclic-loop contract makes that safe: nothing
+        the loop allocates — packets, payloads, FwdT rows, lane lists, fluid
+        groups — forms a reference cycle, so reference counting frees all of
+        it.  A full collection during a probe wave walks the whole fabric and
+        the wave's state and finds nothing to free.  Cyclic garbage made
+        *between* runs — a finished network — is still collected (below).
         """
-        self._stopped = False
-        queue = self._queue
-        processed_this_call = 0
-        while queue and not self._stopped:
-            entry = queue[0]
-            if until is not None and entry[0] > until:
+        if until is not None and not until >= self._now:    # also refuses NaN
+            raise SimulationError(
+                f"cannot run until {until} ms, current time is {self._now} ms")
+        if max_events is not None and not max_events >= 1:
+            raise SimulationError(f"max_events must be at least 1, got {max_events}")
+        # Pause the collector unless a caller (or an outer run) already has.
+        # Allocations made under the pause never count towards the young
+        # collections that lead up to a full one, so cyclic garbage made
+        # between runs — every finished network is some — would wait for a
+        # full collection the process no longer reaches and pile up under
+        # the next run.  So once the runs since the last full collection have
+        # left a full collection's worth (the product of the three collector
+        # thresholds, 70 000 by default), this run starts with one, before it
+        # pauses.  Any full collection in between settles the debt.
+        paused = gc.isenabled()
+        if paused:
+            full = gc.get_stats()[2]["collections"]
+            if full != _paused_allocations[1]:
+                _paused_allocations[:] = [0, full]
+            elif _paused_allocations[0] >= math.prod(gc.get_threshold()):
+                gc.collect()
+                _paused_allocations[:] = [0, gc.get_stats()[2]["collections"]]
+            gc.disable()
+        try:
+            self._stopped = False
+            queue = self._queue
+            processed_this_call = 0
+            while queue and not self._stopped:
+                entry = queue[0]
+                if until is not None and entry[0] > until:
+                    self._now = until
+                    return self._now
+                heapq.heappop(queue)
+                callback = entry[2]
+                if callback is _fire_handle and not entry[3][0].active:
+                    # Cancelled handle expiring: consume the tombstone without
+                    # advancing the clock or counting an event (one pointer
+                    # comparison per pop keeps the fast path fast).
+                    self._cancelled -= 1
+                    continue
+                self._now = entry[0]
+                callback(*entry[3])
+                self._events_processed += 1
+                processed_this_call += 1
+                if max_events is not None and processed_this_call >= max_events:
+                    break
+            if self._stopped:
+                # A stop during a batch member re-queues the unrun tail; make
+                # sure a stale open-batch pointer cannot absorb later
+                # registrations ahead of it.
+                self._batch_time = -1.0
+            if until is not None and not queue:
                 self._now = until
-                return self._now
-            heapq.heappop(queue)
-            callback = entry[2]
-            if callback is _fire_handle and not entry[3][0].active:
-                # Cancelled handle expiring: consume the tombstone without
-                # advancing the clock or counting an event (one pointer
-                # comparison per pop keeps the fast path fast).
-                self._cancelled -= 1
-                continue
-            self._now = entry[0]
-            callback(*entry[3])
-            self._events_processed += 1
-            processed_this_call += 1
-            if max_events is not None and processed_this_call >= max_events:
-                break
-        if self._stopped:
-            # A stop during a batch member re-queues the unrun tail; make sure
-            # a stale open-batch pointer cannot absorb later registrations
-            # ahead of it.
-            self._batch_time = -1.0
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        return self._now
+            return self._now
+        finally:
+            if paused:
+                _paused_allocations[0] += gc.get_count()[0]
+                gc.enable()
 
 
 def _fire_handle(handle: "Event | PeriodicEvent") -> None:

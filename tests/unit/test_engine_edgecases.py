@@ -53,6 +53,46 @@ class TestRunUntilBoundary:
         sim.run(max_events=2)
         assert fired == [0, 1]
 
+    def test_until_equal_to_now_is_a_no_op(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(5.0, fired.append, "a")
+        sim.call_at(6.0, fired.append, "b")
+        sim.run(until=5.0)
+        assert sim.run(until=5.0) == 5.0
+        assert fired == ["a"] and sim.pending_events == 1
+
+    def test_nan_until_is_refused_before_any_event_runs(self):
+        # The bound was silently ignored: both events ran, clock at 100.0.
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, fired.append, "a")
+        sim.call_at(100.0, fired.append, "b")
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 2
+
+    def test_until_before_now_is_refused_before_any_event_runs(self):
+        # The clock used to move backwards to 3.0 with events pending.
+        sim = Simulator()
+        fired = []
+        sim.call_at(5.0, fired.append, "a")
+        sim.call_at(8.0, fired.append, "b")
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=3.0)
+        assert fired == ["a"] and sim.now == 5.0 and sim.pending_events == 1
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_max_events_below_one_is_refused_before_any_event_runs(self, max_events):
+        # max_events=0 used to run one event.
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.run(max_events=max_events)
+        assert fired == [] and sim.pending_events == 1
+
 
 class TestCancellation:
     def test_cancelled_event_expires_without_firing(self):

@@ -80,6 +80,60 @@ class TestRules:
         assert violations == []
 
 
+class TestCollectorControl:
+    """gc policy calls are findings under src/repro/ outside simulator/engine.py."""
+
+    SOURCE = """\
+        import gc
+        def run():
+            gc.disable()
+            gc.freeze()
+            gc.set_threshold(10_000)
+            gc.collect()
+            gc.unfreeze()
+            gc.enable()
+            return gc.isenabled(), gc.get_count()
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/experiments/runner.py")
+        # Reads (isenabled, get_count) are not policy.
+        assert [v.rule for v in violations] == ["collector-control"] * 6
+        assert [v.line for v in violations] == [3, 4, 5, 6, 7, 8]
+
+    def test_engine_is_the_home(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/simulator/engine.py")
+        assert violations == []
+
+    def test_outside_the_package_allowed(self, tmp_path, monkeypatch):
+        # Tests and the benchmark harness collect and count freely.
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "benchmarks/perf/run.py")
+        assert violations == []
+
+    def test_a_local_named_gc_with_other_methods_is_not_flagged(self, tmp_path,
+                                                                monkeypatch):
+        # cli.py names an argparse sub-parser ``gc``.
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / "src" / "repro" / "cli.py"
+        target.parent.mkdir(parents=True)
+        violations, _ = run_lint(target.parent, """\
+            def build(sub):
+                gc = sub.add_parser("gc-results")
+                gc.add_argument("name")
+                gc.set_defaults(func=None)
+            """, name="cli.py")
+        assert violations == []
+
+
 class TestAllowlist:
     def test_allowlisted_finding_suppressed(self, tmp_path, monkeypatch):
         target = tmp_path / "audited.py"

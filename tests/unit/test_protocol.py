@@ -6,6 +6,7 @@ from repro.baselines import HulaSystem
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
+from repro.exceptions import CompilationError
 from repro.core.builder import if_, inf, matches, minimize, path
 from repro.protocol import ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet, payload_from_packet
@@ -29,14 +30,6 @@ class TestProbePayload:
         assert recovered == payload
         assert packet.is_probe
         assert packet.size_bytes > 42
-
-    def test_advanced_updates_tag_and_metrics(self):
-        payload = ProbePayload("leaf1", 1, 3, 0, MetricVector(("util",), (0.1,)))
-        advanced = payload.advanced(5, MetricVector(("util",), (0.7,)))
-        assert advanced.tag == 5
-        assert advanced.metrics.get("util") == 0.7
-        assert advanced.version == payload.version
-        assert payload.metrics.get("util") == 0.1
 
 
 class TestForwardingTable:
@@ -191,6 +184,16 @@ class TestContraRouting:
         # Only product-graph-compliant entries exist.
         for (origin, tag, pid) in logic.forwarding_snapshot():
             assert origin in topo.switches
+
+    def test_multicast_of_an_unknown_tag_raises_the_canonical_error(self):
+        # The multicast reads the tag table directly; a tag the switch does
+        # not have still fails as DeviceConfig.tag_info says.
+        _, compiled, system, network = build_contra_network()
+        logic = system.logic("leaf0")
+        unknown = max(compiled.device("leaf0").tags) + 1
+        payload = ProbePayload("leaf1", 0, 1, unknown, MetricVector(("util",), (0.0,)))
+        with pytest.raises(CompilationError, match="has no tag"):
+            logic._multicast(payload, exclude=None)
 
     def test_split_horizon_disabled_still_converges(self):
         _, _, system, network = build_contra_network(split_horizon=False)

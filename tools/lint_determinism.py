@@ -38,6 +38,14 @@ certain layers:
   environment reads scattered through library code make runs depend on
   ambient state in ways spec hashes cannot see.
 
+One more scoped rule keeps a policy in one home:
+
+* ``collector-control`` — ``gc.disable/enable/freeze/unfreeze/set_threshold/
+  collect`` calls under ``src/repro/`` outside ``simulator/engine.py``:
+  ``Simulator.run`` pauses the cyclic collector under the acyclic-loop
+  contract (ARCHITECTURE.md §1), and a second caller switching it would
+  silently undo or extend that pause.
+
 Audited exceptions live in :data:`ALLOWLIST`, keyed by path relative to the
 repository root; each entry names the rules it may violate and must carry a
 justification comment.  Run from the repo root::
@@ -89,6 +97,13 @@ _SIM_WALL_CLOCK = {
 #: Package prefixes where the scoped rules apply (POSIX-relative paths).
 _SIM_PREFIX = "src/repro/simulator/"
 _ID_PREFIXES = ("src/repro/simulator/", "src/repro/protocol/")
+
+#: Collector calls that set the garbage-collection policy (collector-control),
+#: and the one file under ``src/repro/`` that may make them.
+_GC_CONTROL = frozenset({"disable", "enable", "freeze", "unfreeze",
+                         "set_threshold", "collect"})
+_GC_PREFIX = "src/repro/"
+_GC_HOME = "src/repro/simulator/engine.py"
 
 #: The only files allowed to read the process environment (env-read).
 _ENV_ALLOWED_FILES = frozenset({
@@ -193,6 +208,12 @@ class _Checker(ast.NodeVisitor):
                            f"{head}.{tail}() inside the simulator package: "
                            "sim code must be a pure function of the event "
                            "heap, never a host clock")
+            if head == "gc" and tail in _GC_CONTROL \
+                    and self.rel.startswith(_GC_PREFIX) and self.rel != _GC_HOME:
+                self._flag(node, "collector-control",
+                           f"gc.{tail}() outside simulator/engine.py: the "
+                           "collector policy has one home, Simulator.run's "
+                           "pause")
             if dotted[-2:] == ("os", "getenv") \
                     and self.rel not in _ENV_ALLOWED_FILES:
                 self._flag(node, "env-read",
