@@ -31,6 +31,7 @@ from repro.protocol.tables import (
     FlowletTable,
     FwdKey,
     LoopDetectionTable,
+    StatePool,
     packet_flow_hash,
 )
 from repro.simulator.link import SimLink
@@ -59,8 +60,18 @@ class ContraSystem(RoutingSystem):
     ):
         self.compiled = compiled
         self.probe_period = probe_period if probe_period is not None else compiled.probe_period
-        if self.probe_period <= 0:
-            raise SimulationError("probe period must be positive")
+        # Written ``not (x > bound)`` so NaN is refused too.
+        if not (self.probe_period > 0 and math.isfinite(self.probe_period)):
+            raise SimulationError(
+                f"probe_period must be a finite number > 0, got {self.probe_period!r}")
+        if not flowlet_timeout >= 0:
+            raise SimulationError(
+                f"flowlet_timeout must be a number >= 0, got {flowlet_timeout!r}")
+        if not failure_periods >= 1:
+            raise SimulationError(
+                f"failure_periods must be >= 1, got {failure_periods!r}")
+        if not loop_threshold >= 1:
+            raise SimulationError(f"loop_threshold must be >= 1, got {loop_threshold!r}")
         self.flowlet_timeout = flowlet_timeout
         self.failure_periods = failure_periods
         self.loop_threshold = loop_threshold
@@ -70,6 +81,8 @@ class ContraSystem(RoutingSystem):
         #: persistent-loop hazard of an unversioned distance-vector protocol
         #: and is exposed only for the ablation benchmark.
         self.use_versioning = use_versioning
+        #: The FwdT/BestT values every switch of this deployment shares.
+        self.pool = StatePool()
         self._logics: Dict[str, "ContraRouting"] = {}
 
     def create_switch_logic(self, switch: str) -> "ContraRouting":
@@ -138,7 +151,7 @@ class ContraRouting(RoutingLogic):
             raise SimulationError("compiled policy has no subpolicies")
 
         self.fwdt = ForwardingTable()
-        self.bestt = BestChoiceTable()
+        self.bestt = BestChoiceTable(system.pool)
         self.flowlets = FlowletTable(system.flowlet_timeout, slots=config.flowlet_slots)
         self.loop_detector = LoopDetectionTable(
             threshold=system.loop_threshold, slots=config.loop_table_slots)
@@ -164,11 +177,12 @@ class ContraRouting(RoutingLogic):
                     True if indices == tuple(range(len(sub.carried_attrs))) else indices
             except ValueError:  # attr not carried: fall back to the slow path
                 self._prop_indices[sub.pid] = None
-        #: Interning pool for installed propagation keys: within one probe
-        #: round, thousands of entries share the handful of distinct metric
-        #: tuples, so installed rows reference one shared tuple each instead
-        #: of keeping a private copy alive per (destination, tag, pid) row.
-        self._prop_key_pool: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
+        # The system's StatePool, read as its dicts' own C methods: an
+        # accepted probe installs pooled objects without a frame apiece.
+        pool = system.pool
+        self._vectors = pool.vectors
+        self._intern_prop_key = pool.prop_keys.setdefault
+        self._intern_key = pool.keys.setdefault
         # ECMP alternates are only sound when the propagation rank carries
         # the hop count: equal rank then implies equal path length, and a
         # cycle (which strictly increases ``len``) can never tie.  Without
@@ -330,7 +344,7 @@ class ContraRouting(RoutingLogic):
                     or now - entry.updated_at > self.system.probe_period):
                 if prop_key == entry.prop_key and inport != entry.next_hop \
                         and self._allow_alternates.get(pid, False):
-                    entry.add_alternate(inport, tag)
+                    entry.add_alternate(inport, tag, self.system.pool)
                 return
         elif version > entry.version:
             pass                     # newer round always replaces stale state
@@ -342,12 +356,26 @@ class ContraRouting(RoutingLogic):
             # — the equal-metric flood already went out via the primary).
             if prop_key == entry.prop_key and inport != entry.next_hop and \
                     version == entry.version and self._allow_alternates.get(pid, False):
-                entry.add_alternate(inport, tag)
+                entry.add_alternate(inport, tag, self.system.pool)
             return
 
-        metrics = MetricVector._make(names, new_values)
-        prop_key = self._prop_key_pool.setdefault(prop_key, prop_key)
-        fast = self._fast_rank
+        # Install the pool's objects (StatePool): the vector with its rank,
+        # which is pooled only when no tag enters it (``_fast_rank``).
+        vectors = self._vectors.get(names)
+        if vectors is None:
+            vectors = self._vectors[names] = {}
+        pooled = vectors.get(new_values)
+        if pooled is None:
+            metrics = MetricVector._make(names, new_values)
+            fast = self._fast_rank
+            pooled = vectors[new_values] = (
+                metrics, fast(metrics) if fast is not None else None)
+        metrics, rank = pooled
+        key = self._intern_key(key, key)
+        if rank is None:
+            rank = self._rank_of(key, metrics)
+        prop_key = metrics.values if indices is True \
+            else self._intern_prop_key(prop_key, prop_key)
         new_entry = ForwardingEntry(
             metrics=metrics,
             next_tag=tag,
@@ -355,7 +383,7 @@ class ContraRouting(RoutingLogic):
             version=version,
             updated_at=now,
             prop_key=prop_key,
-            rank=fast(metrics) if fast is not None else self._rank_of(key, metrics),
+            rank=rank,
         )
         self._fwdt_install(key, new_entry)
         self._maybe_update_best(origin, key, new_entry)

@@ -12,6 +12,9 @@ programs allocate:
   (destination, tag, probe id, flowlet id) (§5.3);
 * :class:`LoopDetectionTable` — per-flow TTL-delta tracking used to lazily
   break transient loops (§5.5).
+
+:class:`StatePool` is not a switch table: it hash-conses the immutable values
+the FwdT and BestT rows of one deployment hold (ARCHITECTURE.md §2).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.simulator.packet import packet_flow_hash, stable_flow_hash
 
 __all__ = [
     "FwdKey",
+    "StatePool",
     "ForwardingEntry",
     "ForwardingTable",
     "BestChoiceTable",
@@ -42,6 +46,34 @@ __all__ = [
 FwdKey = Tuple[str, int, int]
 
 
+class StatePool:
+    """Hash-consing of the immutable values FwdT and BestT rows hold.
+
+    One pool per :class:`~repro.protocol.contra_switch.ContraSystem`, shared
+    by all of its switches.  A fabric's thousands of rows hold a handful of
+    distinct metric vectors, keys and next-hop groups (on the k=16 fat-tree
+    40 832 rows share 19 vectors), so an accepted probe installs the pool's
+    canonical object for each instead of a private copy.  Every pooled value
+    is immutable and compared by value only — no code reads a pooled
+    object's identity — so sharing changes no result.  The pool lives and
+    dies with its system; nothing outlives a run.
+    """
+
+    __slots__ = ("vectors", "prop_keys", "keys", "groups")
+
+    def __init__(self) -> None:
+        #: Carried attribute names -> values tuple -> (the metric vector,
+        #: its policy rank, or None when the rank depends on the tag).
+        self.vectors: Dict[Tuple[str, ...], Dict[
+            Tuple[float, ...], Tuple[MetricVector, Optional[Rank]]]] = {}
+        #: Propagation keys that are not the carried values tuple itself.
+        self.prop_keys: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
+        #: FwdT keys ``(destination, local tag, probe id)``.
+        self.keys: Dict[FwdKey, FwdKey] = {}
+        #: BestT co-best key sets and ``ForwardingEntry.alternates`` groups.
+        self.groups: Dict[Tuple[tuple, ...], Tuple[tuple, ...]] = {}
+
+
 @dataclass(slots=True)
 class ForwardingEntry:
     """One FwdT row.
@@ -51,6 +83,9 @@ class ForwardingEntry:
     probes, and the full policy rank ``s`` of the entry.  Both are pure
     functions of the (immutable) metric vector, so caching them keeps probe
     processing and best-choice rescans off the policy-evaluation slow path.
+    ``metrics``, ``prop_key``, ``alternates``, the key the row is filed
+    under and, under a fast-rank policy, ``rank`` are :class:`StatePool`
+    objects shared with every equal row; the row itself is its own.
 
     ``alternates`` holds further ``(next_hop, next_tag)`` pairs whose probes
     tied the row's propagation rank exactly in the same version round — the
@@ -73,12 +108,13 @@ class ForwardingEntry:
     #: Alternates kept per row (primary + 3 matches a 4-way ECMP group).
     MAX_ALTERNATES = 3
 
-    def add_alternate(self, next_hop: str, next_tag: int) -> None:
+    def add_alternate(self, next_hop: str, next_tag: int, pool: StatePool) -> None:
         """Record an equal-rank (next hop, next tag) pair for this row."""
         pair = (next_hop, next_tag)
         if next_hop != self.next_hop and pair not in self.alternates and \
                 len(self.alternates) < self.MAX_ALTERNATES:
-            self.alternates = self.alternates + (pair,)
+            alternates = self.alternates + (pair,)
+            self.alternates = pool.groups.setdefault(alternates, alternates)
 
 
 class ForwardingTable:
@@ -112,16 +148,20 @@ class ForwardingTable:
 
 
 class BestChoiceTable:
-    """BestT: per-destination tuple of the co-best (equal-rank) FwdT keys."""
+    """BestT: per-destination tuple of the co-best (equal-rank) FwdT keys.
 
-    def __init__(self) -> None:
+    :meth:`set` stores the pool's canonical copy of the tuple.
+    """
+
+    def __init__(self, pool: StatePool) -> None:
         self._best: Dict[str, Tuple[FwdKey, ...]] = {}
+        self._intern = pool.groups.setdefault
 
     def get(self, destination: str) -> Optional[Tuple[FwdKey, ...]]:
         return self._best.get(destination)
 
     def set(self, destination: str, keys: Tuple[FwdKey, ...]) -> None:
-        self._best[destination] = keys
+        self._best[destination] = self._intern(keys, keys)
 
     def clear(self, destination: str) -> None:
         self._best.pop(destination, None)

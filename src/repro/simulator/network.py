@@ -9,6 +9,7 @@ testbed (DESIGN.md §4).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
@@ -76,6 +77,16 @@ class Network:
         if transport not in TRANSPORT_MODES:
             raise SimulationError(
                 f"unknown transport mode {transport!r}; available: {TRANSPORT_MODES}")
+        # A zero in any of these used to run: an RTO of 0 never returned, a
+        # buffer of 0 dropped every packet, a window of 0 ran as 1 and a
+        # util window of 0 divided by zero mid-run.
+        for name, value in (("buffer_packets", buffer_packets),
+                            ("host_window", host_window)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SimulationError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, value in (("host_rto", host_rto), ("util_window", util_window)):
+            if not (value > 0 and math.isfinite(value)):
+                raise SimulationError(f"{name} must be a finite number > 0, got {value!r}")
         self.topology = topology
         #: host -> attachment switch: the topology's own live map, read here
         #: once for every host and for the wiring in :meth:`_build`.

@@ -8,6 +8,9 @@ datacenter policy — 11 168 probe hops installing 1 632 FwdT rows:
   ``_fire_batch -> on_probe``, and an accepted probe leaves its switch in one
   ``send_probes`` call however many targets it has; a frame added to either,
   or a property put back in front of a per-hop read, lands here.
+* blocks a finished wave retains per installed FwdT row (``tracemalloc``,
+  allocations made in ``src/repro``): the row itself, plus whatever of its
+  vector, rank, key and groups the system's ``StatePool`` did not share.
 * young-generation growth during the flood: ``gc.get_count()[0]``, which
   counts GC-tracked allocations net of frees while ``Simulator.run`` holds
   the collector paused (before the pause these tests counted automatic
@@ -21,6 +24,7 @@ Counts, not timings: they repeat exactly, so the bounds are tight.
 
 import gc
 import os
+import tracemalloc
 
 import pytest
 
@@ -38,12 +42,18 @@ pytestmark = pytest.mark.no_sanitize
 
 PACKAGE_ROOT = os.path.dirname(repro.__file__) + os.sep
 
-#: GC-tracked objects an *accepted* probe may leave behind (FwdT row, metric
-#: vector, rank, key and value tuples, the re-multicast payload and packet,
-#: its ECMP alternates): 8.2–10.3 measured as young-generation growth;
-#: 9.8–12.0 as collections × threshold before the collector was paused, and
-#: 20.4–23.6 before the lane went flat.
-ALLOCATIONS_PER_ACCEPTED_PROBE = 16
+#: GC-tracked objects an *accepted* probe may leave behind (the FwdT row, the
+#: re-multicast payload and packet, and a pool entry when its vector, key or
+#: group is new): 2.65–3.47 measured as young-generation growth; 8.2–10.3
+#: before the StatePool, 9.8–12.0 as collections × threshold before the
+#: collector was paused, and 20.4–23.6 before the lane went flat.
+ALLOCATIONS_PER_ACCEPTED_PROBE = 3.5
+
+#: ``tracemalloc`` blocks allocated in ``src/repro`` that one probe wave
+#: leaves alive, per FwdT row it installed: 4.98 measured (8 125 blocks for
+#: 1 632 rows: the rows, the wave still in flight, per-in-port state and the
+#: pool); 12.88 with a private vector, rank, key and group per row.
+RETAINED_BLOCKS_PER_ROW = 5.0
 
 
 def first_wave_network(dc_policy, **system_kwargs):
@@ -84,14 +94,34 @@ class TestCallsPerHop:
         hops = network.stats.total_packets
         assert hops == 11_168
         assert fwdt_rows(system, network) == 1_632
-        # 4.28 here; 5.02 with the ForwardingTable.install,
-        # DeviceConfig.multicast_targets / tag_info, ProbePayload.advanced and
-        # _rank_of frames on an accepted probe; 6.31 also with a
-        # SimLink.enqueue frame per multicast target and the _deliver_probe
-        # epoch guard per delivery; 11.07 also with receive() dispatch, the
-        # MetricVector property frames, ForwardingTable.lookup and the
-        # un-inlined link accounting.
-        assert calls / hops <= 4.3
+        # 3.85 here; 4.28 with a _fast_rank and a Rank.of_values call per
+        # accepted probe instead of per pooled vector; 5.02 also with the
+        # ForwardingTable.install, DeviceConfig.multicast_targets / tag_info,
+        # ProbePayload.advanced and _rank_of frames on an accepted probe; 6.31
+        # also with a SimLink.enqueue frame per multicast target and the
+        # _deliver_probe epoch guard per delivery; 11.07 also with receive()
+        # dispatch, the MetricVector property frames, ForwardingTable.lookup
+        # and the un-inlined link accounting.
+        assert calls / hops <= 3.85
+
+
+class TestRetainedMemoryPerRow:
+    def test_a_wave_retains_few_blocks_per_installed_row(self, dc_policy):
+        system, network = first_wave_network(dc_policy)
+        in_package = [tracemalloc.Filter(True, PACKAGE_ROOT + "*")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(in_package)
+            network.run(system.probe_period * 0.9)
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(in_package)
+        finally:
+            tracemalloc.stop()
+        rows = fwdt_rows(system, network)
+        assert rows == 1_632
+        blocks = sum(stat.count_diff for stat in after.compare_to(before, "filename"))
+        assert blocks <= RETAINED_BLOCKS_PER_ROW * rows
 
 
 class TestCollectionsFollowAcceptedProbes:

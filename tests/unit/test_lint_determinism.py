@@ -176,3 +176,46 @@ class TestTreeAndCli:
         assert "hash-builtin" in out and "1 determinism hazard" in out
 
         assert lint_determinism.main([str(tmp_path / "missing.py")]) == 2
+
+
+class TestModuleState:
+    """Module-level empty containers are findings under simulator/ and protocol/."""
+
+    SOURCE = """\
+        from typing import Dict
+        _POOL = {}
+        _SEEN: Dict[str, int] = dict()
+        _QUEUE = []
+        _KEYS = set()
+        _TABLE = {"util": max}
+        _NAMES = ("len",)
+        _COPY = dict(_TABLE)
+
+        class Holder:
+            shared = {}
+
+        def run():
+            local = {}
+            return local
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    @pytest.mark.parametrize("rel", ["src/repro/protocol/contra_switch.py",
+                                     "src/repro/simulator/link.py"])
+    def test_flagged_in_the_run_packages(self, tmp_path, monkeypatch, rel):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
+        # Filled, copied, class-level and function-local containers are not.
+        assert [v.rule for v in violations] == ["module-state"] * 4
+        assert [v.line for v in violations] == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("rel", ["src/repro/experiments/runner.py",
+                                     "src/repro/core/compiler.py",
+                                     "benchmarks/perf/run.py"])
+    def test_allowed_elsewhere(self, tmp_path, monkeypatch, rel):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
+        assert violations == []

@@ -6,7 +6,7 @@ from repro.baselines import HulaSystem
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
-from repro.exceptions import CompilationError
+from repro.exceptions import CompilationError, SimulationError
 from repro.core.builder import if_, inf, matches, minimize, path
 from repro.protocol import ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet, payload_from_packet
@@ -16,6 +16,7 @@ from repro.protocol.tables import (
     ForwardingEntry,
     ForwardingTable,
     LoopDetectionTable,
+    StatePool,
 )
 from repro.simulator import Network
 from repro.topology import leafspine
@@ -67,7 +68,7 @@ class TestForwardingTable:
 
 class TestBestChoiceTable:
     def test_set_get_clear(self):
-        table = BestChoiceTable()
+        table = BestChoiceTable(StatePool())
         assert table.get("leaf1") is None
         table.set("leaf1", ("leaf1", 0, 0))
         assert table.get("leaf1") == ("leaf1", 0, 0)
@@ -258,3 +259,36 @@ class TestContraRouting:
         _, _, system, network = build_contra_network(use_versioning=False)
         network.run(2.0)
         assert system.logic("leaf0").best_next_hop("leaf1") in ("spine0", "spine1")
+
+
+class TestContraSystemArguments:
+    """Malformed timing arguments are refused at construction.
+
+    A NaN probe period used to fail only inside ``schedule_periodic``;
+    ``failure_periods=0`` ran and declared a healthy 2x2 leaf-spine's links
+    failed 396 times in 5 ms.
+    """
+
+    @pytest.mark.parametrize("name, value", [
+        ("probe_period", 0.0),
+        ("probe_period", -1.0),
+        ("probe_period", float("nan")),
+        ("probe_period", float("inf")),
+        ("flowlet_timeout", -0.1),
+        ("flowlet_timeout", float("nan")),
+        ("failure_periods", 0),
+        ("failure_periods", float("nan")),
+        ("loop_threshold", 0),
+        ("loop_threshold", -4),
+    ])
+    def test_refused(self, name, value):
+        topo = leafspine(2, 2, hosts_per_leaf=1)
+        compiled = compile_policy(MU(), topo)
+        with pytest.raises(SimulationError, match=name):
+            ContraSystem(compiled, **{name: value})
+
+    def test_boundary_values_accepted(self):
+        topo = leafspine(2, 2, hosts_per_leaf=1)
+        system = ContraSystem(compile_policy(MU(), topo), flowlet_timeout=0.0,
+                              failure_periods=1, loop_threshold=1)
+        assert system.failure_periods == 1

@@ -371,3 +371,29 @@ class TestNetwork:
         net = Network(topo, _StaticSystem())
         metrics = net.link_metric_lookup()("leaf0", "spine0")
         assert set(metrics) == {"util", "lat", "len"}
+
+
+class TestNetworkArguments:
+    """Data-plane values the runner refuses in a spec are refused here too.
+
+    On a 2x2 leaf-spine with one 20-packet flow, ``host_rto=0`` never
+    returned, ``buffer_packets=0`` dropped every packet, ``util_window=0``
+    raised a bare ``ZeroDivisionError`` mid-run and ``host_window=0`` ran.
+    """
+
+    @pytest.mark.parametrize("name, value", [
+        ("host_rto", 0.0),
+        ("host_rto", -1.0),
+        ("host_rto", float("nan")),
+        ("host_rto", float("inf")),
+        ("buffer_packets", 0),
+        ("buffer_packets", 2.5),
+        ("util_window", 0.0),
+        ("util_window", float("nan")),
+        ("host_window", 0),
+        ("host_window", True),
+    ])
+    def test_refused(self, name, value):
+        topo = leafspine(2, 2, hosts_per_leaf=1)
+        with pytest.raises(SimulationError, match=name):
+            Network(topo, _StaticSystem(), **{name: value})

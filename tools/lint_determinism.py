@@ -46,6 +46,15 @@ One more scoped rule keeps a policy in one home:
   contract (ARCHITECTURE.md §1), and a second caller switching it would
   silently undo or extend that pause.
 
+And one keeps run state per run:
+
+* ``module-state`` — a module-level name bound to an empty ``{}``, ``[]``,
+  ``set()`` or ``dict()`` inside ``src/repro/simulator/`` or
+  ``src/repro/protocol/``: such a container is filled at run time and
+  shared by every run in the process, so one sweep point could carry state
+  (an interning pool, a cache) into the next.  Pools live on the object
+  that owns the run, e.g. ``ContraSystem.pool`` (ARCHITECTURE.md §2).
+
 Audited exceptions live in :data:`ALLOWLIST`, keyed by path relative to the
 repository root; each entry names the rules it may violate and must carry a
 justification comment.  Run from the repo root::
@@ -97,6 +106,7 @@ _SIM_WALL_CLOCK = {
 #: Package prefixes where the scoped rules apply (POSIX-relative paths).
 _SIM_PREFIX = "src/repro/simulator/"
 _ID_PREFIXES = ("src/repro/simulator/", "src/repro/protocol/")
+_MODULE_STATE_PREFIXES = _ID_PREFIXES
 
 #: Collector calls that set the garbage-collection policy (collector-control),
 #: and the one file under ``src/repro/`` that may make them.
@@ -154,6 +164,16 @@ def _dotted(node: ast.AST) -> Tuple[str, ...]:
     return ()
 
 
+def _is_empty_container(node: ast.AST) -> bool:
+    """``{}``, ``[]``, ``set()`` or ``dict()``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in ("set", "dict") and not node.args and not node.keywords
+
+
 class _Checker(ast.NodeVisitor):
     def __init__(self, path: Path):
         self.path = path
@@ -166,6 +186,18 @@ class _Checker(ast.NodeVisitor):
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(self.path, node.lineno, rule, message))
+
+    def visit_Module(self, node: ast.Module) -> None:
+        if self.rel.startswith(_MODULE_STATE_PREFIXES):
+            for statement in node.body:
+                value = statement.value \
+                    if isinstance(statement, (ast.Assign, ast.AnnAssign)) else None
+                if value is not None and _is_empty_container(value):
+                    self._flag(statement, "module-state",
+                               "module-level empty container: it is filled at "
+                               "run time and shared by every run in the "
+                               "process; keep it on the object that owns the run")
+        self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._func_stack.append(node.name)
