@@ -27,13 +27,28 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.protocol.tables import FlowletTable, packet_flow_hash
 from repro.simulator.network import Network, RoutingSystem
-from repro.simulator.packet import BASE_PROBE_BYTES, Packet, PacketKind
+from repro.simulator.packet import BASE_PROBE_BYTES, Packet, Probe
 from repro.simulator.switchnode import RoutingLogic
 
 __all__ = ["HulaSystem", "HulaRouting"]
 
 #: Hula probe payload: origin ToR id + version + utilization.
 _HULA_PROBE_BYTES = BASE_PROBE_BYTES + 8
+
+
+class HulaProbe(Probe):
+    """One Hula probe: origin ToR, version and the path's bottleneck utilization."""
+
+    __slots__ = ("origin", "version", "util")
+
+    def __init__(self, origin: str, version: int, util: float):
+        self.size_bytes = _HULA_PROBE_BYTES
+        self.origin = origin
+        self.version = version
+        self.util = util
+
+    def __repr__(self) -> str:
+        return f"HulaProbe(origin={self.origin!r}, version={self.version}, util={self.util})"
 
 
 @dataclass(slots=True)
@@ -115,53 +130,48 @@ class HulaRouting(RoutingLogic):
         self._version = 0
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
+        #: origin -> this switch's downstream neighbours (static shortest paths).
+        self._downstream: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------ probes
 
     def probe_round(self) -> None:
         self._version += 1
-        for neighbor in self._downstream_neighbors(self.name, origin=self.name):
-            self._send_probe(neighbor, origin=self.name, version=self._version, util=0.0)
+        self._send_probe(HulaProbe(self.name, self._version, 0.0), exclude=None)
 
-    def _downstream_neighbors(self, switch: str, origin: str) -> List[str]:
-        """Neighbours strictly farther from ``origin`` (the shortest-path DAG)."""
-        distances = self.system.distances
-        here = distances.get(origin, {}).get(switch)
-        if here is None:
-            return []
-        result = []
-        for neighbor in self.network.switches[switch].switch_neighbors():
-            there = distances.get(origin, {}).get(neighbor)
-            if there is not None and there > here:
-                result.append(neighbor)
-        return result
+    def _downstream_neighbors(self, origin: str) -> Tuple[str, ...]:
+        """Neighbours strictly farther from ``origin`` (the shortest-path DAG),
+        computed at the first probe from ``origin`` and kept (paths are static)."""
+        distances = self.system.distances.get(origin, {})
+        here = distances.get(self.name)
+        neighbors = () if here is None else tuple(
+            [neighbor for neighbor in self.switch.switch_neighbors()
+             if distances.get(neighbor, here) > here])
+        self._downstream[origin] = neighbors
+        return neighbors
 
-    def _send_probe(self, neighbor: str, origin: str, version: int, util: float) -> None:
+    def _send_probe(self, probe: HulaProbe, exclude: Optional[str]) -> None:
         # Believed-failed neighbours still get probes: the failed link drops
         # them, and the first probe through the recovered link is what clears
         # the far side's failure belief (recovery detection mirrors failure
         # detection — both work purely by probe arrival/silence).
-        packet = Packet(
-            kind=PacketKind.PROBE,
-            src_host=self.name,
-            dst_host="",
-            size_bytes=_HULA_PROBE_BYTES,
-            probe={"origin": origin, "version": version, "util": util},
-        )
-        self.switch.send_probe(packet, neighbor)
+        neighbors = self._downstream.get(probe.origin)
+        if neighbors is None:
+            neighbors = self._downstream_neighbors(probe.origin)
+        switch = self.switch
+        switch.send_probes(neighbors, switch.ports, exclude, probe, switch.probe_groups)
 
-    def on_probe(self, packet: Packet, inport: str) -> None:
+    def on_probe(self, probe: HulaProbe, inport: str) -> None:
         now = self.network.sim.now
         self._last_probe_from[inport] = now
         self._believed_failed[inport] = False
-        data = packet.probe or {}
-        origin = data["origin"]
-        version = int(data["version"])
+        origin = probe.origin
+        version = probe.version
         if origin == self.name:
             return
         # Bottleneck utilization of the traffic-direction link (this -> inport),
         # including standing-queue pressure (same estimator Contra reads).
-        util = max(float(data["util"]), self.switch.egress(inport).congestion)
+        util = max(probe.util, self.switch.egress(inport).congestion)
 
         entry = self.best.get(origin)
         accept = (
@@ -172,9 +182,7 @@ class HulaRouting(RoutingLogic):
         if not accept:
             return
         self.best[origin] = _BestHop(inport, util, version, now)
-        for neighbor in self._downstream_neighbors(self.name, origin):
-            if neighbor != inport:
-                self._send_probe(neighbor, origin, version, util)
+        self._send_probe(HulaProbe(origin, version, util), exclude=inport)
 
     # -------------------------------------------------------------- forwarding
 

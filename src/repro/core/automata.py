@@ -243,9 +243,6 @@ class DFA:
     def is_accepting(self, state: int) -> bool:
         return state in self.accepting
 
-    def is_dead(self, state: int) -> bool:
-        return state == DEAD_STATE
-
     @property
     def states(self) -> List[int]:
         """All live states (the dead state excluded)."""

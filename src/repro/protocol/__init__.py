@@ -1,7 +1,7 @@
 """Contra protocol runtime: the behaviour of the synthesized per-switch programs."""
 
 from repro.protocol.contra_switch import ContraRouting, ContraSystem
-from repro.protocol.probe import ProbePayload, make_probe_packet, payload_from_packet
+from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
     FlowletEntry,
@@ -15,9 +15,8 @@ from repro.protocol.tables import (
 __all__ = [
     "ContraSystem",
     "ContraRouting",
-    "ProbePayload",
-    "make_probe_packet",
-    "payload_from_packet",
+    "ContraProbe",
+    "probe_wire_size",
     "ForwardingTable",
     "ForwardingEntry",
     "FwdKey",

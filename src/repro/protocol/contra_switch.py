@@ -23,7 +23,7 @@ from repro.core.compiler import CompiledPolicy
 from repro.core.device_config import DeviceConfig
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import SimulationError
-from repro.protocol.probe import ProbePayload, make_probe_packet
+from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
     ForwardingEntry,
@@ -159,7 +159,7 @@ class ContraRouting(RoutingLogic):
         self._version = 0
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
-        self._probe_bits = config.probe_bits()
+        self._probe_size = probe_wire_size(config.probe_bits())
         self._packet_tag_bits = config.packet_tag_bits()
 
         # Hot-path caches.  Per subpolicy: the positions of its propagation
@@ -217,23 +217,19 @@ class ContraRouting(RoutingLogic):
         self._version += 1
         origin_tag = self.config.probe_origin_tag
         for sub in self.subpolicies:
-            payload = ProbePayload(
-                origin=self.switch.name,
-                pid=sub.pid,
-                version=self._version,
-                tag=origin_tag,
-                metrics=sub.initial_metrics(),
-            )
-            self._multicast(payload, exclude=None)
+            self._multicast(ContraProbe(self.switch.name, sub.pid, self._version,
+                                        origin_tag, sub.initial_metrics(),
+                                        self._probe_size), exclude=None)
 
-    def _multicast(self, payload: ProbePayload, exclude: Optional[str]) -> None:
-        """MULTICASTPROBE: send along all product-graph out-edges of the payload's tag.
+    def _multicast(self, probe: ContraProbe, exclude: Optional[str]) -> None:
+        """MULTICASTPROBE: send along all product-graph out-edges of the probe's tag.
 
-        One packet object is shared by every target: probe packets are
-        immutable in flight (only data packets are re-tagged or TTL-decremented),
-        so per-target copies would only burn allocations — together with the
-        by-reference payload this keeps a probe round's allocations
-        O(accepted probes), not O(received).
+        One probe object is shared by every target: probes are immutable in
+        flight (only data packets are re-tagged or TTL-decremented), so
+        per-target copies would only burn allocations — this keeps a probe
+        round's allocations O(accepted probes), not O(received).  On links
+        that share their parameters the whole multicast is one batch-lane
+        member (``SwitchNode.probe_groups``).
         """
         # Probes are still multicast towards believed-failed neighbours: a
         # failed link simply drops them, and their arrival after the link
@@ -241,16 +237,15 @@ class ContraRouting(RoutingLogic):
         # Suppressing them would make recovery undetectable — both endpoints
         # would wait forever for the other's probes.
         try:
-            targets = self.config.tags[payload.tag].multicast_neighbors
+            targets = self.config.tags[probe.tag].multicast_neighbors
         except KeyError:
-            targets = self.config.multicast_targets(payload.tag)  # the canonical error
+            targets = self.config.multicast_targets(probe.tag)  # the canonical error
         if not self.system.split_horizon:
             exclude = None
         if targets and targets != (exclude,):   # a multicast set has no repeats
             switch = self.switch
-            switch.send_probes(
-                targets, switch.ports, exclude,
-                make_probe_packet(payload, switch.name, self._probe_bits))
+            switch.send_probes(targets, switch.ports, exclude, probe,
+                               switch.probe_groups)
 
     def _wire_inport(
             self, inport: str
@@ -270,12 +265,17 @@ class ContraRouting(RoutingLogic):
         state = self._inports[inport] = (row.get, self.switch.ports.get(inport))
         return state
 
-    def on_probe(self, packet: Packet, inport: str) -> None:
+    def on_probe(self, probe: ContraProbe, inport: str) -> None:
         """PROCESSPROBE (Figure 7) with the versioning refinement of §5.1.
 
-        The sole mutator of FwdT/BestT state on the probe path.  ~90% of
-        probes in a converged fabric are rejected, so the reject path is the
-        hot path.
+        The sole mutator of FwdT/BestT state on the probe path.  Which path
+        is hot depends on the fabric.  On a large one most probes are
+        rejected: the k=16 fat-tree's first wave installs 40 832 rows from
+        483 456 probe hops (8.4 % accepted).  On a small one about half are
+        accepted: ``dc-fct``'s Contra cache point installs 17 315 rows from
+        35 162 probes (49 %), and ``wan-failover``'s NSFNET multi-failure
+        point sends 46 368 multicasts from 88 717 probes (≈ 52 %).  So the
+        reject path must stay cheap, and the accept path must too.
         Links deliver here directly (``SimLink.probe_sink``).
 
         Read contract: the traffic-direction link's ``congestion`` is read
@@ -289,15 +289,14 @@ class ContraRouting(RoutingLogic):
         if believed_failed.get(inport, False):
             believed_failed[inport] = False
 
-        payload = packet.probe
-        tag = payload.tag
+        tag = probe.tag
         state = self._inports.get(inport)
         if state is None:
             state = self._wire_inport(inport)
         local_tag = state[0](tag)
         if local_tag is None:
             return  # no product-graph edge: the probe is policy-irrelevant here
-        origin = payload.origin
+        origin = probe.origin
         switch = self.switch
         if origin == switch.name:
             return  # probes never advertise a destination back to itself
@@ -308,7 +307,7 @@ class ContraRouting(RoutingLogic):
         link = state[1]
         if link is None:
             link = switch.egress(inport)        # raises the canonical error
-        mv = payload.metrics
+        mv = probe.metrics
         names = mv.names
         extend = self._extenders.get(names)
         if extend is None:
@@ -321,7 +320,7 @@ class ContraRouting(RoutingLogic):
         else:
             new_values = mv.extend(link.metric_values()).values
 
-        pid = payload.pid
+        pid = probe.pid
         key: FwdKey = (origin, local_tag, pid)
         entry = self._fwdt_get(key)
         indices = self._prop_indices.get(pid)
@@ -333,7 +332,7 @@ class ContraRouting(RoutingLogic):
         else:
             prop_key = tuple([new_values[i] for i in indices])
 
-        version = payload.version
+        version = probe.version
         if entry is None:
             pass                     # first word about this key: accept
         elif not self.system.use_versioning:
@@ -387,8 +386,8 @@ class ContraRouting(RoutingLogic):
         )
         self._fwdt_install(key, new_entry)
         self._maybe_update_best(origin, key, new_entry)
-        self._multicast(ProbePayload(origin, pid, version, local_tag, metrics),
-                        exclude=inport)
+        self._multicast(ContraProbe(origin, pid, version, local_tag, metrics,
+                                    self._probe_size), exclude=inport)
 
     # ------------------------------------------------------------ best choice
 

@@ -1,4 +1,4 @@
-"""Contra probe payloads.
+"""Contra probes.
 
 A probe carries five fields (§4.3 plus the §5.1 refinement): the *origin*
 switch (the traffic destination it advertises), the *probe id* of the
@@ -10,65 +10,43 @@ probe currently sits at, and the accumulated *metric vector*.
 from __future__ import annotations
 
 from repro.core.attributes import MetricVector
-from repro.simulator.packet import BASE_PROBE_BYTES, Packet, PacketKind
+from repro.simulator.packet import BASE_PROBE_BYTES, Probe
 
-__all__ = ["ProbePayload", "make_probe_packet", "payload_from_packet"]
+__all__ = ["ContraProbe", "probe_wire_size"]
 
 
-class ProbePayload:
-    """The Contra-specific contents of one probe packet.
+def probe_wire_size(payload_bits: int) -> int:
+    """Bytes one probe of a compiled ``payload_bits`` occupies on the wire.
 
-    A plain slotted class rather than a (frozen) dataclass: one payload is
-    allocated per *accepted* probe hop — the hottest allocation site of a
-    probe round — and the frozen-dataclass ``object.__setattr__`` init costs
-    several times a plain ``__init__``.  Payloads are immutable by
-    convention: they ride by reference in multicast packets shared across
-    links, so mutating one would corrupt every in-flight copy.
+    ``payload_bits`` is the compiled probe size (origin + pid + version + tag
+    + metric vector); the wire size adds the base framing so the overhead
+    experiment (Figure 16) counts realistic bytes.
+    """
+    return int(BASE_PROBE_BYTES + payload_bits / 8.0)
+
+
+class ContraProbe(Probe):
+    """One Contra probe: the wire size and the five payload fields, one object.
+
+    Allocated once per origination and per *accepted* probe hop — the
+    hottest allocation site of a probe round — and shared by every target of
+    its multicast, so it is a plain slotted class (a frozen dataclass's
+    ``object.__setattr__`` init costs several times a plain ``__init__``).
+    The payload rides by reference: the wire size is accounted for, but
+    nothing is marshalled on a hop.
     """
 
     __slots__ = ("origin", "pid", "version", "tag", "metrics")
 
     def __init__(self, origin: str, pid: int, version: int, tag: int,
-                 metrics: MetricVector):
+                 metrics: MetricVector, size_bytes: int):
+        self.size_bytes = size_bytes
         self.origin = origin
         self.pid = pid
         self.version = version
         self.tag = tag
         self.metrics = metrics
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProbePayload):
-            return NotImplemented
-        return (self.origin == other.origin and self.pid == other.pid
-                and self.version == other.version and self.tag == other.tag
-                and self.metrics == other.metrics)
-
-    def __hash__(self) -> int:
-        return hash((self.origin, self.pid, self.version, self.tag, self.metrics))
-
     def __repr__(self) -> str:
-        return (f"ProbePayload(origin={self.origin!r}, pid={self.pid}, "
+        return (f"ContraProbe(origin={self.origin!r}, pid={self.pid}, "
                 f"version={self.version}, tag={self.tag}, metrics={self.metrics})")
-
-
-def make_probe_packet(payload: ProbePayload, src_switch: str, payload_bits: int) -> Packet:
-    """Wrap a probe payload into a simulator packet.
-
-    ``payload_bits`` is the compiled probe size (origin + pid + version + tag +
-    metric vector); the wire size adds the base framing so the overhead
-    experiment (Figure 16) counts realistic bytes.  The (immutable) payload
-    object itself rides in the packet — the wire size is accounted for, but
-    nothing is marshalled to and from a dict on every hop.
-    """
-    return Packet(
-        kind=PacketKind.PROBE,
-        src_host=src_switch,
-        dst_host="",
-        size_bytes=int(BASE_PROBE_BYTES + payload_bits / 8.0),
-        probe=payload,
-    )
-
-
-def payload_from_packet(packet: Packet) -> ProbePayload:
-    """Recover the probe payload from a simulator packet."""
-    return packet.probe

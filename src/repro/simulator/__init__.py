@@ -12,6 +12,7 @@ from repro.simulator.packet import (
     DATA_PACKET_BYTES,
     Packet,
     PacketKind,
+    Probe,
 )
 from repro.simulator.stats import FlowRecord, StatsCollector
 from repro.simulator.switchnode import RoutingLogic, SwitchNode
@@ -30,6 +31,7 @@ __all__ = [
     "RoutingSystem",
     "Packet",
     "PacketKind",
+    "Probe",
     "DATA_PACKET_BYTES",
     "ACK_PACKET_BYTES",
     "BASE_PROBE_BYTES",

@@ -9,17 +9,19 @@ experiment in EXPERIMENTS.md relies on.
 
 Four scheduling tiers exist, from hottest to most featureful:
 
-* :meth:`Simulator.call_batched` — the batch lane: same-timestamp
-  registrations coalesce under **one** heap entry whose members run in exact
-  FIFO registration order.  The probe control plane uses this tier — a probe
-  wave of thousands of same-tick deliveries costs one heap push and one pop
-  instead of one each per probe, and a registration allocates nothing: a
-  member is a delivery, ``callback(subject, inport)``, stored flat in the
-  entry's one list.  Ordering contract: scheduling any *non-lane* event
-  at the open batch's timestamp seals the batch (later lane registrations at
-  that time start a new entry), so the relative order of lane and non-lane
-  events at one timestamp is exactly what per-event scheduling would have
-  produced.
+* :meth:`Simulator.call_batched` / :meth:`Simulator.call_multicast` — the
+  batch lane: same-timestamp registrations coalesce under **one** heap entry
+  whose deliveries run in exact FIFO registration order.  The probe control
+  plane uses this tier — a probe wave of thousands of same-tick deliveries
+  costs one heap push and one pop instead of one each per probe, and a
+  registration allocates nothing: a member is one delivery,
+  ``callback(subject, inport)``, or one multicast — a subject and a shared,
+  precomputed tuple of ``(callback, inport)`` pairs, one delivery each —
+  stored flat in the entry's one list.  Ordering contract: scheduling any
+  *non-lane* event at the open batch's timestamp seals the batch (later lane
+  registrations at that time start a new entry), so the relative order of
+  lane and non-lane events at one timestamp is exactly what per-event
+  scheduling would have produced.
 * :meth:`Simulator.call_later` / :meth:`Simulator.call_at` — the fast path:
   no per-event wrapper object is allocated and the event cannot be cancelled.
   The per-packet machinery (link serialization, delivery) uses this tier.
@@ -50,7 +52,7 @@ from __future__ import annotations
 import gc
 import heapq
 import math
-from typing import Any, Callable, Container, List, Optional, Tuple
+from typing import Any, Callable, Container, Iterator, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -173,8 +175,13 @@ class Simulator:
         self._batch_pending = 0
         self._batch_entries = 0
         #: The member list :func:`_fire_batch` is walking (it has left the
-        #: heap, and its unfired members are still pending).
+        #: heap, and its unfired members are still pending), the iterator
+        #: over the multicast member it is firing (None between members), and
+        #: that member's unfired deliveries once :meth:`drop_deliveries` has
+        #: taken them from the iterator (None until it does).
         self._firing_batch: Optional[List] = None
+        self._firing_replicas: Optional[Iterator] = None
+        self._unfired_replicas: Optional[Tuple] = None
         if sanitize is None:
             from repro.simulator import sanitizer
             sanitize = sanitizer.SANITIZE_DEFAULT
@@ -196,8 +203,9 @@ class Simulator:
     def pending_events(self) -> int:
         """Events scheduled and not cancelled (O(1); no heap scan).
 
-        A coalesced batch entry counts once per member, so the number is
-        identical with the batch lane on or off.
+        A coalesced batch entry counts once per delivery — a multicast member
+        as many times as it has receivers — so the number is identical with
+        the batch lane on or off.
         """
         return (len(self._queue) - self._cancelled - self._batch_entries
                 + self._batch_pending)
@@ -275,6 +283,42 @@ class Simulator:
         members.append(inport)
         self._batch_pending += 1
 
+    def call_multicast(self, time: float, subject: Any, receivers: Tuple) -> None:
+        """Batch lane: schedule ``callback(subject, inport)`` for every pair.
+
+        ``receivers`` is a flat ``(callback, inport, callback, inport, ...)``
+        tuple.  Means what one :meth:`call_batched` per pair, in order,
+        means; the difference is that the lane stores the whole multicast as
+        **one** member pointing at ``receivers``, so a caller that keeps one
+        tuple per target set (the probe plane keeps them on its switches)
+        allocates nothing per registration, however many receivers it has.
+        Event accounting still counts deliveries, one per pair, and with the
+        lane disabled each pair is its own heap entry, exactly as
+        :meth:`call_batched` would have pushed it.
+        """
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule an event at {time} ms, current time is {self._now} ms")
+        if not self._batching:
+            push = self._push
+            for index in range(0, len(receivers), 2):
+                push(time, receivers[index], (subject, receivers[index + 1]))
+            return
+        if time != self._batch_time:
+            members: List = []
+            self._batch = members
+            self._batch_time = time
+            seq = self._sequence
+            self._sequence = seq + 1
+            heapq.heappush(self._queue, (time, seq, _fire_batch, (self, members)))
+            self._batch_entries += 1
+        else:
+            members = self._batch
+        members.append(None)
+        members.append(subject)
+        members.append(receivers)
+        self._batch_pending += len(receivers) >> 1
+
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule a cancellable ``callback(*args)`` to run ``delay`` ms from now."""
         if not delay >= 0:
@@ -306,14 +350,18 @@ class Simulator:
         """Turn every pending ``receiver(packet, inport)`` into a no-op.
 
         A failing link calls this with its receivers and its in-port: every
-        heap entry and lane member whose callback is ``in receivers`` and
-        whose second argument is ``inport`` keeps its time, sequence number
-        and slot but runs :attr:`_dropped` instead, so event order,
+        heap entry, lane member and multicast delivery whose callback is ``in
+        receivers`` and whose in-port is ``inport`` keeps its time, sequence
+        number and slot but runs :attr:`_dropped` instead, so event order,
         ``events_processed`` and ``pending_events`` read exactly as if the
         delivery had run and found the link's packet lost.  The in-port
         keeps two links into one node from dropping each other's packets.
-        The walk includes the lane entry being fired, whose unfired members
-        left the heap with it.  It costs one pass over the pending events,
+        A multicast member gets a copy of its receivers tuple with the
+        dropped pairs' callbacks replaced (the shared tuple is never
+        written).  The walk includes the lane entry being fired, whose
+        unfired members left the heap with it, and the unfired deliveries of
+        the multicast member being fired, which :func:`_fire_batch` then
+        resumes from the copy.  It costs one pass over the pending events,
         paid per link failure.
         """
         dropped = self._dropped
@@ -326,8 +374,16 @@ class Simulator:
                 queue[index] = (time, seq, dropped, args)
         for members in batches:
             for slot in range(0, len(members), 3):
-                if members[slot + 2] == inport and members[slot] in receivers:
+                if members[slot] is None:
+                    members[slot + 2] = _drop_replicas(
+                        members[slot + 2], receivers, inport, dropped)
+                elif members[slot + 2] == inport and members[slot] in receivers:
                     members[slot] = dropped
+        if self._firing_replicas is not None:
+            unfired = self._unfired_replicas
+            if unfired is None:
+                unfired = tuple(self._firing_replicas)  # ends the firing loop
+            self._unfired_replicas = _drop_replicas(unfired, receivers, inport, dropped)
 
     def _requeue_batch_tail(self, tail: List) -> None:
         """Put a lane entry's unfired members back at the current timestamp.
@@ -359,9 +415,9 @@ class Simulator:
         :class:`SimulationError` before any event runs.
 
         ``max_events`` counts heap entries, so a coalesced batch-lane entry —
-        however many registrations it carries — consumes one unit; it is a
+        however many deliveries it carries — consumes one unit; it is a
         debugging stepper, not part of the batching equivalence contract
-        (``events_processed``/``pending_events`` stay per-registration).
+        (``events_processed``/``pending_events`` stay per-delivery).
 
         The cyclic garbage collector is paused for the call (re-enabled on
         the way out, also when a callback raises, unless the caller had
@@ -443,35 +499,81 @@ def _fire_handle(handle: "Event | PeriodicEvent") -> None:
 
 
 def _fire_batch(sim: "Simulator", members: List) -> None:
-    """Execute one coalesced batch entry's members in FIFO order.
+    """Execute one coalesced batch entry's deliveries in FIFO order.
 
     The one definition of the member layout: a lane entry's list holds its
-    registrations flat, three slots each (``callback, subject, inport, ...``),
-    and only this and :meth:`Simulator.drop_deliveries` walk it (the latter
-    finds this entry's unfired members through ``_firing_batch``).  ``zip``
-    over one shared iterator recycles its result tuple, so firing allocates
-    nothing per member.  Each member is one registration, fired as
-    ``callback(subject, inport)``; event accounting counts members, so
+    members flat, three slots each, and only this and
+    :meth:`Simulator.drop_deliveries` walk it (the latter finds this entry's
+    unfired members through ``_firing_batch``).  A member is either
+
+    * ``callback, subject, inport`` — one delivery, fired as
+      ``callback(subject, inport)`` (:meth:`Simulator.call_batched`), or
+    * ``None, subject, receivers`` — a multicast: one delivery per
+      ``(callback, inport)`` pair of the flat ``receivers`` tuple, in order
+      (:meth:`Simulator.call_multicast`).
+
+    ``zip`` over one shared iterator recycles its result tuple, so firing
+    allocates nothing per delivery.  Event accounting counts deliveries, so
     ``events_processed`` and ``pending_events`` read identically with the
-    lane on or off.  A
-    ``stop()`` raised by a member re-queues the unrun tail at the same
-    timestamp (exactly the entries per-event scheduling would have left in
-    the heap).
+    lane on or off.  A ``stop()`` raised by a delivery re-queues the unrun
+    remainder at the same timestamp — the multicast's unfired deliveries as
+    one member, then the later members — exactly the entries per-event
+    scheduling would have left in the heap.  A link failure raised by a
+    delivery inside a multicast takes that multicast's unfired deliveries
+    from its iterator (:meth:`Simulator.drop_deliveries`), which ends the
+    inner loop; it resumes over the copy the failure left.
     """
     if members is sim._batch:
         sim._batch_time = -1.0
         sim._batch = None
     sim._batch_entries -= 1
-    outer = sim._firing_batch
+    outer, outer_replicas = sim._firing_batch, sim._firing_replicas
     sim._firing_batch = members
+    sim._firing_replicas = None
     fired = 0
     slots = iter(members)
     for callback, subject, inport in zip(slots, slots, slots):
-        callback(subject, inport)
-        fired += 1
+        if callback is not None:
+            callback(subject, inport)
+            fired += 1
+            if sim._stopped:
+                sim._requeue_batch_tail(list(slots))
+                break
+            continue
+        replicas = sim._firing_replicas = iter(inport)
+        while True:
+            for callback, port in zip(replicas, replicas):
+                callback(subject, port)
+                fired += 1
+                if sim._stopped:
+                    break
+            unfired = sim._unfired_replicas
+            if unfired is None:
+                break
+            sim._unfired_replicas = None
+            replicas = sim._firing_replicas = iter(unfired)
+            if sim._stopped:
+                break
+        sim._firing_replicas = None
         if sim._stopped:
-            sim._requeue_batch_tail(members[3 * fired:])
+            unfired = tuple(replicas)
+            tail = list(slots)
+            sim._requeue_batch_tail([None, subject, unfired] + tail if unfired else tail)
             break
-    sim._firing_batch = outer
+    sim._firing_batch, sim._firing_replicas = outer, outer_replicas
     sim._batch_pending -= fired
     sim._events_processed += fired - 1      # the run loop adds the final 1
+
+
+def _drop_replicas(receivers: Tuple, dropping: Container, inport: Any,
+                   dropped: Callable[[Any, Any], None]) -> Tuple:
+    """``receivers`` with every ``(callback in dropping, inport)`` pair's
+    callback replaced by ``dropped`` (the same tuple when none matches)."""
+    if not any(receivers[index + 1] == inport and receivers[index] in dropping
+               for index in range(0, len(receivers), 2)):
+        return receivers
+    kept = list(receivers)
+    for index in range(0, len(kept), 2):
+        if kept[index + 1] == inport and kept[index] in dropping:
+            kept[index] = dropped
+    return tuple(kept)

@@ -28,19 +28,26 @@ place: no property, accessor or builtin ``min``/``max`` frame per packet.
 Probes never enter :meth:`SimLink.enqueue`: :func:`send_probes` puts one
 probe on every target link of a multicast in one frame, and probes ride the
 engine's **batch lane** — a whole same-arrival-time probe wave coalesces
-under one heap entry, one member per probe.  FIFO order — within a link and
-across links — is exactly the per-event order; the lane only removes heap
-traffic, never reorders (see the engine's ordering contract).
+under one heap entry, one member per multicast whose links share their
+parameters (a fat-tree's) and one member per probe otherwise (a WAN's).
+FIFO order — within a link and across links — is exactly the per-event
+order; the lane only removes heap traffic, never reorders (see the engine's
+ordering contract).  This module is the lane's only registrant under
+``src/repro`` (``tools/lint_determinism.py``'s ``lane-registrant`` rule), so
+the multicast member layout has one producer.
 
 Delivery chain: a link registers its receiver itself, with its own name as
 the in-port — ``call_at(t, deliver, packet, src)`` for data and ACKs,
-``call_batched(t, probe_sink, packet, src)`` for probes, where
-``probe_sink`` is the receiving switch's ``on_probe`` (wired at network
-build).  A data hop is engine → ``receive``, a probe hop engine →
-PROCESSPROBE: no link frame in between.
+``call_batched(t, probe_sink, probe, src)`` for probes, or one
+``call_multicast(t, probe, receivers)`` whose precomputed ``receivers``
+holds those ``(probe_sink, src)`` pairs, where ``probe_sink`` is the
+receiving switch's ``on_probe`` (wired at network build).  A data hop is
+engine → ``receive``, a probe hop engine → PROCESSPROBE: no link frame in
+between.
 
 Failure: :meth:`SimLink.fail` clears the queue and has the engine turn every
-pending ``(receiver, in-port)`` registration of this link into a no-op
+pending ``(receiver, in-port)`` delivery of this link — a multicast
+member's included — into a no-op
 (:meth:`Simulator.drop_deliveries`) — so every packet serializing or
 propagating when the link fails is lost, even if the link recovers before
 its delivery time, and a second link into the same node keeps its
@@ -51,16 +58,21 @@ nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import (Callable, Deque, Iterable, Mapping, Optional, Tuple,
+from typing import (Callable, Deque, Dict, Mapping, Optional, Tuple,
                     TYPE_CHECKING)
 
-from repro.simulator.packet import DATA_PACKET_BYTES, Packet
+from repro.simulator.packet import DATA_PACKET_BYTES, Packet, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import Simulator
     from repro.simulator.stats import StatsCollector
 
-__all__ = ["SimLink", "send_probes"]
+__all__ = ["SimLink", "send_probes", "ProbeGroups"]
+
+#: A switch's precomputed multicast receivers: target tuple -> split-horizon
+#: in-port (or None) -> the flat receivers tuple :func:`send_probes`
+#: registers as one lane member, or None where the targets' links differ.
+ProbeGroups = Dict[Tuple[str, ...], Dict[Optional[str], Optional[Tuple]]]
 
 #: A link's queue before its first backlog: ``len``, truth and iteration
 #: read the empty tuple exactly like an empty deque.
@@ -319,9 +331,10 @@ class SimLink:
                 f"lat={self.latency}, q={len(self._queue)})")
 
 
-def send_probes(neighbors: Iterable[str], ports: Mapping[str, SimLink],
-                exclude: Optional[str], packet: Packet) -> None:
-    """Put ``packet`` on the probe lane of every up link towards ``neighbors``.
+def send_probes(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
+                exclude: Optional[str], probe: "Packet | Probe",
+                groups: Optional[ProbeGroups] = None) -> None:
+    """Put ``probe`` on the probe lane of every up link towards ``neighbors``.
 
     The only way a probe enters a link: one call a multicast, skipping
     ``exclude`` (the split-horizon in-port, or None), neighbours without a
@@ -333,13 +346,36 @@ def send_probes(neighbors: Iterable[str], ports: Mapping[str, SimLink],
     utilization estimator and the byte accounting, in
     :meth:`SimLink._transmit`'s arithmetic order — the accumulators, then
     the EWMA decay to *now*, then this probe's busy time.
+
+    ``groups`` is the sending switch's :attr:`SwitchNode.probe_groups`.
+    Given it, a multicast whose targets share one capacity, latency,
+    estimator window, engine and collector — every arrival time is then one
+    float — is registered as **one** lane member over the receivers tuple
+    precomputed for ``(neighbors, exclude)``
+    (:meth:`Simulator.call_multicast`), unless a target link is down, when
+    each up link registers its own delivery.  Without ``groups``, or over
+    mixed links, every target registers its own delivery
+    (:meth:`Simulator.call_batched`), as it always did.
     """
-    wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
+    wire_bytes = probe.size_bytes + probe.extra_header_bits * 0.125
+    receivers = None
+    if groups is not None:
+        by_exclude = groups.get(neighbors)
+        if by_exclude is None:
+            by_exclude = groups[neighbors] = {}
+        try:
+            receivers = by_exclude[exclude]
+        except KeyError:
+            receivers = by_exclude[exclude] = _receivers(neighbors, ports, exclude)
+    lost = False
     for neighbor in neighbors:
         if neighbor == exclude:
             continue
         link = ports.get(neighbor)
-        if link is None or link.failed:
+        if link is None:
+            continue
+        if link.failed:
+            lost = True
             continue
         sim = link.sim
         now = sim._now
@@ -357,5 +393,39 @@ def send_probes(neighbors: Iterable[str], ports: Mapping[str, SimLink],
             link._last_util_update = now
         util = link._util + tx_time / link.util_window
         link._util = util if util < 1.5 else 1.5      # min(1.5, util), frameless
-        sim.call_batched(now + tx_time + link.latency, link.probe_sink,
-                         packet, link.src)
+        time = now + tx_time + link.latency
+        if receivers is None:
+            sim.call_batched(time, link.probe_sink, probe, link.src)
+    if receivers is None:
+        return
+    if not lost:                    # one arrival time: the group's links agree
+        sim.call_multicast(time, probe, receivers)
+        return
+    for neighbor in neighbors:      # a target is down: one delivery per up link
+        link = ports.get(neighbor)
+        if neighbor != exclude and link is not None and not link.failed:
+            sim.call_batched(time, link.probe_sink, probe, link.src)
+
+
+def _receivers(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
+               exclude: Optional[str]) -> Optional[Tuple]:
+    """The flat ``(probe_sink, in-port, ...)`` tuple a multicast registers.
+
+    None — register per delivery — unless at least two links qualify and
+    they share every input of the arrival time and the accounting: capacity,
+    latency, estimator window, engine and collector.
+    """
+    links = [ports[neighbor] for neighbor in neighbors
+             if neighbor != exclude and neighbor in ports]
+    if len(links) < 2:
+        return None
+    first = links[0]
+    shape = (first.capacity, first.latency, first.util_window)
+    for link in links:
+        if (link.capacity, link.latency, link.util_window) != shape \
+                or link.sim is not first.sim or link.stats is not first.stats:
+            return None
+    receivers = []
+    for link in links:
+        receivers += (link.probe_sink, link.src)
+    return tuple(receivers)

@@ -3,9 +3,12 @@
 The simulator works in units of one MSS-sized data packet.  Three packet
 kinds exist:
 
-* ``DATA``  — one segment of a flow,
-* ``ACK``   — cumulative acknowledgement flowing back to the sender,
-* ``PROBE`` — a Contra/Hula control probe carrying a metric payload.
+* ``DATA``  — one segment of a flow (a :class:`Packet`),
+* ``ACK``   — cumulative acknowledgement flowing back to the sender (a
+  :class:`Packet`),
+* ``PROBE`` — a Contra/Hula control probe carrying a metric payload (a
+  :class:`Probe`: each routing system subclasses it with its payload's own
+  fields).
 
 Contra-specific header fields (tag, probe id, TTL) live directly on the packet
 object; routing systems that do not use them simply ignore them.  Header sizes
@@ -18,9 +21,9 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = ["Packet", "PacketKind", "DATA_PACKET_BYTES", "ACK_PACKET_BYTES", "BASE_PROBE_BYTES",
+__all__ = ["Packet", "PacketKind", "Probe", "DATA_PACKET_BYTES", "ACK_PACKET_BYTES", "BASE_PROBE_BYTES",
            "stable_flow_hash", "packet_flow_hash"]
 
 #: Nominal wire size of a full data segment (one MSS plus headers).
@@ -39,14 +42,34 @@ class PacketKind:
     PROBE = "probe"
 
 
+class Probe:
+    """One control probe on the wire: what a probe hop reads and nothing more.
+
+    The link reads the wire size (``size_bytes`` plus ``extra_header_bits``,
+    always 0 for a probe) and a node dispatches on ``kind``; a routing system
+    subclasses this with its payload's own fields as further slots, so a
+    probe is one small object however many links it is multicast on.
+    Probes are immutable by convention: one object rides every target link
+    of a multicast, so mutating one would corrupt every in-flight copy.
+    """
+
+    __slots__ = ("size_bytes",)
+
+    kind = PacketKind.PROBE
+    extra_header_bits = 0
+
+    def __init__(self, size_bytes: int):
+        self.size_bytes = size_bytes
+
+
 @dataclass(slots=True)
 class Packet:
-    """One simulated packet.
+    """One simulated data or ACK packet.
 
-    Only the fields relevant to the packet's kind are meaningful; e.g. probe
-    payloads live in :attr:`probe`, Contra data-plane tags in :attr:`tag` /
-    :attr:`pid`.  The class is slotted: millions of packets are created per
-    run and the per-instance dict would dominate allocation cost.
+    Only the fields relevant to the packet's kind are meaningful; e.g.
+    Contra data-plane tags live in :attr:`tag` / :attr:`pid`.  The class is
+    slotted: millions of packets are created per run and the per-instance
+    dict would dominate allocation cost.  Probes are :class:`Probe` objects.
     """
 
     kind: str
@@ -66,11 +89,6 @@ class Packet:
     pid: int = 0
     ttl: int = 64
     extra_header_bits: int = 0
-
-    # Probe payload (set only for PROBE packets); an arbitrary object so each
-    # routing system can stash whatever structure it needs (Hula uses a plain
-    # dict, Contra its immutable ProbePayload).
-    probe: Optional[Any] = None
 
     # SPAIN-style source routing: remaining switch path chosen at ingress.
     source_route: Optional[Tuple[str, ...]] = None
@@ -97,28 +115,11 @@ class Packet:
         """Bytes this packet occupies on the wire including extra header bits."""
         return self.size_bytes + self.extra_header_bits / 8.0
 
-    @property
-    def is_data(self) -> bool:
-        return self.kind == PacketKind.DATA
-
-    @property
-    def is_ack(self) -> bool:
-        return self.kind == PacketKind.ACK
-
-    @property
-    def is_probe(self) -> bool:
-        return self.kind == PacketKind.PROBE
-
     def flow_key(self) -> Tuple[str, str, int]:
         """Identifier used for flowlet hashing (stands in for the 5-tuple)."""
         return (self.src_host, self.dst_host, self.flow_id)
 
     def __repr__(self) -> str:
-        if self.is_probe:
-            origin = getattr(self.probe, "origin", None)
-            if origin is None and isinstance(self.probe, dict):
-                origin = self.probe.get("origin")
-            return f"Packet(probe origin={origin if origin is not None else '?'} pid={self.pid})"
         return (f"Packet({self.kind} flow={self.flow_id} seq={self.seq} "
                 f"{self.src_host}->{self.dst_host})")
 

@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.host import Host
     from repro.simulator.link import SimLink
     from repro.simulator.network import Network
-    from repro.simulator.packet import Packet
+    from repro.simulator.packet import Packet, Probe
     from repro.simulator.stats import StatsCollector
     from repro.simulator.switchnode import SwitchNode
 
@@ -227,7 +227,7 @@ class Sanitizer:
         self._probe_fifo = True
         self._probe_sizes: set = set()
         #: Per link: the probes sent on it and not yet delivered, in send order.
-        self._probe_pending: Dict["SimLink", Deque["Packet"]] = {}
+        self._probe_pending: Dict["SimLink", Deque["Packet | Probe"]] = {}
 
         self._network: Optional["Network"] = None
 
@@ -284,6 +284,11 @@ class Sanitizer:
         changes its tag.  Lane members share one tagged callback per distinct
         (hashable) callback, so a registration still allocates nothing, and
         a stop-requeued lane tail needs no wrapper: its members are tagged.
+        A multicast member's replicas are tagged the same way: its receivers
+        tuple is swapped for a tagged copy, built once per distinct tuple,
+        whose callbacks are those same shared tagged callbacks — each
+        replica sets the current tag, joins the schedule trace and checks
+        the heap head like any other lane delivery.
         ``drop_deliveries`` is shadowed too: a failing link names its raw
         receivers, and :class:`_SeeThrough` matches them under their tags;
         the no-op a dropped delivery runs instead is itself tagged.
@@ -292,8 +297,15 @@ class Sanitizer:
         sim.sanitizer = self  # type: ignore[attr-defined]
         inner_push, inner_later, inner_at = sim._push, sim.call_later, sim.call_at
         inner_batched, inner_run = sim.call_batched, sim.run
-        inner_drop = sim.drop_deliveries
+        inner_multicast, inner_drop = sim.call_multicast, sim.drop_deliveries
         lane: Dict[Any, _Tagged] = {}
+        multicasts: Dict[Tuple, Tuple] = {}
+
+        def lane_member(callback: Callable[[Any, Any], None]) -> _Tagged:
+            member = lane.get(callback)
+            if member is None:
+                member = lane[callback] = _Tagged(callback, "batch-lane", self)
+            return member
 
         def push(time: float, callback: Callable[..., None], args: Tuple) -> None:
             if callback is _fire_handle:
@@ -315,11 +327,18 @@ class Sanitizer:
         def call_batched(time: float, callback: Callable[[Any, Any], None],
                          subject: Any, inport: Any) -> None:
             if sim._batching:       # lane off, the inner call goes through push
-                member = lane.get(callback)
-                if member is None:
-                    member = lane[callback] = _Tagged(callback, "batch-lane", self)
-                callback = member
+                callback = lane_member(callback)
             inner_batched(time, callback, subject, inport)
+
+        def call_multicast(time: float, subject: Any, receivers: Tuple) -> None:
+            if sim._batching:       # lane off, the inner call goes through push
+                tagged = multicasts.get(receivers)
+                if tagged is None:
+                    tagged = multicasts[receivers] = tuple(
+                        lane_member(item) if index % 2 == 0 else item
+                        for index, item in enumerate(receivers))
+                receivers = tagged
+            inner_multicast(time, subject, receivers)
 
         def drop_deliveries(receivers: Any, inport: Any) -> None:
             inner_drop(_SeeThrough(receivers), inport)
@@ -334,6 +353,7 @@ class Sanitizer:
 
         for name, wrapper in (("_push", push), ("call_later", call_later),
                               ("call_at", call_at), ("call_batched", call_batched),
+                              ("call_multicast", call_multicast),
                               ("drop_deliveries", drop_deliveries), ("run", run)):
             setattr(sim, name, wrapper)
         # A dropped delivery keeps its slot and runs this: tagged like any
@@ -450,7 +470,7 @@ class Sanitizer:
             self._instrument_switch(network.switches[name])
             self._instrument_routing(name, network.switches[name].routing)
 
-    def _note_probe_size(self, packet: "Packet") -> None:
+    def _note_probe_size(self, packet: "Packet | Probe") -> None:
         sizes = self._probe_sizes
         wire = packet.size_bytes + packet.extra_header_bits * 0.125
         if wire not in sizes:
@@ -470,8 +490,8 @@ class Sanitizer:
 
         @functools.wraps(inner_send)
         def send_probes(neighbors: Any, ports: Any, exclude: Optional[str],
-                        packet: "Packet") -> None:
-            inner_send(neighbors, ports, exclude, packet)
+                        packet: "Packet | Probe", groups: Any = None) -> None:
+            inner_send(neighbors, ports, exclude, packet, groups)
             self._note_probe_size(packet)
             for neighbor in neighbors:
                 link = ports.get(neighbor)
@@ -481,11 +501,11 @@ class Sanitizer:
         switch.send_probes = send_probes  # type: ignore[assignment, method-assign]
 
     def _instrument_link(self, link: "SimLink", network: "Network") -> None:
-        pending: Deque["Packet"] = deque()
+        pending: Deque["Packet | Probe"] = deque()
         self._probe_pending[link] = pending
         last_delivery = [0.0]
         #: Probes in flight when the link failed (a handful per failure).
-        dead: List["Packet"] = []
+        dead: List["Packet | Probe"] = []
         #: Data/ACKs this link has transmitted and not yet delivered.
         in_flight: Dict[str, int] = {k: 0 for k in _CONSERVED_KINDS}
         dst_host: Optional["Host"] = network.hosts.get(link.dst)
@@ -536,7 +556,7 @@ class Sanitizer:
         inner_probe_sink = link.probe_sink
 
         @functools.wraps(inner_probe_sink)
-        def probe_sink(packet: "Packet", inport: str) -> None:
+        def probe_sink(packet: "Packet | Probe", inport: str) -> None:
             now = link.sim._now
             self.checks_run += 1
             if now < last_delivery[0]:

@@ -314,9 +314,6 @@ class StatsCollector:
 
     # --------------------------------------------------------------- overhead
 
-    def total_traffic_bytes(self) -> float:
-        return self.data_bytes + self.ack_bytes + self.probe_bytes + self.tag_overhead_bytes
-
     def overhead_ratio(self) -> float:
         """Probe + tag bytes as a fraction of data bytes."""
         if self.data_bytes == 0:

@@ -13,10 +13,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.simulator.link import send_probes
-from repro.simulator.packet import Packet
+from repro.simulator.packet import Packet, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulator.link import SimLink
+    from repro.simulator.link import ProbeGroups, SimLink
     from repro.simulator.network import Network
 
 __all__ = ["RoutingLogic", "SwitchNode"]
@@ -49,7 +49,7 @@ class RoutingLogic:
         """Return the next-hop node name for a transit packet, or None to drop."""
         raise NotImplementedError
 
-    def on_probe(self, packet: Packet, inport: str) -> None:
+    def on_probe(self, probe: Probe, inport: str) -> None:
         """Handle a control probe.  Optional (static systems ignore probes)."""
 
     def on_link_change(self, neighbor: str, failed: bool) -> None:
@@ -74,6 +74,9 @@ class SwitchNode:
         self.ports: Dict[str, "SimLink"] = {}
         #: hosts attached directly to this switch.
         self.attached_hosts: List[str] = []
+        #: The receivers tuple of each multicast target set this switch has
+        #: sent to, built at its first send (:func:`send_probes`).
+        self.probe_groups: "ProbeGroups" = {}
         routing.attach(self, network)
 
     # ------------------------------------------------------------------ wiring
@@ -104,7 +107,7 @@ class SwitchNode:
 
     # ----------------------------------------------------------------- receive
 
-    def receive(self, packet: Packet, inport: str) -> None:
+    def receive(self, packet: "Packet | Probe", inport: str) -> None:
         """Entry point for packets delivered by an ingress link.
 
         Wired links deliver probes to ``routing.on_probe`` themselves; the
@@ -150,10 +153,6 @@ class SwitchNode:
         link.enqueue(packet)
 
     # ------------------------------------------------------------------- misc
-
-    def send_probe(self, packet: Packet, neighbor: str) -> None:
-        """Transmit a probe towards a neighbouring switch (if the link is up)."""
-        self.send_probes((neighbor,), self.ports, None, packet)
 
     def __repr__(self) -> str:
         return f"SwitchNode({self.name}, ports={len(self.ports)})"

@@ -6,8 +6,9 @@ datacenter policy — 11 168 probe hops installing 1 632 FwdT rows:
 * Python-level calls into ``src/repro`` per hop (the ``call_budget`` fixture,
   the same count the perf ledger's ``*.calls`` rows report).  The delivery chain is
   ``_fire_batch -> on_probe``, and an accepted probe leaves its switch in one
-  ``send_probes`` call however many targets it has; a frame added to either,
-  or a property put back in front of a per-hop read, lands here.
+  ``send_probes`` call — one ``call_multicast`` on the fat-tree's uniform
+  links — however many targets it has; a frame added to either, or a
+  property put back in front of a per-hop read, lands here.
 * blocks a finished wave retains per installed FwdT row (``tracemalloc``,
   allocations made in ``src/repro``): the row itself, plus whatever of its
   vector, rank, key and groups the system's ``StatePool`` did not share.
@@ -31,7 +32,7 @@ import pytest
 import repro
 from repro.core.compiler import compile_policy
 from repro.protocol import ContraSystem
-from repro.protocol.probe import ProbePayload, make_probe_packet
+from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.simulator import Network
 from repro.simulator.link import send_probes
 from repro.topology import fattree
@@ -43,17 +44,21 @@ pytestmark = pytest.mark.no_sanitize
 PACKAGE_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 #: GC-tracked objects an *accepted* probe may leave behind (the FwdT row, the
-#: re-multicast payload and packet, and a pool entry when its vector, key or
-#: group is new): 2.65–3.47 measured as young-generation growth; 8.2–10.3
-#: before the StatePool, 9.8–12.0 as collections × threshold before the
-#: collector was paused, and 20.4–23.6 before the lane went flat.
-ALLOCATIONS_PER_ACCEPTED_PROBE = 3.5
+#: re-multicast probe, a pool entry when its vector, key or group is new, and
+#: the first wave's share of the switches' multicast receivers tuples):
+#: 2.24–3.19 measured as young-generation growth; 2.65–3.47 with a packet
+#: and a payload per probe, 8.2–10.3 before the StatePool, 9.8–12.0 as
+#: collections × threshold before the collector was paused, and 20.4–23.6
+#: before the lane went flat.
+ALLOCATIONS_PER_ACCEPTED_PROBE = 3.2
 
 #: ``tracemalloc`` blocks allocated in ``src/repro`` that one probe wave
-#: leaves alive, per FwdT row it installed: 4.98 measured (8 125 blocks for
-#: 1 632 rows: the rows, the wave still in flight, per-in-port state and the
-#: pool); 12.88 with a private vector, rank, key and group per row.
-RETAINED_BLOCKS_PER_ROW = 5.0
+#: leaves alive, per FwdT row it installed: 4.79 measured (7 817 blocks for
+#: 1 632 rows: the rows, the wave still in flight, per-in-port state, the
+#: switches' multicast receivers tuples and the pool); 4.98 with a packet
+#: and a payload per in-flight probe and a lane slot triple per delivery;
+#: 12.88 with a private vector, rank, key and group per row.
+RETAINED_BLOCKS_PER_ROW = 4.8
 
 
 def first_wave_network(dc_policy, **system_kwargs):
@@ -94,7 +99,10 @@ class TestCallsPerHop:
         hops = network.stats.total_packets
         assert hops == 11_168
         assert fwdt_rows(system, network) == 1_632
-        # 3.85 here; 4.28 with a _fast_rank and a Rank.of_values call per
+        # 2.91 here; 3.85 with a Simulator.call_batched call per multicast
+        # target instead of one call_multicast per multicast and a
+        # ProbePayload + make_probe_packet pair per probe; 4.28 with a
+        # _fast_rank and a Rank.of_values call per
         # accepted probe instead of per pooled vector; 5.02 also with the
         # ForwardingTable.install, DeviceConfig.multicast_targets / tag_info,
         # ProbePayload.advanced and _rank_of frames on an accepted probe; 6.31
@@ -102,7 +110,7 @@ class TestCallsPerHop:
         # _deliver_probe epoch guard per delivery; 11.07 also with receive()
         # dispatch, the MetricVector property frames, ForwardingTable.lookup
         # and the un-inlined link accounting.
-        assert calls / hops <= 3.85
+        assert calls / hops <= 2.92
 
 
 class TestRetainedMemoryPerRow:
@@ -148,10 +156,10 @@ class TestCollectionsFollowAcceptedProbes:
             stale = []
             for name in sorted(network.switches):
                 for (origin, _, pid), entry in system.logic(name).fwdt.items():
-                    payload = ProbePayload(origin, pid, 0, entry.next_tag,
-                                           entry.metrics)
+                    probe = ContraProbe(origin, pid, 0, entry.next_tag,
+                                        entry.metrics, probe_wire_size(96))
                     stale.append((network.switches[entry.next_hop].ports, name,
-                                  make_probe_packet(payload, entry.next_hop, 96)))
+                                  probe))
             before = fwdt_rows(system, network)
             with YoungGrowth() as growth:
                 for _ in range(repeats):

@@ -21,7 +21,7 @@ from repro.core import policies
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.protocol import ContraRouting, ContraSystem
-from repro.protocol.probe import ProbePayload, make_probe_packet
+from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.simulator import Network
 from repro.simulator import engine as engine_module
 from repro.simulator.link import SimLink
@@ -106,8 +106,7 @@ def _two_leaf_fabric():
 
 def _probe(compiled, origin: str, tag: int, src: str):
     names = tuple(compiled.carried_attrs)
-    payload = ProbePayload(origin, 0, 1, tag, MetricVector(names))
-    return make_probe_packet(payload, src, payload_bits=96)
+    return ContraProbe(origin, 0, 1, tag, MetricVector(names), probe_wire_size(96))
 
 
 class TestCongestionReadContract:

@@ -6,7 +6,9 @@ exactly what ``call_at(time, callback, subject, inport)`` means,
 same-timestamp lane registrations run in exact FIFO order, interleavings
 with non-lane events at the same timestamp are preserved (sealing), and the
 event counters read identically with the lane on or off.  A registration is
-a delivery of fixed arity two, stored flat — it allocates no container.
+a delivery of fixed arity two, stored flat — it allocates no container — or
+a multicast (``call_multicast``): one member over a shared receivers tuple
+that stands for its deliveries in order, accounting, drops and stops.
 """
 
 import gc
@@ -342,3 +344,179 @@ class TestRoutingProbeContract:
         sim.run()
         assert logic.seen == [(seq, inport) for inport, seq in order]
         assert sim.events_processed == len(order)
+
+
+class TestMulticastMembers:
+    """A multicast over links of one shape is one lane member of k deliveries."""
+
+    TARGETS = ("b", "c", "d", "e")
+
+    def _fabric(self, sim, delivered, latencies=None):
+        """Links s -> each target, recording ``(target, seq, inport)`` per delivery."""
+        ports = {}
+        for index, name in enumerate(self.TARGETS):
+            latency = 0.05 if latencies is None else latencies[index]
+            ports[name] = SimLink(
+                sim, "s", name, capacity=100.0, latency=latency,
+                deliver=lambda packet, inport, name=name: delivered.append(
+                    (name, packet.seq, inport)))
+        return ports
+
+    def _multicast(self, ports, groups, seq, exclude=None):
+        send_probes(self.TARGETS, ports, exclude, probe(seq), groups)
+
+    @LANE
+    def test_a_uniform_multicast_is_one_member_counting_k_deliveries(self, batching):
+        sim = Simulator(batching=batching)
+        delivered = []
+        ports = self._fabric(sim, delivered)
+        groups = {}
+        self._multicast(ports, groups, 0)
+        self._multicast(ports, groups, 1, exclude="c")
+        assert sim.pending_events == 7
+        if batching:
+            (entry,) = sim._queue
+            members = entry[3][1]
+            assert len(members) == 6            # two members, three slots each
+            assert members[0] is None and members[3] is None
+            # The member points at the switch's receivers tuple (a sanitized
+            # engine at its tagged copy): a pair per target.
+            assert len(members[2]) == len(groups[self.TARGETS][None]) == 8
+            assert len(members[5]) == 6
+        else:
+            assert len(sim._queue) == 7
+        sim.run()
+        assert delivered == [(name, 0, "s") for name in self.TARGETS] + \
+            [(name, 1, "s") for name in self.TARGETS if name != "c"]
+        assert sim.events_processed == 7
+        assert sim.pending_events == 0
+
+    def test_mixed_links_register_one_member_per_delivery(self):
+        sim = Simulator(batching=True)
+        delivered = []
+        ports = self._fabric(sim, delivered, latencies=(0.05, 0.05, 0.07, 0.05))
+        groups = {}
+        self._multicast(ports, groups, 0)
+        assert groups[self.TARGETS][None] is None
+        batches = [entry[3][1] for entry in sim._queue]
+        assert all(members[slot] is not None
+                   for members in batches for slot in range(0, len(members), 3))
+        # b and c share a batch; d's later arrival closes it, so e opens a
+        # second one at b's time (the lane's usual re-open, still FIFO).
+        assert sorted(len(members) for members in batches) == [3, 3, 6]
+        sim.run()
+        assert [name for name, _, _ in delivered] == ["b", "c", "e", "d"]
+
+    def test_a_member_survives_a_target_link_down_at_send_time(self):
+        # A target down when the multicast is sent is skipped, and the up
+        # links register one delivery each, in target order.
+        sim = Simulator(batching=True)
+        delivered = []
+        ports = self._fabric(sim, delivered)
+        ports["c"].fail()
+        self._multicast(ports, {}, 0)
+        (entry,) = sim._queue
+        assert None not in entry[3][1][::3]
+        sim.run()
+        assert delivered == [("b", 0, "s"), ("d", 0, "s"), ("e", 0, "s")]
+
+    def _pending_failure_run(self, batching):
+        sim = Simulator(batching=batching)
+        delivered = []
+        ports = self._fabric(sim, delivered)
+        groups = {}
+        self._multicast(ports, groups, 0)
+        self._multicast(ports, groups, 1)
+        shared = groups[self.TARGETS][None]
+        ports["d"].fail()
+        ports["d"].recover()
+        self._multicast(ports, groups, 2)
+        assert groups[self.TARGETS][None] is shared     # never written
+        pending = sim.pending_events
+        sim.run()
+        return delivered, pending, sim.events_processed, sim.pending_events
+
+    def test_a_failure_drops_only_its_own_replicas_and_keeps_their_slots(self):
+        on = self._pending_failure_run(True)
+        off = self._pending_failure_run(False)
+        delivered = on[0]
+        assert delivered == [(name, seq, "s") for seq in (0, 1)
+                             for name in self.TARGETS if name != "d"] + \
+            [(name, 2, "s") for name in self.TARGETS]
+        assert on == off
+        assert on[1:] == (12, 12, 0)
+
+    @LANE
+    def test_a_failure_raised_by_a_replica_drops_the_unfired_ones(self, batching):
+        # The first delivery fails the link of a later replica of the same
+        # multicast (and of the next one): both are lost, the rest arrive.
+        sim = Simulator(batching=batching)
+        delivered = []
+        ports = self._fabric(sim, delivered)
+
+        def deliver_and_fail(packet, inport):
+            delivered.append(("b", packet.seq, inport))
+            if packet.seq == 0:
+                ports["d"].fail()
+                ports["d"].recover()
+
+        ports["b"].deliver = ports["b"].probe_sink = deliver_and_fail
+        groups = {}
+        self._multicast(ports, groups, 0)
+        self._multicast(ports, groups, 1)
+        sim.run()
+        assert delivered == [("b", 0, "s"), ("c", 0, "s"), ("e", 0, "s"),
+                             ("b", 1, "s"), ("c", 1, "s"), ("e", 1, "s")]
+        assert sim.events_processed == 8
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("stop_at", [0, 1, 3])
+    @LANE
+    def test_stop_at_a_replica_requeues_the_rest_then_the_later_members(
+            self, batching, stop_at):
+        sim = Simulator(batching=batching)
+        delivered = []
+        ports = self._fabric(sim, delivered)
+        stopper = ports[self.TARGETS[stop_at]]
+        record = stopper.probe_sink
+
+        def deliver_and_stop(packet, inport):
+            record(packet, inport)
+            if packet.seq == 0:
+                sim.stop()
+
+        stopper.probe_sink = deliver_and_stop
+        groups = {}
+        self._multicast(ports, groups, 0)
+        send(ports["b"], probe(1))
+        self._multicast(ports, groups, 2)
+        sim.run()
+        assert delivered == [(name, 0, "s") for name in self.TARGETS[:stop_at + 1]]
+        assert sim.events_processed == stop_at + 1
+        assert sim.pending_events == 9 - (stop_at + 1)
+        sim.run()
+        assert delivered == [(name, 0, "s") for name in self.TARGETS] + \
+            [("b", 1, "s")] + [(name, 2, "s") for name in self.TARGETS]
+        assert sim.events_processed == 9
+        assert sim.pending_events == 0
+        assert not sim._queue
+
+    def test_a_multicast_registration_allocates_no_gc_tracked_container(self):
+        sim = Simulator(batching=True)
+        ports = self._fabric(sim, [])
+        groups = {}
+        self._multicast(ports, groups, 0)       # builds the receivers tuple
+        probes = [probe(seq) for seq in range(2_000)]
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            for packet in probes:
+                send_probes(self.TARGETS, ports, None, packet, groups)
+            grown = gc.get_count()[0] - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert sim.pending_events == 4 * 2_001
+        assert grown < 20

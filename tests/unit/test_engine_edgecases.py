@@ -299,8 +299,7 @@ class TestLinkStatsAccountingParity:
         dict(kind=PacketKind.DATA, src_host="a", dst_host="b",
              size_bytes=1500, extra_header_bits=16),
         dict(kind=PacketKind.ACK, src_host="b", dst_host="a", size_bytes=64),
-        dict(kind=PacketKind.PROBE, src_host="s", dst_host="", size_bytes=50,
-             probe={}),
+        dict(kind=PacketKind.PROBE, src_host="s", dst_host="", size_bytes=50),
     ]
     FIELDS = ("total_packets", "data_bytes", "ack_bytes", "probe_bytes",
               "tag_overhead_bytes")

@@ -134,6 +134,35 @@ class TestCollectorControl:
         assert violations == []
 
 
+class TestLaneRegistrant:
+    """Batch-lane registrations are findings under src/repro/ outside simulator/link.py."""
+
+    SOURCE = """\
+        def send(sim, sink, probe, receivers):
+            sim.call_batched(1.0, sink, probe, "a")
+            sim.call_multicast(1.0, probe, receivers)
+            sim.call_at(1.0, sink, probe, "a")
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/protocol/contra_switch.py")
+        # The non-lane tier (call_at) is anyone's to use.
+        assert [v.rule for v in violations] == ["lane-registrant"] * 2
+        assert [v.line for v in violations] == [2, 3]
+
+    def test_the_link_module_is_the_home(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/simulator/link.py")
+        assert violations == []
+
+
 class TestAllowlist:
     def test_allowlisted_finding_suppressed(self, tmp_path, monkeypatch):
         target = tmp_path / "audited.py"

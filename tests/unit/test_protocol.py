@@ -9,7 +9,7 @@ from repro.core.policies import MU
 from repro.exceptions import CompilationError, SimulationError
 from repro.core.builder import if_, inf, matches, minimize, path
 from repro.protocol import ContraSystem
-from repro.protocol.probe import ProbePayload, make_probe_packet, payload_from_packet
+from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
     FlowletTable,
@@ -18,19 +18,20 @@ from repro.protocol.tables import (
     LoopDetectionTable,
     StatePool,
 )
-from repro.simulator import Network
+from repro.simulator import Network, PacketKind
 from repro.topology import leafspine
 from repro.topology.graph import Topology
 
 
-class TestProbePayload:
-    def test_roundtrip_through_packet(self):
-        payload = ProbePayload("leaf1", 0, 7, 2, MetricVector(("util", "len"), (0.4, 2.0)))
-        packet = make_probe_packet(payload, "spine0", payload_bits=96)
-        recovered = payload_from_packet(packet)
-        assert recovered == payload
-        assert packet.is_probe
-        assert packet.size_bytes > 42
+class TestContraProbe:
+    def test_one_object_carries_the_payload_and_the_wire_size(self):
+        metrics = MetricVector(("util", "len"), (0.4, 2.0))
+        probe = ContraProbe("leaf1", 0, 7, 2, metrics, probe_wire_size(96))
+        assert (probe.origin, probe.pid, probe.version, probe.tag) == ("leaf1", 0, 7, 2)
+        assert probe.metrics is metrics
+        assert probe.kind == PacketKind.PROBE
+        assert probe.size_bytes == 42 + 12 and probe.extra_header_bits == 0
+        assert not hasattr(probe, "__dict__")
 
 
 class TestForwardingTable:
@@ -192,9 +193,10 @@ class TestContraRouting:
         _, compiled, system, network = build_contra_network()
         logic = system.logic("leaf0")
         unknown = max(compiled.device("leaf0").tags) + 1
-        payload = ProbePayload("leaf1", 0, 1, unknown, MetricVector(("util",), (0.0,)))
+        probe = ContraProbe("leaf1", 0, 1, unknown, MetricVector(("util",), (0.0,)),
+                            probe_wire_size(96))
         with pytest.raises(CompilationError, match="has no tag"):
-            logic._multicast(payload, exclude=None)
+            logic._multicast(probe, exclude=None)
 
     def test_split_horizon_disabled_still_converges(self):
         _, _, system, network = build_contra_network(split_horizon=False)

@@ -21,7 +21,7 @@ from repro.core.compiler import compile_policy
 from repro.core.policies import MU
 from repro.baselines import ShortestPathSystem
 from repro.protocol import ContraSystem
-from repro.protocol.probe import ProbePayload, make_probe_packet
+from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.simulator import Flow, Network, Simulator, StatsCollector
 from repro.simulator.link import SimLink
 from repro.simulator.sanitizer import Sanitizer, SanitizerError, Violation
@@ -217,7 +217,38 @@ def _periodic_self_cancel(sim, log):
     return [dict(until=2.0), dict(until=10.0)]
 
 
+def _stop_in_multicast(at):
+    """Two four-delivery multicasts around a single delivery at t=1; the
+    delivery to in-port ``at`` of each multicast stops the run."""
+    def schedule(sim, log):
+        def member(subject, inport):
+            log.append((sim.now, subject, inport))
+            if inport == at:
+                sim.stop()
+        receivers = tuple(item for port in range(4) for item in (member, port))
+        sim.call_multicast(1.0, "m", receivers)
+        sim.call_batched(1.0, member, "single", None)
+        sim.call_multicast(1.0, "n", receivers)
+        return [{}, {}, {}]
+    return schedule
+
+
+def _drop_in_multicast(sim, log):
+    """A delivery drops in-port 2's pending deliveries, its own multicast's too."""
+    def member(subject, inport):
+        log.append((sim.now, subject, inport))
+        if (subject, inport) == ("m", 0):
+            sim.drop_deliveries((member,), 2)
+    receivers = tuple(item for port in range(4) for item in (member, port))
+    sim.call_multicast(1.0, "m", receivers)
+    sim.call_multicast(2.0, "n", receivers)
+    return [{}]
+
+
 EDGE_SCHEDULES = {
+    "stop-mid-multicast": _stop_in_multicast(1),
+    "stop-at-last-replica": _stop_in_multicast(3),
+    "drop-in-multicast": _drop_in_multicast,
     "stop-mid-lane-entry": _stop_in_lane(1),
     "stop-at-last-member": _stop_in_lane(2),
     "stop-at-last-event": _stop_in_lane(4),
@@ -325,8 +356,8 @@ class TestTransportInvariants:
 
 
 def _probe(version):
-    payload = ProbePayload("leaf1", 0, version, 1, MetricVector(("util",), (0.0,)))
-    return make_probe_packet(payload, "spine0", payload_bits=96)
+    return ContraProbe("leaf1", 0, version, 1, MetricVector(("util",), (0.0,)),
+                       probe_wire_size(96))
 
 
 def _send(net, probe):

@@ -11,6 +11,7 @@ from repro.simulator import (
     Network,
     Packet,
     PacketKind,
+    Probe,
     ReceiverState,
     RoutingSystem,
     SenderState,
@@ -148,8 +149,7 @@ class TestSimLink:
         sim, link, delivered = self.make_link(capacity=1.0, latency=0.0, buffer_packets=10)
         for _ in range(3):
             link.enqueue(self.packet())
-        probe = Packet(kind=PacketKind.PROBE, src_host="A", dst_host="", size_bytes=64,
-                       probe={"origin": "A"})
+        probe = Probe(64)
         send_probes(("B",), {"B": link}, None, probe)
         sim.run()
         kinds = [p.kind for _, p in delivered]
@@ -280,8 +280,7 @@ class TestStatsCollector:
         data = Packet(kind=PacketKind.DATA, src_host="a", dst_host="b",
                       size_bytes=1500, extra_header_bits=16)
         ack = Packet(kind=PacketKind.ACK, src_host="b", dst_host="a", size_bytes=64)
-        probe = Packet(kind=PacketKind.PROBE, src_host="s", dst_host="", size_bytes=50,
-                       probe={})
+        probe = Packet(kind=PacketKind.PROBE, src_host="s", dst_host="", size_bytes=50)
         stats.record_transmission(None, data)
         stats.record_transmission(None, ack)
         stats.record_transmission(None, probe)

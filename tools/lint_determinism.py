@@ -46,6 +46,15 @@ One more scoped rule keeps a policy in one home:
   contract (ARCHITECTURE.md §1), and a second caller switching it would
   silently undo or extend that pause.
 
+And one keeps the batch lane's member layout with one producer:
+
+* ``lane-registrant`` — ``.call_batched(...)`` or ``.call_multicast(...)``
+  calls under ``src/repro/`` outside ``simulator/link.py``: the probe plane
+  is the engine's only batch-lane registrant, and :func:`send_probes` the
+  only code that builds a multicast member's receivers tuple
+  (ARCHITECTURE.md §1), so a second registrant could not keep the lane's
+  drop and accounting contract without copying that layout.
+
 And one keeps run state per run:
 
 * ``module-state`` — a module-level name bound to an empty ``{}``, ``[]``,
@@ -114,6 +123,11 @@ _GC_CONTROL = frozenset({"disable", "enable", "freeze", "unfreeze",
                          "set_threshold", "collect"})
 _GC_PREFIX = "src/repro/"
 _GC_HOME = "src/repro/simulator/engine.py"
+
+#: Batch-lane registrations (lane-registrant) and their one home.
+_LANE_CALLS = frozenset({"call_batched", "call_multicast"})
+_LANE_PREFIX = "src/repro/"
+_LANE_HOME = "src/repro/simulator/link.py"
 
 #: The only files allowed to read the process environment (env-read).
 _ENV_ALLOWED_FILES = frozenset({
@@ -223,6 +237,12 @@ class _Checker(ast.NodeVisitor):
                        "id() materializes a per-run CPython address; ordering "
                        "or keying on it is hidden nondeterminism (use `is` "
                        "for identity tests)")
+        if isinstance(func, ast.Attribute) and func.attr in _LANE_CALLS \
+                and self.rel.startswith(_LANE_PREFIX) and self.rel != _LANE_HOME:
+            self._flag(node, "lane-registrant",
+                       f".{func.attr}() outside simulator/link.py: the batch "
+                       "lane has one registrant, send_probes, so the "
+                       "multicast member layout has one producer")
         dotted = _dotted(func)
         if len(dotted) >= 2:
             head, tail = dotted[-2], dotted[-1]
