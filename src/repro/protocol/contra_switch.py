@@ -276,7 +276,7 @@ class ContraRouting(RoutingLogic):
         35 162 probes (49 %), and ``wan-failover``'s NSFNET multi-failure
         point sends 46 368 multicasts from 88 717 probes (≈ 52 %).  So the
         reject path must stay cheap, and the accept path must too.
-        Links deliver here directly (``SimLink.probe_sink``).
+        Links deliver here directly (``SimLink.probe_receivers``).
 
         Read contract: the traffic-direction link's ``congestion`` is read
         exactly once for a probe that has a transition and is not

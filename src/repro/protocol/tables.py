@@ -20,7 +20,7 @@ the FwdT and BestT rows of one deployment hold (ARCHITECTURE.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.attributes import MetricVector
 from repro.core.rank import Rank
@@ -136,10 +136,6 @@ class ForwardingTable:
         """All rows advertising ``destination`` (across tags and probe ids)."""
         return {k: v for k, v in self._entries.items() if k[0] == destination}
 
-    def entries_via(self, next_hop: str) -> List[FwdKey]:
-        """Keys of rows whose next hop is ``next_hop`` (for failure expiry)."""
-        return [k for k, v in self._entries.items() if v.next_hop == next_hop]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -214,10 +210,6 @@ class FlowletTable:
         #: they were already dead to every lookup).
         self.swept_entries = 0
         self._entries: Dict[Tuple[str, int, int, int], FlowletEntry] = {}
-
-    def flowlet_id(self, flow_key: Tuple) -> int:
-        """Hash a flow identifier into a table slot (stable across processes)."""
-        return stable_flow_hash(flow_key) % self.slots
 
     def lookup(self, destination: str, tag: int, pid: int, fid: int,
                now: float) -> Optional[FlowletEntry]:

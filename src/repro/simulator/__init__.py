@@ -1,7 +1,7 @@
 """Discrete-event network simulator substrate (the reproduction's ns-3 stand-in)."""
 
 from repro.simulator.accumulators import ReservoirSampler, StreamingHistogram
-from repro.simulator.engine import Event, PeriodicEvent, Simulator
+from repro.simulator.engine import PeriodicEvent, Simulator
 from repro.simulator.flow import TRANSPORT_MODES, Flow, ReceiverState, SenderState
 from repro.simulator.host import Host
 from repro.simulator.link import SimLink
@@ -19,7 +19,6 @@ from repro.simulator.switchnode import RoutingLogic, SwitchNode
 
 __all__ = [
     "Simulator",
-    "Event",
     "PeriodicEvent",
     "Flow",
     "TRANSPORT_MODES",

@@ -7,33 +7,30 @@ sequence number also breaks ties so that events scheduled earlier run earlier,
 which keeps runs bit-for-bit reproducible for a given seed — a property every
 experiment in EXPERIMENTS.md relies on.
 
-Four scheduling tiers exist, from hottest to most featureful:
+Three scheduling tiers exist, none of them cancellable:
 
-* :meth:`Simulator.call_batched` / :meth:`Simulator.call_multicast` — the
-  batch lane: same-timestamp registrations coalesce under **one** heap entry
-  whose deliveries run in exact FIFO registration order.  The probe control
-  plane uses this tier — a probe wave of thousands of same-tick deliveries
-  costs one heap push and one pop instead of one each per probe, and a
-  registration allocates nothing: a member is one delivery,
-  ``callback(subject, inport)``, or one multicast — a subject and a shared,
-  precomputed tuple of ``(callback, inport)`` pairs, one delivery each —
-  stored flat in the entry's one list.  Ordering contract: scheduling any
-  *non-lane* event at the open batch's timestamp seals the batch (later lane
-  registrations at that time start a new entry), so the relative order of
-  lane and non-lane events at one timestamp is exactly what per-event
-  scheduling would have produced.
+* :meth:`Simulator.call_multicast` — the batch lane: same-timestamp
+  registrations coalesce under **one** heap entry whose deliveries run in
+  exact FIFO registration order.  The probe control plane uses this tier —
+  a probe wave of thousands of same-tick deliveries costs one heap push and
+  one pop instead of one each per probe, and a registration allocates
+  nothing: a member is two slots, a subject and a shared, precomputed tuple
+  of ``(callback, inport)`` pairs — one delivery each, a one-link send being
+  a multicast of one — stored flat in the entry's one list.  Ordering
+  contract: scheduling any *non-lane* event at the open batch's timestamp
+  seals the batch (later lane registrations at that time start a new
+  entry), so the relative order of lane and non-lane events at one
+  timestamp is exactly what per-event scheduling would have produced.
 * :meth:`Simulator.call_later` / :meth:`Simulator.call_at` — the fast path:
-  no per-event wrapper object is allocated and the event cannot be cancelled.
-  The per-packet machinery (link serialization, delivery) uses this tier.
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — returns an
-  :class:`Event` handle supporting :meth:`Event.cancel`.  Cancellation marks
-  the handle inactive and the heap entry expires when popped (no heap scan).
+  no per-event wrapper object is allocated.  The per-packet machinery (link
+  serialization, delivery) uses this tier.
 * :meth:`Simulator.schedule_periodic` — a recurring event that re-arms itself
   without allocating a new handle per round; periodic probe floods coalesce
   their per-round work under a single recurring entry.
 
 Every tier refuses a time before *now*, and NaN with it: each check is
-written ``not time >= now``, which NaN fails.  A period must also be finite.
+written ``not time >= now``, which NaN fails.  A period and a periodic start
+delay must also be finite.
 
 :meth:`Simulator.drop_deliveries` is how a link failure loses the packets it
 had in flight: it turns their pending deliveries — heap entries and lane
@@ -56,7 +53,7 @@ from typing import Any, Callable, Container, Iterator, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
-__all__ = ["Simulator", "Event", "PeriodicEvent", "BATCH_LANE_DEFAULT"]
+__all__ = ["Simulator", "PeriodicEvent", "BATCH_LANE_DEFAULT"]
 
 _INF = float("inf")
 
@@ -75,34 +72,6 @@ def _dropped_delivery(packet: Any, inport: Any) -> None:
     """A delivery lost to a link failure: it keeps its slot and does nothing."""
 
 
-class Event:
-    """A cancellable scheduled callback (the featureful scheduling tier).
-
-    ``active`` means *pending*: it turns False when the event fires or is
-    cancelled, so cancelling an already-fired event is a harmless no-op.
-    """
-
-    __slots__ = ("time", "callback", "args", "active", "_sim")
-
-    def __init__(self, sim: "Simulator", time: float, callback: Callable[..., None],
-                 args: Tuple):
-        self._sim = sim
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.active = True
-
-    def cancel(self) -> None:
-        """Prevent a pending event from firing (it expires in the heap; no scan)."""
-        if self.active:
-            self.active = False
-            self._sim._cancelled += 1
-
-    def _fire(self) -> None:
-        self.active = False  # fired: a later cancel() must not touch counters
-        self.callback(*self.args)
-
-
 class PeriodicEvent:
     """A recurring callback that re-arms itself every ``period`` milliseconds.
 
@@ -112,7 +81,7 @@ class PeriodicEvent:
     callback batches.
     """
 
-    __slots__ = ("period", "callback", "args", "active", "_sim")
+    __slots__ = ("period", "callback", "args", "_sim")
 
     def __init__(self, sim: "Simulator", period: float, callback: Callable[..., None],
                  args: Tuple):
@@ -120,23 +89,10 @@ class PeriodicEvent:
         self.period = period
         self.callback = callback
         self.args = args
-        self.active = True
-
-    def cancel(self) -> None:
-        """Stop the recurrence; the pending firing expires silently."""
-        if self.active:
-            self.active = False
-            self._sim._cancelled += 1
 
     def _fire(self) -> None:
         self.callback(*self.args)
-        if self.active:  # the callback may have cancelled the recurrence
-            self._sim._push(self._sim._now + self.period, _fire_handle, (self,))
-        else:
-            # Cancelled from within its own callback: the entry that cancel()
-            # accounted for was already popped and none will be re-armed, so
-            # undo the bookkeeping to keep pending_events exact.
-            self._sim._cancelled -= 1
+        self._sim._push(self._sim._now + self.period, _fire_handle, (self,))
 
 
 class Simulator:
@@ -163,8 +119,6 @@ class Simulator:
         self._sequence = 0
         self._events_processed = 0
         self._stopped = False
-        #: heap entries whose handle was cancelled but that still await expiry.
-        self._cancelled = 0
         #: Batch lane state: the timestamp of the currently open batch (-1.0
         #: when none), its flat member list (shared with the heap entry; see
         #: :func:`_fire_batch` for the layout), and the member/entry
@@ -176,9 +130,10 @@ class Simulator:
         self._batch_entries = 0
         #: The member list :func:`_fire_batch` is walking (it has left the
         #: heap, and its unfired members are still pending), the iterator
-        #: over the multicast member it is firing (None between members), and
-        #: that member's unfired deliveries once :meth:`drop_deliveries` has
-        #: taken them from the iterator (None until it does).
+        #: over the receivers of the member it is firing (None between
+        #: members), and that member's unfired deliveries once
+        #: :meth:`drop_deliveries` has taken them from the iterator (None
+        #: until it does).
         self._firing_batch: Optional[List] = None
         self._firing_replicas: Optional[Iterator] = None
         self._unfired_replicas: Optional[Tuple] = None
@@ -196,19 +151,18 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Events executed so far (cancelled expiries are not counted)."""
+        """Events executed so far (each lane delivery counts as one)."""
         return self._events_processed
 
     @property
     def pending_events(self) -> int:
-        """Events scheduled and not cancelled (O(1); no heap scan).
+        """Events scheduled and not yet run (O(1); no heap scan).
 
-        A coalesced batch entry counts once per delivery — a multicast member
-        as many times as it has receivers — so the number is identical with
-        the batch lane on or off.
+        A coalesced batch entry counts once per delivery — a member as many
+        times as it has receivers — so the number is identical with the
+        batch lane on or off.
         """
-        return (len(self._queue) - self._cancelled - self._batch_entries
-                + self._batch_pending)
+        return len(self._queue) - self._batch_entries + self._batch_pending
 
     # ------------------------------------------------------------- scheduling
 
@@ -220,7 +174,7 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, callback, args))
 
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fast path: schedule a non-cancellable ``callback(*args)`` after ``delay`` ms."""
+        """Fast path: schedule ``callback(*args)`` after ``delay`` ms."""
         if not delay >= 0:          # also refuses NaN
             raise SimulationError(f"cannot schedule an event {delay} ms from now")
         time = self._now + delay
@@ -231,7 +185,7 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, callback, args))
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fast path: schedule a non-cancellable ``callback(*args)`` at an absolute time."""
+        """Fast path: schedule ``callback(*args)`` at an absolute time."""
         if not time >= self._now:   # also refuses NaN
             raise SimulationError(
                 f"cannot schedule an event at {time} ms, current time is {self._now} ms")
@@ -241,60 +195,29 @@ class Simulator:
         self._sequence = seq + 1
         heapq.heappush(self._queue, (time, seq, callback, args))
 
-    def call_batched(self, time: float, callback: Callable[[Any, Any], None],
-                     subject: Any, inport: Any) -> None:
-        """Batch lane: schedule the delivery ``callback(subject, inport)``.
-
-        Means what ``call_at(time, callback, subject, inport)`` means; the
-        difference is heap traffic and allocation only.  Same-timestamp lane
-        registrations coalesce under one heap entry and execute in exact FIFO
-        registration order when it pops.  The arity is fixed at two — the
-        thing delivered and the in-port it arrives on, which
-        :meth:`drop_deliveries` matches on — so the three references go flat
-        into the entry's member list and a registration allocates no
-        container: a k=16 probe
-        wave holds ~480k registrations at once, and two GC-tracked tuples
-        apiece used to cost a quarter of the run in collector passes.
-
-        Ordering contract: scheduling any *non-lane* event at the open
-        batch's timestamp seals it, so relative order against non-lane events
-        is exactly what per-event scheduling produces.  With the lane
-        disabled each registration is its own heap entry — byte-identical
-        schedules either way.
-        """
-        if not time >= self._now:
-            raise SimulationError(
-                f"cannot schedule an event at {time} ms, current time is {self._now} ms")
-        if not self._batching:
-            self._push(time, callback, (subject, inport))
-            return
-        if time != self._batch_time:
-            members: List = []
-            self._batch = members
-            self._batch_time = time
-            seq = self._sequence
-            self._sequence = seq + 1
-            heapq.heappush(self._queue, (time, seq, _fire_batch, (self, members)))
-            self._batch_entries += 1
-        else:
-            members = self._batch
-        members.append(callback)
-        members.append(subject)
-        members.append(inport)
-        self._batch_pending += 1
-
     def call_multicast(self, time: float, subject: Any, receivers: Tuple) -> None:
         """Batch lane: schedule ``callback(subject, inport)`` for every pair.
 
         ``receivers`` is a flat ``(callback, inport, callback, inport, ...)``
-        tuple.  Means what one :meth:`call_batched` per pair, in order,
-        means; the difference is that the lane stores the whole multicast as
-        **one** member pointing at ``receivers``, so a caller that keeps one
-        tuple per target set (the probe plane keeps them on its switches)
-        allocates nothing per registration, however many receivers it has.
-        Event accounting still counts deliveries, one per pair, and with the
-        lane disabled each pair is its own heap entry, exactly as
-        :meth:`call_batched` would have pushed it.
+        tuple; a delivery over one link is a multicast of one, registered
+        over the link's own pair.  Means what one
+        ``call_at(time, callback, subject, inport)`` per pair, in order,
+        means; the difference is heap traffic and allocation only.
+        Same-timestamp registrations coalesce under one heap entry and
+        execute in exact FIFO registration order when it pops, and the lane
+        stores the whole registration as **one** two-slot member pointing at
+        ``receivers``, so a caller that keeps one tuple per target set (the
+        probe plane keeps them on its switches and links) allocates nothing
+        per registration, however many receivers it has: a k=16 probe wave
+        holds ~480k deliveries at once, and two GC-tracked tuples apiece
+        used to cost a quarter of the run in collector passes.  Event
+        accounting counts deliveries, one per pair.
+
+        Ordering contract: scheduling any *non-lane* event at the open
+        batch's timestamp seals it, so relative order against non-lane events
+        is exactly what per-event scheduling produces.  With the lane
+        disabled each pair is its own heap entry — byte-identical schedules
+        either way.
         """
         if not time >= self._now:
             raise SimulationError(
@@ -314,25 +237,9 @@ class Simulator:
             self._batch_entries += 1
         else:
             members = self._batch
-        members.append(None)
         members.append(subject)
         members.append(receivers)
         self._batch_pending += len(receivers) >> 1
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule a cancellable ``callback(*args)`` to run ``delay`` ms from now."""
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule an event {delay} ms from now")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule a cancellable ``callback(*args)`` at an absolute simulation time."""
-        if not time >= self._now:
-            raise SimulationError(
-                f"cannot schedule an event at {time} ms, current time is {self._now} ms")
-        event = Event(self, time, callback, args)
-        self._push(time, _fire_handle, (event,))
-        return event
 
     def schedule_periodic(self, period: float, callback: Callable[..., None],
                           *args: Any, start_delay: float = 0.0) -> PeriodicEvent:
@@ -340,8 +247,9 @@ class Simulator:
         if not 0 < period < _INF:
             raise SimulationError(
                 f"periodic events need a positive finite period, got {period}")
-        if not start_delay >= 0:
-            raise SimulationError(f"cannot schedule an event {start_delay} ms from now")
+        if not 0 <= start_delay < _INF:
+            raise SimulationError(
+                f"periodic events need a finite start delay, got {start_delay}")
         event = PeriodicEvent(self, period, callback, args)
         self._push(self._now + start_delay, _fire_handle, (event,))
         return event
@@ -350,19 +258,18 @@ class Simulator:
         """Turn every pending ``receiver(packet, inport)`` into a no-op.
 
         A failing link calls this with its receivers and its in-port: every
-        heap entry, lane member and multicast delivery whose callback is ``in
-        receivers`` and whose in-port is ``inport`` keeps its time, sequence
-        number and slot but runs :attr:`_dropped` instead, so event order,
+        heap entry and lane delivery whose callback is ``in receivers`` and
+        whose in-port is ``inport`` keeps its time, sequence number and slot
+        but runs :attr:`_dropped` instead, so event order,
         ``events_processed`` and ``pending_events`` read exactly as if the
         delivery had run and found the link's packet lost.  The in-port
         keeps two links into one node from dropping each other's packets.
-        A multicast member gets a copy of its receivers tuple with the
-        dropped pairs' callbacks replaced (the shared tuple is never
-        written).  The walk includes the lane entry being fired, whose
-        unfired members left the heap with it, and the unfired deliveries of
-        the multicast member being fired, which :func:`_fire_batch` then
-        resumes from the copy.  It costs one pass over the pending events,
-        paid per link failure.
+        A lane member gets a copy of its receivers tuple with the dropped
+        pairs' callbacks replaced (the shared tuple is never written).  The
+        walk includes the lane entry being fired, whose unfired members left
+        the heap with it, and the unfired deliveries of the member being
+        fired, which :func:`_fire_batch` then resumes from the copy.  It
+        costs one pass over the pending events, paid per link failure.
         """
         dropped = self._dropped
         batches = [self._firing_batch] if self._firing_batch is not None else []
@@ -373,12 +280,8 @@ class Simulator:
             elif callback in receivers and args[1] == inport:
                 queue[index] = (time, seq, dropped, args)
         for members in batches:
-            for slot in range(0, len(members), 3):
-                if members[slot] is None:
-                    members[slot + 2] = _drop_replicas(
-                        members[slot + 2], receivers, inport, dropped)
-                elif members[slot + 2] == inport and members[slot] in receivers:
-                    members[slot] = dropped
+            for slot in range(1, len(members), 2):
+                members[slot] = _drop_replicas(members[slot], receivers, inport, dropped)
         if self._firing_replicas is not None:
             unfired = self._unfired_replicas
             if unfired is None:
@@ -461,15 +364,8 @@ class Simulator:
                     self._now = until
                     return self._now
                 heapq.heappop(queue)
-                callback = entry[2]
-                if callback is _fire_handle and not entry[3][0].active:
-                    # Cancelled handle expiring: consume the tombstone without
-                    # advancing the clock or counting an event (one pointer
-                    # comparison per pop keeps the fast path fast).
-                    self._cancelled -= 1
-                    continue
                 self._now = entry[0]
-                callback(*entry[3])
+                entry[2](*entry[3])
                 self._events_processed += 1
                 processed_this_call += 1
                 if max_events is not None and processed_this_call >= max_events:
@@ -488,12 +384,12 @@ class Simulator:
                 gc.enable()
 
 
-def _fire_handle(handle: "Event | PeriodicEvent") -> None:
-    """Shared trampoline for cancellable and periodic handles.
+def _fire_handle(handle: PeriodicEvent) -> None:
+    """Trampoline for periodic handles.
 
-    The run loop recognizes this function by identity to expire cancelled
-    entries without executing, advancing the clock, or counting an event —
-    which is why the sanitizer tags a handle's callback, never this entry's.
+    The sanitizer recognizes this function by identity, which is why it
+    tags a handle's callback, never this entry's, and the race detector
+    finds a periodic round at the heap head through it.
     """
     handle._fire()
 
@@ -502,26 +398,23 @@ def _fire_batch(sim: "Simulator", members: List) -> None:
     """Execute one coalesced batch entry's deliveries in FIFO order.
 
     The one definition of the member layout: a lane entry's list holds its
-    members flat, three slots each, and only this and
-    :meth:`Simulator.drop_deliveries` walk it (the latter finds this entry's
-    unfired members through ``_firing_batch``).  A member is either
-
-    * ``callback, subject, inport`` — one delivery, fired as
-      ``callback(subject, inport)`` (:meth:`Simulator.call_batched`), or
-    * ``None, subject, receivers`` — a multicast: one delivery per
-      ``(callback, inport)`` pair of the flat ``receivers`` tuple, in order
-      (:meth:`Simulator.call_multicast`).
+    members flat, two slots each — ``subject, receivers`` — and only this
+    and :meth:`Simulator.drop_deliveries` walk it (the latter finds this
+    entry's unfired members through ``_firing_batch``).  A member is one
+    delivery per ``(callback, inport)`` pair of the flat ``receivers``
+    tuple, fired as ``callback(subject, inport)`` in order
+    (:meth:`Simulator.call_multicast`).
 
     ``zip`` over one shared iterator recycles its result tuple, so firing
     allocates nothing per delivery.  Event accounting counts deliveries, so
     ``events_processed`` and ``pending_events`` read identically with the
     lane on or off.  A ``stop()`` raised by a delivery re-queues the unrun
-    remainder at the same timestamp — the multicast's unfired deliveries as
+    remainder at the same timestamp — the member's unfired deliveries as
     one member, then the later members — exactly the entries per-event
     scheduling would have left in the heap.  A link failure raised by a
-    delivery inside a multicast takes that multicast's unfired deliveries
-    from its iterator (:meth:`Simulator.drop_deliveries`), which ends the
-    inner loop; it resumes over the copy the failure left.
+    delivery takes its member's unfired deliveries from the iterator
+    (:meth:`Simulator.drop_deliveries`), which ends the inner loop; it
+    resumes over the copy the failure left.
     """
     if members is sim._batch:
         sim._batch_time = -1.0
@@ -532,15 +425,8 @@ def _fire_batch(sim: "Simulator", members: List) -> None:
     sim._firing_replicas = None
     fired = 0
     slots = iter(members)
-    for callback, subject, inport in zip(slots, slots, slots):
-        if callback is not None:
-            callback(subject, inport)
-            fired += 1
-            if sim._stopped:
-                sim._requeue_batch_tail(list(slots))
-                break
-            continue
-        replicas = sim._firing_replicas = iter(inport)
+    for subject, receivers in zip(slots, slots):
+        replicas = sim._firing_replicas = iter(receivers)
         while True:
             for callback, port in zip(replicas, replicas):
                 callback(subject, port)
@@ -558,7 +444,7 @@ def _fire_batch(sim: "Simulator", members: List) -> None:
         if sim._stopped:
             unfired = tuple(replicas)
             tail = list(slots)
-            sim._requeue_batch_tail([None, subject, unfired] + tail if unfired else tail)
+            sim._requeue_batch_tail([subject, unfired] + tail if unfired else tail)
             break
     sim._firing_batch, sim._firing_replicas = outer, outer_replicas
     sim._batch_pending -= fired

@@ -8,8 +8,8 @@ estimate that Contra and Hula probes read: an exponentially weighted moving
 average of the transmitted load over the link capacity, the standard
 data-plane estimator both systems use.
 
-Event budget: the link uses the engine's non-cancellable fast path and keeps
-its event count minimal.  Each transmitted packet costs exactly one delivery
+Event budget: the link uses the engine's fast path and keeps its event
+count minimal.  Each transmitted packet costs exactly one delivery
 event (serialization delay and propagation are folded into its timestamp);
 only when a backlog exists does the link additionally keep a single *drain*
 event alive that pulls the next packet off the queue when the serializer
@@ -34,20 +34,20 @@ FIFO order — within a link and across links — is exactly the per-event
 order; the lane only removes heap traffic, never reorders (see the engine's
 ordering contract).  This module is the lane's only registrant under
 ``src/repro`` (``tools/lint_determinism.py``'s ``lane-registrant`` rule), so
-the multicast member layout has one producer.
+the member layout has one producer.
 
 Delivery chain: a link registers its receiver itself, with its own name as
-the in-port — ``call_at(t, deliver, packet, src)`` for data and ACKs,
-``call_batched(t, probe_sink, probe, src)`` for probes, or one
-``call_multicast(t, probe, receivers)`` whose precomputed ``receivers``
-holds those ``(probe_sink, src)`` pairs, where ``probe_sink`` is the
-receiving switch's ``on_probe`` (wired at network build).  A data hop is
-engine → ``receive``, a probe hop engine → PROCESSPROBE: no link frame in
-between.
+the in-port — ``call_at(t, deliver, packet, src)`` for data and ACKs, and
+``call_multicast(t, probe, receivers)`` for probes, where ``receivers`` is
+either the link's own :attr:`SimLink.probe_receivers` pair ``(sink, src)``
+or a precomputed tuple of several links' pairs.  ``sink`` is the receiving
+switch's ``on_probe``, wired at network build on every switch-to-switch
+link, so a registration allocates nothing.  A data hop is engine →
+``receive``, a probe hop engine → PROCESSPROBE: no link frame in between.
 
 Failure: :meth:`SimLink.fail` clears the queue and has the engine turn every
-pending ``(receiver, in-port)`` delivery of this link — a multicast
-member's included — into a no-op
+pending ``(receiver, in-port)`` delivery of this link — a lane member's
+included — into a no-op
 (:meth:`Simulator.drop_deliveries`) — so every packet serializing or
 propagating when the link fails is lost, even if the link recovers before
 its delivery time, and a second link into the same node keeps its
@@ -107,11 +107,13 @@ class SimLink:
         #: ``callback(packet, inport=src)`` data and ACKs are delivered to.
         self.deliver: Callable[[Packet, str], None] = \
             deliver if deliver is not None else _discard
-        #: ``callback(packet, inport)`` probes are delivered to.  ``deliver``
-        #: unless rewired: a link towards a switch is wired with that
-        #: switch's ``routing.on_probe``, so a probe skips the node's
-        #: ``receive`` dispatch.
-        self.probe_sink: Callable[[Packet, str], None] = self.deliver
+        #: ``(sink, src)``: the one-pair receivers tuple a probe sent on this
+        #: link alone is registered over, ``sink(probe, inport)`` being where
+        #: it is delivered.  None on a link that carries no probes; a link
+        #: between two switches is wired with the far switch's
+        #: ``routing.on_probe`` at network build, so a probe skips the
+        #: node's ``receive`` dispatch and a registration allocates nothing.
+        self.probe_receivers: Optional[Tuple[Callable[[Probe, str], None], str]] = None
         self.stats = stats
         self.util_window = float(util_window)    # ms, EWMA window for utilization
 
@@ -271,7 +273,9 @@ class SimLink:
         self.failed = True
         if self._queue:
             self._queue.clear()
-        self.sim.drop_deliveries((self.deliver, self.probe_sink), self.src)
+        pair = self.probe_receivers
+        self.sim.drop_deliveries(
+            (self.deliver,) if pair is None else (self.deliver, pair[0]), self.src)
 
     def recover(self) -> None:
         """Bring the link back up."""
@@ -354,8 +358,9 @@ def send_probes(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
     precomputed for ``(neighbors, exclude)``
     (:meth:`Simulator.call_multicast`), unless a target link is down, when
     each up link registers its own delivery.  Without ``groups``, or over
-    mixed links, every target registers its own delivery
-    (:meth:`Simulator.call_batched`), as it always did.
+    mixed links, every target registers its own delivery.  A delivery of
+    its own is a multicast of one, over the link's
+    :attr:`SimLink.probe_receivers` pair.
     """
     wire_bytes = probe.size_bytes + probe.extra_header_bits * 0.125
     receivers = None
@@ -395,7 +400,7 @@ def send_probes(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
         link._util = util if util < 1.5 else 1.5      # min(1.5, util), frameless
         time = now + tx_time + link.latency
         if receivers is None:
-            sim.call_batched(time, link.probe_sink, probe, link.src)
+            sim.call_multicast(time, probe, link.probe_receivers)
     if receivers is None:
         return
     if not lost:                    # one arrival time: the group's links agree
@@ -404,12 +409,13 @@ def send_probes(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
     for neighbor in neighbors:      # a target is down: one delivery per up link
         link = ports.get(neighbor)
         if neighbor != exclude and link is not None and not link.failed:
-            sim.call_batched(time, link.probe_sink, probe, link.src)
+            sim.call_multicast(time, probe, link.probe_receivers)
 
 
 def _receivers(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
                exclude: Optional[str]) -> Optional[Tuple]:
-    """The flat ``(probe_sink, in-port, ...)`` tuple a multicast registers.
+    """The flat ``(sink, in-port, ...)`` tuple a multicast registers: the
+    links' :attr:`SimLink.probe_receivers` pairs, concatenated.
 
     None — register per delivery — unless at least two links qualify and
     they share every input of the arrival time and the accounting: capacity,
@@ -427,5 +433,5 @@ def _receivers(neighbors: Tuple[str, ...], ports: Mapping[str, SimLink],
             return None
     receivers = []
     for link in links:
-        receivers += (link.probe_sink, link.src)
+        receivers += link.probe_receivers
     return tuple(receivers)

@@ -10,7 +10,7 @@ testbed (DESIGN.md §4).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.simulator.engine import Simulator
@@ -125,6 +125,11 @@ class Network:
             logic = self.routing_system.create_switch_logic(switch_name)
             self.switches[switch_name] = SwitchNode(self, switch_name, logic)
 
+        # Only links between two switches carry probes.  Each hands them
+        # straight to the far switch's PROCESSPROBE (receive() would only
+        # dispatch them there), over a pair built here, before any run; a
+        # switch's sink is bound once, for all the links into it.
+        sinks = {name: switch.routing.on_probe for name, switch in self.switches.items()}
         for (src, dst), params in self.topology.link_params():
             # Deliveries call the destination node's receive() directly; the
             # node objects all exist by now, so no per-delivery lookup is paid.
@@ -139,11 +144,8 @@ class Network:
                 stats=self.stats,
                 util_window=self.util_window,
             )
-            # A link towards a switch hands probes straight to that switch's
-            # PROCESSPROBE (receive() would only dispatch them there).
-            dst_routing = getattr(dst_node, "routing", None)
-            if dst_routing is not None:
-                sim_link.probe_sink = dst_routing.on_probe
+            if src in sinks and dst in sinks:
+                sim_link.probe_receivers = (sinks[dst], src)
             self.links[(src, dst)] = sim_link
             if src in self.switches:
                 self.switches[src].add_port(dst, sim_link)
@@ -175,12 +177,6 @@ class Network:
     def destination_switches(self) -> List[str]:
         """Switches with at least one attached host (the probe destinations)."""
         return sorted({self.topology.attachment_switch(h) for h in self.topology.hosts})
-
-    def link_metric_lookup(self) -> Callable[[str, str], Dict[str, float]]:
-        """A ``link_metrics(a, b)`` callable for the compiler's reference oracle."""
-        def lookup(a: str, b: str) -> Dict[str, float]:
-            return self.link(a, b).metric_values()
-        return lookup
 
     # -------------------------------------------------------------- workloads
 

@@ -278,17 +278,15 @@ class Sanitizer:
         Called by ``Simulator.__init__`` under ``sanitize=True``.  The loop
         that runs is the engine's own; each wrapper hands the inner call a
         :class:`_Tagged` callback in place of the scheduled one.  For a
-        cancellable or periodic handle the *handle's* callback is tagged, as
-        the loop recognises ``_fire_handle`` entries by identity to expire
-        tombstones; a re-armed periodic handle keeps its wrapper and only
-        changes its tag.  Lane members share one tagged callback per distinct
-        (hashable) callback, so a registration still allocates nothing, and
-        a stop-requeued lane tail needs no wrapper: its members are tagged.
-        A multicast member's replicas are tagged the same way: its receivers
-        tuple is swapped for a tagged copy, built once per distinct tuple,
-        whose callbacks are those same shared tagged callbacks — each
-        replica sets the current tag, joins the schedule trace and checks
-        the heap head like any other lane delivery.
+        periodic handle the *handle's* callback is tagged, as the race
+        detector recognises a round by its ``_fire_handle`` entry; a re-armed
+        handle keeps its wrapper and only changes its tag.  A lane member's
+        receivers tuple is swapped for a tagged copy, built once per distinct
+        tuple, whose callbacks are shared tagged callbacks, one per distinct
+        (hashable) callback — so a registration still allocates nothing,
+        each delivery sets the current tag, joins the schedule trace and
+        checks the heap head like any other event, and a stop-requeued lane
+        tail needs no wrapper: its members are tagged.
         ``drop_deliveries`` is shadowed too: a failing link names its raw
         receivers, and :class:`_SeeThrough` matches them under their tags;
         the no-op a dropped delivery runs instead is itself tagged.
@@ -296,8 +294,8 @@ class Sanitizer:
         self.sim = sim
         sim.sanitizer = self  # type: ignore[attr-defined]
         inner_push, inner_later, inner_at = sim._push, sim.call_later, sim.call_at
-        inner_batched, inner_run = sim.call_batched, sim.run
-        inner_multicast, inner_drop = sim.call_multicast, sim.drop_deliveries
+        inner_multicast, inner_drop, inner_run = (
+            sim.call_multicast, sim.drop_deliveries, sim.run)
         lane: Dict[Any, _Tagged] = {}
         multicasts: Dict[Tuple, Tuple] = {}
 
@@ -324,12 +322,6 @@ class Sanitizer:
         def call_at(time: float, callback: Callable[..., None], *args: Any) -> None:
             inner_at(time, _Tagged(callback, _site(), self), *args)
 
-        def call_batched(time: float, callback: Callable[[Any, Any], None],
-                         subject: Any, inport: Any) -> None:
-            if sim._batching:       # lane off, the inner call goes through push
-                callback = lane_member(callback)
-            inner_batched(time, callback, subject, inport)
-
         def call_multicast(time: float, subject: Any, receivers: Tuple) -> None:
             if sim._batching:       # lane off, the inner call goes through push
                 tagged = multicasts.get(receivers)
@@ -352,8 +344,7 @@ class Sanitizer:
             return now
 
         for name, wrapper in (("_push", push), ("call_later", call_later),
-                              ("call_at", call_at), ("call_batched", call_batched),
-                              ("call_multicast", call_multicast),
+                              ("call_at", call_at), ("call_multicast", call_multicast),
                               ("drop_deliveries", drop_deliveries), ("run", run)):
             setattr(sim, name, wrapper)
         # A dropped delivery keeps its slot and runs this: tagged like any
@@ -361,29 +352,22 @@ class Sanitizer:
         sim._dropped = _Tagged(  # type: ignore[assignment, method-assign]
             sim._dropped, "link-failure", self)
 
-    def _check_head(self, index: int = 0) -> None:
-        """Check the heap entries that can run next, before the loop pops them.
+    def _check_head(self) -> None:
+        """Check the heap head, the entry the loop runs next, before it pops.
 
         Every tagged callback calls this after it runs, and the ``run``
         wrapper before the loop starts, so an entry pushed around the
         Simulator API — untagged, or behind the clock — is reported before
         it runs.  It is then adopted (tagged), so it is reported once and
-        the check still follows it.  A cancelled handle expires without
-        running anything, so the check looks behind it: the next live entry
-        is a live entry all of whose heap ancestors are tombstones, and
-        every such entry is checked.
+        the check still follows it.
         """
         sim = self.sim
         queue = sim._queue
-        if index >= len(queue):
+        if not queue:
             return
-        time, seq, callback, args = queue[index]
+        time, seq, callback, args = queue[0]
         if callback is _fire_handle:
             handle = args[0]
-            if not handle.active:
-                self._check_head(2 * index + 1)
-                self._check_head(2 * index + 2)
-                return
             tagged = type(handle.callback) is _Tagged
         else:
             tagged = callback is _fire_batch or type(callback) is _Tagged
@@ -400,17 +384,12 @@ class Sanitizer:
             if callback is _fire_handle:
                 handle.callback = _Tagged(handle.callback, "untagged", self)
             else:
-                queue[index] = (time, seq, _Tagged(callback, "untagged", self), args)
+                queue[0] = (time, seq, _Tagged(callback, "untagged", self), args)
 
     def _check_drained(self) -> None:
-        """Counter coherence once the heap empties (tombstones, batch lane)."""
+        """Batch-lane counter coherence once the heap empties."""
         sim = self.sim
         self.checks_run += 1
-        if sim._cancelled != 0:
-            self.violate(
-                "counter-coherence",
-                f"queue drained with _cancelled={sim._cancelled} "
-                f"(tombstones unaccounted)")
         if sim._batch_pending != 0 or sim._batch_entries != 0:
             self.violate(
                 "counter-coherence",
@@ -441,7 +420,7 @@ class Sanitizer:
             return
         head = queue[0]
         if head[0] == sim._now and head[2] is _fire_handle \
-                and head[3][0].active and self._commutable(head[3][0].callback) \
+                and self._commutable(head[3][0].callback) \
                 and rng is not None and rng.random() < 0.5:
             self._swapping = True
             try:
@@ -553,40 +532,41 @@ class Sanitizer:
 
         link.deliver = deliver  # type: ignore[method-assign]
 
-        inner_probe_sink = link.probe_sink
+        if link.probe_receivers is not None:       # a link that carries probes
+            inner_probe_sink = link.probe_receivers[0]
 
-        @functools.wraps(inner_probe_sink)
-        def probe_sink(packet: "Packet | Probe", inport: str) -> None:
-            now = link.sim._now
-            self.checks_run += 1
-            if now < last_delivery[0]:
-                self.violate(
-                    "link-fifo",
-                    f"probe on {link.src}->{link.dst} delivered at "
-                    f"t={now} after a delivery at t={last_delivery[0]}")
-            last_delivery[0] = now
-            if any(lost is packet for lost in dead):
-                self.violate(
-                    "stale-probe",
-                    f"probe {packet!r} delivered on {link.src}->{link.dst} "
-                    f"although the link failed while it was in flight")
-            if pending and pending[0] is packet:
-                pending.popleft()
-            else:
-                if self._probe_fifo:
-                    self._probe_fifo = False
+            @functools.wraps(inner_probe_sink)
+            def probe_sink(packet: "Packet | Probe", inport: str) -> None:
+                now = link.sim._now
+                self.checks_run += 1
+                if now < last_delivery[0]:
                     self.violate(
                         "link-fifo",
-                        f"per-(link,tick) FIFO violated on "
-                        f"{link.src}->{link.dst}: delivered {packet!r}, "
-                        f"expected {pending[0] if pending else None!r}")
-                for index, sent in enumerate(pending):
-                    if sent is packet:
-                        del pending[index]
-                        break
-            inner_probe_sink(packet, inport)
+                        f"probe on {link.src}->{link.dst} delivered at "
+                        f"t={now} after a delivery at t={last_delivery[0]}")
+                last_delivery[0] = now
+                if any(lost is packet for lost in dead):
+                    self.violate(
+                        "stale-probe",
+                        f"probe {packet!r} delivered on {link.src}->{link.dst} "
+                        f"although the link failed while it was in flight")
+                if pending and pending[0] is packet:
+                    pending.popleft()
+                else:
+                    if self._probe_fifo:
+                        self._probe_fifo = False
+                        self.violate(
+                            "link-fifo",
+                            f"per-(link,tick) FIFO violated on "
+                            f"{link.src}->{link.dst}: delivered {packet!r}, "
+                            f"expected {pending[0] if pending else None!r}")
+                    for index, sent in enumerate(pending):
+                        if sent is packet:
+                            del pending[index]
+                            break
+                inner_probe_sink(packet, inport)
 
-        link.probe_sink = probe_sink
+            link.probe_receivers = (probe_sink, link.src)
 
         inner_fail = link.fail
 

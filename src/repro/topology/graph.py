@@ -713,18 +713,6 @@ class Topology:
         clone.remove_link(a, b, bidirectional=True)
         return clone
 
-    def to_networkx(self):
-        """Export the switch graph to a :mod:`networkx` graph (for analysis/plotting)."""
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for node in self.nodes:
-            graph.add_node(node, kind=self._nodes[node])
-        for (src, dst), params in self.link_params():
-            graph.add_edge(src, dst, capacity=params.capacity,
-                           latency=params.latency, weight=params.weight)
-        return graph
-
     def validate(self) -> None:
         """Raise :class:`TopologyError` if the topology is structurally invalid."""
         for (src, dst) in self._links:

@@ -72,9 +72,9 @@ def run_with_oscillating_metrics(topology, policy, flows, duration=30.0,
             link = network.link(a, b)
             link.metric_values = (  # type: ignore[method-assign]
                 lambda v=value, lat=link.latency: {"util": v, "lat": lat, "len": 1.0})
-        network.sim.schedule(period, flip)
+        network.sim.call_later(period, flip)
 
-    network.sim.schedule(0.0, flip)
+    network.sim.call_later(0.0, flip)
     network.run(duration)
     return network, stats
 

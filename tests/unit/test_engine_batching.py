@@ -1,14 +1,15 @@
 """Engine batch lane: FIFO ordering, coalescing, sealing and accounting.
 
 The batch lane's contract is that it is *invisible* except for heap traffic
-and allocation: ``call_batched(time, callback, subject, inport)`` means
+and allocation: ``call_multicast(time, subject, (callback, inport))`` means
 exactly what ``call_at(time, callback, subject, inport)`` means,
 same-timestamp lane registrations run in exact FIFO order, interleavings
 with non-lane events at the same timestamp are preserved (sealing), and the
 event counters read identically with the lane on or off.  A registration is
-a delivery of fixed arity two, stored flat — it allocates no container — or
-a multicast (``call_multicast``): one member over a shared receivers tuple
-that stands for its deliveries in order, accounting, drops and stops.
+one two-slot member, stored flat — it allocates no container — over a shared
+receivers tuple of ``(callback, inport)`` pairs that stands for its
+deliveries in order, accounting, drops and stops; a one-link probe send is a
+multicast of one, over the link's own pair.
 """
 
 import gc
@@ -27,6 +28,13 @@ LANE = pytest.mark.parametrize("batching", [True, False])
 def probe(seq: int = 0) -> Packet:
     return Packet(kind=PacketKind.PROBE, src_host="s", dst_host="", seq=seq,
                   size_bytes=50)
+
+
+def carry_probes(link: SimLink) -> SimLink:
+    """Wire a hand-built link's probes to its ``deliver``, as a network
+    wires a switch-to-switch link's to the far switch."""
+    link.probe_receivers = (link.deliver, link.src)
+    return link
 
 
 def send(link: SimLink, packet: Packet) -> None:
@@ -52,9 +60,9 @@ class TestBatchLaneOrdering:
     def test_members_fire_in_registration_order(self):
         sim = Simulator(batching=True)
         sink = Recorder()
-        sim.call_batched(1.0, sink, "a", "x")
-        sim.call_batched(1.0, sink, "b", "y")
-        sim.call_batched(1.0, sink, "a", "z")
+        sim.call_multicast(1.0, "a", (sink, "x"))
+        sim.call_multicast(1.0, "b", (sink, "y"))
+        sim.call_multicast(1.0, "a", (sink, "z"))
         sim.run()
         assert sink.calls == [("a", "x"), ("b", "y"), ("a", "z")]
 
@@ -64,28 +72,28 @@ class TestBatchLaneOrdering:
         # registrations of one callback stay separate calls (no merging).
         sim = Simulator(batching=batching)
         first, second = Recorder(), Recorder()
-        sim.call_batched(1.0, first, "x", 7)
-        sim.call_batched(1.0, first, "x", 7)
-        sim.call_batched(1.0, second, "y", None)
-        sim.call_batched(1.0, first, ("a", "tuple"), 8)
+        sim.call_multicast(1.0, "x", (first, 7))
+        sim.call_multicast(1.0, "x", (first, 7))
+        sim.call_multicast(1.0, "y", (second, None))
+        sim.call_multicast(1.0, ("a", "tuple"), (first, 8))
         sim.run()
         assert first.calls == [("x", 7), ("x", 7), (("a", "tuple"), 8)]
         assert second.calls == [("y", None)]
 
     @LANE
-    def test_arity_is_exactly_two(self, batching):
+    def test_a_registration_is_a_subject_and_receivers(self, batching):
         sim = Simulator(batching=batching)
         with pytest.raises(TypeError):
-            sim.call_batched(1.0, Recorder(), "subject-only")
+            sim.call_multicast(1.0, "subject-only")
         with pytest.raises(TypeError):
-            sim.call_batched(1.0, Recorder(), "subject", "guard", "extra")
+            sim.call_multicast(1.0, "subject", (Recorder(), "guard"), "extra")
         assert sim.pending_events == 0
 
     def test_same_tick_registrations_share_one_heap_entry(self):
         sim = Simulator(batching=True)
         sink = Recorder()
         for value in range(100):
-            sim.call_batched(1.0, sink, value, 0)
+            sim.call_multicast(1.0, value, (sink, 0))
         assert len(sim._queue) == 1
         assert sim.pending_events == 100
 
@@ -96,9 +104,9 @@ class TestBatchLaneOrdering:
         def sink(value, guard):
             calls.append((sim.now, value))
 
-        sim.call_batched(1.0, sink, "x", 0)
-        sim.call_batched(2.0, sink, "y", 0)
-        sim.call_batched(1.0, sink, "z", 0)
+        sim.call_multicast(1.0, "x", (sink, 0))
+        sim.call_multicast(2.0, "y", (sink, 0))
+        sim.call_multicast(1.0, "z", (sink, 0))
         sim.run()
         # The time-2.0 registration sealed nothing at 1.0 (different tick),
         # but "z" arrived after the 1.0 batch was displaced, so it runs in a
@@ -108,18 +116,18 @@ class TestBatchLaneOrdering:
     def test_non_lane_event_at_same_time_seals_the_batch(self):
         sim = Simulator(batching=True)
         sink = Recorder()
-        sim.call_batched(1.0, sink, "a", 0)
+        sim.call_multicast(1.0, "a", (sink, 0))
         sim.call_at(1.0, sink, "plain", 0)
-        sim.call_batched(1.0, sink, "b", 0)
+        sim.call_multicast(1.0, "b", (sink, 0))
         sim.run()
         assert sink.subjects == ["a", "plain", "b"]
 
     def test_non_lane_event_at_other_time_does_not_seal(self):
         sim = Simulator(batching=True)
         sink = Recorder()
-        sim.call_batched(1.0, sink, "a", 0)
+        sim.call_multicast(1.0, "a", (sink, 0))
         sim.call_at(0.5, sink, "early", 0)
-        sim.call_batched(1.0, sink, "b", 0)
+        sim.call_multicast(1.0, "b", (sink, 0))
         sim.run()
         # "b" coalesced into the open batch: one heap entry, both members.
         assert sink.subjects == ["early", "a", "b"]
@@ -131,7 +139,7 @@ class TestBatchLaneOrdering:
         sim.call_at(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_batched(0.5, Recorder(), "late", 0)
+            sim.call_multicast(0.5, "late", (Recorder(), 0))
         assert sim.pending_events == 0
 
 
@@ -141,8 +149,8 @@ class TestBatchLaneAccounting:
         sim = Simulator(batching=batching)
         sink = Recorder()
         for value in range(5):
-            sim.call_batched(1.0, sink, value, 0)
-        sim.call_batched(2.0, sink, "late", 0)
+            sim.call_multicast(1.0, value, (sink, 0))
+        sim.call_multicast(2.0, "late", (sink, 0))
         assert sim.pending_events == 6
         sim.run()
         assert sink.subjects == [0, 1, 2, 3, 4, "late"]
@@ -158,15 +166,15 @@ class TestBatchLaneAccounting:
                 sink(value, guard)
                 sim.stop()
 
-            sim.call_batched(1.0, stopper, "first", 0)
-            sim.call_batched(1.0, sink, "second", 0)
-            sim.call_batched(1.0, sink, "third", 0)
+            sim.call_multicast(1.0, "first", (stopper, 0))
+            sim.call_multicast(1.0, "second", (sink, 0))
+            sim.call_multicast(1.0, "third", (sink, 0))
             sim.run()
             assert sink.subjects == ["first"]
             assert sim.pending_events == 2
             assert sim.events_processed == 1
             # A registration made while stopped must queue behind the tail.
-            sim.call_batched(1.0, sink, "fourth", 0)
+            sim.call_multicast(1.0, "fourth", (sink, 0))
             sim.run()
             assert sink.subjects == ["first", "second", "third", "fourth"]
             assert sim.pending_events == 0
@@ -181,8 +189,8 @@ class TestBatchLaneAccounting:
             sink(value, guard)
             sim.stop()
 
-        sim.call_batched(1.0, sink, "first", 0)
-        sim.call_batched(1.0, stopper, "last", 0)
+        sim.call_multicast(1.0, "first", (sink, 0))
+        sim.call_multicast(1.0, "last", (stopper, 0))
         sim.run()
         assert sink.subjects == ["first", "last"]
         assert sim.pending_events == 0
@@ -194,7 +202,7 @@ class TestFlatMembers:
     """The member layout has one definition, and registering allocates nothing."""
 
     @pytest.mark.no_sanitize
-    def test_members_are_stored_flat_and_a_stop_requeues_whole_triples(self):
+    def test_members_are_stored_flat_and_a_stop_requeues_whole_members(self):
         sim = Simulator(batching=True)
         sink = Recorder()
 
@@ -202,20 +210,20 @@ class TestFlatMembers:
             sink(value, guard)
             sim.stop()
 
-        sim.call_batched(1.0, sink, 0, 0)
-        sim.call_batched(1.0, stopper, 1, -1)
-        for value in (2, 3):
-            sim.call_batched(1.0, sink, value, -value)
-        assert sim._batch == [sink, 0, 0, stopper, 1, -1, sink, 2, -2, sink, 3, -3]
+        pairs = [(sink, 0), (stopper, -1), (sink, -2), (sink, -3)]
+        for value, pair in enumerate(pairs):
+            sim.call_multicast(1.0, value, pair)
+        assert sim._batch == [0, pairs[0], 1, pairs[1], 2, pairs[2], 3, pairs[3]]
+        assert all(sim._batch[slot] is pair for slot, pair in zip((1, 3, 5, 7), pairs))
         sim.run()
         (entry,) = sim._queue
-        assert entry[3][1] == [sink, 2, -2, sink, 3, -3]
+        assert entry[3][1] == [2, pairs[2], 3, pairs[3]]
 
     def test_a_registration_allocates_no_gc_tracked_container(self):
         # Two tuples a member — (callback, args) and (subject, guard) — were
         # 20 000 tracked allocations here, alive until the wave fired.
         sim = Simulator(batching=True)
-        sink = Recorder()
+        pair = (Recorder(), 0)
         subjects = [probe(seq) for seq in range(10_000)]
         gc.collect()
         was_enabled = gc.isenabled()
@@ -223,7 +231,7 @@ class TestFlatMembers:
         try:
             before = gc.get_count()[0]
             for subject in subjects:
-                sim.call_batched(1.0, sink, subject, 0)
+                sim.call_multicast(1.0, subject, pair)
             grown = gc.get_count()[0] - before
         finally:
             if was_enabled:
@@ -236,9 +244,9 @@ class TestLinkProbeRunFifo:
     """Probes ride the lane one member each; a failure drops its link's."""
 
     def _link(self, sim, delivered, name="a"):
-        return SimLink(sim, name, "b", capacity=100.0, latency=0.05,
-                       deliver=lambda packet, inport: delivered.append(
-                           (packet.seq, inport)))
+        return carry_probes(SimLink(sim, name, "b", capacity=100.0, latency=0.05,
+                                    deliver=lambda packet, inport: delivered.append(
+                                        (packet.seq, inport))))
 
     @LANE
     def test_same_tick_probes_arrive_one_by_one_in_fifo_order(self, batching):
@@ -298,8 +306,8 @@ class TestLinkProbeRunFifo:
                 victim.fail()
                 victim.recover()
 
-        bystander = SimLink(sim, "a", "b", capacity=100.0, latency=0.05,
-                            deliver=deliver_and_fail)
+        bystander = carry_probes(SimLink(sim, "a", "b", capacity=100.0,
+                                         latency=0.05, deliver=deliver_and_fail))
         send(bystander, probe(0))
         send(victim, probe(1))
         send(bystander, probe(2))
@@ -335,8 +343,8 @@ class TestRoutingProbeContract:
         sim = Simulator(batching=batching)
         logic = RecordingLogic()
         switch = SwitchNode(_Fabric(sim), "b", logic)
-        links = {name: SimLink(sim, name, "b", capacity=100.0, latency=0.05,
-                               deliver=switch.receive)
+        links = {name: carry_probes(SimLink(sim, name, "b", capacity=100.0,
+                                            latency=0.05, deliver=switch.receive))
                  for name in ("a", "c")}
         order = [("a", 0), ("c", 1), ("a", 2), ("a", 3), ("c", 4)]
         for inport, seq in order:
@@ -356,10 +364,10 @@ class TestMulticastMembers:
         ports = {}
         for index, name in enumerate(self.TARGETS):
             latency = 0.05 if latencies is None else latencies[index]
-            ports[name] = SimLink(
+            ports[name] = carry_probes(SimLink(
                 sim, "s", name, capacity=100.0, latency=latency,
                 deliver=lambda packet, inport, name=name: delivered.append(
-                    (name, packet.seq, inport)))
+                    (name, packet.seq, inport))))
         return ports
 
     def _multicast(self, ports, groups, seq, exclude=None):
@@ -377,12 +385,12 @@ class TestMulticastMembers:
         if batching:
             (entry,) = sim._queue
             members = entry[3][1]
-            assert len(members) == 6            # two members, three slots each
-            assert members[0] is None and members[3] is None
+            assert len(members) == 4            # two members, two slots each
+            assert [packet.seq for packet in members[::2]] == [0, 1]
             # The member points at the switch's receivers tuple (a sanitized
             # engine at its tagged copy): a pair per target.
-            assert len(members[2]) == len(groups[self.TARGETS][None]) == 8
-            assert len(members[5]) == 6
+            assert len(members[1]) == len(groups[self.TARGETS][None]) == 8
+            assert len(members[3]) == 6
         else:
             assert len(sim._queue) == 7
         sim.run()
@@ -391,6 +399,7 @@ class TestMulticastMembers:
         assert sim.events_processed == 7
         assert sim.pending_events == 0
 
+    @pytest.mark.no_sanitize
     def test_mixed_links_register_one_member_per_delivery(self):
         sim = Simulator(batching=True)
         delivered = []
@@ -398,14 +407,33 @@ class TestMulticastMembers:
         groups = {}
         self._multicast(ports, groups, 0)
         assert groups[self.TARGETS][None] is None
-        batches = [entry[3][1] for entry in sim._queue]
-        assert all(members[slot] is not None
-                   for members in batches for slot in range(0, len(members), 3))
+        batches = sorted((entry[3][1] for entry in sim._queue), key=len)
         # b and c share a batch; d's later arrival closes it, so e opens a
         # second one at b's time (the lane's usual re-open, still FIFO).
-        assert sorted(len(members) for members in batches) == [3, 3, 6]
+        assert [len(members) for members in batches] == [2, 2, 4]
+        # Each member's receivers is its link's own pair, by identity.
+        pairs = [members[slot] for members in batches
+                 for slot in range(1, len(members), 2)]
+        assert sorted(map(id, pairs)) == sorted(
+            id(ports[name].probe_receivers) for name in self.TARGETS)
         sim.run()
         assert [name for name, _, _ in delivered] == ["b", "c", "e", "d"]
+        # A per-delivery registration allocates no GC-tracked container.
+        packets = [probe(seq) for seq in range(1, 1_001)]
+        send_probes(("d",), ports, None, packets[0], groups)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            for packet in packets[1:]:
+                send_probes(("d",), ports, None, packet, groups)
+            grown = gc.get_count()[0] - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert sim.pending_events == 1_000
+        assert grown < 20
 
     def test_a_member_survives_a_target_link_down_at_send_time(self):
         # A target down when the multicast is sent is skipped, and the up
@@ -416,7 +444,7 @@ class TestMulticastMembers:
         ports["c"].fail()
         self._multicast(ports, {}, 0)
         (entry,) = sim._queue
-        assert None not in entry[3][1][::3]
+        assert [len(receivers) for receivers in entry[3][1][1::2]] == [2, 2, 2]
         sim.run()
         assert delivered == [("b", 0, "s"), ("d", 0, "s"), ("e", 0, "s")]
 
@@ -460,7 +488,7 @@ class TestMulticastMembers:
                 ports["d"].fail()
                 ports["d"].recover()
 
-        ports["b"].deliver = ports["b"].probe_sink = deliver_and_fail
+        ports["b"].probe_receivers = (deliver_and_fail, "s")
         groups = {}
         self._multicast(ports, groups, 0)
         self._multicast(ports, groups, 1)
@@ -478,14 +506,14 @@ class TestMulticastMembers:
         delivered = []
         ports = self._fabric(sim, delivered)
         stopper = ports[self.TARGETS[stop_at]]
-        record = stopper.probe_sink
+        record = stopper.deliver
 
         def deliver_and_stop(packet, inport):
             record(packet, inport)
             if packet.seq == 0:
                 sim.stop()
 
-        stopper.probe_sink = deliver_and_stop
+        stopper.probe_receivers = (deliver_and_stop, "s")
         groups = {}
         self._multicast(ports, groups, 0)
         send(ports["b"], probe(1))

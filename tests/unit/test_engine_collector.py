@@ -42,8 +42,8 @@ class TestCollectorPause:
         sim = Simulator()
         seen = []
         sim.call_at(1.0, lambda: seen.append(gc.isenabled()))
-        sim.call_batched(2.0, lambda subject, inport: seen.append(gc.isenabled()),
-                         None, None)
+        sim.call_multicast(2.0, None,
+                           (lambda subject, inport: seen.append(gc.isenabled()), None))
         sim.run()
         assert seen == [False, False]
         assert gc.isenabled()

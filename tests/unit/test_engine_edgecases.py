@@ -1,7 +1,7 @@
 """Edge-case tests for the event engine and link layer.
 
 Covers the semantics the refactored fast-path engine must keep: the
-``run(until=...)`` boundary, lazy (expire-on-pop) cancellation, periodic
+``run(until=...)`` boundary, exact pending-event accounting, periodic
 events, link failure during an in-flight serialization, and determinism of
 identical runs.
 """
@@ -11,7 +11,7 @@ from collections import deque
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulator import Packet, PacketKind, SimLink, Simulator
+from repro.simulator import Packet, PacketKind, PeriodicEvent, SimLink, Simulator
 from repro.simulator.accumulators import ReservoirSampler, StreamingHistogram
 from repro.simulator.link import send_probes
 
@@ -20,13 +20,13 @@ class TestRunUntilBoundary:
     def test_event_exactly_at_until_runs(self):
         sim = Simulator()
         fired = []
-        sim.schedule_at(2.0, fired.append, "boundary")
+        sim.call_at(2.0, fired.append, "boundary")
         assert sim.run(until=2.0) == 2.0
         assert fired == ["boundary"]
 
     def test_clock_never_exceeds_until(self):
         sim = Simulator()
-        sim.schedule_at(5.0, lambda: None)
+        sim.call_at(5.0, lambda: None)
         assert sim.run(until=3.0) == 3.0
         assert sim.now == 3.0
 
@@ -94,75 +94,56 @@ class TestRunUntilBoundary:
         assert fired == [] and sim.pending_events == 1
 
 
-class TestCancellation:
-    def test_cancelled_event_expires_without_firing(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        assert sim.pending_events == 1
-        event.cancel()
-        assert sim.pending_events == 0
-        sim.run()
-        assert fired == []
-
-    def test_double_cancel_is_idempotent(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending_events == 0
-
-    def test_cancel_from_an_earlier_event(self):
-        sim = Simulator()
-        fired = []
-        later = sim.schedule(2.0, fired.append, "later")
-        sim.schedule(1.0, later.cancel)
-        sim.run()
-        assert fired == []
-
-    def test_cancelled_event_does_not_advance_clock(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        late = sim.schedule(100.0, lambda: None)
-        late.cancel()
-        sim.run()
-        assert sim.now == 5.0
-        assert sim.events_processed == 1
-
-    def test_cancelled_expiry_does_not_consume_max_events(self):
-        sim = Simulator()
-        fired = []
-        doomed = sim.schedule(1.0, fired.append, "doomed")
-        sim.schedule(2.0, fired.append, "a")
-        sim.schedule(3.0, fired.append, "b")
-        doomed.cancel()
-        sim.run(max_events=2)
-        assert fired == ["a", "b"]
-
-    def test_cancel_after_firing_keeps_pending_count_exact(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.call_later(5.0, lambda: None)
-        sim.run(until=2.0)          # event fired and was popped
-        event.cancel()              # must be a no-op, not a counter decrement
-        assert sim.pending_events == 1
-
-    def test_periodic_self_cancel_keeps_pending_count_exact(self):
-        sim = Simulator()
-        handle = sim.schedule_periodic(1.0, lambda: handle.cancel())
-        sim.run(until=5.0)
-        assert sim.pending_events == 0
-
+class TestPendingEvents:
     def test_pending_events_counts_fast_path_entries(self):
         sim = Simulator()
         sim.call_later(1.0, lambda: None)
         sim.call_later(2.0, lambda: None)
-        event = sim.schedule(3.0, lambda: None)
-        assert sim.pending_events == 3
-        event.cancel()
         assert sim.pending_events == 2
         sim.run()
         assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_pending_events_counts_every_lane_delivery(self, batching):
+        sim = Simulator(batching=batching)
+        sim.call_multicast(1.0, "p", (_pair, "a", _pair, "b", _pair, "c"))
+        sim.call_multicast(1.0, "q", (_pair, "a"))
+        sim.call_later(2.0, _noop)
+        assert sim.pending_events == 5
+        sim.run(until=1.0)
+        assert sim.pending_events == 1
+        assert sim.events_processed == 4
+
+    def test_a_periodic_handle_is_one_pending_event_every_round(self):
+        sim = Simulator()
+        sim.schedule_periodic(1.0, _noop)
+        assert sim.pending_events == 1
+        sim.run(until=3.5)
+        assert sim.pending_events == 1
+        assert sim.events_processed == 4
+
+
+class TestMaxEvents:
+    def test_a_lane_entry_is_one_step_however_many_deliveries(self):
+        sim = Simulator(batching=True)
+        fired = []
+        deliver = lambda subject, inport: fired.append((subject, inport))  # noqa: E731
+        sim.call_multicast(1.0, "p", (deliver, "a", deliver, "b"))
+        sim.call_multicast(1.0, "q", (deliver, "c"))
+        sim.call_at(2.0, fired.append, "late")
+        sim.run(max_events=1)
+        assert fired == [("p", "a"), ("p", "b"), ("q", "c")]
+        assert sim.events_processed == 3
+        assert sim.pending_events == 1
+
+    def test_with_the_lane_off_each_delivery_is_one_step(self):
+        sim = Simulator(batching=False)
+        fired = []
+        deliver = lambda subject, inport: fired.append((subject, inport))  # noqa: E731
+        sim.call_multicast(1.0, "p", (deliver, "a", deliver, "b"))
+        sim.run(max_events=1)
+        assert fired == [("p", "a")]
+        assert sim.pending_events == 1
 
 
 class TestPeriodicEvents:
@@ -180,54 +161,56 @@ class TestPeriodicEvents:
         sim.run(until=2.6)
         assert times == [0.5, 1.5, 2.5]
 
-    def test_cancel_stops_recurrence(self):
-        sim = Simulator()
-        times = []
-        handle = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
-        sim.schedule_at(2.5, handle.cancel)
-        sim.run(until=10.0)
-        assert times == [0.0, 1.0, 2.0]
-
-    def test_callback_may_cancel_itself(self):
-        sim = Simulator()
-        times = []
-        def tick():
-            times.append(sim.now)
-            if len(times) == 2:
-                handle.cancel()
-        handle = sim.schedule_periodic(1.0, tick)
-        sim.run(until=10.0)
-        assert times == [0.0, 1.0]
-
     def test_non_positive_period_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_periodic(0.0, lambda: None)
+
+    def test_negative_start_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_periodic(1.0, _noop, start_delay=-0.5)
+        assert sim.pending_events == 0
+
+    def test_rounds_keep_their_phase_after_a_later_run(self):
+        sim = Simulator()
+        times = []
+        sim.schedule_periodic(2.0, lambda: times.append(sim.now), start_delay=0.5)
+        sim.run(until=3.0)
+        sim.call_at(4.0, _noop)
+        sim.run(until=7.0)
+        assert times == [0.5, 2.5, 4.5, 6.5]
 
 
 NAN = float("nan")
 
 
 class TestNonFiniteTimes:
-    """Every scheduling entry point refuses NaN, and a period must be finite.
+    """Every scheduling entry point refuses NaN, and a period and a periodic
+    start delay must be finite.
 
     Unchecked, a NaN period re-arms at NaN forever (``run(until=5.0)`` never
-    returns), and a NaN time sorts first and sets the clock to NaN.
+    returns), a NaN time sorts first and sets the clock to NaN, and an
+    infinite start delay fires at inf and re-arms at inf + period = inf, so
+    ``run()`` never returns.
     """
 
     @pytest.mark.parametrize("schedule", [
         pytest.param(lambda sim: sim.call_later(NAN, _noop), id="call_later"),
         pytest.param(lambda sim: sim.call_at(NAN, _noop), id="call_at"),
-        pytest.param(lambda sim: sim.call_batched(NAN, _pair, "p", "a"),
-                     id="call_batched"),
-        pytest.param(lambda sim: sim.schedule(NAN, _noop), id="schedule"),
-        pytest.param(lambda sim: sim.schedule_at(NAN, _noop), id="schedule_at"),
+        pytest.param(lambda sim: sim.call_multicast(NAN, "p", (_pair, "a")),
+                     id="call_multicast"),
         pytest.param(lambda sim: sim.schedule_periodic(NAN, _noop),
                      id="periodic-nan-period"),
         pytest.param(lambda sim: sim.schedule_periodic(float("inf"), _noop),
                      id="periodic-infinite-period"),
         pytest.param(lambda sim: sim.schedule_periodic(1.0, _noop, start_delay=NAN),
                      id="periodic-nan-start-delay"),
+        pytest.param(lambda sim: sim.schedule_periodic(
+            1.0, _noop, start_delay=float("inf")), id="periodic-infinite-start-delay"),
+        pytest.param(lambda sim: sim.schedule_periodic(
+            1.0, _noop, start_delay=float("-inf")),
+            id="periodic-negative-infinite-start-delay"),
     ])
     def test_refused_and_nothing_scheduled(self, schedule):
         sim = Simulator()
@@ -247,6 +230,35 @@ def _pair(subject, inport):
     pass
 
 
+class TestNoCancellableTier:
+    """The engine schedules through three tiers, none of them cancellable:
+    the cancellable tier and the second lane registration are gone."""
+
+    @pytest.mark.parametrize("owner, name", [
+        (Simulator, "schedule"),
+        (Simulator, "schedule_at"),
+        (Simulator, "call_batched"),
+        (PeriodicEvent, "cancel"),
+        (PeriodicEvent, "active"),
+    ])
+    def test_the_removed_entry_points_are_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_the_package_exports_no_event_handle(self):
+        import repro.simulator
+        import repro.simulator.engine
+
+        assert not hasattr(repro.simulator, "Event")
+        assert not hasattr(repro.simulator.engine, "Event")
+        assert "Event" not in repro.simulator.__all__
+
+    def test_an_engine_keeps_no_tombstone_counter(self):
+        sim = Simulator()
+        sim.schedule_periodic(1.0, _noop)
+        sim.run(until=2.0)
+        assert "_cancelled" not in vars(sim)
+
+
 class TestLinkFailureInFlight:
     def make_link(self, capacity=1.0, latency=0.5):
         sim = Simulator()
@@ -262,24 +274,24 @@ class TestLinkFailureInFlight:
     def test_fail_during_serialization_loses_packet(self):
         sim, link, delivered = self.make_link(capacity=1.0, latency=0.0)
         link.enqueue(self.packet())           # serializes until t=1.0
-        sim.schedule_at(0.5, link.fail)       # mid-serialization
+        sim.call_at(0.5, link.fail)           # mid-serialization
         sim.run()
         assert delivered == []
 
     def test_fail_and_recover_still_loses_in_flight_packet(self):
         sim, link, delivered = self.make_link(capacity=1.0, latency=2.0)
         link.enqueue(self.packet())           # delivery would be at t=3.0
-        sim.schedule_at(1.5, link.fail)
-        sim.schedule_at(2.0, link.recover)
+        sim.call_at(1.5, link.fail)
+        sim.call_at(2.0, link.recover)
         sim.run()
         assert delivered == []                # the wire went dark while in flight
 
     def test_traffic_after_recovery_flows(self):
         sim, link, delivered = self.make_link()
         link.enqueue(self.packet())
-        sim.schedule_at(0.1, link.fail)
-        sim.schedule_at(2.0, link.recover)
-        sim.schedule_at(3.0, lambda: link.enqueue(self.packet()))
+        sim.call_at(0.1, link.fail)
+        sim.call_at(2.0, link.recover)
+        sim.call_at(3.0, lambda: link.enqueue(self.packet()))
         sim.run()
         assert len(delivered) == 1
 
@@ -322,6 +334,7 @@ class TestLinkStatsAccountingParity:
         sim = Simulator()
         link = SimLink(sim, "A", "B", capacity=10.0, latency=0.1,
                        deliver=lambda pkt, inport: None, stats=via_link)
+        link.probe_receivers = (link.deliver, link.src)
         for fields in self.PACKETS:
             packet = Packet(**fields)
             if entry == "_transmit":
@@ -406,16 +419,15 @@ class TestLinkTransmitSeam:
 
 class TestDeterminism:
     def _run_once(self):
-        """A small closed simulation mixing fast-path, cancellable and periodic."""
+        """A small closed simulation mixing fast-path, lane and periodic."""
         sim = Simulator()
         trace = []
         sim.schedule_periodic(0.7, lambda: trace.append(("tick", sim.now)))
         for index in range(20):
             sim.call_later(0.1 * index, lambda i=index: trace.append(("call", i, sim.now)))
-        cancellable = [sim.schedule(0.35 * index, lambda i=index: trace.append(("evt", i)))
-                       for index in range(10)]
-        for event in cancellable[::2]:
-            event.cancel()
+        pair = (lambda subject, inport: trace.append(("lane", subject, sim.now)), None)
+        for index in range(10):
+            sim.call_multicast(0.35 * index, index, pair)
         sim.run(until=5.0)
         return trace, sim.events_processed
 

@@ -26,6 +26,7 @@ def make_link(capacity=10.0, latency=0.5, buffer_packets=10):
     link = SimLink(sim, "A", "B", capacity=capacity, latency=latency,
                    buffer_packets=buffer_packets,
                    deliver=lambda pkt, inport: delivered.append((sim.now, pkt)))
+    link.probe_receivers = (link.deliver, link.src)
     return sim, link, delivered
 
 
@@ -61,6 +62,8 @@ class TestFailureDrops:
         victim = SimLink(sim, "A", "B", capacity=10.0, latency=0.5, deliver=receiver)
         bystander = SimLink(sim, "C", "B", capacity=10.0, latency=0.5,
                             deliver=receiver)
+        for link in (victim, bystander):
+            link.probe_receivers = (receiver, link.src)
         return sim, victim, bystander, delivered
 
     @LANE

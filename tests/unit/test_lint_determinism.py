@@ -139,7 +139,6 @@ class TestLaneRegistrant:
 
     SOURCE = """\
         def send(sim, sink, probe, receivers):
-            sim.call_batched(1.0, sink, probe, "a")
             sim.call_multicast(1.0, probe, receivers)
             sim.call_at(1.0, sink, probe, "a")
         """
@@ -154,12 +153,87 @@ class TestLaneRegistrant:
         violations, _ = self.lint_at(tmp_path, monkeypatch,
                                      "src/repro/protocol/contra_switch.py")
         # The non-lane tier (call_at) is anyone's to use.
-        assert [v.rule for v in violations] == ["lane-registrant"] * 2
-        assert [v.line for v in violations] == [2, 3]
+        assert [v.rule for v in violations] == ["lane-registrant"]
+        assert [v.line for v in violations] == [2]
 
     def test_the_link_module_is_the_home(self, tmp_path, monkeypatch):
         violations, _ = self.lint_at(tmp_path, monkeypatch,
                                      "src/repro/simulator/link.py")
+        assert violations == []
+
+
+class TestEnginePrivate:
+    """The engine's heap and lane internals are findings under src/repro/
+    outside simulator/engine.py and simulator/sanitizer.py."""
+
+    SOURCE = """\
+        from repro.simulator.engine import Simulator, _fire_batch
+        from repro.simulator.engine import _fire_handle as trampoline
+        def peek(sim):
+            sim._batch.append(None)
+            head = sim._queue[0]
+            return sim._sequence, sim._firing_replicas, sim._batch_pending, head
+        def steer(sim):
+            sim._requeue_batch_tail([])
+            return sim.pending_events, sim._now, sim._batching
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/experiments/race.py")
+        # The heap itself, the clock, the lane switch and the public
+        # properties are not the member layout.
+        assert [v.rule for v in violations] == ["engine-private"] * 7
+        assert [v.line for v in violations] == [1, 2, 4, 6, 6, 6, 8]
+
+    @pytest.mark.parametrize("name", [
+        "_batch", "_batch_time", "_batch_pending", "_batch_entries",
+        "_firing_batch", "_firing_replicas", "_unfired_replicas", "_sequence",
+        "_requeue_batch_tail"])
+    def test_every_lane_attribute_is_flagged(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / "src/repro/protocol"
+        target.mkdir(parents=True)
+        violations, _ = run_lint(target, f"""\
+            def touch(sim):
+                return sim.{name}
+            """, name="hula.py")
+        assert [(v.rule, v.line) for v in violations] == [("engine-private", 2)]
+
+    @pytest.mark.parametrize("name", ["_fire_batch", "_fire_handle"])
+    def test_every_trampoline_import_is_flagged(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / "src/repro/protocol"
+        target.mkdir(parents=True)
+        violations, _ = run_lint(target, f"""\
+            import repro.simulator.engine as engine
+            from repro.simulator.engine import {name}
+            """, name="hula.py")
+        assert [(v.rule, v.line) for v in violations] == [("engine-private", 2)]
+
+    def test_lookalike_names_are_not_flagged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / "src/repro/protocol"
+        target.mkdir(parents=True)
+        violations, _ = run_lint(target, """\
+            def touch(sim, batch):
+                return (sim._batching, sim._batch_size, batch._sequence_no,
+                        sim.fire_batch, sim.sequence)
+            """, name="hula.py")
+        assert violations == []
+
+    @pytest.mark.parametrize("rel", ["src/repro/simulator/engine.py",
+                                     "src/repro/simulator/sanitizer.py",
+                                     "benchmarks/perf/run.py"])
+    def test_allowed_in_the_engine_its_sanitizer_and_outside_the_package(
+            self, tmp_path, monkeypatch, rel):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
         assert violations == []
 
 

@@ -53,12 +53,6 @@ class TestForwardingTable:
         table.install(("leaf2", 0, 0), self.entry())
         assert len(table.entries_for_destination("leaf1")) == 2
 
-    def test_entries_via_next_hop(self):
-        table = ForwardingTable()
-        table.install(("leaf1", 0, 0), self.entry("spine0"))
-        table.install(("leaf2", 0, 0), self.entry("spine1"))
-        assert table.entries_via("spine0") == [("leaf1", 0, 0)]
-
     def test_remove(self):
         table = ForwardingTable()
         table.install(("leaf1", 0, 0), self.entry())
@@ -81,10 +75,9 @@ class TestBestChoiceTable:
 class TestFlowletTable:
     def test_install_lookup_expire_by_timeout(self):
         table = FlowletTable(timeout=1.0)
-        fid = table.flowlet_id(("h1", "h2", 7))
-        table.install("leaf1", 0, 0, fid, "spine0", 0, now=0.0)
-        assert table.lookup("leaf1", 0, 0, fid, now=0.5).next_hop == "spine0"
-        assert table.lookup("leaf1", 0, 0, fid, now=2.0) is None
+        table.install("leaf1", 0, 0, 3, "spine0", 0, now=0.0)
+        assert table.lookup("leaf1", 0, 0, 3, now=0.5).next_hop == "spine0"
+        assert table.lookup("leaf1", 0, 0, 3, now=2.0) is None
 
     def test_touch_extends_lifetime(self):
         table = FlowletTable(timeout=1.0)

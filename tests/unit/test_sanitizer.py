@@ -30,7 +30,7 @@ from repro.topology import leafspine
 pytestmark = pytest.mark.no_sanitize
 
 #: The instance attributes a sanitizer shadows on the engine it instruments.
-ENGINE_WRAPPERS = {"_push", "call_later", "call_at", "call_batched",
+ENGINE_WRAPPERS = {"_push", "call_later", "call_at", "call_multicast",
                    "drop_deliveries", "_dropped", "run"}
 
 
@@ -66,6 +66,17 @@ class TestPlumbing:
         assert sim.sanitizer.sim is sim
         assert ENGINE_WRAPPERS <= vars(sim).keys()
         assert sim.sanitizer.ok
+
+    def test_sanitized_links_deliver_probes_through_their_wrapper(self):
+        system, network = build_contra_network()
+        carriers = [link for link in network.links.values()
+                    if link.probe_receivers is not None]
+        assert carriers
+        for link in carriers:
+            sink, inport = link.probe_receivers
+            assert inport == link.src
+            assert sink != network.switches[link.dst].routing.on_probe
+            assert sink.__wrapped__ == network.switches[link.dst].routing.on_probe
 
     def test_default_network_carries_no_sanitizer(self):
         net = Network(leafspine(2, 2, hosts_per_leaf=1), ShortestPathSystem())
@@ -132,21 +143,6 @@ class TestEngineInvariants:
             "test_raw_entry_pushed_by_a_running_callback_is_caught.<locals>.<lambda>"
         assert ran == []
 
-    def test_raw_entry_behind_a_cancelled_tombstone_is_caught(self):
-        # The tombstone expires without running anything, so a check of the
-        # heap head alone would let the raw entry behind it run unseen.
-        sim = Simulator(sanitize=True)
-
-        def inject():
-            sim.schedule_at(2.0, _noop).cancel()
-            _push_raw(sim, 3.0)
-
-        sim.call_at(1.0, inject)
-        with pytest.raises(SanitizerError) as err:
-            sim.run()
-        assert err.value.violation.rule == "untagged-event"
-        assert err.value.violation.time == 1.0
-
     def test_a_collected_raw_entry_is_reported_once_and_still_runs(self):
         sim = Simulator(sanitize=True)
         sim.sanitizer.mode = "collect"
@@ -174,47 +170,28 @@ def _stop_in_lane(at):
             if subject == at:
                 sim.stop()
         for subject in range(3):
-            sim.call_batched(1.0, member, subject, None)
+            sim.call_multicast(1.0, subject, (member, None))
         sim.call_at(1.0, log.append, (1.0, "plain"))
-        sim.call_batched(1.0, member, 3, None)
-        sim.call_batched(2.0, member, 4, None)
+        sim.call_multicast(1.0, 3, (member, None))
+        sim.call_multicast(2.0, 4, (member, None))
         return [{}, {}, {}]
     return schedule
 
 
 def _max_events_in_lane(sim, log):
+    pair = (lambda s, g: log.append((sim.now, s)), None)
     for subject in range(4):
-        sim.call_batched(1.0, lambda s, g: log.append((sim.now, s)), subject, None)
+        sim.call_multicast(1.0, subject, pair)
     sim.call_at(2.0, log.append, (2.0, "plain"))
     return [dict(max_events=1), dict(max_events=1), {}]
 
 
 def _until_boundary(sim, log):
     sim.call_at(2.0, log.append, (2.0, "call_at"))
-    sim.schedule_at(2.0, log.append, (2.0, "handle"))
-    sim.call_batched(2.0, lambda s, g: log.append((sim.now, s)), "lane", None)
+    sim.schedule_periodic(5.0, log.append, (2.0, "handle"), start_delay=2.0)
+    sim.call_multicast(2.0, "lane", (lambda s, g: log.append((sim.now, s)), None))
     sim.call_at(2.5, log.append, (2.5, "beyond"))
     return [dict(until=1.0), dict(until=2.0), dict(until=3.0)]
-
-
-def _cancelled_handles(sim, log):
-    handles = [sim.schedule_at(time, log.append, (time, index))
-               for index, time in enumerate((1.0, 1.0, 2.0, 3.0, 3.0))]
-    handles[0].cancel()
-    handles[4].cancel()
-    sim.call_at(1.5, handles[3].cancel)
-    sim.call_at(3.0, log.append, (3.0, "plain"))
-    return [dict(max_events=1), {}]
-
-
-def _periodic_self_cancel(sim, log):
-    def tick():
-        log.append((sim.now, "tick"))
-        if len(log) >= 5:
-            handle.cancel()
-    handle = sim.schedule_periodic(0.5, tick, start_delay=0.5)
-    sim.call_batched(1.0, lambda s, g: log.append((sim.now, s)), "lane", None)
-    return [dict(until=2.0), dict(until=10.0)]
 
 
 def _stop_in_multicast(at):
@@ -227,7 +204,7 @@ def _stop_in_multicast(at):
                 sim.stop()
         receivers = tuple(item for port in range(4) for item in (member, port))
         sim.call_multicast(1.0, "m", receivers)
-        sim.call_batched(1.0, member, "single", None)
+        sim.call_multicast(1.0, "single", (member, None))
         sim.call_multicast(1.0, "n", receivers)
         return [{}, {}, {}]
     return schedule
@@ -254,8 +231,6 @@ EDGE_SCHEDULES = {
     "stop-at-last-event": _stop_in_lane(4),
     "max-events-in-lane": _max_events_in_lane,
     "until-boundary": _until_boundary,
-    "cancelled-handles": _cancelled_handles,
-    "periodic-self-cancel": _periodic_self_cancel,
 }
 
 
@@ -430,10 +405,10 @@ class TestProbeInvariants:
             for probe in probes:
                 _send(net, probe)
             # Swap the two registrations inside the open lane entry (flat
-            # members, three slots each): delivery order != send order.
+            # members, two slots each): delivery order != send order.
             members = net.sim._batch
-            assert [members[1], members[4]] == probes
-            members[0:3], members[3:6] = members[3:6], members[0:3]
+            assert members[0::2] == probes
+            members[0:2], members[2:4] = members[2:4], members[0:2]
 
         net.sim.call_at(0.1, inject)
         with pytest.raises(SanitizerError) as err:

@@ -28,24 +28,24 @@ class TestSimulator:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(2.0, order.append, "b")
-        sim.schedule(1.0, order.append, "a")
-        sim.schedule(3.0, order.append, "c")
+        sim.call_later(2.0, order.append, "b")
+        sim.call_later(1.0, order.append, "a")
+        sim.call_later(3.0, order.append, "c")
         sim.run()
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_scheduling_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(1.0, order.append, 1)
-        sim.schedule(1.0, order.append, 2)
+        sim.call_later(1.0, order.append, 1)
+        sim.call_later(1.0, order.append, 2)
         sim.run()
         assert order == [1, 2]
 
     def test_run_until_stops_clock(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, fired.append, "late")
+        sim.call_later(5.0, fired.append, "late")
         assert sim.run(until=2.0) == 2.0
         assert fired == []
         sim.run(until=10.0)
@@ -54,22 +54,14 @@ class TestSimulator:
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(-1.0, lambda: None)
+            sim.call_later(-1.0, lambda: None)
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.call_later(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_at(0.5, lambda: None)
-
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
-        sim.run()
-        assert fired == []
+            sim.call_at(0.5, lambda: None)
 
     def test_stop_halts_processing(self):
         sim = Simulator()
@@ -79,8 +71,8 @@ class TestSimulator:
             fired.append("first")
             sim.stop()
 
-        sim.schedule(1.0, first)
-        sim.schedule(2.0, fired.append, "second")
+        sim.call_later(1.0, first)
+        sim.call_later(2.0, fired.append, "second")
         sim.run()
         assert fired == ["first"]
 
@@ -91,9 +83,9 @@ class TestSimulator:
         def chain(n):
             fired.append(n)
             if n < 3:
-                sim.schedule(1.0, chain, n + 1)
+                sim.call_later(1.0, chain, n + 1)
 
-        sim.schedule(0.0, chain, 0)
+        sim.call_later(0.0, chain, 0)
         sim.run()
         assert fired == [0, 1, 2, 3]
         assert sim.events_processed == 4
@@ -105,7 +97,7 @@ class TestSimulator:
         sim = Simulator()
         observed = []
         for delay in delays:
-            sim.schedule(delay, lambda: observed.append(sim.now))
+            sim.call_later(delay, lambda: observed.append(sim.now))
         sim.run()
         assert observed == sorted(observed)
 
@@ -117,6 +109,7 @@ class TestSimLink:
         link = SimLink(sim, "A", "B", capacity=capacity, latency=latency,
                        buffer_packets=buffer_packets,
                        deliver=lambda pkt, inport: delivered.append((sim.now, pkt)))
+        link.probe_receivers = (link.deliver, link.src)
         return sim, link, delivered
 
     def packet(self, kind=PacketKind.DATA, size=DATA_PACKET_BYTES):
@@ -173,7 +166,7 @@ class TestSimLink:
         busy_util = link.utilization
         assert busy_util > 0.3
         # Let time pass without traffic: the estimate decays.
-        sim.schedule(10.0, lambda: None)
+        sim.call_later(10.0, lambda: None)
         sim.run()
         assert link.utilization < busy_util
 
@@ -365,11 +358,27 @@ class TestNetwork:
         with pytest.raises(SimulationError):
             net.link("leaf0", "leaf1")
 
-    def test_link_metric_lookup_callable(self):
+    def test_probe_receivers_only_on_switch_to_switch_links(self):
+        # The plain build; a sanitized one wraps each sink (test_sanitizer).
         topo = leafspine(2, 2, hosts_per_leaf=1)
-        net = Network(topo, _StaticSystem())
-        metrics = net.link_metric_lookup()("leaf0", "spine0")
-        assert set(metrics) == {"util", "lat", "len"}
+        net = Network(topo, _StaticSystem(), sanitize=False)
+        for (src, dst), link in net.links.items():
+            if src in net.switches and dst in net.switches:
+                sink, inport = link.probe_receivers
+                assert sink == net.switches[dst].routing.on_probe
+                assert inport == src
+            else:
+                assert link.probe_receivers is None
+
+    def test_links_into_one_switch_share_its_bound_sink(self):
+        topo = leafspine(2, 2, hosts_per_leaf=1)
+        net = Network(topo, _StaticSystem(), sanitize=False)
+        into_spine0 = [link.probe_receivers[0] for (src, dst), link in net.links.items()
+                       if dst == "spine0"]
+        assert len(into_spine0) == 2
+        assert into_spine0[0] is into_spine0[1]
+        assert net.link("leaf0", "spine0").probe_receivers[0] \
+            is not net.link("leaf0", "spine1").probe_receivers[0]
 
 
 class TestNetworkArguments:

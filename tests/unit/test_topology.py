@@ -200,11 +200,6 @@ class TestTopologyAlgorithms:
         topo = self.build_square()
         assert topo.max_rtt() == pytest.approx(2 * 2 * 0.05)
 
-    def test_to_networkx(self):
-        graph = self.build_square().to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 8
-
 
 class TestFattree:
     def test_k4_counts(self):

@@ -46,14 +46,21 @@ One more scoped rule keeps a policy in one home:
   contract (ARCHITECTURE.md §1), and a second caller switching it would
   silently undo or extend that pause.
 
-And one keeps the batch lane's member layout with one producer:
+And two keep the batch lane's member layout with one producer and one
+reader:
 
-* ``lane-registrant`` — ``.call_batched(...)`` or ``.call_multicast(...)``
-  calls under ``src/repro/`` outside ``simulator/link.py``: the probe plane
-  is the engine's only batch-lane registrant, and :func:`send_probes` the
-  only code that builds a multicast member's receivers tuple
-  (ARCHITECTURE.md §1), so a second registrant could not keep the lane's
-  drop and accounting contract without copying that layout.
+* ``lane-registrant`` — ``.call_multicast(...)`` calls under ``src/repro/``
+  outside ``simulator/link.py``: the probe plane is the engine's only
+  batch-lane registrant, and :func:`send_probes` the only code that builds
+  a member's receivers tuple (ARCHITECTURE.md §1), so a second registrant
+  could not keep the lane's drop and accounting contract without copying
+  that layout.
+* ``engine-private`` — an access to the engine's heap and lane state
+  (``_sequence``, ``_batch*``, ``_firing_*``, ``_unfired_replicas``,
+  ``_requeue_batch_tail``) or to its trampolines (``_fire_batch``,
+  ``_fire_handle``), by attribute or import, under ``src/repro/`` outside
+  ``simulator/engine.py`` and ``simulator/sanitizer.py``: the heap and
+  member layout stay known only to those two files (ARCHITECTURE.md §1).
 
 And one keeps run state per run:
 
@@ -125,9 +132,20 @@ _GC_PREFIX = "src/repro/"
 _GC_HOME = "src/repro/simulator/engine.py"
 
 #: Batch-lane registrations (lane-registrant) and their one home.
-_LANE_CALLS = frozenset({"call_batched", "call_multicast"})
+_LANE_CALLS = frozenset({"call_multicast"})
 _LANE_PREFIX = "src/repro/"
 _LANE_HOME = "src/repro/simulator/link.py"
+
+#: The engine's heap/lane state and trampolines (engine-private), and the
+#: files that may name them.
+_ENGINE_PRIVATE = frozenset({
+    "_batch", "_batch_time", "_batch_pending", "_batch_entries",
+    "_firing_batch", "_firing_replicas", "_unfired_replicas", "_sequence",
+    "_requeue_batch_tail", "_fire_batch", "_fire_handle",
+})
+_ENGINE_PREFIX = "src/repro/"
+_ENGINE_HOMES = frozenset({"src/repro/simulator/engine.py",
+                           "src/repro/simulator/sanitizer.py"})
 
 #: The only files allowed to read the process environment (env-read).
 _ENV_ALLOWED_FILES = frozenset({
@@ -242,7 +260,7 @@ class _Checker(ast.NodeVisitor):
             self._flag(node, "lane-registrant",
                        f".{func.attr}() outside simulator/link.py: the batch "
                        "lane has one registrant, send_probes, so the "
-                       "multicast member layout has one producer")
+                       "member layout has one producer")
         dotted = _dotted(func)
         if len(dotted) >= 2:
             head, tail = dotted[-2], dotted[-1]
@@ -274,7 +292,20 @@ class _Checker(ast.NodeVisitor):
                            "repro.experiments.config")
         self.generic_visit(node)
 
+    def _engine_private(self, node: ast.AST, name: str) -> None:
+        if name in _ENGINE_PRIVATE and self.rel.startswith(_ENGINE_PREFIX) \
+                and self.rel not in _ENGINE_HOMES:
+            self._flag(node, "engine-private",
+                       f"{name} outside simulator/engine.py and sanitizer.py: "
+                       "the heap and lane member layout are the engine's own")
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            self._engine_private(node, alias.name)
+        self.generic_visit(node)
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._engine_private(node, node.attr)
         if node.attr == "environ" and isinstance(node.value, ast.Name) \
                 and node.value.id == "os" \
                 and self.rel not in _ENV_ALLOWED_FILES:
