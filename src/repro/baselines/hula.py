@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, SimulationError, require
 from repro.protocol.tables import FlowletTable, packet_flow_hash
 from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import BASE_PROBE_BYTES, Packet, Probe
@@ -70,6 +71,9 @@ class HulaSystem(RoutingSystem):
         flowlet_timeout: float = 0.2,
         failure_periods: int = 3,
     ):
+        require("probe_period", probe_period, POSITIVE, SimulationError)
+        require("flowlet_timeout", flowlet_timeout, NON_NEGATIVE, SimulationError)
+        require("failure_periods", failure_periods, COUNT, SimulationError)
         self.probe_period = probe_period
         self.flowlet_timeout = flowlet_timeout
         self.failure_periods = failure_periods

@@ -85,14 +85,6 @@ class SubPolicy:
             return Rank(0.0)
         return Rank(tuple(metrics.get(name) for name in self.propagation_attrs))
 
-    def guards_satisfied(self, metrics: MetricVector) -> bool:
-        """Whether the recorded guard assignments hold for a metric vector."""
-        ctx = ast.PathContext((), metrics.as_dict())
-        for comparison, expected in self.guards:
-            if comparison.evaluate(ctx) != expected:
-                return False
-        return True
-
     def describe(self) -> str:
         guard_text = ", ".join(
             f"{comparison}={'T' if truth else 'F'}" for comparison, truth in self.guards)

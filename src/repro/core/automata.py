@@ -257,22 +257,6 @@ class DFA:
                 return False
         return self.is_accepting(state)
 
-    def live_states(self) -> Set[int]:
-        """States from which an accepting state is reachable."""
-        reverse: Dict[int, Set[int]] = {s: set() for s in self.states}
-        for (src, _symbol), dst in self._delta.items():
-            if dst != DEAD_STATE:
-                reverse[dst].add(src)
-        live = set(self.accepting)
-        stack = list(self.accepting)
-        while stack:
-            state = stack.pop()
-            for pred in reverse.get(state, ()):  # pragma: no branch
-                if pred not in live:
-                    live.add(pred)
-                    stack.append(pred)
-        return live
-
     def minimize(self) -> "DFA":
         """Partition refinement over symbol classes.
 

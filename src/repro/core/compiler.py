@@ -21,11 +21,9 @@ runtime (:mod:`repro.protocol`) and can be rendered to P4-style source with
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import ast
@@ -36,7 +34,8 @@ from repro.core.analysis.monotonicity import MonotonicityResult, check_monotonic
 from repro.core.device_config import DeviceConfig, TagInfo
 from repro.core.product_graph import ProductGraph, build_product_graph
 from repro.core.rank import INFINITY, Rank
-from repro.exceptions import CompilationError, PolicyAnalysisError
+from repro.exceptions import (COUNT, CompilationError, PolicyAnalysisError, at_least,
+                              check_fields, within)
 from repro.topology.graph import Topology
 
 __all__ = ["CompileOptions", "CompiledPolicy", "compile_policy"]
@@ -53,28 +52,18 @@ class CompileOptions:
     #: Raise if the policy is not provably monotone (otherwise only record it).
     strict_monotonicity: bool = True
     #: Flowlet-table slots provisioned per (tag, pid) on every switch.
-    flowlet_slots: int = 256
+    flowlet_slots: int = within(COUNT, 256)
     #: Loop-detection table slots on every switch.
-    loop_table_slots: int = 256
+    loop_table_slots: int = within(COUNT, 256)
     #: Multiplier applied to the measured worst-case RTT when choosing the
     #: probe period (must be >= 0.5 per §5.2; a smaller one is refused).
-    probe_period_rtt_multiplier: float = 0.5
+    probe_period_rtt_multiplier: float = within(at_least(0.5), 0.5)
     #: Run the device-table cross-checker as a post-compile assertion and
     #: raise :class:`~repro.exceptions.VerificationError` on any disagreement.
     verify: bool = False
 
     def __post_init__(self) -> None:
-        multiplier = self.probe_period_rtt_multiplier
-        # Chained so that NaN, which compares false with everything, is refused.
-        if isinstance(multiplier, bool) or not isinstance(multiplier, Real) \
-                or not 0.5 <= multiplier < math.inf:
-            raise CompilationError(
-                f"probe_period_rtt_multiplier must be a finite number of at least 0.5 "
-                f"(§5.2), got {multiplier!r}")
-        for name in ("flowlet_slots", "loop_table_slots"):
-            slots = getattr(self, name)
-            if type(slots) is not int or slots <= 0:
-                raise CompilationError(f"{name} must be a positive int, got {slots!r}")
+        check_fields(self, "CompileOptions", CompilationError)
 
 
 @dataclass

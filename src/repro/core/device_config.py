@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from repro.core.analysis.decomposition import Decomposition
 from repro.core.attributes import ATTRIBUTES
@@ -57,9 +57,6 @@ class StateEstimate:
     def total_bytes(self) -> int:
         return self.fwdt_bytes + self.bestt_bytes + self.flowlet_bytes + self.loop_table_bytes
 
-    @property
-    def total_kb(self) -> float:
-        return self.total_bytes / 1024.0
 
 
 @dataclass
@@ -95,10 +92,6 @@ class DeviceConfig:
             return self.tags[tag]
         except KeyError:
             raise CompilationError(f"switch {self.switch!r} has no tag {tag}") from None
-
-    def next_tag_for_probe(self, from_neighbor: str, neighbor_tag: int) -> Optional[int]:
-        """The local tag a probe transitions into, or None if it must be dropped."""
-        return self.probe_transition.get((from_neighbor, neighbor_tag))
 
     def multicast_targets(self, tag: int) -> Tuple[str, ...]:
         """Neighbours to which a probe in ``tag`` is propagated next."""

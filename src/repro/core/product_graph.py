@@ -28,8 +28,6 @@ from them on first access and kept until the rows are next rewritten.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.automata import DEAD_STATE, DFA, dfa_from_regex
@@ -235,11 +233,6 @@ class ProductGraph:
         return {nodes[node]: node_tags[node] for node in order}
 
     @_view
-    def _by_tag(self) -> Dict[Tuple[str, int], PGNode]:
-        """Reverse tag lookup: (switch, tag) -> node."""
-        return {(node.switch, tag): node for node, tag in self.tags.items()}
-
-    @_view
     def out_edges(self) -> Dict[PGNode, List[PGNode]]:
         """Probe-propagation edges: node -> successors, in ``nodes`` order."""
         nodes = self.nodes
@@ -270,22 +263,7 @@ class ProductGraph:
             by_switch.setdefault(node.switch, []).append(node)
         return by_switch
 
-    @_view
-    def _node_index(self) -> Dict[PGNode, int]:
-        """node -> its id."""
-        return {node: position for position, node in enumerate(self.nodes)}
-
     # ---------------------------------------------------------------- queries
-
-    def node_for(self, switch: str, states: Sequence[int]) -> Optional[PGNode]:
-        position = self._node_index.get((switch, tuple(states)))
-        return None if position is None else self.nodes[position]
-
-    def node_by_tag(self, switch: str, tag: int) -> PGNode:
-        try:
-            return self._by_tag[(switch, tag)]
-        except KeyError:
-            raise CompilationError(f"switch {switch!r} has no virtual node with tag {tag}") from None
 
     def tag_of(self, node: PGNode) -> int:
         return self.tags[node]
@@ -299,14 +277,6 @@ class ProductGraph:
 
     def predecessors(self, node: PGNode) -> List[PGNode]:
         return list(self.in_edges.get(node, []))
-
-    def successor_at(self, node: PGNode, neighbor: str) -> Optional[PGNode]:
-        """The successor of ``node`` located at topology neighbor ``neighbor``."""
-        successors = self.out_edges.get(node, ())
-        position = bisect_left(successors, neighbor, key=attrgetter("switch"))
-        if position < len(successors) and successors[position].switch == neighbor:
-            return successors[position]
-        return None
 
     def acceptance_of(self, states: Tuple[int, ...]) -> Tuple[bool, ...]:
         """Which policy regexes a traffic path whose probe reached ``states`` satisfies.

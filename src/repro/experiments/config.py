@@ -11,8 +11,11 @@ statistics.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
+
+from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, within
+from repro.simulator.flow import TRANSPORT_DOMAIN
 
 __all__ = ["ExperimentConfig", "default_config", "quick_config", "full_config",
            "config_from_env", "sanitize_from_env", "procs_from_env"]
@@ -20,11 +23,11 @@ __all__ = ["ExperimentConfig", "default_config", "quick_config", "full_config",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the FCT / overhead / failure experiments."""
+    """Knobs shared by the FCT / overhead / failure experiments (domains: repro.exceptions)."""
 
     # Topology scale.
     fattree_k: int = 4
-    host_capacity: float = 100.0              # packets per ms
+    host_capacity: float = within(POSITIVE, 100.0)      # packets per ms
     oversubscription: float = 4.0             # paper §6.3 uses 4:1
     abilene_capacity: float = 100.0
     #: Offered rate per Abilene sender host (packets/ms); below the backbone
@@ -33,19 +36,19 @@ class ExperimentConfig:
     abilene_host_rate: float = 50.0
 
     # Transport / switch parameters.
-    buffer_packets: int = 500                 # paper: 1000 MSS; scaled regime uses 500
-    host_window: int = 16
-    host_rto: float = 5.0
+    buffer_packets: int = within(COUNT, 500)  # paper: 1000 MSS; scaled regime uses 500
+    host_window: int = within(COUNT, 16)
+    host_rto: float = within(POSITIVE, 5.0)
     #: Host sender behaviour: "fixed" (full window from the first segment,
     #: the historical default), "slowstart" (slow start + AIMD + fast
     #: retransmit) or "paced" (slowstart plus per-RTT packet pacing).  See
     #: repro.simulator.flow.TRANSPORT_MODES; ScenarioSpec.transport overrides
     #: this per grid point.
-    transport: str = "fixed"
-    util_window: float = 0.5
+    transport: str = within(TRANSPORT_DOMAIN, "fixed")
+    util_window: float = within(POSITIVE, 0.5)
 
     # Protocol parameters (paper §6.3).
-    probe_period: float = 0.256               # ms (256 us)
+    probe_period: float = within(POSITIVE, 0.256)       # ms (256 us)
     #: The paper uses 200 us at 10 Gbps.  In the scaled regime queue-drain
     #: transients span several probe periods (a packet serializes in 10 us
     #: here vs 1.2 us on the paper's links), so a timeout below one probe
@@ -53,17 +56,17 @@ class ExperimentConfig:
     #: pod herds onto whichever uplink looked best last round and the tail
     #: queue oscillates past ECMP's (Figure 13).  Two probe periods keeps
     #: flowlets pinned across one full probe refresh.
-    flowlet_timeout: float = 0.5              # ms (scaled equivalent of 200 us)
-    failure_periods: int = 3
+    flowlet_timeout: float = within(NON_NEGATIVE, 0.5)  # ms (scaled 200 us)
+    failure_periods: int = within(COUNT, 3)
 
     # Workload parameters.
-    websearch_scale: float = 0.1
-    cache_scale: float = 0.25
-    workload_duration: float = 30.0           # ms of flow arrivals
-    run_duration: float = 90.0                # ms of simulation
+    websearch_scale: float = within(POSITIVE, 0.1)
+    cache_scale: float = within(POSITIVE, 0.25)
+    workload_duration: float = within(POSITIVE, 30.0)   # ms of flow arrivals
+    run_duration: float = within(POSITIVE, 90.0)        # ms of simulation
     #: Delay before the first flow arrives, giving the routing protocol a few
     #: probe periods to converge (the paper measures steady-state FCT).
-    warmup: float = 2.0
+    warmup: float = within(NON_NEGATIVE, 2.0)
     seed: int = 1
 
     # Sweep points (paper sweeps 10..90%).

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import NON_NEGATIVE, POSITIVE, ExperimentError, require
 from repro.experiments.results import ResultsStore
 from repro.experiments.runner import (
     ExecutionBackend,
@@ -63,7 +63,6 @@ from repro.experiments.runner import (
     RunResult,
     ScenarioSpec,
     SerialBackend,
-    _finite_number,
     compile_group_key,
     group_label,
     spec_hash,
@@ -397,22 +396,15 @@ class CoordinatedBackend(ExecutionBackend):
                  heartbeat_interval: Optional[float] = None,
                  scenario: str = ""):
         # Refused here, before the store below creates anything on disk.
-        # (``nan <= 0`` is false: a bare comparison lets NaN through.)
-        if not _finite_number(ttl, positive=True):
-            raise ExperimentError(
-                f"lease TTL must be positive and finite, got {ttl!r}")
+        require("lease TTL", ttl, POSITIVE, ExperimentError)
+        require("poll interval", poll_interval, NON_NEGATIVE, ExperimentError)
         if heartbeat_interval is None:
             heartbeat_interval = ttl / 6.0
-        if not (_finite_number(heartbeat_interval, positive=True)
-                and heartbeat_interval < ttl):
+        if not (POSITIVE.admits(heartbeat_interval) and heartbeat_interval < ttl):
             raise ExperimentError(
                 f"heartbeat interval must be positive and shorter than the "
                 f"lease TTL ({ttl}), got {heartbeat_interval!r}: a lease would "
                 f"go stale under a live worker")
-        if not _finite_number(poll_interval, positive=False):
-            raise ExperimentError(
-                f"poll interval must be non-negative and finite, "
-                f"got {poll_interval!r}")
         self.owner = owner if owner is not None else _default_owner()
         self.directory = Path(directory)
         self.store = ResultsStore(directory,
@@ -450,7 +442,8 @@ class CoordinatedBackend(ExecutionBackend):
         one (:meth:`ResultsStore.load`) plus one listing of the lease files:
         a pending point whose lease is not in the listing is claimable
         without touching the filesystem again.  A lease created after the
-        listing is caught by the exclusive create below.
+        listing is caught by the exclusive create below, and a point recorded
+        and released after the load by the store check that follows it.
 
         ``groups`` is the drain's own and is pruned in place: a position
         found complete leaves its list for good (a record is never
@@ -493,6 +486,9 @@ class CoordinatedBackend(ExecutionBackend):
             if not try_acquire_lease(self.directory, key, self.owner,
                                      spec_name=specs[position].name, now=now):
                 continue                    # lost the create race; re-scan
+            if key in self.store:           # recorded since the scan's load
+                release_lease(self.directory, key, self.owner)
+                continue
             stolen = (compile_group_key(specs[position]) != current_group
                       and compile_group_key(specs[position]) in active_groups)
             return _Claim(position=position, stolen=stolen,

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nputil import mean as _mean
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import POSITIVE, ExperimentError, require
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import agg_core_failure, fattree_spec
 from repro.experiments.runner import (
@@ -47,7 +47,6 @@ from repro.experiments.runner import (
     RunResult,
     ScenarioSpec,
     TopologySpec,
-    _finite_number,
 )
 
 __all__ = [
@@ -410,9 +409,7 @@ def recovery_curve_specs(
     number > 0: any other puts the recover event at or before the failure.
     """
     for outage in outages:
-        if not _finite_number(outage, positive=True):
-            raise ExperimentError(
-                f"recovery curve outage {outage!r} must be a finite number > 0")
+        require("recovery curve outage", outage, POSITIVE, ExperimentError)
     if stream_rate is None:
         stream_rate = 0.06 * config.host_capacity
     return [

@@ -176,6 +176,11 @@ class ResultsStore:
         self._validated()
         return dict(self._results)
 
+    def __contains__(self, key: str) -> bool:
+        """Whether point ``key`` is complete; reads what :meth:`load` would, no copy."""
+        self._validated()
+        return key in self._results
+
     def _validated(self) -> List[Tuple[str, dict, bool]]:
         """Every record consumed so far as ``(spec hash, record, repeat)``.
 

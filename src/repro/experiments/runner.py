@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -42,12 +41,14 @@ from repro.baselines import EcmpSystem, HulaSystem, ShortestPathSystem, SpainSys
 from repro.core.ast import Policy
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import CompiledPolicy, compile_policy
-from repro.exceptions import ExperimentError, WorkloadError
+from repro.exceptions import (COUNT, FLAG, NATURAL, NON_NEGATIVE, POSITIVE, ExperimentError,
+                              WorkloadError, check_fields, closed, each, one_of,
+                              optional, within)
 from repro.experiments.config import (ExperimentConfig, procs_from_env,
                                       sanitize_from_env)
 from repro.protocol import ContraSystem
 from repro.simulator import Network, StatsCollector
-from repro.simulator.flow import Flow
+from repro.simulator.flow import TRANSPORT_DOMAIN, Flow
 from repro.simulator.fluid import (FLUID_SYSTEM_NAMES, FluidSimulation,
                                    FluidStats, build_path_model)
 from repro.topology.abilene import abilene
@@ -57,7 +58,7 @@ from repro.topology.leafspine import leafspine
 from repro.topology.random_graphs import random_network
 from repro.topology.zoo import builtin_topology
 from repro.workloads import distribution_by_name, generate_workload
-from repro.workloads.generator import (incast_pairs, permutation_pairs,
+from repro.workloads.generator import (MAX_LOAD, incast_pairs, permutation_pairs,
                                        resolve_endpoints,
                                        split_senders_receivers,
                                        stream_workload)
@@ -175,11 +176,7 @@ _DEFAULT_LATENCY = 0.05
 #: When ``traffic="streams"`` starts its constant-rate streams (ms).
 STREAM_START = 0.5
 
-
-def _finite_number(value: object, positive: bool) -> bool:
-    """Whether ``value`` is a finite real number ``>= 0`` (``> 0`` when ``positive``)."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) \
-        and math.isfinite(value) and (value > 0 if positive else value >= 0)
+_TRAFFIC = one_of(("flows", "incast", "permutation", "streams"), "traffic shape")
 
 
 @dataclass(frozen=True)
@@ -197,19 +194,19 @@ class TopologySpec:
     """
 
     family: str                         # fattree | leafspine | abilene | random | zoo
-    k: int = 4                          # fat-tree arity / square leaf-spine size
-    size: int = 0                       # random-graph switch count
-    capacity: float = 100.0
+    k: int = within(COUNT, 4)           # fat-tree arity / square leaf-spine size
+    size: int = within(NATURAL, 0)      # random-graph switch count
+    capacity: float = within(POSITIVE, 100.0)
     #: Uplink oversubscription ratio for the Clos families; 0 means the
     #: generator default (1:1, no oversubscription).
-    oversubscription: float = 0.0
+    oversubscription: float = within(NON_NEGATIVE, 0.0)
     #: Hosts attached per edge/leaf/PoP switch; 0 means the family default
     #: (k/2 per fat-tree edge switch, 2 per leaf, 1 per WAN PoP).
-    hosts_per_switch: int = 0
-    seed: int = 0
-    leaves: int = 0                     # leaf-spine leaf count (0 -> k)
-    spines: int = 0                     # leaf-spine spine count (0 -> k)
-    latency: float = _DEFAULT_LATENCY
+    hosts_per_switch: int = within(NATURAL, 0)
+    seed: int = within(NATURAL, 0)
+    leaves: int = within(NATURAL, 0)    # leaf-spine leaf count (0 -> k)
+    spines: int = within(NATURAL, 0)    # leaf-spine spine count (0 -> k)
+    latency: float = within(NON_NEGATIVE, _DEFAULT_LATENCY)
     name: str = ""                      # zoo: bundled topology name (nsfnet, ...)
 
     def _reject_unsupported(self, **used) -> None:
@@ -232,15 +229,7 @@ class TopologySpec:
                     f"is not supported by family {self.family!r}")
 
     def build(self) -> Topology:
-        # A NaN latency used to build, compile (max_rtt 0.0, so the 0.25 ms
-        # fallback probe period) and run; no generator can honour these.
-        for name, positive in (("capacity", True), ("latency", False),
-                               ("oversubscription", False)):
-            value = getattr(self, name)
-            if not _finite_number(value, positive):
-                raise ExperimentError(
-                    f"TopologySpec field {name}={value!r} must be a finite number "
-                    f"{'> 0' if positive else '>= 0'}")
+        check_fields(self, "TopologySpec", ExperimentError)
         if self.family == "fattree":
             self._reject_unsupported(k=True, oversubscription=True,
                                      hosts_per_switch=True, latency=True)
@@ -297,10 +286,10 @@ class LinkEvent:
     through the grid runner unchanged.
     """
 
-    time: float
+    time: float = within(NON_NEGATIVE)
     a: str
     b: str
-    action: str = "fail"                # "fail" | "recover"
+    action: str = within(one_of(("fail", "recover"), "link event action"), "fail")
 
 
 @dataclass(frozen=True)
@@ -322,62 +311,62 @@ class ScenarioSpec:
     config: ExperimentConfig
     policy: str = "datacenter"          # key into POLICY_BUILDERS
     workload: str = "web_search"
-    load: float = 0.0
-    seed: int = 1
+    load: float = within(closed(0, MAX_LOAD), 0.0)    # flow traffic needs > 0
+    seed: int = within(NATURAL, 1)
 
     #: Host transport mode override ("fixed" | "slowstart" | "paced"); None
     #: uses the config's transport.  Pure data, so transport grids are plain
     #: spec grids with the full determinism contract.
-    transport: Optional[str] = None
+    transport: Optional[str] = within(optional(TRANSPORT_DOMAIN), None, plane="packet")
 
     # Traffic shape: Poisson flow arrivals ("flows"), N-to-1 fan-in flow
     # arrivals ("incast"), derangement-paired flow arrivals ("permutation"),
     # or constant-rate UDP streams between host pairs ("streams", the
     # Figure 14 traffic, started at STREAM_START).
-    traffic: str = "flows"
-    workload_host_rate: Optional[float] = None   # per-sender offered rate override
+    traffic: str = within(_TRAFFIC, "flows")
+    workload_host_rate: Optional[float] = within(optional(POSITIVE), None)  # per-sender rate
     #: Flow-size distribution scale override (sensitivity knob); None uses the
     #: config's per-workload scale (1.0 for non-paper workloads).
-    workload_scale: Optional[float] = None
+    workload_scale: Optional[float] = within(optional(POSITIVE), None)
     senders: Optional[Tuple[str, ...]] = None
     receivers: Optional[Tuple[str, ...]] = None
-    pair_senders_receivers: bool = False
+    pair_senders_receivers: bool = within(FLAG, False)
     #: Incast fan-in: how many senders converge on one seed-chosen receiver
     #: (None = every other host).
-    incast_fanin: Optional[int] = None
-    stream_rate: Optional[float] = None          # packets/ms per stream
-    streams_per_pair: int = 1
+    incast_fanin: Optional[int] = within(optional(COUNT), None)
+    stream_rate: Optional[float] = within(optional(POSITIVE), None)  # packets/ms per stream
+    streams_per_pair: int = within(COUNT, 1)
 
     #: Failure/recovery schedule: an ordered tuple of :class:`LinkEvent`.
     events: Tuple[LinkEvent, ...] = ()
 
     # Protocol overrides (the ablation experiments sweep these).
-    probe_period: Optional[float] = None
-    flowlet_timeout: Optional[float] = None
-    use_versioning: bool = True
+    probe_period: Optional[float] = within(optional(POSITIVE), None, plane="packet")
+    flowlet_timeout: Optional[float] = within(optional(NON_NEGATIVE), None, plane="packet")
+    use_versioning: bool = within(FLAG, True, plane="packet")
     #: Clamp the probe period to the compiler's RTT-derived bound (§5.2) —
     #: required on WANs whose detour paths exceed the datacenter default.
-    respect_compiled_probe_period: bool = False
+    respect_compiled_probe_period: bool = within(FLAG, False, plane="packet")
 
     # Measurement.
-    record_paths: bool = False
-    stop_after_completion: bool = False
-    run_duration: Optional[float] = None
-    cdf_points: Tuple[float, ...] = ()           # collect the queue-length CDF
-    collect_throughput: bool = False             # collect the throughput series
+    record_paths: bool = within(FLAG, False, plane="packet")
+    stop_after_completion: bool = within(FLAG, False)
+    run_duration: Optional[float] = within(optional(POSITIVE), None)
+    cdf_points: Tuple[float, ...] = within(each(closed(0, 1)), (), plane="packet")  # queue CDF
+    collect_throughput: bool = within(FLAG, False, plane="packet")  # throughput series
 
     # Data path selection.
     #: Which simulation plane executes the point: "packet" (the default and
     #: the validation oracle) or "fluid" (epoch-driven max-min rate
     #: allocation — see ARCHITECTURE.md §7 for what it does and doesn't model).
-    flow_model: str = "packet"
+    flow_model: str = within(one_of(("packet", "fluid"), "flow model"), "packet")
     #: Opt-in per-switch flow-cardinality HyperLogLog sketch (fluid only:
     #: the packet plane never feeds the sketch, so it would silently report
     #: nothing there).
-    flow_sketch: bool = False
+    flow_sketch: bool = within(FLAG, False, plane="fluid")
     #: Extra FCT percentiles reported as ``p<q>_fct_ms`` summary keys
     #: (both planes; the fidelity scenario compares medians through this).
-    fct_percentiles: Tuple[float, ...] = ()
+    fct_percentiles: Tuple[float, ...] = within(each(closed(0, 100)), ())
 
     def __getstate__(self) -> Dict[str, object]:
         """The fields alone: :func:`spec_hash`'s memo is never pickled."""
@@ -563,63 +552,13 @@ class RunContext:
 
     @staticmethod
     def _validate_traffic_fields(spec: ScenarioSpec, topology: Topology) -> None:
-        """Reject spec fields the selected traffic shape would silently ignore,
-        protocol timing and data-plane values no switch, link or host could
-        run, and explicit flow endpoints no workload generator can draw from.
-
-        The second half: a zero, negative or NaN probe period, a negative or
-        NaN flowlet timeout and a non-positive failure-detection window used
-        to surface as a bare ``SimulationError`` after the compile — or not
-        at all (a NaN period ran and completed 2 of 29 flows;
-        ``failure_periods=0`` declared every neighbour failed every round).
-        The data-plane values likewise: ``util_window=0`` was a bare
-        ``ZeroDivisionError`` from the link EWMA and NaN a ``ValueError``,
-        ``buffer_packets <= 0`` ran and dropped every packet,
-        ``host_window=0`` ran as window 1, ``host_rto=0`` re-armed its
-        timeout check at the same instant forever and a negative one was a
-        bare ``SimulationError``.  Checked for the spec override and the
-        config value alike, here, so before anything is compiled.
-
-        The third part: a sender or receiver that is not a host of
-        ``topology`` used to escape as a bare ``KeyError``, a sender with no
-        eligible receiver as numpy's ``ValueError``; the generators' own
-        resolver judges them.  An explicit list is one that is not None, so
-        an empty one is refused rather than read as "every host".
-
-        The last part: values that ran reinterpreted (``streams_per_pair=0``,
-        a -1 or NaN ``run_duration``, ``cdf_points`` outside [0, 1]) or failed
-        after the compile (``incast_fanin``, a rate, scale or percentile).
-        """
-        for source, owner, names in (
-                ("spec", spec, ("probe_period", "flowlet_timeout", "run_duration",
-                                "stream_rate", "workload_scale",
-                                "workload_host_rate")),
-                ("config", spec.config, ("probe_period", "flowlet_timeout",
-                                         "util_window", "host_rto",
-                                         "run_duration"))):
-            for name in names:
-                value = getattr(owner, name)
-                if value is None and owner is spec:
-                    continue            # no override
-                positive = name != "flowlet_timeout"
-                if not _finite_number(value, positive):
-                    raise ExperimentError(
-                        f"{source} field {name}={value!r} must be a finite "
-                        f"number {'> 0' if positive else '>= 0'}")
-        for source, owner, name in (("config", spec.config, "failure_periods"),
-                                    ("config", spec.config, "buffer_packets"),
-                                    ("config", spec.config, "host_window"),
-                                    ("spec", spec, "streams_per_pair")):
-            value = getattr(owner, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ExperimentError(
-                    f"{source} field {name}={value!r} must be an integer >= 1")
-        for name, top in (("cdf_points", 1), ("fct_percentiles", 100)):
-            for value in getattr(spec, name):
-                if not (_finite_number(value, positive=False) and value <= top):
-                    raise ExperimentError(
-                        f"spec field {name} entry {value!r} must be a finite "
-                        f"number in [0, {top}]")
+        """Reject what the traffic shape cannot honour: fields it would
+        silently ignore, a zero flow load, and explicit endpoints no workload
+        generator can draw from (an empty list is refused, not read as
+        "every host").  Each field's own domain is already judged."""
+        if spec.traffic != "streams" and spec.load == 0:
+            raise ExperimentError(
+                f"spec field load={spec.load!r} must be > 0 for traffic={spec.traffic!r}")
         if spec.traffic in ("incast", "permutation") and (
                 spec.senders is not None or spec.receivers is not None
                 or spec.pair_senders_receivers):
@@ -628,8 +567,8 @@ class RunContext:
                 f"pairing; explicit senders/receivers/pair_senders_receivers "
                 f"would be ignored")
         fanin = spec.incast_fanin
-        if fanin is not None and not (spec.traffic == "incast" and type(fanin) is int
-                                      and 1 <= fanin < len(topology.hosts)):
+        if fanin is not None and not (spec.traffic == "incast"
+                                      and fanin < len(topology.hosts)):
             raise ExperimentError(
                 f"spec field incast_fanin={fanin!r} requires traffic='incast' "
                 f"(got {spec.traffic!r}) and an integer in [1, {len(topology.hosts) - 1}]")
@@ -647,14 +586,8 @@ class RunContext:
 
     @staticmethod
     def _validate_fluid_fields(spec: ScenarioSpec) -> None:
-        """Reject spec fields the fluid plane would silently ignore.
-
-        The fluid model has no segments, windows, probes or queues, so every
-        packet-plane knob that would change nothing must fail loudly — a
-        silently dropped field would let two meaningfully different specs
-        produce identical runs (the same contract
-        :meth:`TopologySpec._reject_unsupported` enforces for topologies).
-        """
+        """Reject what the fluid plane cannot run; its packet-only fields are
+        refused by their plane marker (:func:`~repro.exceptions.check_fields`)."""
         if spec.system not in FLUID_SYSTEM_NAMES:
             raise ExperimentError(
                 f"flow_model='fluid' does not support system {spec.system!r}; "
@@ -663,24 +596,6 @@ class RunContext:
             raise ExperimentError(
                 "flow_model='fluid' models flow arrivals, not constant-rate "
                 "UDP streams; use the packet plane for traffic='streams'")
-        rejected = [
-            ("transport", spec.transport, None),
-            ("record_paths", spec.record_paths, False),
-            ("cdf_points", spec.cdf_points, ()),
-            ("collect_throughput", spec.collect_throughput, False),
-            ("probe_period", spec.probe_period, None),
-            ("flowlet_timeout", spec.flowlet_timeout, None),
-            ("respect_compiled_probe_period",
-             spec.respect_compiled_probe_period, False),
-            ("use_versioning", spec.use_versioning, True),
-        ]
-        for name, value, default in rejected:
-            if value != default:
-                raise ExperimentError(
-                    f"spec field {name}={value!r} has no fluid-plane "
-                    f"equivalent (packets, probes and queues are not "
-                    f"modelled); leave it at its default or use "
-                    f"flow_model='packet'")
 
     #: Expected flow count above which the fluid plane streams the workload
     #: lazily (seed-deterministic, O(senders) memory) instead of
@@ -714,11 +629,9 @@ class RunContext:
                 return iter(stream)
         return self._flows(spec, topology)
 
-    def _run_fluid(self, spec: ScenarioSpec) -> RunResult:
-        topology = self.topology(spec.topology)
-        self._validate_traffic_fields(spec, topology)
+    def _run_fluid(self, spec: ScenarioSpec, topology: Topology,
+                   events: List[LinkEvent]) -> RunResult:
         self._validate_fluid_fields(spec)
-        events = self._link_events(spec, topology)
         config = spec.config
         model = build_path_model(spec.system, topology, policy=spec.policy)
         simulation = FluidSimulation(
@@ -748,20 +661,13 @@ class RunContext:
         )
 
     def run(self, spec: ScenarioSpec) -> RunResult:
-        if spec.flow_model == "fluid":
-            return self._run_fluid(spec)
-        if spec.flow_model != "packet":
-            raise ExperimentError(
-                f"unknown flow model {spec.flow_model!r} "
-                f"(expected 'packet' or 'fluid')")
-        if spec.flow_sketch:
-            raise ExperimentError(
-                "flow_sketch requires flow_model='fluid': the packet plane "
-                "never feeds the cardinality sketch, so the option would "
-                "silently report nothing")
+        check_fields(spec, "spec", ExperimentError, plane=spec.flow_model)
+        check_fields(spec.config, "config", ExperimentError)
         topology = self.topology(spec.topology)
         self._validate_traffic_fields(spec, topology)
         events = self._link_events(spec, topology)
+        if spec.flow_model == "fluid":
+            return self._run_fluid(spec, topology, events)
         config = spec.config
 
         compiled: Optional[CompiledPolicy] = None
@@ -798,12 +704,10 @@ class RunContext:
 
         run_duration = spec.run_duration if spec.run_duration is not None \
             else config.run_duration
-        if spec.traffic in ("flows", "incast", "permutation"):
-            network.schedule_flows(self._flows(spec, topology))
-        elif spec.traffic == "streams":
+        if spec.traffic == "streams":
             self._schedule_streams(spec, topology, network, run_duration)
         else:
-            raise ExperimentError(f"unknown traffic shape {spec.traffic!r}")
+            network.schedule_flows(self._flows(spec, topology))
 
         for event in events:
             if event.action == "fail":
@@ -828,22 +732,14 @@ class RunContext:
         """The spec's event schedule in time order.
 
         Judged whole before anything is compiled: every entry must be a
-        :class:`LinkEvent`, every time a finite real ``>= 0`` and not a bool
-        (an infinite time would never fire, ``True`` would fire at 1 ms),
-        every action ``fail`` or ``recover``, every link one of
-        ``topology``'s.
+        :class:`LinkEvent` within its fields' domains, on one of
+        ``topology``'s links.
         """
         for event in spec.events:
             if not isinstance(event, LinkEvent):
                 raise ExperimentError(
                     f"link event {event!r} must be a LinkEvent")
-            if not _finite_number(event.time, positive=False):
-                raise ExperimentError(
-                    f"link event time {event.time!r} must be a finite number >= 0")
-            if event.action not in ("fail", "recover"):
-                raise ExperimentError(
-                    f"unknown link event action {event.action!r} "
-                    f"(expected 'fail' or 'recover')")
+            check_fields(event, f"link event at time {event.time!r}:", ExperimentError)
             if not topology.has_link(event.a, event.b):
                 raise ExperimentError(
                     f"link event references unknown link {event.a!r}-{event.b!r}")

@@ -13,7 +13,6 @@ each interpreting the switch's compiled :class:`~repro.core.device_config
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.analysis.decomposition import SubPolicy
@@ -22,7 +21,7 @@ from repro.core.attributes import MetricVector
 from repro.core.compiler import CompiledPolicy
 from repro.core.device_config import DeviceConfig
 from repro.core.rank import INFINITY, Rank
-from repro.exceptions import SimulationError
+from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, SimulationError, require
 from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
@@ -60,18 +59,10 @@ class ContraSystem(RoutingSystem):
     ):
         self.compiled = compiled
         self.probe_period = probe_period if probe_period is not None else compiled.probe_period
-        # Written ``not (x > bound)`` so NaN is refused too.
-        if not (self.probe_period > 0 and math.isfinite(self.probe_period)):
-            raise SimulationError(
-                f"probe_period must be a finite number > 0, got {self.probe_period!r}")
-        if not flowlet_timeout >= 0:
-            raise SimulationError(
-                f"flowlet_timeout must be a number >= 0, got {flowlet_timeout!r}")
-        if not failure_periods >= 1:
-            raise SimulationError(
-                f"failure_periods must be >= 1, got {failure_periods!r}")
-        if not loop_threshold >= 1:
-            raise SimulationError(f"loop_threshold must be >= 1, got {loop_threshold!r}")
+        require("probe_period", self.probe_period, POSITIVE, SimulationError)
+        require("flowlet_timeout", flowlet_timeout, NON_NEGATIVE, SimulationError)
+        require("failure_periods", failure_periods, COUNT, SimulationError)
+        require("loop_threshold", loop_threshold, COUNT, SimulationError)
         self.flowlet_timeout = flowlet_timeout
         self.failure_periods = failure_periods
         self.loop_threshold = loop_threshold

@@ -42,14 +42,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
+from repro.exceptions import one_of, require
 from repro.simulator.packet import stable_flow_hash
 
-__all__ = ["Flow", "SenderState", "ReceiverState", "TRANSPORT_MODES"]
+__all__ = ["Flow", "SenderState", "ReceiverState", "TRANSPORT_MODES", "TRANSPORT_DOMAIN"]
 
 _flow_ids = itertools.count()
 
-#: Selectable sender behaviours (see the module docstring).
+#: Selectable sender behaviours (see the module docstring), and their domain.
 TRANSPORT_MODES = ("fixed", "slowstart", "paced")
+TRANSPORT_DOMAIN = one_of(TRANSPORT_MODES, "transport mode")
 
 #: Slow-start threshold before any loss has been observed (effectively
 #: unbounded — standard TCP semantics).
@@ -95,9 +97,7 @@ class SenderState:
     """
 
     def __init__(self, flow: Flow, window: int, rto: float, transport: str = "fixed"):
-        if transport not in TRANSPORT_MODES:
-            raise ValueError(
-                f"unknown transport mode {transport!r}; available: {TRANSPORT_MODES}")
+        require("transport", transport, TRANSPORT_DOMAIN, ValueError)
         self.flow = flow
         #: Stamped on every segment of the flow (one CRC per flow, not per packet).
         self.flow_hash = stable_flow_hash((flow.src_host, flow.dst_host, flow.flow_id))

@@ -9,12 +9,11 @@ testbed (DESIGN.md §4).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import SimulationError
+from repro.exceptions import COUNT, POSITIVE, SimulationError, require
 from repro.simulator.engine import Simulator
-from repro.simulator.flow import TRANSPORT_MODES, Flow
+from repro.simulator.flow import TRANSPORT_DOMAIN, Flow
 from repro.simulator.host import Host
 from repro.simulator.link import SimLink
 from repro.simulator.packet import Packet
@@ -74,19 +73,11 @@ class Network:
         transport: str = "fixed",
         sanitize: Optional[bool] = None,
     ):
-        if transport not in TRANSPORT_MODES:
-            raise SimulationError(
-                f"unknown transport mode {transport!r}; available: {TRANSPORT_MODES}")
-        # A zero in any of these used to run: an RTO of 0 never returned, a
-        # buffer of 0 dropped every packet, a window of 0 ran as 1 and a
-        # util window of 0 divided by zero mid-run.
-        for name, value in (("buffer_packets", buffer_packets),
-                            ("host_window", host_window)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise SimulationError(f"{name} must be an integer >= 1, got {value!r}")
-        for name, value in (("host_rto", host_rto), ("util_window", util_window)):
-            if not (value > 0 and math.isfinite(value)):
-                raise SimulationError(f"{name} must be a finite number > 0, got {value!r}")
+        require("transport", transport, TRANSPORT_DOMAIN, SimulationError)
+        require("buffer_packets", buffer_packets, COUNT, SimulationError)
+        require("host_window", host_window, COUNT, SimulationError)
+        require("host_rto", host_rto, POSITIVE, SimulationError)
+        require("util_window", util_window, POSITIVE, SimulationError)
         self.topology = topology
         #: host -> attachment switch: the topology's own live map, read here
         #: once for every host and for the wiring in :meth:`_build`.

@@ -339,19 +339,6 @@ class StatsCollector:
         peaks = [f.max_cwnd for f in self.flows.values() if f.max_cwnd > 0]
         return _mean(peaks) if peaks else 0.0
 
-    def per_flow_transport(self) -> List[Dict[str, float]]:
-        """Per-flow retransmit/cwnd summaries, in flow-id order."""
-        return [
-            {
-                "flow_id": f.flow_id,
-                "retransmissions": f.retransmissions,
-                "fast_retransmits": f.fast_retransmits,
-                "final_cwnd": f.final_cwnd,
-                "max_cwnd": f.max_cwnd,
-            }
-            for f in sorted(self.flows.values(), key=lambda f: f.flow_id)
-        ]
-
     def summary(self) -> Dict[str, float]:
         """A flat summary dictionary used by the experiment drivers."""
         summary = {

@@ -24,6 +24,7 @@ from repro.topology.graph import Topology
 from repro.workloads.distributions import EmpiricalCDF
 
 __all__ = [
+    "MAX_LOAD",
     "WorkloadSpec",
     "FlowStream",
     "generate_workload",
@@ -34,6 +35,9 @@ __all__ = [
     "incast_pairs",
     "permutation_pairs",
 ]
+
+#: Highest offered load a generator (and ``ScenarioSpec.load``) accepts.
+MAX_LOAD = 1.5
 
 
 @dataclass
@@ -124,8 +128,8 @@ def stream_workload(
     scenarios keep the eager path; the fluid plane switches to this one when
     the expected flow count would make the eager list a memory hazard.
     """
-    if not 0.0 < load <= 1.5:
-        raise WorkloadError(f"load must be in (0, 1.5], got {load}")
+    if not 0.0 < load <= MAX_LOAD:
+        raise WorkloadError(f"load must be in (0, {MAX_LOAD}], got {load}")
     if duration <= 0:
         raise WorkloadError("duration must be positive")
     if chunk < 1:
@@ -346,8 +350,8 @@ def generate_workload(
         traffic is measured.  Arrivals then span
         ``[start_after, start_after + duration)``.
     """
-    if not 0.0 < load <= 1.5:
-        raise WorkloadError(f"load must be in (0, 1.5], got {load}")
+    if not 0.0 < load <= MAX_LOAD:
+        raise WorkloadError(f"load must be in (0, {MAX_LOAD}], got {load}")
     if duration <= 0:
         raise WorkloadError("duration must be positive")
     if max_flows is not None and max_flows < 1:

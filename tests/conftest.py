@@ -33,6 +33,7 @@ except ImportError:
         "integration/test_data_hop_identity.py",
         "integration/test_end_to_end.py",
         "integration/test_experiments.py",
+        "integration/test_field_domains.py",
         "integration/test_fluid_flow_budget.py",
         "integration/test_fluid_model.py",
         "integration/test_verified_compile.py",

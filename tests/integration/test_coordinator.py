@@ -532,6 +532,36 @@ class TestLinearWork:
         assert 2 * len(specs) <= ledger["parsed"] <= 2 * executed
 
 
+def test_point_recorded_between_scan_and_create_runs_once(tmp_path, monkeypatch):
+    """The claim's scan loads the store, then exclusive-creates the lease.
+
+    Here ``w2`` claims, records and releases every point from inside
+    ``w1``'s first create, i.e. after ``w1``'s load: the create succeeds,
+    and without a load after it ``w1`` ran the point a second time.
+    """
+    specs = stub_specs(3)
+    w1 = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w1")
+    w2 = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w2")
+    acquire = coordinator.try_acquire_lease
+    raced = []
+
+    def w2_drains_first(directory, key, owner, **kwargs):
+        if owner == "w1" and not raced:
+            raced.append(key)
+            w2.drain(specs)
+        return acquire(directory, key, owner, **kwargs)
+
+    monkeypatch.setattr(coordinator, "try_acquire_lease", w2_drains_first)
+    w1.drain(specs)
+    records = [json.loads(line)
+               for file in tmp_path.glob("results-worker-*.jsonl")
+               for line in file.read_text().splitlines()]
+    assert sorted(record["spec_hash"] for record in records) == \
+        sorted(spec_hash(spec) for spec in specs)
+    assert raced and (w1.executed, w2.executed) == (0, len(specs))
+    assert not live_leases(tmp_path)
+
+
 class FakeClock:
     """A wall clock the test advances; installed as ``coordinator.wall_now``."""
 

@@ -161,15 +161,6 @@ class TestDecomposition:
         sub = decomposition.subpolicies[0]
         assert sub.propagation_rank(MetricVector(())) == Rank(0)
 
-    def test_guards_satisfied(self):
-        decomposition = decompose(policies.congestion_aware())
-        below = MetricVector(("util", "len"), (0.3, 2.0))
-        above = MetricVector(("util", "len"), (0.9, 2.0))
-        for sub in decomposition.subpolicies:
-            expected_truth = sub.guards[0][1]
-            assert sub.guards_satisfied(below) == expected_truth
-            assert sub.guards_satisfied(above) == (not expected_truth)
-
     def test_subpolicy_lookup_by_pid(self):
         decomposition = decompose(policies.congestion_aware())
         for sub in decomposition.subpolicies:

@@ -101,14 +101,6 @@ class TestDFA:
         minimized = dfa_from_regex(pattern, ("A",), minimize=True)
         assert minimized.num_states <= raw.num_states
 
-    def test_live_states_excludes_trap_states(self):
-        # After seeing B the word can never match "A .*": that state is not live.
-        dfa = dfa_from_regex(rx.parse_regex("A .*"), ALPHABET, minimize=False)
-        live = dfa.live_states()
-        dead_successor = dfa.transition(dfa.initial, "B")
-        assert dfa.initial in live
-        assert dead_successor == DEAD_STATE or dead_successor not in live
-
     def test_states_enumeration(self):
         dfa = dfa_from_regex(rx.parse_regex("A B"), ALPHABET)
         assert dfa.initial in dfa.states

@@ -9,6 +9,7 @@ from repro.baselines import (
     SpainSystem,
     compute_spain_paths,
 )
+from repro.exceptions import SimulationError
 from repro.simulator import Flow, Network
 from repro.topology import abilene, fattree, leafspine
 from repro.workloads import generate_workload, uniform_distribution
@@ -124,6 +125,27 @@ class TestHula:
         network = Network(topo, system)
         network.run(2.0)
         assert network.stats.probe_bytes > 0
+
+
+class TestHulaRefusals:
+    """What ``ContraSystem`` refuses, Hula refuses too: ``failure_periods=0``
+    used to run and declare every neighbour failed every probe round (1 280
+    detections on an idle k=4 fat-tree in 5 ms)."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("probe_period", 0.0), ("probe_period", -1.0),
+        ("probe_period", float("nan")), ("probe_period", float("inf")),
+        ("flowlet_timeout", -1.0), ("flowlet_timeout", float("nan")),
+        ("failure_periods", 0), ("failure_periods", -2),
+        ("failure_periods", 2.5), ("failure_periods", True),
+    ])
+    def test_refused(self, name, value):
+        with pytest.raises(SimulationError, match=name):
+            HulaSystem(**{name: value})
+
+    def test_boundary_values_accepted(self):
+        system = HulaSystem(flowlet_timeout=0.0, failure_periods=1)
+        assert (system.flowlet_timeout, system.failure_periods) == (0.0, 1)
 
 
 class TestSpain:

@@ -134,9 +134,9 @@ class TestDeviceConfig:
         compiled = compile_policy(policies.MU(), diamond)
         config_a = compiled.device("A")
         # MU has one tag everywhere; probes from B tag 0 and C tag 0 land in A tag 0.
-        assert config_a.next_tag_for_probe("B", 0) == 0
-        assert config_a.next_tag_for_probe("C", 0) == 0
-        assert config_a.next_tag_for_probe("D", 0) is None  # no A-D link
+        assert config_a.probe_transition.get(("B", 0)) == 0
+        assert config_a.probe_transition.get(("C", 0)) == 0
+        assert config_a.probe_transition.get(("D", 0)) is None  # no A-D link
 
     def test_multicast_targets_follow_topology(self, diamond):
         compiled = compile_policy(policies.MU(), diamond)
@@ -171,7 +171,6 @@ class TestDeviceConfig:
         estimate = compiled.device("A").state_estimate()
         assert estimate.total_bytes == (estimate.fwdt_bytes + estimate.bestt_bytes
                                         + estimate.flowlet_bytes + estimate.loop_table_bytes)
-        assert estimate.total_kb > 0
 
     def test_state_grows_with_topology_size(self):
         small = compile_policy(policies.MU(), fattree(4, hosts_per_edge=0))

@@ -162,6 +162,40 @@ class TestLaneRegistrant:
         assert violations == []
 
 
+class TestHandDomain:
+    """``math.isfinite`` is a finding under src/repro/ outside exceptions.py."""
+
+    SOURCE = """\
+        import math
+        def check(value):
+            if not math.isfinite(value):
+                raise ValueError(value)
+            return math.isnan(value), math.isinf(value)
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/experiments/runner.py")
+        # Other math predicates are not domain checks.
+        assert [v.rule for v in violations] == ["hand-domain"]
+        assert [v.line for v in violations] == [3]
+
+    def test_the_exceptions_module_is_the_home(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, "src/repro/exceptions.py")
+        assert violations == []
+
+    def test_outside_the_package_allowed(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "tests/unit/test_sample.py")
+        assert violations == []
+
+
 class TestEnginePrivate:
     """The engine's heap and lane internals are findings under src/repro/
     outside simulator/engine.py and simulator/sanitizer.py."""

@@ -87,27 +87,6 @@ class TestFigure6Example:
             tags = [pg.tag_of(node) for node in pg.nodes_of_switch(switch)]
             assert len(tags) == len(set(tags))
 
-    def test_node_by_tag_roundtrip(self, pg):
-        for node in pg.nodes:
-            assert pg.node_by_tag(node.switch, pg.tag_of(node)) == node
-
-    def test_node_by_tag_unknown_raises(self, pg):
-        with pytest.raises(CompilationError):
-            pg.node_by_tag("A", 999)
-
-    def test_successor_at_returns_matching_neighbor(self, pg):
-        node_d = pg.probe_sending_nodes["D"]
-        successor = pg.successor_at(node_d, "B")
-        assert successor is not None and successor.switch == "B"
-        assert pg.successor_at(node_d, "A") is None  # D has no link to A
-
-    def test_successor_at_agrees_with_a_scan_of_the_row(self, pg, diamond):
-        for node, successors in pg.out_edges.items():
-            for neighbor in diamond.switches:
-                scanned = [s for s in successors if s.switch == neighbor]
-                assert pg.successor_at(node, neighbor) == (scanned[0] if scanned else None)
-        assert pg.successor_at(PGNode("nowhere", ()), "A") is None
-
     def test_every_edge_respects_topology(self, pg, diamond):
         for node, successors in pg.out_edges.items():
             for successor in successors:
@@ -284,7 +263,6 @@ def reference_views(pg, nodes, out_edges, in_edges, origins):
         "in_edges": list(in_edges.items()),
         "probe_sending_nodes": list(origins.items()),
         "tags": list(tags.items()),
-        "by_tag": [((node[0], tag), node) for node, tag in tags.items()],
         "nodes_by_switch": list(by_switch.items()),
         "num_edges": sum(map(len, out_edges.values())),
         "max_tags_per_switch": max(map(len, by_switch.values()), default=0),
@@ -292,14 +270,13 @@ def reference_views(pg, nodes, out_edges, in_edges, origins):
 
 
 def assert_views_equal(pg, reference):
-    """Every view, in order, made of :class:`PGNode` objects; every query agrees."""
+    """Every view, in order, made of :class:`PGNode` objects."""
     views = {
         "nodes": pg.nodes,
         "out_edges": list(pg.out_edges.items()),
         "in_edges": list(pg.in_edges.items()),
         "probe_sending_nodes": list(pg.probe_sending_nodes.items()),
         "tags": list(pg.tags.items()),
-        "by_tag": list(pg._by_tag.items()),
         "nodes_by_switch": list(pg._nodes_by_switch.items()),
         "num_edges": pg.num_edges,
         "max_tags_per_switch": pg.max_tags_per_switch(),
@@ -308,20 +285,10 @@ def assert_views_equal(pg, reference):
     assert pg.num_nodes == len(pg.nodes)
     every_node = list(pg.nodes) + list(pg.probe_sending_nodes.values()) + list(pg.tags) \
         + [node for row in pg.out_edges.values() for node in row] \
-        + [node for row in pg.in_edges.values() for node in row] \
-        + list(pg._by_tag.values())
+        + [node for row in pg.in_edges.values() for node in row]
     assert all(type(node) is PGNode for node in every_node)
     assert all(type(node) is PGNode for node in pg.out_edges)
     assert all(type(node) is PGNode for node in pg.in_edges)
-    switches = pg.topology.switches
-    for node in pg.nodes:
-        found = pg.node_for(node.switch, list(node.states))
-        assert found == node and type(found) is PGNode
-        assert pg.node_by_tag(node.switch, pg.tag_of(node)) == node
-        for neighbor in switches:
-            scanned = [s for s in pg.out_edges[node] if s.switch == neighbor]
-            assert pg.successor_at(node, neighbor) == (scanned[0] if scanned else None)
-    assert pg.node_for("nowhere", ()) is None
     TestPerSwitchNodeIndex.assert_index_matches_a_scan(pg)
 
 

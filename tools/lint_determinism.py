@@ -62,6 +62,13 @@ reader:
   ``simulator/engine.py`` and ``simulator/sanitizer.py``: the heap and
   member layout stay known only to those two files (ARCHITECTURE.md §1).
 
+And one keeps every field refusal in its declaration:
+
+* ``hand-domain`` — a ``math.isfinite(...)`` call under ``src/repro/``
+  outside ``exceptions.py``: a malformed value is refused by the domain
+  declared on its field or argument (``repro.exceptions``), not by a
+  hand-written check beside the code that reads it (ARCHITECTURE.md §3).
+
 And one keeps run state per run:
 
 * ``module-state`` — a module-level name bound to an empty ``{}``, ``[]``,
@@ -146,6 +153,10 @@ _ENGINE_PRIVATE = frozenset({
 _ENGINE_PREFIX = "src/repro/"
 _ENGINE_HOMES = frozenset({"src/repro/simulator/engine.py",
                            "src/repro/simulator/sanitizer.py"})
+
+#: Finiteness checks (hand-domain) and the one file that may make them.
+_DOMAIN_PREFIX = "src/repro/"
+_DOMAIN_HOME = "src/repro/exceptions.py"
 
 #: The only files allowed to read the process environment (env-read).
 _ENV_ALLOWED_FILES = frozenset({
@@ -284,6 +295,11 @@ class _Checker(ast.NodeVisitor):
                            f"gc.{tail}() outside simulator/engine.py: the "
                            "collector policy has one home, Simulator.run's "
                            "pause")
+            if (head, tail) == ("math", "isfinite") \
+                    and self.rel.startswith(_DOMAIN_PREFIX) and self.rel != _DOMAIN_HOME:
+                self._flag(node, "hand-domain",
+                           "math.isfinite() outside repro/exceptions.py: declare "
+                           "the field's domain (within / require) instead")
             if dotted[-2:] == ("os", "getenv") \
                     and self.rel not in _ENV_ALLOWED_FILES:
                 self._flag(node, "env-read",
