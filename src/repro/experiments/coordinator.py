@@ -47,10 +47,8 @@ from __future__ import annotations
 import json
 import os
 import re
-import socket
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -106,6 +104,8 @@ def _default_owner() -> str:
     The suffix guards against pid reuse across sequential invocations on one
     host; owner ids never influence results bytes, only lease bookkeeping.
     """
+    import socket
+    import uuid
     host = re.sub(r"[^A-Za-z0-9_-]", "-", socket.gethostname())[:24]
     return f"{host}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 

@@ -25,7 +25,6 @@ Two kinds of entries exist:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -462,6 +461,7 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
     backend = CoordinatedBackend(results_dir, ttl=ttl, scenario=name)
     accounts: List[Dict[str, Any]] = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         job = (name, config, results_dir, shard, flow_model, ttl)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_coordinate_worker, job)

@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +56,7 @@ from repro.topology.graph import Topology
 from repro.topology.leafspine import leafspine
 from repro.topology.random_graphs import random_network
 from repro.topology.zoo import builtin_topology
-from repro.workloads import distribution_by_name, generate_workload
+from repro.workloads import WORKLOAD_NAMES, distribution_by_name, generate_workload
 from repro.workloads.generator import (MAX_LOAD, incast_pairs, permutation_pairs,
                                        resolve_endpoints,
                                        split_senders_receivers,
@@ -474,6 +473,14 @@ class RunContext:
         #: Test/race-detector hook, called with each freshly built Network
         #: before its run starts (e.g. to install the race permuter).
         self.network_hook: Optional[Callable[[Network], None]] = None
+        # The workload generators import numpy where they draw (ARCHITECTURE.md
+        # §3, "Import contract"); a context loads it here, at set-up, so the
+        # first point never times the import.  Without numpy, a run that needs
+        # it fails at its first draw instead.
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            pass
 
     # ------------------------------------------------------------------ caches
 
@@ -631,7 +638,6 @@ class RunContext:
 
     def _run_fluid(self, spec: ScenarioSpec, topology: Topology,
                    events: List[LinkEvent]) -> RunResult:
-        self._validate_fluid_fields(spec)
         config = spec.config
         model = build_path_model(spec.system, topology, policy=spec.policy)
         simulation = FluidSimulation(
@@ -666,6 +672,18 @@ class RunContext:
         topology = self.topology(spec.topology)
         self._validate_traffic_fields(spec, topology)
         events = self._link_events(spec, topology)
+        if spec.flow_model == "fluid":
+            self._validate_fluid_fields(spec)
+        # The names a builder looks up, judged before any compile or draw.
+        # They are exact: a "Contra" that build_routing_system would
+        # lower-case skips the compile of spec.policy below.  Streams draw no
+        # flow sizes, so their workload name is never read.
+        if spec.system not in SYSTEM_NAMES:
+            raise ExperimentError(
+                f"unknown routing system {spec.system!r}; available: {SYSTEM_NAMES}")
+        if spec.traffic != "streams" and spec.workload not in WORKLOAD_NAMES:
+            raise ExperimentError(
+                f"unknown workload {spec.workload!r}; available: {WORKLOAD_NAMES}")
         if spec.flow_model == "fluid":
             return self._run_fluid(spec, topology, events)
         config = spec.config
@@ -857,6 +875,7 @@ class PoolBackend(ExecutionBackend):
         workers = resolve_processes(self.processes, len(specs))
         if workers <= 1:
             return SerialBackend().run(specs)
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = max(1, len(specs) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_worker_run, specs, chunksize=chunksize))
@@ -900,6 +919,7 @@ def grid_map(fn: Callable, items: Sequence, processes: Optional[int] = None) -> 
     workers = resolve_processes(processes, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     chunksize = max(1, len(items) // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

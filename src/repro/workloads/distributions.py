@@ -13,7 +13,9 @@ shapes (DESIGN.md §4):
 
 Sizes are expressed in full-size packets (the simulator's unit).  Every
 distribution exposes ``sample`` / ``size_at`` / ``mean`` and is deterministic
-given a ``numpy`` generator, so experiments are reproducible.
+given a ``numpy`` generator, so experiments are reproducible.  numpy is
+imported by the samplers that draw, not by this module: the CDFs, their
+names and :func:`distribution_by_name` load without it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.exceptions import WorkloadError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EmpiricalCDF",
@@ -72,6 +75,7 @@ class EmpiricalCDF:
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """Draw ``count`` flow sizes (packets, >= 1) by inverse-transform sampling."""
+        import numpy as np
         probabilities, sizes, _ = self._knots
         sampled = np.interp(rng.random(count), probabilities, sizes)
         return np.maximum(1, np.round(sampled)).astype(int)
@@ -104,6 +108,7 @@ class EmpiricalCDF:
         return max(1.0, total)
 
     def quantile(self, probability: float) -> float:
+        import numpy as np
         probabilities, sizes, _ = self._knots
         return float(np.interp(probability, probabilities, sizes))
 

@@ -7,6 +7,9 @@ host link capacity of ``C`` packets/ms, a per-sender arrival rate of
 ``load * C / m`` flows/ms achieves that offered load; arrivals are Poisson
 (exponential inter-arrival times), matching standard datacenter workload
 methodology.
+
+numpy is imported by the functions that draw, so a process that only reads
+:data:`MAX_LOAD` or resolves endpoints never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.exceptions import WorkloadError
 from repro.simulator.flow import Flow
@@ -137,6 +138,7 @@ def stream_workload(
     senders, receivers, options = resolve_endpoints(
         topology, senders, receivers, pair_senders_receivers)
 
+    import numpy as np
     per_sender_rate = load * host_capacity / distribution.mean()
     end = start_after + duration
 
@@ -243,6 +245,7 @@ def split_senders_receivers(topology: Topology) -> Tuple[List[str], List[str]]:
 def random_pairs(topology: Topology, pairs: int, seed: int = 0,
                  distinct_switches: bool = True) -> Tuple[List[str], List[str]]:
     """Randomly chosen sender/receiver host pairs (the Abilene experiment uses 4)."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     hosts = topology.hosts
     if len(hosts) < 2:
@@ -278,6 +281,7 @@ def incast_pairs(
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for incast traffic")
+    import numpy as np
     rng = np.random.default_rng(seed)
     receiver = str(rng.choice(hosts))
     candidates = [h for h in hosts if h != receiver]
@@ -301,6 +305,7 @@ def permutation_pairs(topology: Topology, seed: int = 0) -> Tuple[List[str], Lis
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for permutation traffic")
+    import numpy as np
     rng = np.random.default_rng(seed)
     perm = [int(i) for i in rng.permutation(len(hosts))]
     for i in range(len(perm)):
@@ -365,6 +370,7 @@ def generate_workload(
     # ``rng.choice(choices)`` and ``size_at(rng.random())`` like ``sample(rng,
     # 1)``; the draws cannot be batched, because the bounded-integer draw
     # rejects a variable number of words that interleave with the other two.
+    import numpy as np
     rng = np.random.default_rng(seed)
     exponential, integers, uniform = rng.exponential, rng.integers, rng.random
     size_at = distribution.size_at

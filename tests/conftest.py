@@ -21,14 +21,13 @@ except ImportError:
     # Workload generation draws from numpy's PCG64 (`np.random.default_rng`),
     # which has no pure-Python equivalent producing the same streams, so the
     # suites that generate traffic (directly or through the experiment
-    # runner) are inherently numpy-bound.  The no-numpy CI job still runs
-    # everything else — engine, links, protocol, compiler, topology — which
-    # is exactly the surface that must keep working without numpy.
-    # ``run_scalability_sweep`` maps its fabrics through the runner's
-    # ``grid_map``, so the sweep's own tests are numpy-bound too; the compile
-    # pins (unit/test_compile_equivalence.py) are not.
+    # runner) are inherently numpy-bound.  Everything else imports without
+    # numpy, which the workload modules load only where they draw
+    # (ARCHITECTURE.md §3, "Import contract"): the engine, links, protocol,
+    # compiler, topology, the compile sweep, the CLI and the race detector's
+    # diff and hook all run here.  A file is listed only while some test in
+    # it draws traffic.
     collect_ignore = [
-        "integration/test_compile_sweep_budget.py",
         "integration/test_coordinator.py",
         "integration/test_data_hop_identity.py",
         "integration/test_end_to_end.py",
@@ -42,12 +41,10 @@ except ImportError:
         "integration/test_probe_batching.py",
         "integration/test_scenario_diversity.py",
         "integration/test_sharded_sweeps.py",
+        "integration/test_state_sharing.py",
         "integration/test_sweep_point_budget.py",
         "integration/test_transport_scenarios.py",
         "unit/test_baselines.py",
-        "unit/test_policies_and_cli.py",
-        "unit/test_race.py",
-        "unit/test_topology_spec.py",
         "unit/test_workloads.py",
     ]
 

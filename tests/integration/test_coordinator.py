@@ -388,12 +388,15 @@ class TestTimingRefusals:
 
     def test_drain_store_and_the_scenario_path_share_the_check(self, tmp_path,
                                                               monkeypatch):
+        import concurrent.futures
+
         from repro.experiments import registry
         directory = tmp_path / "store"
         with pytest.raises(ExperimentError, match="TTL"):
             drain_store(tiny_specs(), directory, ttl=NAN)
         monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
-        monkeypatch.setattr(registry, "ProcessPoolExecutor", None)  # never reached
+        # The pool is imported where it opens: patch its source, never reached.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         with pytest.raises(ExperimentError, match="TTL"):
             run_scenario_coordinated("fig13", TINY, str(directory),
                                      processes=2, ttl=INF)

@@ -436,6 +436,57 @@ class TestMalformedEndpoints:
         assert len(compiles) == 1
 
 
+class TestUnknownNames:
+    """A routing system or workload no builder knows is refused first.
+
+    Measured on an ECMP fat-tree k=4 point: ``system='bogus'`` with
+    ``respect_compiled_probe_period`` was refused only after one compile,
+    ``system=None`` was a bare ``AttributeError``, ``system='Contra'`` ran
+    the datacenter policy whatever ``policy`` said, and ``workload='bogus'``
+    escaped as a bare ``WorkloadError`` (Contra's after the compile), on the
+    fluid plane too.  Each is now an ``ExperimentError``, raised before
+    anything is compiled or generated.
+    """
+
+    def _spec(self, **overrides):
+        return ScenarioSpec(**{**dict(name="names", system="ecmp",
+                                      topology=TopologySpec("fattree", k=4,
+                                                            capacity=100.0),
+                                      config=TINY, workload="cache", load=0.2,
+                                      seed=1), **overrides})
+
+    @pytest.mark.parametrize("overrides", [
+        dict(system="bogus"),
+        dict(system="bogus", respect_compiled_probe_period=True),
+        dict(system=None),
+        dict(system="Contra", policy="wan"),
+    ])
+    def test_unknown_system_refused_before_any_compile(self, compiles, overrides):
+        context = RunContext()
+        with pytest.raises(ExperimentError, match="unknown routing system"):
+            context.run(self._spec(**overrides))
+        assert compiles == []
+        assert context._workloads == {}
+
+    @pytest.mark.parametrize("flow_model", ["packet", "fluid"])
+    @pytest.mark.parametrize("system", ["ecmp", "contra"])
+    def test_unknown_workload_refused_before_any_compile(self, compiles, system,
+                                                         flow_model):
+        context = RunContext()
+        with pytest.raises(ExperimentError,
+                           match=r"unknown workload 'bogus'; available: \("):
+            context.run(self._spec(system=system, workload="bogus",
+                                   flow_model=flow_model))
+        assert compiles == []
+        assert context._workloads == {}
+
+    def test_the_fluid_plane_names_its_own_systems_first(self, compiles):
+        with pytest.raises(ExperimentError, match="does not support system 'bogus'"):
+            RunContext().run(self._spec(system="bogus", workload="bogus",
+                                        flow_model="fluid"))
+        assert compiles == []
+
+
 class TestRecoverySweepScenario:
     SCHEDULE = dict(fail_time=6.0, recover_time=14.0)
 

@@ -468,7 +468,7 @@ class _EagerHistogram:
 
 class TestStreamingHistogram:
     def test_matches_numpy_percentile(self):
-        np = pytest.importorskip("numpy")
+        np = pytest.importorskip("numpy", exc_type=ImportError)
         histogram = StreamingHistogram()
         values = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
         for value in values:

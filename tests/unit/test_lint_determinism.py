@@ -356,3 +356,66 @@ class TestModuleState:
     def test_allowed_elsewhere(self, tmp_path, monkeypatch, rel):
         violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
         assert violations == []
+
+
+class TestEagerImport:
+    """Module-level imports of numpy or the process pool are findings under
+    src/repro/; an import inside a function, or under ``if TYPE_CHECKING:``,
+    is not."""
+
+    SOURCE = """\
+        import numpy as np
+        from numpy.random import default_rng
+        import concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent import futures
+        import multiprocessing.pool
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        from typing import TYPE_CHECKING
+        import concurrent
+        import numpyish
+        from . import numpy_helpers
+
+        if TYPE_CHECKING:
+            import numpy as np
+
+        class Sampler:
+            def draw(self):
+                import numpy as np
+                return np.random.default_rng(0)
+
+        def fan_out(items):
+            from concurrent.futures import ProcessPoolExecutor
+            import multiprocessing
+            return ProcessPoolExecutor, multiprocessing
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/workloads/generator.py")
+        # A bare `import concurrent`, a look-alike name and a relative
+        # import load nothing heavy.
+        assert [v.rule for v in violations] == ["eager-import"] * 7
+        assert [v.line for v in violations] == [1, 2, 3, 4, 5, 6, 8]
+
+    def test_message_names_the_module(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/experiments/runner.py")
+        assert "numpy" in violations[0].message
+        assert "concurrent.futures" in violations[2].message
+        assert "multiprocessing" in violations[5].message
+
+    @pytest.mark.parametrize("rel", ["tests/unit/test_sample.py",
+                                     "benchmarks/perf/run.py"])
+    def test_allowed_outside_the_package(self, tmp_path, monkeypatch, rel):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
+        assert violations == []

@@ -78,6 +78,16 @@ And one keeps run state per run:
   (an interning pool, a cache) into the next.  Pools live on the object
   that owns the run, e.g. ``ContraSystem.pool`` (ARCHITECTURE.md §2).
 
+And one keeps each plane's heavy dependencies out of processes that never
+run it:
+
+* ``eager-import`` — a module-level ``import numpy`` / ``from numpy ...``,
+  or a module-level import of ``concurrent.futures`` or ``multiprocessing``,
+  under ``src/repro/``: importing any module that mentions them would load
+  them into every process, a compile-only one included.  Import them in the
+  function that first uses them (ARCHITECTURE.md §3, "Import contract").
+  An import under ``if TYPE_CHECKING:`` never runs and is not a finding.
+
 Audited exceptions live in :data:`ALLOWLIST`, keyed by path relative to the
 repository root; each entry names the rules it may violate and must carry a
 justification comment.  Run from the repo root::
@@ -158,6 +168,11 @@ _ENGINE_HOMES = frozenset({"src/repro/simulator/engine.py",
 _DOMAIN_PREFIX = "src/repro/"
 _DOMAIN_HOME = "src/repro/exceptions.py"
 
+#: Modules loaded where their plane first runs (eager-import), never at a
+#: module's import, under ``src/repro/``.
+_EAGER_MODULES = ("numpy", "concurrent.futures", "multiprocessing")
+_EAGER_PREFIX = "src/repro/"
+
 #: The only files allowed to read the process environment (env-read).
 _ENV_ALLOWED_FILES = frozenset({
     "src/repro/cli.py",
@@ -226,6 +241,7 @@ class _Checker(ast.NodeVisitor):
             self.rel = path.as_posix()
         self.findings: List[Finding] = []
         self._func_stack: List[str] = []
+        self._type_only = False
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(self.path, node.lineno, rule, message))
@@ -315,10 +331,41 @@ class _Checker(ast.NodeVisitor):
                        f"{name} outside simulator/engine.py and sanitizer.py: "
                        "the heap and lane member layout are the engine's own")
 
+    def _eager_import(self, node: ast.AST, names: List[str]) -> None:
+        if self._func_stack or self._type_only \
+                or not self.rel.startswith(_EAGER_PREFIX):
+            return
+        for name in names:
+            for heavy in _EAGER_MODULES:
+                if name == heavy or name.startswith(heavy + "."):
+                    self._flag(node, "eager-import",
+                               f"module-level import of {heavy}: every "
+                               "process that imports this module loads it; "
+                               "import it in the function that uses it")
+                    return
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._eager_import(node, [alias.name for alias in node.names])
+        self.generic_visit(node)
+
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
             self._engine_private(node, alias.name)
+        if node.module is not None and not node.level:
+            self._eager_import(node, [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names])
         self.generic_visit(node)
+
+    def visit_If(self, node: ast.If) -> None:
+        if _dotted(node.test)[-1:] != ("TYPE_CHECKING",):
+            self.generic_visit(node)
+            return
+        outer, self._type_only = self._type_only, True
+        for statement in node.body:
+            self.visit(statement)
+        self._type_only = outer
+        for statement in node.orelse:
+            self.visit(statement)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self._engine_private(node, node.attr)
