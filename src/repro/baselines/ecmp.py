@@ -15,22 +15,9 @@ from repro.protocol.tables import packet_flow_hash
 from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import Packet
 from repro.simulator.switchnode import RoutingLogic
-from repro.topology.graph import NextHopTable, Topology
+from repro.topology.graph import NextHopTable
 
-__all__ = ["EcmpSystem", "ShortestPathSystem", "next_hop_table"]
-
-
-def next_hop_table(topology: Topology, all_hops: bool) -> NextHopTable:
-    """For every switch, the shortest-path next hops towards every other switch.
-
-    ``all_hops`` keeps every equal-cost next hop (ECMP); otherwise only the
-    first in name order (single shortest path).  This is
-    :meth:`Topology.next_hop_table <repro.topology.graph.Topology.next_hop_table>`:
-    one table per topology, shared by every simulation on it — the packet
-    systems here and the fluid path models (:mod:`repro.simulator.fluid`)
-    alike — and read-only down to its tuple rows.
-    """
-    return topology.next_hop_table(all_hops)
+__all__ = ["EcmpSystem", "ShortestPathSystem"]
 
 
 class _HashingLogic(RoutingLogic):
@@ -74,7 +61,7 @@ class EcmpSystem(RoutingSystem):
         self._table: NextHopTable = {}
 
     def prepare(self, network: Network) -> None:
-        self._table = next_hop_table(network.topology, all_hops=self._all_hops)
+        self._table = network.topology.next_hop_table(self._all_hops)
 
     def create_switch_logic(self, switch: str) -> RoutingLogic:
         return _HashingLogic(self)

@@ -21,15 +21,13 @@ The implementation here follows the published design:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, SimulationError, require
 from repro.protocol.tables import FlowletTable, packet_flow_hash
-from repro.simulator.network import Network, RoutingSystem
+from repro.simulator.network import Network, ProbeDrivenSystem
 from repro.simulator.packet import BASE_PROBE_BYTES, Packet, Probe
-from repro.simulator.switchnode import RoutingLogic
+from repro.simulator.switchnode import ProbeDrivenRouting
 
 __all__ = ["HulaSystem", "HulaRouting"]
 
@@ -60,7 +58,7 @@ class _BestHop:
     updated_at: float
 
 
-class HulaSystem(RoutingSystem):
+class HulaSystem(ProbeDrivenSystem):
     """Hula: utilization-aware load balancing over shortest paths."""
 
     name = "hula"
@@ -71,69 +69,29 @@ class HulaSystem(RoutingSystem):
         flowlet_timeout: float = 0.2,
         failure_periods: int = 3,
     ):
-        require("probe_period", probe_period, POSITIVE, SimulationError)
-        require("flowlet_timeout", flowlet_timeout, NON_NEGATIVE, SimulationError)
-        require("failure_periods", failure_periods, COUNT, SimulationError)
-        self.probe_period = probe_period
-        self.flowlet_timeout = flowlet_timeout
-        self.failure_periods = failure_periods
-        self._logics: Dict[str, "HulaRouting"] = {}
+        super().__init__(probe_period, flowlet_timeout, failure_periods)
         #: hop distance between every pair of switches (static shortest paths).
         self.distances: Dict[str, Dict[str, float]] = {}
 
     def prepare(self, network: Network) -> None:
         self.distances = network.topology.shortest_path_lengths()
 
-    def create_switch_logic(self, switch: str) -> RoutingLogic:
+    def create_switch_logic(self, switch: str) -> "HulaRouting":
         logic = HulaRouting(self, switch)
         self._logics[switch] = logic
         return logic
 
-    def start(self, network: Network) -> None:
-        # One recurring engine event coalesces every per-switch round of a
-        # probe period (and one more the failure checks); see ContraSystem.
-        origins = [self._logics[switch] for switch in network.destination_switches()]
-        if origins:
-            network.sim.schedule_periodic(self.probe_period, self._probe_all, origins)
-        logics = list(self._logics.values())
-        if logics:
-            network.sim.schedule_periodic(
-                self.probe_period, self._failure_check_all, logics,
-                start_delay=self.probe_period * self.failure_periods)
 
-    #: Same-tick rounds the race detector may permute; see ContraSystem.
-    commutable_rounds = ("_probe_all", "_failure_check_all")
-
-    @staticmethod
-    def _probe_all(origins: List["HulaRouting"]) -> None:
-        for logic in origins:
-            logic.probe_round()
-
-    def _failure_check_all(self, logics: List["HulaRouting"]) -> None:
-        # Mutually independent per-switch checks; order is undocumented and
-        # shuffled by the race detector when installed (see ContraSystem).
-        rng = self.race_rng
-        if rng is not None:
-            logics = list(logics)
-            rng.shuffle(logics)
-        for logic in logics:
-            logic.failure_check()
-
-    def logic(self, switch: str) -> "HulaRouting":
-        return self._logics[switch]
-
-
-class HulaRouting(RoutingLogic):
+class HulaRouting(ProbeDrivenRouting):
     """Per-switch Hula logic."""
 
+    system: HulaSystem
+
     def __init__(self, system: HulaSystem, name: str):
-        self.system = system
+        super().__init__(system)
         self.name = name
         self.best: Dict[str, _BestHop] = {}
         self.flowlets = FlowletTable(system.flowlet_timeout)
-        self._version = 0
-        self._last_probe_from: Dict[str, float] = {}
-        self._believed_failed: Dict[str, bool] = {}
         #: origin -> this switch's downstream neighbours (static shortest paths).
         self._downstream: Dict[str, Tuple[str, ...]] = {}
 
@@ -199,7 +157,7 @@ class HulaRouting(RoutingLogic):
         fid = flow_hash % self.flowlets.slots
 
         pinned = self.flowlets.lookup(destination, 0, 0, fid, now)
-        if pinned is not None and self._usable(pinned.next_hop):
+        if pinned is not None and self._usable_next_hop(pinned.next_hop):
             self.flowlets.touch(pinned, now)
             return pinned.next_hop
         if pinned is not None:
@@ -207,7 +165,7 @@ class HulaRouting(RoutingLogic):
             self.network.stats.flowlet_expirations += 1
 
         entry = self.best.get(destination)
-        if entry is None or not self._usable(entry.next_hop) or self._stale(entry, now):
+        if entry is None or not self._usable_next_hop(entry.next_hop) or self._stale(entry, now):
             fallback = self._fallback_next_hop(destination)
             if fallback is None:
                 return None
@@ -220,10 +178,6 @@ class HulaRouting(RoutingLogic):
         max_age = self.system.probe_period * (self.system.failure_periods + 1)
         return now - entry.updated_at > max_age
 
-    def _usable(self, neighbor: str) -> bool:
-        return not self._believed_failed.get(neighbor, False) and \
-            not self.switch.link_failed(neighbor)
-
     def _fallback_next_hop(self, destination: str) -> Optional[str]:
         """When probe state is missing, fall back to any live shortest-path hop."""
         distances = self.system.distances
@@ -233,21 +187,6 @@ class HulaRouting(RoutingLogic):
         candidates = []
         for neighbor in self.switch.switch_neighbors():
             there = distances.get(destination, {}).get(neighbor)
-            if there is not None and there < here and self._usable(neighbor):
+            if there is not None and there < here and self._usable_next_hop(neighbor):
                 candidates.append(neighbor)
         return candidates[0] if candidates else None
-
-    # ---------------------------------------------------------------- failures
-
-    def failure_check(self) -> None:
-        """Probe-silence failure detection; a neighbour is watched from its first probe."""
-        now = self.network.sim.now
-        window = self.system.probe_period * self.system.failure_periods
-        for neighbor, last_seen in self._last_probe_from.items():
-            silent = now - last_seen > window
-            if silent and not self._believed_failed.get(neighbor, False):
-                self._believed_failed[neighbor] = True
-                self.network.stats.failure_detections += 1
-                self.network.stats.flowlet_expirations += self.flowlets.expire_via(neighbor)
-            elif not silent:
-                self._believed_failed[neighbor] = False

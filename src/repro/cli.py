@@ -46,7 +46,7 @@ from typing import List, Optional
 from repro.core.compiler import compile_policy
 from repro.core.parser import parse_policy
 from repro.core.policies import ALL_POLICIES, POLICY_ALIASES
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, schema
 from repro.experiments.config import config_from_env, default_config, full_config, quick_config
 from repro.experiments.registry import (
     gc_scenario,
@@ -57,7 +57,7 @@ from repro.experiments.registry import (
     sweep_status_scenario,
 )
 from repro.experiments.results import ResultsStore, parse_shard
-from repro.simulator.flow import TRANSPORT_MODES
+from repro.experiments.runner import ScenarioSpec
 from repro.topology import (
     abilene,
     builtin_topologies,
@@ -363,25 +363,29 @@ def build_parser() -> argparse.ArgumentParser:
     policies = sub.add_parser("policies", help="list the built-in Figure 3 policies")
     policies.set_defaults(func=_cmd_policies)
 
-    compile_cmd = sub.add_parser("compile", help="compile a policy for a topology")
+    # Topology shape flags shared by compile and check-policy.
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--k", type=int, default=4, help="fat-tree arity / leaf-spine size")
+    shape.add_argument("--leaves", type=int, default=0,
+                       help="leaf-spine leaf count (default: --k)")
+    shape.add_argument("--spines", type=int, default=0,
+                       help="leaf-spine spine count (default: --k)")
+    shape.add_argument("--hosts-per-leaf", type=int, default=2,
+                       help="hosts attached to each leaf switch")
+    shape.add_argument("--size", type=int, default=50, help="random topology size")
+    shape.add_argument("--seed", type=int, default=0)
+
+    compile_cmd = sub.add_parser("compile", parents=[shape],
+                                 help="compile a policy for a topology")
     compile_cmd.add_argument("policy", help="a policy key (P1..P9) or a minimize(...) expression")
     compile_cmd.add_argument("--topology", default="fattree",
                              help="fattree | leafspine | abilene | random | builtin name | edge-list file")
-    compile_cmd.add_argument("--k", type=int, default=4, help="fat-tree arity / leaf-spine size")
-    compile_cmd.add_argument("--leaves", type=int, default=0,
-                             help="leaf-spine leaf count (default: --k)")
-    compile_cmd.add_argument("--spines", type=int, default=0,
-                             help="leaf-spine spine count (default: --k)")
-    compile_cmd.add_argument("--hosts-per-leaf", type=int, default=2,
-                             help="hosts attached to each leaf switch")
-    compile_cmd.add_argument("--size", type=int, default=50, help="random topology size")
-    compile_cmd.add_argument("--seed", type=int, default=0)
     compile_cmd.add_argument("--emit-p4", metavar="DIR", default=None,
                              help="write the generated per-switch P4 programs to DIR")
     compile_cmd.set_defaults(func=_cmd_compile)
 
     check = sub.add_parser(
-        "check-policy",
+        "check-policy", parents=[shape],
         help="verify a policy: semantic monotonicity/isotonicity with concrete "
              "counterexamples, plus (with --topo) product-graph dead-state "
              "analysis and the lowered-table cross-check")
@@ -394,38 +398,40 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also analyze against a topology: fattree | "
                             "leafspine | abilene | random | builtin name | "
                             "edge-list file")
-    check.add_argument("--k", type=int, default=4, help="fat-tree arity / leaf-spine size")
-    check.add_argument("--leaves", type=int, default=0,
-                       help="leaf-spine leaf count (default: --k)")
-    check.add_argument("--spines", type=int, default=0,
-                       help="leaf-spine spine count (default: --k)")
-    check.add_argument("--hosts-per-leaf", type=int, default=2,
-                       help="hosts attached to each leaf switch")
-    check.add_argument("--size", type=int, default=50, help="random topology size")
-    check.add_argument("--seed", type=int, default=0)
     check.add_argument("--json", metavar="PATH", default=None,
                        help="also dump the verification report(s) as JSON to PATH")
     check.set_defaults(func=_cmd_check_policy)
 
+    # The scenario and its grid, shared by every grid command; the grid
+    # variants are also the spec fields' declared domains.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("name", choices=tuple(scenario_names()))
+    grid.add_argument("--preset", choices=("quick", "default", "full", "env"),
+                      default="quick",
+                      help="experiment configuration preset; a command reading "
+                           "a results store must name the one its points ran with")
+    domains = {name: domain for name, domain, _, _ in schema(ScenarioSpec)}
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--transport", choices=domains["transport"].choices, default=None,
+                         help="host transport mode override: fixed (full window "
+                              "at flow start, the default), slowstart (slow start "
+                              "+ AIMD + fast retransmit) or paced (slowstart + "
+                              "per-RTT pacing); must match the one a results "
+                              "store's points ran with")
+    variant.add_argument("--flow-model", choices=domains["flow_model"].choices,
+                         default=None,
+                         help="data path for every grid point: packet (per-packet "
+                              "events, the default) or fluid (epoch-driven "
+                              "max-min rate allocation; scenarios that pin a "
+                              "flow model per point reject the override); must "
+                              "match the one a results store's points ran with")
+
     run_grid = sub.add_parser(
-        "run-grid",
+        "run-grid", parents=[grid, variant],
         help="run a named scenario through the parallel grid runner")
-    run_grid.add_argument("name", choices=tuple(scenario_names()))
-    run_grid.add_argument("--preset", choices=("quick", "default", "full", "env"),
-                          default="quick")
     run_grid.add_argument("--processes", type=int, default=None,
                           help="worker processes (default: $CONTRA_PROCS or serial; "
                                "0 = one per core)")
-    run_grid.add_argument("--transport", choices=TRANSPORT_MODES, default=None,
-                          help="host transport mode override: fixed (full window "
-                               "at flow start, the default), slowstart (slow start "
-                               "+ AIMD + fast retransmit) or paced (slowstart + "
-                               "per-RTT pacing)")
-    run_grid.add_argument("--flow-model", choices=("packet", "fluid"), default=None,
-                          help="data path for every grid point: packet (per-packet "
-                               "events, the default) or fluid (epoch-driven "
-                               "max-min rate allocation; scenarios that pin a "
-                               "flow model per point reject the override)")
     run_grid.add_argument("--json", metavar="PATH", default=None,
                           help="also dump the scenario results as JSON to PATH")
     run_grid.add_argument("--results-dir", metavar="DIR", default=None,
@@ -447,35 +453,23 @@ def build_parser() -> argparse.ArgumentParser:
     run_grid.set_defaults(func=_cmd_run_grid)
 
     race = sub.add_parser(
-        "race-check",
+        "race-check", parents=[grid],
         help="re-run grid points under seeded permutations of "
              "non-contractual same-tick event orders and diff the summaries "
              "(a divergence is a hidden order dependence)")
-    race.add_argument("name", choices=tuple(scenario_names()))
     race.add_argument("--seeds", type=int, default=2,
                       help="permutation seeds per grid point (default 2)")
     race.add_argument("--points", type=int, default=None,
                       help="check only the first N grid points (default: all)")
-    race.add_argument("--preset", choices=("quick", "default", "full", "env"),
-                      default="quick")
     race.add_argument("--json", metavar="PATH", default=None,
                       help="also dump the race report as JSON to PATH")
     race.set_defaults(func=_cmd_race_check)
 
     merge = sub.add_parser(
-        "merge-results",
+        "merge-results", parents=[grid, variant],
         help="union shard artifacts into the exact unsharded scenario report")
-    merge.add_argument("name", choices=tuple(scenario_names()))
     merge.add_argument("--results-dir", metavar="DIR", required=True,
                        help="the results store directory every shard ran against")
-    merge.add_argument("--preset", choices=("quick", "default", "full", "env"),
-                       default="quick",
-                       help="must match the preset the shards ran with (the "
-                            "grid is rebuilt from it to key the lookups)")
-    merge.add_argument("--transport", choices=TRANSPORT_MODES, default=None,
-                       help="must match the --transport the shards ran with")
-    merge.add_argument("--flow-model", choices=("packet", "fluid"), default=None,
-                       help="must match the --flow-model the shards ran with")
     merge.add_argument("--json", metavar="PATH", default=None,
                        help="also dump the merged results as JSON to PATH")
     merge.add_argument("--bench-artifact", metavar="PATH", default=None,
@@ -485,37 +479,20 @@ def build_parser() -> argparse.ArgumentParser:
     merge.set_defaults(func=_cmd_merge_results)
 
     gc = sub.add_parser(
-        "gc-results",
-        help="drop stale records and compact shard files in a results store")
-    gc.add_argument("name", choices=tuple(scenario_names()))
+        "gc-results", parents=[grid, variant],
+        help="drop stale records and compact shard files in a results store "
+             "(records keyed outside the preset's current grid are dropped)")
     gc.add_argument("--results-dir", metavar="DIR", required=True,
                     help="the results store directory to garbage-collect")
-    gc.add_argument("--preset", choices=("quick", "default", "full", "env"),
-                    default="quick",
-                    help="the preset defining the scenario's *current* grid; "
-                         "records keyed outside it are dropped")
-    gc.add_argument("--transport", choices=TRANSPORT_MODES, default=None,
-                    help="must match the --transport the kept shards ran with")
-    gc.add_argument("--flow-model", choices=("packet", "fluid"), default=None,
-                    help="must match the --flow-model the kept shards ran with")
     gc.set_defaults(func=_cmd_gc_results)
 
     status = sub.add_parser(
-        "sweep-status",
+        "sweep-status", parents=[grid, variant],
         help="progress view of a coordinated results directory: "
              "pending/leased/complete per locality group, plus per-worker "
              "executed counts and idle time")
-    status.add_argument("name", choices=tuple(scenario_names()))
     status.add_argument("--results-dir", metavar="DIR", required=True,
                         help="the results store directory the drain runs against")
-    status.add_argument("--preset", choices=("quick", "default", "full", "env"),
-                        default="quick",
-                        help="must match the preset the drain runs with (the "
-                             "grid is rebuilt from it to key the lookups)")
-    status.add_argument("--transport", choices=TRANSPORT_MODES, default=None,
-                        help="must match the --transport the drain runs with")
-    status.add_argument("--flow-model", choices=("packet", "fluid"), default=None,
-                        help="must match the --flow-model the drain runs with")
     status.set_defaults(func=_cmd_sweep_status)
     return parser
 

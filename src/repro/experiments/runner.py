@@ -119,6 +119,12 @@ POLICY_BUILDERS: Dict[str, Callable[[], Policy]] = {
 }
 
 
+def _require_policy_name(name: str) -> None:
+    if name not in POLICY_BUILDERS:
+        raise ExperimentError(
+            f"unknown policy {name!r}; available: {sorted(POLICY_BUILDERS)}")
+
+
 def default_failed_link(topology: Topology) -> Tuple[str, str]:
     """The aggregation–core link failed in the asymmetric experiments (§6.3)."""
     for agg in topology.switches_with_role("aggregation"):
@@ -494,13 +500,9 @@ class RunContext:
         key = (policy_name, topo_spec)
         compiled = self._compiled.get(key)
         if compiled is None:
-            try:
-                builder = POLICY_BUILDERS[policy_name]
-            except KeyError:
-                raise ExperimentError(
-                    f"unknown policy {policy_name!r}; available: {sorted(POLICY_BUILDERS)}"
-                ) from None
-            compiled = compile_policy(builder(), self.topology(topo_spec))
+            _require_policy_name(policy_name)
+            compiled = compile_policy(POLICY_BUILDERS[policy_name](),
+                                      self.topology(topo_spec))
             self._compiled[key] = compiled
         return compiled
 
@@ -677,10 +679,12 @@ class RunContext:
         # The names a builder looks up, judged before any compile or draw.
         # They are exact: a "Contra" that build_routing_system would
         # lower-case skips the compile of spec.policy below.  Streams draw no
-        # flow sizes, so their workload name is never read.
+        # flow sizes, so their workload name is never read.  The policy name
+        # is judged on every system, though only Contra compiles it.
         if spec.system not in SYSTEM_NAMES:
             raise ExperimentError(
                 f"unknown routing system {spec.system!r}; available: {SYSTEM_NAMES}")
+        _require_policy_name(spec.policy)
         if spec.traffic != "streams" and spec.workload not in WORKLOAD_NAMES:
             raise ExperimentError(
                 f"unknown workload {spec.workload!r}; available: {WORKLOAD_NAMES}")

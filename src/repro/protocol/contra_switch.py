@@ -21,7 +21,7 @@ from repro.core.attributes import MetricVector
 from repro.core.compiler import CompiledPolicy
 from repro.core.device_config import DeviceConfig
 from repro.core.rank import INFINITY, Rank
-from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, SimulationError, require
+from repro.exceptions import COUNT, SimulationError, require
 from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
@@ -34,14 +34,14 @@ from repro.protocol.tables import (
     packet_flow_hash,
 )
 from repro.simulator.link import SimLink
-from repro.simulator.network import Network, RoutingSystem
+from repro.simulator.network import ProbeDrivenSystem
 from repro.simulator.packet import Packet
-from repro.simulator.switchnode import RoutingLogic
+from repro.simulator.switchnode import ProbeDrivenRouting
 
 __all__ = ["ContraSystem", "ContraRouting"]
 
 
-class ContraSystem(RoutingSystem):
+class ContraSystem(ProbeDrivenSystem):
     """Routing system that deploys a compiled Contra policy on every switch."""
 
     name = "contra"
@@ -57,14 +57,11 @@ class ContraSystem(RoutingSystem):
         split_horizon: bool = True,
         use_versioning: bool = True,
     ):
-        self.compiled = compiled
-        self.probe_period = probe_period if probe_period is not None else compiled.probe_period
-        require("probe_period", self.probe_period, POSITIVE, SimulationError)
-        require("flowlet_timeout", flowlet_timeout, NON_NEGATIVE, SimulationError)
-        require("failure_periods", failure_periods, COUNT, SimulationError)
+        super().__init__(
+            probe_period if probe_period is not None else compiled.probe_period,
+            flowlet_timeout, failure_periods)
         require("loop_threshold", loop_threshold, COUNT, SimulationError)
-        self.flowlet_timeout = flowlet_timeout
-        self.failure_periods = failure_periods
+        self.compiled = compiled
         self.loop_threshold = loop_threshold
         self.probe_all_switches = probe_all_switches
         self.split_horizon = split_horizon
@@ -74,67 +71,24 @@ class ContraSystem(RoutingSystem):
         self.use_versioning = use_versioning
         #: The FwdT/BestT values every switch of this deployment shares.
         self.pool = StatePool()
-        self._logics: Dict[str, "ContraRouting"] = {}
 
     def create_switch_logic(self, switch: str) -> "ContraRouting":
         logic = ContraRouting(self, self.compiled.device(switch))
         self._logics[switch] = logic
         return logic
 
-    def start(self, network: Network) -> None:
-        """Arm the periodic probe flood and failure detection.
-
-        All per-switch rounds of one period fire at the same instant, so they
-        are coalesced under a single recurring engine event each (origination
-        and failure checking) instead of one self-rescheduling chain per
-        switch; the per-switch work runs in deterministic creation order.
-        """
-        destinations = (network.topology.switches if self.probe_all_switches
-                        else network.destination_switches())
-        origins = [self._logics[switch] for switch in destinations]
-        if origins:
-            network.sim.schedule_periodic(self.probe_period, self._probe_all, origins)
-        logics = list(self._logics.values())
-        if logics:
-            network.sim.schedule_periodic(
-                self.probe_period, self._failure_check_all, logics,
-                start_delay=self.probe_period * self.failure_periods)
-
-    #: Same-tick rounds whose relative heap order is free, not contractual
-    #: (probe origination reads link state, failure checking flips belief
-    #: bits neither round reads back this tick) — the race detector is
-    #: allowed to permute adjacent firings of these.
-    commutable_rounds = ("_probe_all", "_failure_check_all")
-
-    @staticmethod
-    def _probe_all(origins: List["ContraRouting"]) -> None:
-        for logic in origins:
-            logic.probe_round()
-
-    def _failure_check_all(self, logics: List["ContraRouting"]) -> None:
-        # Per-switch failure checks are mutually independent (each flips its
-        # own belief bits); the iteration order is undocumented, so the race
-        # detector shuffles it when installed.
-        rng = self.race_rng
-        if rng is not None:
-            logics = list(logics)
-            rng.shuffle(logics)
-        for logic in logics:
-            logic.failure_check()
-
     def packet_header_bits(self) -> int:
         configs = self.compiled.device_configs.values()
         return max(cfg.packet_tag_bits() for cfg in configs) if configs else 0
 
-    def logic(self, switch: str) -> "ContraRouting":
-        return self._logics[switch]
 
-
-class ContraRouting(RoutingLogic):
+class ContraRouting(ProbeDrivenRouting):
     """The per-switch program synthesized from the user policy."""
 
+    system: ContraSystem
+
     def __init__(self, system: ContraSystem, config: DeviceConfig):
-        self.system = system
+        super().__init__(system)
         self.config = config
         self.compiled = system.compiled
         self.subpolicies: List[SubPolicy] = list(self.compiled.decomposition.subpolicies)
@@ -147,9 +101,6 @@ class ContraRouting(RoutingLogic):
         self.loop_detector = LoopDetectionTable(
             threshold=system.loop_threshold, slots=config.loop_table_slots)
 
-        self._version = 0
-        self._last_probe_from: Dict[str, float] = {}
-        self._believed_failed: Dict[str, bool] = {}
         self._probe_size = probe_wire_size(config.probe_bits())
         self._packet_tag_bits = config.packet_tag_bits()
 
@@ -592,41 +543,6 @@ class ContraRouting(RoutingLogic):
                 if self._usable_next_hop(next_hop):
                     return next_hop, next_tag
         return entry.next_hop, entry.next_tag
-
-    def _usable_next_hop(self, neighbor: str) -> bool:
-        return not self._believed_failed.get(neighbor, False) and \
-            not self.switch.link_failed(neighbor)
-
-    # ---------------------------------------------------------------- failures
-
-    def failure_check(self) -> None:
-        """Mark neighbours silent for ``failure_periods`` probe periods as failed (§5.4).
-
-        Probe-silence tracking starts at a neighbour's *first* probe: only
-        neighbours that have sent one are watched.  Under a regex policy a
-        link may legitimately carry no probes at all, and silence on it must
-        not be read as a failure.
-        """
-        now = self.network.sim.now
-        window = self.system.probe_period * self.system.failure_periods
-        for neighbor, last_seen in self._last_probe_from.items():
-            silent = now - last_seen > window
-            if silent and not self._believed_failed.get(neighbor, False):
-                self._believed_failed[neighbor] = True
-                self.network.stats.failure_detections += 1
-                expired = self.flowlets.expire_via(neighbor)
-                self.network.stats.flowlet_expirations += expired
-            elif not silent and self._believed_failed.get(neighbor, False):
-                self._believed_failed[neighbor] = False
-
-    def on_link_change(self, neighbor: str, failed: bool) -> None:
-        """React immediately to a simulator-signalled link event (optional fast path).
-
-        The protocol's own detection works purely by probe silence; this hook
-        merely lets experiments model switches with local link-down interrupts.
-        It is intentionally *not* used by default (the Figure 14 experiment
-        measures the probe-silence detection delay).
-        """
 
     # ------------------------------------------------------------------ debug
 

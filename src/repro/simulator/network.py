@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import COUNT, POSITIVE, SimulationError, require
+from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, SimulationError, require
 from repro.simulator.engine import Simulator
 from repro.simulator.flow import TRANSPORT_DOMAIN, Flow
 from repro.simulator.host import Host
 from repro.simulator.link import SimLink
 from repro.simulator.packet import Packet
 from repro.simulator.stats import StatsCollector
-from repro.simulator.switchnode import RoutingLogic, SwitchNode
+from repro.simulator.switchnode import ProbeDrivenRouting, RoutingLogic, SwitchNode
 from repro.topology.graph import Topology
 
-__all__ = ["RoutingSystem", "Network"]
+__all__ = ["RoutingSystem", "ProbeDrivenSystem", "Network"]
 
 
 class RoutingSystem:
@@ -56,6 +56,74 @@ class RoutingSystem:
     #: accounting for Figure 16); Contra overrides this.
     def packet_header_bits(self) -> int:
         return 0
+
+
+class ProbeDrivenSystem(RoutingSystem):
+    """A distance-vector system run by periodic probes: Contra and Hula.
+
+    Every probe period each origin switch sends a versioned probe round
+    (§5.1), and every switch checks which neighbours have been silent for
+    ``failure_periods`` periods (§5.4).  Subclasses provide
+    :meth:`create_switch_logic` (registering each logic in ``_logics``) and
+    the per-switch :class:`~repro.simulator.switchnode.ProbeDrivenRouting`.
+    """
+
+    #: Originate probes at every switch, not only at switches with hosts.
+    probe_all_switches = False
+
+    def __init__(self, probe_period: float, flowlet_timeout: float,
+                 failure_periods: int):
+        require("probe_period", probe_period, POSITIVE, SimulationError)
+        require("flowlet_timeout", flowlet_timeout, NON_NEGATIVE, SimulationError)
+        require("failure_periods", failure_periods, COUNT, SimulationError)
+        self.probe_period = probe_period
+        self.flowlet_timeout = flowlet_timeout
+        self.failure_periods = failure_periods
+        self._logics: Dict[str, ProbeDrivenRouting] = {}
+
+    def logic(self, switch: str) -> ProbeDrivenRouting:
+        return self._logics[switch]
+
+    def start(self, network: "Network") -> None:
+        """Arm the periodic probe rounds and failure checks.
+
+        All per-switch rounds of one period fire at the same instant, so they
+        are coalesced under a single recurring engine event each (origination
+        and failure checking) instead of one self-rescheduling chain per
+        switch; the per-switch work runs in deterministic creation order.
+        """
+        destinations = (network.topology.switches if self.probe_all_switches
+                        else network.destination_switches())
+        origins = [self._logics[switch] for switch in destinations]
+        if origins:
+            network.sim.schedule_periodic(self.probe_period, self._probe_all, origins)
+        logics = list(self._logics.values())
+        if logics:
+            network.sim.schedule_periodic(
+                self.probe_period, self._failure_check_all, logics,
+                start_delay=self.probe_period * self.failure_periods)
+
+    #: Same-tick rounds whose relative heap order is free, not contractual
+    #: (probe origination reads link state, failure checking flips belief
+    #: bits neither round reads back this tick) — the race detector is
+    #: allowed to permute adjacent firings of these.
+    commutable_rounds = ("_probe_all", "_failure_check_all")
+
+    @staticmethod
+    def _probe_all(origins: List[ProbeDrivenRouting]) -> None:
+        for logic in origins:
+            logic.probe_round()
+
+    def _failure_check_all(self, logics: List[ProbeDrivenRouting]) -> None:
+        # Per-switch failure checks are mutually independent (each flips its
+        # own belief bits); the iteration order is undocumented, so the race
+        # detector shuffles it when installed.
+        rng = self.race_rng
+        if rng is not None:
+            logics = list(logics)
+            rng.shuffle(logics)
+        for logic in logics:
+            logic.failure_check()
 
 
 class Network:

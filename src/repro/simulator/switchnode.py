@@ -9,7 +9,7 @@ system provides the per-switch data-plane program.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.simulator.link import send_probes
@@ -17,9 +17,9 @@ from repro.simulator.packet import Packet, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.link import ProbeGroups, SimLink
-    from repro.simulator.network import Network
+    from repro.simulator.network import Network, ProbeDrivenSystem
 
-__all__ = ["RoutingLogic", "SwitchNode"]
+__all__ = ["RoutingLogic", "ProbeDrivenRouting", "SwitchNode"]
 
 
 class RoutingLogic:
@@ -42,9 +42,6 @@ class RoutingLogic:
         self.switch = switch
         self.network = network
 
-    def start(self) -> None:
-        """Start periodic activities (probe generation, timers).  Optional."""
-
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         """Return the next-hop node name for a transit packet, or None to drop."""
         raise NotImplementedError
@@ -53,7 +50,56 @@ class RoutingLogic:
         """Handle a control probe.  Optional (static systems ignore probes)."""
 
     def on_link_change(self, neighbor: str, failed: bool) -> None:
-        """Notification that the link towards ``neighbor`` failed or recovered."""
+        """Notification that the link towards ``neighbor`` failed or recovered.
+
+        Probe-driven systems ignore it: they detect failures by probe silence.
+        """
+
+
+class ProbeDrivenRouting(RoutingLogic):
+    """Per-switch half of a probe-driven system: probe version and failure belief.
+
+    Subclasses provide :meth:`probe_round`, :meth:`on_probe` (which stamps
+    ``_last_probe_from[inport]`` and clears ``_believed_failed[inport]``) and
+    :meth:`on_data_packet`, and own a ``flowlets`` table.
+    """
+
+    #: The switch's flowlet table, built by the subclass.
+    flowlets: Any
+
+    def __init__(self, system: "ProbeDrivenSystem"):
+        self.system = system
+        self._version = 0
+        self._last_probe_from: Dict[str, float] = {}
+        self._believed_failed: Dict[str, bool] = {}
+
+    def probe_round(self) -> None:
+        """Originate this switch's probes for one period."""
+        raise NotImplementedError
+
+    def _usable_next_hop(self, neighbor: str) -> bool:
+        return not self._believed_failed.get(neighbor, False) and \
+            not self.switch.link_failed(neighbor)
+
+    def failure_check(self) -> None:
+        """Mark neighbours silent for ``failure_periods`` probe periods as failed (§5.4).
+
+        Probe-silence tracking starts at a neighbour's *first* probe: only
+        neighbours that have sent one are watched.  Under a regex policy a
+        link may legitimately carry no probes at all, and silence on it must
+        not be read as a failure.  A failed neighbour's flowlet pins expire.
+        """
+        now = self.network.sim.now
+        window = self.system.probe_period * self.system.failure_periods
+        for neighbor, last_seen in self._last_probe_from.items():
+            silent = now - last_seen > window
+            if silent and not self._believed_failed.get(neighbor, False):
+                self._believed_failed[neighbor] = True
+                self.network.stats.failure_detections += 1
+                expired = self.flowlets.expire_via(neighbor)
+                self.network.stats.flowlet_expirations += expired
+            elif not silent and self._believed_failed.get(neighbor, False):
+                self._believed_failed[neighbor] = False
 
 
 class SwitchNode:

@@ -41,6 +41,17 @@ def _abilene(system: str) -> ScenarioSpec:
     return spec
 
 
+def _fail_recover(system: str) -> ScenarioSpec:
+    """A leaf-spine uplink fails mid-run and recovers: probe-silence detection."""
+    return ScenarioSpec(
+        name="fail-recover", system=system,
+        topology=TopologySpec("leafspine", leaves=4, spines=2, capacity=100.0),
+        config=_DATA, workload="cache", load=0.8, record_paths=True,
+        events=(LinkEvent(2.5, "leaf0", "spine0", "fail"),
+                LinkEvent(4.5, "leaf0", "spine0", "recover")),
+        stop_after_completion=True)
+
+
 #: name -> (spec factory, pinned digest).
 POINTS = {
     "asym-contra-fixed": (
@@ -56,14 +67,11 @@ POINTS = {
         lambda: _asymmetric("ecmp", "slowstart"),
         "20fea5612cb1eecda21d9344cf0790881d0755d6a9b9fb8651bd7c0b32ef0edf"),
     "leafspine-fail-recover": (
-        lambda: ScenarioSpec(
-            name="fail-recover", system="contra",
-            topology=TopologySpec("leafspine", leaves=4, spines=2, capacity=100.0),
-            config=_DATA, workload="cache", load=0.8, record_paths=True,
-            events=(LinkEvent(2.5, "leaf0", "spine0", "fail"),
-                    LinkEvent(4.5, "leaf0", "spine0", "recover")),
-            stop_after_completion=True),
+        lambda: _fail_recover("contra"),
         "eb7103426c091212f96b2573232a907b0e95df84451c95fcc9694917d0482865"),
+    "leafspine-fail-recover-hula": (
+        lambda: _fail_recover("hula"),
+        "9f2ad9f53e233f34c7d66e95273e77a8f32fa1758cb2fc602acbb881f3b3994d"),
     "abilene-MU-contra": (
         lambda: _abilene("contra"),
         "5a1ce15c0ca4795912cac5af928dd849ddbe016ad35a138a3849324db662bd15"),
@@ -131,6 +139,7 @@ class TestPinnedDataPlaneState:
         ("asym-contra-fixed", ("drops", "retransmissions")),
         ("asym-ecmp-slowstart", ("drops", "fast_retransmits")),
         ("leafspine-fail-recover", ("flowlet_expirations", "failure_detections")),
+        ("leafspine-fail-recover-hula", ("failure_detections", "flowlet_expirations")),
         ("abilene-MU-contra", ("loop_detections", "flowlet_expirations")),
     ])
     def test_the_points_exercise_what_they_pin(self, name, nonzero):

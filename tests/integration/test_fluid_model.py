@@ -26,7 +26,6 @@ import random
 
 import pytest
 
-from repro.baselines.ecmp import next_hop_table
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fluid_scale import (
@@ -282,7 +281,7 @@ class TestPathLevelSketch:
 
 
 def reference_walk(model, table, greedy, fhash, src_host, dst_host, util, failed):
-    """``resolve`` as a walk over ``next_hop_table`` itself: every candidate
+    """``resolve`` as a walk over ``Topology.next_hop_table`` itself: every candidate
     is a ``(switch, hop)`` key looked up in the fabric's link index."""
     topology, index = model.fabric.topology, model.fabric.index
     switch = topology.attachment_switch(src_host)
@@ -321,7 +320,7 @@ class TestLoweredNextHopRows:
         topology = fattree(4) if fabric == "fattree4" \
             else leafspine(4, 2, hosts_per_leaf=2)
         model = build_path_model(system, topology, policy="datacenter")
-        table = next_hop_table(topology, all_hops)
+        table = topology.next_hop_table(all_hops)
         hosts = topology.hosts
         link_count = len(model.fabric.links)
         rng = random.Random(17)

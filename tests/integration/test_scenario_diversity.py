@@ -437,7 +437,7 @@ class TestMalformedEndpoints:
 
 
 class TestUnknownNames:
-    """A routing system or workload no builder knows is refused first.
+    """A routing system, workload or policy no builder knows is refused first.
 
     Measured on an ECMP fat-tree k=4 point: ``system='bogus'`` with
     ``respect_compiled_probe_period`` was refused only after one compile,
@@ -476,6 +476,20 @@ class TestUnknownNames:
         with pytest.raises(ExperimentError,
                            match=r"unknown workload 'bogus'; available: \("):
             context.run(self._spec(system=system, workload="bogus",
+                                   flow_model=flow_model))
+        assert compiles == []
+        assert context._workloads == {}
+
+    @pytest.mark.parametrize("flow_model", ["packet", "fluid"])
+    @pytest.mark.parametrize("system", ["ecmp", "hula", "spain", "contra"])
+    def test_unknown_policy_refused_before_any_compile(self, compiles, system,
+                                                       flow_model):
+        """Fluid Contra raised a SimulationError from its path model, and the
+        ECMP, Hula and SPAIN points ignored the field."""
+        context = RunContext()
+        with pytest.raises(ExperimentError,
+                           match=r"unknown policy 'bogus'; available: \["):
+            context.run(self._spec(system=system, policy="bogus",
                                    flow_model=flow_model))
         assert compiles == []
         assert context._workloads == {}

@@ -162,6 +162,38 @@ class TestLaneRegistrant:
         assert violations == []
 
 
+class TestPeriodicRound:
+    """Recurring rounds are findings under src/repro/ outside the engine and
+    the probe-driven skeleton's home, simulator/network.py."""
+
+    SOURCE = """\
+        def start(sim, rounds, logics):
+            sim.schedule_periodic(1.0, rounds, logics)
+            sim.call_later(1.0, rounds, logics)
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/baselines/hula.py")
+        # One-shot timers (call_later) are anyone's to use.
+        assert [v.rule for v in violations] == ["periodic-round"]
+        assert [v.line for v in violations] == [2]
+
+    @pytest.mark.parametrize("rel", ["src/repro/simulator/network.py",
+                                     "src/repro/simulator/engine.py",
+                                     "tests/unit/test_engine.py"])
+    def test_allowed_in_its_homes_and_outside_the_package(self, tmp_path,
+                                                          monkeypatch, rel):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
+        assert violations == []
+
+
 class TestHandDomain:
     """``math.isfinite`` is a finding under src/repro/ outside exceptions.py."""
 

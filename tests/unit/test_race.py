@@ -81,7 +81,8 @@ class TestInstallRace:
         the summary does not notice."""
         base, base_summary = _traced_run(None)
         permuted, permuted_summary = _traced_run(permute_seed=0)
-        rounds = {f"ContraSystem.{name}" for name in ContraSystem.commutable_rounds}
+        rounds = {getattr(ContraSystem, name).__qualname__
+                  for name in ContraSystem.commutable_rounds}
         swapped = [
             index for index in range(len(base) - 1)
             if base[index] != base[index + 1]

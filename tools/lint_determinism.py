@@ -46,6 +46,15 @@ One more scoped rule keeps a policy in one home:
   contract (ARCHITECTURE.md §1), and a second caller switching it would
   silently undo or extend that pause.
 
+One keeps the probe-driven round contract in one home:
+
+* ``periodic-round`` — ``.schedule_periodic(...)`` calls under ``src/repro/``
+  outside ``simulator/engine.py`` and ``simulator/network.py``:
+  ``ProbeDrivenSystem.start`` arms the coalesced probe and failure-check
+  rounds that ``commutable_rounds`` and the race detector's shuffle are
+  written against (ARCHITECTURE.md §1, §6), so a probe-driven system that
+  armed its own rounds would fork that contract.
+
 And two keep the batch lane's member layout with one producer and one
 reader:
 
@@ -152,6 +161,12 @@ _GC_HOME = "src/repro/simulator/engine.py"
 _LANE_CALLS = frozenset({"call_multicast"})
 _LANE_PREFIX = "src/repro/"
 _LANE_HOME = "src/repro/simulator/link.py"
+
+#: Recurring engine events (periodic-round) and the files that may arm them.
+_PERIODIC_CALLS = frozenset({"schedule_periodic"})
+_PERIODIC_PREFIX = "src/repro/"
+_PERIODIC_HOMES = frozenset({"src/repro/simulator/engine.py",
+                             "src/repro/simulator/network.py"})
 
 #: The engine's heap/lane state and trampolines (engine-private), and the
 #: files that may name them.
@@ -288,6 +303,13 @@ class _Checker(ast.NodeVisitor):
                        f".{func.attr}() outside simulator/link.py: the batch "
                        "lane has one registrant, send_probes, so the "
                        "member layout has one producer")
+        if isinstance(func, ast.Attribute) and func.attr in _PERIODIC_CALLS \
+                and self.rel.startswith(_PERIODIC_PREFIX) \
+                and self.rel not in _PERIODIC_HOMES:
+            self._flag(node, "periodic-round",
+                       f".{func.attr}() outside simulator/network.py: "
+                       "ProbeDrivenSystem.start arms the probe-driven rounds "
+                       "the race detector's contract is written against")
         dotted = _dotted(func)
         if len(dotted) >= 2:
             head, tail = dotted[-2], dotted[-1]
