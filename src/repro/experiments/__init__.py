@@ -10,7 +10,7 @@ same by scenario name.
 The names below are imported from their modules on first access, so that
 importing one module of the package — :mod:`repro.experiments.scalability`,
 which needs nothing but the compiler and the topologies — does not import
-the others, the workload generator and through it numpy among them.
+the others, the workload generator among them.
 """
 
 from importlib import import_module

@@ -479,14 +479,6 @@ class RunContext:
         #: Test/race-detector hook, called with each freshly built Network
         #: before its run starts (e.g. to install the race permuter).
         self.network_hook: Optional[Callable[[Network], None]] = None
-        # The workload generators import numpy where they draw (ARCHITECTURE.md
-        # §3, "Import contract"); a context loads it here, at set-up, so the
-        # first point never times the import.  Without numpy, a run that needs
-        # it fails at its first draw instead.
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            pass
 
     # ------------------------------------------------------------------ caches
 

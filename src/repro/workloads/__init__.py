@@ -1,10 +1,12 @@
-"""Workload substrate: flow-size distributions and load-targeted generators."""
+"""Workload substrate: flow-size distributions, the random generator and
+load-targeted workload generators."""
 
 from repro.workloads.distributions import (
     CACHE_CDF,
     WEB_SEARCH_CDF,
     WORKLOAD_NAMES,
     EmpiricalCDF,
+    Generator,
     cache_distribution,
     distribution_by_name,
     uniform_distribution,
@@ -23,6 +25,7 @@ from repro.workloads.generator import (
 )
 
 __all__ = [
+    "Generator",
     "EmpiricalCDF",
     "WEB_SEARCH_CDF",
     "CACHE_CDF",

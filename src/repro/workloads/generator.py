@@ -8,8 +8,8 @@ host link capacity of ``C`` packets/ms, a per-sender arrival rate of
 (exponential inter-arrival times), matching standard datacenter workload
 methodology.
 
-numpy is imported by the functions that draw, so a process that only reads
-:data:`MAX_LOAD` or resolves endpoints never loads it.
+Every draw comes from :class:`~repro.workloads.distributions.Generator`,
+numpy's ``default_rng`` stream in pure Python (ARCHITECTURE.md §7).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.exceptions import WorkloadError
 from repro.simulator.flow import Flow
 from repro.topology.graph import Topology
-from repro.workloads.distributions import EmpiricalCDF
+from repro.workloads.distributions import EmpiricalCDF, Generator
 
 __all__ = [
     "MAX_LOAD",
@@ -94,11 +94,6 @@ class FlowStream:
         return self._factory()
 
 
-#: Draws per substream refill in :func:`stream_workload`.  Purely an
-#: amortization knob: the generated flows are identical for every chunk size.
-_STREAM_CHUNK = 1024
-
-
 def stream_workload(
     topology: Topology,
     distribution: EmpiricalCDF,
@@ -110,17 +105,14 @@ def stream_workload(
     receivers: Optional[Sequence[str]] = None,
     pair_senders_receivers: bool = False,
     start_after: float = 0.0,
-    chunk: int = _STREAM_CHUNK,
 ) -> FlowStream:
-    """The lazy/chunked counterpart of :func:`generate_workload`.
+    """The lazy counterpart of :func:`generate_workload`.
 
     Same Poisson arrival process and parameters, O(senders) memory: each
-    sender owns three substreams (inter-arrival gaps, destinations, sizes)
-    seeded ``(seed, sender_index, field)`` and refilled ``chunk`` draws at a
-    time; the per-sender streams are lazily merged by
-    ``(start_time, sender_index, seq)``.  Every flow is a pure function of
-    the arguments — numpy's batched draws consume the bit stream exactly like
-    repeated single draws, so ``chunk`` never changes the workload.
+    sender owns three substreams (inter-arrival gaps, sizes, destinations)
+    seeded ``(seed, sender_index, field)`` and drawn one flow at a time; the
+    per-sender streams are lazily merged by ``(start_time, sender_index,
+    seq)``.  Every flow is a pure function of the arguments.
 
     The draw necessarily differs from :func:`generate_workload`'s single
     shared generator (its across-sender interleaving cannot be replayed
@@ -133,36 +125,30 @@ def stream_workload(
         raise WorkloadError(f"load must be in (0, {MAX_LOAD}], got {load}")
     if duration <= 0:
         raise WorkloadError("duration must be positive")
-    if chunk < 1:
-        raise WorkloadError("chunk must be positive")
     senders, receivers, options = resolve_endpoints(
         topology, senders, receivers, pair_senders_receivers)
 
-    import numpy as np
-    per_sender_rate = load * host_capacity / distribution.mean()
+    mean_gap = 1.0 / (load * host_capacity / distribution.mean())  # ms per flow
+    size_at = distribution.size_at
     end = start_after + duration
 
     def sender_stream(index: int, sender: str):
-        gap_rng = np.random.default_rng((seed, index, 0))
-        size_rng = np.random.default_rng((seed, index, 1))
+        exponential = Generator((seed, index, 0)).exponential
+        uniform = Generator((seed, index, 1)).random
         choices = options[index]
-        dst_rng = None if pair_senders_receivers \
-            else np.random.default_rng((seed, index, 2))
+        # (A paired sender's one receiver draws nothing: no third substream.)
+        pick = None if pair_senders_receivers \
+            else Generator((seed, index, 2)).integers
         time = start_after
         seq = 0
         while True:
-            gaps = gap_rng.exponential(1.0 / per_sender_rate, chunk)
-            sizes = distribution.sample(size_rng, chunk)
-            picks = dst_rng.integers(0, len(choices), chunk) \
-                if dst_rng is not None else None
-            for draw in range(chunk):
-                time += float(gaps[draw])
-                if time >= end:
-                    return
-                receiver = choices[int(picks[draw])] if picks is not None \
-                    else choices[0]
-                yield (time, index, seq, sender, receiver, int(sizes[draw]))
-                seq += 1
+            time += exponential(mean_gap)
+            if time >= end:
+                return
+            receiver = choices[pick(0, len(choices))] if pick is not None \
+                else choices[0]
+            yield (time, index, seq, sender, receiver, size_at(uniform()))
+            seq += 1
 
     def merged() -> Iterator[Flow]:
         streams = [sender_stream(index, sender)
@@ -245,8 +231,7 @@ def split_senders_receivers(topology: Topology) -> Tuple[List[str], List[str]]:
 def random_pairs(topology: Topology, pairs: int, seed: int = 0,
                  distinct_switches: bool = True) -> Tuple[List[str], List[str]]:
     """Randomly chosen sender/receiver host pairs (the Abilene experiment uses 4)."""
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts to pick pairs")
@@ -258,8 +243,8 @@ def random_pairs(topology: Topology, pairs: int, seed: int = 0,
         a, b = rng.choice(hosts, size=2, replace=False)
         if distinct_switches and topology.attachment_switch(a) == topology.attachment_switch(b):
             continue
-        senders.append(str(a))
-        receivers.append(str(b))
+        senders.append(a)
+        receivers.append(b)
     if len(senders) < pairs:
         raise WorkloadError(f"could not find {pairs} host pairs on distinct switches")
     return senders, receivers
@@ -281,9 +266,8 @@ def incast_pairs(
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for incast traffic")
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    receiver = str(rng.choice(hosts))
+    rng = Generator(seed)
+    receiver = rng.choice(hosts)
     candidates = [h for h in hosts if h != receiver]
     if fanin is None:
         senders = candidates
@@ -291,7 +275,7 @@ def incast_pairs(
         if not 1 <= fanin <= len(candidates):
             raise WorkloadError(
                 f"incast fan-in must be in [1, {len(candidates)}], got {fanin}")
-        senders = [str(h) for h in rng.choice(candidates, size=fanin, replace=False)]
+        senders = rng.choice(candidates, size=fanin, replace=False)
     return senders, [receiver] * len(senders)
 
 
@@ -305,9 +289,7 @@ def permutation_pairs(topology: Topology, seed: int = 0) -> Tuple[List[str], Lis
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for permutation traffic")
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    perm = [int(i) for i in rng.permutation(len(hosts))]
+    perm = Generator(seed).permutation(len(hosts))
     for i in range(len(perm)):
         if perm[i] == i:
             j = (i + 1) % len(perm)
@@ -365,31 +347,22 @@ def generate_workload(
         topology, senders, receivers, pair_senders_receivers)
 
     # Draw-order contract (ARCHITECTURE.md §7): one shared generator, and per
-    # flow ``exponential -> integers -> random`` as scalars, sender by sender.
-    # ``choices[rng.integers(0, n)]`` consumes the stream exactly like
-    # ``rng.choice(choices)`` and ``size_at(rng.random())`` like ``sample(rng,
-    # 1)``; the draws cannot be batched, because the bounded-integer draw
-    # rejects a variable number of words that interleave with the other two.
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    exponential, integers, uniform = rng.exponential, rng.integers, rng.random
+    # flow ``exponential -> integers -> random``, sender by sender — the
+    # generator's ``poisson_arrivals``.  ``choices[integers(0, n)]`` is
+    # ``choice(choices)``, and a paired sender's one choice draws nothing
+    # (``integers(0, 1)`` takes no word), so both modes draw alike.
+    rng = Generator(seed)
     size_at = distribution.size_at
     mean_gap = 1.0 / (load * host_capacity / distribution.mean())  # ms per flow
     end = start_after + duration
 
     arrivals: List[Tuple[float, str, str, int]] = []
     for sender, choices in zip(senders, options):
-        time = start_after
-        while True:
-            time += exponential(mean_gap)
-            if time >= end:
-                break
-            receiver = choices[0] if pair_senders_receivers \
-                else choices[integers(0, len(choices))]
-            arrivals.append((time, sender, receiver, size_at(uniform())))
-            if max_flows is not None and len(arrivals) >= max_flows:
-                break
-        if max_flows is not None and len(arrivals) >= max_flows:
+        limit = None if max_flows is None else max_flows - len(arrivals)
+        for time, pick, uniform in rng.poisson_arrivals(
+                mean_gap, start_after, end, len(choices), limit):
+            arrivals.append((time, sender, choices[pick], size_at(uniform)))
+        if len(arrivals) == max_flows:
             break
 
     # Stable by start time only (ties keep draw order).  Ids follow arrival

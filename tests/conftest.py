@@ -15,39 +15,6 @@ from repro.core.policies import MU
 from repro.topology import abilene, fattree, leafspine
 from repro.topology.graph import Topology
 
-try:
-    import numpy  # noqa: F401
-except ImportError:
-    # Workload generation draws from numpy's PCG64 (`np.random.default_rng`),
-    # which has no pure-Python equivalent producing the same streams, so the
-    # suites that generate traffic (directly or through the experiment
-    # runner) are inherently numpy-bound.  Everything else imports without
-    # numpy, which the workload modules load only where they draw
-    # (ARCHITECTURE.md §3, "Import contract"): the engine, links, protocol,
-    # compiler, topology, the compile sweep, the CLI and the race detector's
-    # diff and hook all run here.  A file is listed only while some test in
-    # it draws traffic.
-    collect_ignore = [
-        "integration/test_coordinator.py",
-        "integration/test_data_hop_identity.py",
-        "integration/test_end_to_end.py",
-        "integration/test_experiments.py",
-        "integration/test_field_domains.py",
-        "integration/test_fluid_flow_budget.py",
-        "integration/test_fluid_model.py",
-        "integration/test_verified_compile.py",
-        "integration/test_gc_results.py",
-        "integration/test_grid_runner.py",
-        "integration/test_probe_batching.py",
-        "integration/test_scenario_diversity.py",
-        "integration/test_sharded_sweeps.py",
-        "integration/test_state_sharing.py",
-        "integration/test_sweep_point_budget.py",
-        "integration/test_transport_scenarios.py",
-        "unit/test_baselines.py",
-        "unit/test_workloads.py",
-    ]
-
 
 @pytest.fixture(autouse=True)
 def sanitized_sim(request, monkeypatch):

@@ -18,12 +18,6 @@ import repro
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 SRC = Path(repro.__file__).resolve().parents[1]
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
 
 @pytest.mark.parametrize("script, arguments", [
     ("quickstart.py", []),
@@ -33,8 +27,6 @@ except ImportError:
 ])
 def test_example_runs(script, arguments, tmp_path):
     path = EXAMPLES / script
-    if not HAVE_NUMPY and "repro.workloads" in path.read_text():
-        pytest.skip("generates traffic, which needs numpy")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [p for p in (str(SRC), env.get("PYTHONPATH", "")) if p])

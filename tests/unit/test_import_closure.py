@@ -3,9 +3,10 @@ dependencies when it first runs, not when a module that mentions them is
 imported.
 
 A process that only compiles never loads numpy, the process pool or the
-socket stack; a :class:`~repro.experiments.runner.RunContext` loads numpy
-at set-up, so no timed point carries the import.  Each case runs in a fresh
-interpreter, because this one has long since imported everything.
+socket stack, and neither does one that simulates: the workloads draw from a
+pure-Python generator, so nothing under ``src/repro`` imports numpy at all.
+Each case runs in a fresh interpreter, because this one has long since
+imported everything.
 """
 
 import json
@@ -20,14 +21,8 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
-#: What a compile-only process never loads.
+#: What a serial process never loads, whether it compiles or simulates.
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing", "socket", "uuid")
-
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 
 
 def loaded_after(program: str):
@@ -60,8 +55,23 @@ def test_a_compile_loads_no_numpy():
     assert "numpy" not in loaded_after(program)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
-def test_a_run_context_loads_numpy_at_set_up():
-    program = ("from repro.experiments.runner import RunContext\n"
-               "RunContext()")
-    assert loaded_after(program) == ["numpy"]
+def test_a_run_context_that_simulates_loads_nothing_heavy():
+    """A packet fat-tree point, a fluid point, an incast point and a
+    permutation point — every kind of draw the workloads make — load none
+    of :data:`HEAVY`."""
+    program = """
+from dataclasses import replace
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import RunContext, ScenarioSpec, TopologySpec
+config = ExperimentConfig(workload_duration=2.0, run_duration=12.0,
+                          loads=(0.6,), websearch_scale=0.05)
+base = ScenarioSpec(name="p", system="contra", config=config, load=0.6,
+                    topology=TopologySpec("fattree", k=4, capacity=100.0),
+                    workload="cache", stop_after_completion=True)
+context = RunContext()
+for spec in (base, replace(base, system="ecmp", flow_model="fluid"),
+             replace(base, system="ecmp", traffic="incast", incast_fanin=4),
+             replace(base, traffic="permutation")):
+    assert context.run(spec).summary["flows"] > 0, spec
+"""
+    assert loaded_after(program) == []

@@ -391,9 +391,9 @@ class TestModuleState:
 
 
 class TestEagerImport:
-    """Module-level imports of numpy or the process pool are findings under
-    src/repro/; an import inside a function, or under ``if TYPE_CHECKING:``,
-    is not."""
+    """Under src/repro/ any import of numpy is a finding, and a module-level
+    import of the process pool; a process-pool import inside a function, or
+    under ``if TYPE_CHECKING:``, is not."""
 
     SOURCE = """\
         import numpy as np
@@ -434,10 +434,35 @@ class TestEagerImport:
     def test_flagged_in_the_package(self, tmp_path, monkeypatch):
         violations, _ = self.lint_at(tmp_path, monkeypatch,
                                      "src/repro/workloads/generator.py")
-        # A bare `import concurrent`, a look-alike name and a relative
-        # import load nothing heavy.
-        assert [v.rule for v in violations] == ["eager-import"] * 7
-        assert [v.line for v in violations] == [1, 2, 3, 4, 5, 6, 8]
+        # A bare `import concurrent`, a look-alike name, a relative import
+        # and the pool's imports inside fan_out load nothing heavy.
+        assert [v.rule for v in violations] == ["eager-import"] * 9
+        assert [v.line for v in violations] == [1, 2, 3, 4, 5, 6, 8, 17, 21]
+
+    def test_numpy_is_flagged_in_a_function_and_for_type_checking(
+            self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/workloads/distributions.py")
+        late = [v for v in violations if v.line in (17, 21)]
+        assert len(late) == 2
+        assert all("import of numpy" in v.message
+                   and "repro.workloads.Generator" in v.message for v in late)
+
+    def test_the_process_pool_may_load_where_it_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        package = tmp_path / "src" / "repro" / "experiments"
+        package.mkdir(parents=True)
+        violations, _ = run_lint(package, """\
+            from typing import TYPE_CHECKING
+            if TYPE_CHECKING:
+                from concurrent.futures import Executor
+
+            def fan_out():
+                from concurrent.futures import ProcessPoolExecutor
+                import multiprocessing
+                return ProcessPoolExecutor, multiprocessing
+            """, name="runner.py")
+        assert violations == []
 
     def test_message_names_the_module(self, tmp_path, monkeypatch):
         violations, _ = self.lint_at(tmp_path, monkeypatch,

@@ -2,8 +2,8 @@
 
 import hashlib
 import math
+import statistics
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +14,7 @@ from repro.workloads import (
     WEB_SEARCH_CDF,
     EmpiricalCDF,
     FlowStream,
+    Generator,
     cache_distribution,
     distribution_by_name,
     generate_workload,
@@ -36,56 +37,64 @@ class TestEmpiricalCDF:
         assert WEB_SEARCH_CDF.mean() > CACHE_CDF.mean()
         assert WEB_SEARCH_CDF.quantile(0.99) > CACHE_CDF.quantile(0.99)
 
+    @staticmethod
+    def sample(cdf, seed, count):
+        rng = Generator(seed)
+        return [cdf.size_at(rng.random()) for _ in range(count)]
+
     def test_sampling_respects_bounds(self):
-        rng = np.random.default_rng(0)
-        samples = WEB_SEARCH_CDF.sample(rng, 1000)
-        assert samples.min() >= 1
-        assert samples.max() <= WEB_SEARCH_CDF.points[-1][1]
+        samples = self.sample(WEB_SEARCH_CDF, 0, 1000)
+        assert min(samples) >= 1
+        assert max(samples) <= WEB_SEARCH_CDF.points[-1][1]
 
     def test_sampling_is_deterministic_given_seed(self):
-        a = WEB_SEARCH_CDF.sample(np.random.default_rng(7), 100)
-        b = WEB_SEARCH_CDF.sample(np.random.default_rng(7), 100)
-        assert (a == b).all()
+        assert self.sample(WEB_SEARCH_CDF, 7, 100) == self.sample(WEB_SEARCH_CDF, 7, 100)
 
     def test_median_sample_close_to_cdf_median(self):
-        rng = np.random.default_rng(1)
-        samples = CACHE_CDF.sample(rng, 5000)
-        assert abs(np.median(samples) - CACHE_CDF.quantile(0.5)) <= 2
+        samples = self.sample(CACHE_CDF, 1, 5000)
+        assert abs(statistics.median(samples) - CACHE_CDF.quantile(0.5)) <= 2
 
     @pytest.mark.parametrize("cdf", [WEB_SEARCH_CDF, CACHE_CDF,
                                      web_search_distribution(0.25)],
                              ids=lambda cdf: cdf.name)
     def test_size_at_is_the_scalar_twin_of_sample(self, cdf):
-        """The eager generator sizes a flow with ``size_at(rng.random())``
-        where it used to call ``sample(rng, 1)``: same sizes, same type, same
-        generator state afterwards — on a large draw and on every knot and
-        its two neighbouring floats, where the segment changes and the
-        half-even rounding of a .5 size would show."""
+        """Flows are sized with ``size_at(rng.random())`` where they once
+        were with numpy's ``sample`` (``np.interp``, ``np.round``, at least
+        one), kept below as the oracle: same sizes and type, and quantiles
+        equal to ``np.interp``'s — on a large draw and on every knot and its
+        two neighbouring floats, where the segment changes and the half-even
+        rounding of a .5 size would show."""
+        np = pytest.importorskip("numpy", exc_type=ImportError)
 
-        class Replay:
-            """Hands ``sample`` the uniforms under test, as ``rng.random``."""
+        def reference_sample(uniforms):
+            probabilities, sizes, _ = cdf._knots
+            sampled = np.interp(uniforms, probabilities, sizes)
+            return np.maximum(1, np.round(sampled)).astype(int)
 
-            def __init__(self, uniforms):
-                self.uniforms = np.array(uniforms)
-
-            def random(self, count):
-                assert count == len(self.uniforms)
-                return self.uniforms
-
-        uniforms = list(np.random.default_rng(5).random(100_000))
+        uniforms = Generator(5).random(100_000)
         for probability, _ in cdf.points:
             uniforms += [probability, math.nextafter(probability, 0.0),
                          math.nextafter(probability, 2.0)]
         uniforms += [-0.25, 1.25]           # np.interp clamps outside the table
-        expected = cdf.sample(Replay(uniforms), len(uniforms))
-        sizes = [cdf.size_at(float(u)) for u in uniforms]
-        assert sizes == expected.tolist()
+        sizes = [cdf.size_at(u) for u in uniforms]
+        assert sizes == reference_sample(np.array(uniforms)).tolist()
         assert {type(size) for size in sizes} == {int}
+        probabilities, table_sizes, _ = cdf._knots
+        quantiles = [cdf.quantile(u) for u in uniforms]
+        assert quantiles == np.interp(uniforms, probabilities, table_sizes).tolist()
 
-        scalar, batched = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(200):
-            assert cdf.size_at(scalar.random()) == int(cdf.sample(batched, 1)[0])
-        assert scalar.bit_generator.state == batched.bit_generator.state
+    @pytest.mark.parametrize("cdf", [WEB_SEARCH_CDF, CACHE_CDF,
+                                     web_search_distribution(0.25)],
+                             ids=lambda cdf: cdf.name)
+    def test_size_at_is_the_rounded_quantile(self, cdf):
+        """``size_at`` inlines ``quantile``: at least one packet, rounded
+        half-even, at random points, every knot and its neighbouring floats."""
+        uniforms = Generator(3).random(20_000) + [-0.25, 1.25]
+        for probability, _ in cdf.points:
+            uniforms += [probability, math.nextafter(probability, 0.0),
+                         math.nextafter(probability, 2.0)]
+        for u in uniforms:
+            assert cdf.size_at(u) == max(1, round(cdf.quantile(u))), u
 
     def test_scaled_distribution_shrinks_sizes(self):
         scaled = web_search_distribution(0.1)
@@ -97,10 +106,8 @@ class TestEmpiricalCDF:
             web_search_distribution(0)
 
     def test_uniform_distribution(self):
-        dist = uniform_distribution(5, 10)
-        rng = np.random.default_rng(0)
-        samples = dist.sample(rng, 200)
-        assert samples.min() >= 5 and samples.max() <= 10
+        samples = self.sample(uniform_distribution(5, 10), 0, 200)
+        assert min(samples) >= 5 and max(samples) <= 10
         with pytest.raises(WorkloadError):
             uniform_distribution(10, 5)
 
@@ -327,11 +334,13 @@ class TestEagerDrawOrder:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16, 17, 127, 1023])
     def test_choice_and_integers_consume_the_stream_identically(self, n):
-        """The premise of the scalar draw, pinned so a numpy upgrade that
-        changes either routine fails here and not as a re-keyed results
-        store: ``options[rng.integers(0, n)]`` is ``rng.choice(options)``,
-        interleaved with the generator's other two draws, value for value
-        and bit-generator state for bit-generator state."""
+        """The premise of the scalar draw, on numpy itself (the oracle the
+        generator and the numpy-backed reference workloads of
+        ``test_rng_oracle.py`` are held to): ``options[rng.integers(0, n)]``
+        is ``rng.choice(options)``, interleaved with the generator's other
+        two draws, value for value and bit-generator state for bit-generator
+        state."""
+        np = pytest.importorskip("numpy", exc_type=ImportError)
         options = [f"h{index}" for index in range(n)]
         by_choice, by_integers = np.random.default_rng(n), np.random.default_rng(n)
         for _ in range(1_500):
@@ -417,8 +426,8 @@ class TestUniformByName:
 
 
 class TestStreamWorkload:
-    """Contracts of the lazy/chunked workload path (ARCHITECTURE.md §7):
-    chunk-size independence, seed determinism, re-iterability, time order."""
+    """Contracts of the lazy workload path (ARCHITECTURE.md §7): pinned
+    flows, seed determinism, re-iterability, time order."""
 
     def _stream(self, **kwargs):
         topo = leafspine(2, 2, hosts_per_leaf=2)
@@ -426,14 +435,26 @@ class TestStreamWorkload:
         defaults.update(kwargs)
         return stream_workload(topo, uniform_distribution(), **defaults)
 
-    def test_chunk_size_never_changes_the_workload(self):
-        reference = list(self._stream(chunk=1))
-        for chunk in (2, 7, 512):
-            flows = list(self._stream(chunk=chunk))
-            assert [(f.src_host, f.dst_host, f.size_packets, f.start_time,
-                     f.flow_id) for f in flows] \
-                == [(f.src_host, f.dst_host, f.size_packets, f.start_time,
-                     f.flow_id) for f in reference]
+    def test_stream_flows_are_the_parents(self, flow_identity):
+        """The stream draws one flow at a time where it once drew numpy
+        batches of 1 024 per substream: the digests below were computed from
+        the batched draws, so draw size never changed a streamed flow."""
+        tree = fattree(4)
+        cases = {
+            "leafspine": (list(self._stream()), 30,
+                          "1ebfa864e84b18c2b9b6f6f628fc51dbfc7e4aa471675d1a40ab5cfe1446d27f"),
+            "fattree8": (list(stream_workload(
+                fattree(8), distribution_by_name("cache", 0.25), load=0.8,
+                duration=30.0, seed=47, start_after=1.0)), 5865,
+                "8192824b97d74f3c474af91ffc7b8979d5b28937be42934e2b9ec59731546044"),
+            "paired": (list(stream_workload(
+                tree, distribution_by_name("cache", 1.0), load=0.8, duration=10.0,
+                seed=6, start_after=1.0, senders=tree.hosts[:4],
+                receivers=tree.hosts[4:8], pair_senders_receivers=True)), 46,
+                "859a15bafa07fc80bd8c4fe663cac1ea3711f70d4bb28111619adeeba4d8173c"),
+        }
+        for name, (flows, count, expected) in cases.items():
+            assert (len(flows), flow_identity(flows)) == (count, expected), name
 
     def test_stream_is_reiterable_and_deterministic(self):
         stream = self._stream()
@@ -483,9 +504,6 @@ class TestStreamWorkload:
             stream_workload(topo, uniform_distribution(), load=1.6, duration=5.0)
         with pytest.raises(WorkloadError):
             stream_workload(topo, uniform_distribution(), load=0.5, duration=0.0)
-        with pytest.raises(WorkloadError):
-            stream_workload(topo, uniform_distribution(), load=0.5, duration=5.0,
-                            chunk=0)
         with pytest.raises(WorkloadError):
             stream_workload(topo, uniform_distribution(), load=0.5, duration=5.0,
                             senders=["h0"], receivers=["h1", "h2"],

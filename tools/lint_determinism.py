@@ -90,12 +90,15 @@ And one keeps run state per run:
 And one keeps each plane's heavy dependencies out of processes that never
 run it:
 
-* ``eager-import`` — a module-level ``import numpy`` / ``from numpy ...``,
-  or a module-level import of ``concurrent.futures`` or ``multiprocessing``,
-  under ``src/repro/``: importing any module that mentions them would load
-  them into every process, a compile-only one included.  Import them in the
-  function that first uses them (ARCHITECTURE.md §3, "Import contract").
-  An import under ``if TYPE_CHECKING:`` never runs and is not a finding.
+* ``eager-import`` — any import of ``numpy`` under ``src/repro/``, in a
+  function body or under ``if TYPE_CHECKING:`` too: nothing in the package
+  uses numpy, and the workloads draw from the pure-Python
+  ``repro.workloads.Generator``; and a module-level import of
+  ``concurrent.futures`` or ``multiprocessing`` under ``src/repro/``:
+  importing any module that mentions them would load them into every
+  process, a compile-only one included.  Import those in the function that
+  first uses them (ARCHITECTURE.md §3, "Import contract"); an import of
+  them under ``if TYPE_CHECKING:`` never runs and is not a finding.
 
 Audited exceptions live in :data:`ALLOWLIST`, keyed by path relative to the
 repository root; each entry names the rules it may violate and must carry a
@@ -184,8 +187,9 @@ _DOMAIN_PREFIX = "src/repro/"
 _DOMAIN_HOME = "src/repro/exceptions.py"
 
 #: Modules loaded where their plane first runs (eager-import), never at a
-#: module's import, under ``src/repro/``.
-_EAGER_MODULES = ("numpy", "concurrent.futures", "multiprocessing")
+#: module's import, under ``src/repro/``; and the one never imported there.
+_EAGER_MODULES = ("concurrent.futures", "multiprocessing")
+_UNUSED_MODULE = "numpy"
 _EAGER_PREFIX = "src/repro/"
 
 #: The only files allowed to read the process environment (env-read).
@@ -354,8 +358,16 @@ class _Checker(ast.NodeVisitor):
                        "the heap and lane member layout are the engine's own")
 
     def _eager_import(self, node: ast.AST, names: List[str]) -> None:
-        if self._func_stack or self._type_only \
-                or not self.rel.startswith(_EAGER_PREFIX):
+        if not self.rel.startswith(_EAGER_PREFIX):
+            return
+        for name in names:
+            if name == _UNUSED_MODULE or name.startswith(_UNUSED_MODULE + "."):
+                self._flag(node, "eager-import",
+                           f"import of {_UNUSED_MODULE}: nothing under "
+                           "src/repro uses it; draw with "
+                           "repro.workloads.Generator")
+                return
+        if self._func_stack or self._type_only:
             return
         for name in names:
             for heavy in _EAGER_MODULES:
