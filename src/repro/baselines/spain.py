@@ -7,10 +7,11 @@ comparison point for the Abilene experiment (Figure 15).
 
 The reproduction keeps the essential behaviour:
 
-* **offline path computation** — for every switch pair, up to ``k`` paths are
-  chosen greedily: each successive path is a shortest path under edge weights
-  that penalise links already used by previously chosen paths (the standard
-  SPAIN path-set heuristic of "avoid overlap");
+* **offline path computation** — for every switch pair, up to
+  :data:`SPAIN_PATHS` paths are chosen greedily: each successive path is a
+  shortest path under edge weights that penalise links already used by
+  previously chosen paths (the standard SPAIN path-set heuristic of "avoid
+  overlap");
 * **static flow-to-path assignment** — the ingress switch hashes the flow onto
   one of the precomputed paths (VLAN selection) and the packet is pinned to it
   end-to-end via a source route, mirroring VLAN forwarding without modelling
@@ -36,28 +37,26 @@ __all__ = ["SpainSystem", "SpainRouting", "compute_spain_paths"]
 #: (ingress switch, egress switch) -> the pair's paths, each a switch sequence.
 SpainPaths = Mapping[Tuple[str, str], Tuple[Tuple[str, ...], ...]]
 
+#: Paths chosen per switch pair (VLANs per destination).
+SPAIN_PATHS = 4
+#: Extra cost of a link per earlier path of the pair already using it.
+OVERLAP_PENALTY = 4.0
 
-def compute_spain_paths(
-    network_topology: Topology,
-    k: int = 4,
-    overlap_penalty: float = 4.0,
-) -> SpainPaths:
+
+def compute_spain_paths(network_topology: Topology) -> SpainPaths:
     """Greedy SPAIN path sets for every ordered switch pair.
 
     Each successive path is a least-cost path where every link already used by
-    the pair's previous paths costs ``overlap_penalty`` instead of 1, which
+    the pair's previous paths costs :data:`OVERLAP_PENALTY` more than 1, which
     pushes later paths onto disjoint links when the topology allows it.
 
-    Computed once per ``(topology, k, overlap_penalty)`` and shared, read-only,
-    by every simulation on the topology (:meth:`Topology.derived`).
+    Computed once per topology and shared, read-only, by every simulation on
+    it (:meth:`Topology.derived`).
     """
-    return network_topology.derived(
-        ("spain_paths", k, overlap_penalty),
-        lambda topology: _greedy_path_sets(topology, k, overlap_penalty))
+    return network_topology.derived(("spain_paths",), _greedy_path_sets)
 
 
-def _greedy_path_sets(network_topology: Topology, k: int,
-                      overlap_penalty: float) -> SpainPaths:
+def _greedy_path_sets(network_topology: Topology) -> SpainPaths:
     switches = network_topology.switches
     paths: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {}
     for src in switches:
@@ -66,9 +65,8 @@ def _greedy_path_sets(network_topology: Topology, k: int,
                 continue
             chosen: List[List[str]] = []
             used_links: Dict[Tuple[str, str], int] = {}
-            for _ in range(k):
-                path = _weighted_shortest_path(network_topology, src, dst,
-                                               used_links, overlap_penalty)
+            for _ in range(SPAIN_PATHS):
+                path = _weighted_shortest_path(network_topology, src, dst, used_links)
                 if path is None:
                     break
                 if path in chosen:
@@ -83,8 +81,7 @@ def _greedy_path_sets(network_topology: Topology, k: int,
 
 
 def _weighted_shortest_path(topology, src: str, dst: str,
-                            used_links: Dict[Tuple[str, str], int],
-                            overlap_penalty: float) -> Optional[List[str]]:
+                            used_links: Dict[Tuple[str, str], int]) -> Optional[List[str]]:
     dist: Dict[str, float] = {src: 0.0}
     prev: Dict[str, str] = {}
     heap: List[Tuple[float, str]] = [(0.0, src)]
@@ -95,7 +92,7 @@ def _weighted_shortest_path(topology, src: str, dst: str,
         if d > dist.get(node, float("inf")):
             continue
         for neighbor in topology.switch_neighbors(node):
-            weight = 1.0 + overlap_penalty * used_links.get((node, neighbor), 0)
+            weight = 1.0 + OVERLAP_PENALTY * used_links.get((node, neighbor), 0)
             nd = d + weight
             if nd < dist.get(neighbor, float("inf")):
                 dist[neighbor] = nd
@@ -138,13 +135,11 @@ class SpainSystem(RoutingSystem):
 
     name = "spain"
 
-    def __init__(self, k: int = 4, overlap_penalty: float = 4.0):
-        self.k = k
-        self.overlap_penalty = overlap_penalty
+    def __init__(self) -> None:
         self.paths: SpainPaths = {}
 
     def prepare(self, network: Network) -> None:
-        self.paths = compute_spain_paths(network.topology, self.k, self.overlap_penalty)
+        self.paths = compute_spain_paths(network.topology)
 
     def create_switch_logic(self, switch: str) -> RoutingLogic:
         return SpainRouting(self)

@@ -10,10 +10,9 @@ misroutes probes silently.  This pass proves, for every device:
 * every ``probe_transition`` entry is keyed by a real neighbour and a tag
   that neighbour defines, and maps to one of the device's own tags.
 
-It runs standalone (:func:`crosscheck_lowered_tables`) or as a post-compile
-assertion (:func:`verify_lowered_tables`, wired to
-``CompileOptions(verify=True)``), raising :class:`VerificationError` on any
-disagreement.
+It runs standalone (:func:`crosscheck_lowered_tables`, a report) or as an
+assertion over a compiled policy (:func:`verify_lowered_tables`), raising
+:class:`VerificationError` on any disagreement.
 """
 
 from __future__ import annotations

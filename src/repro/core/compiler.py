@@ -27,43 +27,30 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import ast
-from repro.core.analysis.crosscheck import verify_lowered_tables
 from repro.core.analysis.decomposition import Decomposition, decompose
 from repro.core.analysis.isotonicity import IsotonicityResult, check_isotonicity
 from repro.core.analysis.monotonicity import MonotonicityResult, check_monotonicity
 from repro.core.device_config import DeviceConfig, TagInfo
 from repro.core.product_graph import ProductGraph, build_product_graph
 from repro.core.rank import INFINITY, Rank
-from repro.exceptions import (COUNT, CompilationError, PolicyAnalysisError, at_least,
-                              check_fields, within)
+from repro.exceptions import CompilationError, PolicyAnalysisError
 from repro.topology.graph import Topology
 
 __all__ = ["CompileOptions", "CompiledPolicy", "compile_policy"]
+
+#: The probe period as a multiple of the network's worst-case RTT: half of
+#: it, the least §5.2 allows.
+PROBE_PERIOD_RTT_MULTIPLIER = 0.5
 
 
 @dataclass(frozen=True)
 class CompileOptions:
     """Knobs controlling compilation (all defaults match the paper's prototype)."""
 
-    #: Run DFA minimisation on the policy automata.
-    minimize_automata: bool = True
     #: Merge behaviourally equivalent product-graph nodes (fewer tags).
     minimize_tags: bool = True
     #: Raise if the policy is not provably monotone (otherwise only record it).
     strict_monotonicity: bool = True
-    #: Flowlet-table slots provisioned per (tag, pid) on every switch.
-    flowlet_slots: int = within(COUNT, 256)
-    #: Loop-detection table slots on every switch.
-    loop_table_slots: int = within(COUNT, 256)
-    #: Multiplier applied to the measured worst-case RTT when choosing the
-    #: probe period (must be >= 0.5 per §5.2; a smaller one is refused).
-    probe_period_rtt_multiplier: float = within(at_least(0.5), 0.5)
-    #: Run the device-table cross-checker as a post-compile assertion and
-    #: raise :class:`~repro.exceptions.VerificationError` on any disagreement.
-    verify: bool = False
-
-    def __post_init__(self) -> None:
-        check_fields(self, "CompileOptions", CompilationError)
 
 
 @dataclass
@@ -219,27 +206,22 @@ def compile_policy(
     lap("analysis")
 
     regexes = policy.regexes()
-    product_graph = build_product_graph(
-        topology,
-        regexes,
-        minimize_automata=options.minimize_automata,
-        minimize_tags=False,
-    )
+    product_graph = build_product_graph(topology, regexes, minimize_tags=False)
     lap("product_graph")
     if options.minimize_tags and regexes:
         product_graph.merge_tags()
     lap("tag_minimization")
 
-    device_configs = _generate_device_configs(policy, topology, product_graph, decomposition, options)
+    device_configs = _generate_device_configs(policy, topology, product_graph, decomposition)
     lap("device_configs")
 
-    probe_period = options.probe_period_rtt_multiplier * topology.max_rtt()
+    probe_period = PROBE_PERIOD_RTT_MULTIPLIER * topology.max_rtt()
     if probe_period <= 0:
         probe_period = 0.25
     lap("probe_period")
 
     elapsed = time.perf_counter() - started
-    compiled = CompiledPolicy(
+    return CompiledPolicy(
         policy=policy,
         topology=topology,
         options=options,
@@ -252,9 +234,6 @@ def compile_policy(
         compile_time=elapsed,
         phase_times=phase_times,
     )
-    if options.verify:
-        verify_lowered_tables(compiled)
-    return compiled
 
 
 def _generate_device_configs(
@@ -262,7 +241,6 @@ def _generate_device_configs(
     topology: Topology,
     product_graph: ProductGraph,
     decomposition: Decomposition,
-    options: CompileOptions,
 ) -> Dict[str, DeviceConfig]:
     """One :class:`DeviceConfig` per switch, read off the product graph's rows.
 
@@ -324,7 +302,5 @@ def _generate_device_configs(
             carried_attrs=carried,
             num_probe_ids=num_probe_ids,
             network_size=len(names),
-            flowlet_slots=options.flowlet_slots,
-            loop_table_slots=options.loop_table_slots,
         )
     return configs

@@ -151,17 +151,26 @@ def analyse_recovery_results(results: Sequence[RunResult],
     return analysed
 
 
+def _baseline(series: List[Tuple[float, float]], start: float,
+              fail_time: float) -> Tuple[float, float]:
+    """The pre-failure rate and the dip threshold below it.
+
+    The rate is the mean over the bins in ``[start, fail_time - 1)`` (0.0
+    without any).  A dip is any bin losing more than one packet/ms (or 5%,
+    whichever is larger) relative to it.
+    """
+    before = [rate for time, rate in series if start <= time < fail_time - 1.0]
+    baseline = _mean(before) if before else 0.0
+    return baseline, baseline - max(1.0, 0.05 * baseline)
+
+
 def _analyse(system: str, series: List[Tuple[float, float]], failure_time: float,
              failure_detections: int) -> RecoveryResult:
     if not series:
         return RecoveryResult(system, failure_time, [], 0.0, float("nan"), float("nan"),
                               failure_detections)
-    before = [rate for time, rate in series if 5.0 <= time < failure_time - 1.0]
-    baseline = _mean(before) if before else 0.0
-    # A dip is any bin losing more than one packet/ms (or 5%, whichever is
-    # larger) relative to the pre-failure rate; recovery is the first later
-    # bin back above that threshold.
-    threshold = baseline - max(1.0, 0.05 * baseline)
+    # Recovery is the first bin after the dip back above the threshold.
+    baseline, threshold = _baseline(series, 5.0, failure_time)
 
     dip_delay = float("nan")
     recovery_delay = float("nan")
@@ -281,9 +290,7 @@ def analyse_recovery_sweep_results(results: Sequence[RunResult],
 
 def _analyse_sweep(system: str, series: List[Tuple[float, float]], fail_time: float,
                    recover_time: float) -> RecoverySweepResult:
-    before = [rate for time, rate in series if 2.0 <= time < fail_time - 1.0]
-    baseline = _mean(before) if before else 0.0
-    threshold = baseline - max(1.0, 0.05 * baseline)
+    baseline, threshold = _baseline(series, 2.0, fail_time)
     dip_delay = float("nan")
     for time, rate in series:
         if time >= fail_time and rate < threshold:
@@ -448,9 +455,7 @@ def analyse_recovery_curve(results: Sequence[RunResult],
         outage = float(result.name.rsplit(":", 1)[1].removesuffix("ms"))
         recover_time = fail_time + outage
         series = result.throughput or []
-        before = [rate for time, rate in series if 2.0 <= time < fail_time - 1.0]
-        baseline = _mean(before) if before else 0.0
-        threshold = baseline - max(1.0, 0.05 * baseline)
+        baseline, threshold = _baseline(series, 2.0, fail_time)
 
         dip_delay = float("nan")
         min_rate = baseline

@@ -877,16 +877,14 @@ class PoolBackend(ExecutionBackend):
             return list(pool.map(_worker_run, specs, chunksize=chunksize))
 
 
-def default_backend(processes: Optional[int] = None, tasks: int = 0,
-                    context: Optional[RunContext] = None) -> ExecutionBackend:
+def default_backend(processes: Optional[int] = None, tasks: int = 0) -> ExecutionBackend:
     """The backend ``run_grid`` uses when none is supplied explicitly."""
     if resolve_processes(processes, tasks) <= 1:
-        return SerialBackend(context)
+        return SerialBackend()
     return PoolBackend(processes)
 
 
 def run_grid(specs: Sequence[ScenarioSpec], processes: Optional[int] = None,
-             context: Optional[RunContext] = None,
              backend: Optional[ExecutionBackend] = None) -> List[RunResult]:
     """Execute every spec through an :class:`ExecutionBackend`, in spec order.
 
@@ -899,7 +897,7 @@ def run_grid(specs: Sequence[ScenarioSpec], processes: Optional[int] = None,
     if not specs:
         return []
     if backend is None:
-        backend = default_backend(processes, len(specs), context)
+        backend = default_backend(processes, len(specs))
     return backend.run(specs)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["mean", "percentile_linear"]
+__all__ = ["mean", "percentile_linear", "lerp"]
 
 
 def _pairwise_sum(values: Sequence[float], start: int, count: int) -> float:
@@ -53,12 +53,23 @@ def mean(values: Sequence[float]) -> float:
     return _pairwise_sum(values, 0, len(values)) / len(values)
 
 
+def lerp(a: float, b: float, t: float) -> float:
+    """numpy's monotonic ``_lerp`` of ``a`` towards ``b`` by ``t``, bit for bit.
+
+    ``a + (b - a) * t`` below ``t = 0.5``, and ``b - (b - a) * (1 - t)`` from
+    there on, as numpy switches, so it interpolates in the same float
+    operations.
+    """
+    if t >= 0.5:
+        return b - (b - a) * (1.0 - t)
+    return a + (b - a) * t
+
+
 def percentile_linear(values: Sequence[float], percentile: float) -> float:
     """``float(np.percentile(values, q))`` (linear), bit for bit.
 
-    Replicates numpy's virtual-index arithmetic and its monotonic ``_lerp``
-    (which switches to the ``b - (b - a) * (1 - t)`` form at ``t >= 0.5``) so
-    it interpolates in the same float operations.
+    Replicates numpy's virtual-index arithmetic and interpolates with
+    :func:`lerp`.
     """
     if not values:
         return float("nan")
@@ -66,8 +77,4 @@ def percentile_linear(values: Sequence[float], percentile: float) -> float:
     virtual = (percentile / 100.0) * (len(ordered) - 1)
     below = math.floor(virtual)
     above = math.ceil(virtual)
-    a, b = ordered[below], ordered[above]
-    t = virtual - below
-    if t >= 0.5:
-        return b - (b - a) * (1.0 - t)
-    return a + (b - a) * t
+    return lerp(ordered[below], ordered[above], virtual - below)

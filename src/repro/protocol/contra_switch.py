@@ -21,7 +21,7 @@ from repro.core.attributes import MetricVector
 from repro.core.compiler import CompiledPolicy
 from repro.core.device_config import DeviceConfig
 from repro.core.rank import INFINITY, Rank
-from repro.exceptions import COUNT, SimulationError, require
+from repro.exceptions import SimulationError
 from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
@@ -52,19 +52,12 @@ class ContraSystem(ProbeDrivenSystem):
         probe_period: Optional[float] = None,
         flowlet_timeout: float = 0.2,
         failure_periods: int = 3,
-        loop_threshold: int = 4,
-        probe_all_switches: bool = False,
-        split_horizon: bool = True,
         use_versioning: bool = True,
     ):
         super().__init__(
             probe_period if probe_period is not None else compiled.probe_period,
             flowlet_timeout, failure_periods)
-        require("loop_threshold", loop_threshold, COUNT, SimulationError)
         self.compiled = compiled
-        self.loop_threshold = loop_threshold
-        self.probe_all_switches = probe_all_switches
-        self.split_horizon = split_horizon
         #: §5.1 refinement: versioned probes.  Disabling this reproduces the
         #: persistent-loop hazard of an unversioned distance-vector protocol
         #: and is exposed only for the ablation benchmark.
@@ -98,8 +91,7 @@ class ContraRouting(ProbeDrivenRouting):
         self.fwdt = ForwardingTable()
         self.bestt = BestChoiceTable(system.pool)
         self.flowlets = FlowletTable(system.flowlet_timeout, slots=config.flowlet_slots)
-        self.loop_detector = LoopDetectionTable(
-            threshold=system.loop_threshold, slots=config.loop_table_slots)
+        self.loop_detector = LoopDetectionTable(slots=config.loop_table_slots)
 
         self._probe_size = probe_wire_size(config.probe_bits())
         self._packet_tag_bits = config.packet_tag_bits()
@@ -182,8 +174,6 @@ class ContraRouting(ProbeDrivenRouting):
             targets = self.config.tags[probe.tag].multicast_neighbors
         except KeyError:
             targets = self.config.multicast_targets(probe.tag)  # the canonical error
-        if not self.system.split_horizon:
-            exclude = None
         if targets and targets != (exclude,):   # a multicast set has no repeats
             switch = self.switch
             switch.send_probes(targets, switch.ports, exclude, probe,

@@ -45,6 +45,11 @@ __all__ = [
 #: FwdT key: (destination switch, local tag, probe id).
 FwdKey = Tuple[str, int, int]
 
+#: A flow's max-minus-min TTL spread above which a loop is suspected (§5.5).
+LOOP_TTL_DELTA = 4
+#: Milliseconds after which an unseen flow's loop record is forgotten.
+LOOP_ENTRY_TIMEOUT = 50.0
+
 
 class StatePool:
     """Hash-consing of the immutable values FwdT and BestT rows hold.
@@ -279,14 +284,13 @@ class LoopDetectionTable:
     For every flow hash the switch tracks the maximum and minimum TTL observed;
     in the absence of loops the difference is bounded by the spread of path
     lengths in use, while a loop makes it grow without bound.  When the delta
-    exceeds ``threshold`` the switch reports a (possible) loop and the caller
-    flushes the offending flowlet entries.
+    exceeds :data:`LOOP_TTL_DELTA` the switch reports a (possible) loop and
+    the caller flushes the offending flowlet entries; a record unseen for
+    :data:`LOOP_ENTRY_TIMEOUT` ms is forgotten.
     """
 
-    def __init__(self, threshold: int = 4, slots: int = 1024, entry_timeout: float = 50.0):
-        self.threshold = threshold
+    def __init__(self, slots: int = 1024):
         self.slots = slots
-        self.entry_timeout = entry_timeout
         self._records: Dict[int, _LoopRecord] = {}
 
     def observe(self, flow_key: Tuple, ttl: int, now: float) -> bool:
@@ -297,7 +301,7 @@ class LoopDetectionTable:
         """Like :meth:`observe` for callers that already hold the flow hash."""
         slot = flow_hash % self.slots
         record = self._records.get(slot)
-        if record is None or now - record.last_seen > self.entry_timeout:
+        if record is None or now - record.last_seen > LOOP_ENTRY_TIMEOUT:
             self._records[slot] = _LoopRecord(ttl, ttl, now)
             return False
         if ttl > record.max_ttl:
@@ -305,7 +309,7 @@ class LoopDetectionTable:
         elif ttl < record.min_ttl:
             record.min_ttl = ttl
         record.last_seen = now
-        if record.max_ttl - record.min_ttl > self.threshold:
+        if record.max_ttl - record.min_ttl > LOOP_TTL_DELTA:
             # Reset so one loop is reported once, then tracking restarts.
             self._records[slot] = _LoopRecord(ttl, ttl, now)
             return True

@@ -30,7 +30,15 @@ import math
 import random
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.nputil import lerp
+
 __all__ = ["StreamingHistogram", "ReservoirSampler", "HyperLogLog"]
+
+#: HyperLogLog register-index bits: ``2**10`` registers.
+_HLL_PRECISION = 10
+#: The digest bits left for a HyperLogLog rank, and their mask.
+_HLL_TAIL_BITS = 64 - _HLL_PRECISION
+_HLL_TAIL_MASK = (1 << _HLL_TAIL_BITS) - 1
 
 
 class StreamingHistogram:
@@ -81,8 +89,7 @@ class StreamingHistogram:
         lower = self._value_at(lower_index)
         if fraction == 0.0:
             return float(lower)
-        upper = self._value_at(lower_index + 1)
-        return lower + (upper - lower) * fraction
+        return lerp(lower, self._value_at(lower_index + 1), fraction)
 
     def percentiles(self, qs: Sequence[float]) -> List[float]:
         return [self.percentile(q) for q in qs]
@@ -105,40 +112,37 @@ class StreamingHistogram:
 class HyperLogLog:
     """Flajolet's HyperLogLog distinct-count estimator, pure Python.
 
-    ``2**precision`` one-byte registers (the default 1024 gives a standard
-    error of ``1.04 / sqrt(1024)`` ≈ 3.3%), fed from a 64-bit blake2b digest:
-    the top ``precision`` bits select a register, the remaining bits supply
-    the leading-zero rank.  ``add`` is O(1); memory is constant.  The
-    small-range correction (linear counting while registers are mostly empty)
-    makes the estimate near-exact for the cardinalities unit tests use.
+    ``2**10`` one-byte registers (a standard error of ``1.04 / sqrt(1024)``
+    ≈ 3.3%), fed from a 64-bit blake2b digest: the top 10 bits select a
+    register, the remaining 54 supply the leading-zero rank.  ``add`` is
+    O(1); memory is constant.  The small-range correction (linear counting
+    while registers are mostly empty) makes the estimate near-exact for the
+    cardinalities unit tests use.
 
     Determinism contract: ``repr`` of the item keys the hash, so offer only
     values with stable reprs (ints, strings, tuples thereof) — never objects
     whose repr embeds an ``id()``.
     """
 
-    __slots__ = ("precision", "registers", "_tail_bits")
+    __slots__ = ("registers",)
 
-    def __init__(self, precision: int = 10):
-        if not 4 <= precision <= 16:
-            raise ValueError(f"HyperLogLog precision must be in [4, 16], got {precision}")
-        self.precision = precision
+    def __init__(self) -> None:
         #: One rank byte per register; :meth:`slot` says which one an item
         #: may raise.
-        self.registers = bytearray(1 << precision)
-        self._tail_bits = 64 - precision
+        self.registers = bytearray(1 << _HLL_PRECISION)
 
-    def slot(self, item) -> Tuple[int, int]:
+    @staticmethod
+    def slot(item) -> Tuple[int, int]:
         """The ``(register, rank)`` pair ``item`` hashes to.
 
-        A pure function of ``repr(item)`` and the precision, so one digest
-        serves every sketch of this precision: offering the item to any of
-        them is ``registers[register] = max(registers[register], rank)``.
+        A pure function of ``repr(item)``, so one digest serves every
+        sketch: offering the item to any of them is
+        ``registers[register] = max(registers[register], rank)``.
         """
         digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
-        tail = value & ((1 << self._tail_bits) - 1)
-        return value >> self._tail_bits, self._tail_bits - tail.bit_length() + 1
+        tail = value & _HLL_TAIL_MASK
+        return value >> _HLL_TAIL_BITS, _HLL_TAIL_BITS - tail.bit_length() + 1
 
     def add(self, item) -> None:
         """Offer one item. O(1); duplicates never change the estimate."""
@@ -155,15 +159,6 @@ class HyperLogLog:
         if raw <= 2.5 * m and zeros:
             return m * math.log(m / zeros)
         return raw
-
-    def merge(self, other: "HyperLogLog") -> None:
-        """Fold another sketch in (register-wise max): the union estimate."""
-        if other.precision != self.precision:
-            raise ValueError("cannot merge HyperLogLog sketches of different precision")
-        registers = self.registers
-        for index, rank in enumerate(other.registers):
-            if rank > registers[index]:
-                registers[index] = rank
 
 
 class ReservoirSampler:

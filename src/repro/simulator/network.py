@@ -68,9 +68,6 @@ class ProbeDrivenSystem(RoutingSystem):
     the per-switch :class:`~repro.simulator.switchnode.ProbeDrivenRouting`.
     """
 
-    #: Originate probes at every switch, not only at switches with hosts.
-    probe_all_switches = False
-
     def __init__(self, probe_period: float, flowlet_timeout: float,
                  failure_periods: int):
         require("probe_period", probe_period, POSITIVE, SimulationError)
@@ -92,9 +89,7 @@ class ProbeDrivenSystem(RoutingSystem):
         and failure checking) instead of one self-rescheduling chain per
         switch; the per-switch work runs in deterministic creation order.
         """
-        destinations = (network.topology.switches if self.probe_all_switches
-                        else network.destination_switches())
-        origins = [self._logics[switch] for switch in destinations]
+        origins = [self._logics[switch] for switch in network.destination_switches()]
         if origins:
             network.sim.schedule_periodic(self.probe_period, self._probe_all, origins)
         logics = list(self._logics.values())

@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FlowRecord", "StatsCollector"]
 
+#: Width of one goodput bin of the Figure 14 series, in milliseconds.
+THROUGHPUT_BIN_MS = 1.0
+#: Delivered paths the seeded reservoir keeps when ``record_paths`` is on.
+PATH_SAMPLE_LIMIT = 200_000
+
 
 @dataclass
 class FlowRecord:
@@ -70,8 +75,7 @@ class FlowRecord:
 class StatsCollector:
     """Aggregates measurements across one simulation run."""
 
-    def __init__(self, throughput_bin_ms: float = 1.0,
-                 record_paths: bool = False, path_sample_limit: int = 200_000,
+    def __init__(self, record_paths: bool = False,
                  fct_percentiles: Sequence[float] = (),
                  flow_sketch: bool = False):
         self.flows: Dict[int, FlowRecord] = {}
@@ -82,7 +86,6 @@ class StatsCollector:
         #: (queue lengths are integers bounded by the buffer size), exact
         #: percentiles.
         self.queue_histogram = StreamingHistogram()
-        self.throughput_bin_ms = throughput_bin_ms
         #: Per-bin *goodput* (first-time deliveries only; duplicates excluded).
         self._goodput_bytes_per_bin: Dict[int, float] = defaultdict(float)
 
@@ -97,7 +100,7 @@ class StatsCollector:
         #: and by the policy-compliance tests).  A seeded reservoir keeps the
         #: sample uniform over the whole run in bounded memory.
         self.record_paths = record_paths
-        self._path_reservoir = ReservoirSampler(path_sample_limit)
+        self._path_reservoir = ReservoirSampler(PATH_SAMPLE_LIMIT)
 
         # Traffic accounting (bytes on the wire across all links).
         self.data_bytes = 0.0
@@ -131,7 +134,7 @@ class StatsCollector:
     def record_path_flow(self, switches: Sequence[str], flow_id: int) -> None:
         """Offer one flow to the cardinality sketch of every switch on its path.
 
-        One digest per call: the sketches share a precision, so the flow
+        One digest per call: every sketch has the same registers, so the flow
         hashes to the same (register, rank) in each of them.  No-op unless
         ``flow_sketch`` was requested; callers may invoke it unconditionally
         on every flow placement.
@@ -282,7 +285,7 @@ class StatsCollector:
             self.duplicate_deliveries += 1
         else:
             self.goodput_bytes += packet.size_bytes
-            bin_index = int(time / self.throughput_bin_ms)
+            bin_index = int(time / THROUGHPUT_BIN_MS)
             self._goodput_bytes_per_bin[bin_index] += packet.size_bytes
         if self.record_paths and packet.path_trace is not None:
             self._path_reservoir.offer((packet.flow_id, tuple(packet.path_trace)))
@@ -305,10 +308,10 @@ class StatsCollector:
             return []
         series = []
         for bin_index in sorted(self._goodput_bytes_per_bin):
-            time = bin_index * self.throughput_bin_ms
+            time = bin_index * THROUGHPUT_BIN_MS
             bytes_delivered = self._goodput_bytes_per_bin[bin_index]
             # bytes per ms -> packets per ms (one packet == one capacity unit).
-            rate = bytes_delivered / 1500.0 / self.throughput_bin_ms
+            rate = bytes_delivered / 1500.0 / THROUGHPUT_BIN_MS
             series.append((time, rate))
         return series
 

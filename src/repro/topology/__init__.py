@@ -4,7 +4,7 @@ from repro.topology.abilene import ABILENE_LINKS, ABILENE_NODES, abilene
 from repro.topology.fattree import FATTREE_SWITCH_COUNTS, fattree, fattree_for_switch_count
 from repro.topology.graph import Link, NodeKind, Topology
 from repro.topology.leafspine import leafspine
-from repro.topology.random_graphs import erdos_renyi, random_network, random_regular, waxman
+from repro.topology.random_graphs import random_network, random_regular
 from repro.topology.zoo import (
     builtin_topologies,
     builtin_topology,
@@ -25,8 +25,6 @@ __all__ = [
     "ABILENE_NODES",
     "ABILENE_LINKS",
     "random_regular",
-    "erdos_renyi",
-    "waxman",
     "random_network",
     "from_edge_list",
     "from_edge_list_file",

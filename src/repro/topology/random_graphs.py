@@ -1,26 +1,20 @@
 """Random graph topologies for the compiler scalability experiments.
 
 Figure 9b/10b sweep "random networks" with 100–500 nodes.  The paper does not
-specify the random-graph family, so we provide three standard families, all
-guaranteed connected and all deterministic given a seed:
-
-* :func:`random_regular` — every switch has the same degree (the most common
-  choice for synthetic network fabrics),
-* :func:`erdos_renyi` — G(n, p) with a connectivity repair pass,
-* :func:`waxman` — the classic geographic random-topology model used in much
-  WAN literature.
+specify the random-graph family, so :func:`random_regular` provides the most
+common choice for synthetic network fabrics: every switch has the same degree,
+the graph is guaranteed connected and deterministic given a seed.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 
 from repro.exceptions import TopologyError
 from repro.topology.graph import Topology
 
-__all__ = ["random_regular", "erdos_renyi", "waxman", "random_network"]
+__all__ = ["random_regular", "random_network"]
 
 
 def _names(n: int) -> list:
@@ -86,84 +80,6 @@ def random_regular(
             topo.add_link(a, b, capacity=capacity, latency=latency)
     _ensure_connected(topo, rng, capacity, latency)
     _attach_hosts(topo, hosts_per_switch, capacity, latency)
-    topo.validate()
-    return topo
-
-
-def erdos_renyi(
-    n: int,
-    p: Optional[float] = None,
-    seed: int = 0,
-    capacity: float = 10.0,
-    latency: float = 0.05,
-    hosts_per_switch: int = 0,
-    name: Optional[str] = None,
-) -> Topology:
-    """A connected Erdős–Rényi G(n, p) switch graph.
-
-    The default ``p`` is ``2 * ln(n) / n``, comfortably above the connectivity
-    threshold; any remaining disconnection is repaired deterministically.
-    """
-    if n < 2:
-        raise TopologyError("erdos_renyi needs at least 2 switches")
-    if p is None:
-        p = min(1.0, 2.0 * math.log(n) / n)
-    if not 0.0 < p <= 1.0:
-        raise TopologyError(f"edge probability must be in (0, 1], got {p}")
-
-    rng = random.Random(seed)
-    names = _names(n)
-    topo = Topology(name or f"erdos-renyi-{n}")
-    for s in names:
-        topo.add_switch(s)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                topo.add_link(names[i], names[j], capacity=capacity, latency=latency)
-    _ensure_connected(topo, rng, capacity, latency)
-    _attach_hosts(topo, hosts_per_switch, capacity, latency)
-    topo.validate()
-    return topo
-
-
-def waxman(
-    n: int,
-    alpha: float = 0.4,
-    beta: float = 0.4,
-    seed: int = 0,
-    capacity: float = 10.0,
-    latency_scale: float = 0.2,
-    hosts_per_switch: int = 0,
-    name: Optional[str] = None,
-) -> Topology:
-    """A connected Waxman random topology.
-
-    Switches are placed uniformly in the unit square; an edge between ``u`` and
-    ``v`` exists with probability ``alpha * exp(-d(u, v) / (beta * L))`` where
-    ``L`` is the maximum possible distance.  Link latency is proportional to
-    Euclidean distance (scaled by ``latency_scale`` ms), which makes Waxman
-    topologies a natural substrate for latency-aware policies.
-    """
-    if n < 2:
-        raise TopologyError("waxman needs at least 2 switches")
-    rng = random.Random(seed)
-    names = _names(n)
-    positions = {s: (rng.random(), rng.random()) for s in names}
-    max_dist = math.sqrt(2.0)
-
-    topo = Topology(name or f"waxman-{n}")
-    for s in names:
-        topo.add_switch(s)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = names[i], names[j]
-            (x1, y1), (x2, y2) = positions[a], positions[b]
-            dist = math.hypot(x1 - x2, y1 - y2)
-            if rng.random() < alpha * math.exp(-dist / (beta * max_dist)):
-                topo.add_link(a, b, capacity=capacity,
-                              latency=max(0.01, latency_scale * dist))
-    _ensure_connected(topo, rng, capacity, 0.05)
-    _attach_hosts(topo, hosts_per_switch, capacity, 0.05)
     topo.validate()
     return topo
 

@@ -18,7 +18,6 @@ from repro.workloads.generator import (
     generate_workload,
     incast_pairs,
     permutation_pairs,
-    random_pairs,
     resolve_endpoints,
     split_senders_receivers,
     stream_workload,
@@ -40,7 +39,6 @@ __all__ = [
     "stream_workload",
     "resolve_endpoints",
     "split_senders_receivers",
-    "random_pairs",
     "incast_pairs",
     "permutation_pairs",
 ]

@@ -126,9 +126,10 @@ class Generator:
     Python value, and consumes the bit stream exactly as it does, 32-bit
     halves included: ``integers`` draws 32-bit words for ranges below
     2**32 and numpy buffers the unused half of a 64-bit word between calls
-    (``state`` shows it as ``has_uint32`` / ``uinteger``).  A batched draw
-    (``size=n``) is ``n`` scalar draws, as in numpy.  The oracle is
-    ``tests/unit/test_rng_oracle.py``.
+    (``state`` shows it as ``has_uint32`` / ``uinteger``).  Only the call
+    forms the workload generators make are here: scalar ``random``,
+    ``exponential`` and ``integers``, ``choice`` of one option or of ``size``
+    without replacement.  The oracle is ``tests/unit/test_rng_oracle.py``.
     """
 
     __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger")
@@ -181,11 +182,9 @@ class Generator:
             return 0
         return self._lemire(self._next32() * (top + 1), top + 1)
 
-    def random(self, size: Optional[int] = None):
-        """Uniform floats on [0, 1): a word's top 53 bits."""
-        if size is None:
-            return (self._next64() >> 11) * _DOUBLE_UNIT
-        return [(self._next64() >> 11) * _DOUBLE_UNIT for _ in range(size)]
+    def random(self) -> float:
+        """A uniform float on [0, 1): a word's top 53 bits."""
+        return (self._next64() >> 11) * _DOUBLE_UNIT
 
     def _standard_exponential(self) -> float:
         """numpy's 256-level exponential ziggurat (``standard_exponential_zig``)."""
@@ -210,36 +209,32 @@ class Generator:
             return x
         return None
 
-    def exponential(self, scale: float = 1.0, size: Optional[int] = None):
-        """Exponential floats with mean ``scale``."""
-        if size is None:
-            return scale * self._standard_exponential()
-        return [scale * self._standard_exponential() for _ in range(size)]
+    def exponential(self, scale: float = 1.0) -> float:
+        """An exponential float with mean ``scale``."""
+        return scale * self._standard_exponential()
 
-    def integers(self, low: int, high: int, size: Optional[int] = None):
-        """Uniform ints on ``[low, high)``, at most 2**32 of them (Lemire's
+    def integers(self, low: int, high: int) -> int:
+        """A uniform int on ``[low, high)``, at most 2**32 values (Lemire's
         32-bit draw)."""
         top = high - low - 1
         if not 0 <= top <= _MASK32:
             raise ValueError(f"integers draws from 1 to 2**32 values, got [{low}, {high})")
-        if size is None:
-            return low + self._bounded(top)
-        return [low + self._bounded(top) for _ in range(size)]
+        return low + self._bounded(top)
 
     def choice(self, options: Sequence, size: Optional[int] = None,
                replace: bool = True):
-        """One member of ``options``, or a list of ``size`` of them.
+        """One member of ``options``, or a list of ``size`` distinct ones.
 
-        With replacement a pick is ``options[integers(0, len(options))]``.
-        Without (``size`` given), numpy's index set: Floyd's algorithm (a
-        tail shuffle when more than a fiftieth of over 10 000 options is
-        taken), then a shuffle of the picks.
+        One pick (no ``size``) is ``options[integers(0, len(options))]``.
+        ``size`` picks are taken without replacement, as numpy's index set:
+        Floyd's algorithm (a tail shuffle when more than a fiftieth of over
+        10 000 options is taken), then a shuffle of the picks.
         """
         count = len(options)
         if replace:
-            if size is None:
-                return options[self.integers(0, count)]
-            return [options[index] for index in self.integers(0, count, size)]
+            if size is not None:
+                raise ValueError("a batched choice is drawn without replacement")
+            return options[self.integers(0, count)]
         picks = size
         if not 0 <= picks <= count:
             raise ValueError(f"cannot take {picks} of {count} options without replacement")
@@ -274,10 +269,10 @@ class Generator:
             values[i], values[j] = values[j], values[i]
         return values
 
-    def poisson_arrivals(self, scale: float, start: float, end: float, marks: int,
-                         limit: Optional[int] = None) -> List[Tuple[float, int, float]]:
+    def poisson_arrivals(self, scale: float, start: float, end: float,
+                         marks: int) -> List[Tuple[float, int, float]]:
         """A Poisson process on ``[start, end)``: ``(time, mark, uniform)``
-        for each arrival, at most ``limit`` of them (``None``: no limit).
+        for each arrival.
 
         Per arrival, in this order: ``exponential(scale)`` for the gap since
         the previous arrival (or ``start``), and, before ``end``,
@@ -290,9 +285,8 @@ class Generator:
             raise ValueError(f"marks must be in [1, 2**32], got {marks}")
         arrivals: List[Tuple[float, int, float]] = []
         inc, time = self._inc, start
-        bound = math.inf if limit is None else limit
         ke, we = _ZIG_KE, _ZIG_WE
-        while len(arrivals) < bound:
+        while True:
             # exponential(scale): the ziggurat's box test passes 98.9 % of draws.
             state = self._state = (self._state * _PCG_MULT + inc) & _MASK128
             value, rotation = (state >> 64) ^ (state & _MASK64), state >> 122

@@ -32,7 +32,6 @@ __all__ = [
     "stream_workload",
     "resolve_endpoints",
     "split_senders_receivers",
-    "random_pairs",
     "incast_pairs",
     "permutation_pairs",
 ]
@@ -228,28 +227,6 @@ def split_senders_receivers(topology: Topology) -> Tuple[List[str], List[str]]:
     return senders, receivers
 
 
-def random_pairs(topology: Topology, pairs: int, seed: int = 0,
-                 distinct_switches: bool = True) -> Tuple[List[str], List[str]]:
-    """Randomly chosen sender/receiver host pairs (the Abilene experiment uses 4)."""
-    rng = Generator(seed)
-    hosts = topology.hosts
-    if len(hosts) < 2:
-        raise WorkloadError("need at least two hosts to pick pairs")
-    senders: List[str] = []
-    receivers: List[str] = []
-    attempts = 0
-    while len(senders) < pairs and attempts < 1000:
-        attempts += 1
-        a, b = rng.choice(hosts, size=2, replace=False)
-        if distinct_switches and topology.attachment_switch(a) == topology.attachment_switch(b):
-            continue
-        senders.append(a)
-        receivers.append(b)
-    if len(senders) < pairs:
-        raise WorkloadError(f"could not find {pairs} host pairs on distinct switches")
-    return senders, receivers
-
-
 def incast_pairs(
     topology: Topology,
     fanin: Optional[int] = None,
@@ -307,7 +284,6 @@ def generate_workload(
     senders: Optional[Sequence[str]] = None,
     receivers: Optional[Sequence[str]] = None,
     pair_senders_receivers: bool = False,
-    max_flows: Optional[int] = None,
     start_after: float = 0.0,
 ) -> WorkloadSpec:
     """Generate Poisson flow arrivals achieving ``load`` over ``duration`` ms.
@@ -329,8 +305,6 @@ def generate_workload(
         When True, sender ``i`` only talks to receiver ``i`` (the Abilene
         four-pair setup); otherwise destinations are drawn uniformly from the
         receiver set (the fat-tree setup).
-    max_flows:
-        Optional safety cap on the number of generated flows.
     start_after:
         Warm-up delay in milliseconds: the first flow of every sender arrives
         after this time, giving the routing protocol time to converge before
@@ -341,8 +315,6 @@ def generate_workload(
         raise WorkloadError(f"load must be in (0, {MAX_LOAD}], got {load}")
     if duration <= 0:
         raise WorkloadError("duration must be positive")
-    if max_flows is not None and max_flows < 1:
-        raise WorkloadError(f"max_flows must be at least 1, got {max_flows}")
     senders, receivers, options = resolve_endpoints(
         topology, senders, receivers, pair_senders_receivers)
 
@@ -358,12 +330,9 @@ def generate_workload(
 
     arrivals: List[Tuple[float, str, str, int]] = []
     for sender, choices in zip(senders, options):
-        limit = None if max_flows is None else max_flows - len(arrivals)
         for time, pick, uniform in rng.poisson_arrivals(
-                mean_gap, start_after, end, len(choices), limit):
+                mean_gap, start_after, end, len(choices)):
             arrivals.append((time, sender, choices[pick], size_at(uniform)))
-        if len(arrivals) == max_flows:
-            break
 
     # Stable by start time only (ties keep draw order).  Ids follow arrival
     # order: they seed the stable flow hash that drives ECMP/flowlet

@@ -37,6 +37,21 @@ def sanitized_sim(request, monkeypatch):
     yield
 
 
+@pytest.fixture(params=["lane", "no-lane", "sanitized"])
+def engine_mode(request, monkeypatch):
+    """Run the test once per engine mode; yields whether to sanitize.
+
+    ``lane`` is the default engine, ``no-lane`` turns the multicast batch
+    lane off (``BATCH_LANE_DEFAULT``), and ``sanitized`` arms the runtime
+    sanitizer: a byte-identity pin must hold in all three.
+    """
+    if request.param == "no-lane":
+        from repro.simulator import engine
+
+        monkeypatch.setattr(engine, "BATCH_LANE_DEFAULT", False)
+    yield request.param == "sanitized"
+
+
 @pytest.fixture(scope="session")
 def flow_identity():
     """SHA-256 over every field of every flow *and its Python type*: the

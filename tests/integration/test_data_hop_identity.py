@@ -22,7 +22,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import abilene_fct_specs, fattree_fct_specs
 from repro.experiments.runner import LinkEvent, RunContext, ScenarioSpec, TopologySpec
 from repro.protocol import ContraRouting
-from repro.simulator import engine as engine_module
 
 _DATA = ExperimentConfig(workload_duration=3.0, run_duration=24.0, loads=(0.8,),
                          websearch_scale=0.05, cache_scale=0.25,
@@ -128,11 +127,8 @@ def data_plane_digest(name: str, sanitize: bool = False) -> str:
 
 class TestPinnedDataPlaneState:
     @pytest.mark.parametrize("name", sorted(POINTS))
-    @pytest.mark.parametrize("mode", ["lane", "no-lane", "sanitized"])
-    def test_data_plane_state_matches_the_parent_commit(self, name, mode, monkeypatch):
-        if mode == "no-lane":
-            monkeypatch.setattr(engine_module, "BATCH_LANE_DEFAULT", False)
-        digest = data_plane_digest(name, sanitize=(mode == "sanitized"))
+    def test_data_plane_state_matches_the_parent_commit(self, name, engine_mode):
+        digest = data_plane_digest(name, sanitize=engine_mode)
         assert digest == POINTS[name][1]
 
     @pytest.mark.parametrize("name, nonzero", [

@@ -61,9 +61,9 @@ ALLOCATIONS_PER_ACCEPTED_PROBE = 3.2
 RETAINED_BLOCKS_PER_ROW = 4.8
 
 
-def first_wave_network(dc_policy, **system_kwargs):
+def first_wave_network(dc_policy):
     topology = fattree(8)
-    system = ContraSystem(compile_policy(dc_policy, topology), **system_kwargs)
+    system = ContraSystem(compile_policy(dc_policy, topology))
     return system, Network(topology, system)
 
 
@@ -133,16 +133,12 @@ class TestRetainedMemoryPerRow:
 
 
 class TestCollectionsFollowAcceptedProbes:
-    @pytest.mark.parametrize("all_switches", [False, True])
-    def test_flood_allocations_bounded_by_accepted_probes(self, dc_policy, all_switches):
-        # With every switch originating, rejected probes more than double
-        # (9 536 -> 21 344); the bound is in *accepted* probes either way.
-        system, network = first_wave_network(dc_policy,
-                                             probe_all_switches=all_switches)
+    def test_flood_allocations_bounded_by_accepted_probes(self, dc_policy):
+        system, network = first_wave_network(dc_policy)
         with YoungGrowth() as growth:
             network.run(system.probe_period * 0.9)
         accepted = fwdt_rows(system, network)
-        assert accepted == (4_560 if all_switches else 1_632)
+        assert accepted == 1_632
         assert growth.objects <= ALLOCATIONS_PER_ACCEPTED_PROBE * accepted
 
     def test_allocations_do_not_grow_when_rejected_probes_double(self, dc_policy):

@@ -23,7 +23,6 @@ from repro.core.compiler import compile_policy
 from repro.protocol import ContraRouting, ContraSystem
 from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.simulator import Network
-from repro.simulator import engine as engine_module
 from repro.simulator.link import SimLink
 from repro.topology.abilene import abilene
 from repro.topology.fattree import fattree
@@ -85,11 +84,8 @@ def probe_plane_digest(name: str, sanitize: bool = False) -> str:
 
 class TestPinnedProbeState:
     @pytest.mark.parametrize("name", sorted(FABRICS))
-    @pytest.mark.parametrize("mode", ["lane", "no-lane", "sanitized"])
-    def test_probe_state_matches_the_parent_commit(self, name, mode, monkeypatch):
-        if mode == "no-lane":
-            monkeypatch.setattr(engine_module, "BATCH_LANE_DEFAULT", False)
-        digest = probe_plane_digest(name, sanitize=(mode == "sanitized"))
+    def test_probe_state_matches_the_parent_commit(self, name, engine_mode):
+        digest = probe_plane_digest(name, sanitize=engine_mode)
         assert digest == FABRICS[name][3]
 
 

@@ -1,8 +1,9 @@
 """A cross-checked compile changes no experiment result, and grid policies
 have nothing for the verification plane to prune.
 
-``CompileOptions(verify=True)`` runs the lowered-table cross-checker after
-every compile and raises on any disagreement, so the paper-figure
+``verifying_compile`` runs the lowered-table cross-checker
+(:func:`~repro.core.analysis.crosscheck.verify_lowered_tables`) after every
+compile and raises on any disagreement, so the paper-figure
 experiments must produce byte-identical summaries with and without it —
 and every summary of the verified runs was produced from cross-checked
 tables.  Dead-state pruning is the verification plane's
@@ -11,7 +12,8 @@ tables.  Dead-state pruning is the verification plane's
 
 import repro.experiments.runner as runner_module
 from repro.core.analysis import prune_dead_nodes
-from repro.core.compiler import CompileOptions, compile_policy
+from repro.core.analysis.crosscheck import verify_lowered_tables
+from repro.core.compiler import compile_policy
 from repro.core.product_graph import build_product_graph
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_scenario
@@ -20,12 +22,10 @@ from repro.experiments.runner import ScenarioSpec, TopologySpec, datacenter_poli
 TINY = ExperimentConfig(workload_duration=4.0, run_duration=30.0, loads=(0.6,),
                         websearch_scale=0.05)
 
-VERIFIED_OPTIONS = CompileOptions(verify=True)
-
-
 def verifying_compile(policy, topology, options=None):
-    merged = VERIFIED_OPTIONS if options is None else options
-    return compile_policy(policy, topology, merged)
+    compiled = compile_policy(policy, topology, options)
+    verify_lowered_tables(compiled)
+    return compiled
 
 
 def tiny_specs():

@@ -9,6 +9,7 @@ from repro.baselines import (
     SpainSystem,
     compute_spain_paths,
 )
+from repro.baselines.spain import SPAIN_PATHS
 from repro.exceptions import SimulationError
 from repro.simulator import Flow, Network
 from repro.topology import abilene, fattree, leafspine
@@ -151,16 +152,25 @@ class TestHulaRefusals:
 class TestSpain:
     def test_path_sets_avoid_overlap_when_possible(self):
         topo = leafspine(2, 2, hosts_per_leaf=0, capacity=10.0)
-        paths = compute_spain_paths(topo, k=2)
+        paths = compute_spain_paths(topo)
         pair_paths = paths[("leaf0", "leaf1")]
+        # A third greedy path would repeat a chosen one: two spines, two paths.
         assert len(pair_paths) == 2
         # The two paths use different spines.
         spines_used = {p[1] for p in pair_paths}
         assert spines_used == {"spine0", "spine1"}
 
+    @pytest.mark.parametrize("spines", [1, 2, 3, 4, 5, 6])
+    def test_path_sets_stop_at_spain_paths(self, spines):
+        topo = leafspine(2, spines, hosts_per_leaf=0, capacity=10.0)
+        pair_paths = compute_spain_paths(topo)[("leaf0", "leaf1")]
+        assert len(pair_paths) == min(spines, SPAIN_PATHS)
+        # Each further path pays the overlap penalty on a used spine's links.
+        assert [p[1] for p in pair_paths] == [f"spine{i}" for i in range(len(pair_paths))]
+
     def test_paths_are_valid_walks(self):
         topo = abilene(hosts_per_switch=0)
-        paths = compute_spain_paths(topo, k=3)
+        paths = compute_spain_paths(topo)
         for (src, dst), options in paths.items():
             for path in options:
                 assert path[0] == src and path[-1] == dst
@@ -176,7 +186,7 @@ class TestSpain:
 
     def test_different_flows_spread_across_paths(self):
         topo = leafspine(2, 2, hosts_per_leaf=1, capacity=10.0)
-        system = SpainSystem(k=2)
+        system = SpainSystem()
         network = Network(topo, system)
         from repro.simulator.packet import Packet, PacketKind
         chosen = set()
@@ -189,7 +199,7 @@ class TestSpain:
 
     def test_failed_path_falls_back_to_alternative(self):
         topo = leafspine(2, 2, hosts_per_leaf=1, capacity=10.0)
-        system = SpainSystem(k=2)
+        system = SpainSystem()
         network = Network(topo, system)
         network.fail_link("spine0", "leaf1", at_time=0.0)
         network.fail_link("leaf0", "spine0", at_time=0.0)
@@ -222,18 +232,16 @@ class TestSharedTables:
         Network(topo, again)
         assert again.next_hops("e0_0", "e3_1") is hops
 
-    def test_spain_options_are_tuples_shared_per_parameters(self):
+    def test_spain_options_are_tuples_shared_per_topology(self):
         topo = leafspine(2, 2, hosts_per_leaf=0, capacity=10.0)
-        paths = compute_spain_paths(topo, k=2)
+        paths = compute_spain_paths(topo)
         assert paths[("leaf0", "leaf1")] == (("leaf0", "spine0", "leaf1"),
                                              ("leaf0", "spine1", "leaf1"))
         with pytest.raises(TypeError):
             paths[("leaf0", "leaf1")] = ()
-        assert compute_spain_paths(topo, k=2) is paths
-        assert compute_spain_paths(topo, k=1) is not paths
-        assert compute_spain_paths(topo, k=2, overlap_penalty=1.0) is not paths
+        assert compute_spain_paths(topo) is paths
         topo.remove_link("leaf0", "spine1")
-        assert compute_spain_paths(topo, k=2)[("leaf0", "leaf1")] == \
+        assert compute_spain_paths(topo)[("leaf0", "leaf1")] == \
             (("leaf0", "spine0", "leaf1"),)
 
     def test_two_points_of_one_context_see_one_table(self):
@@ -261,7 +269,7 @@ class TestSharedTables:
         assert tables[0] == fresh.next_hop_table(True)
         assert tables[2] == fresh.next_hop_table(False)
 
-    @pytest.mark.parametrize("make_system", (EcmpSystem, lambda: SpainSystem(k=2),
+    @pytest.mark.parametrize("make_system", (EcmpSystem, SpainSystem,
                                              HulaSystem))
     def test_the_stamped_flow_hash_is_read_in_place(self, make_system, monkeypatch):
         """Hosts stamp ``packet.flow_hash``; a baseline that recomputed it

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core import policies
 from repro.core.builder import if_, inf, matches, minimize, path, rank_tuple, sub
-from repro.core.compiler import CompileOptions, compile_policy
+from repro.core.compiler import PROBE_PERIOD_RTT_MULTIPLIER, CompileOptions, compile_policy
 from repro.core.p4gen import generate_all_p4, generate_p4
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import CompilationError, PolicyAnalysisError
-from repro.topology import fattree, leafspine
+from repro.topology import builtin_topologies, builtin_topology, fattree, leafspine
 from repro.topology.graph import Topology
 
 
@@ -86,47 +86,44 @@ class TestCompilation:
             compiled.device("Z")
 
 
-class TestCompileOptionsValidation:
-    @pytest.mark.parametrize("multiplier", [0.1, 0.0, -1.0, 0.49, float("nan")])
-    def test_multiplier_below_half_is_refused(self, multiplier):
-        with pytest.raises(CompilationError, match="probe_period_rtt_multiplier"):
-            CompileOptions(probe_period_rtt_multiplier=multiplier)
+#: Fabrics and WANs whose compiled parameters must be the §5 constants.
+PARAMETER_TOPOLOGIES = {
+    **{name: (lambda name=name: builtin_topology(name)) for name in builtin_topologies()},
+    "fattree4": lambda: fattree(4),
+    "leafspine": lambda: leafspine(3, 2, hosts_per_leaf=1),
+}
 
-    @pytest.mark.parametrize("name", ["flowlet_slots", "loop_table_slots"])
-    @pytest.mark.parametrize("slots", [0, -4])
-    def test_non_positive_table_sizes_are_refused(self, name, slots):
-        with pytest.raises(CompilationError, match=name):
-            CompileOptions(**{name: slots})
 
-    @pytest.mark.parametrize("multiplier", [float("inf"), True, "1.0", None])
-    def test_multiplier_must_be_a_finite_number(self, multiplier):
-        """``inf`` used to compile into an infinite probe period."""
-        with pytest.raises(CompilationError, match="probe_period_rtt_multiplier"):
-            CompileOptions(probe_period_rtt_multiplier=multiplier)
-
-    @pytest.mark.parametrize("name", ["flowlet_slots", "loop_table_slots"])
-    @pytest.mark.parametrize("slots", [True, 2.5, 256.0, float("nan"), float("inf"), "256"])
-    def test_table_sizes_must_be_plain_ints(self, name, slots):
-        """``nan`` and ``inf`` used to reach ``max_state_kb()``, Fig. 10's metric."""
-        with pytest.raises(CompilationError, match=name):
-            CompileOptions(**{name: slots})
-
-    @pytest.mark.parametrize("multiplier", [0.5, 1, 2.0, 1e6])
-    def test_accepted_multipliers(self, multiplier):
-        assert CompileOptions(probe_period_rtt_multiplier=multiplier) \
-            .probe_period_rtt_multiplier == multiplier
-
+class TestCompiledParameters:
     def test_defaults_are_unchanged(self, diamond):
-        options = CompileOptions()
-        assert options.probe_period_rtt_multiplier == 0.5
-        assert options.flowlet_slots == 256 and options.loop_table_slots == 256
         compiled = compile_policy(policies.MU(), diamond)
         assert compiled.probe_period == 0.5 * diamond.max_rtt()
+        for config in compiled.device_configs.values():
+            assert config.flowlet_slots == 256 and config.loop_table_slots == 256
 
-    def test_a_larger_multiplier_scales_the_probe_period(self, diamond):
-        compiled = compile_policy(
-            policies.MU(), diamond, CompileOptions(probe_period_rtt_multiplier=2.0))
-        assert compiled.probe_period == 2.0 * diamond.max_rtt()
+    @pytest.mark.parametrize("name", sorted(PARAMETER_TOPOLOGIES))
+    def test_probe_period_is_half_the_worst_rtt(self, name):
+        """§5.2: probes go out twice per worst-case round trip."""
+        topo = PARAMETER_TOPOLOGIES[name]()
+        compiled = compile_policy(policies.MU(), topo)
+        assert compiled.probe_period == PROBE_PERIOD_RTT_MULTIPLIER * topo.max_rtt()
+        assert compiled.probe_period == 0.5 * topo.max_rtt() > 0
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_TOPOLOGIES))
+    def test_every_device_gets_the_default_table_sizes(self, name):
+        topo = PARAMETER_TOPOLOGIES[name]()
+        compiled = compile_policy(policies.MU(), topo)
+        assert set(compiled.device_configs) == set(topo.switches)
+        assert {(config.flowlet_slots, config.loop_table_slots)
+                for config in compiled.device_configs.values()} == {(256, 256)}
+
+    def test_a_topology_without_latency_probes_every_quarter_ms(self):
+        topo = Topology("instant")
+        topo.add_switch("A")
+        topo.add_switch("B")
+        topo.add_link("A", "B", latency=0.0)
+        assert topo.max_rtt() == 0.0
+        assert compile_policy(policies.MU(), topo).probe_period == 0.25
 
 
 class TestDeviceConfig:

@@ -2,7 +2,7 @@
 
 Clean compiles must pass; corrupted device tables (the tag table, the
 transitions) must be flagged with a problem and make
-``CompileOptions(verify=True)`` / ``verify_lowered_tables`` raise.
+``verify_lowered_tables`` raise.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import policies
 from repro.core.analysis import crosscheck_lowered_tables, verify_lowered_tables
-from repro.core.compiler import CompileOptions, compile_policy
+from repro.core.compiler import compile_policy
 from repro.exceptions import VerificationError
 from repro.topology import abilene
 from repro.topology.graph import Topology
@@ -44,10 +44,9 @@ class TestCleanCompiles:
         assert report.ok
         assert report.devices_checked == 11
 
-    def test_verify_option_passes_on_clean_compile(self, diamond):
-        compiled = compile_policy(policies.minimum_utilization(), diamond,
-                                  CompileOptions(verify=True))
-        assert compiled.device_configs  # compiled and verified without raising
+    def test_verify_passes_on_clean_compile(self, diamond):
+        compiled = compile_policy(policies.minimum_utilization(), diamond)
+        assert verify_lowered_tables(compiled).ok
 
     def test_report_serialises_and_renders(self, diamond):
         report = crosscheck_lowered_tables(

@@ -9,8 +9,10 @@ identical runs.
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SimulationError
+from repro.nputil import percentile_linear
 from repro.simulator import Packet, PacketKind, PeriodicEvent, SimLink, Simulator
 from repro.simulator.accumulators import ReservoirSampler, StreamingHistogram
 from repro.simulator.link import send_probes
@@ -455,15 +457,10 @@ class _EagerHistogram:
         self.samples.append(value)
 
     def percentile(self, q):
-        """numpy's default linear method, spelled out on the sorted samples."""
+        """numpy's default linear method on the sorted samples."""
         if not self.samples:
             return 0.0
-        ordered = sorted(self.samples)
-        h = (len(ordered) - 1) * (q / 100.0)
-        lower = int(h)
-        if h == lower:
-            return float(ordered[lower])
-        return ordered[lower] + (ordered[lower + 1] - ordered[lower]) * (h - lower)
+        return percentile_linear(self.samples, q)
 
 
 class TestStreamingHistogram:
@@ -474,7 +471,21 @@ class TestStreamingHistogram:
         for value in values:
             histogram.record(value)
         for q in (0, 10, 25, 50, 75, 90, 99, 100):
-            assert histogram.percentile(q) == pytest.approx(np.percentile(values, q))
+            assert histogram.percentile(q) == float(np.percentile(values, q))
+        pair = StreamingHistogram()
+        pair.record(12)
+        pair.record(15)
+        # numpy lerps from the upper end at t >= 0.5: 14.97, not 14.969999999999999.
+        assert pair.percentile(99) == float(np.percentile([12, 15], 99)) == 14.97
+
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=40),
+           st.floats(0.0, 100.0))
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    def test_matches_the_pure_python_percentile(self, samples, q):
+        histogram = StreamingHistogram()
+        for value in samples:
+            histogram.record(value)
+        assert histogram.percentile(q) == percentile_linear(samples, q)
 
     def test_bounds_and_count(self):
         histogram = StreamingHistogram()

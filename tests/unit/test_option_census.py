@@ -1,0 +1,57 @@
+"""The settable values left on the types whose test-only options became constants.
+
+Each entry is the whole parameter list (or dataclass field list) a caller may
+set.  A value that no scenario, command, example or benchmark sets to anything
+but its default is a module constant instead; adding a knob back means
+editing this census and saying which caller needs it.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.baselines.spain import SpainSystem, compute_spain_paths
+from repro.core.compiler import CompileOptions
+from repro.experiments.runner import default_backend, run_grid
+from repro.protocol.contra_switch import ContraSystem
+from repro.protocol.tables import LoopDetectionTable
+from repro.simulator.accumulators import HyperLogLog
+from repro.simulator.network import ProbeDrivenSystem
+from repro.simulator.stats import StatsCollector
+from repro.workloads import Generator, generate_workload
+
+CENSUS = {
+    ContraSystem: ("compiled", "probe_period", "flowlet_timeout", "failure_periods",
+                   "use_versioning"),
+    LoopDetectionTable: ("slots",),
+    StatsCollector: ("record_paths", "fct_percentiles", "flow_sketch"),
+    HyperLogLog: (),
+    SpainSystem: (),
+    compute_spain_paths: ("network_topology",),
+    generate_workload: ("topology", "distribution", "load", "duration", "host_capacity",
+                        "seed", "senders", "receivers", "pair_senders_receivers",
+                        "start_after"),
+    Generator.random: ("self",),
+    Generator.exponential: ("self", "scale"),
+    Generator.integers: ("self", "low", "high"),
+    Generator.choice: ("self", "options", "size", "replace"),
+    Generator.poisson_arrivals: ("self", "scale", "start", "end", "marks"),
+    run_grid: ("specs", "processes", "backend"),
+    default_backend: ("processes", "tasks"),
+}
+
+
+@pytest.mark.parametrize("target", CENSUS, ids=lambda target: target.__qualname__)
+def test_parameters_are_the_census(target):
+    assert tuple(inspect.signature(target).parameters) == CENSUS[target]
+
+
+def test_compile_options_are_the_census():
+    assert tuple(field.name for field in dataclasses.fields(CompileOptions)) == (
+        "minimize_tags", "strict_monotonicity")
+
+
+def test_removed_members_stay_removed():
+    assert not hasattr(ProbeDrivenSystem, "probe_all_switches")
+    assert not hasattr(HyperLogLog, "merge")

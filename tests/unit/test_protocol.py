@@ -15,6 +15,8 @@ from repro.protocol.tables import (
     FlowletTable,
     ForwardingEntry,
     ForwardingTable,
+    LOOP_ENTRY_TIMEOUT,
+    LOOP_TTL_DELTA,
     LoopDetectionTable,
     StatePool,
 )
@@ -111,28 +113,65 @@ class TestFlowletTable:
 
 class TestLoopDetectionTable:
     def test_stable_ttls_do_not_trigger(self):
-        table = LoopDetectionTable(threshold=4)
+        table = LoopDetectionTable()
         for ttl in (60, 60, 59, 60):
             assert not table.observe(("f",), ttl, now=0.1)
 
     def test_growing_delta_triggers(self):
-        table = LoopDetectionTable(threshold=4)
+        table = LoopDetectionTable()
         triggered = [table.observe(("f",), ttl, now=0.1) for ttl in (60, 58, 56, 54, 52)]
         assert any(triggered)
 
     def test_reset_after_detection(self):
-        table = LoopDetectionTable(threshold=2)
+        table = LoopDetectionTable()
         for ttl in (60, 57):
             table.observe(("f",), ttl, now=0.1)
-        assert table.observe(("f",), 54, now=0.1) is False or True  # detection may fire here
+        assert table.observe(("f",), 54, now=0.1)   # a spread of 6 > 4
         # After a detection the record restarts, so a stable TTL does not re-trigger.
         assert not table.observe(("f",), 54, now=0.2)
 
     def test_stale_records_expire(self):
-        table = LoopDetectionTable(threshold=2, entry_timeout=1.0)
+        table = LoopDetectionTable()
         table.observe(("f",), 60, now=0.0)
-        # Far in the future the old min/max are forgotten.
-        assert not table.observe(("f",), 50, now=10.0)
+        # Past the 50 ms entry timeout the old min/max are forgotten.
+        assert not table.observe(("f",), 50, now=60.0)
+        assert table.observe(("f",), 40, now=70.0)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_a_spread_of_the_delta_does_not_trigger(self, step):
+        table = LoopDetectionTable()
+        ttls = [60 + step * i for i in range(LOOP_TTL_DELTA + 1)]
+        assert not any(table.observe(("f",), ttl, now=0.1) for ttl in ttls)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_a_spread_past_the_delta_triggers(self, step):
+        table = LoopDetectionTable()
+        for i in range(LOOP_TTL_DELTA + 1):
+            table.observe(("f",), 60 + step * i, now=0.1)
+        assert table.observe(("f",), 60 + step * (LOOP_TTL_DELTA + 1), now=0.1)
+
+    def test_a_record_seen_at_the_timeout_is_kept(self):
+        table = LoopDetectionTable()
+        table.observe(("f",), 60, now=0.0)
+        assert table.observe(("f",), 60 - LOOP_TTL_DELTA - 1, now=LOOP_ENTRY_TIMEOUT)
+
+    def test_each_sighting_restarts_the_timeout(self):
+        table = LoopDetectionTable()
+        table.observe(("f",), 60, now=0.0)
+        table.observe(("f",), 60, now=40.0)
+        # 80 ms after the first sighting, 40 ms after the last one.
+        assert table.observe(("f",), 55, now=80.0)
+
+    def test_flows_in_one_slot_share_a_record(self):
+        table = LoopDetectionTable(slots=1024)
+        table.observe_hash(1, 60, now=0.1)
+        assert table.observe_hash(1 + 1024, 50, now=0.1)
+
+    def test_flows_in_different_slots_are_tracked_apart(self):
+        table = LoopDetectionTable(slots=1024)
+        table.observe_hash(1, 60, now=0.1)
+        assert not table.observe_hash(2, 50, now=0.1)
+        assert not table.observe_hash(1, 60, now=0.1)
 
 
 def build_contra_network(policy=None, probe_period=0.25, **system_kwargs):
@@ -191,20 +230,38 @@ class TestContraRouting:
         with pytest.raises(CompilationError, match="has no tag"):
             logic._multicast(probe, exclude=None)
 
-    def test_split_horizon_disabled_still_converges(self):
-        _, _, system, network = build_contra_network(split_horizon=False)
-        network.run(2.0)
-        assert system.logic("leaf0").best_next_hop("leaf1") is not None
+    def test_relayed_probes_are_not_sent_back_to_their_in_port(self):
+        """Split horizon: a switch relays a probe to every multicast target
+        but the neighbour it came from; only an originated probe has none."""
+        topo, _, system, network = build_contra_network()
+        multicasts = []
+        for name, switch in network.switches.items():
+            def recording(neighbors, ports, exclude, probe, groups=None,
+                          name=name, inner=switch.send_probes):
+                multicasts.append((name, probe.origin, exclude))
+                inner(neighbors, ports, exclude, probe, groups)
+            switch.send_probes = recording
+        network.run(1.0)
+        relayed = [(name, exclude) for name, origin, exclude in multicasts
+                   if origin != name]
+        assert relayed
+        assert all(exclude in topo.neighbors(name) for name, exclude in relayed)
+        assert all(exclude is None for name, origin, exclude in multicasts
+                   if origin == name)
+
+    def test_only_switches_with_hosts_originate_probes(self):
+        _, _, system, network = build_contra_network()
+        network.run(1.0)
+        # The spines have no hosts, so no switch learns a route to one.
+        assert {key[0] for key in system.logic("spine0").forwarding_snapshot()} \
+            == {"leaf0", "leaf1"}
+        logic = system.logic("leaf0")
+        assert {key[0] for key in logic.forwarding_snapshot()} == {"leaf1"}
+        assert logic.best_next_hop("spine0") is None
 
     def test_packet_header_bits_positive(self):
         _, _, system, _ = build_contra_network()
         assert system.packet_header_bits() >= 2
-
-    def test_probe_all_switches_mode(self):
-        _, _, system, network = build_contra_network(probe_all_switches=True)
-        network.run(1.0)
-        # Spines originate probes too, so leaves know routes to spines.
-        assert system.logic("leaf0").best_next_hop("spine0") == "spine0"
 
     def test_failure_detection_on_probe_silence(self):
         _, _, system, network = build_contra_network(probe_period=0.2, failure_periods=3)
@@ -273,8 +330,6 @@ class TestContraSystemArguments:
         ("flowlet_timeout", float("nan")),
         ("failure_periods", 0),
         ("failure_periods", float("nan")),
-        ("loop_threshold", 0),
-        ("loop_threshold", -4),
     ])
     def test_refused(self, name, value):
         topo = leafspine(2, 2, hosts_per_leaf=1)
@@ -285,5 +340,5 @@ class TestContraSystemArguments:
     def test_boundary_values_accepted(self):
         topo = leafspine(2, 2, hosts_per_leaf=1)
         system = ContraSystem(compile_policy(MU(), topo), flowlet_timeout=0.0,
-                              failure_periods=1, loop_threshold=1)
+                              failure_periods=1)
         assert system.failure_periods == 1

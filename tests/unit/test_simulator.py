@@ -284,7 +284,7 @@ class TestStatsCollector:
         assert stats.overhead_ratio() == pytest.approx(52.0 / 1500.0)
 
     def test_throughput_series_bins_deliveries(self):
-        stats = StatsCollector(throughput_bin_ms=1.0)
+        stats = StatsCollector()
         packet = Packet(kind=PacketKind.DATA, src_host="a", dst_host="b", size_bytes=1500)
         stats.record_delivery(packet, 0.2)
         stats.record_delivery(packet, 0.7)

@@ -11,7 +11,6 @@ from repro.topology import (
     abilene,
     builtin_topologies,
     builtin_topology,
-    erdos_renyi,
     fattree,
     fattree_for_switch_count,
     from_adjacency,
@@ -19,7 +18,6 @@ from repro.topology import (
     from_edge_list_file,
     leafspine,
     random_regular,
-    waxman,
 )
 from repro.topology.graph import Link, NodeKind
 
@@ -282,17 +280,6 @@ class TestRandomGraphs:
         assert topo.is_connected()
         assert len(topo.switches) == n
 
-    @given(st.integers(min_value=5, max_value=30), st.integers(min_value=0, max_value=5))
-    @settings(max_examples=15, deadline=None)
-    def test_erdos_renyi_is_connected(self, n, seed):
-        assert erdos_renyi(n, seed=seed).is_connected()
-
-    def test_waxman_is_connected_and_has_varied_latency(self):
-        topo = waxman(30, seed=1)
-        assert topo.is_connected()
-        latencies = {l.latency for l in topo.links}
-        assert len(latencies) > 1
-
     def test_determinism(self):
         a = random_regular(20, seed=7)
         b = random_regular(20, seed=7)
@@ -303,8 +290,6 @@ class TestRandomGraphs:
             random_regular(1)
         with pytest.raises(TopologyError):
             random_regular(10, degree=10)
-        with pytest.raises(TopologyError):
-            erdos_renyi(10, p=2.0)
 
 
 class TestZoo:
@@ -559,6 +544,15 @@ def _one_way_detour():
     return topo
 
 
+def _thinned_random():
+    """A connected random graph of uneven degree (1 to 4)."""
+    topo = random_regular(25, degree=4, seed=3)
+    for position, link in enumerate(topo.undirected_links):
+        if position % 4 == 0:
+            topo.remove_link(link.src, link.dst)
+    return topo
+
+
 def _two_islands():
     topo = Topology("islands")
     for s in ("A", "B", "C", "X", "Y"):
@@ -578,8 +572,9 @@ ORACLE_TOPOLOGIES = {
     "geant_small": lambda: builtin_topology("geant_small"),
     "ring8": lambda: builtin_topology("ring8"),
     "random_regular": lambda: random_regular(30, degree=3, seed=11),
-    "waxman": lambda: waxman(25, seed=5),
-    "erdos_renyi": lambda: erdos_renyi(25, seed=3),
+    "weighted_random": lambda: _weighted_random(),
+    "thinned_random": lambda: _thinned_random(),
+    "wide_leafspine": lambda: leafspine(3, 6, hosts_per_leaf=1),
     "directed_only_link": _one_way_detour,
     "disconnected": _two_islands,
     "failed_link_copy": lambda: abilene().with_failed_link("DEN", "KSC"),
@@ -822,7 +817,7 @@ class TestIndexInvalidation:
 
 def _weighted_random():
     """A random graph whose links carry unequal weights and latencies."""
-    topo = waxman(18, seed=7)
+    topo = random_regular(18, degree=3, seed=7)
     for position, link in enumerate(topo.undirected_links):
         if topo.is_switch(link.src) and topo.is_switch(link.dst):
             topo.remove_link(link.src, link.dst)

@@ -300,7 +300,7 @@ class TestGoodputAccounting:
                       flow_id=1, seq=seq, size_bytes=DATA_PACKET_BYTES)
 
     def test_duplicates_split_goodput_from_throughput(self):
-        stats = StatsCollector(throughput_bin_ms=1.0)
+        stats = StatsCollector()
         stats.record_delivery(self.packet(0), 0.2)
         stats.record_delivery(self.packet(1), 0.4)
         stats.record_delivery(self.packet(1), 0.6, duplicate=True)
@@ -310,7 +310,7 @@ class TestGoodputAccounting:
         assert stats.goodput_bytes < stats.delivered_bytes
 
     def test_throughput_series_counts_unique_deliveries_only(self):
-        stats = StatsCollector(throughput_bin_ms=1.0)
+        stats = StatsCollector()
         stats.record_delivery(self.packet(0), 0.2)
         stats.record_delivery(self.packet(0), 0.7, duplicate=True)
         stats.record_delivery(self.packet(1), 1.5)
