@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.protocol.tables import FlowletTable, packet_flow_hash
 from repro.simulator.network import Network, ProbeDrivenSystem
 from repro.simulator.packet import BASE_PROBE_BYTES, Packet, Probe
-from repro.simulator.switchnode import ProbeDrivenRouting
+from repro.simulator.switchnode import FlowletKey, ProbeDrivenRouting
 
 __all__ = ["HulaSystem", "HulaRouting"]
 
@@ -91,7 +90,6 @@ class HulaRouting(ProbeDrivenRouting):
         super().__init__(system)
         self.name = name
         self.best: Dict[str, _BestHop] = {}
-        self.flowlets = FlowletTable(system.flowlet_timeout)
         #: origin -> this switch's downstream neighbours (static shortest paths).
         self._downstream: Dict[str, Tuple[str, ...]] = {}
 
@@ -148,35 +146,20 @@ class HulaRouting(ProbeDrivenRouting):
 
     # -------------------------------------------------------------- forwarding
 
-    def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
+    def _flowlet_key(self, packet: Packet, inport: str, flow_hash: int, fid: int,
+                     now: float) -> FlowletKey:
+        return (packet.dst_switch, 0, 0, fid)
+
+    def _fresh_hop(self, packet: Packet, inport: str, fid: int,
+                   now: float) -> Optional[str]:
         destination = packet.dst_switch
-        now = self.network.sim.now
-        flow_hash = packet.flow_hash
-        if flow_hash is None:           # hand-built packet: hosts stamp theirs
-            flow_hash = packet_flow_hash(packet)
-        fid = flow_hash % self.flowlets.slots
-
-        pinned = self.flowlets.lookup(destination, 0, 0, fid, now)
-        if pinned is not None and self._usable_next_hop(pinned.next_hop):
-            self.flowlets.touch(pinned, now)
-            return pinned.next_hop
-        if pinned is not None:
-            self.flowlets.expire(destination, 0, 0, fid)
-            self.network.stats.flowlet_expirations += 1
-
         entry = self.best.get(destination)
-        if entry is None or not self._usable_next_hop(entry.next_hop) or self._stale(entry, now):
-            fallback = self._fallback_next_hop(destination)
-            if fallback is None:
-                return None
-            self.flowlets.install(destination, 0, 0, fid, fallback, 0, now)
-            return fallback
-        self.flowlets.install(destination, 0, 0, fid, entry.next_hop, 0, now)
-        return entry.next_hop
-
-    def _stale(self, entry: _BestHop, now: float) -> bool:
-        max_age = self.system.probe_period * (self.system.failure_periods + 1)
-        return now - entry.updated_at > max_age
+        next_hop = entry.next_hop if entry is not None and self._entry_valid(entry) \
+            else self._fallback_next_hop(destination)
+        if next_hop is None:
+            return None
+        self.flowlets.install(destination, 0, 0, fid, next_hop, 0, now)
+        return next_hop
 
     def _fallback_next_hop(self, destination: str) -> Optional[str]:
         """When probe state is missing, fall back to any live shortest-path hop."""

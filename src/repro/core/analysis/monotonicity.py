@@ -14,7 +14,7 @@ needs in order to repair the policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from repro.core import ast
 from repro.core.attributes import ATTRIBUTES

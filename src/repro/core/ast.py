@@ -14,11 +14,10 @@ decomposition) and by the compiler.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.attributes import ATTRIBUTES, attribute
+from repro.core.attributes import attribute
 from repro.core.rank import INFINITY, Rank
 from repro.core.regex import PathRegex
 from repro.exceptions import PolicyError

@@ -16,7 +16,7 @@ monotonicity/isotonicity classification used by the policy analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.exceptions import PolicyError
 

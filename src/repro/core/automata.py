@@ -17,8 +17,6 @@ The pipeline is the textbook one:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 

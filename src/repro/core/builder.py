@@ -15,7 +15,7 @@ lexicographic tuple ranks.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from repro.core import ast
 from repro.core.attributes import ATTRIBUTES

@@ -86,8 +86,7 @@ class CompiledPolicy:
         totals: Dict[Tuple, int] = {}
         sized = []
         for cfg in self.device_configs.values():
-            key = (len(cfg.tags), cfg.network_size, cfg.num_probe_ids, cfg.carried_attrs,
-                   cfg.flowlet_slots, cfg.loop_table_slots)
+            key = (len(cfg.tags), cfg.network_size, cfg.num_probe_ids, cfg.carried_attrs)
             total = totals.get(key)
             if total is None:
                 total = totals[key] = cfg.state_estimate().total_bytes

@@ -19,15 +19,21 @@ as a P4-style program, mirroring the two backends the paper describes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from repro.core.analysis.decomposition import Decomposition
 from repro.core.attributes import ATTRIBUTES
 from repro.core.regex import PathRegex
 from repro.exceptions import CompilationError
 
-__all__ = ["TagInfo", "DeviceConfig", "StateEstimate"]
+__all__ = ["TagInfo", "DeviceConfig", "StateEstimate", "FLOWLET_SLOTS",
+           "LOOP_TABLE_SLOTS"]
+
+#: Flowlet-table slots provisioned per (tag, pid) on every switch; mirrors
+#: the fixed-size register arrays a P4 program would allocate.
+FLOWLET_SLOTS = 256
+#: Loop-detection table slots (packet-hash keyed) on every switch.
+LOOP_TABLE_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,6 @@ class DeviceConfig:
     num_probe_ids: int
     #: Total number of switches in the network (used for sizing estimates).
     network_size: int = 0
-    #: Flowlet-table slots provisioned per (tag, pid); mirrors the fixed-size
-    #: register arrays a P4 program would allocate.
-    flowlet_slots: int = 256
-    #: Loop-detection table slots (packet-hash keyed).
-    loop_table_slots: int = 256
 
     # ------------------------------------------------------------------ helpers
 
@@ -143,9 +144,9 @@ class DeviceConfig:
         bestt_row = 1 + 1 + 2            # tag + pid + key bookkeeping
         bestt_bytes = destinations * bestt_row
         flowlet_row = 2 + 1 + 4          # next hop + tag + timestamp
-        flowlet_bytes = self.flowlet_slots * max(1, self.num_tags) * self.num_probe_ids * flowlet_row
+        flowlet_bytes = FLOWLET_SLOTS * max(1, self.num_tags) * self.num_probe_ids * flowlet_row
         loop_row = 1 + 1 + 4             # max ttl + min ttl + hash bookkeeping
-        loop_bytes = self.loop_table_slots * loop_row
+        loop_bytes = LOOP_TABLE_SLOTS * loop_row
         return StateEstimate(fwdt_bytes, bestt_bytes, flowlet_bytes, loop_bytes)
 
     def __repr__(self) -> str:

@@ -19,12 +19,11 @@ reproduction (the simulator interprets the DeviceConfig directly instead).
 
 from __future__ import annotations
 
-import textwrap
 import zlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 from repro.core.compiler import CompiledPolicy
-from repro.core.device_config import DeviceConfig
+from repro.core.device_config import FLOWLET_SLOTS, LOOP_TABLE_SLOTS, DeviceConfig
 
 __all__ = ["generate_p4", "generate_all_p4", "P4Program"]
 
@@ -78,7 +77,7 @@ header contra_tag_t {{
 def _register_block(config: DeviceConfig) -> str:
     destinations = max(1, config.network_size)
     fwdt_size = destinations * config.num_tags * config.num_probe_ids
-    flowlet_size = config.flowlet_slots * max(1, config.num_tags) * config.num_probe_ids
+    flowlet_size = FLOWLET_SLOTS * max(1, config.num_tags) * config.num_probe_ids
     return f"""\
 // ---- State ----------------------------------------------------------------
 // Forwarding table FwdT[dst, tag, pid] -> (metrics, next tag, next hop, version)
@@ -97,8 +96,8 @@ register<bit<8>>({flowlet_size})  flowlet_ntag;
 register<bit<48>>({flowlet_size}) flowlet_time;
 
 // Loop detection table keyed by packet hash -> (max ttl, min ttl)
-register<bit<8>>({config.loop_table_slots}) loop_max_ttl;
-register<bit<8>>({config.loop_table_slots}) loop_min_ttl;
+register<bit<8>>({LOOP_TABLE_SLOTS}) loop_max_ttl;
+register<bit<8>>({LOOP_TABLE_SLOTS}) loop_min_ttl;
 """
 
 

@@ -7,7 +7,7 @@ policies (MU, WP, CA) from §6.2 are aliases with the paper's parameters.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core import ast
 from repro.exceptions import PolicyError

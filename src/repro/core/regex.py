@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.exceptions import PolicyParseError
 

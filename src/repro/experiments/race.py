@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig

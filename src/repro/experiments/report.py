@@ -7,7 +7,7 @@ output, EXPERIMENTS.md and the CLI all show identical content.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",

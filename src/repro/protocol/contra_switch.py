@@ -19,7 +19,7 @@ from repro.core.analysis.decomposition import SubPolicy
 from repro.core.ast import Attr, PathContext, Policy, TupleExpr
 from repro.core.attributes import MetricVector
 from repro.core.compiler import CompiledPolicy
-from repro.core.device_config import DeviceConfig
+from repro.core.device_config import FLOWLET_SLOTS, DeviceConfig
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import SimulationError
 from repro.protocol.probe import ContraProbe, probe_wire_size
@@ -27,16 +27,14 @@ from repro.protocol.tables import (
     BestChoiceTable,
     ForwardingEntry,
     ForwardingTable,
-    FlowletTable,
     FwdKey,
     LoopDetectionTable,
     StatePool,
-    packet_flow_hash,
 )
 from repro.simulator.link import SimLink
 from repro.simulator.network import ProbeDrivenSystem
 from repro.simulator.packet import Packet
-from repro.simulator.switchnode import ProbeDrivenRouting
+from repro.simulator.switchnode import FlowletKey, ProbeDrivenRouting
 
 __all__ = ["ContraSystem", "ContraRouting"]
 
@@ -79,6 +77,8 @@ class ContraRouting(ProbeDrivenRouting):
     """The per-switch program synthesized from the user policy."""
 
     system: ContraSystem
+    flowlet_slots = FLOWLET_SLOTS
+    retag_pinned = True
 
     def __init__(self, system: ContraSystem, config: DeviceConfig):
         super().__init__(system)
@@ -90,8 +90,7 @@ class ContraRouting(ProbeDrivenRouting):
 
         self.fwdt = ForwardingTable()
         self.bestt = BestChoiceTable(system.pool)
-        self.flowlets = FlowletTable(system.flowlet_timeout, slots=config.flowlet_slots)
-        self.loop_detector = LoopDetectionTable(slots=config.loop_table_slots)
+        self.loop_detector = LoopDetectionTable()
 
         self._probe_size = probe_wire_size(config.probe_bits())
         self._packet_tag_bits = config.packet_tag_bits()
@@ -127,8 +126,6 @@ class ContraRouting(ProbeDrivenRouting):
         # Specialized evaluator for regex-free pure-attribute policies (the
         # common minimize(attr) / minimize((attr, attr)) shapes).
         self._fast_rank = _fast_rank_evaluator(self.compiled.policy)
-        # Specialized per-names metric extenders (False = use the generic path).
-        self._extenders: Dict[Tuple[str, ...], object] = {}
         # Bound-method caches for the probe hot loop (instance constants;
         # rebinding them per probe showed up in k=16 profiles).  The FwdT
         # probe and install are the table dict's own ``get`` and
@@ -212,8 +209,10 @@ class ContraRouting(ProbeDrivenRouting):
 
         Read contract: the traffic-direction link's ``congestion`` is read
         exactly once for a probe that has a transition and is not
-        self-originated, and never otherwise — the read advances the link's
-        EWMA decay, so adding, skipping or reordering one changes results.
+        self-originated (none under the pure-``lat`` shape, whose unrolled
+        extender reads latency only), and never otherwise — the read
+        advances the link's EWMA decay, so adding, skipping or reordering
+        one changes results.
         """
         now = self.network.sim._now
         self._last_probe_from[inport] = now
@@ -241,13 +240,11 @@ class ContraRouting(ProbeDrivenRouting):
             link = switch.egress(inport)        # raises the canonical error
         mv = probe.metrics
         names = mv.names
-        extend = self._extenders.get(names)
-        if extend is None:
-            extend = self._extenders[names] = _make_metric_extender(names) or False
-        # The specialized extender reads the link's congestion directly; an
+        extend = _UNROLLED_EXTENDERS.get(names)
+        # The unrolled extender reads the link's congestion directly; an
         # instance-level metric_values override (tests pin link metrics that
         # way) must keep winning over it.
-        if extend is not False and "metric_values" not in link.__dict__:
+        if extend is not None and "metric_values" not in link.__dict__:
             new_values = extend(mv.values, link)
         else:
             new_values = mv.extend(link.metric_values()).values
@@ -338,18 +335,6 @@ class ContraRouting(ProbeDrivenRouting):
         if rank is None:
             rank = entry.rank = self._rank_of(key, entry.metrics)
         return rank
-
-    def _entry_valid(self, entry: ForwardingEntry) -> bool:
-        """An entry is stale if its probes stopped or its next hop is believed dead."""
-        next_hop = entry.next_hop
-        if self._believed_failed.get(next_hop, False):
-            return False
-        link = self.switch.ports.get(next_hop)      # SwitchNode.link_failed
-        if link is None or link.failed:
-            return False
-        system = self.system
-        max_age = system.probe_period * (system.failure_periods + 1)
-        return self.network.sim._now - entry.updated_at <= max_age
 
     def _maybe_update_best(self, destination: str, key: FwdKey,
                            entry: ForwardingEntry) -> None:
@@ -447,20 +432,17 @@ class ContraRouting(ProbeDrivenRouting):
 
     # -------------------------------------------------------------- forwarding
 
-    def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
-        """SWIFORWARDPKT with policy-aware flowlet switching and loop breaking."""
-        destination = packet.dst_switch
-        network = self.network
-        from_host = inport not in network.switches
-        flow_hash = packet.flow_hash
-        if flow_hash is None:           # hand-built packet: hosts stamp theirs
-            flow_hash = packet_flow_hash(packet)
-        flowlets = self.flowlets
-        fid = flow_hash % flowlets.slots
+    def _flowlet_key(self, packet: Packet, inport: str, flow_hash: int, fid: int,
+                     now: float) -> Optional[FlowletKey]:
+        """SWIFORWARDPKT's policy-aware flowlet key and lazy loop breaking.
 
-        if from_host or packet.tag is None:
-            # Fresh flowlets spread across the equal-rank co-best entries by
-            # flowlet id — policy-compliant load balancing over ties.
+        A packet from a host takes the tag and probe id of a co-best FwdT
+        entry, spread across them by flowlet id — policy-compliant load
+        balancing over ties.  On a suspected loop (§5.5) the flowlet's pins
+        are flushed, so the packet re-reads the freshest FwdT entry.
+        """
+        destination = packet.dst_switch
+        if inport not in self.network.switches or packet.tag is None:
             best_keys = self._best_keys(destination)
             if not best_keys:
                 return None
@@ -468,58 +450,31 @@ class ContraRouting(ProbeDrivenRouting):
             packet.tag = tag
             packet.pid = pid
             packet.extra_header_bits = self._packet_tag_bits
-
-        now = network.sim._now
-
-        # Lazy loop breaking (§5.5): on suspicion, flush the flowlet pins so the
-        # next packet re-reads the freshest FwdT entry.
         if self.loop_detector.observe_hash(flow_hash, packet.ttl, now):
-            flushed = flowlets.expire_flowlet_everywhere(fid)
-            network.stats.loop_detections += 1
-            network.stats.flowlet_expirations += flushed
+            stats = self.network.stats
+            stats.loop_detections += 1
+            stats.flowlet_expirations += self.flowlets.expire_flowlet_everywhere(fid)
+        return (destination, packet.tag, packet.pid, fid)
 
-        # FlowletTable.lookup / _usable_next_hop / touch / expire, in place:
-        # the pinned path is most data hops, and each was a frame.
-        pins = flowlets._entries
-        pin_key = (destination, packet.tag, packet.pid, fid)
-        pinned = pins.get(pin_key)
-        if pinned is not None:
-            if now - pinned.last_seen > flowlets.timeout:
-                del pins[pin_key]       # lazy expiry: not a counted expiration
-            else:
-                next_hop = pinned.next_hop
-                if not self._believed_failed.get(next_hop, False):
-                    link = self.switch.ports.get(next_hop)
-                    if link is not None and not link.failed:
-                        pinned.last_seen = now
-                        packet.tag = pinned.next_tag
-                        return next_hop
-                # §5.4: expire flowlet entries whose next hop is along a failed link.
-                del pins[pin_key]
-                network.stats.flowlet_expirations += 1
-
-        key: FwdKey = (destination, packet.tag, packet.pid)
-        entry = self.fwdt.lookup(key)
-        if entry is None or not self._entry_valid(entry) or \
-                not self._usable_next_hop(entry.next_hop):
-            # The constrained path for this tag is gone; only a source switch may
-            # legitimately re-tag the packet (policy compliance, §4.2).
-            if from_host:
-                best_keys = self._rescan_best(destination)
-                if not best_keys:
-                    return None
-                _, tag, pid = best_keys[fid % len(best_keys)]
-                packet.tag = tag
-                packet.pid = pid
-                key = (destination, tag, pid)
-                entry = self.fwdt.lookup(key)
-                if entry is None or not self._usable_next_hop(entry.next_hop):
-                    return None
-            else:
+    def _fresh_hop(self, packet: Packet, inport: str, fid: int,
+                   now: float) -> Optional[str]:
+        """Follow the packet's FwdT entry; when the constrained path for its tag
+        is gone, only a source switch may re-tag it (policy compliance, §4.2)."""
+        destination, tag, pid = packet.dst_switch, packet.tag, packet.pid
+        entry = self._fwdt_get((destination, tag, pid))
+        if entry is None or not self._entry_valid(entry):
+            if inport in self.network.switches:
                 return None
-
+            best_keys = self._rescan_best(destination)
+            if not best_keys:
+                return None
+            _, tag, pid = best_keys[fid % len(best_keys)]
+            packet.tag = tag
+            packet.pid = pid
+            entry = self._fwdt_get((destination, tag, pid))
+            assert entry is not None    # a rescanned key names a valid row
         next_hop, next_tag = self._choose_hop(entry, fid)
-        flowlets.install(destination, key[1], key[2], fid, next_hop, next_tag, now)
+        self.flowlets.install(destination, tag, pid, fid, next_hop, next_tag, now)
         packet.tag = next_tag
         return next_hop
 
@@ -550,16 +505,6 @@ class ContraRouting(ProbeDrivenRouting):
         return entry.next_hop if entry is not None else None
 
 
-#: Per-attribute link extension steps used by the specialized extender: the
-#: built-in compositions (util = bottleneck max, lat = additive, len = count)
-#: read the link object directly instead of building a metric dict per probe.
-_EXTEND_OPS = {
-    "util": lambda values, index, link: max(values[index], link.congestion),
-    "lat": lambda values, index, link: values[index] + link.latency,
-    "len": lambda values, index, link: values[index] + 1.0,
-}
-
-
 def _extend_len_util(values, link) -> Tuple[float, ...]:
     """Unrolled extender for the ``(len, util)`` datacenter-policy shape.
 
@@ -588,34 +533,16 @@ def _extend_lat(values, link) -> Tuple[float, ...]:
     return (values[0] + link.latency,)
 
 
-#: Unrolled extenders for the metric shapes every figure policy uses — no
-#: generator or per-attribute closure dispatch on the hot path.
+#: Unrolled ``(carried values tuple, link) -> extended values tuple``
+#: extenders for the metric shapes every figure policy uses.  Any other shape
+#: takes ``MetricVector.extend(link.metric_values())``: the same ``max`` and
+#: ``+`` floats, with the link's congestion read once, carried or not.
 _UNROLLED_EXTENDERS = {
     ("len", "util"): _extend_len_util,
     ("util", "len"): _extend_util_len,
     ("util",): _extend_util,
     ("lat",): _extend_lat,
 }
-
-
-def _make_metric_extender(names: Tuple[str, ...]):
-    """A specialized ``(carried values tuple, link) -> extended values tuple`` extender.
-
-    Returns None when a name falls outside the built-in attribute set, in
-    which case the caller uses the generic dict-based path.
-    """
-    unrolled = _UNROLLED_EXTENDERS.get(names)
-    if unrolled is not None:
-        return unrolled
-    try:
-        ops = tuple((index, _EXTEND_OPS[name]) for index, name in enumerate(names))
-    except KeyError:
-        return None
-
-    def extend(values, link) -> Tuple[float, ...]:
-        return tuple(op(values, index, link) for index, op in ops)
-
-    return extend
 
 
 def _fast_rank_evaluator(policy: Policy):

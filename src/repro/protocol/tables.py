@@ -9,7 +9,9 @@ programs allocate:
 * :class:`BestChoiceTable` — BestT, the per-destination pointer to the entry a
   source switch currently prefers (the asterisk in Figure 6e);
 * :class:`FlowletTable` — policy-aware flowlet switching entries keyed by
-  (destination, tag, probe id, flowlet id) (§5.3);
+  (destination, tag, probe id, flowlet id) (§5.3); it lives beside the pin
+  step Contra and Hula share (``repro.simulator.switchnode``) and is
+  re-exported here;
 * :class:`LoopDetectionTable` — per-flow TTL-delta tracking used to lazily
   break transient loops (§5.5).
 
@@ -19,14 +21,17 @@ the FwdT and BestT rows of one deployment hold (ARCHITECTURE.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.core.attributes import MetricVector
+from repro.core.device_config import LOOP_TABLE_SLOTS
 from repro.core.rank import Rank
 # Re-exported: the flow hash lives beside ``Packet.flow_key`` so hosts can
-# stamp it without ``simulator/`` importing ``protocol/``.
+# stamp it, and the flowlet table beside the pin step Contra and Hula share,
+# without ``simulator/`` importing ``protocol/``.
 from repro.simulator.packet import packet_flow_hash, stable_flow_hash
+from repro.simulator.switchnode import FlowletEntry, FlowletTable
 
 __all__ = [
     "FwdKey",
@@ -172,106 +177,6 @@ class BestChoiceTable:
 
 
 @dataclass(slots=True)
-class FlowletEntry:
-    """One policy-aware flowlet pinning decision."""
-
-    next_hop: str
-    next_tag: int
-    last_seen: float
-
-
-class FlowletTable:
-    """Flowlet table keyed by (destination, tag, pid, flowlet id) (§5.3).
-
-    Including the tag and probe id in the key is exactly what makes flowlet
-    switching *policy-aware*: a preference change that re-tags packets starts
-    a fresh flowlet entry instead of reusing a pin that would violate the
-    policy.
-
-    Expiry is **lazy**: :meth:`lookup` drops an expired entry on touch, and a
-    high-water-mark sweep (:meth:`_sweep`, triggered from :meth:`install`)
-    reclaims entries whose flows ended and are never touched again — without
-    it the table grows monotonically with every (destination, flowlet) pair a
-    run ever pins, which is what made large fabrics accumulate unbounded
-    switch state.  The sweep removes only entries :meth:`lookup` would
-    already refuse to return, so forwarding decisions are unaffected, and it
-    is amortized O(1) per install (the threshold doubles with the surviving
-    live set, classic table-halving style).
-    """
-
-    #: Default sweep threshold floor; per-table the trigger is
-    #: ``max(high_water, 2 * live entries after the last sweep)``.
-    DEFAULT_HIGH_WATER = 4096
-
-    def __init__(self, timeout: float, slots: int = 1024,
-                 sweep_high_water: Optional[int] = None):
-        self.timeout = timeout
-        self.slots = slots
-        self.sweep_high_water = (sweep_high_water if sweep_high_water is not None
-                                 else self.DEFAULT_HIGH_WATER)
-        self._sweep_at = self.sweep_high_water
-        #: Entries reclaimed by high-water sweeps (observability/tests only;
-        #: swept entries are *not* flowlet expirations in the stats sense —
-        #: they were already dead to every lookup).
-        self.swept_entries = 0
-        self._entries: Dict[Tuple[str, int, int, int], FlowletEntry] = {}
-
-    def lookup(self, destination: str, tag: int, pid: int, fid: int,
-               now: float) -> Optional[FlowletEntry]:
-        """A live (non-expired) entry, or None."""
-        key = (destination, tag, pid, fid)
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if now - entry.last_seen > self.timeout:
-            del self._entries[key]
-            return None
-        return entry
-
-    def install(self, destination: str, tag: int, pid: int, fid: int,
-                next_hop: str, next_tag: int, now: float) -> FlowletEntry:
-        if len(self._entries) >= self._sweep_at:
-            self._sweep(now)
-        entry = FlowletEntry(next_hop, next_tag, now)
-        self._entries[(destination, tag, pid, fid)] = entry
-        return entry
-
-    def _sweep(self, now: float) -> None:
-        """Reclaim every expired entry (high-water-mark memory bound)."""
-        timeout = self.timeout
-        entries = self._entries
-        expired = [key for key, entry in entries.items()
-                   if now - entry.last_seen > timeout]
-        for key in expired:
-            del entries[key]
-        self.swept_entries += len(expired)
-        self._sweep_at = max(self.sweep_high_water, 2 * len(entries))
-
-    def touch(self, entry: FlowletEntry, now: float) -> None:
-        entry.last_seen = now
-
-    def expire(self, destination: str, tag: int, pid: int, fid: int) -> None:
-        self._entries.pop((destination, tag, pid, fid), None)
-
-    def expire_flowlet_everywhere(self, fid: int) -> int:
-        """Flush every entry with the given flowlet id (loop breaking, §5.5)."""
-        keys = [k for k in self._entries if k[3] == fid]
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
-
-    def expire_via(self, next_hop: str) -> int:
-        """Flush entries pinned to a next hop believed to have failed (§5.4)."""
-        keys = [k for k, v in self._entries.items() if v.next_hop == next_hop]
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-@dataclass(slots=True)
 class _LoopRecord:
     max_ttl: int
     min_ttl: int
@@ -286,11 +191,11 @@ class LoopDetectionTable:
     lengths in use, while a loop makes it grow without bound.  When the delta
     exceeds :data:`LOOP_TTL_DELTA` the switch reports a (possible) loop and
     the caller flushes the offending flowlet entries; a record unseen for
-    :data:`LOOP_ENTRY_TIMEOUT` ms is forgotten.
+    :data:`LOOP_ENTRY_TIMEOUT` ms is forgotten.  Flow hashes share the
+    :data:`~repro.core.device_config.LOOP_TABLE_SLOTS` records by residue.
     """
 
-    def __init__(self, slots: int = 1024):
-        self.slots = slots
+    def __init__(self) -> None:
         self._records: Dict[int, _LoopRecord] = {}
 
     def observe(self, flow_key: Tuple, ttl: int, now: float) -> bool:
@@ -299,7 +204,7 @@ class LoopDetectionTable:
 
     def observe_hash(self, flow_hash: int, ttl: int, now: float) -> bool:
         """Like :meth:`observe` for callers that already hold the flow hash."""
-        slot = flow_hash % self.slots
+        slot = flow_hash % LOOP_TABLE_SLOTS
         record = self._records.get(slot)
         if record is None or now - record.last_seen > LOOP_ENTRY_TIMEOUT:
             self._records[slot] = _LoopRecord(ttl, ttl, now)

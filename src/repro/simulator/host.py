@@ -19,7 +19,7 @@ series (see :meth:`repro.simulator.stats.StatsCollector.record_delivery`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.exceptions import SimulationError
 from repro.simulator.flow import Flow, ReceiverState, SenderState

@@ -9,14 +9,13 @@ testbed (DESIGN.md §4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, SimulationError, require
 from repro.simulator.engine import Simulator
 from repro.simulator.flow import TRANSPORT_DOMAIN, Flow
 from repro.simulator.host import Host
 from repro.simulator.link import SimLink
-from repro.simulator.packet import Packet
 from repro.simulator.stats import StatsCollector
 from repro.simulator.switchnode import ProbeDrivenRouting, RoutingLogic, SwitchNode
 from repro.topology.graph import Topology
@@ -76,6 +75,9 @@ class ProbeDrivenSystem(RoutingSystem):
         self.probe_period = probe_period
         self.flowlet_timeout = flowlet_timeout
         self.failure_periods = failure_periods
+        #: The freshness bound of probe-installed state: a row no probe
+        #: refreshed for one period past the failure window is not followed.
+        self.max_age = probe_period * (failure_periods + 1)
         self._logics: Dict[str, ProbeDrivenRouting] = {}
 
     def logic(self, switch: str) -> ProbeDrivenRouting:

@@ -20,9 +20,8 @@ holds in every run; the two only differ under loss.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.nputil import mean as _mean, percentile_linear as _percentile

@@ -9,17 +9,22 @@ system provides the per-switch data-plane program.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 from repro.simulator.link import send_probes
-from repro.simulator.packet import Packet, Probe
+from repro.simulator.packet import Packet, Probe, packet_flow_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.link import ProbeGroups, SimLink
     from repro.simulator.network import Network, ProbeDrivenSystem
 
-__all__ = ["RoutingLogic", "ProbeDrivenRouting", "SwitchNode"]
+__all__ = ["RoutingLogic", "FlowletEntry", "FlowletTable", "ProbeDrivenRouting",
+           "SwitchNode"]
+
+#: A flowlet pin's key: (destination switch, tag, probe id, flowlet id).
+FlowletKey = Tuple[str, int, int, int]
 
 
 class RoutingLogic:
@@ -56,30 +61,171 @@ class RoutingLogic:
         """
 
 
+@dataclass(slots=True)
+class FlowletEntry:
+    """One policy-aware flowlet pinning decision."""
+
+    next_hop: str
+    next_tag: int
+    last_seen: float
+
+
+class FlowletTable:
+    """Flowlet table keyed by (destination, tag, pid, flowlet id) (§5.3).
+
+    Including the tag and probe id in the key is exactly what makes flowlet
+    switching *policy-aware*: a preference change that re-tags packets starts
+    a fresh flowlet entry instead of reusing a pin that would violate the
+    policy.  Hula keys its pins with tag and probe id 0.
+
+    Expiry is **lazy**: the pin step (:meth:`ProbeDrivenRouting.on_data_packet`)
+    drops an expired entry on touch, and a high-water-mark sweep
+    (:meth:`_sweep`, triggered from :meth:`install`) reclaims entries whose
+    flows ended and are never touched again — without it the table grows
+    monotonically with every (destination, flowlet) pair a run ever pins,
+    which is what made large fabrics accumulate unbounded switch state.  The
+    sweep removes only entries the pin step would already refuse to follow,
+    so forwarding decisions are unaffected, and it is amortized O(1) per
+    install (the threshold doubles with the surviving live set, classic
+    table-halving style).
+    """
+
+    #: Sweep threshold floor; per table the trigger is
+    #: ``max(SWEEP_HIGH_WATER, 2 * live entries after the last sweep)``.
+    SWEEP_HIGH_WATER = 4096
+
+    def __init__(self, timeout: float, slots: int):
+        self.timeout = timeout
+        self.slots = slots
+        self._sweep_at = self.SWEEP_HIGH_WATER
+        #: Entries reclaimed by high-water sweeps (observability/tests only;
+        #: swept entries are *not* flowlet expirations in the stats sense —
+        #: they were already dead to every pin step).
+        self.swept_entries = 0
+        self._entries: Dict[FlowletKey, FlowletEntry] = {}
+
+    def install(self, destination: str, tag: int, pid: int, fid: int,
+                next_hop: str, next_tag: int, now: float) -> FlowletEntry:
+        if len(self._entries) >= self._sweep_at:
+            self._sweep(now)
+        entry = FlowletEntry(next_hop, next_tag, now)
+        self._entries[(destination, tag, pid, fid)] = entry
+        return entry
+
+    def _sweep(self, now: float) -> None:
+        """Reclaim every expired entry (high-water-mark memory bound)."""
+        timeout = self.timeout
+        entries = self._entries
+        expired = [key for key, entry in entries.items()
+                   if now - entry.last_seen > timeout]
+        for key in expired:
+            del entries[key]
+        self.swept_entries += len(expired)
+        self._sweep_at = max(self.SWEEP_HIGH_WATER, 2 * len(entries))
+
+    def expire_flowlet_everywhere(self, fid: int) -> int:
+        """Flush every entry with the given flowlet id (loop breaking, §5.5)."""
+        keys = [k for k in self._entries if k[3] == fid]
+        for key in keys:
+            del self._entries[key]
+        return len(keys)
+
+    def expire_via(self, next_hop: str) -> int:
+        """Flush entries pinned to a next hop believed to have failed (§5.4)."""
+        keys = [k for k, v in self._entries.items() if v.next_hop == next_hop]
+        for key in keys:
+            del self._entries[key]
+        return len(keys)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class ProbeDrivenRouting(RoutingLogic):
-    """Per-switch half of a probe-driven system: probe version and failure belief.
+    """Per-switch half of a probe-driven system: probe version, failure belief
+    and the flowlet data path.
 
     Subclasses provide :meth:`probe_round`, :meth:`on_probe` (which stamps
     ``_last_probe_from[inport]`` and clears ``_believed_failed[inport]``) and
-    :meth:`on_data_packet`, and own a ``flowlets`` table.
+    the two halves of the data path around the shared pin step of
+    :meth:`on_data_packet`: :meth:`_flowlet_key` and :meth:`_fresh_hop`.
     """
 
-    #: The switch's flowlet table, built by the subclass.
-    flowlets: Any
+    #: Slots of the switch's flowlet table.
+    flowlet_slots = 1024
+    #: Whether a followed pin rewrites the packet's tag with the pin's next
+    #: tag (Contra's policy tags, §5.3).
+    retag_pinned = False
 
     def __init__(self, system: "ProbeDrivenSystem"):
         self.system = system
         self._version = 0
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
+        self.flowlets = FlowletTable(system.flowlet_timeout, self.flowlet_slots)
 
     def probe_round(self) -> None:
         """Originate this switch's probes for one period."""
         raise NotImplementedError
 
     def _usable_next_hop(self, neighbor: str) -> bool:
-        return not self._believed_failed.get(neighbor, False) and \
-            not self.switch.link_failed(neighbor)
+        """Not believed failed (§5.4), and the egress link exists and is up."""
+        if self._believed_failed.get(neighbor, False):
+            return False
+        link = self.switch.ports.get(neighbor)
+        return link is not None and not link.failed
+
+    def _entry_valid(self, entry) -> bool:
+        """Probe-installed state (``next_hop``, ``updated_at``) is followed only
+        while its next hop is usable and a probe refreshed it within the
+        system's ``max_age``."""
+        return self._usable_next_hop(entry.next_hop) and \
+            self.network.sim._now - entry.updated_at <= self.system.max_age
+
+    # -------------------------------------------------------------- forwarding
+
+    def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
+        """Follow the packet's flowlet pin, or pin it to a fresh hop (§5.3).
+
+        A live pin whose next hop is usable is refreshed and followed.  A
+        timed-out pin is dropped silently (lazy expiry, not a counted
+        expiration).  A pin towards an unusable next hop is dropped and
+        counted once in ``flowlet_expirations`` (§5.4).  Either way the
+        packet then takes :meth:`_fresh_hop`.
+        """
+        flow_hash = packet.flow_hash
+        if flow_hash is None:           # hand-built packet: hosts stamp theirs
+            flow_hash = packet_flow_hash(packet)
+        flowlets = self.flowlets
+        fid = flow_hash % flowlets.slots
+        now = self.network.sim._now
+        key = self._flowlet_key(packet, inport, flow_hash, fid, now)
+        if key is None:
+            return None
+        pins = flowlets._entries
+        pinned = pins.get(key)
+        if pinned is not None:
+            if now - pinned.last_seen > flowlets.timeout:
+                del pins[key]
+            elif self._usable_next_hop(pinned.next_hop):
+                pinned.last_seen = now
+                if self.retag_pinned:
+                    packet.tag = pinned.next_tag
+                return pinned.next_hop
+            else:
+                del pins[key]
+                self.network.stats.flowlet_expirations += 1
+        return self._fresh_hop(packet, inport, fid, now)
+
+    def _flowlet_key(self, packet: Packet, inport: str, flow_hash: int, fid: int,
+                     now: float) -> Optional[FlowletKey]:
+        """The key of the packet's pin, or None to drop the packet."""
+        raise NotImplementedError
+
+    def _fresh_hop(self, packet: Packet, inport: str, fid: int,
+                   now: float) -> Optional[str]:
+        """The next hop of a packet without a pin to follow; installs its pin."""
+        raise NotImplementedError
 
     def failure_check(self) -> None:
         """Mark neighbours silent for ``failure_periods`` probe periods as failed (§5.4).

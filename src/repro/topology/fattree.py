@@ -16,7 +16,6 @@ Node naming convention (stable and human readable):
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.exceptions import TopologyError

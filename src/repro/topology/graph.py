@@ -18,11 +18,10 @@ measures) are invariant to this scaling; see DESIGN.md §4.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple, TypeVar)
+from typing import (Callable, Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Set, Tuple, TypeVar)
 
 from repro.exceptions import TopologyError
 
@@ -51,7 +50,7 @@ class NodeKind:
     SWITCH_ROLES = frozenset({SWITCH, CORE, AGGREGATION, EDGE, SPINE, LEAF})
 
 
-def _check_link(src: str, dst: str, capacity: float, latency: float, weight: float) -> None:
+def _check_link(src: str, dst: str, capacity: float, latency: float) -> None:
     """Refuse what no directed link may be: a self-loop, or a parameter out of range.
 
     The one check :class:`Link` and :meth:`Topology.add_link` both run.
@@ -65,9 +64,6 @@ def _check_link(src: str, dst: str, capacity: float, latency: float, weight: flo
     if not 0 <= latency < _INF:
         raise TopologyError(
             f"link {src}->{dst} latency must be non-negative and finite, got {latency!r}")
-    if not 0 <= weight < _INF:
-        raise TopologyError(
-            f"link {src}->{dst} weight must be non-negative and finite, got {weight!r}")
 
 
 class LinkParams(NamedTuple):
@@ -78,7 +74,6 @@ class LinkParams(NamedTuple):
 
     capacity: float
     latency: float
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -95,10 +90,9 @@ class Link:
     dst: str
     capacity: float = 10.0
     latency: float = 0.05
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_link(self.src, self.dst, self.capacity, self.latency, self.weight)
+        _check_link(self.src, self.dst, self.capacity, self.latency)
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -132,8 +126,8 @@ class _SwitchGraphIndex(NamedTuple):
     ids: Dict[str, int]
     #: All host names, sorted.
     hosts: Tuple[str, ...]
-    #: Per id, the switch-to-switch out-links as (neighbour id, latency, weight).
-    out_rows: List[List[Tuple[int, float, float]]]
+    #: Per id, the switch-to-switch out-links as (neighbour id, latency).
+    out_rows: List[List[Tuple[int, float]]]
     #: Per id, the out-neighbour ids alone, in the same order.
     out_ids: List[List[int]]
     #: Every node (hosts too) -> sorted out-neighbour names.
@@ -201,12 +195,9 @@ def _hop_sweep(out: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
         hops += 1
 
 
-def _step_rows(rows: Sequence[Sequence[Tuple[int, float, float]]],
-               weighted: bool) -> List[List[Tuple[int, float]]]:
-    """Index rows as :func:`_dijkstra` adjacency: link ``weight`` steps, or one hop each."""
-    if weighted:
-        return [[(nbr, weight) for nbr, _, weight in row] for row in rows]
-    return [[(nbr, 1.0) for nbr, _, _ in row] for row in rows]
+def _hop_rows(out: Sequence[Sequence[int]]) -> List[List[Tuple[int, float]]]:
+    """Out-neighbour id rows as :func:`_dijkstra` adjacency of one hop each."""
+    return [[(nbr, 1.0) for nbr in row] for row in out]
 
 
 def _next_hop_table(index: _SwitchGraphIndex) -> NextHopTable:
@@ -371,7 +362,6 @@ class Topology:
         b: str,
         capacity: float = 10.0,
         latency: float = 0.05,
-        weight: float = 1.0,
         bidirectional: bool = True,
     ) -> None:
         """Add a link between existing nodes ``a`` and ``b``.
@@ -387,11 +377,11 @@ class Topology:
         links = self._links
         if (a, b) in links:
             raise TopologyError(f"duplicate link {a!r} -> {b!r}")
-        _check_link(a, b, capacity, latency, weight)
+        _check_link(a, b, capacity, latency)
         if bidirectional and (b, a) in links:
             raise TopologyError(f"duplicate link {b!r} -> {a!r}")
         self._switch_index = None
-        row = links[(a, b)] = LinkParams(capacity, latency, weight)
+        row = links[(a, b)] = LinkParams(capacity, latency)
         if bidirectional:
             links[(b, a)] = row
 
@@ -413,10 +403,10 @@ class Topology:
         link = objects.get((a, b))
         if link is None:
             try:
-                capacity, latency, weight = self._links[(a, b)]
+                capacity, latency = self._links[(a, b)]
             except KeyError:
                 raise TopologyError(f"no link {a!r} -> {b!r}") from None
-            link = objects[(a, b)] = Link(a, b, capacity, latency, weight)
+            link = objects[(a, b)] = Link(a, b, capacity, latency)
         return link
 
     @property
@@ -464,15 +454,14 @@ class Topology:
                 # Accessors hand out copies, so a row without hosts is shared.
                 switch_neighbors[node] = row if len(only_switches) == len(row) else only_switches
             links = self._links
-            out_rows: List[List[Tuple[int, float, float]]] = []
+            out_rows: List[List[Tuple[int, float]]] = []
             out_ids: List[List[int]] = []
             for name in switches:
                 row = []
                 id_row = []
                 for nbr in switch_neighbors[name]:
                     nbr_id = ids[nbr]
-                    _, latency, weight = links[(name, nbr)]
-                    row.append((nbr_id, latency, weight))
+                    row.append((nbr_id, links[(name, nbr)].latency))
                     id_row.append(nbr_id)
                 out_rows.append(row)
                 out_ids.append(id_row)
@@ -546,15 +535,14 @@ class Topology:
         index = self._index()
         return index.switches, index.out_ids
 
-    def shortest_path_lengths(self, weighted: bool = False) -> Dict[str, Dict[str, float]]:
-        """All-pairs shortest path lengths over the switch graph.
+    def shortest_path_lengths(self) -> Dict[str, Dict[str, float]]:
+        """All-pairs shortest path lengths over the switch graph, in hops.
 
-        Hop counts by default, the sum of link ``weight`` attributes when
-        ``weighted`` is true.  Only switches are considered; a row holds the
-        switches its source reaches.
+        Only switches are considered; a row holds the switches its source
+        reaches.
         """
         index = self._index()
-        adjacency = _step_rows(index.out_rows, weighted)
+        adjacency = _hop_rows(index.out_ids)
         return {src: _named(index.switches, *_dijkstra(adjacency, source))
                 for source, src in enumerate(index.switches)}
 
@@ -568,11 +556,11 @@ class Topology:
             raise TopologyError(f"unknown switch {node!r}") from None
         return _named(index.switches, *_dijkstra(adjacency, source))
 
-    def _single_source_lengths(self, src: str, weighted: bool) -> Dict[str, float]:
-        """Shortest path length from ``src`` to every switch it reaches."""
-        return self._lengths_around(src, _step_rows(self._index().out_rows, weighted))
+    def _single_source_lengths(self, src: str) -> Dict[str, float]:
+        """Shortest path length in hops from ``src`` to every switch it reaches."""
+        return self._lengths_around(src, _hop_rows(self._index().out_ids))
 
-    def shortest_paths(self, src: str, dst: str, weighted: bool = False) -> List[List[str]]:
+    def shortest_paths(self, src: str, dst: str) -> List[List[str]]:
         """All shortest switch-level paths from ``src`` to ``dst``.
 
         Returns a list of node sequences (including endpoints), sorted for
@@ -581,10 +569,10 @@ class Topology:
         """
         if src == dst:
             return [[src]]
-        dist_from_src = self._single_source_lengths(src, weighted)
+        dist_from_src = self._single_source_lengths(src)
         if dst not in dist_from_src:
             return []
-        dist_to_dst = self._reverse_lengths(dst, weighted)
+        dist_to_dst = self._reverse_lengths(dst)
         total = dist_from_src[dst]
         paths: List[List[str]] = []
 
@@ -594,9 +582,8 @@ class Topology:
                 paths.append(list(prefix))
                 return
             for nbr in self.switch_neighbors(node):
-                step = self._links[(node, nbr)].weight if weighted else 1.0
                 if nbr in dist_to_dst and (
-                    abs(dist_from_src[node] + step + dist_to_dst[nbr] - total) < 1e-9
+                    abs(dist_from_src[node] + 1.0 + dist_to_dst[nbr] - total) < 1e-9
                 ):
                     prefix.append(nbr)
                     extend(prefix)
@@ -605,9 +592,9 @@ class Topology:
         extend([src])
         return sorted(paths)
 
-    def _reverse_lengths(self, dst: str, weighted: bool) -> Dict[str, float]:
-        """Shortest path length to ``dst`` from every switch that reaches it."""
-        forward = _step_rows(self._index().out_rows, weighted)
+    def _reverse_lengths(self, dst: str) -> Dict[str, float]:
+        """Shortest path length in hops to ``dst`` from every switch that reaches it."""
+        forward = _hop_rows(self._index().out_ids)
         towards: List[List[Tuple[int, float]]] = [[] for _ in forward]
         # Sources are visited in id order, so every reversed row is id-sorted.
         for source, row in enumerate(forward):
@@ -684,12 +671,11 @@ class Topology:
         """
         index = self._index()
         rows = index.out_rows
-        steps = {latency for row in rows for _, latency, _ in row}
+        steps = {latency for row in rows for _, latency in row}
         worst = 0.0
         if len(steps) > 1:
-            latencies = [[(nbr, latency) for nbr, latency, _ in row] for row in rows]
-            for source in range(len(latencies)):
-                dist, reached = _dijkstra(latencies, source)
+            for source in range(len(rows)):
+                dist, reached = _dijkstra(rows, source)
                 worst = max(worst, max(map(dist.__getitem__, reached)))
         elif steps:
             step = steps.pop()

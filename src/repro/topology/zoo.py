@@ -15,7 +15,7 @@ topologies so experiments can run without any external data:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from repro.exceptions import TopologyError
 from repro.topology.abilene import abilene

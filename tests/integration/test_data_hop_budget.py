@@ -90,7 +90,10 @@ class TestCallsPerTransmission:
         stats = network.stats
         assert stats.completed_count == FLOWS and stats.probe_bytes > 0
         assert stats.total_packets == 69_872
-        # 10.08 here; 11.32 with the epoch guard per delivery and a
+        # 8.76 here; 7.82 with Contra's own copy of the flowlet pin step (no
+        # _flowlet_key or _usable_next_hop frame, the next-hop test inlined
+        # in _entry_valid), 10.08 when the bound was set; 11.32 with the
+        # epoch guard per delivery and a
         # SimLink.enqueue frame per probe target; 22.24 with all of the
         # above plus is_switch, packet_flow_hash, packet_tag_bits,
         # FlowletTable.lookup/touch, _usable_next_hop -> link_failed,

@@ -274,8 +274,8 @@ class TestSharedTables:
     def test_the_stamped_flow_hash_is_read_in_place(self, make_system, monkeypatch):
         """Hosts stamp ``packet.flow_hash``; a baseline that recomputed it
         per hop would pay a ``packet_flow_hash`` frame per packet."""
-        import repro.baselines.ecmp as ecmp, repro.baselines.hula as hula, \
-            repro.baselines.spain as spain
+        import repro.baselines.ecmp as ecmp, repro.baselines.spain as spain, \
+            repro.simulator.switchnode as switchnode     # Hula's pin step
         from repro.simulator.packet import Packet, PacketKind
 
         def refuse(packet):
@@ -283,7 +283,7 @@ class TestSharedTables:
 
         topo = leafspine(2, 2, hosts_per_leaf=1, capacity=10.0)
         network = Network(topo, make_system())
-        for module in (ecmp, hula, spain):
+        for module in (ecmp, spain, switchnode):
             monkeypatch.setattr(module, "packet_flow_hash", refuse)
         chosen = set()
         for stamp in range(8):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import policies
 from repro.core.compiler import compile_policy
+from repro.core.device_config import FLOWLET_SLOTS, LOOP_TABLE_SLOTS
 from repro.core.p4gen import generate_all_p4
 from repro.experiments.scalability import scalability_policies
 from repro.topology import abilene, fattree, fattree_for_switch_count, random_network
@@ -39,8 +40,8 @@ def compile_digest(compiled) -> str:
             config.carried_attrs,
             config.num_probe_ids,
             config.network_size,
-            config.flowlet_slots,
-            config.loop_table_slots,
+            FLOWLET_SLOTS,
+            LOOP_TABLE_SLOTS,
         )))
     graph = compiled.product_graph
     parts.append(repr([(str(node), tag) for node, tag in graph.tags.items()]))

@@ -1,12 +1,11 @@
 """Unit tests for the compiler, device configurations and P4 generation."""
 
-import math
-
 import pytest
 
 from repro.core import policies
-from repro.core.builder import if_, inf, matches, minimize, path, rank_tuple, sub
+from repro.core.builder import if_, inf, matches, minimize, path, sub
 from repro.core.compiler import PROBE_PERIOD_RTT_MULTIPLIER, CompileOptions, compile_policy
+from repro.core.device_config import FLOWLET_SLOTS, LOOP_TABLE_SLOTS
 from repro.core.p4gen import generate_all_p4, generate_p4
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import CompilationError, PolicyAnalysisError
@@ -98,8 +97,7 @@ class TestCompiledParameters:
     def test_defaults_are_unchanged(self, diamond):
         compiled = compile_policy(policies.MU(), diamond)
         assert compiled.probe_period == 0.5 * diamond.max_rtt()
-        for config in compiled.device_configs.values():
-            assert config.flowlet_slots == 256 and config.loop_table_slots == 256
+        assert (FLOWLET_SLOTS, LOOP_TABLE_SLOTS) == (256, 256)
 
     @pytest.mark.parametrize("name", sorted(PARAMETER_TOPOLOGIES))
     def test_probe_period_is_half_the_worst_rtt(self, name):
@@ -110,12 +108,19 @@ class TestCompiledParameters:
         assert compiled.probe_period == 0.5 * topo.max_rtt() > 0
 
     @pytest.mark.parametrize("name", sorted(PARAMETER_TOPOLOGIES))
-    def test_every_device_gets_the_default_table_sizes(self, name):
+    def test_every_device_sizes_its_tables_at_the_constants(self, name):
         topo = PARAMETER_TOPOLOGIES[name]()
         compiled = compile_policy(policies.MU(), topo)
         assert set(compiled.device_configs) == set(topo.switches)
-        assert {(config.flowlet_slots, config.loop_table_slots)
-                for config in compiled.device_configs.values()} == {(256, 256)}
+        programs = generate_all_p4(compiled)
+        for switch, config in compiled.device_configs.items():
+            flowlet_rows = 256 * max(1, config.num_tags) * config.num_probe_ids
+            estimate = config.state_estimate()
+            assert estimate.flowlet_bytes == 7 * flowlet_rows
+            assert estimate.loop_table_bytes == 6 * 256
+            source = programs[switch].source
+            assert f"register<bit<9>>({flowlet_rows})  flowlet_nhop;" in source
+            assert "register<bit<8>>(256) loop_max_ttl;" in source
 
     def test_a_topology_without_latency_probes_every_quarter_ms(self):
         topo = Topology("instant")

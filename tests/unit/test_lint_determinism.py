@@ -19,6 +19,12 @@ def run_lint(tmp_path, source, name="sample.py"):
     return lint_determinism.lint([target])
 
 
+def of_rule(violations, rule):
+    """The findings of one rule: a sample written for one rule may import
+    names it never reads, which is the unused-import rule's concern."""
+    return [v for v in violations if v.rule == rule]
+
+
 class TestRules:
     def test_hash_builtin_flagged(self, tmp_path):
         violations, _ = run_lint(tmp_path, """\
@@ -253,6 +259,7 @@ class TestEnginePrivate:
     def test_flagged_in_the_package(self, tmp_path, monkeypatch):
         violations, _ = self.lint_at(tmp_path, monkeypatch,
                                      "src/repro/experiments/race.py")
+        violations = of_rule(violations, "engine-private")
         # The heap itself, the clock, the lane switch and the public
         # properties are not the member layout.
         assert [v.rule for v in violations] == ["engine-private"] * 7
@@ -281,7 +288,8 @@ class TestEnginePrivate:
             import repro.simulator.engine as engine
             from repro.simulator.engine import {name}
             """, name="hula.py")
-        assert [(v.rule, v.line) for v in violations] == [("engine-private", 2)]
+        assert [(v.rule, v.line) for v in of_rule(violations, "engine-private")] \
+            == [("engine-private", 2)]
 
     def test_lookalike_names_are_not_flagged(self, tmp_path, monkeypatch):
         monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
@@ -300,7 +308,7 @@ class TestEnginePrivate:
     def test_allowed_in_the_engine_its_sanitizer_and_outside_the_package(
             self, tmp_path, monkeypatch, rel):
         violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
-        assert violations == []
+        assert of_rule(violations, "engine-private") == []
 
 
 class TestAllowlist:
@@ -434,6 +442,7 @@ class TestEagerImport:
     def test_flagged_in_the_package(self, tmp_path, monkeypatch):
         violations, _ = self.lint_at(tmp_path, monkeypatch,
                                      "src/repro/workloads/generator.py")
+        violations = of_rule(violations, "eager-import")
         # A bare `import concurrent`, a look-alike name, a relative import
         # and the pool's imports inside fan_out load nothing heavy.
         assert [v.rule for v in violations] == ["eager-import"] * 9
@@ -462,11 +471,12 @@ class TestEagerImport:
                 import multiprocessing
                 return ProcessPoolExecutor, multiprocessing
             """, name="runner.py")
-        assert violations == []
+        assert of_rule(violations, "eager-import") == []
 
     def test_message_names_the_module(self, tmp_path, monkeypatch):
         violations, _ = self.lint_at(tmp_path, monkeypatch,
                                      "src/repro/experiments/runner.py")
+        violations = of_rule(violations, "eager-import")
         assert "numpy" in violations[0].message
         assert "concurrent.futures" in violations[2].message
         assert "multiprocessing" in violations[5].message
@@ -476,3 +486,55 @@ class TestEagerImport:
     def test_allowed_outside_the_package(self, tmp_path, monkeypatch, rel):
         violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
         assert violations == []
+
+
+class TestUnusedImport:
+    """A module-level import under src/repro/ whose name the module never reads."""
+
+    SOURCE = """\
+        from __future__ import annotations
+        import math
+        import os.path
+        from typing import TYPE_CHECKING, Dict, Iterable, List
+        from repro.simulator.packet import Packet as P, stable_flow_hash
+        from repro.core.rank import *
+        if TYPE_CHECKING:
+            from repro.simulator.link import SimLink
+            from repro.simulator.engine import Simulator
+        try:
+            import json
+        except ImportError:
+            json = None
+        __all__ = ["stable_flow_hash"]
+
+        def sizes(links: "List[SimLink]") -> Dict[str, int]:
+            import itertools
+            return {os.path.basename(str(link)): len(link) for link in links}
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_in_the_package(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, "src/repro/core/sample.py")
+        # Read as a name, in a quoted annotation, through __all__ or by a
+        # rebinding, an import is used; a star import binds nothing it can
+        # name, and an import inside a function is that function's own.
+        assert [(v.rule, v.line, v.message.split()[0]) for v in violations] == [
+            ("unused-import", 2, "math"),
+            ("unused-import", 4, "Iterable"),
+            ("unused-import", 5, "P"),
+            ("unused-import", 9, "Simulator"),
+        ]
+
+    @pytest.mark.parametrize("rel", ["src/repro/core/__init__.py",
+                                     "tests/unit/test_sample.py",
+                                     "tools/sample.py"])
+    def test_allowed_in_package_inits_and_outside_the_package(
+            self, tmp_path, monkeypatch, rel):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
+        assert violations == []
+

@@ -19,12 +19,14 @@ from repro.protocol.tables import LoopDetectionTable
 from repro.simulator.accumulators import HyperLogLog
 from repro.simulator.network import ProbeDrivenSystem
 from repro.simulator.stats import StatsCollector
+from repro.simulator.switchnode import FlowletTable
 from repro.workloads import Generator, generate_workload
 
 CENSUS = {
     ContraSystem: ("compiled", "probe_period", "flowlet_timeout", "failure_periods",
                    "use_versioning"),
-    LoopDetectionTable: ("slots",),
+    LoopDetectionTable: (),
+    FlowletTable: ("timeout", "slots"),
     StatsCollector: ("record_paths", "fct_percentiles", "flow_sketch"),
     HyperLogLog: (),
     SpainSystem: (),
@@ -55,3 +57,5 @@ def test_compile_options_are_the_census():
 def test_removed_members_stay_removed():
     assert not hasattr(ProbeDrivenSystem, "probe_all_switches")
     assert not hasattr(HyperLogLog, "merge")
+    for member in ("lookup", "touch", "expire", "sweep_high_water"):
+        assert not hasattr(FlowletTable, member)

@@ -5,9 +5,10 @@ import pytest
 from repro.baselines import HulaSystem
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
+from repro.core.device_config import LOOP_TABLE_SLOTS
 from repro.core.policies import MU
 from repro.exceptions import CompilationError, SimulationError
-from repro.core.builder import if_, inf, matches, minimize, path
+from repro.core.builder import if_, inf, matches, minimize, path, rank_tuple
 from repro.protocol import ContraSystem
 from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
@@ -20,7 +21,7 @@ from repro.protocol.tables import (
     LoopDetectionTable,
     StatePool,
 )
-from repro.simulator import Network, PacketKind
+from repro.simulator import Flow, Network, Packet, PacketKind
 from repro.topology import leafspine
 from repro.topology.graph import Topology
 
@@ -75,40 +76,86 @@ class TestBestChoiceTable:
 
 
 class TestFlowletTable:
-    def test_install_lookup_expire_by_timeout(self):
-        table = FlowletTable(timeout=1.0)
-        table.install("leaf1", 0, 0, 3, "spine0", 0, now=0.0)
-        assert table.lookup("leaf1", 0, 0, 3, now=0.5).next_hop == "spine0"
-        assert table.lookup("leaf1", 0, 0, 3, now=2.0) is None
-
-    def test_touch_extends_lifetime(self):
-        table = FlowletTable(timeout=1.0)
-        entry = table.install("leaf1", 0, 0, 3, "spine0", 0, now=0.0)
-        table.touch(entry, now=0.9)
-        assert table.lookup("leaf1", 0, 0, 3, now=1.5) is not None
-
     def test_key_includes_tag_and_pid(self):
         """Policy-aware flowlet switching: different tags pin independently (§5.3)."""
-        table = FlowletTable(timeout=1.0)
-        table.install("leaf1", 0, 0, 3, "spine0", 0, now=0.0)
-        assert table.lookup("leaf1", 1, 0, 3, now=0.1) is None
-        assert table.lookup("leaf1", 0, 1, 3, now=0.1) is None
+        table = FlowletTable(timeout=1.0, slots=1024)
+        for tag, pid in ((0, 0), (1, 0), (0, 1)):
+            table.install("leaf1", tag, pid, 3, "spine0", tag, now=0.0)
+        assert len(table) == 3
 
     def test_expire_via_failed_next_hop(self):
-        table = FlowletTable(timeout=10.0)
+        table = FlowletTable(timeout=10.0, slots=1024)
         table.install("leaf1", 0, 0, 1, "spine0", 0, now=0.0)
         table.install("leaf2", 0, 0, 2, "spine1", 0, now=0.0)
         assert table.expire_via("spine0") == 1
-        assert table.lookup("leaf1", 0, 0, 1, now=0.1) is None
-        assert table.lookup("leaf2", 0, 0, 2, now=0.1) is not None
+        assert list(table._entries) == [("leaf2", 0, 0, 2)]
 
     def test_expire_flowlet_everywhere(self):
-        table = FlowletTable(timeout=10.0)
+        table = FlowletTable(timeout=10.0, slots=1024)
         table.install("leaf1", 0, 0, 5, "spine0", 0, now=0.0)
         table.install("leaf1", 1, 0, 5, "spine1", 1, now=0.0)
         table.install("leaf1", 0, 0, 6, "spine0", 0, now=0.0)
         assert table.expire_flowlet_everywhere(5) == 2
         assert len(table) == 1
+
+
+class TestPinStep:
+    """The flowlet pin step Contra and Hula share (``ProbeDrivenRouting``).
+
+    ``leaf0`` holds one pin towards ``spine0`` for a transit packet to
+    ``leaf1``, installed at t = 0 under a 1 ms flowlet timeout.  Contra keys
+    it by the packet's tag and re-tags followed packets; Hula keys it with
+    tag and probe id 0 and leaves the tag alone.
+    """
+
+    FID = 5
+
+    @pytest.fixture(params=["contra", "hula"])
+    def pinned(self, request):
+        topo = leafspine(2, 2, hosts_per_leaf=1, capacity=50.0)
+        if request.param == "contra":
+            system = ContraSystem(compile_policy(MU(), topo), flowlet_timeout=1.0)
+            key, next_tag = ("leaf1", 1, 0, self.FID), 2
+        else:
+            system = HulaSystem(flowlet_timeout=1.0)
+            key, next_tag = ("leaf1", 0, 0, self.FID), 0
+        network = Network(topo, system)
+        routing = system.logic("leaf0")
+        pin = routing.flowlets.install(*key, "spine0", next_tag, now=0.0)
+        return request.param, network, routing, key, pin
+
+    def forward(self, network, routing, now):
+        network.sim.run(until=now)
+        packet = Packet(PacketKind.DATA, "h0", "h1", dst_switch="leaf1", tag=1,
+                        flow_hash=self.FID)
+        return packet, routing.on_data_packet(packet, "spine1")
+
+    def test_a_live_pin_is_refreshed_and_followed(self, pinned):
+        system, network, routing, key, pin = pinned
+        packet, next_hop = self.forward(network, routing, 0.5)
+        assert next_hop == "spine0"
+        assert routing.flowlets._entries[key] is pin and pin.last_seen == 0.5
+        assert packet.tag == (2 if system == "contra" else 1)
+        assert network.stats.flowlet_expirations == 0
+
+    def test_a_timed_out_pin_is_dropped_silently(self, pinned):
+        _, network, routing, key, pin = pinned
+        self.forward(network, routing, 1.5)
+        assert routing.flowlets._entries.get(key) is not pin
+        assert network.stats.flowlet_expirations == 0
+
+    @pytest.mark.parametrize("cause", ["believed-failed", "link-down"])
+    def test_a_pin_to_an_unusable_next_hop_is_dropped_and_counted_once(
+            self, pinned, cause):
+        _, network, routing, key, pin = pinned
+        if cause == "believed-failed":
+            routing._believed_failed["spine0"] = True
+        else:
+            network.link("leaf0", "spine0").fail()
+        _, next_hop = self.forward(network, routing, 0.5)
+        assert next_hop != "spine0"
+        assert routing.flowlets._entries.get(key) is not pin
+        assert network.stats.flowlet_expirations == 1
 
 
 class TestLoopDetectionTable:
@@ -163,15 +210,43 @@ class TestLoopDetectionTable:
         assert table.observe(("f",), 55, now=80.0)
 
     def test_flows_in_one_slot_share_a_record(self):
-        table = LoopDetectionTable(slots=1024)
+        table = LoopDetectionTable()
         table.observe_hash(1, 60, now=0.1)
-        assert table.observe_hash(1 + 1024, 50, now=0.1)
+        assert table.observe_hash(1 + LOOP_TABLE_SLOTS, 50, now=0.1)
 
     def test_flows_in_different_slots_are_tracked_apart(self):
-        table = LoopDetectionTable(slots=1024)
+        table = LoopDetectionTable()
         table.observe_hash(1, 60, now=0.1)
         assert not table.observe_hash(2, 50, now=0.1)
         assert not table.observe_hash(1, 60, now=0.1)
+
+
+class TestGenericMetricExtension:
+    def test_a_shape_outside_the_unrolled_four_keeps_its_rows(self):
+        """``(lat, util)`` is carried by no figure policy, so its probes extend
+        through ``MetricVector.extend(link.metric_values())``; the rows are
+        those the per-attribute extender installed."""
+        topo = leafspine(2, 2, hosts_per_leaf=2, capacity=10.0)
+        compiled = compile_policy(minimize(rank_tuple(path.lat, path.util)), topo)
+        assert {sub.carried_attrs for sub in compiled.decomposition.subpolicies} \
+            == {("lat", "util")}
+        system = ContraSystem(compiled, probe_period=0.2)
+        network = Network(topo, system)
+        hosts = topo.hosts
+        network.schedule_flows([Flow(hosts[i % 4], hosts[(i + 2) % 4], 20, 0.1 * i,
+                                     flow_id=i) for i in range(8)])
+        network.run(3.0)
+        rows = sorted((switch, key) + row
+                      for switch in network.switches
+                      for key, row in system.logic(switch).forwarding_snapshot().items())
+        assert rows == [
+            ("leaf0", ("leaf1", 0, 0), "spine0", 15, (0.1, 0.8125)),
+            ("leaf1", ("leaf0", 0, 0), "spine0", 15, (0.1, 2.125)),
+            ("spine0", ("leaf0", 0, 0), "leaf0", 15, (0.05, 2.125)),
+            ("spine0", ("leaf1", 0, 0), "leaf1", 15, (0.05, 0.8125)),
+            ("spine1", ("leaf0", 0, 0), "leaf0", 15, (0.05, 0.6875)),
+            ("spine1", ("leaf1", 0, 0), "leaf1", 15, (0.05, 0.75)),
+        ]
 
 
 def build_contra_network(policy=None, probe_period=0.25, **system_kwargs):

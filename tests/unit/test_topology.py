@@ -35,20 +35,15 @@ class TestLink:
         with pytest.raises(TopologyError):
             Link("A", "B", latency=-1)
 
-    @pytest.mark.parametrize("field", ("capacity", "latency", "weight"))
+    @pytest.mark.parametrize("field", ("capacity", "latency"))
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
     def test_non_finite_parameters_rejected(self, field, value):
         """``nan < 0`` is false: a comparison against zero alone lets NaN through."""
         with pytest.raises(TopologyError, match=field):
             Link("A", "B", **{field: value})
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(TopologyError, match="weight"):
-            Link("A", "B", weight=-0.5)
-
-    def test_zero_latency_and_weight_accepted(self):
-        link = Link("A", "B", latency=0.0, weight=0.0)
-        assert link.latency == 0.0 and link.weight == 0.0
+    def test_zero_latency_accepted(self):
+        assert Link("A", "B", latency=0.0).latency == 0.0
 
     def test_add_link_refuses_a_non_finite_latency_and_writes_nothing(self):
         topo = Topology("t")
@@ -356,7 +351,7 @@ def reference_switches(topo):
     return sorted(n for n, kind in topo._nodes.items() if kind in NodeKind.SWITCH_ROLES)
 
 
-def reference_single_source_lengths(topo, src, weighted):
+def reference_single_source_lengths(topo, src):
     import heapq
 
     dist = {src: 0.0}
@@ -366,22 +361,21 @@ def reference_single_source_lengths(topo, src, weighted):
         if d > dist.get(node, float("inf")):
             continue
         for nbr in reference_switch_neighbors(topo, node):
-            step = topo._links[(node, nbr)].weight if weighted else 1.0
-            nd = d + step
+            nd = d + 1.0
             if nd < dist.get(nbr, float("inf")):
                 dist[nbr] = nd
                 heapq.heappush(heap, (nd, nbr))
     return dist
 
 
-def reference_shortest_path_lengths(topo, weighted=False):
+def reference_shortest_path_lengths(topo):
     lengths = {}
     for src in reference_switches(topo):
-        lengths[src] = reference_single_source_lengths(topo, src, weighted)
+        lengths[src] = reference_single_source_lengths(topo, src)
     return lengths
 
 
-def reference_reverse_lengths(topo, dst, weighted):
+def reference_reverse_lengths(topo, dst):
     import heapq
 
     dist = {dst: 0.0}
@@ -393,8 +387,7 @@ def reference_reverse_lengths(topo, dst, weighted):
         for src_node in reference_switches(topo):
             if (src_node, node) not in topo._links:
                 continue
-            step = topo._links[(src_node, node)].weight if weighted else 1.0
-            nd = d + step
+            nd = d + 1.0
             if nd < dist.get(src_node, float("inf")):
                 dist[src_node] = nd
                 heapq.heappush(heap, (nd, src_node))
@@ -518,27 +511,26 @@ def assert_matches_reference(topo):
         s: reference_switch_neighbors(topo, s) for s in reference_switches(topo)}
     assert_latency_passes_match(topo)
     assert topo.is_connected() == reference_is_connected(topo)
-    for weighted in (False, True):
-        lengths = topo.shortest_path_lengths(weighted)
-        reference = reference_shortest_path_lengths(topo, weighted)
-        assert in_order(lengths) == in_order(reference)
-        for src in reference:
-            assert in_order(lengths[src]) == in_order(reference[src])
-        for dst in reference_switches(topo):
-            assert in_order(topo._reverse_lengths(dst, weighted)) == \
-                in_order(reference_reverse_lengths(topo, dst, weighted))
+    lengths = topo.shortest_path_lengths()
+    reference = reference_shortest_path_lengths(topo)
+    assert in_order(lengths) == in_order(reference)
+    for src in reference:
+        assert in_order(lengths[src]) == in_order(reference[src])
+    for dst in reference_switches(topo):
+        assert in_order(topo._reverse_lengths(dst)) == \
+            in_order(reference_reverse_lengths(topo, dst))
 
 
 def _one_way_detour():
-    """A ring with a directed-only chord and uneven latencies and weights."""
+    """A ring with a directed-only chord and uneven latencies."""
     topo = Topology("one-way")
     for s in "ABCDE":
         topo.add_switch(s)
-    for (a, b), (latency, weight) in zip(
+    for (a, b), latency in zip(
             (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")),
-            ((0.1, 3.0), (0.2, 1.0), (0.3, 0.5), (0.7, 2.0), (0.15, 1.5))):
-        topo.add_link(a, b, latency=latency, weight=weight)
-    topo.add_link("A", "C", latency=0.05, weight=0.25, bidirectional=False)
+            (0.1, 0.2, 0.3, 0.7, 0.15)):
+        topo.add_link(a, b, latency=latency)
+    topo.add_link("A", "C", latency=0.05, bidirectional=False)
     topo.add_host("h", "D")
     topo.add_link("h", "D")
     return topo
@@ -612,9 +604,9 @@ class TestSwitchGraphIndexOracle:
     def test_lengths_from_a_non_switch_are_refused(self):
         topo = _one_way_detour()
         with pytest.raises(TopologyError):
-            topo._single_source_lengths("h", False)
+            topo._single_source_lengths("h")
         with pytest.raises(TopologyError):
-            topo._reverse_lengths("nowhere", False)
+            topo._reverse_lengths("nowhere")
 
     def test_refused_reverse_duplicate_writes_nothing(self):
         """``add_link`` checks both directions before it writes either."""
@@ -639,11 +631,11 @@ class TestSwitchGraphIndexOracle:
         topo = Topology("t")
         for s in "AB":
             topo.add_switch(s)
-        topo.add_link("A", "B", capacity=5, latency=0.1, weight=2.0)
+        topo.add_link("A", "B", capacity=5, latency=0.1)
         assert topo._links[("A", "B")] is topo._links[("B", "A")]
-        assert topo.link_params() == [(("A", "B"), (5, 0.1, 2.0)), (("B", "A"), (5, 0.1, 2.0))]
+        assert topo.link_params() == [(("A", "B"), (5, 0.1)), (("B", "A"), (5, 0.1))]
         link = topo.link("A", "B")
-        assert link == Link("A", "B", 5, 0.1, 2.0) and topo.link("A", "B") is link
+        assert link == Link("A", "B", 5, 0.1) and topo.link("A", "B") is link
         assert topo.link("B", "A") == link.reversed()
         assert topo.links == [link, topo.link("B", "A")]
         assert topo.undirected_links == [link]
@@ -800,7 +792,7 @@ class TestIndexInvalidation:
                 elif action == "add_host":
                     topo.add_host(a, b)
                 elif action == "add_link":
-                    topo.add_link(a, b, latency=latency, weight=latency * 4)
+                    topo.add_link(a, b, latency=latency)
                 elif action == "add_one_way":
                     topo.add_link(a, b, latency=latency, bidirectional=False)
                 else:
@@ -816,13 +808,12 @@ class TestIndexInvalidation:
 # switch-graph index, so the one invalidation every mutator performs drops it.
 
 def _weighted_random():
-    """A random graph whose links carry unequal weights and latencies."""
+    """A random graph whose links carry unequal latencies."""
     topo = random_regular(18, degree=3, seed=7)
     for position, link in enumerate(topo.undirected_links):
         if topo.is_switch(link.src) and topo.is_switch(link.dst):
             topo.remove_link(link.src, link.dst)
-            topo.add_link(link.src, link.dst, latency=0.05 + 0.01 * (position % 7),
-                          weight=1.0 + position % 5)
+            topo.add_link(link.src, link.dst, latency=0.05 + 0.01 * (position % 7))
     return topo
 
 
@@ -846,7 +837,7 @@ def _add_link(topo):
     switches = topo.switches
     a, b = next((a, b) for a in switches for b in switches
                 if a < b and not topo.has_link(a, b))
-    topo.add_link(a, b, latency=0.02, weight=3.0)
+    topo.add_link(a, b, latency=0.02)
 
 
 def _remove_link(topo):

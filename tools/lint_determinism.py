@@ -100,6 +100,14 @@ run it:
   first uses them (ARCHITECTURE.md §3, "Import contract"); an import of
   them under ``if TYPE_CHECKING:`` never runs and is not a finding.
 
+And one keeps imports honest:
+
+* ``unused-import`` — a module-level import under ``src/repro/`` (outside a
+  package's ``__init__.py``) whose bound name the module never reads: not
+  as a name, not inside a quoted annotation, and not through ``__all__``.
+  A dead import hides what a module really depends on, and a heavy one
+  costs every process that imports the module.
+
 Audited exceptions live in :data:`ALLOWLIST`, keyed by path relative to the
 repository root; each entry names the rules it may violate and must carry a
 justification comment.  Run from the repo root::
@@ -192,6 +200,10 @@ _EAGER_MODULES = ("concurrent.futures", "multiprocessing")
 _UNUSED_MODULE = "numpy"
 _EAGER_PREFIX = "src/repro/"
 
+#: Where imports must be read (unused-import); a package's ``__init__.py``
+#: imports to export.
+_UNUSED_IMPORT_PREFIX = "src/repro/"
+
 #: The only files allowed to read the process environment (env-read).
 _ENV_ALLOWED_FILES = frozenset({
     "src/repro/cli.py",
@@ -241,6 +253,42 @@ def _dotted(node: ast.AST) -> Tuple[str, ...]:
     return ()
 
 
+def _module_imports(body: List[ast.stmt]) -> Iterator[Tuple[ast.AST, str]]:
+    """Each module-level import statement with a name it binds, descending
+    into ``if`` and ``try`` blocks but not into functions or classes."""
+    for statement in body:
+        if isinstance(statement, ast.Import):
+            for alias in statement.names:
+                yield statement, alias.asname or alias.name.split(".")[0]
+        elif isinstance(statement, ast.ImportFrom):
+            if statement.module != "__future__":
+                for alias in statement.names:
+                    if alias.name != "*":
+                        yield statement, alias.asname or alias.name
+        elif isinstance(statement, ast.If):
+            yield from _module_imports(statement.body + statement.orelse)
+        elif isinstance(statement, ast.Try):
+            yield from _module_imports(
+                statement.body + statement.orelse + statement.finalbody
+                + [line for handler in statement.handlers for line in handler.body])
+
+
+def _read_names(tree: ast.Module) -> FrozenSet[str]:
+    """Every name the module reads: as a name, inside a string that parses
+    as an expression (a quoted annotation), or listed in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return frozenset(names)
+
+
 def _is_empty_container(node: ast.AST) -> bool:
     """``{}``, ``[]``, ``set()`` or ``dict()``."""
     if isinstance(node, ast.Dict):
@@ -266,6 +314,15 @@ class _Checker(ast.NodeVisitor):
         self.findings.append(Finding(self.path, node.lineno, rule, message))
 
     def visit_Module(self, node: ast.Module) -> None:
+        if self.rel.startswith(_UNUSED_IMPORT_PREFIX) \
+                and not self.rel.endswith("/__init__.py"):
+            read = _read_names(node)
+            for statement, name in _module_imports(node.body):
+                if name not in read:
+                    self._flag(statement, "unused-import",
+                               f"{name} is imported but never read; drop the "
+                               "import (or list the name in __all__ to "
+                               "re-export it)")
         if self.rel.startswith(_MODULE_STATE_PREFIXES):
             for statement in node.body:
                 value = statement.value \
