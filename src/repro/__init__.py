@@ -17,41 +17,59 @@ Quickstart::
     topo = leafspine(leaves=2, spines=2, hosts_per_leaf=2)
     compiled = compile_policy(policy, topo)
     system = ContraSystem(compiled)
+
+Every package of ``repro`` but :mod:`repro.topology` exports its names
+lazily (:func:`lazy_exports`): importing a package loads none of its
+modules, so a process loads only the planes it runs (ARCHITECTURE.md §3,
+"Import contract").
 """
 
-from repro.core import (
-    CompiledPolicy,
-    CompileOptions,
-    Policy,
-    Rank,
-    compile_policy,
-    minimize,
-    parse_policy,
-)
-from repro.exceptions import (
-    CompilationError,
-    ContraError,
-    PolicyError,
-    SimulationError,
-    TopologyError,
-    WorkloadError,
-)
+import sys
+from importlib import import_module
+from typing import Any, Callable, Dict
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Policy",
-    "Rank",
-    "CompiledPolicy",
-    "CompileOptions",
-    "compile_policy",
-    "parse_policy",
-    "minimize",
-    "ContraError",
-    "PolicyError",
-    "TopologyError",
-    "CompilationError",
-    "SimulationError",
-    "WorkloadError",
-]
+
+def lazy_exports(package: str, exports: Dict[str, str]) -> Callable[[str], Any]:
+    """The PEP 562 ``__getattr__`` of ``package``, whose names load on first use.
+
+    ``exports`` maps each public name to the module that defines it, relative
+    to ``package``.  The first access imports that module and keeps the value
+    in the package, so ``from repro.simulator import Network`` works and
+    ``import repro.simulator`` alone loads nothing.  Modules under
+    ``src/repro`` import names from their defining modules instead.
+    """
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        try:
+            source = exports[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(import_module(f"{package}.{source}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+_EXPORTS = {
+    "Policy": "core.ast",
+    "Rank": "core.rank",
+    "CompiledPolicy": "core.compiler",
+    "CompileOptions": "core.compiler",
+    "compile_policy": "core.compiler",
+    "parse_policy": "core.parser",
+    "minimize": "core.builder",
+    "ContraError": "exceptions",
+    "PolicyError": "exceptions",
+    "TopologyError": "exceptions",
+    "CompilationError": "exceptions",
+    "SimulationError": "exceptions",
+    "WorkloadError": "exceptions",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

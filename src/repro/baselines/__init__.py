@@ -1,15 +1,17 @@
 """Baseline routing systems the paper compares against."""
 
-from repro.baselines.ecmp import EcmpSystem, ShortestPathSystem
-from repro.baselines.hula import HulaRouting, HulaSystem
-from repro.baselines.spain import SpainRouting, SpainSystem, compute_spain_paths
+from repro import lazy_exports
 
-__all__ = [
-    "EcmpSystem",
-    "ShortestPathSystem",
-    "HulaSystem",
-    "HulaRouting",
-    "SpainSystem",
-    "SpainRouting",
-    "compute_spain_paths",
-]
+_EXPORTS = {
+    "EcmpSystem": "ecmp",
+    "ShortestPathSystem": "ecmp",
+    "HulaSystem": "hula",
+    "HulaRouting": "hula",
+    "SpainSystem": "spain",
+    "SpainRouting": "spain",
+    "compute_spain_paths": "spain",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -58,15 +58,11 @@ from repro.experiments.registry import (
 )
 from repro.experiments.results import ResultsStore, parse_shard
 from repro.experiments.runner import ScenarioSpec
-from repro.topology import (
-    abilene,
-    builtin_topologies,
-    builtin_topology,
-    fattree,
-    from_edge_list_file,
-    leafspine,
-    random_network,
-)
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.topology.random_graphs import random_network
+from repro.topology.zoo import builtin_topologies, builtin_topology, from_edge_list_file
 
 __all__ = ["main"]
 
@@ -118,7 +114,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     print(f"probe period  : {compiled.probe_period:.3f} ms")
     print(f"switch state  : max {compiled.max_state_kb():.1f} kB")
     if args.emit_p4:
-        from repro.core.p4gen import generate_all_p4
+        from repro.core.p4gen.codegen import generate_all_p4
         out_dir = Path(args.emit_p4)
         out_dir.mkdir(parents=True, exist_ok=True)
         programs = generate_all_p4(compiled)
@@ -138,7 +134,7 @@ def _resolve_policy(text: str):
 
 
 def _cmd_check_policy(args: argparse.Namespace) -> int:
-    from repro.core.analysis import verify_policy
+    from repro.core.analysis.verification import verify_policy
 
     if args.all:
         policies = sorted(ALL_POLICIES)

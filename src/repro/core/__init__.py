@@ -1,56 +1,43 @@
 """Contra's core contribution: the policy language, analyses and compiler."""
 
-from repro.core.analysis import (
-    Decomposition,
-    IsotonicityResult,
-    MonotonicityResult,
-    SubPolicy,
-    check_isotonicity,
-    check_monotonicity,
-    decompose,
-)
-from repro.core.ast import PathContext, Policy
-from repro.core.attributes import ATTRIBUTES, MetricVector, PathAttribute
-from repro.core.builder import if_, inf, matches, minimize, path, rank_tuple
-from repro.core.compiler import CompiledPolicy, CompileOptions, compile_policy
-from repro.core.device_config import DeviceConfig, StateEstimate, TagInfo
-from repro.core.parser import parse_expression, parse_policy
-from repro.core.product_graph import PGNode, ProductGraph, build_product_graph
-from repro.core.rank import INFINITY, Rank
-from repro.core.regex import PathRegex, parse_regex
+from repro import lazy_exports
 
-__all__ = [
-    "Policy",
-    "PathContext",
-    "Rank",
-    "INFINITY",
-    "MetricVector",
-    "PathAttribute",
-    "ATTRIBUTES",
-    "PathRegex",
-    "parse_regex",
-    "parse_policy",
-    "parse_expression",
-    "minimize",
-    "if_",
-    "matches",
-    "path",
-    "inf",
-    "rank_tuple",
-    "check_monotonicity",
-    "check_isotonicity",
-    "decompose",
-    "Decomposition",
-    "SubPolicy",
-    "MonotonicityResult",
-    "IsotonicityResult",
-    "ProductGraph",
-    "PGNode",
-    "build_product_graph",
-    "DeviceConfig",
-    "TagInfo",
-    "StateEstimate",
-    "CompiledPolicy",
-    "CompileOptions",
-    "compile_policy",
-]
+_EXPORTS = {
+    "Policy": "ast",
+    "PathContext": "ast",
+    "Rank": "rank",
+    "INFINITY": "rank",
+    "MetricVector": "attributes",
+    "PathAttribute": "attributes",
+    "ATTRIBUTES": "attributes",
+    "PathRegex": "regex",
+    "parse_regex": "regex",
+    "parse_policy": "parser",
+    "parse_expression": "parser",
+    "minimize": "builder",
+    "if_": "builder",
+    "matches": "builder",
+    "path": "builder",
+    "inf": "builder",
+    "rank_tuple": "builder",
+    "check_monotonicity": "analysis.monotonicity",
+    "check_isotonicity": "analysis.isotonicity",
+    "decompose": "analysis.decomposition",
+    "Decomposition": "analysis.decomposition",
+    "SubPolicy": "analysis.decomposition",
+    "MonotonicityResult": "analysis.monotonicity",
+    "IsotonicityResult": "analysis.isotonicity",
+    "ProductGraph": "product_graph",
+    "PGNode": "product_graph",
+    "build_product_graph": "product_graph",
+    "DeviceConfig": "device_config",
+    "TagInfo": "device_config",
+    "StateEstimate": "device_config",
+    "CompiledPolicy": "compiler",
+    "CompileOptions": "compiler",
+    "compile_policy": "compiler",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

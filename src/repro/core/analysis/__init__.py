@@ -5,59 +5,36 @@ verification plane: semantic counterexample search, product-graph
 reachability/dead-state pruning, and the lowered-table cross-checker.
 """
 
-from repro.core.analysis.crosscheck import (
-    CrosscheckReport,
-    crosscheck_lowered_tables,
-    verify_lowered_tables,
-)
-from repro.core.analysis.decomposition import Decomposition, SubPolicy, decompose
-from repro.core.analysis.isotonicity import IsotonicityResult, branch_is_isotonic, check_isotonicity
-from repro.core.analysis.monotonicity import (
-    MonotonicityResult,
-    check_monotonicity,
-    coerce_expression,
-    require_monotone,
-)
-from repro.core.analysis.reachability import (
-    ReachabilityReport,
-    analyze_reachability,
-    prune_dead_nodes,
-)
-from repro.core.analysis.semantic import (
-    IsotonicityWitness,
-    MonotonicityWitness,
-    SearchDomain,
-    SemanticIsotonicityResult,
-    SemanticMonotonicityResult,
-    check_semantic_isotonicity,
-    check_semantic_monotonicity,
-)
-from repro.core.analysis.verification import VerificationReport, verify_policy
+from repro import lazy_exports
 
-__all__ = [
-    "Decomposition",
-    "SubPolicy",
-    "decompose",
-    "IsotonicityResult",
-    "branch_is_isotonic",
-    "check_isotonicity",
-    "MonotonicityResult",
-    "check_monotonicity",
-    "coerce_expression",
-    "require_monotone",
-    "SearchDomain",
-    "MonotonicityWitness",
-    "IsotonicityWitness",
-    "SemanticMonotonicityResult",
-    "SemanticIsotonicityResult",
-    "check_semantic_monotonicity",
-    "check_semantic_isotonicity",
-    "ReachabilityReport",
-    "analyze_reachability",
-    "prune_dead_nodes",
-    "CrosscheckReport",
-    "crosscheck_lowered_tables",
-    "verify_lowered_tables",
-    "VerificationReport",
-    "verify_policy",
-]
+_EXPORTS = {
+    "Decomposition": "decomposition",
+    "SubPolicy": "decomposition",
+    "decompose": "decomposition",
+    "IsotonicityResult": "isotonicity",
+    "branch_is_isotonic": "isotonicity",
+    "check_isotonicity": "isotonicity",
+    "MonotonicityResult": "monotonicity",
+    "check_monotonicity": "monotonicity",
+    "coerce_expression": "monotonicity",
+    "require_monotone": "monotonicity",
+    "SearchDomain": "semantic",
+    "MonotonicityWitness": "semantic",
+    "IsotonicityWitness": "semantic",
+    "SemanticMonotonicityResult": "semantic",
+    "SemanticIsotonicityResult": "semantic",
+    "check_semantic_monotonicity": "semantic",
+    "check_semantic_isotonicity": "semantic",
+    "ReachabilityReport": "reachability",
+    "analyze_reachability": "reachability",
+    "prune_dead_nodes": "reachability",
+    "CrosscheckReport": "crosscheck",
+    "crosscheck_lowered_tables": "crosscheck",
+    "verify_lowered_tables": "crosscheck",
+    "VerificationReport": "verification",
+    "verify_policy": "verification",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,5 +1,13 @@
 """P4 code generation backend for compiled Contra policies."""
 
-from repro.core.p4gen.codegen import P4Program, generate_all_p4, generate_p4
+from repro import lazy_exports
 
-__all__ = ["P4Program", "generate_p4", "generate_all_p4"]
+_EXPORTS = {
+    "P4Program": "codegen",
+    "generate_p4": "codegen",
+    "generate_all_p4": "codegen",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -129,6 +129,17 @@ COUNT = integer(1)
 NATURAL = integer(0)
 FLAG = one_of((False, True), "flag")
 
+# The names and bounds a spec field is judged against, declared here so the
+# spec layer judges them without loading the plane that reads them; each
+# plane's module re-exports its own.
+
+#: Highest offered load a generator (and ``ScenarioSpec.load``) accepts.
+MAX_LOAD = 1.5
+#: The flow-size distributions ``repro.workloads.distribution_by_name`` knows.
+WORKLOAD_NAMES = ("web_search", "cache", "uniform")
+#: Routing systems with a fluid path-resolution analogue (all of them).
+FLUID_SYSTEM_NAMES = ("ecmp", "shortest-path", "spain", "hula", "contra")
+
 
 def within(domain: Domain, default: object = MISSING, plane: Optional[str] = None):
     """A dataclass field (defaulting to ``default``) whose values lie in ``domain``;

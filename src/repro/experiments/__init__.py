@@ -10,12 +10,12 @@ same by scenario name.
 The names below are imported from their modules on first access, so that
 importing one module of the package — :mod:`repro.experiments.scalability`,
 which needs nothing but the compiler and the topologies — does not import
-the others, the workload generator among them.
+the others, the workload generator among them.  The report formatters are a
+module of their own: ``from repro.experiments import report``.
 """
 
-from importlib import import_module
+from repro import lazy_exports
 
-#: Public name -> the module of this package that defines it.
 _EXPORTS = {
     "AblationPoint": "ablations",
     "run_tag_minimization_ablation": "ablations",
@@ -54,20 +54,8 @@ _EXPORTS = {
     "run_scalability_sweep": "scalability",
     "scalability_policies": "scalability",
     "waypoint_policy_for": "scalability",
-    "report": "report",
 }
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = import_module(f"{__name__}.{module_name}")
-    if name != module_name:
-        value = getattr(value, name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -36,7 +36,6 @@ from repro.experiments.runner import (
 )
 from repro.topology.abilene import abilene
 from repro.topology.fattree import fattree
-from repro.workloads import distribution_by_name
 
 __all__ = [
     "FidelityPoint",
@@ -211,6 +210,8 @@ def fluid_million_specs(
     topology = topology_spec.build()
     sender_count = (len(topology.hosts) + 1) // 2
     load = 0.4
+    # The workload generator is a runtime plane: loaded where it draws.
+    from repro.workloads.distributions import distribution_by_name
     distribution = distribution_by_name("web_search", config.websearch_scale)
     per_sender_rate = load * config.host_capacity / distribution.mean()
     duration = flow_target / (sender_count * per_sender_rate)

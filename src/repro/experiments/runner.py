@@ -34,33 +34,28 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import EcmpSystem, HulaSystem, ShortestPathSystem, SpainSystem
 from repro.core.ast import Policy
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import CompiledPolicy, compile_policy
-from repro.exceptions import (COUNT, FLAG, NATURAL, NON_NEGATIVE, POSITIVE, ExperimentError,
+from repro.exceptions import (COUNT, FLAG, FLUID_SYSTEM_NAMES, MAX_LOAD, NATURAL,
+                              NON_NEGATIVE, POSITIVE, WORKLOAD_NAMES, ExperimentError,
                               WorkloadError, check_fields, closed, each, one_of,
                               optional, within)
 from repro.experiments.config import (ExperimentConfig, procs_from_env,
                                       sanitize_from_env)
-from repro.protocol import ContraSystem
-from repro.simulator import Network, StatsCollector
 from repro.simulator.flow import TRANSPORT_DOMAIN, Flow
-from repro.simulator.fluid import (FLUID_SYSTEM_NAMES, FluidSimulation,
-                                   FluidStats, build_path_model)
 from repro.topology.abilene import abilene
 from repro.topology.fattree import fattree
 from repro.topology.graph import Topology
 from repro.topology.leafspine import leafspine
 from repro.topology.random_graphs import random_network
 from repro.topology.zoo import builtin_topology
-from repro.workloads import WORKLOAD_NAMES, distribution_by_name, generate_workload
-from repro.workloads.generator import (MAX_LOAD, incast_pairs, permutation_pairs,
-                                       resolve_endpoints,
-                                       split_senders_receivers,
-                                       stream_workload)
+
+if TYPE_CHECKING:
+    from repro.simulator.network import Network
 
 __all__ = [
     "datacenter_policy",
@@ -134,6 +129,26 @@ def default_failed_link(topology: Topology) -> Tuple[str, str]:
     raise ExperimentError("topology has no aggregation-core link to fail")
 
 
+#: The simulating planes a run uses: the simulator's network, stats and fluid
+#: plane, the protocol, the baselines and the workload generator.  Importing
+#: this module loads none of them, so a process that only compiles, hashes
+#: specs or reads a results store never does (ARCHITECTURE.md §3, "Import
+#: contract"); each function imports what it uses, and building a
+#: :class:`RunContext` loads them all, so a simulating process pays during its
+#: set-up, never inside a run.
+_PLANE_MODULES = (
+    "repro.baselines.ecmp",
+    "repro.baselines.hula",
+    "repro.baselines.spain",
+    "repro.protocol.contra_switch",
+    "repro.simulator.fluid",
+    "repro.simulator.network",
+    "repro.simulator.stats",
+    "repro.workloads.distributions",
+    "repro.workloads.generator",
+)
+
+
 def build_routing_system(
     name: str,
     topology: Topology,
@@ -145,18 +160,23 @@ def build_routing_system(
     """Instantiate one routing system by name under the shared configuration."""
     name = name.lower()
     if name == "ecmp":
+        from repro.baselines.ecmp import EcmpSystem
         return EcmpSystem()
     if name == "shortest-path":
+        from repro.baselines.ecmp import ShortestPathSystem
         return ShortestPathSystem()
     if name == "spain":
+        from repro.baselines.spain import SpainSystem
         return SpainSystem()
     if name == "hula":
+        from repro.baselines.hula import HulaSystem
         return HulaSystem(
             probe_period=config.probe_period,
             flowlet_timeout=config.flowlet_timeout,
             failure_periods=config.failure_periods,
         )
     if name == "contra":
+        from repro.protocol.contra_switch import ContraSystem
         if compiled is None:
             compiled = compile_policy(policy if policy is not None else datacenter_policy(),
                                       topology)
@@ -465,9 +485,12 @@ class RunContext:
     generated workloads are deterministic functions of the spec, so each
     worker builds them at most once however many grid points share them —
     Contra is no longer recompiled for every (system, load, seed) point.
+    Building one loads the simulating planes (:data:`_PLANE_MODULES`).
     """
 
     def __init__(self, sanitize: Optional[bool] = None) -> None:
+        for module in _PLANE_MODULES:
+            import_module(module)
         self._topologies: Dict[TopologySpec, Topology] = {}
         self._compiled: Dict[Tuple[str, TopologySpec], CompiledPolicy] = {}
         self._workloads: Dict[Tuple, object] = {}
@@ -509,6 +532,9 @@ class RunContext:
         return 1.0
 
     def _flows(self, spec: ScenarioSpec, topology: Topology) -> Sequence[Flow]:
+        from repro.workloads.distributions import distribution_by_name
+        from repro.workloads.generator import (generate_workload, incast_pairs,
+                                               permutation_pairs)
         config = spec.config
         scale = self._workload_scale(spec)
 
@@ -575,6 +601,7 @@ class RunContext:
                 f"(got {spec.traffic!r}) and an integer in [1, {len(topology.hosts) - 1}]")
         if spec.traffic in ("flows", "streams") and (
                 spec.senders is not None or spec.receivers is not None):
+            from repro.workloads.generator import resolve_endpoints
             try:
                 # Streams pair senders with receivers by position.
                 resolve_endpoints(topology, spec.senders, spec.receivers,
@@ -607,6 +634,8 @@ class RunContext:
 
     def _fluid_flows(self, spec: ScenarioSpec, topology: Topology):
         """The fluid run's flow source: eager list, or a lazy stream at scale."""
+        from repro.workloads.distributions import distribution_by_name
+        from repro.workloads.generator import split_senders_receivers, stream_workload
         config = spec.config
         if spec.traffic == "flows":
             scale = self._workload_scale(spec)
@@ -632,6 +661,7 @@ class RunContext:
 
     def _run_fluid(self, spec: ScenarioSpec, topology: Topology,
                    events: List[LinkEvent]) -> RunResult:
+        from repro.simulator.fluid import FluidSimulation, FluidStats, build_path_model
         config = spec.config
         model = build_path_model(spec.system, topology, policy=spec.policy)
         simulation = FluidSimulation(
@@ -702,6 +732,8 @@ class RunContext:
         system = build_routing_system(spec.system, topology, config, compiled=compiled,
                                       use_versioning=spec.use_versioning)
 
+        from repro.simulator.network import Network
+        from repro.simulator.stats import StatsCollector
         network = Network(
             topology, system,
             buffer_packets=config.buffer_packets,

@@ -1,27 +1,21 @@
 """Contra protocol runtime: the behaviour of the synthesized per-switch programs."""
 
-from repro.protocol.contra_switch import ContraRouting, ContraSystem
-from repro.protocol.probe import ContraProbe, probe_wire_size
-from repro.protocol.tables import (
-    BestChoiceTable,
-    FlowletEntry,
-    FlowletTable,
-    ForwardingEntry,
-    ForwardingTable,
-    FwdKey,
-    LoopDetectionTable,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ContraSystem",
-    "ContraRouting",
-    "ContraProbe",
-    "probe_wire_size",
-    "ForwardingTable",
-    "ForwardingEntry",
-    "FwdKey",
-    "BestChoiceTable",
-    "FlowletTable",
-    "FlowletEntry",
-    "LoopDetectionTable",
-]
+_EXPORTS = {
+    "ContraSystem": "contra_switch",
+    "ContraRouting": "contra_switch",
+    "ContraProbe": "probe",
+    "probe_wire_size": "probe",
+    "ForwardingTable": "tables",
+    "ForwardingEntry": "tables",
+    "FwdKey": "tables",
+    "BestChoiceTable": "tables",
+    "FlowletTable": "tables",
+    "FlowletEntry": "tables",
+    "LoopDetectionTable": "tables",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -13,6 +13,7 @@ each interpreting the switch's compiled :class:`~repro.core.device_config
 
 from __future__ import annotations
 
+from math import isinf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.analysis.decomposition import SubPolicy
@@ -396,13 +397,16 @@ class ContraRouting(ProbeDrivenRouting):
         """All valid equal-rank best FwdT keys, refreshing BestT if stale."""
         keys = self.bestt.get(destination)
         if keys:
+            fwdt_get = self._fwdt_get
             first_rank = None
             for key in keys:
-                entry = self.fwdt.lookup(key)
+                entry = fwdt_get(key)
                 if entry is None or not self._entry_valid(entry):
                     return self._rescan_best(destination)
-                rank = self._entry_rank(key, entry)
-                if not rank.is_finite:
+                rank = entry.rank
+                if rank is None:
+                    rank = self._entry_rank(key, entry)
+                if isinf(rank._values[0]):      # Rank.is_infinite, without its frames
                     return self._rescan_best(destination)
                 if first_rank is None:
                     first_rank = rank

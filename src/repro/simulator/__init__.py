@@ -1,43 +1,32 @@
 """Discrete-event network simulator substrate (the reproduction's ns-3 stand-in)."""
 
-from repro.simulator.accumulators import ReservoirSampler, StreamingHistogram
-from repro.simulator.engine import PeriodicEvent, Simulator
-from repro.simulator.flow import TRANSPORT_MODES, Flow, ReceiverState, SenderState
-from repro.simulator.host import Host
-from repro.simulator.link import SimLink
-from repro.simulator.network import Network, RoutingSystem
-from repro.simulator.packet import (
-    ACK_PACKET_BYTES,
-    BASE_PROBE_BYTES,
-    DATA_PACKET_BYTES,
-    Packet,
-    PacketKind,
-    Probe,
-)
-from repro.simulator.stats import FlowRecord, StatsCollector
-from repro.simulator.switchnode import RoutingLogic, SwitchNode
+from repro import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "PeriodicEvent",
-    "Flow",
-    "TRANSPORT_MODES",
-    "SenderState",
-    "ReceiverState",
-    "Host",
-    "SimLink",
-    "Network",
-    "RoutingSystem",
-    "Packet",
-    "PacketKind",
-    "Probe",
-    "DATA_PACKET_BYTES",
-    "ACK_PACKET_BYTES",
-    "BASE_PROBE_BYTES",
-    "StatsCollector",
-    "FlowRecord",
-    "StreamingHistogram",
-    "ReservoirSampler",
-    "RoutingLogic",
-    "SwitchNode",
-]
+_EXPORTS = {
+    "Simulator": "engine",
+    "PeriodicEvent": "engine",
+    "Flow": "flow",
+    "TRANSPORT_MODES": "flow",
+    "SenderState": "flow",
+    "ReceiverState": "flow",
+    "Host": "host",
+    "SimLink": "link",
+    "Network": "network",
+    "RoutingSystem": "network",
+    "Packet": "packet",
+    "PacketKind": "packet",
+    "Probe": "packet",
+    "DATA_PACKET_BYTES": "packet",
+    "ACK_PACKET_BYTES": "packet",
+    "BASE_PROBE_BYTES": "packet",
+    "StatsCollector": "stats",
+    "FlowRecord": "stats",
+    "StreamingHistogram": "accumulators",
+    "ReservoirSampler": "accumulators",
+    "RoutingLogic": "switchnode",
+    "SwitchNode": "switchnode",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

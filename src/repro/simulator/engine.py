@@ -53,7 +53,7 @@ from typing import Any, Callable, Container, Iterator, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
-__all__ = ["Simulator", "PeriodicEvent", "BATCH_LANE_DEFAULT"]
+__all__ = ["Simulator", "PeriodicEvent", "BATCH_LANE_DEFAULT", "SANITIZE_DEFAULT"]
 
 _INF = float("inf")
 
@@ -61,6 +61,15 @@ _INF = float("inf")
 #: lane registration then becomes its own heap entry, reproducing the
 #: pre-batching event schedule exactly) to prove batching changes nothing.
 BATCH_LANE_DEFAULT = True
+
+#: Process-wide default consulted by ``Simulator(sanitize=None)``.  Kept here,
+#: not in :mod:`repro.simulator.sanitizer`, so an unsanitized run never loads
+#: the sanitizer plane; and a plain module constant (no environment read at
+#: import time — the simulator package must stay free of ``os.environ``, see
+#: tools/lint_determinism.py): the experiment layer resolves
+#: ``CONTRA_SANITIZE`` in ``repro.experiments.config.sanitize_from_env`` and
+#: passes the result down.
+SANITIZE_DEFAULT = False
 
 #: Net GC-tracked allocations made while :meth:`Simulator.run` held the
 #: collector paused, and the count of full collections when that tally
@@ -138,8 +147,7 @@ class Simulator:
         self._firing_replicas: Optional[Iterator] = None
         self._unfired_replicas: Optional[Tuple] = None
         if sanitize is None:
-            from repro.simulator import sanitizer
-            sanitize = sanitizer.SANITIZE_DEFAULT
+            sanitize = SANITIZE_DEFAULT
         if sanitize:
             from repro.simulator.sanitizer import Sanitizer
             Sanitizer().instrument_engine(self)

@@ -55,7 +55,7 @@ import heapq
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exceptions import SimulationError
+from repro.exceptions import FLUID_SYSTEM_NAMES, SimulationError
 from repro.nputil import mean as _mean, percentile_linear as _percentile
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import DATA_PACKET_BYTES, stable_flow_hash
@@ -70,9 +70,6 @@ __all__ = [
     "FluidSimulation",
     "FLUID_SYSTEM_NAMES",
 ]
-
-#: Routing systems with a fluid path-resolution analogue (all of them).
-FLUID_SYSTEM_NAMES = ("ecmp", "shortest-path", "spain", "hula", "contra")
 
 
 # =============================================================================

@@ -62,18 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.switchnode import SwitchNode
 
 __all__ = [
-    "SANITIZE_DEFAULT",
     "Violation",
     "SanitizerError",
     "Sanitizer",
 ]
-
-#: Process-wide default consulted by ``Simulator(sanitize=None)``.  Kept a
-#: plain module constant (no environment read at import time — the simulator
-#: package must stay free of ``os.environ``, see tools/lint_determinism.py);
-#: the experiment layer resolves ``CONTRA_SANITIZE`` in
-#: ``repro.experiments.config.sanitize_from_env`` and passes the result down.
-SANITIZE_DEFAULT = False
 
 #: Conserved packet kinds.  Probes are excluded: multicast shares one packet
 #: object across links, so per-object conservation is not defined for them

@@ -235,7 +235,7 @@ class ProbeDrivenRouting(RoutingLogic):
         link may legitimately carry no probes at all, and silence on it must
         not be read as a failure.  A failed neighbour's flowlet pins expire.
         """
-        now = self.network.sim.now
+        now = self.network.sim._now
         window = self.system.probe_period * self.system.failure_periods
         for neighbor, last_seen in self._last_probe_from.items():
             silent = now - last_seen > window

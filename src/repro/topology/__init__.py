@@ -1,4 +1,11 @@
-"""Topology substrate: the graph model and generators used by the evaluation."""
+"""Topology substrate: the graph model and generators used by the evaluation.
+
+The one package that imports its modules eagerly: three of its exports
+(``fattree``, ``leafspine``, ``abilene``) share their module's name, which a
+lazy export map cannot keep bound to the export once the module is imported
+directly; and every process, a compile-only one included, loads these
+modules anyway.
+"""
 
 from repro.topology.abilene import ABILENE_LINKS, ABILENE_NODES, abilene
 from repro.topology.fattree import FATTREE_SWITCH_COUNTS, fattree, fattree_for_switch_count

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from repro.exceptions import WorkloadError
+from repro.exceptions import WORKLOAD_NAMES, WorkloadError
 
 __all__ = [
     "Generator",
@@ -453,9 +453,6 @@ def _scaled(cdf: EmpiricalCDF, scale: float) -> EmpiricalCDF:
         fixed.append((probability, size))
         last_size = size
     return EmpiricalCDF(f"{cdf.name}-x{scale:g}", tuple(fixed))
-
-
-WORKLOAD_NAMES = ("web_search", "cache", "uniform")
 
 
 def distribution_by_name(name: str, scale: float = 1.0) -> EmpiricalCDF:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import WorkloadError
+from repro.exceptions import MAX_LOAD, WorkloadError
 from repro.simulator.flow import Flow
 from repro.topology.graph import Topology
 from repro.workloads.distributions import EmpiricalCDF, Generator
@@ -35,9 +35,6 @@ __all__ = [
     "incast_pairs",
     "permutation_pairs",
 ]
-
-#: Highest offered load a generator (and ``ScenarioSpec.load``) accepts.
-MAX_LOAD = 1.5
 
 
 @dataclass

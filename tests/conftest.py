@@ -31,9 +31,9 @@ def sanitized_sim(request, monkeypatch):
             or request.node.get_closest_marker("no_sanitize"):
         yield
         return
-    from repro.simulator import sanitizer
+    from repro.simulator import engine
 
-    monkeypatch.setattr(sanitizer, "SANITIZE_DEFAULT", True)
+    monkeypatch.setattr(engine, "SANITIZE_DEFAULT", True)
     yield
 
 

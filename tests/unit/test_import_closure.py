@@ -5,14 +5,17 @@ imported.
 A process that only compiles never loads numpy, the process pool or the
 socket stack, and neither does one that simulates: the workloads draw from a
 pure-Python generator, so nothing under ``src/repro`` imports numpy at all.
-Each case runs in a fresh interpreter, because this one has long since
-imported everything.
+Nor does a process that only compiles, hashes specs or reads a store load
+the runtime planes: every package exports its names lazily, and the runner
+loads the planes when a ``RunContext`` is built.  Each case runs in a fresh
+interpreter, because this one has long since imported everything.
 """
 
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -24,14 +27,23 @@ SRC = Path(repro.__file__).resolve().parents[1]
 #: What a serial process never loads, whether it compiles or simulates.
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing", "socket", "uuid")
 
+#: The runtime planes: what only a process that simulates loads.
+PLANES = ("repro.simulator.network", "repro.simulator.stats", "repro.simulator.fluid",
+          "repro.protocol", "repro.baselines", "repro.workloads")
 
-def loaded_after(program: str):
-    """The :data:`HEAVY` modules in ``sys.modules`` once ``program`` ran."""
+#: Loaded only where a run is sanitized.
+SANITIZER = "repro.simulator.sanitizer"
+
+
+def loaded_after(program: str, watched=HEAVY):
+    """The ``watched`` modules in ``sys.modules`` once ``program`` ran."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [p for p in (str(SRC), env.get("PYTHONPATH", "")) if p])
+    # The parent's sanitized tier must not arm the child's runs.
+    env.pop("CONTRA_SANITIZE", None)
     probe = (f"{program}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {tuple(watched)!r} if m in sys.modules]))")
     completed = subprocess.run([sys.executable, "-c", probe], env=env,
                                capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr
@@ -39,20 +51,46 @@ def loaded_after(program: str):
 
 
 @pytest.mark.parametrize("module", [
+    "repro",
     "repro.cli",
     "repro.experiments.runner",
     "repro.experiments.scalability",
     "repro.experiments.coordinator",
+    "repro.experiments.results",
 ])
-def test_importing_an_entry_point_loads_nothing_heavy(module):
-    assert loaded_after(f"import {module}") == []
+def test_importing_an_entry_point_loads_nothing_heavy_and_no_plane(module):
+    assert loaded_after(f"import {module}", HEAVY + PLANES) == []
 
 
-def test_a_compile_loads_no_numpy():
+def test_a_compile_loads_no_numpy_and_no_plane():
     program = ("from repro.cli import main\n"
                "assert main(['compile', 'P1', '--topology', 'fattree', "
                "'--k', '4']) == 0")
-    assert "numpy" not in loaded_after(program)
+    assert loaded_after(program, ("numpy",) + PLANES) == []
+
+
+@pytest.mark.parametrize("package", sorted(
+    ".".join(path.relative_to(SRC).parent.parts)
+    for path in (SRC / "repro").rglob("__init__.py")))
+def test_every_lazy_export_resolves(package):
+    module = import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, (package, name)
+
+
+def test_a_run_context_binds_every_plane_and_not_the_sanitizer():
+    program = ("from repro.experiments.runner import RunContext\n"
+               "RunContext()")
+    assert loaded_after(program, PLANES + (SANITIZER,)) == list(PLANES)
+
+
+def test_a_package_export_loads_its_module_alone():
+    program = ("from repro.simulator import Flow\n"
+               "from repro.topology import fattree\n"
+               "import repro.topology.abilene\n"
+               "from repro.topology import abilene\n"
+               "assert callable(fattree) and callable(abilene)")
+    assert loaded_after(program, PLANES + ("repro.simulator.engine",)) == []
 
 
 def test_a_run_context_that_simulates_loads_nothing_heavy():
@@ -74,4 +112,4 @@ for spec in (base, replace(base, system="ecmp", flow_model="fluid"),
              replace(base, traffic="permutation")):
     assert context.run(spec).summary["flows"] > 0, spec
 """
-    assert loaded_after(program) == []
+    assert loaded_after(program, HEAVY + (SANITIZER,)) == []

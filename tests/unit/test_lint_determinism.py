@@ -488,6 +488,129 @@ class TestEagerImport:
         assert violations == []
 
 
+class TestEagerPlaneImport:
+    """A package ``__init__.py`` under src/repro imports nothing from repro at
+    module level but the lazy-export helper, and the experiment modules a
+    compile-only process imports load no runtime plane at module level."""
+
+    SOURCE = """\
+        from typing import TYPE_CHECKING
+        from repro import lazy_exports
+        from repro.simulator.network import Network
+        import repro.protocol.contra_switch
+        from repro.workloads import distribution_by_name
+        from repro.simulator.flow import TRANSPORT_DOMAIN
+        from repro.simulator import packet
+        from repro.core.compiler import compile_policy
+        from repro import lazy_exports, __version__
+
+        if TYPE_CHECKING:
+            from repro.baselines.ecmp import EcmpSystem
+
+        def bind():
+            from repro.baselines.hula import HulaSystem
+            return HulaSystem
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        violations, _ = run_lint(target.parent, self.SOURCE, name=target.name)
+        return of_rule(violations, "eager-import")
+
+    def test_a_package_init_imports_only_the_helper(self, tmp_path, monkeypatch):
+        violations = self.lint_at(tmp_path, monkeypatch, "src/repro/simulator/__init__.py")
+        assert [v.line for v in violations] == [3, 4, 5, 6, 7, 8, 9]
+        assert "repro.simulator.network in a package __init__" in violations[0].message
+        assert "lazy export map" in violations[0].message
+
+    @pytest.mark.parametrize("name", ["runner", "config", "results", "coordinator",
+                                      "scalability", "fct", "failure_recovery",
+                                      "fluid_scale"])
+    def test_a_plane_free_experiment_module_imports_no_plane(
+            self, tmp_path, monkeypatch, name):
+        violations = self.lint_at(tmp_path, monkeypatch, f"src/repro/experiments/{name}.py")
+        # The simulator's flow and packet modules are data, not a plane; a
+        # plane imported in a function or for type checking only never loads
+        # with the module.
+        assert [v.line for v in violations] == [3, 4, 5, 7]
+        assert "runtime plane repro.simulator.network" in violations[0].message
+
+    @pytest.mark.parametrize("rel", ["src/repro/experiments/registry.py",
+                                     "src/repro/experiments/race.py",
+                                     "src/repro/protocol/contra_switch.py",
+                                     "src/repro/topology/__init__.py",
+                                     "tests/unit/__init__.py"])
+    def test_allowed_elsewhere(self, tmp_path, monkeypatch, rel):
+        assert self.lint_at(tmp_path, monkeypatch, rel) == []
+
+
+class TestPackageImport:
+    """``from repro.<package> import name`` under src/repro/ of a name the
+    package re-exports, eagerly or through its lazy export map."""
+
+    PACKAGES = {
+        "src/repro/__init__.py": """\
+            def lazy_exports(package, exports):
+                return exports.get
+            __version__ = "0.1.0"
+            _EXPORTS = {"compile_policy": "core.compiler"}
+            """,
+        "src/repro/core/__init__.py": """\
+            from repro import lazy_exports
+            _EXPORTS = {"Rank": "rank", "verify_policy": "analysis.verification"}
+            """,
+        "src/repro/topology/__init__.py": """\
+            from repro.topology.fattree import fattree
+            from repro.topology.zoo import builtin_topology as builtin_topology
+            """,
+    }
+
+    SOURCE = """\
+        from typing import TYPE_CHECKING
+        from repro import lazy_exports, __version__
+        from repro import compile_policy
+        from repro.core import ast, rank
+        from repro.core import Rank
+        from repro.core.rank import Rank
+        from repro.topology import fattree, builtin_topology
+        from repro.topology.fattree import fattree
+        from repro.simulator import Network
+
+        if TYPE_CHECKING:
+            from repro.core import verify_policy
+
+        def build():
+            from repro.topology import fattree
+            return fattree
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        for init, source in self.PACKAGES.items():
+            (tmp_path / init).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / init).write_text(textwrap.dedent(source))
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        violations, _ = run_lint(target.parent, self.SOURCE, name=target.name)
+        return of_rule(violations, "package-import")
+
+    def test_a_re_exported_name_is_flagged_wherever_it_is_imported(
+            self, tmp_path, monkeypatch):
+        violations = self.lint_at(tmp_path, monkeypatch, "src/repro/cli.py")
+        # A name the package defines, a submodule it does not re-export, a
+        # defining module and a package with no __init__ here are fine.
+        assert [(v.line, v.message.split()[0]) for v in violations] == [
+            (3, "compile_policy"), (5, "Rank"), (7, "fattree"),
+            (7, "builtin_topology"), (12, "verify_policy"), (15, "fattree")]
+        assert "import it from repro.core.rank, which defines it" in violations[1].message
+        assert "from repro.topology.zoo, which defines it" in violations[3].message
+
+    def test_allowed_outside_the_package(self, tmp_path, monkeypatch):
+        assert self.lint_at(tmp_path, monkeypatch, "tests/unit/test_sample.py") == []
+
+
 class TestUnusedImport:
     """A module-level import under src/repro/ whose name the module never reads."""
 
@@ -536,5 +659,12 @@ class TestUnusedImport:
     def test_allowed_in_package_inits_and_outside_the_package(
             self, tmp_path, monkeypatch, rel):
         violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
-        assert violations == []
+        if rel.endswith("/__init__.py"):
+            # A package __init__ imports nothing from repro at module level
+            # (TestEagerPlaneImport); what it imports for type checking only
+            # never loads.
+            assert [(v.rule, v.line) for v in violations] == [
+                ("eager-import", 5), ("eager-import", 6)]
+        else:
+            assert violations == []
 
