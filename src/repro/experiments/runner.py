@@ -481,10 +481,16 @@ class RunResult:
 class RunContext:
     """Per-process execution context with memoized derived state.
 
-    Topologies, compiled policies (keyed by ``(policy, topology)``) and
-    generated workloads are deterministic functions of the spec, so each
-    worker builds them at most once however many grid points share them —
-    Contra is no longer recompiled for every (system, load, seed) point.
+    Topologies and compiled policies (keyed by ``(policy, topology)``) are
+    deterministic functions of the spec, so each worker builds them at most
+    once however many grid points share them — Contra is no longer
+    recompiled for every (system, load, seed) point.  Generated workloads
+    are deterministic too, but a worker holds only the latest one: adjacent
+    grid points that share a workload (the systems of one load and seed)
+    generate it once, and memory does not grow with the points a worker
+    runs.  Points that share a workload but run apart draw it again (a
+    store drain runs compile group by compile group, so ECMP/Hula and
+    Contra each draw it); a draw is well under 1 % of a point's CPU.
     Building one loads the simulating planes (:data:`_PLANE_MODULES`).
     """
 
@@ -561,6 +567,8 @@ class RunContext:
                spec.incast_fanin, config.warmup)
         cached = self._workloads.get(key)
         if cached is None:
+            # One workload at a time: drop the last one before drawing anew.
+            self._workloads.clear()
             distribution = distribution_by_name(spec.workload, scale)
             cached = generate_workload(
                 topology, distribution, load=load,

@@ -38,16 +38,13 @@ mode always uses the host constant, byte-identical to the historical sender.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.exceptions import one_of, require
 from repro.simulator.packet import stable_flow_hash
 
 __all__ = ["Flow", "SenderState", "ReceiverState", "TRANSPORT_MODES", "TRANSPORT_DOMAIN"]
-
-_flow_ids = itertools.count()
 
 #: Selectable sender behaviours (see the module docstring), and their domain.
 TRANSPORT_MODES = ("fixed", "slowstart", "paced")
@@ -72,15 +69,20 @@ _MIN_RTO = 1.0
 _MAX_RTO_BACKOFF = 64.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
-    """A single flow request produced by the workload generator."""
+    """A single flow request produced by the workload generator.
+
+    ``flow_id`` is required: it seeds the stable flow hash that drives
+    ECMP / flowlet placement, so it must be a deterministic function of the
+    workload, never of how many flows the process built before.
+    """
 
     src_host: str
     dst_host: str
     size_packets: int
     start_time: float
-    flow_id: int = field(default_factory=lambda: next(_flow_ids))
+    flow_id: int
 
     def __post_init__(self) -> None:
         if self.size_packets < 1:
@@ -95,6 +97,13 @@ class SenderState:
     timer checks.  In ``"fixed"`` mode ``cwnd`` is pinned to the configured
     window and never moves, which preserves the historical behaviour exactly.
     """
+
+    __slots__ = ("flow", "flow_hash", "window", "rto", "transport", "cwnd",
+                 "ssthresh", "max_cwnd", "cumulative_ack", "next_seq",
+                 "last_progress_time", "completed", "retransmissions",
+                 "fast_retransmits", "dup_acks", "pacing_armed", "srtt",
+                 "rttvar", "_rto_backoff", "_rtt_seq", "_rtt_sent",
+                 "_highest_sent")
 
     def __init__(self, flow: Flow, window: int, rto: float, transport: str = "fixed"):
         require("transport", transport, TRANSPORT_DOMAIN, ValueError)
@@ -298,6 +307,9 @@ class ReceiverState:
     the set holds only the out-of-order window — O(window) memory, not
     O(flow size).
     """
+
+    __slots__ = ("flow_id", "src_host", "ack_flow_hash", "size_packets",
+                 "received", "_cumulative", "completed")
 
     def __init__(self, flow_id: int, src_host: str, size_packets: Optional[int] = None):
         self.flow_id = flow_id

@@ -52,6 +52,7 @@ sanitizer.
 from __future__ import annotations
 
 import heapq
+from array import array
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -501,7 +502,8 @@ class FluidStats(StatsCollector):
     """StatsCollector specialisation for the fluid plane.
 
     A million-flow run must not hold a million :class:`FlowRecord` objects:
-    flows are counted and completion times kept as one flat list.  The
+    flows are counted and completion times kept as one flat ``array("d")``
+    (8 B a sample, not a 24 B boxed float and its 8 B list slot).  The
     ``summary()`` key set and order are identical to the packet collector's —
     packet-only quantities (drops, retransmissions, cwnd, ACK/probe bytes)
     are structurally zero because the fluid model has no segments to lose —
@@ -515,7 +517,7 @@ class FluidStats(StatsCollector):
         super().__init__(fct_percentiles=fct_percentiles,
                          flow_sketch=flow_sketch)
         self.flow_count = 0
-        self.fcts: List[float] = []
+        self.fcts = array("d")
         self.epochs = 0
 
     def note_flow(self) -> None:

@@ -6,6 +6,7 @@ serially, re-executed, or fanned across worker processes.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -68,6 +69,26 @@ class TestRunContextCaching:
         ecmp_spec, contra_spec = tiny_specs()
         topology = context.topology(ecmp_spec.topology)
         assert context._flows(ecmp_spec, topology) is context._flows(contra_spec, topology)
+
+    def test_context_holds_one_workload_at_a_time(self, monkeypatch):
+        """Adjacent specs that share a workload generate it once, a new
+        workload replaces the last, and neither changes a summary."""
+        import repro.workloads.generator as generator
+        generated = []
+        draw = generator.generate_workload
+
+        def counted(*args, **kwargs):
+            generated.append(kwargs["seed"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "generate_workload", counted)
+        specs = [replace(spec, seed=seed, flow_model="fluid")
+                 for seed in (1, 2, 3) for spec in tiny_specs()]
+        context = RunContext()
+        summaries = [context.run(spec).summary for spec in specs]
+        assert generated == [1, 2, 3]
+        assert len(context._workloads) == 1
+        assert summaries == [RunContext().run(spec).summary for spec in specs]
 
 
 class TestGridDeterminism:

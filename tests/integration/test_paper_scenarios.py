@@ -81,7 +81,7 @@ def run_with_oscillating_metrics(topology, policy, flows, duration=30.0,
 
 class TestFigure4LoopAvoidance:
     def make_flows(self):
-        return [Flow("hS", "hD", size_packets=60, start_time=1.0 + 0.5 * i)
+        return [Flow("hS", "hD", size_packets=60, start_time=1.0 + 0.5 * i, flow_id=i)
                 for i in range(10)]
 
     def test_versioned_probes_avoid_persistent_loops(self):
@@ -111,7 +111,7 @@ class TestFigure4ConstrainedRouting:
         """§3 challenge #2: the policy forbids ... B A ... subpaths."""
         topology = square_with_diagonal()
         policy = minimize(if_(matches(".* B A .*"), inf, path.util))
-        flows = [Flow("hS", "hD", size_packets=40, start_time=1.0 + 0.8 * i)
+        flows = [Flow("hS", "hD", size_packets=40, start_time=1.0 + 0.8 * i, flow_id=i)
                  for i in range(8)]
         network, stats = run_with_oscillating_metrics(
             topology, policy, flows,
@@ -124,7 +124,7 @@ class TestFigure4ConstrainedRouting:
     def test_waypoint_policy_always_visits_waypoint(self):
         topology = square_with_diagonal()
         policy = minimize(if_(matches(".* A .*"), path.util, inf))
-        flows = [Flow("hS", "hD", size_packets=30, start_time=1.0 + 1.0 * i)
+        flows = [Flow("hS", "hD", size_packets=30, start_time=1.0 + 1.0 * i, flow_id=i)
                  for i in range(6)]
         network, stats = run_with_oscillating_metrics(
             topology, policy, flows,
@@ -144,7 +144,7 @@ class TestFigure8PolicyAwareFlowlets:
         # ACK traffic (D back to S) is also routable.
         policy = minimize(if_(matches("S C E F D + S A E B D + D F E C S + D B E A S"),
                               path.util, inf))
-        flows = [Flow("hS", "hD", size_packets=50, start_time=1.0 + 0.6 * i)
+        flows = [Flow("hS", "hD", size_packets=50, start_time=1.0 + 0.6 * i, flow_id=i)
                  for i in range(10)]
         network, stats = run_with_oscillating_metrics(
             topology, policy, flows,
@@ -162,7 +162,7 @@ class TestFigure8PolicyAwareFlowlets:
         # ACK traffic (D back to S) is also routable.
         policy = minimize(if_(matches("S C E F D + S A E B D + D F E C S + D B E A S"),
                               path.util, inf))
-        flows = [Flow("hS", "hD", size_packets=30, start_time=1.0 + 0.5 * i)
+        flows = [Flow("hS", "hD", size_packets=30, start_time=1.0 + 0.5 * i, flow_id=i)
                  for i in range(14)]
         network, stats = run_with_oscillating_metrics(
             topology, policy, flows,

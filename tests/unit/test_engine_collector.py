@@ -143,7 +143,7 @@ def flows(topology, count=48):
     return [Flow(hosts[index % len(hosts)],
                  hosts[(index + 4 * (1 + index % 3)) % len(hosts)],
                  (1, 3, 9, 20)[index % 4],
-                 start_time=4 * PERIOD * index / count)
+                 start_time=4 * PERIOD * index / count, flow_id=index)
             for index in range(count)]
 
 

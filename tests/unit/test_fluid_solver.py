@@ -15,6 +15,7 @@ The solver's contract (its docstring, tested property by property):
 
 import math
 import random
+from array import array
 
 from hypothesis import given, settings, strategies as st
 
@@ -218,6 +219,23 @@ class TestHyperLogLog:
 # =============================================================================
 # FluidStats summary-extension opt-in
 # =============================================================================
+
+class TestFluidStatsSamples:
+    def test_fcts_are_a_typed_array_with_the_list_summary(self):
+        """Completion times are unboxed doubles, and the summary read from
+        them is the one a list of the same floats gives."""
+        rng = random.Random(5)
+        stats = FluidStats(fct_percentiles=(50.0, 90.0))
+        for _ in range(777):
+            stats.note_flow()
+            stats.note_completion(rng.expovariate(0.3))
+        stats.note_flow()
+        assert isinstance(stats.fcts, array) and stats.fcts.typecode == "d"
+        listed = FluidStats(fct_percentiles=(50.0, 90.0))
+        listed.flow_count = stats.flow_count
+        listed.fcts = list(stats.fcts)
+        assert repr(stats.summary()) == repr(listed.summary())
+
 
 class TestFluidStatsExtensions:
     def _collect(self, **kwargs):

@@ -14,7 +14,7 @@ def test_one_ack_per_segment():
     hosts = topology.hosts
     for index, (offset, size) in enumerate(((0, 40), (1, 17))):
         network.schedule_flows([Flow(hosts[offset], hosts[-1 - offset], size,
-                                     start_time=0.1 * (index + 1))])
+                                     start_time=0.1 * (index + 1), flow_id=index)])
     stats = network.run(60.0)
     assert stats.completion_ratio() == 1.0
     assert stats.drops == 0
@@ -31,7 +31,7 @@ def test_slowstart_recovers_from_a_loss_blip():
     network = Network(topology, EcmpSystem(), stats=StatsCollector(),
                       transport="slowstart")
     hosts = topology.hosts
-    network.schedule_flows([Flow(hosts[0], hosts[-1], 60, start_time=0.1)])
+    network.schedule_flows([Flow(hosts[0], hosts[-1], 60, start_time=0.1, flow_id=0)])
     # A short blip loses in-flight segments mid-transfer.
     leaf = topology.attachment_switch(hosts[-1])
     spine = [n for n in topology.switch_neighbors(leaf)][0]

@@ -89,13 +89,13 @@ class TestPlumbing:
         for sanitize in (False, True):
             net = Network(leafspine(2, 2, hosts_per_leaf=1),
                           ShortestPathSystem(), sanitize=sanitize)
-            net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1)])
+            net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1, 0)])
             stats = net.run(30.0)
             summaries.append(stats.summary())
         assert summaries[0] == summaries[1]
         net_s = Network(leafspine(2, 2, hosts_per_leaf=1),
                         ShortestPathSystem(), sanitize=True)
-        net_s.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1)])
+        net_s.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1, 0)])
         net_s.run(30.0)
         assert net_s.sanitizer.ok
         assert net_s.sanitizer.checks_run > 0
@@ -264,7 +264,7 @@ class TestTransportInvariants:
         # capacity=1 packet/ms so the host uplink builds a real backlog.
         net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
                       ShortestPathSystem(), sanitize=True)
-        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0, 0)])
         uplink = net.hosts["h0_0"].uplink
 
         def steal():
@@ -280,7 +280,7 @@ class TestTransportInvariants:
     def test_transmission_that_bypasses_the_seam_breaks_conservation(self):
         net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
                       ShortestPathSystem(), sanitize=True)
-        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0, 0)])
         uplink = net.hosts["h0_0"].uplink
         # The ledger counts a packet in flight where ``link._transmit`` is
         # looked up on the instance; put the bare method back underneath it.
@@ -298,7 +298,7 @@ class TestTransportInvariants:
         # run only balances if they still call through the instance.
         net = Network(leafspine(2, 1, hosts_per_leaf=1, capacity=1.0),
                       ShortestPathSystem(), buffer_packets=2, sanitize=True)
-        net.schedule_flows([Flow("h0_0", "h1_0", 30, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 30, 0.0, 0)])
         net.fail_link("leaf0", "spine0", at_time=5.0)
         net.run(40.0)
         assert net.sanitizer.ok
@@ -311,7 +311,7 @@ class TestTransportInvariants:
     def test_unledgered_drop_breaks_conservation(self):
         net = Network(leafspine(2, 1, hosts_per_leaf=1, capacity=1.0),
                       ShortestPathSystem(), buffer_packets=2, sanitize=True)
-        net.schedule_flows([Flow("h0_0", "h1_0", 30, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 30, 0.0, 0)])
         net.stats.record_drop = StatsCollector.record_drop.__get__(net.stats)
         with pytest.raises(SanitizerError) as err:
             net.run(40.0)
@@ -324,7 +324,7 @@ class TestTransportInvariants:
         # the liveness scan (matching Host._check_timeout) cannot see.
         net.hosts["h0_0"]._check_timeout = lambda flow_id: None
         # Far too large to complete in the run: the sender stays incomplete.
-        net.schedule_flows([Flow("h0_0", "h1_0", 500, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 500, 0.0, 0)])
         with pytest.raises(SanitizerError) as err:
             net.run(5.0)
         assert err.value.violation.rule == "rto-liveness"
@@ -371,7 +371,7 @@ class TestProbeInvariants:
         monkeypatch.setattr(Simulator, "drop_deliveries", _leaky_drop)
         net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
                       ShortestPathSystem(), sanitize=True)
-        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0, 0)])
         uplink = net.hosts["h0_0"].uplink
         # Mid-serialization: the packet on the wire is counted lost here and
         # then delivered all the same.
@@ -386,7 +386,7 @@ class TestProbeInvariants:
         # probes never reach a sink, and each dropped slot runs tagged.
         net = Network(leafspine(2, 2, hosts_per_leaf=1, capacity=1.0),
                       ShortestPathSystem(), sanitize=True)
-        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.0, 0)])
         uplink = net.hosts["h0_0"].uplink
         net.sim.call_at(0.5, uplink.fail)
         net.sim.call_at(0.6, uplink.recover)

@@ -186,7 +186,7 @@ class TestSimLink:
 
 class TestTransportState:
     def test_sender_window_limits_in_flight(self):
-        sender = SenderState(Flow("a", "b", 10, 0.0), window=4, rto=5.0)
+        sender = SenderState(Flow("a", "b", 10, 0.0, 0), window=4, rto=5.0)
         sent = 0
         while sender.can_send():
             sender.next_seq += 1
@@ -194,20 +194,20 @@ class TestTransportState:
         assert sent == 4
 
     def test_sender_ack_advances_window(self):
-        sender = SenderState(Flow("a", "b", 10, 0.0), window=4, rto=5.0)
+        sender = SenderState(Flow("a", "b", 10, 0.0, 0), window=4, rto=5.0)
         sender.next_seq = 4
         assert sender.on_ack(2, now=1.0)
         assert sender.in_flight == 2
         assert not sender.on_ack(1, now=2.0)  # stale ACK ignored
 
     def test_sender_completion(self):
-        sender = SenderState(Flow("a", "b", 3, 0.0), window=8, rto=5.0)
+        sender = SenderState(Flow("a", "b", 3, 0.0, 0), window=8, rto=5.0)
         sender.next_seq = 3
         sender.on_ack(3, now=1.0)
         assert sender.completed
 
     def test_sender_timeout_and_retransmit(self):
-        sender = SenderState(Flow("a", "b", 10, 0.0), window=4, rto=2.0)
+        sender = SenderState(Flow("a", "b", 10, 0.0, 0), window=4, rto=2.0)
         sender.next_seq = 4
         assert not sender.timeout_expired(1.0)
         assert sender.timeout_expired(3.0)
@@ -236,7 +236,7 @@ class TestTransportState:
         assert not receiver.completed
 
     def test_flow_size_clamped_to_one(self):
-        assert Flow("a", "b", 0, 0.0).size_packets == 1
+        assert Flow("a", "b", 0, 0.0, 0).size_packets == 1
 
 
 class TestStatsCollector:
@@ -339,7 +339,7 @@ class TestNetwork:
         topo = leafspine(2, 2, hosts_per_leaf=1)
         net = Network(topo, _StaticSystem())
         with pytest.raises(SimulationError):
-            net.schedule_flows([Flow("nope", "h1_0", 1, 0.0)])
+            net.schedule_flows([Flow("nope", "h1_0", 1, 0.0, 0)])
 
     def test_fail_and_recover_link(self):
         topo = leafspine(2, 2, hosts_per_leaf=1)

@@ -25,7 +25,7 @@ from repro.topology import leafspine
 
 
 def make_sender(transport, size=1000, window=16, rto=5.0):
-    return SenderState(Flow("a", "b", size, 0.0), window=window, rto=rto,
+    return SenderState(Flow("a", "b", size, 0.0, 0), window=window, rto=rto,
                        transport=transport)
 
 
@@ -294,6 +294,18 @@ class TestReceiverPruning:
         assert not receiver.has_seen(2)
 
 
+class TestPerFlowStateIsSlotted:
+    def test_flow_sender_and_receiver_hold_no_instance_dict(self):
+        flow = Flow("a", "b", 10, 0.0, 7)
+        for state in (flow, SenderState(flow, window=4, rto=5.0),
+                      ReceiverState(7, "a")):
+            assert not hasattr(state, "__dict__"), type(state).__name__
+
+    def test_flow_id_is_required(self):
+        with pytest.raises(TypeError):
+            Flow("a", "b", 10, 0.0)
+
+
 class TestGoodputAccounting:
     def packet(self, seq=0):
         return Packet(kind=PacketKind.DATA, src_host="a", dst_host="b",
@@ -345,14 +357,14 @@ class TestHostStateCleanup:
     @pytest.mark.parametrize("transport", TRANSPORT_MODES)
     def test_sender_state_dropped_on_completion(self, transport):
         net = tiny_network(transport)
-        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1, 0)])
         stats = net.run(30.0)
         assert stats.completion_ratio() == 1.0
         assert net.hosts["h0_0"]._senders == {}
 
     def test_completed_flow_stops_rescheduling_rto_timers(self):
         net = tiny_network()
-        net.schedule_flows([Flow("h0_0", "h1_0", 4, 0.1)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 4, 0.1, 0)])
         net.run(10.0)
         # One pending self-rescheduled timer at most drains on the next check;
         # after it fires nothing re-arms, so a long quiet run ends with an
@@ -369,7 +381,7 @@ class TestHostStateCleanup:
 
     def test_completed_flow_reports_cwnd_summary(self):
         net = tiny_network("slowstart")
-        net.schedule_flows([Flow("h0_0", "h1_0", 50, 0.1)])
+        net.schedule_flows([Flow("h0_0", "h1_0", 50, 0.1, 0)])
         stats = net.run(60.0)
         record = next(iter(stats.flows.values()))
         assert record.completed

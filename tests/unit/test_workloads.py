@@ -436,11 +436,10 @@ class TestStreamWorkload:
     def test_stream_is_reiterable_and_deterministic(self):
         stream = self._stream()
         first, second = list(stream), list(stream)
-        assert [f.__dict__ for f in first] == [f.__dict__ for f in second]
+        assert first == second
         again = list(self._stream())
-        assert [f.__dict__ for f in first] == [f.__dict__ for f in again]
-        assert [f.__dict__ for f in first] \
-            != [f.__dict__ for f in self._stream(seed=4)]
+        assert first == again
+        assert first != list(self._stream(seed=4))
 
     def test_flows_arrive_in_time_order_with_sequential_ids(self):
         flows = list(self._stream())
