@@ -302,7 +302,7 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
                 f"--bench-artifact: no per-point wall-clock records under "
                 f"{args.results_dir}; the store was not produced by a "
                 f"--results-dir run of this tree")
-        shard_files = len(list(store.directory.glob("results-*.jsonl")))
+        shard_files = len(store.files.names(store.files.RESULTS))
         path = Path(args.bench_artifact)
         # Named after the artifact file, so two stores merged side by side
         # (BENCH_fig11_sharded.json, BENCH_fig11_coordinated.json) keep two

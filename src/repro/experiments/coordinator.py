@@ -50,11 +50,10 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NON_NEGATIVE, POSITIVE, ExperimentError, require
-from repro.experiments.results import ResultsStore
+from repro.experiments.results import ResultsStore, StoreFiles
 from repro.experiments.runner import (
     ExecutionBackend,
     RunContext,
@@ -70,7 +69,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "CoordinatedBackend",
     "LeaseInfo",
-    "lease_path",
     "read_lease",
     "live_leases",
     "gc_leases",
@@ -89,9 +87,6 @@ DEFAULT_LEASE_TTL = 30.0
 #: How often a waiting worker re-examines the store for newly completed or
 #: newly stale points.
 DEFAULT_POLL_INTERVAL = 0.2
-
-_LEASE_PATTERN = re.compile(r"lease-([0-9a-f]{64})\.json$")
-
 
 def wall_now() -> float:
     """The wall clock, for lease timestamps only (see module docstring)."""
@@ -112,10 +107,6 @@ def _default_owner() -> str:
 
 # ------------------------------------------------------------- lease files
 
-def lease_path(directory, key: str) -> Path:
-    return Path(directory) / f"lease-{key}.json"
-
-
 @dataclass(frozen=True)
 class LeaseInfo:
     """One lease file, decoded, with staleness judged at ``now``."""
@@ -129,40 +120,23 @@ class LeaseInfo:
     spec_name: str = ""
 
 
-def _write_lease(path: Path, owner: str, acquired: float, spec_name: str,
-                 now: float) -> None:
-    """Atomically (re)write a lease payload via rename, never in place.
-
-    Readers therefore always see a complete JSON document; the temp name is
-    owner-unique so concurrent renewers of *different* leases never collide.
-    """
-    staging = path.with_name(path.name + f".{owner}.tmp")
-    staging.write_text(json.dumps({
+def _lease_text(owner: str, acquired: float, heartbeat: float,
+                spec_name: str) -> str:
+    """A lease payload: what a claim creates and a renewal replaces."""
+    return json.dumps({
         "owner": owner,
         "acquired_unix": round(acquired, 3),
-        "heartbeat_unix": round(now, 3),
+        "heartbeat_unix": round(heartbeat, 3),
         "spec_name": spec_name,
-    }, sort_keys=True) + "\n")
-    staging.replace(path)
+    }, sort_keys=True) + "\n"
 
 
 def try_acquire_lease(directory, key: str, owner: str, spec_name: str = "",
                       now: Optional[float] = None) -> bool:
     """Claim ``key`` by exclusive-create; False when someone else holds it."""
-    path = lease_path(directory, key)
     now = wall_now() if now is None else now
-    try:
-        handle = path.open("x", encoding="utf-8")
-    except FileExistsError:
-        return False
-    with handle:
-        handle.write(json.dumps({
-            "owner": owner,
-            "acquired_unix": round(now, 3),
-            "heartbeat_unix": round(now, 3),
-            "spec_name": spec_name,
-        }, sort_keys=True) + "\n")
-    return True
+    return StoreFiles.of(directory).create(
+        StoreFiles.LEASE.format(key), _lease_text(owner, now, now, spec_name))
 
 
 def renew_lease(directory, key: str, owner: str, spec_name: str = "",
@@ -175,12 +149,13 @@ def renew_lease(directory, key: str, owner: str, spec_name: str = "",
     and the rewrite are two steps; the window between them is microseconds,
     not the TTL-long one an unconditional rewrite leaves open.)
     """
+    files = StoreFiles.of(directory)
     now = wall_now() if now is None else now
-    info = read_lease(directory, key)
+    info = read_lease(files, key)
     if info is None or info.owner != owner:
         return False
-    _write_lease(lease_path(directory, key), owner, info.acquired_unix,
-                 spec_name, now)
+    files.replace(StoreFiles.LEASE.format(key),
+                  _lease_text(owner, info.acquired_unix, now, spec_name), owner)
     return True
 
 
@@ -190,34 +165,22 @@ def release_lease(directory, key: str, owner: Optional[str] = None) -> bool:
     (A falsely-stale reclaim may have handed the lease to someone else while
     we executed; their lease is theirs to release.)
     """
-    path = lease_path(directory, key)
+    files = StoreFiles.of(directory)
     if owner is not None:
-        info = read_lease(directory, key)
+        info = read_lease(files, key)
         if info is not None and info.owner != owner:
             return False
-    try:
-        path.unlink()
-    except FileNotFoundError:
-        return False
-    return True
+    return files.unlink(StoreFiles.LEASE.format(key))
 
 
 def reclaim_lease(directory, key: str, owner: str) -> bool:
     """Atomically tear down a stale lease; True when *this* caller won.
 
-    Rename-to-tombstone makes the teardown single-winner: of N concurrent
-    reclaimers exactly one rename succeeds, the rest see FileNotFoundError
-    and go back to the claim loop.  (Deleting in place instead would let a
-    slow reclaimer unlink the *fresh* lease a faster one just created.)
+    Single-winner (:meth:`StoreFiles.take`): the losers of N concurrent
+    reclaims go back to the claim loop.  (Deleting in place would let a slow
+    reclaimer unlink the *fresh* lease a faster one just created.)
     """
-    path = lease_path(directory, key)
-    tombstone = path.with_name(path.name + f".reclaim-{owner}")
-    try:
-        os.replace(path, tombstone)
-    except FileNotFoundError:
-        return False
-    tombstone.unlink(missing_ok=True)
-    return True
+    return StoreFiles.of(directory).take(StoreFiles.LEASE.format(key), owner)
 
 
 def read_lease(directory, key: str,
@@ -230,10 +193,11 @@ def read_lease(directory, key: str,
     file's mtime so a racing reader never mistakes a newborn lease for
     reclaimable garbage.
     """
-    path = lease_path(directory, key)
+    files = StoreFiles.of(directory)
+    name = StoreFiles.LEASE.format(key)
     now = wall_now() if now is None else now
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(files.read(name))
         heartbeat = float(payload["heartbeat_unix"])
         acquired = float(payload.get("acquired_unix", heartbeat))
         owner = str(payload.get("owner", "?"))
@@ -242,7 +206,7 @@ def read_lease(directory, key: str,
         return None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         try:
-            heartbeat = acquired = path.stat().st_mtime
+            heartbeat = acquired = files.mtime(name)
         except FileNotFoundError:
             return None
         owner, spec_name = "?", ""
@@ -253,24 +217,16 @@ def read_lease(directory, key: str,
 
 
 def _lease_keys(directory) -> List[str]:
-    keys = []
-    for file in sorted(Path(directory).glob("lease-*.json")):
-        match = _LEASE_PATTERN.match(file.name)
-        if match:
-            keys.append(match.group(1))
-    return keys
+    return StoreFiles.of(directory).keys(StoreFiles.LEASE, StoreFiles.SPEC_HASH)
 
 
 def live_leases(directory, ttl: float = DEFAULT_LEASE_TTL,
                 now: Optional[float] = None) -> List[LeaseInfo]:
     """Every decodable lease in the directory (live and stale), sorted by key."""
+    files = StoreFiles.of(directory)
     now = wall_now() if now is None else now
-    leases = []
-    for key in _lease_keys(directory):
-        info = read_lease(directory, key, now=now, ttl=ttl)
-        if info is not None:
-            leases.append(info)
-    return leases
+    leases = [read_lease(files, key, now=now, ttl=ttl) for key in _lease_keys(files)]
+    return [info for info in leases if info is not None]
 
 
 def gc_leases(directory, valid_keys, completed_keys,
@@ -281,24 +237,19 @@ def gc_leases(directory, valid_keys, completed_keys,
     Removes *orphaned* leases (their point is already recorded, or the
     current grid no longer defines it) and *stale* ones (heartbeat past the
     TTL — a killed worker never releases).  Live leases on genuinely pending
-    points are left alone: the drain holding them is still running.  Stray
-    reclaim tombstones and staging files from killed renewers are swept too.
+    points are left alone: the drain holding them is still running.  The
+    staging files and tombstones of killed lease writers are
+    :func:`~repro.experiments.results.gc_results`' to sweep.
     """
-    directory = Path(directory)
-    now = wall_now() if now is None else now
+    files = StoreFiles.of(directory)
     removed = live = 0
-    for key in _lease_keys(directory):
-        info = read_lease(directory, key, now=now, ttl=ttl)
-        if info is None:
-            continue
-        orphaned = key not in valid_keys or key in completed_keys
+    for info in live_leases(files, ttl=ttl, now=now):
+        orphaned = info.key not in valid_keys or info.key in completed_keys
         if orphaned or info.stale:
-            if reclaim_lease(directory, key, "gc"):
+            if reclaim_lease(files, info.key, "gc"):
                 removed += 1
         else:
             live += 1
-    for debris in sorted(directory.glob("lease-*.json.*")):
-        debris.unlink(missing_ok=True)
     return removed, live
 
 
@@ -406,9 +357,9 @@ class CoordinatedBackend(ExecutionBackend):
                 f"lease TTL ({ttl}), got {heartbeat_interval!r}: a lease would "
                 f"go stale under a live worker")
         self.owner = owner if owner is not None else _default_owner()
-        self.directory = Path(directory)
-        self.store = ResultsStore(directory,
-                                  filename=f"results-worker-{self.owner}.jsonl")
+        self.files = StoreFiles.of(directory)
+        self.store = ResultsStore(
+            self.files, filename=StoreFiles.WORKER_RESULTS.format(self.owner))
         # One persistent context so the compiled-policy/topology caches
         # survive across the one-point-at-a-time claim loop — cache locality
         # is the entire point of group-preferring claims.
@@ -453,7 +404,7 @@ class CoordinatedBackend(ExecutionBackend):
         while True:
             # Listing first: a point whose lease is already gone was recorded
             # before its release, so the load that follows sees it complete.
-            leased = set(_lease_keys(self.directory))
+            leased = set(_lease_keys(self.files))
             completed = self.store.load()
             now = wall_now()
             claimable: Dict[int, bool] = {}      # position -> needs reclaim
@@ -465,7 +416,7 @@ class CoordinatedBackend(ExecutionBackend):
                 pending_total += len(positions)
                 for position in positions:
                     key = keys[position]
-                    info = (read_lease(self.directory, key, now=now,
+                    info = (read_lease(self.files, key, now=now,
                                        ttl=self.ttl)
                             if key in leased else None)
                     if info is None:
@@ -480,14 +431,14 @@ class CoordinatedBackend(ExecutionBackend):
                                   current_group)
             needs_reclaim = claimable[position]
             key = keys[position]
-            if needs_reclaim and not reclaim_lease(self.directory, key,
+            if needs_reclaim and not reclaim_lease(self.files, key,
                                                    self.owner):
                 continue                    # lost the reclaim race; re-scan
-            if not try_acquire_lease(self.directory, key, self.owner,
+            if not try_acquire_lease(self.files, key, self.owner,
                                      spec_name=specs[position].name, now=now):
                 continue                    # lost the create race; re-scan
             if key in self.store:           # recorded since the scan's load
-                release_lease(self.directory, key, self.owner)
+                release_lease(self.files, key, self.owner)
                 continue
             stolen = (compile_group_key(specs[position]) != current_group
                       and compile_group_key(specs[position]) in active_groups)
@@ -550,7 +501,7 @@ class CoordinatedBackend(ExecutionBackend):
             keys = [spec_hash(spec) for spec in specs]
         groups = self._build_groups(specs)
         current_group: Optional[Tuple] = None
-        with _Heartbeat(self.directory, self.owner,
+        with _Heartbeat(self.files, self.owner,
                         self.heartbeat_interval) as heartbeat:
             while True:
                 claim = self._claim(specs, keys, groups, current_group)
@@ -570,12 +521,12 @@ class CoordinatedBackend(ExecutionBackend):
                     result, wall_s = next(iter(self.inner.run_iter_timed([spec])))
                 except BaseException:
                     heartbeat.clear()
-                    release_lease(self.directory, key, owner=self.owner)
+                    release_lease(self.files, key, owner=self.owner)
                     raise
                 heartbeat.clear()
                 self.store.record(spec, result, wall_s=wall_s, key=key,
                                   owner=self.owner)
-                release_lease(self.directory, key, owner=self.owner)
+                release_lease(self.files, key, owner=self.owner)
                 self.executed += 1
                 # Progress for ``sweep-status`` at the heartbeat's cadence:
                 # often enough to watch a sweep, and off the per-point path.
@@ -623,10 +574,8 @@ class CoordinatedBackend(ExecutionBackend):
         payload["scenario"] = self.scenario
         self._meta_written = wall_now()
         payload["updated_unix"] = round(self._meta_written, 3)
-        path = self.directory / f"worker-{self.owner}.meta.json"
-        staging = path.with_name(path.name + ".tmp")
-        staging.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        staging.replace(path)
+        self.files.replace(StoreFiles.META.format(self.owner),
+                           json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def drain_store(specs: Sequence[ScenarioSpec], directory,
@@ -718,21 +667,21 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
     the records themselves (each carries its executing owner), so the view
     is exact even for workers whose meta write was lost to a kill.
     """
-    directory = Path(directory)
+    files = StoreFiles.of(directory)
     specs = list(specs)
     keys = [spec_hash(spec) for spec in specs]
     now = wall_now() if now is None else now
 
     completed = set()
     executed_by: Dict[str, int] = {}
-    for key, record, _ in ResultsStore(directory)._validated():
+    for key, record, _ in ResultsStore(files).records():
         completed.add(key)
         owner = record.get("owner")
         if owner:
             executed_by[owner] = executed_by.get(owner, 0) + 1
 
     lease_by_key = {info.key: info
-                    for info in live_leases(directory, ttl=ttl, now=now)}
+                    for info in live_leases(files, ttl=ttl, now=now)}
 
     groups: Dict[Tuple, GroupStatus] = {}
     total = complete = leased = stale = 0
@@ -758,12 +707,12 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
 
     key_set = set(keys)
     workers: Dict[str, WorkerStatus] = {}
-    for file in sorted(directory.glob("worker-*.meta.json")):
+    for meta_owner in files.keys(StoreFiles.META):
         try:
-            payload = json.loads(file.read_text())
+            payload = json.loads(files.read(StoreFiles.META.format(meta_owner)))
         except (json.JSONDecodeError, OSError):
             continue
-        owner = str(payload.get("owner", file.stem[len("worker-"):]))
+        owner = str(payload.get("owner", meta_owner))
         workers[owner] = WorkerStatus(
             owner=owner,
             executed=int(payload.get("executed", 0)),

@@ -29,6 +29,7 @@ must agree — a conflict means the store mixes incompatible runs and raises
 
 from __future__ import annotations
 
+import fnmatch
 import io
 import json
 import os
@@ -41,6 +42,7 @@ from repro.experiments.runner import RunResult, ScenarioSpec, spec_hash
 __all__ = [
     "encode_result",
     "decode_result",
+    "StoreFiles",
     "ResultsStore",
     "collect_results",
     "gc_results",
@@ -98,47 +100,97 @@ def parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
-class ResultsStore:
-    """One results directory: per-writer JSONL appends, union-of-files reads.
+class StoreFiles:
+    """The one door to a results directory, and the one home of its layout.
 
-    Every store instance appends to its own file (``filename``; by default
-    ``results-shard0of1.jsonl``, where :func:`gc_results` also writes the
-    compacted store) but :meth:`load` reads **all** ``results-*.jsonl``
-    files in the directory, so resume sees every writer's completed work.
+    Every step on records, leases and worker metas is a call on an instance,
+    on names relative to the directory; the names are spelled here only.
+    :meth:`read` and :meth:`mtime` raise FileNotFoundError for an absent
+    name, the other steps return None or False.  A function that takes a
+    results ``directory`` accepts an instance as it is (:meth:`of`), so a
+    test can substitute an in-memory subclass.
     """
 
-    def __init__(self, directory, filename: Optional[str] = None):
+    RESULTS = "results-*.jsonl"
+    COMPACTED = "results-shard0of1.jsonl"       # the default file, and gc's
+    WORKER_RESULTS = "results-worker-{}.jsonl"
+    LEASE = "lease-{}.json"
+    META = "worker-{}.meta.json"
+    SPEC_HASH = "[0-9a-f]" * 64
+    #: What gc_results sweeps: metas, and killed lease writers' leftovers.
+    DEBRIS = (META.format("*"), "shard*.meta.json", LEASE.format("*") + ".*")
+
+    def __init__(self, directory):
         self.directory = Path(directory)
+
+    @classmethod
+    def of(cls, directory) -> "StoreFiles":
+        """``directory`` itself when it is a seam already, else one on disk."""
+        return directory if isinstance(directory, StoreFiles) else cls(directory)
+
+    def keys(self, template: str, fill: str = "*") -> List[str]:
+        """What fills ``{}`` in each name matching ``template.format(fill)``,
+        in name order: ``keys(LEASE, SPEC_HASH)`` is every lease's key."""
+        prefix, suffix = template.split("{}")
+        return [name[len(prefix):-len(suffix)]
+                for name in self.names(template.format(fill))]
+
+    def mkdir(self) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        if filename is None:
-            filename = "results-shard0of1.jsonl"
-        elif not (filename.startswith("results-") and filename.endswith(".jsonl")):
-            # load() unions results-*.jsonl; a write file outside that glob
-            # would be invisible to every reader, merge and resume.
-            raise ExperimentError(
-                f"results filename {filename!r} must match results-*.jsonl")
-        self.path = self.directory / filename
-        self._repair_torn_tail()
-        # The incremental view behind load(): what has been consumed of each
-        # results file, and what those bytes validated to.
-        self._consumed: Dict[Path, Tuple[int, int, int]] = {}  # inode, bytes, lines
-        self._canonical: Dict[str, str] = {}
-        self._results: Dict[str, RunResult] = {}
-        self._log: List[Tuple[str, dict, bool]] = []
 
-    def _repair_torn_tail(self) -> None:
-        """Truncate a partial final line of *this writer's own* file.
+    def names(self, pattern: str) -> List[str]:
+        """The names matching the glob ``pattern``, sorted."""
+        return sorted([path.name for path in self.directory.glob(pattern)])
 
-        A run killed mid-append leaves a line without a trailing newline;
-        appending after it would glue two records into one undecodable line.
-        Only the own file is repaired — other writers' files may be
-        live right now, and their in-flight partial line is handled (left
-        unconsumed) by :meth:`load`'s final-line tolerance instead.  Reads
-        backwards from the end, one block at a time, to the last newline: a
-        cleanly closed file costs its last block, not a pass over the file.
-        """
+    def read(self, name: str) -> str:
+        return (self.directory / name).read_text(encoding="utf-8")
+
+    def mtime(self, name: str) -> float:
+        return (self.directory / name).stat().st_mtime
+
+    def create(self, name: str, text: str) -> bool:
+        """Exclusive create; False when ``name`` exists.  The create is
+        atomic, the content is not: a reader can meet the file empty."""
         try:
-            handle = self.path.open("rb")
+            with (self.directory / name).open("x", encoding="utf-8") as handle:
+                handle.write(text)
+        except FileExistsError:
+            return False
+        return True
+
+    def replace(self, name: str, text: str, owner: str = "") -> None:
+        """Atomic replace: a staging file (``owner``-unique among concurrent
+        writers), renamed over ``name``, so a reader sees old or new text."""
+        staging = self.directory / (f"{name}.{owner}.tmp" if owner else f"{name}.tmp")
+        staging.write_text(text, encoding="utf-8")
+        staging.replace(self.directory / name)
+
+    def append(self, name: str, text: str) -> None:
+        """Append ``text`` to ``name``, written out to the operating system on
+        return: it survives a kill of this process.  There is no ``fsync``:
+        a host crash can lose the last records (or tear the line in flight),
+        and a resume re-runs their points — a lost record is absent, so the
+        re-run never leaves a double record."""
+        with (self.directory / name).open("a", encoding="utf-8") as handle:
+            handle.write(text)
+
+    def tail(self, name: str, offset: int) -> Optional[Tuple[int, int, bytes]]:
+        """``(identity, size, bytes past offset)`` of ``name``; None when
+        absent.  The identity is the inode: a replaced file is another."""
+        try:
+            with (self.directory / name).open("rb") as handle:
+                status = os.fstat(handle.fileno())
+                handle.seek(offset)
+                return status.st_ino, status.st_size, handle.read()
+        except FileNotFoundError:
+            return None
+
+    def truncate_torn_tail(self, name: str) -> None:
+        """Cut a final line without its newline off ``name``, reading back
+        from the end a block at a time: a clean file costs its last block."""
+        path = self.directory / name
+        try:
+            handle = path.open("rb")
         except FileNotFoundError:
             return
         with handle:
@@ -150,7 +202,58 @@ class ResultsStore:
                 newline = handle.read(keep - start).rfind(b"\n")
                 keep = start + newline + 1
         if keep < size:
-            os.truncate(self.path, keep)
+            os.truncate(path, keep)
+
+    def unlink(self, name: str) -> bool:
+        try:
+            (self.directory / name).unlink()
+        except FileNotFoundError:
+            return False
+        return True
+
+    def take(self, name: str, owner: str) -> bool:
+        """Single-winner removal: rename to an ``owner``-unique tombstone,
+        then unlink it; of concurrent takers only one rename succeeds."""
+        tombstone = self.directory / f"{name}.reclaim-{owner}"
+        try:
+            os.replace(self.directory / name, tombstone)
+        except FileNotFoundError:
+            return False
+        tombstone.unlink(missing_ok=True)
+        return True
+
+
+class ResultsStore:
+    """One results directory: per-writer JSONL appends, union-of-files reads.
+
+    Every store instance appends to its own file (``filename``; by default
+    ``results-shard0of1.jsonl``, where :func:`gc_results` also writes the
+    compacted store) but :meth:`load` reads **all** ``results-*.jsonl``
+    files in the directory, so resume sees every writer's completed work.
+    ``directory`` is a path or a :class:`StoreFiles`.
+    """
+
+    def __init__(self, directory, filename: Optional[str] = None):
+        self.files = StoreFiles.of(directory)
+        self.directory = self.files.directory
+        self.files.mkdir()
+        if filename is None:
+            filename = StoreFiles.COMPACTED
+        elif not fnmatch.fnmatchcase(filename, StoreFiles.RESULTS):
+            # load() unions results-*.jsonl; a write file outside that glob
+            # would be invisible to every reader, merge and resume.
+            raise ExperimentError(
+                f"results filename {filename!r} must match {StoreFiles.RESULTS}")
+        self.path = self.directory / filename
+        # A killed append leaves a line without its newline, which the next
+        # append would glue to a record.  Only the own file: others may be live.
+        self.files.truncate_torn_tail(filename)
+        # The incremental view behind load(): what has been consumed of each
+        # results file, and what those bytes validated to.
+        self._consumed: Dict[str, Tuple[int, int, int]] = {}  # inode, bytes, lines
+        self._canonical: Dict[str, str] = {}
+        self._results: Dict[str, RunResult] = {}
+        self._log: List[Tuple[str, dict, bool]] = []
 
     # ------------------------------------------------------------------- read
 
@@ -173,16 +276,16 @@ class ResultsStore:
         The returned dict is the caller's own; the :class:`RunResult`
         values are shared with every other call and must not be mutated.
         """
-        self._validated()
+        self.records()
         return dict(self._results)
 
     def __contains__(self, key: str) -> bool:
         """Whether point ``key`` is complete; reads what :meth:`load` would, no copy."""
-        self._validated()
+        self.records()
         return key in self._results
 
-    def _validated(self) -> List[Tuple[str, dict, bool]]:
-        """Every record consumed so far as ``(spec hash, record, repeat)``.
+    def records(self) -> List[Tuple[str, dict, bool]]:
+        """Every record in the directory, as ``(spec hash, record, repeat)``.
 
         Reads what the directory's files gained since the last call, then
         returns the store's own running list (read-only to callers).  A
@@ -192,40 +295,34 @@ class ResultsStore:
         conflict raises rather than silently picking a side.  A raise
         consumes nothing: the next call meets the same line again.
         """
-        files = sorted(self.directory.glob("results-*.jsonl"))
-        if not (self._consumed.keys() <= set(files)
-                and all(self._read_appended(file) for file in files)):
+        names = self.files.names(StoreFiles.RESULTS)
+        if not (self._consumed.keys() <= set(names)
+                and all(self._read_appended(name) for name in names)):
             # Compaction replaces and unlinks files: nothing consumed from
             # the old ones can be trusted to still be in the directory.
             self._consumed.clear()
             self._canonical.clear()
             self._results.clear()
             self._log.clear()
-            for file in sorted(self.directory.glob("results-*.jsonl")):
-                self._read_appended(file)
+            for name in self.files.names(StoreFiles.RESULTS):
+                self._read_appended(name)
         return self._log
 
-    def _read_appended(self, file: Path) -> bool:
-        """Consume the complete lines ``file`` gained; False if it is not the
-        file consumed before (gone, replaced, or shorter than what was read)."""
-        try:
-            handle = file.open("rb")
-        except FileNotFoundError:
+    def _read_appended(self, name: str) -> bool:
+        """Consume the complete lines file ``name`` gained; False if it is not
+        the file consumed before (gone, replaced, or shorter than what was read)."""
+        inode, offset, line_number = self._consumed.get(name, (None, 0, 0))
+        identity, size, chunk = self.files.tail(name, offset) or (None, 0, b"")
+        if identity is None or inode not in (None, identity) or size < offset:
             return False
-        with handle:
-            status = os.fstat(handle.fileno())
-            inode, offset, line_number = self._consumed.get(
-                file, (status.st_ino, 0, 0))
-            if status.st_ino != inode or status.st_size < offset:
-                return False
-            if status.st_size == offset:
-                return True
-            handle.seek(offset)
-            chunk = handle.read()
+        if not chunk:
+            return True
+        inode = identity
         # Only newline-terminated lines are candidates; the rest is an
         # append in flight.
         lines = chunk.split(b"\n")
         in_flight = lines.pop()
+        where = self.directory / name
         try:
             for index, line in enumerate(lines):
                 if line.strip():
@@ -236,7 +333,7 @@ class ResultsStore:
                             break           # torn final line: not consumed
                         raise ExperimentError(
                             f"corrupt results record at "
-                            f"{file}:{line_number + 1}") from None
+                            f"{where}:{line_number + 1}") from None
                     try:
                         key, payload = record["spec_hash"], record["result"]
                         known = self._canonical.get(key)
@@ -245,7 +342,7 @@ class ResultsStore:
                     except (KeyError, TypeError, ValueError):
                         raise ExperimentError(
                             f"corrupt results record at "
-                            f"{file}:{line_number + 1}") from None
+                            f"{where}:{line_number + 1}") from None
                     # Compare serialized forms, not dicts: summaries
                     # legitimately carry NaN (e.g. avg_fct_ms of a
                     # streams-only run), and NaN != NaN would make
@@ -257,13 +354,13 @@ class ResultsStore:
                     elif known != serialized:
                         raise ExperimentError(
                             f"conflicting results for spec hash {key[:12]}… "
-                            f"in {file}: the store mixes records from "
+                            f"in {where}: the store mixes records from "
                             f"incompatible runs")
                     self._log.append((key, record, known is not None))
                 offset += len(line) + 1
                 line_number += 1
         finally:
-            self._consumed[file] = (inode, offset, line_number)
+            self._consumed[name] = (inode, offset, line_number)
         return True
 
     # ------------------------------------------------------------------ write
@@ -272,7 +369,7 @@ class ResultsStore:
                wall_s: Optional[float] = None,
                key: Optional[str] = None,
                owner: Optional[str] = None) -> None:
-        """Append one completed grid point (flushed per record, crash-safe).
+        """Append one completed grid point (see :meth:`StoreFiles.append`).
 
         ``wall_s`` is the wall-clock this execution spent on the point
         (measured where it executed); it lives *outside* the ``result``
@@ -294,13 +391,13 @@ class ResultsStore:
             record["point_wall_s"] = round(wall_s, 4)
         if owner is not None:
             record["owner"] = owner
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self.files.append(self.path.name,
+                          json.dumps(record, separators=(",", ":")) + "\n")
 
     def total_wall_s(self) -> float:
         """Wall-clock summed over every record in the directory (see record)."""
         return sum(record.get("point_wall_s", 0.0)
-                   for _, record, _ in self._validated())
+                   for _, record, _ in self.records())
 
 
 def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
@@ -329,7 +426,7 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     valid_set = set(valid)
     kept: Dict[str, dict] = {}
     total = stale = duplicates = 0
-    for key, record, repeat in store._validated():
+    for key, record, repeat in store.records():
         total += 1
         if key not in valid_set:
             stale += 1
@@ -337,32 +434,26 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
             duplicates += 1
         else:
             kept[key] = record
-    compacted = store.directory / "results-shard0of1.jsonl"
-    staging = store.directory / ".gc-compact.tmp"
-    with staging.open("w", encoding="utf-8") as handle:
-        for key in valid:
-            record = kept.get(key)
-            if record is not None:
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-    # Crash ordering: land the compacted file (atomic rename) *before*
+    # Crash ordering: land the compacted file (atomic replace) *before*
     # unlinking the superseded shards — a kill anywhere in between leaves a
     # store that still holds every kept record (at worst alongside old shard
     # files whose records the compacted file duplicates identically, which
     # load() tolerates).  Deleting first would let a kill destroy the store.
-    staging.replace(compacted)
-    for file in sorted(store.directory.glob("results-*.jsonl")):
-        if file != compacted:
-            file.unlink()
-    for file in sorted(store.directory.glob("shard*.meta.json")):
-        file.unlink()
-    for file in sorted(store.directory.glob("worker-*.meta.json")):
-        file.unlink()
+    store.files.replace(StoreFiles.COMPACTED, "".join(
+        json.dumps(kept[key], separators=(",", ":")) + "\n"
+        for key in valid if key in kept))
+    for name in store.files.names(StoreFiles.RESULTS):
+        if name != StoreFiles.COMPACTED:
+            store.files.unlink(name)
     # Lease hygiene: drop leases whose point is already recorded or no
     # longer in the grid, and stale ones left by killed workers; leases a
     # live drain still holds on pending points are reported, not touched.
     # Imported lazily — coordinator imports this module at top level.
     from repro.experiments.coordinator import gc_leases
-    leases_removed, leases_live = gc_leases(directory, valid_set, set(kept))
+    leases_removed, leases_live = gc_leases(store.files, valid_set, set(kept))
+    for pattern in StoreFiles.DEBRIS:
+        for name in store.files.names(pattern):
+            store.files.unlink(name)
     return {
         "total_records": total,
         "kept": len(kept),

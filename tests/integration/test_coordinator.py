@@ -37,7 +37,6 @@ from repro.experiments.coordinator import (
     CoordinatedBackend,
     drain_store,
     gc_leases,
-    lease_path,
     live_leases,
     read_lease,
     reclaim_lease,
@@ -54,6 +53,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.results import (
     ResultsStore,
+    StoreFiles,
     collect_results,
     encode_result,
 )
@@ -163,7 +163,7 @@ class TestLeasePrimitives:
     def test_unreadable_lease_counts_as_live_via_mtime(self, tmp_path):
         # A reader can catch a lease between create and content flush; it
         # must look freshly live, never reclaimable garbage.
-        lease_path(tmp_path, KEY).write_text("")
+        assert StoreFiles(tmp_path).create(StoreFiles.LEASE.format(KEY), "")
         info = read_lease(tmp_path, KEY, ttl=30.0)
         assert info is not None and not info.stale
 

@@ -402,7 +402,7 @@ def assert_matches_cold(live):
 
     def records(store):
         return sorted(json.dumps(record, sort_keys=True)
-                      for _, record, _ in store._validated())
+                      for _, record, _ in store.records())
 
     assert result_bytes(live) == result_bytes(cold)
     assert records(live) == records(cold)

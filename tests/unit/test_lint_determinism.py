@@ -200,6 +200,58 @@ class TestPeriodicRound:
         assert violations == []
 
 
+class TestStoreIo:
+    """Filesystem calls in the store's three modules are findings outside the
+    ``StoreFiles`` seam; calls on the seam are the door itself."""
+
+    SOURCE = """\
+        import os
+        from pathlib import Path
+
+        class StoreFiles:
+            def append(self, name, text):
+                with (self.directory / name).open("a") as handle:
+                    handle.write(text)
+                os.truncate(self.directory / name, 0)
+
+        def release(directory, key, files):
+            Path(directory, key).unlink()
+            for path in Path(directory).glob("lease-*.json"):
+                os.replace(path, path.with_suffix(".gone"))
+            open(directory / "x").read()
+            Path(directory).stat(), os.fstat(3)
+            Path(directory, "out.json").write_text("{}")
+            files.unlink(key)
+            files.replace(key, "{}")
+            StoreFiles.of(directory).unlink(key)
+            return "a-b".replace("-", "_")
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        violations, _ = run_lint(target.parent, self.SOURCE, name=target.name)
+        return of_rule(violations, "store-io")
+
+    @pytest.mark.parametrize("rel", ["src/repro/experiments/coordinator.py",
+                                     "src/repro/experiments/results.py"])
+    def test_flagged_in_the_store_modules(self, tmp_path, monkeypatch, rel):
+        violations = self.lint_at(tmp_path, monkeypatch, rel)
+        # A string's .replace is flagged too: the rule reads the call's
+        # shape, and these modules have no string replace to confuse it.
+        assert [v.line for v in violations] == [11, 12, 13, 14, 15, 15, 16, 20]
+
+    def test_cli_output_writes_are_not_store_steps(self, tmp_path, monkeypatch):
+        violations = self.lint_at(tmp_path, monkeypatch, "src/repro/cli.py")
+        assert [v.line for v in violations] == [11, 12, 13, 14, 15, 15, 20]
+
+    @pytest.mark.parametrize("rel", ["src/repro/experiments/runner.py",
+                                     "benchmarks/perf/perf_workloads.py"])
+    def test_allowed_outside_the_store_modules(self, tmp_path, monkeypatch, rel):
+        assert self.lint_at(tmp_path, monkeypatch, rel) == []
+
+
 class TestHandDomain:
     """``math.isfinite`` is a finding under src/repro/ outside exceptions.py."""
 

@@ -122,6 +122,19 @@ And one keeps the type checker off the lazy exports:
   package only exports lazily to a same-named submodule, or to nothing.
   Import it from the module that defines it.
 
+And one keeps the results directory behind one door:
+
+* ``store-io`` — a filesystem call (``open``, ``.open``, ``.glob``,
+  ``.unlink``, ``.replace``, ``.read_text``, ``.write_text``, ``.stat``,
+  ``os.truncate``, ``os.fstat``) in ``experiments/coordinator.py``,
+  ``experiments/results.py`` or ``cli.py`` outside the ``StoreFiles``
+  class: every lease, record and meta-file step goes through that seam
+  (ARCHITECTURE.md §3, §8), where the directory's layout is spelled and an
+  in-memory stand-in can replace the disk.  A call on the seam itself (a
+  receiver named ``files``, or ``StoreFiles.of(...)``) is the door, not a
+  finding; so is ``.write_text`` in ``cli.py``, which writes only the
+  user's ``--json``, ``--emit-p4`` and ``--bench-artifact`` outputs.
+
 And one keeps imports honest:
 
 * ``unused-import`` — a module-level import under ``src/repro/`` (outside a
@@ -238,6 +251,17 @@ _EAGER_PREFIX = "src/repro/"
 _EAGER_INIT = "src/repro/topology/__init__.py"
 #: The lazy export map's name in a package ``__init__.py``.
 _EXPORT_MAP = "_EXPORTS"
+
+#: Filesystem calls (store-io), the files they are refused in outside the
+#: seam class, and the per-file output writes that are not store steps.
+_STORE_IO_ATTRS = frozenset({"open", "glob", "unlink", "replace", "read_text",
+                             "write_text", "stat"})
+_STORE_IO_OS = frozenset({"truncate", "fstat"})
+_STORE_IO_FILES = frozenset({"src/repro/experiments/coordinator.py",
+                             "src/repro/experiments/results.py",
+                             "src/repro/cli.py"})
+_STORE_IO_SEAM = "StoreFiles"
+_STORE_IO_OUTPUTS = {"src/repro/cli.py": frozenset({"write_text"})}
 
 #: Where imports must be read (unused-import); a package's ``__init__.py``
 #: imports to export.
@@ -366,6 +390,7 @@ class _Checker(ast.NodeVisitor):
             self.rel = path.as_posix()
         self.findings: List[Finding] = []
         self._func_stack: List[str] = []
+        self._class_stack: List[str] = []
         self._type_only = False
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -399,8 +424,36 @@ class _Checker(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._class_stack.append(node.name)
+        self.generic_visit(node)
+        self._class_stack.pop()
+
+    def _store_io(self, node: ast.Call) -> None:
+        if self.rel not in _STORE_IO_FILES or _STORE_IO_SEAM in self._class_stack:
+            return
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id if func.id == "open" else None
+        elif _dotted(func.value) == ("os",):
+            name = f"os.{func.attr}" \
+                if func.attr in _STORE_IO_OS | {"replace"} else None
+        else:
+            receiver = func.value
+            on_seam = _dotted(receiver)[-1:] == ("files",) or (
+                isinstance(receiver, ast.Call)
+                and _dotted(receiver.func) == (_STORE_IO_SEAM, "of"))
+            name = f".{func.attr}" if func.attr in _STORE_IO_ATTRS and not on_seam \
+                and func.attr not in _STORE_IO_OUTPUTS.get(self.rel, ()) else None
+        if name is not None:
+            self._flag(node, "store-io",
+                       f"{name}() outside StoreFiles: every step on a results "
+                       "directory goes through the store seam")
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        if isinstance(func, (ast.Name, ast.Attribute)):
+            self._store_io(node)
         if isinstance(func, ast.Name) and func.id == "hash":
             # hash() inside __hash__ is the idiom for container membership;
             # the salt only affects in-process placement, and leaking *order*
