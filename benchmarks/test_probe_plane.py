@@ -15,8 +15,9 @@ import pytest
 
 from repro.core.compiler import compile_policy
 from repro.experiments.runner import datacenter_policy
-from repro.protocol import ContraSystem
-from repro.simulator import Network, StatsCollector
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.simulator.stats import StatsCollector
 from repro.topology.fattree import fattree
 
 from conftest import run_once

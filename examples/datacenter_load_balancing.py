@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import compile_policy
+from repro.core.compiler import compile_policy
 from repro.core.builder import minimize, path, rank_tuple
 from repro.experiments.runner import default_failed_link
-from repro.baselines import EcmpSystem, HulaSystem
-from repro.protocol import ContraSystem
-from repro.simulator import Network
-from repro.topology import fattree
-from repro.workloads import generate_workload, web_search_distribution
+from repro.baselines.ecmp import EcmpSystem
+from repro.baselines.hula import HulaSystem
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.topology.fattree import fattree
+from repro.workloads.distributions import web_search_distribution
+from repro.workloads.generator import generate_workload
 
 
 def build_systems(compiled):

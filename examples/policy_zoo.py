@@ -14,10 +14,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import compile_policy
-from repro.core.analysis import check_isotonicity, check_monotonicity, decompose
+from repro.core.compiler import compile_policy
+from repro.core.analysis.decomposition import decompose
+from repro.core.analysis.isotonicity import check_isotonicity
+from repro.core.analysis.monotonicity import check_monotonicity
 from repro.core.policies import ALL_POLICIES, link_preference, waypointing, weighted_link
-from repro.topology import abilene, fattree
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
 
 
 def instantiate(key, topology):

@@ -16,13 +16,15 @@ Run with::
 
 from __future__ import annotations
 
-from repro.baselines import EcmpSystem
-from repro.core import compile_policy, parse_policy
-from repro.core.p4gen import generate_p4
-from repro.protocol import ContraSystem
-from repro.simulator import Network
-from repro.topology import leafspine
-from repro.workloads import generate_workload, web_search_distribution
+from repro.baselines.ecmp import EcmpSystem
+from repro.core.compiler import compile_policy
+from repro.core.parser import parse_policy
+from repro.core.p4gen.codegen import generate_p4
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.topology.leafspine import leafspine
+from repro.workloads.distributions import web_search_distribution
+from repro.workloads.generator import generate_workload
 
 
 def main() -> None:

@@ -18,10 +18,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import compile_policy, parse_policy
-from repro.protocol import ContraSystem
-from repro.simulator import Network
-from repro.topology import abilene
+from repro.core.compiler import compile_policy
+from repro.core.parser import parse_policy
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.topology.abilene import abilene
 
 
 def converged_network(policy_text, probe_period=1.0, settle=15.0, failures=()):

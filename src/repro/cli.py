@@ -39,14 +39,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.core.compiler import compile_policy
 from repro.core.parser import parse_policy
-from repro.core.policies import ALL_POLICIES, POLICY_ALIASES
-from repro.exceptions import ExperimentError, schema
+from repro.core.policies import ALL_POLICIES, POLICY_ALIASES, policy_by_name
+from repro.exceptions import ExperimentError, PolicyError, schema
 from repro.experiments.config import config_from_env, default_config, full_config, quick_config
 from repro.experiments.registry import (
     gc_scenario,
@@ -96,11 +97,9 @@ def _cmd_policies(_args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     topology = _build_topology(args)
-    if args.policy in ALL_POLICIES:
-        policy = ALL_POLICIES[args.policy]()
-    else:
-        policy = parse_policy(args.policy)
-    compiled = compile_policy(policy, topology)
+    policy = _resolve_policy(args.policy)
+    with _policy_errors(args.policy):
+        compiled = compile_policy(policy, topology)
     print(f"policy        : {compiled.policy}")
     print(f"topology      : {topology.name} ({len(topology.switches)} switches)")
     print(f"compile time  : {compiled.compile_time * 1000:.1f} ms")
@@ -124,13 +123,21 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _policy_errors(text: str) -> Iterator[None]:
+    """A :class:`PolicyError` about the policy ``text`` as a one-line error."""
+    try:
+        yield
+    except PolicyError as error:
+        raise SystemExit(f"policy {text!r}: {error}") from None
+
+
 def _resolve_policy(text: str):
     """A policy key (P1..P9), paper alias (MU/WP/CA), or minimize(...) text."""
-    if text in ALL_POLICIES or text in POLICY_ALIASES:
-        from repro.core.policies import policy_by_name
-
-        return policy_by_name(text)
-    return parse_policy(text)
+    with _policy_errors(text):
+        if text in ALL_POLICIES or text in POLICY_ALIASES:
+            return policy_by_name(text)
+        return parse_policy(text)
 
 
 def _cmd_check_policy(args: argparse.Namespace) -> int:
@@ -147,7 +154,8 @@ def _cmd_check_policy(args: argparse.Namespace) -> int:
     reports = []
     for name in policies:
         policy = _resolve_policy(name)
-        report = verify_policy(policy, topology)
+        with _policy_errors(name):
+            report = verify_policy(policy, topology)
         reports.append(report)
         print(report.render())
     if args.json is not None:
@@ -373,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_cmd = sub.add_parser("compile", parents=[shape],
                                  help="compile a policy for a topology")
-    compile_cmd.add_argument("policy", help="a policy key (P1..P9) or a minimize(...) expression")
+    compile_cmd.add_argument("policy", help="a policy key (P1..P9), a paper alias (MU/WP/CA), "
+                                            "or a minimize(...) expression")
     compile_cmd.add_argument("--topology", default="fattree",
                              help="fattree | leafspine | abilene | random | builtin name | edge-list file")
     compile_cmd.add_argument("--emit-p4", metavar="DIR", default=None,

@@ -569,13 +569,18 @@ class CoordinatedBackend(ExecutionBackend):
         }
 
     def _write_worker_meta(self) -> None:
-        """Progress record for ``sweep-status`` (advisory, never load-bearing)."""
+        """Progress record for ``sweep-status`` (advisory, never load-bearing):
+        a write that fails — a gc swept its staging file, the disk is full —
+        is skipped, and the drain goes on."""
         payload = dict(self.accounting())
         payload["scenario"] = self.scenario
         self._meta_written = wall_now()
         payload["updated_unix"] = round(self._meta_written, 3)
-        self.files.replace(StoreFiles.META.format(self.owner),
-                           json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            self.files.replace(StoreFiles.META.format(self.owner),
+                               json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError:
+            pass
 
 
 def drain_store(specs: Sequence[ScenarioSpec], directory,

@@ -117,8 +117,10 @@ class StoreFiles:
     LEASE = "lease-{}.json"
     META = "worker-{}.meta.json"
     SPEC_HASH = "[0-9a-f]" * 64
-    #: What gc_results sweeps: metas, and killed lease writers' leftovers.
-    DEBRIS = (META.format("*"), "shard*.meta.json", LEASE.format("*") + ".*")
+    #: What gc_results sweeps: metas, and killed meta and lease writers'
+    #: leftovers.
+    DEBRIS = (META.format("*"), META.format("*") + ".tmp", "shard*.meta.json",
+              LEASE.format("*") + ".*")
 
     def __init__(self, directory):
         self.directory = Path(directory)

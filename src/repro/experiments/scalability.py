@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.ast import Policy
 from repro.core.builder import if_, inf, matches, minimize, path
-from repro.core.compiler import CompileOptions, compile_policy
+from repro.core.compiler import compile_policy
 from repro.core.policies import CA, MU
 from repro.exceptions import ExperimentError
 from repro.topology.fattree import fattree_for_switch_count
@@ -90,7 +90,7 @@ def scalability_policies(topology: Topology) -> Dict[str, Policy]:
 
 
 def _compile_fabric(
-    task: Tuple[str, int, int, Tuple[str, ...], Optional[CompileOptions]],
+    task: Tuple[str, int, int, Tuple[str, ...]],
 ) -> List[ScalabilityPoint]:
     """Build one (family, size, seed) fabric and compile each policy on it, in order.
 
@@ -101,14 +101,14 @@ def _compile_fabric(
     :meth:`Topology.derived` table, so nothing one compile leaves on the
     topology is read by the next.
     """
-    family, size, seed, policy_names, options = task
+    family, size, seed, policy_names = task
     topology = _build_topology(family, size, seed)
     bound = scalability_policies(topology)
     actual_switches = len(topology.switches)
     points = []
     for policy_name in policy_names:
         started = time.perf_counter()
-        compiled = compile_policy(bound[policy_name], topology, options)
+        compiled = compile_policy(bound[policy_name], topology)
         elapsed = time.perf_counter() - started
         points.append(ScalabilityPoint(
             family=family,
@@ -129,7 +129,6 @@ def run_scalability_sweep(
     fattree_sizes: Sequence[int] = FATTREE_SIZES,
     random_sizes: Sequence[int] = RANDOM_SIZES,
     policies: Optional[Sequence[str]] = None,
-    options: Optional[CompileOptions] = None,
     seed: int = 0,
     processes: Optional[int] = None,
 ) -> List[ScalabilityPoint]:
@@ -162,7 +161,7 @@ def run_scalability_sweep(
                     f"{family} size {size!r} must be an integer >= {smallest[family]}")
     if not policies:
         return []
-    tasks = [(family, size, seed, tuple(policies), options)
+    tasks = [(family, size, seed, tuple(policies))
              for family in families for size in sizes[family]]
     return [point for points in grid_map(_compile_fabric, tasks, processes)
             for point in points]

@@ -12,7 +12,9 @@ import pytest
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
-from repro.topology import abilene, fattree, leafspine
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
 from repro.topology.graph import Topology
 
 

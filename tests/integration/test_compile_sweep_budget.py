@@ -19,7 +19,8 @@ import pytest
 from repro.core.compiler import compile_policy
 from repro.core.product_graph import PGNode
 from repro.experiments.scalability import run_scalability_sweep, scalability_policies
-from repro.topology import fattree_for_switch_count, random_network
+from repro.topology.fattree import fattree_for_switch_count
+from repro.topology.random_graphs import random_network
 from repro.topology.graph import Link, LinkParams
 
 #: SHA-256 over the points of ``SMALL_SWEEP`` minus ``compile_time_s``,

@@ -12,9 +12,10 @@ from repro.core.builder import if_, inf, lt, matches, minimize, path, rank_tuple
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU, congestion_aware
 from repro.core.rank import INFINITY
-from repro.protocol import ContraSystem
-from repro.simulator import Network
-from repro.topology import abilene, leafspine
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.topology.abilene import abilene
+from repro.topology.leafspine import leafspine
 from repro.topology.graph import Topology
 
 

@@ -26,12 +26,14 @@ import os
 import pytest
 
 import repro
-from repro.baselines import EcmpSystem, HulaSystem
+from repro.baselines.ecmp import EcmpSystem
+from repro.baselines.hula import HulaSystem
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import compile_policy
-from repro.protocol import ContraSystem
-from repro.simulator import Flow, Network
-from repro.topology import fattree
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.flow import Flow
+from repro.simulator.network import Network
+from repro.topology.fattree import fattree
 
 # The sanitizer wraps every delivery (more frames); the budget is the default
 # path's.

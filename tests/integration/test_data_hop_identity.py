@@ -21,7 +21,7 @@ from repro.baselines.hula import HulaRouting
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import abilene_fct_specs, fattree_fct_specs
 from repro.experiments.runner import LinkEvent, RunContext, ScenarioSpec, TopologySpec
-from repro.protocol import ContraRouting
+from repro.protocol.contra_switch import ContraRouting
 
 _DATA = ExperimentConfig(workload_duration=3.0, run_duration=24.0, loads=(0.8,),
                          websearch_scale=0.05, cache_scale=0.25,

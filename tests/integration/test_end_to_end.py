@@ -7,20 +7,25 @@ with small durations so the suite stays fast.
 
 import pytest
 
-from repro.baselines import EcmpSystem, HulaSystem, ShortestPathSystem, SpainSystem
+from repro.baselines.ecmp import EcmpSystem, ShortestPathSystem
+from repro.baselines.hula import HulaSystem
+from repro.baselines.spain import SpainSystem
 from repro.core.compiler import compile_policy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (build_routing_system, datacenter_policy,
                                      default_failed_link)
-from repro.protocol import ContraSystem
-from repro.simulator import Network, StatsCollector
-from repro.topology import abilene, fattree, leafspine
-from repro.workloads import (
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.simulator.stats import StatsCollector
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.workloads.distributions import (
     cache_distribution,
-    generate_workload,
     uniform_distribution,
     web_search_distribution,
 )
+from repro.workloads.generator import generate_workload
 
 CONFIG = ExperimentConfig(workload_duration=8.0, run_duration=60.0, loads=(0.5,))
 

@@ -36,7 +36,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scalability import run_scalability_sweep, scalability_policies
 from repro.exceptions import ExperimentError
-from repro.topology import fattree
+from repro.topology.fattree import fattree
 
 TINY = ExperimentConfig(workload_duration=5.0, run_duration=40.0, loads=(0.6,),
                         websearch_scale=0.05, cache_scale=0.2)

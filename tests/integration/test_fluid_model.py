@@ -52,8 +52,10 @@ from repro.simulator.fluid import (
     build_path_model,
     max_min_rates,
 )
-from repro.topology import fattree, leafspine
-from repro.workloads import distribution_by_name, generate_workload
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.workloads.distributions import distribution_by_name
+from repro.workloads.generator import generate_workload
 
 TINY = ExperimentConfig(workload_duration=1.5, run_duration=40.0, loads=(0.4,),
                         websearch_scale=0.05, cache_scale=0.2)

@@ -121,6 +121,8 @@ class TestGcResults:
         spec = spec_for(TINY)
         write_records(tmp_path / "results-worker-w0.jsonl", [fake_record(spec)])
         (tmp_path / "worker-w0.meta.json").write_text("{}\n")
+        # A meta writer killed between its staging write and the rename.
+        (tmp_path / "worker-w1.meta.json.tmp").write_text("{")
         (tmp_path / f"lease-{spec_hash(spec)}.json.w1.tmp").write_text("{}")
         summary = gc_results([spec], tmp_path)
         assert summary["kept"] == 1

@@ -14,8 +14,10 @@ import pytest
 from repro.core.builder import if_, inf, matches, minimize, path
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
-from repro.protocol import ContraSystem
-from repro.simulator import Flow, Network, StatsCollector
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.flow import Flow
+from repro.simulator.network import Network
+from repro.simulator.stats import StatsCollector
 from repro.topology.graph import Topology
 
 

@@ -31,11 +31,11 @@ import pytest
 
 import repro
 from repro.core.compiler import compile_policy
-from repro.protocol import ContraSystem
+from repro.protocol.contra_switch import ContraSystem
 from repro.protocol.probe import ContraProbe, probe_wire_size
-from repro.simulator import Network
+from repro.simulator.network import Network
 from repro.simulator.link import send_probes
-from repro.topology import fattree
+from repro.topology.fattree import fattree
 
 # The sanitizer wraps every delivery (more frames, more allocations); the
 # budget is the default path's.

@@ -20,9 +20,9 @@ import pytest
 from repro.core import policies
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
-from repro.protocol import ContraRouting, ContraSystem
+from repro.protocol.contra_switch import ContraRouting, ContraSystem
 from repro.protocol.probe import ContraProbe, probe_wire_size
-from repro.simulator import Network
+from repro.simulator.network import Network
 from repro.simulator.link import SimLink
 from repro.topology.abilene import abilene
 from repro.topology.fattree import fattree

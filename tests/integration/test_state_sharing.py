@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import abilene_fct_specs, fattree_fct_specs
 from repro.experiments.runner import LinkEvent, RunContext
-from repro.protocol import ContraSystem
+from repro.protocol.contra_switch import ContraSystem
 
 _DATA = ExperimentConfig(workload_duration=3.0, run_duration=24.0, loads=(0.8,),
                          websearch_scale=0.05, cache_scale=0.25,

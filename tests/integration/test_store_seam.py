@@ -125,6 +125,16 @@ class MemoryFiles(StoreFiles):
         return self.unlink(name)
 
 
+class NoMetaFiles(MemoryFiles):
+    """A directory where every worker-meta write fails, as on a full disk
+    or when a gc sweeps the staging file between its write and rename."""
+
+    def replace(self, name, text, owner=""):
+        if fnmatch.fnmatchcase(name, StoreFiles.META.format("*")):
+            raise OSError(28, "No space left on device", name)
+        super().replace(name, text, owner)
+
+
 def drain_resume_collect_gc(directory, specs):
     """The store's life in one sequence; what it returns and what it leaves."""
     drainer = CoordinatedBackend(directory, inner=StubBackend(), owner="w0")
@@ -185,3 +195,16 @@ class TestInMemorySeam:
             Counter(spec_hash(spec) for spec in specs)
         assert [record["owner"] for record in records
                 if record["spec_hash"] == held] == ["holder"]
+
+    def test_a_failed_meta_write_never_stops_a_drain(self):
+        specs = stub_specs(6)
+        files = NoMetaFiles("memory")
+        worker = CoordinatedBackend(files, inner=StubBackend(), owner="w0")
+        worker.drain(specs)
+        assert worker.executed == len(specs)
+        assert files.names(StoreFiles.META.format("*")) == []
+        records = [json.loads(line)
+                   for name in files.names(StoreFiles.RESULTS)
+                   for line in files.read(name).splitlines()]
+        assert Counter(record["spec_hash"] for record in records) == \
+            Counter(spec_hash(spec) for spec in specs)

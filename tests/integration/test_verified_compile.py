@@ -11,7 +11,7 @@ tables.  Dead-state pruning is the verification plane's
 """
 
 import repro.experiments.runner as runner_module
-from repro.core.analysis import prune_dead_nodes
+from repro.core.analysis.reachability import prune_dead_nodes
 from repro.core.analysis.crosscheck import verify_lowered_tables
 from repro.core.compiler import compile_policy
 from repro.core.product_graph import build_product_graph

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core import ast, policies
-from repro.core.analysis import (
-    branch_is_isotonic,
-    check_isotonicity,
-    check_monotonicity,
-    decompose,
-    require_monotone,
-)
+from repro.core.analysis.decomposition import decompose
+from repro.core.analysis.isotonicity import branch_is_isotonic, check_isotonicity
+from repro.core.analysis.monotonicity import check_monotonicity, require_monotone
 from repro.core.attributes import MetricVector
 from repro.core.builder import add, if_, inf, lt, matches, minimize, path, rank_tuple, sub
 from repro.core.rank import Rank

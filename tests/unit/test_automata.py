@@ -219,7 +219,7 @@ class TestSubsetConstructionSharesUnnamedSymbols:
     def policy_regexes():
         from repro.core import policies
         from repro.experiments.scalability import waypoint_policy_for
-        from repro.topology import abilene
+        from repro.topology.abilene import abilene
 
         topology = abilene()
         bundled = [factory() for factory in policies.ALL_POLICIES.values()]

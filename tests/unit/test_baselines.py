@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.baselines import (
-    EcmpSystem,
-    HulaSystem,
-    ShortestPathSystem,
-    SpainSystem,
-    compute_spain_paths,
-)
-from repro.baselines.spain import SPAIN_PATHS
+from repro.baselines.ecmp import EcmpSystem, ShortestPathSystem
+from repro.baselines.hula import HulaSystem
+from repro.baselines.spain import SpainSystem, compute_spain_paths, SPAIN_PATHS
 from repro.exceptions import SimulationError
-from repro.simulator import Flow, Network
-from repro.topology import abilene, fattree, leafspine
-from repro.workloads import generate_workload, uniform_distribution
+from repro.simulator.flow import Flow
+from repro.simulator.network import Network
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.workloads.distributions import uniform_distribution
+from repro.workloads.generator import generate_workload
 
 
 def run_network(topology, system, flows, duration=40.0, **net_kwargs):

@@ -19,9 +19,11 @@ import pytest
 from repro.core import policies
 from repro.core.compiler import compile_policy
 from repro.core.device_config import FLOWLET_SLOTS, LOOP_TABLE_SLOTS
-from repro.core.p4gen import generate_all_p4
+from repro.core.p4gen.codegen import generate_all_p4
 from repro.experiments.scalability import scalability_policies
-from repro.topology import abilene, fattree, fattree_for_switch_count, random_network
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree, fattree_for_switch_count
+from repro.topology.random_graphs import random_network
 from repro.topology.graph import Topology
 
 

@@ -6,10 +6,12 @@ from repro.core import policies
 from repro.core.builder import if_, inf, matches, minimize, path, sub
 from repro.core.compiler import PROBE_PERIOD_RTT_MULTIPLIER, CompileOptions, compile_policy
 from repro.core.device_config import FLOWLET_SLOTS, LOOP_TABLE_SLOTS
-from repro.core.p4gen import generate_all_p4, generate_p4
+from repro.core.p4gen.codegen import generate_all_p4, generate_p4
 from repro.core.rank import INFINITY, Rank
 from repro.exceptions import CompilationError, PolicyAnalysisError
-from repro.topology import builtin_topologies, builtin_topology, fattree, leafspine
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.topology.zoo import builtin_topologies, builtin_topology
 from repro.topology.graph import Topology
 
 

@@ -10,10 +10,10 @@ import dataclasses
 import pytest
 
 from repro.core import policies
-from repro.core.analysis import crosscheck_lowered_tables, verify_lowered_tables
+from repro.core.analysis.crosscheck import crosscheck_lowered_tables, verify_lowered_tables
 from repro.core.compiler import compile_policy
 from repro.exceptions import VerificationError
-from repro.topology import abilene
+from repro.topology.abilene import abilene
 from repro.topology.graph import Topology
 
 

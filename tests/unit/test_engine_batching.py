@@ -17,8 +17,8 @@ import gc
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulator import SimLink, Simulator
-from repro.simulator.link import send_probes
+from repro.simulator.engine import Simulator
+from repro.simulator.link import SimLink, send_probes
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.switchnode import RoutingLogic, SwitchNode
 

@@ -16,13 +16,17 @@ import weakref
 
 import pytest
 
-from repro.baselines import EcmpSystem, HulaSystem, SpainSystem
+from repro.baselines.ecmp import EcmpSystem
+from repro.baselines.hula import HulaSystem
+from repro.baselines.spain import SpainSystem
 from repro.core.builder import minimize, path, rank_tuple
 from repro.core.compiler import compile_policy
-from repro.protocol import ContraSystem
-from repro.simulator import Flow, Network, Simulator
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.engine import Simulator
+from repro.simulator.flow import Flow
+from repro.simulator.network import Network
 from repro.simulator.fluid import FluidSimulation, build_path_model
-from repro.topology import fattree
+from repro.topology.fattree import fattree
 
 PERIOD = 1.0
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.baselines import EcmpSystem
-from repro.simulator import Network, StatsCollector
+from repro.baselines.ecmp import EcmpSystem
+from repro.simulator.network import Network
+from repro.simulator.stats import StatsCollector
 from repro.simulator.flow import Flow
-from repro.topology import leafspine
+from repro.topology.leafspine import leafspine
 
 
 def test_one_ack_per_segment():

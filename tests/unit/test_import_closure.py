@@ -6,7 +6,7 @@ A process that only compiles never loads numpy, the process pool or the
 socket stack, and neither does one that simulates: the workloads draw from a
 pure-Python generator, so nothing under ``src/repro`` imports numpy at all.
 Nor does a process that only compiles, hashes specs or reads a store load
-the runtime planes: every package exports its names lazily, and the runner
+the runtime planes: a package holds its docstring alone, and the runner
 loads the planes when a ``RunContext`` is built.  Each case runs in a fresh
 interpreter, because this one has long since imported everything.
 """
@@ -15,7 +15,6 @@ import json
 import os
 import subprocess
 import sys
-from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -69,28 +68,27 @@ def test_a_compile_loads_no_numpy_and_no_plane():
     assert loaded_after(program, ("numpy",) + PLANES) == []
 
 
-@pytest.mark.parametrize("package", sorted(
-    ".".join(path.relative_to(SRC).parent.parts)
-    for path in (SRC / "repro").rglob("__init__.py")))
-def test_every_lazy_export_resolves(package):
-    module = import_module(package)
-    for name in module.__all__:
-        assert getattr(module, name) is not None, (package, name)
+#: Every package under ``src/repro``, dotted.
+PACKAGES = sorted(".".join(path.relative_to(SRC).parent.parts)
+                  for path in (SRC / "repro").rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_importing_a_package_loads_only_the_package_and_its_parents(package):
+    """A package holds its docstring alone: importing it loads no module of
+    its own, and each name is imported from the module that defines it."""
+    parts = package.split(".")
+    parents = {".".join(parts[:end]) for end in range(1, len(parts) + 1)}
+    watched = [m for m in PACKAGES if m not in parents] + [
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in (SRC / "repro").rglob("*.py") if path.name != "__init__.py"]
+    assert loaded_after(f"import {package}", watched) == []
 
 
 def test_a_run_context_binds_every_plane_and_not_the_sanitizer():
     program = ("from repro.experiments.runner import RunContext\n"
                "RunContext()")
     assert loaded_after(program, PLANES + (SANITIZER,)) == list(PLANES)
-
-
-def test_a_package_export_loads_its_module_alone():
-    program = ("from repro.simulator import Flow\n"
-               "from repro.topology import fattree\n"
-               "import repro.topology.abilene\n"
-               "from repro.topology import abilene\n"
-               "assert callable(fattree) and callable(abilene)")
-    assert loaded_after(program, PLANES + ("repro.simulator.engine",)) == []
 
 
 def test_a_run_context_that_simulates_loads_nothing_heavy():

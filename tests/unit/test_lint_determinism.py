@@ -540,21 +540,67 @@ class TestEagerImport:
         assert violations == []
 
 
+class TestPackageInit:
+    """A package ``__init__.py`` under src/repro holds its docstring and no
+    statement besides, but ``__version__`` in ``repro/__init__.py``."""
+
+    SOURCE = """\
+        \"\"\"The package.\"\"\"
+        __version__ = "0.1.0"
+        from repro.simulator.network import Network
+        import json
+        _EXPORTS = {"Network": "network"}
+        def __getattr__(name):
+            return _EXPORTS[name]
+        if TYPE_CHECKING:
+            from repro.simulator.engine import Simulator
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        violations, _ = run_lint(target.parent, self.SOURCE, name=target.name)
+        return of_rule(violations, "eager-import")
+
+    @pytest.mark.parametrize("rel", ["src/repro/simulator/__init__.py",
+                                     "src/repro/topology/__init__.py",
+                                     "src/repro/core/analysis/__init__.py"])
+    def test_a_package_init_holds_only_its_docstring(self, tmp_path, monkeypatch, rel):
+        violations = self.lint_at(tmp_path, monkeypatch, rel)
+        assert [v.line for v in violations] == [2, 3, 4, 5, 6, 8]
+        assert "a package holds its docstring alone" in violations[0].message
+
+    def test_the_top_package_also_keeps_its_version(self, tmp_path, monkeypatch):
+        violations = self.lint_at(tmp_path, monkeypatch, "src/repro/__init__.py")
+        assert [v.line for v in violations] == [3, 4, 5, 6, 8]
+
+    @pytest.mark.parametrize("source", ["", '"""The package."""\n'])
+    def test_an_empty_or_docstring_only_init_is_clean(self, tmp_path, monkeypatch, source):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        package = tmp_path / "src" / "repro" / "simulator"
+        package.mkdir(parents=True)
+        violations, _ = run_lint(package, source, name="__init__.py")
+        assert violations == []
+
+    @pytest.mark.parametrize("rel", ["src/repro/simulator/network.py",
+                                     "tests/unit/__init__.py"])
+    def test_allowed_elsewhere(self, tmp_path, monkeypatch, rel):
+        assert self.lint_at(tmp_path, monkeypatch, rel) == []
+
+
 class TestEagerPlaneImport:
-    """A package ``__init__.py`` under src/repro imports nothing from repro at
-    module level but the lazy-export helper, and the experiment modules a
-    compile-only process imports load no runtime plane at module level."""
+    """The experiment modules a compile-only process imports load no runtime
+    plane at module level."""
 
     SOURCE = """\
         from typing import TYPE_CHECKING
-        from repro import lazy_exports
+        from repro.core.compiler import compile_policy
         from repro.simulator.network import Network
         import repro.protocol.contra_switch
         from repro.workloads import distribution_by_name
         from repro.simulator.flow import TRANSPORT_DOMAIN
         from repro.simulator import packet
-        from repro.core.compiler import compile_policy
-        from repro import lazy_exports, __version__
 
         if TYPE_CHECKING:
             from repro.baselines.ecmp import EcmpSystem
@@ -571,12 +617,6 @@ class TestEagerPlaneImport:
         violations, _ = run_lint(target.parent, self.SOURCE, name=target.name)
         return of_rule(violations, "eager-import")
 
-    def test_a_package_init_imports_only_the_helper(self, tmp_path, monkeypatch):
-        violations = self.lint_at(tmp_path, monkeypatch, "src/repro/simulator/__init__.py")
-        assert [v.line for v in violations] == [3, 4, 5, 6, 7, 8, 9]
-        assert "repro.simulator.network in a package __init__" in violations[0].message
-        assert "lazy export map" in violations[0].message
-
     @pytest.mark.parametrize("name", ["runner", "config", "results", "coordinator",
                                       "scalability", "fct", "failure_recovery",
                                       "fluid_scale"])
@@ -592,75 +632,9 @@ class TestEagerPlaneImport:
     @pytest.mark.parametrize("rel", ["src/repro/experiments/registry.py",
                                      "src/repro/experiments/race.py",
                                      "src/repro/protocol/contra_switch.py",
-                                     "src/repro/topology/__init__.py",
-                                     "tests/unit/__init__.py"])
+                                     "tests/unit/test_sample.py"])
     def test_allowed_elsewhere(self, tmp_path, monkeypatch, rel):
         assert self.lint_at(tmp_path, monkeypatch, rel) == []
-
-
-class TestPackageImport:
-    """``from repro.<package> import name`` under src/repro/ of a name the
-    package re-exports, eagerly or through its lazy export map."""
-
-    PACKAGES = {
-        "src/repro/__init__.py": """\
-            def lazy_exports(package, exports):
-                return exports.get
-            __version__ = "0.1.0"
-            _EXPORTS = {"compile_policy": "core.compiler"}
-            """,
-        "src/repro/core/__init__.py": """\
-            from repro import lazy_exports
-            _EXPORTS = {"Rank": "rank", "verify_policy": "analysis.verification"}
-            """,
-        "src/repro/topology/__init__.py": """\
-            from repro.topology.fattree import fattree
-            from repro.topology.zoo import builtin_topology as builtin_topology
-            """,
-    }
-
-    SOURCE = """\
-        from typing import TYPE_CHECKING
-        from repro import lazy_exports, __version__
-        from repro import compile_policy
-        from repro.core import ast, rank
-        from repro.core import Rank
-        from repro.core.rank import Rank
-        from repro.topology import fattree, builtin_topology
-        from repro.topology.fattree import fattree
-        from repro.simulator import Network
-
-        if TYPE_CHECKING:
-            from repro.core import verify_policy
-
-        def build():
-            from repro.topology import fattree
-            return fattree
-        """
-
-    def lint_at(self, tmp_path, monkeypatch, rel):
-        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
-        for init, source in self.PACKAGES.items():
-            (tmp_path / init).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / init).write_text(textwrap.dedent(source))
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        violations, _ = run_lint(target.parent, self.SOURCE, name=target.name)
-        return of_rule(violations, "package-import")
-
-    def test_a_re_exported_name_is_flagged_wherever_it_is_imported(
-            self, tmp_path, monkeypatch):
-        violations = self.lint_at(tmp_path, monkeypatch, "src/repro/cli.py")
-        # A name the package defines, a submodule it does not re-export, a
-        # defining module and a package with no __init__ here are fine.
-        assert [(v.line, v.message.split()[0]) for v in violations] == [
-            (3, "compile_policy"), (5, "Rank"), (7, "fattree"),
-            (7, "builtin_topology"), (12, "verify_policy"), (15, "fattree")]
-        assert "import it from repro.core.rank, which defines it" in violations[1].message
-        assert "from repro.topology.zoo, which defines it" in violations[3].message
-
-    def test_allowed_outside_the_package(self, tmp_path, monkeypatch):
-        assert self.lint_at(tmp_path, monkeypatch, "tests/unit/test_sample.py") == []
 
 
 class TestUnusedImport:
@@ -705,18 +679,8 @@ class TestUnusedImport:
             ("unused-import", 9, "Simulator"),
         ]
 
-    @pytest.mark.parametrize("rel", ["src/repro/core/__init__.py",
-                                     "tests/unit/test_sample.py",
-                                     "tools/sample.py"])
-    def test_allowed_in_package_inits_and_outside_the_package(
-            self, tmp_path, monkeypatch, rel):
+    @pytest.mark.parametrize("rel", ["tests/unit/test_sample.py", "tools/sample.py"])
+    def test_allowed_outside_the_package(self, tmp_path, monkeypatch, rel):
         violations, _ = self.lint_at(tmp_path, monkeypatch, rel)
-        if rel.endswith("/__init__.py"):
-            # A package __init__ imports nothing from repro at module level
-            # (TestEagerPlaneImport); what it imports for type checking only
-            # never loads.
-            assert [(v.rule, v.line) for v in violations] == [
-                ("eager-import", 5), ("eager-import", 6)]
-        else:
-            assert violations == []
+        assert violations == []
 

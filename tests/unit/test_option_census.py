@@ -20,7 +20,8 @@ from repro.simulator.accumulators import HyperLogLog
 from repro.simulator.network import ProbeDrivenSystem
 from repro.simulator.stats import StatsCollector
 from repro.simulator.switchnode import FlowletTable
-from repro.workloads import Generator, generate_workload
+from repro.workloads.distributions import Generator
+from repro.workloads.generator import generate_workload
 
 CENSUS = {
     ContraSystem: ("compiled", "probe_period", "flowlet_timeout", "failure_periods",

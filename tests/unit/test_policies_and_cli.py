@@ -107,6 +107,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["compile", "P2", "--topology", "does-not-exist"])
 
+    def test_compile_takes_a_paper_alias(self, capsys):
+        assert main(["compile", "MU", "--topology", "fattree", "--k", "4"]) == 0
+        assert f"policy        : {policies.MU()}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "P99"], "policy 'P99': expected 'minimize' but found 'P99'"),
+        (["compile", "minimize(10 - path.len)", "--topology", "abilene"],
+         "policy 'minimize(10 - path.len)': policy is not monotone"),
+        (["check-policy", "minimize(("],
+         "policy 'minimize((': unexpected end of policy expression"),
+        (["check-policy", "minimize(10 - path.len)", "--topo", "abilene"],
+         "policy 'minimize(10 - path.len)': policy is not monotone"),
+    ])
+    def test_a_policy_error_is_one_line(self, argv, message):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert str(raised.value.code).startswith(message)
+        assert "\n" not in str(raised.value.code)
+
     def test_experiment_unknown_name_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run-grid", "fig99"])

@@ -310,7 +310,7 @@ class TestBuildMatchesThePerTransitionReference:
 
     def test_waypoints_on_a_fattree(self):
         from repro.experiments.scalability import waypoint_policy_for
-        from repro.topology import fattree
+        from repro.topology.fattree import fattree
 
         topology = fattree(6, hosts_per_edge=0)
         self.assert_same_graph(build_product_graph(
@@ -406,7 +406,7 @@ class TestTagMinimizationMatchesTheReference:
 
     def test_all_singletons_leave_the_graph_untouched(self):
         from repro.experiments.scalability import waypoint_policy_for
-        from repro.topology import fattree
+        from repro.topology.fattree import fattree
 
         topology = fattree(6, hosts_per_edge=0)
         pg = build_product_graph(topology, waypoint_policy_for(topology).regexes(),

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.baselines import HulaSystem
+from repro.baselines.hula import HulaSystem
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.device_config import LOOP_TABLE_SLOTS
 from repro.core.policies import MU
 from repro.exceptions import CompilationError, SimulationError
 from repro.core.builder import if_, inf, matches, minimize, path, rank_tuple
-from repro.protocol import ContraSystem
+from repro.protocol.contra_switch import ContraSystem
 from repro.protocol.probe import ContraProbe, probe_wire_size
 from repro.protocol.tables import (
     BestChoiceTable,
@@ -21,8 +21,10 @@ from repro.protocol.tables import (
     LoopDetectionTable,
     StatePool,
 )
-from repro.simulator import Flow, Network, Packet, PacketKind
-from repro.topology import leafspine
+from repro.simulator.flow import Flow
+from repro.simulator.network import Network
+from repro.simulator.packet import Packet, PacketKind
+from repro.topology.leafspine import leafspine
 from repro.topology.graph import Topology
 
 

@@ -9,15 +9,15 @@ import random
 
 import pytest
 
-from repro.baselines import ShortestPathSystem
+from repro.baselines.ecmp import ShortestPathSystem
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
 from repro.exceptions import ExperimentError
 from repro.experiments.race import _canon, _diff_result, install_race
 from repro.experiments.runner import RunResult
-from repro.protocol import ContraSystem
-from repro.simulator import Network
-from repro.topology import leafspine
+from repro.protocol.contra_switch import ContraSystem
+from repro.simulator.network import Network
+from repro.topology.leafspine import leafspine
 
 
 def _result(**summary):

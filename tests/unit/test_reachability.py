@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core import policies
-from repro.core.analysis import analyze_reachability, prune_dead_nodes
-from repro.core.analysis.reachability import _maybe_finite, _resolve_bool
-from repro.core import ast
+from repro.core import policies, ast
+from repro.core.analysis.reachability import (
+    analyze_reachability,
+    prune_dead_nodes,
+    _maybe_finite,
+    _resolve_bool,
+)
 from repro.core.builder import if_, inf, lt, matches, minimize, path
 from repro.core.compiler import CompileOptions, compile_policy
 from repro.core.product_graph import build_product_graph

@@ -30,10 +30,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import WorkloadError
 from repro.simulator.flow import Flow
-from repro.topology import abilene, fattree, leafspine
-from repro.workloads import (FlowStream, Generator, distribution_by_name,
-                             generate_workload, incast_pairs, permutation_pairs,
-                             resolve_endpoints, stream_workload)
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.workloads.distributions import Generator, distribution_by_name
+from repro.workloads.generator import (
+    FlowStream,
+    generate_workload,
+    incast_pairs,
+    permutation_pairs,
+    resolve_endpoints,
+    stream_workload,
+)
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 

@@ -19,13 +19,16 @@ import pytest
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
-from repro.baselines import ShortestPathSystem
-from repro.protocol import ContraSystem
+from repro.baselines.ecmp import ShortestPathSystem
+from repro.protocol.contra_switch import ContraSystem
 from repro.protocol.probe import ContraProbe, probe_wire_size
-from repro.simulator import Flow, Network, Simulator, StatsCollector
+from repro.simulator.engine import Simulator
+from repro.simulator.flow import Flow
+from repro.simulator.network import Network
+from repro.simulator.stats import StatsCollector
 from repro.simulator.link import SimLink
 from repro.simulator.sanitizer import Sanitizer, SanitizerError, Violation
-from repro.topology import leafspine
+from repro.topology.leafspine import leafspine
 
 pytestmark = pytest.mark.no_sanitize
 

@@ -11,17 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ast, policies
-from repro.core.analysis import (
+from repro.core.analysis.isotonicity import check_isotonicity
+from repro.core.analysis.monotonicity import check_monotonicity, coerce_expression
+from repro.core.analysis.semantic import (
     IsotonicityWitness,
     MonotonicityWitness,
     SearchDomain,
-    check_isotonicity,
-    check_monotonicity,
     check_semantic_isotonicity,
     check_semantic_monotonicity,
-    coerce_expression,
+    _extend,
 )
-from repro.core.analysis.semantic import _extend
 from repro.core.builder import if_, lt, matches, minimize, path, sub
 from repro.core.rank import Rank
 from repro.exceptions import PolicyAnalysisError

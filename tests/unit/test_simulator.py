@@ -4,24 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SimulationError
-from repro.simulator import (
-    ACK_PACKET_BYTES,
-    DATA_PACKET_BYTES,
-    Flow,
-    Network,
-    Packet,
-    PacketKind,
-    Probe,
-    ReceiverState,
-    RoutingSystem,
-    SenderState,
-    SimLink,
-    Simulator,
-    StatsCollector,
-)
-from repro.simulator.link import send_probes
+from repro.simulator.engine import Simulator
+from repro.simulator.flow import Flow, ReceiverState, SenderState
+from repro.simulator.link import SimLink, send_probes
+from repro.simulator.network import Network, RoutingSystem
+from repro.simulator.packet import ACK_PACKET_BYTES, DATA_PACKET_BYTES, Packet, PacketKind, Probe
+from repro.simulator.stats import StatsCollector
 from repro.simulator.switchnode import RoutingLogic
-from repro.topology import leafspine
+from repro.topology.leafspine import leafspine
 
 
 class TestSimulator:

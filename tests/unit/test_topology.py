@@ -4,22 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import TopologyError
-from repro.topology import (
-    ABILENE_NODES,
-    FATTREE_SWITCH_COUNTS,
-    Topology,
-    abilene,
+from repro.topology.abilene import ABILENE_NODES, abilene
+from repro.topology.fattree import FATTREE_SWITCH_COUNTS, fattree, fattree_for_switch_count
+from repro.topology.graph import Topology, Link, NodeKind
+from repro.topology.leafspine import leafspine
+from repro.topology.random_graphs import random_regular
+from repro.topology.zoo import (
     builtin_topologies,
     builtin_topology,
-    fattree,
-    fattree_for_switch_count,
     from_adjacency,
     from_edge_list,
     from_edge_list_file,
-    leafspine,
-    random_regular,
 )
-from repro.topology.graph import Link, NodeKind
 
 
 class TestLink:

@@ -9,19 +9,12 @@ state cleanup (stream dicts and completed-sender RTO timers).
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulator import (
-    DATA_PACKET_BYTES,
-    Flow,
-    Network,
-    Packet,
-    PacketKind,
-    ReceiverState,
-    SenderState,
-    StatsCollector,
-    TRANSPORT_MODES,
-)
-from repro.baselines import ShortestPathSystem
-from repro.topology import leafspine
+from repro.simulator.flow import Flow, ReceiverState, SenderState, TRANSPORT_MODES
+from repro.simulator.network import Network
+from repro.simulator.packet import DATA_PACKET_BYTES, Packet, PacketKind
+from repro.simulator.stats import StatsCollector
+from repro.baselines.ecmp import ShortestPathSystem
+from repro.topology.leafspine import leafspine
 
 
 def make_sender(transport, size=1000, window=16, rto=5.0):

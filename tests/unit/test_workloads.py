@@ -8,22 +8,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import WorkloadError
-from repro.topology import abilene, fattree, leafspine
-from repro.workloads import (
+from repro.topology.abilene import abilene
+from repro.topology.fattree import fattree
+from repro.topology.leafspine import leafspine
+from repro.workloads.distributions import (
     CACHE_CDF,
     WEB_SEARCH_CDF,
     EmpiricalCDF,
-    FlowStream,
     Generator,
     cache_distribution,
     distribution_by_name,
+    uniform_distribution,
+    web_search_distribution,
+)
+from repro.workloads.generator import (
+    FlowStream,
     generate_workload,
     incast_pairs,
     permutation_pairs,
     split_senders_receivers,
     stream_workload,
-    uniform_distribution,
-    web_search_distribution,
 )
 
 

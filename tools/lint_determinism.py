@@ -99,28 +99,17 @@ run it:
   process, a compile-only one included.  Import those in the function that
   first uses them (ARCHITECTURE.md §3, "Import contract"); an import of
   them under ``if TYPE_CHECKING:`` never runs and is not a finding.  The
-  same holds for ``repro``'s own planes: a module-level import from
-  ``repro`` in a package's ``__init__.py`` (other than the
-  ``repro.lazy_exports`` helper) loads that module with the package, so a
-  package lists its names in its lazy export map instead; and a
+  same holds for ``repro``'s own planes: a package's ``__init__.py`` under
+  ``src/repro/`` holds its docstring and no statement besides (but
+  ``__version__`` in ``repro/__init__.py``), so importing a package loads
+  nothing and each name has one import path, its defining module; and a
   module-level import of a runtime plane (the simulator but for ``flow``
   and ``packet``, the protocol, the baselines, the workload generator) in
   the experiment modules a compile-only or store-only process imports
   (``experiments/{runner,config,results,coordinator,scalability,fct,
   failure_recovery,fluid_scale}.py``) loads the planes into that process;
   the runner imports them where a run uses them and loads them all when a
-  ``RunContext`` is built.  ``repro.topology``'s ``__init__.py`` imports
-  its modules eagerly: three of its exports share their module's name, and
-  every process loads the topologies anyway.
-
-And one keeps the type checker off the lazy exports:
-
-* ``package-import`` — ``from repro.<package> import name`` under
-  ``src/repro/``, in a function body or under ``if TYPE_CHECKING:`` too,
-  where ``name`` is one the package's ``__init__.py`` re-exports (by an
-  import, or in its lazy export map): a type checker resolves a name a
-  package only exports lazily to a same-named submodule, or to nothing.
-  Import it from the module that defines it.
+  ``RunContext`` is built.
 
 And one keeps the results directory behind one door:
 
@@ -137,9 +126,9 @@ And one keeps the results directory behind one door:
 
 And one keeps imports honest:
 
-* ``unused-import`` — a module-level import under ``src/repro/`` (outside a
-  package's ``__init__.py``) whose bound name the module never reads: not
-  as a name, not inside a quoted annotation, and not through ``__all__``.
+* ``unused-import`` — a module-level import under ``src/repro/`` whose
+  bound name the module never reads: not as a name, not inside a quoted
+  annotation, and not through ``__all__``.
   A dead import hides what a module really depends on, and a heavy one
   costs every process that imports the module.
 
@@ -155,7 +144,6 @@ Exit status is the number of unallowlisted findings (0 = clean).
 from __future__ import annotations
 
 import ast
-import functools
 import sys
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
@@ -234,9 +222,6 @@ _DOMAIN_HOME = "src/repro/exceptions.py"
 #: module's import, under ``src/repro/``; and the one never imported there.
 _EAGER_MODULES = ("concurrent.futures", "multiprocessing")
 _UNUSED_MODULE = "numpy"
-#: The one import from ``repro`` a package ``__init__.py`` makes at module
-#: level, as ``(module, names)``: ``from repro import lazy_exports``.
-_LAZY_HELPER = ("repro", ("lazy_exports",))
 #: The runtime planes (eager-import), the simulator's data modules the spec
 #: layer reads, and the experiment modules that must not load the planes at
 #: their import.
@@ -247,10 +232,8 @@ _PLANE_FREE_FILES = frozenset(
     for name in ("runner", "config", "results", "coordinator", "scalability", "fct",
                  "failure_recovery", "fluid_scale"))
 _EAGER_PREFIX = "src/repro/"
-#: The one package ``__init__.py`` that imports its modules eagerly.
-_EAGER_INIT = "src/repro/topology/__init__.py"
-#: The lazy export map's name in a package ``__init__.py``.
-_EXPORT_MAP = "_EXPORTS"
+#: The one package ``__init__.py`` that binds a name: ``__version__``.
+_VERSION_INIT = "src/repro/__init__.py"
 
 #: Filesystem calls (store-io), the files they are refused in outside the
 #: seam class, and the per-file output writes that are not store steps.
@@ -263,8 +246,7 @@ _STORE_IO_FILES = frozenset({"src/repro/experiments/coordinator.py",
 _STORE_IO_SEAM = "StoreFiles"
 _STORE_IO_OUTPUTS = {"src/repro/cli.py": frozenset({"write_text"})}
 
-#: Where imports must be read (unused-import); a package's ``__init__.py``
-#: imports to export.
+#: Where imports must be read (unused-import).
 _UNUSED_IMPORT_PREFIX = "src/repro/"
 
 #: The only files allowed to read the process environment (env-read).
@@ -336,25 +318,6 @@ def _module_imports(body: List[ast.stmt]) -> Iterator[Tuple[ast.AST, str]]:
                 + [line for handler in statement.handlers for line in handler.body])
 
 
-@functools.lru_cache(maxsize=None)
-def _package_exports(init: Path) -> Dict[str, str]:
-    """Name -> defining module of each name a package's ``__init__.py``
-    re-exports: by a module-level import, or in its lazy export map."""
-    package = ".".join(init.parent.relative_to(REPO_ROOT / "src").parts)
-    tree = ast.parse(init.read_text(), filename=str(init))
-    exports = {name: statement.module
-               for statement, name in _module_imports(tree.body)
-               if isinstance(statement, ast.ImportFrom) and statement.module}
-    for statement in tree.body:
-        if isinstance(statement, ast.Assign) and isinstance(statement.value, ast.Dict) \
-                and [_dotted(target) for target in statement.targets] == [(_EXPORT_MAP,)]:
-            exports.update(
-                (key.value, f"{package}.{value.value}")
-                for key, value in zip(statement.value.keys, statement.value.values)
-                if isinstance(key, ast.Constant) and isinstance(value, ast.Constant))
-    return exports
-
-
 def _read_names(tree: ast.Module) -> FrozenSet[str]:
     """Every name the module reads: as a name, inside a string that parses
     as an expression (a quoted annotation), or listed in ``__all__``."""
@@ -397,8 +360,9 @@ class _Checker(ast.NodeVisitor):
         self.findings.append(Finding(self.path, node.lineno, rule, message))
 
     def visit_Module(self, node: ast.Module) -> None:
-        if self.rel.startswith(_UNUSED_IMPORT_PREFIX) \
-                and not self.rel.endswith("/__init__.py"):
+        if self.rel.startswith(_EAGER_PREFIX) and self.rel.endswith("/__init__.py"):
+            self._package_init(node.body)
+        if self.rel.startswith(_UNUSED_IMPORT_PREFIX):
             read = _read_names(node)
             for statement, name in _module_imports(node.body):
                 if name not in read:
@@ -546,47 +510,37 @@ class _Checker(ast.NodeVisitor):
                                "import it in the function that uses it")
                     return
 
-    def _eager_repro_import(self, node: ast.AST, module: str,
-                            names: Tuple[str, ...] = ()) -> None:
-        """Module-level imports of ``repro`` that load a plane with a package
-        or with an experiment module that must stay plane-free."""
+    def _package_init(self, body: List[ast.stmt]) -> None:
+        """Every statement of a package ``__init__.py`` but its docstring
+        (and ``__version__`` in ``repro/__init__.py``)."""
+        for index, statement in enumerate(body):
+            docstring = index == 0 and isinstance(statement, ast.Expr) \
+                and isinstance(statement.value, ast.Constant) \
+                and isinstance(statement.value.value, str)
+            version = self.rel == _VERSION_INIT and isinstance(statement, ast.Assign) \
+                and [_dotted(target) for target in statement.targets] == [("__version__",)]
+            if not (docstring or version):
+                self._flag(statement, "eager-import",
+                           "statement in a package __init__: a package holds its "
+                           "docstring alone; import each name from the module "
+                           "that defines it")
+
+    def _plane_import(self, node: ast.AST, module: str) -> None:
+        """A module-level import of a runtime plane in an experiment module
+        that must stay plane-free."""
         if self._func_stack or self._type_only:
             return
-        if self.rel.startswith(_EAGER_PREFIX) and self.rel.endswith("/__init__.py") \
-                and self.rel != _EAGER_INIT \
-                and (module == "repro" or module.startswith("repro.")) \
-                and (module, names) != _LAZY_HELPER:
-            self._flag(node, "eager-import",
-                       f"module-level import of {module} in a package __init__: "
-                       "importing the package loads it; list the name in the "
-                       "package's lazy export map (repro.lazy_exports)")
-        elif self.rel in _PLANE_FREE_FILES and module not in _PLANE_DATA and any(
+        if self.rel in _PLANE_FREE_FILES and module not in _PLANE_DATA and any(
                 module == plane or module.startswith(plane + ".") for plane in _PLANES):
             self._flag(node, "eager-import",
                        f"module-level import of the runtime plane {module}: every "
                        "process that imports this module loads it; import it where "
                        "a run needs it (a RunContext loads the planes)")
 
-    def _package_import(self, node: ast.ImportFrom, module: str) -> None:
-        """``from repro.<package> import name`` of a name the package
-        re-exports rather than defines."""
-        if not self.rel.startswith(_EAGER_PREFIX) \
-                or not (module == "repro" or module.startswith("repro.")):
-            return
-        init = REPO_ROOT.joinpath("src", *module.split("."), "__init__.py")
-        if not init.is_file():
-            return
-        exports = _package_exports(init)
-        for alias in node.names:
-            if alias.name in exports:
-                self._flag(node, "package-import",
-                           f"{alias.name} imported through the package {module}: "
-                           f"import it from {exports[alias.name]}, which defines it")
-
     def visit_Import(self, node: ast.Import) -> None:
         self._eager_import(node, [alias.name for alias in node.names])
         for alias in node.names:
-            self._eager_repro_import(node, alias.name)
+            self._plane_import(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -595,9 +549,7 @@ class _Checker(ast.NodeVisitor):
         if node.module is not None and not node.level:
             self._eager_import(node, [node.module] + [
                 f"{node.module}.{alias.name}" for alias in node.names])
-            self._eager_repro_import(node, node.module,
-                                     tuple(alias.name for alias in node.names))
-            self._package_import(node, node.module)
+            self._plane_import(node, node.module)
         self.generic_visit(node)
 
     def visit_If(self, node: ast.If) -> None:
