@@ -25,7 +25,7 @@ overhead (lease I/O, claim scans, poll loops).
 
 A second benchmark prices that overhead directly: a stub backend that
 returns canned results leaves nothing in a drain but claim scans, lease
-files, record appends and worker metas, and draining 180 and then 1 440
+files and record appends, and draining 180 and then 1 440
 such points shows whether the per-point cost depends on the size of the grid
 (it did: every claim re-parsed the whole store and probed one lease file per
 pending point, 7× from 180 to 1 440 points).
@@ -33,7 +33,6 @@ pending point, 7× from 180 to 1 440 points).
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 
@@ -131,9 +130,8 @@ def _run_straggler_showdown(static_dir, coordinated_dir) -> dict:
         _coordinated_worker,
         [("bench-w0", specs, coordinated_dir),
          ("bench-w1", specs, coordinated_dir)])
-    stolen = sum(
-        json.loads(path.read_text()).get("stolen", 0)
-        for path in coordinated_dir.glob("worker-*.meta.json"))
+    stolen = sum(bool(record.get("stolen"))
+                 for _, record, _ in ResultsStore(coordinated_dir).records())
     return {
         "static_wall_s": round(static_wall, 4),
         "coordinated_wall_s": round(coordinated_wall, 4),
@@ -186,7 +184,8 @@ class StubBackend(ExecutionBackend):
 
 
 def stub_specs(count: int) -> list:
-    """``count`` distinct points in three locality groups."""
+    """``count`` distinct points in two locality groups (ECMP and Hula
+    share one: neither compiles)."""
     return [
         ScenarioSpec(name=f"drain-overhead:{system}-{seed}", system=system,
                      topology=_topology(), config=TINY, workload="web_search",

@@ -15,7 +15,7 @@
   deterministic 1/n slice for scale-out across machines or CI jobs;
 * ``contra sweep-status`` — progress view of a coordinated results
   directory: pending/leased/complete per locality group plus per-worker
-  executed counts and idle time;
+  executed, stolen and reclaimed counts, read from the grid's records;
 * ``contra race-check`` — re-run a grid scenario's points under seeded
   permutations of the non-contractual same-tick event orders (see
   ARCHITECTURE.md §6) and diff the summaries: any divergence is a hidden
@@ -495,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-status", parents=[grid, variant],
         help="progress view of a coordinated results directory: "
              "pending/leased/complete per locality group, plus per-worker "
-             "executed counts and idle time")
+             "executed, stolen and reclaimed counts read from this grid's "
+             "records")
     status.add_argument("--results-dir", metavar="DIR", required=True,
                         help="the results store directory the drain runs against")
     status.set_defaults(func=_cmd_sweep_status)

@@ -63,7 +63,7 @@ def branch_is_isotonic(expr: ast.Expr) -> bool:
     automaton state per tag, and probe comparisons only happen within a tag),
     so only the metric structure matters here.
     """
-    return _expr_isotonic(expr, regex_resolved=True)
+    return _expr_isotonic(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +152,20 @@ def _sum_isotonic(expr: ast.BinOp) -> bool:
     return True
 
 
-def _expr_isotonic(expr: ast.Expr, regex_resolved: bool) -> bool:
+def _expr_isotonic(expr: ast.Expr) -> bool:
     if isinstance(expr, (ast.Const, ast.Infinite, ast.Attr)):
         return True
     if isinstance(expr, ast.TupleExpr):
-        return _tuple_isotonic(expr) and all(
-            _expr_isotonic(i, regex_resolved) for i in expr.items)
+        return _tuple_isotonic(expr) and all(_expr_isotonic(i) for i in expr.items)
     if isinstance(expr, ast.BinOp):
         if expr.op in ("min", "max"):
             return False
         return (_sum_isotonic(expr)
-                and _expr_isotonic(expr.left, regex_resolved)
-                and _expr_isotonic(expr.right, regex_resolved))
+                and _expr_isotonic(expr.left)
+                and _expr_isotonic(expr.right))
     if isinstance(expr, ast.If):
-        condition = expr.condition
-        if condition.attributes():
+        if expr.condition.attributes():
             return False
-        if condition.regexes() and not regex_resolved:
-            return False
-        return (_expr_isotonic(expr.then_branch, regex_resolved)
-                and _expr_isotonic(expr.else_branch, regex_resolved))
+        return (_expr_isotonic(expr.then_branch)
+                and _expr_isotonic(expr.else_branch))
     raise PolicyAnalysisError(f"unsupported expression node {type(expr).__name__}")

@@ -34,6 +34,10 @@ time converge to the complete grid:
   any other results file; merged reports are therefore byte-identical to an
   unsharded serial run regardless of worker count, slicing, kills, steals or
   interleaving (the repo's standing invariant, test-enforced).
+* **Progress.**  Each record names the worker that executed it (``owner``)
+  and whether its claim was a steal or a reclaim; :func:`sweep_status`
+  counts them per worker over the grid's own records, so the view is exact
+  mid-drain and for killed workers, and no other progress file is written.
 
 Wall-clock timestamps: lease heartbeats are the one place this repo
 legitimately reads the wall clock — cross-process liveness cannot be derived
@@ -344,8 +348,7 @@ class CoordinatedBackend(ExecutionBackend):
                  owner: Optional[str] = None,
                  ttl: float = DEFAULT_LEASE_TTL,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 heartbeat_interval: Optional[float] = None,
-                 scenario: str = ""):
+                 heartbeat_interval: Optional[float] = None):
         # Refused here, before the store below creates anything on disk.
         require("lease TTL", ttl, POSITIVE, ExperimentError)
         require("poll interval", poll_interval, NON_NEGATIVE, ExperimentError)
@@ -367,15 +370,13 @@ class CoordinatedBackend(ExecutionBackend):
         self.ttl = ttl
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
-        self.scenario = scenario
-        # Accounting, for the caller's progress report and sweep-status.
+        # Accounting, for the caller's progress report: counted as each
+        # record lands, so it always equals what sweep_status reads.
         self.executed = 0
         self.stolen = 0
         self.reclaimed = 0
         self.idle_s = 0.0
         self.groups_entered: List[str] = []
-        #: When the worker meta was last written, on the wall clock.
-        self._meta_written = float("-inf")
 
     # ------------------------------------------------------------- claiming
 
@@ -512,10 +513,6 @@ class CoordinatedBackend(ExecutionBackend):
                 if group != current_group:
                     current_group = group
                     self.groups_entered.append(group_label(group))
-                if claim.stolen:
-                    self.stolen += 1
-                if claim.reclaimed:
-                    self.reclaimed += 1
                 heartbeat.watch(key, spec.name)
                 try:
                     result, wall_s = next(iter(self.inner.run_iter_timed([spec])))
@@ -525,16 +522,12 @@ class CoordinatedBackend(ExecutionBackend):
                     raise
                 heartbeat.clear()
                 self.store.record(spec, result, wall_s=wall_s, key=key,
-                                  owner=self.owner)
+                                  owner=self.owner, stolen=claim.stolen,
+                                  reclaimed=claim.reclaimed)
                 release_lease(self.files, key, owner=self.owner)
                 self.executed += 1
-                # Progress for ``sweep-status`` at the heartbeat's cadence:
-                # often enough to watch a sweep, and off the per-point path.
-                # (A wall clock that stepped back counts as "long ago".)
-                if not (0 <= wall_now() - self._meta_written
-                        < self.heartbeat_interval):
-                    self._write_worker_meta()
-        self._write_worker_meta()
+                self.stolen += claim.stolen
+                self.reclaimed += claim.reclaimed
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Drain, then wait out other workers; returns the *full* grid.
@@ -553,7 +546,6 @@ class CoordinatedBackend(ExecutionBackend):
             waited = time.perf_counter()
             time.sleep(self.poll_interval)
             self.idle_s += time.perf_counter() - waited
-            self._write_worker_meta()
         return [completed[key] for key in keys]
 
     # ----------------------------------------------------------- accounting
@@ -568,33 +560,17 @@ class CoordinatedBackend(ExecutionBackend):
             "groups": list(self.groups_entered),
         }
 
-    def _write_worker_meta(self) -> None:
-        """Progress record for ``sweep-status`` (advisory, never load-bearing):
-        a write that fails — a gc swept its staging file, the disk is full —
-        is skipped, and the drain goes on."""
-        payload = dict(self.accounting())
-        payload["scenario"] = self.scenario
-        self._meta_written = wall_now()
-        payload["updated_unix"] = round(self._meta_written, 3)
-        try:
-            self.files.replace(StoreFiles.META.format(self.owner),
-                               json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            pass
-
 
 def drain_store(specs: Sequence[ScenarioSpec], directory,
                 owner: Optional[str] = None,
-                ttl: float = DEFAULT_LEASE_TTL,
-                scenario: str = "") -> Dict[str, object]:
+                ttl: float = DEFAULT_LEASE_TTL) -> Dict[str, object]:
     """Module-level one-worker drain (picklable for process fan-out).
 
     Runs a :class:`CoordinatedBackend` to claim-exhaustion and returns its
     accounting dict; the results live in the store for a later merge or a
     parent's :meth:`CoordinatedBackend.run`.
     """
-    backend = CoordinatedBackend(directory, owner=owner, ttl=ttl,
-                                 scenario=scenario)
+    backend = CoordinatedBackend(directory, owner=owner, ttl=ttl)
     backend.drain(specs)
     return backend.accounting()
 
@@ -617,10 +593,9 @@ class GroupStatus:
 @dataclass
 class WorkerStatus:
     owner: str
-    executed: int
-    stolen: int
-    reclaimed: int
-    idle_s: float
+    executed: int = 0
+    stolen: int = 0
+    reclaimed: int = 0
     current: str = ""            # spec name under a live lease, if any
 
 
@@ -655,11 +630,11 @@ class SweepStatus:
         if self.workers:
             lines.append("")
             lines.append(f"{'worker':<32s} {'done':>5s} {'stole':>5s} "
-                         f"{'recl':>5s} {'idle_s':>7s}  current")
+                         f"{'recl':>5s}  current")
         for worker in self.workers:
             lines.append(f"{worker.owner:<32s} {worker.executed:>5d} "
-                         f"{worker.stolen:>5d} {worker.reclaimed:>5d} "
-                         f"{worker.idle_s:>7.1f}  {worker.current or '-'}")
+                         f"{worker.stolen:>5d} {worker.reclaimed:>5d}  "
+                         f"{worker.current or '-'}")
         return "\n".join(lines)
 
 
@@ -668,22 +643,29 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
                  now: Optional[float] = None) -> SweepStatus:
     """Pending/leased/complete per locality group, plus per-worker progress.
 
-    Reads records, lease files and worker metas; executed counts come from
-    the records themselves (each carries its executing owner), so the view
-    is exact even for workers whose meta write was lost to a kill.
+    Reads records and lease files, and only those of this grid.  A worker's
+    executed, stolen and reclaimed counts are its records here (each names
+    its owner and how its claim was made), so they are exact mid-drain and
+    for killed workers; its current point is its live lease, if any.
     """
     files = StoreFiles.of(directory)
     specs = list(specs)
     keys = [spec_hash(spec) for spec in specs]
+    key_set = set(keys)
     now = wall_now() if now is None else now
 
     completed = set()
-    executed_by: Dict[str, int] = {}
+    workers: Dict[str, WorkerStatus] = {}
     for key, record, _ in ResultsStore(files).records():
+        if key not in key_set:
+            continue
         completed.add(key)
         owner = record.get("owner")
         if owner:
-            executed_by[owner] = executed_by.get(owner, 0) + 1
+            worker = workers.setdefault(owner, WorkerStatus(owner))
+            worker.executed += 1
+            worker.stolen += bool(record.get("stolen"))
+            worker.reclaimed += bool(record.get("reclaimed"))
 
     lease_by_key = {info.key: info
                     for info in live_leases(files, ttl=ttl, now=now)}
@@ -710,31 +692,10 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
                 status.leased += 1
                 leased += 1
 
-    key_set = set(keys)
-    workers: Dict[str, WorkerStatus] = {}
-    for meta_owner in files.keys(StoreFiles.META):
-        try:
-            payload = json.loads(files.read(StoreFiles.META.format(meta_owner)))
-        except (json.JSONDecodeError, OSError):
-            continue
-        owner = str(payload.get("owner", meta_owner))
-        workers[owner] = WorkerStatus(
-            owner=owner,
-            executed=int(payload.get("executed", 0)),
-            stolen=int(payload.get("stolen", 0)),
-            reclaimed=int(payload.get("reclaimed", 0)),
-            idle_s=float(payload.get("idle_s", 0.0)))
-    for owner, count in sorted(executed_by.items()):
-        worker = workers.setdefault(
-            owner, WorkerStatus(owner=owner, executed=0, stolen=0,
-                                reclaimed=0, idle_s=0.0))
-        worker.executed = max(worker.executed, count)
     for info in lease_by_key.values():
         if info.stale or info.key not in key_set:
             continue
-        worker = workers.setdefault(
-            info.owner, WorkerStatus(owner=info.owner, executed=0, stolen=0,
-                                     reclaimed=0, idle_s=0.0))
+        worker = workers.setdefault(info.owner, WorkerStatus(info.owner))
         worker.current = info.spec_name or info.key[:12]
 
     return SweepStatus(total=total, complete=complete, leased=leased,

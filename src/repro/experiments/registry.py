@@ -429,7 +429,7 @@ def _coordinate_worker(args) -> Dict[str, Any]:
     """
     name, config, results_dir, shard, flow_model, ttl = args
     specs = _store_specs(name, config, flow_model, shard)
-    return drain_store(specs, results_dir, ttl=ttl, scenario=name)
+    return drain_store(specs, results_dir, ttl=ttl)
 
 
 def run_scenario_coordinated(name: str, config: ExperimentConfig,
@@ -458,7 +458,7 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
     started = time.perf_counter()
     # The collector.  Built first: its constructor is where a malformed TTL is
     # refused, and that must happen before any drain process is spawned.
-    backend = CoordinatedBackend(results_dir, ttl=ttl, scenario=name)
+    backend = CoordinatedBackend(results_dir, ttl=ttl)
     accounts: List[Dict[str, Any]] = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

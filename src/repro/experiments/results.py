@@ -103,8 +103,8 @@ def parse_shard(text: str) -> Tuple[int, int]:
 class StoreFiles:
     """The one door to a results directory, and the one home of its layout.
 
-    Every step on records, leases and worker metas is a call on an instance,
-    on names relative to the directory; the names are spelled here only.
+    Every step on records and leases is a call on an instance, on names
+    relative to the directory; the names are spelled here only.
     :meth:`read` and :meth:`mtime` raise FileNotFoundError for an absent
     name, the other steps return None or False.  A function that takes a
     results ``directory`` accepts an instance as it is (:meth:`of`), so a
@@ -115,11 +115,11 @@ class StoreFiles:
     COMPACTED = "results-shard0of1.jsonl"       # the default file, and gc's
     WORKER_RESULTS = "results-worker-{}.jsonl"
     LEASE = "lease-{}.json"
-    META = "worker-{}.meta.json"
     SPEC_HASH = "[0-9a-f]" * 64
-    #: What gc_results sweeps: metas, and killed meta and lease writers'
-    #: leftovers.
-    DEBRIS = (META.format("*"), META.format("*") + ".tmp", "shard*.meta.json",
+    #: What gc_results sweeps: the progress metas older builds wrote beside
+    #: their workers and shards (and their staging files), and killed lease
+    #: writers' leftovers.
+    DEBRIS = ("worker-*.meta.json", "worker-*.meta.json.tmp", "shard*.meta.json",
               LEASE.format("*") + ".*")
 
     def __init__(self, directory):
@@ -370,7 +370,8 @@ class ResultsStore:
     def record(self, spec: ScenarioSpec, result: RunResult,
                wall_s: Optional[float] = None,
                key: Optional[str] = None,
-               owner: Optional[str] = None) -> None:
+               owner: Optional[str] = None,
+               stolen: bool = False, reclaimed: bool = False) -> None:
         """Append one completed grid point (see :meth:`StoreFiles.append`).
 
         ``wall_s`` is the wall-clock this execution spent on the point
@@ -380,9 +381,13 @@ class ResultsStore:
         in the store (every record is one actual execution — re-executed
         points count every time, skipped ones never).  ``key`` lets callers
         that already hold ``spec_hash(spec)`` skip recomputing it.  ``owner``
-        tags the record with the coordinated worker that executed it — like
-        ``point_wall_s`` it lives outside the ``result`` payload, so records
-        for one point from different workers still deduplicate cleanly.
+        tags the record with the coordinated worker that executed it, and
+        ``stolen`` / ``reclaimed`` mark a point that worker stole from another
+        locality group or reclaimed from a stale lease (written only when
+        true, so an ordinary record's bytes carry neither).  Like
+        ``point_wall_s`` these live outside the ``result`` payload, so records
+        for one point from different workers still deduplicate cleanly; they
+        are what ``sweep-status`` counts.
         """
         record = {
             "spec_hash": key if key is not None else spec_hash(spec),
@@ -393,6 +398,10 @@ class ResultsStore:
             record["point_wall_s"] = round(wall_s, 4)
         if owner is not None:
             record["owner"] = owner
+        if stolen:
+            record["stolen"] = True
+        if reclaimed:
+            record["reclaimed"] = True
         self.files.append(self.path.name,
                           json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -410,8 +419,8 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     resumes, and torn half-written tails from killed runs.  GC rewrites the
     directory as **one** compacted file (``results-shard0of1.jsonl``)
     containing exactly one record per *current* spec hash, in spec-grid
-    order, and removes the superseded files, the worker metas and any
-    ``shard*.meta.json`` an older build left beside its shard files.
+    order, and removes the superseded files and the ``worker-*.meta.json`` /
+    ``shard*.meta.json`` progress files older builds left beside them.
 
     Kept records are byte-preserved (including their ``point_wall_s``), so a
     later :func:`collect_results` merge reads the same bytes; duplicate

@@ -458,8 +458,10 @@ def compile_group_key(spec: ScenarioSpec) -> Tuple[str, TopologySpec]:
 def group_label(group: Tuple[str, TopologySpec]) -> str:
     """A short human-readable name for a compile group (status displays)."""
     policy, topo = group
-    detail = topo.name or (f"k={topo.k}" if topo.family in ("fattree", "leafspine")
-                           else f"size={topo.size}" if topo.family == "random" else "")
+    detail = topo.name or (
+        f"k={topo.k}" if topo.family == "fattree"
+        else f"{topo.leaves or topo.k}x{topo.spines or topo.k}" if topo.family == "leafspine"
+        else f"size={topo.size}" if topo.family == "random" else "")
     label = f"{topo.family}({detail})" if detail else topo.family
     return f"{label}+{policy}" if policy else label
 

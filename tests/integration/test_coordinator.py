@@ -27,12 +27,13 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments import coordinator, results
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, quick_config
 from repro.experiments.coordinator import (
     CoordinatedBackend,
     drain_store,
@@ -44,6 +45,11 @@ from repro.experiments.coordinator import (
     renew_lease,
     sweep_status,
     try_acquire_lease,
+    wall_now,
+)
+from repro.experiments.failure_recovery import (
+    recovery_sweep_specs,
+    recovery_sweep_topology,
 )
 from repro.experiments.registry import (
     GridScenario,
@@ -196,6 +202,13 @@ class TestLocalityGroups:
         assert group_label(compile_group_key(ecmp)) == "fattree(k=4)"
         assert "fattree(k=4)+" in group_label(compile_group_key(contra))
 
+    def test_a_leafspine_is_labelled_by_its_shape(self):
+        """Leaves x spines, counted as ``TopologySpec.build`` counts them."""
+        fabric = recovery_sweep_topology(TINY)
+        assert group_label(("", fabric)) == "leafspine(4x2)"
+        assert group_label(("", TopologySpec("leafspine", k=3))) == \
+            "leafspine(3x3)"
+
     def test_drain_visits_each_group_once(self, tmp_path):
         # Grid order interleaves the groups; a locality-preferring drain
         # still executes group-by-group (one compile per group, not per
@@ -317,6 +330,12 @@ class TestCoordinatedByteIdentity:
                    for line in file.read_text().splitlines()]
         assert sorted(r["spec_hash"] for r in records) == \
             sorted(spec_hash(spec) for spec in specs)
+        # The killed worker's progress is its record: sweep-status counts
+        # it beside the rescuer's reclaims.
+        workers = {worker.owner: (worker.executed, worker.reclaimed)
+                   for worker in sweep_status(specs, tmp_path, ttl=0.5).workers}
+        assert workers == {"victim": (1, 0),
+                           "rescuer": (len(specs) - 1, rescuer.reclaimed)}
 
     def test_interrupted_point_releases_its_lease(self, tmp_path):
         """Ctrl-C mid-point hands the point back on the way out: no live
@@ -419,7 +438,8 @@ class StubBackend(ExecutionBackend):
 
 
 def stub_specs(count):
-    """``count`` distinct grid points in three locality groups."""
+    """``count`` distinct grid points in two locality groups: ECMP and Hula
+    points share one (neither compiles), Contra points form the other."""
     return [
         ScenarioSpec(name=f"linear:{system}-{seed}", system=system,
                      topology=tiny_topology(), config=TINY,
@@ -565,82 +585,16 @@ def test_point_recorded_between_scan_and_create_runs_once(tmp_path, monkeypatch)
     assert not live_leases(tmp_path)
 
 
-class FakeClock:
-    """A wall clock the test advances; installed as ``coordinator.wall_now``."""
-
-    def __init__(self, start=1_000.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-
-class TickingBackend(StubBackend):
-    """Every point costs ``step`` seconds of the fake clock."""
-
-    def __init__(self, clock, step):
-        self.clock, self.step = clock, step
-
-    def run_iter_timed(self, specs):
-        for outcome in super().run_iter_timed(specs):
-            self.clock.now += self.step
-            yield outcome
-
-
 def heartbeat_threads():
     return [thread for thread in threading.enumerate()
             if thread.name.startswith("lease-heartbeat-")]
 
 
 class TestDrainBookkeeping:
-    """What a drain does beside executing points, counted from outside: the
-    worker meta is written on the heartbeat's cadence rather than per point,
-    one heartbeat thread serves the whole drain, and a claim scan walks the
-    points still pending rather than the grid."""
-
-    @pytest.mark.parametrize("step, interval", [(0.01, 5.0), (0.1, 1.0), (0.7, 0.5)])
-    def test_meta_writes_follow_the_heartbeat_cadence(self, tmp_path, monkeypatch,
-                                                      step, interval):
-        clock = FakeClock()
-        monkeypatch.setattr(coordinator, "wall_now", clock)
-        writes = []
-        write_meta = CoordinatedBackend._write_worker_meta
-        monkeypatch.setattr(
-            CoordinatedBackend, "_write_worker_meta",
-            lambda self: (writes.append((clock.now, self.executed)),
-                          write_meta(self))[1])
-        specs = stub_specs(60)
-        backend = CoordinatedBackend(tmp_path, inner=TickingBackend(clock, step),
-                                     owner="w0", ttl=6 * interval,
-                                     heartbeat_interval=interval,
-                                     scenario="cadence")
-        started = clock.now
-        backend.drain(specs)
-        elapsed = clock.now - started
-        assert backend.executed == 60
-        assert len(writes) <= -(-elapsed // interval) + 2
-        # Never two within one interval, except the exact one at drain end.
-        gaps = [later - earlier for (earlier, _), (later, _)
-                in zip(writes, writes[1:-1])]
-        assert all(gap >= interval for gap in gaps)
-        assert writes[-1] == (clock.now, 60)
-        meta = json.loads((tmp_path / "worker-w0.meta.json").read_text())
-        assert {name: meta[name] for name in backend.accounting()} == \
-            backend.accounting()
-        assert meta["scenario"] == "cadence"
-        assert meta["updated_unix"] == round(clock.now, 3)
-        status = sweep_status(specs, tmp_path, now=clock.now)
-        assert [(w.owner, w.executed) for w in status.workers] == [("w0", 60)]
-
-    def test_a_clock_stepped_back_does_not_silence_the_meta(self, tmp_path,
-                                                            monkeypatch):
-        clock = FakeClock()
-        monkeypatch.setattr(coordinator, "wall_now", clock)
-        backend = CoordinatedBackend(tmp_path, inner=TickingBackend(clock, -50.0),
-                                     owner="w0")
-        backend.drain(stub_specs(6))
-        meta = json.loads((tmp_path / "worker-w0.meta.json").read_text())
-        assert meta["executed"] == 6
+    """What a drain does beside executing points, counted from outside: one
+    heartbeat thread serves the whole drain, a lost or released lease is
+    never renewed, and a claim scan walks the points still pending rather
+    than the grid."""
 
     def test_one_heartbeat_thread_per_drain_and_none_after(self, tmp_path,
                                                            monkeypatch):
@@ -793,6 +747,63 @@ class TestSweepStatus:
         rendered = status.render()
         assert "3/4 points complete" in rendered
         assert "w0" in rendered and "w1" in rendered
+
+    def test_status_counts_only_its_own_grid(self, tmp_path):
+        """Another grid's records in the directory are not this grid's
+        progress: a recovery sweep drained at one seed reads, at another,
+        as nothing done and no worker."""
+        config = quick_config().scaled(0.25)
+        drainer = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w0")
+        drainer.drain(recovery_sweep_specs(config))
+        drained = sweep_status_scenario("recovery-sweep", config, str(tmp_path))
+        assert [(worker.owner, worker.executed) for worker in drained.workers] \
+            == [("w0", 2)]
+        assert "leafspine(4x2)" in drained.render()
+        elsewhere = sweep_status_scenario("recovery-sweep",
+                                          replace(config, seed=7), str(tmp_path))
+        assert (elsewhere.total, elsewhere.complete) == (2, 0)
+        assert elsewhere.workers == []
+        assert elsewhere.render().startswith("0/2 points complete")
+        assert "worker" not in elsewhere.render()
+
+    def test_mid_drain_counts_equal_the_drains_accounting(self, tmp_path):
+        """Steals and reclaims are read from the records, so a status taken
+        while a point executes agrees with the drain's own accounting.
+
+        Another worker holds a live lease in both groups, so entering either
+        is a steal; a dead worker's stale leases make two points reclaims,
+        one of them also the contra group's steal."""
+        specs = stub_specs(12)           # ecmp and hula 0-7, contra 8-11
+        keys = [spec_hash(spec) for spec in specs]
+        for position in (0, 8):
+            try_acquire_lease(tmp_path, keys[position], "other",
+                              spec_name=specs[position].name)
+        for position in (2, 9):
+            try_acquire_lease(tmp_path, keys[position], "dead",
+                              now=wall_now() - 3600.0)
+        seen = []
+
+        class Watching(StubBackend):
+            def run_iter_timed(self, batch):
+                rows = {worker.owner: (worker.executed, worker.stolen,
+                                       worker.reclaimed, worker.current)
+                        for worker in sweep_status(specs, tmp_path).workers}
+                seen.append((rows.get("w0", (0, 0, 0, "")),
+                             (backend.executed, backend.stolen,
+                              backend.reclaimed, batch[0].name)))
+                return super().run_iter_timed(batch)
+
+        backend = CoordinatedBackend(tmp_path, inner=Watching(), owner="w0")
+        backend.drain(specs)
+        assert (backend.executed, backend.stolen, backend.reclaimed) == (10, 2, 2)
+        assert len(seen) == 10
+        for from_records, accounted in seen:
+            assert from_records == accounted
+        final = {worker.owner: worker for worker in
+                 sweep_status(specs, tmp_path).workers}
+        assert (final["w0"].executed, final["w0"].stolen,
+                final["w0"].reclaimed) == (10, 2, 2)
+        assert final["other"].executed == 0 and final["other"].current
 
 
 def _tiny_grid_entry():

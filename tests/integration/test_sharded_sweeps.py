@@ -284,6 +284,21 @@ class TestResultsStore:
         store.record(spec, self._result())
         assert store.load()[spec_hash(spec)] == self._result()
 
+    def test_steal_and_reclaim_marks_sit_beside_the_owner(self, tmp_path):
+        """A steal or a reclaim is marked outside ``result``, and only when it
+        happened: an ordinary record's bytes carry neither key."""
+        spec = tiny_specs()[0]
+        store = ResultsStore(tmp_path)
+        store.record(spec, self._result(), wall_s=0.5, owner="w0")
+        store.record(spec, self._result(), wall_s=0.5, owner="w1",
+                     stolen=True, reclaimed=True)
+        plain, marked = store.path.read_text().splitlines()
+        assert list(json.loads(plain)) == \
+            ["spec_hash", "spec_name", "result", "point_wall_s", "owner"]
+        assert marked == plain.replace(
+            '"owner":"w0"', '"owner":"w1","stolen":true,"reclaimed":true')
+        assert [repeat for _, _, repeat in store.records()] == [False, True]
+
     def test_load_unions_shard_files(self, tmp_path):
         ecmp, contra = tiny_specs()
         ResultsStore(tmp_path, filename="results-worker-a.jsonl").record(

@@ -7,6 +7,8 @@ to a results directory: an in-memory subclass stands in for the disk.
 * A listing that omits a live lease created just before it cannot double a
   point: the exclusive create refuses the claim, and the point gets one
   record, from the lease holder.
+* A drain and a waiting run leave nothing in the directory but results
+  files.
 """
 
 import fnmatch
@@ -125,16 +127,6 @@ class MemoryFiles(StoreFiles):
         return self.unlink(name)
 
 
-class NoMetaFiles(MemoryFiles):
-    """A directory where every worker-meta write fails, as on a full disk
-    or when a gc sweeps the staging file between its write and rename."""
-
-    def replace(self, name, text, owner=""):
-        if fnmatch.fnmatchcase(name, StoreFiles.META.format("*")):
-            raise OSError(28, "No space left on device", name)
-        super().replace(name, text, owner)
-
-
 def drain_resume_collect_gc(directory, specs):
     """The store's life in one sequence; what it returns and what it leaves."""
     drainer = CoordinatedBackend(directory, inner=StubBackend(), owner="w0")
@@ -196,15 +188,21 @@ class TestInMemorySeam:
         assert [record["owner"] for record in records
                 if record["spec_hash"] == held] == ["holder"]
 
-    def test_a_failed_meta_write_never_stops_a_drain(self):
+    def test_a_drain_and_a_run_leave_only_results_files(self):
+        """Progress lives in the records: no drain step and no wait for
+        another worker's lease writes any other file."""
         specs = stub_specs(6)
-        files = NoMetaFiles("memory")
-        worker = CoordinatedBackend(files, inner=StubBackend(), owner="w0")
-        worker.drain(specs)
-        assert worker.executed == len(specs)
-        assert files.names(StoreFiles.META.format("*")) == []
-        records = [json.loads(line)
-                   for name in files.names(StoreFiles.RESULTS)
-                   for line in files.read(name).splitlines()]
-        assert Counter(record["spec_hash"] for record in records) == \
-            Counter(spec_hash(spec) for spec in specs)
+        memory = MemoryFiles("memory")
+        drainer = CoordinatedBackend(memory, inner=StubBackend(), owner="w0")
+        drainer.drain(specs[:3])
+        # A lease that goes stale while the run waits: the run sleeps, then
+        # reclaims and executes the point.
+        assert try_acquire_lease(memory, spec_hash(specs[3]), "ghost")
+        runner = CoordinatedBackend(memory, inner=StubBackend(), owner="w1",
+                                    ttl=0.05, heartbeat_interval=0.01,
+                                    poll_interval=0.01)
+        assert len(runner.run(specs)) == len(specs)
+        assert (runner.executed, runner.reclaimed) == (3, 1)
+        assert runner.idle_s > 0
+        assert sorted(memory.data) == [StoreFiles.WORKER_RESULTS.format("w0"),
+                                       StoreFiles.WORKER_RESULTS.format("w1")]
