@@ -56,7 +56,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import NON_NEGATIVE, POSITIVE, ExperimentError, require
 from repro.experiments.results import ResultsStore, StoreFiles
 from repro.experiments.runner import (
     ExecutionBackend,
@@ -70,7 +69,8 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
+    "LEASE_TTL",
+    "POLL_INTERVAL",
     "CoordinatedBackend",
     "LeaseInfo",
     "read_lease",
@@ -83,17 +83,23 @@ __all__ = [
 ]
 
 #: Seconds a lease may go without a heartbeat before any worker may reclaim
-#: it.  Heartbeats renew every TTL/6 while a point executes, so a live worker
-#: never comes close; a killed worker's point re-enters the pool after one
-#: TTL rather than wedging the sweep.
-DEFAULT_LEASE_TTL = 30.0
+#: it.  A drain's heartbeat renews every ``LEASE_TTL / 6`` while a point
+#: executes, so a live worker never comes close; a killed worker's point
+#: re-enters the pool after one TTL rather than wedging the sweep.
+LEASE_TTL = 30.0
 
 #: How often a waiting worker re-examines the store for newly completed or
 #: newly stale points.
-DEFAULT_POLL_INTERVAL = 0.2
+POLL_INTERVAL = 0.2
+
 
 def wall_now() -> float:
-    """The wall clock, for lease timestamps only (see module docstring)."""
+    """The wall clock, for lease timestamps only (see module docstring).
+
+    The one place the lease protocol reads time: every acquire, renewal and
+    staleness judgement calls it, so a test pins or skews the clock by
+    replacing this function.
+    """
     return time.time()
 
 
@@ -113,13 +119,12 @@ def _default_owner() -> str:
 
 @dataclass(frozen=True)
 class LeaseInfo:
-    """One lease file, decoded, with staleness judged at ``now``."""
+    """One lease file, decoded, with staleness judged when it was read."""
 
     key: str
     owner: str
     acquired_unix: float
     heartbeat_unix: float
-    age_s: float
     stale: bool
     spec_name: str = ""
 
@@ -135,16 +140,14 @@ def _lease_text(owner: str, acquired: float, heartbeat: float,
     }, sort_keys=True) + "\n"
 
 
-def try_acquire_lease(directory, key: str, owner: str, spec_name: str = "",
-                      now: Optional[float] = None) -> bool:
+def try_acquire_lease(directory, key: str, owner: str, spec_name: str = "") -> bool:
     """Claim ``key`` by exclusive-create; False when someone else holds it."""
-    now = wall_now() if now is None else now
+    now = wall_now()
     return StoreFiles.of(directory).create(
         StoreFiles.LEASE.format(key), _lease_text(owner, now, now, spec_name))
 
 
-def renew_lease(directory, key: str, owner: str, spec_name: str = "",
-                now: Optional[float] = None) -> bool:
+def renew_lease(directory, key: str, owner: str, spec_name: str = "") -> bool:
     """Refresh the heartbeat of a lease this owner holds; False if it doesn't.
 
     A lease that is gone, or that names another owner, was reclaimed while
@@ -154,12 +157,12 @@ def renew_lease(directory, key: str, owner: str, spec_name: str = "",
     not the TTL-long one an unconditional rewrite leaves open.)
     """
     files = StoreFiles.of(directory)
-    now = wall_now() if now is None else now
     info = read_lease(files, key)
     if info is None or info.owner != owner:
         return False
     files.replace(StoreFiles.LEASE.format(key),
-                  _lease_text(owner, info.acquired_unix, now, spec_name), owner)
+                  _lease_text(owner, info.acquired_unix, wall_now(), spec_name),
+                  owner)
     return True
 
 
@@ -187,9 +190,7 @@ def reclaim_lease(directory, key: str, owner: str) -> bool:
     return StoreFiles.of(directory).take(StoreFiles.LEASE.format(key), owner)
 
 
-def read_lease(directory, key: str,
-               now: Optional[float] = None,
-               ttl: float = DEFAULT_LEASE_TTL) -> Optional[LeaseInfo]:
+def read_lease(directory, key: str) -> Optional[LeaseInfo]:
     """Decode one lease file; None when absent.
 
     A lease caught mid-create (exclusive-create is not atomic with respect
@@ -199,7 +200,6 @@ def read_lease(directory, key: str,
     """
     files = StoreFiles.of(directory)
     name = StoreFiles.LEASE.format(key)
-    now = wall_now() if now is None else now
     try:
         payload = json.loads(files.read(name))
         heartbeat = float(payload["heartbeat_unix"])
@@ -214,9 +214,9 @@ def read_lease(directory, key: str,
         except FileNotFoundError:
             return None
         owner, spec_name = "?", ""
-    age = max(0.0, now - heartbeat)
     return LeaseInfo(key=key, owner=owner, acquired_unix=acquired,
-                     heartbeat_unix=heartbeat, age_s=age, stale=age > ttl,
+                     heartbeat_unix=heartbeat,
+                     stale=wall_now() - heartbeat > LEASE_TTL,
                      spec_name=spec_name)
 
 
@@ -224,18 +224,14 @@ def _lease_keys(directory) -> List[str]:
     return StoreFiles.of(directory).keys(StoreFiles.LEASE, StoreFiles.SPEC_HASH)
 
 
-def live_leases(directory, ttl: float = DEFAULT_LEASE_TTL,
-                now: Optional[float] = None) -> List[LeaseInfo]:
+def live_leases(directory) -> List[LeaseInfo]:
     """Every decodable lease in the directory (live and stale), sorted by key."""
     files = StoreFiles.of(directory)
-    now = wall_now() if now is None else now
-    leases = [read_lease(files, key, now=now, ttl=ttl) for key in _lease_keys(files)]
+    leases = [read_lease(files, key) for key in _lease_keys(files)]
     return [info for info in leases if info is not None]
 
 
-def gc_leases(directory, valid_keys, completed_keys,
-              ttl: float = DEFAULT_LEASE_TTL,
-              now: Optional[float] = None) -> Tuple[int, int]:
+def gc_leases(directory, valid_keys, completed_keys) -> Tuple[int, int]:
     """Store-hygiene pass used by ``gc-results``: returns (removed, live).
 
     Removes *orphaned* leases (their point is already recorded, or the
@@ -247,7 +243,7 @@ def gc_leases(directory, valid_keys, completed_keys,
     """
     files = StoreFiles.of(directory)
     removed = live = 0
-    for info in live_leases(files, ttl=ttl, now=now):
+    for info in live_leases(files):
         orphaned = info.key not in valid_keys or info.key in completed_keys
         if orphaned or info.stale:
             if reclaim_lease(files, info.key, "gc"):
@@ -261,12 +257,12 @@ class _Heartbeat:
     """One daemon thread per drain, renewing whichever lease the drain holds.
 
     :meth:`watch` points it at the lease of the point about to execute and
-    :meth:`clear` takes it off again.  Every ``interval`` seconds the thread
-    renews the lease it is pointed at, if any, so a held lease never goes
-    longer than that without a heartbeat.  A renewal that finds the lease
-    lost (see :func:`renew_lease`) drops it; the point still runs to
-    completion and is recorded — a duplicate of the reclaimer's
-    byte-identical record at worst.
+    :meth:`clear` takes it off again.  Every ``LEASE_TTL / 6`` seconds (read
+    when the drain builds it) the thread renews the lease it is pointed at,
+    if any, so a held lease never goes longer than that without a heartbeat.
+    A renewal that finds the lease lost (see :func:`renew_lease`) drops it;
+    the point still runs to completion and is recorded — a duplicate of the
+    reclaimer's byte-identical record at worst.
 
     The target is read, renewed and written under one lock, so once
     :meth:`clear` returns no renewal is in flight and none can start: the
@@ -275,10 +271,10 @@ class _Heartbeat:
     claims nothing starts none — and is joined on exit.
     """
 
-    def __init__(self, directory, owner: str, interval: float):
+    def __init__(self, directory, owner: str):
         self._directory = directory
         self._owner = owner
-        self._interval = interval
+        self._interval = LEASE_TTL / 6.0
         self._lock = threading.Lock()
         self._target: Optional[Tuple[str, str]] = None    # (key, spec name)
         self._stop = threading.Event()
@@ -345,20 +341,7 @@ class CoordinatedBackend(ExecutionBackend):
     """
 
     def __init__(self, directory, inner: Optional[ExecutionBackend] = None,
-                 owner: Optional[str] = None,
-                 ttl: float = DEFAULT_LEASE_TTL,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 heartbeat_interval: Optional[float] = None):
-        # Refused here, before the store below creates anything on disk.
-        require("lease TTL", ttl, POSITIVE, ExperimentError)
-        require("poll interval", poll_interval, NON_NEGATIVE, ExperimentError)
-        if heartbeat_interval is None:
-            heartbeat_interval = ttl / 6.0
-        if not (POSITIVE.admits(heartbeat_interval) and heartbeat_interval < ttl):
-            raise ExperimentError(
-                f"heartbeat interval must be positive and shorter than the "
-                f"lease TTL ({ttl}), got {heartbeat_interval!r}: a lease would "
-                f"go stale under a live worker")
+                 owner: Optional[str] = None):
         self.owner = owner if owner is not None else _default_owner()
         self.files = StoreFiles.of(directory)
         self.store = ResultsStore(
@@ -367,9 +350,6 @@ class CoordinatedBackend(ExecutionBackend):
         # survive across the one-point-at-a-time claim loop — cache locality
         # is the entire point of group-preferring claims.
         self.inner = inner if inner is not None else SerialBackend(RunContext())
-        self.ttl = ttl
-        self.poll_interval = poll_interval
-        self.heartbeat_interval = heartbeat_interval
         # Accounting, for the caller's progress report: counted as each
         # record lands, so it always equals what sweep_status reads.
         self.executed = 0
@@ -407,7 +387,6 @@ class CoordinatedBackend(ExecutionBackend):
             # before its release, so the load that follows sees it complete.
             leased = set(_lease_keys(self.files))
             completed = self.store.load()
-            now = wall_now()
             claimable: Dict[int, bool] = {}      # position -> needs reclaim
             active_groups = set()
             pending_total = 0
@@ -417,9 +396,7 @@ class CoordinatedBackend(ExecutionBackend):
                 pending_total += len(positions)
                 for position in positions:
                     key = keys[position]
-                    info = (read_lease(self.files, key, now=now,
-                                       ttl=self.ttl)
-                            if key in leased else None)
+                    info = read_lease(self.files, key) if key in leased else None
                     if info is None:
                         claimable[position] = False
                     elif info.stale:
@@ -436,7 +413,7 @@ class CoordinatedBackend(ExecutionBackend):
                                                    self.owner):
                 continue                    # lost the reclaim race; re-scan
             if not try_acquire_lease(self.files, key, self.owner,
-                                     spec_name=specs[position].name, now=now):
+                                     spec_name=specs[position].name):
                 continue                    # lost the create race; re-scan
             if key in self.store:           # recorded since the scan's load
                 release_lease(self.files, key, self.owner)
@@ -484,8 +461,7 @@ class CoordinatedBackend(ExecutionBackend):
             groups.setdefault(compile_group_key(spec), []).append(position)
         return groups
 
-    def drain(self, specs: Sequence[ScenarioSpec],
-              keys: Optional[Sequence[str]] = None) -> None:
+    def drain(self, specs: Sequence[ScenarioSpec]) -> None:
         """Claim and execute points until nothing is claimable by this worker.
 
         On return every grid point is either complete in the store or covered
@@ -493,17 +469,18 @@ class CoordinatedBackend(ExecutionBackend):
         for those).  A point that raises (Ctrl-C, an ``ExperimentError``) has
         its lease released before the exception propagates, so a rerun
         resumes at once; a hard kill leaves the lease behind, and after one
-        TTL any surviving worker reclaims and re-executes the point.
-        ``keys`` lets a caller that already holds the specs' hashes, in spec
-        order, skip recomputing them.
+        TTL any surviving worker reclaims and re-executes the point.  The
+        drain makes the results directory before its first lease create.
         """
         specs = list(specs)
-        if keys is None:
-            keys = [spec_hash(spec) for spec in specs]
+        self._drain(specs, [spec_hash(spec) for spec in specs])
+
+    def _drain(self, specs: List[ScenarioSpec], keys: List[str]) -> None:
+        """:meth:`drain`, for :meth:`run`, which holds the hashes already."""
         groups = self._build_groups(specs)
         current_group: Optional[Tuple] = None
-        with _Heartbeat(self.files, self.owner,
-                        self.heartbeat_interval) as heartbeat:
+        self.files.mkdir()
+        with _Heartbeat(self.files, self.owner) as heartbeat:
             while True:
                 claim = self._claim(specs, keys, groups, current_group)
                 if claim is None:
@@ -521,7 +498,7 @@ class CoordinatedBackend(ExecutionBackend):
                     release_lease(self.files, key, owner=self.owner)
                     raise
                 heartbeat.clear()
-                self.store.record(spec, result, wall_s=wall_s, key=key,
+                self.store.record(spec, result, wall_s=wall_s,
                                   owner=self.owner, stolen=claim.stolen,
                                   reclaimed=claim.reclaimed)
                 release_lease(self.files, key, owner=self.owner)
@@ -539,12 +516,12 @@ class CoordinatedBackend(ExecutionBackend):
         specs = list(specs)
         keys = [spec_hash(spec) for spec in specs]
         while True:
-            self.drain(specs, keys)
+            self._drain(specs, keys)
             completed = self.store.load()
             if all(key in completed for key in keys):
                 break
             waited = time.perf_counter()
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)
             self.idle_s += time.perf_counter() - waited
         return [completed[key] for key in keys]
 
@@ -562,15 +539,14 @@ class CoordinatedBackend(ExecutionBackend):
 
 
 def drain_store(specs: Sequence[ScenarioSpec], directory,
-                owner: Optional[str] = None,
-                ttl: float = DEFAULT_LEASE_TTL) -> Dict[str, object]:
+                owner: Optional[str] = None) -> Dict[str, object]:
     """Module-level one-worker drain (picklable for process fan-out).
 
     Runs a :class:`CoordinatedBackend` to claim-exhaustion and returns its
     accounting dict; the results live in the store for a later merge or a
     parent's :meth:`CoordinatedBackend.run`.
     """
-    backend = CoordinatedBackend(directory, owner=owner, ttl=ttl)
+    backend = CoordinatedBackend(directory, owner=owner)
     backend.drain(specs)
     return backend.accounting()
 
@@ -638,9 +614,7 @@ class SweepStatus:
         return "\n".join(lines)
 
 
-def sweep_status(specs: Sequence[ScenarioSpec], directory,
-                 ttl: float = DEFAULT_LEASE_TTL,
-                 now: Optional[float] = None) -> SweepStatus:
+def sweep_status(specs: Sequence[ScenarioSpec], directory) -> SweepStatus:
     """Pending/leased/complete per locality group, plus per-worker progress.
 
     Reads records and lease files, and only those of this grid.  A worker's
@@ -652,7 +626,6 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
     specs = list(specs)
     keys = [spec_hash(spec) for spec in specs]
     key_set = set(keys)
-    now = wall_now() if now is None else now
 
     completed = set()
     workers: Dict[str, WorkerStatus] = {}
@@ -668,7 +641,7 @@ def sweep_status(specs: Sequence[ScenarioSpec], directory,
             worker.reclaimed += bool(record.get("reclaimed"))
 
     lease_by_key = {info.key: info
-                    for info in live_leases(files, ttl=ttl, now=now)}
+                    for info in live_leases(files)}
 
     groups: Dict[Tuple, GroupStatus] = {}
     total = complete = leased = stale = 0

@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.exceptions import ExperimentError
 from repro.experiments import report
 from repro.experiments.coordinator import (
-    DEFAULT_LEASE_TTL,
     CoordinatedBackend,
     SweepStatus,
     drain_store,
@@ -67,6 +66,7 @@ from repro.experiments.results import ResultsStore, collect_results, gc_results
 from repro.experiments.runner import (
     RunResult,
     ScenarioSpec,
+    grid_map,
     resolve_processes,
     run_grid,
 )
@@ -427,17 +427,16 @@ def _coordinate_worker(args) -> Dict[str, Any]:
     functions of both, so every worker sees the identical grid in identical
     order) and drains the shared store to claim-exhaustion.
     """
-    name, config, results_dir, shard, flow_model, ttl = args
+    name, config, results_dir, shard, flow_model = args
     specs = _store_specs(name, config, flow_model, shard)
-    return drain_store(specs, results_dir, ttl=ttl)
+    return drain_store(specs, results_dir)
 
 
 def run_scenario_coordinated(name: str, config: ExperimentConfig,
                              results_dir: str,
                              processes: Optional[int] = None,
                              shard: Optional[Tuple[int, int]] = None,
-                             flow_model: Optional[str] = None,
-                             ttl: float = DEFAULT_LEASE_TTL) -> CoordinatedOutcome:
+                             flow_model: Optional[str] = None) -> CoordinatedOutcome:
     """Drain a grid scenario into ``results_dir`` through the sweep coordinator.
 
     The one way a grid reaches a store.  Points already recorded are skipped
@@ -456,18 +455,11 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
     specs = _store_specs(name, config, flow_model, shard)
     workers = resolve_processes(processes, len(specs))
     started = time.perf_counter()
-    # The collector.  Built first: its constructor is where a malformed TTL is
-    # refused, and that must happen before any drain process is spawned.
-    backend = CoordinatedBackend(results_dir, ttl=ttl)
+    backend = CoordinatedBackend(results_dir)
     accounts: List[Dict[str, Any]] = []
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        job = (name, config, results_dir, shard, flow_model, ttl)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_coordinate_worker, job)
-                       for _ in range(workers)]
-            for future in futures:
-                accounts.append(future.result())
+        job = (name, config, results_dir, shard, flow_model)
+        accounts = grid_map(_coordinate_worker, [job] * workers, workers)
     # The collector executes the whole slice itself with one process,
     # otherwise mops up (kills, reclaims, remote stragglers) and assembles
     # the result list from the store.
@@ -488,12 +480,11 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
 
 def sweep_status_scenario(name: str, config: ExperimentConfig,
                           results_dir: str,
-                          flow_model: Optional[str] = None,
-                          ttl: float = DEFAULT_LEASE_TTL) -> SweepStatus:
+                          flow_model: Optional[str] = None) -> SweepStatus:
     """Snapshot a coordinated results directory against the scenario's grid."""
     entry = _grid_scenario(name)
     specs = _build_specs(name, entry, config, flow_model)
-    return sweep_status(specs, results_dir, ttl=ttl)
+    return sweep_status(specs, results_dir)
 
 
 def gc_scenario(name: str, config: ExperimentConfig, results_dir: str,

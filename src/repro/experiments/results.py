@@ -232,13 +232,14 @@ class ResultsStore:
     ``results-shard0of1.jsonl``, where :func:`gc_results` also writes the
     compacted store) but :meth:`load` reads **all** ``results-*.jsonl``
     files in the directory, so resume sees every writer's completed work.
-    ``directory`` is a path or a :class:`StoreFiles`.
+    ``directory`` is a path or a :class:`StoreFiles`.  Reading writes
+    nothing: the directory is made, and the own file's torn tail cut, at
+    the first :meth:`record`.
     """
 
     def __init__(self, directory, filename: Optional[str] = None):
         self.files = StoreFiles.of(directory)
         self.directory = self.files.directory
-        self.files.mkdir()
         if filename is None:
             filename = StoreFiles.COMPACTED
         elif not fnmatch.fnmatchcase(filename, StoreFiles.RESULTS):
@@ -247,9 +248,7 @@ class ResultsStore:
             raise ExperimentError(
                 f"results filename {filename!r} must match {StoreFiles.RESULTS}")
         self.path = self.directory / filename
-        # A killed append leaves a line without its newline, which the next
-        # append would glue to a record.  Only the own file: others may be live.
-        self.files.truncate_torn_tail(filename)
+        self._writing = False
         # The incremental view behind load(): what has been consumed of each
         # results file, and what those bytes validated to.
         self._consumed: Dict[str, Tuple[int, int, int]] = {}  # inode, bytes, lines
@@ -369,7 +368,6 @@ class ResultsStore:
 
     def record(self, spec: ScenarioSpec, result: RunResult,
                wall_s: Optional[float] = None,
-               key: Optional[str] = None,
                owner: Optional[str] = None,
                stolen: bool = False, reclaimed: bool = False) -> None:
         """Append one completed grid point (see :meth:`StoreFiles.append`).
@@ -379,18 +377,25 @@ class ResultsStore:
         payload, so the conflict check stays on the deterministic result
         bytes while :meth:`total_wall_s` can sum the true compute invested
         in the store (every record is one actual execution — re-executed
-        points count every time, skipped ones never).  ``key`` lets callers
-        that already hold ``spec_hash(spec)`` skip recomputing it.  ``owner``
-        tags the record with the coordinated worker that executed it, and
-        ``stolen`` / ``reclaimed`` mark a point that worker stole from another
-        locality group or reclaimed from a stale lease (written only when
-        true, so an ordinary record's bytes carry neither).  Like
-        ``point_wall_s`` these live outside the ``result`` payload, so records
-        for one point from different workers still deduplicate cleanly; they
-        are what ``sweep-status`` counts.
+        points count every time, skipped ones never).  ``owner`` tags the
+        record with the coordinated worker that executed it, and ``stolen`` /
+        ``reclaimed`` mark a point that worker stole from another locality
+        group or reclaimed from a stale lease (written only when true, so an
+        ordinary record's bytes carry neither).  Like ``point_wall_s`` these
+        live outside the ``result`` payload, so records for one point from
+        different workers still deduplicate cleanly; they are what
+        ``sweep-status`` counts.  The key is the spec's own memoized
+        :func:`~repro.experiments.runner.spec_hash`.
         """
+        if not self._writing:
+            self.files.mkdir()
+            # A killed append leaves a line without its newline, which this
+            # append would glue to a record.  Only the own file: others may
+            # be live.
+            self.files.truncate_torn_tail(self.path.name)
+            self._writing = True
         record = {
-            "spec_hash": key if key is not None else spec_hash(spec),
+            "spec_hash": spec_hash(spec),
             "spec_name": spec.name,
             "result": encode_result(result),
         }
@@ -433,6 +438,7 @@ def gc_results(specs: Sequence[ScenarioSpec], directory) -> Dict[str, int]:
     dropped, duplicates dropped, and how many grid points remain missing.
     """
     store = ResultsStore(directory)
+    store.files.mkdir()
     valid = [spec_hash(spec) for spec in specs]
     valid_set = set(valid)
     kept: Dict[str, dict] = {}

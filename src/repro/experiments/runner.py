@@ -913,10 +913,7 @@ class PoolBackend(ExecutionBackend):
         workers = resolve_processes(self.processes, len(specs))
         if workers <= 1:
             return SerialBackend().run(specs)
-        from concurrent.futures import ProcessPoolExecutor
-        chunksize = max(1, len(specs) // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_worker_run, specs, chunksize=chunksize))
+        return grid_map(_worker_run, specs, workers)
 
 
 def default_backend(processes: Optional[int] = None, tasks: int = 0) -> ExecutionBackend:
@@ -946,8 +943,9 @@ def run_grid(specs: Sequence[ScenarioSpec], processes: Optional[int] = None,
 def grid_map(fn: Callable, items: Sequence, processes: Optional[int] = None) -> List:
     """Map a picklable module-level function over items, optionally in a pool.
 
-    The compile-scalability sweep uses this for (topology, policy) compile
-    jobs, which carry no simulation state.
+    The one place a process pool opens: :class:`PoolBackend` maps grid
+    points through it, the coordinated scenario run its drain workers, and
+    the compile-scalability sweep its (topology, policy) compile jobs.
     """
     items = list(items)
     if not items:

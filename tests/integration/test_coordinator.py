@@ -19,15 +19,23 @@ The contracts under test (ARCHITECTURE.md §8 "Sweep coordinator contract"):
   out the TTL;
 * a drain's coordination work is linear in the grid: each record decoded
   once per worker, one lease listing per claim scan, lease files read only
-  where the listing shows one.
+  where the listing shows one;
+* ``sweep_status`` and ``collect_results`` only read: a missing directory
+  stays missing and a torn default file keeps its bytes.
+
+Time reaches the lease protocol through ``coordinator.wall_now`` alone, so
+the ``clock`` fixture pins it; a test that needs a short TTL or poll patches
+``LEASE_TTL`` / ``POLL_INTERVAL`` (a forked drain inherits the patch).
 """
 
 import json
+import math
 import multiprocessing
 import os
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,7 +53,6 @@ from repro.experiments.coordinator import (
     renew_lease,
     sweep_status,
     try_acquire_lease,
-    wall_now,
 )
 from repro.experiments.failure_recovery import (
     recovery_sweep_specs,
@@ -95,48 +102,67 @@ def tiny_specs(systems=("ecmp", "contra"), loads=(0.4,)):
 
 
 KEY = "ab" * 32     # a syntactically valid spec-hash key for lease unit tests
+TTL = coordinator.LEASE_TTL
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The lease clock pinned: ``wall_now()`` reads ``clock.now``."""
+    pinned = SimpleNamespace(now=100.0)
+    monkeypatch.setattr(coordinator, "wall_now", lambda: pinned.now)
+    return pinned
 
 
 class TestLeasePrimitives:
-    def test_acquire_is_exclusive(self, tmp_path):
-        assert try_acquire_lease(tmp_path, KEY, "w0", now=100.0)
-        assert not try_acquire_lease(tmp_path, KEY, "w1", now=100.0)
-        info = read_lease(tmp_path, KEY, now=101.0)
+    def test_acquire_is_exclusive(self, tmp_path, clock):
+        assert try_acquire_lease(tmp_path, KEY, "w0")
+        assert not try_acquire_lease(tmp_path, KEY, "w1")
+        clock.now = 101.0
+        info = read_lease(tmp_path, KEY)
         assert info.owner == "w0" and not info.stale
 
-    def test_renew_moves_the_heartbeat_and_keeps_acquire_time(self, tmp_path):
-        try_acquire_lease(tmp_path, KEY, "w0", now=100.0)
-        renew_lease(tmp_path, KEY, "w0", now=120.0)
-        info = read_lease(tmp_path, KEY, now=121.0)
+    def test_renew_moves_the_heartbeat_and_keeps_acquire_time(self, tmp_path,
+                                                               clock):
+        try_acquire_lease(tmp_path, KEY, "w0")
+        clock.now = 120.0
+        renew_lease(tmp_path, KEY, "w0")
+        clock.now = 121.0
+        info = read_lease(tmp_path, KEY)
         assert info.heartbeat_unix == 120.0
         assert info.acquired_unix == 100.0
         assert not info.stale
 
-    def test_renew_never_resurrects_a_lost_lease(self, tmp_path):
+    def test_renew_never_resurrects_a_lost_lease(self, tmp_path, clock):
         """The paused-worker drill: A stalls past the TTL, B reclaims and
         acquires, A resumes — its heartbeat must leave B's lease alone."""
-        assert try_acquire_lease(tmp_path, KEY, "A", now=100.0)
-        assert read_lease(tmp_path, KEY, now=131.0, ttl=30.0).stale
+        assert try_acquire_lease(tmp_path, KEY, "A")
+        clock.now = 100.0 + TTL + 1
+        assert read_lease(tmp_path, KEY).stale
         assert reclaim_lease(tmp_path, KEY, "B")
-        assert try_acquire_lease(tmp_path, KEY, "B", now=131.0)
-        assert not renew_lease(tmp_path, KEY, "A", now=132.0)
-        info = read_lease(tmp_path, KEY, now=132.0)
-        assert (info.owner, info.heartbeat_unix) == ("B", 131.0)
+        assert try_acquire_lease(tmp_path, KEY, "B")
+        clock.now += 1
+        assert not renew_lease(tmp_path, KEY, "A")
+        info = read_lease(tmp_path, KEY)
+        assert (info.owner, info.heartbeat_unix) == ("B", 100.0 + TTL + 1)
         assert not release_lease(tmp_path, KEY, owner="A")
         assert read_lease(tmp_path, KEY).owner == "B"
         assert release_lease(tmp_path, KEY, owner="B")
         # Nor does it re-create a lease that is simply gone.
-        assert not renew_lease(tmp_path, KEY, "A", now=133.0)
+        assert not renew_lease(tmp_path, KEY, "A")
         assert not list(tmp_path.glob("lease-*")), "renew left debris"
 
-    def test_heartbeat_stops_once_the_lease_is_lost(self, tmp_path):
+    def test_heartbeat_stops_once_the_lease_is_lost(self, tmp_path, clock,
+                                                     monkeypatch):
         """The drain's one thread outlives a lost lease (the next point needs
         it) but is off that lease from the first renewal that finds it gone."""
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 0.06)   # 0.01 s heartbeat
+        clock.now = 50.0
         assert try_acquire_lease(tmp_path, KEY, "A")
-        with coordinator._Heartbeat(tmp_path, "A", 0.01) as heartbeat:
+        with coordinator._Heartbeat(tmp_path, "A") as heartbeat:
             heartbeat.watch(KEY, "")
             assert reclaim_lease(tmp_path, KEY, "B")
-            assert try_acquire_lease(tmp_path, KEY, "B", now=100.0)
+            clock.now = 100.0
+            assert try_acquire_lease(tmp_path, KEY, "B")
             deadline = time.monotonic() + 5.0
             while heartbeat._target is not None and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -147,20 +173,22 @@ class TestLeasePrimitives:
         info = read_lease(tmp_path, KEY)
         assert (info.owner, info.heartbeat_unix) == ("B", 100.0)
 
-    def test_staleness_is_judged_against_the_ttl(self, tmp_path):
-        try_acquire_lease(tmp_path, KEY, "w0", now=100.0)
-        assert not read_lease(tmp_path, KEY, now=100.0 + 29, ttl=30.0).stale
-        assert read_lease(tmp_path, KEY, now=100.0 + 31, ttl=30.0).stale
+    def test_staleness_is_judged_against_the_ttl(self, tmp_path, clock):
+        try_acquire_lease(tmp_path, KEY, "w0")
+        clock.now = 100.0 + TTL - 1
+        assert not read_lease(tmp_path, KEY).stale
+        clock.now = 100.0 + TTL + 1
+        assert read_lease(tmp_path, KEY).stale
 
     def test_reclaim_is_single_winner(self, tmp_path):
-        try_acquire_lease(tmp_path, KEY, "dead", now=0.0)
+        try_acquire_lease(tmp_path, KEY, "dead")
         assert reclaim_lease(tmp_path, KEY, "w1")
         assert not reclaim_lease(tmp_path, KEY, "w2")
         assert read_lease(tmp_path, KEY) is None
         assert not list(tmp_path.glob("lease-*")), "reclaim left debris"
 
     def test_release_refuses_anothers_lease(self, tmp_path):
-        try_acquire_lease(tmp_path, KEY, "w0", now=100.0)
+        try_acquire_lease(tmp_path, KEY, "w0")
         assert not release_lease(tmp_path, KEY, owner="w1")
         assert read_lease(tmp_path, KEY).owner == "w0"
         assert release_lease(tmp_path, KEY, owner="w0")
@@ -170,23 +198,22 @@ class TestLeasePrimitives:
         # A reader can catch a lease between create and content flush; it
         # must look freshly live, never reclaimable garbage.
         assert StoreFiles(tmp_path).create(StoreFiles.LEASE.format(KEY), "")
-        info = read_lease(tmp_path, KEY, ttl=30.0)
+        info = read_lease(tmp_path, KEY)
         assert info is not None and not info.stale
 
-    def test_gc_leases_removes_orphaned_and_stale_only(self, tmp_path):
+    def test_gc_leases_removes_orphaned_and_stale_only(self, tmp_path, clock):
         done, pending, gone = "aa" * 32, "bb" * 32, "cc" * 32
-        now = 1000.0
-        try_acquire_lease(tmp_path, done, "w0", now=now)      # point complete
-        try_acquire_lease(tmp_path, pending, "w0", now=now)   # live, pending
-        try_acquire_lease(tmp_path, gone, "w0", now=now)      # not in grid
+        try_acquire_lease(tmp_path, done, "w0")      # point complete
+        try_acquire_lease(tmp_path, pending, "w0")   # live, pending
+        try_acquire_lease(tmp_path, gone, "w0")      # not in grid
+        clock.now = 101.0
         removed, live = gc_leases(tmp_path, valid_keys={done, pending},
-                                  completed_keys={done}, ttl=30.0,
-                                  now=now + 1)
+                                  completed_keys={done})
         assert (removed, live) == (2, 1)
         assert read_lease(tmp_path, pending) is not None
+        clock.now = 100.0 + TTL + 1                  # now stale too
         removed, live = gc_leases(tmp_path, valid_keys={done, pending},
-                                  completed_keys={done}, ttl=30.0,
-                                  now=now + 31)               # now stale too
+                                  completed_keys={done})
         assert (removed, live) == (1, 0)
         assert not list(tmp_path.glob("lease-*"))
 
@@ -255,18 +282,19 @@ class TestCoordinatedByteIdentity:
         merged = collect_results(specs, ResultsStore(tmp_path))
         assert [r.summary for r in merged] == [r.summary for r in serial]
 
-    def test_two_processes_one_store_converge(self, tmp_path):
+    def test_two_processes_one_store_converge(self, tmp_path, monkeypatch):
         """Two real concurrent drain processes + the parent as collector."""
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 10.0)
+        monkeypatch.setattr(coordinator, "POLL_INTERVAL", 0.05)
         specs = tiny_specs(("ecmp", "contra", "hula"), loads=(0.4, 0.6))
         serial = run_grid(specs, backend=SerialBackend())
         ctx = multiprocessing.get_context("fork")
         workers = [ctx.Process(target=drain_store, args=(specs, tmp_path),
-                               kwargs={"owner": f"w{i}", "ttl": 10.0})
+                               kwargs={"owner": f"w{i}"})
                    for i in range(2)]
         for worker in workers:
             worker.start()
-        collector = CoordinatedBackend(tmp_path, owner="collector", ttl=10.0,
-                                       poll_interval=0.05)
+        collector = CoordinatedBackend(tmp_path, owner="collector")
         results = collector.run(specs)
         for worker in workers:
             worker.join()
@@ -281,7 +309,8 @@ class TestCoordinatedByteIdentity:
         assert sorted(record["spec_hash"] for record in records) == \
             sorted(spec_hash(spec) for spec in specs)
 
-    def test_killed_worker_is_reclaimed_and_report_is_identical(self, tmp_path):
+    def test_killed_worker_is_reclaimed_and_report_is_identical(self, tmp_path,
+                                                                monkeypatch):
         """The crash-safety satellite: die mid-lease, TTL lapse, reclaim.
 
         The victim is a forked process that exits hard (``os._exit``: no
@@ -303,8 +332,10 @@ class TestCoordinatedByteIdentity:
 
         def victim_drain(specs):
             CoordinatedBackend(tmp_path, inner=DiesAfterOne(),
-                               owner="victim", ttl=0.5).drain(specs)
+                               owner="victim").drain(specs)
 
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 0.5)
+        monkeypatch.setattr(coordinator, "POLL_INTERVAL", 0.05)
         specs = tiny_specs(("ecmp", "hula", "contra"))
         serial = run_grid(specs, backend=SerialBackend())
         victim = multiprocessing.get_context("fork").Process(
@@ -317,8 +348,7 @@ class TestCoordinatedByteIdentity:
         assert len(orphans) == 1 and orphans[0].owner == "victim"
 
         time.sleep(0.6)                       # let the orphan lease go stale
-        rescuer = CoordinatedBackend(tmp_path, owner="rescuer", ttl=0.5,
-                                     poll_interval=0.05)
+        rescuer = CoordinatedBackend(tmp_path, owner="rescuer")
         results = rescuer.run(specs)
         assert rescuer.reclaimed >= 1
         assert [r.summary for r in results] == [r.summary for r in serial]
@@ -333,7 +363,7 @@ class TestCoordinatedByteIdentity:
         # The killed worker's progress is its record: sweep-status counts
         # it beside the rescuer's reclaims.
         workers = {worker.owner: (worker.executed, worker.reclaimed)
-                   for worker in sweep_status(specs, tmp_path, ttl=0.5).workers}
+                   for worker in sweep_status(specs, tmp_path).workers}
         assert workers == {"victim": (1, 0),
                            "rescuer": (len(specs) - 1, rescuer.reclaimed)}
 
@@ -364,62 +394,45 @@ class TestCoordinatedByteIdentity:
         assert (rerun.executed, rerun.reclaimed) == (2, 0)
         assert [r.name for r in results] == [spec.name for spec in specs]
 
-    def test_ttl_must_be_positive(self, tmp_path):
-        with pytest.raises(ExperimentError, match="TTL"):
-            CoordinatedBackend(tmp_path, ttl=0.0)
 
+class TestTimingConstants:
+    """The lease timing is three constants and one clock: what the refusals
+    of a caller's TTL, heartbeat and poll used to guard now holds by value,
+    and a patch of the constants is read when a drain starts."""
 
-NAN, INF = float("nan"), float("inf")
+    def test_the_heartbeat_renews_well_inside_the_ttl(self, tmp_path):
+        ttl, poll = coordinator.LEASE_TTL, coordinator.POLL_INTERVAL
+        assert math.isfinite(ttl) and ttl > 0
+        assert math.isfinite(poll) and 0 < poll < ttl
+        heartbeat = coordinator._Heartbeat(tmp_path, "w0")
+        assert heartbeat._interval == ttl / 6 < ttl
 
+    def test_a_drain_reads_the_ttl_when_it_starts(self, tmp_path, monkeypatch):
+        intervals = []
 
-class TestTimingRefusals:
-    """Each of these used to be accepted: a NaN TTL made every lease immortal
-    (``nan <= 0`` is false), a zero heartbeat interval span the renew loop,
-    one no shorter than the TTL let a lease go stale under a live worker, and
-    a negative or NaN poll interval surfaced mid-sweep as ``time.sleep``'s
-    bare ``ValueError``."""
+        class Recording(coordinator._Heartbeat):
+            def __init__(self, directory, owner):
+                super().__init__(directory, owner)
+                intervals.append(self._interval)
 
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"ttl": NAN}, "TTL"), ({"ttl": INF}, "TTL"), ({"ttl": -INF}, "TTL"),
-        ({"ttl": -1.0}, "TTL"), ({"ttl": 0.0}, "TTL"), ({"ttl": "30"}, "TTL"),
-        ({"ttl": True}, "TTL"),
-        ({"heartbeat_interval": 0.0}, "heartbeat"),
-        ({"heartbeat_interval": -0.5}, "heartbeat"),
-        ({"heartbeat_interval": NAN}, "heartbeat"),
-        ({"heartbeat_interval": INF}, "heartbeat"),
-        ({"ttl": 3.0, "heartbeat_interval": 3.0}, "stale under a live worker"),
-        ({"ttl": 3.0, "heartbeat_interval": 30.0}, "stale under a live worker"),
-        ({"poll_interval": -0.2}, "poll"), ({"poll_interval": NAN}, "poll"),
-        ({"poll_interval": INF}, "poll"),
-    ], ids=lambda value: None if isinstance(value, str) else
-        ",".join(f"{name}={number}" for name, number in value.items()))
-    def test_refused_before_anything_is_created(self, tmp_path, kwargs, match):
-        directory = tmp_path / "store"
-        with pytest.raises(ExperimentError, match=match):
-            CoordinatedBackend(directory, **kwargs)
-        assert not directory.exists()
+        monkeypatch.setattr(coordinator, "_Heartbeat", Recording)
+        backend = CoordinatedBackend(tmp_path, inner=StubBackend(), owner="w0")
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 1.2)
+        backend.drain(stub_specs(3))
+        assert backend.executed == 3
+        assert intervals == [pytest.approx(0.2)]
 
-    def test_the_accepted_edge_values(self, tmp_path):
-        backend = CoordinatedBackend(tmp_path, ttl=3.0, heartbeat_interval=2.999,
-                                     poll_interval=0.0)
-        assert backend.heartbeat_interval == 2.999
-        assert CoordinatedBackend(tmp_path, ttl=3.0).heartbeat_interval == 0.5
-
-    def test_drain_store_and_the_scenario_path_share_the_check(self, tmp_path,
-                                                              monkeypatch):
-        import concurrent.futures
-
-        from repro.experiments import registry
-        directory = tmp_path / "store"
-        with pytest.raises(ExperimentError, match="TTL"):
-            drain_store(tiny_specs(), directory, ttl=NAN)
-        monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
-        # The pool is imported where it opens: patch its source, never reached.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        with pytest.raises(ExperimentError, match="TTL"):
-            run_scenario_coordinated("fig13", TINY, str(directory),
-                                     processes=2, ttl=INF)
-        assert not directory.exists()
+    def test_a_lease_is_stamped_and_judged_by_wall_now_alone(self, tmp_path,
+                                                             clock):
+        assert try_acquire_lease(tmp_path, KEY, "w0", spec_name="p")
+        stamped = json.loads(
+            StoreFiles(tmp_path).read(StoreFiles.LEASE.format(KEY)))
+        assert (stamped["acquired_unix"], stamped["heartbeat_unix"]) == \
+            (100.0, 100.0)
+        clock.now = 100.0 + TTL
+        assert [info.stale for info in live_leases(tmp_path)] == [False]
+        clock.now = 100.0 + TTL + 0.5
+        assert [info.stale for info in live_leases(tmp_path)] == [True]
 
 
 class StubBackend(ExecutionBackend):
@@ -524,12 +537,14 @@ class TestLinearWork:
         assert ledger["lease_reads_in_scan"] <= len(held) * ledger["scans"]
         assert ledger["decoded"] == backend.executed
 
-    def test_two_workers_stay_linear_and_byte_identical(self, tmp_path, ledger):
+    def test_two_workers_stay_linear_and_byte_identical(self, tmp_path, ledger,
+                                                         monkeypatch):
+        monkeypatch.setattr(coordinator, "POLL_INTERVAL", 0.01)
         specs = stub_specs(60)
         serial = [json.dumps(encode_result(result), sort_keys=True)
                   for result in StubBackend().run(specs)]
         workers = [CoordinatedBackend(tmp_path, inner=StubBackend(),
-                                      owner=f"w{index}", poll_interval=0.01)
+                                      owner=f"w{index}")
                    for index in range(2)]
         reports = {}
 
@@ -629,21 +644,24 @@ class TestDrainBookkeeping:
         on, A's release leaves B's lease alone, and the point is recorded."""
         spec = stub_specs(3)[0]
         key = spec_hash(spec)
-        renewals = []
+        lease = StoreFiles(tmp_path).read
+        renewals, taken = [], []
         renew = coordinator.renew_lease
 
-        def watching_renew(directory, lease_key, owner, spec_name="", now=None):
-            renewed = renew(directory, lease_key, owner, spec_name, now)
+        def watching_renew(directory, lease_key, owner, spec_name=""):
+            renewed = renew(directory, lease_key, owner, spec_name)
             renewals.append((lease_key, owner, renewed))
             return renewed
 
         monkeypatch.setattr(coordinator, "renew_lease", watching_renew)
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 0.06)   # 0.01 s heartbeat
 
         class Stolen(StubBackend):
             def run_iter_timed(self, specs):
                 assert read_lease(tmp_path, key).owner == "A"
                 assert reclaim_lease(tmp_path, key, "B")
-                assert try_acquire_lease(tmp_path, key, "B", now=50.0)
+                assert try_acquire_lease(tmp_path, key, "B")
+                taken.append(lease(StoreFiles.LEASE.format(key)))
                 deadline = time.monotonic() + 5.0
                 while (key, "A", False) not in renewals \
                         and time.monotonic() < deadline:
@@ -651,15 +669,13 @@ class TestDrainBookkeeping:
                 time.sleep(0.05)            # several more ticks
                 return super().run_iter_timed(specs)
 
-        backend = CoordinatedBackend(tmp_path, inner=Stolen(), owner="A",
-                                     ttl=1.0, heartbeat_interval=0.01)
+        backend = CoordinatedBackend(tmp_path, inner=Stolen(), owner="A")
         backend.drain([spec])
         # (A tick between the claim and the theft renews; none follows the loss.)
         lost = renewals.index((key, "A", False))
         assert renewals[lost:] == [(key, "A", False)]
         assert set(renewals[:lost]) <= {(key, "A", True)}
-        info = read_lease(tmp_path, key)
-        assert (info.owner, info.heartbeat_unix) == ("B", 50.0)
+        assert lease(StoreFiles.LEASE.format(key)) == taken[0]   # B's, untouched
         assert backend.executed == 1 and key in backend.store.load()
 
     def test_no_renewal_lands_after_the_release(self, tmp_path, monkeypatch):
@@ -671,10 +687,10 @@ class TestDrainBookkeeping:
         late = []
         renew, release = coordinator.renew_lease, coordinator.release_lease
 
-        def watching_renew(directory, key, owner, spec_name="", now=None):
+        def watching_renew(directory, key, owner, spec_name=""):
             if key in released:
                 late.append(key)
-            return renew(directory, key, owner, spec_name, now)
+            return renew(directory, key, owner, spec_name)
 
         def watching_release(directory, key, owner=None):
             released.add(key)
@@ -688,9 +704,9 @@ class TestDrainBookkeeping:
                 time.sleep(0.004)
                 return super().run_iter_timed(specs)
 
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 0.006)  # 0.001 s heartbeat
         specs = stub_specs(60)
-        backend = CoordinatedBackend(tmp_path, inner=Slow(), owner="w0",
-                                     ttl=1.0, heartbeat_interval=0.001)
+        backend = CoordinatedBackend(tmp_path, inner=Slow(), owner="w0")
         backend.drain(specs)
         assert backend.executed == 60 and len(released) == 60
         assert not late
@@ -766,7 +782,8 @@ class TestSweepStatus:
         assert elsewhere.render().startswith("0/2 points complete")
         assert "worker" not in elsewhere.render()
 
-    def test_mid_drain_counts_equal_the_drains_accounting(self, tmp_path):
+    def test_mid_drain_counts_equal_the_drains_accounting(self, tmp_path,
+                                                          clock):
         """Steals and reclaims are read from the records, so a status taken
         while a point executes agrees with the drain's own accounting.
 
@@ -775,12 +792,13 @@ class TestSweepStatus:
         one of them also the contra group's steal."""
         specs = stub_specs(12)           # ecmp and hula 0-7, contra 8-11
         keys = [spec_hash(spec) for spec in specs]
+        clock.now = 100.0 - 3600.0
+        for position in (2, 9):
+            try_acquire_lease(tmp_path, keys[position], "dead")
+        clock.now = 100.0
         for position in (0, 8):
             try_acquire_lease(tmp_path, keys[position], "other",
                               spec_name=specs[position].name)
-        for position in (2, 9):
-            try_acquire_lease(tmp_path, keys[position], "dead",
-                              now=wall_now() - 3600.0)
         seen = []
 
         class Watching(StubBackend):
@@ -804,6 +822,36 @@ class TestSweepStatus:
         assert (final["w0"].executed, final["w0"].stolen,
                 final["w0"].reclaimed) == (10, 2, 2)
         assert final["other"].executed == 0 and final["other"].current
+
+    def test_a_drain_makes_its_missing_directory(self, tmp_path):
+        """Opening a backend writes nothing; the drain itself makes the
+        directory, before its first lease create."""
+        directory = tmp_path / "absent" / "store"
+        backend = CoordinatedBackend(directory, inner=StubBackend(), owner="w0")
+        assert not directory.exists()
+        backend.drain(stub_specs(3))
+        assert backend.executed == 3
+        assert len(ResultsStore(directory).load()) == 3
+        assert not list(directory.glob("lease-*"))
+
+    def test_status_of_a_missing_directory_creates_nothing(self, tmp_path):
+        directory = tmp_path / "absent"
+        status = sweep_status(stub_specs(3), directory)
+        assert (status.total, status.complete, status.pending) == (3, 0, 3)
+        assert not directory.exists()
+
+    def test_readers_leave_a_torn_default_file_as_they_found_it(self, tmp_path):
+        """A torn last line is a writer's to cut, at its first append: a
+        status or a merge reads past it and changes no byte."""
+        specs = stub_specs(3)
+        store = ResultsStore(tmp_path)
+        for spec, result in zip(specs, StubBackend().run(specs)):
+            store.record(spec, result)
+        store.files.append(StoreFiles.COMPACTED, '{"spec_hash": "')
+        torn = store.path.read_bytes()
+        assert sweep_status(specs, tmp_path).complete == len(specs)
+        assert len(collect_results(specs, ResultsStore(tmp_path))) == len(specs)
+        assert store.path.read_bytes() == torn
 
 
 def _tiny_grid_entry():
@@ -864,6 +912,44 @@ class TestScenarioCoordination:
                                            str(tmp_path / "store"), processes=2)
         assert drained.outcome.text == unsharded.text
         assert sum(w["executed"] for w in drained.workers) == 4
+
+    def test_the_fan_out_maps_one_job_per_worker(self, tmp_path, monkeypatch):
+        """The drain processes are opened by ``grid_map``; run in-process
+        here, each job drains the same store and the collector converges."""
+        from repro.experiments import registry
+        monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
+        calls = []
+
+        def in_process(fn, items, processes=None):
+            calls.append((fn, list(items), processes))
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(registry, "grid_map", in_process)
+        store = str(tmp_path / "store")
+        drained = run_scenario_coordinated("fig13", TINY, store, processes=2)
+        job = ("fig13", TINY, store, None, None)
+        assert calls == [(registry._coordinate_worker, [job, job], 2)]
+        assert drained.outcome.text == run_scenario("fig13", TINY).text
+        assert sum(w["executed"] for w in drained.workers) == 4
+
+    def test_grid_map_is_the_only_code_that_opens_a_pool(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+        openers = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and getattr(
+                            node.func, "id", getattr(node.func, "attr", None)) \
+                            == "ProcessPoolExecutor":
+                        openers.append((path.name, function.name))
+        assert openers == [("runner.py", "grid_map")]
 
 
 class TestCliCoordination:
@@ -932,6 +1018,33 @@ class TestCliCoordination:
                          "--json", str(second_json)]) == 0
         capsys.readouterr()
         assert second_json.read_bytes() == unsharded_json.read_bytes()
+
+    def test_readers_leave_the_store_as_they_found_it(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """``sweep-status`` and ``merge-results --bench-artifact`` over a
+        store whose default file ends in a torn line change no byte in it."""
+        from repro import cli
+        from repro.experiments import registry
+        monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
+        store = tmp_path / "store"
+        assert cli.main(["run-grid", "fig13", "--results-dir", str(store)]) == 0
+        StoreFiles(store).append(StoreFiles.COMPACTED, '{"spec_hash": "')
+
+        def snapshot():
+            return {path.name: path.read_bytes()
+                    for path in sorted(store.iterdir())}
+
+        before = snapshot()
+        assert cli.main(["sweep-status", "fig13",
+                         "--results-dir", str(store)]) == 0
+        assert cli.main(["merge-results", "fig13",
+                         "--results-dir", str(store),
+                         "--json", str(tmp_path / "merged.json"),
+                         "--bench-artifact",
+                         str(tmp_path / "BENCH_fig13_coordinated.json")]) == 0
+        capsys.readouterr()
+        assert snapshot() == before
+        assert json.loads((tmp_path / "merged.json").read_text())
 
     def test_cli_merge_warns_on_live_leases(self, tmp_path, capsys, monkeypatch):
         from repro import cli

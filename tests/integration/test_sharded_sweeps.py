@@ -44,6 +44,7 @@ from repro.experiments.registry import (
 from repro.experiments import results as results_module
 from repro.experiments.results import (
     ResultsStore,
+    StoreFiles,
     collect_results,
     decode_result,
     encode_result,
@@ -248,7 +249,9 @@ class TestSpecHash:
         spec = pinned_spec()
         result = RunResult(name=spec.name, system="ecmp", workload="web_search",
                            load=0.4, seed=1, summary={"flows": 7})
-        ResultsStore(tmp_path).record(spec, result, key=V3_PINNED_KEY)
+        StoreFiles(tmp_path).append(StoreFiles.COMPACTED, json.dumps(
+            {"spec_hash": V3_PINNED_KEY, "spec_name": spec.name,
+             "result": encode_result(result)}, separators=(",", ":")) + "\n")
         with pytest.raises(ExperimentError, match="missing 1 of 1"):
             collect_results([spec], ResultsStore(tmp_path))
         summary = gc_results([spec], tmp_path)
@@ -348,14 +351,14 @@ class TestResultsStore:
         assert store.total_wall_s() >= 0.0
 
     def test_resume_after_torn_line_repairs_then_appends_cleanly(self, tmp_path):
-        """Re-opening the shard's own file truncates the torn tail, so the
+        """A writer's first record truncates its own file's torn tail, so the
         resumed point's record is not glued onto the partial line."""
         ecmp, contra = tiny_specs()
         store = ResultsStore(tmp_path)
         store.record(ecmp, self._result())
         with store.path.open("a") as handle:
             handle.write('{"spec_hash": "abc", "result": {"name"')
-        resumed = ResultsStore(tmp_path)       # same shard file: repairs tail
+        resumed = ResultsStore(tmp_path)       # same file: its record repairs
         resumed.record(contra, self._result())
         loaded = ResultsStore(tmp_path).load()
         assert set(loaded) == {spec_hash(ecmp), spec_hash(contra)}
@@ -557,14 +560,15 @@ class TestIncrementalView:
     def test_torn_tail_repair_reads_back_over_whole_blocks(self, tmp_path):
         """The tail may be longer than the block the repair reads at a time."""
         store = ResultsStore(tmp_path)
+        repair = lambda: store.files.truncate_torn_tail(store.path.name)
         store.path.write_text(record_line(KEYS[0]) + "x" * 20000)
-        ResultsStore(tmp_path)
+        repair()
         assert store.path.read_text() == record_line(KEYS[0])
         store.path.write_text("x" * 20000)        # no newline anywhere
-        ResultsStore(tmp_path)
+        repair()
         assert store.path.read_text() == ""
         store.path.write_text(record_line(KEYS[0]))
-        ResultsStore(tmp_path)
+        repair()
         assert store.path.read_text() == record_line(KEYS[0])
 
     @settings(max_examples=60, deadline=None)

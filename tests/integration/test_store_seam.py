@@ -19,6 +19,7 @@ import threading
 import time
 from collections import Counter
 
+from repro.experiments import coordinator
 from repro.experiments.coordinator import (
     CoordinatedBackend,
     release_lease,
@@ -188,9 +189,11 @@ class TestInMemorySeam:
         assert [record["owner"] for record in records
                 if record["spec_hash"] == held] == ["holder"]
 
-    def test_a_drain_and_a_run_leave_only_results_files(self):
+    def test_a_drain_and_a_run_leave_only_results_files(self, monkeypatch):
         """Progress lives in the records: no drain step and no wait for
         another worker's lease writes any other file."""
+        monkeypatch.setattr(coordinator, "LEASE_TTL", 0.05)
+        monkeypatch.setattr(coordinator, "POLL_INTERVAL", 0.01)
         specs = stub_specs(6)
         memory = MemoryFiles("memory")
         drainer = CoordinatedBackend(memory, inner=StubBackend(), owner="w0")
@@ -198,9 +201,7 @@ class TestInMemorySeam:
         # A lease that goes stale while the run waits: the run sleeps, then
         # reclaims and executes the point.
         assert try_acquire_lease(memory, spec_hash(specs[3]), "ghost")
-        runner = CoordinatedBackend(memory, inner=StubBackend(), owner="w1",
-                                    ttl=0.05, heartbeat_interval=0.01,
-                                    poll_interval=0.01)
+        runner = CoordinatedBackend(memory, inner=StubBackend(), owner="w1")
         assert len(runner.run(specs)) == len(specs)
         assert (runner.executed, runner.reclaimed) == (3, 1)
         assert runner.idle_s > 0

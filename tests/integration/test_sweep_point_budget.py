@@ -8,9 +8,9 @@ bookkeeping — is derived once and handed to it:
   however many points of a :class:`RunContext` route over it;
 * ``canonical_spec`` runs once per spec across drain -> resume -> collect ->
   gc (``spec_hash`` keeps its digest on the frozen instance);
-* a 60-point drain renames at most 3 files into place (worker metas at the
-  heartbeat's cadence; a lease renewal would be the heartbeat thread's, and
-  the drain is far shorter than one interval) and starts exactly 1 thread;
+* a 60-point drain renames at most 3 files into place (a lease renewal
+  would be the heartbeat thread's, and the drain is far shorter than one
+  interval) and starts exactly 1 thread;
 * an ECMP point never enters ``packet_flow_hash``: hosts stamp the hash and
   the baselines read it in place.
 

@@ -13,6 +13,20 @@ import pytest
 
 from repro.baselines.spain import SpainSystem, compute_spain_paths
 from repro.core.compiler import CompileOptions
+from repro.experiments.coordinator import (
+    CoordinatedBackend,
+    drain_store,
+    gc_leases,
+    live_leases,
+    read_lease,
+    reclaim_lease,
+    release_lease,
+    renew_lease,
+    sweep_status,
+    try_acquire_lease,
+)
+from repro.experiments.registry import run_scenario_coordinated, sweep_status_scenario
+from repro.experiments.results import ResultsStore
 from repro.experiments.runner import default_backend, run_grid
 from repro.protocol.contra_switch import ContraSystem
 from repro.protocol.tables import LoopDetectionTable
@@ -42,6 +56,25 @@ CENSUS = {
     Generator.poisson_arrivals: ("self", "scale", "start", "end", "marks"),
     run_grid: ("specs", "processes", "backend"),
     default_backend: ("processes", "tasks"),
+    # The lease TTL, the poll and the heartbeat are coordinator constants, and
+    # time is read through ``coordinator.wall_now`` alone: no knob or clock
+    # argument on the drain, the lease functions or the store-backed runs.
+    CoordinatedBackend: ("directory", "inner", "owner"),
+    CoordinatedBackend.drain: ("self", "specs"),
+    drain_store: ("specs", "directory", "owner"),
+    try_acquire_lease: ("directory", "key", "owner", "spec_name"),
+    renew_lease: ("directory", "key", "owner", "spec_name"),
+    release_lease: ("directory", "key", "owner"),
+    reclaim_lease: ("directory", "key", "owner"),
+    read_lease: ("directory", "key"),
+    live_leases: ("directory",),
+    gc_leases: ("directory", "valid_keys", "completed_keys"),
+    sweep_status: ("specs", "directory"),
+    run_scenario_coordinated: ("name", "config", "results_dir", "processes", "shard",
+                               "flow_model"),
+    sweep_status_scenario: ("name", "config", "results_dir", "flow_model"),
+    ResultsStore.record: ("self", "spec", "result", "wall_s", "owner", "stolen",
+                          "reclaimed"),
 }
 
 

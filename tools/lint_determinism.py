@@ -117,7 +117,7 @@ And one keeps the results directory behind one door:
   ``.unlink``, ``.replace``, ``.read_text``, ``.write_text``, ``.stat``,
   ``os.truncate``, ``os.fstat``) in ``experiments/coordinator.py``,
   ``experiments/results.py`` or ``cli.py`` outside the ``StoreFiles``
-  class: every lease, record and meta-file step goes through that seam
+  class: every lease and record step goes through that seam
   (ARCHITECTURE.md §3, §8), where the directory's layout is spelled and an
   in-memory stand-in can replace the disk.  A call on the seam itself (a
   receiver named ``files``, or ``StoreFiles.of(...)``) is the door, not a
@@ -264,7 +264,7 @@ ALLOWLIST: Dict[str, FrozenSet[str]] = {
     # Lease heartbeats are cross-host liveness infrastructure: staleness of
     # a lease held by a worker on *another machine* can only be judged
     # against the shared wall clock (perf_counter is process-relative).
-    # The timestamps live in lease/meta files only — they never feed
+    # The timestamps live in lease files only — they never feed
     # simulated time, results records' payloads, or summaries, so the
     # byte-identity invariant is untouched (test-enforced: coordinated
     # merge == unsharded serial run).
