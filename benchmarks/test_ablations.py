@@ -24,8 +24,7 @@ from conftest import run_once
 
 @pytest.mark.benchmark(group="ablations")
 def test_probe_period_ablation(benchmark, experiment_config):
-    specs = probe_period_specs(experiment_config, periods=(0.128, 0.256, 1.024),
-                               load=0.6)
+    specs = probe_period_specs(experiment_config, periods=(0.128, 0.256, 1.024))
     points = to_ablation_points(specs, run_once(benchmark, run_grid, specs))["probe_period"]
     print()
     print(report.format_ablation(points, "Probe period ablation (§5.2)"))
@@ -37,8 +36,7 @@ def test_probe_period_ablation(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="ablations")
 def test_flowlet_timeout_ablation(benchmark, experiment_config):
-    specs = flowlet_timeout_specs(experiment_config, timeouts=(0.05, 0.2, 1.6),
-                                  load=0.6)
+    specs = flowlet_timeout_specs(experiment_config, timeouts=(0.05, 0.2, 1.6))
     points = to_ablation_points(specs,
                                 run_once(benchmark, run_grid, specs))["flowlet_timeout"]
     print()
@@ -48,7 +46,7 @@ def test_flowlet_timeout_ablation(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="ablations")
 def test_versioning_ablation(benchmark, experiment_config):
-    specs = versioning_specs(experiment_config, load=0.6)
+    specs = versioning_specs(experiment_config)
     points = to_ablation_points(specs, run_once(benchmark, run_grid, specs))["versioning"]
     print()
     print(report.format_ablation(points, "Versioned vs unversioned probes (§5.1)"))
@@ -63,7 +61,7 @@ def test_versioning_ablation(benchmark, experiment_config):
 
 @pytest.mark.benchmark(group="ablations")
 def test_tag_minimization_ablation(benchmark):
-    points = run_once(benchmark, run_tag_minimization_ablation, sizes=(20, 125))
+    points = run_once(benchmark, run_tag_minimization_ablation)
     print()
     rows = [(p.minimize_tags, p.pg_nodes, p.max_tags_per_switch,
              round(p.max_state_kb, 2), round(p.compile_time_s, 4)) for p in points]

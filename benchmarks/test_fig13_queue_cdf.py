@@ -19,7 +19,7 @@ from conftest import run_once
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_queue_length_cdf(benchmark, experiment_config):
-    results = run_once(benchmark, run_grid, queue_cdf_specs(experiment_config, load=0.6))
+    results = run_once(benchmark, run_grid, queue_cdf_specs(experiment_config))
     cdfs = {result.system: result.queue_cdf for result in results}
     print()
     print(report.format_queue_cdf(cdfs))

@@ -22,7 +22,7 @@ from conftest import run_once
 
 @pytest.mark.benchmark(group="fig16")
 def test_fig16_traffic_overhead(benchmark, experiment_config):
-    specs = overhead_specs(experiment_config, loads=(0.1, 0.6))
+    specs = overhead_specs(experiment_config)
     points = to_overhead_points(run_once(benchmark, run_grid, specs))
     print()
     print(report.format_overhead(points))

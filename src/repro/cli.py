@@ -48,7 +48,7 @@ from repro.core.compiler import compile_policy
 from repro.core.parser import parse_policy
 from repro.core.policies import ALL_POLICIES, POLICY_ALIASES, policy_by_name
 from repro.exceptions import ExperimentError, PolicyError, schema
-from repro.experiments.config import config_from_env, default_config, full_config, quick_config
+from repro.experiments.config import PRESETS, config_from_env
 from repro.experiments.registry import (
     gc_scenario,
     merge_scenario,
@@ -168,11 +168,12 @@ def _cmd_check_policy(args: argparse.Namespace) -> int:
 
 
 def _resolve_config(preset: str):
-    return {
-        "quick": quick_config,
-        "default": default_config,
-        "full": full_config,
-    }.get(preset, config_from_env)()
+    if preset in PRESETS:
+        return PRESETS[preset]()
+    try:
+        return config_from_env()
+    except ExperimentError as error:
+        raise SystemExit(str(error))
 
 
 def _grid_config(args: argparse.Namespace):
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     # variants are also the spec fields' declared domains.
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("name", choices=tuple(scenario_names()))
-    grid.add_argument("--preset", choices=("quick", "default", "full", "env"),
+    grid.add_argument("--preset", choices=(*PRESETS, "env"),
                       default="quick",
                       help="experiment configuration preset; a command reading "
                            "a results store must name the one its points ran with")

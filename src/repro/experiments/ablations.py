@@ -69,7 +69,14 @@ def _to_point(parameter: str, value: float, result: RunResult) -> AblationPoint:
     )
 
 
-def _contra_spec(config: ExperimentConfig, load: float, name: str, **overrides) -> ScenarioSpec:
+#: The web search load every simulation ablation runs at.
+ABLATION_LOAD = 0.6
+
+#: Switch counts of the fat-trees the tag-minimisation study compiles on.
+TAG_MINIMIZATION_SIZES = (20, 125)
+
+
+def _contra_spec(config: ExperimentConfig, name: str, **overrides) -> ScenarioSpec:
     return ScenarioSpec(
         name=name,
         system="contra",
@@ -77,7 +84,7 @@ def _contra_spec(config: ExperimentConfig, load: float, name: str, **overrides) 
         config=config,
         policy="datacenter",
         workload="web_search",
-        load=load,
+        load=ABLATION_LOAD,
         seed=config.seed,
         **overrides,
     )
@@ -85,25 +92,24 @@ def _contra_spec(config: ExperimentConfig, load: float, name: str, **overrides) 
 
 def probe_period_specs(config: ExperimentConfig,
                        periods: Sequence[float] = (0.128, 0.256, 0.512, 1.024),
-                       load: float = 0.6) -> List[ScenarioSpec]:
+                       ) -> List[ScenarioSpec]:
     """FCT and overhead as a function of the probe period (§5.2)."""
-    return [_contra_spec(config, load, f"ablation:probe-period:{period}",
-                         probe_period=period)
+    return [_contra_spec(config, f"ablation:probe-period:{period}", probe_period=period)
             for period in periods]
 
 
 def flowlet_timeout_specs(config: ExperimentConfig,
                           timeouts: Sequence[float] = (0.05, 0.2, 0.8, 3.2),
-                          load: float = 0.6) -> List[ScenarioSpec]:
+                          ) -> List[ScenarioSpec]:
     """FCT as a function of the flowlet timeout (§5.3)."""
-    return [_contra_spec(config, load, f"ablation:flowlet-timeout:{timeout}",
+    return [_contra_spec(config, f"ablation:flowlet-timeout:{timeout}",
                          flowlet_timeout=timeout)
             for timeout in timeouts]
 
 
-def versioning_specs(config: ExperimentConfig, load: float = 0.6) -> List[ScenarioSpec]:
+def versioning_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """Versioned probes (§5.1) vs an unversioned distance-vector variant."""
-    return [_contra_spec(config, load, f"ablation:versioning:{use_versioning}",
+    return [_contra_spec(config, f"ablation:versioning:{use_versioning}",
                          use_versioning=use_versioning)
             for use_versioning in (True, False)]
 
@@ -147,12 +153,12 @@ class TagMinimizationPoint:
     compile_time_s: float
 
 
-def run_tag_minimization_ablation(sizes: Sequence[int] = (20, 125)) -> List[TagMinimizationPoint]:
+def run_tag_minimization_ablation() -> List[TagMinimizationPoint]:
     """Effect of the tag-minimisation optimisation on a waypointing policy."""
     from repro.topology.fattree import fattree_for_switch_count
 
     points: List[TagMinimizationPoint] = []
-    for size in sizes:
+    for size in TAG_MINIMIZATION_SIZES:
         topology = fattree_for_switch_count(size)
         policy = waypoint_policy_for(topology)
         for minimize_tags in (True, False):

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, within
+from repro.exceptions import COUNT, NON_NEGATIVE, POSITIVE, ExperimentError, within
 from repro.simulator.flow import TRANSPORT_DOMAIN
 
 __all__ = ["ExperimentConfig", "default_config", "quick_config", "full_config",
-           "config_from_env", "sanitize_from_env", "procs_from_env"]
+           "PRESETS", "config_from_env", "sanitize_from_env", "procs_from_env"]
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,27 @@ def full_config() -> ExperimentConfig:
     return ExperimentConfig(loads=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)).scaled(1.5)
 
 
+#: Preset name -> configuration, for ``--preset`` and
+#: ``CONTRA_EXPERIMENT_PRESET`` alike.
+PRESETS: Dict[str, Callable[[], ExperimentConfig]] = {
+    "quick": quick_config,
+    "default": default_config,
+    "full": full_config,
+}
+
+
 def config_from_env() -> ExperimentConfig:
     """Pick a preset via the ``CONTRA_EXPERIMENT_PRESET`` environment variable.
 
-    Recognised values: ``quick`` (default for benchmarks), ``default``, ``full``.
+    Unset means ``quick`` (the benchmarks' default); any value but a
+    :data:`PRESETS` name, spelled exactly, is refused.
     """
-    preset = os.environ.get("CONTRA_EXPERIMENT_PRESET", "quick").lower()
-    if preset == "full":
-        return full_config()
-    if preset == "default":
-        return default_config()
-    return quick_config()
+    preset = os.environ.get("CONTRA_EXPERIMENT_PRESET", "quick")
+    if preset not in PRESETS:
+        raise ExperimentError(
+            f"CONTRA_EXPERIMENT_PRESET={preset!r} is not a preset; "
+            f"choose one of {', '.join(PRESETS)}")
+    return PRESETS[preset]()
 
 
 def sanitize_from_env() -> Optional[bool]:

@@ -166,17 +166,16 @@ def renew_lease(directory, key: str, owner: str, spec_name: str = "") -> bool:
     return True
 
 
-def release_lease(directory, key: str, owner: Optional[str] = None) -> bool:
-    """Remove a lease; with ``owner`` given, only if still held by that owner.
+def release_lease(directory, key: str, owner: str) -> bool:
+    """Remove a lease, only if still held by ``owner``.
 
     (A falsely-stale reclaim may have handed the lease to someone else while
     we executed; their lease is theirs to release.)
     """
     files = StoreFiles.of(directory)
-    if owner is not None:
-        info = read_lease(files, key)
-        if info is not None and info.owner != owner:
-            return False
+    info = read_lease(files, key)
+    if info is not None and info.owner != owner:
+        return False
     return files.unlink(StoreFiles.LEASE.format(key))
 
 
@@ -538,15 +537,14 @@ class CoordinatedBackend(ExecutionBackend):
         }
 
 
-def drain_store(specs: Sequence[ScenarioSpec], directory,
-                owner: Optional[str] = None) -> Dict[str, object]:
+def drain_store(specs: Sequence[ScenarioSpec], directory) -> Dict[str, object]:
     """Module-level one-worker drain (picklable for process fan-out).
 
-    Runs a :class:`CoordinatedBackend` to claim-exhaustion and returns its
-    accounting dict; the results live in the store for a later merge or a
-    parent's :meth:`CoordinatedBackend.run`.
+    Runs a :class:`CoordinatedBackend` under a fresh owner id to
+    claim-exhaustion and returns its accounting dict; the results live in
+    the store for a later merge or a parent's :meth:`CoordinatedBackend.run`.
     """
-    backend = CoordinatedBackend(directory, owner=owner)
+    backend = CoordinatedBackend(directory)
     backend.drain(specs)
     return backend.accounting()
 

@@ -23,23 +23,24 @@ into the report rows:
   whose swept axis is the ``events`` schedule itself: one fail→recover cycle
   per outage duration, yielding the recovery-time vs dip-depth curve.
 
-A projection must be given the same schedule instants the builder was, which
-is why their defaults are the shared module constants below.  Because
-building, executing and projecting are separate, the registry runs the same
-grid through any :class:`~repro.experiments.runner.ExecutionBackend` —
-including the resumable, store-backed coordinated drain — and finishes it
-from stored results.
+Each grid is one fixed setup: the sweep and curve projections read the
+schedule instants from the same module constants their builders inject, and
+the three constant-rate-stream grids (Figure 14, the sweep, the curve) build
+their points through one helper.  Because building, executing and
+projecting are separate, the registry runs the same grid through any
+:class:`~repro.experiments.runner.ExecutionBackend` — including the
+resumable, store-backed coordinated drain — and finishes it from stored
+results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.nputil import mean as _mean
 
-from repro.exceptions import POSITIVE, ExperimentError, require
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import agg_core_failure, fattree_spec
 from repro.experiments.runner import (
@@ -56,10 +57,10 @@ __all__ = [
     "RecoverySweepResult",
     "recovery_sweep_specs",
     "analyse_recovery_sweep_results",
-    "MULTI_FAILURE_DEFAULT_EVENTS",
+    "MULTI_FAILURE_EVENTS",
     "multi_failure_specs",
     "RecoveryCurvePoint",
-    "RECOVERY_CURVE_DEFAULT_OUTAGES",
+    "RECOVERY_CURVE_OUTAGES",
     "recovery_curve_specs",
     "analyse_recovery_curve",
 ]
@@ -70,10 +71,58 @@ __all__ = [
 FIG14_FAILURE_TIME = 30.0
 FIG14_RUN_DURATION = 60.0
 
-#: Recovery-sweep schedule defaults (same sharing rationale).
+#: Recovery-sweep schedule, read by the builder and the projection alike.
 SWEEP_FAIL_TIME = 10.0
 SWEEP_RECOVER_TIME = 25.0
 SWEEP_RUN_DURATION = 40.0
+
+#: The leaf-spine link the sweep and the curve fail and bring back: a spine
+#: *down-link* towards a receiver leaf — a failure **remote** from the
+#: sending leaves' path choice, so traffic pinned through that spine
+#: blackholes until probe silence exposes it (failing a sender-adjacent
+#: uplink would be absorbed instantly by the local ``link_failed`` check and
+#: never dip).
+SWEEP_FAILED_LINK = ("spine0", "leaf2")
+
+#: The systems the three constant-rate-stream grids compare.
+STREAM_SYSTEMS = ("contra", "hula")
+
+#: Rate of one constant-rate stream, as a fraction of the host capacity.
+#: The paper sends a stable 4.25 Gbps over a fabric with ample headroom:
+#: rerouting around the failed link must be able to restore the full rate
+#: even if the rerouted flowlets concentrate on one core link.  6% of the
+#: host capacity per stream makes the dip visible (the streams crossing the
+#: failed link lose several packets during the detection window) while
+#: guaranteeing that the rerouted traffic fits on the remaining core links of
+#: the 4:1 scaled fabric even if every affected flowlet lands on the same one.
+STREAM_RATE_FRACTION = 0.06
+
+
+def _stream_spec(name: str, system: str, config: ExperimentConfig,
+                 topology: TopologySpec, streams_per_pair: int,
+                 events: Tuple[LinkEvent, ...], run_duration: float) -> ScenarioSpec:
+    """One constant-rate-stream point whose throughput timeline is collected."""
+    return ScenarioSpec(
+        name=name,
+        system=system,
+        topology=topology,
+        config=config,
+        policy="datacenter",
+        workload="",
+        traffic="streams",
+        stream_rate=STREAM_RATE_FRACTION * config.host_capacity,
+        streams_per_pair=streams_per_pair,
+        events=events,
+        run_duration=run_duration,
+        collect_throughput=True,
+    )
+
+
+def _fail_recover(fail_time: float, recover_time: float) -> Tuple[LinkEvent, ...]:
+    """The leaf-spine schedule: :data:`SWEEP_FAILED_LINK` fails, then recovers."""
+    spine, leaf = SWEEP_FAILED_LINK
+    return (LinkEvent(fail_time, spine, leaf, "fail"),
+            LinkEvent(recover_time, spine, leaf, "recover"))
 
 
 @dataclass
@@ -101,42 +150,15 @@ class RecoveryResult:
 
 def failure_recovery_specs(
     config: ExperimentConfig,
-    systems: Sequence[str] = ("contra", "hula"),
-    stream_rate: Optional[float] = None,
     failure_time: float = FIG14_FAILURE_TIME,
     run_duration: float = FIG14_RUN_DURATION,
-    streams_per_pair: int = 1,
 ) -> List[ScenarioSpec]:
     """The Figure 14 grid (one permanent fat-tree failure per system) as specs."""
-    if stream_rate is None:
-        # The paper sends a stable 4.25 Gbps over a fabric with ample headroom:
-        # rerouting around the failed link must be able to restore the full
-        # rate even if the rerouted flowlets concentrate on one core link.
-        # 6% of the host capacity per stream makes the dip visible (the
-        # streams crossing the failed link lose several packets during the
-        # detection window) while guaranteeing that the rerouted traffic fits
-        # on the remaining core links of the 4:1 scaled fabric even if every
-        # affected flowlet lands on the same one.
-        stream_rate = 0.06 * config.host_capacity
     topology = fattree_spec(config)
     events = agg_core_failure(topology, failure_time)
-    return [
-        ScenarioSpec(
-            name=f"recovery:{system}",
-            system=system,
-            topology=topology,
-            config=config,
-            policy="datacenter",
-            workload="",
-            traffic="streams",
-            stream_rate=stream_rate,
-            streams_per_pair=streams_per_pair,
-            events=events,
-            run_duration=run_duration,
-            collect_throughput=True,
-        )
-        for system in systems
-    ]
+    return [_stream_spec(f"recovery:{system}", system, config, topology, 1, events,
+                         run_duration)
+            for system in STREAM_SYSTEMS]
 
 
 def analyse_recovery_results(results: Sequence[RunResult],
@@ -227,64 +249,29 @@ def recovery_sweep_topology(config: ExperimentConfig) -> TopologySpec:
                         capacity=config.host_capacity, oversubscription=1.0)
 
 
-def recovery_sweep_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("contra", "hula"),
-    fail_time: float = SWEEP_FAIL_TIME,
-    recover_time: float = SWEEP_RECOVER_TIME,
-    run_duration: float = SWEEP_RUN_DURATION,
-    stream_rate: Optional[float] = None,
-    streams_per_pair: int = 4,
-    failed_link: Tuple[str, str] = ("spine0", "leaf2"),
-) -> List[ScenarioSpec]:
+def recovery_sweep_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """Fail a leaf-spine link mid-run and bring it back: the full cycle.
 
-    Constant-rate streams cross the fabric; the schedule fails
-    ``failed_link`` at ``fail_time`` and recovers it at ``recover_time``.
-    The default failure is a spine *down-link* towards a receiver leaf — a
-    failure **remote** from the sending leaves' path choice, so traffic
-    pinned through that spine blackholes until probe silence exposes it
-    (failing a sender-adjacent uplink would be absorbed instantly by the
-    local ``link_failed`` check and never dip).  Throughput must dip at the
-    failure and return to the pre-failure baseline once probes flow through
-    the recovered link again.
+    Four constant-rate streams per pair cross the fabric; the schedule fails
+    :data:`SWEEP_FAILED_LINK` at :data:`SWEEP_FAIL_TIME` and recovers it at
+    :data:`SWEEP_RECOVER_TIME`.  Throughput must dip at the failure and
+    return to the pre-failure baseline once probes flow through the
+    recovered link again.
     """
-    if not 0 <= fail_time < recover_time < run_duration:
-        raise ExperimentError(
-            f"recovery sweep needs 0 <= fail_time < recover_time < "
-            f"run_duration, got {fail_time!r}, {recover_time!r}, "
-            f"{run_duration!r}")
-    if stream_rate is None:
-        stream_rate = 0.06 * config.host_capacity
-    return [
-        ScenarioSpec(
-            name=f"recovery-sweep:{system}",
-            system=system,
-            topology=recovery_sweep_topology(config),
-            config=config,
-            policy="datacenter",
-            workload="",
-            traffic="streams",
-            stream_rate=stream_rate,
-            streams_per_pair=streams_per_pair,
-            events=(LinkEvent(fail_time, failed_link[0], failed_link[1], "fail"),
-                    LinkEvent(recover_time, failed_link[0], failed_link[1], "recover")),
-            run_duration=run_duration,
-            collect_throughput=True,
-        )
-        for system in systems
-    ]
+    topology = recovery_sweep_topology(config)
+    events = _fail_recover(SWEEP_FAIL_TIME, SWEEP_RECOVER_TIME)
+    return [_stream_spec(f"recovery-sweep:{system}", system, config, topology, 4,
+                         events, SWEEP_RUN_DURATION)
+            for system in STREAM_SYSTEMS]
 
 
-def analyse_recovery_sweep_results(results: Sequence[RunResult],
-                                   fail_time: float = SWEEP_FAIL_TIME,
-                                   recover_time: float = SWEEP_RECOVER_TIME,
+def analyse_recovery_sweep_results(results: Sequence[RunResult]
                                    ) -> Dict[str, RecoverySweepResult]:
     """Project fail→recover grid results onto per-system sweep timelines."""
     analysed: Dict[str, RecoverySweepResult] = {}
     for result in results:
         analysed[result.system] = _analyse_sweep(
-            result.system, result.throughput or [], fail_time, recover_time)
+            result.system, result.throughput or [], SWEEP_FAIL_TIME, SWEEP_RECOVER_TIME)
     return analysed
 
 
@@ -317,26 +304,19 @@ def _analyse_sweep(system: str, series: List[Tuple[float, float]], fail_time: fl
 #: Two geographically distant NSFNET failures (west-coast feed, then the
 #: NY–NJ east-coast link) — a Crux-style sequence that forces rerouting
 #: decisions far from the first failure while the backbone stays connected.
-MULTI_FAILURE_DEFAULT_EVENTS: Tuple[Tuple[float, str, str, str], ...] = (
+MULTI_FAILURE_EVENTS: Tuple[Tuple[float, str, str, str], ...] = (
     (6.0, "WA", "IL", "fail"),
     (12.0, "NY", "NJ", "fail"),
 )
 
 
-def multi_failure_topology(config: ExperimentConfig, name: str = "nsfnet") -> TopologySpec:
-    """The Topology-Zoo WAN the multi-failure scenario runs on."""
-    return TopologySpec("zoo", name=name, hosts_per_switch=1,
+def multi_failure_topology(config: ExperimentConfig) -> TopologySpec:
+    """The Topology-Zoo WAN the multi-failure scenario runs on (NSFNET)."""
+    return TopologySpec("zoo", name="nsfnet", hosts_per_switch=1,
                         capacity=config.abilene_capacity)
 
 
-def multi_failure_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("shortest-path", "contra"),
-    events: Sequence[Tuple[float, str, str, str]] = MULTI_FAILURE_DEFAULT_EVENTS,
-    topology_name: str = "nsfnet",
-    workload: str = "web_search",
-    load: float = 0.6,
-) -> List[ScenarioSpec]:
+def multi_failure_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """A sequence of link failures on a WAN, as a plain grid of scenarios.
 
     Static shortest-path routing keeps sending into the failed links and
@@ -344,21 +324,21 @@ def multi_failure_specs(
     turn.  The results' summaries carry completion counts and drops for the
     report table.
     """
-    schedule = tuple(LinkEvent(*event) for event in events)
+    schedule = tuple(LinkEvent(*event) for event in MULTI_FAILURE_EVENTS)
     return [
         ScenarioSpec(
             name=f"multi-failure:{system}",
             system=system,
-            topology=multi_failure_topology(config, topology_name),
+            topology=multi_failure_topology(config),
             config=config,
             policy="wan",
-            workload=workload,
-            load=load,
+            workload="web_search",
+            load=0.6,
             seed=config.seed,
             events=schedule,
             respect_compiled_probe_period=True,
         )
-        for system in systems
+        for system in ("shortest-path", "contra")
     ]
 
 
@@ -385,11 +365,10 @@ class RecoveryCurvePoint:
     recovery_time_ms: float
 
 
-#: Outage durations (ms) the default recovery curve sweeps.  Short outages
-#: probe the detection window (the dip may not fully develop before the link
-#: returns); long ones probe steady-state rerouting and the cost of coming
-#: back.
-RECOVERY_CURVE_DEFAULT_OUTAGES: Tuple[float, ...] = (2.0, 5.0, 10.0)
+#: Outage durations (ms) the recovery curve sweeps.  Short outages probe the
+#: detection window (the dip may not fully develop before the link returns);
+#: long ones probe steady-state rerouting and the cost of coming back.
+RECOVERY_CURVE_OUTAGES: Tuple[float, ...] = (2.0, 5.0, 10.0)
 
 #: Schedule frame for the curve: every point fails at the same instant and
 #: simulates the same settle-out tail after its recovery.
@@ -397,59 +376,34 @@ CURVE_FAIL_TIME = 10.0
 CURVE_TAIL = 15.0
 
 
-def recovery_curve_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("contra", "hula"),
-    outages: Sequence[float] = RECOVERY_CURVE_DEFAULT_OUTAGES,
-    fail_time: float = CURVE_FAIL_TIME,
-    stream_rate: Optional[float] = None,
-    streams_per_pair: int = 4,
-    failed_link: Tuple[str, str] = ("spine0", "leaf2"),
-) -> List[ScenarioSpec]:
+def recovery_curve_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """A grid whose swept axis is the ``events`` schedule, not a scalar.
 
-    Each grid point carries a different fail→recover schedule (same failure
-    instant, different outage duration), which is exactly the ROADMAP's
-    "sweeps that grid over schedules": the declarative ``events`` tuple
-    makes an outage-duration sweep an ordinary spec grid with the full
-    determinism and shardability contracts.  An outage must be a finite
-    number > 0: any other puts the recover event at or before the failure.
+    Each grid point carries a different fail→recover schedule on the
+    recovery sweep's fabric (same failure instant, different outage
+    duration), which is exactly the ROADMAP's "sweeps that grid over
+    schedules": the declarative ``events`` tuple makes an outage-duration
+    sweep an ordinary spec grid with the full determinism and shardability
+    contracts.
     """
-    for outage in outages:
-        require("recovery curve outage", outage, POSITIVE, ExperimentError)
-    if stream_rate is None:
-        stream_rate = 0.06 * config.host_capacity
+    topology = recovery_sweep_topology(config)
     return [
-        ScenarioSpec(
-            name=f"recovery-curve:{system}:{outage}ms",
-            system=system,
-            topology=recovery_sweep_topology(config),
-            config=config,
-            policy="datacenter",
-            workload="",
-            traffic="streams",
-            stream_rate=stream_rate,
-            streams_per_pair=streams_per_pair,
-            events=(LinkEvent(fail_time, failed_link[0], failed_link[1], "fail"),
-                    LinkEvent(fail_time + outage, failed_link[0], failed_link[1],
-                              "recover")),
-            run_duration=fail_time + outage + CURVE_TAIL,
-            collect_throughput=True,
-        )
-        for outage in outages
-        for system in systems
+        _stream_spec(f"recovery-curve:{system}:{outage}ms", system, config, topology, 4,
+                     _fail_recover(CURVE_FAIL_TIME, CURVE_FAIL_TIME + outage),
+                     CURVE_FAIL_TIME + outage + CURVE_TAIL)
+        for outage in RECOVERY_CURVE_OUTAGES
+        for system in STREAM_SYSTEMS
     ]
 
 
-def analyse_recovery_curve(results: Sequence[RunResult],
-                           fail_time: float = CURVE_FAIL_TIME,
-                           ) -> List[RecoveryCurvePoint]:
+def analyse_recovery_curve(results: Sequence[RunResult]) -> List[RecoveryCurvePoint]:
     """Project the schedule grid onto (dip depth, recovery time) points.
 
     The outage duration is recovered from each spec's own schedule via the
     result name (``recovery-curve:<system>:<outage>ms``), so the analysis
     needs no side channel beyond the grid results themselves.
     """
+    fail_time = CURVE_FAIL_TIME
     points: List[RecoveryCurvePoint] = []
     for result in results:
         outage = float(result.name.rsplit(":", 1)[1].removesuffix("ms"))

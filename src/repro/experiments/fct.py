@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (LinkEvent, RunResult, ScenarioSpec,
                                       TopologySpec, default_failed_link)
@@ -79,7 +78,7 @@ def agg_core_failure(topology: TopologySpec,
 #: ATL–WDC–NYC side.  Static shortest-path routing therefore congests a single
 #: link, SPAIN's pre-computed path sets spread some of the load, and Contra's
 #: utilization-aware routing spreads it dynamically — the Figure 15 contrast.
-ABILENE_DEFAULT_PAIRS = (
+ABILENE_PAIRS = (
     ("DEN", "NYC"),
     ("KSC", "NYC"),
     ("HOU", "CHI"),
@@ -87,15 +86,10 @@ ABILENE_DEFAULT_PAIRS = (
 )
 
 
-def abilene_pairs(topology: Topology, pairs: int) -> Tuple[List[str], List[str]]:
+def abilene_pairs(topology: Topology) -> Tuple[List[str], List[str]]:
     """Sender/receiver hosts for the Figure 15 experiment (coast-to-coast)."""
-    if not (type(pairs) is int and 1 <= pairs <= len(ABILENE_DEFAULT_PAIRS)):
-        raise ExperimentError(
-            f"Abilene pairs={pairs!r} must be an integer in "
-            f"[1, {len(ABILENE_DEFAULT_PAIRS)}]")
-    chosen = ABILENE_DEFAULT_PAIRS[:pairs]
-    senders = [topology.hosts_of_switch(src)[0] for src, _ in chosen]
-    receivers = [topology.hosts_of_switch(dst)[0] for _, dst in chosen]
+    senders = [topology.hosts_of_switch(src)[0] for src, _ in ABILENE_PAIRS]
+    receivers = [topology.hosts_of_switch(dst)[0] for _, dst in ABILENE_PAIRS]
     return senders, receivers
 
 
@@ -131,17 +125,15 @@ def fattree_fct_specs(
 
 def abilene_fct_specs(
     config: ExperimentConfig,
-    systems: Sequence[str] = ("shortest-path", "contra", "spain"),
     workloads: Sequence[str] = ("web_search", "cache"),
     loads: Optional[Sequence[float]] = None,
-    pairs: int = 4,
 ) -> List[ScenarioSpec]:
     """The Figure 15 grid on the Abilene topology as specs."""
     loads = tuple(loads) if loads is not None else config.loads
     topo_spec = TopologySpec("abilene", capacity=config.abilene_capacity,
                              hosts_per_switch=1)
     senders, receivers = abilene_pairs(
-        abilene(capacity=config.abilene_capacity, hosts_per_switch=1), pairs)
+        abilene(capacity=config.abilene_capacity, hosts_per_switch=1))
     return [
         ScenarioSpec(
             name=f"abilene:{workload}:{load}:{system}",
@@ -165,18 +157,12 @@ def abilene_fct_specs(
         )
         for workload in workloads
         for load in loads
-        for system in systems
+        for system in ("shortest-path", "contra", "spain")
     ]
 
 
-def queue_cdf_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("ecmp", "contra"),
-    load: float = 0.6,
-    workload: str = "web_search",
-    cdf_points: Sequence[float] = (0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
-) -> List[ScenarioSpec]:
-    """The Figure 13 queue-length CDF grid as specs."""
+def queue_cdf_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
+    """The Figure 13 queue-length CDF grid (web search at 60% load) as specs."""
     topology = fattree_spec(config)
     events = agg_core_failure(topology)
     return [
@@ -186,29 +172,23 @@ def queue_cdf_specs(
             topology=topology,
             config=config,
             policy="datacenter",
-            workload=workload,
-            load=load,
+            workload="web_search",
+            load=0.6,
             seed=config.seed,
             events=events,
-            cdf_points=tuple(cdf_points),
+            cdf_points=(0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
             stop_after_completion=True,
         )
-        for system in systems
+        for system in ("ecmp", "contra")
     ]
 
 
-def incast_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("ecmp", "contra", "hula"),
-    fanins: Sequence[int] = (4, 8),
-    load: float = 0.8,
-    workload: str = "cache",
-) -> List[ScenarioSpec]:
+def incast_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """The N-to-1 fan-in grid on the fat-tree (the Harmonia-style workload).
 
-    ``load`` is the offered load at the *receiver's* access link; the grid
-    sweeps the fan-in degree, showing how each system copes as more senders
-    converge on one host.
+    The cache workload offers 80% load at the *receiver's* access link; the
+    grid sweeps the fan-in degree (4 and 8 senders), showing how each system
+    copes as more senders converge on one host.
     """
     return [
         ScenarioSpec(
@@ -217,73 +197,59 @@ def incast_specs(
             topology=fattree_spec(config),
             config=config,
             policy="datacenter",
-            workload=workload,
-            load=load,
+            workload="cache",
+            load=0.8,
             seed=config.seed,
             traffic="incast",
             incast_fanin=fanin,
             stop_after_completion=True,
         )
-        for fanin in fanins
-        for system in systems
+        for fanin in (4, 8)
+        for system in ("ecmp", "contra", "hula")
     ]
 
 
-def transport_sensitivity_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("ecmp", "contra"),
-    transports: Sequence[str] = ("fixed", "slowstart", "paced"),
-    loads: Optional[Sequence[float]] = None,
-    workload: str = "web_search",
-) -> List[ScenarioSpec]:
+def transport_sensitivity_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """Transport mode × load on the asymmetric fat-tree (Figure 13 setting).
 
     A fixed-window sender blasts a full window at flow start, which both
     inflates tail queues and masks how much of the Contra-vs-ECMP tail gap
     is transport artefact rather than routing; rerunning the comparison
-    under every transport mode quantifies that sensitivity.
+    under every transport mode quantifies that sensitivity.  The web search
+    workload runs at each of the config's loads.
     """
-    loads = tuple(loads) if loads is not None else config.loads
     topology = fattree_spec(config)
     events = agg_core_failure(topology)
     return [
         ScenarioSpec(
-            name=f"transport:{transport}:{workload}:{load}:{system}",
+            name=f"transport:{transport}:web_search:{load}:{system}",
             system=system,
             topology=topology,
             config=config,
             policy="datacenter",
-            workload=workload,
+            workload="web_search",
             load=load,
             seed=config.seed,
             transport=transport,
             events=events,
             stop_after_completion=True,
         )
-        for transport in transports
-        for load in loads
-        for system in systems
+        for transport in ("fixed", "slowstart", "paced")
+        for load in config.loads
+        for system in ("ecmp", "contra")
     ]
 
 
-def flow_size_sensitivity_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("ecmp", "contra"),
-    scale_factors: Sequence[float] = (0.5, 1.0, 2.0),
-    load: float = 0.6,
-    workload: str = "web_search",
-) -> List[ScenarioSpec]:
+def flow_size_sensitivity_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     """The flow-size sensitivity grid: ``workload_scale`` × system as specs.
 
-    Each factor multiplies the config's per-workload distribution scale
-    (``websearch_scale`` / ``cache_scale``), so ``1.0`` reproduces the
-    standard sweep point and the other factors shrink/grow every flow while
-    keeping arrivals and pairings identical — isolating how each system's
-    FCT advantage depends on flow size (short flows barely see flowlet
-    rerouting; long flows live or die by it).
+    Each factor (0.5, 1.0, 2.0) multiplies the config's web search
+    distribution scale (``websearch_scale``) at 60% load, so ``1.0``
+    reproduces the standard sweep point and the other factors shrink/grow
+    every flow while keeping arrivals and pairings identical — isolating how
+    each system's FCT advantage depends on flow size (short flows barely see
+    flowlet rerouting; long flows live or die by it).
     """
-    base_scale = {"web_search": config.websearch_scale,
-                  "cache": config.cache_scale}.get(workload, 1.0)
     return [
         ScenarioSpec(
             name=f"flow-size:{factor}x:{system}",
@@ -291,14 +257,14 @@ def flow_size_sensitivity_specs(
             topology=fattree_spec(config),
             config=config,
             policy="datacenter",
-            workload=workload,
-            load=load,
+            workload="web_search",
+            load=0.6,
             seed=config.seed,
-            workload_scale=base_scale * factor,
+            workload_scale=config.websearch_scale * factor,
             stop_after_completion=True,
         )
-        for factor in scale_factors
-        for system in systems
+        for factor in (0.5, 1.0, 2.0)
+        for system in ("ecmp", "contra")
     ]
 
 

@@ -115,7 +115,7 @@ def fluid_fidelity_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
     wan_topology = TopologySpec("abilene", capacity=config.abilene_capacity,
                                 hosts_per_switch=1)
     senders, receivers = abilene_pairs(
-        abilene(capacity=config.abilene_capacity, hosts_per_switch=1), 4)
+        abilene(capacity=config.abilene_capacity, hosts_per_switch=1))
     for load in FIDELITY_LOADS:
         for system in ("shortest-path", "contra"):
             for flow_model in ("packet", "fluid"):

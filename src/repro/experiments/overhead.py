@@ -11,7 +11,7 @@ the *raw* probe-to-data ratio is inflated by the capacity scale: probes are
 sent per real-time probe period while the links carry roughly two orders of
 magnitude less data than 10 Gbps hardware would in the same period.  The
 projection (:func:`to_overhead_points`) therefore reports both the raw ratio
-and a capacity-corrected ratio (probe bytes divided by ``capacity_scale``),
+and a capacity-corrected ratio (probe bytes divided by :data:`CAPACITY_SCALE`),
 and EXPERIMENTS.md quotes the corrected number next to the paper's 0.79%.
 
 Runs full-duration (no early stop): the probe byte budget is the measurement.
@@ -26,13 +26,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import fattree_spec
 from repro.experiments.runner import RunResult, ScenarioSpec
 
-__all__ = ["OverheadPoint", "overhead_specs", "to_overhead_points",
-           "DEFAULT_CAPACITY_SCALE"]
+__all__ = ["OverheadPoint", "overhead_specs", "to_overhead_points", "CAPACITY_SCALE"]
 
 #: Ratio between the paper's 10 Gbps links (~833 full packets per ms) and the
 #: simulator's default 100 packets/ms hosts — the factor by which the scaled
 #: simulation under-represents data bytes per probe period.
-DEFAULT_CAPACITY_SCALE = 8.33
+CAPACITY_SCALE = 8.33
 
 
 @dataclass
@@ -55,13 +54,8 @@ class OverheadPoint:
     loop_fraction: float
 
 
-def overhead_specs(
-    config: ExperimentConfig,
-    systems: Sequence[str] = ("ecmp", "hula", "contra"),
-    workloads: Sequence[str] = ("web_search", "cache"),
-    loads: Sequence[float] = (0.1, 0.6),
-) -> List[ScenarioSpec]:
-    """The Figure 16 traffic-overhead grid as specs."""
+def overhead_specs(config: ExperimentConfig) -> List[ScenarioSpec]:
+    """The Figure 16 traffic-overhead grid (both workloads at 10% and 60% load) as specs."""
     return [
         ScenarioSpec(
             name=f"overhead:{workload}:{load}:{system}",
@@ -74,15 +68,13 @@ def overhead_specs(
             seed=config.seed,
             record_paths=True,
         )
-        for workload in workloads
-        for load in loads
-        for system in systems
+        for workload in ("web_search", "cache")
+        for load in (0.1, 0.6)
+        for system in ("ecmp", "hula", "contra")
     ]
 
 
-def to_overhead_points(results: Sequence[RunResult],
-                       capacity_scale: float = DEFAULT_CAPACITY_SCALE,
-                       ) -> List[OverheadPoint]:
+def to_overhead_points(results: Sequence[RunResult]) -> List[OverheadPoint]:
     """Project grid results onto the overhead report rows."""
     points: List[OverheadPoint] = []
     for result in results:
@@ -90,7 +82,7 @@ def to_overhead_points(results: Sequence[RunResult],
         control = summary["probe_bytes"] + summary["tag_overhead_bytes"]
         goodput = summary["data_bytes"] + summary["ack_bytes"]
         total = goodput + control
-        scaled_total = goodput + control / capacity_scale
+        scaled_total = goodput + control / CAPACITY_SCALE
         # The paper normalises each system's total traffic by ECMP's.  In its
         # testbed every system transmits (essentially) the same data volume,
         # so that equals the per-system inflation factor total/(data+ack); we

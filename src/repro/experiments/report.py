@@ -73,27 +73,24 @@ def format_fct(points, title: str = "Average flow completion time (ms)") -> str:
         rows, title=title)
 
 
-def format_queue_cdf(cdfs: Mapping[str, Mapping[float, float]],
-                     title: str = "Figure 13: queue length CDF (packets)") -> str:
+def format_queue_cdf(cdfs: Mapping[str, Mapping[float, float]]) -> str:
     points = sorted(next(iter(cdfs.values())).keys()) if cdfs else []
     headers = ["system"] + [f"p{int(p * 100)}" for p in points]
     rows = [[system] + [cdf[p] for p in points] for system, cdf in cdfs.items()]
-    return format_table(headers, rows, title=title)
+    return format_table(headers, rows, title="Figure 13: queue length CDF (packets)")
 
 
-def format_recovery(results: Mapping[str, object],
-                    title: str = "Figure 14: link-failure recovery") -> str:
+def format_recovery(results: Mapping[str, object]) -> str:
     rows = []
     for system, result in results.items():
         rows.append((system, result.baseline_rate, result.dip_delay,
                      result.recovery_delay, result.failure_detections))
     return format_table(
         ("system", "baseline_rate", "dip_after_ms", "recovered_after_ms", "failure_detections"),
-        rows, title=title)
+        rows, title="Figure 14: link-failure recovery")
 
 
-def format_recovery_sweep(results: Mapping[str, object],
-                          title: str = "Recovery sweep: fail -> recover cycle") -> str:
+def format_recovery_sweep(results: Mapping[str, object]) -> str:
     rows = []
     for system, result in results.items():
         rows.append((system, result.fail_time, result.recover_time,
@@ -102,24 +99,21 @@ def format_recovery_sweep(results: Mapping[str, object],
     return format_table(
         ("system", "fail_ms", "recover_ms", "baseline_rate", "dip_after_ms",
          "post_recovery_rate", "recovery_ratio"),
-        rows, title=title)
+        rows, title="Recovery sweep: fail -> recover cycle")
 
 
-def format_recovery_curve(points,
-                          title: str = "Recovery curve: outage duration sweep "
-                                       "(leaf-spine fail -> recover)") -> str:
+def format_recovery_curve(points) -> str:
     """Rows over :class:`~repro.experiments.failure_recovery.RecoveryCurvePoint`\\ s."""
     rows = [(p.system, p.outage_ms, p.baseline_rate, p.dip_depth, p.dip_delay,
              p.recovery_time_ms) for p in points]
     return format_table(
         ("system", "outage_ms", "baseline_rate", "dip_depth", "dip_after_ms",
          "recovered_after_ms"),
-        rows, title=title)
+        rows, title=("Recovery curve: outage duration sweep "
+                     "(leaf-spine fail -> recover)"))
 
 
-def format_flow_size(results,
-                     title: str = "Flow-size sensitivity: distribution scale "
-                                  "x system (fat-tree)") -> str:
+def format_flow_size(results) -> str:
     """Rows over flow-size-sensitivity :class:`RunResult`\\ s.
 
     The scale factor is recovered from the spec name
@@ -138,7 +132,8 @@ def format_flow_size(results,
                      int(summary.get("drops", 0))))
     return format_table(
         ("scale", "system", "load", "avg_fct_ms", "p99_fct_ms", "completed", "drops"),
-        rows, title=title)
+        rows, title=("Flow-size sensitivity: distribution scale "
+                     "x system (fat-tree)"))
 
 
 def format_grid(results, title: str = "Grid results") -> str:
@@ -156,9 +151,7 @@ def format_grid(results, title: str = "Grid results") -> str:
         rows, title=title)
 
 
-def format_transport(results,
-                     title: str = "Transport sensitivity: mode x load "
-                                  "(asymmetric fat-tree, Figure 13 setting)") -> str:
+def format_transport(results) -> str:
     """Rows over transport-sensitivity :class:`RunResult`\\ s.
 
     The transport mode is recovered from the spec name
@@ -184,16 +177,17 @@ def format_transport(results,
     return format_table(
         ("transport", "system", "load", "avg_fct_ms", "p99_fct_ms", "retx",
          "fast_retx", "goodput_ratio", "completed"),
-        rows, title=title)
+        rows, title=("Transport sensitivity: mode x load "
+                     "(asymmetric fat-tree, Figure 13 setting)"))
 
 
-def format_overhead(points, title: str = "Figure 16: traffic overhead (normalized to ECMP)") -> str:
+def format_overhead(points) -> str:
     rows = [(p.workload, f"{round(p.load * 100)}%", p.system, p.normalized_vs_ecmp,
              p.normalized_vs_ecmp_scaled, p.probe_bytes, p.tag_bytes, p.loop_fraction)
             for p in points]
     return format_table(
         ("workload", "load", "system", "norm_raw", "norm_scaled", "probe_B", "tag_B", "loops"),
-        rows, title=title)
+        rows, title="Figure 16: traffic overhead (normalized to ECMP)")
 
 
 def format_ablation(points, title: str = "Ablation") -> str:
@@ -204,9 +198,7 @@ def format_ablation(points, title: str = "Ablation") -> str:
         rows, title=title)
 
 
-def format_fidelity(points,
-                    title: str = "Fluid vs packet: FCT fidelity "
-                                 "(delta % = fluid relative to packet)") -> str:
+def format_fidelity(points) -> str:
     """Rows over :class:`~repro.experiments.fluid_scale.FidelityPoint`\\ s."""
     rows = [(p.fabric, p.system, f"{round(p.load * 100)}%",
              f"{p.fluid_flows}/{p.packet_flows}",
@@ -216,12 +208,11 @@ def format_fidelity(points,
     return format_table(
         ("fabric", "system", "load", "flows f/p", "pkt_p50", "fluid_p50",
          "d50_%", "pkt_p99", "fluid_p99", "d99_%"),
-        rows, title=title)
+        rows, title=("Fluid vs packet: FCT fidelity "
+                     "(delta % = fluid relative to packet)"))
 
 
-def format_fluid_million(results,
-                         title: str = "Fluid million-flow scale "
-                                      "(epoch-driven max-min plane)") -> str:
+def format_fluid_million(results) -> str:
     """Rows over the fluid-million :class:`RunResult`\\ s."""
     rows = []
     for r in results:
@@ -239,4 +230,5 @@ def format_fluid_million(results,
     return format_table(
         ("system", "completed", "epochs", "avg_fct_ms", "p50_fct_ms",
          "p99_fct_ms", "sketch_max", "sketch_mean", "detections"),
-        rows, title=title)
+        rows, title=("Fluid million-flow scale "
+                     "(epoch-driven max-min plane)"))

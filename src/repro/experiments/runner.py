@@ -153,11 +153,14 @@ def build_routing_system(
     name: str,
     topology: Topology,
     config: ExperimentConfig,
-    policy: Optional[Policy] = None,
     compiled: Optional[CompiledPolicy] = None,
     use_versioning: bool = True,
 ):
-    """Instantiate one routing system by name under the shared configuration."""
+    """Instantiate one routing system by name under the shared configuration.
+
+    Contra runs ``compiled``, or the datacenter policy compiled on
+    ``topology`` when none is given.
+    """
     name = name.lower()
     if name == "ecmp":
         from repro.baselines.ecmp import EcmpSystem
@@ -178,8 +181,7 @@ def build_routing_system(
     if name == "contra":
         from repro.protocol.contra_switch import ContraSystem
         if compiled is None:
-            compiled = compile_policy(policy if policy is not None else datacenter_policy(),
-                                      topology)
+            compiled = compile_policy(datacenter_policy(), topology)
         return ContraSystem(
             compiled,
             probe_period=config.probe_period,

@@ -62,15 +62,17 @@ class ScalabilityPoint:
     num_probe_ids: int
 
 
-def waypoint_policy_for(topology: Topology, waypoints: int = 2) -> Policy:
+def waypoint_policy_for(topology: Topology) -> Policy:
     """The WP policy instantiated with concrete waypoint switches of a topology.
 
     WP uses three regular expressions: a preferred waypoint group, a backup
     waypoint, and the fallback pattern — mirroring the paper's description of
-    a waypointing policy with three regexes.
+    a waypointing policy with three regexes.  The two waypoints are the
+    switches at the middle of the switch list (the first two when the middle
+    holds fewer).
     """
     switches = topology.switches
-    chosen = switches[len(switches) // 2: len(switches) // 2 + max(1, waypoints)]
+    chosen = switches[len(switches) // 2: len(switches) // 2 + 2]
     if len(chosen) < 2:
         chosen = switches[:2] if len(switches) >= 2 else switches
     first, second = chosen[0], chosen[-1]

@@ -289,9 +289,9 @@ class TestCoordinatedByteIdentity:
         specs = tiny_specs(("ecmp", "contra", "hula"), loads=(0.4, 0.6))
         serial = run_grid(specs, backend=SerialBackend())
         ctx = multiprocessing.get_context("fork")
-        workers = [ctx.Process(target=drain_store, args=(specs, tmp_path),
-                               kwargs={"owner": f"w{i}"})
-                   for i in range(2)]
+        # Each forked drain makes its own owner id (host, pid, random suffix).
+        workers = [ctx.Process(target=drain_store, args=(specs, tmp_path))
+                   for _ in range(2)]
         for worker in workers:
             worker.start()
         collector = CoordinatedBackend(tmp_path, owner="collector")

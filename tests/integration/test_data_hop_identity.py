@@ -36,8 +36,11 @@ def _asymmetric(system: str, transport: str) -> ScenarioSpec:
 
 
 def _abilene(system: str) -> ScenarioSpec:
-    (spec,) = abilene_fct_specs(_DATA, systems=(system,), workloads=("cache",))
-    return spec
+    """Fig. 15's cache point, run by ``system`` (Hula is not one of its systems)."""
+    (spec,) = [spec for spec in abilene_fct_specs(_DATA, workloads=("cache",))
+               if spec.system == "contra"]
+    return dataclasses.replace(spec, name=f"abilene:cache:{spec.load}:{system}",
+                               system=system)
 
 
 def _fail_recover(system: str) -> ScenarioSpec:

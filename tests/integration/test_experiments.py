@@ -4,11 +4,13 @@ Each driver is run with tiny parameters; the assertions check the *structure*
 and the qualitative relations the paper reports, not absolute numbers.
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.experiments import report
+from repro import cli
+from repro.experiments import ablations, report
 from repro.experiments.ablations import (
     flowlet_timeout_specs,
     probe_period_specs,
@@ -16,7 +18,14 @@ from repro.experiments.ablations import (
     to_ablation_points,
     versioning_specs,
 )
-from repro.experiments.config import ExperimentConfig, default_config, full_config, quick_config
+from repro.experiments.config import (
+    PRESETS,
+    ExperimentConfig,
+    config_from_env,
+    default_config,
+    full_config,
+    quick_config,
+)
 from repro.experiments.failure_recovery import (
     analyse_recovery_results,
     failure_recovery_specs,
@@ -46,6 +55,23 @@ class TestConfig:
     def test_presets_scale_durations(self):
         assert quick_config().workload_duration < default_config().workload_duration
         assert len(full_config().loads) > len(default_config().loads)
+
+    @pytest.mark.parametrize("value", ["ful", "FULL", "Quick", ""])
+    def test_an_unknown_env_preset_is_refused(self, monkeypatch, value):
+        # "ful" ran the quick preset, and "FULL" the full one while the
+        # Fig. 9/10 benchmarks, comparing the raw value, ran quick sizes.
+        monkeypatch.setenv("CONTRA_EXPERIMENT_PRESET", value)
+        with pytest.raises(ExperimentError, match=r"choose one of quick, default, full"):
+            config_from_env()
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run-grid", "fig13", "--preset", "env"])
+        message = str(exited.value.code)
+        assert repr(value) in message and "\n" not in message
+
+    @pytest.mark.parametrize("value", sorted(PRESETS))
+    def test_every_preset_resolves_from_the_env(self, monkeypatch, value):
+        monkeypatch.setenv("CONTRA_EXPERIMENT_PRESET", value)
+        assert config_from_env() == PRESETS[value]()
 
     def test_scaled_overrides_loads(self):
         config = default_config().scaled(0.5, loads=(0.3,))
@@ -190,7 +216,7 @@ class TestFctExperiments:
 
     def test_fig13_queue_cdf_contra_shorter_than_ecmp(self):
         cdfs = {result.system: result.queue_cdf
-                for result in run_grid(queue_cdf_specs(TINY, load=0.6))}
+                for result in run_grid(queue_cdf_specs(TINY))}
         assert set(cdfs) == {"ecmp", "contra"}
         assert cdfs["contra"][1.0] <= cdfs["ecmp"][1.0]
         text = report.format_queue_cdf(cdfs)
@@ -210,7 +236,8 @@ class TestFctExperiments:
 class TestOverheadExperiment:
     def test_fig16_ordering_and_magnitude(self):
         points = to_overhead_points(run_grid(
-            overhead_specs(TINY, loads=(0.6,), workloads=("web_search",))))
+            [spec for spec in overhead_specs(TINY)
+             if spec.workload == "web_search" and spec.load == 0.6]))
         by_system = {p.system: p for p in points}
         assert by_system["ecmp"].normalized_vs_ecmp == pytest.approx(1.0)
         assert by_system["hula"].normalized_vs_ecmp >= 1.0
@@ -238,9 +265,14 @@ class TestFailureRecoveryExperiment:
         assert "recovered_after_ms" in text
 
 
+def _at_half_load(specs):
+    """The ablation points at 50% load instead of the ablations' 60%."""
+    return [dataclasses.replace(spec, load=0.5) for spec in specs]
+
+
 class TestAblations:
     def test_probe_period_ablation_runs(self):
-        specs = probe_period_specs(TINY, periods=(0.256, 1.024), load=0.5)
+        specs = _at_half_load(probe_period_specs(TINY, periods=(0.256, 1.024)))
         points = to_ablation_points(specs, run_grid(specs))["probe_period"]
         assert len(points) == 2
         assert all(p.completed > 0 for p in points)
@@ -249,19 +281,20 @@ class TestAblations:
         assert "probe_period_ms" in report.format_ablation(points)
 
     def test_flowlet_timeout_ablation_runs(self):
-        specs = flowlet_timeout_specs(TINY, timeouts=(0.1, 1.6), load=0.5)
+        specs = _at_half_load(flowlet_timeout_specs(TINY, timeouts=(0.1, 1.6)))
         points = to_ablation_points(specs, run_grid(specs))["flowlet_timeout"]
         assert len(points) == 2
         assert all(p.completed > 0 for p in points)
 
     def test_versioning_ablation_runs(self):
-        specs = versioning_specs(TINY, load=0.5)
+        specs = _at_half_load(versioning_specs(TINY))
         points = to_ablation_points(specs, run_grid(specs))["versioning"]
         assert {p.value for p in points} == {0.0, 1.0}
         assert all(p.completed > 0 for p in points)
 
-    def test_tag_minimization_reduces_or_keeps_tags(self):
-        points = run_tag_minimization_ablation(sizes=(20,))
+    def test_tag_minimization_reduces_or_keeps_tags(self, monkeypatch):
+        monkeypatch.setattr(ablations, "TAG_MINIMIZATION_SIZES", (20,))
+        points = run_tag_minimization_ablation()
         minimized = next(p for p in points if p.minimize_tags)
         raw = next(p for p in points if not p.minimize_tags)
         assert minimized.pg_nodes <= raw.pg_nodes

@@ -31,7 +31,8 @@ def _fattree_fail_recover():
 
 
 def _abilene_mu():
-    (spec,) = abilene_fct_specs(_DATA, systems=("contra",), workloads=("cache",))
+    (spec,) = [spec for spec in abilene_fct_specs(_DATA, workloads=("cache",))
+               if spec.system == "contra"]
     return spec
 
 

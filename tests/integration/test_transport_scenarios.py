@@ -136,7 +136,7 @@ class TestTransportSensitivityScenario:
         assert {"transport-sensitivity", "fig11-k8"} <= set(SCENARIOS)
 
     def test_grid_covers_modes_and_systems(self):
-        results = run_grid(transport_sensitivity_specs(TINY, loads=(0.6,)))
+        results = run_grid(transport_sensitivity_specs(TINY))
         assert len(results) == 3 * 2            # 3 transports x 2 systems
         names = {r.name for r in results}
         assert any(":fixed:" in n for n in names)
@@ -153,7 +153,7 @@ class TestTransportSensitivityScenario:
             assert "summary" in row and "goodput_bytes" in row["summary"]
 
     def test_scenario_serial_matches_parallel(self):
-        specs = transport_sensitivity_specs(TINY, loads=(0.6,))
+        specs = transport_sensitivity_specs(TINY)
         serial = run_grid(specs, processes=1)
         parallel = run_grid(specs, processes=2)
         assert _summaries(serial) == _summaries(parallel)
