@@ -8,16 +8,16 @@ SRAM.  We reproduce the same sweep using the compiler's state estimate.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments import report
+from repro.experiments.config import config_from_env, quick_config
 from repro.experiments.scalability import run_scalability_sweep
 
 from conftest import run_once
 
-_FULL = os.environ.get("CONTRA_EXPERIMENT_PRESET", "quick") in ("default", "full")
+# The paper's five sizes under every preset but quick.
+_FULL = config_from_env() != quick_config()
 FATTREE_SIZES = (20, 125, 245, 405, 500) if _FULL else (20, 125, 245)
 RANDOM_SIZES = (100, 200, 300, 400, 500) if _FULL else (100, 200, 300)
 

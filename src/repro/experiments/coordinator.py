@@ -12,13 +12,14 @@ time converge to the complete grid:
 
 * **Leases.**  A worker claims one pending point at a time by atomically
   creating ``lease-<spec_hash>.json`` (exclusive-create, so exactly one
-  claimant wins).  The lease carries the owner id and acquire time and is
-  heartbeat-renewed by a background thread while the point executes.  A lease
-  whose heartbeat is older than the TTL is *stale* — its worker is presumed
-  dead — and any worker may reclaim it (an atomic rename tombstone ensures a
-  single reclaimer).  Because results are deterministic, the worst case of a
-  falsely-stale reclaim (the owner was alive but stalled) is duplicate work
-  producing byte-identical records, which the store already tolerates.
+  claimant wins).  The lease carries the owner id, the point's name and a
+  heartbeat stamp, renewed by a background thread while the point
+  executes.  A lease whose heartbeat is older than the TTL is *stale* — its
+  worker is presumed dead — and any worker may reclaim it (an atomic rename
+  tombstone ensures a single reclaimer).  Because results are
+  deterministic, the worst case of a falsely-stale reclaim (the owner was
+  alive but stalled) is duplicate work producing byte-identical records,
+  which the store already tolerates.
 * **Locality groups.**  Points sharing a compile key
   (:func:`~repro.experiments.runner.compile_group_key`: the (policy,
   topology) pair that keys a worker's compiled-policy cache) cluster to the
@@ -49,6 +50,7 @@ for the ``wall-clock`` lint rule (tools/lint_determinism.py).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -56,6 +58,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.exceptions import NON_NEGATIVE
 from repro.experiments.results import ResultsStore, StoreFiles
 from repro.experiments.runner import (
     ExecutionBackend,
@@ -123,18 +126,15 @@ class LeaseInfo:
 
     key: str
     owner: str
-    acquired_unix: float
     heartbeat_unix: float
+    spec_name: str
     stale: bool
-    spec_name: str = ""
 
 
-def _lease_text(owner: str, acquired: float, heartbeat: float,
-                spec_name: str) -> str:
+def _lease_text(owner: str, heartbeat: float, spec_name: str) -> str:
     """A lease payload: what a claim creates and a renewal replaces."""
     return json.dumps({
         "owner": owner,
-        "acquired_unix": round(acquired, 3),
         "heartbeat_unix": round(heartbeat, 3),
         "spec_name": spec_name,
     }, sort_keys=True) + "\n"
@@ -142,12 +142,11 @@ def _lease_text(owner: str, acquired: float, heartbeat: float,
 
 def try_acquire_lease(directory, key: str, owner: str, spec_name: str = "") -> bool:
     """Claim ``key`` by exclusive-create; False when someone else holds it."""
-    now = wall_now()
     return StoreFiles.of(directory).create(
-        StoreFiles.LEASE.format(key), _lease_text(owner, now, now, spec_name))
+        StoreFiles.LEASE.format(key), _lease_text(owner, wall_now(), spec_name))
 
 
-def renew_lease(directory, key: str, owner: str, spec_name: str = "") -> bool:
+def renew_lease(directory, key: str, owner: str) -> bool:
     """Refresh the heartbeat of a lease this owner holds; False if it doesn't.
 
     A lease that is gone, or that names another owner, was reclaimed while
@@ -161,8 +160,7 @@ def renew_lease(directory, key: str, owner: str, spec_name: str = "") -> bool:
     if info is None or info.owner != owner:
         return False
     files.replace(StoreFiles.LEASE.format(key),
-                  _lease_text(owner, info.acquired_unix, wall_now(), spec_name),
-                  owner)
+                  _lease_text(owner, wall_now(), info.spec_name), owner)
     return True
 
 
@@ -192,31 +190,27 @@ def reclaim_lease(directory, key: str, owner: str) -> bool:
 def read_lease(directory, key: str) -> Optional[LeaseInfo]:
     """Decode one lease file; None when absent.
 
-    A lease caught mid-create (exclusive-create is not atomic with respect
-    to content) decodes as unreadable; it is treated as freshly live via the
-    file's mtime so a racing reader never mistakes a newborn lease for
-    reclaimable garbage.
+    A lease is created whole (:meth:`StoreFiles.create`) and replaced whole,
+    so one that does not decode, or whose heartbeat is not a finite
+    timestamp, is corruption, not a newborn: it reads as stale, with no
+    owner and no heartbeat, and the single-winner reclaim takes it.
     """
-    files = StoreFiles.of(directory)
-    name = StoreFiles.LEASE.format(key)
     try:
-        payload = json.loads(files.read(name))
-        heartbeat = float(payload["heartbeat_unix"])
-        acquired = float(payload.get("acquired_unix", heartbeat))
-        owner = str(payload.get("owner", "?"))
-        spec_name = str(payload.get("spec_name", ""))
+        payload = json.loads(
+            StoreFiles.of(directory).read(StoreFiles.LEASE.format(key)))
+        owner = str(payload["owner"])
+        heartbeat = payload["heartbeat_unix"]
+        spec_name = str(payload["spec_name"])
     except FileNotFoundError:
         return None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        try:
-            heartbeat = acquired = files.mtime(name)
-        except FileNotFoundError:
-            return None
-        owner, spec_name = "?", ""
-    return LeaseInfo(key=key, owner=owner, acquired_unix=acquired,
-                     heartbeat_unix=heartbeat,
-                     stale=wall_now() - heartbeat > LEASE_TTL,
-                     spec_name=spec_name)
+    except (KeyError, TypeError, ValueError):
+        heartbeat = None
+    if not NON_NEGATIVE.admits(heartbeat):
+        return LeaseInfo(key=key, owner="?", heartbeat_unix=-math.inf,
+                         spec_name="", stale=True)
+    return LeaseInfo(key=key, owner=owner, heartbeat_unix=float(heartbeat),
+                     spec_name=spec_name,
+                     stale=wall_now() - heartbeat > LEASE_TTL)
 
 
 def _lease_keys(directory) -> List[str]:
@@ -275,7 +269,7 @@ class _Heartbeat:
         self._owner = owner
         self._interval = LEASE_TTL / 6.0
         self._lock = threading.Lock()
-        self._target: Optional[Tuple[str, str]] = None    # (key, spec name)
+        self._target: Optional[str] = None      # the watched lease's key
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"lease-heartbeat-{owner}")
@@ -285,10 +279,9 @@ class _Heartbeat:
             with self._lock:
                 if self._target is None:
                     continue
-                key, spec_name = self._target
                 try:
-                    if not renew_lease(self._directory, key, self._owner,
-                                       spec_name):
+                    if not renew_lease(self._directory, self._target,
+                                       self._owner):
                         self._target = None
                 except OSError:
                     # A vanished directory or permission hiccup must not kill
@@ -296,9 +289,9 @@ class _Heartbeat:
                     # reclaim.
                     pass
 
-    def watch(self, key: str, spec_name: str) -> None:
+    def watch(self, key: str) -> None:
         with self._lock:
-            self._target = (key, spec_name)
+            self._target = key
         if not self._thread.is_alive():
             self._thread.start()
 
@@ -489,7 +482,7 @@ class CoordinatedBackend(ExecutionBackend):
                 if group != current_group:
                     current_group = group
                     self.groups_entered.append(group_label(group))
-                heartbeat.watch(key, spec.name)
+                heartbeat.watch(key)
                 try:
                     result, wall_s = next(iter(self.inner.run_iter_timed([spec])))
                 except BaseException:

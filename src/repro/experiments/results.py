@@ -105,10 +105,10 @@ class StoreFiles:
 
     Every step on records and leases is a call on an instance, on names
     relative to the directory; the names are spelled here only.
-    :meth:`read` and :meth:`mtime` raise FileNotFoundError for an absent
-    name, the other steps return None or False.  A function that takes a
-    results ``directory`` accepts an instance as it is (:meth:`of`), so a
-    test can substitute an in-memory subclass.
+    :meth:`read` raises FileNotFoundError for an absent name, the other
+    steps return None or False.  A function that takes a results
+    ``directory`` accepts an instance as it is (:meth:`of`), so a test can
+    substitute an in-memory subclass.
     """
 
     RESULTS = "results-*.jsonl"
@@ -117,8 +117,8 @@ class StoreFiles:
     LEASE = "lease-{}.json"
     SPEC_HASH = "[0-9a-f]" * 64
     #: What gc_results sweeps: the progress metas older builds wrote beside
-    #: their workers and shards (and their staging files), and killed lease
-    #: writers' leftovers.
+    #: their workers and shards (and their staging files), and the staging
+    #: names and tombstones of killed lease writers.
     DEBRIS = ("worker-*.meta.json", "worker-*.meta.json.tmp", "shard*.meta.json",
               LEASE.format("*") + ".*")
 
@@ -147,17 +147,20 @@ class StoreFiles:
     def read(self, name: str) -> str:
         return (self.directory / name).read_text(encoding="utf-8")
 
-    def mtime(self, name: str) -> float:
-        return (self.directory / name).stat().st_mtime
-
     def create(self, name: str, text: str) -> bool:
-        """Exclusive create; False when ``name`` exists.  The create is
-        atomic, the content is not: a reader can meet the file empty."""
+        """Exclusive create, atomic with its content; False when ``name``
+        exists.  The text is written under a staging name no other writer
+        draws, then hard-linked onto ``name``: a reader meets all of it or
+        no file.  A staging file swept meanwhile (``gc_results`` takes it
+        for a killed writer's) loses the create too."""
+        staging = self.directory / f"{name}.{os.urandom(8).hex()}.tmp"
+        staging.write_text(text, encoding="utf-8")
         try:
-            with (self.directory / name).open("x", encoding="utf-8") as handle:
-                handle.write(text)
-        except FileExistsError:
+            os.link(staging, self.directory / name)
+        except (FileExistsError, FileNotFoundError):
             return False
+        finally:
+            staging.unlink(missing_ok=True)
         return True
 
     def replace(self, name: str, text: str, owner: str = "") -> None:

@@ -2,9 +2,10 @@
 
 The contracts under test (ARCHITECTURE.md §8 "Sweep coordinator contract"):
 
-* lease acquire is single-winner (exclusive create), renewal moves the
-  heartbeat, staleness is judged against the TTL, and reclaim of a stale
-  lease is single-winner too (rename tombstone);
+* lease acquire is single-winner (exclusive create of a whole file; one
+  that does not decode is stale), renewal moves the heartbeat, staleness is
+  judged against the TTL, and reclaim of a stale lease is single-winner too
+  (rename tombstone);
 * a coordinated drain — any worker count, any interleaving, including a
   worker killed mid-lease and reclaimed after the TTL — produces a merged
   report byte-identical to the unsharded serial run (summary text and
@@ -28,6 +29,7 @@ the ``clock`` fixture pins it; a test that needs a short TTL or poll patches
 ``LEASE_TTL`` / ``POLL_INTERVAL`` (a forked drain inherits the patch).
 """
 
+import fnmatch
 import json
 import math
 import multiprocessing
@@ -121,15 +123,15 @@ class TestLeasePrimitives:
         info = read_lease(tmp_path, KEY)
         assert info.owner == "w0" and not info.stale
 
-    def test_renew_moves_the_heartbeat_and_keeps_acquire_time(self, tmp_path,
-                                                               clock):
-        try_acquire_lease(tmp_path, KEY, "w0")
+    def test_renew_moves_the_heartbeat_and_keeps_the_name(self, tmp_path,
+                                                           clock):
+        try_acquire_lease(tmp_path, KEY, "w0", spec_name="point")
         clock.now = 120.0
-        renew_lease(tmp_path, KEY, "w0")
+        assert renew_lease(tmp_path, KEY, "w0")
         clock.now = 121.0
         info = read_lease(tmp_path, KEY)
-        assert info.heartbeat_unix == 120.0
-        assert info.acquired_unix == 100.0
+        assert (info.owner, info.heartbeat_unix, info.spec_name) == \
+            ("w0", 120.0, "point")
         assert not info.stale
 
     def test_renew_never_resurrects_a_lost_lease(self, tmp_path, clock):
@@ -159,7 +161,7 @@ class TestLeasePrimitives:
         clock.now = 50.0
         assert try_acquire_lease(tmp_path, KEY, "A")
         with coordinator._Heartbeat(tmp_path, "A") as heartbeat:
-            heartbeat.watch(KEY, "")
+            heartbeat.watch(KEY)
             assert reclaim_lease(tmp_path, KEY, "B")
             clock.now = 100.0
             assert try_acquire_lease(tmp_path, KEY, "B")
@@ -194,12 +196,57 @@ class TestLeasePrimitives:
         assert release_lease(tmp_path, KEY, owner="w0")
         assert read_lease(tmp_path, KEY) is None
 
-    def test_unreadable_lease_counts_as_live_via_mtime(self, tmp_path):
-        # A reader can catch a lease between create and content flush; it
-        # must look freshly live, never reclaimable garbage.
-        assert StoreFiles(tmp_path).create(StoreFiles.LEASE.format(KEY), "")
+    @pytest.mark.parametrize("garbage", [
+        b"", b'{"owner": "w0"', b"[1, 2]", b"\xff\xfe",
+        b'{"owner": "w0", "spec_name": ""}',
+        *(b'{"owner": "w0", "heartbeat_unix": %s, "spec_name": ""}' % stamp
+          for stamp in (b"NaN", b"Infinity", b'"1.0"', b"true"))])
+    def test_a_lease_holding_garbage_is_stale_and_taken_once(self, tmp_path,
+                                                             clock, garbage):
+        """A lease is born whole, so one that does not decode, or whose
+        heartbeat is no finite number, is corruption: no reader waits on it,
+        and of two reclaimers exactly one takes it."""
+        (tmp_path / StoreFiles.LEASE.format(KEY)).write_bytes(garbage)
         info = read_lease(tmp_path, KEY)
-        assert info is not None and not info.stale
+        assert (info.owner, info.stale) == ("?", True)
+        assert [lease.key for lease in live_leases(tmp_path)] == [KEY]
+        assert not renew_lease(tmp_path, KEY, "w0")
+        assert [reclaim_lease(tmp_path, KEY, owner)
+                for owner in ("w1", "w2")] == [True, False]
+        assert not list(tmp_path.iterdir())
+
+    def test_a_create_leaves_only_the_lease(self, tmp_path):
+        files, name = StoreFiles(tmp_path), StoreFiles.LEASE.format(KEY)
+        assert files.create(name, "whole\n")
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+        assert files.read(name) == "whole\n"
+
+    def test_a_lost_create_leaves_no_staging_file(self, tmp_path):
+        files, name = StoreFiles(tmp_path), StoreFiles.LEASE.format(KEY)
+        assert files.create(name, "first\n")
+        assert not files.create(name, "second\n")
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+        assert files.read(name) == "first\n"
+
+    def test_a_create_whose_staging_file_is_swept_loses(self, tmp_path,
+                                                         monkeypatch):
+        """``gc-results`` sweeps ``lease-*.json.*`` as a killed writer's
+        debris; a live create whose staging file goes that way makes no
+        lease and reports the claim lost."""
+        link = os.link
+        swept = []
+
+        def gc_between_write_and_link(staging, name):
+            swept.append(sorted(path.name for path in tmp_path.iterdir()))
+            results.gc_results([], tmp_path)
+            return link(staging, name)
+
+        monkeypatch.setattr(os, "link", gc_between_write_and_link)
+        name = StoreFiles.LEASE.format(KEY)
+        assert not StoreFiles(tmp_path).create(name, "{}\n")
+        assert len(swept) == 1 and fnmatch.fnmatchcase(
+            swept[0][0], StoreFiles.DEBRIS[-1])
+        assert not list(tmp_path.glob("lease-*"))
 
     def test_gc_leases_removes_orphaned_and_stale_only(self, tmp_path, clock):
         done, pending, gone = "aa" * 32, "bb" * 32, "cc" * 32
@@ -427,8 +474,8 @@ class TestTimingConstants:
         assert try_acquire_lease(tmp_path, KEY, "w0", spec_name="p")
         stamped = json.loads(
             StoreFiles(tmp_path).read(StoreFiles.LEASE.format(KEY)))
-        assert (stamped["acquired_unix"], stamped["heartbeat_unix"]) == \
-            (100.0, 100.0)
+        assert stamped == {"owner": "w0", "heartbeat_unix": 100.0,
+                           "spec_name": "p"}
         clock.now = 100.0 + TTL
         assert [info.stale for info in live_leases(tmp_path)] == [False]
         clock.now = 100.0 + TTL + 0.5
@@ -648,8 +695,8 @@ class TestDrainBookkeeping:
         renewals, taken = [], []
         renew = coordinator.renew_lease
 
-        def watching_renew(directory, lease_key, owner, spec_name=""):
-            renewed = renew(directory, lease_key, owner, spec_name)
+        def watching_renew(directory, lease_key, owner):
+            renewed = renew(directory, lease_key, owner)
             renewals.append((lease_key, owner, renewed))
             return renewed
 
@@ -687,10 +734,10 @@ class TestDrainBookkeeping:
         late = []
         renew, release = coordinator.renew_lease, coordinator.release_lease
 
-        def watching_renew(directory, key, owner, spec_name=""):
+        def watching_renew(directory, key, owner):
             if key in released:
                 late.append(key)
-            return renew(directory, key, owner, spec_name)
+            return renew(directory, key, owner)
 
         def watching_release(directory, key, owner=None):
             released.add(key)

@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import threading
-import time
 from collections import Counter
 
 from repro.experiments import coordinator
@@ -51,7 +50,6 @@ class MemoryFiles(StoreFiles):
         super().__init__(label)
         self.data = {}
         self.identity = {}
-        self.written = {}
         self.hidden = set()
         self.refused = []
         self._serial = itertools.count(1)
@@ -60,7 +58,6 @@ class MemoryFiles(StoreFiles):
     def _put(self, name, data):
         self.data[name] = bytearray(data)
         self.identity[name] = next(self._serial)
-        self.written[name] = time.time()
 
     def mkdir(self):
         pass
@@ -82,11 +79,6 @@ class MemoryFiles(StoreFiles):
         with self._lock:
             return self._get(name).decode("utf-8")
 
-    def mtime(self, name):
-        with self._lock:
-            self._get(name)
-            return self.written[name]
-
     def create(self, name, text):
         with self._lock:
             if name in self.data:
@@ -104,7 +96,6 @@ class MemoryFiles(StoreFiles):
             if name not in self.data:
                 self._put(name, b"")
             self.data[name] += text.encode("utf-8")
-            self.written[name] = time.time()
 
     def tail(self, name, offset):
         with self._lock:
@@ -121,7 +112,6 @@ class MemoryFiles(StoreFiles):
 
     def unlink(self, name):
         with self._lock:
-            self.written.pop(name, None)
             return self.data.pop(name, None) is not None
 
     def take(self, name, owner):

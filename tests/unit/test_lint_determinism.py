@@ -251,6 +251,25 @@ class TestStoreIo:
     def test_allowed_outside_the_store_modules(self, tmp_path, monkeypatch, rel):
         assert self.lint_at(tmp_path, monkeypatch, rel) == []
 
+    def test_a_hard_link_is_a_seam_step(self, tmp_path, monkeypatch):
+        """``os.link`` is how the seam creates a file whole; anywhere else in
+        the store modules it is a finding."""
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / "src/repro/experiments/coordinator.py"
+        target.parent.mkdir(parents=True)
+        violations, _ = run_lint(target.parent, """\
+            import os
+
+            class StoreFiles:
+                def create(self, staging, name):
+                    os.link(staging, name)
+
+            def claim(staging, name):
+                os.link(staging, name)
+            """, name=target.name)
+        assert [(v.line, v.message.split("(")[0])
+                for v in of_rule(violations, "store-io")] == [(8, "os.link")]
+
 
 class TestHandDomain:
     """``math.isfinite`` is a finding under src/repro/ outside exceptions.py."""

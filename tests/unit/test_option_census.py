@@ -28,6 +28,7 @@ from repro.experiments.ablations import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.coordinator import (
     CoordinatedBackend,
+    LeaseInfo,
     drain_store,
     gc_leases,
     live_leases,
@@ -116,7 +117,8 @@ CENSUS = {
     # makes its own owner id.
     drain_store: ("specs", "directory"),
     try_acquire_lease: ("directory", "key", "owner", "spec_name"),
-    renew_lease: ("directory", "key", "owner", "spec_name"),
+    # A renewal rewrites the name it read.
+    renew_lease: ("directory", "key", "owner"),
     release_lease: ("directory", "key", "owner"),
     reclaim_lease: ("directory", "key", "owner"),
     read_lease: ("directory", "key"),
@@ -241,3 +243,8 @@ def test_removed_members_stay_removed():
     assert not hasattr(HyperLogLog, "merge")
     for member in ("lookup", "touch", "expire", "sweep_high_water"):
         assert not hasattr(FlowletTable, member)
+    # A lease is created whole, so no reader judges one by the file's mtime,
+    # and nothing reads the acquire time a renewal used to copy forward.
+    assert not hasattr(StoreFiles, "mtime")
+    assert "acquired_unix" not in {field.name
+                                   for field in dataclasses.fields(LeaseInfo)}

@@ -115,11 +115,11 @@ And one keeps the results directory behind one door:
 
 * ``store-io`` — a filesystem call (``open``, ``.open``, ``.glob``,
   ``.unlink``, ``.replace``, ``.read_text``, ``.write_text``, ``.stat``,
-  ``os.truncate``, ``os.fstat``) in ``experiments/coordinator.py``,
-  ``experiments/results.py`` or ``cli.py`` outside the ``StoreFiles``
-  class: every lease and record step goes through that seam
-  (ARCHITECTURE.md §3, §8), where the directory's layout is spelled and an
-  in-memory stand-in can replace the disk.  A call on the seam itself (a
+  ``os.truncate``, ``os.fstat``, ``os.link``) in
+  ``experiments/coordinator.py``, ``experiments/results.py`` or ``cli.py``
+  outside the ``StoreFiles`` class: every lease and record step goes
+  through that seam (ARCHITECTURE.md §3, §8), where the directory's layout
+  is spelled and an in-memory stand-in can replace the disk.  A call on the seam itself (a
   receiver named ``files``, or ``StoreFiles.of(...)``) is the door, not a
   finding; so is ``.write_text`` in ``cli.py``, which writes only the
   user's ``--json``, ``--emit-p4`` and ``--bench-artifact`` outputs.
@@ -239,7 +239,7 @@ _VERSION_INIT = "src/repro/__init__.py"
 #: seam class, and the per-file output writes that are not store steps.
 _STORE_IO_ATTRS = frozenset({"open", "glob", "unlink", "replace", "read_text",
                              "write_text", "stat"})
-_STORE_IO_OS = frozenset({"truncate", "fstat"})
+_STORE_IO_OS = frozenset({"truncate", "fstat", "link"})
 _STORE_IO_FILES = frozenset({"src/repro/experiments/coordinator.py",
                              "src/repro/experiments/results.py",
                              "src/repro/cli.py"})
