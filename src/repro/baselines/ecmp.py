@@ -41,7 +41,7 @@ class _HashingLogic(RoutingLogic):
         if flow_hash is None:           # hand-built packet: hosts stamp theirs
             flow_hash = packet_flow_hash(packet)
         choice = hops[flow_hash % len(hops)]
-        ports = self.switch.ports
+        ports = self.ports
         link = ports.get(choice)
         if link is not None and not link.failed:
             return choice

@@ -122,7 +122,7 @@ class HulaRouting(ProbeDrivenRouting):
         switch.send_probes(neighbors, switch.ports, exclude, probe, switch.probe_groups)
 
     def on_probe(self, probe: HulaProbe, inport: str) -> None:
-        now = self.network.sim._now
+        now = self.sim._now
         self._last_probe_from[inport] = now
         self._believed_failed[inport] = False
         origin = probe.origin

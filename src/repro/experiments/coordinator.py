@@ -462,7 +462,9 @@ class CoordinatedBackend(ExecutionBackend):
         its lease released before the exception propagates, so a rerun
         resumes at once; a hard kill leaves the lease behind, and after one
         TTL any surviving worker reclaims and re-executes the point.  The
-        drain makes the results directory before its first lease create.
+        drain makes the results directory, and cuts its own file's torn
+        tail, before its first lease create (:meth:`ResultsStore.begin_writing`,
+        once per worker).
         """
         specs = list(specs)
         self._drain(specs, [spec_hash(spec) for spec in specs])
@@ -471,7 +473,7 @@ class CoordinatedBackend(ExecutionBackend):
         """:meth:`drain`, for :meth:`run`, which holds the hashes already."""
         groups = self._build_groups(specs)
         current_group: Optional[Tuple] = None
-        self.files.mkdir()
+        self.store.begin_writing()
         with _Heartbeat(self.files, self.owner) as heartbeat:
             while True:
                 claim = self._claim(specs, keys, groups, current_group)

@@ -237,7 +237,7 @@ class ResultsStore:
     files in the directory, so resume sees every writer's completed work.
     ``directory`` is a path or a :class:`StoreFiles`.  Reading writes
     nothing: the directory is made, and the own file's torn tail cut, at
-    the first :meth:`record`.
+    the first :meth:`record` or :meth:`begin_writing`.
     """
 
     def __init__(self, directory, filename: Optional[str] = None):
@@ -369,6 +369,22 @@ class ResultsStore:
 
     # ------------------------------------------------------------------ write
 
+    def begin_writing(self) -> None:
+        """Make the directory and cut the own file's torn tail, once per store.
+
+        :meth:`record` calls it before its first append; a drain calls it
+        before its first lease create, which needs the directory too, so a
+        worker makes the directory once.
+        """
+        if self._writing:
+            return
+        self.files.mkdir()
+        # A killed append leaves a line without its newline, which the next
+        # append would glue to a record.  Only the own file: others may be
+        # live.
+        self.files.truncate_torn_tail(self.path.name)
+        self._writing = True
+
     def record(self, spec: ScenarioSpec, result: RunResult,
                wall_s: Optional[float] = None,
                owner: Optional[str] = None,
@@ -390,13 +406,7 @@ class ResultsStore:
         ``sweep-status`` counts.  The key is the spec's own memoized
         :func:`~repro.experiments.runner.spec_hash`.
         """
-        if not self._writing:
-            self.files.mkdir()
-            # A killed append leaves a line without its newline, which this
-            # append would glue to a record.  Only the own file: others may
-            # be live.
-            self.files.truncate_torn_tail(self.path.name)
-            self._writing = True
+        self.begin_writing()
         record = {
             "spec_hash": spec_hash(spec),
             "spec_name": spec.name,

@@ -496,6 +496,9 @@ class RunContext:
     store drain runs compile group by compile group, so ECMP/Hula and
     Contra each draw it); a draw is well under 1 % of a point's CPU.
     Building one loads the simulating planes (:data:`_PLANE_MODULES`).
+    Each network or fluid simulation a point builds is closed once its
+    result is taken, so reference counting frees it and the next point
+    never runs on top of a dead one.
     """
 
     def __init__(self, sanitize: Optional[bool] = None) -> None:
@@ -510,7 +513,9 @@ class RunContext:
         #: Deliberately NOT part of spec_hash — sanitizing never re-keys runs.
         self._sanitize = sanitize if sanitize is not None else sanitize_from_env()
         #: Test/race-detector hook, called with each freshly built Network
-        #: before its run starts (e.g. to install the race permuter).
+        #: before its run starts (e.g. to install the race permuter).  The
+        #: network is closed once its result is taken (``Network.close``):
+        #: a reader that keeps it sees its tables, counters and stats.
         self.network_hook: Optional[Callable[[Network], None]] = None
 
     # ------------------------------------------------------------------ caches
@@ -693,7 +698,7 @@ class RunContext:
             else config.run_duration
         stats = simulation.run(run_duration,
                                stop_after_completion=spec.stop_after_completion)
-        return RunResult(
+        result = RunResult(
             name=spec.name,
             system=spec.system,
             workload=spec.workload,
@@ -701,6 +706,8 @@ class RunContext:
             seed=spec.seed,
             summary=stats.summary(),
         )
+        simulation.close()
+        return result
 
     def run(self, spec: ScenarioSpec) -> RunResult:
         check_fields(spec, "spec", ExperimentError, plane=spec.flow_model)
@@ -775,7 +782,7 @@ class RunContext:
 
         stats = network.run(run_duration,
                             stop_after_completion=spec.stop_after_completion)
-        return RunResult(
+        result = RunResult(
             name=spec.name,
             system=spec.system,
             workload=spec.workload,
@@ -785,6 +792,8 @@ class RunContext:
             queue_cdf=stats.queue_length_cdf(spec.cdf_points) if spec.cdf_points else None,
             throughput=stats.throughput_series() if spec.collect_throughput else None,
         )
+        network.close()
+        return result
 
     def _link_events(self, spec: ScenarioSpec, topology: Topology) -> List[LinkEvent]:
         """The spec's event schedule in time order.

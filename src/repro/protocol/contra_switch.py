@@ -192,7 +192,7 @@ class ContraRouting(ProbeDrivenRouting):
         row = {tag: local_tag
                for (neighbor, tag), local_tag in self.config.probe_transition.items()
                if neighbor == inport}
-        state = self._inports[inport] = (row.get, self.switch.ports.get(inport))
+        state = self._inports[inport] = (row.get, self.ports.get(inport))
         return state
 
     def on_probe(self, probe: ContraProbe, inport: str) -> None:
@@ -215,7 +215,7 @@ class ContraRouting(ProbeDrivenRouting):
         advances the link's EWMA decay, so adding, skipping or reordering
         one changes results.
         """
-        now = self.network.sim._now
+        now = self.sim._now
         self._last_probe_from[inport] = now
         believed_failed = self._believed_failed
         if believed_failed.get(inport, False):
@@ -455,7 +455,7 @@ class ContraRouting(ProbeDrivenRouting):
             packet.pid = pid
             packet.extra_header_bits = self._packet_tag_bits
         if self.loop_detector.observe_hash(flow_hash, packet.ttl, now):
-            stats = self.network.stats
+            stats = self.stats
             stats.loop_detections += 1
             stats.flowlet_expirations += self.flowlets.expire_flowlet_everywhere(fid)
         return (destination, packet.tag, packet.pid, fid)

@@ -39,7 +39,9 @@ re-counted.
 
 :meth:`Simulator.run` pauses the cyclic garbage collector while it loops:
 the loop allocates no reference cycles (the acyclic-loop contract), so
-reference counting frees everything it creates.
+reference counting frees everything it creates.  :meth:`Simulator.close`
+drops the pending events of a finished run, the back-edges through which
+its heap keeps the network alive.
 
 Times are floats in **milliseconds** throughout the simulator.
 """
@@ -309,6 +311,27 @@ class Simulator:
             heapq.heappush(self._queue, (self._now, seq, _fire_batch, (self, tail)))
             self._batch_entries += 1
 
+    def close(self) -> None:
+        """Drop every pending event: the end of this engine's life.
+
+        Pending heap entries, periodic handles and batch-lane members hold
+        bound methods of the nodes they deliver to, and the nodes hold this
+        engine, so a finished run's heap keeps its whole network in a
+        reference cycle; clearing it here lets reference counting free the
+        network once its last reader lets go.  The clock and
+        ``events_processed`` stay readable; ``pending_events`` reads 0.
+        Called by ``Network.close`` and ``FluidSimulation.close``, never
+        while :meth:`run` is looping.
+        """
+        self._queue.clear()
+        self._batch_time = -1.0
+        self._batch = None
+        self._batch_pending = 0
+        self._batch_entries = 0
+        self._firing_batch = None
+        self._firing_replicas = None
+        self._unfired_replicas = None
+
     # ---------------------------------------------------------------- running
 
     def stop(self) -> None:
@@ -336,8 +359,15 @@ class Simulator:
         the loop allocates — packets, payloads, FwdT rows, lane lists, fluid
         groups — forms a reference cycle, so reference counting frees all of
         it.  A full collection during a probe wave walks the whole fabric and
-        the wave's state and finds nothing to free.  Cyclic garbage made
-        *between* runs — a finished network — is still collected (below).
+        the wave's state and finds nothing to free.
+
+        A finished network is a reference cycle (its links call into its
+        nodes, its nodes hold it, its heap holds bound methods) until
+        ``Network.close`` cuts the back-edges; ``RunContext.run`` closes every
+        network and fluid simulation it builds once the result is taken, so
+        reference counting frees them.  A network that a test or an example
+        drives directly is never closed and stays cyclic garbage *between*
+        runs, which is still collected (below).
         """
         if until is not None and not until >= self._now:    # also refuses NaN
             raise SimulationError(
@@ -347,12 +377,13 @@ class Simulator:
         # Pause the collector unless a caller (or an outer run) already has.
         # Allocations made under the pause never count towards the young
         # collections that lead up to a full one, so cyclic garbage made
-        # between runs — every finished network is some — would wait for a
-        # full collection the process no longer reaches and pile up under
-        # the next run.  So once the runs since the last full collection have
-        # left a full collection's worth (the product of the three collector
-        # thresholds, 70 000 by default), this run starts with one, before it
-        # pauses.  Any full collection in between settles the debt.
+        # between runs — every finished network nobody closed is some —
+        # would wait for a full collection the process no longer reaches and
+        # pile up under the next run.  So once the runs since the last full
+        # collection have left a full collection's worth (the product of the
+        # three collector thresholds, 70 000 by default), this run starts
+        # with one, before it pauses.  Any full collection in between
+        # settles the debt.
         paused = gc.isenabled()
         if paused:
             full = gc.get_stats()[2]["collections"]

@@ -677,6 +677,7 @@ class FluidSimulation:
         self._service_total = 0.0
         self._completed_service = 0.0
         self._stop_after = False
+        self._closed = False
         topo = self.fabric.topology
         #: link index -> traversed switch (the link's head end) or None for
         #: host-terminating links; feeds the per-switch cardinality sketch.
@@ -690,22 +691,26 @@ class FluidSimulation:
         iterator (the streaming workload path).  Arrival order must be
         non-decreasing in ``start_time``; only one flow is scheduled into the
         engine at a time, so a 10^6-flow stream never materializes."""
+        self._refuse_if_closed("add flows to")
         self._flow_iter = iter(flows)
         self._exhausted = False
 
     def fail_link(self, a: str, b: str, at_time: float = 0.0,
                   bidirectional: bool = True) -> None:
+        self._refuse_if_closed("fail a link of")
         self.sim.call_at(at_time, self._apply_link_event, a, b, True,
                          bidirectional)
 
     def recover_link(self, a: str, b: str, at_time: float = 0.0,
                      bidirectional: bool = True) -> None:
+        self._refuse_if_closed("recover a link of")
         self.sim.call_at(at_time, self._apply_link_event, a, b, False,
                          bidirectional)
 
     # ------------------------------------------------------------------- run
 
     def run(self, duration: float, stop_after_completion: bool = False) -> FluidStats:
+        self._refuse_if_closed("run")
         self._stop_after = stop_after_completion
         self._pump()
         self._maybe_stop()
@@ -717,6 +722,24 @@ class FluidSimulation:
         stats.data_bytes = stats.goodput_bytes
         self._check_conservation()
         return stats
+
+    def close(self) -> None:
+        """End the run's life: drop the engine's pending events.
+
+        They hold this simulation's bound methods, and the simulation holds
+        the engine, so until then a finished run is a reference cycle.  The
+        stats stay readable.  A closed simulation refuses :meth:`run`,
+        :meth:`add_flows`, :meth:`fail_link` and :meth:`recover_link`;
+        closing twice does nothing.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.sim.close()
+
+    def _refuse_if_closed(self, action: str) -> None:
+        if self._closed:
+            raise SimulationError(f"cannot {action} a closed fluid simulation")
 
     # ------------------------------------------------------------ event pump
 

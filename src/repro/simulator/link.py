@@ -281,6 +281,18 @@ class SimLink:
         """Bring the link back up."""
         self.failed = False
 
+    def close(self) -> None:
+        """Unhook the receivers at the end of a run (``Network.close``).
+
+        ``deliver`` and ``probe_receivers`` are a link's edges into the
+        nodes, whose ports lead back to the link; with the no-op receiver in
+        their place no cycle runs through it.  Counters, the estimator and
+        the serializer horizon stay as the run left them.
+        """
+        self.deliver = _discard
+        if self.probe_receivers is not None:
+            self.probe_receivers = (_discard, self.src)
+
     #: Probe-visible utilization is quantized to this many steps, modelling
     #: the n-bit utilization register a real switch pipeline carries.  The
     #: quantization is what lets near-equal paths tie *exactly*, so switches

@@ -164,6 +164,7 @@ class Network:
         self._host_window = host_window
         self._host_rto = host_rto
         self._scheduled_flows = 0
+        self._closed = False
         self._build()
         if self.sanitizer is not None:
             # After _build so every node and link exists, before anything is
@@ -238,6 +239,7 @@ class Network:
 
     def schedule_flows(self, flows: Iterable[Flow]) -> int:
         """Schedule the arrival of every flow; returns how many were scheduled."""
+        self._refuse_if_closed("schedule flows on")
         count = 0
         for flow in flows:
             if flow.src_host not in self.hosts:
@@ -253,6 +255,8 @@ class Network:
 
     def fail_link(self, a: str, b: str, at_time: float = 0.0, bidirectional: bool = True) -> None:
         """Schedule a link failure (both directions by default)."""
+        self._refuse_if_closed("fail a link of")
+
         def fail() -> None:
             self.link(a, b).fail()
             if bidirectional and (b, a) in self.links:
@@ -265,6 +269,8 @@ class Network:
 
     def recover_link(self, a: str, b: str, at_time: float = 0.0, bidirectional: bool = True) -> None:
         """Schedule a link recovery."""
+        self._refuse_if_closed("recover a link of")
+
         def recover() -> None:
             self.link(a, b).recover()
             if bidirectional and (b, a) in self.links:
@@ -285,6 +291,7 @@ class Network:
         budget simulating the probe-only tail after the last flow otherwise).
         Runs with incomplete flows still go the full duration.
         """
+        self._refuse_if_closed("run")
         if stop_after_completion and self._scheduled_flows > 0:
             self.stats.watch_completion(self._scheduled_flows, self.sim.stop)
         self.routing_system.start(self)
@@ -292,3 +299,39 @@ class Network:
         if self.sanitizer is not None:
             self.sanitizer.finish(self)
         return self.stats
+
+    # ------------------------------------------------------------------- close
+
+    def close(self) -> None:
+        """End the network's life: cut the back-edges that make it a cycle.
+
+        A wired network is one reference cycle — links call into nodes,
+        nodes and logics point back at the network, their switch and their
+        system, and pending events hold bound methods — so without this it
+        is freed only when the cyclic collector next runs.  Closing clears
+        the engine's pending events (:meth:`Simulator.close`, which under
+        the sanitizer also takes off its wrappers), gives every link the
+        no-op receiver (:meth:`SimLink.close`), and drops each node's
+        ``network`` and each logic's ``switch``, ``network`` and (probe
+        driven) ``system`` (:meth:`RoutingLogic.detach`).  What a reader
+        looks at after the run stays: ``switches`` and their ``routing``
+        with its tables, ``links`` and their counters, ``stats``,
+        ``routing_system`` and ``sim.events_processed``.  A closed network
+        refuses :meth:`run`, :meth:`schedule_flows`, :meth:`fail_link` and
+        :meth:`recover_link`; closing twice does nothing.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.sim.close()
+        for link in self.links.values():
+            link.close()
+        for host in self.hosts.values():
+            del host.network
+        for switch in self.switches.values():
+            del switch.network
+            switch.routing.detach()
+
+    def _refuse_if_closed(self, action: str) -> None:
+        if self._closed:
+            raise SimulationError(f"cannot {action} a closed network")

@@ -77,6 +77,9 @@ _CONSERVED_KINDS = ("data", "ack")
 #: truncated instead of growing.
 _TRACE_LIMIT = 500_000
 
+#: Marks a shadow that hid no instance attribute: released, it is deleted.
+_UNSET = object()
+
 _SKIP_FILES = frozenset(
     f for f in (_engine.__file__, __file__) if f is not None)
 
@@ -222,6 +225,8 @@ class Sanitizer:
         self._probe_pending: Dict["SimLink", Deque["Packet | Probe"]] = {}
 
         self._network: Optional["Network"] = None
+        #: (target, attribute, what it held before or _UNSET) per shadow.
+        self._shadows: List[Tuple[Any, str, Any]] = []
 
     # ------------------------------------------------------------- reporting
 
@@ -281,13 +286,15 @@ class Sanitizer:
         tail needs no wrapper: its members are tagged.
         ``drop_deliveries`` is shadowed too: a failing link names its raw
         receivers, and :class:`_SeeThrough` matches them under their tags;
-        the no-op a dropped delivery runs instead is itself tagged.
+        the no-op a dropped delivery runs instead is itself tagged.  And so
+        is ``close``: after the engine's own, it takes off every shadow this
+        sanitizer installed, here and on the network (:meth:`_release`).
         """
         self.sim = sim
-        sim.sanitizer = self  # type: ignore[attr-defined]
+        self._shadow(sim, "sanitizer", self)
         inner_push, inner_later, inner_at = sim._push, sim.call_later, sim.call_at
-        inner_multicast, inner_drop, inner_run = (
-            sim.call_multicast, sim.drop_deliveries, sim.run)
+        inner_multicast, inner_drop, inner_run, inner_close = (
+            sim.call_multicast, sim.drop_deliveries, sim.run, sim.close)
         lane: Dict[Any, _Tagged] = {}
         multicasts: Dict[Tuple, Tuple] = {}
 
@@ -335,14 +342,46 @@ class Sanitizer:
                 self._check_drained()
             return now
 
+        def close() -> None:
+            inner_close()
+            self._release()
+
         for name, wrapper in (("_push", push), ("call_later", call_later),
                               ("call_at", call_at), ("call_multicast", call_multicast),
-                              ("drop_deliveries", drop_deliveries), ("run", run)):
-            setattr(sim, name, wrapper)
+                              ("drop_deliveries", drop_deliveries), ("run", run),
+                              ("close", close)):
+            self._shadow(sim, name, wrapper)
         # A dropped delivery keeps its slot and runs this: tagged like any
         # other entry, so the head check still follows it.
-        sim._dropped = _Tagged(  # type: ignore[assignment, method-assign]
-            sim._dropped, "link-failure", self)
+        self._shadow(sim, "_dropped", _Tagged(sim._dropped, "link-failure", self))
+
+    def _shadow(self, target: Any, name: str, value: Any) -> None:
+        """Set ``target.name`` to ``value`` and remember what it shadowed.
+
+        Every instance attribute the sanitizer installs goes through here,
+        so :meth:`_release` can take each one off again.
+        """
+        self._shadows.append((target, name, vars(target).get(name, _UNSET)))
+        setattr(target, name, value)
+
+    def _release(self) -> None:
+        """Take every shadow off again, newest first: the closing engine's
+        last step (``Simulator.close``, shadowed above).
+
+        A wrapper closes over the object it wraps, so while installed it is
+        a reference cycle through that object; released, the engine, the
+        network and this sanitizer point at each other no more, and the
+        verdict — violations, notes, trace, counters — stays readable
+        through ``Network.sanitizer``.
+        """
+        for target, name, previous in reversed(self._shadows):
+            if previous is _UNSET:
+                delattr(target, name)
+            else:
+                setattr(target, name, previous)
+        self._shadows.clear()
+        self._probe_pending.clear()
+        self._network = None
 
     def _check_head(self) -> None:
         """Check the heap head, the entry the loop runs next, before it pops.
@@ -469,7 +508,7 @@ class Sanitizer:
                 if neighbor != exclude and link is not None and not link.failed:
                     pending[link].append(packet)
 
-        switch.send_probes = send_probes  # type: ignore[assignment, method-assign]
+        self._shadow(switch, "send_probes", send_probes)
 
     def _instrument_link(self, link: "SimLink", network: "Network") -> None:
         pending: Deque["Packet | Probe"] = deque()
@@ -492,7 +531,7 @@ class Sanitizer:
                     f"(probes enter a link through send_probes)")
             return inner_enqueue(packet)
 
-        link.enqueue = enqueue  # type: ignore[method-assign]
+        self._shadow(link, "enqueue", enqueue)
 
         # The one transmit seam: ``enqueue`` (idle serializer) and ``_drain``
         # both reach it through the instance attribute.
@@ -506,7 +545,7 @@ class Sanitizer:
                 in_flight[kind] += 1
             inner_transmit(packet)
 
-        link._transmit = transmit  # type: ignore[method-assign]
+        self._shadow(link, "_transmit", transmit)
 
         inner_deliver = link.deliver
 
@@ -522,7 +561,7 @@ class Sanitizer:
             if dst_host is not None and kind == "ack":
                 self._check_sender(dst_host, packet)
 
-        link.deliver = deliver  # type: ignore[method-assign]
+        self._shadow(link, "deliver", deliver)
 
         if link.probe_receivers is not None:       # a link that carries probes
             inner_probe_sink = link.probe_receivers[0]
@@ -558,7 +597,7 @@ class Sanitizer:
                             break
                 inner_probe_sink(packet, inport)
 
-            link.probe_receivers = (probe_sink, link.src)
+            self._shadow(link, "probe_receivers", (probe_sink, link.src))
 
         inner_fail = link.fail
 
@@ -577,7 +616,7 @@ class Sanitizer:
             pending.clear()
             inner_fail()
 
-        link.fail = fail  # type: ignore[method-assign]
+        self._shadow(link, "fail", fail)
 
     def _check_sender(self, host: "Host", packet: "Packet") -> None:
         """Post-ACK transport sanity: in-flight never negative, cwnd >= 1."""
@@ -605,7 +644,7 @@ class Sanitizer:
                 self._injected[packet.kind] += 1
             inner_transmit(packet)
 
-        host._transmit = transmit  # type: ignore[method-assign]
+        self._shadow(host, "_transmit", transmit)
 
     def _instrument_stats(self, stats: "StatsCollector") -> None:
         inner_drop = stats.record_drop
@@ -616,7 +655,7 @@ class Sanitizer:
                 self._dropped[packet.kind] += 1
             inner_drop(link, packet)
 
-        stats.record_drop = record_drop  # type: ignore[method-assign]
+        self._shadow(stats, "record_drop", record_drop)
 
         inner_switch_drop = stats.record_switch_drop
 
@@ -626,7 +665,7 @@ class Sanitizer:
                 self._dropped[packet.kind] += 1
             inner_switch_drop(packet)
 
-        stats.record_switch_drop = record_switch_drop  # type: ignore[method-assign]
+        self._shadow(stats, "record_switch_drop", record_switch_drop)
 
     def _instrument_routing(self, switch: str, logic: Any) -> None:
         """Contra table coherence (duck-typed: Hula has no FwdT/BestT)."""
@@ -651,11 +690,11 @@ class Sanitizer:
                         f"version {old.version} -> {entry.version}")
             inner_install(key, entry)
 
-        fwdt.install = install  # type: ignore[method-assign]
+        self._shadow(fwdt, "install", install)
         if hasattr(logic, "_fwdt_install"):
             # The probe loop binds this cached alias per run; repoint it so
             # the hot path routes through the check too.
-            logic._fwdt_install = install
+            self._shadow(logic, "_fwdt_install", install)
 
         inner_set = bestt.set
 
@@ -670,7 +709,7 @@ class Sanitizer:
                         f"at FwdT key {key} which does not resolve")
             inner_set(destination, keys)
 
-        bestt.set = best_set  # type: ignore[method-assign]
+        self._shadow(bestt, "set", best_set)
 
     # ------------------------------------------------------------- quiesce
 

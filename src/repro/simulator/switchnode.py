@@ -42,10 +42,25 @@ class RoutingLogic:
 
         Called from ``SwitchNode.__init__``, so the switch has **no ports
         yet** — per-port state must be built later (``RoutingSystem.prepare``
-        or lazily), never here.
+        or lazily), never here.  ``ports`` is the switch's own port dict,
+        filled in as the network wires it; ``sim`` and ``stats`` are the
+        run's.  After :meth:`detach` those three are what the logic still
+        reads.
         """
         self.switch = switch
         self.network = network
+        self.sim = network.sim
+        self.stats = network.stats
+        self.ports = switch.ports
+
+    def detach(self) -> None:
+        """Drop the references back into the network (``Network.close``).
+
+        The switch holds this logic and the network holds the switch, so
+        ``switch`` and ``network`` close reference cycles; a finished
+        logic's tables and read methods need neither.
+        """
+        del self.switch, self.network
 
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         """Return the next-hop node name for a transit packet, or None to drop."""
@@ -159,6 +174,9 @@ class ProbeDrivenRouting(RoutingLogic):
 
     def __init__(self, system: "ProbeDrivenSystem"):
         self.system = system
+        #: The system's freshness bound, kept here so a detached logic
+        #: still judges its rows (``best_next_hop`` after the run).
+        self._max_age = system.max_age
         self._version = 0
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
@@ -168,11 +186,16 @@ class ProbeDrivenRouting(RoutingLogic):
         """Originate this switch's probes for one period."""
         raise NotImplementedError
 
+    def detach(self) -> None:
+        """Also drop the system, whose logic table holds this logic."""
+        super().detach()
+        del self.system
+
     def _usable_next_hop(self, neighbor: str) -> bool:
         """Not believed failed (§5.4), and the egress link exists and is up."""
         if self._believed_failed.get(neighbor, False):
             return False
-        link = self.switch.ports.get(neighbor)
+        link = self.ports.get(neighbor)
         return link is not None and not link.failed
 
     def _entry_valid(self, entry) -> bool:
@@ -180,7 +203,7 @@ class ProbeDrivenRouting(RoutingLogic):
         while its next hop is usable and a probe refreshed it within the
         system's ``max_age``."""
         return self._usable_next_hop(entry.next_hop) and \
-            self.network.sim._now - entry.updated_at <= self.system.max_age
+            self.sim._now - entry.updated_at <= self._max_age
 
     # -------------------------------------------------------------- forwarding
 
@@ -198,7 +221,7 @@ class ProbeDrivenRouting(RoutingLogic):
             flow_hash = packet_flow_hash(packet)
         flowlets = self.flowlets
         fid = flow_hash % flowlets.slots
-        now = self.network.sim._now
+        now = self.sim._now
         key = self._flowlet_key(packet, inport, flow_hash, fid, now)
         if key is None:
             return None
@@ -214,7 +237,7 @@ class ProbeDrivenRouting(RoutingLogic):
                 return pinned.next_hop
             else:
                 del pins[key]
-                self.network.stats.flowlet_expirations += 1
+                self.stats.flowlet_expirations += 1
         return self._fresh_hop(packet, inport, fid, now)
 
     def _flowlet_key(self, packet: Packet, inport: str, flow_hash: int, fid: int,
@@ -235,15 +258,15 @@ class ProbeDrivenRouting(RoutingLogic):
         link may legitimately carry no probes at all, and silence on it must
         not be read as a failure.  A failed neighbour's flowlet pins expire.
         """
-        now = self.network.sim._now
+        now = self.sim._now
         window = self.system.probe_period * self.system.failure_periods
         for neighbor, last_seen in self._last_probe_from.items():
             silent = now - last_seen > window
             if silent and not self._believed_failed.get(neighbor, False):
                 self._believed_failed[neighbor] = True
-                self.network.stats.failure_detections += 1
+                self.stats.failure_detections += 1
                 expired = self.flowlets.expire_via(neighbor)
-                self.network.stats.flowlet_expirations += expired
+                self.stats.flowlet_expirations += expired
             elif not silent and self._believed_failed.get(neighbor, False):
                 self._believed_failed[neighbor] = False
 

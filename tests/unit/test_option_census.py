@@ -83,7 +83,8 @@ from repro.experiments.scalability import run_scalability_sweep, waypoint_policy
 from repro.protocol.contra_switch import ContraSystem
 from repro.protocol.tables import LoopDetectionTable
 from repro.simulator.accumulators import HyperLogLog
-from repro.simulator.network import ProbeDrivenSystem
+from repro.simulator.fluid import FluidSimulation
+from repro.simulator.network import Network, ProbeDrivenSystem
 from repro.simulator.stats import StatsCollector
 from repro.simulator.switchnode import FlowletTable
 from repro.workloads.distributions import Generator
@@ -96,6 +97,9 @@ CENSUS = {
     FlowletTable: ("timeout", "slots"),
     StatsCollector: ("record_paths", "fct_percentiles", "flow_sketch"),
     HyperLogLog: (),
+    # A run frees itself: closing takes nothing to tune.
+    Network.close: ("self",),
+    FluidSimulation.close: ("self",),
     SpainSystem: (),
     compute_spain_paths: ("network_topology",),
     generate_workload: ("topology", "distribution", "load", "duration", "host_capacity",

@@ -34,7 +34,7 @@ pytestmark = pytest.mark.no_sanitize
 
 #: The instance attributes a sanitizer shadows on the engine it instruments.
 ENGINE_WRAPPERS = {"_push", "call_later", "call_at", "call_multicast",
-                   "drop_deliveries", "_dropped", "run"}
+                   "drop_deliveries", "_dropped", "run", "close"}
 
 
 def _noop() -> None:
@@ -80,6 +80,28 @@ class TestPlumbing:
             assert inport == link.src
             assert sink != network.switches[link.dst].routing.on_probe
             assert sink.__wrapped__ == network.switches[link.dst].routing.on_probe
+
+    def test_closing_takes_every_shadow_off(self):
+        """``Network.close`` closes the engine, whose shadowed ``close`` takes
+        off every wrapper the sanitizer installed; its verdict stays."""
+        system, network = build_contra_network()
+        network.schedule_flows([Flow("h0_0", "h1_0", 20, 0.1, 0)])
+        network.fail_link("leaf0", "spine0", at_time=0.6)
+        network.run(2.0)
+        network.close()
+        sanitizer = network.sanitizer
+        assert sanitizer.ok and sanitizer.checks_run > 0
+        assert not ENGINE_WRAPPERS & vars(network.sim).keys()
+        assert not hasattr(network.sim, "sanitizer")
+        shadows = {"enqueue", "_transmit", "fail", "send_probes", "record_drop",
+                   "record_switch_drop", "install", "set"}
+        logics = [node.routing for node in network.switches.values()]
+        targets = [*network.links.values(), *network.hosts.values(),
+                   *network.switches.values(), network.stats,
+                   *(logic.fwdt for logic in logics), *(logic.bestt for logic in logics)]
+        assert not [target for target in targets if shadows & vars(target).keys()]
+        for logic in logics:
+            assert logic._fwdt_install == logic.fwdt._entries.__setitem__
 
     def test_default_network_carries_no_sanitizer(self):
         net = Network(leafspine(2, 2, hosts_per_leaf=1), ShortestPathSystem())
