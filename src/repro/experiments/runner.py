@@ -10,10 +10,10 @@ Three parts live here:
   :class:`ScenarioSpec` describes one (topology, system, workload, load, seed)
   point as plain data, a :class:`RunContext` executes specs while caching
   topologies, compiled policies and generated workloads, and :func:`run_grid`
-  hands a list of specs to a pluggable :class:`ExecutionBackend` (inline
-  :class:`SerialBackend`, process-pool :class:`PoolBackend`, or the
-  lease-coordinated store-backed drain from
-  :mod:`repro.experiments.coordinator`), returning :class:`RunResult`
+  runs a list of specs inline (:class:`SerialBackend`), on a process pool
+  (:func:`grid_map`) or through a given :class:`ExecutionBackend` such as
+  the lease-coordinated store-backed drain from
+  :mod:`repro.experiments.coordinator`, returning :class:`RunResult`
   objects in spec order;
 * **spec hashing** — :func:`spec_hash` digests a spec's canonical plain-data
   form (:func:`canonical_spec`) into a stable SHA-256 key, which is what the
@@ -74,8 +74,6 @@ __all__ = [
     "group_label",
     "ExecutionBackend",
     "SerialBackend",
-    "PoolBackend",
-    "default_backend",
     "run_grid",
     "grid_map",
     "resolve_processes",
@@ -497,8 +495,8 @@ class RunContext:
     Contra each draw it); a draw is well under 1 % of a point's CPU.
     Building one loads the simulating planes (:data:`_PLANE_MODULES`).
     Each network or fluid simulation a point builds is closed once its
-    result is taken, so reference counting frees it and the next point
-    never runs on top of a dead one.
+    result is taken or the point raises, so reference counting frees it and
+    the next point never runs on top of a dead one.
     """
 
     def __init__(self, sanitize: Optional[bool] = None) -> None:
@@ -676,39 +674,6 @@ class RunContext:
                 return iter(stream)
         return self._flows(spec, topology)
 
-    def _run_fluid(self, spec: ScenarioSpec, topology: Topology,
-                   events: List[LinkEvent]) -> RunResult:
-        from repro.simulator.fluid import FluidSimulation, FluidStats, build_path_model
-        config = spec.config
-        model = build_path_model(spec.system, topology, policy=spec.policy)
-        simulation = FluidSimulation(
-            topology, model,
-            stats=FluidStats(fct_percentiles=spec.fct_percentiles,
-                             flow_sketch=spec.flow_sketch),
-            host_window=config.host_window,
-            sanitize=self._sanitize,
-        )
-        simulation.add_flows(self._fluid_flows(spec, topology))
-        for event in events:
-            if event.action == "fail":
-                simulation.fail_link(event.a, event.b, at_time=event.time)
-            else:
-                simulation.recover_link(event.a, event.b, at_time=event.time)
-        run_duration = spec.run_duration if spec.run_duration is not None \
-            else config.run_duration
-        stats = simulation.run(run_duration,
-                               stop_after_completion=spec.stop_after_completion)
-        result = RunResult(
-            name=spec.name,
-            system=spec.system,
-            workload=spec.workload,
-            load=spec.load,
-            seed=spec.seed,
-            summary=stats.summary(),
-        )
-        simulation.close()
-        return result
-
     def run(self, spec: ScenarioSpec) -> RunResult:
         check_fields(spec, "spec", ExperimentError, plane=spec.flow_model)
         check_fields(spec.config, "config", ExperimentError)
@@ -729,10 +694,55 @@ class RunContext:
         if spec.traffic != "streams" and spec.workload not in WORKLOAD_NAMES:
             raise ExperimentError(
                 f"unknown workload {spec.workload!r}; available: {WORKLOAD_NAMES}")
+        run_duration = spec.run_duration if spec.run_duration is not None \
+            else spec.config.run_duration
         if spec.flow_model == "fluid":
-            return self._run_fluid(spec, topology, events)
-        config = spec.config
+            plane = self._fluid_plane(spec, topology)
+        else:
+            plane = self._packet_plane(spec, topology, run_duration)
+        # One tail for both planes: the events after the flows, the run, the
+        # result, and the close on every way out, a raise included.
+        try:
+            for event in events:
+                if event.action == "fail":
+                    plane.fail_link(event.a, event.b, at_time=event.time)
+                else:
+                    plane.recover_link(event.a, event.b, at_time=event.time)
+            stats = plane.run(run_duration,
+                              stop_after_completion=spec.stop_after_completion)
+            return RunResult(
+                name=spec.name,
+                system=spec.system,
+                workload=spec.workload,
+                load=spec.load,
+                seed=spec.seed,
+                summary=stats.summary(),
+                queue_cdf=stats.queue_length_cdf(spec.cdf_points) if spec.cdf_points else None,
+                throughput=stats.throughput_series() if spec.collect_throughput else None,
+            )
+        finally:
+            plane.close()
 
+    def _fluid_plane(self, spec: ScenarioSpec, topology: Topology):
+        """The fluid simulation of one point, its flows added (drawn first,
+        so nothing raises once the simulation exists)."""
+        from repro.simulator.fluid import FluidSimulation, FluidStats, build_path_model
+        flows = self._fluid_flows(spec, topology)
+        simulation = FluidSimulation(
+            topology, build_path_model(spec.system, topology, policy=spec.policy),
+            stats=FluidStats(fct_percentiles=spec.fct_percentiles,
+                             flow_sketch=spec.flow_sketch),
+            host_window=spec.config.host_window,
+            sanitize=self._sanitize,
+        )
+        simulation.add_flows(flows)
+        return simulation
+
+    def _packet_plane(self, spec: ScenarioSpec, topology: Topology,
+                      run_duration: float) -> Network:
+        """The packet network of one point, shown to :attr:`network_hook` and
+        its flows or streams scheduled; closed here if either raises."""
+        config = spec.config
         compiled: Optional[CompiledPolicy] = None
         if spec.system == "contra" or spec.respect_compiled_probe_period:
             compiled = self.compiled_policy(spec.policy, spec.topology)
@@ -764,36 +774,17 @@ class RunContext:
             transport=spec.transport if spec.transport is not None else config.transport,
             sanitize=self._sanitize,
         )
-        if self.network_hook is not None:
-            self.network_hook(network)
-
-        run_duration = spec.run_duration if spec.run_duration is not None \
-            else config.run_duration
-        if spec.traffic == "streams":
-            self._schedule_streams(spec, topology, network, run_duration)
-        else:
-            network.schedule_flows(self._flows(spec, topology))
-
-        for event in events:
-            if event.action == "fail":
-                network.fail_link(event.a, event.b, at_time=event.time)
+        try:
+            if self.network_hook is not None:
+                self.network_hook(network)
+            if spec.traffic == "streams":
+                self._schedule_streams(spec, topology, network, run_duration)
             else:
-                network.recover_link(event.a, event.b, at_time=event.time)
-
-        stats = network.run(run_duration,
-                            stop_after_completion=spec.stop_after_completion)
-        result = RunResult(
-            name=spec.name,
-            system=spec.system,
-            workload=spec.workload,
-            load=spec.load,
-            seed=spec.seed,
-            summary=stats.summary(),
-            queue_cdf=stats.queue_length_cdf(spec.cdf_points) if spec.cdf_points else None,
-            throughput=stats.throughput_series() if spec.collect_throughput else None,
-        )
-        network.close()
-        return result
+                network.schedule_flows(self._flows(spec, topology))
+        except BaseException:
+            network.close()
+            raise
+        return network
 
     def _link_events(self, spec: ScenarioSpec, topology: Topology) -> List[LinkEvent]:
         """The spec's event schedule in time order.
@@ -875,28 +866,20 @@ class ExecutionBackend:
 
     Backends are interchangeable behind :func:`run_grid`: given the same
     specs, every backend returns the same :class:`RunResult` list in spec
-    order (the determinism contract).  ``serial`` and ``pool`` live here;
-    the lease-coordinated ``CoordinatedBackend`` — the one backend that
-    writes a results store, with skip-complete resume, static slices and
-    work stealing — lives in :mod:`repro.experiments.coordinator`.
+    order (the determinism contract).  ``SerialBackend`` lives here; the
+    lease-coordinated ``CoordinatedBackend`` — the one backend that writes a
+    results store, with skip-complete resume, static slices and work
+    stealing — lives in :mod:`repro.experiments.coordinator`.
 
-    Subclasses override :meth:`run` or :meth:`run_iter_timed`; the defaults
-    delegate to one another.
+    A subclass defines :meth:`run_iter_timed`; :meth:`run` is built from it.
     """
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         return [result for result, _ in self.run_iter_timed(specs)]
 
     def run_iter_timed(self, specs: Sequence[ScenarioSpec]):
-        """Yield ``(result, wall_s)`` pairs in spec order.
-
-        The default times :meth:`run` one spec at a time — exact for the
-        coordinator, which hands its inner backend one point per call.
-        """
-        for spec in specs:
-            started = time.perf_counter()
-            [result] = self.run([spec])
-            yield result, time.perf_counter() - started
+        """Yield ``(result, wall_s)`` pairs in spec order."""
+        raise NotImplementedError
 
 
 class SerialBackend(ExecutionBackend):
@@ -913,50 +896,33 @@ class SerialBackend(ExecutionBackend):
             yield result, time.perf_counter() - started
 
 
-class PoolBackend(ExecutionBackend):
-    """Fan specs across a process pool; falls back to serial for tiny grids."""
-
-    def __init__(self, processes: Optional[int] = None):
-        self.processes = processes
-
-    def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
-        specs = list(specs)
-        workers = resolve_processes(self.processes, len(specs))
-        if workers <= 1:
-            return SerialBackend().run(specs)
-        return grid_map(_worker_run, specs, workers)
-
-
-def default_backend(processes: Optional[int] = None, tasks: int = 0) -> ExecutionBackend:
-    """The backend ``run_grid`` uses when none is supplied explicitly."""
-    if resolve_processes(processes, tasks) <= 1:
-        return SerialBackend()
-    return PoolBackend(processes)
-
-
 def run_grid(specs: Sequence[ScenarioSpec], processes: Optional[int] = None,
              backend: Optional[ExecutionBackend] = None) -> List[RunResult]:
-    """Execute every spec through an :class:`ExecutionBackend`, in spec order.
+    """Execute every spec, in spec order: through ``backend`` when given,
+    else inline or on a process pool (:func:`grid_map`).
 
     With no explicit ``backend``, ``processes=None`` consults
     ``$CONTRA_PROCS`` (default serial) and ``processes=0`` uses every core.
     Results are returned in input order regardless of completion order, and
-    are byte-identical whichever backend executes them.
+    are byte-identical however they are executed.
     """
     specs = list(specs)
     if not specs:
         return []
-    if backend is None:
-        backend = default_backend(processes, len(specs))
-    return backend.run(specs)
+    if backend is not None:
+        return backend.run(specs)
+    workers = resolve_processes(processes, len(specs))
+    if workers <= 1:
+        return SerialBackend().run(specs)
+    return grid_map(_worker_run, specs, workers)
 
 
 def grid_map(fn: Callable, items: Sequence, processes: Optional[int] = None) -> List:
     """Map a picklable module-level function over items, optionally in a pool.
 
-    The one place a process pool opens: :class:`PoolBackend` maps grid
-    points through it, the coordinated scenario run its drain workers, and
-    the compile-scalability sweep its (topology, policy) compile jobs.
+    The one place a process pool opens: :func:`run_grid` maps grid points
+    through it, the coordinated scenario run its drain workers, and the
+    compile-scalability sweep its (topology, policy) compile jobs.
     """
     items = list(items)
     if not items:

@@ -58,9 +58,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import FLUID_SYSTEM_NAMES, SimulationError
 from repro.nputil import mean as _mean, percentile_linear as _percentile
+from repro.simulator.accumulators import HyperLogLog
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import DATA_PACKET_BYTES, stable_flow_hash
-from repro.simulator.stats import StatsCollector
 from repro.topology.graph import Topology
 
 __all__ = [
@@ -498,27 +498,66 @@ def build_path_model(system: str, topology: Topology,
 # Stats
 # =============================================================================
 
-class FluidStats(StatsCollector):
-    """StatsCollector specialisation for the fluid plane.
+class FluidStats:
+    """What one fluid run measures, summarised as the packet collector is.
 
-    A million-flow run must not hold a million :class:`FlowRecord` objects:
-    flows are counted and completion times kept as one flat ``array("d")``
-    (8 B a sample, not a 24 B boxed float and its 8 B list slot).  The
-    ``summary()`` key set and order are identical to the packet collector's —
-    packet-only quantities (drops, retransmissions, cwnd, ACK/probe bytes)
-    are structurally zero because the fluid model has no segments to lose —
+    A million-flow run must not hold a million flow records: flows are
+    counted and completion times kept as one flat ``array("d")`` (8 B a
+    sample, not a 24 B boxed float and its 8 B list slot).  The
+    ``summary()`` key set and order are identical to
+    :class:`~repro.simulator.stats.StatsCollector`'s — packet-only
+    quantities (drops, retransmissions, cwnd, ACK/probe bytes) are
+    structurally zero because the fluid model has no segments to lose —
     plus one fluid-only key, ``"epochs"``: the number of allocation
     recomputations, the model's native cost unit (the packet plane's
-    analogue is its event count).
+    analogue is its event count).  Only this plane feeds the per-switch
+    flow sketch.
     """
 
     def __init__(self, fct_percentiles: Sequence[float] = (),
                  flow_sketch: bool = False):
-        super().__init__(fct_percentiles=fct_percentiles,
-                         flow_sketch=flow_sketch)
         self.flow_count = 0
         self.fcts = array("d")
         self.epochs = 0
+        self.goodput_bytes = 0.0
+        self.failure_detections = 0
+        # Opt-in extensions (both default off, keeping the historical summary
+        # key set byte-identical).
+        #: Extra FCT percentiles to report, e.g. ``(50.0,)`` adds
+        #: ``"p50_fct_ms"``.
+        self.fct_percentiles: Tuple[float, ...] = tuple(fct_percentiles)
+        #: Per-switch flow-cardinality HyperLogLog sketches (the fluid-scale
+        #: telemetry): exact per-switch flow sets would cost O(flows) memory
+        #: per switch at 10^6 flows, the sketch is constant-size.
+        self.flow_sketch = flow_sketch
+        self._flow_sketches: Dict[str, HyperLogLog] = {}
+
+    def record_path_flow(self, switches: Sequence[str], flow_id: int) -> None:
+        """Offer one flow to the cardinality sketch of every switch on its path.
+
+        One digest per call: every sketch has the same registers, so the flow
+        hashes to the same (register, rank) in each of them.  No-op unless
+        ``flow_sketch`` was requested; callers may invoke it unconditionally
+        on every flow placement.
+        """
+        if not self.flow_sketch:
+            return
+        sketches = self._flow_sketches
+        index = -1
+        for switch in switches:
+            sketch = sketches.get(switch)
+            if sketch is None:
+                sketch = sketches[switch] = HyperLogLog()
+            if index < 0:
+                index, rank = sketch.slot(flow_id)
+            registers = sketch.registers
+            if rank > registers[index]:
+                registers[index] = rank
+
+    def flow_sketch_estimates(self) -> Dict[str, float]:
+        """Per-switch distinct-flow estimates, in sorted switch order."""
+        return {name: self._flow_sketches[name].estimate()
+                for name in sorted(self._flow_sketches)}
 
     def note_flow(self) -> None:
         self.flow_count += 1
@@ -562,7 +601,13 @@ class FluidStats(StatsCollector):
             "failure_detections": self.failure_detections,
             "epochs": self.epochs,
         }
-        summary.update(self._extension_summary())
+        for q in self.fct_percentiles:
+            summary[f"p{q:g}_fct_ms"] = self.percentile_fct(q)
+        if self.flow_sketch:
+            estimates = list(self.flow_sketch_estimates().values())
+            summary["flow_sketch_switches"] = len(estimates)
+            summary["flow_sketch_max_flows"] = max(estimates) if estimates else 0.0
+            summary["flow_sketch_mean_flows"] = _mean(estimates) if estimates else 0.0
         return summary
 
 
@@ -695,17 +740,13 @@ class FluidSimulation:
         self._flow_iter = iter(flows)
         self._exhausted = False
 
-    def fail_link(self, a: str, b: str, at_time: float = 0.0,
-                  bidirectional: bool = True) -> None:
+    def fail_link(self, a: str, b: str, at_time: float = 0.0) -> None:
         self._refuse_if_closed("fail a link of")
-        self.sim.call_at(at_time, self._apply_link_event, a, b, True,
-                         bidirectional)
+        self.sim.call_at(at_time, self._apply_link_event, a, b, True)
 
-    def recover_link(self, a: str, b: str, at_time: float = 0.0,
-                     bidirectional: bool = True) -> None:
+    def recover_link(self, a: str, b: str, at_time: float = 0.0) -> None:
         self._refuse_if_closed("recover a link of")
-        self.sim.call_at(at_time, self._apply_link_event, a, b, False,
-                         bidirectional)
+        self.sim.call_at(at_time, self._apply_link_event, a, b, False)
 
     # ------------------------------------------------------------------- run
 
@@ -716,12 +757,9 @@ class FluidSimulation:
         self._maybe_stop()
         self.sim.run(until=duration)
         self._settle_all(self.sim.now)
-        stats = self.stats
-        stats.goodput_bytes = self._service_total * DATA_PACKET_BYTES
-        stats.delivered_bytes = stats.goodput_bytes
-        stats.data_bytes = stats.goodput_bytes
+        self.stats.goodput_bytes = self._service_total * DATA_PACKET_BYTES
         self._check_conservation()
-        return stats
+        return self.stats
 
     def close(self) -> None:
         """End the run's life: drop the engine's pending events.
@@ -1002,13 +1040,11 @@ class FluidSimulation:
         self._resched(now)
         self._maybe_stop()
 
-    def _apply_link_event(self, a: str, b: str, down: bool,
-                          bidirectional: bool) -> None:
+    def _apply_link_event(self, a: str, b: str, down: bool) -> None:
         now = self.sim.now
         self.stats.epochs += 1
         index = self.fabric.index
-        pairs = ((a, b), (b, a)) if bidirectional else ((a, b),)
-        for key in pairs:
+        for key in ((a, b), (b, a)):
             link = index.get(key)
             if link is not None:
                 self._failed[link] = down

@@ -253,31 +253,31 @@ class Network:
 
     # ---------------------------------------------------------------- failures
 
-    def fail_link(self, a: str, b: str, at_time: float = 0.0, bidirectional: bool = True) -> None:
-        """Schedule a link failure (both directions by default)."""
+    def fail_link(self, a: str, b: str, at_time: float = 0.0) -> None:
+        """Schedule a failure of the a-b link, both directions."""
         self._refuse_if_closed("fail a link of")
 
         def fail() -> None:
             self.link(a, b).fail()
-            if bidirectional and (b, a) in self.links:
+            if (b, a) in self.links:
                 self.link(b, a).fail()
             if a in self.switches:
                 self.switches[a].routing.on_link_change(b, failed=True)
-            if b in self.switches and bidirectional:
+            if b in self.switches:
                 self.switches[b].routing.on_link_change(a, failed=True)
         self.sim.call_at(at_time, fail)
 
-    def recover_link(self, a: str, b: str, at_time: float = 0.0, bidirectional: bool = True) -> None:
-        """Schedule a link recovery."""
+    def recover_link(self, a: str, b: str, at_time: float = 0.0) -> None:
+        """Schedule a recovery of the a-b link, both directions."""
         self._refuse_if_closed("recover a link of")
 
         def recover() -> None:
             self.link(a, b).recover()
-            if bidirectional and (b, a) in self.links:
+            if (b, a) in self.links:
                 self.link(b, a).recover()
             if a in self.switches:
                 self.switches[a].routing.on_link_change(b, failed=False)
-            if b in self.switches and bidirectional:
+            if b in self.switches:
                 self.switches[b].routing.on_link_change(a, failed=False)
         self.sim.call_at(at_time, recover)
 

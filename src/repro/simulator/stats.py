@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.nputil import mean as _mean, percentile_linear as _percentile
-from repro.simulator.accumulators import (HyperLogLog, ReservoirSampler,
-                                          StreamingHistogram)
+from repro.simulator.accumulators import ReservoirSampler, StreamingHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.link import SimLink
@@ -75,8 +74,7 @@ class StatsCollector:
     """Aggregates measurements across one simulation run."""
 
     def __init__(self, record_paths: bool = False,
-                 fct_percentiles: Sequence[float] = (),
-                 flow_sketch: bool = False):
+                 fct_percentiles: Sequence[float] = ()):
         self.flows: Dict[int, FlowRecord] = {}
         self.completed_count = 0
         self._completion_target = -1
@@ -117,61 +115,10 @@ class StatsCollector:
         self.flowlet_expirations = 0
         self.failure_detections = 0
 
-        # Opt-in extensions (both default off, keeping the historical summary
-        # key set byte-identical; see :meth:`_extension_summary`).
-        #: Extra FCT percentiles to report, e.g. ``(50.0,)`` adds
+        #: Extra FCT percentiles to report (off by default, keeping the
+        #: historical summary key set byte-identical), e.g. ``(50.0,)`` adds
         #: ``"p50_fct_ms"``.
         self.fct_percentiles: Tuple[float, ...] = tuple(fct_percentiles)
-        #: Per-switch flow-cardinality HyperLogLog sketches (the fluid-scale
-        #: telemetry): exact per-switch flow sets would cost O(flows) memory
-        #: per switch at 10^6 flows, the sketch is constant-size.
-        self.flow_sketch = flow_sketch
-        self._flow_sketches: Dict[str, HyperLogLog] = {}
-
-    # ------------------------------------------------------- sketch extension
-
-    def record_path_flow(self, switches: Sequence[str], flow_id: int) -> None:
-        """Offer one flow to the cardinality sketch of every switch on its path.
-
-        One digest per call: every sketch has the same registers, so the flow
-        hashes to the same (register, rank) in each of them.  No-op unless
-        ``flow_sketch`` was requested; callers may invoke it unconditionally
-        on every flow placement.
-        """
-        if not self.flow_sketch:
-            return
-        sketches = self._flow_sketches
-        index = -1
-        for switch in switches:
-            sketch = sketches.get(switch)
-            if sketch is None:
-                sketch = sketches[switch] = HyperLogLog()
-            if index < 0:
-                index, rank = sketch.slot(flow_id)
-            registers = sketch.registers
-            if rank > registers[index]:
-                registers[index] = rank
-
-    def flow_sketch_estimates(self) -> Dict[str, float]:
-        """Per-switch distinct-flow estimates, in sorted switch order."""
-        return {name: self._flow_sketches[name].estimate()
-                for name in sorted(self._flow_sketches)}
-
-    def _extension_summary(self) -> Dict[str, float]:
-        """Summary keys contributed by the opt-in extensions.
-
-        Empty when both extensions are off, so the default summary stays
-        byte-identical to the historical key set.
-        """
-        extras: Dict[str, float] = {}
-        for q in self.fct_percentiles:
-            extras[f"p{q:g}_fct_ms"] = self.percentile_fct(q)
-        if self.flow_sketch:
-            estimates = list(self.flow_sketch_estimates().values())
-            extras["flow_sketch_switches"] = len(estimates)
-            extras["flow_sketch_max_flows"] = max(estimates) if estimates else 0.0
-            extras["flow_sketch_mean_flows"] = _mean(estimates) if estimates else 0.0
-        return extras
 
     # ------------------------------------------------------------------ flows
 
@@ -366,5 +313,6 @@ class StatsCollector:
             "flowlet_expirations": self.flowlet_expirations,
             "failure_detections": self.failure_detections,
         }
-        summary.update(self._extension_summary())
+        for q in self.fct_percentiles:
+            summary[f"p{q:g}_fct_ms"] = self.percentile_fct(q)
         return summary

@@ -6,8 +6,9 @@ system, the sanitizer's shadows), and a ``FluidSimulation``'s pending
 events hold its bound methods.  Closed, both are freed by reference
 counting the moment the last reader lets go, so a worker never builds the
 next grid point on top of a dead one.  Checked here with the cyclic
-collector off, in every engine mode; and a closed network still answers
-every post-run reader as it did before the close.
+collector off, in every engine mode, for points that finish and points that
+raise; and a closed network still answers every post-run reader as it did
+before the close.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from repro.baselines.ecmp import ShortestPathSystem
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fct import fattree_fct_specs
 from repro.experiments.runner import LinkEvent, RunContext, ScenarioSpec, TopologySpec
-from repro.exceptions import SimulationError
+from repro.exceptions import ExperimentError, SimulationError
 from repro.simulator.engine import Simulator
 from repro.simulator.flow import Flow
 from repro.simulator.fluid import FluidSimulation, build_path_model
@@ -52,23 +53,68 @@ def _alive(exclude):
             if isinstance(obj, RUN_TYPES) and id(obj) not in exclude]
 
 
+def _left_by(context, spec, run):
+    """The run types ``run()`` leaves alive with the collector off (the
+    point's policy compiled first, so only the run itself is measured)."""
+    context.compiled_policy(spec.policy, spec.topology)
+    gc.collect()
+    # Whatever an earlier test keeps alive stays so (its ids stay taken).
+    before = _alive(())
+    gc.disable()
+    try:
+        run()
+        left = _alive({id(obj) for obj in before})
+    finally:
+        gc.enable()
+    return [type(obj).__name__ for obj in left]
+
+
 class TestNothingOutlivesARun:
     @pytest.mark.parametrize("spec", POINTS, ids=lambda spec: spec.name)
     def test_with_the_collector_off(self, spec, engine_mode):
         context = RunContext(sanitize=engine_mode)
-        context.compiled_policy(spec.policy, spec.topology)
-        gc.collect()
-        # Whatever an earlier test keeps alive stays so (its ids stay taken).
-        before = _alive(())
-        gc.disable()
-        try:
-            result = context.run(spec)
-            assert result.summary["completed_flows"] > 0
-            del result
-            left = _alive({id(obj) for obj in before})
-        finally:
-            gc.enable()
-        assert [type(obj).__name__ for obj in left] == []
+
+        def run():
+            assert context.run(spec).summary["completed_flows"] > 0
+
+        assert _left_by(context, spec, run) == []
+
+
+def _raise_in_hook(network):
+    raise ExperimentError("the hook refuses this network")
+
+
+def _raise_in_run(self, duration, stop_after_completion=False):
+    raise RuntimeError("the run breaks down")
+
+
+class TestNothingOutlivesARaise:
+    """A point that raises after its plane is built closes that plane too,
+    and the exception reaches the caller unchanged."""
+
+    def _left_after_raise(self, context, spec, error):
+        def run():
+            with pytest.raises(error):
+                context.run(spec)
+
+        return _left_by(context, spec, run)
+
+    def test_a_network_hook_that_raises(self, engine_mode):
+        context = RunContext(sanitize=engine_mode)
+        context.network_hook = _raise_in_hook
+        assert self._left_after_raise(context, POINTS[4], ExperimentError) == []
+
+    def test_a_packet_run_that_raises(self, engine_mode, monkeypatch):
+        monkeypatch.setattr(Network, "run", _raise_in_run)
+        assert self._left_after_raise(RunContext(sanitize=engine_mode), POINTS[4],
+                                      RuntimeError) == []
+
+    def test_a_fluid_run_that_raises(self, engine_mode, monkeypatch):
+        monkeypatch.setattr(FluidSimulation, "run", _raise_in_run)
+        # The scheduled link events are what hold the simulation's methods.
+        spec = dataclasses.replace(POINTS[-1], events=_FAIL_RECOVER)
+        assert self._left_after_raise(RunContext(sanitize=engine_mode), spec,
+                                      RuntimeError) == []
 
 
 def _fail_recover_contra() -> ScenarioSpec:

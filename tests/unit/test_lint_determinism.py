@@ -140,6 +140,49 @@ class TestCollectorControl:
         assert violations == []
 
 
+class TestPoolOpen:
+    """Process pools are findings under src/repro/ outside runner.grid_map."""
+
+    SOURCE = """\
+        def grid_map(fn, items, workers):
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items))
+        def fan_out(fn, items):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+            with ProcessPoolExecutor(max_workers=2) as pool:
+                list(pool.map(fn, items))
+            with multiprocessing.get_context("spawn").Pool(2) as pool:
+                pool.map(fn, items)
+            with ThreadPoolExecutor(2) as pool:
+                return list(pool.map(fn, items))
+        """
+
+    def lint_at(self, tmp_path, monkeypatch, rel):
+        monkeypatch.setattr(lint_determinism, "REPO_ROOT", tmp_path)
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True)
+        return run_lint(target.parent, self.SOURCE, name=target.name)
+
+    def test_flagged_outside_grid_map(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/experiments/runner.py")
+        # grid_map's own pool is the home; a thread pool is not a process pool.
+        assert [v.rule for v in violations] == ["pool-open"] * 2
+        assert [v.line for v in violations] == [8, 10]
+
+    def test_every_pool_is_flagged_in_another_module(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch,
+                                     "src/repro/experiments/scalability.py")
+        assert [v.rule for v in violations] == ["pool-open"] * 3
+        assert [v.line for v in violations] == [3, 8, 10]
+
+    def test_outside_the_package_allowed(self, tmp_path, monkeypatch):
+        violations, _ = self.lint_at(tmp_path, monkeypatch, "benchmarks/perf/run.py")
+        assert violations == []
+
+
 class TestLaneRegistrant:
     """Batch-lane registrations are findings under src/repro/ outside simulator/link.py."""
 

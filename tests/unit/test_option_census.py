@@ -70,12 +70,11 @@ from repro.experiments.registry import (
     sweep_status_scenario,
 )
 from repro.experiments.results import ResultsStore, StoreFiles
+from repro.experiments import runner
 from repro.experiments.runner import (
-    PoolBackend,
     RunContext,
     SerialBackend,
     build_routing_system,
-    default_backend,
     grid_map,
     run_grid,
 )
@@ -83,7 +82,7 @@ from repro.experiments.scalability import run_scalability_sweep, waypoint_policy
 from repro.protocol.contra_switch import ContraSystem
 from repro.protocol.tables import LoopDetectionTable
 from repro.simulator.accumulators import HyperLogLog
-from repro.simulator.fluid import FluidSimulation
+from repro.simulator.fluid import FluidSimulation, FluidStats
 from repro.simulator.network import Network, ProbeDrivenSystem
 from repro.simulator.stats import StatsCollector
 from repro.simulator.switchnode import FlowletTable
@@ -95,11 +94,18 @@ CENSUS = {
                    "use_versioning"),
     LoopDetectionTable: (),
     FlowletTable: ("timeout", "slots"),
-    StatsCollector: ("record_paths", "fct_percentiles", "flow_sketch"),
+    # Only the fluid plane feeds the flow sketch, so only its stats take it.
+    StatsCollector: ("record_paths", "fct_percentiles"),
+    FluidStats: ("fct_percentiles", "flow_sketch"),
     HyperLogLog: (),
     # A run frees itself: closing takes nothing to tune.
     Network.close: ("self",),
     FluidSimulation.close: ("self",),
+    # A link fails and recovers both ways.
+    Network.fail_link: ("self", "a", "b", "at_time"),
+    Network.recover_link: ("self", "a", "b", "at_time"),
+    FluidSimulation.fail_link: ("self", "a", "b", "at_time"),
+    FluidSimulation.recover_link: ("self", "a", "b", "at_time"),
     SpainSystem: (),
     compute_spain_paths: ("network_topology",),
     generate_workload: ("topology", "distribution", "load", "duration", "host_capacity",
@@ -111,7 +117,6 @@ CENSUS = {
     Generator.choice: ("self", "options", "size", "replace"),
     Generator.poisson_arrivals: ("self", "scale", "start", "end", "marks"),
     run_grid: ("specs", "processes", "backend"),
-    default_backend: ("processes", "tasks"),
     # The lease TTL, the poll and the heartbeat are coordinator constants, and
     # time is read through ``coordinator.wall_now`` alone: no knob or clock
     # argument on the drain, the lease functions or the store-backed runs.
@@ -172,7 +177,6 @@ CENSUS = {
     merge_scenario: ("name", "config", "results_dir", "flow_model"),
     RunContext: ("sanitize",),
     SerialBackend: ("context",),
-    PoolBackend: ("processes",),
     grid_map: ("fn", "items", "processes"),
     ResultsStore: ("directory", "filename"),
     StoreFiles.keys: ("self", "template", "fill"),
@@ -252,3 +256,6 @@ def test_removed_members_stay_removed():
     assert not hasattr(StoreFiles, "mtime")
     assert "acquired_unix" not in {field.name
                                    for field in dataclasses.fields(LeaseInfo)}
+    # run_grid opens a pool itself, through grid_map, when given no backend.
+    for member in ("PoolBackend", "default_backend"):
+        assert not hasattr(runner, member)

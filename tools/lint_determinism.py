@@ -46,6 +46,15 @@ One more scoped rule keeps a policy in one home:
   contract (ARCHITECTURE.md §1), and a second caller switching it would
   silently undo or extend that pause.
 
+And one keeps the process pool in one home:
+
+* ``pool-open`` — a ``ProcessPoolExecutor(...)`` or ``multiprocessing``
+  ``Pool(...)`` constructed under ``src/repro/`` anywhere but
+  ``runner.grid_map``: every fan-out (a grid, the coordinated drain
+  workers, the compile sweep) maps through that one function, so worker
+  count, chunking and the serial fallback are decided in one place
+  (ARCHITECTURE.md §3).
+
 One keeps the probe-driven round contract in one home:
 
 * ``periodic-round`` — ``.schedule_periodic(...)`` calls under ``src/repro/``
@@ -191,6 +200,13 @@ _GC_CONTROL = frozenset({"disable", "enable", "freeze", "unfreeze",
                          "set_threshold", "collect"})
 _GC_PREFIX = "src/repro/"
 _GC_HOME = "src/repro/simulator/engine.py"
+
+#: Process-pool constructors (pool-open) and the one function that may call
+#: them.
+_POOL_CALLS = frozenset({"ProcessPoolExecutor", "Pool"})
+_POOL_PREFIX = "src/repro/"
+_POOL_FILE = "src/repro/experiments/runner.py"
+_POOL_FUNCTION = "grid_map"
 
 #: Batch-lane registrations (lane-registrant) and their one home.
 _LANE_CALLS = frozenset({"call_multicast"})
@@ -433,6 +449,14 @@ class _Checker(ast.NodeVisitor):
                        "id() materializes a per-run CPython address; ordering "
                        "or keying on it is hidden nondeterminism (use `is` "
                        "for identity tests)")
+        pool = func.id if isinstance(func, ast.Name) \
+            else func.attr if isinstance(func, ast.Attribute) else None
+        if pool in _POOL_CALLS and self.rel.startswith(_POOL_PREFIX) \
+                and not (self.rel == _POOL_FILE and _POOL_FUNCTION in self._func_stack):
+            self._flag(node, "pool-open",
+                       f"{pool}() outside runner.grid_map: every fan-out maps "
+                       "through that one function, where the worker count "
+                       "and the serial fallback are decided")
         if isinstance(func, ast.Attribute) and func.attr in _LANE_CALLS \
                 and self.rel.startswith(_LANE_PREFIX) and self.rel != _LANE_HOME:
             self._flag(node, "lane-registrant",
