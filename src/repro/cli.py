@@ -31,6 +31,11 @@
   ``--topo``) product-graph dead-state analysis plus the lowered-table
   cross-check, rendered as text or dumped with ``--json``;
 * ``contra policies`` — list the built-in Figure 3 policies.
+
+The grid commands (``run-grid``, ``race-check``, ``merge-results``,
+``gc-results``, ``sweep-status``) take a scenario name and a ``--preset``;
+the two name one grid, so a command reading a results store names the
+scenario and preset its points ran with and nothing else.
 """
 
 from __future__ import annotations
@@ -40,15 +45,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, List, Optional
 
 from repro.core.compiler import compile_policy
 from repro.core.parser import parse_policy
 from repro.core.policies import ALL_POLICIES, POLICY_ALIASES, policy_by_name
-from repro.exceptions import ExperimentError, PolicyError, schema
-from repro.experiments.config import PRESETS, config_from_env
+from repro.exceptions import ExperimentError, PolicyError
+from repro.experiments.config import PRESETS
 from repro.experiments.registry import (
     gc_scenario,
     merge_scenario,
@@ -58,7 +62,6 @@ from repro.experiments.registry import (
     sweep_status_scenario,
 )
 from repro.experiments.results import ResultsStore, parse_shard
-from repro.experiments.runner import ScenarioSpec
 from repro.topology.abilene import abilene
 from repro.topology.fattree import fattree
 from repro.topology.leafspine import leafspine
@@ -167,44 +170,18 @@ def _cmd_check_policy(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _resolve_config(preset: str):
-    if preset in PRESETS:
-        return PRESETS[preset]()
-    try:
-        return config_from_env()
-    except ExperimentError as error:
-        raise SystemExit(str(error))
-
-
-def _grid_config(args: argparse.Namespace):
-    """Resolve the preset + --transport override shared by run-grid/merge."""
-    config = _resolve_config(args.preset)
-    if getattr(args, "transport", None) is not None:
-        if args.name == "transport-sensitivity":
-            # That scenario grids every transport mode by design; silently
-            # ignoring the override would contradict what the user asked for.
-            raise SystemExit(
-                "--transport has no effect on 'transport-sensitivity' (the "
-                "scenario sweeps every transport mode); run another scenario "
-                "to use a single mode")
-        config = replace(config, transport=args.transport)
-    return config
-
-
-def _write_outcome_json(path_text: str, outcome, preset: str,
-                        processes: Optional[int]) -> None:
+def _write_outcome_json(path_text: str, outcome, preset: str) -> None:
     path = Path(path_text)
     path.write_text(json.dumps({
         "scenario": outcome.name,
         "preset": preset,
-        "processes": processes,
         "results": outcome.payload,
     }, indent=2, sort_keys=True, default=str) + "\n")
     print(f"wrote {path}")
 
 
 def _cmd_run_grid(args: argparse.Namespace) -> int:
-    config = _grid_config(args)
+    config = PRESETS[args.preset]()
     if args.sanitize:
         # Through the environment rather than a parameter: worker processes
         # inherit it, and spec hashes stay untouched (sanitizing never
@@ -234,22 +211,18 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         if args.results_dir is not None:
             drained = run_scenario_coordinated(
                 args.name, config, args.results_dir, processes=args.processes,
-                shard=shard, flow_model=args.flow_model)
+                shard=shard)
             print(drained.text)
             outcome = drained.outcome
         else:
-            outcome = run_scenario(args.name, config, processes=args.processes,
-                                   flow_model=args.flow_model)
+            outcome = run_scenario(args.name, config, processes=args.processes)
     except (KeyError, ExperimentError) as error:
         raise SystemExit(str(error))
     if outcome is None:                     # a partial slice: no report
         return 0
     print(outcome.text)
     if args.json is not None:
-        # A store-backed run matches an unsharded default run byte for
-        # byte, like merge: its process count is not part of the result.
-        processes = args.processes if args.results_dir is None else None
-        _write_outcome_json(args.json, outcome, args.preset, processes)
+        _write_outcome_json(args.json, outcome, args.preset)
     return 0
 
 
@@ -259,7 +232,7 @@ def _cmd_race_check(args: argparse.Namespace) -> int:
     if args.json is not None and not Path(args.json).parent.is_dir():
         raise SystemExit(f"--json: directory {Path(args.json).parent} does not exist")
     try:
-        report = race_check(args.name, _resolve_config(args.preset),
+        report = race_check(args.name, PRESETS[args.preset](),
                             seeds=args.seeds, points=args.points)
     except ExperimentError as error:
         raise SystemExit(str(error))
@@ -273,14 +246,13 @@ def _cmd_race_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge_results(args: argparse.Namespace) -> int:
-    config = _grid_config(args)
+    config = PRESETS[args.preset]()
     if not Path(args.results_dir).is_dir():
         raise SystemExit(f"--results-dir: {args.results_dir} does not exist")
     if args.json is not None and not Path(args.json).parent.is_dir():
         raise SystemExit(f"--json: directory {Path(args.json).parent} does not exist")
     try:
-        outcome = merge_scenario(args.name, config, args.results_dir,
-                                 flow_model=args.flow_model)
+        outcome = merge_scenario(args.name, config, args.results_dir)
     except (KeyError, ExperimentError) as error:
         raise SystemExit(str(error))
     # A merge *can* succeed while a coordinated drain still holds leases
@@ -297,9 +269,7 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
               file=sys.stderr)
     print(outcome.text)
     if args.json is not None:
-        # "processes": None matches an unsharded default run, so the merged
-        # JSON file is byte-identical to `contra run-grid <name> --json`.
-        _write_outcome_json(args.json, outcome, args.preset, None)
+        _write_outcome_json(args.json, outcome, args.preset)
     if args.bench_artifact is not None:
         # wall_s sums the per-point wall-clock carried by every store record:
         # each record is one actual execution, so interrupted runs, resumes
@@ -328,12 +298,11 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc_results(args: argparse.Namespace) -> int:
-    config = _grid_config(args)
+    config = PRESETS[args.preset]()
     if not Path(args.results_dir).is_dir():
         raise SystemExit(f"--results-dir: {args.results_dir} does not exist")
     try:
-        summary = gc_scenario(args.name, config, args.results_dir,
-                              flow_model=args.flow_model)
+        summary = gc_scenario(args.name, config, args.results_dir)
     except (KeyError, ExperimentError) as error:
         raise SystemExit(str(error))
     print(f"{args.name}: kept {summary['kept']} of {summary['total_records']} "
@@ -347,12 +316,11 @@ def _cmd_gc_results(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
-    config = _grid_config(args)
+    config = PRESETS[args.preset]()
     if not Path(args.results_dir).is_dir():
         raise SystemExit(f"--results-dir: {args.results_dir} does not exist")
     try:
-        status = sweep_status_scenario(args.name, config, args.results_dir,
-                                       flow_model=args.flow_model)
+        status = sweep_status_scenario(args.name, config, args.results_dir)
     except (KeyError, ExperimentError) as error:
         raise SystemExit(str(error))
     print(f"{args.name}: {status.render()}")
@@ -408,32 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the verification report(s) as JSON to PATH")
     check.set_defaults(func=_cmd_check_policy)
 
-    # The scenario and its grid, shared by every grid command; the grid
-    # variants are also the spec fields' declared domains.
+    # The scenario and its preset name the grid every grid command works on.
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("name", choices=tuple(scenario_names()))
-    grid.add_argument("--preset", choices=(*PRESETS, "env"),
-                      default="quick",
+    grid.add_argument("--preset", choices=tuple(PRESETS), default="quick",
                       help="experiment configuration preset; a command reading "
                            "a results store must name the one its points ran with")
-    domains = {name: domain for name, domain, _, _ in schema(ScenarioSpec)}
-    variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--transport", choices=domains["transport"].choices, default=None,
-                         help="host transport mode override: fixed (full window "
-                              "at flow start, the default), slowstart (slow start "
-                              "+ AIMD + fast retransmit) or paced (slowstart + "
-                              "per-RTT pacing); must match the one a results "
-                              "store's points ran with")
-    variant.add_argument("--flow-model", choices=domains["flow_model"].choices,
-                         default=None,
-                         help="data path for every grid point: packet (per-packet "
-                              "events, the default) or fluid (epoch-driven "
-                              "max-min rate allocation; scenarios that pin a "
-                              "flow model per point reject the override); must "
-                              "match the one a results store's points ran with")
 
     run_grid = sub.add_parser(
-        "run-grid", parents=[grid, variant],
+        "run-grid", parents=[grid],
         help="run a named scenario through the parallel grid runner")
     run_grid.add_argument("--processes", type=int, default=None,
                           help="worker processes (default: $CONTRA_PROCS or serial; "
@@ -472,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     race.set_defaults(func=_cmd_race_check)
 
     merge = sub.add_parser(
-        "merge-results", parents=[grid, variant],
+        "merge-results", parents=[grid],
         help="union shard artifacts into the exact unsharded scenario report")
     merge.add_argument("--results-dir", metavar="DIR", required=True,
                        help="the results store directory every shard ran against")
@@ -485,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     merge.set_defaults(func=_cmd_merge_results)
 
     gc = sub.add_parser(
-        "gc-results", parents=[grid, variant],
+        "gc-results", parents=[grid],
         help="drop stale records and compact shard files in a results store "
              "(records keyed outside the preset's current grid are dropped)")
     gc.add_argument("--results-dir", metavar="DIR", required=True,
@@ -493,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.set_defaults(func=_cmd_gc_results)
 
     status = sub.add_parser(
-        "sweep-status", parents=[grid, variant],
+        "sweep-status", parents=[grid],
         help="progress view of a coordinated results directory: "
              "pending/leased/complete per locality group, plus per-worker "
              "executed, stolen and reclaimed counts read from this grid's "

@@ -14,7 +14,9 @@ Two kinds of entries exist:
   scenario runs through any :class:`~repro.experiments.runner
   .ExecutionBackend` — including the lease-coordinated drain into a results
   store (:func:`run_scenario_coordinated`) — and :func:`merge_scenario` can
-  reassemble the exact unsharded report from the store;
+  reassemble the exact unsharded report from the store.  Every entry point
+  runs exactly ``build_specs(config)``, so the scenario name and the config
+  fix the grid, and a store is read back by naming the same two;
 * a legacy callable ``(config, processes) -> ScenarioOutcome``, which
   cannot use a results store.  Only ``fig9-10`` is left here, and for a
   reason: its records *are* wall-clock compile times, which differ from run
@@ -353,57 +355,20 @@ def _grid_scenario(name: str) -> GridScenario:
     return entry
 
 
-def _with_flow_model(name: str, specs: List[ScenarioSpec],
-                     flow_model: Optional[str]) -> List[ScenarioSpec]:
-    """Apply the ``--flow-model`` override to a scenario's grid.
-
-    Scenarios that already select flow models per grid point (fluid-vs-packet
-    runs both planes by design, fluid-million pins fluid) reject the override
-    — rewriting their specs would either collapse the comparison or silently
-    re-key every point — mirroring how ``--transport`` refuses
-    'transport-sensitivity'.
-    """
-    if flow_model is None:
-        return specs
-    pinned = sorted({spec.flow_model for spec in specs
-                     if spec.flow_model != "packet"})
-    if pinned:
-        raise ExperimentError(
-            f"scenario {name!r} selects flow models per grid point "
-            f"({pinned}); --flow-model cannot override it")
-    if flow_model == "packet":
-        return specs
-    return [replace(spec, flow_model=flow_model) for spec in specs]
-
-
-def _build_specs(name: str, entry: GridScenario, config: ExperimentConfig,
-                 flow_model: Optional[str]) -> List[ScenarioSpec]:
-    return _with_flow_model(name, entry.build_specs(config), flow_model)
-
-
 def run_scenario(name: str, config: ExperimentConfig,
-                 processes: Optional[int] = None,
-                 flow_model: Optional[str] = None) -> ScenarioOutcome:
+                 processes: Optional[int] = None) -> ScenarioOutcome:
     """Execute one named scenario end to end; raises KeyError for unknown names.
 
     Touches no results store (:func:`run_scenario_coordinated` does).
-    ``flow_model`` (grid scenarios only) re-points every spec of the grid at
-    the named data path; specs re-pointed at ``"fluid"`` hash differently, so
-    packet and fluid runs of one scenario never collide in a store.
     """
     entry = _scenario(name)
     if isinstance(entry, GridScenario):
-        specs = _build_specs(name, entry, config, flow_model)
+        specs = entry.build_specs(config)
         return entry.finish(config, run_grid(specs, processes=processes))
-    if flow_model is not None:
-        raise ExperimentError(
-            f"scenario {name!r} is not a single spec grid; --flow-model only "
-            f"applies to grid scenarios: {shardable_scenario_names()}")
     return entry(config, processes)
 
 
 def _store_specs(name: str, config: ExperimentConfig,
-                 flow_model: Optional[str],
                  shard: Optional[Tuple[int, int]]) -> List[ScenarioSpec]:
     """The specs one store-backed run drains: the grid, or its slice ``i/n``.
 
@@ -411,7 +376,7 @@ def _store_specs(name: str, config: ExperimentConfig,
     ``p % n == i`` of the deterministically ordered grid, a balanced
     cross-section of its axes that depends on the grid alone.
     """
-    specs = _build_specs(name, _grid_scenario(name), config, flow_model)
+    specs = _grid_scenario(name).build_specs(config)
     if shard is None:
         return specs
     index, count = shard
@@ -427,16 +392,15 @@ def _coordinate_worker(args) -> Dict[str, Any]:
     functions of both, so every worker sees the identical grid in identical
     order) and drains the shared store to claim-exhaustion.
     """
-    name, config, results_dir, shard, flow_model = args
-    specs = _store_specs(name, config, flow_model, shard)
+    name, config, results_dir, shard = args
+    specs = _store_specs(name, config, shard)
     return drain_store(specs, results_dir)
 
 
 def run_scenario_coordinated(name: str, config: ExperimentConfig,
                              results_dir: str,
                              processes: Optional[int] = None,
-                             shard: Optional[Tuple[int, int]] = None,
-                             flow_model: Optional[str] = None) -> CoordinatedOutcome:
+                             shard: Optional[Tuple[int, int]] = None) -> CoordinatedOutcome:
     """Drain a grid scenario into ``results_dir`` through the sweep coordinator.
 
     The one way a grid reaches a store.  Points already recorded are skipped
@@ -452,13 +416,13 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
     ``n > 1`` limits it to the slice ``specs[i::n]``: that call completes
     its slice and returns the drain's accounting with no report.
     """
-    specs = _store_specs(name, config, flow_model, shard)
+    specs = _store_specs(name, config, shard)
     workers = resolve_processes(processes, len(specs))
     started = time.perf_counter()
     backend = CoordinatedBackend(results_dir)
     accounts: List[Dict[str, Any]] = []
     if workers > 1:
-        job = (name, config, results_dir, shard, flow_model)
+        job = (name, config, results_dir, shard)
         accounts = grid_map(_coordinate_worker, [job] * workers, workers)
     # The collector executes the whole slice itself with one process,
     # otherwise mops up (kills, reclaims, remote stragglers) and assembles
@@ -479,16 +443,13 @@ def run_scenario_coordinated(name: str, config: ExperimentConfig,
 
 
 def sweep_status_scenario(name: str, config: ExperimentConfig,
-                          results_dir: str,
-                          flow_model: Optional[str] = None) -> SweepStatus:
+                          results_dir: str) -> SweepStatus:
     """Snapshot a coordinated results directory against the scenario's grid."""
-    entry = _grid_scenario(name)
-    specs = _build_specs(name, entry, config, flow_model)
-    return sweep_status(specs, results_dir)
+    return sweep_status(_grid_scenario(name).build_specs(config), results_dir)
 
 
-def gc_scenario(name: str, config: ExperimentConfig, results_dir: str,
-                flow_model: Optional[str] = None) -> Dict[str, int]:
+def gc_scenario(name: str, config: ExperimentConfig,
+                results_dir: str) -> Dict[str, int]:
     """Garbage-collect ``results_dir`` against the scenario's current grid.
 
     Records whose spec hash the scenario (under this config) no longer
@@ -496,13 +457,11 @@ def gc_scenario(name: str, config: ExperimentConfig, results_dir: str,
     the survivors are rewritten as one shard file — see
     :func:`repro.experiments.results.gc_results` for the exact contract.
     """
-    entry = _grid_scenario(name)
-    return gc_results(_build_specs(name, entry, config, flow_model), results_dir)
+    return gc_results(_grid_scenario(name).build_specs(config), results_dir)
 
 
 def merge_scenario(name: str, config: ExperimentConfig,
-                   results_dir: str,
-                   flow_model: Optional[str] = None) -> ScenarioOutcome:
+                   results_dir: str) -> ScenarioOutcome:
     """Union the shard artifacts in ``results_dir`` into the full outcome.
 
     Runs nothing: every grid point must already be in the store (any shard
@@ -510,6 +469,5 @@ def merge_scenario(name: str, config: ExperimentConfig,
     :func:`run_scenario` under the same config produces.
     """
     entry = _grid_scenario(name)
-    specs = _build_specs(name, entry, config, flow_model)
-    results = collect_results(specs, ResultsStore(results_dir))
+    results = collect_results(entry.build_specs(config), ResultsStore(results_dir))
     return entry.finish(config, results)

@@ -974,7 +974,7 @@ class TestScenarioCoordination:
         monkeypatch.setattr(registry, "grid_map", in_process)
         store = str(tmp_path / "store")
         drained = run_scenario_coordinated("fig13", TINY, store, processes=2)
-        job = ("fig13", TINY, store, None, None)
+        job = ("fig13", TINY, store, None)
         assert calls == [(registry._coordinate_worker, [job, job], 2)]
         assert drained.outcome.text == run_scenario("fig13", TINY).text
         assert sum(w["executed"] for w in drained.workers) == 4

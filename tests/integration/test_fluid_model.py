@@ -36,7 +36,6 @@ from repro.experiments.fluid_scale import (
     to_fidelity_points,
 )
 from repro.experiments.coordinator import CoordinatedBackend
-from repro.experiments.registry import _with_flow_model, run_scenario
 from repro.experiments.results import ResultsStore, collect_results
 from repro.experiments.runner import (
     RunContext,
@@ -374,7 +373,7 @@ class TestFluidSharding:
 
 
 # =============================================================================
-# Dispatch, validation and the --flow-model override
+# Dispatch and validation
 # =============================================================================
 
 class TestFlowModelDispatch:
@@ -409,33 +408,6 @@ class TestFlowModelDispatch:
     def test_packet_only_knobs_fail_loudly_on_the_fluid_plane(self, overrides, match):
         with pytest.raises(ExperimentError, match=match):
             RunContext().run(self._spec(**overrides))
-
-    def test_override_applies_to_a_packet_grid(self):
-        specs = [self._spec(flow_model="packet")]
-        overridden = _with_flow_model("x", specs, "fluid")
-        assert all(s.flow_model == "fluid" for s in overridden)
-        assert _with_flow_model("x", specs, None) == specs
-        assert _with_flow_model("x", specs, "packet") == specs
-
-    def test_override_rejected_when_the_grid_pins_flow_models(self):
-        for scenario in ("fluid-vs-packet", "fluid-million"):
-            with pytest.raises(ExperimentError, match="cannot override"):
-                run_scenario(scenario, TINY, flow_model="packet")
-
-    def test_override_rejected_for_legacy_scenarios(self):
-        with pytest.raises(ExperimentError, match="not a single spec grid"):
-            run_scenario("fig9-10", TINY, flow_model="fluid")
-
-    def test_cli_exposes_the_flag(self):
-        from repro.cli import build_parser
-        parser = build_parser()
-        for command in (["run-grid", "fig11"],
-                        ["merge-results", "fig11", "--results-dir", "r"],
-                        ["gc-results", "fig11", "--results-dir", "r"]):
-            args = parser.parse_args(command + ["--flow-model", "fluid"])
-            assert args.flow_model == "fluid"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run-grid", "fig11", "--flow-model", "hybrid"])
 
 
 # =============================================================================

@@ -812,6 +812,21 @@ class TestCliSharding:
                              "--bench-artifact", str(path)]) == 0
             assert json.loads(path.read_text())["benchmark"] == benchmark
 
+    def test_cli_parallel_json_equals_serial(self, tmp_path, capsys, monkeypatch):
+        """The --json file holds the results alone: a --processes 2 run
+        writes the serial run's bytes."""
+        from repro import cli
+
+        monkeypatch.setitem(SCENARIOS, "fig13",
+                            GridScenario(lambda config: tiny_specs(),
+                                         summaries_finish))
+        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+        assert cli.main(["run-grid", "fig13", "--json", str(serial)]) == 0
+        assert cli.main(["run-grid", "fig13", "--processes", "2",
+                         "--json", str(parallel)]) == 0
+        capsys.readouterr()
+        assert parallel.read_bytes() == serial.read_bytes()
+
     def test_cli_shard_merge_end_to_end(self, tmp_path, capsys, monkeypatch):
         """Drive the full CLI path on a tiny grid via a patched registry entry."""
         from repro import cli

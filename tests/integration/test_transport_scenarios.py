@@ -104,32 +104,6 @@ class TestTransportKnob:
         slowstart = context.run(lossy_incast_spec("slowstart")).summary
         assert slowstart["p99_fct_ms"] != fixed["p99_fct_ms"]
 
-    def test_cli_run_grid_accepts_transport_flag(self, monkeypatch, capsys):
-        from repro import cli
-        captured = {}
-
-        def fake_run_scenario(name, config, processes=None, flow_model=None):
-            captured["transport"] = config.transport
-            from repro.experiments.registry import ScenarioOutcome
-            return ScenarioOutcome(name, "stub", {})
-
-        monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
-        assert cli.main(["run-grid", "fig13", "--transport", "slowstart"]) == 0
-        assert captured["transport"] == "slowstart"
-
-    def test_cli_rejects_transport_flag_on_sensitivity_scenario(self):
-        # transport-sensitivity sweeps every mode; a per-run override would
-        # be silently ignored, so the CLI refuses the combination.
-        from repro import cli
-        with pytest.raises(SystemExit, match="no effect"):
-            cli.main(["run-grid", "transport-sensitivity",
-                      "--transport", "paced"])
-
-    def test_cli_rejects_unknown_transport(self):
-        from repro import cli
-        with pytest.raises(SystemExit):
-            cli.main(["run-grid", "fig11", "--transport", "bongo"])
-
 
 class TestTransportSensitivityScenario:
     def test_registered(self):

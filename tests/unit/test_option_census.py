@@ -8,6 +8,7 @@ layer the census is complete: every public function or method there with an
 optional parameter has an entry (the AST sweep below fails otherwise).
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.baselines.spain import SpainSystem, compute_spain_paths
 from repro.core.compiler import CompileOptions
 from repro.experiments import report
@@ -25,7 +27,7 @@ from repro.experiments.ablations import (
     run_tag_minimization_ablation,
     versioning_specs,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PRESETS, ExperimentConfig
 from repro.experiments.coordinator import (
     CoordinatedBackend,
     LeaseInfo,
@@ -70,7 +72,7 @@ from repro.experiments.registry import (
     sweep_status_scenario,
 )
 from repro.experiments.results import ResultsStore, StoreFiles
-from repro.experiments import runner
+from repro.experiments import registry, runner
 from repro.experiments.runner import (
     RunContext,
     SerialBackend,
@@ -134,9 +136,10 @@ CENSUS = {
     live_leases: ("directory",),
     gc_leases: ("directory", "valid_keys", "completed_keys"),
     sweep_status: ("specs", "directory"),
-    run_scenario_coordinated: ("name", "config", "results_dir", "processes", "shard",
-                               "flow_model"),
-    sweep_status_scenario: ("name", "config", "results_dir", "flow_model"),
+    # A scenario name and a config fix one grid: no command or registry
+    # function re-keys it.
+    run_scenario_coordinated: ("name", "config", "results_dir", "processes", "shard"),
+    sweep_status_scenario: ("name", "config", "results_dir"),
     ResultsStore.record: ("self", "spec", "result", "wall_s", "owner", "stolen",
                           "reclaimed"),
     # The experiment layer.  Each figure grid is one fixed setup: its systems,
@@ -172,9 +175,9 @@ CENSUS = {
     build_routing_system: ("name", "topology", "config", "compiled", "use_versioning"),
     ExperimentConfig.scaled: ("self", "duration_factor", "loads"),
     race_check: ("name", "config", "seeds", "points"),
-    run_scenario: ("name", "config", "processes", "flow_model"),
-    gc_scenario: ("name", "config", "results_dir", "flow_model"),
-    merge_scenario: ("name", "config", "results_dir", "flow_model"),
+    run_scenario: ("name", "config", "processes"),
+    gc_scenario: ("name", "config", "results_dir"),
+    merge_scenario: ("name", "config", "results_dir"),
     RunContext: ("sanitize",),
     SerialBackend: ("context",),
     grid_map: ("fn", "items", "processes"),
@@ -259,3 +262,53 @@ def test_removed_members_stay_removed():
     # run_grid opens a pool itself, through grid_map, when given no backend.
     for member in ("PoolBackend", "default_backend"):
         assert not hasattr(runner, member)
+    # Every grid command builds exactly the scenario's grid under a preset.
+    for member in ("_with_flow_model", "_build_specs"):
+        assert not hasattr(registry, member)
+    for member in ("_grid_config", "_resolve_config"):
+        assert not hasattr(cli, member)
+
+
+_GRID_COMMANDS = ("run-grid", "race-check", "merge-results", "gc-results", "sweep-status")
+
+#: Each subcommand's option strings, in declaration order.
+CLI_CENSUS = {
+    "policies": ("-h", "--help"),
+    "compile": ("-h", "--help", "--k", "--leaves", "--spines", "--hosts-per-leaf",
+                "--size", "--seed", "--topology", "--emit-p4"),
+    "check-policy": ("-h", "--help", "--k", "--leaves", "--spines", "--hosts-per-leaf",
+                     "--size", "--seed", "--all", "--topo", "--json"),
+    "run-grid": ("-h", "--help", "--preset", "--processes", "--json", "--results-dir",
+                 "--shard", "--sanitize"),
+    "race-check": ("-h", "--help", "--preset", "--seeds", "--points", "--json"),
+    "merge-results": ("-h", "--help", "--preset", "--results-dir", "--json",
+                      "--bench-artifact"),
+    "gc-results": ("-h", "--help", "--preset", "--results-dir"),
+    "sweep-status": ("-h", "--help", "--preset", "--results-dir"),
+}
+
+
+def test_cli_options_are_the_census():
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert {command: tuple(option for action in parser._actions
+                           for option in action.option_strings)
+            for command, parser in commands.items()} == CLI_CENSUS
+    # A preset is one of the table's names; none reads the environment.
+    for command in _GRID_COMMANDS:
+        (preset,) = [action for action in commands[command]._actions
+                     if "--preset" in action.option_strings]
+        assert tuple(preset.choices) == tuple(PRESETS)
+
+
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
+@pytest.mark.parametrize("flag", (["--transport", "slowstart"], ["--flow-model", "fluid"],
+                                  ["--preset", "env"]),
+                         ids=("transport", "flow-model", "env-preset"))
+def test_a_grid_variant_flag_is_a_usage_error(command, flag, capsys):
+    grid = [command, "fig13"] + ([] if command == "race-check" else ["--results-dir", "r"])
+    cli.build_parser().parse_args(grid)
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(grid + flag)
+    assert exited.value.code == 2
+    assert flag[0] in capsys.readouterr().err

@@ -1,14 +1,10 @@
 """Unit tests for the Figure 3 policy library and the command-line interface."""
 
-import argparse
-
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import policies
 from repro.core.rank import INFINITY, Rank
-from repro.exceptions import schema
-from repro.experiments.runner import ScenarioSpec
 
 
 class TestPolicyLibrary:
@@ -150,22 +146,6 @@ class TestCli:
         assert len(topo.switches_with_role("leaf")) == 2
         assert len(topo.switches_with_role("spine")) == 2
         assert len(topo.hosts) == 4
-
-    def test_grid_variant_choices_are_the_declared_field_domains(self):
-        """Every grid command offers exactly the transports and flow models
-        a ScenarioSpec admits, and race-check offers neither."""
-        domains = {name: domain for name, domain, _, _ in schema(ScenarioSpec)}
-        (commands,) = [action.choices for action in build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction)]
-        offered = {}
-        for command, parser in commands.items():
-            for action in parser._actions:
-                if action.dest in ("transport", "flow_model"):
-                    offered.setdefault(command, {})[action.dest] = tuple(action.choices)
-        expected = {"transport": domains["transport"].choices,
-                    "flow_model": domains["flow_model"].choices}
-        assert offered == {command: expected for command in
-                           ("run-grid", "merge-results", "gc-results", "sweep-status")}
 
     def test_new_scenarios_accepted_by_run_grid_parser(self):
         for scenario in ("incast", "multi-failure", "recovery-sweep"):
